@@ -72,20 +72,11 @@ pub trait EnergyClient {
     #[doc(hidden)]
     fn transport(&mut self, batch: RequestBatch) -> ResponseBatch;
 
-    /// The protocol version this client stamps on its batches. The
-    /// in-process client always speaks the current version; the remote
-    /// client speaks whatever its connection negotiated, so a
-    /// v1-negotiated client emits v1 envelopes and v2-only requests come
-    /// back as per-request version errors.
-    fn protocol_version(&self) -> u16 {
-        crate::proto::PROTOCOL_VERSION
-    }
-
     /// Builds the envelope for a batch of requests.
     #[doc(hidden)]
     fn envelope(&self, requests: Vec<EnergyRequest>) -> RequestBatch {
         RequestBatch {
-            version: self.protocol_version(),
+            version: crate::proto::PROTOCOL_VERSION,
             app: self.app_id(),
             requests,
         }
@@ -443,9 +434,7 @@ pub trait EnergyClient {
     ///
     /// # Errors
     ///
-    /// [`crate::EcovisorError::Protocol`] when the connection negotiated
-    /// protocol v1 (push needs the v2 duplex wire); transport failures
-    /// as error values.
+    /// Transport failures, as error values.
     fn subscribe_events(&mut self, filter: EventFilter) -> Result<()> {
         self.exec(EnergyRequest::SubscribeEvents { filter }).unit()
     }

@@ -129,8 +129,8 @@ pub use share::EnergyShare;
 pub use sim::Simulation;
 pub use snapshot::{AppSnapshot, Snapshot, SnapshotError, SNAPSHOT_FORMAT};
 pub use transport::{
-    ClientHello, ClientHelloV2, CredentialRegistry, EcovisorServer, RemoteEcovisorClient,
-    ServerHandle, ServerHello, ServerStats, SharedEcovisor, WireCodec,
+    ClientHelloV2, CredentialRegistry, EcovisorServer, RemoteEcovisorClient, ServerHandle,
+    ServerHello, ServerStats, SharedEcovisor, WireCodec,
 };
 pub use ves::{VesFlows, VesTotals, VirtualEnergySystem};
 

@@ -76,10 +76,11 @@ use crate::error::EcovisorError;
 use crate::event::{EventFilter, Notification};
 use crate::federation::FedAppView;
 
-/// The original request/response-only protocol. Still served: a v1
-/// batch dispatches byte-identically to how the v1 dispatcher answered
-/// it, and the transport keeps a raw (unframed) wire loop for v1
-/// connections.
+/// The original request/response-only protocol, still accepted as an
+/// **envelope** version: a batch stamped v1 dispatches exactly as the v1
+/// dispatcher answered it (recorded traces and snapshots carry the
+/// stamp). Its *connection wire* — bare batches in transport frames — is
+/// retired; the transport speaks only the [`PROTOCOL_VERSION`] wire.
 pub const PROTOCOL_V1: u16 = 1;
 
 /// Current protocol version. v2 adds the duplex [`Frame`] layer,
@@ -89,10 +90,10 @@ pub const PROTOCOL_V1: u16 = 1;
 /// batches from unsupported versions with [`ProtoError::Version`].
 pub const PROTOCOL_VERSION: u16 = 2;
 
-/// Every version this dispatcher serves, lowest first. The transport
-/// hello negotiates the **highest shared** entry; the dispatcher accepts
-/// batches carrying any of them (gating v2-only requests per request via
-/// [`EnergyRequest::min_version`]).
+/// Every **envelope** version this dispatcher serves, lowest first: it
+/// accepts batches carrying any of them (gating v2-only requests per
+/// request via [`EnergyRequest::min_version`]). The transport hello is a
+/// separate matter — it serves one wire, [`PROTOCOL_VERSION`].
 pub const SUPPORTED_VERSIONS: &[u16] = &[PROTOCOL_V1, PROTOCOL_VERSION];
 
 /// One application-issued command or query.
@@ -251,9 +252,9 @@ pub enum EnergyRequest {
 
     // -- Table 2 asynchronous notifications ------------------------------
     /// Drains the app's pending [`Notification`]s (Table 2 `notify_*`
-    /// upcalls as pull). Available since v1: a remote client on the old
-    /// protocol gets event parity by polling each tick, exactly what a
-    /// local `drain_events` call observes.
+    /// upcalls as pull). Available since v1: a remote client that does
+    /// not subscribe gets event parity by polling each tick, exactly
+    /// what a local `drain_events` call observes.
     PollEvents,
     /// Subscribes this *connection* to server-push [`EventFrame`]s after
     /// every settlement, delivery-filtered by `filter` (v2 only: push
@@ -414,10 +415,9 @@ impl EnergyRequest {
     /// The dispatcher answers a request arriving in an older batch with
     /// [`ProtoError::Version`] — per request, without failing the batch.
     ///
-    /// `PollEvents` is deliberately v1: it back-fills the v1 event gap
-    /// (remote Table 2 parity by polling) without any frame-layer
-    /// machinery. `SubscribeEvents` needs server push, which only the v2
-    /// duplex wire carries.
+    /// `PollEvents` is deliberately v1 (remote Table 2 parity by
+    /// polling, no push involved). `SubscribeEvents` needs server push,
+    /// which arrived with v2.
     pub fn min_version(&self) -> u16 {
         match self {
             EnergyRequest::SubscribeEvents { .. }
@@ -958,15 +958,14 @@ pub enum ControlFrame {
     Pong,
 }
 
-/// One message on the v2 duplex wire.
+/// One message on the duplex wire.
 ///
 /// Protocol v1 put bare [`RequestBatch`]/[`ResponseBatch`] payloads in
 /// its transport frames, which fixes the direction of every message:
 /// the client speaks, the server answers. v2 wraps every payload in this
 /// enum, so the *kind* travels with the message and the server gains the
 /// right to speak first — pushing [`Frame::Event`] to subscribed
-/// connections after each settlement. A v1 connection never sees this
-/// type; its wire stays byte-identical.
+/// connections after each settlement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Frame {
     /// Client → server: a request batch to dispatch.

@@ -2,8 +2,8 @@
 //! settlement.
 //!
 //! [`ShardedEcovisor`] is the shape an [`Ecovisor`] takes when several
-//! threads drive it at once — the transport's thread-per-connection
-//! servers, multi-tenant simulations, and the multithreaded benches all
+//! threads drive it at once — the transport's worker pool,
+//! multi-tenant simulations, and the multithreaded benches all
 //! share one through an `Arc`. It layers two levels of locking:
 //!
 //! 1. an **outer** `RwLock<Ecovisor>`: every dispatch holds the *read*

@@ -1,20 +1,37 @@
-//! Remote transport: the ecovisor protocol over TCP — duplex since v2.
+//! Remote transport: the ecovisor protocol over TCP — one duplex wire,
+//! one serving loop.
 //!
 //! PR 1 made every API call a wire-serializable message; this module puts
 //! those messages on an actual wire, so an application binary can drive
 //! an ecovisor in another process (the deployment shape of §3: tenants
 //! are untrusted and live outside the energy-system virtualization
 //! layer). [`EcovisorServer`] owns the ecovisor and answers
-//! [`RequestBatch`] frames; [`RemoteEcovisorClient`] implements the same
-//! [`EnergyClient`] method surface as the in-process handle, so
-//! application code is transport-agnostic.
+//! [`RequestBatch`](crate::proto::RequestBatch) frames;
+//! [`RemoteEcovisorClient`] implements the same
+//! [`EnergyClient`](crate::client::EnergyClient) method surface as the
+//! in-process handle, so application code is transport-agnostic.
 //!
-//! Since protocol **v2** the wire is *duplex*: the server does not only
-//! answer, it also **pushes** — after every settlement, subscribed
-//! connections receive the [`EventFrame`]s carrying the paper's Table 2
-//! asynchronous upcalls (`notify_solar_change`, `notify_carbon_change`,
-//! `notify_battery_full/empty`, budget exhaustion), so a remote
-//! application reacts to energy variability without polling.
+//! The wire is *duplex*: the server does not only answer, it also
+//! **pushes** — after every settlement, subscribed connections receive
+//! the [`EventFrame`](crate::proto::EventFrame)s carrying the paper's
+//! Table 2 asynchronous upcalls (`notify_solar_change`,
+//! `notify_carbon_change`, `notify_battery_full/empty`, budget
+//! exhaustion), so a remote application reacts to energy variability
+//! without polling.
+//!
+//! ## Module map
+//!
+//! One file per decision, so each is made in exactly one place:
+//!
+//! | module    | owns                                                        |
+//! |-----------|-------------------------------------------------------------|
+//! | `framing` | the length-prefix frame format and its bounds               |
+//! | `hello`   | negotiation (wire version, codec) and credentials           |
+//! | `conn`    | a connection's committed-write queue, backpressure, push    |
+//! | `admin`   | the credential-gated admin requests and the chunk flow      |
+//! | `server`  | bind/harden/spawn, per-frame semantics, the driver's handle |
+//! | `evented` | the reactor and worker threads that move the bytes          |
+//! | `client`  | [`RemoteEcovisorClient`]                                    |
 //!
 //! ## Wire format
 //!
@@ -27,89 +44,86 @@
 //! ```
 //!
 //! Frames longer than [`MAX_FRAME_LEN`] are rejected (the read side never
-//! allocates more than the peer has actually earned the right to send).
+//! allocates more than the peer has actually earned the right to send);
+//! before the hello is accepted the bound is the much smaller
+//! [`MAX_HELLO_LEN`]. After the hello, every payload is one
+//! [`Frame`](crate::proto::Frame) (`Request` | `Response` | `Event` |
+//! `Control`), the kind travelling with the message so the server may
+//! speak first.
 //!
-//! What a payload *is* depends on the negotiated protocol version:
-//!
-//! * **v1** — exactly the old request/response wire: one [`RequestBatch`]
-//!   (client → server) or [`ResponseBatch`] (server → client) per frame,
-//!   byte-identical to how a v1-only server served it;
-//! * **v2** — one [`Frame`] (`Request` | `Response` | `Event` |
-//!   `Control`), the kind travelling with the message so the server may
-//!   speak first.
-//!
-//! ## Hello: versions, codec, credential
+//! ## Hello: version, codec, credential
 //!
 //! The first frame in each direction is a **hello**, always encoded as
-//! JSON so negotiation itself is codec-independent. A v2 client sends a
-//! [`ClientHelloV2`] advertising a **version list**, its codec
-//! preference, and (optionally) a per-app **credential token**; a legacy
-//! client sends the v1 [`ClientHello`] with its single version. The
-//! server answers [`ServerHello::Accept`] naming the **highest shared
-//! version** and the negotiated codec, or [`ServerHello::Reject`] with a
-//! reason, after which it closes the connection.
+//! JSON so negotiation itself is codec-independent. The client sends a
+//! [`ClientHelloV2`] advertising the wire versions it speaks, its codec
+//! preference, and (optionally) a per-app **credential token**. The
+//! server answers [`ServerHello::Accept`] naming the wire version — there
+//! is exactly one, [`PROTOCOL_VERSION`](crate::proto::PROTOCOL_VERSION) —
+//! and the negotiated codec, or [`ServerHello::Reject`] with a reason,
+//! after which it closes the connection. A hello that does not offer the
+//! served wire version (or is not a `ClientHelloV2` at all, like the
+//! retired v1 hello shape) is rejected that way. The *envelope* `version`
+//! inside each batch is a separate, per-request gate the dispatcher
+//! applies; see `docs/PROTOCOL.md`.
 //!
 //! The server **pins the connection to the hello's `AppId`**: any later
 //! batch claiming a different app scope is denied with error values
 //! without touching the dispatcher. When the server is built
 //! [`with_credentials`](EcovisorServer::with_credentials), pinning
-//! upgrades from integrity to **authentication**: a v2 hello must carry
+//! upgrades from integrity to **authentication**: the hello must carry
 //! the app's credential token (verified in constant time against the
-//! server-side [`CredentialRegistry`]) before any batch is served, and
-//! credential-less v1 hellos are rejected outright. Without a registry
-//! the listener stays open (trusted-network mode), exactly as in v1.
+//! server-side [`CredentialRegistry`]) before any batch is served.
+//! Without a registry the listener stays open (trusted-network mode).
 //!
 //! ## Event push
 //!
-//! A v2 connection subscribes by sending
-//! [`EnergyRequest::SubscribeEvents`] (the transport interprets it for
-//! the connection that sent it; the dispatcher just acknowledges). From
-//! then on, the server's post-settlement broadcast hook (registered on
-//! the [`ShardedEcovisor`] at bind time, run inside the settlement
-//! barrier — see [`ShardedEcovisor::on_settlement`]) drains each
-//! subscribed app's outbox into an [`EventFrame`] stamped with the
-//! settlement tick and writes it, delivery-filtered per subscriber, to
-//! every subscribed connection of that app. Each connection is split
-//! into a **reader half** (owned by whichever loop reads frames) and a
-//! **writer half** (a cloned stream behind a mutex feeding a committed
-//! write queue), so response writes and broadcast pushes interleave at
-//! frame granularity, never mid-frame.
+//! A connection subscribes by sending
+//! [`EnergyRequest::SubscribeEvents`](crate::proto::EnergyRequest::SubscribeEvents)
+//! (the transport interprets it for the connection that sent it; the
+//! dispatcher just acknowledges). From then on, the server's
+//! post-settlement broadcast hook (registered on the
+//! [`ShardedEcovisor`](crate::ShardedEcovisor) at bind time, run inside
+//! the settlement barrier — see
+//! [`ShardedEcovisor::on_settlement`](crate::ShardedEcovisor::on_settlement))
+//! drains each subscribed app's outbox into an `EventFrame` stamped with
+//! the settlement tick and writes it, delivery-filtered per subscriber,
+//! to every subscribed connection of that app. All of a connection's
+//! outbound bytes — responses from a worker, pushes from the driver
+//! thread — go through one committed write queue behind a mutex, so they
+//! interleave at frame granularity, never mid-frame.
 //!
 //! ## Concurrency model
 //!
-//! [`EcovisorServer::spawn`] runs the **evented runtime** (see the
-//! `evented` submodule): one reactor thread drives non-blocking
-//! accept/read/write for *every* connection through the vendored
-//! epoll-backed [`reactor`] shim, and complete inbound frames are
-//! dispatched on a small worker pool
-//! ([`with_workers`](EcovisorServer::with_workers), auto-sized by
+//! [`EcovisorServer::spawn`] runs the **evented runtime** (the `evented`
+//! submodule): one reactor thread drives non-blocking accept/read/write
+//! for *every* connection through the vendored epoll-backed [`reactor`]
+//! shim, and complete inbound frames are dispatched on a small worker
+//! pool ([`with_workers`](EcovisorServer::with_workers), auto-sized by
 //! default) — thousands of tenants multiplex onto a handful of threads,
 //! and no thread is ever pinned to a client. Frames on one connection
-//! are still served strictly in order (a connection is owned by at most
-//! one worker at a time), so per-connection semantics are identical to
-//! the embeddable blocking loop
-//! ([`serve_connection`](EcovisorServer::serve_connection)), which
-//! shares the same per-frame processing code. All of them dispatch into
-//! one shared [`ShardedEcovisor`] (an `Arc<ShardedEcovisor>` — the
-//! [`SharedEcovisor`] alias). Per-app state is sharded behind its own
-//! lock, so batches from different tenants — and query-only batches
-//! from the *same* tenant — execute in parallel rather than serializing
-//! on a global mutex; workers simply park on shard/settlement lock
-//! acquisition. The driver loop (whoever ticks the simulation) calls
-//! [`ShardedEcovisor::tick`] between batches; that settlement barrier
-//! is the only cross-tenant synchronization, and it is where event
-//! frames are pushed.
+//! are served strictly in order (a connection is owned by at most one
+//! worker at a time). All workers dispatch into one shared
+//! [`ShardedEcovisor`](crate::ShardedEcovisor) (the [`SharedEcovisor`]
+//! alias). Per-app state is sharded behind its own lock, so batches from
+//! different tenants — and query-only batches from the *same* tenant —
+//! execute in parallel rather than serializing on a global mutex;
+//! workers simply park on shard/settlement lock acquisition. The driver
+//! loop (whoever ticks the simulation) calls
+//! [`ShardedEcovisor::tick`](crate::ShardedEcovisor::tick) between
+//! batches; that settlement barrier is the only cross-tenant
+//! synchronization, and it is where event frames are pushed.
 //!
 //! A connection that fails mid-frame (peer crash, network drop) is
-//! logged to stderr, deregistered from the push registry and the
-//! reactor, and dropped from
+//! counted and logged through the structured log (`ecovisor::obs`),
+//! deregistered from the push registry and the reactor, and dropped from
 //! [`ServerHandle::active_connections`], so a long-lived server never
 //! accumulates dead connections. A server built
 //! [`with_read_timeout`](EcovisorServer::with_read_timeout) additionally
 //! reaps **idle** connections: a dead subscriber that holds a push
 //! stream without ever sending another frame trips the timeout and is
-//! collected the same way (the timeout also bounds writes, so a wedged
-//! subscriber cannot hold the settlement barrier hostage).
+//! collected the same way. A subscriber that merely stops *reading*
+//! cannot hold the settlement barrier hostage either: writes never
+//! block, what its socket refuses is queued and parked.
 //! [`ServerHandle::shutdown`] is deterministic: it wakes the reactor
 //! (which closes every socket and the listener), stops the worker
 //! queue, and joins all threads — no step waits on a timeout.
@@ -117,8 +131,8 @@
 //! ## Example
 //!
 //! Serve an ecovisor on loopback and drive it remotely — the client
-//! speaks the same [`EnergyClient`] methods as the in-process handle,
-//! and (on v2) receives pushed events:
+//! speaks the same `EnergyClient` methods as the in-process handle, and
+//! receives pushed events:
 //!
 //! ```
 //! use ecovisor::{EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare,
@@ -133,7 +147,7 @@
 //!
 //! let mut api = RemoteEcovisorClient::connect(handle.addr(), app).unwrap();
 //! assert_eq!(api.codec(), WireCodec::Binary);       // negotiated in the hello
-//! assert_eq!(api.version(), PROTOCOL_VERSION);      // highest shared version
+//! assert_eq!(api.version(), PROTOCOL_VERSION);      // the one served wire version
 //! api.subscribe_events(EventFilter::all()).unwrap();
 //! assert_eq!(api.get_grid_power(), Watts::ZERO);
 //!
@@ -145,52 +159,22 @@
 //! drop(api);
 //! handle.shutdown();
 //! ```
-//!
-//! [`ProtocolTrace`]: crate::dispatch::ProtocolTrace
 
-use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-use container_cop::AppId;
 use serde::{Deserialize, Serialize};
 
-use crate::client::{EnergyClient, EventHandler};
-use crate::ecovisor::Ecovisor;
-use crate::event::{EventFilter, Notification, OutboxPolicy};
-use crate::proto::{
-    ControlFrame, EnergyRequest, EnergyResponse, EventFrame, Frame, ProtoError, RequestBatch,
-    ResponseBatch, PROTOCOL_V1, PROTOCOL_VERSION, SUPPORTED_VERSIONS,
-};
-use crate::shard::ShardedEcovisor;
-use crate::snapshot::Snapshot;
-
+mod admin;
+mod client;
+mod conn;
 mod evented;
+mod framing;
+mod hello;
+mod server;
 
-/// Upper bound on a single frame's payload, so a hostile peer cannot make
-/// the read side allocate unboundedly.
-pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
-
-/// Payload bytes carried per [`EnergyResponse::SnapshotChunk`] /
-/// [`EnergyRequest::Restore`] chunk on the admin checkpoint surface:
-/// large enough that a realistic snapshot moves in a handful of frames,
-/// small enough that a chunk never competes with [`MAX_FRAME_LEN`].
-pub const SNAPSHOT_CHUNK_LEN: usize = 256 * 1024;
-
-/// Ceiling on a reassembling [`EnergyRequest::Restore`] payload, so even
-/// an authenticated operator connection cannot grow the assembly buffer
-/// without bound.
-const MAX_RESTORE_LEN: usize = 256 * 1024 * 1024;
-
-/// Ceiling on one connection's committed-but-unwritten wire bytes. A
-/// subscriber may hang and recover (its frames queue, see
-/// [`PendingWrites`]); one that also keeps *sending* while never reading
-/// would grow the response backlog without bound, and is cut off here.
-const MAX_PENDING_BYTES: usize = 64 * 1024 * 1024;
+pub use admin::SNAPSHOT_CHUNK_LEN;
+pub use client::RemoteEcovisorClient;
+pub use framing::{MAX_FRAME_LEN, MAX_HELLO_LEN};
+pub use hello::{ClientHelloV2, CredentialRegistry, ServerHello};
+pub use server::{EcovisorServer, ServerHandle, ServerStats, SharedEcovisor};
 
 /// A wire encoding for protocol payloads, negotiated per connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -233,2302 +217,12 @@ impl WireCodec {
     }
 }
 
-/// The legacy (v1) hello, first frame of a connection, client → server
-/// (always JSON). A v1-only client still sends exactly this and is
-/// served exactly as before; new clients send [`ClientHelloV2`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClientHello {
-    /// The single protocol version the client speaks.
-    pub version: u16,
-    /// The tenant this connection acts for. The server **pins** the
-    /// connection to this scope: every subsequent batch must carry the
-    /// same `app`. Client-asserted — see the module docs for why this
-    /// is integrity, not authentication (and how a
-    /// [`CredentialRegistry`] upgrades it).
-    pub app: AppId,
-    /// Codecs the client accepts, in preference order.
-    pub codecs: Vec<WireCodec>,
-}
-
-impl ClientHello {
-    /// A v1 hello for `app` with the given codec preference — what a
-    /// legacy client on the original protocol sends.
-    pub fn new(app: AppId, codecs: Vec<WireCodec>) -> Self {
-        Self {
-            version: PROTOCOL_V1,
-            app,
-            codecs,
-        }
-    }
-}
-
-/// The v2 hello: advertises every version the client speaks (the server
-/// picks the highest shared one), and optionally carries the per-app
-/// credential token a hardened server requires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClientHelloV2 {
-    /// Every protocol version the client speaks. The server answers
-    /// with the highest version both sides share.
-    pub versions: Vec<u16>,
-    /// The tenant this connection acts for (pinned, as in v1 — but a
-    /// credentialed server verifies the claim before serving).
-    pub app: AppId,
-    /// Codecs the client accepts, in preference order.
-    pub codecs: Vec<WireCodec>,
-    /// Per-app credential token, when the server demands one. Verified
-    /// constant-time against the server's [`CredentialRegistry`] before
-    /// any batch is dispatched.
-    pub credential: Option<String>,
-}
-
-impl ClientHelloV2 {
-    /// A hello advertising every version this build speaks.
-    pub fn new(app: AppId, codecs: Vec<WireCodec>, credential: Option<String>) -> Self {
-        Self {
-            versions: SUPPORTED_VERSIONS.to_vec(),
-            app,
-            codecs,
-            credential,
-        }
-    }
-}
-
-/// Second frame of a connection, server → client (always JSON).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ServerHello {
-    /// The connection is open; all further frames use `codec` and the
-    /// wire speaks `version` (the highest version both sides share).
-    Accept {
-        /// The negotiated protocol version for this connection.
-        version: u16,
-        /// The negotiated codec.
-        codec: WireCodec,
-    },
-    /// The connection is refused; the server closes after this frame.
-    Reject {
-        /// Why the hello was not acceptable.
-        reason: String,
-    },
-}
-
-// ----------------------------------------------------------------------
-// Credentials
-// ----------------------------------------------------------------------
-
-/// Constant-time byte-string equality: the comparison cost depends only
-/// on the *lengths*, never on where the first mismatch sits, so a remote
-/// peer cannot binary-search a token byte by byte from timing.
-fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
-    let mut diff = a.len() ^ b.len();
-    for i in 0..a.len().max(b.len()) {
-        let x = a.get(i).copied().unwrap_or(0);
-        let y = b.get(i).copied().unwrap_or(0);
-        diff |= usize::from(x ^ y);
-    }
-    diff == 0
-}
-
-/// The server-side table of per-app credential tokens.
-///
-/// Installed with [`EcovisorServer::with_credentials`]; once present,
-/// every connection must prove its claimed [`AppId`] with the matching
-/// token in a [`ClientHelloV2`] **before any batch is served** —
-/// rejections happen at hello time, so an unauthenticated peer never
-/// reaches the dispatcher. Token comparison is constant-time.
-#[derive(Debug, Clone, Default)]
-pub struct CredentialRegistry {
-    tokens: BTreeMap<AppId, Vec<u8>>,
-}
-
-impl CredentialRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers (or replaces) an app's credential token.
-    pub fn insert(&mut self, app: AppId, token: impl Into<Vec<u8>>) {
-        self.tokens.insert(app, token.into());
-    }
-
-    /// Builder-style [`insert`](Self::insert).
-    #[must_use]
-    pub fn with(mut self, app: AppId, token: impl Into<Vec<u8>>) -> Self {
-        self.insert(app, token);
-        self
-    }
-
-    /// Verifies a presented token against `app`'s registered one in
-    /// constant time. A missing registration, a missing presentation,
-    /// and a wrong token are all plain `false` — the caller's rejection
-    /// message never distinguishes them.
-    pub fn verify(&self, app: AppId, presented: Option<&str>) -> bool {
-        // Compare against an empty token when either side is absent so
-        // the call always performs a comparison.
-        let stored: &[u8] = self.tokens.get(&app).map(Vec::as_slice).unwrap_or(&[]);
-        let given: &[u8] = presented.map(str::as_bytes).unwrap_or(&[]);
-        let shape_ok = self.tokens.contains_key(&app) && presented.is_some();
-        constant_time_eq(stored, given) && shape_ok
-    }
-}
-
-// ----------------------------------------------------------------------
-// Framing
-// ----------------------------------------------------------------------
-
-/// Writes one length-prefixed frame.
-fn write_frame(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l <= MAX_FRAME_LEN)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
-}
-
-/// Reads one length-prefixed frame into `buf`, growing (never shrinking)
-/// it as needed — the payload occupies `buf[..len]`. Reusing one buffer
-/// across frames is the blocking read path's allocation-reuse story; the
-/// evented server's [`evented`] state machine has its own per-connection
-/// accumulation buffer. `Ok(None)` means the peer closed the connection
-/// cleanly at a frame boundary.
-fn read_frame_into(stream: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<Option<usize>> {
-    let mut len_bytes = [0u8; 4];
-    match stream.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME_LEN"),
-        ));
-    }
-    let len = len as usize;
-    if buf.len() < len {
-        buf.resize(len, 0);
-    }
-    stream.read_exact(&mut buf[..len])?;
-    Ok(Some(len))
-}
-
-/// [`read_frame_into`] with a fresh allocation per frame — the
-/// convenience form for one-shot reads (handshakes, tests).
-fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut buf = Vec::new();
-    Ok(read_frame_into(stream, &mut buf)?.map(|len| {
-        buf.truncate(len);
-        buf
-    }))
-}
-
-// ----------------------------------------------------------------------
-// Server
-// ----------------------------------------------------------------------
-
-/// An ecovisor shared between the transport threads and the driver loop:
-/// per-app shards dispatch in parallel, settlement quiesces them (see
-/// [`ShardedEcovisor`]).
-pub type SharedEcovisor = Arc<ShardedEcovisor>;
-
-/// The writer half of one served connection: the connection's stream
-/// behind a mutex, shared by the response path (serving thread) and the
-/// post-settlement broadcast (driver thread), so the two interleave at
-/// frame granularity. On the evented path this is the *same* socket the
-/// reactor reads from (one fd per connection — at thousands of tenants
-/// a `try_clone` per connection would double the process's fd bill);
-/// the blocking path hands in a cloned stream because its reader half
-/// needs `&mut` access.
-struct ConnShared {
-    app: AppId,
-    codec: WireCodec,
-    writer: Mutex<Arc<TcpStream>>,
-    /// `Some(filter)` once the connection subscribed to event push.
-    filter: Mutex<Option<EventFilter>>,
-    /// Backpressure state: what could not be written because the peer
-    /// stopped draining its socket. Lock order is `pending` before
-    /// `writer`, on every path.
-    pending: Mutex<PendingWrites>,
-    /// `Some` on evented connections: how the reactor learns this
-    /// connection still owes bytes, so it arms writable interest and
-    /// finishes the flush when the peer drains. `None` on blocking
-    /// connections, which retry on their own serving paths.
-    notify: Option<WriteNotify>,
-    /// The server's observability hub, for outbound frame/byte counting
-    /// and coalesce-drop accounting (`None` when the server has none).
-    obs: Option<Arc<crate::obs::ObsHub>>,
-}
-
-impl ConnShared {
-    /// The transport-metrics handles, when a hub is attached.
-    fn metrics(&self) -> Option<&crate::obs::TransportMetrics> {
-        self.obs.as_deref().map(|hub| &hub.transport)
-    }
-}
-
-/// The reactor-facing side of a connection's write queue: marks the
-/// connection dirty and wakes the event loop (see [`evented`]).
-struct WriteNotify {
-    token: usize,
-    dirty: Arc<Mutex<Vec<usize>>>,
-    waker: reactor::Waker,
-}
-
-impl WriteNotify {
-    fn notify(&self) {
-        let mut dirty = crate::lock::lock(&self.dirty);
-        if !dirty.contains(&self.token) {
-            dirty.push(self.token);
-        }
-        drop(dirty);
-        let _ = self.waker.wake();
-    }
-}
-
-/// One connection's write backlog. A slow subscriber no longer gets its
-/// socket shut down: writes that would block are *queued* here and
-/// retried on every settlement (and on every response write), so a hung
-/// subscriber that recovers picks up where it left off.
-///
-/// Two tiers, because a length-prefixed frame that has started going out
-/// must finish byte-exact:
-///
-/// * `buf` holds frames **committed** to the wire order as encoded
-///   bytes — one grow-only buffer reused across every frame on the
-///   connection (no per-frame allocation); the prefix up to `written`
-///   is already on the wire, a partially-written frame resumes
-///   byte-exact, and committed frames are never reordered, coalesced,
-///   or dropped (responses and control frames always land here);
-/// * `parked` holds event notifications **displaced** by backpressure,
-///   governed by the app's [`OutboxPolicy`] — exactly the per-app outbox
-///   discipline, applied a second time at the connection: level events
-///   coalesce keep-latest / evict-oldest at the cap, edge events
-///   (battery full/empty, budget exhaustion) are never dropped. Once the
-///   socket drains, the parked set is re-framed as a single recovery
-///   [`EventFrame`] stamped with the newest contributing tick.
-#[derive(Default)]
-struct PendingWrites {
-    /// Committed wire bytes, length prefixes included; `buf[written..]`
-    /// awaits the socket.
-    buf: Vec<u8>,
-    /// Bytes of `buf` already on the wire.
-    written: usize,
-    /// Whole frames currently committed-but-unwritten (the
-    /// [`ServerHandle::subscriber_backlog`] diagnostic).
-    queued_frames: usize,
-    /// Notifications parked under the app's [`OutboxPolicy`].
-    parked: Vec<Notification>,
-    /// Settlement tick of the newest parked notification.
-    parked_tick: u64,
-}
-
-/// Capacity retained by a drained write buffer: bursts briefly grow the
-/// buffer, steady state keeps a bounded allocation per connection.
-const DRAIN_RETAIN_BYTES: usize = 64 * 1024;
-
-impl PendingWrites {
-    /// Committed-but-unwritten byte count.
-    fn queued_bytes(&self) -> usize {
-        self.buf.len() - self.written
-    }
-
-    /// Appends one length-prefixed frame to the committed tail. The
-    /// already-written prefix is compacted away first, so the buffer
-    /// never grows past the backlog bound even on a connection that
-    /// drains slowly forever.
-    fn commit(&mut self, payload: &[u8]) -> io::Result<()> {
-        let len = u32::try_from(payload.len())
-            .ok()
-            .filter(|&l| l <= MAX_FRAME_LEN)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-        if self.written > 0 {
-            self.buf.drain(..self.written);
-            self.written = 0;
-        }
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(payload);
-        self.queued_frames += 1;
-        Ok(())
-    }
-
-    /// Resets after a full drain, keeping (a bounded amount of) the
-    /// allocation for the next frame.
-    fn drained(&mut self) {
-        self.buf.clear();
-        self.written = 0;
-        self.queued_frames = 0;
-        if self.buf.capacity() > DRAIN_RETAIN_BYTES {
-            self.buf.shrink_to(DRAIN_RETAIN_BYTES);
-        }
-    }
-
-    /// `true` while committed bytes or parked notifications await the
-    /// socket.
-    fn has_backlog(&self) -> bool {
-        self.queued_bytes() > 0 || !self.parked.is_empty()
-    }
-}
-
-/// Classifies a socket write failure: backpressure (the peer is slow —
-/// keep the connection, queue the bytes) versus fatal (the peer is gone).
-fn is_backpressure(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
-}
-
-/// Length-prefixes a payload into the exact bytes [`write_frame`] would
-/// put on the wire — the queued form, resumable mid-write.
-fn wire_bytes(payload: &[u8]) -> io::Result<Vec<u8>> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l <= MAX_FRAME_LEN)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
-}
-
-/// Writes as much of the committed buffer as the socket accepts.
-/// `Ok(true)` means fully drained; `Ok(false)` means backpressure (the
-/// partially-written tail resumes later); `Err` means the socket is dead.
-fn write_committed(mut writer: &TcpStream, pending: &mut PendingWrites) -> io::Result<bool> {
-    while pending.written < pending.buf.len() {
-        match writer.write(&pending.buf[pending.written..]) {
-            Ok(0) => {
-                return Err(io::Error::new(io::ErrorKind::WriteZero, "peer closed"));
-            }
-            Ok(n) => pending.written += n,
-            Err(e) if is_backpressure(&e) => return Ok(false),
-            Err(e) => return Err(e),
-        }
-    }
-    pending.drained();
-    Ok(true)
-}
-
-impl ConnShared {
-    /// Drains the backlog: committed frames first, then the parked
-    /// notifications re-framed as one recovery [`EventFrame`].
-    /// `Ok(false)` = backpressure, everything unsent stays queued.
-    fn flush(&self, pending: &mut PendingWrites) -> io::Result<bool> {
-        let writer = crate::lock::lock(&self.writer);
-        if !write_committed(&writer, pending)? {
-            return Ok(false);
-        }
-        if pending.parked.is_empty() {
-            return Ok(true);
-        }
-        let frame = EventFrame {
-            version: PROTOCOL_VERSION,
-            app: self.app,
-            tick: pending.parked_tick,
-            events: std::mem::take(&mut pending.parked),
-        };
-        let payload = self.codec.encode(&Frame::Event(frame));
-        pending.commit(&payload)?;
-        if let Some(m) = self.metrics() {
-            m.frames_out.inc();
-            m.bytes_out.add(payload.len() as u64 + 4);
-        }
-        write_committed(&writer, pending)
-    }
-
-    /// Hands any remaining backlog to the reactor (evented connections
-    /// only): the event loop arms writable interest and finishes the
-    /// flush once the peer drains. Call with the `pending` lock held so
-    /// the backlog check and the hand-off are one atomic step.
-    fn nudge_reactor(&self, pending: &PendingWrites) {
-        if pending.has_backlog() {
-            if let Some(notify) = &self.notify {
-                notify.notify();
-            }
-        }
-    }
-
-    /// The reactor's writable-readiness flush: `Ok(true)` = fully
-    /// drained (writable interest can be disarmed), `Ok(false)` = still
-    /// backlogged, `Err` = the socket is dead and the connection should
-    /// close.
-    fn flush_for_reactor(&self) -> io::Result<bool> {
-        let mut pending = crate::lock::lock(&self.pending);
-        if !pending.has_backlog() {
-            return Ok(true);
-        }
-        self.flush(&mut pending)?;
-        Ok(!pending.has_backlog())
-    }
-
-    /// Delivers one event frame, queueing under `policy` when the socket
-    /// is full instead of disconnecting the subscriber. Fatal errors
-    /// shut the socket down so the reader half observes the failure,
-    /// exits, and deregisters.
-    fn push_event(&self, frame: EventFrame, policy: OutboxPolicy) {
-        let mut pending = crate::lock::lock(&self.pending);
-        let result = (|| -> io::Result<()> {
-            if pending.queued_bytes() > MAX_PENDING_BYTES {
-                return Err(io::Error::new(
-                    io::ErrorKind::OutOfMemory,
-                    "write backlog overflow",
-                ));
-            }
-            if self.flush(&mut pending)? {
-                // Backlog clear: commit this frame to the wire order.
-                let payload = self.codec.encode(&Frame::Event(frame));
-                pending.commit(&payload)?;
-                if let Some(m) = self.metrics() {
-                    m.frames_out.inc();
-                    m.bytes_out.add(payload.len() as u64 + 4);
-                }
-                self.flush(&mut pending)?;
-            } else {
-                // Socket still full: park the notifications under the
-                // app's outbox policy rather than queueing unbounded
-                // bytes — edges all survive, levels coalesce.
-                pending.parked_tick = frame.tick;
-                let offered = frame.events.len() + pending.parked.len();
-                for event in frame.events {
-                    policy.push(&mut pending.parked, event);
-                }
-                // Whatever the outbox policy coalesced or evicted at
-                // the cap is a drop worth counting.
-                let dropped = offered.saturating_sub(pending.parked.len());
-                if dropped > 0 {
-                    if let Some(m) = self.metrics() {
-                        m.coalesce_drops.add(dropped as u64);
-                    }
-                }
-            }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => self.nudge_reactor(&pending),
-            Err(_) => {
-                let _ = crate::lock::lock(&self.writer).shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-
-    /// Retries the backlog without new traffic — the per-settlement
-    /// recovery path for a subscriber that drained its socket again.
-    fn retry_backlog(&self) {
-        let mut pending = crate::lock::lock(&self.pending);
-        if !pending.has_backlog() {
-            return;
-        }
-        match self.flush(&mut pending) {
-            Ok(_) => self.nudge_reactor(&pending),
-            Err(_) => {
-                let _ = crate::lock::lock(&self.writer).shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-/// Writes a response/control payload through the connection's backlog
-/// queue, so it can never interleave into a partially-written push frame.
-/// Under backpressure the payload stays committed in order and goes out
-/// on a later flush (the peer necessarily reads before it can await this
-/// response); the error return is reserved for a dead socket or an
-/// overflowing backlog, both of which end the serving loop.
-fn write_conn(conn: &ConnShared, payload: &[u8]) -> io::Result<()> {
-    let mut pending = crate::lock::lock(&conn.pending);
-    if pending.queued_bytes().saturating_add(payload.len()) > MAX_PENDING_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::OutOfMemory,
-            "write backlog overflow: peer sends but never drains",
-        ));
-    }
-    pending.commit(payload)?;
-    if let Some(m) = conn.metrics() {
-        m.frames_out.inc();
-        m.bytes_out.add(payload.len() as u64 + 4);
-    }
-    conn.flush(&mut pending)?;
-    conn.nudge_reactor(&pending);
-    Ok(())
-}
-
-/// Everything a serving thread needs beyond its own socket.
-struct ServeCtx {
-    shared: SharedEcovisor,
-    /// The credential table, behind a mutex so an operator can rotate
-    /// tokens on a live server ([`ServerHandle::rotate_credential`]).
-    /// Credentials gate the *hello* only: rotation affects the next
-    /// handshake, never a connection that already authenticated.
-    creds: Mutex<Option<CredentialRegistry>>,
-    read_timeout: Option<Duration>,
-    /// Writer halves of live v2 connections, walked by the broadcast
-    /// hook. Entries deregister themselves when their serving thread
-    /// exits (or when a push write fails).
-    registry: Arc<Mutex<Vec<Arc<ConnShared>>>>,
-    /// The observability hub attached to the served ecovisor (`None`
-    /// only when the `obs` feature is off). The transport layer records
-    /// wall-clock series into it directly; the wire `Stats` request
-    /// dumps it.
-    obs: Option<Arc<crate::obs::ObsHub>>,
-    /// Connections currently in any serving phase (maintained by the
-    /// reactor; see [`ServerHandle::active_connections`]).
-    active: Arc<AtomicUsize>,
-    /// Summed receive-buffer capacity across live connections
-    /// (maintained by the reactor; see
-    /// [`ServerHandle::recv_buffer_bytes`]).
-    recv_bytes: Arc<AtomicUsize>,
-}
-
-/// Removes a connection from the push registry when its serving thread
-/// exits — on every path, panics included.
-struct Deregister {
-    registry: Arc<Mutex<Vec<Arc<ConnShared>>>>,
-    conn: Arc<ConnShared>,
-}
-
-impl Drop for Deregister {
-    fn drop(&mut self) {
-        crate::lock::lock(&self.registry).retain(|c| !Arc::ptr_eq(c, &self.conn));
-    }
-}
-
-/// Drains subscribed apps' outboxes and pushes the resulting
-/// [`EventFrame`]s to every subscribed connection. Runs inside the
-/// settlement barrier (see [`ShardedEcovisor::on_settlement`]), so the
-/// pushed sequence is exactly the per-settlement event sequence.
-///
-/// A subscriber whose socket is full is **not** disconnected: its frame
-/// is queued/parked per [`PendingWrites`], and every settlement retries
-/// the backlog, so a hung subscriber that starts draining again catches
-/// up (edge events intact, level events coalesced keep-latest under the
-/// app's [`OutboxPolicy`]).
-fn broadcast_events(eco: &Ecovisor, registry: &Mutex<Vec<Arc<ConnShared>>>) {
-    // Snapshot the registry, then group subscribers by app: the app's
-    // outbox is drained once and every subscriber gets its own filtered
-    // copy of the same frame.
-    let snapshot: Vec<Arc<ConnShared>> = crate::lock::lock(registry).clone();
-    let mut by_app: BTreeMap<AppId, Vec<(Arc<ConnShared>, EventFilter)>> = BTreeMap::new();
-    for conn in snapshot {
-        let filter = *crate::lock::lock(&conn.filter);
-        if let Some(filter) = filter {
-            by_app.entry(conn.app).or_default().push((conn, filter));
-        }
-    }
-    for (app, subscribers) in by_app {
-        let policy = eco.outbox_policy(app).unwrap_or_default();
-        // Drain only what some subscriber actually wants: events outside
-        // the union of filters stay pending for polling/draining.
-        let union = subscribers
-            .iter()
-            .fold(EventFilter::none(), |acc, (_, f)| acc.union(f));
-        let frame = eco.take_event_frame_matching(app, &union);
-        for (conn, filter) in subscribers {
-            let filtered = frame.as_ref().map(|f| f.filtered(&filter));
-            match filtered {
-                Some(filtered) if !filtered.events.is_empty() => {
-                    conn.push_event(filtered, policy);
-                }
-                // Nothing new for this subscriber — still a chance to
-                // drain whatever backpressure left behind.
-                _ => conn.retry_backlog(),
-            }
-        }
-    }
-}
-
-/// A TCP server answering protocol batches against one shared ecovisor
-/// and pushing event frames to subscribed v2 connections.
-///
-/// Bind, optionally harden with
-/// [`with_credentials`](Self::with_credentials) /
-/// [`with_read_timeout`](Self::with_read_timeout), then either
-/// [`spawn`](Self::spawn) the accept loop onto a background thread
-/// (keeping a [`ServerHandle`] for the driver side) or embed
-/// [`serve_connection`](Self::serve_connection) in a custom accept loop.
-pub struct EcovisorServer {
-    listener: TcpListener,
-    ctx: Arc<ServeCtx>,
-    /// Worker-pool size for [`spawn`](Self::spawn); `0` means
-    /// auto-size from the host's available parallelism.
-    workers: usize,
-}
-
-impl std::fmt::Debug for EcovisorServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EcovisorServer")
-            .field("addr", &self.listener.local_addr().ok())
-            .field(
-                "credentialed",
-                &crate::lock::lock(&self.ctx.creds).is_some(),
-            )
-            .field("read_timeout", &self.ctx.read_timeout)
-            .finish_non_exhaustive()
-    }
-}
-
-impl EcovisorServer {
-    /// Binds a listener, takes ownership of the ecovisor, and registers
-    /// the post-settlement broadcast hook that fans event frames out to
-    /// subscribed connections. Use port 0 for an ephemeral port (tests).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn bind(addr: impl ToSocketAddrs, mut eco: Ecovisor) -> io::Result<Self> {
-        // A live server always carries an observability hub (unless the
-        // `obs` feature compiled the attach away): dispatch and
-        // settlement record into it, the transport counts frames into
-        // it, and the wire `Stats` request reads it back out.
-        if eco.obs_hub().is_none() {
-            eco.attach_obs(crate::obs::ObsHub::new());
-        }
-        let obs = eco.obs_hub();
-        let shared = Arc::new(ShardedEcovisor::new(eco));
-        let registry: Arc<Mutex<Vec<Arc<ConnShared>>>> = Arc::new(Mutex::new(Vec::new()));
-        let hook_registry = Arc::clone(&registry);
-        shared.on_settlement(move |eco| broadcast_events(eco, &hook_registry));
-        Ok(Self {
-            listener: TcpListener::bind(addr)?,
-            ctx: Arc::new(ServeCtx {
-                shared,
-                creds: Mutex::new(None),
-                read_timeout: None,
-                registry,
-                obs,
-                active: Arc::new(AtomicUsize::new(0)),
-                recv_bytes: Arc::new(AtomicUsize::new(0)),
-            }),
-            workers: 0,
-        })
-    }
-
-    /// Sets the worker-pool size used by [`spawn`](Self::spawn). The
-    /// default (`0`) auto-sizes from the host's available parallelism,
-    /// clamped to `2..=8` — the pool multiplexes every connection, so it
-    /// never needs to scale with client count.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Requires every connection to authenticate its claimed [`AppId`]
-    /// with the matching token from `creds` (v2 hello, verified
-    /// constant-time, rejected before any batch is served). v1 hellos
-    /// carry no credential and are rejected while a registry is
-    /// installed.
-    ///
-    /// Tokens can be rotated later on a live server with
-    /// [`ServerHandle::rotate_credential`]; the gate applies at hello
-    /// time only, so established connections are unaffected.
-    #[must_use]
-    pub fn with_credentials(self, creds: CredentialRegistry) -> Self {
-        *crate::lock::lock(&self.ctx.creds) = Some(creds);
-        self
-    }
-
-    /// Arms a per-connection read/idle timeout: a connection that sends
-    /// nothing for `timeout` — including a dead subscriber holding a
-    /// push stream — is treated as failed, logged, and reaped. The same
-    /// bound applies to writes, so a peer that stops draining its socket
-    /// cannot wedge the broadcast path.
-    #[must_use]
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        Arc::get_mut(&mut self.ctx)
-            .expect("server context not yet shared")
-            .read_timeout = Some(timeout);
-        self
-    }
-
-    /// The bound address (reports the ephemeral port after a `:0` bind).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lookup failure.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// The shared ecovisor, for the driver loop that ticks settlement.
-    pub fn ecovisor(&self) -> SharedEcovisor {
-        Arc::clone(&self.ctx.shared)
-    }
-
-    /// Serves one accepted connection to completion on the calling
-    /// thread: hello handshake (version + codec negotiation, credential
-    /// check), then the version-matched frame loop until the peer
-    /// disconnects. For embedding in a custom accept loop;
-    /// [`spawn`](Self::spawn) does this on one thread per connection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; protocol-level problems (bad hello,
-    /// undecodable batch) are answered on the wire and end the
-    /// connection cleanly.
-    pub fn serve_connection(&self, stream: TcpStream) -> io::Result<()> {
-        serve_connection(stream, &self.ctx)
-    }
-
-    /// Moves serving onto the evented runtime: one reactor thread drives
-    /// non-blocking accept/read/write for every connection; decoded
-    /// frames are dispatched on a small worker pool (see
-    /// [`with_workers`](Self::with_workers)). Wire behavior is identical
-    /// to [`serve_connection`](Self::serve_connection) — v1 and v2
-    /// clients cannot tell the transports apart.
-    ///
-    /// # Errors
-    ///
-    /// Propagates address-lookup and reactor-setup failures.
-    pub fn spawn(self) -> io::Result<ServerHandle> {
-        evented::spawn_evented(self.listener, self.ctx, self.workers)
-    }
-}
-
-/// Serves one connection: handshake, then the version-matched loop.
-fn serve_connection(mut stream: TcpStream, ctx: &ServeCtx) -> io::Result<()> {
-    let result = serve_frames(&mut stream, ctx);
-    // Shut the socket down explicitly: the spawn path keeps a cloned
-    // fd in the shutdown registry, and shutdown(2) (unlike dropping
-    // this handle) closes the connection for every clone, so the
-    // peer sees EOF as soon as serving ends.
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    result
-}
-
-/// The hello, parsed version-agnostically.
-enum ParsedHello {
-    V2(ClientHelloV2),
-    V1(ClientHello),
-}
-
-/// Negotiation outcome for one connection.
-#[derive(Clone, Copy)]
-struct Negotiated {
-    version: u16,
-    codec: WireCodec,
-    app: AppId,
-}
-
-/// The verdict on a hello frame, with the (always-JSON) reply payload to
-/// put on the wire. Transport-agnostic: the blocking and evented servers
-/// both feed the first inbound frame here, so negotiation semantics
-/// cannot drift between them.
-enum HelloOutcome {
-    /// Send `reply` (an accept), then serve under the negotiation.
-    Accept(Negotiated, Vec<u8>),
-    /// Send `reply` (a reject), then close.
-    Reject(Vec<u8>),
-}
-
-/// Evaluates a hello frame's bytes: version intersection, credential
-/// gate, codec pick.
-fn evaluate_hello(ctx: &ServeCtx, hello_bytes: &[u8]) -> HelloOutcome {
-    let reject = |reason: String| {
-        HelloOutcome::Reject(WireCodec::Json.encode(&ServerHello::Reject { reason }))
-    };
-
-    // The v2 hello is tried first (its `versions` field is absent from
-    // v1 hellos, so the two shapes never ambiguate).
-    let hello = match WireCodec::Json.decode::<ClientHelloV2>(hello_bytes) {
-        Ok(h) => ParsedHello::V2(h),
-        Err(_) => match WireCodec::Json.decode::<ClientHello>(hello_bytes) {
-            Ok(h) => ParsedHello::V1(h),
-            Err(e) => return reject(format!("malformed hello: {e}")),
-        },
-    };
-
-    let (versions, app, codecs, credential) = match &hello {
-        ParsedHello::V2(h) => (
-            h.versions.clone(),
-            h.app,
-            h.codecs.clone(),
-            h.credential.as_deref(),
-        ),
-        ParsedHello::V1(h) => (vec![h.version], h.app, h.codecs.clone(), None),
-    };
-
-    // Highest shared version. A v1 hello's single version must itself be
-    // supported; rejecting here keeps mismatched clients away from the
-    // dispatcher entirely.
-    let Some(version) = versions
-        .iter()
-        .filter(|v| SUPPORTED_VERSIONS.contains(v))
-        .max()
-        .copied()
-    else {
-        return reject(format!(
-            "protocol version mismatch: server speaks {SUPPORTED_VERSIONS:?}, client offered {versions:?}"
-        ));
-    };
-
-    // Credential gate: when the server carries a registry, the hello
-    // must prove its claimed app before anything else is served. The
-    // reason string deliberately does not say *what* failed.
-    if let Some(creds) = &*crate::lock::lock(&ctx.creds) {
-        if !creds.verify(app, credential) {
-            return reject(format!("credential rejected for {app}"));
-        }
-    }
-
-    let Some(codec) = codecs
-        .iter()
-        .find(|c| WireCodec::preferred().contains(c))
-        .copied()
-    else {
-        return reject("no common codec".into());
-    };
-
-    let accept = ServerHello::Accept { version, codec };
-    HelloOutcome::Accept(
-        Negotiated {
-            version,
-            codec,
-            app,
-        },
-        WireCodec::Json.encode(&accept),
-    )
-}
-
-/// Runs the blocking hello exchange. `Ok(None)` means the hello was
-/// answered with a reject (or the peer closed) and the connection is
-/// done.
-fn negotiate(stream: &mut TcpStream, ctx: &ServeCtx) -> io::Result<Option<Negotiated>> {
-    let Some(hello_bytes) = read_frame(stream)? else {
-        return Ok(None);
-    };
-    match evaluate_hello(ctx, &hello_bytes) {
-        HelloOutcome::Accept(neg, reply) => {
-            write_frame(stream, &reply)?;
-            Ok(Some(neg))
-        }
-        HelloOutcome::Reject(reply) => {
-            write_frame(stream, &reply)?;
-            Ok(None)
-        }
-    }
-}
-
-/// Maps an admin-surface refusal to the closest I/O error kind.
-fn admin_error_kind(e: &ProtoError) -> io::ErrorKind {
-    match e {
-        ProtoError::Denied(_) => io::ErrorKind::PermissionDenied,
-        _ => io::ErrorKind::InvalidData,
-    }
-}
-
-/// One pinned-scope denial batch (the spoofed-envelope answer).
-fn pinned_denial(batch: &RequestBatch, pinned: AppId) -> ResponseBatch {
-    ResponseBatch {
-        version: batch.version,
-        app: batch.app,
-        responses: vec![
-            EnergyResponse::Err(ProtoError::Other(format!(
-                "connection is pinned to {pinned}, batch claims {}",
-                batch.app
-            )));
-            batch.requests.len()
-        ],
-    }
-}
-
-fn serve_frames(stream: &mut TcpStream, ctx: &ServeCtx) -> io::Result<()> {
-    // The read/idle timeout applies from the hello on; the write bound
-    // protects the broadcast path (options live on the underlying
-    // socket, so the cloned writer half inherits them).
-    stream.set_read_timeout(ctx.read_timeout)?;
-    stream.set_write_timeout(ctx.read_timeout)?;
-    let Some(neg) = negotiate(stream, ctx)? else {
-        return Ok(());
-    };
-    if neg.version >= PROTOCOL_VERSION {
-        serve_v2(stream, ctx, &neg)
-    } else {
-        serve_v1(stream, ctx, &neg)
-    }
-}
-
-/// What a serving loop (blocking thread or evented worker) does with the
-/// outcome of one processed inbound payload.
-enum Served {
-    /// Write this encoded payload back to the peer.
-    Reply(Vec<u8>),
-    /// Nothing to send (e.g. an inbound `Pong`).
-    Quiet,
-    /// Protocol violation: close the connection without replying.
-    Close,
-}
-
-/// Processes one v1 payload — a bare `RequestBatch` answered by a bare
-/// `ResponseBatch`, byte-identical to the original request/response-only
-/// server, so a v1-only client round-trips unmodified. (`PollEvents`
-/// flows through like any other request, which is how v1 clients get
-/// Table 2 event parity.) Shared verbatim by the blocking loop and the
-/// evented workers: the two transports cannot diverge.
-fn process_v1_payload(ctx: &ServeCtx, neg: &Negotiated, payload: &[u8]) -> Served {
-    let response = match neg.codec.decode::<RequestBatch>(payload) {
-        // Scope pinning: a remote peer is untrusted, so a batch
-        // claiming a different app than the hello pinned is a
-        // spoof attempt — denied as a value, per request.
-        Ok(batch) if batch.app != neg.app => pinned_denial(&batch, neg.app),
-        // Sharded dispatch: no global lock — the processing thread
-        // contends only with traffic to the same app's shard (and with
-        // the driver's settlement barrier).
-        Ok(batch) => ctx.shared.dispatch_batch(&batch),
-        // An undecodable frame means framing may be out of sync;
-        // the server cannot know how many requests the batch held,
-        // so any reply would break the one-response-per-request
-        // contract. Close instead — the client surfaces the dropped
-        // connection as transport-failure values with the right
-        // arity.
-        Err(_) => return Served::Close,
-    };
-    Served::Reply(neg.codec.encode(&response))
-}
-
-/// Processes one v2 payload — a [`Frame`]. Subscriptions and the admin
-/// checkpoint surface are interpreted per-connection here; `conn` is the
-/// connection's writer half (its filter is flipped by
-/// `SubscribeEvents`), `admin` its checkpoint state. Shared verbatim by
-/// the blocking loop and the evented workers.
-fn process_v2_payload(
-    ctx: &ServeCtx,
-    neg: &Negotiated,
-    conn: &ConnShared,
-    admin: &mut AdminState,
-    payload: &[u8],
-) -> Served {
-    // Admin gate: with a credential registry installed, the hello only
-    // admits connections that proved their token, so every served v2
-    // connection on a hardened server is credential-authenticated.
-    // Without a registry nothing on the wire is authenticated, and the
-    // checkpoint surface stays closed rather than trusting the network.
-    let authed = crate::lock::lock(&ctx.creds).is_some();
-    match neg.codec.decode::<Frame>(payload) {
-        Ok(Frame::Request(batch)) => {
-            let response = if batch.app != neg.app {
-                pinned_denial(&batch, neg.app)
-            } else {
-                // Connection-level interpretation of subscriptions:
-                // the dispatcher acknowledges `SubscribeEvents`, the
-                // transport gives it meaning for *this* connection —
-                // under exactly the dispatcher's version gate
-                // (supported envelope AND new enough for the
-                // request), so the two never disagree about whether
-                // a subscription took effect.
-                for req in &batch.requests {
-                    if let EnergyRequest::SubscribeEvents { filter } = req {
-                        if SUPPORTED_VERSIONS.contains(&batch.version)
-                            && batch.version >= req.min_version()
-                        {
-                            *crate::lock::lock(&conn.filter) = Some(*filter);
-                        }
-                    }
-                }
-                let mut response = ctx.shared.dispatch_batch(&batch);
-                // Admin checkpoint surface, same shape as
-                // subscriptions: the dispatcher acked
-                // `Snapshot`/`Restore` (so recorded traces replay
-                // arity-correct); the transport substitutes the real
-                // per-connection answer, under the same version gate.
-                for (req, resp) in batch.requests.iter().zip(response.responses.iter_mut()) {
-                    if req.is_admin()
-                        && SUPPORTED_VERSIONS.contains(&batch.version)
-                        && batch.version >= req.min_version()
-                    {
-                        *resp = serve_admin(req, ctx, authed, admin);
-                    }
-                }
-                response
-            };
-            Served::Reply(neg.codec.encode(&Frame::Response(response)))
-        }
-        Ok(Frame::Control(ControlFrame::Ping)) => {
-            Served::Reply(neg.codec.encode(&Frame::Control(ControlFrame::Pong)))
-        }
-        Ok(Frame::Control(ControlFrame::Pong)) => Served::Quiet,
-        // Response/Event are server-direction frames; a client
-        // sending one is out of protocol. Same rule as an
-        // undecodable frame: close, never guess.
-        Ok(Frame::Response(_)) | Ok(Frame::Event(_)) | Err(_) => Served::Close,
-    }
-}
-
-/// The blocking v1 loop ([`EcovisorServer::serve_connection`] embeds).
-fn serve_v1(stream: &mut TcpStream, ctx: &ServeCtx, neg: &Negotiated) -> io::Result<()> {
-    let mut buf = Vec::new();
-    while let Some(len) = read_frame_into(stream, &mut buf)? {
-        match process_v1_payload(ctx, neg, &buf[..len]) {
-            Served::Reply(payload) => write_frame(stream, &payload)?,
-            Served::Quiet => {}
-            Served::Close => break,
-        }
-    }
-    Ok(())
-}
-
-/// The blocking v2 loop: every payload is a [`Frame`]. The connection is
-/// split — this function keeps the reader half; the writer half (a
-/// cloned stream) goes into the push registry so the broadcast hook can
-/// push [`Frame::Event`]s between this thread's responses.
-fn serve_v2(stream: &mut TcpStream, ctx: &ServeCtx, neg: &Negotiated) -> io::Result<()> {
-    let writer = Arc::new(stream.try_clone()?);
-    let conn = Arc::new(ConnShared {
-        app: neg.app,
-        codec: neg.codec,
-        writer: Mutex::new(writer),
-        filter: Mutex::new(None),
-        pending: Mutex::new(PendingWrites::default()),
-        notify: None,
-        obs: ctx.obs.clone(),
-    });
-    crate::lock::lock(&ctx.registry).push(Arc::clone(&conn));
-    let _deregister = Deregister {
-        registry: Arc::clone(&ctx.registry),
-        conn: Arc::clone(&conn),
-    };
-
-    let mut admin = AdminState::default();
-    let mut buf = Vec::new();
-    while let Some(len) = read_frame_into(stream, &mut buf)? {
-        match process_v2_payload(ctx, neg, &conn, &mut admin, &buf[..len]) {
-            Served::Reply(payload) => write_conn(&conn, &payload)?,
-            Served::Quiet => {}
-            Served::Close => break,
-        }
-    }
-    Ok(())
-}
-
-/// Per-connection state of the admin checkpoint surface: the cached
-/// snapshot encoding chunks are paged out of, and the in-progress
-/// restore assembly.
-#[derive(Default)]
-struct AdminState {
-    /// Binary snapshot encoding captured by the last `Snapshot{chunk: 0}`
-    /// on this connection. Chunks > 0 page out of this cache, so a
-    /// multi-chunk download is a consistent point-in-time image even
-    /// while the ecovisor keeps settling.
-    snapshot: Option<Vec<u8>>,
-    /// Restore chunks received so far.
-    restore: Vec<u8>,
-    /// Next expected restore chunk index.
-    restore_next: u32,
-    /// Binary tenant capture cached by the last `MigrateOut{chunk: 0}`
-    /// on this connection (the tenant itself keeps running on this node
-    /// until `MigrateCommit`).
-    migrate_out: Option<Vec<u8>>,
-    /// Migrate-in chunks received so far.
-    migrate_in: Vec<u8>,
-    /// Next expected migrate-in chunk index.
-    migrate_in_next: u32,
-}
-
-/// Number of [`SNAPSHOT_CHUNK_LEN`] chunks covering `len` bytes (at
-/// least one, so even an empty payload answers a chunk).
-fn chunk_count(len: usize) -> u32 {
-    u32::try_from(len.div_ceil(SNAPSHOT_CHUNK_LEN).max(1)).unwrap_or(u32::MAX)
-}
-
-/// Executes one admin request for a connection. Runs on the serving
-/// thread with no ecovisor lock held; `Snapshot`/`Restore` take the
-/// settlement barrier themselves through the shared handle, so a
-/// checkpoint can never observe a half-settled tick. The pinned app does
-/// not need to be a registered tenant — the admin surface is
-/// connection-level, and its responses replace whatever the dispatcher
-/// answered for these requests.
-fn serve_admin(
-    req: &EnergyRequest,
-    ctx: &ServeCtx,
-    authed: bool,
-    admin: &mut AdminState,
-) -> EnergyResponse {
-    if !authed {
-        return EnergyResponse::Err(ProtoError::Denied(
-            "the admin surface (snapshot/restore/migration/federation) requires \
-             a credential-authenticated connection"
-                .into(),
-        ));
-    }
-    match req {
-        EnergyRequest::Snapshot { chunk } => {
-            if *chunk == 0 {
-                admin.snapshot = Some(ctx.shared.snapshot().to_bytes());
-            }
-            let Some(bytes) = admin.snapshot.as_deref() else {
-                return EnergyResponse::Err(ProtoError::Other(
-                    "no snapshot cached on this connection: request chunk 0 first".into(),
-                ));
-            };
-            let total = chunk_count(bytes.len());
-            if *chunk >= total {
-                return EnergyResponse::Err(ProtoError::Other(format!(
-                    "snapshot chunk {chunk} out of range ({total} chunks)"
-                )));
-            }
-            let start = *chunk as usize * SNAPSHOT_CHUNK_LEN;
-            let end = (start + SNAPSHOT_CHUNK_LEN).min(bytes.len());
-            EnergyResponse::SnapshotChunk {
-                index: *chunk,
-                total,
-                data: bytes[start..end].to_vec(),
-            }
-        }
-        EnergyRequest::Restore { index, total, data } => {
-            if *index == 0 {
-                admin.restore.clear();
-                admin.restore_next = 0;
-            }
-            if *total == 0 || *index >= *total || *index != admin.restore_next {
-                let expected = admin.restore_next;
-                admin.restore.clear();
-                admin.restore_next = 0;
-                return EnergyResponse::Err(ProtoError::Other(format!(
-                    "restore chunk {index}/{total} out of order (expected {expected})"
-                )));
-            }
-            if admin.restore.len().saturating_add(data.len()) > MAX_RESTORE_LEN {
-                admin.restore.clear();
-                admin.restore_next = 0;
-                return EnergyResponse::Err(ProtoError::Other(
-                    "restore payload exceeds the size ceiling".into(),
-                ));
-            }
-            admin.restore.extend_from_slice(data);
-            admin.restore_next += 1;
-            if admin.restore_next < *total {
-                return EnergyResponse::Ok;
-            }
-            let assembled = std::mem::take(&mut admin.restore);
-            admin.restore_next = 0;
-            match Snapshot::from_bytes(&assembled) {
-                Ok(snap) => match ctx.shared.apply_snapshot(&snap) {
-                    Ok(()) => EnergyResponse::Ok,
-                    Err(e) => {
-                        EnergyResponse::Err(ProtoError::Other(format!("restore rejected: {e}")))
-                    }
-                },
-                Err(e) => EnergyResponse::Err(ProtoError::Other(format!(
-                    "restore payload undecodable: {e}"
-                ))),
-            }
-        }
-        EnergyRequest::MigrateOut { app, chunk } => {
-            if *chunk == 0 {
-                match ctx.shared.extract_app(*app) {
-                    Ok(snap) => admin.migrate_out = Some(snap.to_bytes()),
-                    Err(e) => {
-                        admin.migrate_out = None;
-                        return EnergyResponse::Err(ProtoError::Other(format!(
-                            "migrate-out rejected: {e}"
-                        )));
-                    }
-                }
-            }
-            let Some(bytes) = admin.migrate_out.as_deref() else {
-                return EnergyResponse::Err(ProtoError::Other(
-                    "no tenant capture cached on this connection: request chunk 0 first".into(),
-                ));
-            };
-            let total = chunk_count(bytes.len());
-            if *chunk >= total {
-                return EnergyResponse::Err(ProtoError::Other(format!(
-                    "migrate-out chunk {chunk} out of range ({total} chunks)"
-                )));
-            }
-            let start = *chunk as usize * SNAPSHOT_CHUNK_LEN;
-            let end = (start + SNAPSHOT_CHUNK_LEN).min(bytes.len());
-            EnergyResponse::SnapshotChunk {
-                index: *chunk,
-                total,
-                data: bytes[start..end].to_vec(),
-            }
-        }
-        EnergyRequest::MigrateIn { index, total, data } => {
-            if *index == 0 {
-                admin.migrate_in.clear();
-                admin.migrate_in_next = 0;
-            }
-            if *total == 0 || *index >= *total || *index != admin.migrate_in_next {
-                let expected = admin.migrate_in_next;
-                admin.migrate_in.clear();
-                admin.migrate_in_next = 0;
-                return EnergyResponse::Err(ProtoError::Other(format!(
-                    "migrate-in chunk {index}/{total} out of order (expected {expected})"
-                )));
-            }
-            if admin.migrate_in.len().saturating_add(data.len()) > MAX_RESTORE_LEN {
-                admin.migrate_in.clear();
-                admin.migrate_in_next = 0;
-                return EnergyResponse::Err(ProtoError::Other(
-                    "migrate-in payload exceeds the size ceiling".into(),
-                ));
-            }
-            admin.migrate_in.extend_from_slice(data);
-            admin.migrate_in_next += 1;
-            if admin.migrate_in_next < *total {
-                return EnergyResponse::Ok;
-            }
-            let assembled = std::mem::take(&mut admin.migrate_in);
-            admin.migrate_in_next = 0;
-            match crate::federation::TenantSnapshot::from_bytes(&assembled) {
-                Ok(snap) => match ctx.shared.graft_app(&snap) {
-                    Ok(()) => EnergyResponse::Ok,
-                    Err(e) => {
-                        EnergyResponse::Err(ProtoError::Other(format!("migrate-in rejected: {e}")))
-                    }
-                },
-                Err(e) => EnergyResponse::Err(ProtoError::Other(format!(
-                    "migrate-in payload undecodable: {e}"
-                ))),
-            }
-        }
-        EnergyRequest::MigrateCommit { app } => match ctx.shared.remove_app(*app) {
-            Ok(()) => EnergyResponse::Ok,
-            Err(e) => {
-                EnergyResponse::Err(ProtoError::Other(format!("migrate-commit rejected: {e}")))
-            }
-        },
-        EnergyRequest::FedCollect => EnergyResponse::Demands(ctx.shared.fed_collect()),
-        EnergyRequest::FedSettle { views } => match ctx.shared.fed_settle(views) {
-            Ok(_) => EnergyResponse::Ok,
-            Err(e) => EnergyResponse::Err(ProtoError::Other(format!("fed-settle rejected: {e}"))),
-        },
-        EnergyRequest::FedAlign { next_container } => {
-            let aligned = ctx
-                .shared
-                .with(|eco| crate::lock::get_mut(&mut eco.cop).align_container_id(*next_container));
-            match aligned {
-                Ok(()) => EnergyResponse::Ok,
-                Err(e) => {
-                    EnergyResponse::Err(ProtoError::Other(format!("fed-align rejected: {e}")))
-                }
-            }
-        }
-        EnergyRequest::FedCursor => {
-            let cursor = ctx
-                .shared
-                .read(|eco| crate::lock::read(&eco.cop).next_container_id());
-            EnergyResponse::Count(cursor as usize)
-        }
-        EnergyRequest::Stats => EnergyResponse::Stats(stats_report(ctx)),
-        _ => EnergyResponse::Err(ProtoError::Other("not an admin request".into())),
-    }
-}
-
-/// Assembles the wire [`StatsReport`]: the [`ServerStats`] trio read
-/// from the serving context plus a full dump of the observability
-/// registry (empty when no hub is attached — the `obs` feature is off).
-fn stats_report(ctx: &ServeCtx) -> crate::proto::StatsReport {
-    let backlog: usize = crate::lock::lock(&ctx.registry)
-        .iter()
-        .map(|conn| {
-            let pending = crate::lock::lock(&conn.pending);
-            pending.queued_frames + pending.parked.len()
-        })
-        .sum();
-    crate::proto::StatsReport {
-        active_connections: ctx.active.load(Ordering::SeqCst) as u64,
-        subscriber_backlog: backlog as u64,
-        recv_buffer_bytes: ctx.recv_bytes.load(Ordering::SeqCst) as u64,
-        metrics: ctx
-            .obs
-            .as_ref()
-            .map(|hub| hub.snapshot())
-            .unwrap_or_default(),
-    }
-}
-
-/// A point-in-time snapshot of the serving runtime's resource counters.
-///
-/// Read it with [`ServerHandle::stats`]. This is the stable surface
-/// leak detection gates on (`ecoharness fuzz --soak`): after every
-/// client has disconnected and the reactor has reaped the
-/// registrations, all three counters return to zero — a persistently
-/// non-zero residue is a leak in the transport, not noise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct ServerStats {
-    /// Connections currently registered with the reactor
-    /// ([`ServerHandle::active_connections`]).
-    pub active_connections: usize,
-    /// Committed-but-unwritten frames plus parked notifications across
-    /// all live connections ([`ServerHandle::subscriber_backlog`]).
-    pub subscriber_backlog: usize,
-    /// Bytes currently held in per-connection receive buffers
-    /// ([`ServerHandle::recv_buffer_bytes`]).
-    pub recv_buffer_bytes: usize,
-}
-
-/// Driver-side handle to a spawned server: the address clients connect
-/// to, the shared ecovisor the driver ticks, and the shutdown switch.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    ctx: Arc<ServeCtx>,
-    stop: Arc<AtomicBool>,
-    /// Wakes the reactor out of `poll` so it observes `stop` promptly.
-    waker: reactor::Waker,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    queue: Arc<evented::JobQueue>,
-}
-
-impl std::fmt::Debug for ServerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerHandle")
-            .field("addr", &self.addr)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ServerHandle {
-    /// Address clients connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The shared ecovisor, for ticking settlement between batches.
-    pub fn ecovisor(&self) -> SharedEcovisor {
-        Arc::clone(&self.ctx.shared)
-    }
-
-    /// The server's observability hub ([`EcovisorServer::bind`] attaches
-    /// one when the ecovisor arrives without), for metric inspection; the
-    /// wire equivalent is the credential-gated `Stats` admin request.
-    pub fn obs_hub(&self) -> Option<Arc<crate::obs::ObsHub>> {
-        self.ctx.obs.clone()
-    }
-
-    /// Number of connections currently registered with the reactor. A
-    /// client that disconnects (cleanly, mid-frame, or by tripping the
-    /// idle timeout) drops off this count as soon as the reactor reaps
-    /// its registration.
-    pub fn active_connections(&self) -> usize {
-        self.ctx.active.load(Ordering::SeqCst)
-    }
-
-    /// Backpressure diagnostic: committed-but-unwritten wire frames plus
-    /// parked notifications, summed over every live v2 connection. Zero
-    /// when all subscribers are draining; a persistently growing value
-    /// points at a hung subscriber that is being queued for (see the
-    /// backlog discussion in the module docs).
-    pub fn subscriber_backlog(&self) -> usize {
-        crate::lock::lock(&self.ctx.registry)
-            .iter()
-            .map(|conn| {
-                let pending = crate::lock::lock(&conn.pending);
-                pending.queued_frames + pending.parked.len()
-            })
-            .sum()
-    }
-
-    /// Bytes currently held in per-connection receive buffers (summed
-    /// capacity, maintained by the reactor as buffers grow for large
-    /// frames and trim back when drained). Returns to zero once every
-    /// connection has been reaped — the [`ServerStats`] leak gate.
-    pub fn recv_buffer_bytes(&self) -> usize {
-        self.ctx.recv_bytes.load(Ordering::SeqCst)
-    }
-
-    /// One coherent-enough snapshot of the runtime's resource counters
-    /// (each counter is read atomically; the trio is not a transaction).
-    pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            active_connections: self.active_connections(),
-            subscriber_backlog: self.subscriber_backlog(),
-            recv_buffer_bytes: self.recv_buffer_bytes(),
-        }
-    }
-
-    /// Rotates (or adds) `app`'s credential token on the live server.
-    /// Takes effect for the *next* hello: connections that already
-    /// authenticated keep serving — exactly the semantics an operator
-    /// wants when cycling tokens without a maintenance window. Returns
-    /// `false` (and changes nothing) when the server was spawned
-    /// without a credential registry: rotation must never be the thing
-    /// that silently turns authentication on.
-    pub fn rotate_credential(&self, app: AppId, token: impl Into<Vec<u8>>) -> bool {
-        match crate::lock::lock(&self.ctx.creds).as_mut() {
-            Some(registry) => {
-                registry.insert(app, token);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The deterministic teardown sequence, shared by
-    /// [`shutdown`](Self::shutdown) and `Drop` (idempotent): flip the
-    /// stop flag, wake the reactor out of `poll` (it closes every
-    /// connection and the listener on its way out), then stop the job
-    /// queue and join the workers. No step waits on a timeout — a
-    /// wedged peer cannot stall teardown, because the reactor closes
-    /// sockets rather than waiting for them.
-    fn stop_serving(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = self.waker.wake();
-        if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
-        }
-        self.queue.stop();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-
-    /// Stops accepting, disconnects any live clients, joins the reactor
-    /// and worker threads, and returns the shared ecovisor (sole
-    /// ownership can be reclaimed with `Arc::try_unwrap` once all
-    /// clients are dropped).
-    pub fn shutdown(mut self) -> SharedEcovisor {
-        self.stop_serving();
-        Arc::clone(&self.ctx.shared)
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop_serving();
-    }
-}
-
-// ----------------------------------------------------------------------
-// Remote client
-// ----------------------------------------------------------------------
-
-/// The out-of-process protocol handle: same [`EnergyClient`] surface as
-/// [`crate::client::EcovisorClient`], transported over a framed TCP
-/// connection.
-///
-/// On a v2-negotiated connection the client also *receives*: event
-/// frames the server pushes (after
-/// [`subscribe_events`](EnergyClient::subscribe_events)) are collected
-/// into an inbox while
-/// responses are awaited — drain them with [`EnergyClient::events`] /
-/// [`take_event_frames`](Self::take_event_frames), wait for the next one
-/// with [`recv_event`](Self::recv_event), or install a callback with
-/// [`set_event_handler`](Self::set_event_handler).
-///
-/// Transport failures surface as [`EnergyResponse::Err`] values carrying
-/// [`ProtoError::Other`] — the failures-are-values contract extends over
-/// the network, so a policy loop sees a dead server the same way it sees
-/// a scope denial.
-pub struct RemoteEcovisorClient {
-    stream: TcpStream,
-    codec: WireCodec,
-    version: u16,
-    app: AppId,
-    queue: Vec<EnergyRequest>,
-    broken: bool,
-    inbox: Vec<EventFrame>,
-    handler: Option<EventHandler>,
-    /// Grow-only read buffer reused across frames (see
-    /// [`read_frame_into`]).
-    rbuf: Vec<u8>,
-}
-
-impl std::fmt::Debug for RemoteEcovisorClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteEcovisorClient")
-            .field("app", &self.app)
-            .field("codec", &self.codec)
-            .field("version", &self.version)
-            .field("queued", &self.queue.len())
-            .field("inbox", &self.inbox.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl RemoteEcovisorClient {
-    /// Connects and negotiates: offers every supported protocol version
-    /// (the server picks the highest shared) and prefers the binary
-    /// codec with JSON fallback.
-    ///
-    /// # Errors
-    ///
-    /// On connection failure or a rejected hello.
-    pub fn connect(addr: impl ToSocketAddrs, app: AppId) -> io::Result<Self> {
-        Self::connect_full(addr, app, WireCodec::preferred(), None)
-    }
-
-    /// Connects offering an explicit codec preference list.
-    ///
-    /// # Errors
-    ///
-    /// On connection failure, a rejected hello, or an empty codec list.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        app: AppId,
-        codecs: Vec<WireCodec>,
-    ) -> io::Result<Self> {
-        Self::connect_full(addr, app, codecs, None)
-    }
-
-    /// Connects presenting `credential` as the app's token — required
-    /// against a server built with a [`CredentialRegistry`].
-    ///
-    /// # Errors
-    ///
-    /// On connection failure or a rejected hello (including a wrong
-    /// token).
-    pub fn connect_with_credential(
-        addr: impl ToSocketAddrs,
-        app: AppId,
-        credential: impl Into<String>,
-    ) -> io::Result<Self> {
-        Self::connect_full(addr, app, WireCodec::preferred(), Some(credential.into()))
-    }
-
-    /// The full-control connect: explicit codec list and optional
-    /// credential.
-    ///
-    /// Negotiation is symmetric across releases: a server too old to
-    /// parse the v2 hello rejects it as malformed, and this client then
-    /// retries once with the legacy v1 [`ClientHello`] — so a new
-    /// client downgrades against an old server just as an old client is
-    /// served by a new one. The retry is skipped when a credential was
-    /// supplied: a v1 hello cannot carry it, and silently connecting
-    /// unauthenticated would defeat the point.
-    ///
-    /// # Errors
-    ///
-    /// On connection failure, a rejected hello, or a server that
-    /// accepted a version this client never offered.
-    pub fn connect_full(
-        addr: impl ToSocketAddrs,
-        app: AppId,
-        codecs: Vec<WireCodec>,
-        credential: Option<String>,
-    ) -> io::Result<Self> {
-        // Resolve once so the legacy retry can reconnect.
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let has_credential = credential.is_some();
-        let hello = ClientHelloV2::new(app, codecs.clone(), credential);
-        let versions = hello.versions.clone();
-        match Self::handshake(&addrs[..], &WireCodec::Json.encode(&hello)) {
-            Ok((stream, version, codec)) => {
-                if !versions.contains(&version) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("server accepted v{version}, which this client never offered"),
-                    ));
-                }
-                Ok(Self::assemble(stream, codec, version, app))
-            }
-            // A pre-v2 server cannot parse the v2 hello shape and
-            // rejects it as malformed; fall back to the v1 hello.
-            Err(e)
-                if !has_credential
-                    && e.kind() == io::ErrorKind::ConnectionRefused
-                    && e.to_string().contains("malformed hello") =>
-            {
-                Self::connect_v1_with(&addrs[..], app, codecs)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Connects as a **v1-only legacy client**: sends the original
-    /// [`ClientHello`] and speaks the bare request/response wire, with
-    /// no frame layer and no push. Exists so the old protocol's
-    /// compatibility is a tested behavior, not an assumption.
-    ///
-    /// # Errors
-    ///
-    /// On connection failure or a rejected hello (e.g. a credentialed
-    /// server, which refuses credential-less v1 hellos).
-    pub fn connect_v1(addr: impl ToSocketAddrs, app: AppId) -> io::Result<Self> {
-        Self::connect_v1_with(addr, app, WireCodec::preferred())
-    }
-
-    fn connect_v1_with(
-        addr: impl ToSocketAddrs,
-        app: AppId,
-        codecs: Vec<WireCodec>,
-    ) -> io::Result<Self> {
-        let hello = ClientHello::new(app, codecs);
-        let (stream, version, codec) = Self::handshake(addr, &WireCodec::Json.encode(&hello))?;
-        if version != PROTOCOL_V1 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("server accepted v{version} against a v1-only hello"),
-            ));
-        }
-        Ok(Self::assemble(stream, codec, PROTOCOL_V1, app))
-    }
-
-    fn handshake(
-        addr: impl ToSocketAddrs,
-        hello_payload: &[u8],
-    ) -> io::Result<(TcpStream, u16, WireCodec)> {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        write_frame(&mut stream, hello_payload)?;
-        let reply = read_frame(&mut stream)?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::ConnectionAborted,
-                "server closed during hello",
-            )
-        })?;
-        let reply: ServerHello = WireCodec::Json
-            .decode(&reply)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad hello: {e}")))?;
-        match reply {
-            ServerHello::Accept { version, codec } => Ok((stream, version, codec)),
-            ServerHello::Reject { reason } => {
-                Err(io::Error::new(io::ErrorKind::ConnectionRefused, reason))
-            }
-        }
-    }
-
-    fn assemble(stream: TcpStream, codec: WireCodec, version: u16, app: AppId) -> Self {
-        Self {
-            stream,
-            codec,
-            version,
-            app,
-            queue: Vec::new(),
-            broken: false,
-            inbox: Vec::new(),
-            handler: None,
-            rbuf: Vec::new(),
-        }
-    }
-
-    /// The codec this connection negotiated.
-    pub fn codec(&self) -> WireCodec {
-        self.codec
-    }
-
-    /// The protocol version this connection negotiated (the highest one
-    /// both sides speak).
-    pub fn version(&self) -> u16 {
-        self.version
-    }
-
-    /// `true` once the transport has failed; subsequent requests answer
-    /// with error values without touching the socket.
-    pub fn is_broken(&self) -> bool {
-        self.broken
-    }
-
-    /// Installs a callback fired once per received [`EventFrame`], in
-    /// arrival order — whether the frame arrived interleaved with a
-    /// response or via [`recv_event`](Self::recv_event). Frames that
-    /// arrive interleaved with responses are queued in the inbox after
-    /// the callback; a frame [`recv_event`](Self::recv_event) returns
-    /// goes to its caller instead and is **not** queued — the callback
-    /// is the only surface that observes every frame exactly once.
-    pub fn set_event_handler(&mut self, handler: impl FnMut(&EventFrame) + Send + 'static) {
-        self.handler = Some(Box::new(handler));
-    }
-
-    /// Drains the pushed event frames received so far (settlement-tick
-    /// stamps included). [`EnergyClient::events`] is the flattened,
-    /// poll-merged form of this.
-    pub fn take_event_frames(&mut self) -> Vec<EventFrame> {
-        std::mem::take(&mut self.inbox)
-    }
-
-    /// Blocks until the server pushes the next event frame (or returns
-    /// one already queued). Requires a v2 connection and an active
-    /// subscription to ever return; a read timeout configured on the
-    /// socket surfaces as the corresponding I/O error.
-    ///
-    /// # Errors
-    ///
-    /// On a v1 connection (no push on that wire), a broken transport, or
-    /// any I/O/decode failure.
-    pub fn recv_event(&mut self) -> io::Result<EventFrame> {
-        if !self.inbox.is_empty() {
-            return Ok(self.inbox.remove(0));
-        }
-        if self.version < PROTOCOL_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "event push requires protocol v2",
-            ));
-        }
-        if self.broken {
-            return Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "connection already failed",
-            ));
-        }
-        loop {
-            match self.read_v2_frame()? {
-                Frame::Event(frame) => {
-                    if let Some(handler) = self.handler.as_mut() {
-                        handler(&frame);
-                    }
-                    return Ok(frame);
-                }
-                Frame::Control(_) => {}
-                Frame::Response(_) | Frame::Request(_) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "unsolicited non-event frame",
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Reads and decodes one v2 frame, answering pings inline.
-    fn read_v2_frame(&mut self) -> io::Result<Frame> {
-        loop {
-            let len = read_frame_into(&mut self.stream, &mut self.rbuf)?.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::ConnectionAborted, "server closed connection")
-            })?;
-            let frame: Frame = self
-                .codec
-                .decode(&self.rbuf[..len])
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            if let Frame::Control(ControlFrame::Ping) = frame {
-                let payload = self.codec.encode(&Frame::Control(ControlFrame::Pong));
-                write_frame(&mut self.stream, &payload)?;
-                continue;
-            }
-            return Ok(frame);
-        }
-    }
-
-    /// Buffers a pushed frame (handler first, inbox second).
-    fn deliver(&mut self, frame: EventFrame) {
-        if let Some(handler) = self.handler.as_mut() {
-            handler(&frame);
-        }
-        self.inbox.push(frame);
-    }
-
-    fn round_trip(&mut self, batch: &RequestBatch) -> io::Result<ResponseBatch> {
-        if self.version >= PROTOCOL_VERSION {
-            // v2: framed request, then read until our response arrives —
-            // pushed event frames interleave and are buffered in order.
-            let payload = self.codec.encode(&Frame::Request(batch.clone()));
-            write_frame(&mut self.stream, &payload)?;
-            loop {
-                match self.read_v2_frame()? {
-                    Frame::Response(resp) => return Ok(resp),
-                    Frame::Event(frame) => self.deliver(frame),
-                    Frame::Control(_) => {}
-                    Frame::Request(_) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "server sent a request frame",
-                        ));
-                    }
-                }
-            }
-        } else {
-            // v1: the bare request/response wire, unchanged.
-            write_frame(&mut self.stream, &self.codec.encode(batch))?;
-            let len = read_frame_into(&mut self.stream, &mut self.rbuf)?.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::ConnectionAborted, "server closed mid-batch")
-            })?;
-            self.codec
-                .decode(&self.rbuf[..len])
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        }
-    }
-
-    /// Pulls a complete [`Snapshot`] of the server's ecovisor over the
-    /// admin checkpoint surface ([`EnergyRequest::Snapshot`], chunked):
-    /// chunk 0 captures it under the settlement barrier and caches the
-    /// encoding on the server side of this connection; further chunks
-    /// page the same point-in-time image out.
-    ///
-    /// Requires a v2 connection to a server that authenticated this
-    /// connection's credential (built
-    /// [`with_credentials`](EcovisorServer::with_credentials)); a server
-    /// without a credential registry answers
-    /// [`ProtoError::Denied`], surfaced here as
-    /// [`io::ErrorKind::PermissionDenied`].
-    ///
-    /// # Errors
-    ///
-    /// On a v1 connection, a broken transport, a denied admin surface,
-    /// or an undecodable payload.
-    pub fn fetch_snapshot(&mut self) -> io::Result<Snapshot> {
-        let mut bytes = Vec::new();
-        let mut chunk = 0u32;
-        loop {
-            match self.admin_round_trip(EnergyRequest::Snapshot { chunk })? {
-                EnergyResponse::SnapshotChunk { index, total, data } => {
-                    if index != chunk || total == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("snapshot chunk {index}/{total}, expected {chunk}"),
-                        ));
-                    }
-                    bytes.extend_from_slice(&data);
-                    if index + 1 >= total {
-                        break;
-                    }
-                    chunk += 1;
-                }
-                EnergyResponse::Err(e) => {
-                    return Err(io::Error::new(
-                        admin_error_kind(&e),
-                        format!("server refused snapshot: {e}"),
-                    ));
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected snapshot response: {other:?}"),
-                    ));
-                }
-            }
-        }
-        Snapshot::from_bytes(&bytes).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("snapshot payload undecodable: {e}"),
-            )
-        })
-    }
-
-    /// Seeds the server's ecovisor from `snap` over the admin checkpoint
-    /// surface ([`EnergyRequest::Restore`], chunked). On success the
-    /// remote process holds exactly the captured state and continues
-    /// bit-identically to the process the snapshot came from (given the
-    /// same subsequent traffic and the same solar/carbon traces).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`fetch_snapshot`](Self::fetch_snapshot) can fail
-    /// with, plus the server-side validation failures of
-    /// [`Ecovisor::apply_snapshot`](crate::Ecovisor::apply_snapshot),
-    /// surfaced as refusal messages.
-    pub fn push_restore(&mut self, snap: &Snapshot) -> io::Result<()> {
-        let bytes = snap.to_bytes();
-        let total = chunk_count(bytes.len());
-        for (i, piece) in bytes.chunks(SNAPSHOT_CHUNK_LEN).enumerate() {
-            let index = u32::try_from(i).unwrap_or(u32::MAX);
-            let request = EnergyRequest::Restore {
-                index,
-                total,
-                data: piece.to_vec(),
-            };
-            match self.admin_round_trip(request)? {
-                EnergyResponse::Ok => {}
-                EnergyResponse::Err(e) => {
-                    return Err(io::Error::new(
-                        admin_error_kind(&e),
-                        format!("server refused restore: {e}"),
-                    ));
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected restore response: {other:?}"),
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Downloads one tenant's capture over the admin migration surface
-    /// ([`EnergyRequest::MigrateOut`], chunked like
-    /// [`fetch_snapshot`](Self::fetch_snapshot)). The tenant **keeps
-    /// running on the server** — after grafting the capture onto the
-    /// destination ([`push_tenant`](Self::push_tenant)), commit the move
-    /// with [`commit_migration`](Self::commit_migration).
-    ///
-    /// # Errors
-    ///
-    /// On a v1 connection, a broken transport, a denied admin surface,
-    /// an unknown tenant, or an undecodable payload.
-    pub fn fetch_tenant(&mut self, app: AppId) -> io::Result<crate::federation::TenantSnapshot> {
-        let mut bytes = Vec::new();
-        let mut chunk = 0u32;
-        loop {
-            match self.admin_round_trip(EnergyRequest::MigrateOut { app, chunk })? {
-                EnergyResponse::SnapshotChunk { index, total, data } => {
-                    if index != chunk || total == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("migrate-out chunk {index}/{total}, expected {chunk}"),
-                        ));
-                    }
-                    bytes.extend_from_slice(&data);
-                    if index + 1 >= total {
-                        break;
-                    }
-                    chunk += 1;
-                }
-                EnergyResponse::Err(e) => {
-                    return Err(io::Error::new(
-                        admin_error_kind(&e),
-                        format!("server refused migrate-out: {e}"),
-                    ));
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected migrate-out response: {other:?}"),
-                    ));
-                }
-            }
-        }
-        crate::federation::TenantSnapshot::from_bytes(&bytes).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("tenant capture undecodable: {e}"),
-            )
-        })
-    }
-
-    /// Grafts a tenant capture onto the server
-    /// ([`EnergyRequest::MigrateIn`], chunked). A rejection — tampered
-    /// bytes, environment mismatch, colliding id — leaves the server
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`push_restore`](Self::push_restore) can fail with,
-    /// plus the server-side validation failures of
-    /// [`Ecovisor::graft_app`](crate::Ecovisor::graft_app).
-    pub fn push_tenant(&mut self, snap: &crate::federation::TenantSnapshot) -> io::Result<()> {
-        let bytes = snap.to_bytes();
-        let total = chunk_count(bytes.len());
-        for (i, piece) in bytes.chunks(SNAPSHOT_CHUNK_LEN).enumerate() {
-            let index = u32::try_from(i).unwrap_or(u32::MAX);
-            let request = EnergyRequest::MigrateIn {
-                index,
-                total,
-                data: piece.to_vec(),
-            };
-            match self.admin_round_trip(request)? {
-                EnergyResponse::Ok => {}
-                EnergyResponse::Err(e) => {
-                    return Err(io::Error::new(
-                        admin_error_kind(&e),
-                        format!("server refused migrate-in: {e}"),
-                    ));
-                }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected migrate-in response: {other:?}"),
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Commits a migration on the **source** server: evicts the tenant.
-    /// Send only after [`push_tenant`](Self::push_tenant) succeeded on
-    /// the destination.
-    ///
-    /// # Errors
-    ///
-    /// On a v1 connection, a broken transport, a denied admin surface,
-    /// or an unknown tenant.
-    pub fn commit_migration(&mut self, app: AppId) -> io::Result<()> {
-        self.admin_ack(EnergyRequest::MigrateCommit { app }, "migrate-commit")
-    }
-
-    /// Federated tick, phase one: begins the server's tick and returns
-    /// its local demand views (see `docs/FEDERATION.md` for the
-    /// coordinator choreography).
-    ///
-    /// # Errors
-    ///
-    /// On a v1 connection, a broken transport, or a denied admin
-    /// surface.
-    pub fn fed_collect(&mut self) -> io::Result<Vec<crate::federation::FedAppView>> {
-        match self.admin_round_trip(EnergyRequest::FedCollect)? {
-            EnergyResponse::Demands(views) => Ok(views),
-            EnergyResponse::Err(e) => Err(io::Error::new(
-                admin_error_kind(&e),
-                format!("server refused fed-collect: {e}"),
-            )),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected fed-collect response: {other:?}"),
-            )),
-        }
-    }
-
-    /// Federated tick, phase two: settles the globally merged view list
-    /// on the server and advances its clock.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`fed_collect`](Self::fed_collect) can fail with, plus
-    /// the server-side validation failures of
-    /// [`Ecovisor::settle_with_views`](crate::Ecovisor::settle_with_views).
-    pub fn fed_settle(&mut self, views: &[crate::federation::FedAppView]) -> io::Result<()> {
-        self.admin_ack(
-            EnergyRequest::FedSettle {
-                views: views.to_vec(),
-            },
-            "fed-settle",
-        )
-    }
-
-    /// Aligns the server's container-id cursor to the coordinator's
-    /// global cursor (refused if it would move backwards).
-    ///
-    /// # Errors
-    ///
-    /// On a v1 connection, a broken transport, a denied admin surface,
-    /// or a backwards cursor.
-    pub fn fed_align(&mut self, next_container: u64) -> io::Result<()> {
-        self.admin_ack(EnergyRequest::FedAlign { next_container }, "fed-align")
-    }
-
-    /// Reads the server's container-id cursor.
-    ///
-    /// # Errors
-    ///
-    /// On a v1 connection, a broken transport, or a denied admin
-    /// surface.
-    pub fn fed_cursor(&mut self) -> io::Result<u64> {
-        match self.admin_round_trip(EnergyRequest::FedCursor)? {
-            EnergyResponse::Count(n) => Ok(n as u64),
-            EnergyResponse::Err(e) => Err(io::Error::new(
-                admin_error_kind(&e),
-                format!("server refused fed-cursor: {e}"),
-            )),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected fed-cursor response: {other:?}"),
-            )),
-        }
-    }
-
-    /// Fetches the server's observability report: serving-level gauges
-    /// plus a full dump of the attached metric registry (dispatch
-    /// latency histograms, reactor queue depths, settlement-barrier
-    /// timings — see `docs/OBSERVABILITY.md` for the catalogue).
-    ///
-    /// # Errors
-    ///
-    /// On a v1 connection, a broken transport, or a denied admin
-    /// surface (the `Stats` request is credential-gated like every
-    /// other admin request).
-    pub fn fetch_stats(&mut self) -> io::Result<crate::proto::StatsReport> {
-        match self.admin_round_trip(EnergyRequest::Stats)? {
-            EnergyResponse::Stats(report) => Ok(report),
-            EnergyResponse::Err(e) => Err(io::Error::new(
-                admin_error_kind(&e),
-                format!("server refused stats: {e}"),
-            )),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected stats response: {other:?}"),
-            )),
-        }
-    }
-
-    /// Sends one ack-style admin request and maps its response to `()`.
-    fn admin_ack(&mut self, request: EnergyRequest, what: &str) -> io::Result<()> {
-        match self.admin_round_trip(request)? {
-            EnergyResponse::Ok => Ok(()),
-            EnergyResponse::Err(e) => Err(io::Error::new(
-                admin_error_kind(&e),
-                format!("server refused {what}: {e}"),
-            )),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected {what} response: {other:?}"),
-            )),
-        }
-    }
-
-    /// Sends one admin request as its own batch and returns its response
-    /// (queued requests are flushed first, so ordering is preserved).
-    fn admin_round_trip(&mut self, request: EnergyRequest) -> io::Result<EnergyResponse> {
-        if self.version < PROTOCOL_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "the admin checkpoint surface requires protocol v2",
-            ));
-        }
-        if self.broken {
-            return Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "connection already failed",
-            ));
-        }
-        self.flush();
-        let batch = RequestBatch {
-            version: self.version,
-            app: self.app,
-            requests: vec![request],
-        };
-        let mut resp = match self.round_trip(&batch) {
-            Ok(resp) => resp,
-            Err(e) => {
-                self.broken = true;
-                return Err(e);
-            }
-        };
-        resp.responses
-            .pop()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty admin response batch"))
-    }
-
-    /// One transport-failure response per request, so batch arithmetic
-    /// (one response per request, in order) holds even when the wire dies.
-    fn failure_batch(&self, batch: &RequestBatch, err: &io::Error) -> ResponseBatch {
-        ResponseBatch {
-            version: self.version,
-            app: batch.app,
-            responses: vec![
-                EnergyResponse::Err(ProtoError::Other(format!("transport: {err}")));
-                batch.requests.len()
-            ],
-        }
-    }
-}
-
-impl EnergyClient for RemoteEcovisorClient {
-    fn app_id(&self) -> AppId {
-        self.app
-    }
-
-    fn pending(&self) -> &Vec<EnergyRequest> {
-        &self.queue
-    }
-
-    fn pending_mut(&mut self) -> &mut Vec<EnergyRequest> {
-        &mut self.queue
-    }
-
-    /// Batches are stamped with the *negotiated* version: a v1
-    /// connection emits v1 envelopes, so the dispatcher's per-request
-    /// version gate (not the transport) answers v2-only requests.
-    fn protocol_version(&self) -> u16 {
-        self.version
-    }
-
-    fn transport(&mut self, batch: RequestBatch) -> ResponseBatch {
-        if self.broken {
-            let err = io::Error::new(io::ErrorKind::NotConnected, "connection already failed");
-            return self.failure_batch(&batch, &err);
-        }
-        match self.round_trip(&batch) {
-            Ok(resp) => resp,
-            Err(e) => {
-                self.broken = true;
-                self.failure_batch(&batch, &e)
-            }
-        }
-    }
-
-    /// Pushed-then-polled drain: event frames already received off the
-    /// wire come first (in arrival order), then whatever the server-side
-    /// outbox still holds. With an active subscription the poll is
-    /// empty — push drained the outbox at settlement — so the sequence
-    /// is exactly the pushed one.
-    fn events(&mut self) -> Vec<Notification> {
-        let polled = self.poll_events().unwrap_or_default();
-        let mut out: Vec<Notification> = self
-            .inbox
-            .drain(..)
-            .flat_map(|frame| frame.events)
-            .collect();
-        out.extend(polled);
-        out
-    }
-}
-
-impl Drop for RemoteEcovisorClient {
-    fn drop(&mut self) {
-        if !self.broken {
-            // Tick-boundary safety net, mirroring the local client.
-            self.flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frame_round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").expect("write");
-        let mut cursor = io::Cursor::new(buf);
-        assert_eq!(
-            read_frame(&mut cursor).expect("read").as_deref(),
-            Some(&b"hello"[..])
-        );
-        assert_eq!(read_frame(&mut cursor).expect("eof"), None);
-    }
-
-    #[test]
-    fn oversized_frames_are_rejected() {
-        let mut header = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
-        header.extend_from_slice(&[0; 8]);
-        let mut cursor = io::Cursor::new(header);
-        assert!(read_frame(&mut cursor).is_err());
-    }
-
-    #[test]
-    fn truncated_frames_are_io_errors() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").expect("write");
-        buf.truncate(6);
-        let mut cursor = io::Cursor::new(buf);
-        assert!(read_frame(&mut cursor).is_err());
-    }
-
-    #[test]
-    fn hello_types_round_trip_in_json() {
-        let hello = ClientHello::new(AppId::new(3), WireCodec::preferred());
-        assert_eq!(hello.version, PROTOCOL_V1, "legacy hello speaks v1");
-        let back: ClientHello = WireCodec::Json
-            .decode(&WireCodec::Json.encode(&hello))
-            .expect("decode");
-        assert_eq!(back, hello);
-        let hello2 = ClientHelloV2::new(
-            AppId::new(3),
-            WireCodec::preferred(),
-            Some("tenant-token".into()),
-        );
-        assert_eq!(hello2.versions, SUPPORTED_VERSIONS.to_vec());
-        let back2: ClientHelloV2 = WireCodec::Json
-            .decode(&WireCodec::Json.encode(&hello2))
-            .expect("decode");
-        assert_eq!(back2, hello2);
-        for reply in [
-            ServerHello::Accept {
-                version: PROTOCOL_VERSION,
-                codec: WireCodec::Binary,
-            },
-            ServerHello::Reject {
-                reason: "no common codec".into(),
-            },
-        ] {
-            let back: ServerHello = WireCodec::Json
-                .decode(&WireCodec::Json.encode(&reply))
-                .expect("decode");
-            assert_eq!(back, reply);
-        }
-    }
-
-    #[test]
-    fn hello_shapes_never_ambiguate() {
-        // A v2 hello must not parse as a v1 hello and vice versa: the
-        // server's try-v2-then-v1 order depends on it.
-        let v2 = WireCodec::Json.encode(&ClientHelloV2::new(
-            AppId::new(1),
-            WireCodec::preferred(),
-            None,
-        ));
-        assert!(WireCodec::Json.decode::<ClientHello>(&v2).is_err());
-        let v1 = WireCodec::Json.encode(&ClientHello::new(AppId::new(1), WireCodec::preferred()));
-        assert!(WireCodec::Json.decode::<ClientHelloV2>(&v1).is_err());
-    }
+    use crate::event::Notification;
+    use crate::proto::{EnergyRequest, EventFrame, Frame, RequestBatch, PROTOCOL_VERSION};
+    use container_cop::AppId;
 
     #[test]
     fn codecs_agree_on_payloads() {
@@ -2545,7 +239,7 @@ mod tests {
             let back: RequestBatch = codec.decode(&codec.encode(&batch)).expect("decode");
             assert_eq!(back, batch, "{codec:?}");
         }
-        // The v2 frame wrapper round-trips in both codecs too.
+        // The frame wrapper round-trips in both codecs too.
         let frame = Frame::Event(EventFrame {
             version: PROTOCOL_VERSION,
             app: AppId::new(1),
@@ -2556,153 +250,5 @@ mod tests {
             let back: Frame = codec.decode(&codec.encode(&frame)).expect("decode");
             assert_eq!(back, frame, "{codec:?}");
         }
-    }
-
-    #[test]
-    fn backpressure_parks_events_and_recovers() {
-        use simkit::units::Watts;
-
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let mut subscriber = TcpStream::connect(addr).expect("connect");
-        let (server_side, _) = listener.accept().expect("accept");
-        // The write bound is what turns a hung subscriber into
-        // backpressure instead of an indefinitely parked broadcast.
-        server_side
-            .set_write_timeout(Some(Duration::from_millis(50)))
-            .expect("write timeout");
-        // Generous read bound: only a real delivery bug should trip it.
-        subscriber
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("read timeout");
-        let conn = Arc::new(ConnShared {
-            app: AppId::new(1),
-            codec: WireCodec::Binary,
-            writer: Mutex::new(Arc::new(server_side)),
-            filter: Mutex::new(Some(EventFilter::all())),
-            pending: Mutex::new(PendingWrites::default()),
-            notify: None,
-            obs: None,
-        });
-        let policy = OutboxPolicy::with_cap(2);
-        let level = |w: f64| Notification::SolarChange {
-            previous: Watts::new(0.0),
-            current: Watts::new(w),
-        };
-        let frame = |tick: u64, events: Vec<Notification>| EventFrame {
-            version: PROTOCOL_VERSION,
-            app: AppId::new(1),
-            tick,
-            events,
-        };
-
-        // Fill the socket buffers with frames the subscriber never
-        // reads, until a frame has to stay committed-but-unwritten.
-        let mut tick = 0u64;
-        let mut committed_frames = 0usize;
-        for _ in 0..10 {
-            tick += 1;
-            conn.push_event(frame(tick, vec![level(1.0); 200_000]), policy);
-            committed_frames += 1;
-            if crate::lock::lock(&conn.pending).queued_bytes() > 0 {
-                break;
-            }
-        }
-        assert!(
-            crate::lock::lock(&conn.pending).queued_bytes() > 0,
-            "socket buffers never filled; cannot exercise backpressure"
-        );
-
-        // Further frames park under the outbox policy: every edge
-        // survives, levels coalesce at the cap — and the socket is NOT
-        // shut down.
-        let parked_edges = 4usize;
-        for _ in 0..parked_edges {
-            tick += 1;
-            conn.push_event(
-                frame(tick, vec![level(tick as f64), Notification::BatteryFull]),
-                policy,
-            );
-        }
-        {
-            let pending = crate::lock::lock(&conn.pending);
-            let edges = pending
-                .parked
-                .iter()
-                .filter(|e| e.is_edge_triggered())
-                .count();
-            let levels = pending.parked.len() - edges;
-            assert_eq!(edges, parked_edges, "no edge event may ever be dropped");
-            assert!(
-                levels <= 2,
-                "levels must respect the policy cap, got {levels}"
-            );
-        }
-
-        // The subscriber wakes up and drains; a driver thread retries
-        // the backlog the way every settlement would. Everything
-        // committed arrives intact, plus one recovery frame carrying the
-        // parked events.
-        let stop = Arc::new(AtomicBool::new(false));
-        let retrier = {
-            let conn = Arc::clone(&conn);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    conn.retry_backlog();
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            })
-        };
-        let mut drained: Vec<EventFrame> = Vec::new();
-        for _ in 0..committed_frames + 1 {
-            let payload = read_frame(&mut subscriber)
-                .expect("subscriber read")
-                .expect("stream stayed open");
-            match WireCodec::Binary.decode::<Frame>(&payload).expect("frame") {
-                Frame::Event(f) => drained.push(f),
-                other => panic!("unexpected frame: {other:?}"),
-            }
-        }
-        stop.store(true, Ordering::SeqCst);
-        retrier.join().expect("retrier");
-        assert_eq!(
-            drained.len(),
-            committed_frames + 1,
-            "committed frames plus exactly one recovery frame"
-        );
-        let recovered = drained.last().expect("recovery frame");
-        assert_eq!(recovered.tick, tick, "stamped with the newest parked tick");
-        let edge_count = drained
-            .iter()
-            .flat_map(|f| f.events.iter())
-            .filter(|e| e.is_edge_triggered())
-            .count();
-        assert_eq!(edge_count, parked_edges, "each edge delivered exactly once");
-        let pending = crate::lock::lock(&conn.pending);
-        assert!(pending.parked.is_empty());
-        assert_eq!(pending.queued_bytes(), 0);
-        assert_eq!(pending.queued_frames, 0);
-    }
-
-    #[test]
-    fn constant_time_eq_is_correct() {
-        assert!(constant_time_eq(b"secret", b"secret"));
-        assert!(!constant_time_eq(b"secret", b"secreT"));
-        assert!(!constant_time_eq(b"secret", b"secret2"));
-        assert!(!constant_time_eq(b"", b"x"));
-        assert!(constant_time_eq(b"", b""));
-    }
-
-    #[test]
-    fn credential_registry_verifies() {
-        let creds = CredentialRegistry::new().with(AppId::new(1), "alpha-token");
-        assert!(creds.verify(AppId::new(1), Some("alpha-token")));
-        assert!(!creds.verify(AppId::new(1), Some("beta-token")));
-        assert!(!creds.verify(AppId::new(1), None));
-        assert!(!creds.verify(AppId::new(2), Some("alpha-token")));
-        // An empty presented token against an unregistered app must not
-        // accidentally compare equal to the absent-entry placeholder.
-        assert!(!creds.verify(AppId::new(2), Some("")));
     }
 }

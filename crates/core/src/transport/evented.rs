@@ -1,16 +1,13 @@
 //! The evented serving runtime: one reactor thread multiplexes every
 //! connection, a small worker pool runs dispatch.
 //!
-//! [`spawn_evented`] replaces the old thread-per-connection accept loop.
 //! The reactor owns all sockets non-blocking and epoll-registered (via
 //! the vendored [`reactor`] shim): it accepts, reads bytes into
 //! per-connection [`RecvBuf`]s, carves complete length-prefixed frames
 //! out of them, and hands those frames to the worker pool. Workers
-//! decode/dispatch via the same [`process_v1_payload`] /
-//! [`process_v2_payload`] the blocking server uses — the two transports
-//! share negotiation ([`evaluate_hello`]) and per-frame semantics by
-//! construction, so v1 and v2 clients cannot tell them apart on the
-//! wire.
+//! decode/dispatch each one through [`process_payload`]. This is the
+//! only serving loop: every connection, test or production, goes through
+//! it.
 //!
 //! ## Connection lifecycle
 //!
@@ -27,25 +24,22 @@
 //! A connection's [`ConnWork`] is in the job queue **at most once**
 //! (`scheduled` flips false→true exactly when it is pushed), and only
 //! the worker that popped it processes its inbox — so frames on one
-//! connection are served strictly in arrival order, exactly like the
-//! old per-connection thread, while thousands of connections share a
-//! handful of workers. Workers park on shard/settlement lock
-//! acquisition inside `dispatch_batch`; no thread is ever pinned to a
-//! client.
+//! connection are served strictly in arrival order while thousands of
+//! connections share a handful of workers. Workers park on
+//! shard/settlement lock acquisition inside `dispatch_batch`; no thread
+//! is ever pinned to a client.
 //!
 //! ## Write path
 //!
-//! All outbound bytes go through the parent module's [`ConnShared`]
-//! committed-write queue ([`PendingWrites`]): workers and the
-//! settlement broadcast write non-blocking, and whatever the socket
-//! refuses stays committed. The connection's [`WriteNotify`] then marks
-//! the token dirty and wakes the reactor, which arms `EPOLLOUT` and
-//! finishes the flush when the peer drains — `OutboxPolicy` parking
-//! semantics are byte-identical to the blocking server because they are
-//! the *same code* behind the same lock.
+//! All outbound bytes go through the connection's [`ConnShared`]
+//! committed-write queue: workers and the settlement broadcast write
+//! non-blocking, and whatever the socket refuses stays committed. The
+//! connection's [`WriteNotify`] then marks the token dirty and wakes the
+//! reactor, which arms `EPOLLOUT` and finishes the flush when the peer
+//! drains.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -53,11 +47,11 @@ use std::time::{Duration, Instant};
 
 use reactor::{Events, Interest, Poll, Token, Waker};
 
-use super::{
-    evaluate_hello, process_v1_payload, process_v2_payload, wire_bytes, write_conn, AdminState,
-    ConnShared, HelloOutcome, Negotiated, PendingWrites, ServeCtx, Served, ServerHandle,
-    WriteNotify, DRAIN_RETAIN_BYTES, MAX_FRAME_LEN, PROTOCOL_VERSION,
-};
+use super::admin::AdminState;
+use super::conn::{ConnShared, WriteNotify};
+use super::framing::{append_frame, RecvBuf, MAX_FRAME_LEN, MAX_HELLO_LEN};
+use super::hello::{evaluate_hello, HelloOutcome};
+use super::server::{process_payload, ServeCtx, Served, ServerHandle};
 use crate::obs::{self, TransportMetrics};
 
 /// Structured-log target for everything the serving runtime emits.
@@ -80,122 +74,8 @@ const FIRST_CONN: usize = 2;
 /// Frames one worker serves from a connection's inbox before requeueing
 /// it — fairness bound so a chatty connection cannot starve the rest.
 const FRAMES_PER_TURN: usize = 8;
-/// Initial per-connection receive buffer (grow-only up to the largest
-/// in-flight frame, trimmed back to [`DRAIN_RETAIN_BYTES`] when empty).
-const RECV_INITIAL: usize = 4 * 1024;
 /// Readiness events drained per `epoll_wait`.
 const EVENTS_CAPACITY: usize = 1024;
-
-/// Per-connection receive accumulator: raw socket bytes land in
-/// `buf[start..end]`, and complete length-prefixed frames are carved
-/// off the front. This is the incremental replacement for the blocking
-/// `read_exact` framing — a partial frame simply stays buffered until
-/// the next readable event resumes it.
-struct RecvBuf {
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
-    /// Server-wide receive-capacity counter this buffer charges its
-    /// `buf.len()` against ([`ServerHandle`]'s `recv_buffer_bytes`).
-    /// Every capacity change goes through [`set_capacity`]
-    /// (RecvBuf::set_capacity) and `Drop` refunds the rest, so the
-    /// counter is exact at every instant the reactor is quiescent.
-    charged: Arc<AtomicUsize>,
-}
-
-impl Drop for RecvBuf {
-    fn drop(&mut self) {
-        self.charged.fetch_sub(self.buf.len(), Ordering::SeqCst);
-    }
-}
-
-impl RecvBuf {
-    fn new(charged: Arc<AtomicUsize>) -> RecvBuf {
-        charged.fetch_add(RECV_INITIAL, Ordering::SeqCst);
-        RecvBuf {
-            buf: vec![0; RECV_INITIAL],
-            start: 0,
-            end: 0,
-            charged,
-        }
-    }
-
-    /// Grows or trims the buffer to `new_len`, keeping the shared
-    /// capacity counter in sync.
-    fn set_capacity(&mut self, new_len: usize) {
-        let old = self.buf.len();
-        if new_len > old {
-            self.buf.resize(new_len, 0);
-            self.charged.fetch_add(new_len - old, Ordering::SeqCst);
-        } else if new_len < old {
-            self.buf.truncate(new_len);
-            self.buf.shrink_to(new_len);
-            self.charged.fetch_sub(old - new_len, Ordering::SeqCst);
-        }
-    }
-
-    /// One `read(2)` into the spare tail (compacting the consumed
-    /// prefix first). `Ok(0)` is EOF; `WouldBlock` bubbles up so the
-    /// caller knows the socket is drained.
-    fn fill(&mut self, mut stream: &TcpStream) -> io::Result<usize> {
-        if self.start > 0 {
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-        }
-        if self.end == self.buf.len() {
-            self.set_capacity(self.buf.len() * 2);
-        }
-        let n = stream.read(&mut self.buf[self.end..])?;
-        self.end += n;
-        Ok(n)
-    }
-
-    /// Carves the next complete frame off the front, if one has fully
-    /// arrived. Grows the buffer up front for an announced frame so an
-    /// oversized peer is rejected before any allocation, like the
-    /// blocking path's length check.
-    fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        let avail = self.end - self.start;
-        if avail < 4 {
-            return Ok(None);
-        }
-        let mut len_bytes = [0u8; 4];
-        len_bytes.copy_from_slice(&self.buf[self.start..self.start + 4]);
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds MAX_FRAME_LEN"),
-            ));
-        }
-        let len = len as usize;
-        if avail < 4 + len {
-            // Reserve room for the rest of the announced frame so the
-            // next fill can complete it without another resize.
-            if self.buf.len() < self.start + 4 + len {
-                self.set_capacity(self.start + 4 + len);
-            }
-            return Ok(None);
-        }
-        let frame = self.buf[self.start + 4..self.start + 4 + len].to_vec();
-        self.start += 4 + len;
-        if self.start == self.end {
-            self.start = 0;
-            self.end = 0;
-            if self.buf.len() > DRAIN_RETAIN_BYTES {
-                self.set_capacity(DRAIN_RETAIN_BYTES);
-            }
-        }
-        Ok(Some(frame))
-    }
-
-    /// `true` while a partial frame (or stray bytes) is buffered — at
-    /// EOF this distinguishes a mid-frame drop from a clean close.
-    fn has_partial(&self) -> bool {
-        self.end > self.start
-    }
-}
 
 /// Where a connection is in its lifecycle.
 enum Phase {
@@ -221,11 +101,10 @@ struct EvConn {
     want_write: bool,
 }
 
-/// The worker-facing half of a served connection: the negotiated
-/// parameters, the shared writer, and the inbox of complete frames the
-/// reactor has carved out.
+/// The worker-facing half of a served connection: the shared writer
+/// (which carries the negotiated app and codec) and the inbox of complete
+/// frames the reactor has carved out.
 pub(super) struct ConnWork {
-    neg: Negotiated,
     shared: Arc<ConnShared>,
     inbox: Mutex<VecDeque<Vec<u8>>>,
     /// `true` while this connection is in the job queue or being
@@ -327,9 +206,7 @@ fn worker_loop(queue: &JobQueue, ctx: &ServeCtx) {
 fn kill_from_worker(work: &ConnWork) {
     work.closed.store(true, Ordering::SeqCst);
     let _ = crate::lock::lock(&work.shared.writer).shutdown(std::net::Shutdown::Both);
-    if let Some(notify) = &work.shared.notify {
-        notify.notify();
-    }
+    work.shared.notify.notify();
 }
 
 /// Serves up to [`FRAMES_PER_TURN`] frames from one connection's inbox,
@@ -357,14 +234,12 @@ fn serve_inbox(work: &Arc<ConnWork>, ctx: &ServeCtx, queue: &JobQueue) {
             m.inbox_depth.sub(1);
         }
         let serve_start = Instant::now();
-        let served = if work.neg.version >= PROTOCOL_VERSION {
+        let served = {
             let mut admin = crate::lock::lock(&work.admin);
-            process_v2_payload(ctx, &work.neg, &work.shared, &mut admin, &payload)
-        } else {
-            process_v1_payload(ctx, &work.neg, &payload)
+            process_payload(ctx, &work.shared, &mut admin, &payload)
         };
         let healthy = match served {
-            Served::Reply(reply) => write_conn(&work.shared, &reply).is_ok(),
+            Served::Reply(reply) => work.shared.write(&reply).is_ok(),
             Served::Quiet => true,
             Served::Close => false,
         };
@@ -498,28 +373,21 @@ fn begin_serving(
     waker: &Waker,
     hello: &[u8],
 ) -> bool {
-    match evaluate_hello(ctx, hello) {
-        HelloOutcome::Accept(neg, reply) => {
-            let shared = Arc::new(ConnShared {
-                app: neg.app,
-                codec: neg.codec,
-                writer: Mutex::new(Arc::clone(&conn.stream)),
-                filter: Mutex::new(None),
-                pending: Mutex::new(PendingWrites::default()),
-                notify: Some(WriteNotify {
+    match evaluate_hello(&ctx.creds, hello) {
+        HelloOutcome::Accept { app, codec, reply } => {
+            let shared = Arc::new(ConnShared::new(
+                app,
+                codec,
+                Arc::clone(&conn.stream),
+                WriteNotify {
                     token,
                     dirty: Arc::clone(dirty),
                     waker: waker.clone(),
-                }),
-                obs: ctx.obs.clone(),
-            });
-            // Only v2 connections join the push registry — v1 has no
-            // push on its wire, exactly like the blocking server.
-            if neg.version >= PROTOCOL_VERSION {
-                crate::lock::lock(&ctx.registry).push(Arc::clone(&shared));
-            }
+                },
+                ctx.obs.clone(),
+            ));
+            crate::lock::lock(&ctx.registry).push(Arc::clone(&shared));
             conn.phase = Phase::Serving(Arc::new(ConnWork {
-                neg,
                 shared: Arc::clone(&shared),
                 inbox: Mutex::new(VecDeque::new()),
                 scheduled: AtomicBool::new(false),
@@ -528,15 +396,16 @@ fn begin_serving(
             }));
             // The accept reply rides the same committed-write queue as
             // every later frame, so it cannot interleave or reorder.
-            write_conn(&shared, &reply).is_ok()
+            shared.write(&reply).is_ok()
         }
-        HelloOutcome::Reject(reply) => match wire_bytes(&reply) {
-            Ok(out) => {
-                conn.phase = Phase::Draining { out, written: 0 };
-                true
+        HelloOutcome::Reject(reply) => {
+            let mut out = Vec::new();
+            if append_frame(&mut out, &reply).is_err() {
+                return false;
             }
-            Err(_) => false,
-        },
+            conn.phase = Phase::Draining { out, written: 0 };
+            true
+        }
     }
 }
 
@@ -713,7 +582,13 @@ impl Reactor {
                         m.bytes_in.add(n as u64);
                     }
                     loop {
-                        match conn.rbuf.next_frame() {
+                        // An unauthenticated peer has earned a hello's
+                        // worth of buffer, nothing more.
+                        let max = match conn.phase {
+                            Phase::Hello => MAX_HELLO_LEN,
+                            _ => MAX_FRAME_LEN,
+                        };
+                        match conn.rbuf.next_frame(max) {
                             Ok(Some(payload)) => {
                                 if let Some(m) = metrics(&ctx) {
                                     m.frames_in.inc();
@@ -763,8 +638,8 @@ impl Reactor {
         }
     }
 
-    /// Reaps connections idle past the configured timeout — same
-    /// contract as the blocking server's `set_read_timeout` reap.
+    /// Reaps connections that have sent nothing for the configured
+    /// timeout.
     fn sweep_idle(&mut self, idle: Duration) {
         let expired: Vec<usize> = self
             .conns
@@ -829,8 +704,7 @@ impl Reactor {
 
 /// Spawns the evented runtime: the reactor thread plus `workers`
 /// dispatch threads (0 = auto-size from available parallelism, clamped
-/// to 2..=8). Returns the same [`ServerHandle`] surface the old
-/// thread-per-connection `spawn` did.
+/// to 2..=8).
 pub(super) fn spawn_evented(
     listener: TcpListener,
     ctx: Arc<ServeCtx>,

@@ -1,17 +1,18 @@
 //! Evented-transport integration: the readiness-driven server under
 //! hostile and bursty conditions.
 //!
-//! The blocking-loop suites (`protocol_v2`, `transport_resilience`,
-//! `proto_roundtrip`, `snapshot_restore`) already prove the wire
-//! semantics; they all run against `EcovisorServer::spawn`, which is the
-//! evented runtime. This suite covers what only the event loop can get
-//! wrong:
+//! The wire-semantics suites (`protocol_v2`, `transport_resilience`,
+//! `proto_roundtrip`, `snapshot_restore`) all run against
+//! `EcovisorServer::spawn`, the evented runtime — the only server there
+//! is. This suite covers what only an event loop can get wrong:
 //!
 //! * **reconnect storms** — waves of clients connecting, round-tripping,
 //!   and vanishing (cleanly, mid-hello, and mid-frame) while a
 //!   long-lived client must stay served;
 //! * **incremental reassembly** — frames dribbled a few bytes per
 //!   `write(2)` must be reassembled exactly as if they arrived whole;
+//! * **pre-auth allocation** — a peer that has not said hello yet can
+//!   make the server buffer at most a hello's worth (`MAX_HELLO_LEN`);
 //! * **slow subscribers** — a peer that stops draining its socket gets
 //!   `OutboxPolicy` parking (edges kept, levels coalesced) on the
 //!   non-blocking writer, bit-compatible with a prompt subscriber;
@@ -23,9 +24,10 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use ecovisor::proto::{EnergyRequest, Frame, RequestBatch, PROTOCOL_VERSION};
+use ecovisor::transport::MAX_HELLO_LEN;
 use ecovisor::{
-    ClientHello, ClientHelloV2, EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare,
-    EventFilter, Notification, OutboxPolicy, RemoteEcovisorClient, ServerHello, WireCodec,
+    ClientHelloV2, EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare, EventFilter,
+    Notification, OutboxPolicy, RemoteEcovisorClient, ServerHello, WireCodec,
 };
 use simkit::time::SimDuration;
 use simkit::trace::{Extend, Trace};
@@ -117,11 +119,7 @@ fn reconnect_storm_with_adversarial_peers() {
             // Drop mid-frame: negotiate for real, then truncate a frame.
             2 => {
                 let mut s = TcpStream::connect(addr).expect("connect");
-                let hello = ClientHello {
-                    version: PROTOCOL_VERSION,
-                    app,
-                    codecs: vec![WireCodec::Json],
-                };
+                let hello = ClientHelloV2::new(app, vec![WireCodec::Json], None);
                 send_frame(&mut s, &WireCodec::Json.encode(&hello));
                 let reply = recv_frame(&mut s).expect("hello reply");
                 assert!(matches!(
@@ -225,12 +223,8 @@ fn frames_split_across_many_writes_are_reassembled() {
         }
     };
 
-    // v1 hello, three bytes at a time.
-    let hello = ClientHello {
-        version: PROTOCOL_VERSION,
-        app,
-        codecs: vec![WireCodec::Json],
-    };
+    // The hello, three bytes at a time.
+    let hello = ClientHelloV2::new(app, vec![WireCodec::Json], None);
     let payload = WireCodec::Json.encode(&hello);
     let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
     wire.extend_from_slice(&payload);
@@ -264,6 +258,84 @@ fn frames_split_across_many_writes_are_reassembled() {
         }
     }
     drop(stream);
+    handle.shutdown();
+}
+
+/// Before its hello is accepted a peer is unauthenticated, so the frame
+/// it may announce is bounded by `MAX_HELLO_LEN`, not `MAX_FRAME_LEN`: a
+/// hello announced at the limit is buffered (the receive buffer reserves
+/// exactly that frame), one byte over is refused before the buffer grows
+/// for it — counted as a connection error, closed without a reply.
+#[test]
+fn oversized_hello_is_closed_before_the_buffer_grows() {
+    let eco = EcovisorBuilder::new().build();
+    let server = EcovisorServer::bind("127.0.0.1:0", eco).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+    let conn_errors = || {
+        let hub = handle.obs_hub().expect("bind attaches a hub");
+        hub.snapshot()
+            .counter("transport.conn_errors_total")
+            .unwrap_or(0)
+    };
+    let errors_before = conn_errors();
+
+    // At the limit: accepted as a frame in progress, buffer reserved.
+    let reserved = MAX_HELLO_LEN as usize + 4;
+    let mut at_limit = TcpStream::connect(addr).expect("connect");
+    at_limit
+        .write_all(&MAX_HELLO_LEN.to_le_bytes())
+        .expect("announce");
+    at_limit.write_all(b"{").expect("first byte");
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            handle.recv_buffer_bytes() == reserved
+        }),
+        "a hello at the limit reserves exactly its frame, got {}",
+        handle.recv_buffer_bytes()
+    );
+
+    // One byte over: closed, while a sampler watches the buffer gauge.
+    // A fresh connection's initial buffer is all it may ever add.
+    let fresh_conn_allowance = 4096;
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let peak = std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let mut peak = 0;
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                peak = peak.max(handle.recv_buffer_bytes());
+                std::thread::yield_now();
+            }
+            peak
+        });
+        let mut over = TcpStream::connect(addr).expect("connect");
+        over.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        over.write_all(&(MAX_HELLO_LEN + 1).to_le_bytes())
+            .expect("announce");
+        assert!(
+            recv_frame(&mut over).is_none(),
+            "an oversized hello is closed without a reply"
+        );
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+        sampler.join().expect("sampler")
+    });
+    assert!(
+        peak <= reserved + fresh_conn_allowance,
+        "an unauthenticated peer grew the receive buffers to {peak} bytes"
+    );
+    assert_eq!(
+        conn_errors(),
+        errors_before + 1,
+        "counted as a protocol error"
+    );
+
+    drop(at_limit);
+    assert!(
+        wait_until(Duration::from_secs(5), || handle.recv_buffer_bytes() == 0
+            && handle.active_connections() == 0),
+        "both connections reaped, buffers refunded"
+    );
     handle.shutdown();
 }
 

@@ -630,7 +630,7 @@ mod transport {
     #[test]
     fn version_mismatch_is_rejected_at_hello() {
         use ecovisor::proto::PROTOCOL_VERSION;
-        use ecovisor::{ClientHello, ServerHello};
+        use ecovisor::{ClientHelloV2, ServerHello};
         use std::io::{Read, Write};
 
         let (eco, _, _) = build_eco();
@@ -639,10 +639,9 @@ mod transport {
         let handle = server.spawn().expect("spawn");
 
         let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-        let hello = ClientHello {
-            version: PROTOCOL_VERSION + 1,
-            app: AppId::new(1),
-            codecs: WireCodec::preferred(),
+        let hello = ClientHelloV2 {
+            versions: vec![PROTOCOL_VERSION + 1],
+            ..ClientHelloV2::new(AppId::new(1), WireCodec::preferred(), None)
         };
         let payload = WireCodec::Json.encode(&hello);
         stream
@@ -714,9 +713,12 @@ mod transport {
         {
             use std::io::Write;
             let mut raw = std::net::TcpStream::connect(handle.addr()).expect("raw");
-            // A valid hello, then a frame that is not a RequestBatch.
-            let hello =
-                WireCodec::Json.encode(&ecovisor::ClientHello::new(a, vec![WireCodec::Binary]));
+            // A valid hello, then a frame that is not a `Frame`.
+            let hello = WireCodec::Json.encode(&ecovisor::ClientHelloV2::new(
+                a,
+                vec![WireCodec::Binary],
+                None,
+            ));
             raw.write_all(&(hello.len() as u32).to_le_bytes()).unwrap();
             raw.write_all(&hello).unwrap();
             let garbage = b"\xff\xfe\xfd";

@@ -2,26 +2,27 @@
 //!
 //! Covers the redesign's acceptance surface:
 //!
-//! * a **v1-only client round-trips unmodified** against a v2 server
-//!   (side-by-side versions, bare un-framed payloads on the v1 wire);
-//! * `PollEvents` gives v1 remotes Table 2 event parity with a local
-//!   `drain_events` twin;
+//! * the **retired v1 wire has a specified outcome**: a hello that does
+//!   not offer the served wire version is rejected with a reason, the
+//!   socket closes, nothing reaches the dispatcher, nothing leaks;
+//! * `PollEvents` gives unsubscribed remotes Table 2 event parity with a
+//!   local `drain_events` twin;
 //! * a **remote v2 subscriber receives the bit-identical notification
 //!   sequence** a local drain twin observes over a seeded multi-tenant
 //!   simulated day, and the recorded `ProtocolTrace` (event frames
 //!   included) **replays to identical `VesTotals` on both dispatch
 //!   paths** (plain `Ecovisor` and `ShardedEcovisor`) while regenerating
 //!   the same push traffic;
-//! * per-app **credentials** gate v2 hellos before any batch is served;
+//! * per-app **credentials** gate hellos before any batch is served;
 //! * delivery **filters** select event categories per subscriber;
 //! * the event **callback** surface behaves identically in-process and
 //!   remote.
 
 use carbon_intel::service::TraceCarbonService;
 use container_cop::{AppId, ContainerId, ContainerSpec, CopConfig};
-use ecovisor::proto::{EnergyRequest, EnergyResponse, Frame, RequestBatch, ResponseBatch};
+use ecovisor::proto::{EnergyRequest, RequestBatch, ResponseBatch};
 use ecovisor::{
-    ClientHello, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient,
+    ClientHelloV2, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient,
     EnergyShare, EventFilter, Notification, ProtocolTrace, RemoteEcovisorClient, ServerHello,
     ShardedEcovisor, VesTotals, WireCodec, PROTOCOL_V1, PROTOCOL_VERSION,
 };
@@ -336,11 +337,11 @@ fn remote_subscriber_matches_local_drain_twin_and_trace_replays() {
     assert_eq!(inner.app_totals(sb).expect("sharded b"), tb_remote);
 }
 
-/// Satellite: the v1 event gap is closed without subscriptions —
-/// `PollEvents` over the v1 wire sees exactly what a local
+/// Polling is the push-free way to Table 2 parity: a remote client that
+/// never subscribes sees, through `PollEvents`, exactly what a local
 /// `drain_events` twin sees.
 #[test]
-fn v1_remote_poll_matches_local_drain_twin() {
+fn unsubscribed_remote_poll_matches_local_drain_twin() {
     let seed = 0xBEEF;
     let (eco, a, b) = build_eco(seed);
     let server = EcovisorServer::bind("127.0.0.1:0", eco).expect("bind");
@@ -348,11 +349,7 @@ fn v1_remote_poll_matches_local_drain_twin() {
     let shared = handle.ecovisor();
 
     let remote_events = {
-        let mut client_a = RemoteEcovisorClient::connect_v1(handle.addr(), a).expect("connect v1");
-        assert_eq!(client_a.version(), PROTOCOL_V1);
-        // The v1 wire has no push: subscribing is a per-request version
-        // error, reported as a value.
-        assert!(client_a.subscribe_events(EventFilter::all()).is_err());
+        let mut client_a = RemoteEcovisorClient::connect(handle.addr(), a).expect("connect a");
         let mut client_b = RemoteEcovisorClient::connect(handle.addr(), b).expect("connect b");
         let ca = launch_fleet(&mut client_a);
         let cb = client_b
@@ -363,7 +360,11 @@ fn v1_remote_poll_matches_local_drain_twin() {
             tick_traffic_a(&mut client_a, tick, &ca);
             tick_traffic_b(&mut client_b, tick, cb);
             shared.tick();
-            events.extend(client_a.poll_events().expect("poll over v1"));
+            events.extend(client_a.poll_events().expect("poll"));
+            assert!(
+                client_a.take_event_frames().is_empty(),
+                "nothing is pushed to a connection that never subscribed"
+            );
         }
         events
     };
@@ -373,81 +374,97 @@ fn v1_remote_poll_matches_local_drain_twin() {
     assert!(!remote_events.is_empty(), "seeded day produced events");
     assert_eq!(
         remote_events, local_events,
-        "v1 polling must observe the drain sequence"
+        "polling must observe the drain sequence"
     );
 }
 
-/// Side-by-side versions on one server: a v1-only client (bare payloads,
-/// original hello) and a v2 client share the listener; the v1 wire stays
-/// bare — its response payload decodes as a `ResponseBatch`, not as a
-/// v2 `Frame` — and both observe the same state.
+/// The v1 connection wire is gone, and its absence is specified: a hello
+/// that does not offer the served wire version — the retired v1 hello
+/// shape, or a `ClientHelloV2` listing only v1 — is answered with
+/// `ServerHello::Reject` and a reason, then the socket reads EOF. A bare
+/// v1 batch sent right behind the hello is never dispatched, and the
+/// server's resource counters return to all-zero.
 #[test]
-fn v1_and_v2_clients_are_served_side_by_side() {
+fn hellos_not_offering_the_served_wire_are_rejected_and_leave_no_trace() {
     use std::io::{Read, Write};
 
-    let (eco, a, b) = build_eco(7);
+    let (mut eco, a, _b) = build_eco(7);
+    eco.enable_protocol_trace();
     let server = EcovisorServer::bind("127.0.0.1:0", eco).expect("bind");
     let addr = server.local_addr().expect("addr");
     let handle = server.spawn().expect("spawn");
 
-    // v2 client for tenant B, fully framed.
-    let mut v2 = RemoteEcovisorClient::connect(addr, b).expect("v2 connect");
-    assert_eq!(v2.version(), PROTOCOL_VERSION);
-    assert_eq!(v2.get_grid_power(), Watts::ZERO);
-
-    // Raw v1 conversation for tenant A, byte level: legacy hello in,
-    // Accept{version: 1} out, bare batch in, bare response out.
-    let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-    let hello = WireCodec::Json.encode(&ClientHello::new(a, vec![WireCodec::Json]));
-    raw.write_all(&(hello.len() as u32).to_le_bytes()).unwrap();
-    raw.write_all(&hello).unwrap();
-    let read_payload = |raw: &mut std::net::TcpStream| {
-        let mut len = [0u8; 4];
-        raw.read_exact(&mut len).expect("len");
-        let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-        raw.read_exact(&mut payload).expect("payload");
-        payload
-    };
-    let accept: ServerHello = WireCodec::Json
-        .decode(&read_payload(&mut raw))
-        .expect("hello");
-    assert_eq!(
-        accept,
-        ServerHello::Accept {
-            version: PROTOCOL_V1,
-            codec: WireCodec::Json,
-        },
-        "a v1 hello negotiates v1, not the server's maximum"
-    );
-
-    let batch = RequestBatch {
+    let v1_shaped = format!(
+        r#"{{"version":{PROTOCOL_V1},"app":{},"codecs":{}}}"#,
+        serde::json::to_string(&a),
+        serde::json::to_string(&vec![WireCodec::Json]),
+    )
+    .into_bytes();
+    let v1_only = WireCodec::Json.encode(&ClientHelloV2 {
+        versions: vec![PROTOCOL_V1],
+        ..ClientHelloV2::new(a, vec![WireCodec::Json], None)
+    });
+    // What a v1 client would have sent next: a bare, un-framed batch.
+    let bare_batch = WireCodec::Json.encode(&RequestBatch {
         version: PROTOCOL_V1,
         app: a,
-        requests: vec![EnergyRequest::GetGridPower, EnergyRequest::PollEvents],
-    };
-    let payload = WireCodec::Json.encode(&batch);
-    raw.write_all(&(payload.len() as u32).to_le_bytes())
-        .unwrap();
-    raw.write_all(&payload).unwrap();
-    let reply = read_payload(&mut raw);
-    // Bare, unframed — exactly the v1 wire. (A frame-wrapped reply would
-    // not decode as a bare ResponseBatch, and vice versa.)
-    assert!(WireCodec::Json.decode::<Frame>(&reply).is_err());
-    let reply: ResponseBatch = WireCodec::Json.decode(&reply).expect("bare response");
-    assert_eq!(reply.version, PROTOCOL_V1, "v1 envelopes echo v1");
-    assert_eq!(reply.responses.len(), 2);
-    assert_eq!(reply.responses[0], EnergyResponse::Power(Watts::ZERO));
-    assert_eq!(reply.responses[1], EnergyResponse::Events(vec![]));
+        requests: vec![EnergyRequest::GetGridPower],
+    });
 
-    // Both tenants keep working after each other's traffic.
-    assert_eq!(v2.get_grid_power(), Watts::ZERO);
-    drop(raw);
-    drop(v2);
-    handle.shutdown();
+    for (what, hello) in [
+        ("v1-shaped hello", v1_shaped),
+        ("v2 hello offering [1]", v1_only),
+    ] {
+        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+        for payload in [&hello, &bare_batch] {
+            raw.write_all(&(payload.len() as u32).to_le_bytes())
+                .unwrap();
+            raw.write_all(payload).unwrap();
+        }
+        let mut len = [0u8; 4];
+        raw.read_exact(&mut len).expect("reply length");
+        let mut reply = vec![0u8; u32::from_le_bytes(len) as usize];
+        raw.read_exact(&mut reply).expect("reply payload");
+        match WireCodec::Json
+            .decode::<ServerHello>(&reply)
+            .expect("hello")
+        {
+            ServerHello::Reject { reason } => {
+                assert!(!reason.is_empty(), "{what}: a reject carries its reason")
+            }
+            accept => panic!("{what}: must be rejected, got {accept:?}"),
+        }
+        let mut rest = Vec::new();
+        assert_eq!(
+            raw.read_to_end(&mut rest).expect("EOF after the reject"),
+            0,
+            "{what}: nothing follows the reject"
+        );
+    }
+
+    let drained = (0..1000).any(|_| {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let s = handle.stats();
+        s.active_connections == 0 && s.subscriber_backlog == 0 && s.recv_buffer_bytes == 0
+    });
+    assert!(
+        drained,
+        "counters back to all-zero, got {:?}",
+        handle.stats()
+    );
+    let trace = handle
+        .shutdown()
+        .with(|eco| eco.take_protocol_trace())
+        .expect("tracing");
+    assert_eq!(
+        trace.request_count(),
+        0,
+        "no rejected peer reached dispatch"
+    );
 }
 
-/// Credentials gate the hello: wrong/missing tokens (and credential-less
-/// v1 hellos) are rejected before any batch reaches the dispatcher.
+/// Credentials gate the hello: wrong/missing tokens are rejected before
+/// any batch reaches the dispatcher.
 #[test]
 fn credentials_are_verified_before_any_batch() {
     let (mut eco, a, b) = build_eco(11);
@@ -461,13 +478,12 @@ fn credentials_are_verified_before_any_batch() {
     let addr = server.local_addr().expect("addr");
     let handle = server.spawn().expect("spawn");
 
-    // Wrong token, someone else's token, no token, and a v1 hello (which
-    // cannot carry one): all rejected at hello.
+    // Wrong token, someone else's token, no token: all rejected at
+    // hello.
     for attempt in [
         RemoteEcovisorClient::connect_with_credential(addr, a, "wrong"),
         RemoteEcovisorClient::connect_with_credential(addr, a, "beta-token"),
         RemoteEcovisorClient::connect(addr, a),
-        RemoteEcovisorClient::connect_v1(addr, a),
     ] {
         let err = attempt.expect_err("must be rejected");
         assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);

@@ -560,8 +560,8 @@ fn remote_process_seeded_over_the_wire_with_pinned_worker_pool() {
 
 /// The admin surface stays closed without authentication: a server with
 /// no credential registry answers `Snapshot`/`Restore` with a denial the
-/// client surfaces as `PermissionDenied`, v1 connections cannot reach it
-/// at all, and the connection survives the refusal.
+/// client surfaces as `PermissionDenied`, and the connection survives the
+/// refusal.
 fn credential_gate_holds(workers: Option<usize>) {
     let (mut eco, a, _b) = build_eco(0xACCE55);
     let sample = eco.snapshot();
@@ -585,11 +585,6 @@ fn credential_gate_holds(workers: Option<usize>) {
     // The refusal is a value, not a connection failure: the same
     // connection keeps serving ordinary traffic.
     assert_eq!(cli.get_grid_power(), Watts::ZERO);
-
-    // The v1 wire predates the admin surface entirely.
-    let mut v1 = RemoteEcovisorClient::connect_v1(handle.addr(), a).expect("connect v1");
-    let err = v1.fetch_snapshot().expect_err("v1 fetch");
-    assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
     handle.shutdown();
 }
 

@@ -1,12 +1,11 @@
 //! Transport error-path regressions: clients that vanish mid-frame must
-//! be logged and reaped, never left parking a server thread.
+//! be logged and reaped, never left holding server resources.
 
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use ecovisor::proto::PROTOCOL_VERSION;
 use ecovisor::{
-    ClientHello, EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare, EventFilter,
+    ClientHelloV2, EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare, EventFilter,
     RemoteEcovisorClient, WireCodec,
 };
 use simkit::units::Watts;
@@ -23,8 +22,8 @@ fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
 }
 
 /// A client that promises a 64-byte frame, sends 10 bytes, and drops the
-/// connection: the serving thread must observe the I/O error, exit, and
-/// be reaped — and the server must keep serving everyone else.
+/// connection: the reactor must observe the EOF and reap the connection —
+/// and the server must keep serving everyone else.
 #[test]
 fn disconnect_mid_frame_reaps_the_connection_thread() {
     let mut eco = EcovisorBuilder::new().build();
@@ -46,11 +45,7 @@ fn disconnect_mid_frame_reaps_the_connection_thread() {
     // The vanishing client: valid hello, then a truncated frame.
     let stream = {
         let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
-        let hello = ClientHello {
-            version: PROTOCOL_VERSION,
-            app,
-            codecs: vec![WireCodec::Json],
-        };
+        let hello = ClientHelloV2::new(app, vec![WireCodec::Json], None);
         let payload = WireCodec::Json.encode(&hello);
         stream
             .write_all(&(payload.len() as u32).to_le_bytes())
@@ -63,15 +58,15 @@ fn disconnect_mid_frame_reaps_the_connection_thread() {
     };
     // Prove the connection was accepted and counted *before* asserting
     // it drains — otherwise the drain assertion could pass vacuously if
-    // the accept loop had not even seen the socket yet.
+    // the reactor had not even accepted the socket yet.
     assert!(
         wait_until(Duration::from_secs(5), || handle.active_connections() == 2),
         "vanishing connection must be counted while still alive"
     );
     drop(stream); // closes the socket mid-frame
 
-    // The dead connection's thread exits and is reaped; only the healthy
-    // connection remains.
+    // The dead connection is reaped; only the healthy connection
+    // remains.
     assert!(
         wait_until(Duration::from_secs(5), || handle.active_connections() == 1),
         "mid-frame disconnect must drain from the active-connection count, got {}",
@@ -94,7 +89,7 @@ fn disconnect_mid_frame_reaps_the_connection_thread() {
 }
 
 /// A subscriber that goes silent must not hold its push stream forever:
-/// with a read/idle timeout armed, the serving thread times out, the
+/// with a read/idle timeout armed, the reactor's idle sweep trips, the
 /// connection is reaped (deregistering it from the push registry), and
 /// settlement keeps broadcasting to everyone else without blocking.
 #[test]
