@@ -5,16 +5,13 @@
 //! recorded tick cadence: dispatch every recorded batch into the tick
 //! it was recorded in, settle, regenerate event frames. Resumed
 //! artifacts restore their base checkpoint first and replay the
-//! remainder of the day, exactly as the verifier does. Two rows per
-//! scenario:
+//! remainder of the day, exactly as the verifier does. One row per
+//! scenario, `replay_plain/<scenario>` —
+//! [`Ecovisor::replay_trace_from`](ecovisor::Ecovisor::replay_trace_from),
+//! the one replay loop (the row keeps the name its committed baseline
+//! was recorded under).
 //!
-//! * `replay_plain/<scenario>` — [`Ecovisor::replay_trace`], the raw
-//!   dispatch + settlement path;
-//! * `replay_sharded/<scenario>` — [`ShardedEcovisor::replay_trace`],
-//!   the deployment shape with outer read-lock dispatch and the
-//!   settlement barrier.
-//!
-//! The harness asserts once per scenario that both paths settle the
+//! The harness asserts once per scenario that the replay settles the
 //! recorded totals digest — a bench run on a build that broke
 //! bit-identical replay panics instead of publishing a number.
 //! `BENCH_corpus_replay.json` in the crate root holds the committed
@@ -24,7 +21,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 
 use ecoharness::artifact::artifacts_in_dir;
 use ecoharness::{build_ecovisor, ScenarioArtifact};
-use ecovisor::{digest, ShardedEcovisor};
+use ecovisor::digest;
 
 fn corpus() -> Vec<ScenarioArtifact> {
     let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
@@ -57,36 +54,13 @@ fn seed(artifact: &ScenarioArtifact) -> (ecovisor::Ecovisor, Vec<ecovisor::AppId
     (eco, ids, start)
 }
 
-/// Replays on the plain path, returning the totals digest.
+/// Replays the artifact, returning the totals digest.
 fn replay_plain(artifact: &ScenarioArtifact) -> u64 {
     let (mut eco, ids, start) = seed(artifact);
     eco.replay_trace_from(&artifact.trace, start, artifact.spec.ticks);
-    digest_of(&eco, &artifact.expected, &ids)
-}
-
-/// Replays on the sharded path, returning the totals digest.
-fn replay_sharded(artifact: &ScenarioArtifact) -> u64 {
-    let (eco, ids, start) = seed(artifact);
-    let wrapper = ShardedEcovisor::new(eco);
-    wrapper.replay_trace_from(&artifact.trace, start, artifact.spec.ticks);
-    let eco = wrapper.into_inner();
-    digest_of(&eco, &artifact.expected, &ids)
-}
-
-fn digest_of(
-    eco: &ecovisor::Ecovisor,
-    expected: &ecoharness::ExpectedOutcome,
-    ids: &[ecovisor::AppId],
-) -> u64 {
-    let apps: Vec<ecoharness::AppOutcome> = expected
-        .apps
+    let apps: Vec<ecoharness::AppOutcome> = ids
         .iter()
-        .zip(ids)
-        .map(|(o, &app)| ecoharness::AppOutcome {
-            app,
-            name: o.name.clone(),
-            totals: eco.app_totals(app).expect("registered"),
-        })
+        .map(|&app| ecoharness::AppOutcome::read(&eco, app).expect("registered"))
         .collect();
     digest(&apps)
 }
@@ -106,13 +80,7 @@ fn bench_corpus_replay(c: &mut Criterion) {
         assert_eq!(
             replay_plain(artifact),
             expected,
-            "{}: plain replay diverged — fix correctness before benching",
-            artifact.spec.name
-        );
-        assert_eq!(
-            replay_sharded(artifact),
-            expected,
-            "{}: sharded replay diverged — fix correctness before benching",
+            "{}: replay diverged — fix correctness before benching",
             artifact.spec.name
         );
     }
@@ -124,17 +92,6 @@ fn bench_corpus_replay(c: &mut Criterion) {
             artifact,
             |b, artifact| {
                 b.iter_batched(|| (), |()| replay_plain(artifact), BatchSize::PerIteration);
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("replay_sharded", &artifact.spec.name),
-            artifact,
-            |b, artifact| {
-                b.iter_batched(
-                    || (),
-                    |()| replay_sharded(artifact),
-                    BatchSize::PerIteration,
-                );
             },
         );
     }

@@ -10,11 +10,10 @@
 //! the asynchronous notifications of Table 2 (`notify_solar_change`,
 //! `notify_carbon_change`, `notify_battery_full/empty`).
 //!
-//! Since the protocol redesign, upcalls receive an
-//! [`EcovisorClient`] — the batching protocol handle — instead of a raw
-//! `&mut dyn LibraryApi` trait object. The method surface is unchanged
-//! (`launch_container`, `get_grid_carbon`, …), but every call now travels
-//! as a wire-serializable [`crate::proto::EnergyRequest`], and
+//! Upcalls receive an [`EcovisorClient`] — the batching protocol handle.
+//! Its methods carry the paper's names (`launch_container`,
+//! `get_grid_carbon`, …; see [`crate::client::EnergyClient`]), every call
+//! travels as a wire-serializable [`crate::proto::EnergyRequest`], and
 //! fire-and-forget setters coalesce into per-tick batches.
 
 use crate::client::EcovisorClient;

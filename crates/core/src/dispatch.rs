@@ -1,10 +1,10 @@
 //! The protocol dispatcher: the one hot path for all API traffic.
 //!
-//! Every application-facing operation — whether it arrives through the
-//! [`EcovisorClient`](crate::client::EcovisorClient) handle, the
-//! [`ScopedApi`](crate::ecovisor::ScopedApi) compatibility façade, or a
-//! raw replayed [`RequestBatch`] — funnels through
-//! [`Ecovisor::dispatch`]. The dispatcher:
+//! Every application-facing operation — whether it arrives through an
+//! [`EnergyClient`](crate::client::EnergyClient) handle (in-process or
+//! remote), off the wire, or as a raw replayed [`RequestBatch`] — is a
+//! batch executed by [`Ecovisor::dispatch_batch`], the only entry point
+//! that reaches tenant state. The dispatcher:
 //!
 //! 1. validates the batch envelope (protocol version, registered app);
 //! 2. enforces **scope**: a request can only observe or mutate state
@@ -14,11 +14,9 @@
 //! 3. executes each request against the app's virtual energy system and
 //!    the shared substrates (COP, TSDB, clock, carbon service);
 //! 4. optionally records the batch into a protocol trace for replay.
-//!    Recording hooks [`Ecovisor::dispatch_batch`], so it captures all
-//!    *batch* traffic — every [`EcovisorClient`](crate::client) call and
-//!    every raw batch — but not calls made through the legacy
-//!    [`ScopedApi`](crate::ecovisor::ScopedApi) façade, which dispatches
-//!    single requests without an envelope.
+//!    Since every state change is a dispatched batch, a trace taken with
+//!    [`Ecovisor::enable_protocol_trace`] is the complete record of a
+//!    run's API traffic.
 //!
 //! ## Locking
 //!
@@ -85,13 +83,11 @@ pub struct TraceEntry {
 }
 
 /// A recorded protocol trace: the ordered batch traffic of a run — every
-/// [`EcovisorClient`](crate::client::EcovisorClient) call and raw batch.
-/// (Calls through the legacy [`ScopedApi`](crate::ecovisor::ScopedApi)
-/// façade dispatch without an envelope and are not recorded; drive
-/// applications through the client when capturing a replayable run.)
+/// [`EnergyClient`](crate::client::EnergyClient) call and raw batch,
+/// which is every way tenant state can change between settlements.
 ///
 /// Serializable, so a trace taken from one process can be
-/// [`replayed`](Ecovisor::replay) against another ecovisor. Under
+/// [`replayed`](Ecovisor::replay_trace) against another ecovisor. Under
 /// concurrent dispatch, batches are recorded while their shard guard is
 /// held, so per app the trace order is the execution order (even with
 /// several connections speaking for one app); across apps, any recorded
@@ -297,40 +293,11 @@ impl Ecovisor {
         }
     }
 
-    /// Executes one request under `app`'s scope. Commands and queries
-    /// both route here; this is the single entry point all API surfaces
-    /// share.
-    pub fn dispatch(&self, app: AppId, request: &EnergyRequest) -> EnergyResponse {
-        if request.is_query() {
-            return self.dispatch_query(app, request);
-        }
-        let Some(shard) = self.apps.get(&app) else {
-            return EnergyResponse::Err(ProtoError::UnknownApp(app));
-        };
-        let mut state = lock::write(shard);
-        let mut cop = request.mutates_containers().then(|| lock::write(&self.cop));
-        self.command_locked(&mut state, cop.as_deref_mut(), app, request)
-    }
-
-    /// Executes one read-only request under `app`'s scope against
-    /// `&self`. Commands are rejected with [`ProtoError::NotAQuery`].
-    pub fn dispatch_query(&self, app: AppId, request: &EnergyRequest) -> EnergyResponse {
-        if !request.is_query() {
-            return EnergyResponse::Err(ProtoError::NotAQuery);
-        }
-        let Some(shard) = self.apps.get(&app) else {
-            return EnergyResponse::Err(ProtoError::UnknownApp(app));
-        };
-        let state = lock::read(shard);
-        let cop = request.reads_containers().then(|| lock::read(&self.cop));
-        let tsdb = request.reads_telemetry().then(|| lock::read(&self.tsdb));
-        self.query_locked(&state, cop.as_deref(), tsdb.as_deref(), app, request)
-    }
-
     /// Dispatches one request of a write-locked batch. `cop` is the
     /// batch-wide COP write guard, present iff the batch mutates the
-    /// container platform; queries reborrow it (or take a fresh read
-    /// guard when the batch holds none).
+    /// container platform (see [`EnergyRequest::mutates_containers`]):
+    /// container commands use it, queries reborrow it (or take a fresh
+    /// read guard when the batch holds none).
     fn request_locked(
         &self,
         state: &mut AppState,
@@ -338,34 +305,20 @@ impl Ecovisor {
         app: AppId,
         req: &EnergyRequest,
     ) -> EnergyResponse {
+        use EnergyRequest::*;
+        /// The COP guard, which `dispatch_batch` acquires for every
+        /// batch that `mutates_containers`.
+        fn held(cop: Option<&mut Cop>) -> &mut Cop {
+            cop.expect("container command dispatched without the COP guard")
+        }
         if req.is_query() {
             let fresh_cop =
                 (cop.is_none() && req.reads_containers()).then(|| lock::read(&self.cop));
             let tsdb = req.reads_telemetry().then(|| lock::read(&self.tsdb));
             let cop_ro = cop.as_deref().or(fresh_cop.as_deref());
-            self.query_locked(state, cop_ro, tsdb.as_deref(), app, req)
-        } else {
-            self.command_locked(state, cop, app, req)
+            return self.query_locked(state, cop_ro, tsdb.as_deref(), app, req);
         }
-    }
-
-    /// Executes one command against a write-locked shard. Container
-    /// commands use the caller's batch-wide COP write guard (`cop`,
-    /// guaranteed present by [`EnergyRequest::mutates_containers`]).
-    fn command_locked(
-        &self,
-        state: &mut AppState,
-        cop: Option<&mut Cop>,
-        app: AppId,
-        request: &EnergyRequest,
-    ) -> EnergyResponse {
-        use EnergyRequest::*;
-        /// The COP guard, which the dispatch entry points acquire for
-        /// every batch that `mutates_containers`.
-        fn held(cop: Option<&mut Cop>) -> &mut Cop {
-            cop.expect("container command dispatched without the COP guard")
-        }
-        match request {
+        match req {
             SetContainerPowercap { container, cap } => {
                 Self::with_owned(held(cop), app, *container, |cop, c| {
                     cop.set_power_cap(c, Some(*cap)).map_err(ProtoError::from)?;
@@ -457,7 +410,7 @@ impl Ecovisor {
                 state.ves.set_grid_clamp(still_exhausted);
                 EnergyResponse::Ok
             }
-            // is_query() returned false, so no query variant reaches here.
+            // Queries returned above, so no query variant reaches here.
             _ => unreachable!("non-command request in command dispatch"),
         }
     }
@@ -597,17 +550,8 @@ impl Ecovisor {
         }
     }
 
-    /// Replays recorded batches through the dispatcher (no re-recording
-    /// happens: recording only captures live traffic).
-    pub fn replay(&mut self, batches: &[RequestBatch]) -> Vec<ResponseBatch> {
-        let was_tracing = self.tracing.swap(false, Ordering::Relaxed);
-        let out = batches.iter().map(|b| self.dispatch_batch(b)).collect();
-        self.tracing.store(was_tracing, Ordering::Relaxed);
-        out
-    }
-
     /// Starts recording all dispatched batches into a protocol trace
-    /// (batch traffic only — see [`ProtocolTrace`] for the scope).
+    /// (see [`ProtocolTrace`]).
     pub fn enable_protocol_trace(&mut self) {
         let mut trace = lock::lock(&self.proto_trace);
         if trace.is_none() {

@@ -5,9 +5,10 @@
 //! of computing infrastructure" (§1). [`Ecovisor`] owns the physical
 //! components (solar array, battery bank, grid, PSU), the container
 //! orchestration platform, the carbon information service, and the
-//! telemetry store; it exposes each registered application a scoped view
-//! ([`ScopedApi`]) implementing the Table 1 and Table 2 APIs over that
-//! application's [`VirtualEnergySystem`].
+//! telemetry store; each registered application reaches its own
+//! [`VirtualEnergySystem`] through the Table 1 and Table 2 protocol,
+//! scoped to its [`AppId`] by [`Ecovisor::dispatch_batch`] (typed handle:
+//! [`Ecovisor::client`]).
 //!
 //! Multiplexing (§3.3) "simply requires computing the limit on the
 //! maximum battery discharge rates and charging rates across all
@@ -35,7 +36,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
 use carbon_intel::service::CarbonService;
-use container_cop::{AppId, ContainerId, ContainerSpec, ContainerState, Cop};
+use container_cop::{AppId, ContainerId, ContainerState, Cop};
 use energy_system::battery::Battery;
 use energy_system::grid::GridConnection;
 use energy_system::psu::ProgrammablePsu;
@@ -44,13 +45,11 @@ use power_telemetry::{metrics, Tsdb};
 use simkit::time::{SimDuration, SimTime, TickClock};
 use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams, WattHours, Watts};
 
-use crate::api::{EcovisorApi, LibraryApi};
 use crate::config::{EcovisorBuilder, ExcessPolicy};
 use crate::error::{EcovisorError, Result};
 use crate::event::{Notification, NotifyConfig, OutboxPolicy};
 use crate::federation::FedAppView;
 use crate::lock;
-use crate::proto::{EnergyRequest, EnergyResponse};
 use crate::share::EnergyShare;
 use crate::ves::{VesFlows, VesTotals, VirtualEnergySystem};
 
@@ -307,21 +306,6 @@ impl Ecovisor {
     /// [`EcovisorError::UnknownApp`] when not registered.
     pub fn outbox_policy(&self, app: AppId) -> Result<OutboxPolicy> {
         Ok(lock::read(self.shard(app)?).outbox)
-    }
-
-    /// A scoped API handle for one application — the *compatibility
-    /// façade*: each trait call translates into exactly one
-    /// [`crate::proto::EnergyRequest`] dispatched immediately. New code
-    /// should prefer [`Ecovisor::client`].
-    ///
-    /// # Errors
-    ///
-    /// [`EcovisorError::UnknownApp`] when not registered.
-    pub fn scoped(&mut self, app: AppId) -> Result<ScopedApi<'_>> {
-        if !self.apps.contains_key(&app) {
-            return Err(EcovisorError::UnknownApp(app));
-        }
-        Ok(ScopedApi { eco: self, app })
     }
 
     /// A batching protocol client for one application — the primary API
@@ -1007,225 +991,5 @@ impl Ecovisor {
 impl EcovisorBuilder {
     pub(crate) fn psu_or_default(&self) -> ProgrammablePsu {
         ProgrammablePsu::new()
-    }
-}
-
-/// A Table 1 + Table 2 API handle scoped to one application.
-///
-/// Obtained from [`Ecovisor::scoped`]. Since the protocol redesign this
-/// is a **thin compatibility façade**: every trait method builds the
-/// corresponding [`crate::proto::EnergyRequest`] and routes it through
-/// the one dispatch hot path ([`Ecovisor::dispatch`] /
-/// [`Ecovisor::dispatch_query`]), then translates the
-/// [`crate::proto::EnergyResponse`] back into the old signature. Scope is
-/// therefore enforced in exactly one place for both API styles, so one
-/// tenant cannot observe or control another tenant's containers or
-/// virtual energy system.
-pub struct ScopedApi<'a> {
-    eco: &'a mut Ecovisor,
-    app: AppId,
-}
-
-impl std::fmt::Debug for ScopedApi<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScopedApi").field("app", &self.app).finish()
-    }
-}
-
-impl ScopedApi<'_> {
-    /// Routes a command through the dispatch hot path.
-    fn command(&mut self, request: EnergyRequest) -> EnergyResponse {
-        self.eco.dispatch(self.app, &request)
-    }
-
-    /// Routes a query through the read-only dispatch path.
-    fn query(&self, request: EnergyRequest) -> EnergyResponse {
-        self.eco.dispatch_query(self.app, &request)
-    }
-}
-
-impl EcovisorApi for ScopedApi<'_> {
-    fn set_container_powercap(&mut self, container: ContainerId, cap: Watts) -> Result<()> {
-        self.command(EnergyRequest::SetContainerPowercap { container, cap })
-            .unit()
-    }
-
-    fn clear_container_powercap(&mut self, container: ContainerId) -> Result<()> {
-        self.command(EnergyRequest::ClearContainerPowercap { container })
-            .unit()
-    }
-
-    fn set_battery_charge_rate(&mut self, rate: Watts) {
-        self.command(EnergyRequest::SetBatteryChargeRate { rate })
-            .unit()
-            .expect("infallible setter");
-    }
-
-    fn set_battery_max_discharge(&mut self, rate: Watts) {
-        self.command(EnergyRequest::SetBatteryMaxDischarge { rate })
-            .unit()
-            .expect("infallible setter");
-    }
-
-    fn get_solar_power(&self) -> Watts {
-        self.query(EnergyRequest::GetSolarPower).expect_power()
-    }
-
-    fn get_grid_power(&self) -> Watts {
-        self.query(EnergyRequest::GetGridPower).expect_power()
-    }
-
-    fn get_grid_carbon(&self) -> CarbonIntensity {
-        self.query(EnergyRequest::GetGridCarbon).expect_intensity()
-    }
-
-    fn get_battery_discharge_rate(&self) -> Watts {
-        self.query(EnergyRequest::GetBatteryDischargeRate)
-            .expect_power()
-    }
-
-    fn get_battery_charge_level(&self) -> WattHours {
-        self.query(EnergyRequest::GetBatteryChargeLevel)
-            .expect_energy()
-    }
-
-    fn get_container_powercap(&self, container: ContainerId) -> Result<Option<Watts>> {
-        self.query(EnergyRequest::GetContainerPowercap { container })
-            .power_cap()
-    }
-
-    fn get_container_power(&self, container: ContainerId) -> Result<Watts> {
-        self.query(EnergyRequest::GetContainerPower { container })
-            .power()
-    }
-
-    fn launch_container(&mut self, spec: ContainerSpec) -> Result<ContainerId> {
-        self.command(EnergyRequest::LaunchContainer { spec })
-            .container()
-    }
-
-    fn stop_container(&mut self, container: ContainerId) -> Result<()> {
-        self.command(EnergyRequest::StopContainer { container })
-            .unit()
-    }
-
-    fn suspend_container(&mut self, container: ContainerId) -> Result<()> {
-        self.command(EnergyRequest::SuspendContainer { container })
-            .unit()
-    }
-
-    fn resume_container(&mut self, container: ContainerId) -> Result<()> {
-        self.command(EnergyRequest::ResumeContainer { container })
-            .unit()
-    }
-
-    fn set_container_demand(&mut self, container: ContainerId, demand: f64) -> Result<()> {
-        self.command(EnergyRequest::SetContainerDemand { container, demand })
-            .unit()
-    }
-
-    fn container_ids(&self) -> Vec<ContainerId> {
-        self.query(EnergyRequest::ListContainers)
-            .expect_containers()
-    }
-
-    fn running_containers(&self) -> usize {
-        self.query(EnergyRequest::CountRunningContainers)
-            .expect_count()
-    }
-
-    fn effective_cores(&self) -> f64 {
-        self.query(EnergyRequest::GetEffectiveCores).expect_cores()
-    }
-
-    fn container_effective_cores(&self, container: ContainerId) -> Result<f64> {
-        self.query(EnergyRequest::GetContainerEffectiveCores { container })
-            .cores()
-    }
-
-    fn now(&self) -> SimTime {
-        self.query(EnergyRequest::GetTime).expect_time()
-    }
-
-    fn tick_interval(&self) -> SimDuration {
-        self.query(EnergyRequest::GetTickInterval).expect_interval()
-    }
-
-    fn app_id(&self) -> AppId {
-        self.app
-    }
-}
-
-impl LibraryApi for ScopedApi<'_> {
-    fn get_container_energy(
-        &self,
-        container: ContainerId,
-        from: SimTime,
-        to: SimTime,
-    ) -> Result<WattHours> {
-        self.query(EnergyRequest::GetContainerEnergy {
-            container,
-            from,
-            to,
-        })
-        .energy()
-    }
-
-    fn get_container_carbon(
-        &self,
-        container: ContainerId,
-        from: SimTime,
-        to: SimTime,
-    ) -> Result<Co2Grams> {
-        self.query(EnergyRequest::GetContainerCarbon {
-            container,
-            from,
-            to,
-        })
-        .carbon()
-    }
-
-    fn get_app_power(&self) -> Watts {
-        self.query(EnergyRequest::GetAppPower).expect_power()
-    }
-
-    fn get_app_energy(&self, from: SimTime, to: SimTime) -> WattHours {
-        self.query(EnergyRequest::GetAppEnergy { from, to })
-            .expect_energy()
-    }
-
-    fn get_app_carbon(&self) -> Co2Grams {
-        self.query(EnergyRequest::GetAppCarbon).expect_carbon()
-    }
-
-    fn get_app_carbon_between(&self, from: SimTime, to: SimTime) -> Co2Grams {
-        self.query(EnergyRequest::GetAppCarbonBetween { from, to })
-            .expect_carbon()
-    }
-
-    fn set_carbon_rate(&mut self, rate: Option<CarbonRate>) {
-        self.command(EnergyRequest::SetCarbonRate { rate })
-            .unit()
-            .expect("infallible setter");
-    }
-
-    fn carbon_rate_limit(&self) -> Option<CarbonRate> {
-        self.query(EnergyRequest::GetCarbonRateLimit)
-            .expect_rate_limit()
-    }
-
-    fn set_carbon_budget(&mut self, budget: Option<Co2Grams>) {
-        self.command(EnergyRequest::SetCarbonBudget { budget })
-            .unit()
-            .expect("infallible setter");
-    }
-
-    fn carbon_budget(&self) -> Option<Co2Grams> {
-        self.query(EnergyRequest::GetCarbonBudget).expect_budget()
-    }
-
-    fn remaining_carbon_budget(&self) -> Option<Co2Grams> {
-        self.query(EnergyRequest::GetRemainingCarbonBudget)
-            .expect_budget()
     }
 }

@@ -410,8 +410,8 @@ mod tests {
     fn extract_graft_round_trip_preserves_tenant_state() {
         let (mut eco, a, _b) = eco_with_two_tenants();
         let c = {
-            let mut api = eco.scoped(a).expect("registered");
-            use crate::api::EcovisorApi;
+            let mut api = eco.client(a).expect("registered");
+            use crate::client::EnergyClient;
             let c = api.launch_container(ContainerSpec::quad_core()).unwrap();
             api.set_container_demand(c, 1.0).unwrap();
             c

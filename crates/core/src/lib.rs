@@ -14,24 +14,24 @@
 //! §3.1 container-management call, and Table 2 library function is an
 //! [`EnergyRequest`] variant answered by an [`EnergyResponse`], carried
 //! in [`RequestBatch`] envelopes tagged with the protocol version and the
-//! issuing application's [`AppId`] scope. Three surfaces sit on that one
-//! hot path:
+//! issuing application's [`AppId`] scope. There is **one way in**:
+//! [`Ecovisor::dispatch_batch`]. Two surfaces sit on it:
 //!
-//! * [`EcovisorClient`] ([`client`]) — the **primary handle**.
-//!   Applications receive it in their `tick()` upcall; it batches
-//!   fire-and-forget commands and flushes them at tick boundaries (or
-//!   before any read), so call sites keep the old ergonomic method names
-//!   while all traffic travels as protocol messages.
-//! * [`EcovisorApi`]/[`LibraryApi`] ([`api`]) — the original trait
-//!   surface, kept as a thin compatibility façade: [`ScopedApi`]
-//!   translates each trait call into exactly one request.
+//! * [`EnergyClient`] ([`client`]) — the typed method surface, carrying
+//!   the paper's method names. [`EcovisorClient`] is the in-process
+//!   handle applications receive in their `tick()` upcall
+//!   ([`Ecovisor::client`]); [`RemoteEcovisorClient`] speaks the same
+//!   trait over TCP. Both batch fire-and-forget commands and flush them
+//!   at tick boundaries (or before any read).
 //! * Raw batches — [`Ecovisor::dispatch_batch`] accepts a
-//!   [`RequestBatch`] directly; with [`Ecovisor::enable_protocol_trace`]
-//!   a run's full API traffic can be recorded and
-//!   [`replayed`](Ecovisor::replay).
+//!   [`RequestBatch`] directly.
+//!
+//! Because every typed call is a dispatched batch, enabling
+//! [`Ecovisor::enable_protocol_trace`] records a run's *complete* API
+//! traffic, which [`Ecovisor::replay_trace`] re-executes bit-identically.
 //!
 //! Scope enforcement lives in the dispatcher ([`dispatch`]), in one
-//! place for all three surfaces: a request that names another tenant's
+//! place for both surfaces: a request that names another tenant's
 //! container comes back as an [`EnergyResponse::Err`] carrying
 //! [`ProtoError::Scope`] — an error value on the wire, never a panic.
 //!
@@ -89,7 +89,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod app;
 pub mod client;
 pub mod config;
@@ -109,12 +108,11 @@ pub mod snapshot;
 pub mod transport;
 pub mod ves;
 
-pub use api::{EcovisorApi, LibraryApi};
 pub use app::Application;
 pub use client::{EcovisorClient, EnergyClient, EventHandler};
 pub use config::{EcovisorBuilder, ExcessPolicy};
 pub use dispatch::{ProtocolTrace, TraceEntry};
-pub use ecovisor::{Ecovisor, ScopedApi, SystemFlows};
+pub use ecovisor::{Ecovisor, SystemFlows};
 pub use error::{EcovisorError, Result};
 pub use event::{EventFilter, Notification, NotifyConfig, OutboxPolicy};
 pub use federation::{FedAppView, TenantSnapshot};

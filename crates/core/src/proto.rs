@@ -15,18 +15,18 @@
 //!   unchanged.
 //! * **Batchable** — a `Vec<EnergyRequest>` settles in one dispatch call,
 //!   the seam all future sharding/async/remote work builds on.
-//! * **Recordable** — a run's API traffic is a `Vec<RequestBatch>` that
-//!   can be persisted and replayed (see
-//!   [`crate::ecovisor::Ecovisor::replay`]).
+//! * **Recordable** — a run's API traffic is a tick-stamped sequence of
+//!   `RequestBatch`es that can be persisted and replayed (see
+//!   [`crate::ecovisor::Ecovisor::replay_trace`]).
 //!
 //! Failures are **values, not panics**: scope violations, unknown
 //! containers, and capacity exhaustion come back as
 //! [`EnergyResponse::Err`] carrying a [`ProtoError`], and one failed
 //! request never aborts the rest of its batch.
 //!
-//! The old [`crate::api::EcovisorApi`]/[`crate::api::LibraryApi`] traits
-//! survive as a compatibility façade: [`crate::ecovisor::ScopedApi`]
-//! translates each trait call into exactly one of these requests.
+//! The typed method surface over these messages is
+//! [`crate::client::EnergyClient`]: each of its methods builds exactly
+//! one of these requests and sends it as (part of) a batch.
 //!
 //! The wire format is specified in `docs/PROTOCOL.md`.
 //!
@@ -979,8 +979,8 @@ pub enum Frame {
 }
 
 // ----------------------------------------------------------------------
-// Typed extractors: the compatibility façade and the client handle use
-// these to turn a wire response back into the old method signatures.
+// Typed extractors: the client handles use these to turn a wire response
+// back into the Table 1 / Table 2 method signatures.
 // ----------------------------------------------------------------------
 
 /// Panics with a uniform message on a request/response type mismatch —

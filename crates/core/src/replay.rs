@@ -7,22 +7,23 @@
 //! the replay engine the scenario harness (`crates/harness`) builds on:
 //!
 //! * [`Ecovisor::replay_trace`] re-executes a trace at its recorded tick
-//!   cadence on the **plain** dispatch path — dispatch the batches
-//!   stamped for each tick, settle, regenerate that settlement's event
-//!   frames, advance;
-//! * [`ShardedEcovisor::replay_trace`] does the same through the
-//!   **sharded** deployment wrapper (outer read-lock dispatch, event
-//!   frames taken inside the settlement barrier), the path the TCP
-//!   transport serves connections on;
+//!   cadence — dispatch the batches stamped for each tick, settle,
+//!   regenerate that settlement's event frames, advance. This is the
+//!   **one** replay loop;
+//! * [`ShardedEcovisor::replay_trace`] runs that same loop on a wrapped
+//!   ecovisor under a single hold of the settlement barrier, so a replay
+//!   is atomic with respect to any concurrent dispatch on the wrapper;
 //! * [`digest`] folds any serializable value to a stable 64-bit
 //!   fingerprint via its canonical binary encoding, so "bit-identical
 //!   settlement" is a one-integer comparison an artifact can carry.
 //!
-//! Replaying the same trace on both paths and comparing
-//! [`ReplayReport`]s (or their digests) is the determinism contract the
-//! scenario corpus enforces: per-app state only changes via dispatched
-//! batches between settlements, so the two paths must settle
-//! bit-identical totals and regenerate byte-identical push traffic.
+//! Replaying a recorded trace on a fresh build and comparing the
+//! [`ReplayReport`] and totals (or their digests) with the recording is
+//! the determinism contract the scenario corpus enforces: per-app state
+//! only changes via dispatched batches between settlements, so a replay
+//! must settle bit-identical totals and regenerate byte-identical push
+//! traffic. (What the wrapper adds under *concurrent* dispatch is held
+//! by `tests/shard_parallel.rs` and `ecoharness verify --transport`.)
 //!
 //! ## Example
 //!
@@ -85,8 +86,7 @@ impl ReplayReport {
 }
 
 impl Ecovisor {
-    /// Replays a recorded trace at its recorded tick cadence on the
-    /// plain dispatch path.
+    /// Replays a recorded trace at its recorded tick cadence.
     ///
     /// For each of `ticks` settlement ticks: dispatches every trace
     /// entry stamped at or before the tick (in trace order), runs
@@ -152,58 +152,24 @@ impl Ecovisor {
 }
 
 impl ShardedEcovisor {
-    /// Replays a recorded trace at its recorded tick cadence on the
-    /// **sharded** dispatch path: batches go through
-    /// [`ShardedEcovisor::dispatch_batch`] (outer read lock + per-shard
-    /// locking — the same path the transport's connections use) and
-    /// each settlement runs under the exclusive barrier, taking event
-    /// frames inside it exactly like the push broadcast hook.
-    ///
-    /// Semantics otherwise match [`Ecovisor::replay_trace`].
+    /// Replays a recorded trace on the wrapped ecovisor: the whole
+    /// [`Ecovisor::replay_trace`] runs under **one hold of the settlement
+    /// barrier**, so no concurrent dispatch can interleave between a
+    /// replay's batches or settlements.
     pub fn replay_trace(&self, trace: &ProtocolTrace, ticks: u64) -> ReplayReport {
         self.replay_trace_from(trace, 0, ticks)
     }
 
-    /// Replays only the tail of a trace on the sharded path, picking up
-    /// at `start_tick` — semantics match
-    /// [`Ecovisor::replay_trace_from`].
+    /// Replays only the tail of a trace, picking up at `start_tick` —
+    /// [`Ecovisor::replay_trace_from`] under one hold of the settlement
+    /// barrier.
     pub fn replay_trace_from(
         &self,
         trace: &ProtocolTrace,
         start_tick: u64,
         ticks: u64,
     ) -> ReplayReport {
-        let was_tracing = self.with(|eco| eco.tracing.swap(false, Ordering::Relaxed));
-        let mut entries = trace
-            .entries
-            .iter()
-            .filter(|e| e.tick >= start_tick)
-            .peekable();
-        let mut responses = Vec::with_capacity(trace.entries.len());
-        let mut frames = Vec::new();
-        for tick in start_tick..ticks {
-            while entries.peek().is_some_and(|e| e.tick <= tick) {
-                let entry = entries.next().expect("peeked");
-                responses.push(self.dispatch_batch(&entry.batch));
-            }
-            self.with(|eco| {
-                eco.begin_tick();
-                eco.settle_tick();
-                for app in eco.app_ids() {
-                    frames.extend(eco.take_event_frame(app));
-                }
-                eco.advance_clock();
-            });
-        }
-        for entry in entries {
-            responses.push(self.dispatch_batch(&entry.batch));
-        }
-        self.with(|eco| eco.tracing.store(was_tracing, Ordering::Relaxed));
-        ReplayReport {
-            ticks: ticks.saturating_sub(start_tick),
-            responses,
-            frames,
-        }
+        self.with(|eco| eco.replay_trace_from(trace, start_tick, ticks))
     }
 }
 

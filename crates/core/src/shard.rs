@@ -58,7 +58,7 @@ use container_cop::AppId;
 
 use crate::ecovisor::{Ecovisor, SystemFlows};
 use crate::lock;
-use crate::proto::{EnergyRequest, EnergyResponse, RequestBatch, ResponseBatch};
+use crate::proto::{RequestBatch, ResponseBatch};
 
 /// A post-settlement broadcast hook (see
 /// [`ShardedEcovisor::on_settlement`]).
@@ -66,10 +66,11 @@ type SettlementHook = Box<dyn Fn(&Ecovisor) + Send + Sync>;
 
 /// An [`Ecovisor`] wrapped for concurrent multi-tenant dispatch.
 ///
-/// Dispatch methods take `&self` and run under the outer read lock;
-/// [`with`](Self::with) grants the exclusive access settlement and
-/// registration need. Share between threads with `Arc` (the transport's
-/// [`SharedEcovisor`](crate::transport::SharedEcovisor) alias).
+/// [`dispatch_batch`](Self::dispatch_batch) takes `&self` and runs under
+/// the outer read lock; [`with`](Self::with) grants the exclusive access
+/// settlement and registration need. Share between threads with `Arc`
+/// (the transport's [`SharedEcovisor`](crate::transport::SharedEcovisor)
+/// alias).
 pub struct ShardedEcovisor {
     inner: RwLock<Ecovisor>,
     /// Hooks run by [`tick`](Self::tick) after settlement, still inside
@@ -117,11 +118,6 @@ impl ShardedEcovisor {
     /// [`Ecovisor::dispatch_batch`] for the per-shard locking.
     pub fn dispatch_batch(&self, batch: &RequestBatch) -> ResponseBatch {
         lock::read(&self.inner).dispatch_batch(batch)
-    }
-
-    /// Executes one read-only request under the outer read lock.
-    pub fn dispatch_query(&self, app: AppId, request: &EnergyRequest) -> EnergyResponse {
-        lock::read(&self.inner).dispatch_query(app, request)
     }
 
     /// Runs `f` with exclusive access — the **settlement barrier**. The

@@ -15,7 +15,7 @@
 //! same event frames, and the same replay digests as the original. The
 //! harness enforces this for every corpus day (restore from each
 //! embedded checkpoint, replay the remainder, compare against the
-//! uninterrupted run — across both codecs and both dispatch paths).
+//! uninterrupted run — across both codecs).
 //!
 //! ## What is and is not captured
 //!

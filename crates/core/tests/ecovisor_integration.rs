@@ -4,8 +4,8 @@
 use carbon_intel::service::TraceCarbonService;
 use container_cop::{ContainerSpec, CopConfig};
 use ecovisor::{
-    Application, EcovisorApi, EcovisorBuilder, EcovisorClient, EcovisorError, EnergyClient,
-    EnergyShare, ExcessPolicy, LibraryApi, Notification, Simulation,
+    Application, EcovisorBuilder, EcovisorClient, EcovisorError, EnergyClient, EnergyShare,
+    ExcessPolicy, Notification, Simulation,
 };
 use energy_system::battery::{Battery, BatterySpec};
 use energy_system::grid::GridConnection;
@@ -224,7 +224,7 @@ fn cross_tenant_container_access_denied() {
     sim.run_ticks(1);
 
     let a_containers = sim.eco().cop().container_ids_of(a);
-    let mut api_b = sim.eco_mut().scoped(b).unwrap();
+    let mut api_b = sim.eco_mut().client(b).unwrap();
     let err = api_b
         .set_container_powercap(a_containers[0], Watts::new(1.0))
         .unwrap_err();
@@ -248,7 +248,7 @@ fn carbon_rate_limit_caps_power() {
         .add_app("svc", EnergyShare::grid_only(), Box::new(Saturated::new(2)))
         .unwrap();
     {
-        let mut api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         api.set_carbon_rate(Some(simkit::units::CarbonRate::from_milligrams_per_sec(
             0.5,
         )));
@@ -278,13 +278,13 @@ fn carbon_budget_is_tracked() {
         .add_app("svc", EnergyShare::grid_only(), Box::new(Saturated::new(1)))
         .unwrap();
     {
-        let mut api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         api.set_carbon_budget(Some(Co2Grams::new(3.0)));
         assert_eq!(api.carbon_budget(), Some(Co2Grams::new(3.0)));
     }
     sim.run_ticks(30); // 1.825 Wh → 1.825 g
     {
-        let api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         let remaining = api.remaining_carbon_budget().unwrap();
         assert!(
             (remaining.grams() - (3.0 - 1.825)).abs() < 1e-6,
@@ -293,7 +293,7 @@ fn carbon_budget_is_tracked() {
     }
     sim.run_ticks(60);
     {
-        let api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         assert_eq!(api.remaining_carbon_budget(), Some(Co2Grams::ZERO));
     }
 }
@@ -373,7 +373,7 @@ fn psu_validates_software_power_caps() {
         .unwrap();
     sim.eco_mut().set_psu_limit(Some(Watts::new(4.0)));
     {
-        let mut api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         let ids = api.container_ids();
         for id in ids {
             api.set_container_powercap(id, Watts::new(2.0)).unwrap();
@@ -441,7 +441,7 @@ fn table2_interval_queries_match_totals() {
 
     let from = SimTime::EPOCH;
     let to = sim.eco().now();
-    let api = sim.eco_mut().scoped(app).unwrap();
+    let mut api = sim.eco_mut().client(app).unwrap();
     let energy = api.get_app_energy(from, to);
     let carbon = api.get_app_carbon_between(from, to);
     let total_carbon = api.get_app_carbon();
@@ -529,12 +529,12 @@ fn tick_zero_has_no_solar_then_buffer_fills() {
         )
         .unwrap();
     {
-        let api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         assert_eq!(api.get_solar_power(), Watts::ZERO, "nothing buffered yet");
     }
     sim.run_ticks(1);
     {
-        let api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         assert_eq!(
             api.get_solar_power(),
             Watts::new(40.0),
@@ -555,13 +555,13 @@ fn get_grid_carbon_tracks_service() {
         .add_app("c", EnergyShare::grid_only(), Box::new(Saturated::new(1)))
         .unwrap();
     {
-        let api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         assert_eq!(api.get_grid_carbon(), CarbonIntensity::new(100.0));
     }
     sim.run_ticks(1);
     sim.eco_mut().begin_tick();
     {
-        let api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         assert_eq!(api.get_grid_carbon(), CarbonIntensity::new(250.0));
     }
 }
@@ -633,7 +633,7 @@ fn cleared_carbon_rate_restores_container_power() {
 
     // 0.5 mg/s at 360 g/kWh allows exactly 5 W of grid power.
     {
-        let mut api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         api.set_carbon_rate(Some(simkit::units::CarbonRate::from_milligrams_per_sec(
             0.5,
         )));
@@ -647,7 +647,7 @@ fn cleared_carbon_rate_restores_container_power() {
 
     // Clearing the limit restores full power on the next settlement.
     {
-        let mut api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         api.set_carbon_rate(None);
     }
     sim.run_ticks(2);
@@ -773,7 +773,7 @@ fn carbon_budget_exhaustion_notifies_and_clamps_grid() {
         totals.carbon
     );
     {
-        let api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         assert_eq!(api.remaining_carbon_budget(), Some(Co2Grams::ZERO));
     }
 
@@ -783,7 +783,7 @@ fn carbon_budget_exhaustion_notifies_and_clamps_grid() {
     let carbon_before = sim.eco().app_totals(app).unwrap().carbon;
     for _ in 0..5 {
         {
-            let mut api = sim.eco_mut().scoped(app).unwrap();
+            let mut api = sim.eco_mut().client(app).unwrap();
             api.set_carbon_budget(Some(Co2Grams::new(0.15)));
         }
         sim.run_ticks(1);
@@ -798,7 +798,7 @@ fn carbon_budget_exhaustion_notifies_and_clamps_grid() {
 
     // Raising the budget lifts the clamp and re-arms the edge.
     {
-        let mut api = sim.eco_mut().scoped(app).unwrap();
+        let mut api = sim.eco_mut().client(app).unwrap();
         api.set_carbon_budget(Some(Co2Grams::new(100.0)));
     }
     sim.run_ticks(3);
@@ -831,8 +831,7 @@ fn app_energy_matches_ves_totals_under_grid_cap() {
 
     let from = SimTime::EPOCH;
     let to = sim.eco().now();
-    let api = sim.eco_mut().scoped(app).unwrap();
-    let tsdb_energy = api.get_app_energy(from, to);
+    let tsdb_energy = sim.eco_mut().client(app).unwrap().get_app_energy(from, to);
     let ves_energy = sim.eco().app_totals(app).unwrap().energy;
     assert!(
         tsdb_energy.abs_diff(ves_energy) < 1e-6,

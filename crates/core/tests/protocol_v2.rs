@@ -10,8 +10,7 @@
 //! * a **remote v2 subscriber receives the bit-identical notification
 //!   sequence** a local drain twin observes over a seeded multi-tenant
 //!   simulated day, and the recorded `ProtocolTrace` (event frames
-//!   included) **replays to identical `VesTotals` on both dispatch
-//!   paths** (plain `Ecovisor` and `ShardedEcovisor`) while regenerating
+//!   included) **replays to identical `VesTotals`** while regenerating
 //!   the same push traffic;
 //! * per-app **credentials** gate hellos before any batch is served;
 //! * delivery **filters** select event categories per subscriber;
@@ -20,11 +19,11 @@
 
 use carbon_intel::service::TraceCarbonService;
 use container_cop::{AppId, ContainerId, ContainerSpec, CopConfig};
-use ecovisor::proto::{EnergyRequest, RequestBatch, ResponseBatch};
+use ecovisor::proto::{EnergyRequest, RequestBatch};
 use ecovisor::{
     ClientHelloV2, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient,
-    EnergyShare, EventFilter, Notification, ProtocolTrace, RemoteEcovisorClient, ServerHello,
-    ShardedEcovisor, VesTotals, WireCodec, PROTOCOL_V1, PROTOCOL_VERSION,
+    EnergyShare, EventFilter, Notification, RemoteEcovisorClient, ServerHello, VesTotals,
+    WireCodec, PROTOCOL_V1, PROTOCOL_VERSION,
 };
 use energy_system::solar::TraceSolarSource;
 use simkit::rng::SimRng;
@@ -162,76 +161,11 @@ fn run_local_twin(seed: u64) -> (Vec<Notification>, VesTotals, VesTotals) {
     (events, ta, tb)
 }
 
-/// The two dispatch paths a recorded trace must replay identically on.
-trait ReplayTarget {
-    fn dispatch(&mut self, batch: &RequestBatch) -> ResponseBatch;
-    /// One settlement tick, returning the app's push-ready event frame.
-    fn settle(&mut self, a: AppId) -> Option<ecovisor::EventFrame>;
-}
-
-impl ReplayTarget for Ecovisor {
-    fn dispatch(&mut self, batch: &RequestBatch) -> ResponseBatch {
-        self.dispatch_batch(batch)
-    }
-    fn settle(&mut self, a: AppId) -> Option<ecovisor::EventFrame> {
-        self.begin_tick();
-        self.settle_tick();
-        let frame = self.take_event_frame(a);
-        self.advance_clock();
-        frame
-    }
-}
-
-impl ReplayTarget for ShardedEcovisor {
-    fn dispatch(&mut self, batch: &RequestBatch) -> ResponseBatch {
-        ShardedEcovisor::dispatch_batch(self, batch)
-    }
-    fn settle(&mut self, a: AppId) -> Option<ecovisor::EventFrame> {
-        self.with(|eco| {
-            eco.begin_tick();
-            eco.settle_tick();
-            let frame = eco.take_event_frame(a);
-            eco.advance_clock();
-            frame
-        })
-    }
-}
-
-/// Replays a recorded trace at the recorded tick cadence, collecting
-/// tenant A's event frames after each settlement — generic over the two
-/// dispatch paths.
-fn replay_with(trace: &ProtocolTrace, a: AppId, target: &mut dyn ReplayTarget) {
-    let mut entries = trace.entries.iter().peekable();
-    let mut frames = Vec::new();
-    for tick in 0..TICKS {
-        while let Some(e) = entries.peek() {
-            if e.tick != tick {
-                break;
-            }
-            target.dispatch(&e.batch);
-            entries.next();
-        }
-        frames.extend(target.settle(a));
-    }
-    // The last iteration's post-tick polls carry stamp TICKS.
-    for e in entries {
-        target.dispatch(&e.batch);
-    }
-    // Replay regenerates the recorded push traffic: only tenant A was
-    // subscribed, so the recorded event frames are exactly A's.
-    let recorded: Vec<&ecovisor::EventFrame> = trace.events.iter().filter(|f| f.app == a).collect();
-    assert_eq!(
-        frames.iter().collect::<Vec<_>>(),
-        recorded,
-        "replayed event frames must match the recorded push traffic"
-    );
-}
-
 /// The tentpole acceptance test: over a seeded multi-tenant day, a
 /// remote v2 subscriber's pushed notification stream is bit-identical to
 /// a local `drain_events` twin, totals agree, and the recorded trace —
-/// event frames included — replays to identical `VesTotals` on both
-/// dispatch paths while regenerating the same push traffic.
+/// event frames included — replays to identical `VesTotals` while
+/// regenerating the same push traffic.
 #[test]
 fn remote_subscriber_matches_local_drain_twin_and_trace_replays() {
     let seed = 0xEC02;
@@ -314,27 +248,28 @@ fn remote_subscriber_matches_local_drain_twin_and_trace_replays() {
     assert_eq!(ta_remote, ta_local);
     assert_eq!(tb_remote, tb_local);
 
-    // --- Trace replay, both dispatch paths ---
+    // --- Trace replay ---
     assert!(
         !trace.events.is_empty(),
         "push traffic was recorded in the trace"
     );
     assert!(trace.event_count() > 0);
 
-    // Path 1: plain `Ecovisor` dispatch.
-    let (mut plain, pa, pb) = build_eco(seed);
-    replay_with(&trace, a, &mut plain);
-    assert_eq!(plain.app_totals(pa).expect("plain a"), ta_remote);
-    assert_eq!(plain.app_totals(pb).expect("plain b"), tb_remote);
-
-    // Path 2: `ShardedEcovisor` dispatch (the concurrent deployment
-    // wrapper the transport uses).
-    let (eco2, sa, sb) = build_eco(seed);
-    let mut sharded = ShardedEcovisor::new(eco2);
-    replay_with(&trace, a, &mut sharded);
-    let inner = sharded.into_inner();
-    assert_eq!(inner.app_totals(sa).expect("sharded a"), ta_remote);
-    assert_eq!(inner.app_totals(sb).expect("sharded b"), tb_remote);
+    // Replay regenerates the recorded push traffic: only tenant A was
+    // subscribed, so the recorded event frames are exactly A's.
+    let (mut twin, pa, pb) = build_eco(seed);
+    let report = twin.replay_trace(&trace, TICKS);
+    assert_eq!(
+        report
+            .frames
+            .iter()
+            .filter(|f| f.app == a)
+            .collect::<Vec<_>>(),
+        trace.events.iter().collect::<Vec<_>>(),
+        "replayed event frames must match the recorded push traffic"
+    );
+    assert_eq!(twin.app_totals(pa).expect("replayed a"), ta_remote);
+    assert_eq!(twin.app_totals(pb).expect("replayed b"), tb_remote);
 }
 
 /// Polling is the push-free way to Table 2 parity: a remote client that

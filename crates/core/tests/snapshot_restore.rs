@@ -6,9 +6,8 @@
 //!   a restored ecovisor re-snapshots to the same digest;
 //! * the **cross-codec determinism property loop**: over seeded
 //!   mixed-tenant days, snapshot at a pseudo-random tick, restore via
-//!   JSON and binary bytes, replay the remainder on both dispatch paths,
-//!   and get identical `VesTotals`, event frames, and FNV digests as the
-//!   uninterrupted run;
+//!   JSON and binary bytes, replay the remainder, and get identical
+//!   `VesTotals`, event frames, and FNV digests as the uninterrupted run;
 //! * **exactly-once edge events**: undelivered outbox notifications
 //!   captured in a snapshot are delivered once by the restored process —
 //!   never dropped, never redelivered alongside pre-snapshot drains;
@@ -285,11 +284,10 @@ fn apply_snapshot_rejects_malformed_and_mismatched_snapshots() {
 
 /// The cross-codec determinism property loop (seeded, not random): over
 /// seeded mixed-tenant days, snapshot at a pseudo-random tick, restore
-/// through **both codecs**, replay the remainder on **both dispatch
-/// paths**, and require identical `VesTotals`, event frames, and FNV
-/// digests as the uninterrupted run.
+/// through **both codecs**, replay the remainder, and require identical
+/// `VesTotals`, event frames, and FNV digests as the uninterrupted run.
 #[test]
-fn seeded_days_restore_equivalently_across_codecs_and_dispatch_paths() {
+fn seeded_days_restore_equivalently_across_codecs() {
     for seed in [0x51AB_0001_u64, 0xD00D_0002, 0xFACE_0003] {
         // Seeded LCG pick of the snapshot tick, well inside the day.
         let lcg = seed
@@ -316,19 +314,8 @@ fn seeded_days_restore_equivalently_across_codecs_and_dispatch_paths() {
                 .unwrap_or_else(|e| panic!("seed {seed:#x} {codec} decode: {e}"));
             assert_eq!(decoded.digest(), run.snap.digest(), "{codec} round trip");
 
-            // Plain dispatch path.
-            let mut plain = Ecovisor::restore(builder(seed), &decoded).expect("restore plain");
-            let report = plain.replay_trace_from(&run.trace, snap_tick, TICKS);
-            assert_eq!(report.ticks, TICKS - snap_tick);
-            assert_equivalent(
-                &run,
-                plain.app_totals(a).expect("plain a"),
-                plain.app_totals(b).expect("plain b"),
-                &report.frames,
-            );
-
-            // Sharded dispatch path (the deployment wrapper the
-            // transport serves connections on).
+            // Through the deployment wrapper: restore and the replay of
+            // the remainder each run under its settlement barrier.
             let sharded = ShardedEcovisor::new(builder(seed).build());
             sharded.apply_snapshot(&decoded).expect("restore sharded");
             let report = sharded.replay_trace_from(&run.trace, snap_tick, TICKS);

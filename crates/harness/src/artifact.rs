@@ -18,7 +18,7 @@
 //! codec's Map tag (0x08). The committed corpus deliberately mixes both
 //! so each loader stays regression-covered.
 
-use ecovisor::{AppId, ProtocolTrace, Snapshot, VesTotals, WireCodec};
+use ecovisor::{AppId, Ecovisor, EcovisorError, ProtocolTrace, Snapshot, VesTotals, WireCodec};
 use serde::{Deserialize, Serialize};
 
 use crate::error::HarnessError;
@@ -48,6 +48,22 @@ pub struct AppOutcome {
     pub name: String,
     /// Cumulative energy/carbon totals after the final settlement.
     pub totals: VesTotals,
+}
+
+impl AppOutcome {
+    /// One tenant's accounting as `eco` holds it now — how the recorder
+    /// writes an outcome and how the verifier reads a replay's back.
+    ///
+    /// # Errors
+    ///
+    /// [`EcovisorError::UnknownApp`] when `app` is not registered.
+    pub fn read(eco: &Ecovisor, app: AppId) -> Result<Self, EcovisorError> {
+        Ok(AppOutcome {
+            app,
+            name: eco.app_name(app)?,
+            totals: eco.app_totals(app)?,
+        })
+    }
 }
 
 /// The recorded run's expected outcome: what every future replay must
@@ -137,7 +153,7 @@ pub struct ScenarioArtifact {
     pub expected: ExpectedOutcome,
     /// Embedded mid-day state captures, ascending by tick. The verifier
     /// restores each one and replays the remainder of the trace against
-    /// it, in both codecs on both dispatch paths.
+    /// it, in both codecs.
     pub checkpoints: Vec<Checkpoint>,
     /// For a resumed recording (`ecoharness record --from`): the
     /// checkpoint the run started from. Replay restores this state

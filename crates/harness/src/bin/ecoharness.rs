@@ -1,5 +1,4 @@
-//! `ecoharness` — record, verify, benchmark, and diff scenario
-//! artifacts.
+//! `ecoharness` — record, verify, fuzz, and diff scenario artifacts.
 //!
 //! ```text
 //! ecoharness list
@@ -7,7 +6,6 @@
 //!                   [--checkpoint-every HOURS] [NAME ...]
 //! ecoharness record --from ARTIFACT@TICK [--out DIR] [--codec json|binary]
 //! ecoharness verify [--transport] [--federated] PATH [PATH ...]
-//! ecoharness bench [--iters N] [--json] PATH [PATH ...]
 //! ecoharness diff A B
 //! ```
 //!
@@ -23,7 +21,7 @@ use ecoharness::{
     corpus, record_with_checkpoints, verify, verify_federated, verify_transport, ScenarioArtifact,
 };
 use ecovisor::proto::StatsReport;
-use ecovisor::{ShardedEcovisor, WireCodec};
+use ecovisor::WireCodec;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -39,7 +37,6 @@ fn main() -> ExitCode {
         "record" => cmd_record(rest),
         "verify" => cmd_verify(rest),
         "fuzz" => cmd_fuzz(rest),
-        "bench" => cmd_bench(rest),
         "stats" => cmd_stats(rest),
         "diff" => cmd_diff(rest),
         "help" | "--help" | "-h" => {
@@ -68,7 +65,6 @@ USAGE:
     ecoharness fuzz [--seed S] [--count N] [--no-transport] [--out DIR]
     ecoharness fuzz --soak [--seed S] [--ticks N] [--tenants N]
     ecoharness fuzz --promote [--seed S] [--count N] [--top K] [--out DIR]
-    ecoharness bench [--iters N] [--json] PATH [PATH ...]
     ecoharness stats ADDR --app ID --token TOKEN [--codec json|binary]
                      [--watch SECONDS] [--n COUNT]
     ecoharness diff A B
@@ -86,7 +82,9 @@ two live ecovisor processes joined by the two-phase federated tick
 must be bit-indistinguishable from the single process. Artifacts
 whose spec carries a migration plan live-migrate that tenant between
 the nodes mid-day; `--transport` runs the federated pass for such
-artifacts automatically.
+artifacts automatically. A resumed artifact (one with a base
+checkpoint) has no federated warm state to start from: its federated
+pass is skipped with a `SKIP federated` line, not failed.
 `--checkpoint-every HOURS` embeds a full state snapshot every HOURS
 simulated hours; `verify` restores each one and replays the rest of
 the day against it. `--from ARTIFACT@TICK` starts a *new* recording
@@ -94,10 +92,10 @@ from the checkpoint the artifact embeds at TICK (a mid-day harness
 start): fresh drivers against the restored warm state, written as
 `NAME-resumed` in the parent artifact's codec unless --codec is given.
 `fuzz` generates --count seeded random scenarios and drives each one
-through the full record → verify matrix (both codecs × both dispatch
-paths × checkpoints × the live evented transport unless
---no-transport); failures are shrunk to minimal reproducers written
-under --out (default fuzz-failures/) as replayable .scn.json days.
+through the full record → verify matrix (both codecs × checkpoints ×
+the live evented transport unless --no-transport); failures are shrunk
+to minimal reproducers written under --out (default fuzz-failures/) as
+replayable .scn.json days.
 `fuzz --soak` drives a long day (default 5000 ticks) through the live
 evented server with periodic connection churn and fails unless the
 server's counters return to the all-zero baseline afterwards.
@@ -248,12 +246,13 @@ fn cmd_record_resumed(
     Ok(ExitCode::SUCCESS)
 }
 
-/// `verify`: replay every artifact on both paths in both codecs; with
+/// `verify`: replay every artifact in both codecs; with
 /// `--transport`, additionally replay each one over live per-tenant
 /// TCP connections against the evented server; with `--federated`,
 /// additionally replay each one split across a live two-node
 /// federation. `--transport` implies the federated pass for artifacts
-/// carrying a migration plan (the plan only executes federated).
+/// carrying a migration plan (the plan only executes federated), and
+/// the federated pass skips resumed artifacts, which it cannot start.
 fn cmd_verify(args: Vec<String>) -> Result<ExitCode, String> {
     let mut transport = false;
     let mut federated = false;
@@ -276,7 +275,10 @@ fn cmd_verify(args: Vec<String>) -> Result<ExitCode, String> {
                 verify_transport(&artifact).map_err(|e| format!("{}: {e}", path.display()))?;
             report.checks.extend(wire.checks);
         }
-        if federated || (transport && artifact.spec.migration.is_some()) {
+        let wants_federated = federated || (transport && artifact.spec.migration.is_some());
+        if wants_federated && artifact.base.is_some() {
+            println!("SKIP federated {}: resumed artifact", path.display());
+        } else if wants_federated {
             let fed =
                 verify_federated(&artifact).map_err(|e| format!("{}: {e}", path.display()))?;
             report.checks.extend(fed.checks);
@@ -438,91 +440,6 @@ fn parse_num(s: &str, flag: &str) -> Result<u64, String> {
         None => (s, 10),
     };
     u64::from_str_radix(digits, radix).map_err(|e| format!("{flag}: {e}"))
-}
-
-/// `bench`: time trace replay per artifact (plain + sharded paths).
-fn cmd_bench(args: Vec<String>) -> Result<ExitCode, String> {
-    let mut iters: u32 = 5;
-    let mut as_json = false;
-    let mut paths_args: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--iters" => {
-                iters = it
-                    .next()
-                    .ok_or("--iters needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--iters: {e}"))?
-            }
-            "--json" => as_json = true,
-            p => paths_args.push(p.to_string()),
-        }
-    }
-    let paths = collect_artifacts(&paths_args)?;
-    let mut rows: Vec<(String, usize, f64, f64)> = Vec::new();
-    for path in &paths {
-        let (artifact, _) =
-            ScenarioArtifact::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let plain = time_replay(&artifact, false, iters)?;
-        let sharded = time_replay(&artifact, true, iters)?;
-        rows.push((
-            artifact.spec.name.clone(),
-            artifact.expected.request_count,
-            plain,
-            sharded,
-        ));
-    }
-    if as_json {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"host\": {},\n  \"results\": [\n", host_json()));
-        for (i, (name, requests, plain, sharded)) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"scenario\": \"{name}\", \"requests\": {requests}, \
-                 \"replay_plain_ms\": {plain:.3}, \"replay_sharded_ms\": {sharded:.3}}}{}\n",
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}");
-        println!("{out}");
-    } else {
-        println!(
-            "{:18} {:>9} {:>16} {:>18}",
-            "scenario", "requests", "plain ms/replay", "sharded ms/replay"
-        );
-        for (name, requests, plain, sharded) in &rows {
-            println!("{name:18} {requests:>9} {plain:>16.3} {sharded:>18.3}");
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn time_replay(artifact: &ScenarioArtifact, sharded: bool, iters: u32) -> Result<f64, String> {
-    let mut total = 0.0_f64;
-    for _ in 0..iters.max(1) {
-        let (eco, _) = ecoharness::build_ecovisor(&artifact.spec).map_err(|e| e.to_string())?;
-        let start = std::time::Instant::now();
-        if sharded {
-            let wrapper = ShardedEcovisor::new(eco);
-            wrapper.replay_trace(&artifact.trace, artifact.spec.ticks);
-        } else {
-            let mut eco = eco;
-            eco.replay_trace(&artifact.trace, artifact.spec.ticks);
-        }
-        total += start.elapsed().as_secs_f64() * 1e3;
-    }
-    Ok(total / f64::from(iters.max(1)))
-}
-
-fn host_json() -> String {
-    let nproc = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(0);
-    let smoke = std::env::var("CRITERION_SMOKE").is_ok_and(|v| v == "1");
-    format!(
-        "{{\"nproc\": {nproc}, \"target\": \"{}\", \"criterion_smoke\": {smoke}}}",
-        env!("ECOHARNESS_TARGET")
-    )
 }
 
 /// `stats`: fetch (and optionally watch) a live server's observability

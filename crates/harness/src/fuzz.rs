@@ -9,9 +9,9 @@
 //!   sizes, outbox caps, credential sets with mid-day rotations,
 //!   checkpoint cadences, restore plans, mid-day federated migration
 //!   plans) and drives each candidate
-//!   through the full record → verify matrix — both wire codecs × both
-//!   dispatch paths × every embedded checkpoint, and (unless disabled)
-//!   the live evented transport. A candidate that fails is handed to
+//!   through the full record → verify matrix — both wire codecs ×
+//!   every embedded checkpoint, and (unless disabled) the live evented
+//!   transport. A candidate that fails is handed to
 //!   [`shrink`], which greedily simplifies it to a minimal spec that
 //!   *still* fails and writes the minimized recording as a normal
 //!   `.scn.json` artifact — a reproducer any build can replay with
@@ -446,8 +446,7 @@ pub fn record_candidate(
 /// `None` when every check held, or the first failing check's
 /// `label: detail`.
 ///
-/// The in-process matrix (codecs × dispatch paths × checkpoints) runs
-/// first; the live-transport matrix only runs when it came back clean,
+/// The in-process matrix (codecs × checkpoints) runs first; the live-transport matrix only runs when it came back clean,
 /// so an already-failing candidate short-circuits cheaply.
 ///
 /// # Errors

@@ -7,8 +7,7 @@
 //! protocol tracing on and packages the result as a
 //! [`ScenarioArtifact`] (spec + complete wire trace + expected
 //! totals/digests), and [`verify()`](verify()) proves a build still replays the
-//! artifact **bit-identically** — on both the plain and sharded
-//! dispatch paths, through both wire codecs.
+//! artifact **bit-identically**, through both wire codecs.
 //!
 //! The committed `corpus/` directory holds twelve recorded days
 //! ([`corpus`] has the catalogue); `ecoharness verify corpus/` is the
@@ -38,7 +37,7 @@
 //!    space, every candidate pushed through the full verify matrix,
 //!    failures shrunk to minimal replayable reproducers; plus soak days
 //!    that gate on the evented server's counters returning to baseline.
-//! 4. **CLI** (`ecoharness`): `record` / `verify` / `fuzz` / `bench` /
+//! 4. **CLI** (`ecoharness`): `record` / `verify` / `fuzz` / `stats` /
 //!    `diff` over artifact files (see `docs/HARNESS.md`).
 //!
 //! ## Example

@@ -271,14 +271,8 @@ fn package(
         .expect("tracing was enabled for the whole run");
     let apps: Vec<AppOutcome> = ids
         .iter()
-        .map(|&app| {
-            Ok(AppOutcome {
-                app,
-                name: eco.app_name(app)?,
-                totals: eco.app_totals(app)?,
-            })
-        })
-        .collect::<Result<_, ecovisor::EcovisorError>>()?;
+        .map(|&app| AppOutcome::read(&eco, app))
+        .collect::<Result<_, _>>()?;
 
     let expected = ExpectedOutcome {
         totals_digest: digest(&apps),

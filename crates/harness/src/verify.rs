@@ -1,20 +1,20 @@
 //! Verifying that an artifact still replays bit-identically.
 //!
-//! For each artifact the verifier runs a 2×2 matrix — the trace
-//! round-tripped through **both wire codecs**, replayed on **both
-//! dispatch paths** (plain [`Ecovisor`] and the deployment-shaped
-//! [`ShardedEcovisor`]) — and asserts, for every cell:
+//! For each artifact the verifier round-trips the trace through **both
+//! wire codecs**, replays each decoded copy on a fresh build
+//! ([`Ecovisor::replay_trace_from`] — the one in-process replay loop)
+//! and asserts, for every cell:
 //!
-//! * per-app [`VesTotals`] equal the recorded expectations exactly
-//!   (f64 bit-equality, not tolerance),
+//! * per-app [`VesTotals`](ecovisor::VesTotals) equal the recorded
+//!   expectations exactly (f64 bit-equality, not tolerance),
 //! * the regenerated event-frame sequence equals the recorded push
 //!   traffic,
 //! * the [`ecovisor::digest`] fingerprints match the stored ones.
 //!
 //! Artifacts carrying embedded [`Checkpoint`]s get a second matrix: for
-//! **every checkpoint × codec × dispatch path**, the checkpointed
-//! snapshot is restored into a freshly built ecovisor and the *rest* of
-//! the trace is replayed from its tick — totals, remaining event
+//! **every checkpoint × codec**, the checkpointed snapshot is restored
+//! into a freshly built ecovisor and the *rest* of the trace is
+//! replayed from its tick — totals, remaining event
 //! frames, and digests must all land exactly where the uninterrupted
 //! replay does. A resumed artifact (non-empty `base`) replays from its
 //! base checkpoint instead of from a fresh build.
@@ -26,17 +26,17 @@
 
 use ecovisor::{
     digest, CredentialRegistry, Ecovisor, EcovisorServer, EnergyClient, EnergyRequest, EventFilter,
-    ProtocolTrace, RemoteEcovisorClient, ShardedEcovisor, VesTotals, WireCodec,
+    ProtocolTrace, RemoteEcovisorClient, WireCodec,
 };
 
-use crate::artifact::{codec_name, Checkpoint, ScenarioArtifact, ARTIFACT_FORMAT};
+use crate::artifact::{codec_name, AppOutcome, Checkpoint, ScenarioArtifact, ARTIFACT_FORMAT};
 use crate::error::HarnessError;
 use crate::scenario::build_ecovisor;
 
 /// One verification check's outcome.
 #[derive(Debug, Clone)]
 pub struct Check {
-    /// What was checked, e.g. `replay[binary/sharded] totals`.
+    /// What was checked, e.g. `replay[binary] totals digest`.
     pub label: String,
     /// Whether it held.
     pub ok: bool,
@@ -73,22 +73,6 @@ impl VerifyReport {
     }
 }
 
-/// The two dispatch paths a trace must replay identically on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DispatchPath {
-    Plain,
-    Sharded,
-}
-
-impl DispatchPath {
-    fn name(self) -> &'static str {
-        match self {
-            DispatchPath::Plain => "plain",
-            DispatchPath::Sharded => "sharded",
-        }
-    }
-}
-
 /// Round-trips a trace through a codec (encode, then decode), proving
 /// the codec itself is lossless for this trace before replaying the
 /// decoded copy.
@@ -99,7 +83,7 @@ fn reencode(trace: &ProtocolTrace, codec: WireCodec) -> Result<ProtocolTrace, St
 }
 
 /// Verifies one artifact: structural integrity, then the full
-/// codec × dispatch-path replay matrix.
+/// codec × checkpoint replay matrix.
 ///
 /// # Errors
 ///
@@ -134,6 +118,19 @@ pub fn verify(artifact: &ScenarioArtifact) -> Result<VerifyReport, HarnessError>
             "trace carries {} events, artifact claims {}",
             artifact.trace.event_count(),
             artifact.expected.event_count
+        ),
+    );
+    // Without this an artifact whose `expected.apps` lost a tenant (with
+    // the digest recomputed over what is left) would have nothing to
+    // compare that tenant's replayed totals against.
+    let (_, ids) = build_ecovisor(&artifact.spec)?;
+    report.push(
+        "expected outcome covers every tenant, in id order",
+        artifact.expected.apps.iter().map(|o| o.app).eq(ids),
+        format!(
+            "artifact records outcomes for {} app(s), the spec registers {} (or ids differ)",
+            artifact.expected.apps.len(),
+            artifact.spec.tenants.len()
         ),
     );
     report.push(
@@ -177,7 +174,7 @@ pub fn verify(artifact: &ScenarioArtifact) -> Result<VerifyReport, HarnessError>
         );
     }
 
-    // -- Replay matrix: (base + every checkpoint) × codec × path --------
+    // -- Replay matrix: (base + every checkpoint) × codec ---------------
     for codec in [WireCodec::Json, WireCodec::Binary] {
         let trace = match reencode(&artifact.trace, codec) {
             Ok(t) => t,
@@ -191,20 +188,11 @@ pub fn verify(artifact: &ScenarioArtifact) -> Result<VerifyReport, HarnessError>
             trace == artifact.trace,
             "decoded trace differs from the recorded one",
         );
-        for path in [DispatchPath::Plain, DispatchPath::Sharded] {
-            let cell = format!("replay[{}/{}]", codec_name(codec), path.name());
-            replay_cell(
-                artifact,
-                &trace,
-                artifact.base.as_ref(),
-                cell,
-                path,
-                &mut report,
-            )?;
-            for cp in &artifact.checkpoints {
-                let cell = format!("restore@{}[{}/{}]", cp.tick, codec_name(codec), path.name());
-                replay_cell(artifact, &trace, Some(cp), cell, path, &mut report)?;
-            }
+        let cell = format!("replay[{}]", codec_name(codec));
+        replay_cell(artifact, &trace, artifact.base.as_ref(), cell, &mut report)?;
+        for cp in &artifact.checkpoints {
+            let cell = format!("restore@{}[{}]", cp.tick, codec_name(codec));
+            replay_cell(artifact, &trace, Some(cp), cell, &mut report)?;
         }
     }
     Ok(report)
@@ -220,7 +208,6 @@ fn replay_cell(
     trace: &ProtocolTrace,
     restore_from: Option<&Checkpoint>,
     cell: String,
-    path: DispatchPath,
     report: &mut VerifyReport,
 ) -> Result<(), HarnessError> {
     let (mut eco, ids) = build_ecovisor(&artifact.spec)?;
@@ -241,62 +228,42 @@ fn replay_cell(
             cp.tick
         }
     };
-    let (frames, totals): (Vec<ecovisor::EventFrame>, Vec<VesTotals>) = match path {
-        DispatchPath::Plain => {
-            let rep = eco.replay_trace_from(trace, start, artifact.spec.ticks);
-            let totals = ids
-                .iter()
-                .map(|&a| eco.app_totals(a))
-                .collect::<Result<_, _>>()?;
-            (rep.frames, totals)
-        }
-        DispatchPath::Sharded => {
-            let sharded = ShardedEcovisor::new(eco);
-            let rep = sharded.replay_trace_from(trace, start, artifact.spec.ticks);
-            let eco: Ecovisor = sharded.into_inner();
-            let totals = ids
-                .iter()
-                .map(|&a| eco.app_totals(a))
-                .collect::<Result<_, _>>()?;
-            (rep.frames, totals)
-        }
-    };
-    check_outcome(artifact, &cell, start, &frames, &totals, report);
+    let frames = eco
+        .replay_trace_from(trace, start, artifact.spec.ticks)
+        .frames;
+    let replayed = ids
+        .iter()
+        .map(|&a| AppOutcome::read(&eco, a))
+        .collect::<Result<Vec<_>, _>>()?;
+    check_outcome(artifact, &cell, start, &frames, &replayed, report);
     Ok(())
 }
 
-/// Compares one replay's outcome (per-app totals + regenerated event
-/// frames) against the artifact's recorded expectations, bit-exactly.
+/// Compares one replay's outcome (per-app outcomes as read back from
+/// the replayed ecovisor + regenerated event frames) against the
+/// artifact's recorded expectations, bit-exactly.
 fn check_outcome(
     artifact: &ScenarioArtifact,
     cell: &str,
     start: u64,
     frames: &[ecovisor::EventFrame],
-    totals: &[VesTotals],
+    replayed: &[AppOutcome],
     report: &mut VerifyReport,
 ) {
-    // Totals: bit-identical per app.
-    for (outcome, got) in artifact.expected.apps.iter().zip(totals.iter()) {
+    // Totals: bit-identical per app. Driven by the *replay's* tenants,
+    // so a tenant the artifact records nothing for fails here.
+    for (i, got) in replayed.iter().enumerate() {
+        let want = artifact.expected.apps.get(i);
         report.push(
-            format!("{cell} totals[{}]", outcome.name),
-            *got == outcome.totals,
-            format!("expected {:?}, replayed {:?}", outcome.totals, got),
+            format!("{cell} totals[{}]", got.name),
+            want == Some(got),
+            format!("expected {want:?}, replayed {got:?}"),
         );
     }
-    let replayed_apps: Vec<crate::artifact::AppOutcome> = artifact
-        .expected
-        .apps
-        .iter()
-        .zip(totals.iter())
-        .map(|(o, &t)| crate::artifact::AppOutcome {
-            app: o.app,
-            name: o.name.clone(),
-            totals: t,
-        })
-        .collect();
+    // (Vec<&T> digests like Vec<T>: references serialize transparently.)
     report.push(
         format!("{cell} totals digest"),
-        digest(&replayed_apps) == artifact.expected.totals_digest,
+        digest(&replayed.iter().collect::<Vec<_>>()) == artifact.expected.totals_digest,
         "replayed totals hash differs from the recorded totals_digest",
     );
 
@@ -321,9 +288,8 @@ fn check_outcome(
         )
     };
     report.push(format!("{cell} event frames"), frames_match, detail);
-    // Digest of Vec<&T> equals digest of Vec<T> (references serialize
-    // transparently), so a full-horizon replay checks against the
-    // stored events_digest itself.
+    // A full-horizon replay checks against the stored events_digest
+    // itself.
     let expected_digest = if expected_frames.len() == artifact.trace.events.len() {
         artifact.expected.events_digest
     } else {
@@ -639,12 +605,12 @@ fn transport_cell(
     frames.extend(retired_frames);
     frames.sort_by_key(|f| (f.tick, f.app));
 
-    let totals: Vec<VesTotals> = shared.with(|eco| {
+    let replayed: Vec<AppOutcome> = shared.with(|eco| {
         ids.iter()
-            .map(|&a| eco.app_totals(a))
+            .map(|&a| AppOutcome::read(eco, a))
             .collect::<Result<_, _>>()
     })?;
-    check_outcome(artifact, &cell, start, &frames, &totals, report);
+    check_outcome(artifact, &cell, start, &frames, &replayed, report);
 
     drop(clients);
     handle.shutdown();
@@ -918,12 +884,12 @@ fn federated_cell(
     frames.extend(retired_frames);
     frames.sort_by_key(|f| (f.tick, f.app));
 
-    // Per-app totals come from each tenant's final owner node.
-    let totals: Vec<VesTotals> = ids
+    // Per-app outcomes come from each tenant's final owner node.
+    let replayed: Vec<AppOutcome> = ids
         .iter()
-        .map(|&a| shared[owner[&a]].with(|eco| eco.app_totals(a)))
+        .map(|&a| shared[owner[&a]].with(|eco| AppOutcome::read(eco, a)))
         .collect::<Result<_, _>>()?;
-    check_outcome(artifact, &cell, 0, &frames, &totals, report);
+    check_outcome(artifact, &cell, 0, &frames, &replayed, report);
 
     drop(ops);
     drop(clients);

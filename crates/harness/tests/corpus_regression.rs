@@ -1,6 +1,6 @@
 //! The committed corpus is the regression net: every artifact under
 //! `corpus/` must load, carry a catalogued scenario, and verify green —
-//! bit-identical replay on both dispatch paths in both codecs. Any
+//! bit-identical replay in both codecs. Any
 //! change to settlement arithmetic, dispatch semantics, event
 //! generation, or either codec that perturbs a recorded day fails here
 //! (and in the CI `ecoharness verify corpus/` job, which runs the same

@@ -5,12 +5,12 @@
 //! the determinism contract must survive *any* codec path: a trace
 //! recorded in binary, re-encoded as JSON (and vice versa, and double
 //! round trips) must replay to identical `VesTotals` and event-frame
-//! sequences on both dispatch paths. This is the satellite guarantee
+//! sequences. This is the satellite guarantee
 //! that nothing about the codec layer (float formatting, varint edge
 //! cases, map ordering) can silently perturb a recorded day.
 
 use ecoharness::{build_ecovisor, corpus, record, ScenarioArtifact};
-use ecovisor::{ProtocolTrace, ShardedEcovisor, VesTotals, WireCodec};
+use ecovisor::{ProtocolTrace, VesTotals, WireCodec};
 use simkit::rng::SimRng;
 
 fn json_roundtrip<T: serde::Serialize + serde::Deserialize>(value: &T) -> T {
@@ -21,32 +21,22 @@ fn binary_roundtrip<T: serde::Serialize + serde::Deserialize>(value: &T) -> T {
     serde::binary::from_bytes(&serde::binary::to_bytes(value)).expect("binary round trip")
 }
 
-/// Replays `trace` on the named dispatch path against a fresh build of
-/// the spec, returning (per-app totals, regenerated frames).
+/// Replays `trace` against a fresh build of the spec, returning
+/// (per-app totals, regenerated frames).
 fn replay(
     artifact: &ScenarioArtifact,
     trace: &ProtocolTrace,
-    sharded: bool,
 ) -> (Vec<VesTotals>, Vec<ecovisor::EventFrame>) {
-    let (eco, ids) = build_ecovisor(&artifact.spec).expect("build");
-    if sharded {
-        let wrapper = ShardedEcovisor::new(eco);
-        let report = wrapper.replay_trace(trace, artifact.spec.ticks);
-        let eco = wrapper.into_inner();
-        let totals = ids.iter().map(|&a| eco.app_totals(a).unwrap()).collect();
-        (totals, report.frames)
-    } else {
-        let mut eco = eco;
-        let report = eco.replay_trace(trace, artifact.spec.ticks);
-        let totals = ids.iter().map(|&a| eco.app_totals(a).unwrap()).collect();
-        (totals, report.frames)
-    }
+    let (mut eco, ids) = build_ecovisor(&artifact.spec).expect("build");
+    let report = eco.replay_trace(trace, artifact.spec.ticks);
+    let totals = ids.iter().map(|&a| eco.app_totals(a).unwrap()).collect();
+    (totals, report.frames)
 }
 
 /// The property loop: for several seeds of a genuinely multi-tenant
 /// scenario, every codec re-encoding of the recorded trace — identity,
 /// J(t), B(t), J(B(t)), B(J(t)) — replays bit-identically to the
-/// recording on both dispatch paths.
+/// recording.
 #[test]
 fn seeded_cross_codec_replays_are_bit_identical() {
     let mut rng = SimRng::from_seed(0xC0DEC);
@@ -82,19 +72,16 @@ fn seeded_cross_codec_replays_are_bit_identical() {
                 trace, &artifact.trace,
                 "round {round}: {label} re-encoding altered the trace"
             );
-            // … and the replay bit-identical, on both dispatch paths.
-            for sharded in [false, true] {
-                let path = if sharded { "sharded" } else { "plain" };
-                let (totals, frames) = replay(&artifact, trace, sharded);
-                assert_eq!(
-                    totals, expected_totals,
-                    "round {round}: {label}/{path} totals diverged"
-                );
-                assert_eq!(
-                    frames, artifact.trace.events,
-                    "round {round}: {label}/{path} event frames diverged"
-                );
-            }
+            // … and the replay bit-identical.
+            let (totals, frames) = replay(&artifact, trace);
+            assert_eq!(
+                totals, expected_totals,
+                "round {round}: {label} totals diverged"
+            );
+            assert_eq!(
+                frames, artifact.trace.events,
+                "round {round}: {label} event frames diverged"
+            );
         }
     }
 }

@@ -27,8 +27,8 @@ fn faithful_artifact_verifies_green() {
     );
     let report = verify(&artifact).expect("verify");
     assert!(report.passed(), "failures: {:#?}", report.failures());
-    // The matrix ran: 2 codecs × 2 paths × (totals per app + digests +
-    // frames) plus structural checks.
+    // The matrix ran: 2 codecs × (totals per app + digests + frames)
+    // plus structural checks.
     assert!(report.checks.len() > 20, "got {}", report.checks.len());
 }
 
@@ -91,6 +91,28 @@ fn tampered_expected_totals_fail_verification() {
 }
 
 #[test]
+fn truncated_expected_outcome_fails_verification() {
+    let mut artifact = small_artifact();
+    assert!(artifact.expected.apps.len() > 1, "multi-tenant day");
+    // Drop the last tenant's outcome and keep the digest
+    // self-consistent: every check that compares against what is
+    // *left* still holds, so only a coverage check can object.
+    let dropped = artifact.expected.apps.pop().expect("has tenants");
+    artifact.expected.totals_digest = ecovisor::digest(&artifact.expected.apps);
+    let report = verify(&artifact).expect("verify");
+    let failed: Vec<&str> = report.failures().iter().map(|c| c.label.as_str()).collect();
+    assert!(
+        failed.contains(&"expected outcome covers every tenant, in id order"),
+        "the structural check must name it: {failed:#?}"
+    );
+    // And the replay cells verify the dropped tenant instead of
+    // skipping it.
+    let per_tenant = format!("replay[binary] totals[{}]", dropped.name);
+    assert!(failed.contains(&per_tenant.as_str()), "{failed:#?}");
+    assert!(failed.contains(&"replay[binary] totals digest"));
+}
+
+#[test]
 fn recording_is_deterministic() {
     let mut spec = corpus::builtin("budget-exhaustion").expect("builtin");
     spec.ticks = 10;
@@ -128,7 +150,7 @@ fn checkpointed_recording_verifies_and_does_not_perturb_the_run() {
     assert_eq!(plain.trace, checkpointed.trace);
     assert_eq!(plain.expected, checkpointed.expected);
     // And the verifier's restore-replay matrix passes for every cell:
-    // 2 codecs × 2 paths × (full replay + 2 checkpoint restores).
+    // 2 codecs × (full replay + 2 checkpoint restores).
     let report = verify(&checkpointed).expect("verify");
     assert!(report.passed(), "failures: {:#?}", report.failures());
     assert!(

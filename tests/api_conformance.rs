@@ -1,15 +1,16 @@
 //! Table 1 conformance: every function of the paper's narrow API exists
 //! with the documented semantics, end to end across all crates — and the
-//! trait-based compatibility façade is *provably equivalent* to raw
+//! typed [`EnergyClient`] method surface is *provably equivalent* to raw
 //! protocol batch dispatch: the same call sequence produces identical
-//! responses and identical end state through either path.
+//! responses and identical end state through either path, and every
+//! state change a typed call makes is in the protocol trace.
 
 use ecovisor_suite::carbon_intel::service::TraceCarbonService;
 use ecovisor_suite::container_cop::{ContainerSpec, CopConfig};
 use ecovisor_suite::ecovisor::proto::{EnergyRequest, EnergyResponse, ProtoError, RequestBatch};
 use ecovisor_suite::ecovisor::{
-    Application, EcovisorApi, EcovisorBuilder, EcovisorClient, EcovisorError, EnergyClient,
-    EnergyShare, LibraryApi, ScopedApi, Simulation,
+    Application, EcovisorBuilder, EcovisorClient, EcovisorError, EnergyClient, EnergyShare,
+    Simulation,
 };
 use ecovisor_suite::energy_system::solar::TraceSolarSource;
 use ecovisor_suite::simkit::time::SimTime;
@@ -44,7 +45,7 @@ fn table1_setters_and_getters() {
     // Run two ticks so solar buffers and flows settle.
     s.run_ticks(2);
 
-    let mut api = s.eco_mut().scoped(app).unwrap();
+    let mut api = s.eco_mut().client(app).unwrap();
 
     // set_container_powercap / get_container_powercap / get_container_power
     let c = api.launch_container(ContainerSpec::quad_core()).unwrap();
@@ -123,11 +124,10 @@ fn solar_is_known_one_tick_ahead() {
     let expect = [0.0, 0.0, 120.0, 40.0]; // buffered with one tick of lag
     for e in expect {
         {
-            let api = s.eco_mut().scoped(app).unwrap();
+            let got = s.eco_mut().client(app).unwrap().get_solar_power();
             assert!(
-                (api.get_solar_power().watts() - e).abs() < 1e-9,
-                "expected buffer {e}, got {}",
-                api.get_solar_power()
+                (got.watts() - e).abs() < 1e-9,
+                "expected buffer {e}, got {got}"
             );
         }
         s.run_ticks(1);
@@ -135,13 +135,13 @@ fn solar_is_known_one_tick_ahead() {
 }
 
 // ======================================================================
-// Protocol conformance: façade ≡ batch dispatch
+// Protocol conformance: typed client ≡ batch dispatch
 // ======================================================================
 
-/// Executes one request through the *trait façade* and wraps the typed
-/// result back into a wire response, covering every request shape the
-/// sequence below uses.
-fn via_facade(api: &mut ScopedApi<'_>, req: &EnergyRequest) -> EnergyResponse {
+/// Executes one request through the *typed method* of [`EnergyClient`]
+/// that stands for it and wraps the typed result back into a wire
+/// response, covering every request shape the sequence below uses.
+fn via_typed_client(api: &mut impl EnergyClient, req: &EnergyRequest) -> EnergyResponse {
     fn wrap<T>(r: Result<T, EcovisorError>, f: impl FnOnce(T) -> EnergyResponse) -> EnergyResponse {
         match r {
             Ok(v) => f(v),
@@ -247,12 +247,11 @@ fn via_facade(api: &mut ScopedApi<'_>, req: &EnergyRequest) -> EnergyResponse {
         EnergyRequest::GetRemainingCarbonBudget => {
             EnergyResponse::Budget(api.remaining_carbon_budget())
         }
-        // The event surface never belonged to the legacy trait façade —
-        // it is a protocol-native addition, conformance-tested between
-        // the in-process and remote *clients* in
-        // crates/core/tests/protocol_v2.rs. Likewise the snapshot admin
-        // surface (crates/core/tests/snapshot_restore.rs) and the
-        // observability stats export (crates/core/tests/server_stats.rs).
+        // The event surface is conformance-tested between the
+        // in-process and remote clients in
+        // crates/core/tests/protocol_v2.rs; the snapshot admin surface in
+        // crates/core/tests/snapshot_restore.rs; the observability stats
+        // export in crates/core/tests/server_stats.rs.
         EnergyRequest::PollEvents
         | EnergyRequest::SubscribeEvents { .. }
         | EnergyRequest::Snapshot { .. }
@@ -265,7 +264,7 @@ fn via_facade(api: &mut ScopedApi<'_>, req: &EnergyRequest) -> EnergyResponse {
         | EnergyRequest::FedAlign { .. }
         | EnergyRequest::FedCursor
         | EnergyRequest::Stats => {
-            unreachable!("admin/event requests are not part of the façade conformance sequence")
+            unreachable!("admin/event requests are not part of the conformance sequence")
         }
     }
 }
@@ -361,27 +360,31 @@ fn conformance_sim() -> (Simulation, ecovisor_suite::container_cop::AppId) {
     (s, app)
 }
 
-/// The tentpole's acceptance property: the same call sequence produces
-/// byte-identical responses and identical end state whether it travels
-/// through the trait façade or through raw batch dispatch.
+/// The same call sequence produces byte-identical responses and
+/// identical end state whether it travels through the typed client's
+/// methods or through raw batch dispatch — and the protocol trace of the
+/// typed run is complete: replaying it on a fresh twin reproduces the
+/// responses and the end state.
 #[test]
-fn facade_and_batch_dispatch_are_equivalent() {
+fn typed_client_and_batch_dispatch_are_equivalent() {
     let bogus = ecovisor_suite::container_cop::ContainerId::new(999_999);
 
-    // Path A: trait façade, one call at a time.
+    // Path A: typed client methods, one call at a time, traced.
     let (mut sim_a, app_a) = conformance_sim();
+    let start_tick = sim_a.eco().tick_index();
+    sim_a.eco_mut().enable_protocol_trace();
     let mut responses_a = Vec::new();
     {
-        let mut api = sim_a.eco_mut().scoped(app_a).unwrap();
+        let mut api = sim_a.eco_mut().client(app_a).unwrap();
         for req in conformance_sequence(bogus) {
-            responses_a.push(via_facade(&mut api, &req));
+            responses_a.push(via_typed_client(&mut api, &req));
         }
         let c = match &responses_a[0] {
             EnergyResponse::Container(c) => *c,
             other => panic!("launch failed: {other:?}"),
         };
         for req in per_container_sequence(c) {
-            responses_a.push(via_facade(&mut api, &req));
+            responses_a.push(via_typed_client(&mut api, &req));
         }
     }
 
@@ -402,7 +405,7 @@ fn facade_and_batch_dispatch_are_equivalent() {
 
     assert_eq!(responses_a.len(), responses_b.len());
     for (i, (a, b)) in responses_a.iter().zip(&responses_b).enumerate() {
-        assert_eq!(a, b, "call #{i} diverged between façade and dispatch");
+        assert_eq!(a, b, "call #{i} diverged between typed client and dispatch");
     }
 
     // And the two ecovisors evolved identically: run on and compare state.
@@ -415,6 +418,33 @@ fn facade_and_batch_dispatch_are_equivalent() {
     assert_eq!(
         sim_a.eco().app_flows(app_a).unwrap(),
         sim_b.eco().app_flows(app_b).unwrap()
+    );
+
+    // Path C: every state change a typed call made is in the trace —
+    // replaying it on a third twin, at the same tick cadence, yields the
+    // same per-request responses and the same end state.
+    let trace = sim_a.eco_mut().take_protocol_trace().expect("tracing on");
+    // (`app_id()` is answered by the handle itself — it reads no tenant
+    // state — so it is the one typed call with no request on the wire.)
+    let traced_a: Vec<&EnergyResponse> = responses_a
+        .iter()
+        .filter(|r| !matches!(r, EnergyResponse::App(_)))
+        .collect();
+    assert_eq!(trace.request_count(), traced_a.len());
+    let (mut sim_c, app_c) = conformance_sim();
+    let report = sim_c
+        .eco_mut()
+        .replay_trace_from(&trace, start_tick, start_tick + 5);
+    let responses_c: Vec<&EnergyResponse> =
+        report.responses.iter().flat_map(|b| &b.responses).collect();
+    assert_eq!(responses_c, traced_a);
+    assert_eq!(
+        sim_c.eco().app_totals(app_c).unwrap(),
+        sim_a.eco().app_totals(app_a).unwrap()
+    );
+    assert_eq!(
+        sim_c.eco().app_flows(app_c).unwrap(),
+        sim_a.eco().app_flows(app_a).unwrap()
     );
 }
 
@@ -444,8 +474,8 @@ fn wire_serialized_batch_dispatches_identically() {
 
 /// Two registered apps; app B addressing app A's container gets a
 /// `Scope` error *value* on every container-addressed request, through
-/// both the raw protocol and the client/trait surfaces, and app A's
-/// state is untouched.
+/// both the raw protocol and the typed client, and app A's state is
+/// untouched.
 #[test]
 fn cross_tenant_requests_denied_as_values() {
     let mut s = sim();
@@ -514,17 +544,13 @@ fn cross_tenant_requests_denied_as_values() {
         EnergyResponse::Containers(vec![])
     );
 
-    // Client handle: the denial surfaces as the classic NotOwner error.
+    // Client handle: the denial surfaces as the classic NotOwner error,
+    // on lifecycle calls and setters alike.
     {
         let mut api = s.eco_mut().client(b).unwrap();
         let err = api.stop_container(victim).unwrap_err();
         assert!(matches!(err, EcovisorError::NotOwner { container, app }
             if container == victim && app == b));
-    }
-
-    // Trait façade: same.
-    {
-        let mut api = s.eco_mut().scoped(b).unwrap();
         let err = api
             .set_container_powercap(victim, Watts::new(0.0))
             .unwrap_err();

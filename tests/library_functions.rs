@@ -4,8 +4,8 @@
 use ecovisor_suite::carbon_intel::service::TraceCarbonService;
 use ecovisor_suite::container_cop::{ContainerSpec, CopConfig};
 use ecovisor_suite::ecovisor::{
-    Application, EcovisorApi, EcovisorBuilder, EcovisorClient, EnergyClient, EnergyShare,
-    LibraryApi, Notification, Simulation,
+    Application, EcovisorBuilder, EcovisorClient, EnergyClient, EnergyShare, Notification,
+    Simulation,
 };
 use ecovisor_suite::energy_system::solar::TraceSolarSource;
 use ecovisor_suite::simkit::time::{SimDuration, SimTime};
@@ -39,7 +39,7 @@ fn interval_energy_and_carbon_queries() {
     s.run_ticks(60);
 
     let (from, to) = (SimTime::EPOCH, s.eco().now());
-    let api = s.eco_mut().scoped(app).unwrap();
+    let mut api = s.eco_mut().client(app).unwrap();
 
     // get_app_power: 3.65 + 1.825 = 5.475 W.
     assert!((api.get_app_power().watts() - 5.475).abs() < 1e-9);
@@ -81,7 +81,7 @@ fn carbon_rate_and_budget_tracking() {
         .add_app("rb", EnergyShare::grid_only(), Box::new(TwoContainers))
         .unwrap();
     {
-        let mut api = s.eco_mut().scoped(app).unwrap();
+        let mut api = s.eco_mut().client(app).unwrap();
         api.set_carbon_rate(Some(CarbonRate::from_milligrams_per_sec(0.2)));
         api.set_carbon_budget(Some(Co2Grams::new(2.0)));
         assert_eq!(
@@ -92,7 +92,7 @@ fn carbon_rate_and_budget_tracking() {
     }
     s.run_ticks(120);
     {
-        let api = s.eco_mut().scoped(app).unwrap();
+        let mut api = s.eco_mut().client(app).unwrap();
         // Rate enforced: 0.2 mg/s at 500 g/kWh allows 1.44 W.
         let flows_power = api.get_app_power();
         assert!(
