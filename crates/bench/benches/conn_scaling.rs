@@ -8,7 +8,7 @@
 //! together would exceed this container's 20,000-fd limit in a single
 //! process, and the split also keeps the measured client free of the
 //! server's own epoll wakeups. The parent opens N connections (full
-//! hello negotiation each — the storm duration is printed per row),
+//! hello exchange each — the storm duration is printed per row),
 //! then Criterion measures a `PollEvents` round trip on the last one.
 //! On a readiness-driven server the idle 9,999 cost nothing per
 //! request, so the rows should be flat; a thread-per-connection server

@@ -10,7 +10,7 @@
 //!   (drivers + trace + expected outcome + checkpoints);
 //! * `check_in_process/<i>` — the full per-candidate verdict without
 //!   the live transport: record plus the in-process verify matrix
-//!   (both codecs × checkpoint restore-replay);
+//!   (one replay from the start plus one per checkpoint);
 //! * `check_with_transport` — one candidate through the whole matrix
 //!   including the live evented server cells (loopback, port 0).
 //!

@@ -31,7 +31,7 @@ use carbon_intel::service::TraceCarbonService;
 use container_cop::{AppId, ContainerSpec, CopConfig};
 use ecovisor::{
     CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare,
-    RemoteEcovisorClient, TenantSnapshot, WireCodec,
+    RemoteEcovisorClient, TenantSnapshot,
 };
 use energy_system::solar::TraceSolarSource;
 use simkit::rng::SimRng;
@@ -177,13 +177,8 @@ fn bench_migration(c: &mut Criterion) {
         let (h_src, addr_src) = serve(source);
         let (h_dst, addr_dst) = serve(peer);
         let connect = |addr| {
-            RemoteEcovisorClient::connect_full(
-                addr,
-                mover,
-                vec![WireCodec::Binary],
-                Some("bench-token".into()),
-            )
-            .expect("connect")
+            RemoteEcovisorClient::connect_with_credential(addr, mover, "bench-token")
+                .expect("connect")
         };
         let mut op_src = connect(addr_src);
         let mut op_dst = connect(addr_dst);

@@ -1,11 +1,10 @@
 //! Batch-dispatch throughput baseline: requests/second through
 //! [`Ecovisor::dispatch_batch`] at batch sizes 1, 32, and 256, for a
 //! query-only workload, a command-heavy workload, and the serialized
-//! wire paths — JSON (`dispatch_wire_batch`) and the binary codec the
-//! transport negotiates by default (`dispatch_wire_binary`). The wire
-//! paths measure the **v2 duplex framing**: decode a `Frame::Request`,
-//! dispatch, encode a `Frame::Response` — exactly what the server pays
-//! per round trip on a v2 connection. Future perf PRs regress against
+//! wire path in the binary encoding frames are served in
+//! (`dispatch_wire_binary`). The wire path measures the **v2 duplex
+//! framing**: decode a `Frame::Request`, dispatch, encode a
+//! `Frame::Response` — exactly what the server pays per round trip. Future perf PRs regress against
 //! these numbers; `BENCH_protocol.json` in the crate root holds the
 //! committed baseline.
 
@@ -119,31 +118,9 @@ fn bench_command_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full JSON wire path under v2 framing: parse the `Frame::Request`,
-/// dispatch, serialize the `Frame::Response` — what a remote transport
-/// pays per round trip on the fallback codec.
-fn bench_wire_dispatch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("dispatch_wire_batch");
-    for &n in &BATCH_SIZES {
-        let (eco, app, container) = dispatch_fixture();
-        let wire = serde::json::to_string(&Frame::Request(query_batch(app, container, n)));
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                let frame: Frame = serde::json::from_str(&wire).expect("parse");
-                let Frame::Request(batch) = frame else {
-                    unreachable!("encoded a request frame")
-                };
-                let resp = eco.dispatch_batch(&batch);
-                std::hint::black_box(serde::json::to_string(&Frame::Response(resp)))
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The full binary wire path over the same framed batches — the codec
-/// the transport negotiates by default. The gap against
-/// `dispatch_wire_batch` is the win codec negotiation buys.
+/// The full wire path under v2 framing, in the binary encoding every
+/// served frame uses: parse the `Frame::Request`, dispatch, serialize the
+/// `Frame::Response` — what the server pays per round trip.
 fn bench_wire_binary(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch_wire_binary");
     for &n in &BATCH_SIZES {
@@ -167,7 +144,6 @@ criterion_group!(
     protocol,
     bench_query_dispatch,
     bench_command_dispatch,
-    bench_wire_dispatch,
     bench_wire_binary,
 );
 criterion_main!(protocol);

@@ -6,9 +6,9 @@
 //! then measures, on the warm state:
 //!
 //! * `capture`: [`Ecovisor::snapshot`] (state walk → `Snapshot` value),
-//! * `encode_binary` / `encode_json`: [`Snapshot::to_bytes`] /
-//!   [`Snapshot::to_json`] (the wire/at-rest forms),
-//! * `restore_binary` / `restore_json`: decode **plus**
+//! * `encode_binary` / `encode_json`: [`Snapshot::to_bytes`] (the
+//!   wire/at-rest form) / [`Snapshot::to_json`] (the debug dump),
+//! * `restore_binary`: decode **plus**
 //!   [`Ecovisor::apply_snapshot`] into an already-built ecovisor — the
 //!   full warm-start path a `Restore` admin request or an `ecoharness
 //!   record --from` resume pays.
@@ -139,12 +139,6 @@ fn bench_snapshot(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("restore_binary", n), &n, |b, _| {
             b.iter(|| {
                 let decoded = Snapshot::from_bytes(&binary).expect("decode");
-                twin.apply_snapshot(&decoded).expect("apply");
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("restore_json", n), &n, |b, _| {
-            b.iter(|| {
-                let decoded = Snapshot::from_bytes(json.as_bytes()).expect("decode");
                 twin.apply_snapshot(&decoded).expect("apply");
             })
         });

@@ -124,20 +124,13 @@ impl TenantSnapshot {
         serde::binary::to_bytes(self)
     }
 
-    /// Decodes from either codec, auto-detected like
-    /// [`Snapshot::from_bytes`](crate::snapshot::Snapshot::from_bytes).
+    /// Decodes the binary form [`to_bytes`](Self::to_bytes) writes.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Decode`] when the bytes parse as neither codec.
+    /// [`SnapshotError::Decode`] when the bytes are not that.
     pub fn from_bytes(bytes: &[u8]) -> std::result::Result<Self, SnapshotError> {
-        if bytes.first() == Some(&b'{') {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|e| SnapshotError::Decode(format!("invalid utf-8: {e}")))?;
-            serde::json::from_str(text).map_err(|e| SnapshotError::Decode(e.to_string()))
-        } else {
-            serde::binary::from_bytes(bytes).map_err(|e| SnapshotError::Decode(e.to_string()))
-        }
+        serde::binary::from_bytes(bytes).map_err(|e| SnapshotError::Decode(e.to_string()))
     }
 
     /// The telemetry subjects this tenant owns: its app subject plus one

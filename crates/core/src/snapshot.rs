@@ -15,7 +15,7 @@
 //! same event frames, and the same replay digests as the original. The
 //! harness enforces this for every corpus day (restore from each
 //! embedded checkpoint, replay the remainder, compare against the
-//! uninterrupted run — across both codecs).
+//! uninterrupted run).
 //!
 //! ## What is and is not captured
 //!
@@ -97,8 +97,8 @@ pub struct AppSnapshot {
 ///
 /// Produced by [`Ecovisor::snapshot`] (inside the settlement barrier),
 /// reinstated by [`Ecovisor::apply_snapshot`] or the
-/// [`Ecovisor::restore`] constructor. Serializes through either wire
-/// codec; [`Snapshot::from_bytes`] auto-detects which one wrote it.
+/// [`Ecovisor::restore`] constructor. Its one stored and transmitted
+/// form is binary ([`Snapshot::to_bytes`] / [`Snapshot::from_bytes`]).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Snapshot {
     /// Snapshot layout version ([`SNAPSHOT_FORMAT`]).
@@ -151,25 +151,19 @@ impl Snapshot {
         serde::binary::to_bytes(self)
     }
 
-    /// Encodes as JSON (human-inspectable form).
+    /// Renders as JSON for a human to read. A dump only:
+    /// [`from_bytes`](Self::from_bytes) does not read it back.
     pub fn to_json(&self) -> String {
         serde::json::to_string(self)
     }
 
-    /// Decodes from either codec, auto-detected the same way the
-    /// harness detects artifact codecs: JSON begins with `{`.
+    /// Decodes the binary form [`to_bytes`](Self::to_bytes) writes.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Decode`] when the bytes parse as neither codec.
+    /// [`SnapshotError::Decode`] when the bytes are not that.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.first() == Some(&b'{') {
-            let text = std::str::from_utf8(bytes)
-                .map_err(|e| SnapshotError::Decode(format!("invalid utf-8: {e}")))?;
-            serde::json::from_str(text).map_err(|e| SnapshotError::Decode(e.to_string()))
-        } else {
-            serde::binary::from_bytes(bytes).map_err(|e| SnapshotError::Decode(e.to_string()))
-        }
+        serde::binary::from_bytes(bytes).map_err(|e| SnapshotError::Decode(e.to_string()))
     }
 
     /// Per-app cumulative totals embedded in the snapshot, in id order
@@ -198,7 +192,7 @@ pub enum SnapshotError {
     Environment(String),
     /// The snapshot is internally inconsistent.
     Structure(String),
-    /// The bytes failed to decode as a snapshot in either codec.
+    /// The bytes failed to decode as a binary snapshot.
     Decode(String),
 }
 

@@ -26,7 +26,7 @@
 //! | module    | owns                                                        |
 //! |-----------|-------------------------------------------------------------|
 //! | `framing` | the length-prefix frame format and its bounds               |
-//! | `hello`   | negotiation (wire version, codec) and credentials           |
+//! | `hello`   | the hello exchange (wire version, encoding) and credentials |
 //! | `conn`    | a connection's committed-write queue, backpressure, push    |
 //! | `admin`   | the credential-gated admin requests and the chunk flow      |
 //! | `server`  | bind/harden/spawn, per-frame semantics, the driver's handle |
@@ -48,23 +48,27 @@
 //! before the hello is accepted the bound is the much smaller
 //! [`MAX_HELLO_LEN`]. After the hello, every payload is one
 //! [`Frame`](crate::proto::Frame) (`Request` | `Response` | `Event` |
-//! `Control`), the kind travelling with the message so the server may
-//! speak first.
+//! `Control`) in the **binary** encoding ([`serde::binary`]) — the one
+//! encoding frames are served in — the kind travelling with the message
+//! so the server may speak first.
 //!
-//! ## Hello: version, codec, credential
+//! ## Hello: version, encoding, credential
 //!
 //! The first frame in each direction is a **hello**, always encoded as
-//! JSON so negotiation itself is codec-independent. The client sends a
-//! [`ClientHelloV2`] advertising the wire versions it speaks, its codec
-//! preference, and (optionally) a per-app **credential token**. The
-//! server answers [`ServerHello::Accept`] naming the wire version — there
-//! is exactly one, [`PROTOCOL_VERSION`](crate::proto::PROTOCOL_VERSION) —
-//! and the negotiated codec, or [`ServerHello::Reject`] with a reason,
-//! after which it closes the connection. A hello that does not offer the
-//! served wire version (or is not a `ClientHelloV2` at all, like the
-//! retired v1 hello shape) is rejected that way. The *envelope* `version`
-//! inside each batch is a separate, per-request gate the dispatcher
-//! applies; see `docs/PROTOCOL.md`.
+//! JSON so it can be read before anything has been agreed. The client
+//! sends a [`ClientHelloV2`] advertising the wire versions it speaks, the
+//! frame encodings it accepts, and (optionally) a per-app **credential
+//! token**. The server answers [`ServerHello::Accept`] naming the wire
+//! version — there is exactly one,
+//! [`PROTOCOL_VERSION`](crate::proto::PROTOCOL_VERSION) — and the frame
+//! encoding — also exactly one, [`WireCodec::Binary`] — or
+//! [`ServerHello::Reject`] with a reason, after which it closes the
+//! connection. A hello that does not offer the served wire version or
+//! the served encoding (or is not a `ClientHelloV2` at all, like the
+//! retired v1 hello shape) is rejected that way; both lists exist so a
+//! later version or encoding can be introduced without a flag day. The
+//! *envelope* `version` inside each batch is a separate, per-request gate
+//! the dispatcher applies; see `docs/PROTOCOL.md`.
 //!
 //! The server **pins the connection to the hello's `AppId`**: any later
 //! batch claiming a different app scope is denied with error values
@@ -136,7 +140,7 @@
 //!
 //! ```
 //! use ecovisor::{EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare,
-//!                EventFilter, RemoteEcovisorClient, WireCodec, PROTOCOL_VERSION};
+//!                EventFilter, RemoteEcovisorClient, PROTOCOL_VERSION};
 //! use simkit::units::Watts;
 //!
 //! let mut eco = EcovisorBuilder::new().build();
@@ -146,7 +150,6 @@
 //! let handle = server.spawn().unwrap();
 //!
 //! let mut api = RemoteEcovisorClient::connect(handle.addr(), app).unwrap();
-//! assert_eq!(api.codec(), WireCodec::Binary);       // negotiated in the hello
 //! assert_eq!(api.version(), PROTOCOL_VERSION);      // the one served wire version
 //! api.subscribe_events(EventFilter::all()).unwrap();
 //! assert_eq!(api.get_grid_power(), Watts::ZERO);
@@ -176,22 +179,26 @@ pub use framing::{MAX_FRAME_LEN, MAX_HELLO_LEN};
 pub use hello::{ClientHelloV2, CredentialRegistry, ServerHello};
 pub use server::{EcovisorServer, ServerHandle, ServerStats, SharedEcovisor};
 
-/// A wire encoding for protocol payloads, negotiated per connection.
+/// A byte encoding for protocol values. Both encode and decode any
+/// protocol value; they differ in where they are used. Frames on a served
+/// connection are always [`Binary`](WireCodec::Binary); the hello
+/// exchange is always [`Json`](WireCodec::Json); values at rest (harness
+/// artifact files, debug dumps) may be either. A [`ClientHelloV2`] lists
+/// the frame encodings its sender accepts by these names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WireCodec {
-    /// Human-readable JSON ([`serde::json`]).
+    /// Human-readable JSON ([`serde::json`]): the hello and readable
+    /// files.
     Json,
-    /// Compact tag-byte + varint encoding ([`serde::binary`]).
+    /// Compact tag-byte + varint encoding ([`serde::binary`]): every
+    /// served frame, every admin payload, compact files.
     Binary,
 }
 
-impl WireCodec {
-    /// Every codec this build speaks, in default preference order
-    /// (binary first: it is the fast path the negotiation exists for).
-    pub fn preferred() -> Vec<WireCodec> {
-        vec![WireCodec::Binary, WireCodec::Json]
-    }
+/// The one encoding frames are served in after the hello.
+const SERVED_CODEC: WireCodec = WireCodec::Binary;
 
+impl WireCodec {
     /// Encodes a value in this codec's byte form.
     pub fn encode<T: Serialize>(&self, t: &T) -> Vec<u8> {
         match self {
@@ -235,7 +242,7 @@ mod tests {
                 },
             ],
         );
-        for codec in WireCodec::preferred() {
+        for codec in [WireCodec::Json, WireCodec::Binary] {
             let back: RequestBatch = codec.decode(&codec.encode(&batch)).expect("decode");
             assert_eq!(back, batch, "{codec:?}");
         }
@@ -246,7 +253,7 @@ mod tests {
             tick: 42,
             events: vec![Notification::BatteryFull],
         });
-        for codec in WireCodec::preferred() {
+        for codec in [WireCodec::Json, WireCodec::Binary] {
             let back: Frame = codec.decode(&codec.encode(&frame)).expect("decode");
             assert_eq!(back, frame, "{codec:?}");
         }

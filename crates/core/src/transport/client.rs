@@ -9,7 +9,7 @@ use container_cop::AppId;
 use super::admin::{chunk_at, Reassembler};
 use super::framing::{read_frame, read_frame_into, write_frame};
 use super::hello::{ClientHelloV2, ServerHello};
-use super::WireCodec;
+use super::{WireCodec, SERVED_CODEC};
 use crate::client::{EnergyClient, EventHandler};
 use crate::event::Notification;
 use crate::federation::{FedAppView, TenantSnapshot};
@@ -37,7 +37,6 @@ use crate::snapshot::Snapshot;
 /// a scope denial.
 pub struct RemoteEcovisorClient {
     stream: TcpStream,
-    codec: WireCodec,
     app: AppId,
     queue: Vec<EnergyRequest>,
     broken: bool,
@@ -51,7 +50,6 @@ impl std::fmt::Debug for RemoteEcovisorClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteEcovisorClient")
             .field("app", &self.app)
-            .field("codec", &self.codec)
             .field("queued", &self.queue.len())
             .field("inbox", &self.inbox.len())
             .finish_non_exhaustive()
@@ -67,27 +65,13 @@ fn not_connected() -> io::Error {
 }
 
 impl RemoteEcovisorClient {
-    /// Connects and negotiates, preferring the binary codec with JSON
-    /// fallback.
+    /// Connects without a credential (a server in trusted-network mode).
     ///
     /// # Errors
     ///
     /// On connection failure or a rejected hello.
     pub fn connect(addr: impl ToSocketAddrs, app: AppId) -> io::Result<Self> {
-        Self::connect_full(addr, app, WireCodec::preferred(), None)
-    }
-
-    /// Connects offering an explicit codec preference list.
-    ///
-    /// # Errors
-    ///
-    /// On connection failure, a rejected hello, or an empty codec list.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        app: AppId,
-        codecs: Vec<WireCodec>,
-    ) -> io::Result<Self> {
-        Self::connect_full(addr, app, codecs, None)
+        Self::connect_full(addr, app, None)
     }
 
     /// Connects presenting `credential` as the app's token — required
@@ -103,25 +87,24 @@ impl RemoteEcovisorClient {
         app: AppId,
         credential: impl Into<String>,
     ) -> io::Result<Self> {
-        Self::connect_full(addr, app, WireCodec::preferred(), Some(credential.into()))
+        Self::connect_full(addr, app, Some(credential.into()))
     }
 
-    /// The full-control connect: explicit codec list and optional
-    /// credential.
+    /// Connects with an optional credential, for callers that hold the
+    /// token as data (a server may or may not demand one).
     ///
     /// # Errors
     ///
     /// On connection failure, a rejected hello (surfaced as
     /// [`io::ErrorKind::ConnectionRefused`] carrying the server's
-    /// reason), or a server that accepted a wire version this client
-    /// does not speak.
+    /// reason), or a server that accepted a wire version or frame
+    /// encoding this client did not offer.
     pub fn connect_full(
         addr: impl ToSocketAddrs,
         app: AppId,
-        codecs: Vec<WireCodec>,
         credential: Option<String>,
     ) -> io::Result<Self> {
-        let hello = ClientHelloV2::new(app, codecs, credential);
+        let hello = ClientHelloV2::new(app, vec![SERVED_CODEC], credential);
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         write_frame(&mut stream, &WireCodec::Json.encode(&hello))?;
@@ -135,9 +118,11 @@ impl RemoteEcovisorClient {
             .decode(&reply)
             .map_err(|e| invalid_data(format!("bad hello: {e}")))?;
         match reply {
-            ServerHello::Accept { version, codec } if version == PROTOCOL_VERSION => Ok(Self {
+            ServerHello::Accept {
+                version: PROTOCOL_VERSION,
+                codec: SERVED_CODEC,
+            } => Ok(Self {
                 stream,
-                codec,
                 app,
                 queue: Vec::new(),
                 broken: false,
@@ -145,18 +130,14 @@ impl RemoteEcovisorClient {
                 handler: None,
                 rbuf: Vec::new(),
             }),
-            ServerHello::Accept { version, .. } => Err(invalid_data(format!(
-                "server accepted v{version}, which this client never offered"
+            // Reading on would mis-decode every frame that follows.
+            ServerHello::Accept { version, codec } => Err(invalid_data(format!(
+                "server accepted wire v{version} in {codec:?} frames, which this client never offered"
             ))),
             ServerHello::Reject { reason } => {
                 Err(io::Error::new(io::ErrorKind::ConnectionRefused, reason))
             }
         }
-    }
-
-    /// The codec this connection negotiated.
-    pub fn codec(&self) -> WireCodec {
-        self.codec
     }
 
     /// The wire version this connection speaks — [`PROTOCOL_VERSION`],
@@ -226,12 +207,11 @@ impl RemoteEcovisorClient {
             let len = read_frame_into(&mut self.stream, &mut self.rbuf)?.ok_or_else(|| {
                 io::Error::new(io::ErrorKind::ConnectionAborted, "server closed connection")
             })?;
-            let frame: Frame = self
-                .codec
+            let frame: Frame = SERVED_CODEC
                 .decode(&self.rbuf[..len])
                 .map_err(|e| invalid_data(e.to_string()))?;
             if let Frame::Control(ControlFrame::Ping) = frame {
-                let payload = self.codec.encode(&Frame::Control(ControlFrame::Pong));
+                let payload = SERVED_CODEC.encode(&Frame::Control(ControlFrame::Pong));
                 write_frame(&mut self.stream, &payload)?;
                 continue;
             }
@@ -243,7 +223,7 @@ impl RemoteEcovisorClient {
     /// pushed event frames interleave and are buffered in order (handler
     /// first, inbox second).
     fn round_trip(&mut self, batch: &RequestBatch) -> io::Result<ResponseBatch> {
-        let payload = self.codec.encode(&Frame::Request(batch.clone()));
+        let payload = SERVED_CODEC.encode(&Frame::Request(batch.clone()));
         write_frame(&mut self.stream, &payload)?;
         loop {
             match self.next_frame()? {

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use container_cop::AppId;
 
 use super::framing::{append_frame, DRAIN_RETAIN_BYTES};
-use super::WireCodec;
+use super::SERVED_CODEC;
 use crate::ecovisor::Ecovisor;
 use crate::event::{EventFilter, Notification, OutboxPolicy};
 use crate::proto::{EventFrame, Frame, PROTOCOL_VERSION};
@@ -33,7 +33,6 @@ pub(super) type Registry = Mutex<Vec<Arc<ConnShared>>>;
 /// `try_clone` per connection would double the process's fd bill).
 pub(super) struct ConnShared {
     pub(super) app: AppId,
-    pub(super) codec: WireCodec,
     pub(super) writer: Mutex<Arc<TcpStream>>,
     /// `Some(filter)` once the connection subscribed to event push.
     pub(super) filter: Mutex<Option<EventFilter>>,
@@ -168,14 +167,12 @@ fn write_committed(mut writer: &TcpStream, pending: &mut PendingWrites) -> io::R
 impl ConnShared {
     pub(super) fn new(
         app: AppId,
-        codec: WireCodec,
         stream: Arc<TcpStream>,
         notify: WriteNotify,
         obs: Option<Arc<crate::obs::ObsHub>>,
     ) -> ConnShared {
         ConnShared {
             app,
-            codec,
             writer: Mutex::new(stream),
             filter: Mutex::new(None),
             pending: Mutex::new(PendingWrites::default()),
@@ -211,7 +208,7 @@ impl ConnShared {
             tick: pending.parked_tick,
             events: std::mem::take(&mut pending.parked),
         };
-        self.commit(pending, &self.codec.encode(&Frame::Event(frame)))?;
+        self.commit(pending, &SERVED_CODEC.encode(&Frame::Event(frame)))?;
         write_committed(&writer, pending)
     }
 
@@ -279,7 +276,7 @@ impl ConnShared {
             }
             if self.flush(&mut pending)? {
                 // Backlog clear: commit this frame to the wire order.
-                self.commit(&mut pending, &self.codec.encode(&Frame::Event(frame)))?;
+                self.commit(&mut pending, &SERVED_CODEC.encode(&Frame::Event(frame)))?;
                 self.flush(&mut pending)?;
             } else {
                 // Socket still full: park the notifications under the
@@ -401,7 +398,6 @@ mod tests {
         };
         let conn = Arc::new(ConnShared::new(
             AppId::new(1),
-            WireCodec::Binary,
             Arc::new(server_side),
             notify,
             None,
@@ -486,7 +482,7 @@ mod tests {
             let payload = read_frame(&mut subscriber)
                 .expect("subscriber read")
                 .expect("stream stayed open");
-            match WireCodec::Binary.decode::<Frame>(&payload).expect("frame") {
+            match SERVED_CODEC.decode::<Frame>(&payload).expect("frame") {
                 Frame::Event(f) => drained.push(f),
                 other => panic!("unexpected frame: {other:?}"),
             }

@@ -81,7 +81,7 @@ const EVENTS_CAPACITY: usize = 1024;
 enum Phase {
     /// Awaiting the hello frame.
     Hello,
-    /// Negotiated; inbound frames go to the worker pool.
+    /// Hello accepted; inbound frames go to the worker pool.
     Serving(Arc<ConnWork>),
     /// A hello reject is draining; close once it is fully written.
     Draining { out: Vec<u8>, written: usize },
@@ -102,7 +102,7 @@ struct EvConn {
 }
 
 /// The worker-facing half of a served connection: the shared writer
-/// (which carries the negotiated app and codec) and the inbox of complete
+/// (which carries the pinned app) and the inbox of complete
 /// frames the reactor has carved out.
 pub(super) struct ConnWork {
     shared: Arc<ConnShared>,
@@ -374,10 +374,9 @@ fn begin_serving(
     hello: &[u8],
 ) -> bool {
     match evaluate_hello(&ctx.creds, hello) {
-        HelloOutcome::Accept { app, codec, reply } => {
+        HelloOutcome::Accept { app, reply } => {
             let shared = Arc::new(ConnShared::new(
                 app,
-                codec,
                 Arc::clone(&conn.stream),
                 WriteNotify {
                     token,

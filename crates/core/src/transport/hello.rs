@@ -1,5 +1,6 @@
-//! The hello exchange: what a connection negotiates (wire version,
-//! codec) and proves (its app's credential) before any batch is served.
+//! The hello exchange: what a connection must offer (the served wire
+//! version and frame encoding) and prove (its app's credential) before
+//! any batch is served.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -7,12 +8,12 @@ use std::sync::Mutex;
 use container_cop::AppId;
 use serde::{Deserialize, Serialize};
 
-use super::WireCodec;
+use super::{WireCodec, SERVED_CODEC};
 use crate::proto::PROTOCOL_VERSION;
 
 /// First frame of a connection, client → server (always JSON):
-/// advertises every wire version the client speaks, its codec
-/// preference, and optionally the per-app credential token a hardened
+/// advertises every wire version the client speaks, every frame encoding
+/// it accepts, and optionally the per-app credential token a hardened
 /// server requires.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClientHelloV2 {
@@ -24,7 +25,8 @@ pub struct ClientHelloV2 {
     /// same `app`. Client-asserted unless the server carries a
     /// [`CredentialRegistry`], which verifies the claim before serving.
     pub app: AppId,
-    /// Codecs the client accepts, in preference order.
+    /// Frame encodings the client accepts. The server serves exactly
+    /// one — [`WireCodec::Binary`] — and rejects a list without it.
     pub codecs: Vec<WireCodec>,
     /// Per-app credential token, when the server demands one. Verified
     /// constant-time against the server's [`CredentialRegistry`] before
@@ -50,9 +52,11 @@ pub enum ServerHello {
     /// The connection is open; all further frames use `codec` and the
     /// wire speaks `version`.
     Accept {
-        /// The negotiated wire version for this connection.
+        /// The wire version of this connection (always
+        /// [`PROTOCOL_VERSION`]).
         version: u16,
-        /// The negotiated codec.
+        /// The frame encoding of this connection (always
+        /// [`WireCodec::Binary`]).
         codec: WireCodec,
     },
     /// The connection is refused; the server closes after this frame.
@@ -123,20 +127,16 @@ impl CredentialRegistry {
 /// The verdict on a hello frame, with the (always-JSON) reply payload to
 /// put on the wire.
 pub(super) enum HelloOutcome {
-    /// Send `reply` (an accept), then serve `app` in `codec`.
-    Accept {
-        app: AppId,
-        codec: WireCodec,
-        reply: Vec<u8>,
-    },
+    /// Send `reply` (an accept), then serve `app`.
+    Accept { app: AppId, reply: Vec<u8> },
     /// Send `reply` (a reject), then close.
     Reject(Vec<u8>),
 }
 
 /// Evaluates a hello frame's bytes: wire version, credential gate (when
 /// the server carries a registry — read under its lock at that step
-/// only, so a token rotation never waits on a hello being parsed), codec
-/// pick.
+/// only, so a token rotation never waits on a hello being parsed), frame
+/// encoding.
 pub(super) fn evaluate_hello(
     creds: &Mutex<Option<CredentialRegistry>>,
     hello_bytes: &[u8],
@@ -168,22 +168,16 @@ pub(super) fn evaluate_hello(
         }
     }
 
-    let Some(codec) = hello
-        .codecs
-        .iter()
-        .find(|c| WireCodec::preferred().contains(c))
-        .copied()
-    else {
+    if !hello.codecs.contains(&SERVED_CODEC) {
         return reject("no common codec".into());
-    };
+    }
 
     let accept = ServerHello::Accept {
         version: PROTOCOL_VERSION,
-        codec,
+        codec: SERVED_CODEC,
     };
     HelloOutcome::Accept {
         app: hello.app,
-        codec,
         reply: WireCodec::Json.encode(&accept),
     }
 }
@@ -196,7 +190,7 @@ mod tests {
     fn hello_types_round_trip_in_json() {
         let hello = ClientHelloV2::new(
             AppId::new(3),
-            WireCodec::preferred(),
+            vec![WireCodec::Binary, WireCodec::Json],
             Some("tenant-token".into()),
         );
         assert_eq!(hello.versions, vec![PROTOCOL_VERSION]);
@@ -225,7 +219,7 @@ mod tests {
         let verdict = |versions: Vec<u16>| {
             let hello = ClientHelloV2 {
                 versions,
-                ..ClientHelloV2::new(AppId::new(1), vec![WireCodec::Json], None)
+                ..ClientHelloV2::new(AppId::new(1), vec![WireCodec::Binary], None)
             };
             match evaluate_hello(&Mutex::new(None), &WireCodec::Json.encode(&hello)) {
                 HelloOutcome::Accept { reply, .. } | HelloOutcome::Reject(reply) => WireCodec::Json
@@ -235,7 +229,7 @@ mod tests {
         };
         let accept = ServerHello::Accept {
             version: PROTOCOL_VERSION,
-            codec: WireCodec::Json,
+            codec: WireCodec::Binary,
         };
         assert_eq!(verdict(vec![PROTOCOL_VERSION]), accept);
         assert_eq!(verdict(vec![1, PROTOCOL_VERSION, 9]), accept);

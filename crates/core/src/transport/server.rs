@@ -16,6 +16,7 @@ use super::admin::{serve_admin, AdminState};
 use super::conn::{broadcast_events, ConnShared, Registry};
 use super::evented;
 use super::hello::CredentialRegistry;
+use super::SERVED_CODEC;
 use crate::ecovisor::Ecovisor;
 use crate::proto::{
     ControlFrame, EnergyRequest, EnergyResponse, Frame, ProtoError, RequestBatch, ResponseBatch,
@@ -99,7 +100,7 @@ pub(super) fn process_payload(
     admin: &mut AdminState,
     payload: &[u8],
 ) -> Served {
-    match conn.codec.decode::<Frame>(payload) {
+    match SERVED_CODEC.decode::<Frame>(payload) {
         Ok(Frame::Request(batch)) => {
             // Scope pinning: a remote peer is untrusted, so a batch
             // claiming a different app than the hello pinned is a spoof
@@ -141,10 +142,10 @@ pub(super) fn process_payload(
                 }
                 response
             };
-            Served::Reply(conn.codec.encode(&Frame::Response(response)))
+            Served::Reply(SERVED_CODEC.encode(&Frame::Response(response)))
         }
         Ok(Frame::Control(ControlFrame::Ping)) => {
-            Served::Reply(conn.codec.encode(&Frame::Control(ControlFrame::Pong)))
+            Served::Reply(SERVED_CODEC.encode(&Frame::Control(ControlFrame::Pong)))
         }
         Ok(Frame::Control(ControlFrame::Pong)) => Served::Quiet,
         // Response/Event are server-direction frames; a client sending

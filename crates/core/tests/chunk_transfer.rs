@@ -7,7 +7,8 @@
 //! either server, and leaves the connection serving; the well-formed
 //! transfer that follows on the same connections succeeds. Both
 //! payloads are larger than `SNAPSHOT_CHUNK_LEN`, so the multi-chunk
-//! path is what is being exercised. (The size ceiling is the one rule
+//! path is what is being exercised. A payload is binary: the JSON
+//! rendering of the same state is one more malformed input. (The size ceiling is the one rule
 //! checked below the wire, in the reassembler's unit test: reaching it
 //! through the codec would mean pushing 256 MiB per pair.)
 
@@ -85,6 +86,20 @@ impl Transfer {
             Transfer::SnapshotRestore => eco.snapshot().digest(),
             Transfer::Migration => tenant.digest(),
         })
+    }
+
+    /// What `node` would transfer, rendered as JSON: readable, well
+    /// formed, and not a payload.
+    fn json(self, node: &ServerHandle, wanderer: AppId) -> Vec<u8> {
+        let eco = node.ecovisor();
+        let text = match self {
+            Transfer::SnapshotRestore => eco.snapshot().to_json(),
+            Transfer::Migration => {
+                serde::json::to_string(&eco.extract_app(wanderer).expect("capture"))
+            }
+        };
+        assert!(text.starts_with('{') && serde::json::parse(&text).is_ok());
+        text.into_bytes()
     }
 }
 
@@ -211,6 +226,11 @@ fn check(transfer: Transfer) {
             "tampered final chunk",
             (0..total - 1).map(|i| (i, total)).collect(),
             transfer.inn(total - 1, total, garbage),
+        ),
+        (
+            "JSON rendering of the payload",
+            vec![],
+            transfer.inn(0, 1, transfer.json(&src, wanderer)),
         ),
     ];
     for (case, accepted, refused) in cases {

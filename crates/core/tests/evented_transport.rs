@@ -65,11 +65,12 @@ fn recv_frame(stream: &mut TcpStream) -> Option<Vec<u8>> {
     Some(buf)
 }
 
-/// Raw v2 handshake over JSON, returning the connected stream.
+/// Raw v2 handshake (the hello is JSON, every later frame binary),
+/// returning the connected stream.
 fn raw_v2_connect(addr: std::net::SocketAddr, app: ecovisor::AppId) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
-    let hello = ClientHelloV2::new(app, vec![WireCodec::Json], None);
+    let hello = ClientHelloV2::new(app, vec![WireCodec::Binary], None);
     send_frame(&mut stream, &WireCodec::Json.encode(&hello));
     let reply = recv_frame(&mut stream).expect("hello reply");
     match WireCodec::Json
@@ -78,7 +79,7 @@ fn raw_v2_connect(addr: std::net::SocketAddr, app: ecovisor::AppId) -> TcpStream
     {
         ServerHello::Accept { version, codec } => {
             assert_eq!(version, PROTOCOL_VERSION);
-            assert_eq!(codec, WireCodec::Json);
+            assert_eq!(codec, WireCodec::Binary);
         }
         ServerHello::Reject { reason } => panic!("hello rejected: {reason}"),
     }
@@ -119,7 +120,7 @@ fn reconnect_storm_with_adversarial_peers() {
             // Drop mid-frame: negotiate for real, then truncate a frame.
             2 => {
                 let mut s = TcpStream::connect(addr).expect("connect");
-                let hello = ClientHelloV2::new(app, vec![WireCodec::Json], None);
+                let hello = ClientHelloV2::new(app, vec![WireCodec::Binary], None);
                 send_frame(&mut s, &WireCodec::Json.encode(&hello));
                 let reply = recv_frame(&mut s).expect("hello reply");
                 assert!(matches!(
@@ -224,7 +225,7 @@ fn frames_split_across_many_writes_are_reassembled() {
     };
 
     // The hello, three bytes at a time.
-    let hello = ClientHelloV2::new(app, vec![WireCodec::Json], None);
+    let hello = ClientHelloV2::new(app, vec![WireCodec::Binary], None);
     let payload = WireCodec::Json.encode(&hello);
     let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
     wire.extend_from_slice(&payload);
@@ -241,7 +242,7 @@ fn frames_split_across_many_writes_are_reassembled() {
         app,
         vec![EnergyRequest::GetGridPower, EnergyRequest::GetSolarPower],
     );
-    let payload = WireCodec::Json.encode(&Frame::Request(batch));
+    let payload = WireCodec::Binary.encode(&Frame::Request(batch));
     let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
     wire.extend_from_slice(&payload);
     let copy = wire.clone();
@@ -250,7 +251,7 @@ fn frames_split_across_many_writes_are_reassembled() {
 
     for _ in 0..2 {
         let reply = recv_frame(&mut stream).expect("response frame");
-        match WireCodec::Json.decode::<Frame>(&reply).expect("frame") {
+        match WireCodec::Binary.decode::<Frame>(&reply).expect("frame") {
             Frame::Response(resp) => {
                 assert_eq!(resp.responses.len(), 2, "one response per request");
             }
@@ -405,7 +406,7 @@ fn slow_subscriber_parks_under_outbox_policy_and_recovers() {
         driver.set_container_demand(c, 1.0).expect("demand");
     }
 
-    // The slow subscriber: raw v2/JSON connection so the test controls
+    // The slow subscriber: raw v2 connection so the test controls
     // exactly when the socket is drained.
     let mut slow = raw_v2_connect(addr, app);
     let sub = RequestBatch::new(
@@ -414,10 +415,10 @@ fn slow_subscriber_parks_under_outbox_policy_and_recovers() {
             filter: EventFilter::all(),
         }],
     );
-    send_frame(&mut slow, &WireCodec::Json.encode(&Frame::Request(sub)));
+    send_frame(&mut slow, &WireCodec::Binary.encode(&Frame::Request(sub)));
     let reply = recv_frame(&mut slow).expect("subscribe ack");
     assert!(matches!(
-        WireCodec::Json.decode::<Frame>(&reply),
+        WireCodec::Binary.decode::<Frame>(&reply),
         Ok(Frame::Response(_))
     ));
 
@@ -426,7 +427,7 @@ fn slow_subscriber_parks_under_outbox_policy_and_recovers() {
     // Responses ride the same per-connection queue as event pushes, so
     // this deterministically creates backpressure.
     let filler = RequestBatch::new(app, vec![EnergyRequest::GetGridPower; 4000]);
-    let filler_payload = WireCodec::Json.encode(&Frame::Request(filler));
+    let filler_payload = WireCodec::Binary.encode(&Frame::Request(filler));
     let mut filler_batches = 0usize;
     while filler_batches < 256 {
         send_frame(&mut slow, &filler_payload);
@@ -495,7 +496,7 @@ fn slow_subscriber_parks_under_outbox_policy_and_recovers() {
     let mut recovered = false;
     while !(recovered && responses == filler_batches) {
         let payload = recv_frame(&mut slow).expect("backlog frame");
-        match WireCodec::Json.decode::<Frame>(&payload).expect("frame") {
+        match WireCodec::Binary.decode::<Frame>(&payload).expect("frame") {
             Frame::Response(resp) => {
                 assert_eq!(resp.responses.len(), 4000, "filler responses intact");
                 responses += 1;

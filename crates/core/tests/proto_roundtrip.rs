@@ -444,8 +444,8 @@ fn recorded_traffic_replays_onto_a_twin() {
 }
 
 // ----------------------------------------------------------------------
-// Binary wire form: every payload the JSON tests cover must round-trip
-// the compact codec too, since the transport negotiates either.
+// Binary form: every payload the JSON tests cover must round-trip the
+// compact encoding too — it is the one every served frame uses.
 // ----------------------------------------------------------------------
 
 #[test]
@@ -490,8 +490,8 @@ fn traces_round_trip_identically_in_both_codecs() {
 
 // ----------------------------------------------------------------------
 // Remote transport round trip: a server on an ephemeral loopback port, a
-// multi-tenant scenario driven through RemoteEcovisorClient in both
-// codecs, and the recorded trace replayed onto a local twin.
+// multi-tenant scenario driven through RemoteEcovisorClient, and the
+// recorded trace (stored in either encoding) replayed onto a local twin.
 // ----------------------------------------------------------------------
 
 mod transport {
@@ -516,7 +516,6 @@ mod transport {
     /// Drives two tenants through remote clients for `ticks` ticks and
     /// returns their cumulative totals plus the recorded trace.
     fn drive_remote(
-        codec: WireCodec,
         ticks: u64,
     ) -> (
         ecovisor::VesTotals,
@@ -530,15 +529,8 @@ mod transport {
         let shared = handle.ecovisor();
 
         {
-            let mut client_a = RemoteEcovisorClient::connect_with(handle.addr(), a, vec![codec])
-                .expect("connect a");
+            let mut client_a = RemoteEcovisorClient::connect(handle.addr(), a).expect("connect a");
             let mut client_b = RemoteEcovisorClient::connect(handle.addr(), b).expect("connect b");
-            assert_eq!(client_a.codec(), codec);
-            assert_eq!(
-                client_b.codec(),
-                WireCodec::Binary,
-                "default negotiation prefers binary"
-            );
 
             // Tenant A: one saturated container + queued setters.
             let ca = client_a
@@ -583,15 +575,15 @@ mod transport {
 
     #[test]
     fn remote_multi_tenant_run_replays_onto_a_local_twin() {
-        for codec in [WireCodec::Binary, WireCodec::Json] {
-            let ticks = 6;
-            let (ta, tb, trace) = drive_remote(codec, ticks);
-            assert!(trace.request_count() > 0, "trace captured traffic");
-            // (Carbon stays zero: the full virtual battery carries the
-            // load. Energy proves real flows settled.)
-            assert!(ta.energy > WattHours::ZERO, "tenant A settled real flows");
+        let ticks = 6;
+        let (ta, tb, trace) = drive_remote(ticks);
+        assert!(trace.request_count() > 0, "trace captured traffic");
+        // (Carbon stays zero: the full virtual battery carries the
+        // load. Energy proves real flows settled.)
+        assert!(ta.energy > WattHours::ZERO, "tenant A settled real flows");
 
-            // Cross the wire in the codec under test, bit-for-bit.
+        for codec in [WireCodec::Binary, WireCodec::Json] {
+            // Store the trace in the encoding under test, bit-for-bit.
             let wire = codec.encode(&trace);
             let parsed: ecovisor::ProtocolTrace = codec.decode(&wire).expect("parse");
             assert_eq!(parsed, trace);
@@ -620,14 +612,6 @@ mod transport {
     }
 
     #[test]
-    fn both_codecs_settle_identical_state() {
-        let (ta_bin, tb_bin, _) = drive_remote(WireCodec::Binary, 5);
-        let (ta_json, tb_json, _) = drive_remote(WireCodec::Json, 5);
-        assert_eq!(ta_bin, ta_json, "codec choice must not change physics");
-        assert_eq!(tb_bin, tb_json);
-    }
-
-    #[test]
     fn version_mismatch_is_rejected_at_hello() {
         use ecovisor::proto::PROTOCOL_VERSION;
         use ecovisor::{ClientHelloV2, ServerHello};
@@ -641,7 +625,7 @@ mod transport {
         let mut stream = std::net::TcpStream::connect(addr).expect("connect");
         let hello = ClientHelloV2 {
             versions: vec![PROTOCOL_VERSION + 1],
-            ..ClientHelloV2::new(AppId::new(1), WireCodec::preferred(), None)
+            ..ClientHelloV2::new(AppId::new(1), vec![WireCodec::Binary], None)
         };
         let payload = WireCodec::Json.encode(&hello);
         stream
@@ -657,9 +641,6 @@ mod transport {
             matches!(reply, ServerHello::Reject { ref reason } if reason.contains("version")),
             "expected version reject, got {reply:?}"
         );
-        // The connect helper surfaces the same rejection as an error.
-        let err = RemoteEcovisorClient::connect_with(addr, AppId::new(1), vec![]);
-        assert!(err.is_err(), "no common codec must fail connect");
         handle.shutdown();
     }
 

@@ -33,6 +33,26 @@ use simkit::units::{Co2Grams, WattHours, Watts};
 
 const TICKS: u64 = 48; // a simulated day at 30-minute ticks
 
+/// `payloads` as length-prefixed frames, back to back.
+fn raw_frames<'a>(payloads: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for payload in payloads {
+        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wire.extend_from_slice(payload);
+    }
+    wire
+}
+
+/// Reads one length-prefixed frame off a raw socket.
+fn read_raw_frame(stream: &mut std::net::TcpStream) -> Vec<u8> {
+    use std::io::Read;
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).expect("frame length");
+    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut payload).expect("frame payload");
+    payload
+}
+
 /// Tenant A runs four containers: at full demand their draw outweighs
 /// A's solar share on overcast ticks, so discharge phases reach the
 /// battery's empty floor.
@@ -313,12 +333,15 @@ fn unsubscribed_remote_poll_matches_local_drain_twin() {
     );
 }
 
-/// The v1 connection wire is gone, and its absence is specified: a hello
-/// that does not offer the served wire version — the retired v1 hello
-/// shape, or a `ClientHelloV2` listing only v1 — is answered with
-/// `ServerHello::Reject` and a reason, then the socket reads EOF. A bare
-/// v1 batch sent right behind the hello is never dispatched, and the
-/// server's resource counters return to all-zero.
+/// One wire version and one frame encoding are served, and what a hello
+/// offering neither gets is specified: the retired v1 hello shape, a
+/// `ClientHelloV2` listing only v1, and a `ClientHelloV2` whose `codecs`
+/// is `[Json]` or empty are each answered with `ServerHello::Reject` and
+/// a reason naming what was missing, then the socket reads EOF. A batch
+/// sent right behind the hello is never dispatched, and the server's
+/// resource counters return to all-zero. A hello whose list contains
+/// `Binary` — alone or next to `Json`, in either order — is accepted, and
+/// the accept always names `Binary`.
 #[test]
 fn hellos_not_offering_the_served_wire_are_rejected_and_leave_no_trace() {
     use std::io::{Read, Write};
@@ -337,36 +360,41 @@ fn hellos_not_offering_the_served_wire_are_rejected_and_leave_no_trace() {
     .into_bytes();
     let v1_only = WireCodec::Json.encode(&ClientHelloV2 {
         versions: vec![PROTOCOL_V1],
-        ..ClientHelloV2::new(a, vec![WireCodec::Json], None)
+        ..ClientHelloV2::new(a, vec![WireCodec::Binary], None)
     });
-    // What a v1 client would have sent next: a bare, un-framed batch.
+    let offering = |codecs| WireCodec::Json.encode(&ClientHelloV2::new(a, codecs, None));
+    // What such a client would have sent next: a batch in the encoding
+    // it believed it had (v1: bare, un-framed).
     let bare_batch = WireCodec::Json.encode(&RequestBatch {
         version: PROTOCOL_V1,
         app: a,
         requests: vec![EnergyRequest::GetGridPower],
     });
-
-    for (what, hello) in [
-        ("v1-shaped hello", v1_shaped),
-        ("v2 hello offering [1]", v1_only),
-    ] {
+    // Sends `hello` (and `then` right behind it) and reads the reply. One
+    // write carries both frames: the server closes as soon as it has
+    // rejected the hello, and a second write would race that close.
+    let exchange = |hello: &[u8], then: Option<&[u8]>| {
         let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
-        for payload in [&hello, &bare_batch] {
-            raw.write_all(&(payload.len() as u32).to_le_bytes())
-                .unwrap();
-            raw.write_all(payload).unwrap();
-        }
-        let mut len = [0u8; 4];
-        raw.read_exact(&mut len).expect("reply length");
-        let mut reply = vec![0u8; u32::from_le_bytes(len) as usize];
-        raw.read_exact(&mut reply).expect("reply payload");
-        match WireCodec::Json
-            .decode::<ServerHello>(&reply)
-            .expect("hello")
-        {
-            ServerHello::Reject { reason } => {
-                assert!(!reason.is_empty(), "{what}: a reject carries its reason")
-            }
+        raw.write_all(&raw_frames(std::iter::once(hello).chain(then)))
+            .expect("send");
+        let reply = WireCodec::Json
+            .decode::<ServerHello>(&read_raw_frame(&mut raw))
+            .expect("hello");
+        (raw, reply)
+    };
+
+    for (what, hello, names) in [
+        ("v1-shaped hello", v1_shaped, ""),
+        ("v2 hello offering [1]", v1_only, "version"),
+        ("codecs: [Json]", offering(vec![WireCodec::Json]), "codec"),
+        ("codecs: []", offering(vec![]), "codec"),
+    ] {
+        let (mut raw, reply) = exchange(&hello, Some(&bare_batch));
+        match reply {
+            ServerHello::Reject { reason } => assert!(
+                !reason.is_empty() && reason.contains(names),
+                "{what}: a reject names what was missing, got {reason:?}"
+            ),
             accept => panic!("{what}: must be rejected, got {accept:?}"),
         }
         let mut rest = Vec::new();
@@ -374,6 +402,22 @@ fn hellos_not_offering_the_served_wire_are_rejected_and_leave_no_trace() {
             raw.read_to_end(&mut rest).expect("EOF after the reject"),
             0,
             "{what}: nothing follows the reject"
+        );
+    }
+
+    for codecs in [
+        vec![WireCodec::Binary],
+        vec![WireCodec::Json, WireCodec::Binary],
+        vec![WireCodec::Binary, WireCodec::Json],
+    ] {
+        let (_raw, reply) = exchange(&offering(codecs.clone()), None);
+        assert_eq!(
+            reply,
+            ServerHello::Accept {
+                version: 2,
+                codec: WireCodec::Binary
+            },
+            "offered {codecs:?}"
         );
     }
 
@@ -396,6 +440,44 @@ fn hellos_not_offering_the_served_wire_are_rejected_and_leave_no_trace() {
         0,
         "no rejected peer reached dispatch"
     );
+}
+
+/// The client checks the accept against what it offered: a server that
+/// names another frame encoding (or wire version) is a connect error,
+/// not a stream the client goes on to mis-decode.
+#[test]
+fn an_accept_naming_what_the_client_did_not_offer_is_a_connect_error() {
+    use std::io::Write;
+
+    for accept in [
+        ServerHello::Accept {
+            version: PROTOCOL_VERSION,
+            codec: WireCodec::Json,
+        },
+        ServerHello::Accept {
+            version: PROTOCOL_VERSION + 1,
+            codec: WireCodec::Binary,
+        },
+    ] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let reply = WireCodec::Json.encode(&accept);
+        let impostor = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().expect("accept");
+            let hello = read_raw_frame(&mut peer);
+            peer.write_all(&raw_frames([reply.as_slice()]))
+                .expect("reply");
+            WireCodec::Json
+                .decode::<ClientHelloV2>(&hello)
+                .expect("the client's hello is JSON")
+        });
+        let err = RemoteEcovisorClient::connect(addr, AppId::new(1))
+            .expect_err("an unoffered accept must not connect");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{accept:?}");
+        let hello = impostor.join().expect("impostor");
+        assert_eq!(hello.versions, vec![PROTOCOL_VERSION]);
+        assert_eq!(hello.codecs, vec![WireCodec::Binary]);
+    }
 }
 
 /// Credentials gate the hello: wrong/missing tokens are rejected before

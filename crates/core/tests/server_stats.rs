@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use ecovisor::obs::MetricValue;
 use ecovisor::{
     CredentialRegistry, EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare, EventFilter,
-    RemoteEcovisorClient, ServerHandle, WireCodec,
+    RemoteEcovisorClient, ServerHandle,
 };
 use simkit::units::Watts;
 
@@ -58,16 +58,14 @@ fn stats_rise_and_return_to_baseline_under_pinned_pool() {
     let (handle, app) = spawn(Some(2));
     assert_baseline(&handle, "fresh server");
 
-    // Two clients, one per codec; one subscribes to the push stream.
-    let mut bin =
-        RemoteEcovisorClient::connect_full(handle.addr(), app, vec![WireCodec::Binary], None)
-            .expect("connect binary");
-    let mut json =
-        RemoteEcovisorClient::connect_full(handle.addr(), app, vec![WireCodec::Json], None)
-            .expect("connect json");
-    bin.subscribe_events(EventFilter::all()).expect("subscribe");
-    assert_eq!(bin.get_grid_power(), Watts::ZERO);
-    assert_eq!(json.get_grid_power(), Watts::ZERO);
+    // Two clients; one subscribes to the push stream.
+    let mut subscriber = RemoteEcovisorClient::connect(handle.addr(), app).expect("connect");
+    let mut poller = RemoteEcovisorClient::connect(handle.addr(), app).expect("connect");
+    subscriber
+        .subscribe_events(EventFilter::all())
+        .expect("subscribe");
+    assert_eq!(subscriber.get_grid_power(), Watts::ZERO);
+    assert_eq!(poller.get_grid_power(), Watts::ZERO);
 
     assert!(
         wait_until(Duration::from_secs(5), || {
@@ -88,8 +86,8 @@ fn stats_rise_and_return_to_baseline_under_pinned_pool() {
     assert_eq!(stats.subscriber_backlog, handle.subscriber_backlog());
     assert_eq!(stats.recv_buffer_bytes, handle.recv_buffer_bytes());
 
-    drop(bin);
-    drop(json);
+    drop(subscriber);
+    drop(poller);
     assert_baseline(&handle, "after disconnect");
     handle.shutdown();
 }

@@ -2,11 +2,12 @@
 //!
 //! Covers the snapshot acceptance surface:
 //!
-//! * a snapshot **round-trips bit-identically through both codecs** and
-//!   a restored ecovisor re-snapshots to the same digest;
-//! * the **cross-codec determinism property loop**: over seeded
-//!   mixed-tenant days, snapshot at a pseudo-random tick, restore via
-//!   JSON and binary bytes, replay the remainder, and get identical
+//! * a snapshot **round-trips bit-identically through its bytes** and
+//!   a restored ecovisor re-snapshots to the same digest; its JSON
+//!   rendering is well-formed JSON and is not a payload;
+//! * the **restore determinism property loop**: over seeded
+//!   mixed-tenant days, snapshot at a pseudo-random tick, restore from
+//!   the bytes, replay the remainder, and get identical
 //!   `VesTotals`, event frames, and FNV digests as the uninterrupted run;
 //! * **exactly-once edge events**: undelivered outbox notifications
 //!   captured in a snapshot are delivered once by the restored process —
@@ -215,10 +216,11 @@ fn assert_equivalent(
     );
 }
 
-/// Basic round trip: both codecs decode back to the same digest, and a
-/// restored twin re-snapshots bit-identically.
+/// Basic round trip: the bytes decode back to the same digest, a
+/// restored twin re-snapshots bit-identically, and the JSON rendering is
+/// a dump — well-formed, but `from_bytes` reads binary only.
 #[test]
-fn snapshot_round_trips_both_codecs_and_restores_losslessly() {
+fn snapshot_round_trips_and_restores_losslessly() {
     let (run, _a, _b) = run_original(0xC0DE_C0DE, 20);
     let snap = &run.snap;
     assert_eq!(snap.format, SNAPSHOT_FORMAT);
@@ -226,9 +228,13 @@ fn snapshot_round_trips_both_codecs_and_restores_losslessly() {
     assert_eq!(snap.clock.tick_index(), 20);
 
     let from_binary = Snapshot::from_bytes(&snap.to_bytes()).expect("binary decode");
-    let from_json = Snapshot::from_bytes(snap.to_json().as_bytes()).expect("json decode");
     assert_eq!(from_binary.digest(), snap.digest(), "binary round trip");
-    assert_eq!(from_json.digest(), snap.digest(), "json round trip");
+    let dump = snap.to_json();
+    assert!(serde::json::parse(&dump).is_ok(), "to_json renders JSON");
+    assert!(matches!(
+        Snapshot::from_bytes(dump.as_bytes()),
+        Err(SnapshotError::Decode(_))
+    ));
 
     let mut twin = Ecovisor::restore(builder(0xC0DE_C0DE), snap).expect("restore");
     assert_eq!(
@@ -282,12 +288,12 @@ fn apply_snapshot_rejects_malformed_and_mismatched_snapshots() {
     assert_eq!(twin.snapshot().digest(), good.digest());
 }
 
-/// The cross-codec determinism property loop (seeded, not random): over
+/// The restore determinism property loop (seeded, not random): over
 /// seeded mixed-tenant days, snapshot at a pseudo-random tick, restore
-/// through **both codecs**, replay the remainder, and require identical
+/// from the encoded bytes, replay the remainder, and require identical
 /// `VesTotals`, event frames, and FNV digests as the uninterrupted run.
 #[test]
-fn seeded_days_restore_equivalently_across_codecs() {
+fn seeded_days_restore_equivalently() {
     for seed in [0x51AB_0001_u64, 0xD00D_0002, 0xFACE_0003] {
         // Seeded LCG pick of the snapshot tick, well inside the day.
         let lcg = seed
@@ -306,27 +312,22 @@ fn seeded_days_restore_equivalently_across_codecs() {
             "seed {seed:#x}: the post-snapshot remainder must be eventful"
         );
 
-        for (codec, bytes) in [
-            ("binary", run.snap.to_bytes()),
-            ("json", run.snap.to_json().into_bytes()),
-        ] {
-            let decoded = Snapshot::from_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("seed {seed:#x} {codec} decode: {e}"));
-            assert_eq!(decoded.digest(), run.snap.digest(), "{codec} round trip");
+        let decoded = Snapshot::from_bytes(&run.snap.to_bytes())
+            .unwrap_or_else(|e| panic!("seed {seed:#x} decode: {e}"));
+        assert_eq!(decoded.digest(), run.snap.digest(), "round trip");
 
-            // Through the deployment wrapper: restore and the replay of
-            // the remainder each run under its settlement barrier.
-            let sharded = ShardedEcovisor::new(builder(seed).build());
-            sharded.apply_snapshot(&decoded).expect("restore sharded");
-            let report = sharded.replay_trace_from(&run.trace, snap_tick, TICKS);
-            assert_eq!(report.ticks, TICKS - snap_tick);
-            assert_equivalent(
-                &run,
-                sharded.read(|e| e.app_totals(a).expect("sharded a")),
-                sharded.read(|e| e.app_totals(b).expect("sharded b")),
-                &report.frames,
-            );
-        }
+        // Through the deployment wrapper: restore and the replay of
+        // the remainder each run under its settlement barrier.
+        let sharded = ShardedEcovisor::new(builder(seed).build());
+        sharded.apply_snapshot(&decoded).expect("restore sharded");
+        let report = sharded.replay_trace_from(&run.trace, snap_tick, TICKS);
+        assert_eq!(report.ticks, TICKS - snap_tick);
+        assert_equivalent(
+            &run,
+            sharded.read(|e| e.app_totals(a).expect("sharded a")),
+            sharded.read(|e| e.app_totals(b).expect("sharded b")),
+            &report.frames,
+        );
     }
 }
 

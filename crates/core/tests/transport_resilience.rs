@@ -45,7 +45,7 @@ fn disconnect_mid_frame_reaps_the_connection_thread() {
     // The vanishing client: valid hello, then a truncated frame.
     let stream = {
         let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
-        let hello = ClientHelloV2::new(app, vec![WireCodec::Json], None);
+        let hello = ClientHelloV2::new(app, vec![WireCodec::Binary], None);
         let payload = WireCodec::Json.encode(&hello);
         stream
             .write_all(&(payload.len() as u32).to_le_bytes())

@@ -11,7 +11,7 @@
 //!   of the totals and the event-frame sequence
 //!   ([`ecovisor::digest`]).
 //!
-//! Artifacts serialize through either wire codec — readable
+//! Artifacts serialize through either encoding — readable
 //! [`serde::json`] (`.scn.json`) or compact [`serde::binary`]
 //! (`.scn.bin`) — and loading auto-detects which one a file used: a
 //! JSON artifact's first byte is `{` (0x7B), a binary artifact's is the
@@ -153,7 +153,7 @@ pub struct ScenarioArtifact {
     pub expected: ExpectedOutcome,
     /// Embedded mid-day state captures, ascending by tick. The verifier
     /// restores each one and replays the remainder of the trace against
-    /// it, in both codecs.
+    /// it.
     pub checkpoints: Vec<Checkpoint>,
     /// For a resumed recording (`ecoharness record --from`): the
     /// checkpoint the run started from. Replay restores this state
@@ -204,8 +204,7 @@ impl Deserialize for ScenarioArtifact {
 }
 
 impl ScenarioArtifact {
-    /// Serializes the artifact in the given codec (the transport's
-    /// [`WireCodec::encode`] — artifacts are wire values).
+    /// Serializes the artifact in the given encoding.
     pub fn to_bytes(&self, codec: WireCodec) -> Vec<u8> {
         codec.encode(self)
     }

@@ -65,21 +65,20 @@ USAGE:
     ecoharness fuzz [--seed S] [--count N] [--no-transport] [--out DIR]
     ecoharness fuzz --soak [--seed S] [--ticks N] [--tenants N]
     ecoharness fuzz --promote [--seed S] [--count N] [--top K] [--out DIR]
-    ecoharness stats ADDR --app ID --token TOKEN [--codec json|binary]
-                     [--watch SECONDS] [--n COUNT]
+    ecoharness stats ADDR --app ID --token TOKEN [--watch SECONDS] [--n COUNT]
     ecoharness diff A B
 
 Paths may be artifact files (*.scn.json / *.scn.bin) or directories.
 `record` with no names records the whole builtin corpus, committing
-some scenarios in each codec (override with --codec).
+some scenarios in each file encoding (override with --codec).
 `verify --transport` additionally replays each artifact over live
 per-tenant TCP connections (one per app, subscribed to event push)
-against the evented server, in both codecs — the wire path must be
+against the evented server — the wire path must be
 bit-indistinguishable from in-process dispatch.
 `verify --federated` additionally replays each artifact split across
 two live ecovisor processes joined by the two-phase federated tick
-(collect demand → merge → settle), in both codecs — the federation
-must be bit-indistinguishable from the single process. Artifacts
+(collect demand → merge → settle) — the federation must be
+bit-indistinguishable from the single process. Artifacts
 whose spec carries a migration plan live-migrate that tenant between
 the nodes mid-day; `--transport` runs the federated pass for such
 artifacts automatically. A resumed artifact (one with a base
@@ -90,10 +89,11 @@ simulated hours; `verify` restores each one and replays the rest of
 the day against it. `--from ARTIFACT@TICK` starts a *new* recording
 from the checkpoint the artifact embeds at TICK (a mid-day harness
 start): fresh drivers against the restored warm state, written as
-`NAME-resumed` in the parent artifact's codec unless --codec is given.
+`NAME-resumed` in the parent artifact's encoding unless --codec is given.
 `fuzz` generates --count seeded random scenarios and drives each one
-through the full record → verify matrix (both codecs × checkpoints ×
-the live evented transport unless --no-transport); failures are shrunk
+through the full record → verify matrix (a replay from the start and
+from every checkpoint, plus the live evented transport unless
+--no-transport); failures are shrunk
 to minimal reproducers written under --out (default fuzz-failures/) as
 replayable .scn.json days.
 `fuzz --soak` drives a long day (default 5000 ticks) through the live
@@ -246,7 +246,7 @@ fn cmd_record_resumed(
     Ok(ExitCode::SUCCESS)
 }
 
-/// `verify`: replay every artifact in both codecs; with
+/// `verify`: replay every artifact in process; with
 /// `--transport`, additionally replay each one over live per-tenant
 /// TCP connections against the evented server; with `--federated`,
 /// additionally replay each one split across a live two-node
@@ -448,7 +448,6 @@ fn cmd_stats(args: Vec<String>) -> Result<ExitCode, String> {
     let mut addr: Option<String> = None;
     let mut app: Option<u64> = None;
     let mut token: Option<String> = None;
-    let mut codec: Option<WireCodec> = None;
     let mut watch_secs: Option<u64> = None;
     let mut polls: Option<u64> = None;
     let mut it = args.into_iter();
@@ -457,7 +456,6 @@ fn cmd_stats(args: Vec<String>) -> Result<ExitCode, String> {
         match arg.as_str() {
             "--app" => app = Some(parse_num(&value("--app")?, "--app")?),
             "--token" => token = Some(value("--token")?),
-            "--codec" => codec = Some(parse_codec(&value("--codec")?)?),
             "--watch" => watch_secs = Some(parse_num(&value("--watch")?, "--watch")?.max(1)),
             "--n" => polls = Some(parse_num(&value("--n")?, "--n")?.max(1)),
             other if addr.is_none() && !other.starts_with("--") => addr = Some(other.to_string()),
@@ -467,8 +465,7 @@ fn cmd_stats(args: Vec<String>) -> Result<ExitCode, String> {
     let addr = addr.ok_or("stats needs a server address (host:port)")?;
     let app = app.ok_or("stats needs --app ID")?;
     let app = ecovisor::AppId::new(u32::try_from(app).map_err(|_| "--app: id out of range")?);
-    let codecs = codec.map_or_else(ecovisor::WireCodec::preferred, |c| vec![c]);
-    let mut client = ecovisor::RemoteEcovisorClient::connect_full(&*addr, app, codecs, token)
+    let mut client = ecovisor::RemoteEcovisorClient::connect_full(&*addr, app, token)
         .map_err(|e| format!("{addr}: {e}"))?;
 
     let mut previous: Option<StatsReport> = None;

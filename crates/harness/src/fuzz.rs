@@ -9,9 +9,9 @@
 //!   sizes, outbox caps, credential sets with mid-day rotations,
 //!   checkpoint cadences, restore plans, mid-day federated migration
 //!   plans) and drives each candidate
-//!   through the full record → verify matrix — both wire codecs ×
-//!   every embedded checkpoint, and (unless disabled) the live evented
-//!   transport. A candidate that fails is handed to
+//!   through the full record → verify matrix — a replay from the start
+//!   and from every embedded checkpoint, and (unless disabled) the live
+//!   evented transport. A candidate that fails is handed to
 //!   [`shrink`], which greedily simplifies it to a minimal spec that
 //!   *still* fails and writes the minimized recording as a normal
 //!   `.scn.json` artifact — a reproducer any build can replay with
@@ -94,7 +94,7 @@ pub struct FuzzOptions {
     /// How many candidates to generate and check.
     pub count: u64,
     /// Also run each candidate over the live evented transport
-    /// (both codecs, one TCP connection per tenant).
+    /// (one TCP connection per tenant).
     pub transport: bool,
     /// Where minimized reproducers are written (`None` = don't write).
     pub out: Option<PathBuf>,
@@ -446,8 +446,9 @@ pub fn record_candidate(
 /// `None` when every check held, or the first failing check's
 /// `label: detail`.
 ///
-/// The in-process matrix (codecs × checkpoints) runs first; the live-transport matrix only runs when it came back clean,
-/// so an already-failing candidate short-circuits cheaply.
+/// The in-process replays (start + every checkpoint) run first; the
+/// live-transport replay only runs when they came back clean, so an
+/// already-failing candidate short-circuits cheaply.
 ///
 /// # Errors
 ///
@@ -872,16 +873,8 @@ pub fn soak(opts: &SoakOptions) -> Result<SoakReport, HarnessError> {
     let handle = server.spawn()?;
     let shared = handle.ecovisor();
 
-    let codec_for = |i: usize| {
-        if i.is_multiple_of(2) {
-            WireCodec::Binary
-        } else {
-            WireCodec::Json
-        }
-    };
     let connect = |i: usize| -> Result<RemoteEcovisorClient, HarnessError> {
-        let mut client =
-            RemoteEcovisorClient::connect_full(addr, ids[i], vec![codec_for(i)], None)?;
+        let mut client = RemoteEcovisorClient::connect(addr, ids[i])?;
         client.subscribe_events(EventFilter::all())?;
         Ok(client)
     };

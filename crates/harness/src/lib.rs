@@ -7,7 +7,8 @@
 //! protocol tracing on and packages the result as a
 //! [`ScenarioArtifact`] (spec + complete wire trace + expected
 //! totals/digests), and [`verify()`](verify()) proves a build still replays the
-//! artifact **bit-identically**, through both wire codecs.
+//! artifact **bit-identically**, whichever of the two file encodings
+//! carried it.
 //!
 //! The committed `corpus/` directory holds twelve recorded days
 //! ([`corpus`] has the catalogue); `ecoharness verify corpus/` is the

@@ -1,9 +1,10 @@
 //! Verifying that an artifact still replays bit-identically.
 //!
 //! For each artifact the verifier round-trips the trace through **both
-//! wire codecs**, replays each decoded copy on a fresh build
+//! file encodings** (the decoded copy must equal the recorded trace),
+//! then replays the recorded trace on a fresh build
 //! ([`Ecovisor::replay_trace_from`] — the one in-process replay loop)
-//! and asserts, for every cell:
+//! and asserts:
 //!
 //! * per-app [`VesTotals`](ecovisor::VesTotals) equal the recorded
 //!   expectations exactly (f64 bit-equality, not tolerance),
@@ -11,12 +12,11 @@
 //!   traffic,
 //! * the [`ecovisor::digest`] fingerprints match the stored ones.
 //!
-//! Artifacts carrying embedded [`Checkpoint`]s get a second matrix: for
-//! **every checkpoint × codec**, the checkpointed snapshot is restored
-//! into a freshly built ecovisor and the *rest* of the trace is
-//! replayed from its tick — totals, remaining event
-//! frames, and digests must all land exactly where the uninterrupted
-//! replay does. A resumed artifact (non-empty `base`) replays from its
+//! Artifacts carrying embedded [`Checkpoint`]s get one more replay per
+//! checkpoint: the checkpointed snapshot is restored into a freshly
+//! built ecovisor and the *rest* of the trace is replayed from its
+//! tick — totals, remaining event frames, and digests must all land
+//! exactly where the uninterrupted replay does. A resumed artifact (non-empty `base`) replays from its
 //! base checkpoint instead of from a fresh build.
 //!
 //! Any code change that perturbs settlement arithmetic, dispatch
@@ -36,7 +36,7 @@ use crate::scenario::build_ecovisor;
 /// One verification check's outcome.
 #[derive(Debug, Clone)]
 pub struct Check {
-    /// What was checked, e.g. `replay[binary] totals digest`.
+    /// What was checked, e.g. `replay totals digest`.
     pub label: String,
     /// Whether it held.
     pub ok: bool,
@@ -73,17 +73,9 @@ impl VerifyReport {
     }
 }
 
-/// Round-trips a trace through a codec (encode, then decode), proving
-/// the codec itself is lossless for this trace before replaying the
-/// decoded copy.
-fn reencode(trace: &ProtocolTrace, codec: WireCodec) -> Result<ProtocolTrace, String> {
-    codec
-        .decode(&codec.encode(trace))
-        .map_err(|e| format!("{} round-trip: {e}", codec_name(codec)))
-}
-
-/// Verifies one artifact: structural integrity, then the full
-/// codec × checkpoint replay matrix.
+/// Verifies one artifact: structural integrity, both file encodings
+/// lossless for its trace, then one replay from the start and one from
+/// every embedded checkpoint.
 ///
 /// # Errors
 ///
@@ -145,69 +137,72 @@ pub fn verify(artifact: &ScenarioArtifact) -> Result<VerifyReport, HarnessError>
     );
 
     // -- Checkpoint integrity -------------------------------------------
+    let ticks = artifact.spec.ticks;
     let mut prev_tick = artifact.base.as_ref().map_or(0, |b| b.tick);
     for cp in &artifact.checkpoints {
+        let fault = match cp.decode() {
+            Err(e) => Some(e.to_string()),
+            Ok(_) if cp.tick > prev_tick && cp.tick < ticks => None,
+            Ok(_) => Some(format!(
+                "tick {} out of order or outside the {ticks}-tick horizon",
+                cp.tick
+            )),
+        };
         report.push(
             format!("checkpoint@{} integrity", cp.tick),
-            cp.decode().is_ok() && cp.tick > prev_tick && cp.tick < artifact.spec.ticks,
-            match cp.decode() {
-                Err(e) => e.to_string(),
-                Ok(_) => format!(
-                    "tick {} out of order or outside the {}-tick horizon",
-                    cp.tick, artifact.spec.ticks
-                ),
-            },
+            fault.is_none(),
+            fault.unwrap_or_default(),
         );
         prev_tick = cp.tick;
     }
     if let Some(base) = &artifact.base {
+        let fault = match base.decode() {
+            Err(e) => Some(e.to_string()),
+            Ok(_) if base.tick < ticks => None,
+            Ok(_) => Some(format!(
+                "base tick {} leaves no remainder of the {ticks}-tick horizon",
+                base.tick
+            )),
+        };
         report.push(
             "base checkpoint integrity",
-            base.decode().is_ok() && base.tick < artifact.spec.ticks,
-            match base.decode() {
-                Err(e) => e.to_string(),
-                Ok(_) => format!(
-                    "base tick {} leaves no remainder of the {}-tick horizon",
-                    base.tick, artifact.spec.ticks
-                ),
-            },
+            fault.is_none(),
+            fault.unwrap_or_default(),
         );
     }
 
-    // -- Replay matrix: (base + every checkpoint) × codec ---------------
+    // -- File encodings: each must carry this trace losslessly ----------
     for codec in [WireCodec::Json, WireCodec::Binary] {
-        let trace = match reencode(&artifact.trace, codec) {
-            Ok(t) => t,
-            Err(e) => {
-                report.push(format!("codec[{}] round-trip", codec_name(codec)), false, e);
-                continue;
-            }
+        let fault = match codec.decode::<ProtocolTrace>(&codec.encode(&artifact.trace)) {
+            Err(e) => Some(e.to_string()),
+            Ok(trace) if trace == artifact.trace => None,
+            Ok(_) => Some("decoded trace differs from the recorded one".to_string()),
         };
         report.push(
             format!("codec[{}] round-trip", codec_name(codec)),
-            trace == artifact.trace,
-            "decoded trace differs from the recorded one",
+            fault.is_none(),
+            fault.unwrap_or_default(),
         );
-        let cell = format!("replay[{}]", codec_name(codec));
-        replay_cell(artifact, &trace, artifact.base.as_ref(), cell, &mut report)?;
-        for cp in &artifact.checkpoints {
-            let cell = format!("restore@{}[{}]", cp.tick, codec_name(codec));
-            replay_cell(artifact, &trace, Some(cp), cell, &mut report)?;
-        }
+    }
+
+    // -- Replays: from the start (or base), then from every checkpoint --
+    replay_cell(artifact, artifact.base.as_ref(), "replay", &mut report)?;
+    for cp in &artifact.checkpoints {
+        let cell = format!("restore@{}", cp.tick);
+        replay_cell(artifact, Some(cp), &cell, &mut report)?;
     }
     Ok(report)
 }
 
-/// Replays one cell of the matrix. When `restore_from` is `Some`, the
+/// Replays the recorded trace once. When `restore_from` is `Some`, the
 /// freshly built ecovisor is seeded with that checkpoint's snapshot and
 /// the trace replays from its tick; expected event frames are the
 /// recorded frames at or after that tick (the earlier ones were pushed
 /// before the capture and cannot regenerate).
 fn replay_cell(
     artifact: &ScenarioArtifact,
-    trace: &ProtocolTrace,
     restore_from: Option<&Checkpoint>,
-    cell: String,
+    cell: &str,
     report: &mut VerifyReport,
 ) -> Result<(), HarnessError> {
     let (mut eco, ids) = build_ecovisor(&artifact.spec)?;
@@ -229,13 +224,13 @@ fn replay_cell(
         }
     };
     let frames = eco
-        .replay_trace_from(trace, start, artifact.spec.ticks)
+        .replay_trace_from(&artifact.trace, start, artifact.spec.ticks)
         .frames;
     let replayed = ids
         .iter()
         .map(|&a| AppOutcome::read(&eco, a))
         .collect::<Result<Vec<_>, _>>()?;
-    check_outcome(artifact, &cell, start, &frames, &replayed, report);
+    check_outcome(artifact, cell, start, &frames, &replayed, report);
     Ok(())
 }
 
@@ -302,9 +297,9 @@ fn check_outcome(
     );
 }
 
-/// Verifies an artifact over the **live evented transport**: for each
-/// wire codec, the ecovisor is rebuilt (and restored from the base
-/// checkpoint for a resumed artifact), served by
+/// Verifies an artifact over the **live evented transport**: the
+/// ecovisor is rebuilt (and restored from the base checkpoint for a
+/// resumed artifact), served by
 /// [`EcovisorServer::spawn`]'s reactor + worker pool on a loopback
 /// port, and the recorded day is driven through **one real TCP
 /// connection per tenant** — every recorded batch round-trips through
@@ -340,21 +335,18 @@ pub fn verify_transport(artifact: &ScenarioArtifact) -> Result<VerifyReport, Har
         scenario: format!("{} (transport)", artifact.spec.name),
         checks: Vec::new(),
     };
-    for codec in [WireCodec::Json, WireCodec::Binary] {
-        transport_cell(artifact, codec, &mut report)?;
-    }
+    transport_cell(artifact, &mut report)?;
     Ok(report)
 }
 
-/// Replays the whole trace over live per-tenant connections in one
-/// codec. Any socket failure fails the cell's `liveness` check; the
-/// outcome comparison is shared with the in-process matrix.
+/// Replays the whole trace over live per-tenant connections. Any socket
+/// failure fails the `liveness` check; the outcome comparison is shared
+/// with the in-process replays.
 fn transport_cell(
     artifact: &ScenarioArtifact,
-    codec: WireCodec,
     report: &mut VerifyReport,
 ) -> Result<(), HarnessError> {
-    let cell = format!("transport[{}]", codec_name(codec));
+    let cell = "transport";
     let (mut eco, ids) = build_ecovisor(&artifact.spec)?;
     let start = match &artifact.base {
         None => 0,
@@ -432,7 +424,7 @@ fn transport_cell(
     // the recorder's `take_event_frame` drained.
     let connect_subscribed =
         |app: ecovisor::AppId, token: Option<&String>| -> Result<RemoteEcovisorClient, String> {
-            let mut c = RemoteEcovisorClient::connect_full(addr, app, vec![codec], token.cloned())
+            let mut c = RemoteEcovisorClient::connect_full(addr, app, token.cloned())
                 .map_err(|e| e.to_string())?;
             c.subscribe_events(EventFilter::all())
                 .map_err(|e| e.to_string())?;
@@ -489,7 +481,7 @@ fn transport_cell(
             );
             let old_token = tokens.insert(app, new_token.clone());
             // The retired token must be dead for *new* hellos …
-            let stale = RemoteEcovisorClient::connect_full(addr, app, vec![codec], old_token);
+            let stale = RemoteEcovisorClient::connect_full(addr, app, old_token);
             report.push(
                 format!("{cell} rotation@{tick}[{app}] retired token rejected"),
                 stale.is_err(),
@@ -518,12 +510,7 @@ fn transport_cell(
                 ),
                 Some(cp) => match (
                     cp.decode(),
-                    RemoteEcovisorClient::connect_full(
-                        addr,
-                        op_app,
-                        vec![codec],
-                        tokens.get(&op_app).cloned(),
-                    ),
+                    RemoteEcovisorClient::connect_full(addr, op_app, tokens.get(&op_app).cloned()),
                 ) {
                     (Err(e), _) => {
                         report.push(
@@ -610,16 +597,16 @@ fn transport_cell(
             .map(|&a| AppOutcome::read(eco, a))
             .collect::<Result<_, _>>()
     })?;
-    check_outcome(artifact, &cell, start, &frames, &replayed, report);
+    check_outcome(artifact, cell, start, &frames, &replayed, report);
 
     drop(clients);
     handle.shutdown();
     Ok(())
 }
 
-/// Verifies an artifact over a **two-node federated deployment**: for
-/// each wire codec, two ecovisor replicas are built from the same spec,
-/// the tenants partitioned between them, both served on loopback ports,
+/// Verifies an artifact over a **two-node federated deployment**: two
+/// ecovisor replicas are built from the same spec, the tenants
+/// partitioned between them, both served on loopback ports,
 /// and the recorded day driven through per-tenant connections to each
 /// tenant's *owner* node while a coordinator loop runs the two-phase
 /// federated tick ([`fed_collect`](RemoteEcovisorClient::fed_collect) on
@@ -661,21 +648,18 @@ pub fn verify_federated(artifact: &ScenarioArtifact) -> Result<VerifyReport, Har
         );
         return Ok(report);
     }
-    for codec in [WireCodec::Json, WireCodec::Binary] {
-        federated_cell(artifact, codec, &mut report)?;
-    }
+    federated_cell(artifact, &mut report)?;
     Ok(report)
 }
 
-/// Replays the whole trace across a live two-node federation in one
-/// codec. Any socket failure fails the cell's `liveness` check; the
-/// outcome comparison is shared with the in-process matrix.
+/// Replays the whole trace across a live two-node federation. Any socket
+/// failure fails the `liveness` check; the outcome comparison is shared
+/// with the in-process replays.
 fn federated_cell(
     artifact: &ScenarioArtifact,
-    codec: WireCodec,
     report: &mut VerifyReport,
 ) -> Result<(), HarnessError> {
-    let cell = format!("federated[{}]", codec_name(codec));
+    let cell = "federated";
     let spec = &artifact.spec;
 
     // Two full replicas of the same spec: identical substrate, identical
@@ -750,11 +734,10 @@ fn federated_cell(
 
     let connect_subscribed =
         |node: usize, app: ecovisor::AppId| -> std::io::Result<RemoteEcovisorClient> {
-            let mut c = RemoteEcovisorClient::connect_full(
+            let mut c = RemoteEcovisorClient::connect_with_credential(
                 addrs[node],
                 app,
-                vec![codec],
-                Some(token_of[&app].clone()),
+                token_of[&app].as_str(),
             )?;
             c.subscribe_events(EventFilter::all())
                 .map_err(std::io::Error::other)?;
@@ -765,17 +748,15 @@ fn federated_cell(
     // choreography cannot perturb the recorded frame streams.
     let setup = (|| -> std::io::Result<_> {
         let ops = vec![
-            RemoteEcovisorClient::connect_full(
+            RemoteEcovisorClient::connect_with_credential(
                 addrs[0],
                 ids[0],
-                vec![codec],
-                Some(token_of[&ids[0]].clone()),
+                token_of[&ids[0]].as_str(),
             )?,
-            RemoteEcovisorClient::connect_full(
+            RemoteEcovisorClient::connect_with_credential(
                 addrs[1],
                 ids[0],
-                vec![codec],
-                Some(token_of[&ids[0]].clone()),
+                token_of[&ids[0]].as_str(),
             )?,
         ];
         let mut clients = Vec::with_capacity(ids.len());
@@ -889,7 +870,7 @@ fn federated_cell(
         .iter()
         .map(|&a| shared[owner[&a]].with(|eco| AppOutcome::read(eco, a)))
         .collect::<Result<_, _>>()?;
-    check_outcome(artifact, &cell, 0, &frames, &replayed, report);
+    check_outcome(artifact, cell, 0, &frames, &replayed, report);
 
     drop(ops);
     drop(clients);

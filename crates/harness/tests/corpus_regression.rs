@@ -1,8 +1,8 @@
 //! The committed corpus is the regression net: every artifact under
 //! `corpus/` must load, carry a catalogued scenario, and verify green —
-//! bit-identical replay in both codecs. Any
+//! bit-identical replay, lossless in both file encodings. Any
 //! change to settlement arithmetic, dispatch semantics, event
-//! generation, or either codec that perturbs a recorded day fails here
+//! generation, or either encoding that perturbs a recorded day fails here
 //! (and in the CI `ecoharness verify corpus/` job, which runs the same
 //! checks through the CLI).
 

@@ -27,9 +27,17 @@ fn faithful_artifact_verifies_green() {
     );
     let report = verify(&artifact).expect("verify");
     assert!(report.passed(), "failures: {:#?}", report.failures());
-    // The matrix ran: 2 codecs × (totals per app + digests + frames)
-    // plus structural checks.
-    assert!(report.checks.len() > 20, "got {}", report.checks.len());
+    // The replay ran: totals per app + totals digest + frames + frames
+    // digest, next to the structural and file-encoding checks.
+    let replayed = |c: &&ecoharness::Check| c.label.starts_with("replay ");
+    assert_eq!(
+        report.checks.iter().filter(replayed).count(),
+        artifact.spec.tenants.len() + 3
+    );
+    for codec in ["json", "binary"] {
+        let label = format!("codec[{codec}] round-trip");
+        assert!(report.checks.iter().any(|c| c.label == label), "{label}");
+    }
 }
 
 #[test]
@@ -107,9 +115,9 @@ fn truncated_expected_outcome_fails_verification() {
     );
     // And the replay cells verify the dropped tenant instead of
     // skipping it.
-    let per_tenant = format!("replay[binary] totals[{}]", dropped.name);
+    let per_tenant = format!("replay totals[{}]", dropped.name);
     assert!(failed.contains(&per_tenant.as_str()), "{failed:#?}");
-    assert!(failed.contains(&"replay[binary] totals digest"));
+    assert!(failed.contains(&"replay totals digest"));
 }
 
 #[test]
@@ -119,7 +127,7 @@ fn recording_is_deterministic() {
     let a = record(&spec).expect("record a");
     let b = record(&spec).expect("record b");
     assert_eq!(a, b, "same spec must record identical artifacts");
-    // And the serialized forms are byte-identical in both codecs.
+    // And the serialized forms are byte-identical in both encodings.
     assert_eq!(
         a.to_bytes(ecovisor::WireCodec::Json),
         b.to_bytes(ecovisor::WireCodec::Json)
@@ -149,8 +157,8 @@ fn checkpointed_recording_verifies_and_does_not_perturb_the_run() {
     // Capturing is invisible to the run itself.
     assert_eq!(plain.trace, checkpointed.trace);
     assert_eq!(plain.expected, checkpointed.expected);
-    // And the verifier's restore-replay matrix passes for every cell:
-    // 2 codecs × (full replay + 2 checkpoint restores).
+    // And the verifier's restore-replays pass for every cell: the full
+    // replay + 2 checkpoint restores.
     let report = verify(&checkpointed).expect("verify");
     assert!(report.passed(), "failures: {:#?}", report.failures());
     assert!(
@@ -162,7 +170,7 @@ fn checkpointed_recording_verifies_and_does_not_perturb_the_run() {
             > report
                 .checks
                 .iter()
-                .filter(|c| c.label.starts_with("replay["))
+                .filter(|c| c.label.starts_with("replay "))
                 .count(),
         "the checkpoint matrix should dominate the check list"
     );

@@ -22,8 +22,9 @@ fn faithful_artifact_verifies_over_the_wire() {
     );
     let report = verify_transport(&artifact).expect("verify");
     assert!(report.passed(), "failures: {:#?}", report.failures());
-    // Both codecs ran a full cell: liveness + totals + frames + digests.
-    assert!(report.checks.len() > 10, "got {}", report.checks.len());
+    // A full cell ran: liveness + trace exhausted + totals per app +
+    // totals digest + frames + frames digest.
+    assert_eq!(report.checks.len(), artifact.spec.tenants.len() + 5);
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! TCP — and reacting to server-push event upcalls.
 //!
 //! The server side owns the ecovisor and listens on a loopback port; the
-//! application side connects with [`RemoteEcovisorClient`], negotiates
-//! the wire (protocol v2, binary codec preferred with JSON fallback),
+//! application side connects with [`RemoteEcovisorClient`] (a JSON hello,
+//! then protocol v2 in binary frames),
 //! **subscribes to the Table 2 asynchronous notifications**, and runs
 //! the same carbon-aware control loop it would run in-process — the
 //! [`EnergyClient`] method surface is identical on both transports.
@@ -35,11 +35,7 @@ const TICKS: u64 = 180; // three simulated hours at 1-minute ticks
 /// loop — adjust demand when the energy system *tells us* it changed.
 fn run_application(addr: std::net::SocketAddr, app: AppId) {
     let mut api = RemoteEcovisorClient::connect(addr, app).expect("connect to ecovisor");
-    println!(
-        "application connected: protocol v{}, {:?} codec",
-        api.version(),
-        api.codec()
-    );
+    println!("application connected: protocol v{}", api.version());
     api.subscribe_events(EventFilter::all())
         .expect("subscribe to upcalls");
 
