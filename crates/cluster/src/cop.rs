@@ -61,6 +61,12 @@ pub struct Cop {
     servers: Vec<Server>,
     models: Vec<PowerModel>,
     containers: BTreeMap<ContainerId, Container>,
+    /// Every owner's container ids (stopped history included), ascending.
+    /// Derived from `containers` and kept in step with it by `launch`,
+    /// `remove_app_containers`, `adopt_containers` and `restore`, so the
+    /// per-owner accessors cost the owner's containers, not the
+    /// platform's. Not part of [`CopSnapshot`].
+    by_owner: BTreeMap<AppId, Vec<ContainerId>>,
     scheduler: Box<dyn Placement>,
     next_id: u64,
 }
@@ -99,6 +105,7 @@ impl Cop {
             servers,
             models,
             containers: BTreeMap::new(),
+            by_owner: BTreeMap::new(),
             scheduler,
             next_id: 0,
         }
@@ -127,6 +134,9 @@ impl Cop {
         self.next_id += 1;
         self.containers
             .insert(id, Container::new(id, owner, spec, sid));
+        // `next_id` is above every id ever inserted, so pushing keeps
+        // the owner's list ascending.
+        self.by_owner.entry(owner).or_default().push(id);
         Ok(id)
     }
 
@@ -285,25 +295,44 @@ impl Cop {
         self.containers.get(&id)
     }
 
+    /// Every container of an app — stopped ones included, since they are
+    /// retained for accounting history — in id order, through the
+    /// per-owner index: the cost is the owner's containers, whatever the
+    /// platform holds.
+    pub fn owned_by(&self, owner: AppId) -> impl Iterator<Item = &Container> + '_ {
+        self.by_owner
+            .get(&owner)
+            .into_iter()
+            .flatten()
+            .map(|id| &self.containers[id])
+    }
+
     /// All live (running or suspended) containers of an app, in id order.
     pub fn containers_of(&self, owner: AppId) -> Vec<&Container> {
-        self.containers
-            .values()
-            .filter(|c| c.owner() == owner && c.state() != ContainerState::Stopped)
+        self.owned_by(owner)
+            .filter(|c| c.state() != ContainerState::Stopped)
             .collect()
     }
 
     /// Ids of an app's live containers, in id order.
     pub fn container_ids_of(&self, owner: AppId) -> Vec<ContainerId> {
-        self.containers_of(owner).iter().map(|c| c.id()).collect()
+        self.owned_by(owner)
+            .filter(|c| c.state() != ContainerState::Stopped)
+            .map(|c| c.id())
+            .collect()
     }
 
     /// Number of running containers for an app.
     pub fn running_count(&self, owner: AppId) -> usize {
-        self.containers
-            .values()
-            .filter(|c| c.owner() == owner && c.state() == ContainerState::Running)
+        self.owned_by(owner)
+            .filter(|c| c.state() == ContainerState::Running)
             .count()
+    }
+
+    /// Power attributed to `container`, which must be one of this
+    /// platform's (its server picks the power model).
+    pub fn power_of(&self, container: &Container) -> Watts {
+        self.models[container.server().value() as usize].power_of(container)
     }
 
     /// Power attributed to one container.
@@ -312,29 +341,20 @@ impl Cop {
     ///
     /// [`CopError::UnknownContainer`] if absent.
     pub fn container_power(&self, id: ContainerId) -> Result<Watts, CopError> {
-        let c = self
-            .containers
+        self.containers
             .get(&id)
-            .ok_or(CopError::UnknownContainer(id))?;
-        Ok(self.models[c.server().value() as usize].power_of(c))
+            .map(|c| self.power_of(c))
+            .ok_or(CopError::UnknownContainer(id))
     }
 
     /// Power attributed to all of an app's containers.
     pub fn app_power(&self, owner: AppId) -> Watts {
-        self.containers
-            .values()
-            .filter(|c| c.owner() == owner)
-            .map(|c| self.models[c.server().value() as usize].power_of(c))
-            .sum()
+        self.owned_by(owner).map(|c| self.power_of(c)).sum()
     }
 
     /// Effective compute capacity of an app in core-equivalents.
     pub fn app_effective_cores(&self, owner: AppId) -> f64 {
-        self.containers
-            .values()
-            .filter(|c| c.owner() == owner)
-            .map(Container::effective_cores)
-            .sum()
+        self.owned_by(owner).map(Container::effective_cores).sum()
     }
 
     /// Total cluster power: every server's idle power (the unattributed
@@ -342,26 +362,13 @@ impl Cop {
     /// power of all running containers.
     pub fn total_power(&self) -> Watts {
         let idle: Watts = self.servers.iter().map(|s| s.spec().idle_power).sum();
-        let dynamic: Watts = self
-            .containers
-            .values()
-            .map(|c| self.models[c.server().value() as usize].power_of(c))
-            .sum();
+        let dynamic: Watts = self.containers.values().map(|c| self.power_of(c)).sum();
         idle + dynamic
     }
 
     /// Immutable view of the servers.
     pub fn servers(&self) -> &[Server] {
         &self.servers
-    }
-
-    /// Every container of an app — stopped ones included, since they are
-    /// retained for accounting history — in id order.
-    pub fn all_containers_of(&self, owner: AppId) -> Vec<&Container> {
-        self.containers
-            .values()
-            .filter(|c| c.owner() == owner)
-            .collect()
     }
 
     /// The next container id this COP would allocate. Together with
@@ -396,15 +403,10 @@ impl Cop {
     /// included), releasing the server reservations of live ones.
     /// Returns the removed containers in id order.
     pub fn remove_app_containers(&mut self, owner: AppId) -> Vec<Container> {
-        let ids: Vec<ContainerId> = self
-            .containers
-            .values()
-            .filter(|c| c.owner() == owner)
-            .map(|c| c.id())
-            .collect();
+        let ids = self.by_owner.remove(&owner).unwrap_or_default();
         let mut removed = Vec::with_capacity(ids.len());
         for id in ids {
-            let c = self.containers.remove(&id).expect("listed above");
+            let c = self.containers.remove(&id).expect("indexed ids exist");
             if c.state() != ContainerState::Stopped {
                 let (cores, mem, sid) = (c.spec().cores, c.spec().memory_mib, c.server());
                 self.server_mut(sid).release(cores, mem);
@@ -474,6 +476,11 @@ impl Cop {
             }
             max_id = max_id.max(c.id().value() + 1);
             self.containers.insert(c.id(), c.clone());
+            // Adopted ids arrive in any order and may sit below ids the
+            // owner already holds here.
+            let ids = self.by_owner.entry(c.owner()).or_default();
+            let at = ids.partition_point(|&held| held < c.id());
+            ids.insert(at, c.id());
         }
         self.next_id = max_id;
         Ok(())
@@ -563,6 +570,10 @@ impl Cop {
             .iter()
             .map(|s| PowerModel::new(*s.spec()))
             .collect();
+        self.by_owner = BTreeMap::new();
+        for c in containers.values() {
+            self.by_owner.entry(c.owner()).or_default().push(c.id());
+        }
         self.containers = containers;
         self.next_id = snap.next_id;
         Ok(())

@@ -5,7 +5,10 @@
 //! Cases are generated from a fixed-seed [`SimRng`] stream (the offline
 //! replacement for proptest), so failures are exactly reproducible.
 
-use container_cop::{AppId, ContainerId, ContainerSpec, Cop, CopConfig, PowerModel, ServerSpec};
+use container_cop::{
+    AppId, Container, ContainerId, ContainerSpec, ContainerState, Cop, CopConfig, PowerModel,
+    ServerSpec,
+};
 use simkit::rng::SimRng;
 use simkit::units::Watts;
 
@@ -133,4 +136,100 @@ fn total_power_decomposes() {
             "total {total} != idle {idle} + attributed {attributed}"
         );
     }
+}
+
+/// Asserts that every per-owner accessor agrees with its definition as a
+/// scan of the whole platform in id order — floats bit for bit, since
+/// settlement sums them in that order.
+fn assert_owner_index_matches_scan(cop: &Cop, owners: &[AppId]) {
+    let all: Vec<Container> = cop.snapshot().containers;
+    for &owner in owners {
+        let owned: Vec<&Container> = all.iter().filter(|c| c.owner() == owner).collect();
+        let live: Vec<ContainerId> = owned
+            .iter()
+            .filter(|c| c.state() != ContainerState::Stopped)
+            .map(|c| c.id())
+            .collect();
+        let ids = |cs: Vec<&Container>| cs.iter().map(|c| c.id()).collect::<Vec<_>>();
+        assert_eq!(ids(cop.owned_by(owner).collect()), ids(owned.clone()));
+        assert_eq!(ids(cop.containers_of(owner)), live);
+        assert_eq!(cop.container_ids_of(owner), live);
+        assert_eq!(
+            cop.running_count(owner),
+            owned
+                .iter()
+                .filter(|c| c.state() == ContainerState::Running)
+                .count()
+        );
+        let power: Watts = owned
+            .iter()
+            .map(|c| cop.container_power(c.id()).expect("scanned"))
+            .sum();
+        assert_eq!(
+            cop.app_power(owner).watts().to_bits(),
+            power.watts().to_bits()
+        );
+        let cores: f64 = owned.iter().map(|c| c.effective_cores()).sum();
+        assert_eq!(cop.app_effective_cores(owner).to_bits(), cores.to_bits());
+    }
+}
+
+/// The per-owner index stays equal to a full scan through every way the
+/// container map changes: launch, state changes, eviction of an owner,
+/// adoption (in any id order, below ids already held) and
+/// snapshot + restore.
+#[test]
+fn owner_index_matches_full_scan() {
+    let mut rng = SimRng::from_seed(4004).fork("owner_index_matches_full_scan");
+    // The last owner never launches: the accessors must answer for it too.
+    let owners: Vec<AppId> = (1..=5).map(AppId::new).collect();
+    let mut adopted_below_held = 0;
+    for _ in 0..48 {
+        let mut cop = Cop::new(CopConfig::microserver_cluster(12));
+        let mut evicted: Vec<Vec<Container>> = Vec::new();
+        for _ in 0..rng.uniform_u64(20, 90) {
+            let owner = owners[rng.uniform_u64(0, 4) as usize];
+            let known = cop.snapshot().containers;
+            let pick = (!known.is_empty())
+                .then(|| known[rng.uniform_u64(0, known.len() as u64) as usize].id());
+            match (rng.uniform_u64(0, 9), pick) {
+                (0..=2, _) => {
+                    if let Ok(id) = cop.launch(owner, ContainerSpec::with_cores(1)) {
+                        cop.set_demand(id, rng.unit()).expect("just launched");
+                    }
+                }
+                (3, Some(id)) => drop(cop.stop(id)),
+                (4, Some(id)) => drop(cop.suspend(id)),
+                (5, Some(id)) => drop(cop.resume(id)),
+                (6, _) => evicted.push(cop.remove_app_containers(owner)),
+                (7, _) => {
+                    if let Some(mut back) = evicted.pop() {
+                        // Reversed: adoption must sort, not append.
+                        back.reverse();
+                        let before = cop.snapshot();
+                        match cop.adopt_containers(&back) {
+                            // What the owner launched since its eviction
+                            // carries higher ids than what comes back.
+                            Ok(()) => {
+                                adopted_below_held += back.first().is_some_and(|c| {
+                                    before.containers.iter().any(|b| b.owner() == c.owner())
+                                }) as u32
+                            }
+                            Err(_) => assert_eq!(cop.snapshot(), before, "refused: unchanged"),
+                        }
+                    }
+                }
+                (8, _) => {
+                    let snap = cop.snapshot();
+                    let mut twin = Cop::new(CopConfig::microserver_cluster(12));
+                    twin.restore(&snap).expect("own snapshot restores");
+                    assert_eq!(twin.snapshot(), snap);
+                    cop = twin;
+                }
+                _ => {}
+            }
+            assert_owner_index_matches_scan(&cop, &owners);
+        }
+    }
+    assert!(adopted_below_held > 0, "the sorted-insert case never ran");
 }

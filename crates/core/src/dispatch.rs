@@ -42,7 +42,8 @@
 use std::sync::atomic::Ordering;
 
 use container_cop::{AppId, ContainerId, Cop};
-use power_telemetry::Tsdb;
+use power_telemetry::{metrics, SeriesId, Tsdb};
+use simkit::time::SimTime;
 use simkit::units::{Co2Grams, WattHours};
 
 use crate::ecovisor::{AppState, Ecovisor};
@@ -70,6 +71,25 @@ fn timed_lock<G>(
             guard
         }
         None => acquire(),
+    }
+}
+
+/// Step-integral of one telemetry series over `[from, to)`: through the
+/// handle the shard caches for it when there is one, by name — the only
+/// case that formats the subject — when there is none (nothing recorded
+/// since the handles were last dropped, or a container that was not live
+/// at the last recording).
+fn integrate(
+    tsdb: &Tsdb,
+    cached: Option<SeriesId>,
+    metric: &str,
+    subject: impl std::fmt::Display,
+    from: SimTime,
+    to: SimTime,
+) -> f64 {
+    match cached {
+        Some(id) => tsdb.get(id).integrate_step(from, to),
+        None => tsdb.integrate(metric, &subject.to_string(), from, to),
     }
 }
 
@@ -488,9 +508,12 @@ impl Ecovisor {
             } => match Self::scope_in(cop_held(cop), app, *container) {
                 Err(e) => EnergyResponse::Err(e),
                 Ok(()) => {
-                    let ws = tsdb_held(tsdb).integrate(
-                        power_telemetry::metrics::CONTAINER_POWER,
-                        &container.to_string(),
+                    let cached = state.container_series(*container).map(|c| c.power);
+                    let ws = integrate(
+                        tsdb_held(tsdb),
+                        cached,
+                        metrics::CONTAINER_POWER,
+                        container,
                         *from,
                         *to,
                     );
@@ -504,9 +527,12 @@ impl Ecovisor {
             } => match Self::scope_in(cop_held(cop), app, *container) {
                 Err(e) => EnergyResponse::Err(e),
                 Ok(()) => {
-                    let grams = tsdb_held(tsdb).integrate(
-                        power_telemetry::metrics::CARBON_RATE,
-                        &container.to_string(),
+                    let cached = state.container_series(*container).map(|c| c.carbon_rate);
+                    let grams = integrate(
+                        tsdb_held(tsdb),
+                        cached,
+                        metrics::CARBON_RATE,
+                        container,
                         *from,
                         *to,
                     );
@@ -520,19 +546,18 @@ impl Ecovisor {
             // than sampling this reading.
             GetAppPower => EnergyResponse::Power(cop_held(cop).app_power(app)),
             GetAppEnergy { from, to } => {
-                let ws = tsdb_held(tsdb).integrate(
-                    power_telemetry::metrics::APP_POWER,
-                    &app.to_string(),
-                    *from,
-                    *to,
-                );
+                let cached = state.series.as_ref().map(|s| s.app_power);
+                let ws = integrate(tsdb_held(tsdb), cached, metrics::APP_POWER, app, *from, *to);
                 EnergyResponse::Energy(WattHours::new(ws / 3600.0))
             }
             GetAppCarbon => EnergyResponse::Carbon(state.ves.totals().carbon),
             GetAppCarbonBetween { from, to } => {
-                let grams = tsdb_held(tsdb).integrate(
-                    power_telemetry::metrics::CARBON_RATE,
-                    &app.to_string(),
+                let cached = state.series.as_ref().map(|s| s.carbon_rate);
+                let grams = integrate(
+                    tsdb_held(tsdb),
+                    cached,
+                    metrics::CARBON_RATE,
+                    app,
                     *from,
                     *to,
                 );

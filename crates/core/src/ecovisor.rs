@@ -41,7 +41,7 @@ use energy_system::battery::Battery;
 use energy_system::grid::GridConnection;
 use energy_system::psu::ProgrammablePsu;
 use energy_system::solar::SolarSource;
-use power_telemetry::{metrics, Tsdb};
+use power_telemetry::{metrics, SeriesId, Tsdb};
 use simkit::time::{SimDuration, SimTime, TickClock};
 use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams, WattHours, Watts};
 
@@ -51,7 +51,7 @@ use crate::event::{Notification, NotifyConfig, OutboxPolicy};
 use crate::federation::FedAppView;
 use crate::lock;
 use crate::share::EnergyShare;
-use crate::ves::{VesFlows, VesTotals, VirtualEnergySystem};
+use crate::ves::{DesiredFlows, VesFlows, VesTotals, VirtualEnergySystem};
 
 /// One application's shard: its state behind its own lock, so traffic
 /// from different tenants executes in parallel.
@@ -72,6 +72,67 @@ pub(crate) struct AppState {
     pub(crate) carbon_capped: Vec<ContainerId>,
     /// Edge-trigger state for [`Notification::BudgetExhausted`].
     pub(crate) budget_exhausted: bool,
+    /// Handles of the series telemetry appends to for this tenant each
+    /// tick: resolved by the first recording that finds none, and set
+    /// back to `None` whenever the store is replaced or renumbered
+    /// (restore, a tenant's eviction). Never captured in a snapshot.
+    pub(crate) series: Option<SeriesHandles>,
+}
+
+impl AppState {
+    /// The cached handles of one of this tenant's containers, if it was
+    /// live at the last recording.
+    pub(crate) fn container_series(&self, id: ContainerId) -> Option<&ContainerSeries> {
+        let cached = &self.series.as_ref()?.containers;
+        let at = cached.binary_search_by_key(&id, |c| c.id).ok()?;
+        Some(&cached[at])
+    }
+}
+
+/// One tenant's telemetry series by handle (see [`AppState::series`]).
+pub(crate) struct SeriesHandles {
+    pub(crate) app_power: SeriesId,
+    grid_power: SeriesId,
+    solar_power: SeriesId,
+    battery_discharge: SeriesId,
+    battery_charge: SeriesId,
+    battery_level: SeriesId,
+    battery_soc: SeriesId,
+    pub(crate) carbon_rate: SeriesId,
+    carbon_total: SeriesId,
+    container_count: SeriesId,
+    /// The containers that were live at the last recording, ascending by
+    /// id. Each recording walks the live set beside this list and
+    /// re-resolves from the first difference on.
+    containers: Vec<ContainerSeries>,
+}
+
+/// The two series recorded per live container.
+#[derive(Clone, Copy)]
+pub(crate) struct ContainerSeries {
+    id: ContainerId,
+    pub(crate) power: SeriesId,
+    pub(crate) carbon_rate: SeriesId,
+}
+
+impl SeriesHandles {
+    fn resolve(tsdb: &mut Tsdb, app: AppId) -> Self {
+        let subject = app.to_string();
+        let mut id = |metric| tsdb.series_id(metric, &subject);
+        Self {
+            app_power: id(metrics::APP_POWER),
+            grid_power: id(metrics::GRID_POWER),
+            solar_power: id(metrics::SOLAR_POWER),
+            battery_discharge: id(metrics::BATTERY_DISCHARGE),
+            battery_charge: id(metrics::BATTERY_CHARGE),
+            battery_level: id(metrics::BATTERY_LEVEL),
+            battery_soc: id(metrics::BATTERY_SOC),
+            carbon_rate: id(metrics::CARBON_RATE),
+            carbon_total: id(metrics::CARBON_TOTAL),
+            container_count: id(metrics::CONTAINER_COUNT),
+            containers: Vec::new(),
+        }
+    }
 }
 
 /// System-wide flows settled in one tick (diagnostics/telemetry).
@@ -259,6 +320,7 @@ impl Ecovisor {
                 carbon_budget: None,
                 carbon_capped: Vec::new(),
                 budget_exhausted: false,
+                series: None,
             }),
         );
         Ok(id)
@@ -475,32 +537,27 @@ impl Ecovisor {
                 w[1].app, w[0].app
             )));
         }
+        // Both lists ascend, so one pass finds every local app among the
+        // views; what sorts below the next local id is a remote app.
+        let mut shipped = views.iter().map(|v| v.app).peekable();
         for &id in self.apps.keys() {
-            if !views.iter().any(|v| v.app == id) {
+            while shipped.next_if(|&v| v < id).is_some() {}
+            if shipped.next_if_eq(&id).is_none() {
                 return Err(EcovisorError::Protocol(format!(
                     "demand views are missing local app {id}"
                 )));
             }
         }
 
-        // Shadows for remote apps: their shipped state runs through the
-        // tick's arithmetic and is discarded at the end of this call.
-        let mut shadows: BTreeMap<AppId, VirtualEnergySystem> = views
-            .iter()
-            .filter(|v| !self.apps.contains_key(&v.app))
-            .map(|v| (v.app, v.ves.clone()))
-            .collect();
-
         // 2. Desired flows per app, from post-cap container power. The
         //    captured views are authoritative for *both* local and
         //    remote apps — for locals they are clones of live state
         //    taken in [`Self::collect_demand`] with nothing allowed to
         //    run in between.
-        let ids: Vec<AppId> = views.iter().map(|v| v.app).collect();
-        let mut desired = BTreeMap::new();
-        for view in views {
-            desired.insert(view.app, view.ves.desired_flows(view.power, dt));
-        }
+        let desired: Vec<DesiredFlows> = views
+            .iter()
+            .map(|v| v.ves.desired_flows(v.power, dt))
+            .collect();
 
         // 3. Aggregate throttle factors against the physical bank's rate
         //    limits (§3.3: "computing the limit on the maximum battery
@@ -508,8 +565,8 @@ impl Ecovisor {
         //    SoC feasibility is enforced per virtual battery; Σ virtual
         //    capacity ≤ physical capacity guarantees the bank can honor
         //    whatever the virtual batteries accept.
-        let total_charge: Watts = desired.values().map(|d| d.total_charge()).sum();
-        let total_discharge: Watts = desired.values().map(|d| d.discharge).sum();
+        let total_charge: Watts = desired.iter().map(|d| d.total_charge()).sum();
+        let total_discharge: Watts = desired.iter().map(|d| d.discharge).sum();
         let charge_allow = self.physical_battery.spec().max_charge_rate;
         let discharge_allow = self.physical_battery.spec().max_discharge_rate;
         let charge_scale = if total_charge > charge_allow {
@@ -523,57 +580,60 @@ impl Ecovisor {
             1.0
         };
 
-        // 4. Commit per-app flows.
-        let mut flows = BTreeMap::new();
+        // 4. Commit per-app flows. Local flows are kept, in app-id order
+        //    (the order of `self.apps`), for telemetry.
+        let mut shadows: BTreeMap<AppId, VirtualEnergySystem> = BTreeMap::new();
+        let mut local_flows = Vec::with_capacity(self.apps.len());
         let mut surplus_pool = Watts::ZERO;
         let mut charge_applied = Watts::ZERO;
         let mut discharge_applied = Watts::ZERO;
         let mut grid_total = Watts::ZERO;
-        for &id in &ids {
-            let d = desired.get(&id).expect("computed");
-            let Some(shard) = self.apps.get_mut(&id) else {
-                // Shadow: same arithmetic, no side effects. Events and
-                // budget edges fire on the owning node; only the flow
-                // numbers feed the shared accumulators here.
-                let ves = shadows.get_mut(&id).expect("shadow built");
-                let (f, _events) = ves.apply_flows(d, charge_scale, discharge_scale, intensity, dt);
-                surplus_pool += f.solar_surplus;
-                charge_applied += f.solar_to_battery + f.grid_to_battery;
-                discharge_applied += f.battery_to_load;
-                grid_total += f.grid_import();
-                flows.insert(id, f);
-                continue;
-            };
-            let state = lock::get_mut(shard);
-            let (f, events) =
-                state
-                    .ves
-                    .apply_flows(d, charge_scale, discharge_scale, intensity, dt);
-            let outbox = state.outbox;
-            for event in events {
-                outbox.push(&mut state.pending_events, event);
-            }
-            // Carbon-budget enforcement (Table 2 set_carbon_budget):
-            // edge-triggered like battery full/empty — notify once at
-            // the crossing and clamp grid allowance to zero until the
-            // budget is cleared or raised.
-            if let Some(budget) = state.carbon_budget {
-                let carbon = state.ves.totals().carbon;
-                if carbon >= budget && !state.budget_exhausted {
-                    state.budget_exhausted = true;
-                    state.ves.set_grid_clamp(true);
-                    let outbox = state.outbox;
-                    outbox.push(
-                        &mut state.pending_events,
-                        Notification::BudgetExhausted { budget, carbon },
-                    );
+        for (view, d) in views.iter().zip(&desired) {
+            let f = match self.apps.get_mut(&view.app) {
+                // Shadow of a remote app: its shipped state runs through
+                // the same arithmetic with no side effects and is
+                // discarded when this call ends. Events and budget edges
+                // fire on the owning node; only the flow numbers feed
+                // the shared accumulators here.
+                None => {
+                    let ves = shadows.entry(view.app).or_insert_with(|| view.ves.clone());
+                    ves.apply_flows(d, charge_scale, discharge_scale, intensity, dt)
+                        .0
                 }
-            }
+                Some(shard) => {
+                    let state = lock::get_mut(shard);
+                    let (f, events) =
+                        state
+                            .ves
+                            .apply_flows(d, charge_scale, discharge_scale, intensity, dt);
+                    let outbox = state.outbox;
+                    for event in events {
+                        outbox.push(&mut state.pending_events, event);
+                    }
+                    // Carbon-budget enforcement (Table 2
+                    // set_carbon_budget): edge-triggered like battery
+                    // full/empty — notify once at the crossing and clamp
+                    // grid allowance to zero until the budget is cleared
+                    // or raised.
+                    if let Some(budget) = state.carbon_budget {
+                        let carbon = state.ves.totals().carbon;
+                        if carbon >= budget && !state.budget_exhausted {
+                            state.budget_exhausted = true;
+                            state.ves.set_grid_clamp(true);
+                            outbox.push(
+                                &mut state.pending_events,
+                                Notification::BudgetExhausted { budget, carbon },
+                            );
+                        }
+                    }
+                    local_flows.push(f);
+                    f
+                }
+            };
             surplus_pool += f.solar_surplus;
             charge_applied += f.solar_to_battery + f.grid_to_battery;
             discharge_applied += f.battery_to_load;
             grid_total += f.grid_import();
-            flows.insert(id, f);
         }
 
         // 5. Excess-solar policy.
@@ -581,15 +641,15 @@ impl Ecovisor {
         let mut remaining_pool = surplus_pool;
         if self.excess == ExcessPolicy::Redistribute && remaining_pool > Watts::ZERO {
             let mut headroom = (charge_allow - charge_applied).max_zero();
-            for &id in &ids {
+            for view in views {
                 if remaining_pool <= Watts::ZERO || headroom <= Watts::ZERO {
                     break;
                 }
                 let offer = remaining_pool.min(headroom);
-                let accepted = match self.apps.get_mut(&id) {
+                let accepted = match self.apps.get_mut(&view.app) {
                     Some(shard) => lock::get_mut(shard).ves.accept_redistribution(offer, dt),
                     None => shadows
-                        .get_mut(&id)
+                        .get_mut(&view.app)
                         .expect("shadow built")
                         .accept_redistribution(offer, dt),
                 };
@@ -615,17 +675,18 @@ impl Ecovisor {
 
         // 7. Physical solar this tick, buffered per app for next tick;
         //    solar-change notifications compare old vs new availability.
+        // 8. Carbon-change notifications (this tick vs previous tick).
+        //    Local apps only: a remote app's owning node buffers its
+        //    solar and notifies it.
         let physical_solar = self.solar.mean_power_over(now, now + dt);
-        for &id in &ids {
-            let Some(shard) = self.apps.get_mut(&id) else {
-                continue; // remote: the owning node buffers its solar
-            };
+        let prev_intensity = self.prev_intensity;
+        for shard in self.apps.values_mut() {
             let state = lock::get_mut(shard);
+            let outbox = state.outbox;
             let share = state.ves.share().solar_fraction;
             let new_buffer = physical_solar * share;
             let old_buffer = state.ves.solar_available();
             if state.notify.solar_significant(old_buffer, new_buffer) {
-                let outbox = state.outbox;
                 outbox.push(
                     &mut state.pending_events,
                     Notification::SolarChange {
@@ -635,23 +696,11 @@ impl Ecovisor {
                 );
             }
             state.ves.buffer_solar(new_buffer);
-        }
-
-        // 8. Carbon-change notifications (this tick vs previous tick).
-        for &id in &ids {
-            let Some(shard) = self.apps.get_mut(&id) else {
-                continue; // remote: the owning node notifies
-            };
-            let state = lock::get_mut(shard);
-            if state
-                .notify
-                .carbon_significant(self.prev_intensity, intensity)
-            {
-                let outbox = state.outbox;
+            if state.notify.carbon_significant(prev_intensity, intensity) {
                 outbox.push(
                     &mut state.pending_events,
                     Notification::CarbonChange {
-                        previous: self.prev_intensity,
+                        previous: prev_intensity,
                         current: intensity,
                     },
                 );
@@ -674,8 +723,7 @@ impl Ecovisor {
         //    recorded by their owning node. Note the SYSTEM-subject
         //    rows derived from local state (app power, battery SoC) are
         //    node-local under federation; see docs/FEDERATION.md.
-        flows.retain(|id, _| self.apps.contains_key(id));
-        self.record_telemetry(now, &flows, &system);
+        self.record_telemetry(now, &local_flows, &system);
 
         Ok(system)
     }
@@ -842,8 +890,7 @@ impl Ecovisor {
             let grid_allowance = Watts::new(rate.grams_per_sec() * 3.6e6 / intensity);
             let total_allowed = zero_carbon + grid_allowance;
             let running: Vec<ContainerId> = cop
-                .containers_of(id)
-                .iter()
+                .owned_by(id)
                 .filter(|c| c.state() == ContainerState::Running)
                 .map(|c| c.id())
                 .collect();
@@ -858,60 +905,44 @@ impl Ecovisor {
         }
     }
 
-    fn record_telemetry(
-        &mut self,
-        now: SimTime,
-        flows: &BTreeMap<AppId, VesFlows>,
-        system: &SystemFlows,
-    ) {
-        let battery_total = self.virtual_battery_total();
+    /// Records the tick's telemetry; `flows` holds the local apps'
+    /// committed flows in the order of `self.apps`.
+    ///
+    /// Per tenant this is ten appends through its cached handles plus one
+    /// walk of its containers in the COP's owner index, two appends per
+    /// live one: no lookup by name, no allocation, unless the handles
+    /// were dropped or the tenant's live container set changed since the
+    /// last tick.
+    fn record_telemetry(&mut self, now: SimTime, flows: &[VesFlows], system: &SystemFlows) {
+        debug_assert_eq!(flows.len(), self.apps.len());
         let phys_capacity = self.physical_battery.spec().capacity;
         let intensity = self.intensity;
         let tsdb = lock::get_mut(&mut self.tsdb);
         let cop = lock::get_mut(&mut self.cop);
+        let battery_total: WattHours = self
+            .apps
+            .values_mut()
+            .map(|s| lock::get_mut(s).ves.battery_charge_level())
+            .sum();
 
         // System-wide series.
-        tsdb.record(
-            metrics::GRID_CARBON_INTENSITY,
-            metrics::SYSTEM,
-            now,
-            intensity.grams_per_kwh(),
-        );
-        tsdb.record(
-            metrics::SOLAR_POWER,
-            metrics::SYSTEM,
-            now,
-            system.physical_solar.watts(),
-        );
-        tsdb.record(
-            metrics::GRID_POWER,
-            metrics::SYSTEM,
-            now,
-            system.grid_import.watts(),
-        );
-        tsdb.record(
-            metrics::APP_POWER,
-            metrics::SYSTEM,
-            now,
-            cop.total_power().watts(),
-        );
-        tsdb.record(
-            metrics::BATTERY_SOC,
-            metrics::SYSTEM,
-            now,
-            battery_total / phys_capacity,
-        );
-        tsdb.record(
-            metrics::SOLAR_CURTAILED,
-            metrics::SYSTEM,
-            now,
-            system.curtailed.watts(),
-        );
+        for (metric, value) in [
+            (metrics::GRID_CARBON_INTENSITY, intensity.grams_per_kwh()),
+            (metrics::SOLAR_POWER, system.physical_solar.watts()),
+            (metrics::GRID_POWER, system.grid_import.watts()),
+            (metrics::APP_POWER, cop.total_power().watts()),
+            (metrics::BATTERY_SOC, battery_total / phys_capacity),
+            (metrics::SOLAR_CURTAILED, system.curtailed.watts()),
+        ] {
+            tsdb.record(metric, metrics::SYSTEM, now, value);
+        }
 
         // Per-app and per-container series.
-        for (&id, f) in flows {
-            let subject = id.to_string();
-            let state = lock::read(self.apps.get(&id).expect("registered"));
+        for ((&id, shard), f) in self.apps.iter_mut().zip(flows) {
+            let state = lock::get_mut(shard);
+            let series = state
+                .series
+                .get_or_insert_with(|| SeriesHandles::resolve(tsdb, id));
             let app_power = f.demand;
             // APP_POWER records *served* power (demand minus load shed by
             // the grid cap), so its TSDB integral — get_app_energy —
@@ -919,70 +950,59 @@ impl Ecovisor {
             // power. Demand stays the denominator for the proportional
             // carbon attribution below (container powers sum to demand).
             let served = (f.demand - f.unmet_demand).max_zero();
-            tsdb.record(metrics::APP_POWER, &subject, now, served.watts());
-            tsdb.record(metrics::GRID_POWER, &subject, now, f.grid_import().watts());
-            tsdb.record(
-                metrics::SOLAR_POWER,
-                &subject,
-                now,
-                f.solar_available.watts(),
-            );
-            tsdb.record(
-                metrics::BATTERY_DISCHARGE,
-                &subject,
-                now,
-                f.battery_to_load.watts(),
-            );
-            tsdb.record(
-                metrics::BATTERY_CHARGE,
-                &subject,
-                now,
-                (f.solar_to_battery + f.grid_to_battery + f.redistributed_in).watts(),
-            );
-            tsdb.record(
-                metrics::BATTERY_LEVEL,
-                &subject,
-                now,
-                state.ves.battery_charge_level().watt_hours(),
-            );
-            tsdb.record(metrics::BATTERY_SOC, &subject, now, state.ves.battery_soc());
-            tsdb.record(
-                metrics::CARBON_RATE,
-                &subject,
-                now,
-                f.carbon_rate.grams_per_sec(),
-            );
-            tsdb.record(
-                metrics::CARBON_TOTAL,
-                &subject,
-                now,
-                state.ves.totals().carbon.grams(),
-            );
-            tsdb.record(
-                metrics::CONTAINER_COUNT,
-                &subject,
-                now,
-                cop.running_count(id) as f64,
-            );
+            let charge = f.solar_to_battery + f.grid_to_battery + f.redistributed_in;
+            for (handle, value) in [
+                (series.app_power, served.watts()),
+                (series.grid_power, f.grid_import().watts()),
+                (series.solar_power, f.solar_available.watts()),
+                (series.battery_discharge, f.battery_to_load.watts()),
+                (series.battery_charge, charge.watts()),
+                (
+                    series.battery_level,
+                    state.ves.battery_charge_level().watt_hours(),
+                ),
+                (series.battery_soc, state.ves.battery_soc()),
+                (series.carbon_rate, f.carbon_rate.grams_per_sec()),
+                (series.carbon_total, state.ves.totals().carbon.grams()),
+            ] {
+                tsdb.append(handle, now, value);
+            }
 
             // Containers: power + proportional carbon attribution.
-            let containers = cop.container_ids_of(id);
-            for c in containers {
-                let power = cop.container_power(c).unwrap_or(Watts::ZERO);
-                let c_subject = c.to_string();
-                tsdb.record(metrics::CONTAINER_POWER, &c_subject, now, power.watts());
+            let mut running = 0u32;
+            let mut live = 0;
+            for c in cop.owned_by(id) {
+                match c.state() {
+                    ContainerState::Stopped => continue,
+                    ContainerState::Running => running += 1,
+                    ContainerState::Suspended => {}
+                }
+                if series.containers.get(live).map(|h| h.id) != Some(c.id()) {
+                    let subject = c.id().to_string();
+                    series.containers.truncate(live);
+                    series.containers.push(ContainerSeries {
+                        id: c.id(),
+                        power: tsdb.series_id(metrics::CONTAINER_POWER, &subject),
+                        carbon_rate: tsdb.series_id(metrics::CARBON_RATE, &subject),
+                    });
+                }
+                let handles = series.containers[live];
+                live += 1;
+                let power = cop.power_of(c);
                 let share = if app_power > Watts::ZERO {
                     power / app_power
                 } else {
                     0.0
                 };
-                tsdb.record(
-                    metrics::CARBON_RATE,
-                    &c_subject,
+                tsdb.append(handles.power, now, power.watts());
+                tsdb.append(
+                    handles.carbon_rate,
                     now,
                     f.carbon_rate.grams_per_sec() * share,
                 );
             }
+            series.containers.truncate(live);
+            tsdb.append(series.container_count, now, f64::from(running));
         }
     }
 }

@@ -177,8 +177,7 @@ impl Ecovisor {
             budget_exhausted: s.budget_exhausted,
         };
         let containers: Vec<Container> = lock::get_mut(&mut self.cop)
-            .all_containers_of(app)
-            .into_iter()
+            .owned_by(app)
             .cloned()
             .collect();
         let mut subjects: BTreeSet<String> =
@@ -322,6 +321,7 @@ impl Ecovisor {
                 carbon_budget: snap.app.carbon_budget,
                 carbon_capped: snap.app.carbon_capped.clone(),
                 budget_exhausted: snap.app.budget_exhausted,
+                series: None,
             }),
         );
         self.next_app = self.next_app.max(id.value() + 1);
@@ -352,6 +352,11 @@ impl Ecovisor {
         let mut subjects: BTreeSet<String> = removed.iter().map(|c| c.id().to_string()).collect();
         subjects.insert(app.to_string());
         lock::get_mut(&mut self.tsdb).remove_subjects(&subjects);
+        // Removal renumbers the series that stay: every tenant's handles
+        // are dead, and the next recording resolves them again by name.
+        for shard in self.apps.values_mut() {
+            lock::get_mut(shard).series = None;
+        }
         Ok(())
     }
 }
@@ -515,6 +520,84 @@ mod tests {
         // Destination delivers them exactly once.
         assert_eq!(dest.drain_events(a), pending);
         assert!(dest.drain_events(a).is_empty());
+    }
+
+    fn protocol_message(err: EcovisorError) -> String {
+        match err {
+            EcovisorError::Protocol(message) => message,
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bad_view_lists_are_refused_and_the_tick_stays_unsettled() {
+        let (mut eco, a, b) = eco_with_two_tenants();
+        settle(&mut eco, 2);
+        eco.begin_tick();
+        let views = eco.collect_demand();
+        let before = eco.snapshot().digest();
+
+        for missing in [a, b] {
+            let partial: Vec<FedAppView> =
+                views.iter().filter(|v| v.app != missing).cloned().collect();
+            let err = eco
+                .settle_with_views(&partial)
+                .expect_err("a local app is absent");
+            assert_eq!(
+                protocol_message(err),
+                format!("demand views are missing local app {missing}")
+            );
+        }
+        let reversed: Vec<FedAppView> = views.iter().rev().cloned().collect();
+        let repeated = vec![views[0].clone(), views[0].clone(), views[1].clone()];
+        for (bad, saw) in [(reversed, (a, b)), (repeated, (a, a))] {
+            let err = eco
+                .settle_with_views(&bad)
+                .expect_err("not strictly ascending");
+            assert_eq!(
+                protocol_message(err),
+                format!(
+                    "demand views must be strictly ascending by app id (saw {} after {})",
+                    saw.0, saw.1
+                )
+            );
+        }
+        assert_eq!(eco.snapshot().digest(), before, "nothing was settled");
+        assert_eq!(eco.tick_index(), 2);
+
+        eco.settle_with_views(&views)
+            .expect("the complete list settles");
+    }
+
+    #[test]
+    fn local_apps_are_found_among_remote_views_on_every_side() {
+        // One node holds all five tenants; the other sheds the first,
+        // middle and last, so its two local ids sit between remote ones.
+        let build = || {
+            let mut eco = EcovisorBuilder::new().build();
+            let ids: Vec<AppId> = (0..5)
+                .map(|i| eco.register_app(format!("t{i}"), solar_share(0.1)).unwrap())
+                .collect();
+            (eco, ids)
+        };
+        let (mut whole, ids) = build();
+        let (mut node, _) = build();
+        for i in [0, 2, 4] {
+            node.remove_app(ids[i]).unwrap();
+        }
+        for eco in [&mut whole, &mut node] {
+            eco.begin_tick();
+        }
+        let views = whole.collect_demand();
+        assert_eq!(node.collect_demand().len(), 2);
+        let flows = whole.settle_with_views(&views).expect("all local");
+        assert_eq!(node.settle_with_views(&views).expect("two local"), flows);
+        for local in [ids[1], ids[3]] {
+            assert_eq!(
+                node.app_flows(local).unwrap(),
+                whole.app_flows(local).unwrap()
+            );
+        }
     }
 
     #[test]

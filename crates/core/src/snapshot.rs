@@ -429,6 +429,9 @@ impl Ecovisor {
                         carbon_budget: a.carbon_budget,
                         carbon_capped: a.carbon_capped.clone(),
                         budget_exhausted: a.budget_exhausted,
+                        // The store was just replaced; handles into the
+                        // old one mean nothing in this one.
+                        series: None,
                     }),
                 )
             })

@@ -56,16 +56,9 @@ pub fn aligned_csv(columns: &[(&str, &TimeSeries)]) -> String {
 /// `metric,subject,time_s,value`.
 pub fn tsdb_to_csv(db: &Tsdb) -> String {
     let mut out = String::from("metric,subject,time_s,value\n");
-    for (key, series) in db.iter() {
+    for (metric, subject, series) in db.iter() {
         for (at, value) in series.iter() {
-            let _ = writeln!(
-                out,
-                "{},{},{},{}",
-                key.metric,
-                key.subject,
-                at.as_secs(),
-                value
-            );
+            let _ = writeln!(out, "{metric},{subject},{},{value}", at.as_secs());
         }
     }
     out

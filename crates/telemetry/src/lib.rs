@@ -43,4 +43,4 @@ pub mod ops;
 pub mod tsdb;
 
 pub use meter::MeterSet;
-pub use tsdb::{SeriesKey, Tsdb};
+pub use tsdb::{SeriesId, SeriesKey, Tsdb};

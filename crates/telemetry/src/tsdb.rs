@@ -1,14 +1,14 @@
 //! In-memory time-series database with interval queries.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use simkit::series::TimeSeries;
 use simkit::time::SimTime;
 
 /// Addresses one series: a metric name plus a subject (container, app, or
-/// system).
+/// system). The key type of the at-rest form (see [`Tsdb`]).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct SeriesKey {
     /// Metric name (see [`crate::metrics`]).
@@ -27,13 +27,30 @@ impl SeriesKey {
     }
 }
 
+/// Handle of one stored series: an index into the store, found or made by
+/// [`Tsdb::series_id`]. It stays valid while the store only gains series
+/// ([`Tsdb::record`], [`Tsdb::merge_from`]); [`Tsdb::remove_subjects`]
+/// renumbers what is left, and a store that replaces this one numbers its
+/// own, so a holder drops its handles at either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesId(u32);
+
 /// The time-series store.
 ///
 /// All queries take half-open windows `[from, to)`. Writes must be
 /// time-ordered per series (enforced by [`TimeSeries`]).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Series are held densely behind [`SeriesId`] handles, so a writer that
+/// keeps its handles appends with an indexed push; names are resolved
+/// through a `metric → subject → handle` index without allocating.
+/// Serialized, the store is what a `BTreeMap<SeriesKey, TimeSeries>`
+/// field named `series` would be — a sequence of `[SeriesKey,
+/// TimeSeries]` pairs in `(metric, subject)` string order — whatever
+/// order the series were created in.
+#[derive(Debug, Clone, Default)]
 pub struct Tsdb {
-    series: BTreeMap<SeriesKey, TimeSeries>,
+    series: Vec<TimeSeries>,
+    index: BTreeMap<String, BTreeMap<String, SeriesId>>,
 }
 
 impl Tsdb {
@@ -42,17 +59,57 @@ impl Tsdb {
         Self::default()
     }
 
-    /// Appends a sample to `(metric, subject)`.
-    pub fn record(&mut self, metric: &str, subject: &str, at: SimTime, value: f64) {
-        self.series
-            .entry(SeriesKey::new(metric, subject))
-            .or_default()
-            .push(at, value);
+    fn lookup(&self, metric: &str, subject: &str) -> Option<SeriesId> {
+        self.index.get(metric)?.get(subject).copied()
     }
 
-    /// The series for `(metric, subject)`, if any samples exist.
+    /// The handle of `(metric, subject)`, creating the (empty) series if
+    /// the store does not have it. A hit allocates nothing.
+    pub fn series_id(&mut self, metric: &str, subject: &str) -> SeriesId {
+        if !self.index.contains_key(metric) {
+            self.index.insert(metric.to_owned(), BTreeMap::new());
+        }
+        let by_subject = self
+            .index
+            .get_mut(metric)
+            .expect("present or just inserted");
+        if let Some(&id) = by_subject.get(subject) {
+            return id;
+        }
+        let id = SeriesId(u32::try_from(self.series.len()).expect("fewer than 2^32 series"));
+        by_subject.insert(subject.to_owned(), id);
+        self.series.push(TimeSeries::new());
+        id
+    }
+
+    /// Stores `series` as `(metric, subject)`, over any series already
+    /// there.
+    fn put(&mut self, metric: &str, subject: &str, series: TimeSeries) {
+        let id = self.series_id(metric, subject);
+        self.series[id.0 as usize] = series;
+    }
+
+    /// Appends a sample to the series behind `id`, which must be a live
+    /// handle of this store: a dead one names some other series, or
+    /// panics.
+    pub fn append(&mut self, id: SeriesId, at: SimTime, value: f64) {
+        self.series[id.0 as usize].push(at, value);
+    }
+
+    /// Appends a sample to `(metric, subject)`.
+    pub fn record(&mut self, metric: &str, subject: &str, at: SimTime, value: f64) {
+        let id = self.series_id(metric, subject);
+        self.append(id, at, value);
+    }
+
+    /// The series behind `id`, which must be a live handle of this store.
+    pub fn get(&self, id: SeriesId) -> &TimeSeries {
+        &self.series[id.0 as usize]
+    }
+
+    /// The series for `(metric, subject)`, if the store has it.
     pub fn series(&self, metric: &str, subject: &str) -> Option<&TimeSeries> {
-        self.series.get(&SeriesKey::new(metric, subject))
+        self.lookup(metric, subject).map(|id| self.get(id))
     }
 
     /// Latest value of `(metric, subject)`.
@@ -97,13 +154,12 @@ impl Tsdb {
             .unwrap_or(0.0)
     }
 
-    /// All subjects that have samples for `metric`, in order.
+    /// All subjects that have a series for `metric`, in order.
     pub fn subjects_of(&self, metric: &str) -> Vec<&str> {
-        self.series
-            .keys()
-            .filter(|k| k.metric == metric)
-            .map(|k| k.subject.as_str())
-            .collect()
+        self.index
+            .get(metric)
+            .map(|by_subject| by_subject.keys().map(String::as_str).collect())
+            .unwrap_or_default()
     }
 
     /// Number of stored series.
@@ -113,38 +169,60 @@ impl Tsdb {
 
     /// Total number of stored samples across all series.
     pub fn sample_count(&self) -> usize {
-        self.series.values().map(TimeSeries::len).sum()
+        self.series.iter().map(TimeSeries::len).sum()
     }
 
-    /// Iterates over all `(key, series)` pairs (used by CSV export).
-    pub fn iter(&self) -> impl Iterator<Item = (&SeriesKey, &TimeSeries)> {
-        self.series.iter()
+    /// Iterates over all `(metric, subject, series)` in `(metric,
+    /// subject)` string order (the order CSV export and the at-rest form
+    /// use).
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &str, &TimeSeries)> {
+        self.index.iter().flat_map(move |(metric, by_subject)| {
+            by_subject
+                .iter()
+                .map(move |(subject, &id)| (metric.as_str(), subject.as_str(), self.get(id)))
+        })
     }
 
     /// A copy of every series whose subject is in `subjects` (a migrating
     /// tenant's app and container series, for example).
-    pub fn extract_subjects(&self, subjects: &std::collections::BTreeSet<String>) -> Tsdb {
-        Tsdb {
-            series: self
-                .series
-                .iter()
-                .filter(|(k, _)| subjects.contains(&k.subject))
-                .map(|(k, s)| (k.clone(), s.clone()))
-                .collect(),
+    pub fn extract_subjects(&self, subjects: &BTreeSet<String>) -> Tsdb {
+        let mut out = Tsdb::new();
+        for (metric, subject, series) in self.iter() {
+            if subjects.contains(subject) {
+                out.put(metric, subject, series.clone());
+            }
         }
+        out
     }
 
-    /// Removes every series whose subject is in `subjects`.
-    pub fn remove_subjects(&mut self, subjects: &std::collections::BTreeSet<String>) {
-        self.series.retain(|k, _| !subjects.contains(&k.subject));
+    /// Removes every series whose subject is in `subjects`. The series
+    /// that stay are renumbered: every [`SeriesId`] taken before this call
+    /// is dead.
+    pub fn remove_subjects(&mut self, subjects: &BTreeSet<String>) {
+        let mut old = std::mem::take(&mut self.series);
+        for by_subject in self.index.values_mut() {
+            by_subject.retain(|subject, id| {
+                if subjects.contains(subject) {
+                    return false;
+                }
+                let kept = std::mem::take(&mut old[id.0 as usize]);
+                *id = SeriesId(self.series.len() as u32);
+                self.series.push(kept);
+                true
+            });
+        }
+        self.index.retain(|_, by_subject| !by_subject.is_empty());
     }
 
     /// Subjects that have at least one series, in order.
-    pub fn all_subjects(&self) -> std::collections::BTreeSet<String> {
-        self.series.keys().map(|k| k.subject.clone()).collect()
+    pub fn all_subjects(&self) -> BTreeSet<String> {
+        self.iter()
+            .map(|(_, subject, _)| subject.to_owned())
+            .collect()
     }
 
-    /// Moves every series of `other` into this store.
+    /// Moves every series of `other` into this store. Handles into this
+    /// store stay valid.
     ///
     /// # Errors
     ///
@@ -152,15 +230,68 @@ impl Tsdb {
     /// description before anything is moved — callers separate subject
     /// namespaces (per-app and per-container ids), so a collision means
     /// the same entity exists on both sides.
-    pub fn merge_from(&mut self, other: Tsdb) -> Result<(), String> {
-        if let Some(k) = other.series.keys().find(|k| self.series.contains_key(*k)) {
+    pub fn merge_from(&mut self, mut other: Tsdb) -> Result<(), String> {
+        if let Some((metric, subject, _)) = other
+            .iter()
+            .find(|(metric, subject, _)| self.lookup(metric, subject).is_some())
+        {
             return Err(format!(
-                "series ({}, {}) exists on both sides of the merge",
-                k.metric, k.subject
+                "series ({metric}, {subject}) exists on both sides of the merge"
             ));
         }
-        self.series.extend(other.series);
+        for (metric, by_subject) in &other.index {
+            for (subject, id) in by_subject {
+                let moved = std::mem::take(&mut other.series[id.0 as usize]);
+                self.put(metric, subject, moved);
+            }
+        }
         Ok(())
+    }
+}
+
+impl Serialize for Tsdb {
+    fn to_value(&self) -> Value {
+        // Each key is written as `SeriesKey`'s derived form, from the
+        // borrowed names rather than through an owned key.
+        let pairs = self
+            .iter()
+            .map(|(metric, subject, series)| {
+                let key = Value::Map(vec![
+                    ("metric".into(), Value::Str(metric.into())),
+                    ("subject".into(), Value::Str(subject.into())),
+                ]);
+                Value::Seq(vec![key, series.to_value()])
+            })
+            .collect();
+        Value::Map(vec![("series".into(), Value::Seq(pairs))])
+    }
+}
+
+impl Deserialize for Tsdb {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let Value::Seq(pairs) = serde::__field(v, "series")? else {
+            return Err(serde::Error::custom("expected a seq of series pairs"));
+        };
+        // One field of a pair's `SeriesKey`, borrowed from the tree.
+        let name = |key, field| match serde::__field(key, field)? {
+            Value::Str(name) => Ok(name.as_str()),
+            other => Err(serde::Error::custom(format!(
+                "expected string, found {other:?}"
+            ))),
+        };
+        let mut db = Tsdb::new();
+        for pair in pairs {
+            let pair = serde::__seq(pair, 2)?;
+            // Like the map this form is named after, pairs may arrive in
+            // any order and a repeated key keeps its last series.
+            let series = TimeSeries::from_value(&pair[1])?;
+            db.put(
+                name(&pair[0], "metric")?,
+                name(&pair[0], "subject")?,
+                series,
+            );
+        }
+        Ok(db)
     }
 }
 
