@@ -783,7 +783,11 @@ pub enum ProtoError {
         /// Description of the conflict.
         reason: String,
     },
-    /// A command was sent down the read-only query path.
+    /// A command was sent down the read-only query path. No dispatcher
+    /// produces this any more; the variant is kept so that peers and
+    /// recorded traces of envelope versions 1 and 2 still decode, and
+    /// retires with the next envelope version (`docs/PROTOCOL.md` §6
+    /// rule 7).
     NotAQuery,
     /// The connection is not authorized for the operator admin surface
     /// (snapshot/restore require a verified per-app credential).
@@ -976,6 +980,15 @@ pub enum Frame {
     Event(EventFrame),
     /// Either direction: connection-level control traffic.
     Control(ControlFrame),
+}
+
+impl Frame {
+    /// Appends the binary encoding of `Frame::Request(batch)` to `out`,
+    /// for a sender that holds its batch by reference.
+    pub fn encode_request(batch: &RequestBatch, out: &mut Vec<u8>) {
+        serde::binary::write_variant(out, "Request");
+        batch.encode(out);
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -201,9 +201,17 @@ const SERVED_CODEC: WireCodec = WireCodec::Binary;
 impl WireCodec {
     /// Encodes a value in this codec's byte form.
     pub fn encode<T: Serialize>(&self, t: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(t, &mut out);
+        out
+    }
+
+    /// Appends a value's byte form to `out` — [`encode`](Self::encode)
+    /// into a buffer the caller keeps across frames.
+    pub fn encode_into<T: Serialize>(&self, t: &T, out: &mut Vec<u8>) {
         match self {
-            WireCodec::Json => serde::json::to_string(t).into_bytes(),
-            WireCodec::Binary => serde::binary::to_bytes(t),
+            WireCodec::Json => out.extend_from_slice(serde::json::to_string(t).as_bytes()),
+            WireCodec::Binary => t.encode(out),
         }
     }
 
@@ -211,7 +219,7 @@ impl WireCodec {
     ///
     /// # Errors
     ///
-    /// On malformed input or a tree that does not match `T`.
+    /// On malformed input or input that does not spell a `T`.
     pub fn decode<T: Deserialize>(&self, bytes: &[u8]) -> Result<T, serde::Error> {
         match self {
             WireCodec::Json => {

@@ -44,6 +44,8 @@ pub struct RemoteEcovisorClient {
     handler: Option<EventHandler>,
     /// Grow-only read buffer reused across frames.
     rbuf: Vec<u8>,
+    /// Encode buffer reused across request frames.
+    wbuf: Vec<u8>,
 }
 
 impl std::fmt::Debug for RemoteEcovisorClient {
@@ -129,6 +131,7 @@ impl RemoteEcovisorClient {
                 inbox: Vec::new(),
                 handler: None,
                 rbuf: Vec::new(),
+                wbuf: Vec::new(),
             }),
             // Reading on would mis-decode every frame that follows.
             ServerHello::Accept { version, codec } => Err(invalid_data(format!(
@@ -223,8 +226,9 @@ impl RemoteEcovisorClient {
     /// pushed event frames interleave and are buffered in order (handler
     /// first, inbox second).
     fn round_trip(&mut self, batch: &RequestBatch) -> io::Result<ResponseBatch> {
-        let payload = SERVED_CODEC.encode(&Frame::Request(batch.clone()));
-        write_frame(&mut self.stream, &payload)?;
+        self.wbuf.clear();
+        Frame::encode_request(batch, &mut self.wbuf);
+        write_frame(&mut self.stream, &self.wbuf)?;
         loop {
             match self.next_frame()? {
                 Frame::Response(resp) => return Ok(resp),

@@ -264,8 +264,9 @@ impl ConnShared {
     }
 
     /// Delivers one event frame, queueing under `policy` when the socket
-    /// is full instead of disconnecting the subscriber.
-    fn push_event(&self, frame: EventFrame, policy: OutboxPolicy) {
+    /// is full instead of disconnecting the subscriber. `scratch` is the
+    /// caller's encode buffer, overwritten.
+    fn push_event(&self, frame: EventFrame, policy: OutboxPolicy, scratch: &mut Vec<u8>) {
         let mut pending = crate::lock::lock(&self.pending);
         let result = (|| {
             if pending.queued_bytes() > MAX_PENDING_BYTES {
@@ -276,7 +277,9 @@ impl ConnShared {
             }
             if self.flush(&mut pending)? {
                 // Backlog clear: commit this frame to the wire order.
-                self.commit(&mut pending, &SERVED_CODEC.encode(&Frame::Event(frame)))?;
+                scratch.clear();
+                SERVED_CODEC.encode_into(&Frame::Event(frame), scratch);
+                self.commit(&mut pending, scratch)?;
                 self.flush(&mut pending)?;
             } else {
                 // Socket still full: park the notifications under the
@@ -341,6 +344,8 @@ pub(super) fn broadcast_events(eco: &Ecovisor, registry: &Registry) {
             by_app.entry(conn.app).or_default().push((conn, filter));
         }
     }
+    // One encode buffer for every frame this settlement pushes.
+    let mut scratch = Vec::new();
     for (app, subscribers) in by_app {
         let policy = eco.outbox_policy(app).unwrap_or_default();
         // Drain only what some subscriber actually wants: events outside
@@ -353,7 +358,7 @@ pub(super) fn broadcast_events(eco: &Ecovisor, registry: &Registry) {
             let filtered = frame.as_ref().map(|f| f.filtered(&filter));
             match filtered {
                 Some(filtered) if !filtered.events.is_empty() => {
-                    conn.push_event(filtered, policy);
+                    conn.push_event(filtered, policy, &mut scratch);
                 }
                 // Nothing new for this subscriber — still a chance to
                 // drain whatever backpressure left behind.
@@ -418,9 +423,10 @@ mod tests {
         // reads, until a frame has to stay committed-but-unwritten.
         let mut tick = 0u64;
         let mut committed_frames = 0usize;
+        let mut scratch = Vec::new();
         for _ in 0..10 {
             tick += 1;
-            conn.push_event(frame(tick, vec![level(1.0); 200_000]), policy);
+            conn.push_event(frame(tick, vec![level(1.0); 200_000]), policy, &mut scratch);
             committed_frames += 1;
             if crate::lock::lock(&conn.pending).queued_bytes() > 0 {
                 break;
@@ -445,6 +451,7 @@ mod tests {
             conn.push_event(
                 frame(tick, vec![level(tick as f64), Notification::BatteryFull]),
                 policy,
+                &mut scratch,
             );
         }
         {

@@ -49,7 +49,7 @@ use reactor::{Events, Interest, Poll, Token, Waker};
 
 use super::admin::AdminState;
 use super::conn::{ConnShared, WriteNotify};
-use super::framing::{append_frame, RecvBuf, MAX_FRAME_LEN, MAX_HELLO_LEN};
+use super::framing::{append_frame, RecvBuf, DRAIN_RETAIN_BYTES, MAX_FRAME_LEN, MAX_HELLO_LEN};
 use super::hello::{evaluate_hello, HelloOutcome};
 use super::server::{process_payload, ServeCtx, Served, ServerHandle};
 use crate::obs::{self, TransportMetrics};
@@ -194,9 +194,16 @@ impl JobQueue {
 }
 
 /// One worker thread: serve connections' inboxes until the queue stops.
+/// Every reply the worker sends is encoded into the one buffer it owns.
 fn worker_loop(queue: &JobQueue, ctx: &ServeCtx) {
+    let mut reply = Vec::new();
     while let Some(work) = queue.pop() {
-        serve_inbox(&work, ctx, queue);
+        serve_inbox(&work, ctx, queue, &mut reply);
+        // A snapshot chunk may have grown it; steady state keeps a
+        // bounded allocation per worker.
+        if reply.capacity() > DRAIN_RETAIN_BYTES {
+            reply = Vec::new();
+        }
     }
 }
 
@@ -211,7 +218,7 @@ fn kill_from_worker(work: &ConnWork) {
 
 /// Serves up to [`FRAMES_PER_TURN`] frames from one connection's inbox,
 /// then yields the worker (requeueing if frames remain).
-fn serve_inbox(work: &Arc<ConnWork>, ctx: &ServeCtx, queue: &JobQueue) {
+fn serve_inbox(work: &Arc<ConnWork>, ctx: &ServeCtx, queue: &JobQueue, reply: &mut Vec<u8>) {
     if work.closed.load(Ordering::SeqCst) {
         work.scheduled.store(false, Ordering::SeqCst);
         return;
@@ -236,12 +243,25 @@ fn serve_inbox(work: &Arc<ConnWork>, ctx: &ServeCtx, queue: &JobQueue) {
         let serve_start = Instant::now();
         let served = {
             let mut admin = crate::lock::lock(&work.admin);
-            process_payload(ctx, &work.shared, &mut admin, &payload)
+            process_payload(ctx, &work.shared, &mut admin, &payload, reply)
         };
         let healthy = match served {
-            Served::Reply(reply) => work.shared.write(&reply).is_ok(),
+            Served::Reply => work.shared.write(reply).is_ok(),
             Served::Quiet => true,
-            Served::Close => false,
+            Served::Close => {
+                if let Some(m) = obs {
+                    m.conn_errors.inc();
+                }
+                obs::warn(
+                    LOG_TARGET,
+                    "dropping connection",
+                    &[
+                        ("token", work.shared.notify.token.to_string()),
+                        ("error", "undecodable or out-of-protocol frame".into()),
+                    ],
+                );
+                false
+            }
         };
         if let Some(m) = obs {
             m.serve_latency.record_duration(serve_start.elapsed());

@@ -67,8 +67,9 @@ impl ServeCtx {
 
 /// What a worker does with the outcome of one processed inbound payload.
 pub(super) enum Served {
-    /// Write this encoded payload back to the peer.
-    Reply(Vec<u8>),
+    /// Write the encoded payload left in the reply buffer back to the
+    /// peer.
+    Reply,
     /// Nothing to send (e.g. an inbound `Pong`).
     Quiet,
     /// Protocol violation: close the connection without replying.
@@ -93,13 +94,17 @@ fn pinned_denial(batch: &RequestBatch, pinned: AppId) -> ResponseBatch {
 /// Processes one inbound payload — a [`Frame`]. Subscriptions and the
 /// admin surface are interpreted per-connection here; `conn` is the
 /// connection's writer half (its filter is flipped by
-/// `SubscribeEvents`), `admin` its transfer state.
+/// `SubscribeEvents`), `admin` its transfer state, `reply` the serving
+/// worker's reply buffer, which holds exactly the encoded answer when
+/// this returns [`Served::Reply`].
 pub(super) fn process_payload(
     ctx: &ServeCtx,
     conn: &ConnShared,
     admin: &mut AdminState,
     payload: &[u8],
+    reply: &mut Vec<u8>,
 ) -> Served {
+    reply.clear();
     match SERVED_CODEC.decode::<Frame>(payload) {
         Ok(Frame::Request(batch)) => {
             // Scope pinning: a remote peer is untrusted, so a batch
@@ -142,10 +147,12 @@ pub(super) fn process_payload(
                 }
                 response
             };
-            Served::Reply(SERVED_CODEC.encode(&Frame::Response(response)))
+            SERVED_CODEC.encode_into(&Frame::Response(response), reply);
+            Served::Reply
         }
         Ok(Frame::Control(ControlFrame::Ping)) => {
-            Served::Reply(SERVED_CODEC.encode(&Frame::Control(ControlFrame::Pong)))
+            SERVED_CODEC.encode_into(&Frame::Control(ControlFrame::Pong), reply);
+            Served::Reply
         }
         Ok(Frame::Control(ControlFrame::Pong)) => Served::Quiet,
         // Response/Event are server-direction frames; a client sending

@@ -13,6 +13,9 @@
 //!   `write(2)` must be reassembled exactly as if they arrived whole;
 //! * **pre-auth allocation** — a peer that has not said hello yet can
 //!   make the server buffer at most a hello's worth (`MAX_HELLO_LEN`);
+//! * **post-auth decode** — the largest well-formed frame that is not a
+//!   `Frame` is refused at its first byte, so it costs the one worker it
+//!   lands on nothing and its neighbours no latency;
 //! * **slow subscribers** — a peer that stops draining its socket gets
 //!   `OutboxPolicy` parking (edges kept, levels coalesced) on the
 //!   non-blocking writer, bit-compatible with a prompt subscriber;
@@ -32,6 +35,9 @@ use ecovisor::{
 use simkit::time::SimDuration;
 use simkit::trace::{Extend, Trace};
 use simkit::units::{WattHours, Watts};
+
+#[path = "../../../vendor/serde/tests/common/mutate.rs"]
+mod mutate;
 
 fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let start = Instant::now();
@@ -337,6 +343,84 @@ fn oversized_hello_is_closed_before_the_buffer_grows() {
             && handle.active_connections() == 0),
         "both connections reaped, buffers refunded"
     );
+    handle.shutdown();
+}
+
+/// After its hello a tenant may announce up to `MAX_FRAME_LEN`, and the
+/// cheapest thing to fill that with is a sequence of nulls: well-formed,
+/// so the tree decoder used to build all 16 Mi of them (then print them
+/// into the error) before noticing the root was never a `Frame` — seconds
+/// of a worker's time. On a one-worker server that is everyone's time, so
+/// a neighbour's round trips are the measure: they must not notice.
+#[test]
+fn a_maximal_hostile_frame_is_refused_without_stalling_the_neighbours() {
+    let mut eco = EcovisorBuilder::new().build();
+    let app = eco
+        .register_app("tenant", EnergyShare::grid_only())
+        .expect("register");
+    let server = EcovisorServer::bind("127.0.0.1:0", eco)
+        .expect("bind")
+        .with_workers(1);
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+    let conn_errors = || {
+        let hub = handle.obs_hub().expect("bind attaches a hub");
+        hub.snapshot()
+            .counter("transport.conn_errors_total")
+            .unwrap_or(0)
+    };
+    let errors_before = conn_errors();
+
+    let mut neighbour = RemoteEcovisorClient::connect(addr, app).expect("connect");
+    let mut round_trip = || {
+        let start = Instant::now();
+        assert_eq!(neighbour.get_grid_power(), Watts::ZERO);
+        start.elapsed()
+    };
+    let normal = (0..200).map(|_| round_trip()).max().expect("200 trips");
+
+    let hostile = mutate::null_seq(ecovisor::transport::MAX_FRAME_LEN as usize - 5);
+    assert_eq!(hostile.len(), ecovisor::transport::MAX_FRAME_LEN as usize);
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let worst = std::thread::scope(|scope| {
+        let attacker = scope.spawn(|| {
+            let mut attacker = raw_v2_connect(addr, app);
+            attacker
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .expect("read timeout");
+            send_frame(&mut attacker, &hostile);
+            let reply = recv_frame(&mut attacker);
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+            reply
+        });
+        let mut worst = Duration::ZERO;
+        while !done.load(std::sync::atomic::Ordering::SeqCst) {
+            worst = worst.max(round_trip());
+        }
+        assert!(
+            attacker.join().expect("attacker").is_none(),
+            "closed without a reply: the server cannot know how many requests it held"
+        );
+        worst
+    });
+    // "Normal" on a loaded CI host is noisy; seconds of decode are not
+    // noise. The reactor still has 16 MiB to read while this runs.
+    let allowed = (normal * 20).max(Duration::from_millis(500));
+    assert!(
+        worst <= allowed,
+        "a neighbour waited {worst:?} behind the hostile frame (normally at most {normal:?})"
+    );
+    assert_eq!(
+        conn_errors(),
+        errors_before + 1,
+        "counted as a protocol error"
+    );
+    assert!(
+        wait_until(Duration::from_secs(5), || handle.active_connections() == 1),
+        "the attacker's connection is reaped, the neighbour's is not"
+    );
+    assert_eq!(neighbour.get_grid_power(), Watts::ZERO);
+    drop(neighbour);
     handle.shutdown();
 }
 

@@ -10,53 +10,23 @@
 //!   whatever the number of samples a tenant records (they were a handful
 //!   per sample: two key strings, a subject, an id vector);
 //! * four times the tenants cost about four times the time (they cost
-//!   sixteen: every per-owner COP accessor scanned every container).
+//!   sixteen: every per-owner COP accessor scanned every container);
+//! * what a tick *retains* is its samples' values, 8 bytes each, and
+//!   nothing else (it was 16: every sample carried its own timestamp,
+//!   which on a fixed Δt says nothing the first two did not) — the slope
+//!   of a long-lived server's memory, and of `wire-control`'s peak RSS.
 //!
 //! Debug timings mean little in absolute terms, so CI runs this suite in
 //! `--release` as well; the ratio holds in both.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use container_cop::{ContainerSpec, CopConfig};
 use ecovisor::{Ecovisor, EcovisorBuilder, EnergyClient, EnergyShare};
 use simkit::units::WattHours;
 
-thread_local! {
-    /// Allocations made by the current thread; per thread, so tests
-    /// running beside this one do not count.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAllocator;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a thread-local
-// counter with a `const` initializer and no destructor, which neither
-// allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract for `alloc`, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this `layout`, as the caller's contract requires.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract for `realloc`, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
+#[path = "../../../vendor/serde/tests/common/counting_alloc.rs"]
+mod counting_alloc;
 
 /// `tenants` tenants with a solar share and a virtual battery each,
 /// `containers` busy single-core containers per tenant, four to a server.
@@ -87,11 +57,11 @@ fn settle(eco: &mut Ecovisor, ticks: u32) -> (u64, Vec<Duration>) {
     let mut times = Vec::new();
     for _ in 0..ticks {
         eco.begin_tick();
-        let before = ALLOCATIONS.with(Cell::get);
+        let before = counting_alloc::allocations();
         let start = Instant::now();
         eco.settle_tick();
         times.push(start.elapsed());
-        allocations += ALLOCATIONS.with(Cell::get) - before;
+        allocations += counting_alloc::allocations() - before;
         eco.advance_clock();
     }
     (allocations, times)
@@ -117,6 +87,29 @@ fn steady_state_allocations_are_per_tenant_not_per_sample() {
         few_samples < 1.0 && many_samples < 1.0,
         "allocations per tenant-tick: {few_samples:.3} at 12 samples per tenant, \
          {many_samples:.3} at 32"
+    );
+}
+
+#[test]
+fn a_tick_retains_eight_bytes_a_sample() {
+    const TENANTS: u32 = 100;
+    // Four containers: ten app series and two per container, 18 samples
+    // per tenant-tick.
+    const CONTAINERS: u32 = 4;
+    // A `Vec` doubles, so what is live depends on where in a doubling the
+    // reading falls: after 64 ticks and again after 128 every series is
+    // exactly full, and the difference is what 64 ticks retained.
+    const FULL: u32 = 64;
+    let mut eco = world(TENANTS, CONTAINERS);
+    settle(&mut eco, FULL);
+    let before = counting_alloc::live_bytes();
+    settle(&mut eco, FULL);
+    let retained = counting_alloc::live_bytes() - before;
+    let per_tenant_tick = retained as f64 / f64::from(FULL * TENANTS);
+    assert!(
+        (144.0..=176.0).contains(&per_tenant_tick),
+        "{per_tenant_tick:.1} bytes retained per tenant-tick: 18 samples of 8 bytes are 144, \
+         18 of 16 (a timestamp each) were 288"
     );
 }
 

@@ -66,12 +66,12 @@ pub fn sparkline(label: &str, series: &TimeSeries, buckets: usize) {
         println!("  {label}: (empty)");
         return;
     }
-    let samples = series.samples();
+    let samples = series.values();
     let chunk = samples.len().div_ceil(buckets);
     let glyphs: &[char] = &['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let values: Vec<f64> = samples
         .chunks(chunk)
-        .map(|c| c.iter().map(|s| s.value).sum::<f64>() / c.len() as f64)
+        .map(|c| c.iter().sum::<f64>() / c.len() as f64)
         .collect();
     let max = values.iter().copied().fold(f64::MIN, f64::max);
     let min = values.iter().copied().fold(f64::MAX, f64::min);

@@ -141,6 +141,6 @@ mod tests {
     fn deterministic() {
         let a = run(Fig1Config { days: 1, seed: 3 });
         let b = run(Fig1Config { days: 1, seed: 3 });
-        assert_eq!(a.regions[1].series.samples(), b.regions[1].series.samples());
+        assert_eq!(a.regions[1].series, b.regions[1].series);
     }
 }

@@ -3,8 +3,22 @@
 //! [`TimeSeries`] is the building block the telemetry crate's TSDB stores;
 //! the experiment harness also uses it directly to collect the per-tick
 //! signals plotted in the paper's figures.
+//!
+//! ## Layout
+//!
+//! The ecovisor samples on a fixed Δt, so a series' timestamps are almost
+//! always an arithmetic progression. The series therefore keeps its
+//! values in a bare `Vec<f64>` and its time axis as **runs of equal
+//! spacing** — `(start, step, index of first sample)` — with the run
+//! still being extended held inline. A series sampled every tick is one
+//! run, one allocation and 8 bytes per sample; an irregular one simply
+//! has more runs (at worst one per two samples). The layout is derived:
+//! serialized, a series is still the sequence of `{at, value}` samples it
+//! always was, and two series holding the same samples hold the same runs
+//! (a run is closed only when a timestamp breaks its spacing, which
+//! depends on the timestamps alone).
 
-use serde::{Deserialize, Serialize};
+use serde::{binary, Deserialize, Serialize, Value};
 
 use crate::stats::{percentile, Summary};
 use crate::time::SimTime;
@@ -16,6 +30,16 @@ pub struct Sample {
     pub at: SimTime,
     /// Observed value.
     pub value: f64,
+}
+
+/// Consecutive samples `step` seconds apart: sample `first + k` of the
+/// series was taken at `start + k * step`. A run ends where the next one
+/// begins; a run of one sample has `step == 0`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Run {
+    start: u64,
+    step: u64,
+    first: usize,
 }
 
 /// An append-only, time-ordered series of `f64` observations.
@@ -31,10 +55,29 @@ pub struct Sample {
 /// s.push(SimTime::from_secs(60), 3.0);
 /// assert_eq!(s.mean_over(SimTime::from_secs(0), SimTime::from_secs(120)), Some(2.0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
-    samples: Vec<Sample>,
+    values: Vec<f64>,
+    /// Runs that can no longer grow, oldest first.
+    closed: Vec<Run>,
+    /// The run the latest sample belongs to (meaningless while the series
+    /// is empty).
+    open: Run,
+    /// The timestamp that would extend `open`: one `step` past the latest
+    /// sample (the latest sample's own while `open` holds just it).
+    next: u64,
 }
+
+/// Length up to which the values grow by doubling, as any `Vec` does;
+/// past it they grow by a quarter. Doubling holds up to twice what a
+/// series needs, and on a long-lived server the series are most of what
+/// is held; a quarter bounds that slack at 25 % for four copies of each
+/// value over its lifetime instead of one.
+const DOUBLING_LIMIT: usize = 512;
+
+/// Why a sample cannot join a series: it is older than the latest one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfOrder;
 
 impl TimeSeries {
     /// Creates an empty series.
@@ -48,96 +91,211 @@ impl TimeSeries {
     ///
     /// Panics if `at` is earlier than the last appended sample (series are
     /// strictly time-ordered; equal timestamps are allowed and overwrite).
+    #[inline]
     pub fn push(&mut self, at: SimTime, value: f64) {
-        if let Some(last) = self.samples.last_mut() {
-            assert!(at >= last.at, "samples must be appended in time order");
-            if at == last.at {
-                last.value = value;
-                return;
+        self.try_push(at, value)
+            .expect("samples must be appended in time order");
+    }
+
+    /// [`push`](Self::push) for samples from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// [`OutOfOrder`] where `push` would panic; the series is unchanged.
+    #[inline]
+    pub fn try_push(&mut self, at: SimTime, value: f64) -> Result<(), OutOfOrder> {
+        let at = at.as_secs();
+        // In cadence — every push but a series' first two, while Δt holds.
+        if at == self.next && self.open.step != 0 {
+            if let Some(next) = at.checked_add(self.open.step) {
+                self.next = next;
+                self.push_value(value);
+                return Ok(());
             }
         }
-        self.samples.push(Sample { at, value });
+        self.push_off_cadence(at, value)
+    }
+
+    fn push_off_cadence(&mut self, at: u64, value: f64) -> Result<(), OutOfOrder> {
+        if let Some(latest) = self.values.last_mut() {
+            let latest_at = self.next - self.open.step;
+            if at < latest_at {
+                return Err(OutOfOrder);
+            }
+            if at == latest_at {
+                *latest = value;
+                return Ok(());
+            }
+            // A run's second sample sets its spacing — if the timestamp
+            // one more step on can be written down at all.
+            let step = at - latest_at;
+            if let (0, Some(next)) = (self.open.step, at.checked_add(step)) {
+                self.open.step = step;
+                self.next = next;
+                self.push_value(value);
+                return Ok(());
+            }
+            self.closed.push(self.open);
+        }
+        self.open = Run {
+            start: at,
+            step: 0,
+            first: self.values.len(),
+        };
+        self.next = at;
+        self.push_value(value);
+        Ok(())
+    }
+
+    #[inline]
+    fn push_value(&mut self, value: f64) {
+        let len = self.values.len();
+        if len == self.values.capacity() && len >= DOUBLING_LIMIT {
+            self.values.reserve_exact(len / 4);
+        }
+        self.values.push(value);
     }
 
     /// Number of stored samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.values.len()
     }
 
     /// `true` when no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.values.is_empty()
+    }
+
+    /// All values in time order, without their timestamps.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Run `i` of the series (the open run is the last) and the index one
+    /// past its last sample.
+    fn run(&self, i: usize) -> (Run, usize) {
+        match self.closed.get(i) {
+            Some(&run) => {
+                let end = self.closed.get(i + 1).map_or(self.open.first, |n| n.first);
+                (run, end)
+            }
+            None => (self.open, self.values.len()),
+        }
+    }
+
+    /// The samples at indices `from..to`, in time order.
+    fn range(&self, from: usize, to: usize) -> Samples<'_> {
+        // The run holding `from`: the last that starts at or before it.
+        let closed = self.closed.partition_point(|r| r.first <= from);
+        let i = if closed == self.closed.len() && self.open.first <= from {
+            closed
+        } else {
+            closed - 1
+        };
+        let (run, run_end) = self.run(i);
+        Samples {
+            series: self,
+            index: from,
+            end: to.max(from),
+            at: run.start + (from - run.first) as u64 * run.step,
+            step: run.step,
+            run: i,
+            run_end,
+        }
     }
 
     /// All samples in time order.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
+    pub fn samples(&self) -> Samples<'_> {
+        self.range(0, self.len())
     }
 
     /// Iterator over `(time, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.samples.iter().map(|s| (s.at, s.value))
+        self.samples().map(|s| (s.at, s.value))
     }
 
     /// Latest observation, if any.
     pub fn last(&self) -> Option<Sample> {
-        self.samples.last().copied()
+        self.values.last().map(|&value| Sample {
+            at: SimTime::from_secs(self.next - self.open.step),
+            value,
+        })
+    }
+
+    /// How many samples were taken before `t` — or at or before it, when
+    /// `through` — which is also the index of the first one that was not.
+    /// A search over the runs, then arithmetic inside one.
+    fn rank(&self, t: SimTime, through: bool) -> usize {
+        let t = t.as_secs();
+        // The run `t` falls in: the last that starts at or before it.
+        let (run, end) = if !self.is_empty() && self.open.start <= t {
+            (self.open, self.len())
+        } else {
+            match self.closed.partition_point(|r| r.start <= t) {
+                0 => return 0,
+                n => self.run(n - 1),
+            }
+        };
+        let elapsed = t - run.start;
+        let within = match (through, run.step) {
+            (true, 0) => 1,
+            (true, step) => (elapsed / step).saturating_add(1),
+            (false, 0) => u64::from(elapsed > 0),
+            (false, step) => elapsed.div_ceil(step),
+        };
+        // Past the run's last sample (in the gap before the next run, or
+        // after the series' end) every sample of the run counts.
+        run.first + usize::try_from(within).map_or(end - run.first, |w| w.min(end - run.first))
     }
 
     /// Value at or immediately before `at` (step semantics), if any sample
     /// exists at or before that instant.
     pub fn value_at(&self, at: SimTime) -> Option<f64> {
-        match self.samples.binary_search_by(|s| s.at.cmp(&at)) {
-            Ok(idx) => Some(self.samples[idx].value),
-            Err(0) => None,
-            Err(idx) => Some(self.samples[idx - 1].value),
+        match self.rank(at, true) {
+            0 => None,
+            n => Some(self.values[n - 1]),
         }
     }
 
     /// Samples within the half-open window `[from, to)`.
-    pub fn window(&self, from: SimTime, to: SimTime) -> &[Sample] {
-        let lo = self.samples.partition_point(|s| s.at < from);
-        let hi = self.samples.partition_point(|s| s.at < to);
-        &self.samples[lo..hi]
+    pub fn window(&self, from: SimTime, to: SimTime) -> Samples<'_> {
+        self.range(self.rank(from, false), self.rank(to, false))
     }
 
-    /// Values within `[from, to)` as a vector.
-    pub fn values_over(&self, from: SimTime, to: SimTime) -> Vec<f64> {
-        self.window(from, to).iter().map(|s| s.value).collect()
+    /// Values within `[from, to)`.
+    pub fn values_over(&self, from: SimTime, to: SimTime) -> &[f64] {
+        let (lo, hi) = (self.rank(from, false), self.rank(to, false));
+        &self.values[lo..hi.max(lo)]
     }
 
     /// Mean of values within `[from, to)`; `None` when the window is empty.
     pub fn mean_over(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let w = self.window(from, to);
+        let w = self.values_over(from, to);
         if w.is_empty() {
             None
         } else {
-            Some(w.iter().map(|s| s.value).sum::<f64>() / w.len() as f64)
+            Some(w.iter().sum::<f64>() / w.len() as f64)
         }
     }
 
     /// Sum of values within `[from, to)`.
     pub fn sum_over(&self, from: SimTime, to: SimTime) -> f64 {
-        self.window(from, to).iter().map(|s| s.value).sum()
+        self.values_over(from, to).iter().sum()
     }
 
     /// Percentile of values within `[from, to)`; `None` when empty.
     pub fn percentile_over(&self, from: SimTime, to: SimTime, p: f64) -> Option<f64> {
-        percentile(&self.values_over(from, to), p)
+        percentile(self.values_over(from, to), p)
     }
 
     /// Maximum value within `[from, to)`; `None` when empty.
     pub fn max_over(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        self.window(from, to)
-            .iter()
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
+        self.values_over(from, to).iter().copied().reduce(f64::max)
     }
 
     /// Summary statistics over all recorded values.
     pub fn summary(&self) -> Option<Summary> {
-        let values: Vec<f64> = self.samples.iter().map(|s| s.value).collect();
-        Summary::of(&values)
+        Summary::of(&self.values)
     }
 
     /// Integrates the series over `[from, to)` treating each value as a
@@ -145,26 +303,144 @@ impl TimeSeries {
     ///
     /// Used to turn power series (watts) into energy (joule-seconds →
     /// watt-seconds) and carbon-rate series into totals.
+    ///
+    /// Costs the samples the window covers, not the series' history: the
+    /// walk starts at the segment `from` falls in and stops at `to`.
     pub fn integrate_step(&self, from: SimTime, to: SimTime) -> f64 {
-        if self.samples.is_empty() || to <= from {
+        if to <= from {
             return 0.0;
         }
         let mut total = 0.0;
-        // Walk over segments [s_i.at, s_{i+1}.at) clipped to [from, to).
-        for (i, s) in self.samples.iter().enumerate() {
-            let seg_start = s.at;
-            let seg_end = self
-                .samples
-                .get(i + 1)
-                .map(|n| n.at)
-                .unwrap_or(to.max(seg_start));
-            let clip_start = seg_start.max(from);
+        // Segments [s_i.at, s_{i+1}.at) clipped to [from, to), in order;
+        // the last sample's segment runs on to `to`.
+        let first = self.rank(from, true).saturating_sub(1);
+        let mut segments = self.range(first, self.len()).peekable();
+        while let Some(s) = segments.next() {
+            if s.at >= to {
+                break;
+            }
+            let seg_end = segments.peek().map_or(to, |n| n.at);
+            let clip_start = s.at.max(from);
             let clip_end = seg_end.min(to);
             if clip_end > clip_start {
                 total += s.value * (clip_end - clip_start).as_secs_f64();
             }
         }
         total
+    }
+}
+
+/// Samples of a [`TimeSeries`] in time order, their timestamps computed
+/// from the runs as the iterator walks.
+#[derive(Debug, Clone)]
+pub struct Samples<'a> {
+    series: &'a TimeSeries,
+    /// Index of the next sample, and one past the last.
+    index: usize,
+    end: usize,
+    /// Timestamp of the next sample and the spacing of the run it is in.
+    at: u64,
+    step: u64,
+    /// That run, and the index at which the one after it begins.
+    run: usize,
+    run_end: usize,
+}
+
+impl Iterator for Samples<'_> {
+    type Item = Sample;
+
+    fn next(&mut self) -> Option<Sample> {
+        if self.index == self.end {
+            return None;
+        }
+        if self.index == self.run_end {
+            self.run += 1;
+            let (run, run_end) = self.series.run(self.run);
+            (self.at, self.step, self.run_end) = (run.start, run.step, run_end);
+        }
+        let sample = Sample {
+            at: SimTime::from_secs(self.at),
+            value: self.series.values[self.index],
+        };
+        self.index += 1;
+        self.at += self.step;
+        Some(sample)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end - self.index;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Samples<'_> {}
+
+// Serialized, a series is what `struct { samples: Vec<Sample> }` derives
+// — the form every snapshot, checkpoint and corpus file already holds —
+// whatever the layout in memory.
+impl Serialize for TimeSeries {
+    fn to_value(&self) -> Value {
+        let samples = self.samples().map(|s| s.to_value()).collect();
+        Value::Map(vec![("samples".into(), Value::Seq(samples))])
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        binary::write_map(out, 1);
+        binary::write_key(out, "samples");
+        binary::write_seq(out, self.len());
+        for sample in self.samples() {
+            sample.encode(out);
+        }
+    }
+}
+
+/// The value of the `samples` field: a sequence of samples, pushed onto a
+/// series in the order read. A sample older than its predecessor is an
+/// error value, where `push` would panic.
+struct Pushed(TimeSeries);
+
+impl Pushed {
+    fn push(&mut self, Sample { at, value }: Sample) -> Result<(), serde::Error> {
+        self.0
+            .try_push(at, value)
+            .map_err(|_| serde::Error::custom("samples are not in time order"))
+    }
+}
+
+impl Deserialize for Pushed {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let mut pushed = Pushed(TimeSeries::new());
+        for sample in Vec::from_value(v)? {
+            pushed.push(sample)?;
+        }
+        Ok(pushed)
+    }
+
+    fn decode(r: &mut binary::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut pushed = Pushed(TimeSeries::new());
+        let (len, capacity) = r.seq_of::<f64>()?;
+        pushed.0.values.reserve_exact(capacity);
+        for _ in 0..len {
+            pushed.push(Sample::decode(r)?)?;
+        }
+        r.end();
+        Ok(pushed)
+    }
+}
+
+/// The struct around them, left to the derive.
+#[derive(Deserialize)]
+struct AtRest {
+    samples: Pushed,
+}
+
+impl Deserialize for TimeSeries {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        AtRest::from_value(v).map(|at_rest| at_rest.samples.0)
+    }
+
+    fn decode(r: &mut binary::Reader<'_>) -> Result<Self, serde::Error> {
+        AtRest::decode(r).map(|at_rest| at_rest.samples.0)
     }
 }
 
@@ -227,6 +503,37 @@ mod tests {
     fn out_of_order_push_panics() {
         let mut s = series(&[(60, 1.0)]);
         s.push(t(0), 2.0);
+    }
+
+    #[test]
+    fn a_fixed_cadence_is_one_run_however_long() {
+        let mut s: TimeSeries = (0..1_000).map(|i| (t(i * 300), i as f64)).collect();
+        assert!(s.closed.is_empty(), "nothing but the values grows");
+        // A late sample closes the run; the cadence resuming is one more.
+        s.push(t(1_000 * 300 + 7), 0.0);
+        s.push(t(1_001 * 300 + 7), 0.0);
+        s.push(t(1_002 * 300 + 7), 0.0);
+        assert_eq!(s.closed.len(), 1);
+        assert_eq!(s.last().map(|s| s.at), Some(t(1_002 * 300 + 7)));
+    }
+
+    #[test]
+    fn a_long_series_holds_at_most_a_quarter_more_than_it_needs() {
+        let mut s = TimeSeries::new();
+        let mut regrowths = 0;
+        for i in 0..100_000 {
+            let before = s.values.capacity();
+            s.push(t(i * 60), 0.0);
+            regrowths += usize::from(s.values.capacity() != before);
+            let (len, held) = (s.values.len(), s.values.capacity());
+            assert!(held <= (len * 2).max(4), "{held} held for {len}");
+            assert!(
+                len <= DOUBLING_LIMIT || held <= len + len / 4,
+                "{held} held for {len}"
+            );
+        }
+        // Still geometric: 8 doublings to 512, then log₁.₂₅(100,000 / 512).
+        assert!(regrowths <= 8 + 24, "{regrowths} regrowths");
     }
 
     #[test]

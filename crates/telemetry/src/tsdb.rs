@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{binary, Deserialize, Serialize, Value};
 
 use simkit::series::TimeSeries;
 use simkit::time::SimTime;
@@ -265,33 +265,81 @@ impl Serialize for Tsdb {
             .collect();
         Value::Map(vec![("series".into(), Value::Seq(pairs))])
     }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        binary::write_map(out, 1);
+        binary::write_key(out, "series");
+        binary::write_seq(out, self.series.len());
+        for (metric, subject, series) in self.iter() {
+            binary::write_seq(out, 2);
+            binary::write_map(out, 2);
+            binary::write_key(out, "metric");
+            binary::write_str(out, metric);
+            binary::write_key(out, "subject");
+            binary::write_str(out, subject);
+            series.encode(out);
+        }
+    }
+}
+
+/// Reads one pair's `SeriesKey`, borrowed from the input: a restore reads
+/// twelve thousand of these and keeps none (the store owns its names).
+fn decode_key<'a>(r: &mut binary::Reader<'a>) -> Result<(&'a str, &'a str), serde::Error> {
+    let (mut metric, mut subject) = (None, None);
+    for _ in 0..r.map()? {
+        match r.key()? {
+            b"metric" if metric.is_none() => metric = Some(r.str()?),
+            b"subject" if subject.is_none() => subject = Some(r.str()?),
+            key => r.skip_entry(key)?,
+        }
+    }
+    r.end();
+    Ok((
+        metric.ok_or_else(|| binary::missing_field("metric"))?,
+        subject.ok_or_else(|| binary::missing_field("subject"))?,
+    ))
+}
+
+/// The value of the `series` field: a sequence of `[SeriesKey,
+/// TimeSeries]` pairs. Like the map this form is named after, pairs may
+/// arrive in any order and a repeated key keeps its last series.
+struct Pairs(Tsdb);
+
+impl Deserialize for Pairs {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let mut db = Tsdb::new();
+        for (key, series) in Vec::<(SeriesKey, TimeSeries)>::from_value(v)? {
+            db.put(&key.metric, &key.subject, series);
+        }
+        Ok(Pairs(db))
+    }
+
+    fn decode(r: &mut binary::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut db = Tsdb::new();
+        for _ in 0..r.seq()? {
+            r.tuple(2)?;
+            let (metric, subject) = decode_key(r)?;
+            db.put(metric, subject, TimeSeries::decode(r)?);
+            r.end();
+        }
+        r.end();
+        Ok(Pairs(db))
+    }
+}
+
+/// The struct around them, left to the derive.
+#[derive(Deserialize)]
+struct AtRest {
+    series: Pairs,
 }
 
 impl Deserialize for Tsdb {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let Value::Seq(pairs) = serde::__field(v, "series")? else {
-            return Err(serde::Error::custom("expected a seq of series pairs"));
-        };
-        // One field of a pair's `SeriesKey`, borrowed from the tree.
-        let name = |key, field| match serde::__field(key, field)? {
-            Value::Str(name) => Ok(name.as_str()),
-            other => Err(serde::Error::custom(format!(
-                "expected string, found {other:?}"
-            ))),
-        };
-        let mut db = Tsdb::new();
-        for pair in pairs {
-            let pair = serde::__seq(pair, 2)?;
-            // Like the map this form is named after, pairs may arrive in
-            // any order and a repeated key keeps its last series.
-            let series = TimeSeries::from_value(&pair[1])?;
-            db.put(
-                name(&pair[0], "metric")?,
-                name(&pair[0], "subject")?,
-                series,
-            );
-        }
-        Ok(db)
+        AtRest::from_value(v).map(|at_rest| at_rest.series.0)
+    }
+
+    fn decode(r: &mut binary::Reader<'_>) -> Result<Self, serde::Error> {
+        AtRest::decode(r).map(|at_rest| at_rest.series.0)
     }
 }
 
