@@ -2,11 +2,9 @@
 //! paths it watches. Two surfaces, two rows each:
 //!
 //! * `dispatch_hot_path/batch32/{detached,attached}` — the pure
-//!   dispatch loop from the `protocol`/`dispatch_sharded` benches: one
-//!   tenant hammering 32-request query batches. `detached` is the
-//!   default build with no hub (the instrumentation folds to a single
-//!   `None` branch per batch — the same cost profile as compiling the
-//!   `obs` feature out entirely); `attached` pays the full price: the
+//!   dispatch loop: one tenant hammering 32-request query batches.
+//!   `detached` has no hub (the instrumentation folds to a single
+//!   `None` branch per batch); `attached` pays the full price: the
 //!   requests counter on every batch, and per-kind counts + batch
 //!   latency + lock-wait timing on the 1-in-64 sampled batches.
 //! * `corpus_replay/mixed-tenants/{detached,attached}` — one full

@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod forecast;
 pub mod generator;
 pub mod regions;
 pub mod service;

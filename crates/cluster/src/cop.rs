@@ -13,7 +13,7 @@ use simkit::units::Watts;
 use crate::container::{AppId, Container, ContainerId, ContainerSpec, ContainerState};
 use crate::error::CopError;
 use crate::power::PowerModel;
-use crate::scheduler::{FewestContainers, Placement};
+use crate::scheduler::fewest_containers;
 use crate::server::{Server, ServerId, ServerSpec};
 
 /// Cluster composition for a [`Cop`].
@@ -67,7 +67,6 @@ pub struct Cop {
     /// per-owner accessors cost the owner's containers, not the
     /// platform's. Not part of [`CopSnapshot`].
     by_owner: BTreeMap<AppId, Vec<ContainerId>>,
-    scheduler: Box<dyn Placement>,
     next_id: u64,
 }
 
@@ -81,18 +80,12 @@ impl std::fmt::Debug for Cop {
 }
 
 impl Cop {
-    /// Creates a COP over the given cluster with the LXD default
-    /// scheduler ([`FewestContainers`]).
-    pub fn new(config: CopConfig) -> Self {
-        Self::with_scheduler(config, Box::new(FewestContainers))
-    }
-
-    /// Creates a COP with a custom placement policy.
+    /// Creates a COP over the given cluster.
     ///
     /// # Panics
     ///
     /// Panics if the config has no servers or any server spec is invalid.
-    pub fn with_scheduler(config: CopConfig, scheduler: Box<dyn Placement>) -> Self {
+    pub fn new(config: CopConfig) -> Self {
         assert!(!config.servers.is_empty(), "cluster must have servers");
         let servers: Vec<Server> = config
             .servers
@@ -106,29 +99,27 @@ impl Cop {
             models,
             containers: BTreeMap::new(),
             by_owner: BTreeMap::new(),
-            scheduler,
             next_id: 0,
         }
     }
 
-    /// Launches a container for `owner`, placing it via the scheduler.
+    /// Launches a container for `owner` on the server
+    /// [`fewest_containers`] picks.
     ///
     /// # Errors
     ///
     /// [`CopError::InsufficientCapacity`] when no server fits the spec.
     pub fn launch(&mut self, owner: AppId, spec: ContainerSpec) -> Result<ContainerId, CopError> {
         let sid =
-            self.scheduler
-                .place(&self.servers, &spec)
-                .ok_or(CopError::InsufficientCapacity {
-                    cores: spec.cores,
-                    memory_mib: spec.memory_mib,
-                })?;
+            fewest_containers(&self.servers, &spec).ok_or(CopError::InsufficientCapacity {
+                cores: spec.cores,
+                memory_mib: spec.memory_mib,
+            })?;
         let server = self
             .servers
             .iter_mut()
             .find(|s| s.id() == sid)
-            .expect("scheduler returned a valid id");
+            .expect("placement returned a valid id");
         server.reserve(spec.cores, spec.memory_mib);
         let id = ContainerId::new(self.next_id);
         self.next_id += 1;
@@ -502,9 +493,10 @@ impl Cop {
 
     /// Captures the COP's dynamic state for checkpointing.
     ///
-    /// The placement policy and power models are *not* captured: placement
-    /// is a pure function of the restored server occupancy, and the power
-    /// models are rebuilt deterministically from the server specs.
+    /// The power models are *not* captured: they are rebuilt
+    /// deterministically from the server specs. There is no placement
+    /// state to capture — where the next container goes is a pure
+    /// function of the restored server occupancy.
     pub fn snapshot(&self) -> CopSnapshot {
         CopSnapshot {
             servers: self.servers.clone(),
@@ -516,8 +508,8 @@ impl Cop {
     /// Restores dynamic state captured by [`Cop::snapshot`].
     ///
     /// The receiving COP must have been built over the *same cluster
-    /// composition* (server count and specs). The scheduler is kept;
-    /// power models are rebuilt from the restored specs.
+    /// composition* (server count and specs). Power models are rebuilt
+    /// from the restored specs.
     ///
     /// # Errors
     ///

@@ -12,8 +12,10 @@
 //!   which power caps are enforced: "our prototype ... caps container
 //!   power by limiting the utilization per core" (§2, following
 //!   Thunderbolt).
-//! * **Placement scheduling** — LXD's default policy: "allocates a
-//!   container to the server with the fewest container instances" (§4).
+//! * **Container placement** — LXD's default rule, and the only one:
+//!   "allocates a container to the server with the fewest container
+//!   instances" (§4), ties by lowest server id
+//!   ([`scheduler::fewest_containers`]).
 //! * **A utilization→power model** for the paper's ARM microservers
 //!   (quad-core, 1.35 W idle, 5 W at 100 % CPU, 10 W with GPU — §4),
 //!   giving per-container power attribution and cap-to-quota conversion.
@@ -46,5 +48,4 @@ pub use container::{AppId, Container, ContainerId, ContainerSpec, ContainerState
 pub use cop::{Cop, CopConfig, CopSnapshot};
 pub use error::CopError;
 pub use power::PowerModel;
-pub use scheduler::{FewestContainers, Placement};
 pub use server::{Server, ServerId, ServerSpec};

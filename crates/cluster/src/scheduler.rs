@@ -1,49 +1,22 @@
-//! Container placement scheduling.
+//! Container placement.
 //!
 //! The paper uses "LXD's default container scheduler, which simply
 //! allocates a container to the server with the fewest container
-//! instances" (§4). That policy is [`FewestContainers`]; the [`Placement`]
-//! trait leaves room for alternatives (best-fit is provided for the
-//! ablation benches).
+//! instances" (§4). [`fewest_containers`] is that rule, and the only
+//! placement [`crate::Cop::launch`] performs.
 
 use crate::container::ContainerSpec;
 use crate::server::{Server, ServerId};
 
-/// A placement policy choosing a server for a new container.
-pub trait Placement: Send + Sync {
-    /// Returns the id of the server to host `spec`, or `None` when no
-    /// server fits.
-    fn place(&self, servers: &[Server], spec: &ContainerSpec) -> Option<ServerId>;
-}
-
 /// LXD's default policy: the feasible server with the fewest containers,
-/// breaking ties by lowest server id (deterministic).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FewestContainers;
-
-impl Placement for FewestContainers {
-    fn place(&self, servers: &[Server], spec: &ContainerSpec) -> Option<ServerId> {
-        servers
-            .iter()
-            .filter(|s| s.fits(spec.cores, spec.memory_mib, spec.gpu))
-            .min_by_key(|s| (s.container_count(), s.id()))
-            .map(|s| s.id())
-    }
-}
-
-/// Best-fit policy: the feasible server with the fewest free cores
-/// (packs tightly, leaving whole servers idle for power gating).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BestFit;
-
-impl Placement for BestFit {
-    fn place(&self, servers: &[Server], spec: &ContainerSpec) -> Option<ServerId> {
-        servers
-            .iter()
-            .filter(|s| s.fits(spec.cores, spec.memory_mib, spec.gpu))
-            .min_by_key(|s| (s.free_cores(), s.id()))
-            .map(|s| s.id())
-    }
+/// breaking ties by lowest server id (deterministic). `None` when no
+/// server fits `spec`.
+pub fn fewest_containers(servers: &[Server], spec: &ContainerSpec) -> Option<ServerId> {
+    servers
+        .iter()
+        .filter(|s| s.fits(spec.cores, spec.memory_mib, spec.gpu))
+        .min_by_key(|s| (s.container_count(), s.id()))
+        .map(|s| s.id())
 }
 
 #[cfg(test)]
@@ -61,11 +34,10 @@ mod tests {
     fn fewest_containers_balances() {
         let mut servers = cluster(3);
         let spec = ContainerSpec::single_core();
-        let sched = FewestContainers;
         // Place 3 containers; each should land on a distinct server.
         let mut placed = Vec::new();
         for _ in 0..3 {
-            let sid = sched.place(&servers, &spec).expect("fits");
+            let sid = fewest_containers(&servers, &spec).expect("fits");
             let s = servers.iter_mut().find(|s| s.id() == sid).expect("exists");
             s.reserve(spec.cores, spec.memory_mib);
             placed.push(sid);
@@ -78,9 +50,7 @@ mod tests {
     #[test]
     fn fewest_containers_ties_break_by_id() {
         let servers = cluster(2);
-        let sid = FewestContainers
-            .place(&servers, &ContainerSpec::single_core())
-            .expect("fits");
+        let sid = fewest_containers(&servers, &ContainerSpec::single_core()).expect("fits");
         assert_eq!(sid, ServerId::new(0));
     }
 
@@ -88,9 +58,7 @@ mod tests {
     fn infeasible_when_no_capacity() {
         let mut servers = cluster(1);
         servers[0].reserve(4, 4096);
-        assert!(FewestContainers
-            .place(&servers, &ContainerSpec::single_core())
-            .is_none());
+        assert!(fewest_containers(&servers, &ContainerSpec::single_core()).is_none());
     }
 
     #[test]
@@ -101,25 +69,7 @@ mod tests {
             ServerSpec::microserver_with_gpu(),
         ));
         let spec = ContainerSpec::single_core().with_gpu();
-        let sid = FewestContainers.place(&servers, &spec).expect("gpu server");
+        let sid = fewest_containers(&servers, &spec).expect("gpu server");
         assert_eq!(sid, ServerId::new(2));
-    }
-
-    #[test]
-    fn best_fit_packs_tightly() {
-        let mut servers = cluster(2);
-        servers[0].reserve(3, 1024); // 1 core free
-        let sid = BestFit
-            .place(&servers, &ContainerSpec::single_core())
-            .expect("fits");
-        assert_eq!(
-            sid,
-            ServerId::new(0),
-            "best-fit should fill the fuller server"
-        );
-        let sid2 = FewestContainers
-            .place(&servers, &ContainerSpec::single_core())
-            .expect("fits");
-        assert_eq!(sid2, ServerId::new(1), "fewest-containers spreads out");
     }
 }

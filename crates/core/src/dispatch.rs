@@ -153,9 +153,8 @@ impl Ecovisor {
         // `DISPATCH_SAMPLE` per thread takes the full-timing path:
         // flush the pending count, whole-batch latency, lock waits, and
         // per-kind counts scaled back up by the sampling factor. With
-        // no hub attached — or the `obs` feature off — this folds to
-        // nothing.
-        let Some(core) = self.obs().map(|hub| &hub.core) else {
+        // no hub attached this is one branch.
+        let Some(core) = self.obs.as_ref().map(|hub| &hub.core) else {
             return self.dispatch_batch_inner(batch, None);
         };
         let Some(pending) = core.tally(batch.requests.len() as u64) else {

@@ -190,7 +190,6 @@ pub struct Ecovisor {
     /// Observability hub, when one is attached (see
     /// [`Ecovisor::attach_obs`]). Write-only from the dispatch and
     /// settlement paths; never read back into protocol state.
-    #[cfg(feature = "obs")]
     pub(crate) obs: Option<std::sync::Arc<crate::obs::ObsHub>>,
 }
 
@@ -227,7 +226,6 @@ impl Ecovisor {
             last_system_flows: SystemFlows::default(),
             tracing: AtomicBool::new(false),
             proto_trace: Mutex::new(None),
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
@@ -237,36 +235,14 @@ impl Ecovisor {
     // ------------------------------------------------------------------
 
     /// Attaches an observability hub: dispatch, settlement, snapshot,
-    /// and federation paths record into it from now on. With the `obs`
-    /// feature disabled this is a no-op and every instrumentation site
-    /// compiles out.
+    /// and federation paths record into it from now on.
     pub fn attach_obs(&mut self, hub: std::sync::Arc<crate::obs::ObsHub>) {
-        #[cfg(feature = "obs")]
-        {
-            self.obs = Some(hub);
-        }
-        #[cfg(not(feature = "obs"))]
-        let _ = hub;
+        self.obs = Some(hub);
     }
 
-    /// The attached observability hub, if any (always `None` with the
-    /// `obs` feature disabled).
+    /// The attached observability hub, if any.
     pub fn obs_hub(&self) -> Option<std::sync::Arc<crate::obs::ObsHub>> {
-        self.obs().cloned()
-    }
-
-    /// Internal accessor the instrumentation sites branch on; a constant
-    /// `None` when the feature is off, so the branches fold away.
-    #[inline]
-    pub(crate) fn obs(&self) -> Option<&std::sync::Arc<crate::obs::ObsHub>> {
-        #[cfg(feature = "obs")]
-        {
-            self.obs.as_ref()
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            None
-        }
+        self.obs.clone()
     }
 
     // ------------------------------------------------------------------

@@ -370,37 +370,98 @@ pub enum EnergyRequest {
     Stats,
 }
 
+/// What the dispatcher and the transport need to know about one request
+/// kind: one row of [`KINDS`].
+#[derive(Debug, Clone, Copy)]
+pub struct KindFacts {
+    /// Stable method name, for logs, metrics and benchmarks.
+    pub name: &'static str,
+    /// Read-only (the *query* half); `false` is the *command* half.
+    pub query: bool,
+    /// Operator admin surface: a remote server honors it only on a
+    /// credential-authenticated connection.
+    pub admin: bool,
+    /// The lowest protocol version whose wire includes this request.
+    pub min_version: u16,
+    /// Touches the shared container platform: a query reads it under
+    /// the COP read guard, a command mutates it under the write guard.
+    pub cop: bool,
+    /// A query that integrates the telemetry store (TSDB read guard).
+    pub tsdb: bool,
+}
+
+/// One row per [`EnergyRequest`] variant, in declaration order — the
+/// order the binary codec tags variants in — indexed by
+/// [`EnergyRequest::kind_index`]. This table is the only per-kind list:
+/// every predicate on `EnergyRequest` reads its row, and the dispatcher's
+/// "guard is held" expectations rest on the `cop` / `tsdb` columns.
+///
+/// A row spells only what differs from its class: `COMMAND` (v1, tenant,
+/// no shared guard), `QUERY` (the same, read-only) or `ADMIN` (a v2
+/// command behind the credential gate, answered by the transport).
+/// `poll_events` is deliberately v1 (remote Table 2 parity by polling,
+/// no push involved); `subscribe_events` needs server push, which
+/// arrived with v2.
+#[rustfmt::skip] // a table: one row per line
+pub const KINDS: [KindFacts; 46] = {
+    const COMMAND: KindFacts = KindFacts { name: "", query: false, admin: false, min_version: PROTOCOL_V1, cop: false, tsdb: false };
+    const QUERY: KindFacts = KindFacts { query: true, ..COMMAND };
+    const ADMIN: KindFacts = KindFacts { admin: true, min_version: PROTOCOL_VERSION, ..COMMAND };
+    [
+        KindFacts { name: "set_container_powercap", cop: true, ..COMMAND },
+        KindFacts { name: "clear_container_powercap", cop: true, ..COMMAND },
+        KindFacts { name: "set_battery_charge_rate", ..COMMAND },
+        KindFacts { name: "set_battery_max_discharge", ..COMMAND },
+        KindFacts { name: "get_solar_power", ..QUERY },
+        KindFacts { name: "get_grid_power", ..QUERY },
+        KindFacts { name: "get_grid_carbon", ..QUERY },
+        KindFacts { name: "get_battery_discharge_rate", ..QUERY },
+        KindFacts { name: "get_battery_charge_level", ..QUERY },
+        KindFacts { name: "get_container_powercap", cop: true, ..QUERY },
+        KindFacts { name: "get_container_power", cop: true, ..QUERY },
+        KindFacts { name: "launch_container", cop: true, ..COMMAND },
+        KindFacts { name: "stop_container", cop: true, ..COMMAND },
+        KindFacts { name: "suspend_container", cop: true, ..COMMAND },
+        KindFacts { name: "resume_container", cop: true, ..COMMAND },
+        KindFacts { name: "set_container_demand", cop: true, ..COMMAND },
+        KindFacts { name: "container_ids", cop: true, ..QUERY },
+        KindFacts { name: "running_containers", cop: true, ..QUERY },
+        KindFacts { name: "effective_cores", cop: true, ..QUERY },
+        KindFacts { name: "container_effective_cores", cop: true, ..QUERY },
+        KindFacts { name: "now", ..QUERY },
+        KindFacts { name: "tick_interval", ..QUERY },
+        KindFacts { name: "app_id", ..QUERY },
+        KindFacts { name: "get_container_energy", cop: true, tsdb: true, ..QUERY },
+        KindFacts { name: "get_container_carbon", cop: true, tsdb: true, ..QUERY },
+        KindFacts { name: "get_app_power", cop: true, ..QUERY },
+        KindFacts { name: "get_app_energy", tsdb: true, ..QUERY },
+        KindFacts { name: "get_app_carbon", ..QUERY },
+        KindFacts { name: "get_app_carbon_between", tsdb: true, ..QUERY },
+        KindFacts { name: "set_carbon_rate", ..COMMAND },
+        KindFacts { name: "carbon_rate_limit", ..QUERY },
+        KindFacts { name: "set_carbon_budget", ..COMMAND },
+        KindFacts { name: "carbon_budget", ..QUERY },
+        KindFacts { name: "remaining_carbon_budget", ..QUERY },
+        KindFacts { name: "poll_events", ..COMMAND },
+        KindFacts { name: "subscribe_events", min_version: PROTOCOL_VERSION, ..COMMAND },
+        KindFacts { name: "snapshot", ..ADMIN },
+        KindFacts { name: "restore", ..ADMIN },
+        KindFacts { name: "migrate_out", ..ADMIN },
+        KindFacts { name: "migrate_in", ..ADMIN },
+        KindFacts { name: "migrate_commit", ..ADMIN },
+        KindFacts { name: "fed_collect", ..ADMIN },
+        KindFacts { name: "fed_settle", ..ADMIN },
+        KindFacts { name: "fed_align", ..ADMIN },
+        KindFacts { name: "fed_cursor", ..ADMIN },
+        KindFacts { name: "stats", ..ADMIN },
+    ]
+};
+
 impl EnergyRequest {
     /// `true` for read-only requests (the *query* half of the protocol):
     /// they never mutate ecovisor state and may execute against `&self`.
     pub fn is_query(&self) -> bool {
-        use EnergyRequest::*;
-        matches!(
-            self,
-            GetSolarPower
-                | GetGridPower
-                | GetGridCarbon
-                | GetBatteryDischargeRate
-                | GetBatteryChargeLevel
-                | GetContainerPowercap { .. }
-                | GetContainerPower { .. }
-                | ListContainers
-                | CountRunningContainers
-                | GetEffectiveCores
-                | GetContainerEffectiveCores { .. }
-                | GetTime
-                | GetTickInterval
-                | GetAppId
-                | GetContainerEnergy { .. }
-                | GetContainerCarbon { .. }
-                | GetAppPower
-                | GetAppEnergy { .. }
-                | GetAppCarbon
-                | GetAppCarbonBetween { .. }
-                | GetCarbonRateLimit
-                | GetCarbonBudget
-                | GetRemainingCarbonBudget
-        )
+        KINDS[self.kind_index()].query
     }
 
     /// `true` for state-mutating requests (the *command* half).
@@ -414,43 +475,14 @@ impl EnergyRequest {
     /// The lowest protocol version whose wire includes this request.
     /// The dispatcher answers a request arriving in an older batch with
     /// [`ProtoError::Version`] — per request, without failing the batch.
-    ///
-    /// `PollEvents` is deliberately v1 (remote Table 2 parity by
-    /// polling, no push involved). `SubscribeEvents` needs server push,
-    /// which arrived with v2.
     pub fn min_version(&self) -> u16 {
-        match self {
-            EnergyRequest::SubscribeEvents { .. }
-            | EnergyRequest::Snapshot { .. }
-            | EnergyRequest::Restore { .. }
-            | EnergyRequest::MigrateOut { .. }
-            | EnergyRequest::MigrateIn { .. }
-            | EnergyRequest::MigrateCommit { .. }
-            | EnergyRequest::FedCollect
-            | EnergyRequest::FedSettle { .. }
-            | EnergyRequest::FedAlign { .. }
-            | EnergyRequest::FedCursor
-            | EnergyRequest::Stats => PROTOCOL_VERSION,
-            _ => PROTOCOL_V1,
-        }
+        KINDS[self.kind_index()].min_version
     }
 
     /// `true` for the operator admin surface — requests a remote server
     /// only honors on a credential-authenticated connection.
     pub fn is_admin(&self) -> bool {
-        matches!(
-            self,
-            EnergyRequest::Snapshot { .. }
-                | EnergyRequest::Restore { .. }
-                | EnergyRequest::MigrateOut { .. }
-                | EnergyRequest::MigrateIn { .. }
-                | EnergyRequest::MigrateCommit { .. }
-                | EnergyRequest::FedCollect
-                | EnergyRequest::FedSettle { .. }
-                | EnergyRequest::FedAlign { .. }
-                | EnergyRequest::FedCursor
-                | EnergyRequest::Stats
-        )
+        KINDS[self.kind_index()].admin
     }
 
     /// `true` for commands that mutate the shared container platform.
@@ -458,165 +490,51 @@ impl EnergyRequest {
     /// any request matches, so cross-app container-id allocation and
     /// placement order is fixed at the batch's trace position.
     pub(crate) fn mutates_containers(&self) -> bool {
-        use EnergyRequest::*;
-        matches!(
-            self,
-            SetContainerPowercap { .. }
-                | ClearContainerPowercap { .. }
-                | LaunchContainer { .. }
-                | StopContainer { .. }
-                | SuspendContainer { .. }
-                | ResumeContainer { .. }
-                | SetContainerDemand { .. }
-        )
+        KINDS[self.kind_index()].cop && !self.is_query()
     }
 
     /// `true` for queries that read the shared container platform (the
     /// dispatcher acquires the COP read guard only when needed).
     pub(crate) fn reads_containers(&self) -> bool {
-        use EnergyRequest::*;
-        matches!(
-            self,
-            GetContainerPowercap { .. }
-                | GetContainerPower { .. }
-                | ListContainers
-                | CountRunningContainers
-                | GetEffectiveCores
-                | GetContainerEffectiveCores { .. }
-                | GetAppPower
-                | GetContainerEnergy { .. }
-                | GetContainerCarbon { .. }
-        )
+        KINDS[self.kind_index()].cop && self.is_query()
     }
 
     /// `true` for queries that integrate the telemetry store (the
     /// dispatcher acquires the TSDB read guard only when needed).
     pub(crate) fn reads_telemetry(&self) -> bool {
-        use EnergyRequest::*;
-        matches!(
-            self,
-            GetContainerEnergy { .. }
-                | GetContainerCarbon { .. }
-                | GetAppEnergy { .. }
-                | GetAppCarbonBetween { .. }
-        )
+        KINDS[self.kind_index()].tsdb
     }
 
     /// Stable method name, for logs and benchmarks.
     pub fn name(&self) -> &'static str {
-        use EnergyRequest::*;
-        match self {
-            SetContainerPowercap { .. } => "set_container_powercap",
-            ClearContainerPowercap { .. } => "clear_container_powercap",
-            SetBatteryChargeRate { .. } => "set_battery_charge_rate",
-            SetBatteryMaxDischarge { .. } => "set_battery_max_discharge",
-            GetSolarPower => "get_solar_power",
-            GetGridPower => "get_grid_power",
-            GetGridCarbon => "get_grid_carbon",
-            GetBatteryDischargeRate => "get_battery_discharge_rate",
-            GetBatteryChargeLevel => "get_battery_charge_level",
-            GetContainerPowercap { .. } => "get_container_powercap",
-            GetContainerPower { .. } => "get_container_power",
-            LaunchContainer { .. } => "launch_container",
-            StopContainer { .. } => "stop_container",
-            SuspendContainer { .. } => "suspend_container",
-            ResumeContainer { .. } => "resume_container",
-            SetContainerDemand { .. } => "set_container_demand",
-            ListContainers => "container_ids",
-            CountRunningContainers => "running_containers",
-            GetEffectiveCores => "effective_cores",
-            GetContainerEffectiveCores { .. } => "container_effective_cores",
-            GetTime => "now",
-            GetTickInterval => "tick_interval",
-            GetAppId => "app_id",
-            GetContainerEnergy { .. } => "get_container_energy",
-            GetContainerCarbon { .. } => "get_container_carbon",
-            GetAppPower => "get_app_power",
-            GetAppEnergy { .. } => "get_app_energy",
-            GetAppCarbon => "get_app_carbon",
-            GetAppCarbonBetween { .. } => "get_app_carbon_between",
-            SetCarbonRate { .. } => "set_carbon_rate",
-            GetCarbonRateLimit => "carbon_rate_limit",
-            SetCarbonBudget { .. } => "set_carbon_budget",
-            GetCarbonBudget => "carbon_budget",
-            GetRemainingCarbonBudget => "remaining_carbon_budget",
-            PollEvents => "poll_events",
-            SubscribeEvents { .. } => "subscribe_events",
-            Snapshot { .. } => "snapshot",
-            Restore { .. } => "restore",
-            MigrateOut { .. } => "migrate_out",
-            MigrateIn { .. } => "migrate_in",
-            MigrateCommit { .. } => "migrate_commit",
-            FedCollect => "fed_collect",
-            FedSettle { .. } => "fed_settle",
-            FedAlign { .. } => "fed_align",
-            FedCursor => "fed_cursor",
-            Stats => "stats",
-        }
+        KINDS[self.kind_index()].name
     }
 
     /// Number of request kinds (one per enum variant); the length of
-    /// [`EnergyRequest::KIND_NAMES`] and the bound on
+    /// [`KINDS`] and [`EnergyRequest::KIND_NAMES`] and the bound on
     /// [`EnergyRequest::kind_index`].
-    pub const KIND_COUNT: usize = 46;
+    pub const KIND_COUNT: usize = KINDS.len();
 
     /// Every kind's [`name`](EnergyRequest::name), indexed by
     /// [`kind_index`](EnergyRequest::kind_index). The observability layer
     /// uses this to pre-register one `dispatch.requests.{kind}_total`
     /// counter per kind.
-    pub const KIND_NAMES: [&'static str; EnergyRequest::KIND_COUNT] = [
-        "set_container_powercap",
-        "clear_container_powercap",
-        "set_battery_charge_rate",
-        "set_battery_max_discharge",
-        "get_solar_power",
-        "get_grid_power",
-        "get_grid_carbon",
-        "get_battery_discharge_rate",
-        "get_battery_charge_level",
-        "get_container_powercap",
-        "get_container_power",
-        "launch_container",
-        "stop_container",
-        "suspend_container",
-        "resume_container",
-        "set_container_demand",
-        "container_ids",
-        "running_containers",
-        "effective_cores",
-        "container_effective_cores",
-        "now",
-        "tick_interval",
-        "app_id",
-        "get_container_energy",
-        "get_container_carbon",
-        "get_app_power",
-        "get_app_energy",
-        "get_app_carbon",
-        "get_app_carbon_between",
-        "set_carbon_rate",
-        "carbon_rate_limit",
-        "set_carbon_budget",
-        "carbon_budget",
-        "remaining_carbon_budget",
-        "poll_events",
-        "subscribe_events",
-        "snapshot",
-        "restore",
-        "migrate_out",
-        "migrate_in",
-        "migrate_commit",
-        "fed_collect",
-        "fed_settle",
-        "fed_align",
-        "fed_cursor",
-        "stats",
-    ];
+    pub const KIND_NAMES: [&'static str; EnergyRequest::KIND_COUNT] = {
+        let mut names = [""; EnergyRequest::KIND_COUNT];
+        let mut i = 0;
+        while i < names.len() {
+            names[i] = KINDS[i].name;
+            i += 1;
+        }
+        names
+    };
 
     /// A dense index for this request's kind (declaration order, the
     /// same order the binary codec tags variants in). Stable across a
-    /// process; indexes [`EnergyRequest::KIND_NAMES`] and the
-    /// observability layer's per-kind counters.
+    /// process; indexes [`KINDS`], [`EnergyRequest::KIND_NAMES`] and the
+    /// observability layer's per-kind counters. The one exhaustive match
+    /// over the variants: a new variant fails to compile here, and its
+    /// row goes at this index in [`KINDS`].
     pub fn kind_index(&self) -> usize {
         use EnergyRequest::*;
         match self {

@@ -301,7 +301,7 @@ impl Ecovisor {
             apps,
             next_app: self.next_app,
         };
-        if let Some(hub) = self.obs() {
+        if let Some(hub) = &self.obs {
             hub.core
                 .snapshot_capture
                 .record_duration(obs_start.elapsed());
@@ -440,7 +440,7 @@ impl Ecovisor {
         // The hub survives a restore (it is runtime state, not snapshot
         // state), so timings from before and after a restore land in the
         // same series.
-        if let Some(hub) = self.obs() {
+        if let Some(hub) = &self.obs {
             hub.core
                 .snapshot_restore
                 .record_duration(obs_start.elapsed());

@@ -262,18 +262,13 @@ pub(super) fn serve_admin(
 }
 
 /// Assembles the wire [`StatsReport`]: the `ServerStats` trio read from
-/// the serving context plus a full dump of the observability registry
-/// (empty when no hub is attached — the `obs` feature is off).
+/// the serving context plus a full dump of the observability registry.
 fn stats_report(ctx: &ServeCtx) -> StatsReport {
     StatsReport {
         active_connections: ctx.active.load(Ordering::SeqCst) as u64,
         subscriber_backlog: ctx.subscriber_backlog() as u64,
         recv_buffer_bytes: ctx.recv_bytes.load(Ordering::SeqCst) as u64,
-        metrics: ctx
-            .obs
-            .as_ref()
-            .map(|hub| hub.snapshot())
-            .unwrap_or_default(),
+        metrics: ctx.obs.snapshot(),
     }
 }
 

@@ -45,8 +45,8 @@ pub(super) struct ConnShared {
     /// drains.
     pub(super) notify: WriteNotify,
     /// The server's observability hub, for outbound frame/byte counting
-    /// and coalesce-drop accounting (`None` when the server has none).
-    obs: Option<Arc<crate::obs::ObsHub>>,
+    /// and coalesce-drop accounting.
+    obs: Arc<crate::obs::ObsHub>,
 }
 
 /// The reactor-facing side of a connection's write queue: marks the
@@ -169,7 +169,7 @@ impl ConnShared {
         app: AppId,
         stream: Arc<TcpStream>,
         notify: WriteNotify,
-        obs: Option<Arc<crate::obs::ObsHub>>,
+        obs: Arc<crate::obs::ObsHub>,
     ) -> ConnShared {
         ConnShared {
             app,
@@ -184,10 +184,8 @@ impl ConnShared {
     /// Commits one encoded payload to the wire order and counts it.
     fn commit(&self, pending: &mut PendingWrites, payload: &[u8]) -> io::Result<()> {
         pending.commit(payload)?;
-        if let Some(hub) = &self.obs {
-            hub.transport.frames_out.inc();
-            hub.transport.bytes_out.add(payload.len() as u64 + 4);
-        }
+        self.obs.transport.frames_out.inc();
+        self.obs.transport.bytes_out.add(payload.len() as u64 + 4);
         Ok(())
     }
 
@@ -294,9 +292,7 @@ impl ConnShared {
                 // the cap is a drop worth counting.
                 let dropped = offered.saturating_sub(pending.parked.len());
                 if dropped > 0 {
-                    if let Some(hub) = &self.obs {
-                        hub.transport.coalesce_drops.add(dropped as u64);
-                    }
+                    self.obs.transport.coalesce_drops.add(dropped as u64);
                 }
             }
             Ok(())
@@ -405,7 +401,7 @@ mod tests {
             AppId::new(1),
             Arc::new(server_side),
             notify,
-            None,
+            crate::obs::ObsHub::new(),
         ));
         let policy = OutboxPolicy::with_cap(2);
         let level = |w: f64| Notification::SolarChange {

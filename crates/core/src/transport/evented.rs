@@ -52,16 +52,10 @@ use super::conn::{ConnShared, WriteNotify};
 use super::framing::{append_frame, RecvBuf, DRAIN_RETAIN_BYTES, MAX_FRAME_LEN, MAX_HELLO_LEN};
 use super::hello::{evaluate_hello, HelloOutcome};
 use super::server::{process_payload, ServeCtx, Served, ServerHandle};
-use crate::obs::{self, TransportMetrics};
+use crate::obs;
 
 /// Structured-log target for everything the serving runtime emits.
 const LOG_TARGET: &str = "ecovisor::transport";
-
-/// The transport-metrics handles on a serving context, if a hub is
-/// attached.
-fn metrics(ctx: &ServeCtx) -> Option<&TransportMetrics> {
-    ctx.obs.as_deref().map(|hub| &hub.transport)
-}
 
 /// The listener's epoll token.
 const LISTENER: Token = Token(0);
@@ -128,13 +122,12 @@ struct QueueState {
 pub(super) struct JobQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
-    /// `transport.queue_depth` — connections awaiting a worker. `None`
-    /// when the server has no observability hub.
-    depth: Option<Arc<obs::Gauge>>,
+    /// `transport.queue_depth` — connections awaiting a worker.
+    depth: Arc<obs::Gauge>,
 }
 
 impl JobQueue {
-    fn new(depth: Option<Arc<obs::Gauge>>) -> JobQueue {
+    fn new(depth: Arc<obs::Gauge>) -> JobQueue {
         JobQueue {
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -152,9 +145,7 @@ impl JobQueue {
         }
         state.jobs.push_back(work);
         drop(state);
-        if let Some(depth) = &self.depth {
-            depth.add(1);
-        }
+        self.depth.add(1);
         self.ready.notify_one();
     }
 
@@ -169,9 +160,7 @@ impl JobQueue {
             }
             if let Some(work) = state.jobs.pop_front() {
                 drop(state);
-                if let Some(depth) = &self.depth {
-                    depth.sub(1);
-                }
+                self.depth.sub(1);
                 return Some(work);
             }
             state = self
@@ -186,9 +175,7 @@ impl JobQueue {
     /// gate expects every gauge back at zero after shutdown.
     pub(super) fn stop(&self) {
         crate::lock::lock(&self.state).stopped = true;
-        if let Some(depth) = &self.depth {
-            depth.set(0);
-        }
+        self.depth.set(0);
         self.ready.notify_all();
     }
 }
@@ -236,10 +223,8 @@ fn serve_inbox(work: &Arc<ConnWork>, ctx: &ServeCtx, queue: &JobQueue, reply: &m
             }
             return;
         };
-        let obs = metrics(ctx);
-        if let Some(m) = obs {
-            m.inbox_depth.sub(1);
-        }
+        let metrics = &ctx.obs.transport;
+        metrics.inbox_depth.sub(1);
         let serve_start = Instant::now();
         let served = {
             let mut admin = crate::lock::lock(&work.admin);
@@ -249,9 +234,7 @@ fn serve_inbox(work: &Arc<ConnWork>, ctx: &ServeCtx, queue: &JobQueue, reply: &m
             Served::Reply => work.shared.write(reply).is_ok(),
             Served::Quiet => true,
             Served::Close => {
-                if let Some(m) = obs {
-                    m.conn_errors.inc();
-                }
+                metrics.conn_errors.inc();
                 obs::warn(
                     LOG_TARGET,
                     "dropping connection",
@@ -263,9 +246,7 @@ fn serve_inbox(work: &Arc<ConnWork>, ctx: &ServeCtx, queue: &JobQueue, reply: &m
                 false
             }
         };
-        if let Some(m) = obs {
-            m.serve_latency.record_duration(serve_start.elapsed());
-        }
+        metrics.serve_latency.record_duration(serve_start.elapsed());
         if !healthy {
             kill_from_worker(work);
             work.scheduled.store(false, Ordering::SeqCst);
@@ -369,9 +350,7 @@ fn handle_frame(
                 return false;
             }
             crate::lock::lock(&work.inbox).push_back(payload);
-            if let Some(m) = metrics(ctx) {
-                m.inbox_depth.add(1);
-            }
+            ctx.obs.transport.inbox_depth.add(1);
             if !work.scheduled.swap(true, Ordering::SeqCst) {
                 queue.push(Arc::clone(work));
             }
@@ -403,7 +382,7 @@ fn begin_serving(
                     dirty: Arc::clone(dirty),
                     waker: waker.clone(),
                 },
-                ctx.obs.clone(),
+                Arc::clone(&ctx.obs),
             ));
             crate::lock::lock(&ctx.registry).push(Arc::clone(&shared));
             conn.phase = Phase::Serving(Arc::new(ConnWork {
@@ -522,9 +501,7 @@ impl Reactor {
                         },
                     );
                     self.active.fetch_add(1, Ordering::SeqCst);
-                    if let Some(m) = metrics(&self.ctx) {
-                        m.accepts.inc();
-                    }
+                    self.ctx.obs.transport.accepts.inc();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -535,9 +512,7 @@ impl Reactor {
                     // rate-limited to the first occurrence and every
                     // 64th after that.
                     self.accept_fails += 1;
-                    if let Some(m) = metrics(&self.ctx) {
-                        m.accept_failures.inc();
-                    }
+                    self.ctx.obs.transport.accept_failures.inc();
                     if self.accept_fails == 1 || self.accept_fails.is_multiple_of(64) {
                         obs::warn(
                             LOG_TARGET,
@@ -584,9 +559,7 @@ impl Reactor {
                 // client; either way the connection is done.
                 Ok(0) => {
                     if conn.rbuf.has_partial() {
-                        if let Some(m) = metrics(&ctx) {
-                            m.mid_frame_closes.inc();
-                        }
+                        ctx.obs.transport.mid_frame_closes.inc();
                         obs::debug(
                             LOG_TARGET,
                             "peer closed mid-frame",
@@ -597,9 +570,7 @@ impl Reactor {
                 }
                 Ok(n) => {
                     conn.last_read = Instant::now();
-                    if let Some(m) = metrics(&ctx) {
-                        m.bytes_in.add(n as u64);
-                    }
+                    ctx.obs.transport.bytes_in.add(n as u64);
                     loop {
                         // An unauthenticated peer has earned a hello's
                         // worth of buffer, nothing more.
@@ -609,9 +580,7 @@ impl Reactor {
                         };
                         match conn.rbuf.next_frame(max) {
                             Ok(Some(payload)) => {
-                                if let Some(m) = metrics(&ctx) {
-                                    m.frames_in.inc();
-                                }
+                                ctx.obs.transport.frames_in.inc();
                                 if !handle_frame(conn, token, &ctx, &queue, &dirty, &waker, payload)
                                 {
                                     return false;
@@ -619,9 +588,7 @@ impl Reactor {
                             }
                             Ok(None) => break,
                             Err(e) => {
-                                if let Some(m) = metrics(&ctx) {
-                                    m.conn_errors.inc();
-                                }
+                                ctx.obs.transport.conn_errors.inc();
                                 obs::warn(
                                     LOG_TARGET,
                                     "dropping connection",
@@ -667,9 +634,7 @@ impl Reactor {
             .map(|(t, _)| *t)
             .collect();
         for token in expired {
-            if let Some(m) = metrics(&self.ctx) {
-                m.idle_disconnects.inc();
-            }
+            self.ctx.obs.transport.idle_disconnects.inc();
             obs::info(
                 LOG_TARGET,
                 "disconnecting idle connection",
@@ -702,9 +667,7 @@ impl Reactor {
             inbox.clear();
             drop(inbox);
             if abandoned > 0 {
-                if let Some(m) = metrics(&self.ctx) {
-                    m.inbox_depth.sub(abandoned as i64);
-                }
+                self.ctx.obs.transport.inbox_depth.sub(abandoned as i64);
             }
         }
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
@@ -737,9 +700,7 @@ pub(super) fn spawn_evented(
     let stop = Arc::new(AtomicBool::new(false));
     let active = Arc::clone(&ctx.active);
     let recv_bytes = Arc::clone(&ctx.recv_bytes);
-    let queue = Arc::new(JobQueue::new(
-        metrics(&ctx).map(|m| Arc::clone(&m.queue_depth)),
-    ));
+    let queue = Arc::new(JobQueue::new(Arc::clone(&ctx.obs.transport.queue_depth)));
     let dirty: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
 
     let worker_count = if workers == 0 {

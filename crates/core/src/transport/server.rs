@@ -40,11 +40,10 @@ pub(super) struct ServeCtx {
     pub(super) read_timeout: Option<Duration>,
     /// Writer halves of live connections, walked by the broadcast hook.
     pub(super) registry: Arc<Registry>,
-    /// The observability hub attached to the served ecovisor (`None`
-    /// only when the `obs` feature is off). The transport layer records
-    /// wall-clock series into it directly; the wire `Stats` request
-    /// dumps it.
-    pub(super) obs: Option<Arc<crate::obs::ObsHub>>,
+    /// The observability hub attached to the served ecovisor. The
+    /// transport layer records wall-clock series into it directly; the
+    /// wire `Stats` request dumps it.
+    pub(super) obs: Arc<crate::obs::ObsHub>,
     /// Connections currently in any serving phase (maintained by the
     /// reactor; see [`ServerHandle::active_connections`]).
     pub(super) active: Arc<AtomicUsize>,
@@ -203,14 +202,14 @@ impl EcovisorServer {
     ///
     /// Propagates the bind failure.
     pub fn bind(addr: impl ToSocketAddrs, mut eco: Ecovisor) -> io::Result<Self> {
-        // A live server always carries an observability hub (unless the
-        // `obs` feature compiled the attach away): dispatch and
-        // settlement record into it, the transport counts frames into
-        // it, and the wire `Stats` request reads it back out.
-        if eco.obs_hub().is_none() {
-            eco.attach_obs(crate::obs::ObsHub::new());
-        }
-        let obs = eco.obs_hub();
+        // A live server always carries an observability hub: dispatch
+        // and settlement record into it, the transport counts frames
+        // into it, and the wire `Stats` request reads it back out.
+        let obs = eco.obs_hub().unwrap_or_else(|| {
+            let hub = crate::obs::ObsHub::new();
+            eco.attach_obs(Arc::clone(&hub));
+            hub
+        });
         let shared = Arc::new(ShardedEcovisor::new(eco));
         let registry: Arc<Registry> = Arc::new(Mutex::new(Vec::new()));
         let hook_registry = Arc::clone(&registry);
@@ -351,8 +350,10 @@ impl ServerHandle {
     /// The server's observability hub ([`EcovisorServer::bind`] attaches
     /// one when the ecovisor arrives without), for metric inspection; the
     /// wire equivalent is the credential-gated `Stats` admin request.
+    /// Always `Some`: the `Option` is the signature existing callers
+    /// (the `benchmark/` workspace) compile against.
     pub fn obs_hub(&self) -> Option<Arc<crate::obs::ObsHub>> {
-        self.ctx.obs.clone()
+        Some(Arc::clone(&self.ctx.obs))
     }
 
     /// Number of connections currently registered with the reactor. A

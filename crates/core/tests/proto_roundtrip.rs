@@ -6,7 +6,7 @@
 use container_cop::{AppId, ContainerId, ContainerSpec};
 use ecovisor::proto::{
     EnergyRequest, EnergyResponse, EventFrame, ProtoError, RequestBatch, ResponseBatch,
-    StatsReport, PROTOCOL_VERSION,
+    StatsReport, KINDS, PROTOCOL_V1, PROTOCOL_VERSION,
 };
 use ecovisor::{
     EnergyShare, EventFilter, FedAppView, Notification, ProtocolTrace, TraceEntry,
@@ -31,7 +31,11 @@ fn round_trip_response(resp: &EnergyResponse) {
 /// list (the `match` below fails to compile if a variant is added
 /// without a round-trip exemplar).
 fn all_requests() -> Vec<EnergyRequest> {
-    let c = ContainerId::new(7);
+    requests_on(ContainerId::new(7))
+}
+
+/// [`all_requests`] with every container-addressed exemplar aimed at `c`.
+fn requests_on(c: ContainerId) -> Vec<EnergyRequest> {
     let from = SimTime::from_secs(60);
     let to = SimTime::from_secs(360);
     vec![
@@ -372,6 +376,85 @@ fn command_query_split_is_total() {
             "{} must be exactly one",
             r.name()
         );
+    }
+}
+
+/// Every predicate on a request reads its [`KINDS`] row, so the rows must
+/// line up with the variants and agree with each other.
+#[test]
+fn kind_table_rows_are_consistent() {
+    assert_eq!(KINDS.len(), EnergyRequest::KIND_COUNT);
+    let mut covered = std::collections::BTreeSet::new();
+    for r in &all_requests() {
+        let row = &KINDS[r.kind_index()];
+        covered.insert(r.kind_index());
+        assert_eq!(r.name(), row.name);
+        assert_eq!(r.is_query(), row.query, "{}", row.name);
+        assert_eq!(r.is_admin(), row.admin, "{}", row.name);
+        assert_eq!(r.min_version(), row.min_version, "{}", row.name);
+    }
+    assert_eq!(covered.len(), KINDS.len(), "an exemplar for every row");
+    let mut names = std::collections::BTreeSet::new();
+    for (i, row) in KINDS.iter().enumerate() {
+        assert_eq!(row.name, EnergyRequest::KIND_NAMES[i]);
+        assert!(names.insert(row.name), "{} names two kinds", row.name);
+        assert!([PROTOCOL_V1, PROTOCOL_VERSION].contains(&row.min_version));
+        if row.admin {
+            assert!(!row.query, "{}: the admin surface is commands", row.name);
+            assert_eq!(row.min_version, PROTOCOL_VERSION, "{}", row.name);
+        }
+        // Commands never take the TSDB guard; a command row claiming it
+        // would be silently ignored. (That a query never takes the COP
+        // *write* guard needs no check: `cop` means read for a query.)
+        assert!(!row.tsdb || row.query, "{}", row.name);
+    }
+}
+
+/// The dispatcher `expect`s a COP or TSDB guard wherever a row's `cop` /
+/// `tsdb` column says the batch took one. Each kind goes *alone* in its
+/// batch — in a mixed batch a neighbour's guard hides a cleared column —
+/// against a tenant whose one container the exemplars address, so scope
+/// checks pass and every arm runs to its guard.
+#[test]
+fn every_kind_dispatches_alone_at_both_envelope_versions() {
+    use container_cop::CopConfig;
+    use ecovisor::EcovisorBuilder;
+
+    // The id a fresh platform gives its first container.
+    let c = ContainerId::new(0);
+    for version in [PROTOCOL_V1, PROTOCOL_VERSION] {
+        for req in requests_on(c) {
+            // A fresh world per request: `StopContainer` and friends
+            // must not change what the next kind finds.
+            let mut eco = EcovisorBuilder::new()
+                .cluster(CopConfig::microserver_cluster(2))
+                .build();
+            let app = eco
+                .register_app("tenant", EnergyShare::grid_only())
+                .expect("register");
+            let launch = EnergyRequest::LaunchContainer {
+                spec: ContainerSpec::single_core(),
+            };
+            let launched = eco.dispatch_batch(&RequestBatch::new(app, vec![launch]));
+            assert_eq!(launched.responses, [EnergyResponse::Container(c)]);
+
+            let mut batch = RequestBatch::new(app, vec![req.clone()]);
+            batch.version = version;
+            let reply = eco.dispatch_batch(&batch);
+            assert_eq!(reply.responses.len(), 1, "{} at v{version}", req.name());
+            let refused = matches!(
+                reply.responses[0],
+                EnergyResponse::Err(ProtoError::Version { expected, got })
+                    if expected == req.min_version() && got == version
+            );
+            assert_eq!(
+                refused,
+                version < req.min_version(),
+                "{} at v{version} answered {:?}",
+                req.name(),
+                reply.responses[0]
+            );
+        }
     }
 }
 

@@ -2,8 +2,7 @@
 //!
 //! Software model of the hardware the ecovisor prototype virtualizes
 //! (paper §4): a grid connection behind a programmable power supply, a
-//! battery bank with two smart charge controllers, and a solar array
-//! emulator.
+//! battery bank, and a solar array emulator.
 //!
 //! The paper's hardware constants are the defaults here:
 //!
@@ -15,23 +14,20 @@
 //!   clear-sky bell curve modulated by stochastic weather.
 //! * Grid: effectively unlimited supply, metered by the programmable PSU.
 //!
-//! [`system::PhysicalEnergySystem`] composes the three sources and settles
-//! aggregate energy flows each tick; the ecovisor (crate `ecovisor`)
-//! multiplexes it across applications' virtual energy systems.
+//! This crate models the components only. Composing them — the paper's
+//! §3.3 solar → battery → grid supply priority, settled every tick and
+//! multiplexed across applications' virtual energy systems — happens in
+//! one place, crate `ecovisor` (`ves.rs` and `Ecovisor::settle_with_views`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod battery;
-pub mod charge_controller;
 pub mod grid;
 pub mod psu;
 pub mod solar;
-pub mod system;
 
 pub use battery::{Battery, BatterySpec};
-pub use charge_controller::{GridChargeController, SolarChargeController};
 pub use grid::GridConnection;
 pub use psu::ProgrammablePsu;
 pub use solar::{SolarArrayBuilder, SolarSource, TraceSolarSource};
-pub use system::{PhysicalEnergySystem, PhysicalFlows};

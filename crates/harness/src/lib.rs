@@ -12,9 +12,9 @@
 //!
 //! The committed `corpus/` directory holds twelve recorded days
 //! ([`corpus`] has the catalogue); `ecoharness verify corpus/` is the
-//! standing regression net run by CI, and `cargo bench -p
-//! ecovisor-bench --bench corpus_replay` turns the same corpus into a
-//! replay-throughput benchmark for future perf work.
+//! standing regression net run by CI, and the `sim-day` workload of
+//! `benchmark/` replays the thousand-tenants day as the
+//! replay-throughput benchmark for perf work.
 //!
 //! Artifacts can additionally embed **checkpoints** — full
 //! [`ecovisor::Snapshot`] captures taken mid-run

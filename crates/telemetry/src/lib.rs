@@ -8,9 +8,10 @@
 //! * [`Tsdb`] — an in-memory, tag-addressed time-series store with range
 //!   queries (mean, sum, percentile, step integration). Table 2's
 //!   interval functions (`get_container_energy(t1,t2)` etc.) are direct
-//!   queries against it.
-//! * [`MeterSet`] — the per-tick sampling front-end: the ecovisor pushes
-//!   one sample per metric per subject per tick.
+//!   queries against it. Samples enter one way: [`Tsdb::record`], or its
+//!   two halves [`Tsdb::series_id`] + [`Tsdb::append`] for a caller that
+//!   keeps the handle (the ecovisor's settlement writes one sample per
+//!   metric per subject per tick that way).
 //! * [`metrics`] — well-known metric names shared across crates.
 //! * [`ops`] — operational observability for the serving runtime
 //!   itself: sharded counters, gauges, log2-bucket latency histograms,
@@ -37,10 +38,8 @@
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod meter;
 pub mod metrics;
 pub mod ops;
 pub mod tsdb;
 
-pub use meter::MeterSet;
 pub use tsdb::{SeriesId, SeriesKey, Tsdb};
