@@ -337,6 +337,7 @@ impl Ecovisor {
             let cop_ro = cop.as_deref().or(fresh_cop.as_deref());
             return self.query_locked(state, cop_ro, tsdb.as_deref(), app, req);
         }
+        let rec = &mut state.rec;
         match req {
             SetContainerPowercap { container, cap } => {
                 Self::with_owned(held(cop), app, *container, |cop, c| {
@@ -351,11 +352,11 @@ impl Ecovisor {
                 })
             }
             SetBatteryChargeRate { rate } => {
-                state.ves.set_charge_rate(*rate);
+                rec.ves.set_charge_rate(*rate);
                 EnergyResponse::Ok
             }
             SetBatteryMaxDischarge { rate } => {
-                state.ves.set_max_discharge(*rate);
+                rec.ves.set_max_discharge(*rate);
                 EnergyResponse::Ok
             }
             LaunchContainer { spec } => match held(cop).launch(app, *spec) {
@@ -387,13 +388,13 @@ impl Ecovisor {
                 })
             }
             SetCarbonRate { rate } => {
-                state.carbon_rate_limit = *rate;
+                rec.carbon_rate_limit = *rate;
                 EnergyResponse::Ok
             }
             // The pull half of the Table 2 notification surface: drain
             // the app's outbox under the shard write guard the batch
             // already holds. Works in every protocol version.
-            PollEvents => EnergyResponse::Events(std::mem::take(&mut state.pending_events)),
+            PollEvents => EnergyResponse::Events(std::mem::take(&mut rec.pending_events)),
             // Subscription is a *connection* property: the transport
             // layer interprets this request for the connection that sent
             // it (see `crate::transport`); dispatch just acknowledges,
@@ -415,7 +416,7 @@ impl Ecovisor {
             | FedCursor
             | Stats => EnergyResponse::Ok,
             SetCarbonBudget { budget } => {
-                state.carbon_budget = *budget;
+                rec.carbon_budget = *budget;
                 // Clearing the budget or raising it above the carbon
                 // already attributed lifts the grid clamp and re-arms
                 // the exhaustion edge. A budget at or below current
@@ -423,10 +424,10 @@ impl Ecovisor {
                 // edge) — otherwise re-setting the same exhausted
                 // budget every tick would buy a tick of grid draw each
                 // time and defeat enforcement entirely.
-                let still_exhausted = budget
-                    .is_some_and(|b| state.ves.totals().carbon >= b && state.budget_exhausted);
-                state.budget_exhausted = still_exhausted;
-                state.ves.set_grid_clamp(still_exhausted);
+                let still_exhausted =
+                    budget.is_some_and(|b| rec.ves.totals().carbon >= b && rec.budget_exhausted);
+                rec.budget_exhausted = still_exhausted;
+                rec.ves.set_grid_clamp(still_exhausted);
                 EnergyResponse::Ok
             }
             // Queries returned above, so no query variant reaches here.
@@ -458,12 +459,13 @@ impl Ecovisor {
         fn tsdb_held(tsdb: Option<&Tsdb>) -> &Tsdb {
             tsdb.expect("telemetry query dispatched without the TSDB guard")
         }
+        let rec = &state.rec;
         match request {
-            GetSolarPower => EnergyResponse::Power(state.ves.solar_available()),
-            GetGridPower => EnergyResponse::Power(state.ves.grid_power()),
+            GetSolarPower => EnergyResponse::Power(rec.ves.solar_available()),
+            GetGridPower => EnergyResponse::Power(rec.ves.grid_power()),
             GetGridCarbon => EnergyResponse::Intensity(self.intensity),
-            GetBatteryDischargeRate => EnergyResponse::Power(state.ves.battery_discharge_rate()),
-            GetBatteryChargeLevel => EnergyResponse::Energy(state.ves.battery_charge_level()),
+            GetBatteryDischargeRate => EnergyResponse::Power(rec.ves.battery_discharge_rate()),
+            GetBatteryChargeLevel => EnergyResponse::Energy(rec.ves.battery_charge_level()),
             GetContainerPowercap { container } => {
                 let cop = cop_held(cop);
                 match Self::scope_in(cop, app, *container) {
@@ -549,7 +551,7 @@ impl Ecovisor {
                 let ws = integrate(tsdb_held(tsdb), cached, metrics::APP_POWER, app, *from, *to);
                 EnergyResponse::Energy(WattHours::new(ws / 3600.0))
             }
-            GetAppCarbon => EnergyResponse::Carbon(state.ves.totals().carbon),
+            GetAppCarbon => EnergyResponse::Carbon(rec.ves.totals().carbon),
             GetAppCarbonBetween { from, to } => {
                 let cached = state.series.as_ref().map(|s| s.carbon_rate);
                 let grams = integrate(
@@ -562,12 +564,11 @@ impl Ecovisor {
                 );
                 EnergyResponse::Carbon(Co2Grams::new(grams))
             }
-            GetCarbonRateLimit => EnergyResponse::RateLimit(state.carbon_rate_limit),
-            GetCarbonBudget => EnergyResponse::Budget(state.carbon_budget),
+            GetCarbonRateLimit => EnergyResponse::RateLimit(rec.carbon_rate_limit),
+            GetCarbonBudget => EnergyResponse::Budget(rec.carbon_budget),
             GetRemainingCarbonBudget => EnergyResponse::Budget(
-                state
-                    .carbon_budget
-                    .map(|b| (b - state.ves.totals().carbon).max(Co2Grams::ZERO)),
+                rec.carbon_budget
+                    .map(|b| (b - rec.ves.totals().carbon).max(Co2Grams::ZERO)),
             ),
             // is_query() returned true, so no command variant reaches here.
             _ => unreachable!("non-query request in query dispatch"),

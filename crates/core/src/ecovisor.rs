@@ -43,7 +43,7 @@ use energy_system::psu::ProgrammablePsu;
 use energy_system::solar::SolarSource;
 use power_telemetry::{metrics, SeriesId, Tsdb};
 use simkit::time::{SimDuration, SimTime, TickClock};
-use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams, WattHours, Watts};
+use simkit::units::{CarbonIntensity, WattHours, Watts};
 
 use crate::config::{EcovisorBuilder, ExcessPolicy};
 use crate::error::{EcovisorError, Result};
@@ -51,27 +51,20 @@ use crate::event::{Notification, NotifyConfig, OutboxPolicy};
 use crate::federation::FedAppView;
 use crate::lock;
 use crate::share::EnergyShare;
+use crate::snapshot::AppSnapshot;
 use crate::ves::{DesiredFlows, VesFlows, VesTotals, VirtualEnergySystem};
 
 /// One application's shard: its state behind its own lock, so traffic
 /// from different tenants executes in parallel.
 pub(crate) type Shard = RwLock<AppState>;
 
-/// Per-application state held by the ecovisor.
+/// Per-application state held by the ecovisor: the tenant's record and
+/// what is derived from it.
 pub(crate) struct AppState {
-    pub(crate) name: String,
-    pub(crate) ves: VirtualEnergySystem,
-    pub(crate) notify: NotifyConfig,
-    pub(crate) outbox: OutboxPolicy,
-    pub(crate) pending_events: Vec<Notification>,
-    pub(crate) carbon_rate_limit: Option<CarbonRate>,
-    pub(crate) carbon_budget: Option<Co2Grams>,
-    /// Containers currently carrying an ecovisor-installed carbon cap,
-    /// so enforcement can clear exactly what it installed when the rate
-    /// limit lifts (or re-spread it as the container set changes).
-    pub(crate) carbon_capped: Vec<ContainerId>,
-    /// Edge-trigger state for [`Notification::BudgetExhausted`].
-    pub(crate) budget_exhausted: bool,
+    /// Everything about the tenant that persists — what a snapshot
+    /// carries and a migration moves. Capture is a clone of this, and
+    /// the only way one gets here is past `Ecovisor::admit`.
+    pub(crate) rec: AppSnapshot,
     /// Handles of the series telemetry appends to for this tenant each
     /// tick: resolved by the first recording that finds none, and set
     /// back to `None` whenever the store is replaced or renumbered
@@ -80,6 +73,12 @@ pub(crate) struct AppState {
 }
 
 impl AppState {
+    /// Installs an admitted record. Handles into whatever store was
+    /// there before mean nothing to it, so there are none.
+    pub(crate) fn install(rec: AppSnapshot) -> Self {
+        Self { rec, series: None }
+    }
+
     /// The cached handles of one of this tenant's containers, if it was
     /// live at the last recording.
     pub(crate) fn container_series(&self, id: ContainerId) -> Option<&ContainerSeries> {
@@ -257,48 +256,22 @@ impl Ecovisor {
     /// [`EcovisorError::ShareExceeded`] when accepting it would
     /// oversubscribe the physical solar array or battery.
     pub fn register_app(&mut self, name: impl Into<String>, share: EnergyShare) -> Result<AppId> {
-        share.validate().map_err(EcovisorError::InvalidShare)?;
-
-        let solar_total: f64 = self
-            .apps
-            .values_mut()
-            .map(|a| lock::get_mut(a).ves.share().solar_fraction)
-            .sum::<f64>()
-            + share.solar_fraction;
-        if solar_total > 1.0 + 1e-9 {
-            return Err(EcovisorError::ShareExceeded(format!(
-                "solar fractions would sum to {solar_total:.3}"
-            )));
-        }
-        let battery_total: WattHours = self
-            .apps
-            .values_mut()
-            .map(|a| lock::get_mut(a).ves.share().battery_capacity)
-            .sum::<WattHours>()
-            + share.battery_capacity;
-        if battery_total > self.physical_battery.spec().capacity {
-            return Err(EcovisorError::ShareExceeded(format!(
-                "battery capacity shares would sum to {battery_total}"
-            )));
-        }
-
-        let id = AppId::new(self.next_app);
+        let rec = AppSnapshot {
+            app: AppId::new(self.next_app),
+            name: name.into(),
+            ves: VirtualEnergySystem::for_share(share),
+            notify: NotifyConfig::default(),
+            outbox: OutboxPolicy::default(),
+            pending_events: Vec::new(),
+            carbon_rate_limit: None,
+            carbon_budget: None,
+            carbon_capped: Vec::new(),
+            budget_exhausted: false,
+        };
+        self.admit(std::slice::from_ref(&rec), true, &BTreeMap::new())?;
+        let id = rec.app;
         self.next_app += 1;
-        self.apps.insert(
-            id,
-            RwLock::new(AppState {
-                name: name.into(),
-                ves: VirtualEnergySystem::new(share),
-                notify: NotifyConfig::default(),
-                outbox: OutboxPolicy::default(),
-                pending_events: Vec::new(),
-                carbon_rate_limit: None,
-                carbon_budget: None,
-                carbon_capped: Vec::new(),
-                budget_exhausted: false,
-                series: None,
-            }),
-        );
+        self.apps.insert(id, RwLock::new(AppState::install(rec)));
         Ok(id)
     }
 
@@ -313,7 +286,7 @@ impl Ecovisor {
     ///
     /// [`EcovisorError::UnknownApp`] when not registered.
     pub fn app_name(&self, app: AppId) -> Result<String> {
-        Ok(lock::read(self.shard(app)?).name.clone())
+        Ok(lock::read(self.shard(app)?).rec.name.clone())
     }
 
     /// Overrides an application's notification thresholds.
@@ -322,7 +295,7 @@ impl Ecovisor {
     ///
     /// [`EcovisorError::UnknownApp`] when not registered.
     pub fn set_notify_config(&mut self, app: AppId, cfg: NotifyConfig) -> Result<()> {
-        self.state_mut(app)?.notify = cfg;
+        self.rec_mut(app)?.notify = cfg;
         Ok(())
     }
 
@@ -333,7 +306,7 @@ impl Ecovisor {
     ///
     /// [`EcovisorError::UnknownApp`] when not registered.
     pub fn set_outbox_policy(&mut self, app: AppId, policy: OutboxPolicy) -> Result<()> {
-        self.state_mut(app)?.outbox = policy;
+        self.rec_mut(app)?.outbox = policy;
         Ok(())
     }
 
@@ -343,7 +316,7 @@ impl Ecovisor {
     ///
     /// [`EcovisorError::UnknownApp`] when not registered.
     pub fn outbox_policy(&self, app: AppId) -> Result<OutboxPolicy> {
-        Ok(lock::read(self.shard(app)?).outbox)
+        Ok(lock::read(self.shard(app)?).rec.outbox)
     }
 
     /// A batching protocol client for one application — the primary API
@@ -381,7 +354,7 @@ impl Ecovisor {
     pub fn drain_events(&self, app: AppId) -> Vec<Notification> {
         self.apps
             .get(&app)
-            .map(|s| std::mem::take(&mut lock::write(s).pending_events))
+            .map(|s| std::mem::take(&mut lock::write(s).rec.pending_events))
             .unwrap_or_default()
     }
 
@@ -411,12 +384,10 @@ impl Ecovisor {
     ) -> Option<crate::proto::EventFrame> {
         let shard = self.apps.get(&app)?;
         let events = {
-            let mut state = lock::write(shard);
-            let (taken, kept): (Vec<Notification>, Vec<Notification>) = state
-                .pending_events
-                .drain(..)
-                .partition(|e| filter.matches(e));
-            state.pending_events = kept;
+            let pending = &mut lock::write(shard).rec.pending_events;
+            let (taken, kept): (Vec<Notification>, Vec<Notification>) =
+                pending.drain(..).partition(|e| filter.matches(e));
+            *pending = kept;
             taken
         };
         if events.is_empty() {
@@ -475,7 +446,7 @@ impl Ecovisor {
             let state = lock::get_mut(shard);
             views.push(FedAppView {
                 app: id,
-                ves: state.ves.clone(),
+                ves: state.rec.ves.clone(),
                 power: cop.app_power(id),
             });
         }
@@ -577,27 +548,26 @@ impl Ecovisor {
                         .0
                 }
                 Some(shard) => {
-                    let state = lock::get_mut(shard);
+                    let rec = &mut lock::get_mut(shard).rec;
                     let (f, events) =
-                        state
-                            .ves
+                        rec.ves
                             .apply_flows(d, charge_scale, discharge_scale, intensity, dt);
-                    let outbox = state.outbox;
+                    let outbox = rec.outbox;
                     for event in events {
-                        outbox.push(&mut state.pending_events, event);
+                        outbox.push(&mut rec.pending_events, event);
                     }
                     // Carbon-budget enforcement (Table 2
                     // set_carbon_budget): edge-triggered like battery
                     // full/empty — notify once at the crossing and clamp
                     // grid allowance to zero until the budget is cleared
                     // or raised.
-                    if let Some(budget) = state.carbon_budget {
-                        let carbon = state.ves.totals().carbon;
-                        if carbon >= budget && !state.budget_exhausted {
-                            state.budget_exhausted = true;
-                            state.ves.set_grid_clamp(true);
+                    if let Some(budget) = rec.carbon_budget {
+                        let carbon = rec.ves.totals().carbon;
+                        if carbon >= budget && !rec.budget_exhausted {
+                            rec.budget_exhausted = true;
+                            rec.ves.set_grid_clamp(true);
                             outbox.push(
-                                &mut state.pending_events,
+                                &mut rec.pending_events,
                                 Notification::BudgetExhausted { budget, carbon },
                             );
                         }
@@ -623,7 +593,10 @@ impl Ecovisor {
                 }
                 let offer = remaining_pool.min(headroom);
                 let accepted = match self.apps.get_mut(&view.app) {
-                    Some(shard) => lock::get_mut(shard).ves.accept_redistribution(offer, dt),
+                    Some(shard) => lock::get_mut(shard)
+                        .rec
+                        .ves
+                        .accept_redistribution(offer, dt),
                     None => shadows
                         .get_mut(&view.app)
                         .expect("shadow built")
@@ -657,24 +630,24 @@ impl Ecovisor {
         let physical_solar = self.solar.mean_power_over(now, now + dt);
         let prev_intensity = self.prev_intensity;
         for shard in self.apps.values_mut() {
-            let state = lock::get_mut(shard);
-            let outbox = state.outbox;
-            let share = state.ves.share().solar_fraction;
+            let rec = &mut lock::get_mut(shard).rec;
+            let outbox = rec.outbox;
+            let share = rec.ves.share().solar_fraction;
             let new_buffer = physical_solar * share;
-            let old_buffer = state.ves.solar_available();
-            if state.notify.solar_significant(old_buffer, new_buffer) {
+            let old_buffer = rec.ves.solar_available();
+            if rec.notify.solar_significant(old_buffer, new_buffer) {
                 outbox.push(
-                    &mut state.pending_events,
+                    &mut rec.pending_events,
                     Notification::SolarChange {
                         previous: old_buffer,
                         current: new_buffer,
                     },
                 );
             }
-            state.ves.buffer_solar(new_buffer);
-            if state.notify.carbon_significant(prev_intensity, intensity) {
+            rec.ves.buffer_solar(new_buffer);
+            if rec.notify.carbon_significant(prev_intensity, intensity) {
                 outbox.push(
-                    &mut state.pending_events,
+                    &mut rec.pending_events,
                     Notification::CarbonChange {
                         previous: prev_intensity,
                         current: intensity,
@@ -788,7 +761,7 @@ impl Ecovisor {
     ///
     /// [`EcovisorError::UnknownApp`] when not registered.
     pub fn app_flows(&self, app: AppId) -> Result<VesFlows> {
-        Ok(*lock::read(self.shard(app)?).ves.last_flows())
+        Ok(*lock::read(self.shard(app)?).rec.ves.last_flows())
     }
 
     /// An app's cumulative energy/carbon totals.
@@ -797,7 +770,7 @@ impl Ecovisor {
     ///
     /// [`EcovisorError::UnknownApp`] when not registered.
     pub fn app_totals(&self, app: AppId) -> Result<VesTotals> {
-        Ok(*lock::read(self.shard(app)?).ves.totals())
+        Ok(*lock::read(self.shard(app)?).rec.ves.totals())
     }
 
     /// A snapshot of an app's virtual energy system.
@@ -806,14 +779,14 @@ impl Ecovisor {
     ///
     /// [`EcovisorError::UnknownApp`] when not registered.
     pub fn app_ves(&self, app: AppId) -> Result<VirtualEnergySystem> {
-        Ok(lock::read(self.shard(app)?).ves.clone())
+        Ok(lock::read(self.shard(app)?).rec.ves.clone())
     }
 
     /// Sum of all apps' virtual battery charge levels (invariant checks).
     pub fn virtual_battery_total(&self) -> WattHours {
         self.apps
             .values()
-            .map(|s| lock::read(s).ves.battery_charge_level())
+            .map(|s| lock::read(s).rec.ves.battery_charge_level())
             .sum()
     }
 
@@ -825,10 +798,10 @@ impl Ecovisor {
         self.apps.get(&app).ok_or(EcovisorError::UnknownApp(app))
     }
 
-    fn state_mut(&mut self, app: AppId) -> Result<&mut AppState> {
+    fn rec_mut(&mut self, app: AppId) -> Result<&mut AppSnapshot> {
         self.apps
             .get_mut(&app)
-            .map(lock::get_mut)
+            .map(|s| &mut lock::get_mut(s).rec)
             .ok_or(EcovisorError::UnknownApp(app))
     }
 
@@ -846,21 +819,21 @@ impl Ecovisor {
         let intensity = self.intensity.grams_per_kwh().max(1e-9);
         let cop = lock::get_mut(&mut self.cop);
         for (&id, shard) in self.apps.iter_mut() {
-            let state = lock::get_mut(shard);
+            let rec = &mut lock::get_mut(shard).rec;
             // Clear last tick's installation (containers may have
             // stopped; the rate limit may be gone; intensity changed).
-            for c in std::mem::take(&mut state.carbon_capped) {
+            for c in std::mem::take(&mut rec.carbon_capped) {
                 let _ = cop.set_carbon_cap(c, None);
             }
-            let Some(rate) = state.carbon_rate_limit else {
+            let Some(rate) = rec.carbon_rate_limit else {
                 continue;
             };
-            let battery_ok = state
+            let battery_ok = rec
                 .ves
                 .battery()
-                .map(|b| b.max_discharge_power(dt).min(state.ves.max_discharge()))
+                .map(|b| b.max_discharge_power(dt).min(rec.ves.max_discharge()))
                 .unwrap_or(Watts::ZERO);
-            let zero_carbon = state.ves.solar_available() + battery_ok;
+            let zero_carbon = rec.ves.solar_available() + battery_ok;
             // rate (g/s) allows P watts of grid power where
             // P × intensity / 3.6e6 = rate  =>  P = rate × 3.6e6 / intensity.
             let grid_allowance = Watts::new(rate.grams_per_sec() * 3.6e6 / intensity);
@@ -877,7 +850,7 @@ impl Ecovisor {
             for &c in &running {
                 let _ = cop.set_carbon_cap(c, Some(per_container));
             }
-            state.carbon_capped = running;
+            rec.carbon_capped = running;
         }
     }
 
@@ -898,7 +871,7 @@ impl Ecovisor {
         let battery_total: WattHours = self
             .apps
             .values_mut()
-            .map(|s| lock::get_mut(s).ves.battery_charge_level())
+            .map(|s| lock::get_mut(s).rec.ves.battery_charge_level())
             .sum();
 
         // System-wide series.
@@ -915,10 +888,8 @@ impl Ecovisor {
 
         // Per-app and per-container series.
         for ((&id, shard), f) in self.apps.iter_mut().zip(flows) {
-            let state = lock::get_mut(shard);
-            let series = state
-                .series
-                .get_or_insert_with(|| SeriesHandles::resolve(tsdb, id));
+            let AppState { rec, series } = lock::get_mut(shard);
+            let series = series.get_or_insert_with(|| SeriesHandles::resolve(tsdb, id));
             let app_power = f.demand;
             // APP_POWER records *served* power (demand minus load shed by
             // the grid cap), so its TSDB integral — get_app_energy —
@@ -935,11 +906,11 @@ impl Ecovisor {
                 (series.battery_charge, charge.watts()),
                 (
                     series.battery_level,
-                    state.ves.battery_charge_level().watt_hours(),
+                    rec.ves.battery_charge_level().watt_hours(),
                 ),
-                (series.battery_soc, state.ves.battery_soc()),
+                (series.battery_soc, rec.ves.battery_soc()),
                 (series.carbon_rate, f.carbon_rate.grams_per_sec()),
-                (series.carbon_total, state.ves.totals().carbon.grams()),
+                (series.carbon_total, rec.ves.totals().carbon.grams()),
             ] {
                 tsdb.append(handle, now, value);
             }

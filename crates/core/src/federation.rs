@@ -5,8 +5,8 @@
 //! ecovisor; this module moves **one tenant**. A [`TenantSnapshot`]
 //! carries everything that belongs to a single application — its shard
 //! ([`AppSnapshot`]), its containers (stopped history included), and its
-//! telemetry series — under the same format/protocol-era/environment-
-//! fingerprint validation the whole-ecovisor path uses. Three primitives
+//! telemetry series — through the same header check and the same
+//! admission rule the whole-ecovisor path uses. Three primitives
 //! compose into live migration:
 //!
 //! * [`Ecovisor::extract_app`] captures a tenant **without removing
@@ -43,19 +43,21 @@
 //! between collect and settle), and the failure semantics are documented
 //! in `docs/FEDERATION.md`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::RwLock;
 
 use container_cop::{AppId, Container};
 use power_telemetry::Tsdb;
-use simkit::units::{WattHours, Watts};
+use simkit::units::Watts;
 
 use crate::ecovisor::{AppState, Ecovisor};
 use crate::error::{EcovisorError, Result};
 use crate::lock;
-use crate::proto::{PROTOCOL_VERSION, SUPPORTED_VERSIONS};
+use crate::proto::PROTOCOL_VERSION;
 use crate::replay::digest;
-use crate::snapshot::{AppSnapshot, SnapshotError, SNAPSHOT_FORMAT};
+use crate::snapshot::{
+    telemetry_within, AppSnapshot, SnapshotError, TransferHeader, SNAPSHOT_FORMAT,
+};
 use crate::ves::VirtualEnergySystem;
 
 /// One application's contribution to a federated settlement tick: the
@@ -82,11 +84,12 @@ pub struct FedAppView {
 /// A versioned, serializable capture of **one tenant**: the unit of
 /// migration between ecovisor processes.
 ///
-/// Validation mirrors [`Snapshot`](crate::snapshot::Snapshot): the
-/// format and protocol era must be understood, the environment
-/// fingerprint must match the receiver, and the capture tick must equal
-/// the receiver's tick (both sides of a migration sit at the same
-/// settlement boundary).
+/// Its header is checked by the function that checks a
+/// [`Snapshot`](crate::snapshot::Snapshot)'s: the format and protocol
+/// era must be understood, the environment fingerprint must match the
+/// receiver, and the capture tick must equal the receiver's tick (both
+/// sides of a migration sit at the same settlement boundary). Its
+/// record is admitted by the rule registration and restore use.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct TenantSnapshot {
     /// Snapshot layout version (shares [`SNAPSHOT_FORMAT`] — the
@@ -136,11 +139,15 @@ impl TenantSnapshot {
     /// The telemetry subjects this tenant owns: its app subject plus one
     /// per container it ever launched.
     pub fn subjects(&self) -> BTreeSet<String> {
-        let mut subjects: BTreeSet<String> =
-            self.containers.iter().map(|c| c.id().to_string()).collect();
-        subjects.insert(self.app.app.to_string());
-        subjects
+        subjects_of(self.app.app, &self.containers)
     }
+}
+
+/// The telemetry subjects of `app` and the containers it ever launched.
+fn subjects_of(app: AppId, containers: &[Container]) -> BTreeSet<String> {
+    let mut subjects: BTreeSet<String> = containers.iter().map(|c| c.id().to_string()).collect();
+    subjects.insert(app.to_string());
+    subjects
 }
 
 impl Ecovisor {
@@ -158,38 +165,22 @@ impl Ecovisor {
     /// [`EcovisorError::UnknownApp`] when not registered.
     pub fn extract_app(&mut self, app: AppId) -> Result<TenantSnapshot> {
         let env_digest = self.env_fingerprint();
-        let tick = self.clock.tick_index();
         let shard = self
             .apps
             .get_mut(&app)
             .ok_or(EcovisorError::UnknownApp(app))?;
-        let s = lock::get_mut(shard);
-        let snap_app = AppSnapshot {
-            app,
-            name: s.name.clone(),
-            ves: s.ves.clone(),
-            notify: s.notify,
-            outbox: s.outbox,
-            pending_events: s.pending_events.clone(),
-            carbon_rate_limit: s.carbon_rate_limit,
-            carbon_budget: s.carbon_budget,
-            carbon_capped: s.carbon_capped.clone(),
-            budget_exhausted: s.budget_exhausted,
-        };
+        let rec = lock::get_mut(shard).rec.clone();
         let containers: Vec<Container> = lock::get_mut(&mut self.cop)
             .owned_by(app)
             .cloned()
             .collect();
-        let mut subjects: BTreeSet<String> =
-            containers.iter().map(|c| c.id().to_string()).collect();
-        subjects.insert(app.to_string());
-        let tsdb = lock::get_mut(&mut self.tsdb).extract_subjects(&subjects);
+        let tsdb = lock::get_mut(&mut self.tsdb).extract_subjects(&subjects_of(app, &containers));
         Ok(TenantSnapshot {
             format: SNAPSHOT_FORMAT,
             protocol_version: PROTOCOL_VERSION,
-            tick,
+            tick: self.clock.tick_index(),
             env_digest,
-            app: snap_app,
+            app: rec,
             containers,
             tsdb,
         })
@@ -212,66 +203,23 @@ impl Ecovisor {
     ///
     /// [`SnapshotError::Format`] / [`SnapshotError::Protocol`] on
     /// version mismatch, [`SnapshotError::Environment`] when the static
-    /// configuration differs, [`SnapshotError::Structure`] on an id
-    /// collision (app, container, or telemetry series), a tick
-    /// disagreement, an oversubscribed share, or an inconsistent
-    /// container set.
+    /// configuration differs, [`SnapshotError::Structure`] on a tick
+    /// disagreement, a record the admission rule refuses (an id
+    /// collision, an invalid or oversubscribing share, a virtual battery
+    /// its share does not imply, a carbon cap on a container not
+    /// carried), a container of another owner or one that collides, or
+    /// telemetry of another subject or stamped after this clock.
     pub fn graft_app(&mut self, snap: &TenantSnapshot) -> std::result::Result<(), SnapshotError> {
-        if snap.format != SNAPSHOT_FORMAT {
-            return Err(SnapshotError::Format {
-                expected: SNAPSHOT_FORMAT,
-                got: snap.format,
-            });
-        }
-        if !SUPPORTED_VERSIONS.contains(&snap.protocol_version) {
-            return Err(SnapshotError::Protocol(snap.protocol_version));
-        }
-        if snap.env_digest != self.env_fingerprint() {
-            return Err(SnapshotError::Environment(
-                "tick interval, battery spec, cluster composition, or excess policy \
-                 differs from the extracting process"
-                    .into(),
-            ));
-        }
-        if snap.tick != self.clock.tick_index() {
-            return Err(SnapshotError::Structure(format!(
-                "tenant captured at tick {} but this process is at tick {} — \
-                 migrate at a shared settlement boundary",
-                snap.tick,
-                self.clock.tick_index()
-            )));
-        }
+        let header = TransferHeader {
+            format: snap.format,
+            protocol_version: snap.protocol_version,
+            tick: snap.tick,
+            env_digest: snap.env_digest,
+        };
+        // The tenant runs under this process's clock: both sides of a
+        // migration sit at the same settlement boundary.
+        let now = self.check_header(&header, &self.clock)?;
         let id = snap.app.app;
-        if id.value() == 0 {
-            return Err(SnapshotError::Structure("app id 0 is reserved".into()));
-        }
-        if self.apps.contains_key(&id) {
-            return Err(SnapshotError::Structure(format!(
-                "app id {id} is already registered here"
-            )));
-        }
-        let solar_total: f64 = self
-            .apps
-            .values_mut()
-            .map(|a| lock::get_mut(a).ves.share().solar_fraction)
-            .sum::<f64>()
-            + snap.app.ves.share().solar_fraction;
-        if solar_total > 1.0 + 1e-9 {
-            return Err(SnapshotError::Structure(format!(
-                "solar fractions would sum to {solar_total:.3}"
-            )));
-        }
-        let battery_total: WattHours = self
-            .apps
-            .values_mut()
-            .map(|a| lock::get_mut(a).ves.share().battery_capacity)
-            .sum::<WattHours>()
-            + snap.app.ves.share().battery_capacity;
-        if battery_total > self.physical_battery.spec().capacity {
-            return Err(SnapshotError::Structure(format!(
-                "battery capacity shares would sum to {battery_total}"
-            )));
-        }
         if let Some(c) = snap.containers.iter().find(|c| c.owner() != id) {
             return Err(SnapshotError::Structure(format!(
                 "container {} belongs to app {}, not the migrating app {id}",
@@ -279,14 +227,8 @@ impl Ecovisor {
                 c.owner()
             )));
         }
-        let shipped: BTreeSet<_> = snap.containers.iter().map(|c| c.id()).collect();
-        for c in &snap.app.carbon_capped {
-            if !shipped.contains(c) {
-                return Err(SnapshotError::Structure(format!(
-                    "app {id} carbon-caps container {c}, which the snapshot does not carry"
-                )));
-            }
-        }
+        let carried: BTreeMap<_, _> = snap.containers.iter().map(|c| (c.id(), id)).collect();
+        self.admit(std::slice::from_ref(&snap.app), true, &carried)?;
         let subjects = snap.subjects();
         if let Some(alien) = snap
             .tsdb
@@ -298,6 +240,7 @@ impl Ecovisor {
                 "telemetry subject {alien} does not belong to the migrating tenant"
             )));
         }
+        telemetry_within(&snap.tsdb, now)?;
 
         // Adoption validates ids, placement, and capacity before
         // inserting anything; run it first since it is the remaining
@@ -309,21 +252,8 @@ impl Ecovisor {
         lock::get_mut(&mut self.tsdb)
             .merge_from(snap.tsdb.clone())
             .map_err(SnapshotError::Structure)?;
-        self.apps.insert(
-            id,
-            RwLock::new(AppState {
-                name: snap.app.name.clone(),
-                ves: snap.app.ves.clone(),
-                notify: snap.app.notify,
-                outbox: snap.app.outbox,
-                pending_events: snap.app.pending_events.clone(),
-                carbon_rate_limit: snap.app.carbon_rate_limit,
-                carbon_budget: snap.app.carbon_budget,
-                carbon_capped: snap.app.carbon_capped.clone(),
-                budget_exhausted: snap.app.budget_exhausted,
-                series: None,
-            }),
-        );
+        self.apps
+            .insert(id, RwLock::new(AppState::install(snap.app.clone())));
         self.next_app = self.next_app.max(id.value() + 1);
         Ok(())
     }
@@ -349,9 +279,7 @@ impl Ecovisor {
             return Err(EcovisorError::UnknownApp(app));
         }
         let removed = lock::get_mut(&mut self.cop).remove_app_containers(app);
-        let mut subjects: BTreeSet<String> = removed.iter().map(|c| c.id().to_string()).collect();
-        subjects.insert(app.to_string());
-        lock::get_mut(&mut self.tsdb).remove_subjects(&subjects);
+        lock::get_mut(&mut self.tsdb).remove_subjects(&subjects_of(app, &removed));
         // Removal renumbers the series that stay: every tenant's handles
         // are dead, and the next recording resolves them again by name.
         for shard in self.apps.values_mut() {
@@ -360,6 +288,10 @@ impl Ecovisor {
         Ok(())
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/common/hostile.rs"]
+mod hostile;
 
 #[cfg(test)]
 mod tests {
@@ -487,6 +419,59 @@ mod tests {
         assert!(matches!(err, SnapshotError::Structure(_)));
         // The failed graft left the destination untouched.
         assert_eq!(dest.app_ids().len(), 1);
+    }
+
+    /// A tenant holding a battery share and a container, captured after
+    /// three ticks, and a destination at the same tick with room for it.
+    fn migrating_tenant() -> (TenantSnapshot, Ecovisor) {
+        let share = solar_share(0.4).with_battery(simkit::units::WattHours::new(100.0));
+        let build = || {
+            let mut eco = EcovisorBuilder::new().build();
+            let a = eco.register_app("alpha", share).expect("valid share");
+            eco.register_app("beta", solar_share(0.5)).expect("fits");
+            (eco, a)
+        };
+        let (mut source, a) = build();
+        {
+            use crate::client::EnergyClient;
+            let mut api = source.client(a).expect("registered");
+            let c = api.launch_container(ContainerSpec::quad_core()).unwrap();
+            api.set_container_demand(c, 1.0).unwrap();
+        }
+        settle(&mut source, 3);
+        let (mut dest, _) = build();
+        dest.remove_app(a).expect("registered");
+        settle(&mut dest, 3);
+        (source.extract_app(a).expect("registered"), dest)
+    }
+
+    /// The tenant twin of `snapshot_restore.rs`'s table: a graft checks
+    /// the record it would install by the rule registration and restore
+    /// use, and its telemetry against the clock it would run under.
+    #[test]
+    fn graft_refuses_hostile_tenants_before_touching_state() {
+        let mut cases = hostile::record_edits("app");
+        let (good, dest) = migrating_tenant();
+        let after_the_clock = dest.now().as_secs() as i64 + 1;
+        cases.push((
+            "a sample stamped after the clock",
+            vec![(
+                "tsdb.series.0.1.samples.last.at".into(),
+                serde::Value::Int(after_the_clock),
+            )],
+        ));
+        for (name, edits) in cases {
+            let (_, mut dest) = migrating_tenant();
+            let before = dest.snapshot().digest();
+            let err = dest
+                .graft_app(&hostile::edited(&good, &edits))
+                .expect_err(name);
+            assert!(matches!(err, SnapshotError::Structure(_)), "{name}: {err}");
+            assert_eq!(dest.snapshot().digest(), before, "{name}: touched");
+
+            dest.graft_app(&good).expect("the honest capture");
+            settle(&mut dest, 1);
+        }
     }
 
     #[test]

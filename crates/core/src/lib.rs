@@ -89,6 +89,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod admission;
 pub mod app;
 pub mod client;
 pub mod config;

@@ -41,7 +41,7 @@
 //! protocol era wrote the snapshot; restore rejects versions outside
 //! [`SUPPORTED_VERSIONS`]. See `docs/SNAPSHOT.md` for the full rules.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::RwLock;
 
 use container_cop::{AppId, ContainerId, CopSnapshot, ServerSpec};
@@ -49,8 +49,8 @@ use energy_system::battery::{Battery, BatterySpec};
 use energy_system::grid::GridConnection;
 use energy_system::psu::ProgrammablePsu;
 use power_telemetry::Tsdb;
-use simkit::time::{SimDuration, TickClock};
-use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams, WattHours};
+use simkit::time::{SimDuration, SimTime, TickClock};
+use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams};
 
 use crate::config::{EcovisorBuilder, ExcessPolicy};
 use crate::ecovisor::{AppState, Ecovisor, SystemFlows};
@@ -87,7 +87,9 @@ pub struct AppSnapshot {
     pub carbon_rate_limit: Option<CarbonRate>,
     /// Carbon budget (Table 2 `set_carbon_budget`), if set.
     pub carbon_budget: Option<Co2Grams>,
-    /// Containers carrying an ecovisor-installed carbon cap.
+    /// Containers carrying an ecovisor-installed carbon cap, so
+    /// enforcement can clear exactly what it installed when the rate
+    /// limit lifts (or re-spread it as the container set changes).
     pub carbon_capped: Vec<ContainerId>,
     /// Edge-trigger state for [`Notification::BudgetExhausted`].
     pub budget_exhausted: bool,
@@ -233,10 +235,82 @@ struct EnvFingerprint {
     excess: ExcessPolicy,
 }
 
+/// What a [`Snapshot`] and a
+/// [`TenantSnapshot`](crate::federation::TenantSnapshot) both declare
+/// about themselves ([`Ecovisor::check_header`]).
+pub(crate) struct TransferHeader {
+    pub(crate) format: u32,
+    pub(crate) protocol_version: u16,
+    pub(crate) tick: u64,
+    pub(crate) env_digest: u64,
+}
+
+/// Refuses a store holding a sample later than `now`, the instant of the
+/// clock it would be installed under: the next settlement appends at
+/// that instant and a series only grows forwards (an equal stamp
+/// overwrites, which [`TimeSeries::push`](simkit::series::TimeSeries::push)
+/// allows).
+pub(crate) fn telemetry_within(tsdb: &Tsdb, now: SimTime) -> Result<(), SnapshotError> {
+    let late = tsdb
+        .iter()
+        .find(|(_, _, series)| series.last().is_some_and(|s| s.at > now));
+    match late {
+        Some((metric, subject, _)) => Err(SnapshotError::Structure(format!(
+            "series ({metric}, {subject}) holds a sample later than the clock, at {now}"
+        ))),
+        None => Ok(()),
+    }
+}
+
 impl Ecovisor {
-    /// Digest of the static environment (see [`EnvFingerprint`]). Shared
-    /// with the per-tenant extraction/grafting path
-    /// ([`crate::federation`]), which validates the same fingerprint.
+    /// The one check of a transfer's header, whole-ecovisor or
+    /// per-tenant: a layout and protocol era this build reads, the
+    /// writer's static environment equal to this process's — tick
+    /// interval included, for `under` is the clock the state would run
+    /// under (the snapshot's own, or this process's for a tenant) — and
+    /// the declared tick that clock's. Returns the clock's instant.
+    pub(crate) fn check_header(
+        &self,
+        header: &TransferHeader,
+        under: &TickClock,
+    ) -> Result<SimTime, SnapshotError> {
+        if header.format != SNAPSHOT_FORMAT {
+            return Err(SnapshotError::Format {
+                expected: SNAPSHOT_FORMAT,
+                got: header.format,
+            });
+        }
+        if !SUPPORTED_VERSIONS.contains(&header.protocol_version) {
+            return Err(SnapshotError::Protocol(header.protocol_version));
+        }
+        if header.env_digest != self.env_fingerprint() || under.interval() != self.clock.interval()
+        {
+            return Err(SnapshotError::Environment(
+                "tick interval, battery spec, cluster composition, or excess policy \
+                 differs from the capturing process"
+                    .into(),
+            ));
+        }
+        if header.tick != under.tick_index() {
+            return Err(SnapshotError::Structure(format!(
+                "captured at tick {} but the clock it would run under is at tick {}",
+                header.tick,
+                under.tick_index()
+            )));
+        }
+        header
+            .tick
+            .checked_mul(under.interval().as_secs())
+            .map(SimTime::from_secs)
+            .ok_or_else(|| {
+                SnapshotError::Structure(format!(
+                    "tick {} is past the end of simulated time",
+                    header.tick
+                ))
+            })
+    }
+
+    /// Digest of the static environment (see [`EnvFingerprint`]).
     pub(crate) fn env_fingerprint(&self) -> u64 {
         let servers: Vec<ServerSpec> = lock::read(&self.cop)
             .servers()
@@ -268,22 +342,11 @@ impl Ecovisor {
         let env_digest = self.env_fingerprint();
         let cop = lock::get_mut(&mut self.cop).snapshot();
         let tsdb = lock::get_mut(&mut self.tsdb).clone();
-        let mut apps = Vec::with_capacity(self.apps.len());
-        for (&id, shard) in self.apps.iter_mut() {
-            let s = lock::get_mut(shard);
-            apps.push(AppSnapshot {
-                app: id,
-                name: s.name.clone(),
-                ves: s.ves.clone(),
-                notify: s.notify,
-                outbox: s.outbox,
-                pending_events: s.pending_events.clone(),
-                carbon_rate_limit: s.carbon_rate_limit,
-                carbon_budget: s.carbon_budget,
-                carbon_capped: s.carbon_capped.clone(),
-                budget_exhausted: s.budget_exhausted,
-            });
-        }
+        let apps = self
+            .apps
+            .values_mut()
+            .map(|shard| lock::get_mut(shard).rec.clone())
+            .collect();
         let snap = Snapshot {
             format: SNAPSHOT_FORMAT,
             protocol_version: PROTOCOL_VERSION,
@@ -324,83 +387,46 @@ impl Ecovisor {
     ///
     /// [`SnapshotError::Format`] / [`SnapshotError::Protocol`] on
     /// version mismatch, [`SnapshotError::Environment`] when the static
-    /// configuration differs, [`SnapshotError::Structure`] when the
-    /// snapshot is internally inconsistent (out-of-range ids,
-    /// oversubscribed shares, clock/tick disagreement).
+    /// configuration differs — by the digest, or by an embedded tick
+    /// interval or battery spec that is not this process's —
+    /// [`SnapshotError::Structure`] when the snapshot is inconsistent
+    /// (clock/tick disagreement, a record the admission rule refuses,
+    /// out-of-range ids, telemetry stamped after the clock). Nothing is
+    /// modified unless all of it passes (`docs/SNAPSHOT.md` §3).
     pub fn apply_snapshot(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let obs_start = std::time::Instant::now();
-        if snap.format != SNAPSHOT_FORMAT {
-            return Err(SnapshotError::Format {
-                expected: SNAPSHOT_FORMAT,
-                got: snap.format,
-            });
-        }
-        if !SUPPORTED_VERSIONS.contains(&snap.protocol_version) {
-            return Err(SnapshotError::Protocol(snap.protocol_version));
-        }
-        if snap.clock.tick_index() != snap.tick {
-            return Err(SnapshotError::Structure(format!(
-                "declared tick {} disagrees with clock tick {}",
-                snap.tick,
-                snap.clock.tick_index()
-            )));
-        }
-        if snap.env_digest != self.env_fingerprint() {
+        // Everything is checked before any state is touched, so a bad
+        // snapshot never leaves the ecovisor half-restored.
+        let header = TransferHeader {
+            format: snap.format,
+            protocol_version: snap.protocol_version,
+            tick: snap.tick,
+            env_digest: snap.env_digest,
+        };
+        let now = self.check_header(&header, &snap.clock)?;
+        // The digest is the writer's claim; the embedded spec is what
+        // would be installed.
+        if snap.physical_battery.spec() != self.physical_battery.spec() {
             return Err(SnapshotError::Environment(
-                "tick interval, battery spec, cluster composition, or excess policy \
-                 differs from the snapshotting process"
-                    .into(),
+                "embedded physical battery spec differs from this process's".into(),
             ));
         }
-
-        // Structural validation before any state is touched, so a bad
-        // snapshot never leaves the ecovisor half-restored.
-        let mut prev = 0u32;
-        for a in &snap.apps {
-            let v = a.app.value();
-            if v == 0 {
-                return Err(SnapshotError::Structure("app id 0 is reserved".into()));
-            }
-            if v <= prev {
-                return Err(SnapshotError::Structure(
-                    "app ids must be strictly ascending".into(),
-                ));
-            }
-            if v >= snap.next_app {
-                return Err(SnapshotError::Structure(format!(
-                    "app id {v} is at or above next_app {}",
-                    snap.next_app
-                )));
-            }
-            prev = v;
-        }
-        let known: BTreeSet<ContainerId> = snap.cop.containers.iter().map(|c| c.id()).collect();
-        for a in &snap.apps {
-            for c in &a.carbon_capped {
-                if !known.contains(c) {
-                    return Err(SnapshotError::Structure(format!(
-                        "app {} carbon-caps unknown container {c}",
-                        a.app
-                    )));
-                }
-            }
-        }
-        let solar_total: f64 = snap.apps.iter().map(|a| a.ves.share().solar_fraction).sum();
-        if solar_total > 1.0 + 1e-9 {
-            return Err(SnapshotError::Structure(format!(
-                "solar fractions sum to {solar_total:.3}"
-            )));
-        }
-        let battery_total: WattHours = snap
-            .apps
+        let carried: BTreeMap<ContainerId, AppId> = snap
+            .cop
+            .containers
             .iter()
-            .map(|a| a.ves.share().battery_capacity)
-            .sum();
-        if battery_total > snap.physical_battery.spec().capacity {
+            .map(|c| (c.id(), c.owner()))
+            .collect();
+        self.admit(&snap.apps, false, &carried)?;
+        // Admitted ids ascend and stop short of `u32::MAX`.
+        let above_all = snap.apps.last().map_or(1, |a| a.app.value() + 1);
+        if snap.next_app < above_all {
             return Err(SnapshotError::Structure(format!(
-                "battery capacity shares sum to {battery_total}, over the physical bank"
+                "next_app {} is not above every app id (and 0)",
+                snap.next_app
             )));
         }
+        telemetry_within(&snap.tsdb, now)?;
 
         lock::get_mut(&mut self.cop)
             .restore(&snap.cop)
@@ -416,25 +442,7 @@ impl Ecovisor {
         self.apps = snap
             .apps
             .iter()
-            .map(|a| {
-                (
-                    a.app,
-                    RwLock::new(AppState {
-                        name: a.name.clone(),
-                        ves: a.ves.clone(),
-                        notify: a.notify,
-                        outbox: a.outbox,
-                        pending_events: a.pending_events.clone(),
-                        carbon_rate_limit: a.carbon_rate_limit,
-                        carbon_budget: a.carbon_budget,
-                        carbon_capped: a.carbon_capped.clone(),
-                        budget_exhausted: a.budget_exhausted,
-                        // The store was just replaced; handles into the
-                        // old one mean nothing in this one.
-                        series: None,
-                    }),
-                )
-            })
+            .map(|rec| (rec.app, RwLock::new(AppState::install(rec.clone()))))
             .collect();
         self.next_app = snap.next_app;
         // The hub survives a restore (it is runtime state, not snapshot

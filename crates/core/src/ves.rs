@@ -163,6 +163,12 @@ impl VirtualEnergySystem {
     /// registration, so this indicates a caller bug).
     pub fn new(share: EnergyShare) -> Self {
         share.validate().expect("share must be validated upstream");
+        Self::for_share(share)
+    }
+
+    /// The VES `share` implies, whatever the share holds: admission
+    /// builds the record first and validates it with every other one.
+    pub(crate) fn for_share(share: EnergyShare) -> Self {
         let battery = if share.has_battery() {
             Some(Battery::new_at(
                 share.virtual_battery_spec(),

@@ -12,6 +12,9 @@
 //! * a **tampered transfer is rejected and leaves both nodes
 //!   untouched** — the destination refuses the graft, the source still
 //!   runs the tenant because nothing was committed;
+//! * a **hostile tenant** — an honest capture edited in its encoded tree
+//!   — is refused as an error value, the destination untouched and
+//!   still serving;
 //! * after the commit the **source answers `UnknownApp`
 //!   deterministically** and a still-subscribed connection receives no
 //!   further frames for the evicted tenant;
@@ -33,6 +36,9 @@ use simkit::time::SimDuration;
 use simkit::trace::Trace;
 use simkit::units::{Co2Grams, WattHours, Watts};
 use std::io;
+
+#[path = "common/hostile.rs"]
+mod hostile;
 
 const TICKS: u64 = 32; // a simulated day at 45-minute ticks
 
@@ -351,6 +357,73 @@ fn tampered_migration_leaves_both_nodes_untouched() {
     let good = op1.fetch_tenant(a).expect("capture again");
     assert!(op1.push_tenant(&good).is_err(), "self-graft collides");
     assert_eq!(h1.ecovisor().snapshot().digest(), before1);
+    h1.shutdown();
+    h2.shutdown();
+}
+
+/// `graft_app`'s hostile-input table over the wire: each `push_tenant`
+/// comes back as an error *value*, the destination's state is untouched
+/// and its connection keeps serving; then the honest capture migrates,
+/// the federation ticks on, and the destination's counters return to
+/// baseline once the operators hang up.
+#[test]
+fn hostile_tenants_are_refused_over_the_wire_and_the_node_keeps_serving() {
+    let seed = 0xBAD_7E4A;
+    let mut eco1 = builder(seed).build();
+    let (a, b) = register_all(&mut eco1);
+    let mut eco2 = builder(seed).build();
+    register_all(&mut eco2);
+    eco2.remove_app(a).expect("shed a");
+    eco2.remove_app(b).expect("shed b");
+    let serve = |eco: Ecovisor| {
+        EcovisorServer::bind("127.0.0.1:0", eco)
+            .expect("bind")
+            .with_credentials(creds(a, b))
+            .spawn()
+            .expect("spawn")
+    };
+    let (h1, h2) = (serve(eco1), serve(eco2));
+    let mut op1 = connect(h1.addr(), a, "alpha");
+    let mut op2 = connect(h2.addr(), a, "alpha");
+    for _ in 0..3 {
+        fed_tick(&mut [&mut op1, &mut op2]);
+    }
+
+    let good = op1.fetch_tenant(a).expect("capture");
+    let before = h2.ecovisor().snapshot().digest();
+    let mut cases = hostile::record_edits("app");
+    let after_the_clock = h2.ecovisor().read(|eco| eco.now().as_secs()) as i64 + 1;
+    cases.push((
+        "a sample stamped after the clock",
+        vec![(
+            "tsdb.series.0.1.samples.last.at".into(),
+            serde::Value::Int(after_the_clock),
+        )],
+    ));
+    for (name, edits) in cases {
+        let err = op2
+            .push_tenant(&hostile::edited(&good, &edits))
+            .expect_err(name);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
+        assert_eq!(h2.ecovisor().snapshot().digest(), before, "{name}: touched");
+        op2.fed_cursor()
+            .unwrap_or_else(|e| panic!("{name}: stopped serving: {e}"));
+    }
+
+    op2.push_tenant(&good).expect("the honest capture");
+    op1.commit_migration(a).expect("commit");
+    fed_tick(&mut [&mut op1, &mut op2]);
+
+    drop((op1, op2));
+    let idle = || {
+        let s = h2.stats();
+        s.active_connections == 0 && s.subscriber_backlog == 0 && s.recv_buffer_bytes == 0
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !idle() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert!(idle(), "counters back to baseline: {:?}", h2.stats());
     h1.shutdown();
     h2.shutdown();
 }

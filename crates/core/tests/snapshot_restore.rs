@@ -16,7 +16,10 @@
 //!   request checkpoints a live server and `Restore` reinstates it into
 //!   a second server whose subsequent responses are bit-identical;
 //! * the admin surface is **credential- and version-gated**, and a
-//!   rejected restore reports the reason as a value.
+//!   rejected restore reports the reason as a value;
+//! * **hostile snapshots** — honest captures edited in their encoded
+//!   tree — are refused with a typed error before any state is touched,
+//!   in process and over the wire.
 //!
 //! Every wire test runs twice: once on the default auto-sized worker
 //! pool and once with an explicit pool pinned via
@@ -35,6 +38,9 @@ use simkit::rng::SimRng;
 use simkit::time::SimDuration;
 use simkit::trace::Trace;
 use simkit::units::{Co2Grams, WattHours, Watts};
+
+#[path = "common/hostile.rs"]
+mod hostile;
 
 const TICKS: u64 = 48; // a simulated day at 30-minute ticks
 
@@ -286,6 +292,116 @@ fn apply_snapshot_rejects_malformed_and_mismatched_snapshots() {
     // snapshot still applies cleanly afterwards.
     twin.apply_snapshot(good).expect("good snapshot applies");
     assert_eq!(twin.snapshot().digest(), good.digest());
+}
+
+/// How restore must refuse a hostile snapshot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Refusal {
+    Environment,
+    Structure,
+}
+
+fn refusal_of(e: &SnapshotError) -> Option<Refusal> {
+    match e {
+        SnapshotError::Environment(_) => Some(Refusal::Environment),
+        SnapshotError::Structure(_) => Some(Refusal::Structure),
+        _ => None,
+    }
+}
+
+/// The path of the latest sample's stamp in a store's first series.
+const LATEST_STAMP: &str = "tsdb.series.0.1.samples.last.at";
+
+/// Every hostile edit of `good` — whose first tenant holds a battery
+/// share — with the refusal restore owes it. The header (format, era,
+/// digest, tick) stays honest throughout: what is edited is what would
+/// be *installed*.
+fn hostile_snapshots(good: &Snapshot) -> Vec<(&'static str, Snapshot, Refusal)> {
+    use serde::Value;
+    let first = good.apps[0].app;
+    let neighbours = good
+        .cop
+        .containers
+        .iter()
+        .find(|c| c.owner() != first)
+        .expect("the second tenant launched a container")
+        .id();
+    let after_the_clock = good.clock.now().as_secs() + 1;
+    let mut cases: Vec<(&'static str, Vec<hostile::Edit>, Refusal)> =
+        hostile::record_edits("apps.0")
+            .into_iter()
+            .map(|(name, edits)| (name, edits, Refusal::Structure))
+            .collect();
+    let one = |path: &str, to: Value| vec![(path.to_string(), to)];
+    cases.extend([
+        (
+            "an embedded 1 GWh bank under an honest digest",
+            one("physical_battery.spec.capacity", Value::Float(1e9)),
+            Refusal::Environment,
+        ),
+        (
+            "an embedded tick interval of 1 s under an honest digest",
+            one("clock.interval", Value::Int(1)),
+            Refusal::Environment,
+        ),
+        (
+            "a sample stamped after the clock",
+            one(LATEST_STAMP, Value::Int(after_the_clock as i64)),
+            Refusal::Structure,
+        ),
+        (
+            "a carbon cap on a neighbour's container",
+            one(
+                "apps.0.carbon_capped",
+                Value::Seq(vec![Value::Int(neighbours.value() as i64)]),
+            ),
+            Refusal::Structure,
+        ),
+    ]);
+    cases
+        .into_iter()
+        .map(|(name, edits, want)| (name, hostile::edited(good, &edits), want))
+        .collect()
+}
+
+fn settle_one_tick(eco: &mut Ecovisor) {
+    eco.begin_tick();
+    eco.settle_tick();
+    eco.advance_clock();
+}
+
+/// Restore checks what it would install, not what the snapshot says of
+/// itself: each hostile edit is refused with its typed error while the
+/// receiver still holds every bit of its own state, the honest capture
+/// applies afterwards, and the tick after that settles.
+#[test]
+fn restore_refuses_hostile_snapshots_before_touching_state() {
+    let seed = 0x0BAD_C0DE;
+    let (run, _a, _b) = run_original(seed, 12);
+    let good = &run.snap;
+    for (name, hostile, want) in hostile_snapshots(good) {
+        // A receiver with state of its own to lose.
+        let (mut receiver, _, _) = build_eco(seed);
+        settle_one_tick(&mut receiver);
+        let before = receiver.snapshot().digest();
+
+        let err = receiver
+            .apply_snapshot(&hostile)
+            .expect_err(&format!("{name}: accepted"));
+        assert_eq!(refusal_of(&err), Some(want), "{name}: {err}");
+        assert_eq!(receiver.snapshot().digest(), before, "{name}: touched");
+
+        receiver.apply_snapshot(good).expect("the honest capture");
+        assert_eq!(receiver.snapshot().digest(), good.digest(), "{name}");
+        settle_one_tick(&mut receiver);
+    }
+
+    // The boundary: a stamp *equal* to the clock is one the next
+    // settlement overwrites, which a series allows.
+    let now = good.clock.now().as_secs() as i64;
+    let at_the_clock = hostile::edited(good, &[(LATEST_STAMP.into(), serde::Value::Int(now))]);
+    let mut receiver = Ecovisor::restore(builder(seed), &at_the_clock).expect("admitted");
+    settle_one_tick(&mut receiver);
 }
 
 /// The restore determinism property loop (seeded, not random): over
@@ -629,4 +745,52 @@ fn wire_restore_rejection_reports_reason_and_preserves_state() {
 #[test]
 fn wire_restore_rejection_holds_under_pinned_worker_pool() {
     restore_rejection_is_a_value(Some(2));
+}
+
+/// The same hostile snapshots over the wire: each `push_restore` comes
+/// back as an error *value* naming the rejection, the server's state is
+/// untouched, the connection keeps serving, the honest capture is still
+/// accepted, and the server's counters return to baseline.
+#[test]
+fn wire_restore_refuses_hostile_snapshots_and_keeps_serving() {
+    let seed = 0x0BAD_C0DE;
+    let (run, a, _b) = run_original(seed, 12);
+    let (eco, _, _) = build_eco(seed);
+    let handle = EcovisorServer::bind("127.0.0.1:0", eco)
+        .expect("bind")
+        .with_credentials(CredentialRegistry::new().with(a, "alpha"))
+        .spawn()
+        .expect("spawn");
+    let shared = handle.ecovisor();
+    let before = shared.snapshot().digest();
+
+    let mut cli =
+        RemoteEcovisorClient::connect_with_credential(handle.addr(), a, "alpha").expect("connect");
+    for (name, hostile, _) in hostile_snapshots(&run.snap) {
+        let err = cli
+            .push_restore(&hostile)
+            .expect_err(&format!("{name}: accepted"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+        assert!(
+            err.to_string().contains("restore rejected"),
+            "{name}: {err}"
+        );
+        assert_eq!(shared.snapshot().digest(), before, "{name}: touched");
+        assert_eq!(cli.get_grid_power(), Watts::ZERO, "{name}: still serving");
+    }
+    cli.push_restore(&run.snap).expect("the honest capture");
+    assert_eq!(shared.snapshot().digest(), run.snap.digest());
+    shared.tick();
+
+    drop(cli);
+    let idle = || {
+        let s = handle.stats();
+        s.active_connections == 0 && s.subscriber_backlog == 0 && s.recv_buffer_bytes == 0
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !idle() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert!(idle(), "counters back to baseline: {:?}", handle.stats());
+    handle.shutdown();
 }

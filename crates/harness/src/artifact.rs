@@ -141,7 +141,7 @@ impl Checkpoint {
 /// A recorded scenario: spec + trace + expected outcome, optionally
 /// carrying embedded mid-day [`Checkpoint`]s and/or the `base`
 /// checkpoint a resumed recording started from.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioArtifact {
     /// Artifact container version ([`ARTIFACT_FORMAT`]).
     pub format: u32,
@@ -154,53 +154,13 @@ pub struct ScenarioArtifact {
     /// Embedded mid-day state captures, ascending by tick. The verifier
     /// restores each one and replays the remainder of the trace against
     /// it.
+    #[serde(default)]
     pub checkpoints: Vec<Checkpoint>,
     /// For a resumed recording (`ecoharness record --from`): the
     /// checkpoint the run started from. Replay restores this state
     /// first and begins at its tick instead of tick 0.
+    #[serde(default)]
     pub base: Option<Checkpoint>,
-}
-
-// Hand-written (rather than derived) so the two optional fields are
-// *tolerated* when absent: the vendored serde derive hard-errors on
-// missing fields, which would orphan every committed pre-checkpoint
-// artifact. Symmetrically, empty fields are omitted on encode, keeping
-// checkpoint-free recordings byte-identical across builds.
-impl Serialize for ScenarioArtifact {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("format".to_string(), self.format.to_value()),
-            ("spec".to_string(), self.spec.to_value()),
-            ("trace".to_string(), self.trace.to_value()),
-            ("expected".to_string(), self.expected.to_value()),
-        ];
-        if !self.checkpoints.is_empty() {
-            entries.push(("checkpoints".to_string(), self.checkpoints.to_value()));
-        }
-        if let Some(base) = &self.base {
-            entries.push(("base".to_string(), base.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for ScenarioArtifact {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(ScenarioArtifact {
-            format: Deserialize::from_value(serde::__field(v, "format")?)?,
-            spec: Deserialize::from_value(serde::__field(v, "spec")?)?,
-            trace: Deserialize::from_value(serde::__field(v, "trace")?)?,
-            expected: Deserialize::from_value(serde::__field(v, "expected")?)?,
-            checkpoints: match v.get("checkpoints") {
-                Some(c) => Deserialize::from_value(c)?,
-                None => Vec::new(),
-            },
-            base: match v.get("base") {
-                Some(b) => Deserialize::from_value(b)?,
-                None => None,
-            },
-        })
-    }
 }
 
 impl ScenarioArtifact {

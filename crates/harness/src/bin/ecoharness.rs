@@ -124,16 +124,6 @@ fn cmd_list() -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Default codec per builtin: mixed, so both loaders stay covered by
-/// the committed corpus.
-fn default_codec(name: &str) -> WireCodec {
-    match name {
-        "cloudy-web" | "batch-checkpoint" | "mixed-tenants" | "web-autoscale"
-        | "thousand-tenants" | "restore-under-load" => WireCodec::Binary,
-        _ => WireCodec::Json,
-    }
-}
-
 /// `record`: run builtins and write artifacts, or resume one from an
 /// embedded checkpoint (`--from ARTIFACT@TICK`).
 fn cmd_record(args: Vec<String>) -> Result<ExitCode, String> {
@@ -179,8 +169,6 @@ fn cmd_record(args: Vec<String>) -> Result<ExitCode, String> {
         let spec = corpus::builtin(name)
             .ok_or_else(|| format!("unknown builtin `{name}` (see `ecoharness list`)"))?;
         let every = match checkpoint_hours {
-            // Scenarios whose whole point needs embedded checkpoints
-            // (e.g. a restore plan) carry a default cadence.
             None => corpus::default_checkpoint_ticks(name),
             Some(hours) => {
                 let minutes = hours * 60;
@@ -196,7 +184,9 @@ fn cmd_record(args: Vec<String>) -> Result<ExitCode, String> {
         };
         let artifact =
             record_with_checkpoints(&spec, every).map_err(|e| format!("record {name}: {e}"))?;
-        let codec = forced_codec.unwrap_or_else(|| default_codec(name));
+        let codec = forced_codec
+            .or(corpus::default_codec(name))
+            .expect("a builtin has a committed encoding");
         let path = artifact
             .write_to_dir(&out, codec)
             .map_err(|e| format!("write {name}: {e}"))?;

@@ -15,7 +15,7 @@
 
 use carbon_intel::RegionKind;
 use carbon_policies::{BatchMode, SparkMode, WebPolicy};
-use ecovisor::{EnergyShare, ExcessPolicy, NotifyConfig};
+use ecovisor::{EnergyShare, ExcessPolicy, NotifyConfig, WireCodec};
 use energy_system::solar::{SolarArrayBuilder, Weather};
 use simkit::units::{CarbonIntensity, CarbonRate, WattHours, Watts};
 use workloads::traces::WorkloadTraceBuilder;
@@ -24,29 +24,56 @@ use crate::spec::{
     CarbonSpec, DriverSpec, JobSpec, ScenarioSpec, ScriptPhase, SolarSpec, TenantSpec, SPEC_FORMAT,
 };
 
+/// Everything the catalogue knows about one builtin by name.
+struct Builtin {
+    name: &'static str,
+    /// The default (committed-corpus) master seed.
+    seed: u64,
+    build: fn(u64) -> ScenarioSpec,
+    /// Checkpoint cadence, in ticks, of the committed artifact.
+    checkpoint_ticks: Option<u64>,
+    /// Encoding of the committed artifact: mixed, so both loaders stay
+    /// covered by the corpus.
+    codec: WireCodec,
+}
+
+/// The catalogue, in catalogue order — the only per-name list: the
+/// lookups below read their row, and `ecoharness record` with no
+/// arguments reproduces `corpus/` from these rows alone. The two
+/// cadences: `batch-checkpoint` every 12 hours, so the day embeds the
+/// checkpoint at tick 24 that `batch-checkpoint-resumed` starts from;
+/// `restore-under-load` every 12 ticks, which puts one at exactly its
+/// restore plan's tick (and more around it).
+#[rustfmt::skip] // a table: one row per line
+const CATALOGUE: [Builtin; 11] = {
+    use WireCodec::{Binary, Json};
+    [
+        Builtin { name: "sunny-batch",        seed: 0x5EED_0001, build: sunny_batch,        checkpoint_ticks: None,     codec: Json },
+        Builtin { name: "cloudy-web",         seed: 0x5EED_0002, build: cloudy_web,         checkpoint_ticks: None,     codec: Binary },
+        Builtin { name: "caiso-arbitrage",    seed: 0x5EED_0003, build: caiso_arbitrage,    checkpoint_ticks: None,     codec: Json },
+        Builtin { name: "batch-checkpoint",   seed: 0x5EED_0004, build: batch_checkpoint,   checkpoint_ticks: Some(24), codec: Binary },
+        Builtin { name: "web-autoscale",      seed: 0x5EED_0005, build: web_autoscale,      checkpoint_ticks: None,     codec: Binary },
+        Builtin { name: "mixed-tenants",      seed: 0x5EED_0006, build: mixed_tenants,      checkpoint_ticks: None,     codec: Binary },
+        Builtin { name: "budget-exhaustion",  seed: 0x5EED_0007, build: budget_exhaustion,  checkpoint_ticks: None,     codec: Json },
+        Builtin { name: "thousand-tenants",   seed: 0x5EED_0008, build: thousand_tenants,   checkpoint_ticks: None,     codec: Binary },
+        Builtin { name: "credential-churn",   seed: 0x5EED_0009, build: credential_churn,   checkpoint_ticks: None,     codec: Json },
+        Builtin { name: "restore-under-load", seed: 0x5EED_000A, build: restore_under_load, checkpoint_ticks: Some(12), codec: Binary },
+        Builtin { name: "split-brain",        seed: 0x5EED_000B, build: split_brain,        checkpoint_ticks: None,     codec: Json },
+    ]
+};
+
+fn row(name: &str) -> Option<&'static Builtin> {
+    CATALOGUE.iter().find(|b| b.name == name)
+}
+
 /// Names of every builtin scenario, in catalogue order.
 pub fn names() -> Vec<&'static str> {
-    vec![
-        "sunny-batch",
-        "cloudy-web",
-        "caiso-arbitrage",
-        "batch-checkpoint",
-        "web-autoscale",
-        "mixed-tenants",
-        "budget-exhaustion",
-        "thousand-tenants",
-        "credential-churn",
-        "restore-under-load",
-        "split-brain",
-    ]
+    CATALOGUE.iter().map(|b| b.name).collect()
 }
 
 /// Every builtin scenario at its default seed, in catalogue order.
 pub fn all() -> Vec<ScenarioSpec> {
-    names()
-        .into_iter()
-        .map(|n| builtin(n).expect("names() entries are buildable"))
-        .collect()
+    CATALOGUE.iter().map(|b| (b.build)(b.seed)).collect()
 }
 
 /// A builtin scenario by name, at its default seed.
@@ -56,52 +83,26 @@ pub fn builtin(name: &str) -> Option<ScenarioSpec> {
 
 /// The default (committed-corpus) master seed of a builtin.
 pub fn default_seed(name: &str) -> Option<u64> {
-    Some(match name {
-        "sunny-batch" => 0x5EED_0001,
-        "cloudy-web" => 0x5EED_0002,
-        "caiso-arbitrage" => 0x5EED_0003,
-        "batch-checkpoint" => 0x5EED_0004,
-        "web-autoscale" => 0x5EED_0005,
-        "mixed-tenants" => 0x5EED_0006,
-        "budget-exhaustion" => 0x5EED_0007,
-        "thousand-tenants" => 0x5EED_0008,
-        "credential-churn" => 0x5EED_0009,
-        "restore-under-load" => 0x5EED_000A,
-        "split-brain" => 0x5EED_000B,
-        _ => return None,
-    })
+    row(name).map(|b| b.seed)
 }
 
 /// The checkpoint cadence (in ticks) a builtin's committed artifact is
-/// recorded with, when the scenario's whole point requires embedded
-/// checkpoints. `ecoharness record` applies this automatically unless
-/// `--checkpoint-every` overrides it.
+/// recorded with, when it embeds checkpoints. `ecoharness record`
+/// applies this unless `--checkpoint-every` overrides it.
 pub fn default_checkpoint_ticks(name: &str) -> Option<u64> {
-    match name {
-        // The restore plan needs a checkpoint at exactly its restore
-        // tick; every 12 ticks puts one there (and more around it).
-        "restore-under-load" => Some(12),
-        _ => None,
-    }
+    row(name)?.checkpoint_ticks
+}
+
+/// The encoding a builtin's committed artifact is written in.
+/// `ecoharness record` applies this unless `--codec` overrides it.
+pub fn default_codec(name: &str) -> Option<WireCodec> {
+    row(name).map(|b| b.codec)
 }
 
 /// A builtin scenario re-rolled from an explicit master seed (tests use
 /// this to cover many seeds of the same shape).
 pub fn builtin_with_seed(name: &str, seed: u64) -> Option<ScenarioSpec> {
-    Some(match name {
-        "sunny-batch" => sunny_batch(seed),
-        "cloudy-web" => cloudy_web(seed),
-        "caiso-arbitrage" => caiso_arbitrage(seed),
-        "batch-checkpoint" => batch_checkpoint(seed),
-        "web-autoscale" => web_autoscale(seed),
-        "mixed-tenants" => mixed_tenants(seed),
-        "budget-exhaustion" => budget_exhaustion(seed),
-        "thousand-tenants" => thousand_tenants(seed),
-        "credential-churn" => credential_churn(seed),
-        "restore-under-load" => restore_under_load(seed),
-        "split-brain" => split_brain(seed),
-        _ => return None,
-    })
+    row(name).map(|b| (b.build)(seed))
 }
 
 /// Derives a sub-seed for one component from the master seed

@@ -56,7 +56,7 @@ pub fn record_with_checkpoints(
     spec: &ScenarioSpec,
     every: Option<u64>,
 ) -> Result<ScenarioArtifact, HarnessError> {
-    record_inner(spec, every, None)
+    drive(spec, None, every, None)
 }
 
 /// [`record`] with a caller-supplied observability hub attached for the
@@ -75,11 +75,16 @@ pub fn record_observed(
     spec: &ScenarioSpec,
     hub: std::sync::Arc<ecovisor::obs::ObsHub>,
 ) -> Result<ScenarioArtifact, HarnessError> {
-    record_inner(spec, None, Some(hub))
+    drive(spec, None, None, Some(hub))
 }
 
-fn record_inner(
+/// The one drive loop behind every `record*` entry point: builds the
+/// world (seeded with `base` when the recording is a continuation), runs
+/// `on_start` and then the lock-step ticks from the base's tick (or 0)
+/// to the spec's horizon, and packages the trace.
+fn drive(
     spec: &ScenarioSpec,
+    base: Option<&Checkpoint>,
     every: Option<u64>,
     hub: Option<std::sync::Arc<ecovisor::obs::ObsHub>>,
 ) -> Result<ScenarioArtifact, HarnessError> {
@@ -88,15 +93,30 @@ fn record_inner(
             "checkpoint interval must be at least one tick".into(),
         ));
     }
+    let start = match base {
+        None => 0,
+        Some(base) if base.tick < spec.ticks => base.tick,
+        Some(base) => {
+            return Err(HarnessError::Spec(format!(
+                "base checkpoint at tick {} leaves no remainder of the {}-tick horizon",
+                base.tick, spec.ticks
+            )))
+        }
+    };
     let (mut eco, ids) = build_ecovisor(spec)?;
+    if let Some(base) = base {
+        eco.apply_snapshot(&base.decode()?)
+            .map_err(|e| HarnessError::Spec(format!("base checkpoint does not restore: {e}")))?;
+    }
     if let Some(hub) = hub {
         eco.attach_obs(hub);
     }
     let mut drivers = build_drivers(spec)?;
     eco.enable_protocol_trace();
 
-    // on_start before the first tick (launch the initial fleets); this
-    // traffic records at tick 0, ahead of the first settlement.
+    // on_start before the first tick (launch the initial fleets — against
+    // the warm cluster, for a continuation); this traffic records at the
+    // start tick, ahead of its settlement.
     for (id, driver) in ids.iter().zip(drivers.iter_mut()) {
         let mut client = eco.client(*id)?;
         driver.on_start(&mut client);
@@ -106,7 +126,7 @@ fn record_inner(
     // Frames taken at the previous settlement, awaiting delivery.
     let mut held: Vec<EventFrame> = Vec::new();
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    for tick in 0..spec.ticks {
+    for tick in start..spec.ticks {
         for (id, driver) in ids.iter().zip(drivers.iter_mut()) {
             let events: Vec<Notification> = held
                 .iter()
@@ -139,7 +159,13 @@ fn record_inner(
     }
 
     let eco = sharded.into_inner();
-    Ok(package(spec.clone(), eco, &ids, checkpoints, None)?)
+    Ok(package(
+        spec.clone(),
+        eco,
+        &ids,
+        checkpoints,
+        base.cloned(),
+    )?)
 }
 
 /// The spec of the recording that continues `parent` from a checkpoint
@@ -199,63 +225,7 @@ pub fn record_resumed(
     spec: &ScenarioSpec,
     base: &Checkpoint,
 ) -> Result<ScenarioArtifact, HarnessError> {
-    if base.tick >= spec.ticks {
-        return Err(HarnessError::Spec(format!(
-            "base checkpoint at tick {} leaves no remainder of the {}-tick horizon",
-            base.tick, spec.ticks
-        )));
-    }
-    let snap = base.decode()?;
-    let (mut eco, ids) = build_ecovisor(spec)?;
-    eco.apply_snapshot(&snap)
-        .map_err(|e| HarnessError::Spec(format!("base checkpoint does not restore: {e}")))?;
-    let mut drivers = build_drivers(spec)?;
-    eco.enable_protocol_trace();
-
-    // on_start at the resume tick: the new process's drivers launch
-    // their fleets against the warm cluster, recorded at `base.tick`.
-    for (id, driver) in ids.iter().zip(drivers.iter_mut()) {
-        let mut client = eco.client(*id)?;
-        driver.on_start(&mut client);
-    }
-
-    let sharded = ShardedEcovisor::new(eco);
-    let mut held: Vec<EventFrame> = Vec::new();
-    for _tick in base.tick..spec.ticks {
-        for (id, driver) in ids.iter().zip(drivers.iter_mut()) {
-            let events: Vec<Notification> = held
-                .iter()
-                .filter(|f| f.app == *id)
-                .flat_map(|f| f.events.iter().copied())
-                .collect();
-            sharded.with(|eco| {
-                let mut client = eco.client(*id).expect("registered tenant");
-                for event in &events {
-                    driver.on_event(event, &mut client);
-                }
-                driver.on_tick(&mut client);
-            });
-        }
-        held = sharded.with(|eco| {
-            eco.begin_tick();
-            eco.settle_tick();
-            let frames: Vec<EventFrame> = ids
-                .iter()
-                .filter_map(|&app| eco.take_event_frame(app))
-                .collect();
-            eco.advance_clock();
-            frames
-        });
-    }
-
-    let eco = sharded.into_inner();
-    Ok(package(
-        spec.clone(),
-        eco,
-        &ids,
-        Vec::new(),
-        Some(base.clone()),
-    )?)
+    drive(spec, Some(base), None, None)
 }
 
 /// Packages a finished run into an artifact.

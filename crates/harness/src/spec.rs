@@ -28,12 +28,11 @@ pub const SPEC_FORMAT: u32 = 1;
 
 /// A complete, seeded description of one simulated multi-tenant day.
 ///
-/// Serde is hand-written (not derived) so the two adversarial-plan
-/// fields added after the corpus was first recorded — `credentials` and
-/// `restore` — are omitted when empty/absent on encode and default on
-/// decode: every pre-existing artifact stays byte-identical and
-/// readable.
-#[derive(Debug, Clone, PartialEq)]
+/// The three plan fields added after the corpus was first recorded —
+/// `credentials`, `restore` and `migration` — are `#[serde(default)]`:
+/// left out while empty and defaulted when absent, so every artifact
+/// older than they are stays byte-identical and readable.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Spec schema version ([`SPEC_FORMAT`]).
     pub format: u32,
@@ -69,11 +68,13 @@ pub struct ScenarioSpec {
     /// tenant connects with its token, and any
     /// [`rotation`](CredentialSpec::rotation) entries are exercised
     /// mid-day against live connections.
+    #[serde(default)]
     pub credentials: Vec<CredentialSpec>,
     /// A mid-day checkpoint-restore exercised during transport
     /// verification (restore raced with active dispatch). Requires the
     /// artifact to carry a checkpoint at exactly
     /// [`RestorePlan::tick`].
+    #[serde(default)]
     pub restore: Option<RestorePlan>,
     /// A mid-day live tenant migration exercised during **federated**
     /// verification (`verify --federated`, or automatically under
@@ -83,6 +84,7 @@ pub struct ScenarioSpec {
     /// tenant moves between them over the v2 wire
     /// (`MigrateOut` → `MigrateIn` → `MigrateCommit`). The rest of the
     /// day must still replay bit-identically.
+    #[serde(default)]
     pub migration: Option<MigrationPlan>,
 }
 
@@ -139,72 +141,6 @@ pub struct RestorePlan {
     /// Also push a corrupted snapshot first and require the server to
     /// reject it while preserving state.
     pub tamper: bool,
-}
-
-impl Serialize for ScenarioSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("format".to_string(), self.format.to_value()),
-            ("name".to_string(), self.name.to_value()),
-            ("description".to_string(), self.description.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("ticks".to_string(), self.ticks.to_value()),
-            ("tick_minutes".to_string(), self.tick_minutes.to_value()),
-            ("servers".to_string(), self.servers.to_value()),
-            ("excess".to_string(), self.excess.to_value()),
-            ("carbon".to_string(), self.carbon.to_value()),
-            ("solar".to_string(), self.solar.to_value()),
-            (
-                "battery_capacity_wh".to_string(),
-                self.battery_capacity_wh.to_value(),
-            ),
-            ("tenants".to_string(), self.tenants.to_value()),
-        ];
-        if !self.credentials.is_empty() {
-            entries.push(("credentials".to_string(), self.credentials.to_value()));
-        }
-        if let Some(restore) = &self.restore {
-            entries.push(("restore".to_string(), restore.to_value()));
-        }
-        if let Some(migration) = &self.migration {
-            entries.push(("migration".to_string(), migration.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(ScenarioSpec {
-            format: Deserialize::from_value(serde::__field(v, "format")?)?,
-            name: Deserialize::from_value(serde::__field(v, "name")?)?,
-            description: Deserialize::from_value(serde::__field(v, "description")?)?,
-            seed: Deserialize::from_value(serde::__field(v, "seed")?)?,
-            ticks: Deserialize::from_value(serde::__field(v, "ticks")?)?,
-            tick_minutes: Deserialize::from_value(serde::__field(v, "tick_minutes")?)?,
-            servers: Deserialize::from_value(serde::__field(v, "servers")?)?,
-            excess: Deserialize::from_value(serde::__field(v, "excess")?)?,
-            carbon: Deserialize::from_value(serde::__field(v, "carbon")?)?,
-            solar: Deserialize::from_value(serde::__field(v, "solar")?)?,
-            battery_capacity_wh: Deserialize::from_value(serde::__field(
-                v,
-                "battery_capacity_wh",
-            )?)?,
-            tenants: Deserialize::from_value(serde::__field(v, "tenants")?)?,
-            credentials: match v.get("credentials") {
-                Some(c) => Deserialize::from_value(c)?,
-                None => Vec::new(),
-            },
-            restore: match v.get("restore") {
-                Some(r) => Deserialize::from_value(r)?,
-                None => None,
-            },
-            migration: match v.get("migration") {
-                Some(m) => Deserialize::from_value(m)?,
-                None => None,
-            },
-        })
-    }
 }
 
 impl ScenarioSpec {

@@ -194,34 +194,46 @@ pub fn verify(artifact: &ScenarioArtifact) -> Result<VerifyReport, HarnessError>
     Ok(report)
 }
 
-/// Replays the recorded trace once. When `restore_from` is `Some`, the
-/// freshly built ecovisor is seeded with that checkpoint's snapshot and
-/// the trace replays from its tick; expected event frames are the
-/// recorded frames at or after that tick (the earlier ones were pushed
-/// before the capture and cannot regenerate).
+/// The world a cell replays against: the artifact's spec freshly built
+/// and, when `restore_from` is `Some`, seeded with that checkpoint's
+/// snapshot; with it the tenants' ids and the tick the replay starts at.
+/// `None` — after pushing a failed `{cell} restore` check — when the
+/// checkpoint does not decode or is refused.
+fn build_cell(
+    artifact: &ScenarioArtifact,
+    restore_from: Option<&Checkpoint>,
+    cell: &str,
+    report: &mut VerifyReport,
+) -> Result<Option<(Ecovisor, Vec<ecovisor::AppId>, u64)>, HarnessError> {
+    let (mut eco, ids) = build_ecovisor(&artifact.spec)?;
+    let Some(cp) = restore_from else {
+        return Ok(Some((eco, ids, 0)));
+    };
+    let restored = cp
+        .decode()
+        .map_err(|e| e.to_string())
+        .and_then(|snap| eco.apply_snapshot(&snap).map_err(|e| e.to_string()));
+    Ok(match restored {
+        Ok(()) => Some((eco, ids, cp.tick)),
+        Err(e) => {
+            report.push(format!("{cell} restore"), false, e);
+            None
+        }
+    })
+}
+
+/// Replays the recorded trace once, from `restore_from`'s tick when
+/// there is one; expected event frames are then the recorded frames at
+/// or after that tick (the earlier ones were pushed before the capture
+/// and cannot regenerate).
 fn replay_cell(
     artifact: &ScenarioArtifact,
     restore_from: Option<&Checkpoint>,
     cell: &str,
     report: &mut VerifyReport,
 ) -> Result<(), HarnessError> {
-    let (mut eco, ids) = build_ecovisor(&artifact.spec)?;
-    let start = match restore_from {
-        None => 0,
-        Some(cp) => {
-            let snap = match cp.decode() {
-                Ok(s) => s,
-                Err(e) => {
-                    report.push(format!("{cell} restore"), false, e.to_string());
-                    return Ok(());
-                }
-            };
-            if let Err(e) = eco.apply_snapshot(&snap) {
-                report.push(format!("{cell} restore"), false, e.to_string());
-                return Ok(());
-            }
-            cp.tick
-        }
+    let Some((mut eco, ids, start)) = build_cell(artifact, restore_from, cell, report)? else {
+        return Ok(());
     };
     let frames = eco
         .replay_trace_from(&artifact.trace, start, artifact.spec.ticks)
@@ -347,23 +359,9 @@ fn transport_cell(
     report: &mut VerifyReport,
 ) -> Result<(), HarnessError> {
     let cell = "transport";
-    let (mut eco, ids) = build_ecovisor(&artifact.spec)?;
-    let start = match &artifact.base {
-        None => 0,
-        Some(base) => {
-            let snap = match base.decode() {
-                Ok(s) => s,
-                Err(e) => {
-                    report.push(format!("{cell} restore"), false, e.to_string());
-                    return Ok(());
-                }
-            };
-            if let Err(e) = eco.apply_snapshot(&snap) {
-                report.push(format!("{cell} restore"), false, e.to_string());
-                return Ok(());
-            }
-            base.tick
-        }
+    let Some((eco, ids, start)) = build_cell(artifact, artifact.base.as_ref(), cell, report)?
+    else {
+        return Ok(());
     };
 
     // Tenant-name → app-id mapping (tenants register in order), the

@@ -4,8 +4,9 @@
 //! `vendor/serde/tests/streaming.rs` holds the derive to its contract on
 //! types made up for the purpose; this suite holds the *protocol* to it:
 //! every frame of every committed trace (requests as recorded, responses
-//! and events as a replay regenerates them), every embedded checkpoint
-//! and a tenant capture must
+//! and events as a replay regenerates them), every embedded checkpoint,
+//! a tenant capture and every artifact whole — the derive's
+//! `#[serde(default)]` fields present in some and absent in most — must
 //!
 //! 1. encode to the bytes `binary::encode(&to_value())` gives,
 //! 2. decode to what `from_value(binary::decode())` gives, and
@@ -85,13 +86,20 @@ fn every_corpus_frame_and_checkpoint_reads_and_writes_as_the_tree_route_did() {
     // suite's time; the few snapshots can afford more.
     const PER_FRAME: usize = 3;
     const PER_SNAPSHOT: usize = 12;
+    const PER_ARTIFACT: usize = 2;
     let root = SimRng::from_seed(0xC0DEC);
     let paths = artifacts_in_dir(&corpus_dir()).expect("corpus directory exists");
     let (mut frames, mut snapshots, mut tenants) = (0, 0, 0);
     for path in &paths {
         let name = path.file_name().expect("a file").to_string_lossy();
         let mut rng = root.fork(&name);
-        let (artifact, _) = ScenarioArtifact::load(path).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (artifact, codec) =
+            ScenarioArtifact::load(path).unwrap_or_else(|e| panic!("{name}: {e}"));
+        // The file itself, in the encoding it is committed in: what was
+        // written before a defaulted field existed is written the same.
+        let committed = std::fs::read(path).expect("just loaded");
+        assert!(artifact.to_bytes(codec) == committed, "{name}: file bytes");
+        differential(&artifact, &name, &mut rng, PER_ARTIFACT);
 
         let mut frame = |frame: Frame, rng: &mut SimRng| {
             differential(&frame, &name, rng, PER_FRAME);

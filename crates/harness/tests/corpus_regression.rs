@@ -78,7 +78,7 @@ fn committed_corpus_replays_bit_identically() {
 #[test]
 fn committed_corpus_matches_reseeded_builtins() {
     for path in artifacts_in_dir(&corpus_dir()).expect("corpus directory exists") {
-        let (artifact, _) =
+        let (artifact, codec) =
             ScenarioArtifact::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let fresh = match &artifact.base {
             // A resumed artifact re-records from its own embedded base
@@ -110,9 +110,16 @@ fn committed_corpus_matches_reseeded_builtins() {
                     "{}: stored spec drifted from the builtin",
                     path.display()
                 );
-                // The first checkpoint's tick is the capture interval
-                // (captures land at every multiple of it).
-                let every = artifact.checkpoints.first().map(|c| c.tick);
+                // Cadence and encoding come from the catalogue row, as
+                // they do for a bare `ecoharness record`: a row that
+                // disagrees with the committed file fails here.
+                assert_eq!(
+                    corpus::default_codec(&spec.name),
+                    Some(codec),
+                    "{}: committed in another encoding than its catalogue row's",
+                    path.display()
+                );
+                let every = corpus::default_checkpoint_ticks(&spec.name);
                 ecoharness::record_with_checkpoints(&spec, every)
                     .unwrap_or_else(|e| panic!("{}: re-record: {e}", path.display()))
             }
