@@ -380,8 +380,7 @@ impl ExactSizeIterator for Samples<'_> {}
 // whatever the layout in memory.
 impl Serialize for TimeSeries {
     fn to_value(&self) -> Value {
-        let samples = self.samples().map(|s| s.to_value()).collect();
-        Value::Map(vec![("samples".into(), Value::Seq(samples))])
+        serde::to_value(self)
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
@@ -408,14 +407,6 @@ impl Pushed {
 }
 
 impl Deserialize for Pushed {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let mut pushed = Pushed(TimeSeries::new());
-        for sample in Vec::from_value(v)? {
-            pushed.push(sample)?;
-        }
-        Ok(pushed)
-    }
-
     fn decode(r: &mut binary::Reader<'_>) -> Result<Self, serde::Error> {
         let mut pushed = Pushed(TimeSeries::new());
         let (len, capacity) = r.seq_of::<f64>()?;
@@ -435,10 +426,6 @@ struct AtRest {
 }
 
 impl Deserialize for TimeSeries {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        AtRest::from_value(v).map(|at_rest| at_rest.samples.0)
-    }
-
     fn decode(r: &mut binary::Reader<'_>) -> Result<Self, serde::Error> {
         AtRest::decode(r).map(|at_rest| at_rest.samples.0)
     }

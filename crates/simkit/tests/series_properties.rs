@@ -201,12 +201,12 @@ fn check_encoding(series: &TimeSeries, reference: &Reference) {
         serde::json::to_string(series),
         serde::json::to_string(&derived)
     );
-    // Both decode routes rebuild the same series, runs and all.
+    // Either syntax rebuilds the same series, runs and all.
     let streamed: TimeSeries = serde::binary::from_bytes(&bytes).expect("own encoding");
-    let tree = TimeSeries::from_value(&serde::binary::decode(&bytes).expect("well-formed"))
-        .expect("own encoding");
+    let text: TimeSeries =
+        serde::json::from_str(&serde::json::to_string(series)).expect("own encoding");
     assert_eq!(&streamed, series);
-    assert_eq!(&tree, series);
+    assert_eq!(&text, series);
 }
 
 #[test]
@@ -244,8 +244,9 @@ fn timestamps_at_the_edge_of_the_clock_neither_overflow_nor_misplace() {
 
 #[test]
 fn decode_refuses_what_push_would_panic_on() {
-    let encode = |times: &[u64]| {
-        serde::binary::to_bytes(&Derived {
+    // In either syntax.
+    let both = |times: &[u64]| {
+        let written = Derived {
             samples: times
                 .iter()
                 .map(|&t| Sample {
@@ -253,18 +254,16 @@ fn decode_refuses_what_push_would_panic_on() {
                     value: t as f64,
                 })
                 .collect(),
-        })
-    };
-    let both = |bytes: &[u8]| {
-        let streamed = serde::binary::from_bytes::<TimeSeries>(bytes);
-        let tree = serde::binary::decode(bytes).and_then(|v| TimeSeries::from_value(&v));
-        assert_eq!(streamed, tree);
+        };
+        let streamed = serde::binary::from_bytes::<TimeSeries>(&serde::binary::to_bytes(&written));
+        let text = serde::json::from_str::<TimeSeries>(&serde::json::to_string(&written));
+        assert_eq!(streamed, text);
         streamed
     };
-    assert_eq!(both(&encode(&[0, 60, 120])).expect("ordered").len(), 3);
+    assert_eq!(both(&[0, 60, 120]).expect("ordered").len(), 3);
     // A repeated timestamp is an overwrite, as it is for `push`.
-    assert_eq!(both(&encode(&[0, 60, 60])).expect("overwrite").len(), 2);
+    assert_eq!(both(&[0, 60, 60]).expect("overwrite").len(), 2);
     // Going back in time is an error value, in either position.
-    assert!(both(&encode(&[0, 60, 59])).is_err());
-    assert!(both(&encode(&[60, 0])).is_err());
+    assert!(both(&[0, 60, 59]).is_err());
+    assert!(both(&[60, 0]).is_err());
 }

@@ -251,19 +251,7 @@ impl Tsdb {
 
 impl Serialize for Tsdb {
     fn to_value(&self) -> Value {
-        // Each key is written as `SeriesKey`'s derived form, from the
-        // borrowed names rather than through an owned key.
-        let pairs = self
-            .iter()
-            .map(|(metric, subject, series)| {
-                let key = Value::Map(vec![
-                    ("metric".into(), Value::Str(metric.into())),
-                    ("subject".into(), Value::Str(subject.into())),
-                ]);
-                Value::Seq(vec![key, series.to_value()])
-            })
-            .collect();
-        Value::Map(vec![("series".into(), Value::Seq(pairs))])
+        serde::to_value(self)
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
@@ -306,14 +294,6 @@ fn decode_key<'a>(r: &mut binary::Reader<'a>) -> Result<(&'a str, &'a str), serd
 struct Pairs(Tsdb);
 
 impl Deserialize for Pairs {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let mut db = Tsdb::new();
-        for (key, series) in Vec::<(SeriesKey, TimeSeries)>::from_value(v)? {
-            db.put(&key.metric, &key.subject, series);
-        }
-        Ok(Pairs(db))
-    }
-
     fn decode(r: &mut binary::Reader<'_>) -> Result<Self, serde::Error> {
         let mut db = Tsdb::new();
         for _ in 0..r.seq()? {
@@ -334,10 +314,6 @@ struct AtRest {
 }
 
 impl Deserialize for Tsdb {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        AtRest::from_value(v).map(|at_rest| at_rest.series.0)
-    }
-
     fn decode(r: &mut binary::Reader<'_>) -> Result<Self, serde::Error> {
         AtRest::decode(r).map(|at_rest| at_rest.series.0)
     }
