@@ -166,6 +166,10 @@ pub struct TransportMetrics {
     /// `transport.bytes_out_total` — bytes committed to write queues
     /// (length prefixes included).
     pub bytes_out: Arc<Counter>,
+    /// `transport.socket_writes_total` — `write(2)` calls made to drain
+    /// write queues. A worker's turn commits its replies together, so
+    /// frames out ÷ socket writes is frames per write.
+    pub socket_writes: Arc<Counter>,
     /// `transport.coalesce_drops_total` — notifications displaced by
     /// the outbox policy while parking under backpressure (a level
     /// event coalesced/evicted rather than queued).
@@ -175,8 +179,8 @@ pub struct TransportMetrics {
     /// `transport.inbox_depth` — decoded frames awaiting dispatch
     /// across all connections.
     pub inbox_depth: Arc<Gauge>,
-    /// `transport.serve_latency_ns` — decode→dispatch→reply-write per
-    /// frame.
+    /// `transport.serve_latency_ns` — decode→dispatch→encode per frame
+    /// (the socket write is per turn, and not in it).
     pub serve_latency: Arc<Histogram>,
     /// `transport.idle_disconnects_total` — connections reaped by the
     /// idle sweep.
@@ -198,6 +202,7 @@ impl TransportMetrics {
             bytes_in: registry.counter("transport.bytes_in_total"),
             frames_out: registry.counter("transport.frames_out_total"),
             bytes_out: registry.counter("transport.bytes_out_total"),
+            socket_writes: registry.counter("transport.socket_writes_total"),
             coalesce_drops: registry.counter("transport.coalesce_drops_total"),
             queue_depth: registry.gauge("transport.queue_depth"),
             inbox_depth: registry.gauge("transport.inbox_depth"),

@@ -5,11 +5,12 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use container_cop::AppId;
 
-use super::framing::{append_frame, DRAIN_RETAIN_BYTES};
+use super::framing::{begin_frame, end_frame, DRAIN_RETAIN_BYTES};
 use super::SERVED_CODEC;
 use crate::ecovisor::Ecovisor;
 use crate::event::{EventFilter, Notification, OutboxPolicy};
@@ -53,18 +54,39 @@ pub(super) struct ConnShared {
 /// connection dirty and wakes the event loop (see [`super::evented`]).
 pub(super) struct WriteNotify {
     pub(super) token: usize,
-    pub(super) dirty: Arc<Mutex<Vec<usize>>>,
-    pub(super) waker: reactor::Waker,
+    dirty: Arc<Mutex<Vec<usize>>>,
+    waker: reactor::Waker,
+    /// Whether `token` is on the dirty list already, so marking a
+    /// connection costs no walk of it — a tick that backlogs every slow
+    /// subscriber marks each of them inside the settlement barrier.
+    listed: AtomicBool,
 }
 
 impl WriteNotify {
-    pub(super) fn notify(&self) {
-        let mut dirty = crate::lock::lock(&self.dirty);
-        if !dirty.contains(&self.token) {
-            dirty.push(self.token);
+    pub(super) fn new(
+        token: usize,
+        dirty: Arc<Mutex<Vec<usize>>>,
+        waker: reactor::Waker,
+    ) -> WriteNotify {
+        WriteNotify {
+            token,
+            dirty,
+            waker,
+            listed: AtomicBool::new(false),
         }
-        drop(dirty);
+    }
+
+    pub(super) fn notify(&self) {
+        if !self.listed.swap(true, Ordering::SeqCst) {
+            crate::lock::lock(&self.dirty).push(self.token);
+        }
         let _ = self.waker.wake();
+    }
+
+    /// The reactor has taken the dirty list and is about to flush this
+    /// connection: whatever backlogs after this point lists it again.
+    pub(super) fn taken(&self) {
+        self.listed.store(false, Ordering::SeqCst);
     }
 }
 
@@ -112,18 +134,17 @@ impl PendingWrites {
         self.buf.len() - self.written
     }
 
-    /// Appends one length-prefixed frame to the committed tail. The
-    /// already-written prefix is compacted away first, so the buffer
-    /// never grows past the backlog bound even on a connection that
-    /// drains slowly forever.
-    fn commit(&mut self, payload: &[u8]) -> io::Result<()> {
+    /// Appends `count` whole frames, already length-prefixed, to the
+    /// committed tail. The already-written prefix is compacted away
+    /// first, so the buffer never grows past the backlog bound even on a
+    /// connection that drains slowly forever.
+    fn commit(&mut self, frames: &[u8], count: usize) {
         if self.written > 0 {
             self.buf.drain(..self.written);
             self.written = 0;
         }
-        append_frame(&mut self.buf, payload)?;
-        self.queued_frames += 1;
-        Ok(())
+        self.buf.extend_from_slice(frames);
+        self.queued_frames += count;
     }
 
     /// Resets after a full drain, keeping (a bounded amount of) the
@@ -148,8 +169,13 @@ impl PendingWrites {
 /// accepts. `Ok(true)` means fully drained; `Ok(false)` means
 /// backpressure (the partially-written tail resumes later); `Err` means
 /// the socket is dead.
-fn write_committed(mut writer: &TcpStream, pending: &mut PendingWrites) -> io::Result<bool> {
+fn write_committed(
+    mut writer: &TcpStream,
+    pending: &mut PendingWrites,
+    socket_writes: &crate::obs::Counter,
+) -> io::Result<bool> {
     while pending.written < pending.buf.len() {
+        socket_writes.inc();
         match writer.write(&pending.buf[pending.written..]) {
             Ok(0) => {
                 return Err(io::Error::new(io::ErrorKind::WriteZero, "peer closed"));
@@ -181,11 +207,27 @@ impl ConnShared {
         }
     }
 
-    /// Commits one encoded payload to the wire order and counts it.
-    fn commit(&self, pending: &mut PendingWrites, payload: &[u8]) -> io::Result<()> {
-        pending.commit(payload)?;
-        self.obs.transport.frames_out.inc();
-        self.obs.transport.bytes_out.add(payload.len() as u64 + 4);
+    /// Commits `count` whole length-prefixed frames to the wire order
+    /// and counts them.
+    fn commit(&self, pending: &mut PendingWrites, frames: &[u8], count: usize) {
+        pending.commit(frames, count);
+        self.obs.transport.frames_out.add(count as u64);
+        self.obs.transport.bytes_out.add(frames.len() as u64);
+    }
+
+    /// Frames one encoded event payload and commits it; `scratch` is
+    /// overwritten with the framed bytes.
+    fn commit_event(
+        &self,
+        pending: &mut PendingWrites,
+        frame: EventFrame,
+        scratch: &mut Vec<u8>,
+    ) -> io::Result<()> {
+        scratch.clear();
+        let start = begin_frame(scratch);
+        SERVED_CODEC.encode_into(&Frame::Event(frame), scratch);
+        end_frame(scratch, start)?;
+        self.commit(pending, scratch, 1);
         Ok(())
     }
 
@@ -194,7 +236,8 @@ impl ConnShared {
     /// `Ok(false)` = backpressure, everything unsent stays queued.
     fn flush(&self, pending: &mut PendingWrites) -> io::Result<bool> {
         let writer = crate::lock::lock(&self.writer);
-        if !write_committed(&writer, pending)? {
+        let socket_writes = &self.obs.transport.socket_writes;
+        if !write_committed(&writer, pending, socket_writes)? {
             return Ok(false);
         }
         if pending.parked.is_empty() {
@@ -206,8 +249,8 @@ impl ConnShared {
             tick: pending.parked_tick,
             events: std::mem::take(&mut pending.parked),
         };
-        self.commit(pending, &SERVED_CODEC.encode(&Frame::Event(frame)))?;
-        write_committed(&writer, pending)
+        self.commit_event(pending, frame, &mut Vec::new())?;
+        write_committed(&writer, pending, socket_writes)
     }
 
     /// Ends a write path: a healthy connection hands any remaining
@@ -227,22 +270,25 @@ impl ConnShared {
         result
     }
 
-    /// Writes a response/control payload through the backlog queue, so it
-    /// can never interleave into a partially-written push frame. Under
-    /// backpressure the payload stays committed in order and goes out on
-    /// a later flush (the peer necessarily reads before it can await
-    /// this response); the error return is reserved for a dead socket or
-    /// an overflowing backlog, both of which end the connection.
-    pub(super) fn write(&self, payload: &[u8]) -> io::Result<()> {
+    /// Writes `count` response/control frames — `frames` holds them
+    /// whole, length prefixes included, in order — through the backlog
+    /// queue, so they can never interleave into a partially-written push
+    /// frame: one commit behind whatever is queued, one flush, however
+    /// many frames a worker's turn produced. Under backpressure they stay
+    /// committed in order and go out on a later flush (the peer
+    /// necessarily reads before it can await these responses); the error
+    /// return is reserved for a dead socket or an overflowing backlog,
+    /// both of which end the connection.
+    pub(super) fn write_frames(&self, frames: &[u8], count: usize) -> io::Result<()> {
         let mut pending = crate::lock::lock(&self.pending);
         let result = (|| {
-            if pending.queued_bytes().saturating_add(payload.len()) > MAX_PENDING_BYTES {
+            if pending.queued_bytes().saturating_add(frames.len()) > MAX_PENDING_BYTES {
                 return Err(io::Error::new(
                     io::ErrorKind::OutOfMemory,
                     "write backlog overflow: peer sends but never drains",
                 ));
             }
-            self.commit(&mut pending, payload)?;
+            self.commit(&mut pending, frames, count);
             self.flush(&mut pending).map(drop)
         })();
         self.settle_write(&pending, result)
@@ -275,9 +321,7 @@ impl ConnShared {
             }
             if self.flush(&mut pending)? {
                 // Backlog clear: commit this frame to the wire order.
-                scratch.clear();
-                SERVED_CODEC.encode_into(&Frame::Event(frame), scratch);
-                self.commit(&mut pending, scratch)?;
+                self.commit_event(&mut pending, frame, scratch)?;
                 self.flush(&mut pending)?;
             } else {
                 // Socket still full: park the notifications under the
@@ -392,11 +436,11 @@ mod tests {
         // and wakes the (here unpolled) event loop.
         let poll = reactor::Poll::new().expect("poll");
         let dirty = Arc::new(Mutex::new(Vec::new()));
-        let notify = WriteNotify {
-            token: 7,
-            dirty: Arc::clone(&dirty),
-            waker: reactor::Waker::new(&poll, reactor::Token(1)).expect("waker"),
-        };
+        let notify = WriteNotify::new(
+            7,
+            Arc::clone(&dirty),
+            reactor::Waker::new(&poll, reactor::Token(1)).expect("waker"),
+        );
         let conn = Arc::new(ConnShared::new(
             AppId::new(1),
             Arc::new(server_side),
@@ -450,6 +494,17 @@ mod tests {
                 &mut scratch,
             );
         }
+        assert_eq!(
+            *crate::lock::lock(&dirty),
+            vec![7],
+            "still once, however many writes backlog behind the first"
+        );
+        // The reactor takes the list; the next backlogged write lists the
+        // connection again.
+        crate::lock::lock(&dirty).clear();
+        conn.notify.taken();
+        conn.retry_backlog();
+        assert_eq!(*crate::lock::lock(&dirty), vec![7]);
         {
             let pending = crate::lock::lock(&conn.pending);
             let edges = pending

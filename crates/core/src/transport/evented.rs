@@ -31,12 +31,15 @@
 //!
 //! ## Write path
 //!
-//! All outbound bytes go through the connection's [`ConnShared`]
-//! committed-write queue: workers and the settlement broadcast write
-//! non-blocking, and whatever the socket refuses stays committed. The
-//! connection's [`WriteNotify`] then marks the token dirty and wakes the
-//! reactor, which arms `EPOLLOUT` and finishes the flush when the peer
-//! drains.
+//! A worker answers a *turn* — up to [`FRAMES_PER_TURN`] frames of one
+//! connection — into its own buffer, as length-prefixed frames encoded in
+//! place, and hands the connection all of them at once: one commit, one
+//! `write(2)`. All outbound bytes go through the connection's
+//! [`ConnShared`] committed-write queue: workers and the settlement
+//! broadcast write non-blocking, and whatever the socket refuses stays
+//! committed. The connection's [`WriteNotify`] then marks the token dirty
+//! and wakes the reactor, which arms `EPOLLOUT` and finishes the flush
+//! when the peer drains.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
@@ -49,7 +52,9 @@ use reactor::{Events, Interest, Poll, Token, Waker};
 
 use super::admin::AdminState;
 use super::conn::{ConnShared, WriteNotify};
-use super::framing::{append_frame, RecvBuf, DRAIN_RETAIN_BYTES, MAX_FRAME_LEN, MAX_HELLO_LEN};
+use super::framing::{
+    append_frame, begin_frame, end_frame, RecvBuf, DRAIN_RETAIN_BYTES, MAX_FRAME_LEN, MAX_HELLO_LEN,
+};
 use super::hello::{evaluate_hello, HelloOutcome};
 use super::server::{process_payload, ServeCtx, Served, ServerHandle};
 use crate::obs;
@@ -180,17 +185,20 @@ impl JobQueue {
     }
 }
 
+/// What a worker keeps from one turn to the next, so that a turn
+/// allocates nothing: the frames it took from the inbox, and the replies
+/// to them as they will go on the wire.
+#[derive(Default)]
+struct Turn {
+    frames: Vec<Vec<u8>>,
+    replies: Vec<u8>,
+}
+
 /// One worker thread: serve connections' inboxes until the queue stops.
-/// Every reply the worker sends is encoded into the one buffer it owns.
 fn worker_loop(queue: &JobQueue, ctx: &ServeCtx) {
-    let mut reply = Vec::new();
+    let mut turn = Turn::default();
     while let Some(work) = queue.pop() {
-        serve_inbox(&work, ctx, queue, &mut reply);
-        // A snapshot chunk may have grown it; steady state keeps a
-        // bounded allocation per worker.
-        if reply.capacity() > DRAIN_RETAIN_BYTES {
-            reply = Vec::new();
-        }
+        serve_inbox(&work, ctx, queue, &mut turn);
     }
 }
 
@@ -203,37 +211,55 @@ fn kill_from_worker(work: &ConnWork) {
     work.shared.notify.notify();
 }
 
-/// Serves up to [`FRAMES_PER_TURN`] frames from one connection's inbox,
-/// then yields the worker (requeueing if frames remain).
-fn serve_inbox(work: &Arc<ConnWork>, ctx: &ServeCtx, queue: &JobQueue, reply: &mut Vec<u8>) {
+/// Hands the connection the replies produced so far — one commit and one
+/// socket write for all `count` of them — and empties the buffer.
+fn send_replies(work: &ConnWork, replies: &mut Vec<u8>, count: &mut usize) -> bool {
+    let sent = *count == 0 || work.shared.write_frames(replies, *count).is_ok();
+    replies.clear();
+    *count = 0;
+    sent
+}
+
+/// Serves one turn — up to [`FRAMES_PER_TURN`] frames taken from the
+/// connection's inbox together, answered with one write — then yields the
+/// worker (requeueing if frames remain).
+fn serve_inbox(work: &Arc<ConnWork>, ctx: &ServeCtx, queue: &JobQueue, turn: &mut Turn) {
     if work.closed.load(Ordering::SeqCst) {
         work.scheduled.store(false, Ordering::SeqCst);
         return;
     }
-    for _ in 0..FRAMES_PER_TURN {
-        let Some(payload) = crate::lock::lock(&work.inbox).pop_front() else {
-            // Inbox drained: unschedule, then re-check — a frame the
-            // reactor pushed between the pop and the store must not be
-            // stranded, so whoever wins the swap re-enqueues.
-            work.scheduled.store(false, Ordering::SeqCst);
-            if !crate::lock::lock(&work.inbox).is_empty()
-                && !work.scheduled.swap(true, Ordering::SeqCst)
-            {
-                queue.push(Arc::clone(work));
-            }
-            return;
-        };
-        let metrics = &ctx.obs.transport;
-        metrics.inbox_depth.sub(1);
+    let Turn { frames, replies } = turn;
+    {
+        let mut inbox = crate::lock::lock(&work.inbox);
+        let taken = inbox.len().min(FRAMES_PER_TURN);
+        frames.extend(inbox.drain(..taken));
+    }
+    let metrics = &ctx.obs.transport;
+    metrics.inbox_depth.sub(frames.len() as i64);
+    // Replies wait here, not in the connection's write queue: until they
+    // are written nothing is owed to a socket that would not take it, and
+    // `subscriber_backlog` must not say otherwise.
+    let mut count = 0;
+    let mut healthy = true;
+    for payload in frames.drain(..) {
         let serve_start = Instant::now();
+        let start = begin_frame(replies);
         let served = {
             let mut admin = crate::lock::lock(&work.admin);
-            process_payload(ctx, &work.shared, &mut admin, &payload, reply)
+            process_payload(ctx, &work.shared, &mut admin, &payload, replies)
         };
-        let healthy = match served {
-            Served::Reply => work.shared.write(reply).is_ok(),
-            Served::Quiet => true,
+        healthy = match served {
+            Served::Reply => {
+                let framed = end_frame(replies, start).is_ok();
+                count += usize::from(framed);
+                framed
+            }
+            Served::Quiet => {
+                replies.truncate(start);
+                true
+            }
             Served::Close => {
+                replies.truncate(start);
                 metrics.conn_errors.inc();
                 obs::warn(
                     LOG_TARGET,
@@ -247,22 +273,39 @@ fn serve_inbox(work: &Arc<ConnWork>, ctx: &ServeCtx, queue: &JobQueue, reply: &m
             }
         };
         metrics.serve_latency.record_duration(serve_start.elapsed());
+        // One large reply (a snapshot chunk) is as much as a turn holds
+        // back: past the bound, what there is goes out now.
+        if replies.len() > DRAIN_RETAIN_BYTES {
+            healthy &= send_replies(work, replies, &mut count);
+        }
         if !healthy {
-            kill_from_worker(work);
-            work.scheduled.store(false, Ordering::SeqCst);
-            return;
+            break;
         }
     }
-    // Fairness budget spent: back of the line (still scheduled, so no
-    // second worker can pick this connection up concurrently).
-    if crate::lock::lock(&work.inbox).is_empty() {
+    // The replies to the frames before a bad one still go out ahead of
+    // the close.
+    healthy &= send_replies(work, replies, &mut count);
+    // A large reply may have grown the buffer; steady state keeps a
+    // bounded allocation per worker.
+    if replies.capacity() > DRAIN_RETAIN_BYTES {
+        *replies = Vec::new();
+    }
+    if !healthy {
+        kill_from_worker(work);
         work.scheduled.store(false, Ordering::SeqCst);
-        if !crate::lock::lock(&work.inbox).is_empty()
-            && !work.scheduled.swap(true, Ordering::SeqCst)
-        {
-            queue.push(Arc::clone(work));
-        }
-    } else {
+        return;
+    }
+    // Turn over: back of the line while frames remain (still scheduled,
+    // so no second worker can pick this connection up concurrently).
+    if !crate::lock::lock(&work.inbox).is_empty() {
+        queue.push(Arc::clone(work));
+        return;
+    }
+    // Inbox drained: unschedule, then re-check — a frame the reactor
+    // pushed between the look and the store must not be stranded, so
+    // whoever wins the swap re-enqueues.
+    work.scheduled.store(false, Ordering::SeqCst);
+    if !crate::lock::lock(&work.inbox).is_empty() && !work.scheduled.swap(true, Ordering::SeqCst) {
         queue.push(Arc::clone(work));
     }
 }
@@ -334,11 +377,12 @@ fn flush_conn(poll: &Poll, conn: &mut EvConn, token: usize) -> bool {
 }
 
 /// Routes one complete inbound frame by phase. Returns `false` to close.
+/// A served connection's frame joins its inbox; [`schedule`] hands the
+/// inbox to the workers once the read that delivered it is carved up.
 fn handle_frame(
     conn: &mut EvConn,
     token: usize,
     ctx: &ServeCtx,
-    queue: &JobQueue,
     dirty: &Arc<Mutex<Vec<usize>>>,
     waker: &Waker,
     payload: Vec<u8>,
@@ -351,14 +395,27 @@ fn handle_frame(
             }
             crate::lock::lock(&work.inbox).push_back(payload);
             ctx.obs.transport.inbox_depth.add(1);
-            if !work.scheduled.swap(true, Ordering::SeqCst) {
-                queue.push(Arc::clone(work));
-            }
             true
         }
         // Bytes after a rejected hello are discarded; the connection
         // closes as soon as the reject reply drains.
         Phase::Draining { .. } => true,
+    }
+}
+
+/// Queues a served connection whose inbox has frames for a worker, unless
+/// it is queued or being served already (whoever serves it looks at the
+/// inbox again before letting go). Called once per read, after every
+/// frame the read completed is in the inbox: a pipelined burst reaches a
+/// worker whole, and is one turn and one write, not a race between the
+/// worker and the carving of the rest.
+fn schedule(conn: &EvConn, queue: &JobQueue) {
+    if let Phase::Serving(work) = &conn.phase {
+        if !crate::lock::lock(&work.inbox).is_empty()
+            && !work.scheduled.swap(true, Ordering::SeqCst)
+        {
+            queue.push(Arc::clone(work));
+        }
     }
 }
 
@@ -372,16 +429,19 @@ fn begin_serving(
     waker: &Waker,
     hello: &[u8],
 ) -> bool {
-    match evaluate_hello(&ctx.creds, hello) {
-        HelloOutcome::Accept { app, reply } => {
+    let outcome = evaluate_hello(&ctx.creds, hello);
+    // Either answer goes out as one frame.
+    let mut out = Vec::new();
+    let (HelloOutcome::Accept { reply, .. } | HelloOutcome::Reject(reply)) = &outcome;
+    if append_frame(&mut out, reply).is_err() {
+        return false;
+    }
+    match outcome {
+        HelloOutcome::Accept { app, .. } => {
             let shared = Arc::new(ConnShared::new(
                 app,
                 Arc::clone(&conn.stream),
-                WriteNotify {
-                    token,
-                    dirty: Arc::clone(dirty),
-                    waker: waker.clone(),
-                },
+                WriteNotify::new(token, Arc::clone(dirty), waker.clone()),
                 Arc::clone(&ctx.obs),
             ));
             crate::lock::lock(&ctx.registry).push(Arc::clone(&shared));
@@ -394,13 +454,9 @@ fn begin_serving(
             }));
             // The accept reply rides the same committed-write queue as
             // every later frame, so it cannot interleave or reorder.
-            shared.write(&reply).is_ok()
+            shared.write_frames(&out, 1).is_ok()
         }
-        HelloOutcome::Reject(reply) => {
-            let mut out = Vec::new();
-            if append_frame(&mut out, &reply).is_err() {
-                return false;
-            }
+        HelloOutcome::Reject(_) => {
             conn.phase = Phase::Draining { out, written: 0 };
             true
         }
@@ -434,12 +490,15 @@ impl Reactor {
     fn run(mut self) {
         let mut events = Events::with_capacity(EVENTS_CAPACITY);
         // With an idle timeout armed the loop must wake on its own to
-        // sweep; otherwise it parks until readiness or the waker.
-        let timeout = self
+        // sweep, a quarter of the timeout after the last sweep; otherwise
+        // it parks until readiness or the waker.
+        let idle_sweep = self
             .ctx
             .read_timeout
-            .map(|t| (t / 4).max(Duration::from_millis(10)));
+            .map(|idle| (idle, (idle / 4).max(Duration::from_millis(10))));
+        let mut swept = Instant::now();
         while !self.stop.load(Ordering::SeqCst) {
+            let timeout = idle_sweep.map(|(_, every)| every.saturating_sub(swept.elapsed()));
             if self.poll.poll(&mut events, timeout).is_err() {
                 break;
             }
@@ -462,8 +521,13 @@ impl Reactor {
                 self.close_conn(token);
             }
             self.flush_dirty();
-            if let Some(idle) = self.ctx.read_timeout {
-                self.sweep_idle(idle);
+            // The sweep walks every connection, so it runs on its own
+            // clock, not once per readiness event.
+            if let Some((idle, every)) = idle_sweep {
+                if swept.elapsed() >= every {
+                    self.sweep_idle(idle);
+                    swept = Instant::now();
+                }
             }
         }
         self.teardown();
@@ -581,8 +645,7 @@ impl Reactor {
                         match conn.rbuf.next_frame(max) {
                             Ok(Some(payload)) => {
                                 ctx.obs.transport.frames_in.inc();
-                                if !handle_frame(conn, token, &ctx, &queue, &dirty, &waker, payload)
-                                {
+                                if !handle_frame(conn, token, &ctx, &dirty, &waker, payload) {
                                     return false;
                                 }
                             }
@@ -598,6 +661,7 @@ impl Reactor {
                             }
                         }
                     }
+                    schedule(conn, &queue);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -615,7 +679,12 @@ impl Reactor {
         let tokens = std::mem::take(&mut *crate::lock::lock(&self.dirty));
         for token in tokens {
             let keep = match self.conns.get_mut(&token) {
-                Some(conn) => flush_conn(&self.poll, conn, token),
+                Some(conn) => {
+                    if let Phase::Serving(work) = &conn.phase {
+                        work.shared.notify.taken();
+                    }
+                    flush_conn(&self.poll, conn, token)
+                }
                 None => continue,
             };
             if !keep {
@@ -749,4 +818,97 @@ pub(super) fn spawn_evented(
         workers: worker_handles,
         queue,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{EnergyRequest, Frame, RequestBatch};
+    use crate::transport::framing::read_frame;
+    use crate::transport::SERVED_CODEC;
+    use crate::{EcovisorBuilder, EnergyShare, ShardedEcovisor};
+
+    /// One turn of replies each larger than a worker retains between
+    /// turns: every one is handed to the connection as soon as it is
+    /// encoded — the turn never holds two — and the worker's buffer is
+    /// back under the bound when the turn is over.
+    #[test]
+    fn a_turn_of_large_replies_is_sent_as_it_goes_and_leaves_the_buffer_small() {
+        let mut eco = EcovisorBuilder::new().build();
+        let app = eco
+            .register_app("tenant", EnergyShare::grid_only())
+            .expect("register");
+        let obs = obs::ObsHub::new();
+        let ctx = ServeCtx {
+            shared: Arc::new(ShardedEcovisor::new(eco)),
+            creds: Mutex::new(None),
+            read_timeout: None,
+            registry: Arc::new(Mutex::new(Vec::new())),
+            obs: Arc::clone(&obs),
+            active: Arc::new(AtomicUsize::new(0)),
+            recv_bytes: Arc::new(AtomicUsize::new(0)),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (served, _) = listener.accept().expect("accept");
+        served.set_nonblocking(true).expect("nonblocking");
+        let poll = Poll::new().expect("poll");
+        let notify = WriteNotify::new(
+            FIRST_CONN,
+            Arc::new(Mutex::new(Vec::new())),
+            Waker::new(&poll, WAKER).expect("waker"),
+        );
+        // 4,000 answers encode to ~100 KB.
+        let request = SERVED_CODEC.encode(&Frame::Request(RequestBatch::new(
+            app,
+            vec![EnergyRequest::GetGridPower; 4000],
+        )));
+        let work = Arc::new(ConnWork {
+            shared: Arc::new(ConnShared::new(
+                app,
+                Arc::new(served),
+                notify,
+                Arc::clone(&obs),
+            )),
+            inbox: Mutex::new(vec![request; FRAMES_PER_TURN].into()),
+            scheduled: AtomicBool::new(true),
+            admin: Mutex::new(AdminState::default()),
+            closed: AtomicBool::new(false),
+        });
+        obs.transport.inbox_depth.add(FRAMES_PER_TURN as i64);
+        let queue = JobQueue::new(Arc::clone(&obs.transport.queue_depth));
+
+        let mut turn = Turn::default();
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                (0..FRAMES_PER_TURN)
+                    .map(|_| read_frame(&mut peer).expect("read").expect("a reply").len())
+                    .collect::<Vec<_>>()
+            });
+            serve_inbox(&work, &ctx, &queue, &mut turn);
+            // No reactor here: what the socket would not take at once is
+            // flushed the way `EPOLLOUT` would have it flushed.
+            while !work.shared.flush_for_reactor().expect("socket alive") {
+                std::thread::yield_now();
+            }
+            let replies = reader.join().expect("reader");
+            assert!(replies.iter().all(|&len| len > DRAIN_RETAIN_BYTES));
+        });
+        let snap = obs.snapshot();
+        assert_eq!(
+            snap.counter("transport.frames_out_total"),
+            Some(FRAMES_PER_TURN as u64)
+        );
+        assert!(
+            snap.counter("transport.socket_writes_total") >= Some(FRAMES_PER_TURN as u64),
+            "one reply at a time: each is a write of its own at least"
+        );
+        assert!(
+            turn.replies.capacity() <= DRAIN_RETAIN_BYTES && turn.frames.is_empty(),
+            "{} bytes kept for the next turn",
+            turn.replies.capacity()
+        );
+        assert!(!work.scheduled.load(Ordering::SeqCst), "inbox drained");
+        assert_eq!(snap.gauge("transport.inbox_depth"), Some(0));
+    }
 }

@@ -55,10 +55,34 @@ fn announced_len(header: [u8; HEADER_LEN], max: u32) -> io::Result<usize> {
 /// Appends `payload` as one length-prefixed frame to `out` — the queued
 /// form of a frame, resumable mid-write.
 pub(super) fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
-    let len = checked_len(payload.len(), MAX_FRAME_LEN)?;
-    out.extend_from_slice(&len.to_le_bytes());
+    let start = begin_frame(out);
     out.extend_from_slice(payload);
-    Ok(())
+    end_frame(out, start)
+}
+
+/// Opens a frame whose payload the caller encodes straight onto `out`:
+/// reserves the length prefix and returns where the frame starts, for
+/// [`end_frame`].
+pub(super) fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    start
+}
+
+/// Closes the frame opened at `start`: everything appended since is its
+/// payload, and the reserved prefix now says so. A payload over
+/// [`MAX_FRAME_LEN`] is an error, and the frame is taken back off `out`.
+pub(super) fn end_frame(out: &mut Vec<u8>, start: usize) -> io::Result<()> {
+    match checked_len(out.len() - start - HEADER_LEN, MAX_FRAME_LEN) {
+        Ok(len) => {
+            out[start..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+            Ok(())
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
 }
 
 /// Writes one length-prefixed frame to a blocking stream.
@@ -217,6 +241,11 @@ mod tests {
         let mut queued = Vec::new();
         append_frame(&mut queued, b"hello").expect("append");
         assert_eq!(buf, queued, "queued and written forms are the same bytes");
+        // Encoded in place behind another frame: the same bytes again.
+        let start = begin_frame(&mut queued);
+        queued.extend_from_slice(b"hello");
+        end_frame(&mut queued, start).expect("end");
+        assert_eq!(queued, [&buf[..], &buf[..]].concat());
         let mut cursor = io::Cursor::new(buf);
         assert_eq!(
             read_frame(&mut cursor).expect("read").as_deref(),
@@ -231,6 +260,15 @@ mod tests {
         header.extend_from_slice(&[0; 8]);
         let mut cursor = io::Cursor::new(header);
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    #[test]
+    fn a_frame_encoded_in_place_past_the_limit_is_taken_back() {
+        let mut out = b"kept".to_vec();
+        let start = begin_frame(&mut out);
+        out.resize(out.len() + MAX_FRAME_LEN as usize + 1, 0);
+        assert!(end_frame(&mut out, start).is_err());
+        assert_eq!(out, b"kept");
     }
 
     #[test]

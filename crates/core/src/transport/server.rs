@@ -66,8 +66,8 @@ impl ServeCtx {
 
 /// What a worker does with the outcome of one processed inbound payload.
 pub(super) enum Served {
-    /// Write the encoded payload left in the reply buffer back to the
-    /// peer.
+    /// The encoded answer was appended to the reply buffer: frame it and
+    /// send it back to the peer.
     Reply,
     /// Nothing to send (e.g. an inbound `Pong`).
     Quiet,
@@ -94,8 +94,9 @@ fn pinned_denial(batch: &RequestBatch, pinned: AppId) -> ResponseBatch {
 /// admin surface are interpreted per-connection here; `conn` is the
 /// connection's writer half (its filter is flipped by
 /// `SubscribeEvents`), `admin` its transfer state, `reply` the serving
-/// worker's reply buffer, which holds exactly the encoded answer when
-/// this returns [`Served::Reply`].
+/// worker's turn buffer, onto whose end exactly the encoded answer has
+/// been appended when this returns [`Served::Reply`] (and nothing
+/// otherwise).
 pub(super) fn process_payload(
     ctx: &ServeCtx,
     conn: &ConnShared,
@@ -103,7 +104,6 @@ pub(super) fn process_payload(
     payload: &[u8],
     reply: &mut Vec<u8>,
 ) -> Served {
-    reply.clear();
     match SERVED_CODEC.decode::<Frame>(payload) {
         Ok(Frame::Request(batch)) => {
             // Scope pinning: a remote peer is untrusted, so a batch
@@ -255,9 +255,11 @@ impl EcovisorServer {
     /// Arms a per-connection read/idle timeout: a connection that sends
     /// nothing for `timeout` — including a dead subscriber holding a
     /// push stream — is treated as failed, logged, and reaped by the
-    /// reactor's idle sweep. Writes need no such bound: they never block
-    /// (what a socket refuses is queued), so a peer that stops draining
-    /// cannot wedge the broadcast path either way.
+    /// reactor's idle sweep, which comes round every quarter of `timeout`
+    /// (and no oftener than every 10 ms): a silent connection is gone
+    /// within `timeout` and a quarter. Writes need no such bound: they
+    /// never block (what a socket refuses is queued), so a peer that
+    /// stops draining cannot wedge the broadcast path either way.
     #[must_use]
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         Arc::get_mut(&mut self.ctx)

@@ -16,6 +16,10 @@
 //! * **post-auth decode** — the largest well-formed frame that is not a
 //!   `Frame` is refused at its first byte, so it costs the one worker it
 //!   lands on nothing and its neighbours no latency;
+//! * **pipelined bursts** — frames that arrive together are answered
+//!   together: in order, byte for byte what one at a time gets, with one
+//!   socket write per worker turn (and never a turn's worth of large
+//!   replies held back);
 //! * **slow subscribers** — a peer that stops draining its socket gets
 //!   `OutboxPolicy` parking (edges kept, levels coalesced) on the
 //!   non-blocking writer, bit-compatible with a prompt subscriber;
@@ -421,6 +425,229 @@ fn a_maximal_hostile_frame_is_refused_without_stalling_the_neighbours() {
     );
     assert_eq!(neighbour.get_grid_power(), Watts::ZERO);
     drop(neighbour);
+    handle.shutdown();
+}
+
+/// The transport counters a burst moves.
+struct WriteCounters {
+    frames_out: u64,
+    socket_writes: u64,
+}
+
+fn write_counters(handle: &ecovisor::ServerHandle) -> WriteCounters {
+    let snap = handle.obs_hub().expect("bind attaches a hub").snapshot();
+    WriteCounters {
+        frames_out: snap.counter("transport.frames_out_total").unwrap_or(0),
+        socket_writes: snap.counter("transport.socket_writes_total").unwrap_or(0),
+    }
+}
+
+/// `frames` as the bytes of one pipelined burst.
+fn burst(frames: &[Vec<u8>]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for payload in frames {
+        wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wire.extend_from_slice(payload);
+    }
+    wire
+}
+
+/// Sixteen different request frames: reads and idempotent writes, so that
+/// asking twice is answered the same twice.
+fn sixteen_requests(app: ecovisor::AppId) -> Vec<Vec<u8>> {
+    (0..16u32)
+        .map(|i| {
+            let requests = match i % 4 {
+                0 => vec![EnergyRequest::GetGridPower],
+                1 => vec![EnergyRequest::GetSolarPower, EnergyRequest::GetGridCarbon],
+                2 => vec![EnergyRequest::SetBatteryChargeRate {
+                    rate: Watts::new(f64::from(i)),
+                }],
+                _ => vec![EnergyRequest::GetGridPower; i as usize],
+            };
+            WireCodec::Binary.encode(&Frame::Request(RequestBatch::new(app, requests)))
+        })
+        .collect()
+}
+
+/// Sixteen frames written with one `write_all` come back as sixteen
+/// replies, in order, each byte-equal to what the same frame gets sent on
+/// its own — and the server writes to the socket once per worker turn,
+/// not once per reply. How the kernel delivers the burst is not ours (it
+/// may arrive as more than one read), so the bound is lenient: at most
+/// eight writes for sixteen frames, where one per reply would be sixteen.
+fn pipelined_burst_is_answered_in_order_with_few_writes(workers: Option<usize>) {
+    let mut eco = EcovisorBuilder::new().build();
+    let app = eco
+        .register_app(
+            "tenant",
+            EnergyShare::grid_only().with_battery(WattHours::new(10.0)),
+        )
+        .expect("register");
+    let mut server = EcovisorServer::bind("127.0.0.1:0", eco).expect("bind");
+    if let Some(n) = workers {
+        server = server.with_workers(n);
+    }
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+    let frames = sixteen_requests(app);
+
+    // One at a time, each reply read before the next frame is sent.
+    let mut lone = raw_v2_connect(addr, app);
+    let one_at_a_time: Vec<Vec<u8>> = frames
+        .iter()
+        .map(|frame| {
+            send_frame(&mut lone, frame);
+            recv_frame(&mut lone).expect("reply")
+        })
+        .collect();
+
+    let mut pipelined = raw_v2_connect(addr, app);
+    let before = write_counters(&handle);
+    pipelined.write_all(&burst(&frames)).expect("burst");
+    let replies: Vec<Vec<u8>> = (0..frames.len())
+        .map(|_| recv_frame(&mut pipelined).expect("reply"))
+        .collect();
+    assert_eq!(replies, one_at_a_time, "in order, to the byte");
+    let after = write_counters(&handle);
+    assert_eq!(after.frames_out - before.frames_out, 16);
+    let writes = after.socket_writes - before.socket_writes;
+    assert!(
+        (1..=8).contains(&writes),
+        "{writes} socket writes for 16 pipelined replies"
+    );
+    // Nothing is owed between bursts: a turn's replies wait in the
+    // worker, not in the connection's write queue, and are written whole.
+    for _ in 0..8 {
+        assert_eq!(handle.subscriber_backlog(), 0);
+        pipelined.write_all(&burst(&frames)).expect("burst");
+        for expected in &one_at_a_time {
+            assert_eq!(&recv_frame(&mut pipelined).expect("reply"), expected);
+        }
+    }
+    assert_eq!(handle.subscriber_backlog(), 0);
+
+    drop(lone);
+    drop(pipelined);
+    handle.shutdown();
+}
+
+#[test]
+fn pipelined_burst_is_answered_in_order_with_few_writes_auto_sized_pool() {
+    pipelined_burst_is_answered_in_order_with_few_writes(None);
+}
+
+#[test]
+fn pipelined_burst_is_answered_in_order_with_few_writes_two_workers() {
+    pipelined_burst_is_answered_in_order_with_few_writes(Some(2));
+}
+
+#[test]
+fn pipelined_burst_is_answered_in_order_with_few_writes_four_workers() {
+    pipelined_burst_is_answered_in_order_with_few_writes(Some(4));
+}
+
+/// An out-of-protocol frame fifth in a burst: the four before it are
+/// answered — their replies go out ahead of the close — and nothing after
+/// it is.
+#[test]
+fn a_bad_frame_mid_burst_still_delivers_the_replies_before_it() {
+    let mut eco = EcovisorBuilder::new().build();
+    let app = eco
+        .register_app("tenant", EnergyShare::grid_only())
+        .expect("register");
+    let server = EcovisorServer::bind("127.0.0.1:0", eco).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+
+    let mut frames = sixteen_requests(app);
+    // A server-direction frame: well-formed, and not a client's to send.
+    frames[4] = WireCodec::Binary.encode(&Frame::Response(ecovisor::proto::ResponseBatch {
+        version: PROTOCOL_VERSION,
+        app,
+        responses: Vec::new(),
+    }));
+    let mut stream = raw_v2_connect(addr, app);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let before = write_counters(&handle);
+    stream.write_all(&burst(&frames)).expect("burst");
+    for i in 0..4 {
+        let reply = recv_frame(&mut stream).unwrap_or_else(|| panic!("reply {i} before the close"));
+        assert!(matches!(
+            WireCodec::Binary.decode::<Frame>(&reply),
+            Ok(Frame::Response(_))
+        ));
+    }
+    assert!(
+        recv_frame(&mut stream).is_none(),
+        "closed at the bad frame: nothing after it is answered"
+    );
+    assert!(
+        wait_until(Duration::from_secs(5), || handle.active_connections() == 0),
+        "the connection is reaped"
+    );
+    let after = write_counters(&handle);
+    assert_eq!(after.frames_out - before.frames_out, 4);
+    handle.shutdown();
+}
+
+/// Replies far larger than a worker keeps between turns: each goes out as
+/// soon as it is encoded instead of waiting for the turn to end, so the
+/// turn holds one of them at a time — at least one socket write per
+/// reply, and every reply whole and in order.
+#[test]
+fn large_replies_are_flushed_before_the_turn_ends() {
+    let mut eco = EcovisorBuilder::new().build();
+    let app = eco
+        .register_app("tenant", EnergyShare::grid_only())
+        .expect("register");
+    let server = EcovisorServer::bind("127.0.0.1:0", eco)
+        .expect("bind")
+        .with_workers(1);
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+
+    // 4,000 answers are ~100 KB encoded: past the 64 KiB a worker retains.
+    let big = WireCodec::Binary.encode(&Frame::Request(RequestBatch::new(
+        app,
+        vec![EnergyRequest::GetGridPower; 4000],
+    )));
+    let frames = vec![big; 8];
+    let mut stream = raw_v2_connect(addr, app);
+    let before = write_counters(&handle);
+    // The reader runs beside the writer: eight replies do not fit a
+    // socket buffer.
+    let replies = std::thread::scope(|scope| {
+        let mut reader = stream.try_clone().expect("clone");
+        let reading = scope.spawn(move || {
+            (0..8)
+                .map(|_| recv_frame(&mut reader).expect("reply"))
+                .collect::<Vec<_>>()
+        });
+        stream.write_all(&burst(&frames)).expect("burst");
+        reading.join().expect("reader")
+    });
+    for reply in &replies {
+        assert!(reply.len() > 64 * 1024, "a reply of {} bytes", reply.len());
+        match WireCodec::Binary.decode::<Frame>(reply).expect("frame") {
+            Frame::Response(resp) => assert_eq!(resp.responses.len(), 4000),
+            other => panic!("unexpected frame: {other:?}"),
+        }
+    }
+    assert!(
+        wait_until(Duration::from_secs(5), || handle.subscriber_backlog() == 0),
+        "everything committed was written"
+    );
+    let after = write_counters(&handle);
+    assert_eq!(after.frames_out - before.frames_out, 8);
+    assert!(
+        after.socket_writes - before.socket_writes >= 8,
+        "{} socket writes for eight replies over the retain bound",
+        after.socket_writes - before.socket_writes
+    );
+    drop(stream);
     handle.shutdown();
 }
 

@@ -195,6 +195,8 @@ fn wire_stats_survive_connection_churn() {
             "transport.queue_depth",
             "transport.inbox_depth",
             "transport.frames_in_total",
+            "transport.frames_out_total",
+            "transport.socket_writes_total",
             "transport.serve_latency_ns",
         ] {
             assert!(
@@ -216,6 +218,18 @@ fn wire_stats_survive_connection_churn() {
                 .unwrap_or(0)
                 >= frames_in_seen.len() as u64,
             "every churned connection was accepted"
+        );
+        // Every frame out went out in a socket write, and on a connection
+        // that drains a write carries at least one whole frame (the
+        // report in hand is neither counted yet nor written).
+        let counter = |name| report.metrics.counter(name).expect("a counter");
+        let (frames_out, writes) = (
+            counter("transport.frames_out_total"),
+            counter("transport.socket_writes_total"),
+        );
+        assert!(
+            writes > 0 && writes <= frames_out,
+            "{writes} socket writes for {frames_out} frames out"
         );
         // Serve latency observed at least the frames this client sent.
         match report.metrics.get("transport.serve_latency_ns") {

@@ -88,6 +88,72 @@ fn disconnect_mid_frame_reaps_the_connection_thread() {
     handle.shutdown();
 }
 
+/// The idle sweep runs on its own clock — a quarter of the timeout — not
+/// once per readiness event, and traffic on one connection must neither
+/// starve it nor hasten it: beside a client that never stops talking, a
+/// silent connection is still gone within the timeout and a quarter (and
+/// not before the timeout), and the talker is never touched.
+#[test]
+fn idle_sweep_reaps_the_silent_and_spares_the_chatty_under_traffic() {
+    const TIMEOUT: Duration = Duration::from_millis(400);
+    let mut eco = EcovisorBuilder::new().build();
+    let app = eco
+        .register_app("tenant", EnergyShare::grid_only())
+        .expect("register");
+    let server = EcovisorServer::bind("127.0.0.1:0", eco)
+        .expect("bind")
+        .with_read_timeout(TIMEOUT);
+    let addr = server.local_addr().expect("addr");
+    let handle = server.spawn().expect("spawn");
+    let idle_disconnects = || {
+        let hub = handle.obs_hub().expect("bind attaches a hub");
+        hub.snapshot()
+            .counter("transport.idle_disconnects_total")
+            .unwrap_or(0)
+    };
+
+    let mut chatty = RemoteEcovisorClient::connect(addr, app).expect("connect chatty");
+    let mut silent = RemoteEcovisorClient::connect(addr, app).expect("connect silent");
+    // The last the server hears of it (no earlier than this instant, so
+    // no reaping within the timeout of it either).
+    let last_heard = Instant::now();
+    assert_eq!(silent.get_grid_power(), Watts::ZERO);
+    assert_eq!(handle.active_connections(), 2);
+
+    // Round trips back to back: the reactor wakes for every one of them.
+    let mut trips = 0u32;
+    while handle.active_connections() == 2 {
+        assert_eq!(chatty.get_grid_power(), Watts::ZERO);
+        trips += 1;
+        assert!(
+            last_heard.elapsed() < TIMEOUT * 4,
+            "the silent connection outlived its timeout under traffic"
+        );
+    }
+    let reaped_after = last_heard.elapsed();
+    // Generous above (a loaded CI host stalls for longer than a sweep
+    // takes to come round), exact below: nothing is reaped early.
+    assert!(
+        reaped_after >= TIMEOUT && reaped_after < TIMEOUT * 2,
+        "reaped after {reaped_after:?}; the bound is {TIMEOUT:?} and a quarter"
+    );
+    assert!(
+        trips > 100,
+        "only {trips} round trips: that was not traffic"
+    );
+    assert_eq!(idle_disconnects(), 1, "the silent one, and only it");
+    // The talker is served on, well past what would have been its own
+    // deadline had its traffic not counted.
+    while last_heard.elapsed() < TIMEOUT * 2 {
+        assert_eq!(chatty.get_grid_power(), Watts::ZERO);
+    }
+    assert_eq!(handle.active_connections(), 1);
+    assert_eq!(idle_disconnects(), 1);
+    drop(chatty);
+    drop(silent);
+    handle.shutdown();
+}
+
 /// A subscriber that goes silent must not hold its push stream forever:
 /// with a read/idle timeout armed, the reactor's idle sweep trips, the
 /// connection is reaped (deregistering it from the push registry), and

@@ -66,7 +66,7 @@ pub fn sparkline(label: &str, series: &TimeSeries, buckets: usize) {
         println!("  {label}: (empty)");
         return;
     }
-    let samples = series.values();
+    let samples: Vec<f64> = series.values().collect();
     let chunk = samples.len().div_ceil(buckets);
     let glyphs: &[char] = &['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let values: Vec<f64> = samples

@@ -63,6 +63,15 @@ fn observed_recording_is_byte_identical_across_codecs() {
         "hub miscounted dispatch traffic: {counted} of {}",
         plain.expected.request_count
     );
+    // The transport's instruments are in the same catalogue, the write
+    // counter beside the frame counter it is read against; a day recorded
+    // in process has written to no socket.
+    for name in [
+        "transport.frames_out_total",
+        "transport.socket_writes_total",
+    ] {
+        assert_eq!(snap.counter(name), Some(0), "{name}");
+    }
 
     obs::set_max_level(None);
 }

@@ -17,6 +17,20 @@
 //! always was, and two series holding the same samples hold the same runs
 //! (a run is closed only when a timestamp breaks its spacing, which
 //! depends on the timestamps alone).
+//!
+//! The values are stored the same way, because most of them say nothing
+//! new: an idle container's power, a full battery's level, a carbon rate
+//! while solar covers demand. `values` holds one entry per sample **or per
+//! stretch** of eight or more bit-equal consecutive samples. The
+//! stretch a series ends in is a count held inline, so a series that
+//! stands still writes one counter per push and nothing else; a sparse
+//! list names the entries that stand for an earlier stretch — `(entry,
+//! how many more samples than entries there are up to and including it)`.
+//! A listed stretch costs 16 bytes and one value where its samples cost 8
+//! bytes each, so no series holds more than 8 bytes a sample. This too is
+//! derived from the sample sequence alone — a stretch is every maximal run
+//! of eight or more — and every query still walks samples one at a
+//! time, so it adds the floats the flat layout added, in the same order.
 
 use serde::{binary, Deserialize, Serialize, Value};
 
@@ -42,6 +56,48 @@ struct Run {
     first: usize,
 }
 
+/// Entry `at` of the values stands for a stretch of bit-equal samples.
+/// Every other entry is one sample, so what places a stretch is how far
+/// the samples have run ahead of the entries by the time it is over:
+/// `ahead` more samples than entries, up to and including this one. Entry
+/// `e` after it (and before the next stretch) is sample `e + ahead`, and
+/// the stretch holds as many samples as `ahead` grew by, and one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Stretch {
+    at: usize,
+    ahead: usize,
+}
+
+impl Stretch {
+    /// The index one past its last sample.
+    fn end(self) -> usize {
+        self.at + self.ahead + 1
+    }
+}
+
+/// How many bit-equal samples in a row become one entry. A shorter run
+/// stays samples: as a stretch it would save a few words at most, and
+/// once it is over it costs a list entry — for a series' first, two
+/// allocations. Where series are young (a recorded day is a dozen samples
+/// in each of twelve thousand) that is dearer than what it saves; where
+/// they are old, what stands still does so for longer than this.
+const STRETCH: usize = 8;
+
+/// What most series never have, and so keep behind one pointer: a series
+/// on one cadence has no closed run, and one that moves every tick (or
+/// never) no stretch but the one it ends in. A store holds its series by
+/// the thousand, most of them a dozen samples old for as long as a
+/// recorded day lasts, and there what a series weighs before it holds
+/// anything is most of what telemetry weighs.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Earlier {
+    /// Runs that can no longer grow, oldest first.
+    runs: Vec<Run>,
+    /// The entries that stand for a stretch the series no longer ends in,
+    /// oldest first.
+    stretches: Vec<Stretch>,
+}
+
 /// An append-only, time-ordered series of `f64` observations.
 ///
 /// # Example
@@ -57,23 +113,43 @@ struct Run {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
+    /// One entry per sample, or per stretch of equal samples.
     values: Vec<f64>,
-    /// Runs that can no longer grow, oldest first.
-    closed: Vec<Run>,
+    /// The bits of the latest value (0 while there is none), here as well
+    /// as in `values` so that a push compares against them without
+    /// waiting on the line of the heap it is about to write to.
+    latest: u64,
+    /// How many of the latest samples hold that value (0 only while there
+    /// are none). From [`STRETCH`] up they are one entry, the latest — the
+    /// stretch that can still grow, and growing it touches nothing but
+    /// this.
+    tail: usize,
     /// The run the latest sample belongs to (meaningless while the series
     /// is empty).
     open: Run,
     /// The timestamp that would extend `open`: one `step` past the latest
     /// sample (the latest sample's own while `open` holds just it).
     next: u64,
+    /// `None` rather than empty, so that series holding the same samples
+    /// hold the same however they came to.
+    earlier: Option<Box<Earlier>>,
 }
 
-/// Length up to which the values grow by doubling, as any `Vec` does;
-/// past it they grow by a quarter. Doubling holds up to twice what a
-/// series needs, and on a long-lived server the series are most of what
-/// is held; a quarter bounds that slack at 25 % for four copies of each
-/// value over its lifetime instead of one.
+/// Length up to which a list of a series grows by doubling, as any `Vec`
+/// does; past it, by a quarter. Doubling holds up to twice what a series
+/// needs, and on a long-lived server the series are most of what is held;
+/// a quarter bounds that slack at 25 % for four copies of each entry over
+/// its lifetime instead of one.
 const DOUBLING_LIMIT: usize = 512;
+
+#[inline]
+fn push_entry<T>(entries: &mut Vec<T>, entry: T) {
+    let len = entries.len();
+    if len == entries.capacity() && len >= DOUBLING_LIMIT {
+        entries.reserve_exact(len / 4);
+    }
+    entries.push(entry);
+}
 
 /// Why a sample cannot join a series: it is older than the latest one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,13 +193,16 @@ impl TimeSeries {
     }
 
     fn push_off_cadence(&mut self, at: u64, value: f64) -> Result<(), OutOfOrder> {
-        if let Some(latest) = self.values.last_mut() {
+        if !self.is_empty() {
             let latest_at = self.next - self.open.step;
             if at < latest_at {
                 return Err(OutOfOrder);
             }
             if at == latest_at {
-                *latest = value;
+                // Pop, then push: the layout stays what the samples alone
+                // say, out of a stretch or into one.
+                self.pop_value();
+                self.push_value(value);
                 return Ok(());
             }
             // A run's second sample sets its spacing — if the timestamp
@@ -135,12 +214,13 @@ impl TimeSeries {
                 self.push_value(value);
                 return Ok(());
             }
-            self.closed.push(self.open);
+            let closed = self.open;
+            push_entry(&mut self.earlier_mut().runs, closed);
         }
         self.open = Run {
             start: at,
             step: 0,
-            first: self.values.len(),
+            first: self.len(),
         };
         self.next = at;
         self.push_value(value);
@@ -149,54 +229,192 @@ impl TimeSeries {
 
     #[inline]
     fn push_value(&mut self, value: f64) {
-        let len = self.values.len();
-        if len == self.values.capacity() && len >= DOUBLING_LIMIT {
-            self.values.reserve_exact(len / 4);
+        // Equal means the same bits: `-0.0` is not `+0.0`, a NaN is
+        // itself.
+        let bits = value.to_bits();
+        let same = self.tail != 0 && bits == self.latest;
+        if self.tail < STRETCH - 1 {
+            // Short of a stretch whatever this one says: an entry. (No
+            // branch on what it says — a store's series are young
+            // together, and then this is all a push does.)
+            self.tail = if same { self.tail + 1 } else { 1 };
+            self.latest = bits;
+            push_entry(&mut self.values, value);
+        } else if same && self.tail >= STRETCH {
+            // A stretch takes it by counting it.
+            self.tail += 1;
+        } else {
+            self.push_by_stretch(value, same);
         }
-        self.values.push(value);
+    }
+
+    /// Pushes the value that makes the latest entries a stretch, or one
+    /// that differs from them when they are a stretch or one short of it.
+    /// Out of line: a push in cadence is inlined where it is called from,
+    /// and stays small enough to be.
+    #[inline(never)]
+    fn push_by_stretch(&mut self, value: f64, same: bool) {
+        if same {
+            // All the run's entries but one go; this sample never is one.
+            self.values.truncate(self.values.len() - (STRETCH - 2));
+            self.tail = STRETCH;
+            return;
+        }
+        // A stretch that can no longer grow is listed.
+        if let Some(over) = self.stretch(self.stretches().len()) {
+            push_entry(&mut self.earlier_mut().stretches, over);
+        }
+        (self.latest, self.tail) = (value.to_bits(), 1);
+        push_entry(&mut self.values, value);
+    }
+
+    /// Takes the latest sample back (there is one).
+    fn pop_value(&mut self) {
+        self.tail -= 1;
+        if self.tail >= STRETCH {
+            return;
+        }
+        if self.tail == STRETCH - 1 {
+            // One short of a stretch: its samples are entries again.
+            let value = f64::from_bits(self.latest);
+            for _ in 0..STRETCH - 2 {
+                push_entry(&mut self.values, value);
+            }
+            return;
+        }
+        self.values.pop();
+        if self.tail != 0 {
+            return;
+        }
+        // The run before is the latest again: a listed stretch, or however
+        // many entries hold its value (short of a stretch, or they would
+        // be one).
+        let Some(&latest) = self.values.last() else {
+            self.latest = 0;
+            return;
+        };
+        self.latest = latest.to_bits();
+        self.tail = match self.stretches() {
+            [before @ .., last] if last.at + 1 == self.values.len() => {
+                let samples = last.ahead - before.last().map_or(0, |s| s.ahead) + 1;
+                self.pop_listed_stretch();
+                samples
+            }
+            _ => {
+                let same = |held: &&f64| held.to_bits() == self.latest;
+                self.values.iter().rev().take_while(same).count()
+            }
+        };
+    }
+
+    fn earlier_mut(&mut self) -> &mut Earlier {
+        self.earlier.get_or_insert_with(Box::default)
+    }
+
+    fn pop_listed_stretch(&mut self) {
+        if let Some(earlier) = &mut self.earlier {
+            earlier.stretches.pop();
+            if **earlier == Earlier::default() {
+                self.earlier = None;
+            }
+        }
+    }
+
+    /// Runs that can no longer grow, oldest first.
+    fn closed(&self) -> &[Run] {
+        self.earlier.as_deref().map_or(&[], |e| &e.runs)
+    }
+
+    /// The stretches the series no longer ends in, oldest first.
+    fn stretches(&self) -> &[Stretch] {
+        self.earlier.as_deref().map_or(&[], |e| &e.stretches)
+    }
+
+    /// Stretch `i` of the series (the one it ends in, if it does, is the
+    /// last), if there are that many.
+    fn stretch(&self, i: usize) -> Option<Stretch> {
+        let listed = self.stretches();
+        match listed.get(i) {
+            Some(&stretch) => Some(stretch),
+            None if i == listed.len() && self.tail >= STRETCH => Some(Stretch {
+                at: self.values.len() - 1,
+                ahead: listed.last().map_or(0, |s| s.ahead) + self.tail - 1,
+            }),
+            None => None,
+        }
     }
 
     /// Number of stored samples.
     pub fn len(&self) -> usize {
-        self.values.len()
+        let listed = self.stretches().last().map_or(0, |s| s.ahead);
+        let ending = if self.tail >= STRETCH {
+            self.tail - 1
+        } else {
+            0
+        };
+        self.values.len() + listed + ending
     }
 
     /// `true` when no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.tail == 0
     }
 
     /// All values in time order, without their timestamps.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    pub fn values(&self) -> Values<'_> {
+        self.values_in(0, self.len())
+    }
+
+    /// The values of the samples at indices `from..to`, in time order.
+    fn values_in(&self, from: usize, to: usize) -> Values<'_> {
+        // The stretches that are over by `from`, and how far they have put
+        // the samples ahead of the entries: `from` is in the next stretch,
+        // or that far ahead of its entry.
+        let listed = self.stretches();
+        let over = listed.partition_point(|s| s.end() <= from);
+        let ahead = over.checked_sub(1).map_or(0, |i| listed[i].ahead);
+        let next = self.stretch(over);
+        let mut values = Values {
+            series: self,
+            index: from,
+            end: to.max(from),
+            entry: from - ahead,
+            hold: 0,
+            stretch: over,
+            stretch_at: next.map_or(usize::MAX, |s| s.at),
+        };
+        match next {
+            Some(stretch) if stretch.at + ahead <= from => values.enter(stretch),
+            _ => {}
+        }
+        values
     }
 
     /// Run `i` of the series (the open run is the last) and the index one
     /// past its last sample.
     fn run(&self, i: usize) -> (Run, usize) {
-        match self.closed.get(i) {
+        let closed = self.closed();
+        match closed.get(i) {
             Some(&run) => {
-                let end = self.closed.get(i + 1).map_or(self.open.first, |n| n.first);
+                let end = closed.get(i + 1).map_or(self.open.first, |n| n.first);
                 (run, end)
             }
-            None => (self.open, self.values.len()),
+            None => (self.open, self.len()),
         }
     }
 
     /// The samples at indices `from..to`, in time order.
     fn range(&self, from: usize, to: usize) -> Samples<'_> {
         // The run holding `from`: the last that starts at or before it.
-        let closed = self.closed.partition_point(|r| r.first <= from);
-        let i = if closed == self.closed.len() && self.open.first <= from {
+        let closed = self.closed().partition_point(|r| r.first <= from);
+        let i = if closed == self.closed().len() && self.open.first <= from {
             closed
         } else {
             closed - 1
         };
         let (run, run_end) = self.run(i);
         Samples {
-            series: self,
-            index: from,
-            end: to.max(from),
+            values: self.values_in(from, to),
             at: run.start + (from - run.first) as u64 * run.step,
             step: run.step,
             run: i,
@@ -231,7 +449,7 @@ impl TimeSeries {
         let (run, end) = if !self.is_empty() && self.open.start <= t {
             (self.open, self.len())
         } else {
-            match self.closed.partition_point(|r| r.start <= t) {
+            match self.closed().partition_point(|r| r.start <= t) {
                 0 => return 0,
                 n => self.run(n - 1),
             }
@@ -253,7 +471,7 @@ impl TimeSeries {
     pub fn value_at(&self, at: SimTime) -> Option<f64> {
         match self.rank(at, true) {
             0 => None,
-            n => Some(self.values[n - 1]),
+            n => self.values_in(n - 1, n).next(),
         }
     }
 
@@ -263,39 +481,37 @@ impl TimeSeries {
     }
 
     /// Values within `[from, to)`.
-    pub fn values_over(&self, from: SimTime, to: SimTime) -> &[f64] {
-        let (lo, hi) = (self.rank(from, false), self.rank(to, false));
-        &self.values[lo..hi.max(lo)]
+    pub fn values_over(&self, from: SimTime, to: SimTime) -> Values<'_> {
+        self.values_in(self.rank(from, false), self.rank(to, false))
     }
 
     /// Mean of values within `[from, to)`; `None` when the window is empty.
     pub fn mean_over(&self, from: SimTime, to: SimTime) -> Option<f64> {
         let w = self.values_over(from, to);
-        if w.is_empty() {
-            None
-        } else {
-            Some(w.iter().sum::<f64>() / w.len() as f64)
+        match w.len() {
+            0 => None,
+            n => Some(w.sum::<f64>() / n as f64),
         }
     }
 
     /// Sum of values within `[from, to)`.
     pub fn sum_over(&self, from: SimTime, to: SimTime) -> f64 {
-        self.values_over(from, to).iter().sum()
+        self.values_over(from, to).sum()
     }
 
     /// Percentile of values within `[from, to)`; `None` when empty.
     pub fn percentile_over(&self, from: SimTime, to: SimTime, p: f64) -> Option<f64> {
-        percentile(self.values_over(from, to), p)
+        percentile(&self.values_over(from, to).collect::<Vec<_>>(), p)
     }
 
     /// Maximum value within `[from, to)`; `None` when empty.
     pub fn max_over(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        self.values_over(from, to).iter().copied().reduce(f64::max)
+        self.values_over(from, to).reduce(f64::max)
     }
 
     /// Summary statistics over all recorded values.
     pub fn summary(&self) -> Option<Summary> {
-        Summary::of(&self.values)
+        Summary::of(&self.values().collect::<Vec<_>>())
     }
 
     /// Integrates the series over `[from, to)` treating each value as a
@@ -310,34 +526,137 @@ impl TimeSeries {
         if to <= from {
             return 0.0;
         }
-        let mut total = 0.0;
-        // Segments [s_i.at, s_{i+1}.at) clipped to [from, to), in order;
-        // the last sample's segment runs on to `to`.
+        // Segments [s_i.at, s_{i+1}.at) clipped to [from, to), in order,
+        // from the one `from` falls in to the last that starts before
+        // `to`, which runs on to `to`.
         let first = self.rank(from, true).saturating_sub(1);
-        let mut segments = self.range(first, self.len()).peekable();
-        while let Some(s) = segments.next() {
-            if s.at >= to {
-                break;
-            }
-            let seg_end = segments.peek().map_or(to, |n| n.at);
+        let mut total = 0.0;
+        let mut segment = |s: Sample, seg_end: SimTime| {
             let clip_start = s.at.max(from);
             let clip_end = seg_end.min(to);
             if clip_end > clip_start {
                 total += s.value * (clip_end - clip_start).as_secs_f64();
             }
+        };
+        let mut open: Option<Sample> = None;
+        self.range(first, self.rank(to, false)).for_each(|next| {
+            if let Some(s) = open.replace(next) {
+                segment(s, next.at);
+            }
+        });
+        if let Some(last) = open {
+            segment(last, to);
         }
         total
     }
 }
 
-/// Samples of a [`TimeSeries`] in time order, their timestamps computed
-/// from the runs as the iterator walks.
+/// Values of a [`TimeSeries`] in time order, one per sample: a stretch's
+/// value comes round once for each sample it stands for.
 #[derive(Debug, Clone)]
-pub struct Samples<'a> {
+pub struct Values<'a> {
     series: &'a TimeSeries,
     /// Index of the next sample, and one past the last.
     index: usize,
     end: usize,
+    /// The entry holding the next sample, and the sample index up to which
+    /// it keeps holding them (anything not past `index` for an entry that
+    /// is one sample).
+    entry: usize,
+    hold: usize,
+    /// The next stretch at or after that entry, and the entry it is (none
+    /// a series has, when there is no such stretch): all a step looks at
+    /// until it gets there.
+    stretch: usize,
+    stretch_at: usize,
+}
+
+impl Values<'_> {
+    /// The walk is at its next stretch, `stretch`: that entry holds to the
+    /// stretch's end.
+    fn enter(&mut self, stretch: Stretch) {
+        self.entry = stretch.at;
+        self.hold = stretch.end();
+        self.stretch += 1;
+        let next = self.series.stretch(self.stretch);
+        self.stretch_at = next.map_or(usize::MAX, |s| s.at);
+    }
+
+    /// Folds the next `samples` values (there are that many) into `acc`:
+    /// what stepping with [`next`](Iterator::next) would, a stretch or a
+    /// run of entries at a time.
+    #[inline]
+    fn walk<B>(&mut self, mut samples: usize, mut acc: B, mut f: impl FnMut(B, f64) -> B) -> B {
+        while samples > 0 {
+            if self.index < self.hold {
+                let here = samples.min(self.hold - self.index);
+                let value = self.series.values[self.entry];
+                acc = (0..here).fold(acc, |acc, _| f(acc, value));
+                self.index += here;
+                samples -= here;
+                if self.index < self.hold {
+                    break;
+                }
+                self.entry += 1;
+            } else {
+                // Entries that are one sample each, up to the next stretch.
+                let entries = &self.series.values[self.entry..];
+                let here = samples.min(self.stretch_at.min(self.series.values.len()) - self.entry);
+                acc = entries[..here]
+                    .iter()
+                    .fold(acc, |acc, &value| f(acc, value));
+                self.index += here;
+                self.entry += here;
+                samples -= here;
+            }
+            if self.entry == self.stretch_at {
+                let stretch = self.series.stretch(self.stretch).expect("it is at one");
+                self.enter(stretch);
+            }
+        }
+        acc
+    }
+}
+
+impl Iterator for Values<'_> {
+    type Item = f64;
+
+    #[inline]
+    fn next(&mut self) -> Option<f64> {
+        if self.index == self.end {
+            return None;
+        }
+        let value = self.series.values[self.entry];
+        self.index += 1;
+        if self.index >= self.hold {
+            self.entry += 1;
+            if self.entry == self.stretch_at {
+                let stretch = self.series.stretch(self.stretch).expect("it is at one");
+                self.enter(stretch);
+            }
+        }
+        Some(value)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end - self.index;
+        (left, Some(left))
+    }
+
+    /// What `sum`, `reduce` and `for_each` run on.
+    #[inline]
+    fn fold<B, F: FnMut(B, f64) -> B>(mut self, init: B, f: F) -> B {
+        self.walk(self.end - self.index, init, f)
+    }
+}
+
+impl ExactSizeIterator for Values<'_> {}
+
+/// Samples of a [`TimeSeries`] in time order, their timestamps computed
+/// from the runs as the iterator walks.
+#[derive(Debug, Clone)]
+pub struct Samples<'a> {
+    values: Values<'a>,
     /// Timestamp of the next sample and the spacing of the run it is in.
     at: u64,
     step: u64,
@@ -350,26 +669,47 @@ impl Iterator for Samples<'_> {
     type Item = Sample;
 
     fn next(&mut self) -> Option<Sample> {
-        if self.index == self.end {
-            return None;
-        }
-        if self.index == self.run_end {
+        let index = self.values.index;
+        let value = self.values.next()?;
+        if index == self.run_end {
             self.run += 1;
-            let (run, run_end) = self.series.run(self.run);
+            let (run, run_end) = self.values.series.run(self.run);
             (self.at, self.step, self.run_end) = (run.start, run.step, run_end);
         }
         let sample = Sample {
             at: SimTime::from_secs(self.at),
-            value: self.series.values[self.index],
+            value,
         };
-        self.index += 1;
         self.at += self.step;
         Some(sample)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.end - self.index;
-        (left, Some(left))
+        self.values.size_hint()
+    }
+
+    /// A run at a time, for whoever walks a whole window.
+    #[inline]
+    fn fold<B, F: FnMut(B, Sample) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        while self.values.index < self.values.end {
+            if self.values.index == self.run_end {
+                self.run += 1;
+                let (run, run_end) = self.values.series.run(self.run);
+                (self.at, self.step, self.run_end) = (run.start, run.step, run_end);
+            }
+            let (mut at, step) = (self.at, self.step);
+            let in_run = self.run_end.min(self.values.end) - self.values.index;
+            acc = self.values.walk(in_run, acc, |acc, value| {
+                let sample = Sample {
+                    at: SimTime::from_secs(at),
+                    value,
+                };
+                at += step;
+                f(acc, sample)
+            });
+        }
+        acc
     }
 }
 
@@ -415,6 +755,9 @@ impl Deserialize for Pushed {
             pushed.push(Sample::decode(r)?)?;
         }
         r.end();
+        // The count reserved for says how many samples, not how much they
+        // say: a restored world holds what they say.
+        pushed.0.values.shrink_to_fit();
         Ok(pushed)
     }
 }
@@ -495,13 +838,21 @@ mod tests {
     #[test]
     fn a_fixed_cadence_is_one_run_however_long() {
         let mut s: TimeSeries = (0..1_000).map(|i| (t(i * 300), i as f64)).collect();
-        assert!(s.closed.is_empty(), "nothing but the values grows");
+        assert!(s.earlier.is_none(), "nothing but the values grows");
         // A late sample closes the run; the cadence resuming is one more.
         s.push(t(1_000 * 300 + 7), 0.0);
         s.push(t(1_001 * 300 + 7), 0.0);
         s.push(t(1_002 * 300 + 7), 0.0);
-        assert_eq!(s.closed.len(), 1);
+        assert_eq!(s.closed().len(), 1);
         assert_eq!(s.last().map(|s| s.at), Some(t(1_002 * 300 + 7)));
+    }
+
+    #[test]
+    fn a_series_is_ten_words_before_it_holds_anything() {
+        // A recorded day is a dozen samples in each of twelve thousand
+        // series: there, this is most of what telemetry weighs (and what
+        // it weighed before the values were stretches).
+        assert_eq!(std::mem::size_of::<TimeSeries>(), 80);
     }
 
     #[test]
@@ -510,7 +861,8 @@ mod tests {
         let mut regrowths = 0;
         for i in 0..100_000 {
             let before = s.values.capacity();
-            s.push(t(i * 60), 0.0);
+            // No two alike: every sample is an entry.
+            s.push(t(i * 60), i as f64);
             regrowths += usize::from(s.values.capacity() != before);
             let (len, held) = (s.values.len(), s.values.capacity());
             assert!(held <= (len * 2).max(4), "{held} held for {len}");
@@ -528,7 +880,10 @@ mod tests {
         let s = series(&[(0, 1.0), (60, 2.0), (120, 3.0)]);
         let w = s.window(t(0), t(120));
         assert_eq!(w.len(), 2);
-        assert_eq!(s.values_over(t(60), t(121)), vec![2.0, 3.0]);
+        assert_eq!(
+            s.values_over(t(60), t(121)).collect::<Vec<_>>(),
+            vec![2.0, 3.0]
+        );
     }
 
     #[test]
