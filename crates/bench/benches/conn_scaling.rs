@@ -1,6 +1,6 @@
-//! Connection scaling: the evented transport's headline claim — one
-//! reactor thread plus a small worker pool multiplexing thousands of
-//! live connections — measured as request latency on a hot connection
+//! Connection scaling: the evented transport's headline claim — a few
+//! serving threads, each polling its share of thousands of live
+//! connections — measured as request latency on a hot connection
 //! while 100 / 1,000 / 10,000 idle peers stay attached.
 //!
 //! The server runs in a **child process** (this binary re-executed with

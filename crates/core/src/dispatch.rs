@@ -22,7 +22,7 @@
 //!
 //! Dispatch takes `&self` and locks only what a batch touches, so
 //! traffic from different tenants executes in parallel (the transport
-//! dispatches from a pool of workers; see [`crate::shard`]):
+//! dispatches from several serving threads; see [`crate::shard`]):
 //!
 //! * a **query-only batch** holds its app's shard *read* lock for the
 //!   whole batch — concurrent queries, even to the same app, never

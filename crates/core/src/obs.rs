@@ -144,8 +144,8 @@ impl CoreMetrics {
     }
 }
 
-/// Pre-registered handles for the serving transport (reactor + worker
-/// pool). This layer owns the wall clock: every frame served here is
+/// Pre-registered handles for the serving transport (the serving
+/// threads). This layer owns the wall clock: every frame served here is
 /// timed at full fidelity — the path is microsecond-scale, so the
 /// budget is plentiful.
 #[derive(Debug)]
@@ -161,24 +161,26 @@ pub struct TransportMetrics {
     pub frames_in: Arc<Counter>,
     /// `transport.bytes_in_total` — raw bytes read off sockets.
     pub bytes_in: Arc<Counter>,
+    /// `transport.socket_reads_total` — `read(2)` calls made to fill
+    /// receive buffers (the one that finds a socket dry included), so
+    /// frames in ÷ socket reads is frames per read.
+    pub socket_reads: Arc<Counter>,
+    /// `transport.turns_total` — turns run: one per readable event of a
+    /// connection, however many reads and frames it came to.
+    pub turns: Arc<Counter>,
     /// `transport.frames_out_total` — frames committed to write queues.
     pub frames_out: Arc<Counter>,
     /// `transport.bytes_out_total` — bytes committed to write queues
     /// (length prefixes included).
     pub bytes_out: Arc<Counter>,
     /// `transport.socket_writes_total` — `write(2)` calls made to drain
-    /// write queues. A worker's turn commits its replies together, so
-    /// frames out ÷ socket writes is frames per write.
+    /// write queues. A turn commits its replies together, so frames out
+    /// ÷ socket writes is frames per write.
     pub socket_writes: Arc<Counter>,
     /// `transport.coalesce_drops_total` — notifications displaced by
     /// the outbox policy while parking under backpressure (a level
     /// event coalesced/evicted rather than queued).
     pub coalesce_drops: Arc<Counter>,
-    /// `transport.queue_depth` — connections awaiting a worker.
-    pub queue_depth: Arc<Gauge>,
-    /// `transport.inbox_depth` — decoded frames awaiting dispatch
-    /// across all connections.
-    pub inbox_depth: Arc<Gauge>,
     /// `transport.serve_latency_ns` — decode→dispatch→encode per frame
     /// (the socket write is per turn, and not in it).
     pub serve_latency: Arc<Histogram>,
@@ -200,12 +202,12 @@ impl TransportMetrics {
             accept_failures: registry.counter("transport.accept_failures_total"),
             frames_in: registry.counter("transport.frames_in_total"),
             bytes_in: registry.counter("transport.bytes_in_total"),
+            socket_reads: registry.counter("transport.socket_reads_total"),
+            turns: registry.counter("transport.turns_total"),
             frames_out: registry.counter("transport.frames_out_total"),
             bytes_out: registry.counter("transport.bytes_out_total"),
             socket_writes: registry.counter("transport.socket_writes_total"),
             coalesce_drops: registry.counter("transport.coalesce_drops_total"),
-            queue_depth: registry.gauge("transport.queue_depth"),
-            inbox_depth: registry.gauge("transport.inbox_depth"),
             serve_latency: registry.histogram("transport.serve_latency_ns"),
             idle_disconnects: registry.counter("transport.idle_disconnects_total"),
             conn_errors: registry.counter("transport.conn_errors_total"),
@@ -217,8 +219,8 @@ impl TransportMetrics {
 /// One ecovisor's observability hub: the registry plus pre-registered
 /// handles for every instrumented path.
 ///
-/// Shared by `Arc`: the ecovisor, the serving context, the reactor, and
-/// every connection hold clones; recording is lock-free through the
+/// Shared by `Arc`: the ecovisor, the serving context and every
+/// connection hold clones; recording is lock-free through the
 /// handles, and the registry lock is touched only by
 /// [`snapshot`](Self::snapshot) and late registration.
 #[derive(Debug)]
@@ -277,7 +279,8 @@ mod tests {
             "dispatch.batch_latency_ns",
             "settle.barrier_wait_ns",
             "settle.duration_ns",
-            "transport.queue_depth",
+            "transport.socket_reads_total",
+            "transport.turns_total",
             "transport.serve_latency_ns",
             "snapshot.capture_ns",
             "federation.collect_ns",

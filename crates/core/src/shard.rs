@@ -2,7 +2,7 @@
 //! settlement.
 //!
 //! [`ShardedEcovisor`] is the shape an [`Ecovisor`] takes when several
-//! threads drive it at once — the transport's worker pool,
+//! threads drive it at once — the transport's serving threads,
 //! multi-tenant simulations, and the multithreaded benches all
 //! share one through an `Arc`. It layers two levels of locking:
 //!

@@ -30,7 +30,7 @@
 //! | `conn`    | a connection's committed-write queue, backpressure, push    |
 //! | `admin`   | the credential-gated admin requests and the chunk flow      |
 //! | `server`  | bind/harden/spawn, per-frame semantics, the driver's handle |
-//! | `evented` | the reactor and worker threads that move the bytes          |
+//! | `evented` | the serving threads that move the bytes                      |
 //! | `client`  | [`RemoteEcovisorClient`]                                    |
 //!
 //! ## Wire format
@@ -92,26 +92,33 @@
 //! drains each subscribed app's outbox into an `EventFrame` stamped with
 //! the settlement tick and writes it, delivery-filtered per subscriber,
 //! to every subscribed connection of that app. All of a connection's
-//! outbound bytes — responses from a worker, pushes from the driver
-//! thread — go through one committed write queue behind a mutex, so they
-//! interleave at frame granularity, never mid-frame.
+//! outbound bytes — responses from its serving thread, pushes from the
+//! driver thread — go through one committed write queue behind a mutex,
+//! so they interleave at frame granularity, never mid-frame.
 //!
 //! ## Concurrency model
 //!
 //! [`EcovisorServer::spawn`] runs the **evented runtime** (the `evented`
-//! submodule): one reactor thread drives non-blocking accept/read/write
-//! for *every* connection through the vendored epoll-backed [`reactor`]
-//! shim, and complete inbound frames are dispatched on a small worker
-//! pool ([`with_workers`](EcovisorServer::with_workers), auto-sized by
-//! default) — thousands of tenants multiplex onto a handful of threads,
-//! and no thread is ever pinned to a client. Frames on one connection
-//! are served strictly in order (a connection is owned by at most one
-//! worker at a time). All workers dispatch into one shared
+//! submodule): a few identical **serving threads**
+//! ([`with_workers`](EcovisorServer::with_workers), auto-sized by
+//! default), each with its own epoll instance (the vendored [`reactor`]
+//! shim) over the connections dealt to it — the first thread also
+//! accepts, and deals round-robin. A thread serves a frame where it read
+//! it: non-blocking read, carve, decode, dispatch, encode and write all
+//! happen on the thread that owns the connection, with no queue or
+//! wake-up in between — thousands of tenants multiplex onto a handful of
+//! threads, and no thread is ever pinned to one client. Frames on one
+//! connection are served strictly in order (a connection is one thread's
+//! for life). The price is that a slow request delays the connections
+//! sharing its thread; see `docs/ARCHITECTURE.md` §3a. All serving
+//! threads dispatch into one shared
 //! [`ShardedEcovisor`](crate::ShardedEcovisor) (the [`SharedEcovisor`]
 //! alias). Per-app state is sharded behind its own lock, so batches from
 //! different tenants — and query-only batches from the *same* tenant —
-//! execute in parallel rather than serializing on a global mutex;
-//! workers simply park on shard/settlement lock acquisition. The driver
+//! execute in parallel rather than serializing on a global mutex; a
+//! serving thread simply parks on shard/settlement lock acquisition, and
+//! while it does it reads nothing: TCP pushes back on its peers instead
+//! of the server buffering for them. The driver
 //! loop (whoever ticks the simulation) calls
 //! [`ShardedEcovisor::tick`](crate::ShardedEcovisor::tick) between
 //! batches; that settlement barrier is the only cross-tenant
@@ -119,7 +126,7 @@
 //!
 //! A connection that fails mid-frame (peer crash, network drop) is
 //! counted and logged through the structured log (`ecovisor::obs`),
-//! deregistered from the push registry and the reactor, and dropped from
+//! deregistered from the push registry and its thread's epoll, and dropped from
 //! [`ServerHandle::active_connections`], so a long-lived server never
 //! accumulates dead connections. A server built
 //! [`with_read_timeout`](EcovisorServer::with_read_timeout) additionally
@@ -128,9 +135,9 @@
 //! collected the same way. A subscriber that merely stops *reading*
 //! cannot hold the settlement barrier hostage either: writes never
 //! block, what its socket refuses is queued and parked.
-//! [`ServerHandle::shutdown`] is deterministic: it wakes the reactor
-//! (which closes every socket and the listener), stops the worker
-//! queue, and joins all threads — no step waits on a timeout.
+//! [`ServerHandle::shutdown`] is deterministic: it wakes every serving
+//! thread (each closes its sockets, the first the listener) and joins
+//! them all — no step waits on a timeout.
 //!
 //! ## Example
 //!

@@ -182,8 +182,8 @@ fn take_in(
     }
 }
 
-/// Executes one admin request for a connection. Runs on a worker with no
-/// ecovisor lock held; the state transfers take the settlement barrier
+/// Executes one admin request for a connection. Runs on the connection's
+/// serving thread with no ecovisor lock held; the state transfers take the settlement barrier
 /// themselves through the shared handle, so a checkpoint can never
 /// observe a half-settled tick. The pinned app does not need to be a
 /// registered tenant — the admin surface is connection-level, and its

@@ -395,8 +395,8 @@ impl RemoteEcovisorClient {
 
     /// Fetches the server's observability report: serving-level gauges
     /// plus a full dump of the attached metric registry (dispatch
-    /// latency histograms, reactor queue depths, settlement-barrier
-    /// timings — see `docs/OBSERVABILITY.md` for the catalogue).
+    /// latency histograms, transport frame and syscall counters,
+    /// settlement-barrier timings — see `docs/OBSERVABILITY.md` for the catalogue).
     ///
     /// # Errors
     ///

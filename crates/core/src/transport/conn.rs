@@ -23,14 +23,14 @@ use crate::proto::{EventFrame, Frame, PROTOCOL_VERSION};
 const MAX_PENDING_BYTES: usize = 64 * 1024 * 1024;
 
 /// The live connections the settlement broadcast walks. A connection
-/// joins when its hello is accepted and leaves when the reactor reaps it.
+/// joins when its hello is accepted and leaves when its thread reaps it.
 pub(super) type Registry = Mutex<Vec<Arc<ConnShared>>>;
 
 /// The writer half of one served connection: the connection's stream
-/// behind a mutex, shared by the response path (a worker) and the
-/// post-settlement broadcast (the driver thread), so the two interleave
-/// at frame granularity, never mid-frame. It is the *same* socket the
-/// reactor reads from (one fd per connection — at thousands of tenants a
+/// behind a mutex, shared by the response path (the serving thread that
+/// owns the connection) and the post-settlement broadcast (the driver
+/// thread), so the two interleave at frame granularity, never mid-frame.
+/// It is the *same* socket that thread reads from (one fd per connection — at thousands of tenants a
 /// `try_clone` per connection would double the process's fd bill).
 pub(super) struct ConnShared {
     pub(super) app: AppId,
@@ -41,8 +41,8 @@ pub(super) struct ConnShared {
     /// stopped draining its socket. Lock order is `pending` before
     /// `writer`, on every path.
     pending: Mutex<PendingWrites>,
-    /// How the reactor learns this connection still owes bytes, so it
-    /// arms writable interest and finishes the flush when the peer
+    /// How the owning thread learns this connection still owes bytes,
+    /// so it arms writable interest and finishes the flush when the peer
     /// drains.
     pub(super) notify: WriteNotify,
     /// The server's observability hub, for outbound frame/byte counting
@@ -50,8 +50,9 @@ pub(super) struct ConnShared {
     obs: Arc<crate::obs::ObsHub>,
 }
 
-/// The reactor-facing side of a connection's write queue: marks the
-/// connection dirty and wakes the event loop (see [`super::evented`]).
+/// The side of a connection's write queue that faces the thread owning
+/// it: marks the connection dirty on that thread's list and wakes its
+/// event loop (see [`super::evented`]).
 pub(super) struct WriteNotify {
     pub(super) token: usize,
     dirty: Arc<Mutex<Vec<usize>>>,
@@ -83,8 +84,8 @@ impl WriteNotify {
         let _ = self.waker.wake();
     }
 
-    /// The reactor has taken the dirty list and is about to flush this
-    /// connection: whatever backlogs after this point lists it again.
+    /// The owning thread has taken the dirty list and is about to flush
+    /// this connection: whatever backlogs after this point lists it again.
     pub(super) fn taken(&self) {
         self.listed.store(false, Ordering::SeqCst);
     }
@@ -93,7 +94,7 @@ impl WriteNotify {
 /// One connection's write backlog. A slow subscriber does not get its
 /// socket shut down: writes that would block are *queued* here and
 /// retried on every settlement, on every response write, and on the
-/// reactor's writable readiness, so a hung subscriber that recovers
+/// socket's writable readiness, so a hung subscriber that recovers
 /// picks up where it left off.
 ///
 /// Two tiers, because a length-prefixed frame that has started going out
@@ -254,9 +255,10 @@ impl ConnShared {
     }
 
     /// Ends a write path: a healthy connection hands any remaining
-    /// backlog to the reactor (which arms writable interest and finishes
-    /// the flush once the peer drains); a failed one has its socket shut
-    /// down, so the reactor observes the failure and reaps it. Call with
+    /// backlog to the owning thread (which arms writable interest and
+    /// finishes the flush once the peer drains); a failed one has its
+    /// socket shut down, so that thread observes the failure and reaps
+    /// it. Call with
     /// the `pending` lock held so the backlog check and the hand-off are
     /// one atomic step.
     fn settle_write(&self, pending: &PendingWrites, result: io::Result<()>) -> io::Result<()> {
@@ -274,7 +276,7 @@ impl ConnShared {
     /// whole, length prefixes included, in order — through the backlog
     /// queue, so they can never interleave into a partially-written push
     /// frame: one commit behind whatever is queued, one flush, however
-    /// many frames a worker's turn produced. Under backpressure they stay
+    /// many frames a turn produced. Under backpressure they stay
     /// committed in order and go out on a later flush (the peer
     /// necessarily reads before it can await these responses); the error
     /// return is reserved for a dead socket or an overflowing backlog,
@@ -294,11 +296,11 @@ impl ConnShared {
         self.settle_write(&pending, result)
     }
 
-    /// The reactor's writable-readiness flush: `Ok(true)` = fully
+    /// The owning thread's writable-readiness flush: `Ok(true)` = fully
     /// drained (writable interest can be disarmed), `Ok(false)` = still
     /// backlogged, `Err` = the socket is dead and the connection should
     /// close.
-    pub(super) fn flush_for_reactor(&self) -> io::Result<bool> {
+    pub(super) fn flush_writable(&self) -> io::Result<bool> {
         let mut pending = crate::lock::lock(&self.pending);
         if !pending.has_backlog() {
             return Ok(true);
@@ -479,7 +481,7 @@ mod tests {
         assert_eq!(
             *crate::lock::lock(&dirty),
             vec![7],
-            "a backlogged write hands the connection to the reactor, once"
+            "a backlogged write hands the connection to its thread, once"
         );
 
         // Further frames park under the outbox policy: every edge
@@ -499,7 +501,7 @@ mod tests {
             vec![7],
             "still once, however many writes backlog behind the first"
         );
-        // The reactor takes the list; the next backlogged write lists the
+        // The thread takes the list; the next backlogged write lists the
         // connection again.
         crate::lock::lock(&dirty).clear();
         conn.notify.taken();

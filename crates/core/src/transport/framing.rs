@@ -3,7 +3,7 @@
 //! bytes. This module owns the format in both directions — the bound on
 //! an announced length ([`checked_len`], the only place it is compared),
 //! the blocking reader/writer the client uses, and the incremental
-//! [`RecvBuf`] the reactor carves frames out of.
+//! [`RecvBuf`] a serving thread carves frames out of.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -28,8 +28,10 @@ const HEADER_LEN: usize = 4;
 /// per connection.
 pub(super) const DRAIN_RETAIN_BYTES: usize = 64 * 1024;
 
-/// Initial per-connection receive buffer (grown up to the largest
-/// in-flight frame, trimmed back to [`DRAIN_RETAIN_BYTES`] when empty).
+/// Initial per-connection receive buffer. A read that fills it doubles it
+/// for the next one, up to [`DRAIN_RETAIN_BYTES`]; past that it grows only
+/// to the largest in-flight frame, and is trimmed back to
+/// [`DRAIN_RETAIN_BYTES`] when empty.
 const RECV_INITIAL: usize = 4 * 1024;
 
 /// The format's one bound check: a payload length, outbound or announced
@@ -128,8 +130,8 @@ pub(super) fn read_frame(stream: &mut impl Read) -> io::Result<Option<Vec<u8>>> 
 
 /// Per-connection receive accumulator of the non-blocking server: raw
 /// socket bytes land in `buf[start..end]`, and complete length-prefixed
-/// frames are carved off the front. A partial frame simply stays
-/// buffered until the next readable event resumes it.
+/// frames are carved off the front, each served where it lies. A partial
+/// frame simply stays buffered until the next readable event resumes it.
 pub(super) struct RecvBuf {
     buf: Vec<u8>,
     start: usize,
@@ -138,7 +140,7 @@ pub(super) struct RecvBuf {
     /// `buf.len()` against (`ServerHandle::recv_buffer_bytes`). Every
     /// capacity change goes through [`set_capacity`](Self::set_capacity)
     /// and `Drop` refunds the rest, so the counter is exact at every
-    /// instant the reactor is quiescent.
+    /// instant the serving threads are quiescent.
     charged: Arc<AtomicUsize>,
 }
 
@@ -174,9 +176,13 @@ impl RecvBuf {
     }
 
     /// One `read(2)` into the spare tail (compacting the consumed
-    /// prefix first). `Ok(0)` is EOF; `WouldBlock` bubbles up so the
-    /// caller knows the socket is drained.
-    pub(super) fn fill(&mut self, mut stream: &TcpStream) -> io::Result<usize> {
+    /// prefix first), counted in `reads`. `Ok(0)` is EOF; `WouldBlock`
+    /// bubbles up so the caller knows the socket is drained.
+    pub(super) fn fill(
+        &mut self,
+        mut stream: &TcpStream,
+        reads: &crate::obs::Counter,
+    ) -> io::Result<usize> {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
@@ -185,42 +191,55 @@ impl RecvBuf {
         if self.end == self.buf.len() {
             self.set_capacity(self.buf.len() * 2);
         }
+        reads.inc();
         let n = stream.read(&mut self.buf[self.end..])?;
         self.end += n;
+        // A read that took all the room there was is a peer sending more
+        // than the buffer holds: the next one gets twice the room, so a
+        // burst of frames near the buffer's size is not a read per frame.
+        if self.end == self.buf.len() && self.buf.len() < DRAIN_RETAIN_BYTES {
+            self.set_capacity((self.buf.len() * 2).min(DRAIN_RETAIN_BYTES));
+        }
         Ok(n)
     }
 
     /// Carves the next complete frame off the front, if one has fully
-    /// arrived. `max` is the largest payload the connection may announce
-    /// right now ([`MAX_HELLO_LEN`] before the hello, [`MAX_FRAME_LEN`]
-    /// after); a larger announcement is an error *before* the buffer
-    /// grows for it, so a peer only ever costs what it has earned.
-    pub(super) fn next_frame(&mut self, max: u32) -> io::Result<Option<Vec<u8>>> {
-        let avail = self.end - self.start;
-        if avail < HEADER_LEN {
-            return Ok(None);
-        }
-        let mut header = [0u8; HEADER_LEN];
-        header.copy_from_slice(&self.buf[self.start..self.start + HEADER_LEN]);
-        let frame_end = self.start + HEADER_LEN + announced_len(header, max)?;
-        if self.end < frame_end {
-            // Reserve room for the rest of the announced frame so the
-            // next fill can complete it without another resize.
-            if self.buf.len() < frame_end {
-                self.set_capacity(frame_end);
-            }
-            return Ok(None);
-        }
-        let frame = self.buf[self.start + HEADER_LEN..frame_end].to_vec();
-        self.start = frame_end;
+    /// arrived: its payload, where it lies in the buffer — valid until
+    /// the next [`fill`](Self::fill). `max` is the largest payload the
+    /// connection may announce right now ([`MAX_HELLO_LEN`] before the
+    /// hello, [`MAX_FRAME_LEN`] after); a larger announcement is an error
+    /// *before* the buffer grows for it, so a peer only ever costs what
+    /// it has earned. Call until `Ok(None)`: the call that finds nothing
+    /// left resets the buffer and trims what a large frame grew.
+    pub(super) fn next_frame(&mut self, max: u32) -> io::Result<Option<&[u8]>> {
         if self.start == self.end {
             self.start = 0;
             self.end = 0;
             if self.buf.len() > DRAIN_RETAIN_BYTES {
                 self.set_capacity(DRAIN_RETAIN_BYTES);
             }
+            return Ok(None);
         }
-        Ok(Some(frame))
+        let avail = self.end - self.start;
+        if avail < HEADER_LEN {
+            return Ok(None);
+        }
+        let mut header = [0u8; HEADER_LEN];
+        header.copy_from_slice(&self.buf[self.start..self.start + HEADER_LEN]);
+        let payload = self.start + HEADER_LEN;
+        let frame_end = payload + announced_len(header, max)?;
+        if self.end < frame_end {
+            // Reserve room for the whole announced frame — measured from
+            // the front, where the next fill moves it — so that fill can
+            // complete it without another resize.
+            let frame_len = frame_end - self.start;
+            if self.buf.len() < frame_len {
+                self.set_capacity(frame_len);
+            }
+            return Ok(None);
+        }
+        self.start = frame_end;
+        Ok(Some(&self.buf[payload..frame_end]))
     }
 
     /// `true` while a partial frame (or stray bytes) is buffered — at
@@ -230,9 +249,249 @@ impl RecvBuf {
     }
 }
 
+/// A loopback connection for the transport's unit tests: the peer's end
+/// (blocking, its reads and writes bounded so that a failed assertion on
+/// the other side cannot leave a thread waiting for ever) and the served
+/// end (non-blocking, as a serving thread holds it).
+#[cfg(test)]
+pub(super) fn socket_pair() -> (TcpStream, TcpStream) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+    let bound = Some(std::time::Duration::from_secs(30));
+    peer.set_read_timeout(bound).expect("read timeout");
+    peer.set_write_timeout(bound).expect("write timeout");
+    let (served, _) = listener.accept().expect("accept");
+    served.set_nonblocking(true).expect("nonblocking");
+    (peer, served)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::Counter;
+    use std::cell::Cell;
+
+    /// Waits until `want` bytes are in the served socket, so the next
+    /// `fill` finds them whatever the kernel's pace. Only for bytes the
+    /// peer has already written and that fit an empty loopback socket
+    /// (under ~48 KiB): waiting for more than is in flight, while a
+    /// sender holds back for a window a whole 64 KiB segment wide, never
+    /// ends.
+    fn await_bytes(served: &TcpStream, want: usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let mut seen = vec![0; want];
+        while served.peek(&mut seen).unwrap_or(0) < want {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{want} bytes never arrived"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Reads until the socket is dry.
+    fn fill_dry(rbuf: &mut RecvBuf, served: &TcpStream, reads: &Counter) {
+        loop {
+            match rbuf.fill(served, reads) {
+                Ok(n) => assert!(n > 0, "the peer has not closed"),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) => panic!("fill: {e}"),
+            }
+        }
+    }
+
+    /// `next_frame` hands out the payload where it lies: frames that came
+    /// in one read are carved in order without a copy, each valid until
+    /// the next `fill`, and a frame split across reads is whole when its
+    /// last byte is in.
+    #[test]
+    fn frames_are_carved_in_place_and_in_order() {
+        let (mut peer, served) = socket_pair();
+        let charged = Arc::new(AtomicUsize::new(0));
+        let reads = Counter::new();
+        let mut rbuf = RecvBuf::new(Arc::clone(&charged));
+
+        let mut wire = Vec::new();
+        for payload in [&b"first"[..], b"", b"third and last"] {
+            append_frame(&mut wire, payload).expect("append");
+        }
+        // The third frame's last byte comes later.
+        let (now, later) = wire.split_at(wire.len() - 1);
+        peer.write_all(now).expect("write");
+        await_bytes(&served, now.len());
+        fill_dry(&mut rbuf, &served, &reads);
+        assert_eq!(
+            reads.value(),
+            2,
+            "the read that found it all, and the dry one"
+        );
+        let first = rbuf.next_frame(MAX_FRAME_LEN).expect("ok").expect("frame");
+        assert_eq!(first, b"first");
+        let base = first.as_ptr() as usize;
+        let second = rbuf.next_frame(MAX_FRAME_LEN).expect("ok").expect("frame");
+        assert!(second.is_empty());
+        assert_eq!(
+            second.as_ptr() as usize - base,
+            b"first".len() + HEADER_LEN,
+            "the second payload lies behind the first in the same buffer"
+        );
+        assert_eq!(rbuf.next_frame(MAX_FRAME_LEN).expect("ok"), None);
+        assert!(rbuf.has_partial(), "all but a byte of the third");
+
+        peer.write_all(later).expect("write");
+        await_bytes(&served, later.len());
+        fill_dry(&mut rbuf, &served, &reads);
+        assert_eq!(
+            rbuf.next_frame(MAX_FRAME_LEN).expect("ok"),
+            Some(&b"third and last"[..])
+        );
+        assert_eq!(rbuf.next_frame(MAX_FRAME_LEN).expect("ok"), None);
+        assert!(!rbuf.has_partial());
+        assert_eq!(charged.load(Ordering::SeqCst), RECV_INITIAL);
+        drop(rbuf);
+        assert_eq!(charged.load(Ordering::SeqCst), 0);
+    }
+
+    /// A frame larger than a drained buffer keeps: the buffer is reserved
+    /// for exactly it when its prefix arrives, charged to the counter, and
+    /// trimmed back by the `next_frame` call that finds the buffer drained
+    /// — not while the payload it handed out is still in use.
+    #[test]
+    fn a_drained_buffer_is_trimmed_by_the_call_that_finds_it_empty() {
+        let (mut peer, served) = socket_pair();
+        let charged = Arc::new(AtomicUsize::new(0));
+        let reads = Counter::new();
+        let mut rbuf = RecvBuf::new(Arc::clone(&charged));
+
+        let big = vec![7u8; 3 * DRAIN_RETAIN_BYTES];
+        let mut wire = Vec::new();
+        append_frame(&mut wire, &big).expect("append");
+        std::thread::scope(|scope| {
+            scope.spawn(|| peer.write_all(&wire).expect("write"));
+            await_bytes(&served, HEADER_LEN);
+            let mut peak = 0;
+            let payload = loop {
+                match rbuf.fill(&served, &reads) {
+                    Ok(n) => assert!(n > 0, "the peer has not closed"),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::yield_now(),
+                    Err(e) => panic!("fill: {e}"),
+                }
+                peak = peak.max(charged.load(Ordering::SeqCst));
+                if rbuf.has_partial() {
+                    if let Some(payload) = rbuf.next_frame(MAX_FRAME_LEN).expect("ok") {
+                        break payload.to_vec();
+                    }
+                }
+            };
+            assert_eq!(payload, big);
+            assert_eq!(peak, big.len() + HEADER_LEN, "reserved for exactly it");
+        });
+        // Carved and handed out, not yet trimmed: the payload was a slice
+        // of this allocation.
+        assert_eq!(charged.load(Ordering::SeqCst), big.len() + HEADER_LEN);
+        assert_eq!(rbuf.next_frame(MAX_FRAME_LEN).expect("ok"), None);
+        assert_eq!(charged.load(Ordering::SeqCst), DRAIN_RETAIN_BYTES);
+        drop(rbuf);
+        assert_eq!(charged.load(Ordering::SeqCst), 0);
+    }
+
+    /// Read growth: a read that fills the buffer doubles it for the next
+    /// one — a peer sending more than the buffer holds is read in fewer,
+    /// larger reads — but never past what a drained buffer keeps, and the
+    /// counter is charged exactly the capacity at every step. The peer
+    /// and the reads move in lock-step (each step's bytes are written,
+    /// seen to have arrived, and read by one `fill`), so which reads fill
+    /// the buffer is the test's doing, not the kernel's.
+    #[test]
+    fn a_read_that_fills_the_buffer_doubles_it_up_to_the_retained_bound() {
+        const SMALL: usize = 100;
+        const BIG: usize = 40_000;
+        let (mut peer, served) = socket_pair();
+        let charged = Arc::new(AtomicUsize::new(0));
+        let reads = Counter::new();
+        let mut rbuf = RecvBuf::new(Arc::clone(&charged));
+        assert_eq!(charged.load(Ordering::SeqCst), RECV_INITIAL);
+
+        // Small frames for the doubling, then one frame most of a buffer
+        // long (what is left of the buffer beside it is little enough to
+        // be sent at once), then small frames again.
+        let mut wire = Vec::new();
+        while wire.len() < DRAIN_RETAIN_BYTES + 8 * 1024 {
+            append_frame(&mut wire, &[1u8; SMALL]).expect("append");
+        }
+        let big_at = wire.len();
+        append_frame(&mut wire, &[2u8; BIG]).expect("append");
+        for _ in 0..400 {
+            append_frame(&mut wire, &[1u8; SMALL]).expect("append");
+        }
+
+        // One step: the next `n` bytes of the wire are written, awaited,
+        // read by a single `fill`, and everything complete is carved.
+        // Returns whether the read filled the buffer.
+        // `sent`: bytes of the wire written so far; `buffered`: bytes read
+        // and not yet carved.
+        let (sent, buffered) = (Cell::new(0), Cell::new(0));
+        let mut step = |rbuf: &mut RecvBuf, n: usize| {
+            let capacity = charged.load(Ordering::SeqCst);
+            peer.write_all(&wire[sent.get()..sent.get() + n])
+                .expect("write");
+            sent.set(sent.get() + n);
+            await_bytes(&served, n);
+            assert_eq!(rbuf.fill(&served, &reads).expect("fill"), n);
+            buffered.set(buffered.get() + n);
+            let filled = buffered.get() == capacity;
+            let grown = charged.load(Ordering::SeqCst);
+            while let Some(payload) = rbuf.next_frame(MAX_FRAME_LEN).expect("ok") {
+                match payload.len() {
+                    SMALL => assert_eq!(payload, [1u8; SMALL]),
+                    _ => assert_eq!(payload, [2u8; BIG]),
+                }
+                buffered.set(buffered.get() - payload.len() - HEADER_LEN);
+            }
+            assert_eq!(
+                charged.load(Ordering::SeqCst),
+                grown,
+                "carving frames the buffer holds neither grows nor trims"
+            );
+            (filled, capacity, grown)
+        };
+
+        // Filled reads: 4 → 8 → 16 → 32 → 64 KiB.
+        for kib in [4, 8, 16, 32] {
+            let spare = kib * 1024 - buffered.get();
+            assert_eq!(
+                step(&mut rbuf, spare),
+                (true, kib * 1024, 2 * kib * 1024),
+                "a filled read doubles"
+            );
+        }
+        // A read with room to spare grows nothing.
+        assert_eq!(
+            step(&mut rbuf, 10_000),
+            (false, DRAIN_RETAIN_BYTES, DRAIN_RETAIN_BYTES)
+        );
+        // Up to all but 4,000 bytes of the large frame: most of the
+        // buffer is a partial frame, which fits (nothing is reserved).
+        let upto = big_at + HEADER_LEN + BIG - 4_000;
+        assert_eq!(
+            step(&mut rbuf, upto - sent.get()),
+            (false, DRAIN_RETAIN_BYTES, DRAIN_RETAIN_BYTES)
+        );
+        assert!(buffered.get() > DRAIN_RETAIN_BYTES / 2);
+        // And a read that fills the buffer at the bound: no further.
+        let spare = DRAIN_RETAIN_BYTES - buffered.get();
+        assert_eq!(
+            step(&mut rbuf, spare),
+            (true, DRAIN_RETAIN_BYTES, DRAIN_RETAIN_BYTES),
+            "never past what a drained buffer keeps"
+        );
+        step(&mut rbuf, wire.len() - sent.get());
+        assert_eq!(buffered.get(), 0, "every frame carved");
+        assert_eq!(reads.value(), 8, "one read a step");
+        assert_eq!(charged.load(Ordering::SeqCst), DRAIN_RETAIN_BYTES);
+        drop(rbuf);
+        assert_eq!(charged.load(Ordering::SeqCst), 0);
+    }
 
     #[test]
     fn frame_round_trip() {

@@ -45,10 +45,10 @@ pub(super) struct ServeCtx {
     /// wire `Stats` request dumps it.
     pub(super) obs: Arc<crate::obs::ObsHub>,
     /// Connections currently in any serving phase (maintained by the
-    /// reactor; see [`ServerHandle::active_connections`]).
+    /// serving threads; see [`ServerHandle::active_connections`]).
     pub(super) active: Arc<AtomicUsize>,
     /// Summed receive-buffer capacity across live connections
-    /// (maintained by the reactor; see
+    /// (maintained by the serving threads; see
     /// [`ServerHandle::recv_buffer_bytes`]).
     pub(super) recv_bytes: Arc<AtomicUsize>,
 }
@@ -64,7 +64,8 @@ impl ServeCtx {
     }
 }
 
-/// What a worker does with the outcome of one processed inbound payload.
+/// What a serving thread does with the outcome of one processed inbound
+/// payload.
 pub(super) enum Served {
     /// The encoded answer was appended to the reply buffer: frame it and
     /// send it back to the peer.
@@ -94,7 +95,7 @@ fn pinned_denial(batch: &RequestBatch, pinned: AppId) -> ResponseBatch {
 /// admin surface are interpreted per-connection here; `conn` is the
 /// connection's writer half (its filter is flipped by
 /// `SubscribeEvents`), `admin` its transfer state, `reply` the serving
-/// worker's turn buffer, onto whose end exactly the encoded answer has
+/// thread's turn buffer, onto whose end exactly the encoded answer has
 /// been appended when this returns [`Served::Reply`] (and nothing
 /// otherwise).
 pub(super) fn process_payload(
@@ -131,9 +132,9 @@ pub(super) fn process_payload(
                         }
                     }
                 }
-                // Sharded dispatch: no global lock — the worker contends
-                // only with traffic to the same app's shard (and with
-                // the driver's settlement barrier).
+                // Sharded dispatch: no global lock — the serving thread
+                // contends only with traffic to the same app's shard (and
+                // with the driver's settlement barrier).
                 let mut response = ctx.shared.dispatch_batch(&batch);
                 // Admin surface, same shape as subscriptions: the
                 // dispatcher acked the request (so recorded traces
@@ -175,7 +176,7 @@ pub(super) fn process_payload(
 pub struct EcovisorServer {
     listener: TcpListener,
     ctx: Arc<ServeCtx>,
-    /// Worker-pool size for [`spawn`](Self::spawn); `0` means
+    /// Serving threads for [`spawn`](Self::spawn); `0` means
     /// auto-size from the host's available parallelism.
     workers: usize,
 }
@@ -229,10 +230,11 @@ impl EcovisorServer {
         })
     }
 
-    /// Sets the worker-pool size used by [`spawn`](Self::spawn). The
-    /// default (`0`) auto-sizes from the host's available parallelism,
-    /// clamped to `2..=8` — the pool multiplexes every connection, so it
-    /// never needs to scale with client count.
+    /// Sets the number of serving threads [`spawn`](Self::spawn) starts.
+    /// The default (`0`) auto-sizes from the host's available
+    /// parallelism, clamped to `2..=8` — the threads multiplex every
+    /// connection between them, so their number never needs to scale
+    /// with client count.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -254,8 +256,8 @@ impl EcovisorServer {
 
     /// Arms a per-connection read/idle timeout: a connection that sends
     /// nothing for `timeout` — including a dead subscriber holding a
-    /// push stream — is treated as failed, logged, and reaped by the
-    /// reactor's idle sweep, which comes round every quarter of `timeout`
+    /// push stream — is treated as failed, logged, and reaped by its
+    /// serving thread's idle sweep, which comes round every quarter of `timeout`
     /// (and no oftener than every 10 ms): a silent connection is gone
     /// within `timeout` and a quarter. Writes need no such bound: they
     /// never block (what a socket refuses is queued), so a peer that
@@ -282,15 +284,15 @@ impl EcovisorServer {
         Arc::clone(&self.ctx.shared)
     }
 
-    /// Starts serving: one reactor thread drives non-blocking
-    /// accept/read/write for every connection; decoded frames are
-    /// dispatched on a small worker pool (see
-    /// [`with_workers`](Self::with_workers)). No thread is ever tied to
-    /// a connection.
+    /// Starts serving: a few identical serving threads (see
+    /// [`with_workers`](Self::with_workers)), each driving non-blocking
+    /// read/dispatch/write for the connections dealt to it — the first
+    /// also accepts. A connection is one thread's for life; no thread is
+    /// ever tied to one connection.
     ///
     /// # Errors
     ///
-    /// Propagates address-lookup and reactor-setup failures.
+    /// Propagates address-lookup and epoll-setup failures.
     pub fn spawn(self) -> io::Result<ServerHandle> {
         evented::spawn_evented(self.listener, self.ctx, self.workers)
     }
@@ -300,13 +302,13 @@ impl EcovisorServer {
 ///
 /// Read it with [`ServerHandle::stats`]. This is the stable surface
 /// leak detection gates on (`ecoharness fuzz --soak`): after every
-/// client has disconnected and the reactor has reaped the
+/// client has disconnected and the serving threads have reaped the
 /// registrations, all three counters return to zero — a persistently
 /// non-zero residue is a leak in the transport, not noise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ServerStats {
-    /// Connections currently registered with the reactor
+    /// Connections currently registered with a serving thread
     /// ([`ServerHandle::active_connections`]).
     pub active_connections: usize,
     /// Committed-but-unwritten frames plus parked notifications across
@@ -323,11 +325,10 @@ pub struct ServerHandle {
     pub(super) addr: SocketAddr,
     pub(super) ctx: Arc<ServeCtx>,
     pub(super) stop: Arc<AtomicBool>,
-    /// Wakes the reactor out of `poll` so it observes `stop` promptly.
-    pub(super) waker: reactor::Waker,
-    pub(super) reactor: Option<JoinHandle<()>>,
-    pub(super) workers: Vec<JoinHandle<()>>,
-    pub(super) queue: Arc<evented::JobQueue>,
+    /// One per serving thread: gets it out of `poll` so it observes
+    /// `stop` promptly.
+    pub(super) wakers: Vec<reactor::Waker>,
+    pub(super) threads: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ServerHandle {
@@ -358,10 +359,12 @@ impl ServerHandle {
         Some(Arc::clone(&self.ctx.obs))
     }
 
-    /// Number of connections currently registered with the reactor. A
+    /// Number of connections currently registered with a serving thread
+    /// (an accepted socket counts from the moment the thread it was dealt
+    /// to adopts it — before its hello is read, let alone answered). A
     /// client that disconnects (cleanly, mid-frame, or by tripping the
-    /// idle timeout) drops off this count as soon as the reactor reaps
-    /// its registration.
+    /// idle timeout) drops off this count as soon as its thread reaps the
+    /// registration.
     pub fn active_connections(&self) -> usize {
         self.ctx.active.load(Ordering::SeqCst)
     }
@@ -376,8 +379,8 @@ impl ServerHandle {
     }
 
     /// Bytes currently held in per-connection receive buffers (summed
-    /// capacity, maintained by the reactor as buffers grow for large
-    /// frames and trim back when drained). Returns to zero once every
+    /// capacity, maintained by the serving threads as buffers grow for
+    /// bursts and large frames and trim back when drained). Returns to zero once every
     /// connection has been reaped — the [`ServerStats`] leak gate.
     pub fn recv_buffer_bytes(&self) -> usize {
         self.ctx.recv_bytes.load(Ordering::SeqCst)
@@ -412,25 +415,23 @@ impl ServerHandle {
 
     /// The deterministic teardown sequence, shared by
     /// [`shutdown`](Self::shutdown) and `Drop` (idempotent): flip the
-    /// stop flag, wake the reactor out of `poll` (it closes every
-    /// connection and the listener on its way out), then stop the job
-    /// queue and join the workers. No step waits on a timeout — a
-    /// wedged peer cannot stall teardown, because the reactor closes
-    /// sockets rather than waiting for them.
+    /// stop flag, wake every serving thread out of `poll` (each closes
+    /// its connections on its way out, the first the listener), then
+    /// join them. No step waits on a timeout — a wedged peer cannot
+    /// stall teardown, because the threads close sockets rather than
+    /// waiting for them.
     fn stop_serving(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        let _ = self.waker.wake();
-        if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
+        for waker in &self.wakers {
+            let _ = waker.wake();
         }
-        self.queue.stop();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 
-    /// Stops accepting, disconnects any live clients, joins the reactor
-    /// and worker threads, and returns the shared ecovisor (sole
+    /// Stops accepting, disconnects any live clients, joins the serving
+    /// threads, and returns the shared ecovisor (sole
     /// ownership can be reclaimed with `Arc::try_unwrap` once all
     /// clients are dropped).
     pub fn shutdown(mut self) -> SharedEcovisor {

@@ -211,7 +211,7 @@ fn all_responses() -> Vec<EnergyResponse> {
             metrics: {
                 let registry = ecovisor::obs::Registry::new();
                 registry.counter("dispatch.requests_total").add(11);
-                registry.gauge("transport.queue_depth").set(-2);
+                registry.gauge("core.tick").set(-2);
                 let hist = registry.histogram("dispatch.batch_latency_ns");
                 hist.record(900);
                 hist.record(1024);

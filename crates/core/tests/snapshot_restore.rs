@@ -21,10 +21,10 @@
 //!   tree — are refused with a typed error before any state is touched,
 //!   in process and over the wire.
 //!
-//! Every wire test runs twice: once on the default auto-sized worker
-//! pool and once with an explicit pool pinned via
+//! Every wire test runs twice: once on the default auto-sized serving
+//! threads and once with an explicit count pinned via
 //! [`EcovisorServer::with_workers`], so the snapshot surface is proven
-//! across reactor configurations.
+//! across thread counts.
 
 use carbon_intel::service::TraceCarbonService;
 use container_cop::{AppId, ContainerId, ContainerSpec, CopConfig};
@@ -541,10 +541,10 @@ fn pending_edge_events_survive_restore_exactly_once() {
     );
 }
 
-/// Applies an optional worker-pool size to a server under construction:
-/// `None` keeps the auto-sized pool, `Some(n)` pins an explicit
-/// `n`-worker reactor. The wire tests below run under both so the
-/// snapshot/restore surface is proven across pool configurations.
+/// Applies an optional serving-thread count to a server under
+/// construction: `None` keeps the auto-sized count, `Some(n)` pins `n`
+/// threads. The wire tests below run under both so the snapshot/restore
+/// surface is proven across thread counts.
 fn with_pool(server: EcovisorServer, workers: Option<usize>) -> EcovisorServer {
     match workers {
         Some(n) => server.with_workers(n),

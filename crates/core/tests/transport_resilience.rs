@@ -22,8 +22,8 @@ fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
 }
 
 /// A client that promises a 64-byte frame, sends 10 bytes, and drops the
-/// connection: the reactor must observe the EOF and reap the connection —
-/// and the server must keep serving everyone else.
+/// connection: its serving thread must observe the EOF and reap the
+/// connection — and the server must keep serving everyone else.
 #[test]
 fn disconnect_mid_frame_reaps_the_connection_thread() {
     let mut eco = EcovisorBuilder::new().build();
@@ -58,7 +58,7 @@ fn disconnect_mid_frame_reaps_the_connection_thread() {
     };
     // Prove the connection was accepted and counted *before* asserting
     // it drains — otherwise the drain assertion could pass vacuously if
-    // the reactor had not even accepted the socket yet.
+    // the server had not even accepted the socket yet.
     assert!(
         wait_until(Duration::from_secs(5), || handle.active_connections() == 2),
         "vanishing connection must be counted while still alive"
@@ -120,7 +120,8 @@ fn idle_sweep_reaps_the_silent_and_spares_the_chatty_under_traffic() {
     assert_eq!(silent.get_grid_power(), Watts::ZERO);
     assert_eq!(handle.active_connections(), 2);
 
-    // Round trips back to back: the reactor wakes for every one of them.
+    // Round trips back to back: a serving thread wakes for every one of
+    // them.
     let mut trips = 0u32;
     while handle.active_connections() == 2 {
         assert_eq!(chatty.get_grid_power(), Watts::ZERO);
@@ -155,7 +156,7 @@ fn idle_sweep_reaps_the_silent_and_spares_the_chatty_under_traffic() {
 }
 
 /// A subscriber that goes silent must not hold its push stream forever:
-/// with a read/idle timeout armed, the reactor's idle sweep trips, the
+/// with a read/idle timeout armed, its thread's idle sweep trips, the
 /// connection is reaped (deregistering it from the push registry), and
 /// settlement keeps broadcasting to everyone else without blocking.
 #[test]

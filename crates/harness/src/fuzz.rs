@@ -17,7 +17,7 @@
 //!   `.scn.json` artifact — a reproducer any build can replay with
 //!   `ecoharness verify --transport <path>`.
 //! * [`soak`] — a thousands-of-tick day driven through real TCP
-//!   connections against [`EcovisorServer::spawn`]'s reactor, with
+//!   connections against [`EcovisorServer::spawn`]'s serving threads, with
 //!   periodic connection churn. The report gates on the server's
 //!   [`ServerStats`] returning to the all-zero baseline after the
 //!   clients disconnect: any leaked connection slot, undelivered
@@ -785,8 +785,8 @@ pub struct SoakReport {
     pub frames: usize,
     /// High-water [`ServerStats`] observed mid-run.
     pub peak: ServerStats,
-    /// [`ServerStats`] after every client disconnected and the reactor
-    /// reaped the connections.
+    /// [`ServerStats`] after every client disconnected and the serving
+    /// threads reaped the connections.
     pub final_stats: ServerStats,
 }
 
@@ -942,8 +942,8 @@ pub fn soak(opts: &SoakOptions) -> Result<SoakReport, HarnessError> {
     observe(handle.stats(), &mut peak);
     drop(clients);
 
-    // The reactor reaps disconnected peers asynchronously; give it a
-    // bounded window to return every counter to baseline.
+    // The serving threads reap disconnected peers asynchronously; give
+    // them a bounded window to return every counter to baseline.
     let mut final_stats = handle.stats();
     for _ in 0..1000 {
         if final_stats.active_connections == 0

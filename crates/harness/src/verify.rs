@@ -312,7 +312,7 @@ fn check_outcome(
 /// Verifies an artifact over the **live evented transport**: the
 /// ecovisor is rebuilt (and restored from the base checkpoint for a
 /// resumed artifact), served by
-/// [`EcovisorServer::spawn`]'s reactor + worker pool on a loopback
+/// [`EcovisorServer::spawn`]'s serving threads on a loopback
 /// port, and the recorded day is driven through **one real TCP
 /// connection per tenant** — every recorded batch round-trips through
 /// its app's connection, settlement ticks between batches exactly as

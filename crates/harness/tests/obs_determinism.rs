@@ -63,10 +63,13 @@ fn observed_recording_is_byte_identical_across_codecs() {
         "hub miscounted dispatch traffic: {counted} of {}",
         plain.expected.request_count
     );
-    // The transport's instruments are in the same catalogue, the write
-    // counter beside the frame counter it is read against; a day recorded
-    // in process has written to no socket.
+    // The transport's instruments are in the same catalogue, the syscall
+    // counters beside the frame counters they are read against; a day
+    // recorded in process has read from and written to no socket.
     for name in [
+        "transport.frames_in_total",
+        "transport.socket_reads_total",
+        "transport.turns_total",
         "transport.frames_out_total",
         "transport.socket_writes_total",
     ] {
