@@ -23,8 +23,8 @@
 //!   countdown + pending request count, no atomics); full timing
 //!   (batch latency, lock waits, per-kind counts) runs on a
 //!   deterministic 1-in-[`DISPATCH_SAMPLE`] count-based sample, so
-//!   instrumentation cost stays under the 2% hot-path budget
-//!   (`BENCH_obs_overhead.json`).
+//!   instrumentation cost is meant to stay under a 2% hot-path budget
+//!   (docs/OBSERVABILITY.md, "Overhead": no row times it alone yet).
 //!
 //! Attach a hub with [`Ecovisor::attach_obs`](crate::Ecovisor::attach_obs)
 //! (the TCP server attaches one automatically at bind); read it back

@@ -3,7 +3,7 @@
 //!
 //! [`ShardedEcovisor`] is the shape an [`Ecovisor`] takes when several
 //! threads drive it at once — the transport's serving threads,
-//! multi-tenant simulations, and the multithreaded benches all
+//! multi-tenant simulations, and `benchmark/`'s load children all
 //! share one through an `Arc`. It layers two levels of locking:
 //!
 //! 1. an **outer** `RwLock<Ecovisor>`: every dispatch holds the *read*

@@ -26,20 +26,20 @@ const MAX_PENDING_BYTES: usize = 64 * 1024 * 1024;
 /// joins when its hello is accepted and leaves when its thread reaps it.
 pub(super) type Registry = Mutex<Vec<Arc<ConnShared>>>;
 
-/// The writer half of one served connection: the connection's stream
-/// behind a mutex, shared by the response path (the serving thread that
-/// owns the connection) and the post-settlement broadcast (the driver
-/// thread), so the two interleave at frame granularity, never mid-frame.
-/// It is the *same* socket that thread reads from (one fd per connection — at thousands of tenants a
+/// The writer half of one served connection, shared by the response
+/// path (the serving thread that owns the connection) and the
+/// post-settlement broadcast (the driver thread). Every write goes
+/// through the `pending` lock, so the two interleave at frame
+/// granularity, never mid-frame. `stream` is the *same* socket that
+/// thread reads from (one fd per connection — at thousands of tenants a
 /// `try_clone` per connection would double the process's fd bill).
 pub(super) struct ConnShared {
     pub(super) app: AppId,
-    pub(super) writer: Mutex<Arc<TcpStream>>,
+    stream: Arc<TcpStream>,
     /// `Some(filter)` once the connection subscribed to event push.
     pub(super) filter: Mutex<Option<EventFilter>>,
     /// Backpressure state: what could not be written because the peer
-    /// stopped draining its socket. Lock order is `pending` before
-    /// `writer`, on every path.
+    /// stopped draining its socket. Held across every write to `stream`.
     pending: Mutex<PendingWrites>,
     /// How the owning thread learns this connection still owes bytes,
     /// so it arms writable interest and finishes the flush when the peer
@@ -200,7 +200,7 @@ impl ConnShared {
     ) -> ConnShared {
         ConnShared {
             app,
-            writer: Mutex::new(stream),
+            stream,
             filter: Mutex::new(None),
             pending: Mutex::new(PendingWrites::default()),
             notify,
@@ -234,11 +234,12 @@ impl ConnShared {
 
     /// Drains the backlog: committed frames first, then the parked
     /// notifications re-framed as one recovery [`EventFrame`].
-    /// `Ok(false)` = backpressure, everything unsent stays queued.
+    /// `Ok(false)` = backpressure, everything unsent stays queued. Only
+    /// the `pending` guard hands out a `&mut PendingWrites`, so holding
+    /// one is what serializes writes to the socket.
     fn flush(&self, pending: &mut PendingWrites) -> io::Result<bool> {
-        let writer = crate::lock::lock(&self.writer);
         let socket_writes = &self.obs.transport.socket_writes;
-        if !write_committed(&writer, pending, socket_writes)? {
+        if !write_committed(&self.stream, pending, socket_writes)? {
             return Ok(false);
         }
         if pending.parked.is_empty() {
@@ -251,7 +252,7 @@ impl ConnShared {
             events: std::mem::take(&mut pending.parked),
         };
         self.commit_event(pending, frame, &mut Vec::new())?;
-        write_committed(&writer, pending, socket_writes)
+        write_committed(&self.stream, pending, socket_writes)
     }
 
     /// Ends a write path: a healthy connection hands any remaining
@@ -266,7 +267,7 @@ impl ConnShared {
             Ok(()) if pending.has_backlog() => self.notify.notify(),
             Ok(()) => {}
             Err(_) => {
-                let _ = crate::lock::lock(&self.writer).shutdown(std::net::Shutdown::Both);
+                let _ = self.stream.shutdown(std::net::Shutdown::Both);
             }
         }
         result

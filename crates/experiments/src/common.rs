@@ -15,7 +15,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Writes `content` under the results directory; ignores I/O failures
-/// (benches may run in read-only sandboxes).
+/// (tests may run in read-only sandboxes).
 pub fn write_result(name: &str, content: &str) {
     let path = results_dir().join(name);
     if fs::write(&path, content).is_ok() {

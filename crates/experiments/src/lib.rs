@@ -4,8 +4,8 @@
 //! modules it exercises). Every experiment:
 //!
 //! * is fully deterministic given a `u64` seed;
-//! * returns a typed result struct (consumed by the Criterion benches and
-//!   the integration tests);
+//! * returns a typed result struct (consumed by `repro` and the
+//!   integration tests);
 //! * can print the same rows/series the paper reports and write CSVs via
 //!   [`common`].
 //!

@@ -332,13 +332,17 @@ fn cmd_fuzz(args: Vec<String>) -> Result<ExitCode, String> {
             if let Some(out) = out_override {
                 opts.out = Some(out);
             }
+            let started = std::time::Instant::now();
             let report = ecoharness::fuzz::run(&opts, None).map_err(|e| e.to_string())?;
+            let secs = started.elapsed().as_secs_f64();
             println!(
-                "fuzz: seed {:#018x}, {} candidate(s), {} passed, {} failed",
+                "fuzz: seed {:#018x}, {} candidate(s), {} passed, {} failed in {secs:.1} s \
+                 ({:.0} candidates/min)",
                 report.seed,
                 report.generated,
                 report.passed,
-                report.failures.len()
+                report.failures.len(),
+                report.generated as f64 * 60.0 / secs
             );
             for failure in &report.failures {
                 println!(

@@ -42,6 +42,7 @@ use ecovisor::{
     ContainerSpec, EcovisorServer, EnergyClient, EnergyShare, EventFilter, ExcessPolicy,
     NotifyConfig, RemoteEcovisorClient, ServerStats, WireCodec,
 };
+use energy_system::battery::BatterySpec;
 use energy_system::solar::{SolarArrayBuilder, Weather};
 use simkit::units::{CarbonIntensity, CarbonRate, Watts};
 use simkit::SimRng;
@@ -804,8 +805,10 @@ impl SoakReport {
 /// The world a soak day runs against: chatty notification thresholds
 /// and per-tenant batteries over mixed solar and volatile carbon at
 /// one-minute ticks, so event frames keep flowing to the subscribers
-/// for the whole run.
+/// for the whole run. Each tenant holds a 5 Wh share of the bank, which
+/// is the paper's 1,440 Wh until the shares outgrow it (288 tenants).
 fn soak_spec(seed: u64, ticks: u64, tenants: usize) -> ScenarioSpec {
+    const SHARE_WH: f64 = 5.0;
     ScenarioSpec {
         format: SPEC_FORMAT,
         name: format!("soak-{seed:016x}"),
@@ -828,14 +831,16 @@ fn soak_spec(seed: u64, ticks: u64, tenants: usize) -> ScenarioSpec {
                 .weather(Weather::Mixed)
                 .seed(seed ^ 0x0050_1A12),
         ),
-        battery_capacity_wh: None,
+        battery_capacity_wh: Some(
+            (SHARE_WH * tenants as f64).max(BatterySpec::paper_prototype().capacity.watt_hours()),
+        ),
         tenants: (0..tenants)
             .map(|i| {
                 let mut tenant = TenantSpec::new(
                     format!("soak-{i}"),
                     EnergyShare::grid_only()
                         .with_solar_fraction(0.9 / tenants.max(1) as f64)
-                        .with_battery(simkit::units::WattHours::new(5.0))
+                        .with_battery(simkit::units::WattHours::new(SHARE_WH))
                         .with_initial_soc(0.5),
                     minimal_driver(),
                 );

@@ -217,6 +217,26 @@ fn soak_day_returns_every_counter_to_baseline() {
 }
 
 #[test]
+fn soak_day_admits_more_tenants_than_the_prototype_bank_holds() {
+    // 5 Wh a tenant: the 1,440 Wh prototype bank holds 288 shares, so
+    // the soak world must size its bank to the tenant count.
+    let tenants = 300;
+    let report = fuzz::soak(&SoakOptions {
+        seed: SEED,
+        ticks: 4,
+        tenants,
+        churn_every: 0,
+    })
+    .expect("soak runs");
+    assert!(
+        report.leak_free(),
+        "leaked: final stats {:?}",
+        report.final_stats
+    );
+    assert_eq!(report.peak.active_connections, tenants);
+}
+
+#[test]
 fn promotion_writes_verified_survivors() {
     let dir = std::env::temp_dir().join(format!("ecoharness-promote-{SEED:x}"));
     let _ = std::fs::remove_dir_all(&dir);

@@ -4,8 +4,8 @@
 //! batteries "may also perform carbon arbitrage, e.g., by charging their
 //! virtual batteries when carbon-intensity is low and discharging when
 //! high". [`ArbitrageApp`] implements exactly that around a steady
-//! workload; the ablation bench compares its carbon against the same
-//! workload without arbitrage.
+//! workload; `arbitrage_cuts_carbon_on_a_square_wave` compares its carbon
+//! against the same workload without arbitrage.
 
 use container_cop::ContainerSpec;
 use ecovisor::{Application, EcovisorClient, EnergyClient};

@@ -20,7 +20,8 @@
 //!   plus replica-based straggler mitigation soaking up excess solar.
 //! * [`arbitrage`] — a carbon-arbitrage battery policy (charge when the
 //!   grid is clean, discharge when dirty), the §3.1 use-case the paper
-//!   describes but never evaluates; used by the ablation benches.
+//!   describes but never evaluates; the `caiso-arbitrage` corpus day
+//!   runs it.
 //! * [`mod@shared`] — interior-mutable stat handles experiments use to pull
 //!   per-app results (runtime, SLO violations) out of the simulation.
 
