@@ -336,10 +336,48 @@ impl Ecovisor {
     // Tick protocol
     // ------------------------------------------------------------------
 
-    /// Begins a tick: samples the carbon information service. Call before
-    /// delivering `tick()` upcalls.
+    /// Samples the carbon information service for the current tick, so
+    /// dispatch reads this tick's intensity before settlement does.
+    /// Settlement samples on its own ([`tick`](Self::tick)); only
+    /// [`Simulation::step`](crate::sim::Simulation::step) calls this,
+    /// ahead of its `tick()` upcalls.
     pub fn begin_tick(&mut self) {
         self.intensity = self.carbon.current_intensity(self.clock.now());
+    }
+
+    /// Runs one tick: samples the carbon service and settles it (see
+    /// [`settle_tick`](Self::settle_tick)), runs `between` on the
+    /// settled state, then advances the clock. `between` sees the
+    /// settled tick's index, so event frames taken there
+    /// ([`take_event_frame`](Self::take_event_frame)) carry the stamp of
+    /// the settlement that produced them.
+    ///
+    /// This is the only place the tick order is written: every driver
+    /// — [`Simulation`](crate::sim::Simulation), the recorder, replay
+    /// and [`ShardedEcovisor`](crate::shard::ShardedEcovisor) — calls it.
+    pub fn tick<R>(&mut self, between: impl FnOnce(&Ecovisor) -> R) -> (SystemFlows, R) {
+        let views = self.collect_demand();
+        self.finish_tick(&views, between)
+            .expect("own demand views are complete and ordered")
+    }
+
+    /// The second half of [`tick`](Self::tick), over a view list a
+    /// federation coordinator merged: settles `views`, runs `between`,
+    /// advances the clock.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`Self::settle_with_views`] rejects; `between` does not
+    /// run and the clock stays at the unsettled tick.
+    pub(crate) fn finish_tick<R>(
+        &mut self,
+        views: &[FedAppView],
+        between: impl FnOnce(&Ecovisor) -> R,
+    ) -> Result<(SystemFlows, R)> {
+        let flows = self.settle_with_views(views)?;
+        let out = between(self);
+        self.advance_clock();
+        Ok((flows, out))
     }
 
     /// Drains the notifications queued for an application (delivered at
@@ -407,10 +445,12 @@ impl Ecovisor {
         Some(frame)
     }
 
-    /// Settles the current tick: enforces carbon-rate caps, runs the
-    /// two-phase virtual settlement, multiplexes the battery, handles
-    /// excess solar, mirrors aggregates onto the physical components,
-    /// records telemetry, and buffers next-tick solar.
+    /// Settles the current tick: samples the carbon service, enforces
+    /// carbon-rate caps, runs the two-phase virtual settlement,
+    /// multiplexes the battery, handles excess solar, mirrors aggregates
+    /// onto the physical components, records telemetry, and buffers
+    /// next-tick solar. A driver calls [`tick`](Self::tick), which
+    /// settles with this and then advances the clock.
     ///
     /// Settlement is the **sole cross-app barrier**: it takes `&mut
     /// self`, so no dispatch (which needs `&self`) can overlap it, and
@@ -421,18 +461,20 @@ impl Ecovisor {
             .expect("own demand views are complete and ordered")
     }
 
-    /// Phase one of a settlement tick: enforces carbon-rate caps (they
-    /// change container power under the current intensity) and captures
-    /// one [`FedAppView`] per local tenant — its virtual energy system
-    /// and post-cap container power, in app-id order.
+    /// Phase one of a settlement tick: samples the carbon service for the
+    /// tick it settles, enforces carbon-rate caps (they change container
+    /// power under that intensity) and captures one [`FedAppView`] per
+    /// local tenant — its virtual energy system and post-cap container
+    /// power, in app-id order.
     ///
-    /// [`Self::settle_tick`] feeds the views straight back into
-    /// [`Self::settle_with_views`]; a federation coordinator instead
-    /// merges every node's views into one global list first. Between the
-    /// two phases no dispatch may run (the deployment wrapper's
+    /// [`Self::tick`] feeds the views straight back into
+    /// [`Self::finish_tick`]; a federation coordinator instead merges
+    /// every node's views into one global list first. Between the two
+    /// phases no dispatch may run (the deployment wrapper's
     /// `fed_collect`/`fed_settle` hold that contract), so the captured
     /// views stay equal to the live state they were cloned from.
-    pub fn collect_demand(&mut self) -> Vec<FedAppView> {
+    pub(crate) fn collect_demand(&mut self) -> Vec<FedAppView> {
+        self.intensity = self.carbon.current_intensity(self.clock.now());
         let dt = self.clock.interval();
 
         // 1. Enforce carbon-rate limits by converting them to container
@@ -472,7 +514,7 @@ impl Ecovisor {
     /// [`EcovisorError::Protocol`] when the views are not strictly
     /// ascending by app id or a locally registered app is missing; the
     /// tick is left unsettled and no state is modified.
-    pub fn settle_with_views(&mut self, views: &[FedAppView]) -> Result<SystemFlows> {
+    pub(crate) fn settle_with_views(&mut self, views: &[FedAppView]) -> Result<SystemFlows> {
         let now = self.clock.now();
         let dt = self.clock.interval();
         let intensity = self.intensity;
@@ -677,7 +719,8 @@ impl Ecovisor {
         Ok(system)
     }
 
-    /// Advances the tick clock. Call after [`settle_tick`](Self::settle_tick).
+    /// Advances the tick clock: the last step of [`tick`](Self::tick),
+    /// after settlement and its `between`.
     pub fn advance_clock(&mut self) {
         self.clock.advance();
     }
@@ -701,7 +744,11 @@ impl Ecovisor {
         self.clock.tick_index()
     }
 
-    /// Carbon intensity sampled at the start of the current tick.
+    /// The carbon intensity sampled last: by the most recent settlement,
+    /// or by [`begin_tick`](Self::begin_tick) ahead of a
+    /// [`Simulation`](crate::sim::Simulation)'s upcalls. So on the wire,
+    /// in a recorded day and in replay, a tenant acting in tick t ≥ 1
+    /// reads tick t−1's intensity, while settlement charges tick t's.
     pub fn grid_carbon_intensity(&self) -> CarbonIntensity {
         self.intensity
     }

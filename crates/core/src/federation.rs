@@ -31,13 +31,15 @@
 //! the redistribution loop), so "collect scalar demands, broadcast
 //! scale factors" would *not* reproduce a single-process run
 //! bit-identically. Instead every node holds a full replica of the
-//! shared substrate and applies the **global** settlement each tick:
-//! [`Ecovisor::collect_demand`] captures one [`FedAppView`] per local
-//! tenant (its virtual energy system and post-cap container power); the
-//! coordinator merges all nodes' views into one app-id-ordered list and
-//! hands it back to [`Ecovisor::settle_with_views`], which settles local
-//! tenants against live state and remote tenants against discarded
-//! shadow copies. Identical inputs in identical order make every
+//! shared substrate and applies the **global** settlement each tick.
+//! The tick is [`Ecovisor::tick`] cut in two:
+//! [`fed_collect`](crate::shard::ShardedEcovisor::fed_collect) captures
+//! one [`FedAppView`] per local tenant (its virtual energy system and
+//! post-cap container power); the coordinator merges all nodes' views
+//! into one app-id-ordered list and hands it back to
+//! [`fed_settle`](crate::shard::ShardedEcovisor::fed_settle), which
+//! settles local tenants against live state and remote tenants against
+//! discarded shadow copies, then advances the clock. Identical inputs in identical order make every
 //! replica's substrate — and every app's flows — bit-identical to the
 //! single-process run. The choreography, its contract (no dispatch
 //! between collect and settle), and the failure semantics are documented
@@ -319,9 +321,7 @@ mod tests {
 
     fn settle(eco: &mut Ecovisor, ticks: u32) {
         for _ in 0..ticks {
-            eco.begin_tick();
-            eco.settle_tick();
-            eco.advance_clock();
+            eco.tick(|_| ());
         }
     }
 
@@ -518,15 +518,15 @@ mod tests {
     fn bad_view_lists_are_refused_and_the_tick_stays_unsettled() {
         let (mut eco, a, b) = eco_with_two_tenants();
         settle(&mut eco, 2);
-        eco.begin_tick();
         let views = eco.collect_demand();
         let before = eco.snapshot().digest();
+        let mut calls = 0;
 
         for missing in [a, b] {
             let partial: Vec<FedAppView> =
                 views.iter().filter(|v| v.app != missing).cloned().collect();
             let err = eco
-                .settle_with_views(&partial)
+                .finish_tick(&partial, |_| calls += 1)
                 .expect_err("a local app is absent");
             assert_eq!(
                 protocol_message(err),
@@ -537,7 +537,7 @@ mod tests {
         let repeated = vec![views[0].clone(), views[0].clone(), views[1].clone()];
         for (bad, saw) in [(reversed, (a, b)), (repeated, (a, a))] {
             let err = eco
-                .settle_with_views(&bad)
+                .finish_tick(&bad, |_| calls += 1)
                 .expect_err("not strictly ascending");
             assert_eq!(
                 protocol_message(err),
@@ -549,9 +549,16 @@ mod tests {
         }
         assert_eq!(eco.snapshot().digest(), before, "nothing was settled");
         assert_eq!(eco.tick_index(), 2);
+        assert_eq!(calls, 0, "a refused list runs no callback");
 
-        eco.settle_with_views(&views)
+        let (_, settled) = eco
+            .finish_tick(&views, |eco| {
+                calls += 1;
+                eco.tick_index()
+            })
             .expect("the complete list settles");
+        assert_eq!((calls, settled), (1, 2), "once, on the settled tick");
+        assert_eq!(eco.tick_index(), 3);
     }
 
     #[test]
@@ -569,9 +576,6 @@ mod tests {
         let (mut node, _) = build();
         for i in [0, 2, 4] {
             node.remove_app(ids[i]).unwrap();
-        }
-        for eco in [&mut whole, &mut node] {
-            eco.begin_tick();
         }
         let views = whole.collect_demand();
         assert_eq!(node.collect_demand().len(), 2);

@@ -70,8 +70,8 @@ pub struct CoreMetrics {
     /// `settle.barrier_wait_ns` — time the driver waits for dispatch to
     /// quiesce (outer write-lock acquisition).
     pub barrier_wait: Arc<Histogram>,
-    /// `settle.duration_ns` — begin→advance settlement work inside the
-    /// barrier.
+    /// `settle.duration_ns` — one whole `Ecovisor::tick` inside the
+    /// barrier: carbon sample, settlement, broadcast hooks, clock advance.
     pub settle_duration: Arc<Histogram>,
     /// `core.tick` — the deterministic tick index after the last
     /// settlement (the tick-stamp for dispatch-side series).

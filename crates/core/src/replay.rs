@@ -7,9 +7,9 @@
 //! the replay engine the scenario harness (`crates/harness`) builds on:
 //!
 //! * [`Ecovisor::replay_trace`] re-executes a trace at its recorded tick
-//!   cadence — dispatch the batches stamped for each tick, settle,
-//!   regenerate that settlement's event frames, advance. This is the
-//!   **one** replay loop;
+//!   cadence — dispatch the batches stamped for each tick, then
+//!   [`Ecovisor::tick`], regenerating that settlement's event frames
+//!   before the clock advances. This is the **one** replay loop;
 //! * [`ShardedEcovisor::replay_trace`] runs that same loop on a wrapped
 //!   ecovisor under a single hold of the settlement barrier, so a replay
 //!   is atomic with respect to any concurrent dispatch on the wrapper;
@@ -40,9 +40,7 @@
 //!     app,
 //!     vec![EnergyRequest::SetBatteryChargeRate { rate: Watts::new(5.0) }],
 //! ));
-//! eco.begin_tick();
-//! eco.settle_tick();
-//! eco.advance_clock();
+//! eco.tick(|_| ());
 //! let trace = eco.take_protocol_trace().unwrap();
 //! let recorded = eco.app_totals(app).unwrap();
 //!
@@ -89,12 +87,12 @@ impl Ecovisor {
     /// Replays a recorded trace at its recorded tick cadence.
     ///
     /// For each of `ticks` settlement ticks: dispatches every trace
-    /// entry stamped at or before the tick (in trace order), runs
-    /// `begin_tick`/`settle_tick`, takes each app's event frame (apps in
-    /// id order — the order the recording harness and the transport's
-    /// broadcast hook use), and advances the clock. Entries stamped
-    /// after the final settlement (e.g. post-run polls) are dispatched
-    /// at the end.
+    /// entry stamped at or before the tick (in trace order), then runs
+    /// [`Ecovisor::tick`], taking each app's event frame between
+    /// settlement and the clock's advance (apps in id order — the order
+    /// the recording harness and the transport's broadcast hook use).
+    /// Entries stamped after the final settlement (e.g. post-run polls)
+    /// are dispatched at the end.
     ///
     /// Protocol tracing is suspended for the duration, so replaying
     /// never re-records, and regenerated event frames are returned
@@ -132,12 +130,11 @@ impl Ecovisor {
                 let entry = entries.next().expect("peeked");
                 responses.push(self.dispatch_batch(&entry.batch));
             }
-            self.begin_tick();
-            self.settle_tick();
-            for app in self.app_ids() {
-                frames.extend(self.take_event_frame(app));
-            }
-            self.advance_clock();
+            self.tick(|eco| {
+                for app in eco.app_ids() {
+                    frames.extend(eco.take_event_frame(app));
+                }
+            });
         }
         for entry in entries {
             responses.push(self.dispatch_batch(&entry.batch));

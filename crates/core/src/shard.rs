@@ -8,9 +8,10 @@
 //!
 //! 1. an **outer** `RwLock<Ecovisor>`: every dispatch holds the *read*
 //!    side (so any number of tenant batches execute concurrently), while
-//!    the driver's settlement path ([`ShardedEcovisor::with`] /
-//!    [`ShardedEcovisor::tick`]) takes the *write* side — a brief
-//!    stop-the-world quiesce that is **the only cross-app barrier**;
+//!    settlement ([`ShardedEcovisor::tick`] and the federated
+//!    phases) and [`ShardedEcovisor::with`] take the *write* side — a
+//!    brief stop-the-world quiesce that is **the only cross-app
+//!    barrier**;
 //! 2. the **inner** per-app shard locks (see [`crate::ecovisor`]): under
 //!    the outer read guard, a batch locks only the shard of the app it
 //!    addresses, so traffic from different tenants never contends, and
@@ -53,11 +54,13 @@
 //! ```
 
 use std::sync::{Mutex, RwLock};
+use std::time::Instant;
 
 use container_cop::AppId;
 
 use crate::ecovisor::{Ecovisor, SystemFlows};
 use crate::lock;
+use crate::obs::{CoreMetrics, Histogram};
 use crate::proto::{RequestBatch, ResponseBatch};
 
 /// A post-settlement broadcast hook (see
@@ -67,14 +70,16 @@ type SettlementHook = Box<dyn Fn(&Ecovisor) + Send + Sync>;
 /// An [`Ecovisor`] wrapped for concurrent multi-tenant dispatch.
 ///
 /// [`dispatch_batch`](Self::dispatch_batch) takes `&self` and runs under
-/// the outer read lock; [`with`](Self::with) grants the exclusive access
-/// settlement and registration need. Share between threads with `Arc`
+/// the outer read lock; [`tick`](Self::tick) and [`with`](Self::with)
+/// take the exclusive access settlement and registration need. Share
+/// between threads with `Arc`
 /// (the transport's [`SharedEcovisor`](crate::transport::SharedEcovisor)
 /// alias).
 pub struct ShardedEcovisor {
     inner: RwLock<Ecovisor>,
-    /// Hooks run by [`tick`](Self::tick) after settlement, still inside
-    /// the barrier — the server-push fan-out point.
+    /// Hooks run by [`tick`](Self::tick) and [`fed_settle`](Self::fed_settle)
+    /// after settlement, still inside the barrier — the server-push
+    /// fan-out point.
     hooks: Mutex<Vec<SettlementHook>>,
 }
 
@@ -94,9 +99,10 @@ impl ShardedEcovisor {
     }
 
     /// Registers a **post-settlement broadcast hook**: [`tick`](Self::tick)
-    /// runs every hook after `settle_tick`, *before* the clock advances
-    /// and while still holding the settlement barrier. That placement is
-    /// the push-path contract:
+    /// and [`fed_settle`](Self::fed_settle) run every hook as
+    /// [`Ecovisor::tick`]'s `between` — after settlement, *before* the
+    /// clock advances, and while still holding the settlement barrier.
+    /// That placement is the push-path contract:
     ///
     /// * events a hook takes ([`Ecovisor::take_event_frame`]) are
     ///   stamped with the settlement tick that produced them, and
@@ -120,10 +126,11 @@ impl ShardedEcovisor {
         lock::read(&self.inner).dispatch_batch(batch)
     }
 
-    /// Runs `f` with exclusive access — the **settlement barrier**. The
-    /// driver loop uses this for `begin_tick`/`settle_tick`/
-    /// `advance_clock`, registration, and trace extraction; all dispatch
-    /// quiesces for the duration.
+    /// Runs `f` with exclusive access — the **settlement barrier** —
+    /// for registration, snapshots, migration and trace extraction; all
+    /// dispatch quiesces for the duration. A tick goes through
+    /// [`tick`](Self::tick), which also times the barrier and runs the
+    /// broadcast hooks.
     pub fn with<R>(&self, f: impl FnOnce(&mut Ecovisor) -> R) -> R {
         f(&mut lock::write(&self.inner))
     }
@@ -134,41 +141,19 @@ impl ShardedEcovisor {
         f(&lock::read(&self.inner))
     }
 
-    /// Advances one full tick — `begin_tick`, `settle_tick`, broadcast
-    /// hooks, `advance_clock` — under the settlement barrier, returning
-    /// the settled system flows.
+    /// Advances one full tick under the settlement barrier —
+    /// [`Ecovisor::tick`], with the broadcast hooks as its `between` —
+    /// returning the settled system flows.
     pub fn tick(&self) -> SystemFlows {
-        // Two observability series bracket the barrier: how long the
-        // driver waited for dispatch to quiesce (`settle.barrier_wait_ns`)
-        // and how long settlement held everyone up (`settle.duration_ns`).
-        // Readings go only into the hub — never into settlement inputs.
-        let barrier_start = std::time::Instant::now();
-        let mut eco = lock::write(&self.inner);
-        let obs = eco.obs_hub();
-        if let Some(hub) = &obs {
-            hub.core
-                .barrier_wait
-                .record_duration(barrier_start.elapsed());
-        }
-        let settle_start = std::time::Instant::now();
-        eco.begin_tick();
-        let flows = eco.settle_tick();
-        for hook in lock::lock(&self.hooks).iter() {
-            hook(&eco);
-        }
-        eco.advance_clock();
-        if let Some(hub) = &obs {
-            hub.core
-                .settle_duration
-                .record_duration(settle_start.elapsed());
-            hub.core.tick.set(eco.tick_index() as i64);
-        }
-        flows
+        self.barrier(
+            |m| &m.settle_duration,
+            |eco| eco.tick(|eco| self.run_hooks(eco)).0,
+        )
     }
 
-    /// Phase one of a **federated** tick: samples the tick inputs and
-    /// captures the local tenants' demand views under the settlement
-    /// barrier (see [`Ecovisor::collect_demand`]).
+    /// Phase one of a **federated** tick: the first half of
+    /// [`Ecovisor::tick`] under the settlement barrier — samples the
+    /// carbon service and captures the local tenants' demand views.
     ///
     /// The coordinator contract: between this call and the matching
     /// [`fed_settle`](Self::fed_settle) no dispatch may be allowed to
@@ -177,37 +162,41 @@ impl ShardedEcovisor {
     /// in between are their own lookout only if the operator breaks the
     /// choreography. `docs/FEDERATION.md` spells this out.
     pub fn fed_collect(&self) -> Vec<crate::federation::FedAppView> {
-        let barrier_start = std::time::Instant::now();
-        let mut eco = lock::write(&self.inner);
-        let obs = eco.obs_hub();
-        if let Some(hub) = &obs {
-            hub.core
-                .barrier_wait
-                .record_duration(barrier_start.elapsed());
-        }
-        let start = std::time::Instant::now();
-        eco.begin_tick();
-        let views = eco.collect_demand();
-        if let Some(hub) = &obs {
-            hub.core.fed_collect.record_duration(start.elapsed());
-        }
-        views
+        self.barrier(|m| &m.fed_collect, Ecovisor::collect_demand)
     }
 
-    /// Phase two of a federated tick: settles the globally merged view
-    /// list, runs the broadcast hooks, and advances the clock — the
-    /// cross-node extension of [`tick`](Self::tick).
+    /// Phase two of a federated tick: the second half of
+    /// [`Ecovisor::tick`] over the globally merged view list — settles
+    /// it, runs the broadcast hooks, and advances the clock.
     ///
     /// # Errors
     ///
-    /// Everything [`Ecovisor::settle_with_views`] rejects; on error the
-    /// hooks do not run and the clock does not advance, so a node that
-    /// received a malformed view list stays at the unsettled tick.
+    /// [`crate::EcovisorError::Protocol`] when the views are not strictly
+    /// ascending by app id or a local tenant is missing; the hooks do
+    /// not run and the clock does not advance, so a node that received
+    /// a malformed view list stays at the unsettled tick.
     pub fn fed_settle(
         &self,
         views: &[crate::federation::FedAppView],
     ) -> crate::error::Result<SystemFlows> {
-        let barrier_start = std::time::Instant::now();
+        self.barrier(
+            |m| &m.fed_settle,
+            |eco| Ok(eco.finish_tick(views, |eco| self.run_hooks(eco))?.0),
+        )
+    }
+
+    /// Runs `f` with exclusive access, timed into the attached hub: how
+    /// long the driver waited for dispatch to quiesce
+    /// (`settle.barrier_wait_ns`), how long `f` held everyone up (the
+    /// `phase` histogram), and the tick the clock shows after it
+    /// (`core.tick`). Readings go only into the hub — never into
+    /// settlement inputs.
+    fn barrier<R>(
+        &self,
+        phase: fn(&CoreMetrics) -> &Histogram,
+        f: impl FnOnce(&mut Ecovisor) -> R,
+    ) -> R {
+        let barrier_start = Instant::now();
         let mut eco = lock::write(&self.inner);
         let obs = eco.obs_hub();
         if let Some(hub) = &obs {
@@ -215,17 +204,20 @@ impl ShardedEcovisor {
                 .barrier_wait
                 .record_duration(barrier_start.elapsed());
         }
-        let start = std::time::Instant::now();
-        let flows = eco.settle_with_views(views)?;
-        for hook in lock::lock(&self.hooks).iter() {
-            hook(&eco);
-        }
-        eco.advance_clock();
+        let start = Instant::now();
+        let out = f(&mut eco);
         if let Some(hub) = &obs {
-            hub.core.fed_settle.record_duration(start.elapsed());
+            phase(&hub.core).record_duration(start.elapsed());
             hub.core.tick.set(eco.tick_index() as i64);
         }
-        Ok(flows)
+        out
+    }
+
+    /// Runs every post-settlement hook, in registration order.
+    fn run_hooks(&self, eco: &Ecovisor) {
+        for hook in lock::lock(&self.hooks).iter() {
+            hook(eco);
+        }
     }
 
     /// Captures one tenant under the settlement barrier (see

@@ -3,15 +3,20 @@
 //! [`Simulation`] owns an [`Ecovisor`] and the registered
 //! [`Application`]s and advances them in lock-step. Each tick it:
 //!
-//! 1. samples the carbon service ([`Ecovisor::begin_tick`]);
+//! 1. samples the carbon service ([`Ecovisor::begin_tick`]), so the
+//!    upcalls read the intensity of the tick they act in;
 //! 2. delivers pending notifications and the `tick()` upcall to every
 //!    application, in registration order, through an [`EcovisorClient`]
 //!    protocol handle so applications can only touch their own virtual
 //!    energy system and their fire-and-forget commands coalesce into
 //!    per-tick request batches;
 //! 3. flushes each application's outstanding batch at the tick boundary;
-//! 4. settles energy and carbon ([`Ecovisor::settle_tick`]);
-//! 5. advances the clock.
+//! 4. runs [`Ecovisor::tick`]: settles energy and carbon, then advances
+//!    the clock.
+//!
+//! Step 1 is the one way this loop differs from every other driver's:
+//! the recorder, replay and the wire sample only at settlement, so
+//! their tenants read the previous tick's intensity.
 //!
 //! [`EcovisorClient`]: crate::client::EcovisorClient
 
@@ -89,8 +94,7 @@ impl Simulation {
             // Tick boundary: whatever the app queued settles as one batch.
             api.flush();
         }
-        self.eco.settle_tick();
-        self.eco.advance_clock();
+        self.eco.tick(|_| ());
     }
 
     /// Runs `n` ticks.

@@ -360,7 +360,7 @@ impl RemoteEcovisorClient {
     ///
     /// Everything [`fed_collect`](Self::fed_collect) can fail with, plus
     /// the server-side validation failures of
-    /// [`Ecovisor::settle_with_views`](crate::Ecovisor::settle_with_views).
+    /// [`ShardedEcovisor::fed_settle`](crate::ShardedEcovisor::fed_settle).
     pub fn fed_settle(&mut self, views: &[FedAppView]) -> io::Result<()> {
         self.admin_ack(
             "fed-settle",

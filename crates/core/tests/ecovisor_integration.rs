@@ -2,14 +2,15 @@
 //! multiplexing, and API scoping.
 
 use carbon_intel::service::TraceCarbonService;
-use container_cop::{ContainerSpec, CopConfig};
+use container_cop::{AppId, ContainerSpec, CopConfig};
 use ecovisor::{
-    Application, EcovisorBuilder, EcovisorClient, EcovisorError, EnergyClient, EnergyShare,
-    ExcessPolicy, Notification, Simulation,
+    Application, Ecovisor, EcovisorBuilder, EcovisorClient, EcovisorError, EnergyClient,
+    EnergyShare, ExcessPolicy, Notification, ShardedEcovisor, Simulation, VesTotals,
 };
 use energy_system::battery::{Battery, BatterySpec};
 use energy_system::grid::GridConnection;
 use energy_system::solar::TraceSolarSource;
+use power_telemetry::metrics;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::Trace;
 use simkit::units::{CarbonIntensity, Co2Grams, WattHours, Watts};
@@ -563,6 +564,77 @@ fn get_grid_carbon_tracks_service() {
     {
         let mut api = sim.eco_mut().client(app).unwrap();
         assert_eq!(api.get_grid_carbon(), CarbonIntensity::new(250.0));
+    }
+}
+
+/// Tick `t`'s grid carbon intensity in [`moving_carbon_world`]: a
+/// different value every tick.
+fn moving_sample(t: u64) -> f64 {
+    100.0 + 37.0 * t as f64
+}
+
+const MOVING_TICKS: u64 = 6;
+
+/// One saturated grid-only tenant under [`moving_sample`]'s signal.
+fn moving_carbon_world() -> (Ecovisor, AppId) {
+    let dt = SimDuration::from_minutes(1);
+    let samples = (0..MOVING_TICKS).map(moving_sample).collect();
+    let mut eco = EcovisorBuilder::new()
+        .tick_interval(dt)
+        .cluster(CopConfig::microserver_cluster(2))
+        .carbon(Box::new(TraceCarbonService::new(
+            "moving",
+            Trace::from_samples(samples, dt),
+        )))
+        .build();
+    let app = eco.register_app("c", EnergyShare::grid_only()).unwrap();
+    let mut api = eco.client(app).unwrap();
+    let c = api.launch_container(ContainerSpec::quad_core()).unwrap();
+    api.set_container_demand(c, 1.0).unwrap();
+    drop(api);
+    (eco, app)
+}
+
+/// After tick `t` (which began at `at`) settled, the intensity read
+/// back, the one recorded and the one charged are all tick `t`'s.
+fn assert_settled_at(eco: &Ecovisor, app: AppId, at: SimTime, before: VesTotals, t: u64) {
+    let want = moving_sample(t);
+    let after = eco.app_totals(app).unwrap();
+    let grid_kwh = (after.grid_energy - before.grid_energy).watt_hours() / 1000.0;
+    let charged = (after.carbon - before.carbon).grams() / grid_kwh;
+    let recorded = eco
+        .tsdb()
+        .value_at(metrics::GRID_CARBON_INTENSITY, metrics::SYSTEM, at);
+    assert_eq!(
+        eco.grid_carbon_intensity().grams_per_kwh(),
+        want,
+        "tick {t}"
+    );
+    assert_eq!(recorded, Some(want), "tick {t}");
+    assert!(
+        grid_kwh > 0.0 && (charged - want).abs() < 1e-9 * want,
+        "tick {t}: charged {charged}"
+    );
+}
+
+#[test]
+fn settlement_charges_the_intensity_of_the_tick_it_settles() {
+    // The stages, with no sample taken ahead of settlement.
+    let (mut eco, app) = moving_carbon_world();
+    for t in 0..MOVING_TICKS {
+        let (at, before) = (eco.now(), eco.app_totals(app).unwrap());
+        eco.settle_tick();
+        eco.advance_clock();
+        assert_settled_at(&eco, app, at, before, t);
+    }
+    // The two federated phases of a deployed node.
+    let (eco, app) = moving_carbon_world();
+    let node = ShardedEcovisor::new(eco);
+    for t in 0..MOVING_TICKS {
+        let (at, before) = node.read(|eco| (eco.now(), eco.app_totals(app).unwrap()));
+        let views = node.fed_collect();
+        node.fed_settle(&views).expect("its own views");
+        node.read(|eco| assert_settled_at(eco, app, at, before, t));
     }
 }
 

@@ -100,11 +100,8 @@ fn battery_edges_fire_once_per_crossing() {
                         .expect("demand");
                 }
             }
-            eco.begin_tick();
-            eco.settle_tick();
-            let (full, empty) = battery_state(&eco);
-            let events = eco.drain_events(app);
-            eco.advance_clock();
+            let (_, ((full, empty), events)) =
+                eco.tick(|eco| (battery_state(eco), eco.drain_events(app)));
 
             let full_events = events
                 .iter()
@@ -190,12 +187,13 @@ fn run_threshold_property(seed: u64) {
     let mut solar_fired = 0usize;
     let mut carbon_fired = 0usize;
     for tick in 0..ticks {
-        eco.begin_tick();
-        let intensity = eco.grid_carbon_intensity();
-        eco.settle_tick();
-        let buffer = eco.app_ves(app).expect("ves").solar_available();
-        let events = eco.drain_events(app);
-        eco.advance_clock();
+        let (_, (intensity, buffer, events)) = eco.tick(|eco| {
+            (
+                eco.grid_carbon_intensity(),
+                eco.app_ves(app).expect("ves").solar_available(),
+                eco.drain_events(app),
+            )
+        });
 
         let solar_events: Vec<&Notification> = events
             .iter()
@@ -262,10 +260,7 @@ fn run_threshold_property(seed: u64) {
     };
     let (mut eco, app) = build(deaf);
     for _ in 0..ticks {
-        eco.begin_tick();
-        eco.settle_tick();
-        let events = eco.drain_events(app);
-        eco.advance_clock();
+        let (_, events) = eco.tick(|eco| eco.drain_events(app));
         assert!(
             events.iter().all(|e| !matches!(
                 e,

@@ -236,9 +236,7 @@ fn undrained_app_outbox_stays_bounded_through_settlement() {
             }
             client.flush();
             drop(client);
-            eco.begin_tick();
-            eco.settle_tick();
-            eco.advance_clock();
+            eco.tick(|_| ());
         }
         eco.drain_events(app)
     }

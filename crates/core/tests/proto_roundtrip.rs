@@ -510,7 +510,6 @@ fn recorded_traffic_replays_onto_a_twin() {
     assert_eq!(twin_app, app, "twin must assign the same app id");
     let mut entries = parsed.entries.iter().peekable();
     for tick in 0..8 {
-        twin.begin_tick();
         while let Some(e) = entries.peek() {
             if e.tick != tick {
                 break;
@@ -518,8 +517,7 @@ fn recorded_traffic_replays_onto_a_twin() {
             twin.dispatch_batch(&e.batch);
             entries.next();
         }
-        twin.settle_tick();
-        twin.advance_clock();
+        twin.tick(|_| ());
     }
     // Registration-time traffic (tick 0) plus per-tick batches all landed:
     assert!(entries.next().is_none(), "all recorded batches consumed");
@@ -677,7 +675,6 @@ mod transport {
             let (mut twin, a, b) = build_eco();
             let mut entries = parsed.entries.iter().peekable();
             for tick in 0..ticks {
-                twin.begin_tick();
                 while let Some(e) = entries.peek() {
                     if e.tick != tick {
                         break;
@@ -685,8 +682,7 @@ mod transport {
                     twin.dispatch_batch(&e.batch);
                     entries.next();
                 }
-                twin.settle_tick();
-                twin.advance_clock();
+                twin.tick(|_| ());
             }
             assert!(entries.next().is_none(), "all recorded batches consumed");
             assert_eq!(twin.app_totals(a).expect("twin a"), ta, "{codec:?}");

@@ -171,10 +171,7 @@ fn run_local_twin(seed: u64) -> (Vec<Notification>, VesTotals, VesTotals) {
     for tick in 0..TICKS {
         tick_traffic_a(&mut eco.client(a).expect("client a"), tick, &ca);
         tick_traffic_b(&mut eco.client(b).expect("client b"), tick, cb);
-        eco.begin_tick();
-        eco.settle_tick();
-        events.extend(eco.drain_events(a));
-        eco.advance_clock();
+        eco.tick(|eco| events.extend(eco.drain_events(a)));
     }
     let ta = eco.app_totals(a).expect("totals a");
     let tb = eco.app_totals(b).expect("totals b");
@@ -690,9 +687,7 @@ fn event_callbacks_match_drains_on_both_transports() {
                 let mut client = eco.client(a).expect("client");
                 tick_traffic_a(&mut client, tick, &fleet);
             }
-            eco.begin_tick();
-            eco.settle_tick();
-            eco.advance_clock();
+            eco.tick(|_| ());
             let mut client = eco.client(a).expect("client");
             let handler_sink = Arc::clone(&local_sink);
             client.set_event_handler(move |frame| {

@@ -67,7 +67,6 @@ fn settle(eco: &mut Ecovisor, ticks: u32) -> (u64, Vec<Duration>) {
     let mut allocations = 0;
     let mut times = Vec::new();
     for _ in 0..ticks {
-        eco.begin_tick();
         let before = counting_alloc::allocations();
         let start = Instant::now();
         eco.settle_tick();

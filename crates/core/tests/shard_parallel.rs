@@ -291,12 +291,10 @@ fn run_sequential(seed: u64, ticks: usize, tenants: usize) -> Vec<ecovisor::VesT
     let (mut eco, ids) = build_eco(tenants);
     let day = seeded_day(&mut eco, &ids, seed, ticks);
     for tick in day {
-        eco.begin_tick();
         for batch in &tick {
             eco.dispatch_batch(batch);
         }
-        eco.settle_tick();
-        eco.advance_clock();
+        eco.tick(|_| ());
     }
     totals_of(&eco, &ids)
 }
@@ -316,7 +314,6 @@ fn run_sharded(
     }
     let shared = Arc::new(ShardedEcovisor::new(eco));
     for tick in day {
-        shared.with(|eco| eco.begin_tick());
         let gate = Arc::new(Barrier::new(tick.len()));
         let threads: Vec<_> = tick
             .into_iter()
@@ -332,10 +329,7 @@ fn run_sharded(
         for t in threads {
             t.join().expect("tenant thread");
         }
-        shared.with(|eco| {
-            eco.settle_tick();
-            eco.advance_clock();
-        });
+        shared.tick();
     }
     shared.with(|eco| {
         let totals = totals_of(eco, &ids);
@@ -382,7 +376,6 @@ fn concurrent_trace_replays_bit_identical_on_both_paths() {
         let mut entries = trace.entries.iter().peekable();
         let mut responses = Vec::new();
         for tick in 0..ticks as u64 {
-            eco.begin_tick();
             while let Some(e) = entries.peek() {
                 if e.tick != tick {
                     break;
@@ -390,8 +383,7 @@ fn concurrent_trace_replays_bit_identical_on_both_paths() {
                 responses.push(eco.dispatch_batch(&e.batch));
                 entries.next();
             }
-            eco.settle_tick();
-            eco.advance_clock();
+            eco.tick(|_| ());
         }
         assert!(entries.next().is_none(), "all batches consumed");
         (totals_of(&eco, ids), responses)
@@ -408,7 +400,6 @@ fn concurrent_trace_replays_bit_identical_on_both_paths() {
     let mut entries = trace.entries.iter().peekable();
     let mut sharded_responses = Vec::new();
     for tick in 0..ticks as u64 {
-        shared.with(|eco| eco.begin_tick());
         while let Some(e) = entries.peek() {
             if e.tick != tick {
                 break;
@@ -416,10 +407,7 @@ fn concurrent_trace_replays_bit_identical_on_both_paths() {
             sharded_responses.push(shared.dispatch_batch(&e.batch));
             entries.next();
         }
-        shared.with(|eco| {
-            eco.settle_tick();
-            eco.advance_clock();
-        });
+        shared.tick();
     }
     let sharded_totals = shared.with(|eco| totals_of(eco, &twin_ids));
 
@@ -525,7 +513,6 @@ fn concurrent_launches_replay_with_identical_container_ids() {
     let mut entries = trace.entries.iter().peekable();
     let mut replayed: Vec<ecovisor::ResponseBatch> = Vec::new();
     for tick in 0..ticks as u64 {
-        twin.begin_tick();
         while let Some(e) = entries.peek() {
             if e.tick != tick {
                 break;
@@ -533,8 +520,7 @@ fn concurrent_launches_replay_with_identical_container_ids() {
             replayed.push(twin.dispatch_batch(&e.batch));
             entries.next();
         }
-        twin.settle_tick();
-        twin.advance_clock();
+        twin.tick(|_| ());
     }
     assert!(entries.next().is_none(), "all batches consumed");
 

@@ -170,12 +170,11 @@ fn run_original(seed: u64, snap_tick: u64) -> (OriginalRun, AppId, AppId) {
     for tick in 0..TICKS {
         tick_traffic_a(&mut eco.client(a).expect("client a"), tick, &ca);
         tick_traffic_b(&mut eco.client(b).expect("client b"), tick, cb);
-        eco.begin_tick();
-        eco.settle_tick();
-        for app in [a, b] {
-            frames.extend(eco.take_event_frame(app));
-        }
-        eco.advance_clock();
+        eco.tick(|eco| {
+            for app in [a, b] {
+                frames.extend(eco.take_event_frame(app));
+            }
+        });
         if tick + 1 == snap_tick {
             snap = Some(eco.snapshot());
         }
@@ -365,9 +364,7 @@ fn hostile_snapshots(good: &Snapshot) -> Vec<(&'static str, Snapshot, Refusal)> 
 }
 
 fn settle_one_tick(eco: &mut Ecovisor) {
-    eco.begin_tick();
-    eco.settle_tick();
-    eco.advance_clock();
+    eco.tick(|_| ());
 }
 
 /// Restore checks what it would install, not what the snapshot says of
@@ -471,9 +468,7 @@ fn pending_edge_events_survive_restore_exactly_once() {
     let mut pre = Vec::new();
     for tick in 0..8 {
         tick_traffic_a(&mut eco.client(a).expect("client a"), tick, &ca);
-        eco.begin_tick();
-        eco.settle_tick();
-        eco.advance_clock();
+        eco.tick(|_| ());
         pre.extend(eco.drain_events(a));
     }
     assert!(
@@ -486,9 +481,7 @@ fn pending_edge_events_survive_restore_exactly_once() {
     let mut tick = 8;
     let snap = loop {
         tick_traffic_a(&mut eco.client(a).expect("client a"), tick, &ca);
-        eco.begin_tick();
-        eco.settle_tick();
-        eco.advance_clock();
+        eco.tick(|_| ());
         tick += 1;
         let snap = eco.snapshot();
         let pending = &snap
@@ -529,9 +522,7 @@ fn pending_edge_events_survive_restore_exactly_once() {
     for t in tick..tick + 8 {
         for e in [&mut eco, &mut twin] {
             tick_traffic_a(&mut e.client(a).expect("client"), t, &ca);
-            e.begin_tick();
-            e.settle_tick();
-            e.advance_clock();
+            e.tick(|_| ());
         }
         assert_eq!(eco.drain_events(a), twin.drain_events(a), "tick {t}");
     }

@@ -99,9 +99,7 @@ fn tick(eco: &mut Ecovisor, fleets: &mut Fleets, t: u64) {
         }
         client.flush();
     }
-    eco.begin_tick();
-    eco.settle_tick();
-    eco.advance_clock();
+    eco.tick(|_| ());
 }
 
 fn tsdb_bytes(eco: &Ecovisor) -> Vec<u8> {

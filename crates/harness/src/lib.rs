@@ -3,7 +3,7 @@
 //! Turns simulated multi-tenant days into **first-class, versioned
 //! artifacts**: a [`ScenarioSpec`] describes a seeded day (physical
 //! world + carbon signal + N workload/policy tenants), [`record()`](record()) runs
-//! it through a [`ShardedEcovisor`](ecovisor::ShardedEcovisor) with
+//! it tick by tick ([`Ecovisor::tick`](ecovisor::Ecovisor::tick)) with
 //! protocol tracing on and packages the result as a
 //! [`ScenarioArtifact`] (spec + complete wire trace + expected
 //! totals/digests), and [`verify()`](verify()) proves a build still replays the

@@ -1,15 +1,17 @@
 //! Recording a scenario into a replayable artifact.
 //!
-//! The recorder materializes a [`ScenarioSpec`], wraps the ecovisor in
-//! the deployment-shaped [`ShardedEcovisor`], and drives the tenants
-//! lock-step for the spec's tick count with protocol tracing enabled.
-//! The loop mirrors the transport's push path: after every settlement —
-//! still inside the barrier, exactly where the broadcast hook runs —
-//! each app's event frame is taken (recording it into the trace), and
-//! its notifications are delivered to the tenant's driver at the start
-//! of the next tick, before `on_tick`. Every request the drivers issue
-//! travels through their batching clients into `dispatch_batch`, so the
-//! trace captures the day's complete wire traffic.
+//! The recorder materializes a [`ScenarioSpec`] and drives the tenants
+//! lock-step on a plain [`Ecovisor`](ecovisor::Ecovisor) for the spec's
+//! tick count with protocol tracing enabled. The loop mirrors the
+//! transport's push path: each tick runs through
+//! [`Ecovisor::tick`](ecovisor::Ecovisor::tick), and between settlement
+//! and the clock's advance — exactly where the server's broadcast hook
+//! runs — each app's event frame is taken (recording it into the
+//! trace); its notifications are delivered to the tenant's driver at
+//! the start of the next tick, before `on_tick`. Every request the
+//! drivers issue travels through their batching clients into
+//! `dispatch_batch`, so the trace captures the day's complete wire
+//! traffic.
 //!
 //! Determinism contract: a spec is a pure function of its seeds, so
 //! recording the same spec twice yields byte-identical artifacts, and
@@ -18,16 +20,15 @@
 //! [`crate::verify()`](crate::verify())'s job).
 
 use ecovisor::proto::EventFrame;
-use ecovisor::{digest, Notification, ShardedEcovisor};
+use ecovisor::{digest, Notification};
 
 use crate::artifact::{AppOutcome, Checkpoint, ExpectedOutcome, ScenarioArtifact, ARTIFACT_FORMAT};
 use crate::error::HarnessError;
 use crate::scenario::{build_drivers, build_ecovisor};
 use crate::spec::ScenarioSpec;
 
-/// Records `spec` into an artifact: runs the full day through a
-/// [`ShardedEcovisor`] with tracing on, then packages the trace with
-/// the expected outcome.
+/// Records `spec` into an artifact: runs the full day with tracing on,
+/// then packages the trace with the expected outcome.
 ///
 /// # Errors
 ///
@@ -41,10 +42,10 @@ pub fn record(spec: &ScenarioSpec) -> Result<ScenarioArtifact, HarnessError> {
 /// `every` ticks (and never at the very end of the run, where there is
 /// no remainder left to restore into).
 ///
-/// Checkpoints are captured inside the settlement barrier, right after
-/// the clock advances — the same instant the transport's `Snapshot`
-/// admin request observes — so each one is a consistent image the
-/// verifier can restore and replay the rest of the trace against.
+/// Checkpoints are captured right after the clock advances — the same
+/// tick boundary the transport's `Snapshot` admin request observes — so
+/// each one is a consistent image the verifier can restore and replay
+/// the rest of the trace against.
 /// Capturing does not perturb the run: the trace, totals, and digests
 /// are identical to a checkpoint-free recording of the same spec.
 ///
@@ -122,7 +123,6 @@ fn drive(
         driver.on_start(&mut client);
     }
 
-    let sharded = ShardedEcovisor::new(eco);
     // Frames taken at the previous settlement, awaiting delivery.
     let mut held: Vec<EventFrame> = Vec::new();
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
@@ -133,32 +133,24 @@ fn drive(
                 .filter(|f| f.app == *id)
                 .flat_map(|f| f.events.iter().copied())
                 .collect();
-            sharded.with(|eco| {
-                let mut client = eco.client(*id).expect("registered tenant");
-                for event in &events {
-                    driver.on_event(event, &mut client);
-                }
-                driver.on_tick(&mut client);
-                // Client drops here, flushing the tick's queued commands
-                // as one recorded batch.
-            });
-        }
-        held = sharded.with(|eco| {
-            eco.begin_tick();
-            eco.settle_tick();
-            let frames: Vec<EventFrame> = ids
-                .iter()
-                .filter_map(|&app| eco.take_event_frame(app))
-                .collect();
-            eco.advance_clock();
-            if every.is_some_and(|n| (tick + 1).is_multiple_of(n)) && tick + 1 < spec.ticks {
-                checkpoints.push(Checkpoint::new(&eco.snapshot()));
+            let mut client = eco.client(*id).expect("registered tenant");
+            for event in &events {
+                driver.on_event(event, &mut client);
             }
-            frames
+            driver.on_tick(&mut client);
+            // Client drops here, flushing the tick's queued commands as
+            // one recorded batch.
+        }
+        (_, held) = eco.tick(|eco| {
+            ids.iter()
+                .filter_map(|&app| eco.take_event_frame(app))
+                .collect()
         });
+        if every.is_some_and(|n| (tick + 1).is_multiple_of(n)) && tick + 1 < spec.ticks {
+            checkpoints.push(Checkpoint::new(&eco.snapshot()));
+        }
     }
 
-    let eco = sharded.into_inner();
     Ok(package(
         spec.clone(),
         eco,
