@@ -249,12 +249,10 @@ pub(crate) struct TransferHeader {
 /// clock it would be installed under: the next settlement appends at
 /// that instant and a series only grows forwards (an equal stamp
 /// overwrites, which [`TimeSeries::push`](simkit::series::TimeSeries::push)
-/// allows).
+/// allows). A scan of the series that names only an offender, so a
+/// restore never pays for a sorted walk of the store.
 pub(crate) fn telemetry_within(tsdb: &Tsdb, now: SimTime) -> Result<(), SnapshotError> {
-    let late = tsdb
-        .iter()
-        .find(|(_, _, series)| series.last().is_some_and(|s| s.at > now));
-    match late {
+    match tsdb.find(|series| series.last().is_some_and(|s| s.at > now)) {
         Some((metric, subject, _)) => Err(SnapshotError::Structure(format!(
             "series ({metric}, {subject}) holds a sample later than the clock, at {now}"
         ))),

@@ -1,6 +1,8 @@
 //! In-memory time-series database with interval queries.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
+use std::fmt;
+use std::sync::Arc;
 
 use serde::{binary, Deserialize, Serialize, Value};
 
@@ -41,16 +43,150 @@ pub struct SeriesId(u32);
 /// time-ordered per series (enforced by [`TimeSeries`]).
 ///
 /// Series are held densely behind [`SeriesId`] handles, so a writer that
-/// keeps its handles appends with an indexed push; names are resolved
-/// through a `metric → subject → handle` index without allocating.
-/// Serialized, the store is what a `BTreeMap<SeriesKey, TimeSeries>`
-/// field named `series` would be — a sequence of `[SeriesKey,
-/// TimeSeries]` pairs in `(metric, subject)` string order — whatever
-/// order the series were created in.
-#[derive(Debug, Clone, Default)]
+/// keeps its handles appends with an indexed push. Names are interned:
+/// each metric and each subject string is stored once, so naming a
+/// series allocates nothing on a hit and one string for a new name, not
+/// one per series. Nothing is ever walked in hash order:
+/// every walk sorts the names first. Serialized, the store is what a
+/// `BTreeMap<SeriesKey, TimeSeries>` field named `series` would be — a
+/// sequence of `[SeriesKey, TimeSeries]` pairs in `(metric, subject)`
+/// string order — whatever order the series were created in; `Debug`
+/// shows that map.
+#[derive(Clone, Default)]
 pub struct Tsdb {
     series: Vec<TimeSeries>,
-    index: BTreeMap<String, BTreeMap<String, SeriesId>>,
+    index: Index,
+}
+
+/// The names of a store's series, by handle and handle by name.
+///
+/// Metrics and subjects are numbered apart, and a series is the pair of
+/// its two numbers: naming is three hash lookups whatever the names are
+/// (how many metrics one subject has, or subjects one metric), and the
+/// index holds a constant per series and per name (a table of metrics by
+/// subjects would hold their product, which a store of distinct names
+/// makes quadratic).
+#[derive(Clone, Default)]
+struct Index {
+    /// By handle: each series' metric and subject number.
+    keys: Vec<(u32, u32)>,
+    /// The handle of each `(metric, subject)` number pair.
+    ids: HashMap<(u32, u32), SeriesId>,
+    /// Every metric that has a series.
+    metrics: Names,
+    /// Every subject that has a series.
+    subjects: Names,
+}
+
+/// Strings numbered densely in the order first seen, each stored once
+/// and shared by the number → name and name → number sides.
+#[derive(Clone, Default)]
+struct Names {
+    by_name: HashMap<Arc<str>, u32>,
+    by_number: Vec<Arc<str>>,
+}
+
+impl Names {
+    fn number(&self, name: &str) -> Option<u32> {
+        self.by_name.get(name).copied()
+    }
+
+    /// `name`'s number, the next one if it is new.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(number) = self.number(name) {
+            return number;
+        }
+        // Every name has a series, so there are fewer than 2^32.
+        let number = self.by_number.len() as u32;
+        let name: Arc<str> = Arc::from(name);
+        self.by_number.push(Arc::clone(&name));
+        self.by_name.insert(name, number);
+        number
+    }
+
+    fn name(&self, number: u32) -> &str {
+        &self.by_number[number as usize]
+    }
+
+    /// By number: each name's place in string order.
+    fn ranks(&self) -> Vec<u32> {
+        let mut names: Vec<(&str, u32)> =
+            self.by_number.iter().map(|name| &**name).zip(0..).collect();
+        names.sort_unstable();
+        let mut ranks = vec![0; names.len()];
+        for (rank, (_, number)) in names.into_iter().enumerate() {
+            ranks[number as usize] = rank as u32;
+        }
+        ranks
+    }
+}
+
+impl Index {
+    fn lookup(&self, metric: &str, subject: &str) -> Option<SeriesId> {
+        let key = (self.metrics.number(metric)?, self.subjects.number(subject)?);
+        self.ids.get(&key).copied()
+    }
+
+    /// The handle of `(metric, subject)`; a name not seen before is given
+    /// the next one, one past the last series.
+    fn name(&mut self, metric: &str, subject: &str) -> SeriesId {
+        let key = (self.metrics.intern(metric), self.subjects.intern(subject));
+        let next = SeriesId(u32::try_from(self.keys.len()).expect("fewer than 2^32 series"));
+        let id = *self.ids.entry(key).or_insert(next);
+        if id == next {
+            self.keys.push(key);
+        }
+        id
+    }
+
+    /// The name of the series behind `id`.
+    fn name_of(&self, id: SeriesId) -> (&str, &str) {
+        let (metric, subject) = self.keys[id.0 as usize];
+        (self.metrics.name(metric), self.subjects.name(subject))
+    }
+
+    /// Every `(metric, subject, handle)`, in `(metric, subject)` string
+    /// order: the names sorted once each, then the handles dealt by the
+    /// place of their subject and, keeping that order, of their metric.
+    fn walk(&self) -> impl Iterator<Item = (&str, &str, SeriesId)> {
+        let key = |id: SeriesId| self.keys[id.0 as usize];
+        let all = (0..self.keys.len() as u32).map(SeriesId);
+        let subjects = self.subjects.ranks();
+        let by_subject = deal(all, subjects.len(), |id| subjects[key(id).1 as usize]);
+        let metrics = self.metrics.ranks();
+        deal(by_subject.iter().copied(), metrics.len(), |id| {
+            metrics[key(id).0 as usize]
+        })
+        .into_iter()
+        .map(|id| {
+            let (metric, subject) = self.name_of(id);
+            (metric, subject, id)
+        })
+    }
+}
+
+/// `ids` in the order of their `place`s, each below `places`, those that
+/// share one kept in the order given: a counting sort, so a walk costs
+/// the sorting of the names and no more than a constant per series.
+fn deal(
+    ids: impl ExactSizeIterator<Item = SeriesId> + Clone,
+    places: usize,
+    place: impl Fn(SeriesId) -> u32,
+) -> Vec<SeriesId> {
+    let mut next = vec![0; places + 1];
+    for id in ids.clone() {
+        next[place(id) as usize + 1] += 1;
+    }
+    for at in 1..=places {
+        next[at] += next[at - 1];
+    }
+    let mut dealt = vec![SeriesId(0); ids.len()];
+    for id in ids {
+        let at = &mut next[place(id) as usize];
+        dealt[*at] = id;
+        *at += 1;
+    }
+    dealt
 }
 
 impl Tsdb {
@@ -59,26 +195,13 @@ impl Tsdb {
         Self::default()
     }
 
-    fn lookup(&self, metric: &str, subject: &str) -> Option<SeriesId> {
-        self.index.get(metric)?.get(subject).copied()
-    }
-
     /// The handle of `(metric, subject)`, creating the (empty) series if
     /// the store does not have it. A hit allocates nothing.
     pub fn series_id(&mut self, metric: &str, subject: &str) -> SeriesId {
-        if !self.index.contains_key(metric) {
-            self.index.insert(metric.to_owned(), BTreeMap::new());
+        let id = self.index.name(metric, subject);
+        if id.0 as usize == self.series.len() {
+            self.series.push(TimeSeries::new());
         }
-        let by_subject = self
-            .index
-            .get_mut(metric)
-            .expect("present or just inserted");
-        if let Some(&id) = by_subject.get(subject) {
-            return id;
-        }
-        let id = SeriesId(u32::try_from(self.series.len()).expect("fewer than 2^32 series"));
-        by_subject.insert(subject.to_owned(), id);
-        self.series.push(TimeSeries::new());
         id
     }
 
@@ -109,7 +232,7 @@ impl Tsdb {
 
     /// The series for `(metric, subject)`, if the store has it.
     pub fn series(&self, metric: &str, subject: &str) -> Option<&TimeSeries> {
-        self.lookup(metric, subject).map(|id| self.get(id))
+        self.index.lookup(metric, subject).map(|id| self.get(id))
     }
 
     /// Latest value of `(metric, subject)`.
@@ -156,10 +279,18 @@ impl Tsdb {
 
     /// All subjects that have a series for `metric`, in order.
     pub fn subjects_of(&self, metric: &str) -> Vec<&str> {
-        self.index
-            .get(metric)
-            .map(|by_subject| by_subject.keys().map(String::as_str).collect())
-            .unwrap_or_default()
+        let Some(number) = self.index.metrics.number(metric) else {
+            return Vec::new();
+        };
+        let mut subjects: Vec<&str> = self
+            .index
+            .keys
+            .iter()
+            .filter(|&&(of, _)| of == number)
+            .map(|&(_, subject)| self.index.subjects.name(subject))
+            .collect();
+        subjects.sort_unstable();
+        subjects
     }
 
     /// Number of stored series.
@@ -176,11 +307,18 @@ impl Tsdb {
     /// subject)` string order (the order CSV export and the at-rest form
     /// use).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, &TimeSeries)> {
-        self.index.iter().flat_map(move |(metric, by_subject)| {
-            by_subject
-                .iter()
-                .map(move |(subject, &id)| (metric.as_str(), subject.as_str(), self.get(id)))
-        })
+        self.index
+            .walk()
+            .map(|(metric, subject, id)| (metric, subject, self.get(id)))
+    }
+
+    /// The first series, in the order they are stored, that `pred` holds
+    /// of, with its name: a scan of the series that names only the one it
+    /// finds, where [`iter`](Self::iter) names and sorts them all.
+    pub fn find(&self, pred: impl FnMut(&TimeSeries) -> bool) -> Option<(&str, &str, &TimeSeries)> {
+        let at = self.series.iter().position(pred)?;
+        let (metric, subject) = self.index.name_of(SeriesId(at as u32));
+        Some((metric, subject, &self.series[at]))
     }
 
     /// A copy of every series whose subject is in `subjects` (a migrating
@@ -199,25 +337,17 @@ impl Tsdb {
     /// that stay are renumbered: every [`SeriesId`] taken before this call
     /// is dead.
     pub fn remove_subjects(&mut self, subjects: &BTreeSet<String>) {
-        let mut old = std::mem::take(&mut self.series);
-        for by_subject in self.index.values_mut() {
-            by_subject.retain(|subject, id| {
-                if subjects.contains(subject) {
-                    return false;
-                }
-                let kept = std::mem::take(&mut old[id.0 as usize]);
-                *id = SeriesId(self.series.len() as u32);
-                self.series.push(kept);
-                true
-            });
-        }
-        self.index.retain(|_, by_subject| !by_subject.is_empty());
+        let old = std::mem::take(self);
+        self.move_from(old, |subject| !subjects.contains(subject));
     }
 
     /// Subjects that have at least one series, in order.
     pub fn all_subjects(&self) -> BTreeSet<String> {
-        self.iter()
-            .map(|(_, subject, _)| subject.to_owned())
+        self.index
+            .subjects
+            .by_number
+            .iter()
+            .map(|subject| subject.to_string())
             .collect()
     }
 
@@ -230,22 +360,39 @@ impl Tsdb {
     /// description before anything is moved — callers separate subject
     /// namespaces (per-app and per-container ids), so a collision means
     /// the same entity exists on both sides.
-    pub fn merge_from(&mut self, mut other: Tsdb) -> Result<(), String> {
+    pub fn merge_from(&mut self, other: Tsdb) -> Result<(), String> {
         if let Some((metric, subject, _)) = other
             .iter()
-            .find(|(metric, subject, _)| self.lookup(metric, subject).is_some())
+            .find(|(metric, subject, _)| self.index.lookup(metric, subject).is_some())
         {
             return Err(format!(
                 "series ({metric}, {subject}) exists on both sides of the merge"
             ));
         }
-        for (metric, by_subject) in &other.index {
-            for (subject, id) in by_subject {
-                let moved = std::mem::take(&mut other.series[id.0 as usize]);
-                self.put(metric, subject, moved);
+        self.move_from(other, |_| true);
+        Ok(())
+    }
+
+    /// Moves the series of `from` whose subject `keep` accepts into this
+    /// store, in name order.
+    fn move_from(&mut self, from: Tsdb, mut keep: impl FnMut(&str) -> bool) {
+        let Tsdb { mut series, index } = from;
+        for (metric, subject, id) in index.walk() {
+            if keep(subject) {
+                self.put(metric, subject, std::mem::take(&mut series[id.0 as usize]));
             }
         }
-        Ok(())
+    }
+}
+
+impl fmt::Debug for Tsdb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(
+                self.iter()
+                    .map(|(metric, subject, series)| ((metric, subject), series)),
+            )
+            .finish()
     }
 }
 
@@ -377,6 +524,32 @@ mod tests {
         let db = sample_db();
         assert_eq!(db.series_count(), 3);
         assert_eq!(db.sample_count(), 6);
+    }
+
+    #[test]
+    fn find_names_the_series_it_finds() {
+        fn ten(db: &Tsdb) -> Option<(&str, &str)> {
+            let (metric, subject, _) = db.find(|s| s.last().is_some_and(|l| l.value == 10.0))?;
+            Some((metric, subject))
+        }
+        let mut db = sample_db();
+        assert_eq!(ten(&db), Some(("power", "c2")));
+        db.remove_subjects(&BTreeSet::from(["c1".to_owned()]));
+        assert_eq!(ten(&db), Some(("power", "c2")), "renumbered");
+        assert!(db.find(|_| false).is_none());
+    }
+
+    #[test]
+    fn debug_shows_the_series_in_name_order() {
+        let mut reversed = Tsdb::new();
+        reversed.record("carbon", "app1", t(0), 0.5);
+        reversed.record("power", "c2", t(0), 10.0);
+        for (i, v) in [1.0, 2.0, 3.0, 4.0].iter().enumerate() {
+            reversed.record("power", "c1", t(i as u64 * 60), *v);
+        }
+        let shown = format!("{:?}", sample_db());
+        assert_eq!(format!("{reversed:?}"), shown);
+        assert!(shown.starts_with(r#"{("carbon", "app1"): "#), "{shown}");
     }
 
     #[test]

@@ -185,6 +185,85 @@ fn at_rest_form_is_the_reference_maps() {
     }
 }
 
+/// `pairs` in the at-rest form, in the order given: what a writer that
+/// did not sort its keys would send.
+fn at_rest_bytes(pairs: &[(&SeriesKey, &TimeSeries)]) -> Vec<u8> {
+    use serde::{binary, Serialize};
+    let mut out = Vec::new();
+    binary::write_map(&mut out, 1);
+    binary::write_key(&mut out, "series");
+    binary::write_seq(&mut out, pairs.len());
+    for (key, series) in pairs {
+        binary::write_seq(&mut out, 2);
+        key.encode(&mut out);
+        series.encode(&mut out);
+    }
+    out
+}
+
+/// The decode contract of the at-rest form: like the map it is named
+/// after, pairs may arrive in any order and a repeated key keeps its last
+/// series. Shuffled pairs with one key sent twice decode to the store the
+/// sorted bytes do, whichever of the two copies comes later winning.
+#[test]
+fn shuffled_pairs_and_a_repeated_key_decode_as_the_map_would() {
+    let mut rng = SimRng::from_seed(1001).fork("shuffled_pairs_and_a_repeated_key");
+    let decode = |pairs: &[(&SeriesKey, &TimeSeries)]| -> Tsdb {
+        serde::binary::from_bytes(&at_rest_bytes(pairs)).expect("pairs in any order decode")
+    };
+    for _ in 0..64 {
+        let mut reference = Reference::default();
+        for tick in 0..rng.uniform_u64(1, 10) {
+            let at = SimTime::from_secs(tick * 60);
+            for _ in 0..rng.uniform_u64(1, 12) {
+                let (metric, subject) = arb_name(&mut rng);
+                reference.record(metric, &subject, at, rng.uniform(-5.0, 5.0));
+            }
+        }
+        let sorted = serde::binary::to_bytes(&reference);
+        let mut pairs: Vec<(&SeriesKey, &TimeSeries)> = reference.series.iter().collect();
+        assert_eq!(
+            at_rest_bytes(&pairs),
+            sorted,
+            "the hand encoding is the map's"
+        );
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.uniform_u64(0, i as u64 + 1) as usize);
+        }
+        let shuffled = decode(&pairs);
+        assert_eq!(serde::binary::to_bytes(&shuffled), sorted);
+        assert_eq!(shuffled.series_count(), reference.series.len());
+
+        let pick = rng.uniform_u64(0, pairs.len() as u64) as usize;
+        let (key, series) = pairs[pick];
+        let stale: TimeSeries = [(SimTime::EPOCH, 1e6)].into_iter().collect();
+        let mut earlier = pairs.clone();
+        earlier.insert(rng.uniform_u64(0, pick as u64 + 1) as usize, (key, &stale));
+        let kept = decode(&earlier);
+        assert_eq!(
+            serde::binary::to_bytes(&kept),
+            sorted,
+            "the later copy wins"
+        );
+        assert_eq!(kept.series(&key.metric, &key.subject), Some(series));
+
+        let mut later = pairs.clone();
+        let after = rng.uniform_u64(pick as u64 + 1, pairs.len() as u64 + 1) as usize;
+        later.insert(after, (key, &stale));
+        let overwritten = decode(&later);
+        let mut expected = Reference {
+            series: reference.series.clone(),
+        };
+        expected.series.insert(key.clone(), stale.clone());
+        assert_eq!(
+            serde::binary::to_bytes(&overwritten),
+            serde::binary::to_bytes(&expected),
+            "the later copy wins"
+        );
+        assert_eq!(overwritten.series_count(), reference.series.len());
+    }
+}
+
 /// Extracting a set of subjects, removing them and merging them back
 /// round-trips to the same bytes; what is left after the removal is the
 /// reference minus those subjects, still writable by name; and a merge
