@@ -205,11 +205,9 @@ impl std::fmt::Debug for Ecovisor {
 impl Ecovisor {
     /// Builds from an [`EcovisorBuilder`] (use [`EcovisorBuilder::build`]).
     pub fn from_builder(b: EcovisorBuilder) -> Self {
-        let clock = TickClock::new(b.tick_interval);
-        let intensity = b.carbon.current_intensity(clock.now());
         let psu = b.psu_or_default();
-        Self {
-            clock,
+        let mut eco = Self {
+            clock: TickClock::new(b.tick_interval),
             cop: RwLock::new(Cop::new(b.cop)),
             solar: b.solar,
             physical_battery: b.battery,
@@ -220,13 +218,15 @@ impl Ecovisor {
             tsdb: RwLock::new(Tsdb::new()),
             apps: BTreeMap::new(),
             next_app: 1,
-            intensity,
-            prev_intensity: intensity,
+            intensity: CarbonIntensity::ZERO,
+            prev_intensity: CarbonIntensity::ZERO,
             last_system_flows: SystemFlows::default(),
             tracing: AtomicBool::new(false),
             proto_trace: Mutex::new(None),
             obs: None,
-        }
+        };
+        eco.sample_carbon();
+        eco
     }
 
     // ------------------------------------------------------------------
@@ -336,25 +336,42 @@ impl Ecovisor {
     // Tick protocol
     // ------------------------------------------------------------------
 
-    /// Samples the carbon information service for the current tick, so
-    /// dispatch reads this tick's intensity before settlement does.
-    /// Settlement samples on its own ([`tick`](Self::tick)); only
-    /// [`Simulation::step`](crate::sim::Simulation::step) calls this,
-    /// ahead of its `tick()` upcalls.
+    /// Re-samples the carbon service at the current instant. A no-op on
+    /// state: the clock already sampled it when it moved (see
+    /// [`advance_clock`](Self::advance_clock)). No driver calls it; it
+    /// stays public for the benchmark's stage walk.
     pub fn begin_tick(&mut self) {
-        self.intensity = self.carbon.current_intensity(self.clock.now());
+        self.sample_carbon();
     }
 
-    /// Runs one tick: samples the carbon service and settles it (see
-    /// [`settle_tick`](Self::settle_tick)), runs `between` on the
-    /// settled state, then advances the clock. `between` sees the
-    /// settled tick's index, so event frames taken there
+    /// The one carbon sample: `intensity` is the service's value at the
+    /// clock's instant, `prev_intensity` its value one tick earlier (or
+    /// the same at tick 0), so both are functions of the clock. Taken
+    /// wherever the clock is set — at build, on
+    /// [`advance_clock`](Self::advance_clock) and on restore — so what
+    /// dispatch answers between settlements is the intensity the next
+    /// settlement charges.
+    pub(crate) fn sample_carbon(&mut self) {
+        let now = self.clock.now();
+        self.intensity = self.carbon.current_intensity(now);
+        self.prev_intensity = match self.clock.tick_index() {
+            0 => self.intensity,
+            _ => self.carbon.current_intensity(now - self.clock.interval()),
+        };
+    }
+
+    /// Runs one tick: settles it (see [`settle_tick`](Self::settle_tick))
+    /// at the intensity its tenants were told, runs `between` on the
+    /// settled state, then advances the clock, which samples the next
+    /// tick's intensity. `between` sees the settled tick's index, so
+    /// event frames taken there
     /// ([`take_event_frame`](Self::take_event_frame)) carry the stamp of
     /// the settlement that produced them.
     ///
     /// This is the only place the tick order is written: every driver
-    /// — [`Simulation`](crate::sim::Simulation), the recorder, replay
-    /// and [`ShardedEcovisor`](crate::shard::ShardedEcovisor) — calls it.
+    /// — [`Simulation`](crate::sim::Simulation) (which the recorder
+    /// runs), replay and [`ShardedEcovisor`](crate::shard::ShardedEcovisor)
+    /// — calls it.
     pub fn tick<R>(&mut self, between: impl FnOnce(&Ecovisor) -> R) -> (SystemFlows, R) {
         let views = self.collect_demand();
         self.finish_tick(&views, between)
@@ -380,8 +397,9 @@ impl Ecovisor {
         Ok((flows, out))
     }
 
-    /// Drains the notifications queued for an application (delivered at
-    /// the start of its tick, before `on_tick`).
+    /// Drains the notifications queued for an application, unframed: the
+    /// pull form of [`take_event_frame`](Self::take_event_frame), which
+    /// is what the [`Simulation`](crate::sim::Simulation) loop takes.
     ///
     /// Takes `&self`: the outbox lives in the app's shard, so draining
     /// joins the dispatch surface — any holder of a shared ecovisor
@@ -445,8 +463,8 @@ impl Ecovisor {
         Some(frame)
     }
 
-    /// Settles the current tick: samples the carbon service, enforces
-    /// carbon-rate caps, runs the two-phase virtual settlement,
+    /// Settles the current tick at the intensity the clock sampled for
+    /// it: enforces carbon-rate caps, runs the two-phase virtual settlement,
     /// multiplexes the battery, handles excess solar, mirrors aggregates
     /// onto the physical components, records telemetry, and buffers
     /// next-tick solar. A driver calls [`tick`](Self::tick), which
@@ -461,11 +479,11 @@ impl Ecovisor {
             .expect("own demand views are complete and ordered")
     }
 
-    /// Phase one of a settlement tick: samples the carbon service for the
-    /// tick it settles, enforces carbon-rate caps (they change container
-    /// power under that intensity) and captures one [`FedAppView`] per
-    /// local tenant — its virtual energy system and post-cap container
-    /// power, in app-id order.
+    /// Phase one of a settlement tick: enforces carbon-rate caps (they
+    /// change container power under the intensity the clock sampled for
+    /// this tick) and captures one [`FedAppView`] per local tenant — its
+    /// virtual energy system and post-cap container power, in app-id
+    /// order.
     ///
     /// [`Self::tick`] feeds the views straight back into
     /// [`Self::finish_tick`]; a federation coordinator instead merges
@@ -474,7 +492,6 @@ impl Ecovisor {
     /// `fed_collect`/`fed_settle` hold that contract), so the captured
     /// views stay equal to the live state they were cloned from.
     pub(crate) fn collect_demand(&mut self) -> Vec<FedAppView> {
-        self.intensity = self.carbon.current_intensity(self.clock.now());
         let dt = self.clock.interval();
 
         // 1. Enforce carbon-rate limits by converting them to container
@@ -697,7 +714,6 @@ impl Ecovisor {
                 );
             }
         }
-        self.prev_intensity = intensity;
 
         let system = SystemFlows {
             physical_solar,
@@ -719,10 +735,12 @@ impl Ecovisor {
         Ok(system)
     }
 
-    /// Advances the tick clock: the last step of [`tick`](Self::tick),
-    /// after settlement and its `between`.
+    /// Advances the tick clock and samples the carbon service for the
+    /// new tick: the last step of [`tick`](Self::tick), after
+    /// settlement and its `between`.
     pub fn advance_clock(&mut self) {
         self.clock.advance();
+        self.sample_carbon();
     }
 
     // ------------------------------------------------------------------
@@ -744,11 +762,9 @@ impl Ecovisor {
         self.clock.tick_index()
     }
 
-    /// The carbon intensity sampled last: by the most recent settlement,
-    /// or by [`begin_tick`](Self::begin_tick) ahead of a
-    /// [`Simulation`](crate::sim::Simulation)'s upcalls. So on the wire,
-    /// in a recorded day and in replay, a tenant acting in tick t ≥ 1
-    /// reads tick t−1's intensity, while settlement charges tick t's.
+    /// The carbon intensity of the current tick, sampled when the clock
+    /// moved to it: what `GetGridCarbon` answers, and what the tick's
+    /// settlement charges.
     pub fn grid_carbon_intensity(&self) -> CarbonIntensity {
         self.intensity
     }

@@ -1,22 +1,25 @@
 //! The simulation runner: drives the ecovisor tick protocol.
 //!
 //! [`Simulation`] owns an [`Ecovisor`] and the registered
-//! [`Application`]s and advances them in lock-step. Each tick it:
+//! [`Application`]s and advances them in lock-step. It is the one driver
+//! loop: examples, the figures and the scenario recorder all run it.
+//! Each tick it:
 //!
-//! 1. samples the carbon service ([`Ecovisor::begin_tick`]), so the
-//!    upcalls read the intensity of the tick they act in;
-//! 2. delivers pending notifications and the `tick()` upcall to every
-//!    application, in registration order, through an [`EcovisorClient`]
-//!    protocol handle so applications can only touch their own virtual
-//!    energy system and their fire-and-forget commands coalesce into
-//!    per-tick request batches;
-//! 3. flushes each application's outstanding batch at the tick boundary;
-//! 4. runs [`Ecovisor::tick`]: settles energy and carbon, then advances
-//!    the clock.
+//! 1. delivers each application the event frame taken at the previous
+//!    settlement (`on_event`), then its `tick()` upcall, in registration
+//!    order, through an [`EcovisorClient`] protocol handle so
+//!    applications can only touch their own virtual energy system and
+//!    their fire-and-forget commands coalesce into per-tick request
+//!    batches;
+//! 2. flushes each application's outstanding batch at the tick boundary;
+//! 3. runs [`Ecovisor::tick`]: settles energy and carbon, takes each
+//!    application's event frame between settlement and the clock's
+//!    advance — where the transport's push hook runs, so a traced run
+//!    records its push traffic — and advances the clock, which samples
+//!    the next tick's carbon intensity.
 //!
-//! Step 1 is the one way this loop differs from every other driver's:
-//! the recorder, replay and the wire sample only at settlement, so
-//! their tenants read the previous tick's intensity.
+//! So an upcall reads the intensity of the tick it acts in, as every
+//! other surface's tenant does.
 //!
 //! [`EcovisorClient`]: crate::client::EcovisorClient
 
@@ -27,11 +30,14 @@ use crate::app::Application;
 use crate::client::EnergyClient;
 use crate::ecovisor::Ecovisor;
 use crate::error::Result;
+use crate::proto::EventFrame;
 use crate::share::EnergyShare;
 
 struct Entry {
     id: AppId,
     app: Box<dyn Application>,
+    /// The frame taken at the last settlement, delivered next step.
+    frame: Option<EventFrame>,
 }
 
 /// Lock-step driver for an ecovisor and its applications.
@@ -69,32 +75,48 @@ impl Simulation {
         &mut self,
         name: &str,
         share: EnergyShare,
-        mut app: Box<dyn Application>,
+        app: Box<dyn Application>,
     ) -> Result<AppId> {
         let id = self.eco.register_app(name, share)?;
-        {
-            let mut api = self.eco.client(id)?;
-            app.on_start(&mut api);
-            // `api` drops here, flushing anything still queued.
-        }
-        self.entries.push(Entry { id, app });
+        self.adopt(id, app)?;
         Ok(id)
+    }
+
+    /// Drives an application the ecovisor already registers as `id`
+    /// (built with it, or restored into it) and runs its `on_start`
+    /// hook.
+    ///
+    /// # Errors
+    ///
+    /// [`EcovisorError::UnknownApp`](crate::EcovisorError::UnknownApp)
+    /// when `id` is not registered.
+    pub fn adopt(&mut self, id: AppId, mut app: Box<dyn Application>) -> Result<()> {
+        // The client drops with the statement, flushing anything queued.
+        app.on_start(&mut self.eco.client(id)?);
+        self.entries.push(Entry {
+            id,
+            app,
+            frame: None,
+        });
+        Ok(())
     }
 
     /// Runs one tick of the protocol.
     pub fn step(&mut self) {
-        self.eco.begin_tick();
         for entry in &mut self.entries {
-            let events = self.eco.drain_events(entry.id);
             let mut api = self.eco.client(entry.id).expect("registered app");
-            for event in &events {
+            for event in entry.frame.take().iter().flat_map(|f| &f.events) {
                 entry.app.on_event(event, &mut api);
             }
             entry.app.on_tick(&mut api);
             // Tick boundary: whatever the app queued settles as one batch.
             api.flush();
         }
-        self.eco.tick(|_| ());
+        self.eco.tick(|eco| {
+            for entry in &mut self.entries {
+                entry.frame = eco.take_event_frame(entry.id);
+            }
+        });
     }
 
     /// Runs `n` ticks.

@@ -20,12 +20,16 @@
 //! ## What is and is not captured
 //!
 //! Captured: the tick clock (whose position *is* the solar/carbon trace
-//! cursor — both services are pure functions of simulated time), carbon
-//! intensity (current and previous tick), the physical battery, grid
-//! meter and PSU, the full COP ([`CopSnapshot`]), the telemetry store,
-//! and every per-app shard including undelivered outbox events (drained
-//! into the snapshot so a subscriber sees each edge event exactly once
-//! across a checkpoint/restore boundary).
+//! cursor — both services are pure functions of simulated time), the
+//! physical battery, grid meter and PSU, the full COP
+//! ([`CopSnapshot`]), the telemetry store, and every per-app shard
+//! including undelivered outbox events (drained into the snapshot so a
+//! subscriber sees each edge event exactly once across a
+//! checkpoint/restore boundary).
+//!
+//! Written but derived: the carbon intensity of the current and the
+//! previous tick. Restore re-samples both from the restored clock, so a
+//! snapshot cannot set what tenants are told.
 //!
 //! Not captured: the solar/carbon *traces* themselves, the placement
 //! policy, and the power models (all static configuration the restoring
@@ -117,9 +121,13 @@ pub struct Snapshot {
     /// spec, server specs, excess policy). Restore refuses a snapshot
     /// whose fingerprint differs from the receiving process's.
     pub env_digest: u64,
-    /// Carbon intensity sampled at the start of the current tick.
+    /// Carbon intensity of the current tick, as the writer sampled it.
+    /// Written for the reader's information only: restore re-samples the
+    /// carbon service at the embedded clock and ignores this value.
     pub intensity: CarbonIntensity,
-    /// Previous tick's intensity (edge state for carbon notifications).
+    /// The previous tick's intensity (the edge state of carbon
+    /// notifications), as the writer sampled it. Ignored on restore,
+    /// like [`intensity`](Self::intensity).
     pub prev_intensity: CarbonIntensity,
     /// System flows from the most recent settlement.
     pub last_system_flows: SystemFlows,
@@ -431,8 +439,9 @@ impl Ecovisor {
             .map_err(SnapshotError::Structure)?;
         *lock::get_mut(&mut self.tsdb) = snap.tsdb.clone();
         self.clock = snap.clock.clone();
-        self.intensity = snap.intensity;
-        self.prev_intensity = snap.prev_intensity;
+        // Derived from the clock, never installed: a snapshot cannot set
+        // what tenants are told.
+        self.sample_carbon();
         self.last_system_flows = snap.last_system_flows;
         self.physical_battery = snap.physical_battery.clone();
         self.grid = snap.grid.clone();

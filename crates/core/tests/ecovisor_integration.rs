@@ -1,11 +1,16 @@
 //! Integration tests of the ecovisor's tick protocol, settlement,
 //! multiplexing, and API scoping.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use carbon_intel::service::TraceCarbonService;
 use container_cop::{AppId, ContainerSpec, CopConfig};
+use ecovisor::proto::{EnergyRequest, RequestBatch};
 use ecovisor::{
-    Application, Ecovisor, EcovisorBuilder, EcovisorClient, EcovisorError, EnergyClient,
-    EnergyShare, ExcessPolicy, Notification, ShardedEcovisor, Simulation, VesTotals,
+    Application, Ecovisor, EcovisorBuilder, EcovisorClient, EcovisorError, EcovisorServer,
+    EnergyClient, EnergyShare, ExcessPolicy, Notification, RemoteEcovisorClient, ShardedEcovisor,
+    Simulation, VesTotals,
 };
 use energy_system::battery::{Battery, BatterySpec};
 use energy_system::grid::GridConnection;
@@ -560,7 +565,6 @@ fn get_grid_carbon_tracks_service() {
         assert_eq!(api.get_grid_carbon(), CarbonIntensity::new(100.0));
     }
     sim.run_ticks(1);
-    sim.eco_mut().begin_tick();
     {
         let mut api = sim.eco_mut().client(app).unwrap();
         assert_eq!(api.get_grid_carbon(), CarbonIntensity::new(250.0));
@@ -575,10 +579,12 @@ fn moving_sample(t: u64) -> f64 {
 
 const MOVING_TICKS: u64 = 6;
 
-/// One saturated grid-only tenant under [`moving_sample`]'s signal.
+/// One saturated grid-only tenant under [`moving_sample`]'s signal
+/// (sampled one tick past [`MOVING_TICKS`], where the last tick's clock
+/// stops).
 fn moving_carbon_world() -> (Ecovisor, AppId) {
     let dt = SimDuration::from_minutes(1);
-    let samples = (0..MOVING_TICKS).map(moving_sample).collect();
+    let samples = (0..=MOVING_TICKS).map(moving_sample).collect();
     let mut eco = EcovisorBuilder::new()
         .tick_interval(dt)
         .cluster(CopConfig::microserver_cluster(2))
@@ -595,26 +601,34 @@ fn moving_carbon_world() -> (Ecovisor, AppId) {
     (eco, app)
 }
 
-/// After tick `t` (which began at `at`) settled, the intensity read
-/// back, the one recorded and the one charged are all tick `t`'s.
-fn assert_settled_at(eco: &Ecovisor, app: AppId, at: SimTime, before: VesTotals, t: u64) {
-    let want = moving_sample(t);
-    let after = eco.app_totals(app).unwrap();
+/// The carbon tick `t`'s settlement charged per grid kWh, from the
+/// totals before and after it.
+fn charged(before: VesTotals, after: VesTotals, t: u64) -> f64 {
     let grid_kwh = (after.grid_energy - before.grid_energy).watt_hours() / 1000.0;
-    let charged = (after.carbon - before.carbon).grams() / grid_kwh;
+    assert!(grid_kwh > 0.0, "tick {t} drew from the grid");
+    (after.carbon - before.carbon).grams() / grid_kwh
+}
+
+/// Whether `charged` is tick `t`'s intensity.
+fn is_tick(charged: f64, t: u64) -> bool {
+    (charged - moving_sample(t)).abs() < 1e-9 * moving_sample(t)
+}
+
+/// After tick `t` (which began at `at`) settled and the clock moved on,
+/// the intensity recorded and the one charged are tick `t`'s, and the
+/// one read back is already tick `t + 1`'s.
+fn assert_settled_at(eco: &Ecovisor, app: AppId, at: SimTime, before: VesTotals, t: u64) {
+    let charged = charged(before, eco.app_totals(app).unwrap(), t);
     let recorded = eco
         .tsdb()
         .value_at(metrics::GRID_CARBON_INTENSITY, metrics::SYSTEM, at);
     assert_eq!(
         eco.grid_carbon_intensity().grams_per_kwh(),
-        want,
+        moving_sample(t + 1),
         "tick {t}"
     );
-    assert_eq!(recorded, Some(want), "tick {t}");
-    assert!(
-        grid_kwh > 0.0 && (charged - want).abs() < 1e-9 * want,
-        "tick {t}: charged {charged}"
-    );
+    assert_eq!(recorded, Some(moving_sample(t)), "tick {t}");
+    assert!(is_tick(charged, t), "tick {t}: charged {charged}");
 }
 
 #[test]
@@ -635,6 +649,95 @@ fn settlement_charges_the_intensity_of_the_tick_it_settles() {
         let views = node.fed_collect();
         node.fed_settle(&views).expect("its own views");
         node.read(|eco| assert_settled_at(eco, app, at, before, t));
+    }
+}
+
+/// An application that reads the carbon signal in every `tick()` upcall.
+struct CarbonReader(Rc<RefCell<Vec<CarbonIntensity>>>);
+
+impl Application for CarbonReader {
+    fn on_tick(&mut self, api: &mut EcovisorClient<'_>) {
+        self.0.borrow_mut().push(api.get_grid_carbon());
+    }
+}
+
+/// The read-side law: the intensity `GetGridCarbon` tells a tenant
+/// acting in tick `t` is the one tick `t`'s settlement charges it — in
+/// process, under the [`Simulation`] loop, over the wire and federated.
+/// (`ecoharness`' `corpus_regression` holds it on a recorded and
+/// replayed day.)
+#[test]
+fn get_grid_carbon_tells_the_intensity_the_tick_charges() {
+    let law = |surface: &str, t: u64, told: CarbonIntensity, charged: f64| {
+        assert_eq!(
+            told.grams_per_kwh(),
+            moving_sample(t),
+            "{surface}, tick {t}: told"
+        );
+        assert!(
+            is_tick(charged, t),
+            "{surface}, tick {t}: charged {charged}"
+        );
+    };
+
+    // In process, driven through `Ecovisor::tick`.
+    let (mut eco, app) = moving_carbon_world();
+    for t in 0..MOVING_TICKS {
+        let told = eco.client(app).unwrap().get_grid_carbon();
+        let before = eco.app_totals(app).unwrap();
+        eco.tick(|_| ());
+        law(
+            "tick",
+            t,
+            told,
+            charged(before, eco.app_totals(app).unwrap(), t),
+        );
+    }
+
+    // An upcall of the `Simulation` loop.
+    let (eco, app) = moving_carbon_world();
+    let mut sim = Simulation::new(eco);
+    let told = Rc::new(RefCell::new(Vec::new()));
+    sim.adopt(app, Box::new(CarbonReader(Rc::clone(&told))))
+        .unwrap();
+    for t in 0..MOVING_TICKS {
+        let before = sim.eco().app_totals(app).unwrap();
+        sim.step();
+        let charged = charged(before, sim.eco().app_totals(app).unwrap(), t);
+        law("simulation", t, told.borrow()[t as usize], charged);
+    }
+
+    // Over the wire, with the server's driver ticking.
+    let (eco, app) = moving_carbon_world();
+    let server = EcovisorServer::bind("127.0.0.1:0", eco)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut remote = RemoteEcovisorClient::connect(server.addr(), app).unwrap();
+    let shared = server.ecovisor();
+    for t in 0..MOVING_TICKS {
+        let told = remote.get_grid_carbon();
+        let before = shared.read(|eco| eco.app_totals(app).unwrap());
+        shared.tick();
+        let charged = charged(before, shared.read(|eco| eco.app_totals(app).unwrap()), t);
+        law("wire", t, told, charged);
+    }
+    drop(remote);
+    server.shutdown();
+
+    // A federated node, settling through its two phases.
+    let (eco, app) = moving_carbon_world();
+    let node = ShardedEcovisor::new(eco);
+    let ask = RequestBatch::new(app, vec![EnergyRequest::GetGridCarbon]);
+    for t in 0..MOVING_TICKS {
+        let told = node.dispatch_batch(&ask).responses[0]
+            .clone()
+            .expect_intensity();
+        let before = node.read(|eco| eco.app_totals(app).unwrap());
+        let views = node.fed_collect();
+        node.fed_settle(&views).expect("its own views");
+        let charged = charged(before, node.read(|eco| eco.app_totals(app).unwrap()), t);
+        law("federated", t, told, charged);
     }
 }
 

@@ -34,10 +34,11 @@ use ecovisor::{
     Snapshot, SnapshotError, VesTotals, SNAPSHOT_FORMAT,
 };
 use energy_system::solar::TraceSolarSource;
+use power_telemetry::metrics;
 use simkit::rng::SimRng;
 use simkit::time::SimDuration;
 use simkit::trace::Trace;
-use simkit::units::{Co2Grams, WattHours, Watts};
+use simkit::units::{CarbonIntensity, Co2Grams, WattHours, Watts};
 
 #[path = "common/hostile.rs"]
 mod hostile;
@@ -399,6 +400,68 @@ fn restore_refuses_hostile_snapshots_before_touching_state() {
     let at_the_clock = hostile::edited(good, &[(LATEST_STAMP.into(), serde::Value::Int(now))]);
     let mut receiver = Ecovisor::restore(builder(seed), &at_the_clock).expect("admitted");
     settle_one_tick(&mut receiver);
+}
+
+/// A snapshot cannot set what tenants are told. The carbon intensity
+/// pair it carries is written but derived — restore re-samples the
+/// carbon service at the restored clock — so a capture whose pair was
+/// edited is accepted, `GetGridCarbon` then answers the service's value,
+/// and the next settlement's `CarbonChange` compares the service's
+/// values.
+#[test]
+fn restore_derives_the_carbon_intensity_from_the_clock() {
+    let seed = 0xCA2B_0001;
+    let (mut eco, a, _b) = build_eco(seed);
+    for _ in 0..5 {
+        settle_one_tick(&mut eco);
+    }
+    eco.drain_events(a);
+    let honest = eco.snapshot();
+    assert_eq!(honest.format, SNAPSHOT_FORMAT);
+    assert_eq!(
+        honest.intensity,
+        eco.grid_carbon_intensity(),
+        "still written"
+    );
+
+    let lie = CarbonIntensity::new(1.0e6);
+    let mut lying = honest.clone();
+    lying.intensity = lie;
+    lying.prev_intensity = lie;
+    let mut twin = Ecovisor::restore(builder(seed), &lying).expect("the pair is not checked");
+    assert_eq!(
+        twin.snapshot().digest(),
+        honest.digest(),
+        "re-derived, not installed"
+    );
+
+    let told = twin.client(a).expect("client").get_grid_carbon();
+    assert_eq!(told, eco.client(a).expect("client").get_grid_carbon());
+    assert_ne!(told, lie);
+
+    let (at, dt) = (twin.now(), twin.tick_interval());
+    for e in [&mut eco, &mut twin] {
+        settle_one_tick(e);
+    }
+    let recorded = |t| {
+        twin.tsdb()
+            .value_at(metrics::GRID_CARBON_INTENSITY, metrics::SYSTEM, t)
+            .map(CarbonIntensity::new)
+            .expect("settled")
+    };
+    assert_eq!(recorded(at), told, "charged what it told");
+    let changes: Vec<Notification> = twin
+        .drain_events(a)
+        .into_iter()
+        .filter(|e| matches!(e, Notification::CarbonChange { .. }))
+        .collect();
+    assert_eq!(
+        changes,
+        [Notification::CarbonChange {
+            previous: recorded(at - dt),
+            current: told,
+        }]
+    );
 }
 
 /// The restore determinism property loop (seeded, not random): over

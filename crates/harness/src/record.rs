@@ -1,17 +1,15 @@
 //! Recording a scenario into a replayable artifact.
 //!
-//! The recorder materializes a [`ScenarioSpec`] and drives the tenants
-//! lock-step on a plain [`Ecovisor`](ecovisor::Ecovisor) for the spec's
-//! tick count with protocol tracing enabled. The loop mirrors the
-//! transport's push path: each tick runs through
-//! [`Ecovisor::tick`](ecovisor::Ecovisor::tick), and between settlement
-//! and the clock's advance — exactly where the server's broadcast hook
-//! runs — each app's event frame is taken (recording it into the
-//! trace); its notifications are delivered to the tenant's driver at
-//! the start of the next tick, before `on_tick`. Every request the
-//! drivers issue travels through their batching clients into
-//! `dispatch_batch`, so the trace captures the day's complete wire
-//! traffic.
+//! The recorder materializes a [`ScenarioSpec`] and runs its tenants'
+//! drivers in a [`Simulation`] — the one driver loop — for the spec's
+//! tick count with protocol tracing enabled. The loop takes each app's
+//! event frame between settlement and the clock's advance, exactly where
+//! the server's broadcast hook runs, so the frames land in the trace.
+//! Every request the drivers issue travels through their batching
+//! clients into `dispatch_batch`, so the trace captures the day's
+//! complete wire traffic. What is the recorder's own is around that
+//! loop: the base restore of a continuation, the trace, checkpoints and
+//! packaging.
 //!
 //! Determinism contract: a spec is a pure function of its seeds, so
 //! recording the same spec twice yields byte-identical artifacts, and
@@ -19,8 +17,7 @@
 //! recorded totals and event frames bit-for-bit (that second half is
 //! [`crate::verify()`](crate::verify())'s job).
 
-use ecovisor::proto::EventFrame;
-use ecovisor::{digest, Notification};
+use ecovisor::{digest, Simulation};
 
 use crate::artifact::{AppOutcome, Checkpoint, ExpectedOutcome, ScenarioArtifact, ARTIFACT_FORMAT};
 use crate::error::HarnessError;
@@ -79,10 +76,10 @@ pub fn record_observed(
     drive(spec, None, None, Some(hub))
 }
 
-/// The one drive loop behind every `record*` entry point: builds the
-/// world (seeded with `base` when the recording is a continuation), runs
-/// `on_start` and then the lock-step ticks from the base's tick (or 0)
-/// to the spec's horizon, and packages the trace.
+/// What every `record*` entry point runs: builds the world (seeded with
+/// `base` when the recording is a continuation), hands the drivers to a
+/// traced [`Simulation`], steps it from the base's tick (or 0) to the
+/// spec's horizon with checkpoints, and packages the trace.
 fn drive(
     spec: &ScenarioSpec,
     base: Option<&Checkpoint>,
@@ -112,48 +109,27 @@ fn drive(
     if let Some(hub) = hub {
         eco.attach_obs(hub);
     }
-    let mut drivers = build_drivers(spec)?;
     eco.enable_protocol_trace();
 
     // on_start before the first tick (launch the initial fleets — against
     // the warm cluster, for a continuation); this traffic records at the
     // start tick, ahead of its settlement.
-    for (id, driver) in ids.iter().zip(drivers.iter_mut()) {
-        let mut client = eco.client(*id)?;
-        driver.on_start(&mut client);
+    let mut sim = Simulation::new(eco);
+    for (&id, driver) in ids.iter().zip(build_drivers(spec)?) {
+        sim.adopt(id, driver)?;
     }
 
-    // Frames taken at the previous settlement, awaiting delivery.
-    let mut held: Vec<EventFrame> = Vec::new();
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
     for tick in start..spec.ticks {
-        for (id, driver) in ids.iter().zip(drivers.iter_mut()) {
-            let events: Vec<Notification> = held
-                .iter()
-                .filter(|f| f.app == *id)
-                .flat_map(|f| f.events.iter().copied())
-                .collect();
-            let mut client = eco.client(*id).expect("registered tenant");
-            for event in &events {
-                driver.on_event(event, &mut client);
-            }
-            driver.on_tick(&mut client);
-            // Client drops here, flushing the tick's queued commands as
-            // one recorded batch.
-        }
-        (_, held) = eco.tick(|eco| {
-            ids.iter()
-                .filter_map(|&app| eco.take_event_frame(app))
-                .collect()
-        });
+        sim.step();
         if every.is_some_and(|n| (tick + 1).is_multiple_of(n)) && tick + 1 < spec.ticks {
-            checkpoints.push(Checkpoint::new(&eco.snapshot()));
+            checkpoints.push(Checkpoint::new(&sim.eco_mut().snapshot()));
         }
     }
 
     Ok(package(
         spec.clone(),
-        eco,
+        sim.eco_mut(),
         &ids,
         checkpoints,
         base.cloned(),
@@ -223,7 +199,7 @@ pub fn record_resumed(
 /// Packages a finished run into an artifact.
 fn package(
     spec: ScenarioSpec,
-    mut eco: ecovisor::Ecovisor,
+    eco: &mut ecovisor::Ecovisor,
     ids: &[ecovisor::AppId],
     checkpoints: Vec<Checkpoint>,
     base: Option<Checkpoint>,
@@ -233,7 +209,7 @@ fn package(
         .expect("tracing was enabled for the whole run");
     let apps: Vec<AppOutcome> = ids
         .iter()
-        .map(|&app| AppOutcome::read(&eco, app))
+        .map(|&app| AppOutcome::read(eco, app))
         .collect::<Result<_, _>>()?;
 
     let expected = ExpectedOutcome {

@@ -9,8 +9,11 @@
 use std::path::PathBuf;
 
 use ecoharness::artifact::artifacts_in_dir;
-use ecoharness::{corpus, verify, ScenarioArtifact};
+use ecoharness::{build_ecovisor, corpus, verify, ScenarioArtifact};
+use ecovisor::proto::EnergyRequest;
 use ecovisor::WireCodec;
+use power_telemetry::metrics;
+use simkit::time::SimTime;
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus")
@@ -153,4 +156,52 @@ fn committed_corpus_matches_reseeded_builtins() {
             path.display()
         );
     }
+}
+
+/// The read-side law on a recorded day: every `GetGridCarbon` answer a
+/// carbon-reading tenant of `caiso-arbitrage` gets, replayed from the
+/// committed recording, is the intensity the `SYSTEM` telemetry row
+/// records — the one settlement charged — for the tick it was asked in.
+#[test]
+fn recorded_tenants_are_told_the_intensity_their_tick_charges() {
+    let path = corpus_dir().join("caiso-arbitrage.scn.json");
+    let (artifact, _) = ScenarioArtifact::load(&path).expect("committed day");
+    let spec = &artifact.spec;
+    let (mut eco, _) = build_ecovisor(spec).expect("world");
+    let report = eco.replay_trace(&artifact.trace, spec.ticks);
+    let dt = spec.tick_interval().as_secs();
+    let row = |tick: u64| {
+        eco.tsdb()
+            .value_at(
+                metrics::GRID_CARBON_INTENSITY,
+                metrics::SYSTEM,
+                SimTime::from_secs(tick * dt),
+            )
+            .expect("settled tick")
+    };
+    let (mut answers, mut moved) = (0, 0);
+    for (entry, batch) in artifact.trace.entries.iter().zip(&report.responses) {
+        if entry.tick >= spec.ticks {
+            continue; // asked after the last settlement: nothing charged
+        }
+        for (request, response) in entry.batch.requests.iter().zip(&batch.responses) {
+            if *request != EnergyRequest::GetGridCarbon {
+                continue;
+            }
+            let told = response.clone().expect_intensity().grams_per_kwh();
+            assert_eq!(
+                told,
+                row(entry.tick),
+                "{} at tick {}",
+                entry.batch.app,
+                entry.tick
+            );
+            answers += 1;
+            moved += usize::from(entry.tick > 0 && row(entry.tick - 1) != told);
+        }
+    }
+    assert!(
+        moved > 0,
+        "{answers} answers, none where the signal had moved"
+    );
 }

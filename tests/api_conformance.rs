@@ -303,8 +303,9 @@ fn conformance_sequence(bogus: ecovisor_suite::container_cop::ContainerId) -> Ve
         },
         SetCarbonRate { rate: None },
         GetCarbonRateLimit,
+        // Small enough to run out within the run: a pushed event.
         SetCarbonBudget {
-            budget: Some(ecovisor_suite::simkit::units::Co2Grams::new(50.0)),
+            budget: Some(ecovisor_suite::simkit::units::Co2Grams::new(0.01)),
         },
         GetCarbonBudget,
         GetRemainingCarbonBudget,
@@ -438,6 +439,10 @@ fn typed_client_and_batch_dispatch_are_equivalent() {
     let responses_c: Vec<&EnergyResponse> =
         report.responses.iter().flat_map(|b| &b.responses).collect();
     assert_eq!(responses_c, traced_a);
+    // The loop takes its frames where the push hook does, so a traced
+    // run records its push traffic and the replay regenerates it.
+    assert!(!trace.events.is_empty(), "the run pushed event frames");
+    assert_eq!(report.frames, trace.events);
     assert_eq!(
         sim_c.eco().app_totals(app_c).unwrap(),
         sim_a.eco().app_totals(app_a).unwrap()
