@@ -6,7 +6,10 @@
 //! batch executed by [`Ecovisor::dispatch_batch`], the only entry point
 //! that reaches tenant state. The dispatcher:
 //!
-//! 1. validates the batch envelope (protocol version, registered app);
+//! 1. validates the batch envelope (stamped with exactly
+//!    [`PROTOCOL_VERSION`], registered app) — a batch stamped otherwise
+//!    is refused wholesale, every request answered
+//!    [`ProtoError::Version`];
 //! 2. enforces **scope**: a request can only observe or mutate state
 //!    belonging to the envelope's [`AppId`] — cross-tenant container
 //!    references come back as [`ProtoError::Scope`] *values*, they never
@@ -51,7 +54,7 @@ use crate::lock;
 use crate::obs::{CoreMetrics, Histogram};
 use crate::proto::{
     EnergyRequest, EnergyResponse, EventFrame, ProtoError, RequestBatch, ResponseBatch,
-    PROTOCOL_VERSION, SUPPORTED_VERSIONS,
+    PROTOCOL_VERSION,
 };
 
 /// Acquires a guard, timing the wait into one of the sampled lock-wait
@@ -107,7 +110,7 @@ pub struct TraceEntry {
 /// which is every way tenant state can change between settlements.
 ///
 /// Serializable, so a trace taken from one process can be
-/// [`replayed`](Ecovisor::replay_trace) against another ecovisor. Under
+/// [`replayed`](Ecovisor::replay_trace_from) against another ecovisor. Under
 /// concurrent dispatch, batches are recorded while their shard guard is
 /// held, so per app the trace order is the execution order (even with
 /// several connections speaking for one app); across apps, any recorded
@@ -186,7 +189,7 @@ impl Ecovisor {
         batch: &RequestBatch,
         obs: Option<&crate::obs::CoreMetrics>,
     ) -> ResponseBatch {
-        let responses = if !SUPPORTED_VERSIONS.contains(&batch.version) {
+        let responses = if batch.version != PROTOCOL_VERSION {
             self.record_trace(batch);
             vec![
                 EnergyResponse::Err(ProtoError::Version {
@@ -223,19 +226,11 @@ impl Ecovisor {
                         .any(EnergyRequest::reads_telemetry)
                         .then(|| lock::read(&self.tsdb));
                     self.record_trace(batch);
+                    let (cop, tsdb) = (cop.as_deref(), tsdb.as_deref());
                     batch
                         .requests
                         .iter()
-                        .map(|req| match Self::version_gate(batch.version, req) {
-                            Some(err) => err,
-                            None => self.query_locked(
-                                &state,
-                                cop.as_deref(),
-                                tsdb.as_deref(),
-                                batch.app,
-                                req,
-                            ),
-                        })
+                        .map(|req| self.query_locked(&state, cop, tsdb, batch.app, req))
                         .collect()
                 }
                 Some(shard) => {
@@ -255,42 +250,20 @@ impl Ecovisor {
                     batch
                         .requests
                         .iter()
-                        .map(|req| match Self::version_gate(batch.version, req) {
-                            Some(err) => err,
-                            None => {
-                                self.request_locked(&mut state, cop.as_deref_mut(), batch.app, req)
-                            }
+                        .map(|req| {
+                            self.request_locked(&mut state, cop.as_deref_mut(), batch.app, req)
                         })
                         .collect()
                 }
             }
         };
+        // Answered in the served version whatever the batch carried (a
+        // refusal's payload names both).
         ResponseBatch {
-            // Echo a supported batch's version so a v1 peer gets v1
-            // envelopes back, byte-identical to the v1-only dispatcher.
-            // Unsupported versions are answered in the server's own
-            // version (the error payload names both).
-            version: if SUPPORTED_VERSIONS.contains(&batch.version) {
-                batch.version
-            } else {
-                PROTOCOL_VERSION
-            },
+            version: PROTOCOL_VERSION,
             app: batch.app,
             responses,
         }
-    }
-
-    /// A request that did not exist in the batch's (older, still
-    /// supported) protocol version is answered with a per-request
-    /// version error: the rest of the batch executes, so a mixed v1
-    /// batch degrades gracefully instead of failing wholesale.
-    fn version_gate(batch_version: u16, req: &EnergyRequest) -> Option<EnergyResponse> {
-        (batch_version < req.min_version()).then(|| {
-            EnergyResponse::Err(ProtoError::Version {
-                expected: req.min_version(),
-                got: batch_version,
-            })
-        })
     }
 
     /// Appends `batch` to the protocol trace, if tracing is on.

@@ -28,7 +28,8 @@
 //!
 //! Because every typed call is a dispatched batch, enabling
 //! [`Ecovisor::enable_protocol_trace`] records a run's *complete* API
-//! traffic, which [`Ecovisor::replay_trace`] re-executes bit-identically.
+//! traffic, which [`Ecovisor::replay_trace_from`] re-executes
+//! bit-identically.
 //!
 //! Scope enforcement lives in the dispatcher ([`dispatch`]), in one
 //! place for both surfaces: a request that names another tenant's
@@ -120,7 +121,7 @@ pub use federation::{FedAppView, TenantSnapshot};
 pub use obs::{MetricsSnapshot, ObsHub};
 pub use proto::{
     ControlFrame, EnergyRequest, EnergyResponse, EventFrame, Frame, ProtoError, RequestBatch,
-    ResponseBatch, StatsReport, PROTOCOL_V1, PROTOCOL_VERSION, SUPPORTED_VERSIONS,
+    ResponseBatch, StatsReport, PROTOCOL_VERSION,
 };
 pub use replay::{digest, ReplayReport};
 pub use shard::ShardedEcovisor;

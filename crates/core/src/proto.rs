@@ -17,7 +17,7 @@
 //!   the seam all future sharding/async/remote work builds on.
 //! * **Recordable** — a run's API traffic is a tick-stamped sequence of
 //!   `RequestBatch`es that can be persisted and replayed (see
-//!   [`crate::ecovisor::Ecovisor::replay_trace`]).
+//!   [`crate::ecovisor::Ecovisor::replay_trace_from`]).
 //!
 //! Failures are **values, not panics**: scope violations, unknown
 //! containers, and capacity exhaustion come back as
@@ -76,25 +76,14 @@ use crate::error::EcovisorError;
 use crate::event::{EventFilter, Notification};
 use crate::federation::FedAppView;
 
-/// The original request/response-only protocol, still accepted as an
-/// **envelope** version: a batch stamped v1 dispatches exactly as the v1
-/// dispatcher answered it (recorded traces and snapshots carry the
-/// stamp). Its *connection wire* — bare batches in transport frames — is
-/// retired; the transport speaks only the [`PROTOCOL_VERSION`] wire.
-pub const PROTOCOL_V1: u16 = 1;
-
-/// Current protocol version. v2 adds the duplex [`Frame`] layer,
-/// server-push [`EventFrame`]s, `SubscribeEvents`, and per-app
-/// credentials in the transport hello. Bump on any wire-visible change
-/// to [`EnergyRequest`]/[`EnergyResponse`]; the dispatcher rejects
-/// batches from unsupported versions with [`ProtoError::Version`].
+/// The protocol version, and the only one served: the transport hello,
+/// the batch envelope and a snapshot's protocol era all carry it. v2
+/// adds the duplex [`Frame`] layer, server-push [`EventFrame`]s,
+/// `SubscribeEvents`, and per-app credentials in the transport hello.
+/// Bump on any wire-visible change to [`EnergyRequest`]/[`EnergyResponse`];
+/// the dispatcher answers every request of a batch stamped otherwise
+/// with [`ProtoError::Version`].
 pub const PROTOCOL_VERSION: u16 = 2;
-
-/// Every **envelope** version this dispatcher serves, lowest first: it
-/// accepts batches carrying any of them (gating v2-only requests per
-/// request via [`EnergyRequest::min_version`]). The transport hello is a
-/// separate matter — it serves one wire, [`PROTOCOL_VERSION`].
-pub const SUPPORTED_VERSIONS: &[u16] = &[PROTOCOL_V1, PROTOCOL_VERSION];
 
 /// One application-issued command or query.
 ///
@@ -252,9 +241,9 @@ pub enum EnergyRequest {
 
     // -- Table 2 asynchronous notifications ------------------------------
     /// Drains the app's pending [`Notification`]s (Table 2 `notify_*`
-    /// upcalls as pull). Available since v1: a remote client that does
-    /// not subscribe gets event parity by polling each tick, exactly
-    /// what a local `drain_events` call observes.
+    /// upcalls as pull): a remote client that does not subscribe gets
+    /// event parity by polling each tick, exactly what a local
+    /// `drain_events` call observes.
     PollEvents,
     /// Subscribes this *connection* to server-push [`EventFrame`]s after
     /// every settlement, delivery-filtered by `filter` (v2 only: push
@@ -381,8 +370,6 @@ pub struct KindFacts {
     /// Operator admin surface: a remote server honors it only on a
     /// credential-authenticated connection.
     pub admin: bool,
-    /// The lowest protocol version whose wire includes this request.
-    pub min_version: u16,
     /// Touches the shared container platform: a query reads it under
     /// the COP read guard, a command mutates it under the write guard.
     pub cop: bool,
@@ -396,17 +383,14 @@ pub struct KindFacts {
 /// every predicate on `EnergyRequest` reads its row, and the dispatcher's
 /// "guard is held" expectations rest on the `cop` / `tsdb` columns.
 ///
-/// A row spells only what differs from its class: `COMMAND` (v1, tenant,
-/// no shared guard), `QUERY` (the same, read-only) or `ADMIN` (a v2
-/// command behind the credential gate, answered by the transport).
-/// `poll_events` is deliberately v1 (remote Table 2 parity by polling,
-/// no push involved); `subscribe_events` needs server push, which
-/// arrived with v2.
+/// A row spells only what differs from its class: `COMMAND` (tenant, no
+/// shared guard), `QUERY` (the same, read-only) or `ADMIN` (a command
+/// behind the credential gate, answered by the transport).
 #[rustfmt::skip] // a table: one row per line
 pub const KINDS: [KindFacts; 46] = {
-    const COMMAND: KindFacts = KindFacts { name: "", query: false, admin: false, min_version: PROTOCOL_V1, cop: false, tsdb: false };
+    const COMMAND: KindFacts = KindFacts { name: "", query: false, admin: false, cop: false, tsdb: false };
     const QUERY: KindFacts = KindFacts { query: true, ..COMMAND };
-    const ADMIN: KindFacts = KindFacts { admin: true, min_version: PROTOCOL_VERSION, ..COMMAND };
+    const ADMIN: KindFacts = KindFacts { admin: true, ..COMMAND };
     [
         KindFacts { name: "set_container_powercap", cop: true, ..COMMAND },
         KindFacts { name: "clear_container_powercap", cop: true, ..COMMAND },
@@ -443,7 +427,7 @@ pub const KINDS: [KindFacts; 46] = {
         KindFacts { name: "carbon_budget", ..QUERY },
         KindFacts { name: "remaining_carbon_budget", ..QUERY },
         KindFacts { name: "poll_events", ..COMMAND },
-        KindFacts { name: "subscribe_events", min_version: PROTOCOL_VERSION, ..COMMAND },
+        KindFacts { name: "subscribe_events", ..COMMAND },
         KindFacts { name: "snapshot", ..ADMIN },
         KindFacts { name: "restore", ..ADMIN },
         KindFacts { name: "migrate_out", ..ADMIN },
@@ -470,13 +454,6 @@ impl EnergyRequest {
     /// same event twice.
     pub fn is_command(&self) -> bool {
         !self.is_query()
-    }
-
-    /// The lowest protocol version whose wire includes this request.
-    /// The dispatcher answers a request arriving in an older batch with
-    /// [`ProtoError::Version`] — per request, without failing the batch.
-    pub fn min_version(&self) -> u16 {
-        KINDS[self.kind_index()].min_version
     }
 
     /// `true` for the operator admin surface — requests a remote server
@@ -702,10 +679,9 @@ pub enum ProtoError {
         reason: String,
     },
     /// A command was sent down the read-only query path. No dispatcher
-    /// produces this any more; the variant is kept so that peers and
-    /// recorded traces of envelope versions 1 and 2 still decode, and
-    /// retires with the next envelope version (`docs/PROTOCOL.md` §6
-    /// rule 7).
+    /// produces this any more; the variant is kept because removing it
+    /// changes what a v2 decoder accepts, and retires with the next
+    /// `PROTOCOL_VERSION` bump (`docs/PROTOCOL.md` §6 rule 7).
     NotAQuery,
     /// The connection is not authorized for the operator admin surface
     /// (snapshot/restore require a verified per-app credential).

@@ -6,11 +6,11 @@
 //! frames taken for push delivery after each settlement. This module is
 //! the replay engine the scenario harness (`crates/harness`) builds on:
 //!
-//! * [`Ecovisor::replay_trace`] re-executes a trace at its recorded tick
-//!   cadence — dispatch the batches stamped for each tick, then
+//! * [`Ecovisor::replay_trace_from`] re-executes a trace at its recorded
+//!   tick cadence — dispatch the batches stamped for each tick, then
 //!   [`Ecovisor::tick`], regenerating that settlement's event frames
 //!   before the clock advances. This is the **one** replay loop;
-//! * [`ShardedEcovisor::replay_trace`] runs that same loop on a wrapped
+//! * [`ShardedEcovisor::replay_trace_from`] runs that same loop on a wrapped
 //!   ecovisor under a single hold of the settlement barrier, so a replay
 //!   is atomic with respect to any concurrent dispatch on the wrapper;
 //! * [`digest`] folds any serializable value to a stable 64-bit
@@ -47,7 +47,7 @@
 //! // … and replay it on a fresh twin: totals are bit-identical.
 //! let mut twin = EcovisorBuilder::new().build();
 //! twin.register_app("tenant", EnergyShare::grid_only()).unwrap();
-//! let report = twin.replay_trace(&trace, 1);
+//! let report = twin.replay_trace_from(&trace, 0, 1);
 //! assert_eq!(report.ticks, 1);
 //! assert_eq!(twin.app_totals(app).unwrap(), recorded);
 //! assert_eq!(ecovisor::digest(&recorded), ecovisor::digest(&twin.app_totals(app).unwrap()));
@@ -84,33 +84,28 @@ impl ReplayReport {
 }
 
 impl Ecovisor {
-    /// Replays a recorded trace at its recorded tick cadence.
+    /// Replays a recorded trace at its recorded tick cadence, from
+    /// `start_tick` (0 for a whole run) up to `ticks`.
     ///
-    /// For each of `ticks` settlement ticks: dispatches every trace
-    /// entry stamped at or before the tick (in trace order), then runs
-    /// [`Ecovisor::tick`], taking each app's event frame between
+    /// For each settlement tick in `start_tick..ticks`: dispatches every
+    /// trace entry stamped at or before the tick (in trace order), then
+    /// runs [`Ecovisor::tick`], taking each app's event frame between
     /// settlement and the clock's advance (apps in id order — the order
     /// the recording harness and the transport's broadcast hook use).
     /// Entries stamped after the final settlement (e.g. post-run polls)
     /// are dispatched at the end.
     ///
+    /// To resume from a checkpoint, the ecovisor must already hold the
+    /// state the original run had entering `start_tick` (i.e. a snapshot
+    /// captured after settling tick `start_tick - 1` has been
+    /// [applied](Ecovisor::apply_snapshot)). Entries stamped before
+    /// `start_tick` are skipped — their effects are already part of the
+    /// restored state. [`ReplayReport::ticks`] counts only the ticks
+    /// actually executed.
+    ///
     /// Protocol tracing is suspended for the duration, so replaying
     /// never re-records, and regenerated event frames are returned
     /// rather than appended to any live trace.
-    pub fn replay_trace(&mut self, trace: &ProtocolTrace, ticks: u64) -> ReplayReport {
-        self.replay_trace_from(trace, 0, ticks)
-    }
-
-    /// Replays only the tail of a trace, picking up at `start_tick` —
-    /// the checkpoint-resume form of [`Ecovisor::replay_trace`].
-    ///
-    /// The ecovisor must already hold the state the original run had
-    /// entering `start_tick` (i.e. a snapshot captured after settling
-    /// tick `start_tick - 1` has been [applied](Ecovisor::apply_snapshot)).
-    /// Entries stamped before `start_tick` are skipped — their effects
-    /// are already part of the restored state — and the settlement loop
-    /// runs ticks `start_tick..ticks`. [`ReplayReport::ticks`] counts
-    /// only the ticks actually executed.
     pub fn replay_trace_from(
         &mut self,
         trace: &ProtocolTrace,
@@ -150,16 +145,9 @@ impl Ecovisor {
 
 impl ShardedEcovisor {
     /// Replays a recorded trace on the wrapped ecovisor: the whole
-    /// [`Ecovisor::replay_trace`] runs under **one hold of the settlement
-    /// barrier**, so no concurrent dispatch can interleave between a
-    /// replay's batches or settlements.
-    pub fn replay_trace(&self, trace: &ProtocolTrace, ticks: u64) -> ReplayReport {
-        self.replay_trace_from(trace, 0, ticks)
-    }
-
-    /// Replays only the tail of a trace, picking up at `start_tick` —
-    /// [`Ecovisor::replay_trace_from`] under one hold of the settlement
-    /// barrier.
+    /// [`Ecovisor::replay_trace_from`] runs under **one hold of the
+    /// settlement barrier**, so no concurrent dispatch can interleave
+    /// between a replay's batches or settlements.
     pub fn replay_trace_from(
         &self,
         trace: &ProtocolTrace,

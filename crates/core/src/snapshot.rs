@@ -42,8 +42,8 @@
 //! [`SNAPSHOT_FORMAT`] names the layout of the `Snapshot` structure
 //! itself and is bumped on any incompatible change; restore rejects
 //! unknown formats outright. The embedded protocol version records which
-//! protocol era wrote the snapshot; restore rejects versions outside
-//! [`SUPPORTED_VERSIONS`]. See `docs/SNAPSHOT.md` for the full rules.
+//! protocol era wrote the snapshot; restore accepts exactly
+//! [`PROTOCOL_VERSION`]. See `docs/SNAPSHOT.md` for the full rules.
 
 use std::collections::BTreeMap;
 use std::sync::RwLock;
@@ -61,7 +61,7 @@ use crate::ecovisor::{AppState, Ecovisor, SystemFlows};
 use crate::error::EcovisorError;
 use crate::event::{Notification, NotifyConfig, OutboxPolicy};
 use crate::lock;
-use crate::proto::{PROTOCOL_VERSION, SUPPORTED_VERSIONS};
+use crate::proto::PROTOCOL_VERSION;
 use crate::replay::digest;
 use crate::ves::{VesTotals, VirtualEnergySystem};
 
@@ -270,7 +270,8 @@ pub(crate) fn telemetry_within(tsdb: &Tsdb, now: SimTime) -> Result<(), Snapshot
 
 impl Ecovisor {
     /// The one check of a transfer's header, whole-ecovisor or
-    /// per-tenant: a layout and protocol era this build reads, the
+    /// per-tenant: the layout this build reads and exactly
+    /// [`PROTOCOL_VERSION`] as its protocol era, the
     /// writer's static environment equal to this process's — tick
     /// interval included, for `under` is the clock the state would run
     /// under (the snapshot's own, or this process's for a tenant) — and
@@ -286,7 +287,7 @@ impl Ecovisor {
                 got: header.format,
             });
         }
-        if !SUPPORTED_VERSIONS.contains(&header.protocol_version) {
+        if header.protocol_version != PROTOCOL_VERSION {
             return Err(SnapshotError::Protocol(header.protocol_version));
         }
         if header.env_digest != self.env_fingerprint() || under.interval() != self.clock.interval()

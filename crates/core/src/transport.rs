@@ -67,8 +67,11 @@
 //! the served encoding (or is not a `ClientHelloV2` at all, like the
 //! retired v1 hello shape) is rejected that way; both lists exist so a
 //! later version or encoding can be introduced without a flag day. The
-//! *envelope* `version` inside each batch is a separate, per-request gate
-//! the dispatcher applies; see `docs/PROTOCOL.md`.
+//! *envelope* `version` inside each batch is checked separately: the
+//! dispatcher refuses a batch stamped with anything but
+//! [`PROTOCOL_VERSION`](crate::proto::PROTOCOL_VERSION) wholesale, and
+//! the server applies no connection-level request such a batch carries;
+//! see `docs/PROTOCOL.md`.
 //!
 //! The server **pins the connection to the hello's `AppId`**: any later
 //! batch claiming a different app scope is denied with error values
@@ -147,7 +150,7 @@
 //!
 //! ```
 //! use ecovisor::{EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare,
-//!                EventFilter, RemoteEcovisorClient, PROTOCOL_VERSION};
+//!                EventFilter, RemoteEcovisorClient};
 //! use simkit::units::Watts;
 //!
 //! let mut eco = EcovisorBuilder::new().build();
@@ -157,7 +160,6 @@
 //! let handle = server.spawn().unwrap();
 //!
 //! let mut api = RemoteEcovisorClient::connect(handle.addr(), app).unwrap();
-//! assert_eq!(api.version(), PROTOCOL_VERSION);      // the one served wire version
 //! api.subscribe_events(EventFilter::all()).unwrap();
 //! assert_eq!(api.get_grid_power(), Watts::ZERO);
 //!

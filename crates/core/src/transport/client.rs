@@ -143,12 +143,6 @@ impl RemoteEcovisorClient {
         }
     }
 
-    /// The wire version this connection speaks — [`PROTOCOL_VERSION`],
-    /// the only one a connect can succeed with.
-    pub fn version(&self) -> u16 {
-        PROTOCOL_VERSION
-    }
-
     /// `true` once the transport has failed; subsequent requests answer
     /// with error values without touching the socket.
     pub fn is_broken(&self) -> bool {

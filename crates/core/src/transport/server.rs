@@ -20,7 +20,7 @@ use super::SERVED_CODEC;
 use crate::ecovisor::Ecovisor;
 use crate::proto::{
     ControlFrame, EnergyRequest, EnergyResponse, Frame, ProtoError, RequestBatch, ResponseBatch,
-    SUPPORTED_VERSIONS,
+    PROTOCOL_VERSION,
 };
 use crate::shard::ShardedEcovisor;
 
@@ -114,22 +114,15 @@ pub(super) fn process_payload(
                 pinned_denial(&batch, conn.app)
             } else {
                 // The transport gives connection-level requests their
-                // meaning under exactly the dispatcher's version gate
-                // (supported envelope AND new enough for the request),
-                // so the two never disagree about whether one took
-                // effect.
-                let gated = |req: &EnergyRequest| {
-                    SUPPORTED_VERSIONS.contains(&batch.version)
-                        && batch.version >= req.min_version()
-                };
+                // meaning only in an envelope the dispatcher serves, so
+                // the two never disagree about whether one took effect.
+                let served = batch.version == PROTOCOL_VERSION;
                 // Subscriptions: the dispatcher acknowledges
                 // `SubscribeEvents`, the transport applies it to *this*
                 // connection.
-                for req in &batch.requests {
+                for req in batch.requests.iter().filter(|_| served) {
                     if let EnergyRequest::SubscribeEvents { filter } = req {
-                        if gated(req) {
-                            *crate::lock::lock(&conn.filter) = Some(*filter);
-                        }
+                        *crate::lock::lock(&conn.filter) = Some(*filter);
                     }
                 }
                 // Sharded dispatch: no global lock — the serving thread
@@ -141,7 +134,7 @@ pub(super) fn process_payload(
                 // replay arity-correct); the transport substitutes the
                 // real per-connection answer.
                 for (req, resp) in batch.requests.iter().zip(response.responses.iter_mut()) {
-                    if req.is_admin() && gated(req) {
+                    if served && req.is_admin() {
                         *resp = serve_admin(req, ctx, admin);
                     }
                 }

@@ -6,7 +6,7 @@
 use container_cop::{AppId, ContainerId, ContainerSpec};
 use ecovisor::proto::{
     EnergyRequest, EnergyResponse, EventFrame, ProtoError, RequestBatch, ResponseBatch,
-    StatsReport, KINDS, PROTOCOL_V1, PROTOCOL_VERSION,
+    StatsReport, KINDS, PROTOCOL_VERSION,
 };
 use ecovisor::{
     EnergyShare, EventFilter, FedAppView, Notification, ProtocolTrace, TraceEntry,
@@ -332,6 +332,44 @@ fn batches_round_trip_as_envelopes() {
     assert_eq!(back, resp);
 }
 
+/// The worked example of `docs/PROTOCOL.md` §5: the §5.1 batch encodes
+/// to the §5.1 JSON text and to the 83 bytes annotated in §5.2.
+#[test]
+fn the_protocol_doc_example_batch_encodes_as_documented() {
+    let batch = RequestBatch::new(
+        AppId::new(7),
+        vec![
+            EnergyRequest::GetSolarPower,
+            EnergyRequest::SetBatteryChargeRate {
+                rate: Watts::new(80.0),
+            },
+        ],
+    );
+    assert_eq!(
+        serde::json::to_string(&batch),
+        r#"{"version":2,"app":7,"requests":["GetSolarPower",{"SetBatteryChargeRate":{"rate":80.0}}]}"#
+    );
+    #[rustfmt::skip] // the §5.2 annotation, one line of it per row
+    let annotated: [&[u8]; 13] = [
+        &[0x08, 0x03],
+        b"\x07version",
+        &[0x03, 0x04],
+        b"\x03app",
+        &[0x03, 0x0e],
+        b"\x08requests",
+        &[0x07, 0x02],
+        b"\x06\x0dGetSolarPower",
+        &[0x08, 0x01],
+        b"\x14SetBatteryChargeRate",
+        &[0x08, 0x01],
+        b"\x04rate",
+        &[0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x54, 0x40],
+    ];
+    let expected = annotated.concat();
+    assert_eq!(expected.len(), 83);
+    assert_eq!(serde::binary::to_bytes(&batch), expected);
+}
+
 #[test]
 fn protocol_traces_round_trip() {
     let trace = ProtocolTrace {
@@ -391,17 +429,14 @@ fn kind_table_rows_are_consistent() {
         assert_eq!(r.name(), row.name);
         assert_eq!(r.is_query(), row.query, "{}", row.name);
         assert_eq!(r.is_admin(), row.admin, "{}", row.name);
-        assert_eq!(r.min_version(), row.min_version, "{}", row.name);
     }
     assert_eq!(covered.len(), KINDS.len(), "an exemplar for every row");
     let mut names = std::collections::BTreeSet::new();
     for (i, row) in KINDS.iter().enumerate() {
         assert_eq!(row.name, EnergyRequest::KIND_NAMES[i]);
         assert!(names.insert(row.name), "{} names two kinds", row.name);
-        assert!([PROTOCOL_V1, PROTOCOL_VERSION].contains(&row.min_version));
         if row.admin {
             assert!(!row.query, "{}: the admin surface is commands", row.name);
-            assert_eq!(row.min_version, PROTOCOL_VERSION, "{}", row.name);
         }
         // Commands never take the TSDB guard; a command row claiming it
         // would be silently ignored. (That a query never takes the COP
@@ -414,15 +449,17 @@ fn kind_table_rows_are_consistent() {
 /// `tsdb` column says the batch took one. Each kind goes *alone* in its
 /// batch — in a mixed batch a neighbour's guard hides a cleared column —
 /// against a tenant whose one container the exemplars address, so scope
-/// checks pass and every arm runs to its guard.
+/// checks pass and every arm runs to its guard. Stamped with any version
+/// but the served one — the retired v1 or a future one — every kind is
+/// refused in a served-version envelope and changes nothing.
 #[test]
-fn every_kind_dispatches_alone_at_both_envelope_versions() {
+fn every_kind_dispatches_alone_at_the_served_envelope_version_only() {
     use container_cop::CopConfig;
     use ecovisor::EcovisorBuilder;
 
     // The id a fresh platform gives its first container.
     let c = ContainerId::new(0);
-    for version in [PROTOCOL_V1, PROTOCOL_VERSION] {
+    for version in [1, PROTOCOL_VERSION, PROTOCOL_VERSION + 1] {
         for req in requests_on(c) {
             // A fresh world per request: `StopContainer` and friends
             // must not change what the next kind finds.
@@ -440,20 +477,35 @@ fn every_kind_dispatches_alone_at_both_envelope_versions() {
 
             let mut batch = RequestBatch::new(app, vec![req.clone()]);
             batch.version = version;
+            let before = eco.snapshot().digest();
             let reply = eco.dispatch_batch(&batch);
+            assert_eq!(
+                reply.version,
+                PROTOCOL_VERSION,
+                "{} at v{version}",
+                req.name()
+            );
             assert_eq!(reply.responses.len(), 1, "{} at v{version}", req.name());
             let refused = matches!(
                 reply.responses[0],
                 EnergyResponse::Err(ProtoError::Version { expected, got })
-                    if expected == req.min_version() && got == version
+                    if expected == PROTOCOL_VERSION && got == version
             );
             assert_eq!(
                 refused,
-                version < req.min_version(),
+                version != PROTOCOL_VERSION,
                 "{} at v{version} answered {:?}",
                 req.name(),
                 reply.responses[0]
             );
+            if refused {
+                assert_eq!(
+                    eco.snapshot().digest(),
+                    before,
+                    "{} at v{version} changed state",
+                    req.name()
+                );
+            }
         }
     }
 }

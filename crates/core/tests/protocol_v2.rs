@@ -4,7 +4,8 @@
 //!
 //! * the **retired v1 wire has a specified outcome**: a hello that does
 //!   not offer the served wire version is rejected with a reason, the
-//!   socket closes, nothing reaches the dispatcher, nothing leaks;
+//!   socket closes, nothing reaches the dispatcher, nothing leaks — and a
+//!   v1-stamped batch on an accepted connection is refused wholesale;
 //! * `PollEvents` gives unsubscribed remotes Table 2 event parity with a
 //!   local `drain_events` twin;
 //! * a **remote v2 subscriber receives the bit-identical notification
@@ -23,7 +24,7 @@ use ecovisor::proto::{EnergyRequest, RequestBatch};
 use ecovisor::{
     ClientHelloV2, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient,
     EnergyShare, EventFilter, Notification, RemoteEcovisorClient, ServerHello, VesTotals,
-    WireCodec, PROTOCOL_V1, PROTOCOL_VERSION,
+    WireCodec, PROTOCOL_VERSION,
 };
 use energy_system::solar::TraceSolarSource;
 use simkit::rng::SimRng;
@@ -32,6 +33,9 @@ use simkit::trace::Trace;
 use simkit::units::{Co2Grams, WattHours, Watts};
 
 const TICKS: u64 = 48; // a simulated day at 30-minute ticks
+
+/// The retired first version, of the wire and of the batch envelope.
+const V1: u16 = 1;
 
 /// `payloads` as length-prefixed frames, back to back.
 fn raw_frames<'a>(payloads: impl IntoIterator<Item = &'a [u8]>) -> Vec<u8> {
@@ -197,7 +201,6 @@ fn remote_subscriber_matches_local_drain_twin_and_trace_replays() {
     let (remote_events, ta_remote, tb_remote) = {
         let mut client_a = RemoteEcovisorClient::connect(handle.addr(), a).expect("connect a");
         let mut client_b = RemoteEcovisorClient::connect(handle.addr(), b).expect("connect b");
-        assert_eq!(client_a.version(), PROTOCOL_VERSION);
         client_a
             .subscribe_events(EventFilter::all())
             .expect("subscribe");
@@ -275,7 +278,7 @@ fn remote_subscriber_matches_local_drain_twin_and_trace_replays() {
     // Replay regenerates the recorded push traffic: only tenant A was
     // subscribed, so the recorded event frames are exactly A's.
     let (mut twin, pa, pb) = build_eco(seed);
-    let report = twin.replay_trace(&trace, TICKS);
+    let report = twin.replay_trace_from(&trace, 0, TICKS);
     assert_eq!(
         report
             .frames
@@ -350,20 +353,20 @@ fn hellos_not_offering_the_served_wire_are_rejected_and_leave_no_trace() {
     let handle = server.spawn().expect("spawn");
 
     let v1_shaped = format!(
-        r#"{{"version":{PROTOCOL_V1},"app":{},"codecs":{}}}"#,
+        r#"{{"version":{V1},"app":{},"codecs":{}}}"#,
         serde::json::to_string(&a),
         serde::json::to_string(&vec![WireCodec::Json]),
     )
     .into_bytes();
     let v1_only = WireCodec::Json.encode(&ClientHelloV2 {
-        versions: vec![PROTOCOL_V1],
+        versions: vec![V1],
         ..ClientHelloV2::new(a, vec![WireCodec::Binary], None)
     });
     let offering = |codecs| WireCodec::Json.encode(&ClientHelloV2::new(a, codecs, None));
     // What such a client would have sent next: a batch in the encoding
     // it believed it had (v1: bare, un-framed).
     let bare_batch = WireCodec::Json.encode(&RequestBatch {
-        version: PROTOCOL_V1,
+        version: V1,
         app: a,
         requests: vec![EnergyRequest::GetGridPower],
     });
@@ -526,6 +529,59 @@ fn credentials_are_verified_before_any_batch() {
         .entries
         .iter()
         .all(|e| e.batch.app == a && e.batch.version == PROTOCOL_VERSION));
+}
+
+/// A v1-stamped batch is refused wholesale over the wire, even on a
+/// credentialed connection: every request answers `Version`, the budget
+/// it carried never takes effect, the subscription is never applied and
+/// the admin request is never served.
+#[test]
+fn a_v1_envelope_is_refused_over_the_wire() {
+    use ecovisor::proto::{EnergyResponse, ProtoError};
+
+    let (eco, a, _b) = build_eco(13);
+    let server = EcovisorServer::bind("127.0.0.1:0", eco)
+        .expect("bind")
+        .with_credentials(CredentialRegistry::new().with(a, "alpha-token"));
+    let handle = server.spawn().expect("spawn");
+    let shared = handle.ecovisor();
+    let mut client = RemoteEcovisorClient::connect_with_credential(handle.addr(), a, "alpha-token")
+        .expect("authenticated connect");
+
+    let reply = client.transport(RequestBatch {
+        version: V1,
+        app: a,
+        requests: vec![
+            EnergyRequest::SetCarbonBudget {
+                budget: Some(Co2Grams::new(1.0)),
+            },
+            EnergyRequest::SubscribeEvents {
+                filter: EventFilter::all(),
+            },
+            EnergyRequest::Stats,
+        ],
+    });
+    let refused = EnergyResponse::Err(ProtoError::Version {
+        expected: PROTOCOL_VERSION,
+        got: V1,
+    });
+    assert_eq!(reply.version, PROTOCOL_VERSION);
+    assert_eq!(reply.responses, vec![refused; 3]);
+    assert_eq!(client.carbon_budget(), None, "the budget never landed");
+
+    shared.tick();
+    shared.tick();
+    let _ = client.get_grid_power(); // ingests anything pushed
+    assert!(
+        client.take_event_frames().is_empty(),
+        "the subscription was never applied"
+    );
+    assert!(
+        !client.poll_events().expect("poll").is_empty(),
+        "the tick raised events, which stayed pending"
+    );
+    drop(client);
+    handle.shutdown();
 }
 
 /// Delivery filters: a subscriber that opted into carbon events only

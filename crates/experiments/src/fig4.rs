@@ -82,8 +82,6 @@ pub struct Fig4Config {
     pub runs: u32,
     /// Root seed.
     pub seed: u64,
-    /// Days of carbon trace to generate per run.
-    pub trace_days: u64,
     /// Jobs arrive uniformly within this many hours from the epoch.
     pub arrival_window_hours: u64,
 }
@@ -93,7 +91,6 @@ impl Default for Fig4Config {
         Self {
             runs: 10,
             seed: 42,
-            trace_days: 8,
             arrival_window_hours: 24,
         }
     }
@@ -384,7 +381,6 @@ mod tests {
         Fig4Config {
             runs: 2,
             seed: 11,
-            trace_days: 6,
             arrival_window_hours: 12,
         }
     }

@@ -32,7 +32,7 @@
 //!    [`carbon_policies`] controllers.
 //! 2. **Recorder/verifier** ([`record()`](record())/[`verify()`](verify())): deterministic
 //!    record → replay → compare, built on
-//!    [`Ecovisor::replay_trace`](ecovisor::Ecovisor::replay_trace) and
+//!    [`Ecovisor::replay_trace_from`](ecovisor::Ecovisor::replay_trace_from) and
 //!    [`ecovisor::digest`].
 //! 3. **Fuzzer** ([`fuzz`]): seeded generation over the whole spec
 //!    space, every candidate pushed through the full verify matrix,

@@ -138,7 +138,7 @@ fn every_corpus_frame_and_checkpoint_reads_and_writes_as_the_tree_route_did() {
         // replays in well under a second at this size even unoptimized.
         if artifact.base.is_none() && artifact.spec.tenants.len() <= 64 {
             let (mut eco, _) = build_ecovisor(&artifact.spec).expect("catalogued spec builds");
-            let replay = eco.replay_trace(&artifact.trace, artifact.spec.ticks);
+            let replay = eco.replay_trace_from(&artifact.trace, 0, artifact.spec.ticks);
             for response in replay.responses {
                 frame(Frame::Response(response), &mut rng);
             }

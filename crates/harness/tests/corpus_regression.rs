@@ -168,7 +168,7 @@ fn recorded_tenants_are_told_the_intensity_their_tick_charges() {
     let (artifact, _) = ScenarioArtifact::load(&path).expect("committed day");
     let spec = &artifact.spec;
     let (mut eco, _) = build_ecovisor(spec).expect("world");
-    let report = eco.replay_trace(&artifact.trace, spec.ticks);
+    let report = eco.replay_trace_from(&artifact.trace, 0, spec.ticks);
     let dt = spec.tick_interval().as_secs();
     let row = |tick: u64| {
         eco.tsdb()

@@ -28,7 +28,7 @@ fn replay(
     trace: &ProtocolTrace,
 ) -> (Vec<VesTotals>, Vec<ecovisor::EventFrame>) {
     let (mut eco, ids) = build_ecovisor(&artifact.spec).expect("build");
-    let report = eco.replay_trace(trace, artifact.spec.ticks);
+    let report = eco.replay_trace_from(trace, 0, artifact.spec.ticks);
     let totals = ids.iter().map(|&a| eco.app_totals(a).unwrap()).collect();
     (totals, report.frames)
 }

@@ -25,7 +25,7 @@ use ecovisor_suite::carbon_intel::{regions, CarbonTraceBuilder};
 use ecovisor_suite::container_cop::{AppId, ContainerSpec, CopConfig};
 use ecovisor_suite::ecovisor::{
     EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare, EventFilter, Notification,
-    NotifyConfig, RemoteEcovisorClient,
+    NotifyConfig, RemoteEcovisorClient, PROTOCOL_VERSION,
 };
 use ecovisor_suite::simkit::units::{CarbonIntensity, WattHours, Watts};
 
@@ -35,7 +35,7 @@ const TICKS: u64 = 180; // three simulated hours at 1-minute ticks
 /// loop — adjust demand when the energy system *tells us* it changed.
 fn run_application(addr: std::net::SocketAddr, app: AppId) {
     let mut api = RemoteEcovisorClient::connect(addr, app).expect("connect to ecovisor");
-    println!("application connected: protocol v{}", api.version());
+    println!("application connected: protocol v{PROTOCOL_VERSION}");
     api.subscribe_events(EventFilter::all())
         .expect("subscribe to upcalls");
 
