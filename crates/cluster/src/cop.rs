@@ -46,14 +46,6 @@ impl CopConfig {
                 .collect(),
         }
     }
-
-    /// A cluster of `n` Dell PowerEdge R430s (the paper's conventional
-    /// testbed for simulated power sources).
-    pub fn poweredge_cluster(n: u32) -> Self {
-        Self {
-            servers: (0..n).map(|_| ServerSpec::poweredge_r430()).collect(),
-        }
-    }
 }
 
 /// The container orchestration platform.
@@ -475,13 +467,6 @@ impl Cop {
         }
         self.next_id = max_id;
         Ok(())
-    }
-
-    /// Power model of the server hosting `id`, if the container exists.
-    pub fn model_for(&self, id: ContainerId) -> Option<&PowerModel> {
-        self.containers
-            .get(&id)
-            .map(|c| &self.models[c.server().value() as usize])
     }
 
     fn server_mut(&mut self, id: ServerId) -> &mut Server {

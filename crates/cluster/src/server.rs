@@ -70,18 +70,6 @@ impl ServerSpec {
         }
     }
 
-    /// The paper's conventional node: Dell PowerEdge R430, 16 cores,
-    /// 64 GiB. Idle/peak power modeled at 60/200 W (typical for the SKU).
-    pub fn poweredge_r430() -> Self {
-        Self {
-            cores: 16,
-            memory_mib: 64 * 1024,
-            idle_power: Watts::new(60.0),
-            max_cpu_power: Watts::new(200.0),
-            max_gpu_power: None,
-        }
-    }
-
     /// `true` when a GPU is attached.
     pub fn has_gpu(&self) -> bool {
         self.max_gpu_power.is_some()

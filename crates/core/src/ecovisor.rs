@@ -808,11 +808,6 @@ impl Ecovisor {
         &self.grid
     }
 
-    /// The carbon information service (read-only).
-    pub fn carbon_service(&self) -> &dyn CarbonService {
-        self.carbon.as_ref()
-    }
-
     /// System flows from the most recent settlement.
     pub fn last_system_flows(&self) -> &SystemFlows {
         &self.last_system_flows

@@ -35,9 +35,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 pub use power_telemetry::ops::{
-    clear_ring, debug, enabled, error, info, log, max_level, ring_records, set_max_level,
-    set_stderr_sink, trace, warn, Counter, Gauge, Histogram, HistogramSnapshot, Level, LogRecord,
-    MetricEntry, MetricValue, MetricsSnapshot, Registry,
+    debug, enabled, error, info, log, max_level, set_max_level, trace, warn, Counter, Gauge,
+    Histogram, HistogramSnapshot, Level, MetricEntry, MetricValue, MetricsSnapshot, Registry,
 };
 
 use crate::proto::EnergyRequest;

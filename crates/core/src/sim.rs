@@ -24,7 +24,6 @@
 //! [`EcovisorClient`]: crate::client::EcovisorClient
 
 use container_cop::AppId;
-use simkit::time::SimDuration;
 
 use crate::app::Application;
 use crate::client::EnergyClient;
@@ -124,13 +123,6 @@ impl Simulation {
         for _ in 0..n {
             self.step();
         }
-    }
-
-    /// Runs for a span of simulated time (rounded up to whole ticks).
-    pub fn run_for(&mut self, span: SimDuration) {
-        let dt = self.eco.tick_interval().as_secs();
-        let n = span.as_secs().div_ceil(dt);
-        self.run_ticks(n);
     }
 
     /// Runs until every application reports done, or `max_ticks` elapse.

@@ -55,11 +55,6 @@ impl GridConnection {
         self
     }
 
-    /// Whether exports are permitted.
-    pub fn net_metering_enabled(&self) -> bool {
-        self.net_metering
-    }
-
     /// Import capacity limit, if any.
     pub fn capacity(&self) -> Option<Watts> {
         self.capacity

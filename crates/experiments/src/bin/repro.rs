@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [fig1|fig4a|fig4b|fig5|fig6|fig8|fig10|fig11|all] [--quick]
+//! repro [fig1|fig4a|fig4b|fig5|fig6|fig8|fig10|fig11|all]
 //! ```
 //!
 //! Results print to stdout (tables + ASCII sparklines) and CSVs land in
@@ -10,110 +10,40 @@
 use experiments::{common, fig1, fig10, fig4, fig6, fig8};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
+    let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
 
-    println!(
-        "ecovisor reproduction — experiment '{what}'{}",
-        if quick { " (quick)" } else { "" }
-    );
+    println!("ecovisor reproduction — experiment '{what}'");
     println!("results directory: {}", common::results_dir().display());
 
     let run_fig4 = |kind: fig4::JobKind, file: &str| {
-        let cfg = if quick {
-            fig4::Fig4Config {
-                runs: 3,
-                ..fig4::Fig4Config::default()
-            }
-        } else {
-            fig4::Fig4Config::default()
-        };
-        let result = fig4::run(kind, cfg);
+        let result = fig4::run(kind, fig4::Fig4Config::default());
         fig4::report(&result, file);
     };
 
-    match what {
+    match what.as_str() {
         "fig1" => fig1::report(&fig1::run(fig1::Fig1Config::default())),
         "fig4a" => run_fig4(fig4::JobKind::MlTraining, "fig4a.csv"),
         "fig4b" => run_fig4(fig4::JobKind::Blast, "fig4b.csv"),
         "fig5" => fig4::report_fig5(&fig4::run_fig5(2023)),
-        "fig6" | "fig7" => {
-            let cfg = if quick {
-                fig6::Fig6Config {
-                    hours: 24,
-                    ..fig6::Fig6Config::default()
-                }
-            } else {
-                fig6::Fig6Config::default()
-            };
-            fig6::report(&fig6::run(cfg));
-        }
-        "fig8" | "fig9" => {
-            let cfg = if quick {
-                fig8::Fig8Config {
-                    days: 2,
-                    spark_work: 80.0,
-                    ..fig8::Fig8Config::default()
-                }
-            } else {
-                fig8::Fig8Config::default()
-            };
-            fig8::report(&fig8::run(cfg));
-        }
-        "fig10" => {
-            let cfg = quick_fig10(quick);
-            fig10::report(&fig10::run(cfg));
-        }
-        "fig11" => {
-            let cfg = quick_fig10(quick);
-            fig10::report_fig11(&fig10::run_fig11(cfg, 0.4));
-        }
+        "fig6" | "fig7" => fig6::report(&fig6::run(fig6::Fig6Config::default())),
+        "fig8" | "fig9" => fig8::report(&fig8::run(fig8::Fig8Config::default())),
+        "fig10" => fig10::report(&fig10::run(fig10::Fig10Config::default())),
+        "fig11" => fig10::report_fig11(&fig10::run_fig11(fig10::Fig10Config::default(), 0.4)),
         "all" => {
             fig1::report(&fig1::run(fig1::Fig1Config::default()));
             run_fig4(fig4::JobKind::MlTraining, "fig4a.csv");
             run_fig4(fig4::JobKind::Blast, "fig4b.csv");
             fig4::report_fig5(&fig4::run_fig5(2023));
-            let cfg6 = if quick {
-                fig6::Fig6Config {
-                    hours: 24,
-                    ..fig6::Fig6Config::default()
-                }
-            } else {
-                fig6::Fig6Config::default()
-            };
-            fig6::report(&fig6::run(cfg6));
-            let cfg8 = if quick {
-                fig8::Fig8Config {
-                    days: 2,
-                    spark_work: 80.0,
-                    ..fig8::Fig8Config::default()
-                }
-            } else {
-                fig8::Fig8Config::default()
-            };
-            fig8::report(&fig8::run(cfg8));
-            let cfg10 = quick_fig10(quick);
+            fig6::report(&fig6::run(fig6::Fig6Config::default()));
+            fig8::report(&fig8::run(fig8::Fig8Config::default()));
+            let cfg10 = fig10::Fig10Config::default();
             fig10::report(&fig10::run(cfg10));
             fig10::report_fig11(&fig10::run_fig11(cfg10, 0.4));
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("usage: repro [fig1|fig4a|fig4b|fig5|fig6|fig8|fig10|fig11|all] [--quick]");
+            eprintln!("usage: repro [fig1|fig4a|fig4b|fig5|fig6|fig8|fig10|fig11|all]");
             std::process::exit(2);
         }
     }
-}
-
-fn quick_fig10(quick: bool) -> fig10::Fig10Config {
-    let mut cfg = fig10::Fig10Config::default();
-    if quick {
-        cfg.job.phases = 4;
-        cfg.sweep = [10, 30, 50, 70, 90, 90, 90, 90, 90];
-    }
-    cfg
 }

@@ -64,7 +64,6 @@ USAGE:
     ecoharness verify [--transport] [--federated] PATH [PATH ...]
     ecoharness fuzz [--seed S] [--count N] [--no-transport] [--out DIR]
     ecoharness fuzz --soak [--seed S] [--ticks N] [--tenants N]
-    ecoharness fuzz --promote [--seed S] [--count N] [--top K] [--out DIR]
     ecoharness stats ADDR --app ID --token TOKEN [--watch SECONDS] [--n COUNT]
     ecoharness diff A B
 
@@ -99,8 +98,6 @@ replayable .scn.json days.
 `fuzz --soak` drives a long day (default 5000 ticks) through the live
 evented server with periodic connection churn and fails unless the
 server's counters return to the all-zero baseline afterwards.
-`fuzz --promote` re-records the campaign's most interesting surviving
-candidates into --out (default corpus/), best-scoring first.
 `stats` connects to a live ecovisor server as the given (credentialed)
 app and fetches its observability report over the wire — serving-level
 gauges plus the full metric registry (see docs/OBSERVABILITY.md for
@@ -295,22 +292,19 @@ fn cmd_verify(args: Vec<String>) -> Result<ExitCode, String> {
     })
 }
 
-/// `fuzz`: generate/check/shrink campaigns, soak days, and promotion.
+/// `fuzz`: generate/check/shrink campaigns and soak days.
 fn cmd_fuzz(args: Vec<String>) -> Result<ExitCode, String> {
-    let mut mode = FuzzMode::Campaign;
+    let mut soak = false;
     let mut opts = ecoharness::FuzzOptions {
         out: Some(PathBuf::from("fuzz-failures")),
         ..Default::default()
     };
     let mut soak_opts = ecoharness::SoakOptions::default();
-    let mut top = 2_usize;
-    let mut out_override: Option<PathBuf> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
-            "--soak" => mode = FuzzMode::Soak,
-            "--promote" => mode = FuzzMode::Promote,
+            "--soak" => soak = true,
             "--no-transport" => opts.transport = false,
             "--seed" => {
                 let seed = parse_num(&value("--seed")?, "--seed")?;
@@ -322,110 +316,76 @@ fn cmd_fuzz(args: Vec<String>) -> Result<ExitCode, String> {
             "--tenants" => {
                 soak_opts.tenants = parse_num(&value("--tenants")?, "--tenants")? as usize;
             }
-            "--top" => top = parse_num(&value("--top")?, "--top")? as usize,
-            "--out" => out_override = Some(PathBuf::from(value("--out")?)),
+            "--out" => opts.out = Some(PathBuf::from(value("--out")?)),
             other => return Err(format!("unknown fuzz argument `{other}`")),
         }
     }
-    match mode {
-        FuzzMode::Campaign => {
-            if let Some(out) = out_override {
-                opts.out = Some(out);
-            }
-            let started = std::time::Instant::now();
-            let report = ecoharness::fuzz::run(&opts, None).map_err(|e| e.to_string())?;
-            let secs = started.elapsed().as_secs_f64();
-            println!(
-                "fuzz: seed {:#018x}, {} candidate(s), {} passed, {} failed in {secs:.1} s \
-                 ({:.0} candidates/min)",
-                report.seed,
-                report.generated,
-                report.passed,
-                report.failures.len(),
-                report.generated as f64 * 60.0 / secs
-            );
-            for failure in &report.failures {
-                println!(
-                    "  FAIL #{} {} — {}",
-                    failure.index, failure.scenario, failure.detail
-                );
-                println!(
-                    "       shrunk in {} step(s) ({} re-checks) to {} tenant(s) × {} tick(s)",
-                    failure.shrink_steps,
-                    failure.shrink_checks,
-                    failure.minimized.spec.tenants.len(),
-                    failure.minimized.spec.ticks
-                );
-                if let Some(path) = &failure.artifact {
-                    println!("       reproducer: {}", path.display());
-                    println!(
-                        "       replay with: ecoharness verify --transport {}",
-                        path.display()
-                    );
-                }
-            }
-            Ok(if report.passed() {
-                ExitCode::SUCCESS
+    if soak {
+        let report = ecoharness::fuzz::soak(&soak_opts).map_err(|e| e.to_string())?;
+        println!(
+            "soak: {} tick(s), {} reconnect(s), {} request(s), {} event frame(s)",
+            report.ticks, report.reconnects, report.requests, report.frames
+        );
+        println!(
+            "      peak: {} connection(s), backlog {}, recv buffers {} B",
+            report.peak.active_connections,
+            report.peak.subscriber_backlog,
+            report.peak.recv_buffer_bytes
+        );
+        println!(
+            "      final: {} connection(s), backlog {}, recv buffers {} B — {}",
+            report.final_stats.active_connections,
+            report.final_stats.subscriber_backlog,
+            report.final_stats.recv_buffer_bytes,
+            if report.leak_free() {
+                "leak-free"
             } else {
-                ExitCode::FAILURE
-            })
-        }
-        FuzzMode::Soak => {
-            let report = ecoharness::fuzz::soak(&soak_opts).map_err(|e| e.to_string())?;
-            println!(
-                "soak: {} tick(s), {} reconnect(s), {} request(s), {} event frame(s)",
-                report.ticks, report.reconnects, report.requests, report.frames
-            );
-            println!(
-                "      peak: {} connection(s), backlog {}, recv buffers {} B",
-                report.peak.active_connections,
-                report.peak.subscriber_backlog,
-                report.peak.recv_buffer_bytes
-            );
-            println!(
-                "      final: {} connection(s), backlog {}, recv buffers {} B — {}",
-                report.final_stats.active_connections,
-                report.final_stats.subscriber_backlog,
-                report.final_stats.recv_buffer_bytes,
-                if report.leak_free() {
-                    "leak-free"
-                } else {
-                    "LEAKED"
-                }
-            );
-            Ok(if report.leak_free() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            })
-        }
-        FuzzMode::Promote => {
-            let promote_opts = ecoharness::PromoteOptions {
-                seed: opts.seed,
-                count: opts.count,
-                top,
-                out: out_override.unwrap_or_else(|| PathBuf::from("corpus")),
-            };
-            let written = ecoharness::fuzz::promote(&promote_opts).map_err(|e| e.to_string())?;
-            println!(
-                "promoted {} of {} candidate(s) (seed {:#018x}):",
-                written.len(),
-                promote_opts.count,
-                promote_opts.seed
-            );
-            for path in &written {
-                println!("  {}", path.display());
+                "LEAKED"
             }
-            Ok(ExitCode::SUCCESS)
+        );
+        return Ok(if report.leak_free() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        });
+    }
+    let started = std::time::Instant::now();
+    let report = ecoharness::fuzz::run(&opts, None).map_err(|e| e.to_string())?;
+    let secs = started.elapsed().as_secs_f64();
+    println!(
+        "fuzz: seed {:#018x}, {} candidate(s), {} passed, {} failed in {secs:.1} s \
+         ({:.0} candidates/min)",
+        report.seed,
+        report.generated,
+        report.passed,
+        report.failures.len(),
+        report.generated as f64 * 60.0 / secs
+    );
+    for failure in &report.failures {
+        println!(
+            "  FAIL #{} {} — {}",
+            failure.index, failure.scenario, failure.detail
+        );
+        println!(
+            "       shrunk in {} step(s) ({} re-checks) to {} tenant(s) × {} tick(s)",
+            failure.shrink_steps,
+            failure.shrink_checks,
+            failure.minimized.spec.tenants.len(),
+            failure.minimized.spec.ticks
+        );
+        if let Some(path) = &failure.artifact {
+            println!("       reproducer: {}", path.display());
+            println!(
+                "       replay with: ecoharness verify --transport {}",
+                path.display()
+            );
         }
     }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum FuzzMode {
-    Campaign,
-    Soak,
-    Promote,
+    Ok(if report.passed() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 fn parse_num(s: &str, flag: &str) -> Result<u64, String> {

@@ -1,7 +1,7 @@
 //! Generative scenario fuzzing with shrinking, plus leak-gating soak
 //! days over the live evented server.
 //!
-//! Three entry points, all seeded and fully deterministic:
+//! Two entry points, all seeded and fully deterministic:
 //!
 //! * [`run`] — the fuzzer proper. [`generate`] draws random
 //!   [`ScenarioSpec`]s from the whole spec space (tenant counts,
@@ -23,10 +23,6 @@
 //!   clients disconnect: any leaked connection slot, undelivered
 //!   subscriber frame, or unreturned receive-buffer byte fails
 //!   [`SoakReport::leak_free`].
-//! * [`promote`] — re-records the most *interesting* surviving
-//!   candidates (event-rich, multi-tenant, adversarially planned) into
-//!   a corpus directory, so a fuzz campaign's best days can join the
-//!   standing regression net.
 //!
 //! Determinism contract: `generate(seed, i)` is a pure function (every
 //! draw comes from [`SimRng::fork_indexed`]), specs are pure functions
@@ -970,72 +966,4 @@ pub fn soak(opts: &SoakOptions) -> Result<SoakReport, HarnessError> {
         peak,
         final_stats,
     })
-}
-
-// ----------------------------------------------------------------------
-// Promotion
-// ----------------------------------------------------------------------
-
-/// Knobs for promoting a campaign's survivors into a corpus directory.
-#[derive(Debug, Clone)]
-pub struct PromoteOptions {
-    /// The campaign to re-generate.
-    pub seed: u64,
-    /// Candidates to consider.
-    pub count: u64,
-    /// How many survivors to write (best-scoring first).
-    pub top: usize,
-    /// Where the promoted artifacts go.
-    pub out: PathBuf,
-}
-
-/// A candidate's "interestingness" for promotion: event-rich recordings
-/// with many tenants and adversarial plans make the best standing
-/// regression artifacts.
-fn promotion_score(candidate: &Candidate, artifact: &ScenarioArtifact) -> u64 {
-    let spec = &candidate.spec;
-    let mut score = artifact.trace.events.len() as u64 * 4 + artifact.expected.event_count as u64;
-    score += spec.tenants.len() as u64 * 8;
-    score += artifact.checkpoints.len() as u64 * 2;
-    if !spec.credentials.is_empty() {
-        score += 16;
-    }
-    if spec.restore.is_some() {
-        score += 32;
-    }
-    if spec.migration.is_some() {
-        score += 32;
-    }
-    score
-}
-
-/// Re-records a campaign's most interesting *surviving* candidates into
-/// `out`, alternating codecs so both loaders stay covered. Returns the
-/// written paths, best-scoring first.
-///
-/// # Errors
-///
-/// Recording and filesystem failures.
-pub fn promote(opts: &PromoteOptions) -> Result<Vec<PathBuf>, HarnessError> {
-    let mut survivors: Vec<(u64, Candidate, ScenarioArtifact)> = Vec::new();
-    for index in 0..opts.count {
-        let candidate = generate(opts.seed, index);
-        let artifact = record_candidate(&candidate, None)?;
-        if !verify(&artifact)?.passed() {
-            continue;
-        }
-        let score = promotion_score(&candidate, &artifact);
-        survivors.push((score, candidate, artifact));
-    }
-    survivors.sort_by_key(|(score, c, _)| (std::cmp::Reverse(*score), c.spec.name.clone()));
-    let mut written = Vec::new();
-    for (rank, (_, _, artifact)) in survivors.into_iter().take(opts.top).enumerate() {
-        let codec = if rank % 2 == 0 {
-            WireCodec::Json
-        } else {
-            WireCodec::Binary
-        };
-        written.push(artifact.write_to_dir(&opts.out, codec)?);
-    }
-    Ok(written)
 }

@@ -69,8 +69,8 @@ pub mod verify;
 pub use artifact::{AppOutcome, Checkpoint, ExpectedOutcome, ScenarioArtifact, ARTIFACT_FORMAT};
 pub use error::HarnessError;
 pub use fuzz::{
-    generate, shrink, soak, Candidate, Fault, FuzzFailure, FuzzOptions, FuzzReport, PromoteOptions,
-    ShrinkOutcome, SoakOptions, SoakReport,
+    generate, shrink, soak, Candidate, Fault, FuzzFailure, FuzzOptions, FuzzReport, ShrinkOutcome,
+    SoakOptions, SoakReport,
 };
 pub use record::{
     record, record_observed, record_resumed, record_with_checkpoints, resume, resumed_spec,

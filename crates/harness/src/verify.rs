@@ -19,14 +19,25 @@
 //! exactly where the uninterrupted replay does. A resumed artifact (non-empty `base`) replays from its
 //! base checkpoint instead of from a fresh build.
 //!
+//! [`verify_transport`] and [`verify_federated`] replay the same day
+//! live, over one evented server or across a two-node federation. Both
+//! are one cell of N nodes (`live_cell`): the node count decides the
+//! tenants' owners, the credentials and which adversarial plans run,
+//! and after that one day loop drives every deployment, one subscribed
+//! connection per tenant, to the same bit-identical checks.
+//!
 //! Any code change that perturbs settlement arithmetic, dispatch
 //! semantics, codec encoding, event generation, or snapshot/restore
 //! for a recorded day turns at least one check red — that is the
 //! regression net the corpus exists to provide.
 
+use std::collections::HashMap;
+use std::io;
+use std::net::SocketAddr;
+
 use ecovisor::{
-    digest, CredentialRegistry, Ecovisor, EcovisorServer, EnergyClient, EnergyRequest, EventFilter,
-    ProtocolTrace, RemoteEcovisorClient, WireCodec,
+    digest, AppId, CredentialRegistry, Ecovisor, EcovisorServer, EnergyClient, EnergyRequest,
+    EventFilter, EventFrame, ProtocolTrace, RemoteEcovisorClient, ServerHandle, WireCodec,
 };
 
 use crate::artifact::{codec_name, AppOutcome, Checkpoint, ScenarioArtifact, ARTIFACT_FORMAT};
@@ -311,16 +322,13 @@ fn check_outcome(
 
 /// Verifies an artifact over the **live evented transport**: the
 /// ecovisor is rebuilt (and restored from the base checkpoint for a
-/// resumed artifact), served by
-/// [`EcovisorServer::spawn`]'s serving threads on a loopback
-/// port, and the recorded day is driven through **one real TCP
-/// connection per tenant** — every recorded batch round-trips through
-/// its app's connection, settlement ticks between batches exactly as
-/// the recorder ticked, and each connection subscribes to server-push
-/// event frames. The pushed frames (reassembled into global settlement
-/// order) and the served ecovisor's final totals must equal the
-/// recorded expectations bit-for-bit: the evented transport is not
-/// allowed to be distinguishable from the in-process dispatch path.
+/// resumed artifact), served by [`EcovisorServer::spawn`]'s serving
+/// threads on a loopback port, and the recorded day is driven through
+/// **one real TCP connection per tenant**, each subscribed to
+/// server-push event frames. The pushed frames and the served
+/// ecovisor's final totals must equal the recorded expectations
+/// bit-for-bit: the evented transport is not allowed to be
+/// distinguishable from the in-process dispatch path.
 ///
 /// Specs carrying adversarial plans get extra choreography, still under
 /// the same bit-identical bar:
@@ -347,269 +355,17 @@ pub fn verify_transport(artifact: &ScenarioArtifact) -> Result<VerifyReport, Har
         scenario: format!("{} (transport)", artifact.spec.name),
         checks: Vec::new(),
     };
-    transport_cell(artifact, &mut report)?;
+    live_cell(artifact, 1, &mut report)?;
     Ok(report)
 }
 
-/// Replays the whole trace over live per-tenant connections. Any socket
-/// failure fails the `liveness` check; the outcome comparison is shared
-/// with the in-process replays.
-fn transport_cell(
-    artifact: &ScenarioArtifact,
-    report: &mut VerifyReport,
-) -> Result<(), HarnessError> {
-    let cell = "transport";
-    let Some((eco, ids, start)) = build_cell(artifact, artifact.base.as_ref(), cell, report)?
-    else {
-        return Ok(());
-    };
-
-    // Tenant-name → app-id mapping (tenants register in order), the
-    // current-token table, and the rotation schedule.
-    let name_to_app: std::collections::HashMap<&str, ecovisor::AppId> = artifact
-        .spec
-        .tenants
-        .iter()
-        .zip(ids.iter())
-        .map(|(t, &a)| (t.name.as_str(), a))
-        .collect();
-    let mut tokens: std::collections::HashMap<ecovisor::AppId, String> = artifact
-        .spec
-        .credentials
-        .iter()
-        .map(|c| (name_to_app[c.tenant.as_str()], c.token.clone()))
-        .collect();
-    let mut rotations: Vec<(u64, ecovisor::AppId, String)> = artifact
-        .spec
-        .credentials
-        .iter()
-        .filter_map(|c| {
-            c.rotation
-                .as_ref()
-                .map(|r| (r.tick, name_to_app[c.tenant.as_str()], r.token.clone()))
-        })
-        .collect();
-    rotations.sort_by_key(|(tick, app, _)| (*tick, *app));
-    let credentialed = !tokens.is_empty();
-
-    let served = (|| -> std::io::Result<_> {
-        // Port 0: the kernel assigns an unused ephemeral port and we read
-        // it back below. Never bind a fixed port here — parallel CI
-        // shards and fuzz workers run many of these servers at once and
-        // a fixed port flakes with EADDRINUSE.
-        let mut server = EcovisorServer::bind("127.0.0.1:0", eco)?;
-        if credentialed {
-            let mut registry = CredentialRegistry::new();
-            for (&app, token) in &tokens {
-                registry.insert(app, token.as_bytes());
-            }
-            server = server.with_credentials(registry);
-        }
-        let addr = server.local_addr()?;
-        Ok((server.spawn()?, addr))
-    })();
-    let (handle, addr) = match served {
-        Ok(pair) => pair,
-        Err(e) => {
-            report.push(format!("{cell} server"), false, e.to_string());
-            return Ok(());
-        }
-    };
-    let shared = handle.ecovisor();
-
-    // One live connection per tenant, each subscribed to the full push
-    // stream — the union filter makes the broadcast drain exactly what
-    // the recorder's `take_event_frame` drained.
-    let connect_subscribed =
-        |app: ecovisor::AppId, token: Option<&String>| -> Result<RemoteEcovisorClient, String> {
-            let mut c = RemoteEcovisorClient::connect_full(addr, app, token.cloned())
-                .map_err(|e| e.to_string())?;
-            c.subscribe_events(EventFilter::all())
-                .map_err(|e| e.to_string())?;
-            Ok(c)
-        };
-    let mut clients: Vec<RemoteEcovisorClient> = Vec::with_capacity(ids.len());
-    let mut slot: std::collections::HashMap<ecovisor::AppId, usize> =
-        std::collections::HashMap::new();
-    for &app in &ids {
-        match connect_subscribed(app, tokens.get(&app)) {
-            Ok(c) => {
-                slot.insert(app, clients.len());
-                clients.push(c);
-            }
-            Err(e) => {
-                report.push(format!("{cell} connect"), false, e);
-                drop(clients);
-                handle.shutdown();
-                return Ok(());
-            }
-        }
-    }
-
-    // Frames already delivered to a connection retired by a credential
-    // rotation — merged with the live connections' streams at the end.
-    let mut retired_frames: Vec<ecovisor::EventFrame> = Vec::new();
-
-    // Drive the recorded day: each tick's batches round-trip through
-    // their app's connection in recorded order, then settlement runs
-    // (broadcasting frames into the connections' write queues) exactly
-    // where the recorder ticked. Adversarial plans fire at start-of-tick
-    // boundaries, before that tick's batches.
-    let mut entries = artifact.trace.entries.iter().peekable();
-    let mut rotations = rotations.into_iter().peekable();
-    for tick in start..artifact.spec.ticks {
-        while rotations.peek().is_some_and(|(t, _, _)| *t == tick) {
-            let (_, app, new_token) = rotations.next().expect("peeked");
-            let idx = slot[&app];
-            // Drain every push already delivered to the retiring
-            // connection (the wire is FIFO, so the poll response
-            // follows the last broadcast frame), bank its frames, then
-            // rotate on the live server.
-            let drained = clients[idx].poll_events();
-            report.push(
-                format!("{cell} rotation@{tick}[{app}] drain"),
-                drained.is_ok(),
-                drained.err().map(|e| e.to_string()).unwrap_or_default(),
-            );
-            retired_frames.extend(clients[idx].take_event_frames());
-            report.push(
-                format!("{cell} rotation@{tick}[{app}] applied"),
-                handle.rotate_credential(app, new_token.as_bytes()),
-                "server carries no credential registry",
-            );
-            let old_token = tokens.insert(app, new_token.clone());
-            // The retired token must be dead for *new* hellos …
-            let stale = RemoteEcovisorClient::connect_full(addr, app, old_token);
-            report.push(
-                format!("{cell} rotation@{tick}[{app}] retired token rejected"),
-                stale.is_err(),
-                "retired credential still opens connections",
-            );
-            // … while the new one opens the replacement connection the
-            // rest of the day runs on (dropping the old one here).
-            match connect_subscribed(app, Some(&new_token)) {
-                Ok(c) => clients[idx] = c,
-                Err(e) => {
-                    report.push(format!("{cell} rotation@{tick}[{app}] reconnect"), false, e);
-                }
-            }
-        }
-        if let Some(plan) = artifact.spec.restore.filter(|p| p.tick == tick) {
-            // The operator rides the first tenant's (current) token on
-            // an unsubscribed side connection: filter `None` receives
-            // no pushes, so the restore choreography cannot perturb
-            // the recorded frame streams.
-            let op_app = ids[0];
-            match artifact.checkpoints.iter().find(|c| c.tick == plan.tick) {
-                None => report.push(
-                    format!("{cell} restore@{tick} checkpoint"),
-                    false,
-                    "artifact embeds no checkpoint at the restore tick",
-                ),
-                Some(cp) => match (
-                    cp.decode(),
-                    RemoteEcovisorClient::connect_full(addr, op_app, tokens.get(&op_app).cloned()),
-                ) {
-                    (Err(e), _) => {
-                        report.push(
-                            format!("{cell} restore@{tick} checkpoint"),
-                            false,
-                            e.to_string(),
-                        );
-                    }
-                    (_, Err(e)) => {
-                        report.push(
-                            format!("{cell} restore@{tick} operator"),
-                            false,
-                            e.to_string(),
-                        );
-                    }
-                    (Ok(snap), Ok(mut op)) => {
-                        if plan.tamper {
-                            // A snapshot whose environment fingerprint
-                            // lies must bounce off the live server —
-                            // the subsequent genuine restore (and the
-                            // bit-identical day) proves state survived.
-                            let mut bad = snap.clone();
-                            bad.env_digest ^= 0x05EE_DBAD;
-                            report.push(
-                                format!("{cell} restore@{tick} tamper rejected"),
-                                op.push_restore(&bad).is_err(),
-                                "tampered snapshot was accepted by the live server",
-                            );
-                        }
-                        let pushed = op.push_restore(&snap);
-                        report.push(
-                            format!("{cell} restore@{tick} accepted"),
-                            pushed.is_ok(),
-                            pushed.err().map(|e| e.to_string()).unwrap_or_default(),
-                        );
-                    }
-                },
-            }
-        }
-        while let Some(entry) = entries.peek() {
-            if entry.tick != tick {
-                break;
-            }
-            let entry = entries.next().expect("peeked");
-            let client = &mut clients[slot[&entry.batch.app]];
-            let _ = client.transport(entry.batch.clone());
-        }
-        shared.tick();
-    }
-    report.push(
-        format!("{cell} trace exhausted"),
-        entries.peek().is_none(),
-        "trace carries batches beyond the spec's tick horizon",
-    );
-
-    // One final poll per connection: read-drains every pushed frame
-    // still in flight (the wire is FIFO, so the poll response follows
-    // the last broadcast frame) and proves the connection survived the
-    // whole day.
-    let mut live = true;
-    for client in &mut clients {
-        if let Err(e) = client.poll_events() {
-            report.push(format!("{cell} liveness"), false, e.to_string());
-            live = false;
-            break;
-        }
-    }
-    if live {
-        report.push(format!("{cell} liveness"), true, "");
-    }
-
-    // Reassemble the global push order: the broadcast walks apps in id
-    // order inside each settlement, so (tick, app) recovers the
-    // recorded sequence from the per-connection streams.
-    let mut frames: Vec<ecovisor::EventFrame> = clients
-        .iter_mut()
-        .flat_map(RemoteEcovisorClient::take_event_frames)
-        .collect();
-    frames.extend(retired_frames);
-    frames.sort_by_key(|f| (f.tick, f.app));
-
-    let replayed: Vec<AppOutcome> = shared.with(|eco| {
-        ids.iter()
-            .map(|&a| AppOutcome::read(eco, a))
-            .collect::<Result<_, _>>()
-    })?;
-    check_outcome(artifact, cell, start, &frames, &replayed, report);
-
-    drop(clients);
-    handle.shutdown();
-    Ok(())
-}
-
-/// Verifies an artifact over a **two-node federated deployment**: two
-/// ecovisor replicas are built from the same spec, the tenants
-/// partitioned between them, both served on loopback ports,
-/// and the recorded day driven through per-tenant connections to each
-/// tenant's *owner* node while a coordinator loop runs the two-phase
-/// federated tick ([`fed_collect`](RemoteEcovisorClient::fed_collect) on
-/// both nodes → merge → [`fed_settle`](RemoteEcovisorClient::fed_settle)
-/// on both). Container-id cursors are kept aligned across nodes
+/// Verifies an artifact over a **two-node federated deployment**: the
+/// same day as [`verify_transport`], with the tenants partitioned
+/// between two served replicas of the spec and settlement run as the
+/// two-phase federated tick
+/// ([`fed_collect`](RemoteEcovisorClient::fed_collect) on both nodes →
+/// merge → [`fed_settle`](RemoteEcovisorClient::fed_settle) on both).
+/// Container-id cursors are kept aligned across nodes
 /// ([`fed_align`](RemoteEcovisorClient::fed_align)) so launch responses
 /// replay the recorded ids.
 ///
@@ -621,24 +377,20 @@ fn transport_cell(
 /// [`push_tenant`](RemoteEcovisorClient::push_tenant) →
 /// [`commit_migration`](RemoteEcovisorClient::commit_migration) — with
 /// the tenant's connection drained and re-homed across the move.
-/// Without a plan the tenants split parity-wise. Either way the final
-/// per-app totals, reassembled push frames, and digests must equal the
-/// recorded single-process expectations bit-for-bit.
+/// Without a plan the tenants split parity-wise. A resumed artifact is
+/// refused: its trace starts from a checkpoint of the *single-process*
+/// run, and there is no federated warm state to restore two partial
+/// replicas from.
 ///
 /// # Errors
 ///
-/// [`HarnessError`] only for *environmental* failures (the spec no
-/// longer builds, totals unreadable). Socket-level and determinism
-/// failures are reported as failed [`Check`]s.
+/// As [`verify_transport`].
 pub fn verify_federated(artifact: &ScenarioArtifact) -> Result<VerifyReport, HarnessError> {
     let mut report = VerifyReport {
         scenario: format!("{} (federated)", artifact.spec.name),
         checks: Vec::new(),
     };
     if artifact.base.is_some() {
-        // A resumed artifact's trace starts mid-day from a checkpoint of
-        // the *single-process* run; there is no recorded federated warm
-        // state to restore two partial replicas from.
         report.push(
             "federated resumed-artifact",
             false,
@@ -646,172 +398,245 @@ pub fn verify_federated(artifact: &ScenarioArtifact) -> Result<VerifyReport, Har
         );
         return Ok(report);
     }
-    federated_cell(artifact, &mut report)?;
+    live_cell(artifact, 2, &mut report)?;
     Ok(report)
 }
 
-/// Replays the whole trace across a live two-node federation. Any socket
-/// failure fails the `liveness` check; the outcome comparison is shared
-/// with the in-process replays.
-fn federated_cell(
+/// Replays the whole trace across `nodes` live servers (the `transport`
+/// cell with one, the `federated` cell with more).
+///
+/// Everything that depends on the node count is decided first: which
+/// node owns each tenant, the credentials every node holds, and which
+/// plans run. Then one serving world per node, one subscribed
+/// connection per tenant to its owner and one unsubscribed operator
+/// connection per node (filter `None` receives no pushes, so neither
+/// the plans nor the federated tick can perturb the recorded frame
+/// streams). The day loop fires the tick's plans, sends the tick's
+/// batches through their tenants' connections in recorded order and
+/// settles. Any socket failure fails the `liveness` check and ends the
+/// cell; the outcome comparison is shared with the in-process replays.
+fn live_cell(
     artifact: &ScenarioArtifact,
+    nodes: usize,
     report: &mut VerifyReport,
 ) -> Result<(), HarnessError> {
-    let cell = "federated";
     let spec = &artifact.spec;
+    let federated = nodes > 1;
+    let cell = if federated { "federated" } else { "transport" };
 
-    // Two full replicas of the same spec: identical substrate, identical
-    // app ids, identical container cursors. Remote apps settle through
-    // shadow views, so each node only *keeps* the tenants it owns.
-    let (mut eco0, ids) = build_ecovisor(spec)?;
-    let (mut eco1, _) = build_ecovisor(spec)?;
-
-    // Partition. With a migration plan node 0 owns everything — its
-    // placement replays the single-process recording exactly, and the
-    // mid-day graft lands on an empty node 1 (adoption always fits).
-    // Without a plan, tenants split parity-wise across the nodes.
-    let mut owner: std::collections::HashMap<ecovisor::AppId, usize> =
-        std::collections::HashMap::new();
-    for (i, &app) in ids.iter().enumerate() {
-        let node = if spec.migration.is_some() { 0 } else { i % 2 };
-        owner.insert(app, node);
-        let evicted = if node == 0 {
-            eco1.remove_app(app)
-        } else {
-            eco0.remove_app(app)
-        };
-        if let Err(e) = evicted {
-            report.push(format!("{cell} partition"), false, e.to_string());
+    // Identical replicas of the same spec: identical substrate, app ids
+    // and container cursors. Remote apps settle through shadow views,
+    // so each node only *keeps* the tenants it owns.
+    let (mut worlds, mut ids, mut start) = (Vec::with_capacity(nodes), Vec::new(), 0);
+    for _ in 0..nodes {
+        let Some((eco, built, from)) = build_cell(artifact, artifact.base.as_ref(), cell, report)?
+        else {
             return Ok(());
-        }
+        };
+        worlds.push(eco);
+        (ids, start) = (built, from);
     }
-    let name_to_app: std::collections::HashMap<&str, ecovisor::AppId> = spec
+    let app_of: HashMap<&str, AppId> = spec
         .tenants
         .iter()
-        .zip(ids.iter())
-        .map(|(t, &a)| (t.name.as_str(), a))
+        .map(|t| t.name.as_str())
+        .zip(ids.iter().copied())
         .collect();
 
-    // The federation surface is credential-gated, so both nodes always
-    // run with a synthetic registry covering every tenant (the spec's
-    // own credential plans are transport-cell concerns).
-    let token_of: std::collections::HashMap<ecovisor::AppId, String> = ids
+    // With a migration plan node 0 owns everything — its placement
+    // replays the single-process recording exactly, and the mid-day
+    // graft lands on an empty node (adoption always fits). Otherwise
+    // tenant `i` lives on node `i % nodes`.
+    let migration = spec.migration.as_ref().filter(|_| federated);
+    let mut owner: HashMap<AppId, usize> = ids
         .iter()
         .enumerate()
-        .map(|(i, &a)| (a, format!("fed-{i}")))
+        .map(|(i, &app)| (app, if migration.is_some() { 0 } else { i % nodes }))
         .collect();
-    let serve = |eco: Ecovisor| -> std::io::Result<_> {
-        // Port 0 as in `transport_cell`: parallel verifiers must never
-        // contend for a fixed port.
-        let mut server = EcovisorServer::bind("127.0.0.1:0", eco)?;
-        let mut registry = CredentialRegistry::new();
-        for (&app, token) in &token_of {
-            registry.insert(app, token.as_bytes());
+    for &app in &ids {
+        for (node, eco) in worlds.iter_mut().enumerate() {
+            if node == owner[&app] {
+                continue;
+            }
+            if let Err(e) = eco.remove_app(app) {
+                report.push(format!("{cell} partition"), false, e.to_string());
+                return Ok(());
+            }
         }
-        server = server.with_credentials(registry);
+    }
+
+    // One server holds the spec's own credentials (none: trusted mode)
+    // and runs its rotation and restore plans. The federation surface is
+    // credential-gated, so a federation holds a synthetic token for
+    // every tenant and runs only the migration plan.
+    let mut tokens: HashMap<AppId, String> = if federated {
+        ids.iter()
+            .enumerate()
+            .map(|(i, &a)| (a, format!("fed-{i}")))
+            .collect()
+    } else {
+        spec.credentials
+            .iter()
+            .map(|c| (app_of[c.tenant.as_str()], c.token.clone()))
+            .collect()
+    };
+    let mut rotations: Vec<(u64, AppId, String)> = spec
+        .credentials
+        .iter()
+        .filter(|_| !federated)
+        .filter_map(|c| Some((c.rotation.as_ref()?, app_of[c.tenant.as_str()])))
+        .map(|(r, app)| (r.tick, app, r.token.clone()))
+        .collect();
+    rotations.sort_by_key(|(tick, app, _)| (*tick, *app));
+    let mut rotations = rotations.into_iter().peekable();
+    let restore = spec.restore.filter(|_| !federated);
+
+    // Port 0: the kernel assigns an unused ephemeral port. Never bind a
+    // fixed port here — parallel CI shards and fuzz workers run many of
+    // these servers at once and a fixed port flakes with EADDRINUSE.
+    // Dropping a handle stops its server, so every return below shuts
+    // down what was started.
+    let serve = |eco: Ecovisor| -> io::Result<(ServerHandle, SocketAddr)> {
+        let mut server = EcovisorServer::bind("127.0.0.1:0", eco)?;
+        if !tokens.is_empty() {
+            let mut registry = CredentialRegistry::new();
+            for (&app, token) in &tokens {
+                registry.insert(app, token.as_bytes());
+            }
+            server = server.with_credentials(registry);
+        }
         let addr = server.local_addr()?;
         Ok((server.spawn()?, addr))
     };
-    let (h0, addr0) = match serve(eco0) {
-        Ok(pair) => pair,
+    let served: io::Result<Vec<_>> = worlds.into_iter().map(serve).collect();
+    let (handles, addrs): (Vec<ServerHandle>, Vec<SocketAddr>) = match served {
+        Ok(served) => served.into_iter().unzip(),
         Err(e) => {
             report.push(format!("{cell} server"), false, e.to_string());
             return Ok(());
         }
     };
-    let (h1, addr1) = match serve(eco1) {
-        Ok(pair) => pair,
-        Err(e) => {
-            report.push(format!("{cell} server"), false, e.to_string());
-            h0.shutdown();
-            return Ok(());
-        }
-    };
-    let addrs = [addr0, addr1];
-    let shared = [h0.ecovisor(), h1.ecovisor()];
 
-    let connect_subscribed =
-        |node: usize, app: ecovisor::AppId| -> std::io::Result<RemoteEcovisorClient> {
-            let mut c = RemoteEcovisorClient::connect_with_credential(
-                addrs[node],
-                app,
-                token_of[&app].as_str(),
-            )?;
-            c.subscribe_events(EventFilter::all())
-                .map_err(std::io::Error::other)?;
-            Ok(c)
-        };
-    // One coordinator (operator) connection per node, riding the first
-    // tenant's synthetic token; unsubscribed, so the federation
-    // choreography cannot perturb the recorded frame streams.
-    let setup = (|| -> std::io::Result<_> {
-        let ops = vec![
-            RemoteEcovisorClient::connect_with_credential(
-                addrs[0],
-                ids[0],
-                token_of[&ids[0]].as_str(),
-            )?,
-            RemoteEcovisorClient::connect_with_credential(
-                addrs[1],
-                ids[0],
-                token_of[&ids[0]].as_str(),
-            )?,
-        ];
-        let mut clients = Vec::with_capacity(ids.len());
-        let mut slot: std::collections::HashMap<ecovisor::AppId, usize> =
-            std::collections::HashMap::new();
-        for &app in &ids {
-            slot.insert(app, clients.len());
-            clients.push(connect_subscribed(owner[&app], app)?);
-        }
-        Ok((ops, clients, slot))
+    // Each tenant's connection subscribes to the full push stream — the
+    // union filter makes the broadcast drain exactly what the
+    // recorder's `take_event_frame` drained.
+    let subscribe = |node: usize, app: AppId, token: Option<String>| {
+        let mut client = RemoteEcovisorClient::connect_full(addrs[node], app, token)?;
+        client
+            .subscribe_events(EventFilter::all())
+            .map_err(io::Error::other)?;
+        io::Result::Ok(client)
+    };
+    let connected = (|| -> io::Result<_> {
+        let ops = addrs
+            .iter()
+            .map(|&addr| {
+                RemoteEcovisorClient::connect_full(addr, ids[0], tokens.get(&ids[0]).cloned())
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        let clients = ids
+            .iter()
+            .map(|&app| subscribe(owner[&app], app, tokens.get(&app).cloned()))
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok((ops, clients))
     })();
-    let (mut ops, mut clients, slot) = match setup {
-        Ok(t) => t,
+    let (mut ops, mut clients) = match connected {
+        Ok(pair) => pair,
         Err(e) => {
             report.push(format!("{cell} connect"), false, e.to_string());
-            h0.shutdown();
-            h1.shutdown();
             return Ok(());
         }
     };
+    let slot: HashMap<AppId, usize> = ids.iter().enumerate().map(|(i, &a)| (a, i)).collect();
 
-    // Frames banked off a connection retired by a migration re-home —
-    // merged with the live connections' streams at the end.
-    let mut retired_frames: Vec<ecovisor::EventFrame> = Vec::new();
+    // Every pushed frame, banked off a connection whenever it is
+    // drained: the wire is FIFO, so a poll's response follows the last
+    // frame broadcast to that connection.
+    let mut frames: Vec<EventFrame> = Vec::new();
+    let drain = |client: &mut RemoteEcovisorClient, frames: &mut Vec<EventFrame>| {
+        client.poll_events().map_err(io::Error::other)?;
+        frames.extend(client.take_event_frames());
+        io::Result::Ok(())
+    };
     let mut entries = artifact.trace.entries.iter().peekable();
-
-    let driven = (|| -> std::io::Result<()> {
-        // The highest container cursor any node has reached. Both nodes
-        // start equal (identical builds); a node is fast-forwarded to
-        // `global` before dispatching a launch so allocated ids replay
-        // the recording's single cursor.
-        let mut global = ops[0].fed_cursor()?;
-        for tick in 0..spec.ticks {
-            if let Some(plan) = spec.migration.as_ref().filter(|p| p.tick == tick) {
-                let app = name_to_app[plan.tenant.as_str()];
-                let (from, to) = (owner[&app], 1 - owner[&app]);
-                // Quiesce: read-drain every frame already pushed to the
-                // out-going connection and bank it before the move.
+    let driven = (|| -> io::Result<()> {
+        // The highest container cursor any node has reached. The nodes
+        // start equal; a node is fast-forwarded to it before dispatching
+        // a launch so allocated ids replay the recording's one cursor.
+        let mut global = if federated { ops[0].fed_cursor()? } else { 0 };
+        for tick in start..spec.ticks {
+            while let Some((_, app, token)) = rotations.next_if(|(t, _, _)| *t == tick) {
                 let idx = slot[&app];
-                clients[idx].poll_events().map_err(std::io::Error::other)?;
-                retired_frames.extend(clients[idx].take_event_frames());
+                drain(&mut clients[idx], &mut frames)?;
+                report.push(format!("{cell} rotation@{tick}[{app}] drain"), true, "");
+                report.push(
+                    format!("{cell} rotation@{tick}[{app}] applied"),
+                    handles[0].rotate_credential(app, token.as_bytes()),
+                    "server carries no credential registry",
+                );
+                // The retired token must be dead for *new* hellos, while
+                // the new one opens the connection the rest of the day
+                // runs on.
+                let retired = tokens.insert(app, token.clone());
+                report.push(
+                    format!("{cell} rotation@{tick}[{app}] retired token rejected"),
+                    RemoteEcovisorClient::connect_full(addrs[0], app, retired).is_err(),
+                    "retired credential still opens connections",
+                );
+                clients[idx] = subscribe(0, app, Some(token))?;
+            }
+            if let Some(plan) = restore.filter(|p| p.tick == tick) {
+                let checkpoint = artifact.checkpoints.iter().find(|c| c.tick == tick);
+                let decoded = checkpoint
+                    .ok_or_else(|| "artifact embeds no checkpoint at the restore tick".to_string())
+                    .and_then(|cp| cp.decode().map_err(|e| e.to_string()));
+                match decoded {
+                    Err(e) => report.push(format!("{cell} restore@{tick} checkpoint"), false, e),
+                    Ok(snap) => {
+                        if plan.tamper {
+                            // A snapshot whose environment fingerprint
+                            // lies must bounce off the live server — the
+                            // genuine restore after it (and the
+                            // bit-identical day) proves state survived.
+                            let mut bad = snap.clone();
+                            bad.env_digest ^= 0x05EE_DBAD;
+                            report.push(
+                                format!("{cell} restore@{tick} tamper rejected"),
+                                ops[0].push_restore(&bad).is_err(),
+                                "tampered snapshot was accepted by the live server",
+                            );
+                        }
+                        let pushed = ops[0].push_restore(&snap);
+                        report.push(
+                            format!("{cell} restore@{tick} accepted"),
+                            pushed.is_ok(),
+                            pushed.err().map(|e| e.to_string()).unwrap_or_default(),
+                        );
+                    }
+                }
+            }
+            if let Some(plan) = migration.filter(|p| p.tick == tick) {
+                let app = app_of[plan.tenant.as_str()];
+                let (from, to) = (owner[&app], (owner[&app] + 1) % nodes);
+                drain(&mut clients[slot[&app]], &mut frames)?;
                 let snap = ops[from].fetch_tenant(app)?;
                 ops[to].push_tenant(&snap)?;
                 ops[from].commit_migration(app)?;
                 owner.insert(app, to);
-                clients[idx] = connect_subscribed(to, app)?;
-                global = ops[0].fed_cursor()?.max(ops[1].fed_cursor()?);
+                clients[slot[&app]] = subscribe(to, app, tokens.get(&app).cloned())?;
+                global = ops
+                    .iter_mut()
+                    .try_fold(0, |max, op| io::Result::Ok(max.max(op.fed_cursor()?)))?;
                 report.push(format!("{cell} migration@{tick} applied"), true, "");
             }
-            while entries.peek().is_some_and(|e| e.tick == tick) {
-                let entry = entries.next().expect("peeked");
+            while let Some(entry) = entries.next_if(|e| e.tick == tick) {
                 let node = owner[&entry.batch.app];
-                let launches = entry
-                    .batch
-                    .requests
-                    .iter()
-                    .any(|r| matches!(r, EnergyRequest::LaunchContainer { .. }));
+                let launches = federated
+                    && entry
+                        .batch
+                        .requests
+                        .iter()
+                        .any(|r| matches!(r, EnergyRequest::LaunchContainer { .. }));
                 if launches && ops[node].fed_cursor()? < global {
                     ops[node].fed_align(global)?;
                 }
@@ -820,59 +645,52 @@ fn federated_cell(
                     global = ops[node].fed_cursor()?;
                 }
             }
-            // The two-phase federated tick: collect shadow views from
-            // both nodes, merge in app-id order, settle both against the
-            // same merged picture (each node advances its own clock).
-            let mut merged = ops[0].fed_collect()?;
-            merged.extend(ops[1].fed_collect()?);
-            merged.sort_by_key(|v| v.app);
-            ops[0].fed_settle(&merged)?;
-            ops[1].fed_settle(&merged)?;
+            if federated {
+                // The two-phase federated tick: collect shadow views from
+                // every node, merge in app-id order, settle every node
+                // against the same merged picture.
+                let mut merged = Vec::new();
+                for op in &mut ops {
+                    merged.extend(op.fed_collect()?);
+                }
+                merged.sort_by_key(|v| v.app);
+                for op in &mut ops {
+                    op.fed_settle(&merged)?;
+                }
+            } else {
+                handles[0].ecovisor().tick();
+            }
         }
-        // One final poll per connection: read-drains in-flight frames
-        // and proves every connection survived the whole day.
+        // One final poll per connection read-drains every frame still in
+        // flight and proves the connection survived the whole day.
         for client in &mut clients {
-            client.poll_events().map_err(std::io::Error::other)?;
+            drain(client, &mut frames)?;
         }
         Ok(())
     })();
-    match driven {
-        Ok(()) => report.push(format!("{cell} liveness"), true, ""),
-        Err(e) => {
-            report.push(format!("{cell} liveness"), false, e.to_string());
-            drop(ops);
-            drop(clients);
-            h0.shutdown();
-            h1.shutdown();
-            return Ok(());
-        }
+    if let Err(e) = driven {
+        report.push(format!("{cell} liveness"), false, e.to_string());
+        return Ok(());
     }
+    report.push(format!("{cell} liveness"), true, "");
     report.push(
         format!("{cell} trace exhausted"),
         entries.peek().is_none(),
         "trace carries batches beyond the spec's tick horizon",
     );
 
-    // Reassemble the global push order across both nodes' streams: only
-    // the owner broadcasts a tenant's frames, so (tick, app) recovers
-    // the recorded single-process sequence.
-    let mut frames: Vec<ecovisor::EventFrame> = clients
-        .iter_mut()
-        .flat_map(RemoteEcovisorClient::take_event_frames)
-        .collect();
-    frames.extend(retired_frames);
+    // Reassemble the global push order: the broadcast walks apps in id
+    // order inside each settlement and only a tenant's owner broadcasts
+    // its frames, so (tick, app) recovers the recorded sequence.
     frames.sort_by_key(|f| (f.tick, f.app));
-
-    // Per-app outcomes come from each tenant's final owner node.
     let replayed: Vec<AppOutcome> = ids
         .iter()
-        .map(|&a| shared[owner[&a]].with(|eco| AppOutcome::read(eco, a)))
+        .map(|&a| {
+            handles[owner[&a]]
+                .ecovisor()
+                .with(|eco| AppOutcome::read(eco, a))
+        })
         .collect::<Result<_, _>>()?;
-    check_outcome(artifact, cell, 0, &frames, &replayed, report);
-
-    drop(ops);
-    drop(clients);
-    h0.shutdown();
-    h1.shutdown();
+    check_outcome(artifact, cell, start, &frames, &replayed, report);
     Ok(())
 }

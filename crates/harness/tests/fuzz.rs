@@ -1,6 +1,6 @@
 //! The fuzzer fuzzes itself: determinism of generation, the injected
 //! bug the shrinker must find and minimize, tamper rejection on written
-//! reproducers, the soak leak gate, and promotion.
+//! reproducers, and the soak leak gate.
 
 use ecoharness::fuzz::{self, check, generate, record_candidate, shrink, Fault};
 use ecoharness::{verify, CarbonSpec, FuzzOptions, ScenarioArtifact, SoakOptions, SolarSpec};
@@ -234,30 +234,4 @@ fn soak_day_admits_more_tenants_than_the_prototype_bank_holds() {
         report.final_stats
     );
     assert_eq!(report.peak.active_connections, tenants);
-}
-
-#[test]
-fn promotion_writes_verified_survivors() {
-    let dir = std::env::temp_dir().join(format!("ecoharness-promote-{SEED:x}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    let written = fuzz::promote(&ecoharness::PromoteOptions {
-        seed: SEED,
-        count: 10,
-        top: 2,
-        out: dir.clone(),
-    })
-    .expect("promotion runs");
-    assert_eq!(written.len(), 2);
-    // Alternating codecs: both loaders stay covered.
-    assert!(written[0].to_string_lossy().ends_with(".scn.json"));
-    assert!(written[1].to_string_lossy().ends_with(".scn.bin"));
-    for path in &written {
-        let (artifact, _) = ScenarioArtifact::load(path).expect("promoted artifact loads");
-        assert!(
-            verify(&artifact).expect("verifiable").passed(),
-            "promoted artifact {} fails verification",
-            path.display()
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -22,11 +22,9 @@ fn busy_spec() -> ecoharness::ScenarioSpec {
 
 #[test]
 fn observed_recording_is_byte_identical_across_codecs() {
-    // Max verbosity: every log site fires into the in-memory ring.
-    // The stderr sink stays off so test output remains clean — the
-    // determinism claim is about artifact bytes, not terminal noise.
+    // Max verbosity: every log site fires. The determinism claim is
+    // about artifact bytes, not terminal noise.
     obs::set_max_level(Some(Level::Trace));
-    obs::clear_ring();
 
     let spec = busy_spec();
     let plain = record(&spec).expect("plain recording");

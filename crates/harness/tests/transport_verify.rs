@@ -1,8 +1,20 @@
-//! The transport verifier: recorded days replayed over the live
-//! evented server must be bit-indistinguishable from in-process
-//! dispatch — and the check must actually be able to fail.
+//! The live verifiers: recorded days replayed over one evented server
+//! and across a two-node federation must be bit-indistinguishable from
+//! in-process dispatch — and the checks must actually be able to fail.
 
-use ecoharness::{corpus, record, verify_transport};
+use std::path::PathBuf;
+
+use ecoharness::{
+    corpus, record, verify_federated, verify_transport, HarnessError, ScenarioArtifact,
+    VerifyReport,
+};
+
+/// A live verifier's signature.
+type Cell = fn(&ScenarioArtifact) -> Result<VerifyReport, HarnessError>;
+
+/// Both live cells: one server, and two nodes joined by the federated
+/// tick.
+const CELLS: [Cell; 2] = [verify_transport, verify_federated];
 
 /// A shrunk builtin: small enough for debug-build test time, eventful
 /// enough (batteries, coalescing outbox, budget edge) to make the
@@ -20,11 +32,13 @@ fn faithful_artifact_verifies_over_the_wire() {
         !artifact.trace.events.is_empty(),
         "day generated event frames"
     );
-    let report = verify_transport(&artifact).expect("verify");
-    assert!(report.passed(), "failures: {:#?}", report.failures());
-    // A full cell ran: liveness + trace exhausted + totals per app +
-    // totals digest + frames + frames digest.
-    assert_eq!(report.checks.len(), artifact.spec.tenants.len() + 5);
+    for verify in CELLS {
+        let report = verify(&artifact).expect("verify");
+        assert!(report.passed(), "failures: {:#?}", report.failures());
+        // A full cell ran: liveness + trace exhausted + totals per app +
+        // totals digest + frames + frames digest.
+        assert_eq!(report.checks.len(), artifact.spec.tenants.len() + 5);
+    }
 }
 
 #[test]
@@ -32,13 +46,19 @@ fn tampered_totals_fail_over_the_wire() {
     let mut artifact = small_artifact();
     let outcome = artifact.expected.apps.first_mut().expect("has tenants");
     outcome.totals.grid_energy += simkit::units::WattHours::new(1.0);
-    let report = verify_transport(&artifact).expect("verify");
-    assert!(!report.passed(), "tampered totals must fail");
-    assert!(
-        report.failures().iter().any(|c| c.label.contains("totals")),
-        "the totals comparison specifically must catch it: {:#?}",
-        report.failures()
-    );
+    for verify in CELLS {
+        let report = verify(&artifact).expect("verify");
+        assert!(
+            !report.passed(),
+            "{}: tampered totals must fail",
+            report.scenario
+        );
+        assert!(
+            report.failures().iter().any(|c| c.label.contains("totals")),
+            "the totals comparison specifically must catch it: {:#?}",
+            report.failures()
+        );
+    }
 }
 
 #[test]
@@ -47,15 +67,65 @@ fn dropped_event_frame_fails_over_the_wire() {
     let removed = artifact.trace.events.pop().expect("has frames");
     artifact.expected.event_count -= removed.events.len();
     artifact.expected.events_digest = ecovisor::digest(&artifact.trace.events);
-    let report = verify_transport(&artifact).expect("verify");
-    assert!(!report.passed(), "dropped frame must fail");
-    assert!(
-        report
-            .failures()
-            .iter()
-            .any(|c| c.label.contains("event frames")),
-        "the frame comparison specifically must catch it: {:#?}",
-        report.failures()
+    for verify in CELLS {
+        let report = verify(&artifact).expect("verify");
+        assert!(
+            !report.passed(),
+            "{}: dropped frame must fail",
+            report.scenario
+        );
+        assert!(
+            report
+                .failures()
+                .iter()
+                .any(|c| c.label.contains("event frames")),
+            "the frame comparison specifically must catch it: {:#?}",
+            report.failures()
+        );
+    }
+}
+
+/// The committed days that carry adversarial plans: each cell runs the
+/// plans it owns (credential rotations and the restore on one server,
+/// the migration on two) and checks each step by name, on top of the
+/// `tenants + 5` checks every live cell makes.
+#[test]
+fn planned_days_run_their_plans_in_both_cells() {
+    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let days = [
+        ("credential-churn.scn.json", [14, 8]),
+        ("restore-under-load.scn.bin", [9, 7]),
+        ("split-brain.scn.json", [8, 9]),
+    ];
+    let mut labels = Vec::new();
+    for (file, counts) in days {
+        let (artifact, _) = ScenarioArtifact::load(&corpus.join(file)).expect("committed day");
+        for (verify, count) in CELLS.into_iter().zip(counts) {
+            let report = verify(&artifact).expect("verify");
+            assert!(report.passed(), "{file}: {:#?}", report.failures());
+            assert_eq!(report.checks.len(), count, "{}", report.scenario);
+            labels.extend(report.checks.into_iter().map(|c| c.label));
+        }
+    }
+    let mut plan_checks: Vec<&str> = labels
+        .iter()
+        .map(String::as_str)
+        .filter(|l| l.contains('@'))
+        .collect();
+    plan_checks.sort_unstable();
+    assert_eq!(
+        plan_checks,
+        [
+            "federated migration@16 applied",
+            "transport restore@12 accepted",
+            "transport restore@12 tamper rejected",
+            "transport rotation@10[app1] applied",
+            "transport rotation@10[app1] drain",
+            "transport rotation@10[app1] retired token rejected",
+            "transport rotation@21[app2] applied",
+            "transport rotation@21[app2] drain",
+            "transport rotation@21[app2] retired token rejected",
+        ]
     );
 }
 

@@ -111,12 +111,6 @@ impl WebApp {
         }
     }
 
-    /// Overrides the per-worker baseline CPU burn (builder-style).
-    pub fn with_base_util(mut self, base: f64) -> Self {
-        self.worker_base_util = base.clamp(0.0, 1.0);
-        self
-    }
-
     /// Bounds the worker pool (builder-style).
     pub fn with_worker_bounds(mut self, min: u32, max: u32) -> Self {
         self.min_workers = min.max(1);

@@ -74,11 +74,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform draw in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         // 53 random mantissa bits, the standard [0, 1) construction.

@@ -46,18 +46,6 @@ impl SimTime {
         self.0
     }
 
-    /// Fractional hours since the epoch.
-    #[inline]
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_HOUR as f64
-    }
-
-    /// Fractional days since the epoch.
-    #[inline]
-    pub fn as_days_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_DAY as f64
-    }
-
     /// Zero-based day index (how many whole days have elapsed).
     #[inline]
     pub fn day_index(self) -> u64 {
@@ -181,12 +169,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64
-    }
-
-    /// Duration in fractional minutes.
-    #[inline]
-    pub fn as_minutes(self) -> f64 {
-        self.0 as f64 / 60.0
     }
 
     /// Duration in fractional hours.

@@ -49,12 +49,6 @@ macro_rules! unit_common {
                 Self(self.0.clamp(lo.0, hi.0))
             }
 
-            /// `true` when the value is exactly zero or negative.
-            #[inline]
-            pub fn is_none_or_negative(self) -> bool {
-                self.0 <= 0.0
-            }
-
             /// Clamps negative values (e.g. from floating-point residue) to zero.
             ///
             /// Implemented with a comparison rather than `f64::max`

@@ -29,10 +29,10 @@
 //! assert_eq!(snap.metrics.len(), 2);
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 // ----------------------------------------------------------------------
@@ -489,53 +489,10 @@ impl Level {
     }
 }
 
-/// One structured log record, as kept by the in-memory ring sink.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogRecord {
-    /// Severity.
-    pub level: Level,
-    /// The subsystem that emitted it (e.g. `"transport.evented"`).
-    pub target: String,
-    /// Human-readable message.
-    pub message: String,
-    /// Structured key-value context.
-    pub fields: Vec<(String, String)>,
-}
-
-impl std::fmt::Display for LogRecord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "[{:5}] {}: {}",
-            self.level.as_str(),
-            self.target,
-            self.message
-        )?;
-        for (k, v) in &self.fields {
-            write!(f, " {k}={v}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Records the ring sink retains; older records are evicted.
-pub const LOG_RING_CAPACITY: usize = 1024;
-
 /// Level filter: 0 = uninitialized (read `ECOVISOR_LOG` lazily),
 /// 6 = off, else a [`Level`] discriminant.
 static MAX_LEVEL: AtomicU8 = AtomicU8::new(0);
 const LEVEL_OFF: u8 = 6;
-
-/// Whether records are also formatted to stderr (on by default; tests
-/// that log at trace turn it off to keep harness output readable).
-static STDERR_SINK: AtomicBool = AtomicBool::new(true);
-
-/// The bounded in-memory ring sink.
-static RING: OnceLock<Mutex<VecDeque<LogRecord>>> = OnceLock::new();
-
-fn ring() -> &'static Mutex<VecDeque<LogRecord>> {
-    RING.get_or_init(|| Mutex::new(VecDeque::with_capacity(LOG_RING_CAPACITY)))
-}
 
 /// The active level filter. Initialized from `ECOVISOR_LOG` on first
 /// use (default: `warn`); override with [`set_max_level`].
@@ -558,44 +515,27 @@ pub fn set_max_level(level: Option<Level>) {
     MAX_LEVEL.store(level.map_or(LEVEL_OFF, |l| l as u8), Ordering::Relaxed);
 }
 
-/// Enables/disables the stderr sink (the ring always records).
-pub fn set_stderr_sink(enabled: bool) {
-    STDERR_SINK.store(enabled, Ordering::Relaxed);
-}
-
 /// `true` when a record at `level` would be kept.
 #[inline]
 pub fn enabled(level: Level) -> bool {
     max_level().is_some_and(|max| level <= max)
 }
 
-/// Emits one structured record through the enabled sinks. Prefer the
-/// leveled wrappers ([`warn`], [`info`], …).
+/// Emits one structured record to stderr as one line,
+/// `[level] target: message k=v …`. Prefer the leveled wrappers
+/// ([`warn`], [`info`], …).
 pub fn log(level: Level, target: &str, message: &str, fields: &[(&str, String)]) {
     if !enabled(level) {
         return;
     }
-    let record = LogRecord {
-        level,
-        target: target.to_string(),
-        message: message.to_string(),
-        fields: fields
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), v.clone()))
-            .collect(),
-    };
-    if STDERR_SINK.load(Ordering::Relaxed) {
-        // One write call per record so concurrent emitters do not
-        // interleave mid-line.
-        let mut line = record.to_string();
-        line.push('\n');
-        let _ = std::io::stderr().write_all(line.as_bytes());
+    let mut line = format!("[{:5}] {target}: {message}", level.as_str());
+    for (k, v) in fields {
+        line.push_str(&format!(" {k}={v}"));
     }
-    let mut ring = lock(ring());
-    if ring.len() >= LOG_RING_CAPACITY {
-        ring.pop_front();
-    }
-    ring.push_back(record);
+    // One write call per record so concurrent emitters do not
+    // interleave mid-line.
+    line.push('\n');
+    let _ = std::io::stderr().write_all(line.as_bytes());
 }
 
 /// Emits at [`Level::Error`].
@@ -621,16 +561,6 @@ pub fn debug(target: &str, message: &str, fields: &[(&str, String)]) {
 /// Emits at [`Level::Trace`].
 pub fn trace(target: &str, message: &str, fields: &[(&str, String)]) {
     log(Level::Trace, target, message, fields);
-}
-
-/// A snapshot of the ring sink, oldest first.
-pub fn ring_records() -> Vec<LogRecord> {
-    lock(ring()).iter().cloned().collect()
-}
-
-/// Empties the ring sink (test isolation).
-pub fn clear_ring() {
-    lock(ring()).clear();
 }
 
 #[cfg(test)]
