@@ -294,7 +294,8 @@ impl EcovisorServer {
 /// A point-in-time snapshot of the serving runtime's resource counters.
 ///
 /// Read it with [`ServerHandle::stats`]. This is the stable surface
-/// leak detection gates on (`ecoharness fuzz --soak`): after every
+/// leak detection gates on (every live replay in `ecoharness verify`,
+/// `fuzz --soak` included, ends with a `leak-free` check): after every
 /// client has disconnected and the serving threads have reaped the
 /// registrations, all three counters return to zero — a persistently
 /// non-zero residue is a leak in the transport, not noise.
@@ -374,7 +375,8 @@ impl ServerHandle {
     /// Bytes currently held in per-connection receive buffers (summed
     /// capacity, maintained by the serving threads as buffers grow for
     /// bursts and large frames and trim back when drained). Returns to zero once every
-    /// connection has been reaped — the [`ServerStats`] leak gate.
+    /// connection has been reaped — one of the three [`ServerStats`]
+    /// counters the harness's `leak-free` check requires at zero.
     pub fn recv_buffer_bytes(&self) -> usize {
         self.ctx.recv_bytes.load(Ordering::SeqCst)
     }

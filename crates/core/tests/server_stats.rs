@@ -1,6 +1,7 @@
 //! `ServerStats` lifecycle: the leak-gate counters start at zero, rise
 //! while connections are live, and return to zero once every client is
-//! gone — the invariant `ecoharness fuzz --soak` gates long runs on.
+//! gone — the invariant every live replay in `ecoharness verify`
+//! (and so `fuzz --soak`) ends on.
 //! Nothing waits between a socket and the dispatcher, so nothing can be
 //! abandoned there at shutdown or churn: `recv_buffer_bytes == 0` and
 //! `active_connections == 0` are the whole drain check. The

@@ -76,13 +76,36 @@ pub struct Fig10Result {
     pub sweep: Vec<SweepPoint>,
 }
 
-/// Runs one configuration; returns (ticks, useful work, energy kJ).
+/// One (policy, solar-scale) run's outcome.
+struct RunOutcome {
+    /// Completion ticks, counted from dawn.
+    ticks: u64,
+    /// Energy spent, the job's idle floor included (kJ).
+    energy_kj: f64,
+    /// Replicas the straggler policy launched.
+    replicas: u64,
+    /// Per-container power series (dynamic caps only).
+    caps: Option<Vec<TimeSeries>>,
+}
+
+impl RunOutcome {
+    /// Useful core-hours per kJ: the nominal job total over the energy.
+    fn efficiency(&self, cfg: &Fig10Config) -> f64 {
+        if self.energy_kj > 0.0 {
+            cfg.job.total_work() / self.energy_kj
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Runs one configuration.
 fn run_one(
     cfg: &Fig10Config,
     mode: SolarCapMode,
     solar_scale: f64,
     straggler_prob: f64,
-) -> (u64, f64, f64, Option<Vec<TimeSeries>>) {
+) -> RunOutcome {
     let day_trace = SolarArrayBuilder::new(cfg.solar_rated)
         .days(4)
         .weather(Weather::Clear)
@@ -100,6 +123,7 @@ fn run_one(
     let mut sim = Simulation::new(eco);
     let job = SyntheticParallelJob::new(cfg.job.with_stragglers(straggler_prob), cfg.seed ^ 0x77);
     let app = ParallelSolarApp::new("parallel", job, mode);
+    let stats = app.stats();
     let id = sim
         .add_app(
             "parallel",
@@ -123,28 +147,25 @@ fn run_one(
     let idle_floor_w = cfg.job.workers as f64 * 1.35;
     let idle_kj = idle_floor_w * (ticks * 60) as f64 / 1000.0;
     let energy_kj = totals.energy.joules() / 1000.0 + idle_kj;
-    // Useful work: the nominal job total when finished.
-    let work = cfg.job.total_work();
 
-    let caps = if mode == SolarCapMode::DynamicCaps {
+    let caps = (mode == SolarCapMode::DynamicCaps).then(|| {
         let db = sim.eco().tsdb();
-        let series: Vec<TimeSeries> = db
-            .subjects_of(metrics::CONTAINER_POWER)
-            .into_iter()
-            .map(String::from)
-            .collect::<Vec<_>>()
+        db.subjects_of(metrics::CONTAINER_POWER)
             .into_iter()
             .map(|s| {
-                db.series(metrics::CONTAINER_POWER, &s)
+                db.series(metrics::CONTAINER_POWER, s)
                     .cloned()
                     .unwrap_or_default()
             })
-            .collect();
-        Some(series)
-    } else {
-        None
-    };
-    (ticks, work, energy_kj, caps)
+            .collect()
+    });
+    let replicas = stats.borrow().replicas_launched;
+    RunOutcome {
+        ticks,
+        energy_kj,
+        replicas,
+        caps,
+    }
 }
 
 /// Runs the Fig. 10 experiment.
@@ -163,25 +184,20 @@ pub fn run(cfg: Fig10Config) -> Fig10Result {
         .collect();
 
     // Fig. 10b: dynamic per-container power at 50 % solar.
-    let (_, _, _, caps) = run_one(&cfg, SolarCapMode::DynamicCaps, 0.5, 0.0);
+    let caps = run_one(&cfg, SolarCapMode::DynamicCaps, 0.5, 0.0).caps;
 
     // Fig. 10c: the sweep.
     let mut sweep = Vec::new();
     for &pct in &cfg.sweep {
         let scale = pct as f64 / 100.0;
-        let (st, _, _, _) = run_one(&cfg, SolarCapMode::StaticCaps, scale, 0.0);
-        let (dy, work, energy_kj, _) = run_one(&cfg, SolarCapMode::DynamicCaps, scale, 0.0);
-        let improvement = 100.0 * (st as f64 - dy as f64) / st as f64;
+        let st = run_one(&cfg, SolarCapMode::StaticCaps, scale, 0.0).ticks;
+        let dy = run_one(&cfg, SolarCapMode::DynamicCaps, scale, 0.0);
         sweep.push(SweepPoint {
             percent: pct,
             static_ticks: st,
-            dynamic_ticks: dy,
-            improvement_pct: improvement,
-            efficiency: if energy_kj > 0.0 {
-                work / energy_kj
-            } else {
-                0.0
-            },
+            dynamic_ticks: dy.ticks,
+            improvement_pct: 100.0 * (st as f64 - dy.ticks as f64) / st as f64,
+            efficiency: dy.efficiency(&cfg),
         });
     }
 
@@ -271,53 +287,15 @@ pub fn run_fig11(cfg: Fig10Config, straggler_prob: f64) -> Fig11Result {
     let mut sweep = Vec::new();
     for pct in [100u64, 120, 140, 160, 180, 200] {
         let scale = pct as f64 / 100.0;
-        let (base, _, _, _) = run_one(&cfg, SolarCapMode::DynamicCaps, scale, straggler_prob);
-        // Count replicas by re-running with the replica policy.
-        let day_trace = SolarArrayBuilder::new(cfg.solar_rated)
-            .days(4)
-            .weather(Weather::Clear)
-            .seed(cfg.seed)
-            .build()
-            .scaled(scale);
-        let eco = EcovisorBuilder::new()
-            .cluster(CopConfig::microserver_cluster(32))
-            .carbon(Box::new(TraceCarbonService::new(
-                "flat",
-                Trace::constant(250.0),
-            )))
-            .solar(Box::new(TraceSolarSource::new(day_trace)))
-            .build();
-        let mut sim = Simulation::new(eco);
-        let job =
-            SyntheticParallelJob::new(cfg.job.with_stragglers(straggler_prob), cfg.seed ^ 0x77);
-        let app = ParallelSolarApp::new("parallel", job, SolarCapMode::StragglerReplicas);
-        let stats = app.stats();
-        let id = sim
-            .add_app(
-                "parallel",
-                EnergyShare::grid_only().with_solar_fraction(1.0),
-                Box::new(app),
-            )
-            .expect("registration");
-        sim.run_ticks(6 * 60);
-        let with = sim.run_until_done(4 * 24 * 60);
-        let totals = sim.eco().app_totals(id).expect("registered");
-        let idle_floor_w = cfg.job.workers as f64 * 1.35;
-        let idle_kj = idle_floor_w * (with * 60) as f64 / 1000.0;
-        let energy_kj = totals.energy.joules() / 1000.0 + idle_kj;
-        let work = cfg.job.total_work();
-
+        let base = run_one(&cfg, SolarCapMode::DynamicCaps, scale, straggler_prob).ticks;
+        let with = run_one(&cfg, SolarCapMode::StragglerReplicas, scale, straggler_prob);
         sweep.push(Fig11Point {
             percent: pct,
             baseline_ticks: base,
-            replica_ticks: with,
-            improvement_pct: 100.0 * (base as f64 - with as f64) / base as f64,
-            efficiency: if energy_kj > 0.0 {
-                work / energy_kj
-            } else {
-                0.0
-            },
-            replicas: stats.borrow().replicas_launched,
+            replica_ticks: with.ticks,
+            improvement_pct: 100.0 * (base as f64 - with.ticks as f64) / base as f64,
+            efficiency: with.efficiency(&cfg),
+            replicas: with.replicas,
         });
     }
     Fig11Result { sweep }

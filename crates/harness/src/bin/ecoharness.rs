@@ -62,7 +62,7 @@ USAGE:
                       [--checkpoint-every HOURS] [NAME ...]
     ecoharness record --from ARTIFACT@TICK [--out DIR] [--codec json|binary]
     ecoharness verify [--transport] [--federated] PATH [PATH ...]
-    ecoharness fuzz [--seed S] [--count N] [--no-transport] [--out DIR]
+    ecoharness fuzz [--seed S] [--count N] [--out DIR]
     ecoharness fuzz --soak [--seed S] [--ticks N] [--tenants N]
     ecoharness stats ADDR --app ID --token TOKEN [--watch SECONDS] [--n COUNT]
     ecoharness diff A B
@@ -91,13 +91,13 @@ start): fresh drivers against the restored warm state, written as
 `NAME-resumed` in the parent artifact's encoding unless --codec is given.
 `fuzz` generates --count seeded random scenarios and drives each one
 through the full record → verify matrix (a replay from the start and
-from every checkpoint, plus the live evented transport unless
---no-transport); failures are shrunk
-to minimal reproducers written under --out (default fuzz-failures/) as
-replayable .scn.json days.
-`fuzz --soak` drives a long day (default 5000 ticks) through the live
-evented server with periodic connection churn and fails unless the
-server's counters return to the all-zero baseline afterwards.
+from every checkpoint, then the live evented transport); failures are
+shrunk to minimal reproducers written under --out (default
+fuzz-failures/) as replayable .scn.json days.
+`fuzz --soak` records a long generated day (default 5000 ticks) with a
+credential rotation every 97 ticks while tenants last, replays it like
+`verify --transport`, and fails unless the replay is bit-identical and
+the server's counters return to zero afterwards.
 `stats` connects to a live ecovisor server as the given (credentialed)
 app and fetches its observability report over the wire — serving-level
 gauges plus the full metric registry (see docs/OBSERVABILITY.md for
@@ -305,7 +305,6 @@ fn cmd_fuzz(args: Vec<String>) -> Result<ExitCode, String> {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--soak" => soak = true,
-            "--no-transport" => opts.transport = false,
             "--seed" => {
                 let seed = parse_num(&value("--seed")?, "--seed")?;
                 opts.seed = seed;
@@ -322,28 +321,21 @@ fn cmd_fuzz(args: Vec<String>) -> Result<ExitCode, String> {
     }
     if soak {
         let report = ecoharness::fuzz::soak(&soak_opts).map_err(|e| e.to_string())?;
+        let verify = &report.verify;
         println!(
-            "soak: {} tick(s), {} reconnect(s), {} request(s), {} event frame(s)",
-            report.ticks, report.reconnects, report.requests, report.frames
+            "soak: {} tick(s) × {} tenant(s), {} request(s), {} event frame(s)",
+            soak_opts.ticks, soak_opts.tenants, report.requests, report.frames
         );
         println!(
-            "      peak: {} connection(s), backlog {}, recv buffers {} B",
-            report.peak.active_connections,
-            report.peak.subscriber_backlog,
-            report.peak.recv_buffer_bytes
+            "{} {} ({} checks)",
+            if verify.passed() { "PASS" } else { "FAIL" },
+            verify.scenario,
+            verify.checks.len()
         );
-        println!(
-            "      final: {} connection(s), backlog {}, recv buffers {} B — {}",
-            report.final_stats.active_connections,
-            report.final_stats.subscriber_backlog,
-            report.final_stats.recv_buffer_bytes,
-            if report.leak_free() {
-                "leak-free"
-            } else {
-                "LEAKED"
-            }
-        );
-        return Ok(if report.leak_free() {
+        for check in verify.failures() {
+            println!("     ✗ {}: {}", check.label, check.detail);
+        }
+        return Ok(if verify.passed() {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE

@@ -1,5 +1,5 @@
-//! Generative scenario fuzzing with shrinking, plus leak-gating soak
-//! days over the live evented server.
+//! Generative scenario fuzzing with shrinking, plus long soak days
+//! replayed over the live evented server.
 //!
 //! Two entry points, all seeded and fully deterministic:
 //!
@@ -10,19 +10,17 @@
 //!   checkpoint cadences, restore plans, mid-day federated migration
 //!   plans) and drives each candidate
 //!   through the full record → verify matrix — a replay from the start
-//!   and from every embedded checkpoint, and (unless disabled) the live
-//!   evented transport. A candidate that fails is handed to
+//!   and from every embedded checkpoint, then the live evented
+//!   transport. A candidate that fails is handed to
 //!   [`shrink`], which greedily simplifies it to a minimal spec that
 //!   *still* fails and writes the minimized recording as a normal
 //!   `.scn.json` artifact — a reproducer any build can replay with
 //!   `ecoharness verify --transport <path>`.
-//! * [`soak`] — a thousands-of-tick day driven through real TCP
-//!   connections against [`EcovisorServer::spawn`]'s serving threads, with
-//!   periodic connection churn. The report gates on the server's
-//!   [`ServerStats`] returning to the all-zero baseline after the
-//!   clients disconnect: any leaked connection slot, undelivered
-//!   subscriber frame, or unreturned receive-buffer byte fails
-//!   [`SoakReport::leak_free`].
+//! * [`soak`] — a generated thousands-of-tick day with credential
+//!   churn, recorded and then replayed through [`verify_transport`]:
+//!   one live connection per tenant must reproduce the recording bit for
+//!   bit, and the server's counters must return to zero after the
+//!   clients disconnect (the `transport leak-free` check).
 //!
 //! Determinism contract: `generate(seed, i)` is a pure function (every
 //! draw comes from [`SimRng::fork_indexed`]), specs are pure functions
@@ -34,10 +32,7 @@ use std::path::{Path, PathBuf};
 
 use carbon_intel::RegionKind;
 use carbon_policies::{BatchMode, SparkMode, WebPolicy};
-use ecovisor::{
-    ContainerSpec, EcovisorServer, EnergyClient, EnergyShare, EventFilter, ExcessPolicy,
-    NotifyConfig, RemoteEcovisorClient, ServerStats, WireCodec,
-};
+use ecovisor::{EnergyShare, ExcessPolicy, NotifyConfig, WireCodec};
 use energy_system::battery::BatterySpec;
 use energy_system::solar::{SolarArrayBuilder, Weather};
 use simkit::units::{CarbonIntensity, CarbonRate, Watts};
@@ -46,13 +41,12 @@ use workloads::traces::WorkloadTraceBuilder;
 
 use crate::artifact::ScenarioArtifact;
 use crate::error::HarnessError;
-use crate::record::record_with_checkpoints;
-use crate::scenario::build_ecovisor;
+use crate::record::{record, record_with_checkpoints};
 use crate::spec::{
     CarbonSpec, CredentialRotation, CredentialSpec, DriverSpec, JobSpec, MigrationPlan,
     RestorePlan, ScenarioSpec, ScriptPhase, SolarSpec, TenantSpec, SPEC_FORMAT,
 };
-use crate::verify::{verify, verify_federated, verify_transport};
+use crate::verify::{verify, verify_federated, verify_transport, VerifyReport};
 
 /// One fuzz candidate: a generated spec plus the checkpoint cadence its
 /// recording embeds (`None` = no checkpoints).
@@ -90,9 +84,6 @@ pub struct FuzzOptions {
     pub seed: u64,
     /// How many candidates to generate and check.
     pub count: u64,
-    /// Also run each candidate over the live evented transport
-    /// (one TCP connection per tenant).
-    pub transport: bool,
     /// Where minimized reproducers are written (`None` = don't write).
     pub out: Option<PathBuf>,
     /// Re-check budget for each failure's shrink loop.
@@ -104,7 +95,6 @@ impl Default for FuzzOptions {
         FuzzOptions {
             seed: 0x5EED_F072,
             count: 100,
-            transport: true,
             out: None,
             max_shrink_checks: 200,
         }
@@ -451,26 +441,20 @@ pub fn record_candidate(
 ///
 /// [`HarnessError`] for environmental failures only (the spec cannot be
 /// built); verification mismatches are the `Some` return, not errors.
-pub fn check(
-    candidate: &Candidate,
-    fault: Option<&Fault>,
-    transport: bool,
-) -> Result<Option<String>, HarnessError> {
+pub fn check(candidate: &Candidate, fault: Option<&Fault>) -> Result<Option<String>, HarnessError> {
     let artifact = record_candidate(candidate, fault)?;
     let report = verify(&artifact)?;
     if let Some(c) = report.checks.iter().find(|c| !c.ok) {
         return Ok(Some(format!("{}: {}", c.label, c.detail)));
     }
-    if transport {
-        let report = verify_transport(&artifact)?;
+    let report = verify_transport(&artifact)?;
+    if let Some(c) = report.checks.iter().find(|c| !c.ok) {
+        return Ok(Some(format!("{}: {}", c.label, c.detail)));
+    }
+    if candidate.spec.migration.is_some() {
+        let report = verify_federated(&artifact)?;
         if let Some(c) = report.checks.iter().find(|c| !c.ok) {
             return Ok(Some(format!("{}: {}", c.label, c.detail)));
-        }
-        if candidate.spec.migration.is_some() {
-            let report = verify_federated(&artifact)?;
-            if let Some(c) = report.checks.iter().find(|c| !c.ok) {
-                return Ok(Some(format!("{}: {}", c.label, c.detail)));
-            }
         }
     }
     Ok(None)
@@ -508,7 +492,6 @@ pub fn shrink(
     original: &Candidate,
     detail: String,
     fault: Option<&Fault>,
-    transport: bool,
     max_checks: usize,
 ) -> Result<ShrinkOutcome, HarnessError> {
     let mut current = original.clone();
@@ -525,7 +508,7 @@ pub fn shrink(
                 continue;
             }
             checks += 1;
-            if let Some(d) = check(&candidate, fault, transport)? {
+            if let Some(d) = check(&candidate, fault)? {
                 current = candidate;
                 detail = d;
                 steps += 1;
@@ -710,17 +693,11 @@ pub fn run(opts: &FuzzOptions, fault: Option<&Fault>) -> Result<FuzzReport, Harn
     };
     for index in 0..opts.count {
         let candidate = generate(opts.seed, index);
-        match check(&candidate, fault, opts.transport)? {
+        match check(&candidate, fault)? {
             None => report.passed += 1,
             Some(detail) => {
                 let scenario = candidate.spec.name.clone();
-                let mut shrunk = shrink(
-                    &candidate,
-                    detail,
-                    fault,
-                    opts.transport,
-                    opts.max_shrink_checks,
-                )?;
+                let mut shrunk = shrink(&candidate, detail, fault, opts.max_shrink_checks)?;
                 shrunk.candidate.spec.name = format!("{scenario}-min");
                 let artifact = match &opts.out {
                     Some(dir) => Some(write_reproducer(&shrunk.candidate, fault, dir)?),
@@ -748,14 +725,12 @@ pub fn run(opts: &FuzzOptions, fault: Option<&Fault>) -> Result<FuzzReport, Harn
 /// Knobs for a soak day.
 #[derive(Debug, Clone, Copy)]
 pub struct SoakOptions {
-    /// Seed for the world and the per-tick demand stream.
+    /// Seed for the world and the tenants' scripted demand.
     pub seed: u64,
     /// Settlement ticks to drive.
     pub ticks: u64,
     /// Live tenant connections.
     pub tenants: usize,
-    /// Reconnect one tenant every this many ticks (0 = never).
-    pub churn_every: u64,
 }
 
 impl Default for SoakOptions {
@@ -764,57 +739,57 @@ impl Default for SoakOptions {
             seed: 0x5EED_50AC,
             ticks: 5000,
             tenants: 6,
-            churn_every: 97,
         }
     }
 }
 
-/// A soak day's outcome. The headline gate is [`SoakReport::leak_free`].
+/// Tenant `i`'s credential is rotated once, at tick `CHURN_EVERY (i + 1)`
+/// when that falls inside the day: each rotation retires a live
+/// connection and opens its replacement.
+const CHURN_EVERY: u64 = 97;
+
+/// A soak day's outcome.
 #[derive(Debug)]
 pub struct SoakReport {
-    /// Ticks driven.
-    pub ticks: u64,
-    /// Connections cycled by churn.
-    pub reconnects: usize,
-    /// Requests round-tripped (approximate; counts issued commands).
-    pub requests: u64,
-    /// Event frames delivered to the subscribed connections.
+    /// Requests the recorded day carries.
+    pub requests: usize,
+    /// Event frames the day pushed to its subscribers.
     pub frames: usize,
-    /// High-water [`ServerStats`] observed mid-run.
-    pub peak: ServerStats,
-    /// [`ServerStats`] after every client disconnected and the serving
-    /// threads reaped the connections.
-    pub final_stats: ServerStats,
-}
-
-impl SoakReport {
-    /// `true` when the server's counters all returned to the zero
-    /// baseline: no leaked connection slots, no stranded subscriber
-    /// frames, no unreturned receive-buffer bytes.
-    pub fn leak_free(&self) -> bool {
-        self.final_stats.active_connections == 0
-            && self.final_stats.subscriber_backlog == 0
-            && self.final_stats.recv_buffer_bytes == 0
-    }
+    /// The live replay's checks, ending in `transport leak-free`.
+    pub verify: VerifyReport,
 }
 
 /// The world a soak day runs against: chatty notification thresholds
 /// and per-tenant batteries over mixed solar and volatile carbon at
 /// one-minute ticks, so event frames keep flowing to the subscribers
 /// for the whole run. Each tenant holds a 5 Wh share of the bank, which
-/// is the paper's 1,440 Wh until the shares outgrow it (288 tenants).
+/// is the paper's 1,440 Wh until the shares outgrow it (288 tenants),
+/// runs one container through 16 seeded one-tick phases (demand drawn
+/// from U(0.05, 1), a 3 W grid charge or none) and holds a credential
+/// rotated once ([`CHURN_EVERY`]).
 fn soak_spec(seed: u64, ticks: u64, tenants: usize) -> ScenarioSpec {
     const SHARE_WH: f64 = 5.0;
+    let mut rng = SimRng::from_seed(seed).fork("soak-demand");
+    let mut script = || {
+        (0..16)
+            .map(|_| ScriptPhase {
+                ticks: 1,
+                demand: rng.uniform(0.05, 1.0),
+                charge_watts: if rng.chance(0.5) { 3.0 } else { 0.0 },
+                // 1C: the share's own limit, so batteries still drain
+                // to empty and push events.
+                max_discharge_watts: SHARE_WH,
+            })
+            .collect()
+    };
     ScenarioSpec {
         format: SPEC_FORMAT,
         name: format!("soak-{seed:016x}"),
-        description: "fuzz --soak world (drivers unused; tenants are driven over live \
-                      connections)"
-            .into(),
+        description: "fuzz --soak world: scripted tenants with one credential rotation each".into(),
         seed,
         ticks,
         tick_minutes: 1,
-        servers: tenants.max(1) as u32,
+        servers: tenants as u32,
         excess: ExcessPolicy::Curtail,
         carbon: CarbonSpec::Region {
             region: RegionKind::California,
@@ -835,10 +810,15 @@ fn soak_spec(seed: u64, ticks: u64, tenants: usize) -> ScenarioSpec {
                 let mut tenant = TenantSpec::new(
                     format!("soak-{i}"),
                     EnergyShare::grid_only()
-                        .with_solar_fraction(0.9 / tenants.max(1) as f64)
+                        .with_solar_fraction(0.9 / tenants as f64)
                         .with_battery(simkit::units::WattHours::new(SHARE_WH))
                         .with_initial_soc(0.5),
-                    minimal_driver(),
+                    DriverSpec::Scripted {
+                        containers: 1,
+                        phases: script(),
+                        budget_grams: None,
+                        budget_at_tick: 0,
+                    },
                 );
                 tenant.notify = Some(NotifyConfig {
                     solar_change_fraction: 0.1,
@@ -848,122 +828,39 @@ fn soak_spec(seed: u64, ticks: u64, tenants: usize) -> ScenarioSpec {
                 tenant
             })
             .collect(),
-        credentials: Vec::new(),
+        credentials: (0..tenants)
+            .map(|i| CredentialSpec {
+                tenant: format!("soak-{i}"),
+                token: format!("soak-{i}"),
+                rotation: Some(CHURN_EVERY * (i as u64 + 1))
+                    .filter(|&tick| tick < ticks)
+                    .map(|tick| CredentialRotation {
+                        tick,
+                        token: format!("soak-{i}-rotated"),
+                    }),
+            })
+            .collect(),
         restore: None,
         migration: None,
     }
 }
 
-/// Drives a long day through the live evented server: per-tenant TCP
-/// connections (subscribed to event push) issue demand/battery commands
-/// every tick, connections churn periodically, and settlement runs
-/// between batches. After the clients disconnect, the server's
-/// [`ServerStats`] must return to the all-zero baseline — the leak gate
-/// CI's soak smoke enforces.
+/// Records a long generated day and replays it through
+/// [`verify_transport`]: one subscribed connection per tenant, a
+/// credential rotation (and so a reconnect) every 97 ticks while
+/// tenants last, and settlement between batches. The replay must match
+/// the recording bit for bit and end with the server's counters back at
+/// zero (`transport leak-free`), the gate CI's soak smoke enforces.
 ///
 /// # Errors
 ///
-/// Connection failures surface as [`HarnessError::Io`].
+/// Recording failures and environmental verify failures.
 pub fn soak(opts: &SoakOptions) -> Result<SoakReport, HarnessError> {
     let spec = soak_spec(opts.seed, opts.ticks.max(1), opts.tenants.max(1));
-    let (eco, ids) = build_ecovisor(&spec)?;
-    // Port 0 only: fuzz workers and CI shards run servers concurrently,
-    // so a fixed port would flake with EADDRINUSE.
-    let server = EcovisorServer::bind("127.0.0.1:0", eco)?;
-    let addr = server.local_addr()?;
-    let handle = server.spawn()?;
-    let shared = handle.ecovisor();
-
-    let connect = |i: usize| -> Result<RemoteEcovisorClient, HarnessError> {
-        let mut client = RemoteEcovisorClient::connect(addr, ids[i])?;
-        client.subscribe_events(EventFilter::all())?;
-        Ok(client)
-    };
-
-    let mut rng = SimRng::from_seed(opts.seed).fork("soak-demand");
-    let mut requests = 0_u64;
-    let mut frames = 0_usize;
-    let mut reconnects = 0_usize;
-
-    let mut clients: Vec<(RemoteEcovisorClient, Vec<ecovisor::ContainerId>)> =
-        Vec::with_capacity(ids.len());
-    for i in 0..ids.len() {
-        let mut client = connect(i)?;
-        let container = client
-            .launch_container(ContainerSpec::quad_core())
-            .map_err(|e| HarnessError::Spec(format!("soak launch: {e}")))?;
-        requests += 1;
-        clients.push((client, vec![container]));
-    }
-
-    let mut peak = handle.stats();
-    let observe = |stats: ServerStats, peak: &mut ServerStats| {
-        peak.active_connections = peak.active_connections.max(stats.active_connections);
-        peak.subscriber_backlog = peak.subscriber_backlog.max(stats.subscriber_backlog);
-        peak.recv_buffer_bytes = peak.recv_buffer_bytes.max(stats.recv_buffer_bytes);
-    };
-
-    for tick in 0..opts.ticks {
-        if opts.churn_every > 0 && tick % opts.churn_every == opts.churn_every - 1 {
-            let i = (tick / opts.churn_every) as usize % clients.len();
-            // Drain the retiring connection's pushes, then replace it.
-            // The server-side fleet survives — containers belong to the
-            // app, not the connection.
-            clients[i].0.poll_events()?;
-            frames += clients[i].0.take_event_frames().len();
-            clients[i].0 = connect(i)?;
-            reconnects += 1;
-        }
-        for (client, fleet) in &mut clients {
-            let demand = rng.uniform(0.05, 1.0);
-            for &container in fleet.iter() {
-                let _ = client.set_container_demand(container, demand);
-            }
-            client.set_battery_charge_rate(Watts::new(if rng.chance(0.5) { 3.0 } else { 0.0 }));
-            // A read forces the queued commands onto the wire this tick.
-            let _ = client.get_solar_power();
-            requests += fleet.len() as u64 + 2;
-        }
-        shared.tick();
-        if tick.is_multiple_of(16) {
-            for (client, _) in &mut clients {
-                client.poll_events()?;
-                frames += client.take_event_frames().len();
-            }
-        }
-        if tick.is_multiple_of(64) {
-            observe(handle.stats(), &mut peak);
-        }
-    }
-
-    for (client, _) in &mut clients {
-        client.poll_events()?;
-        frames += client.take_event_frames().len();
-    }
-    observe(handle.stats(), &mut peak);
-    drop(clients);
-
-    // The serving threads reap disconnected peers asynchronously; give
-    // them a bounded window to return every counter to baseline.
-    let mut final_stats = handle.stats();
-    for _ in 0..1000 {
-        if final_stats.active_connections == 0
-            && final_stats.subscriber_backlog == 0
-            && final_stats.recv_buffer_bytes == 0
-        {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        final_stats = handle.stats();
-    }
-    handle.shutdown();
-
+    let artifact = record(&spec)?;
     Ok(SoakReport {
-        ticks: opts.ticks,
-        reconnects,
-        requests,
-        frames,
-        peak,
-        final_stats,
+        requests: artifact.expected.request_count,
+        frames: artifact.trace.events.len(),
+        verify: verify_transport(&artifact)?,
     })
 }

@@ -36,8 +36,8 @@
 //!    [`ecovisor::digest`].
 //! 3. **Fuzzer** ([`fuzz`]): seeded generation over the whole spec
 //!    space, every candidate pushed through the full verify matrix,
-//!    failures shrunk to minimal replayable reproducers; plus soak days
-//!    that gate on the evented server's counters returning to baseline.
+//!    failures shrunk to minimal replayable reproducers; plus soak days:
+//!    long generated days with credential churn, replayed live.
 //! 4. **CLI** (`ecoharness`): `record` / `verify` / `fuzz` / `stats` /
 //!    `diff` over artifact files (see `docs/HARNESS.md`).
 //!

@@ -16,6 +16,8 @@
 //! behaviour from the [`carbon_policies`] §5 policy suite (plus one
 //! harness-native scripted driver for hand-authored days).
 
+use std::collections::BTreeSet;
+
 use carbon_intel::{CarbonTraceBuilder, RegionKind};
 use ecovisor::{EnergyShare, ExcessPolicy, NotifyConfig};
 use energy_system::solar::SolarArrayBuilder;
@@ -149,8 +151,9 @@ impl ScenarioSpec {
         simkit::time::SimDuration::from_minutes(self.tick_minutes)
     }
 
-    /// Rough sanity validation (names non-empty, at least one tenant,
-    /// at least one tick). The deep validation is registration itself:
+    /// Rough sanity validation (names non-empty and tenant names unique,
+    /// at least one tenant, at least one tick, at most one credential a
+    /// tenant). The deep validation is registration itself:
     /// building the scenario surfaces share oversubscription etc.
     ///
     /// # Errors
@@ -175,13 +178,23 @@ impl ScenarioSpec {
         if self.tenants.is_empty() {
             return Err("scenario needs at least one tenant".into());
         }
+        // Credentials and plans pick their tenant by name, so a repeated
+        // name (or a second credential for one tenant) is ambiguous.
+        let mut names = BTreeSet::new();
         for t in &self.tenants {
             if t.name.is_empty() {
                 return Err("tenant names must be non-empty".into());
             }
+            if !names.insert(t.name.as_str()) {
+                return Err(format!("duplicate tenant name {:?}", t.name));
+            }
         }
         if !self.credentials.is_empty() {
+            let mut credentialed = BTreeSet::new();
             for c in &self.credentials {
+                if !credentialed.insert(c.tenant.as_str()) {
+                    return Err(format!("duplicate credential for tenant {:?}", c.tenant));
+                }
                 if !self.tenants.iter().any(|t| t.name == c.tenant) {
                     return Err(format!("credential for unknown tenant {:?}", c.tenant));
                 }

@@ -24,7 +24,11 @@
 //! are one cell of N nodes (`live_cell`): the node count decides the
 //! tenants' owners, the credentials and which adversarial plans run,
 //! and after that one day loop drives every deployment, one subscribed
-//! connection per tenant, to the same bit-identical checks.
+//! connection per tenant, to the same bit-identical checks. Every live
+//! replay ends with a leak gate: once its clients disconnect, each
+//! server's [`ServerStats`] must return to zero (`{cell} leak-free`).
+//! `live_cell` is the harness's only live-day driver; the fuzzer's soak
+//! is a generated day replayed through it.
 //!
 //! Any code change that perturbs settlement arithmetic, dispatch
 //! semantics, codec encoding, event generation, or snapshot/restore
@@ -34,10 +38,13 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
+use std::thread;
+use std::time::Duration;
 
 use ecovisor::{
     digest, AppId, CredentialRegistry, Ecovisor, EcovisorServer, EnergyClient, EnergyRequest,
-    EventFilter, EventFrame, ProtocolTrace, RemoteEcovisorClient, ServerHandle, WireCodec,
+    EventFilter, EventFrame, ProtocolTrace, RemoteEcovisorClient, ServerHandle, ServerStats,
+    WireCodec,
 };
 
 use crate::artifact::{codec_name, AppOutcome, Checkpoint, ScenarioArtifact, ARTIFACT_FORMAT};
@@ -328,7 +335,9 @@ fn check_outcome(
 /// server-push event frames. The pushed frames and the served
 /// ecovisor's final totals must equal the recorded expectations
 /// bit-for-bit: the evented transport is not allowed to be
-/// distinguishable from the in-process dispatch path.
+/// distinguishable from the in-process dispatch path. Once the
+/// connections close, the server's [`ServerStats`] must return to zero
+/// (`transport leak-free`, the last check).
 ///
 /// Specs carrying adversarial plans get extra choreography, still under
 /// the same bit-identical bar:
@@ -415,6 +424,10 @@ pub fn verify_federated(artifact: &ScenarioArtifact) -> Result<VerifyReport, Har
 /// batches through their tenants' connections in recorded order and
 /// settles. Any socket failure fails the `liveness` check and ends the
 /// cell; the outcome comparison is shared with the in-process replays.
+/// Last, the connections close with the servers still up, and every
+/// node's counters must reach zero within 2 s (`{cell} leak-free`): a
+/// connection slot, subscriber frame or receive buffer that outlives
+/// its client is a leak.
 fn live_cell(
     artifact: &ScenarioArtifact,
     nodes: usize,
@@ -692,5 +705,27 @@ fn live_cell(
         })
         .collect::<Result<_, _>>()?;
     check_outcome(artifact, cell, start, &frames, &replayed, report);
+
+    // The leak gate: with every client gone and the servers still up,
+    // the serving threads must reap each connection and hand back every
+    // subscriber frame and receive buffer. Reaping is asynchronous, so
+    // the counters get a bounded window to reach zero.
+    drop((ops, clients));
+    let idle = |s: &ServerStats| {
+        s.active_connections == 0 && s.subscriber_backlog == 0 && s.recv_buffer_bytes == 0
+    };
+    let mut stats: Vec<ServerStats> = handles.iter().map(ServerHandle::stats).collect();
+    for _ in 0..1000 {
+        if stats.iter().all(idle) {
+            break;
+        }
+        thread::sleep(Duration::from_millis(2));
+        stats = handles.iter().map(ServerHandle::stats).collect();
+    }
+    report.push(
+        format!("{cell} leak-free"),
+        stats.iter().all(idle),
+        format!("server counters after disconnect: {stats:?}"),
+    );
     Ok(())
 }

@@ -1,6 +1,6 @@
 //! The fuzzer fuzzes itself: determinism of generation, the injected
 //! bug the shrinker must find and minimize, tamper rejection on written
-//! reproducers, and the soak leak gate.
+//! reproducers, and the soak day replayed live.
 
 use ecoharness::fuzz::{self, check, generate, record_candidate, shrink, Fault};
 use ecoharness::{verify, CarbonSpec, FuzzOptions, ScenarioArtifact, SoakOptions, SolarSpec};
@@ -67,12 +67,9 @@ fn generation_covers_the_adversarial_corners() {
 
 #[test]
 fn healthy_tree_survives_a_small_campaign() {
-    // In-process matrix only: the transport cells get their own
-    // coverage below and in the corpus verification.
     let opts = FuzzOptions {
         seed: SEED,
         count: 8,
-        transport: false,
         out: None,
         ..Default::default()
     };
@@ -90,7 +87,7 @@ fn transport_cells_hold_for_an_adversarial_candidate() {
         .find(|c| !c.spec.credentials.is_empty())
         .expect("a credentialed candidate exists in 60 draws");
     assert_eq!(
-        check(&candidate, None, true).expect("checkable"),
+        check(&candidate, None).expect("checkable"),
         None,
         "adversarial candidate failed the live transport"
     );
@@ -114,7 +111,7 @@ fn injected_bug_is_found_and_shrunk_to_the_minimal_spec() {
         })
         .expect("a matching candidate exists");
     let candidate = generate(SEED, index);
-    let detail = check(&candidate, Some(&INJECTED), false)
+    let detail = check(&candidate, Some(&INJECTED))
         .expect("checkable")
         .expect("the injected bug must be caught");
     assert!(
@@ -122,7 +119,7 @@ fn injected_bug_is_found_and_shrunk_to_the_minimal_spec() {
         "unexpected detail: {detail}"
     );
 
-    let outcome = shrink(&candidate, detail, Some(&INJECTED), false, 300).expect("shrinkable");
+    let outcome = shrink(&candidate, detail, Some(&INJECTED), 300).expect("shrinkable");
     let min = &outcome.candidate.spec;
     // The fault predicate's exact boundary: one fewer tenant or tick
     // and the bug no longer fires, so the shrinker must stop here.
@@ -154,7 +151,6 @@ fn campaign_writes_a_replayable_reproducer_for_the_injected_bug() {
     let opts = FuzzOptions {
         seed: SEED,
         count: index + 1,
-        transport: false,
         out: Some(dir.clone()),
         max_shrink_checks: 300,
     };
@@ -200,20 +196,28 @@ fn tampered_reproducers_are_rejected_by_verification() {
 fn soak_day_returns_every_counter_to_baseline() {
     let report = fuzz::soak(&SoakOptions {
         seed: SEED,
-        ticks: 150,
+        ticks: 200,
         tenants: 3,
-        churn_every: 17,
     })
     .expect("soak runs");
-    assert!(
-        report.leak_free(),
-        "leaked: final stats {:?}",
-        report.final_stats
-    );
-    assert_eq!(report.reconnects, 150 / 17);
+    let verify = &report.verify;
+    // The day replays bit-identically through two rotations and ends
+    // with the server's counters back at zero.
+    assert!(verify.passed(), "failures: {:#?}", verify.failures());
     assert!(report.frames > 0, "soak generated no event frames");
-    assert!(report.peak.active_connections >= 3);
-    assert!(report.peak.recv_buffer_bytes > 0);
+    // One launch, then three scripted writes a tenant a tick.
+    assert_eq!(report.requests, 3 * (1 + 3 * 200));
+    // Tenant `i` rotates at tick 97 (i + 1): the third falls past the day.
+    let labels: Vec<&str> = verify.checks.iter().map(|c| c.label.as_str()).collect();
+    for rotated in ["rotation@97[app1]", "rotation@194[app2]"] {
+        for step in ["drain", "applied", "retired token rejected"] {
+            let label = format!("transport {rotated} {step}");
+            assert!(labels.contains(&label.as_str()), "missing `{label}`");
+        }
+    }
+    assert!(!labels.iter().any(|l| l.contains("[app3]")), "{labels:?}");
+    assert_eq!(labels.last(), Some(&"transport leak-free"));
+    assert_eq!(verify.checks.len(), 3 + 6 + 2 * 3);
 }
 
 #[test]
@@ -225,13 +229,9 @@ fn soak_day_admits_more_tenants_than_the_prototype_bank_holds() {
         seed: SEED,
         ticks: 4,
         tenants,
-        churn_every: 0,
     })
     .expect("soak runs");
-    assert!(
-        report.leak_free(),
-        "leaked: final stats {:?}",
-        report.final_stats
-    );
-    assert_eq!(report.peak.active_connections, tenants);
+    let verify = &report.verify;
+    assert!(verify.passed(), "failures: {:#?}", verify.failures());
+    assert_eq!(verify.checks.len(), tenants + 6);
 }

@@ -120,6 +120,36 @@ fn truncated_expected_outcome_fails_verification() {
     assert!(failed.contains(&"replay totals digest"));
 }
 
+/// Credentials and plans pick their tenant by name, so a repeated name
+/// is ambiguous: the credentialed day below would record and replay in
+/// process, then fail over the wire with the first tenant's token
+/// handed to the second. `validate` refuses it up front, and refuses a
+/// tenant credentialed twice.
+#[test]
+fn ambiguous_tenant_names_and_credentials_are_rejected() {
+    let spec = corpus::builtin("credential-churn").expect("builtin");
+    assert_eq!(spec.validate(), Ok(()));
+
+    let mut renamed = spec.clone();
+    renamed.tenants[1].name = spec.tenants[0].name.clone();
+    renamed
+        .credentials
+        .retain(|c| c.tenant != spec.tenants[1].name);
+    let err = renamed.validate().expect_err("duplicate tenant name");
+    assert!(err.contains("duplicate tenant name"), "{err}");
+    assert!(
+        record(&renamed).is_err(),
+        "an ambiguous day must not record"
+    );
+
+    let mut doubled = spec.clone();
+    let mut second = doubled.credentials[2].clone();
+    second.token = "another-token".into();
+    doubled.credentials.push(second);
+    let err = doubled.validate().expect_err("duplicate credential");
+    assert!(err.contains("duplicate credential"), "{err}");
+}
+
 #[test]
 fn recording_is_deterministic() {
     let mut spec = corpus::builtin("budget-exhaustion").expect("builtin");

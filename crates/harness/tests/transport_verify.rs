@@ -36,8 +36,10 @@ fn faithful_artifact_verifies_over_the_wire() {
         let report = verify(&artifact).expect("verify");
         assert!(report.passed(), "failures: {:#?}", report.failures());
         // A full cell ran: liveness + trace exhausted + totals per app +
-        // totals digest + frames + frames digest.
-        assert_eq!(report.checks.len(), artifact.spec.tenants.len() + 5);
+        // totals digest + frames + frames digest + the leak gate, last.
+        assert_eq!(report.checks.len(), artifact.spec.tenants.len() + 6);
+        let last = report.checks.last().expect("checks").label.as_str();
+        assert!(last.ends_with(" leak-free"), "{}: {last}", report.scenario);
     }
 }
 
@@ -88,14 +90,14 @@ fn dropped_event_frame_fails_over_the_wire() {
 /// The committed days that carry adversarial plans: each cell runs the
 /// plans it owns (credential rotations and the restore on one server,
 /// the migration on two) and checks each step by name, on top of the
-/// `tenants + 5` checks every live cell makes.
+/// `tenants + 6` checks every live cell makes.
 #[test]
 fn planned_days_run_their_plans_in_both_cells() {
     let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
     let days = [
-        ("credential-churn.scn.json", [14, 8]),
-        ("restore-under-load.scn.bin", [9, 7]),
-        ("split-brain.scn.json", [8, 9]),
+        ("credential-churn.scn.json", [15, 9]),
+        ("restore-under-load.scn.bin", [10, 8]),
+        ("split-brain.scn.json", [9, 10]),
     ];
     let mut labels = Vec::new();
     for (file, counts) in days {
@@ -104,6 +106,8 @@ fn planned_days_run_their_plans_in_both_cells() {
             let report = verify(&artifact).expect("verify");
             assert!(report.passed(), "{file}: {:#?}", report.failures());
             assert_eq!(report.checks.len(), count, "{}", report.scenario);
+            let last = report.checks.last().expect("checks").label.as_str();
+            assert!(last.ends_with(" leak-free"), "{}: {last}", report.scenario);
             labels.extend(report.checks.into_iter().map(|c| c.label));
         }
     }
