@@ -37,14 +37,7 @@ use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams, WattHours, Watts};
 use crate::ecovisor::Ecovisor;
 use crate::error::Result;
 use crate::event::{EventFilter, Notification};
-use crate::proto::{EnergyRequest, EnergyResponse, EventFrame, RequestBatch, ResponseBatch};
-
-/// Callback invoked for each delivered [`EventFrame`] — the *push* half
-/// of the event surface. Both the in-process and the remote client
-/// accept one (`set_event_handler`); the remote client fires it as
-/// pushed frames arrive off the wire, the in-process client as drains
-/// deliver.
-pub type EventHandler = Box<dyn FnMut(&EventFrame) + Send>;
+use crate::proto::{EnergyRequest, EnergyResponse, RequestBatch, ResponseBatch};
 
 /// The shared Table 1 / Table 2 method surface over any batch transport.
 ///
@@ -458,7 +451,6 @@ pub struct EcovisorClient<'a> {
     eco: &'a mut Ecovisor,
     app: AppId,
     queue: Vec<EnergyRequest>,
-    handler: Option<EventHandler>,
 }
 
 impl std::fmt::Debug for EcovisorClient<'_> {
@@ -476,15 +468,7 @@ impl<'a> EcovisorClient<'a> {
             eco,
             app,
             queue: Vec::new(),
-            handler: None,
         }
-    }
-
-    /// Installs a callback fired for each event frame this client
-    /// delivers (during [`EnergyClient::events`] drains). Mirrors the
-    /// remote client's handler, which fires on pushed frames.
-    pub fn set_event_handler(&mut self, handler: impl FnMut(&EventFrame) + Send + 'static) {
-        self.handler = Some(Box::new(handler));
     }
 }
 
@@ -503,25 +487,6 @@ impl EnergyClient for EcovisorClient<'_> {
 
     fn transport(&mut self, batch: RequestBatch) -> ResponseBatch {
         self.eco.dispatch_batch(&batch)
-    }
-
-    fn events(&mut self) -> Vec<Notification> {
-        let events = self.poll_events().unwrap_or_default();
-        if !events.is_empty() {
-            if let Some(handler) = self.handler.as_mut() {
-                // A drain-side frame, stamped with the tick the events
-                // are delivered in (push frames carry the settlement
-                // tick instead — delivery and settlement coincide there).
-                let frame = EventFrame {
-                    version: crate::proto::PROTOCOL_VERSION,
-                    app: self.app,
-                    tick: self.eco.tick_index(),
-                    events: events.clone(),
-                };
-                handler(&frame);
-            }
-        }
-        events
     }
 }
 

@@ -203,8 +203,9 @@ impl std::fmt::Debug for Ecovisor {
 }
 
 impl Ecovisor {
-    /// Builds from an [`EcovisorBuilder`] (use [`EcovisorBuilder::build`]).
-    pub fn from_builder(b: EcovisorBuilder) -> Self {
+    /// Builds from an [`EcovisorBuilder`] (what [`EcovisorBuilder::build`]
+    /// calls).
+    pub(crate) fn from_builder(b: EcovisorBuilder) -> Self {
         let psu = b.psu_or_default();
         let mut eco = Self {
             clock: TickClock::new(b.tick_interval),
@@ -398,8 +399,9 @@ impl Ecovisor {
     }
 
     /// Drains the notifications queued for an application, unframed: the
-    /// pull form of [`take_event_frame`](Self::take_event_frame), which
-    /// is what the [`Simulation`](crate::sim::Simulation) loop takes.
+    /// pull form of [`take_event_frame`](Self::take_event_frame). The
+    /// [`Simulation`](crate::sim::Simulation) loop takes frames, not
+    /// this.
     ///
     /// Takes `&self`: the outbox lives in the app's shard, so draining
     /// joins the dispatch surface — any holder of a shared ecovisor

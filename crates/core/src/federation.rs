@@ -159,8 +159,8 @@ impl Ecovisor {
     /// graft, so a failed transfer changes nothing on either side.
     ///
     /// Like [`Ecovisor::snapshot`], takes `&mut self` because exclusive
-    /// access *is* the settlement barrier; on a deployed instance go
-    /// through [`crate::shard::ShardedEcovisor::extract_app`].
+    /// access *is* the settlement barrier; on a deployed instance call it
+    /// inside [`crate::shard::ShardedEcovisor::with`].
     ///
     /// # Errors
     ///

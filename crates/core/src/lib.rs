@@ -111,7 +111,7 @@ pub mod transport;
 pub mod ves;
 
 pub use app::Application;
-pub use client::{EcovisorClient, EnergyClient, EventHandler};
+pub use client::{EcovisorClient, EnergyClient};
 pub use config::{EcovisorBuilder, ExcessPolicy};
 pub use dispatch::{ProtocolTrace, TraceEntry};
 pub use ecovisor::{Ecovisor, SystemFlows};

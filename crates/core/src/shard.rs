@@ -56,8 +56,6 @@
 use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
-use container_cop::AppId;
-
 use crate::ecovisor::{Ecovisor, SystemFlows};
 use crate::lock;
 use crate::obs::{CoreMetrics, Histogram};
@@ -218,66 +216,6 @@ impl ShardedEcovisor {
         for hook in lock::lock(&self.hooks).iter() {
             hook(eco);
         }
-    }
-
-    /// Captures one tenant under the settlement barrier (see
-    /// [`Ecovisor::extract_app`]); the tenant keeps running here until
-    /// [`remove_app`](Self::remove_app) commits the migration.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::EcovisorError::UnknownApp`] when not registered.
-    pub fn extract_app(
-        &self,
-        app: AppId,
-    ) -> crate::error::Result<crate::federation::TenantSnapshot> {
-        self.with(|eco| eco.extract_app(app))
-    }
-
-    /// Grafts a migrated tenant under the settlement barrier (see
-    /// [`Ecovisor::graft_app`] for validation; on error nothing
-    /// changes).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Ecovisor::graft_app`] rejects.
-    pub fn graft_app(
-        &self,
-        snap: &crate::federation::TenantSnapshot,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.with(|eco| eco.graft_app(snap))
-    }
-
-    /// Evicts a tenant under the settlement barrier (see
-    /// [`Ecovisor::remove_app`]) — the migration commit on the source
-    /// node.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::EcovisorError::UnknownApp`] when not registered.
-    pub fn remove_app(&self, app: AppId) -> crate::error::Result<()> {
-        self.with(|eco| eco.remove_app(app))
-    }
-
-    /// Captures a [`Snapshot`](crate::snapshot::Snapshot) under the
-    /// settlement barrier: all dispatch quiesces, so the checkpoint can
-    /// never observe a half-settled tick or a half-applied batch.
-    pub fn snapshot(&self) -> crate::snapshot::Snapshot {
-        self.with(|eco| eco.snapshot())
-    }
-
-    /// Reinstates a snapshot under the settlement barrier (see
-    /// [`Ecovisor::apply_snapshot`] for validation and error semantics).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Ecovisor::apply_snapshot`] rejects; on error the
-    /// running state is untouched.
-    pub fn apply_snapshot(
-        &self,
-        snap: &crate::snapshot::Snapshot,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.with(|eco| eco.apply_snapshot(snap))
     }
 
     /// Unwraps the inner ecovisor.

@@ -33,7 +33,7 @@
 //!
 //! Not captured: the solar/carbon *traces* themselves, the placement
 //! policy, and the power models (all static configuration the restoring
-//! process must supply via its [`EcovisorBuilder`] — guarded by an
+//! process must supply via its [`EcovisorBuilder`](crate::EcovisorBuilder) — guarded by an
 //! environment fingerprint), plus the protocol trace recorder (a restore
 //! never adopts the source's recording state).
 //!
@@ -56,7 +56,7 @@ use power_telemetry::Tsdb;
 use simkit::time::{SimDuration, SimTime, TickClock};
 use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams};
 
-use crate::config::{EcovisorBuilder, ExcessPolicy};
+use crate::config::ExcessPolicy;
 use crate::ecovisor::{AppState, Ecovisor, SystemFlows};
 use crate::error::EcovisorError;
 use crate::event::{Notification, NotifyConfig, OutboxPolicy};
@@ -102,8 +102,8 @@ pub struct AppSnapshot {
 /// A versioned, serializable checkpoint of a whole ecovisor.
 ///
 /// Produced by [`Ecovisor::snapshot`] (inside the settlement barrier),
-/// reinstated by [`Ecovisor::apply_snapshot`] or the
-/// [`Ecovisor::restore`] constructor. Its one stored and transmitted
+/// reinstated by [`Ecovisor::apply_snapshot`] on a freshly built
+/// ecovisor. Its one stored and transmitted
 /// form is binary ([`Snapshot::to_bytes`] / [`Snapshot::from_bytes`]).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Snapshot {
@@ -337,9 +337,9 @@ impl Ecovisor {
     /// Takes `&mut self` deliberately: exclusive access *is* the
     /// settlement barrier, so a snapshot can never observe a
     /// half-settled tick, and the shard/COP/TSDB locks cost nothing
-    /// (`RwLock::get_mut`). On a deployed instance go through
-    /// [`crate::shard::ShardedEcovisor::snapshot`], which takes the
-    /// barrier for you.
+    /// (`RwLock::get_mut`). On a deployed instance call it inside
+    /// [`crate::shard::ShardedEcovisor::with`], which takes the barrier
+    /// for you.
     ///
     /// Undelivered outbox events are captured verbatim (not consumed):
     /// the original keeps delivering them, and a process restored from
@@ -462,17 +462,5 @@ impl Ecovisor {
                 .record_duration(obs_start.elapsed());
         }
         Ok(())
-    }
-
-    /// Builds a fresh ecovisor from `builder` and reinstates `snap` into
-    /// it — the one-call "seed a new process from a checkpoint" path.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Ecovisor::apply_snapshot`] rejects.
-    pub fn restore(builder: EcovisorBuilder, snap: &Snapshot) -> Result<Ecovisor, SnapshotError> {
-        let mut eco = builder.build();
-        eco.apply_snapshot(snap)?;
-        Ok(eco)
     }
 }

@@ -130,7 +130,7 @@
 //! A connection that fails mid-frame (peer crash, network drop) is
 //! counted and logged through the structured log (`ecovisor::obs`),
 //! deregistered from the push registry and its thread's epoll, and dropped from
-//! [`ServerHandle::active_connections`], so a long-lived server never
+//! [`ServerStats::active_connections`], so a long-lived server never
 //! accumulates dead connections. A server built
 //! [`with_read_timeout`](EcovisorServer::with_read_timeout) additionally
 //! reaps **idle** connections: a dead subscriber that holds a push

@@ -8,8 +8,6 @@
 //! for sending, [`Reassembler`] takes it back in; the four transfer
 //! requests differ only in what is captured and what is applied.
 
-use std::sync::atomic::Ordering;
-
 use super::server::ServeCtx;
 use crate::federation::TenantSnapshot;
 use crate::proto::{EnergyRequest, EnergyResponse, ProtoError, StatsReport};
@@ -210,12 +208,12 @@ pub(super) fn serve_admin(
     match req {
         EnergyRequest::Snapshot { chunk } => {
             page_out("snapshot", &mut admin.snapshot, *chunk, || {
-                Ok(eco.snapshot().to_bytes())
+                Ok(eco.with(|eco| eco.snapshot()).to_bytes())
             })
         }
         EnergyRequest::MigrateOut { app, chunk } => {
             page_out("migrate-out", &mut admin.migrate_out, *chunk, || {
-                eco.extract_app(*app)
+                eco.with(|eco| eco.extract_app(*app))
                     .map(|tenant| tenant.to_bytes())
                     .map_err(|e| e.to_string())
             })
@@ -229,7 +227,7 @@ pub(super) fn serve_admin(
             |payload| {
                 let snap = Snapshot::from_bytes(payload)
                     .map_err(|e| format!("payload undecodable: {e}"))?;
-                eco.apply_snapshot(&snap)
+                eco.with(|eco| eco.apply_snapshot(&snap))
                     .map_err(|e| format!("rejected: {e}"))
             },
         ),
@@ -242,10 +240,13 @@ pub(super) fn serve_admin(
             |payload| {
                 let tenant = TenantSnapshot::from_bytes(payload)
                     .map_err(|e| format!("payload undecodable: {e}"))?;
-                eco.graft_app(&tenant).map_err(|e| format!("rejected: {e}"))
+                eco.with(|eco| eco.graft_app(&tenant))
+                    .map_err(|e| format!("rejected: {e}"))
             },
         ),
-        EnergyRequest::MigrateCommit { app } => ack("migrate-commit", eco.remove_app(*app)),
+        EnergyRequest::MigrateCommit { app } => {
+            ack("migrate-commit", eco.with(|eco| eco.remove_app(*app)))
+        }
         EnergyRequest::FedCollect => EnergyResponse::Demands(eco.fed_collect()),
         EnergyRequest::FedSettle { views } => ack("fed-settle", eco.fed_settle(views)),
         EnergyRequest::FedAlign { next_container } => ack(
@@ -261,13 +262,15 @@ pub(super) fn serve_admin(
     }
 }
 
-/// Assembles the wire [`StatsReport`]: the `ServerStats` trio read from
-/// the serving context plus a full dump of the observability registry.
+/// Assembles the wire [`StatsReport`]: the [`ServerStats`](super::ServerStats)
+/// trio [`ServerHandle::stats`](super::ServerHandle::stats) also reads,
+/// plus a full dump of the observability registry.
 fn stats_report(ctx: &ServeCtx) -> StatsReport {
+    let stats = ctx.stats();
     StatsReport {
-        active_connections: ctx.active.load(Ordering::SeqCst) as u64,
-        subscriber_backlog: ctx.subscriber_backlog() as u64,
-        recv_buffer_bytes: ctx.recv_bytes.load(Ordering::SeqCst) as u64,
+        active_connections: stats.active_connections as u64,
+        subscriber_backlog: stats.subscriber_backlog as u64,
+        recv_buffer_bytes: stats.recv_buffer_bytes as u64,
         metrics: ctx.obs.snapshot(),
     }
 }

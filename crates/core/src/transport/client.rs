@@ -10,7 +10,7 @@ use super::admin::{chunk_at, Reassembler};
 use super::framing::{read_frame, read_frame_into, write_frame};
 use super::hello::{ClientHelloV2, ServerHello};
 use super::{WireCodec, SERVED_CODEC};
-use crate::client::{EnergyClient, EventHandler};
+use crate::client::EnergyClient;
 use crate::event::Notification;
 use crate::federation::{FedAppView, TenantSnapshot};
 use crate::proto::{
@@ -27,9 +27,8 @@ use crate::snapshot::Snapshot;
 /// [`subscribe_events`](EnergyClient::subscribe_events)) are collected
 /// into an inbox while responses are awaited — drain them with
 /// [`EnergyClient::events`] /
-/// [`take_event_frames`](Self::take_event_frames), wait for the next one
-/// with [`recv_event`](Self::recv_event), or install a callback with
-/// [`set_event_handler`](Self::set_event_handler).
+/// [`take_event_frames`](Self::take_event_frames), or wait for the next
+/// one with [`recv_event`](Self::recv_event).
 ///
 /// Transport failures surface as [`EnergyResponse::Err`] values carrying
 /// [`ProtoError::Other`] — the failures-are-values contract extends over
@@ -41,7 +40,6 @@ pub struct RemoteEcovisorClient {
     queue: Vec<EnergyRequest>,
     broken: bool,
     inbox: Vec<EventFrame>,
-    handler: Option<EventHandler>,
     /// Grow-only read buffer reused across frames.
     rbuf: Vec<u8>,
     /// Encode buffer reused across request frames.
@@ -76,28 +74,14 @@ impl RemoteEcovisorClient {
         Self::connect_full(addr, app, None)
     }
 
-    /// Connects presenting `credential` as the app's token — required
-    /// against a server built with a
+    /// Connects presenting `credential`, if any, as the app's token — one
+    /// is required against a server built with a
     /// [`CredentialRegistry`](super::CredentialRegistry).
     ///
     /// # Errors
     ///
-    /// On connection failure or a rejected hello (including a wrong
-    /// token).
-    pub fn connect_with_credential(
-        addr: impl ToSocketAddrs,
-        app: AppId,
-        credential: impl Into<String>,
-    ) -> io::Result<Self> {
-        Self::connect_full(addr, app, Some(credential.into()))
-    }
-
-    /// Connects with an optional credential, for callers that hold the
-    /// token as data (a server may or may not demand one).
-    ///
-    /// # Errors
-    ///
-    /// On connection failure, a rejected hello (surfaced as
+    /// On connection failure, a rejected hello (a wrong token included,
+    /// surfaced as
     /// [`io::ErrorKind::ConnectionRefused`] carrying the server's
     /// reason), or a server that accepted a wire version or frame
     /// encoding this client did not offer.
@@ -129,7 +113,6 @@ impl RemoteEcovisorClient {
                 queue: Vec::new(),
                 broken: false,
                 inbox: Vec::new(),
-                handler: None,
                 rbuf: Vec::new(),
                 wbuf: Vec::new(),
             }),
@@ -147,17 +130,6 @@ impl RemoteEcovisorClient {
     /// with error values without touching the socket.
     pub fn is_broken(&self) -> bool {
         self.broken
-    }
-
-    /// Installs a callback fired once per received [`EventFrame`], in
-    /// arrival order — whether the frame arrived interleaved with a
-    /// response or via [`recv_event`](Self::recv_event). Frames that
-    /// arrive interleaved with responses are queued in the inbox after
-    /// the callback; a frame [`recv_event`](Self::recv_event) returns
-    /// goes to its caller instead and is **not** queued — the callback
-    /// is the only surface that observes every frame exactly once.
-    pub fn set_event_handler(&mut self, handler: impl FnMut(&EventFrame) + Send + 'static) {
-        self.handler = Some(Box::new(handler));
     }
 
     /// Drains the pushed event frames received so far (settlement-tick
@@ -184,12 +156,7 @@ impl RemoteEcovisorClient {
         }
         loop {
             match self.next_frame()? {
-                Frame::Event(frame) => {
-                    if let Some(handler) = self.handler.as_mut() {
-                        handler(&frame);
-                    }
-                    return Ok(frame);
-                }
+                Frame::Event(frame) => return Ok(frame),
                 Frame::Control(_) => {}
                 Frame::Response(_) | Frame::Request(_) => {
                     return Err(invalid_data("unsolicited non-event frame".into()));
@@ -217,8 +184,8 @@ impl RemoteEcovisorClient {
     }
 
     /// Sends one request frame, then reads until its response arrives —
-    /// pushed event frames interleave and are buffered in order (handler
-    /// first, inbox second).
+    /// pushed event frames interleave and are buffered in order in the
+    /// inbox.
     fn round_trip(&mut self, batch: &RequestBatch) -> io::Result<ResponseBatch> {
         self.wbuf.clear();
         Frame::encode_request(batch, &mut self.wbuf);
@@ -226,12 +193,7 @@ impl RemoteEcovisorClient {
         loop {
             match self.next_frame()? {
                 Frame::Response(resp) => return Ok(resp),
-                Frame::Event(frame) => {
-                    if let Some(handler) = self.handler.as_mut() {
-                        handler(&frame);
-                    }
-                    self.inbox.push(frame);
-                }
+                Frame::Event(frame) => self.inbox.push(frame),
                 Frame::Control(_) => {}
                 Frame::Request(_) => {
                     return Err(invalid_data("server sent a request frame".into()));

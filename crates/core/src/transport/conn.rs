@@ -121,7 +121,7 @@ struct PendingWrites {
     /// Bytes of `buf` already on the wire.
     written: usize,
     /// Whole frames currently committed-but-unwritten (the
-    /// `ServerHandle::subscriber_backlog` diagnostic).
+    /// `ServerStats::subscriber_backlog` diagnostic).
     queued_frames: usize,
     /// Notifications parked under the app's [`OutboxPolicy`].
     parked: Vec<Notification>,

@@ -137,7 +137,7 @@ pub(super) struct RecvBuf {
     start: usize,
     end: usize,
     /// Server-wide receive-capacity counter this buffer charges its
-    /// `buf.len()` against (`ServerHandle::recv_buffer_bytes`). Every
+    /// `buf.len()` against (`ServerStats::recv_buffer_bytes`). Every
     /// capacity change goes through [`set_capacity`](Self::set_capacity)
     /// and `Drop` refunds the rest, so the counter is exact at every
     /// instant the serving threads are quiescent.

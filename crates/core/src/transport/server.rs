@@ -45,22 +45,27 @@ pub(super) struct ServeCtx {
     /// wire `Stats` request dumps it.
     pub(super) obs: Arc<crate::obs::ObsHub>,
     /// Connections currently in any serving phase (maintained by the
-    /// serving threads; see [`ServerHandle::active_connections`]).
+    /// serving threads; see [`ServerStats::active_connections`]).
     pub(super) active: Arc<AtomicUsize>,
     /// Summed receive-buffer capacity across live connections
     /// (maintained by the serving threads; see
-    /// [`ServerHandle::recv_buffer_bytes`]).
+    /// [`ServerStats::recv_buffer_bytes`]).
     pub(super) recv_bytes: Arc<AtomicUsize>,
 }
 
 impl ServeCtx {
-    /// Committed-but-unwritten frames plus parked notifications, summed
-    /// over every live connection.
-    pub(super) fn subscriber_backlog(&self) -> usize {
-        crate::lock::lock(&self.registry)
-            .iter()
-            .map(|conn| conn.backlog())
-            .sum()
+    /// The resource counters, read once for both the driver side
+    /// ([`ServerHandle::stats`]) and the wire `Stats` answer. Each
+    /// counter is read atomically; the trio is not a transaction.
+    pub(super) fn stats(&self) -> ServerStats {
+        ServerStats {
+            active_connections: self.active.load(Ordering::SeqCst),
+            subscriber_backlog: crate::lock::lock(&self.registry)
+                .iter()
+                .map(|conn| conn.backlog())
+                .sum(),
+            recv_buffer_bytes: self.recv_bytes.load(Ordering::SeqCst),
+        }
     }
 }
 
@@ -272,11 +277,6 @@ impl EcovisorServer {
         self.listener.local_addr()
     }
 
-    /// The shared ecovisor, for the driver loop that ticks settlement.
-    pub fn ecovisor(&self) -> SharedEcovisor {
-        Arc::clone(&self.ctx.shared)
-    }
-
     /// Starts serving: a few identical serving threads (see
     /// [`with_workers`](Self::with_workers)), each driving non-blocking
     /// read/dispatch/write for the connections dealt to it — the first
@@ -302,14 +302,22 @@ impl EcovisorServer {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ServerStats {
-    /// Connections currently registered with a serving thread
-    /// ([`ServerHandle::active_connections`]).
+    /// Connections currently registered with a serving thread (an
+    /// accepted socket counts from the moment the thread it was dealt to
+    /// adopts it — before its hello is read, let alone answered). A
+    /// client that disconnects (cleanly, mid-frame, or by tripping the
+    /// idle timeout) drops off this count as soon as its thread reaps the
+    /// registration.
     pub active_connections: usize,
-    /// Committed-but-unwritten frames plus parked notifications across
-    /// all live connections ([`ServerHandle::subscriber_backlog`]).
+    /// Backpressure diagnostic: committed-but-unwritten wire frames plus
+    /// parked notifications, summed over every live connection. Zero
+    /// when all subscribers are draining; a persistently growing value
+    /// points at a hung subscriber that is being queued for (see the
+    /// backlog discussion in the module docs).
     pub subscriber_backlog: usize,
-    /// Bytes currently held in per-connection receive buffers
-    /// ([`ServerHandle::recv_buffer_bytes`]).
+    /// Bytes currently held in per-connection receive buffers (summed
+    /// capacity, maintained by the serving threads as buffers grow for
+    /// bursts and large frames and trim back when drained).
     pub recv_buffer_bytes: usize,
 }
 
@@ -353,42 +361,10 @@ impl ServerHandle {
         Some(Arc::clone(&self.ctx.obs))
     }
 
-    /// Number of connections currently registered with a serving thread
-    /// (an accepted socket counts from the moment the thread it was dealt
-    /// to adopts it — before its hello is read, let alone answered). A
-    /// client that disconnects (cleanly, mid-frame, or by tripping the
-    /// idle timeout) drops off this count as soon as its thread reaps the
-    /// registration.
-    pub fn active_connections(&self) -> usize {
-        self.ctx.active.load(Ordering::SeqCst)
-    }
-
-    /// Backpressure diagnostic: committed-but-unwritten wire frames plus
-    /// parked notifications, summed over every live connection. Zero
-    /// when all subscribers are draining; a persistently growing value
-    /// points at a hung subscriber that is being queued for (see the
-    /// backlog discussion in the module docs).
-    pub fn subscriber_backlog(&self) -> usize {
-        self.ctx.subscriber_backlog()
-    }
-
-    /// Bytes currently held in per-connection receive buffers (summed
-    /// capacity, maintained by the serving threads as buffers grow for
-    /// bursts and large frames and trim back when drained). Returns to zero once every
-    /// connection has been reaped — one of the three [`ServerStats`]
-    /// counters the harness's `leak-free` check requires at zero.
-    pub fn recv_buffer_bytes(&self) -> usize {
-        self.ctx.recv_bytes.load(Ordering::SeqCst)
-    }
-
-    /// One coherent-enough snapshot of the runtime's resource counters
-    /// (each counter is read atomically; the trio is not a transaction).
+    /// A snapshot of the runtime's resource counters — the same reading
+    /// the wire `Stats` answer carries.
     pub fn stats(&self) -> ServerStats {
-        ServerStats {
-            active_connections: self.active_connections(),
-            subscriber_backlog: self.subscriber_backlog(),
-            recv_buffer_bytes: self.recv_buffer_bytes(),
-        }
+        self.ctx.stats()
     }
 
     /// Rotates (or adds) `app`'s credential token on the live server.

@@ -45,7 +45,7 @@ fn serve(eco: Ecovisor, op: AppId) -> (ServerHandle, RemoteEcovisorClient) {
         .with_credentials(CredentialRegistry::new().with(op, "operator-token"))
         .spawn()
         .expect("spawn");
-    let cli = RemoteEcovisorClient::connect_with_credential(handle.addr(), op, "operator-token")
+    let cli = RemoteEcovisorClient::connect_full(handle.addr(), op, Some("operator-token".into()))
         .expect("connect");
     (handle, cli)
 }
@@ -80,24 +80,24 @@ impl Transfer {
     /// wanderer's capture for a migration, the whole ecovisor for a
     /// restore. `None` while the node does not hold the wanderer.
     fn state(self, node: &ServerHandle, wanderer: AppId) -> Option<u64> {
-        let eco = node.ecovisor();
-        let tenant = eco.extract_app(wanderer).ok()?;
-        Some(match self {
-            Transfer::SnapshotRestore => eco.snapshot().digest(),
-            Transfer::Migration => tenant.digest(),
+        node.ecovisor().with(|eco| {
+            let tenant = eco.extract_app(wanderer).ok()?;
+            Some(match self {
+                Transfer::SnapshotRestore => eco.snapshot().digest(),
+                Transfer::Migration => tenant.digest(),
+            })
         })
     }
 
     /// What `node` would transfer, rendered as JSON: readable, well
     /// formed, and not a payload.
     fn json(self, node: &ServerHandle, wanderer: AppId) -> Vec<u8> {
-        let eco = node.ecovisor();
-        let text = match self {
+        let text = node.ecovisor().with(|eco| match self {
             Transfer::SnapshotRestore => eco.snapshot().to_json(),
             Transfer::Migration => {
                 serde::json::to_string(&eco.extract_app(wanderer).expect("capture"))
             }
-        };
+        });
         assert!(text.starts_with('{') && serde::json::parse(&text).is_ok());
         text.into_bytes()
     }
@@ -146,16 +146,16 @@ fn check(transfer: Transfer) {
         dst.ecovisor().tick();
     }
 
-    let src_before = src.ecovisor().snapshot().digest();
-    let dst_before = dst.ecovisor().snapshot().digest();
+    let src_before = src.ecovisor().with(|eco| eco.snapshot()).digest();
+    let dst_before = dst.ecovisor().with(|eco| eco.snapshot()).digest();
     let untouched = |case: &str| {
         assert_eq!(
-            src.ecovisor().snapshot().digest(),
+            src.ecovisor().with(|eco| eco.snapshot()).digest(),
             src_before,
             "{name}/{case}: source"
         );
         assert_eq!(
-            dst.ecovisor().snapshot().digest(),
+            dst.ecovisor().with(|eco| eco.snapshot()).digest(),
             dst_before,
             "{name}/{case}: destination"
         );
@@ -273,7 +273,7 @@ fn check(transfer: Transfer) {
         "{name}: destination holds exactly what the source captured"
     );
     assert_eq!(
-        src.ecovisor().snapshot().digest(),
+        src.ecovisor().with(|eco| eco.snapshot()).digest(),
         src_before,
         "{name}: capture is non-mutating"
     );

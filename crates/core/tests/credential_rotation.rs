@@ -26,7 +26,7 @@ fn spawn_credentialed(workers: Option<usize>) -> (ServerHandle, container_cop::A
 
 fn rotation_respects_live_connections(workers: Option<usize>) {
     let (handle, app) = spawn_credentialed(workers);
-    let mut live = RemoteEcovisorClient::connect_with_credential(handle.addr(), app, "original")
+    let mut live = RemoteEcovisorClient::connect_full(handle.addr(), app, Some("original".into()))
         .expect("connect with the original token");
     assert_eq!(live.get_grid_power(), Watts::ZERO);
 
@@ -40,10 +40,10 @@ fn rotation_respects_live_connections(workers: Option<usize>) {
     assert_eq!(live.get_grid_power(), Watts::ZERO);
 
     // The old token dies at the next hello; the new one is accepted.
-    let err = RemoteEcovisorClient::connect_with_credential(handle.addr(), app, "original")
+    let err = RemoteEcovisorClient::connect_full(handle.addr(), app, Some("original".into()))
         .expect_err("the retired token must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
-    let mut fresh = RemoteEcovisorClient::connect_with_credential(handle.addr(), app, "rotated")
+    let mut fresh = RemoteEcovisorClient::connect_full(handle.addr(), app, Some("rotated".into()))
         .expect("connect with the rotated token");
     assert_eq!(fresh.get_grid_power(), Watts::ZERO);
 
@@ -79,12 +79,12 @@ fn rotation_onboards_a_new_tenant() {
     let handle = server.spawn().expect("spawn");
 
     // B has no token yet: every hello for it is refused.
-    let err = RemoteEcovisorClient::connect_with_credential(handle.addr(), b, "beta")
+    let err = RemoteEcovisorClient::connect_full(handle.addr(), b, Some("beta".into()))
         .expect_err("unregistered tenant refused");
     assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
 
     assert!(handle.rotate_credential(b, "beta"), "onboarding succeeds");
-    let mut cli = RemoteEcovisorClient::connect_with_credential(handle.addr(), b, "beta")
+    let mut cli = RemoteEcovisorClient::connect_full(handle.addr(), b, Some("beta".into()))
         .expect("onboarded tenant connects");
     assert_eq!(cli.get_grid_power(), Watts::ZERO);
     handle.shutdown();

@@ -180,9 +180,12 @@ fn reconnect_storm_with_adversarial_peers() {
 
     // Every storm connection drains; only the long-lived client remains.
     assert!(
-        wait_until(Duration::from_secs(10), || handle.active_connections() == 1),
+        wait_until(Duration::from_secs(10), || handle
+            .stats()
+            .active_connections
+            == 1),
         "storm connections must all be reaped, got {}",
-        handle.active_connections()
+        handle.stats().active_connections
     );
     assert_eq!(healthy.get_grid_power(), Watts::ZERO);
     let mut late = RemoteEcovisorClient::connect(addr, app).expect("connect after storm");
@@ -223,7 +226,10 @@ fn concurrent_clients_multiplex_onto_the_serving_threads() {
         t.join().expect("client thread");
     }
     assert!(
-        wait_until(Duration::from_secs(10), || handle.active_connections() == 0),
+        wait_until(Duration::from_secs(10), || handle
+            .stats()
+            .active_connections
+            == 0),
         "all burst connections drain"
     );
     handle.shutdown();
@@ -319,10 +325,10 @@ fn oversized_hello_is_closed_before_the_buffer_grows() {
     at_limit.write_all(b"{").expect("first byte");
     assert!(
         wait_until(Duration::from_secs(5), || {
-            handle.recv_buffer_bytes() == reserved
+            handle.stats().recv_buffer_bytes == reserved
         }),
         "a hello at the limit reserves exactly its frame, got {}",
-        handle.recv_buffer_bytes()
+        handle.stats().recv_buffer_bytes
     );
 
     // One byte over: closed, while a sampler watches the buffer gauge.
@@ -333,7 +339,7 @@ fn oversized_hello_is_closed_before_the_buffer_grows() {
         let sampler = scope.spawn(|| {
             let mut peak = 0;
             while !done.load(std::sync::atomic::Ordering::SeqCst) {
-                peak = peak.max(handle.recv_buffer_bytes());
+                peak = peak.max(handle.stats().recv_buffer_bytes);
                 std::thread::yield_now();
             }
             peak
@@ -362,8 +368,9 @@ fn oversized_hello_is_closed_before_the_buffer_grows() {
 
     drop(at_limit);
     assert!(
-        wait_until(Duration::from_secs(5), || handle.recv_buffer_bytes() == 0
-            && handle.active_connections() == 0),
+        wait_until(Duration::from_secs(5), || handle.stats().recv_buffer_bytes
+            == 0
+            && handle.stats().active_connections == 0),
         "both connections reaped, buffers refunded"
     );
     handle.shutdown();
@@ -440,7 +447,8 @@ fn a_maximal_hostile_frame_is_refused_without_stalling_the_neighbours() {
         "counted as a protocol error"
     );
     assert!(
-        wait_until(Duration::from_secs(5), || handle.active_connections() == 1),
+        wait_until(Duration::from_secs(5), || handle.stats().active_connections
+            == 1),
         "the attacker's connection is reaped, the neighbour's is not"
     );
     assert_eq!(neighbour.get_grid_power(), Watts::ZERO);
@@ -542,13 +550,13 @@ fn pipelined_burst_is_answered_in_order_with_few_writes(workers: Option<usize>) 
     // serving thread, not in the connection's write queue, and are
     // written whole.
     for _ in 0..8 {
-        assert_eq!(handle.subscriber_backlog(), 0);
+        assert_eq!(handle.stats().subscriber_backlog, 0);
         pipelined.write_all(&burst(&frames)).expect("burst");
         for expected in &one_at_a_time {
             assert_eq!(&recv_frame(&mut pipelined).expect("reply"), expected);
         }
     }
-    assert_eq!(handle.subscriber_backlog(), 0);
+    assert_eq!(handle.stats().subscriber_backlog, 0);
 
     drop(lone);
     drop(pipelined);
@@ -608,7 +616,8 @@ fn a_bad_frame_mid_burst_still_delivers_the_replies_before_it() {
         "closed at the bad frame: nothing after it is answered"
     );
     assert!(
-        wait_until(Duration::from_secs(5), || handle.active_connections() == 0),
+        wait_until(Duration::from_secs(5), || handle.stats().active_connections
+            == 0),
         "the connection is reaped"
     );
     let after = write_counters(&handle);
@@ -660,7 +669,8 @@ fn large_replies_are_flushed_before_the_turn_ends() {
         }
     }
     assert!(
-        wait_until(Duration::from_secs(5), || handle.subscriber_backlog() == 0),
+        wait_until(Duration::from_secs(5), || handle.stats().subscriber_backlog
+            == 0),
         "everything committed was written"
     );
     let after = write_counters(&handle);
@@ -735,7 +745,7 @@ fn a_pipeliner_is_held_by_tcp_and_costs_one_bounded_receive_buffer() {
         let sampler = scope.spawn(|| {
             let mut peak = 0;
             while !done.load(std::sync::atomic::Ordering::SeqCst) {
-                peak = peak.max(handle.recv_buffer_bytes());
+                peak = peak.max(handle.stats().recv_buffer_bytes);
                 std::thread::yield_now();
             }
             peak
@@ -813,7 +823,7 @@ fn a_peer_that_never_reads_is_cut_off_at_the_write_backlog_bound() {
     deaf.set_write_timeout(Some(Duration::from_secs(60)))
         .expect("write timeout");
     assert!(wait_until(Duration::from_secs(5), || {
-        handle.active_connections() == 2
+        handle.stats().active_connections == 2
     }));
     let mut header = (big.len() as u32).to_le_bytes().to_vec();
     header.extend_from_slice(&big);
@@ -824,7 +834,7 @@ fn a_peer_that_never_reads_is_cut_off_at_the_write_backlog_bound() {
             break e;
         }
         accepted += 1;
-        most_owed = most_owed.max(handle.subscriber_backlog());
+        most_owed = most_owed.max(handle.stats().subscriber_backlog);
         assert!(
             accepted < 4 * 670,
             "{accepted} requests taken and none of the replies read: never cut off"
@@ -846,10 +856,15 @@ fn a_peer_that_never_reads_is_cut_off_at_the_write_backlog_bound() {
         "only {most_owed} frames were ever owed: that was not the backlog bound"
     );
     assert!(
-        wait_until(Duration::from_secs(5), || handle.active_connections() == 1),
+        wait_until(Duration::from_secs(5), || handle.stats().active_connections
+            == 1),
         "the cut-off connection is reaped, the neighbour's is not"
     );
-    assert_eq!(handle.subscriber_backlog(), 0, "its queue went with it");
+    assert_eq!(
+        handle.stats().subscriber_backlog,
+        0,
+        "its queue went with it"
+    );
     assert_eq!(neighbour.get_grid_power(), Watts::ZERO);
     drop(neighbour);
     drop(deaf);
@@ -886,7 +901,7 @@ fn connections_are_dealt_over_every_serving_thread() {
     // One after the other, so the order of connecting is the order of
     // accepting; the first doubles as the one-at-a-time reference.
     let mut conns: Vec<TcpStream> = (0..12).map(|_| raw_v2_connect(addr, app)).collect();
-    assert_eq!(handle.active_connections(), 12);
+    assert_eq!(handle.stats().active_connections, 12);
     let one_at_a_time: Vec<Vec<u8>> = frames
         .iter()
         .map(|frame| {
@@ -959,7 +974,7 @@ fn connections_are_dealt_over_every_serving_thread() {
 
     // Twelve more, parked on every thread, and shutdown does not wait.
     let mut parked: Vec<TcpStream> = (0..12).map(|_| raw_v2_connect(addr, app)).collect();
-    assert_eq!(handle.active_connections(), 12);
+    assert_eq!(handle.stats().active_connections, 12);
     let start = Instant::now();
     handle.shutdown();
     let elapsed = start.elapsed();
@@ -1069,14 +1084,17 @@ fn slow_subscriber_parks_under_outbox_policy_and_recovers() {
         filler_batches += 1;
         if filler_batches.is_multiple_of(8)
             && wait_until(Duration::from_millis(100), || {
-                handle.subscriber_backlog() > 0
+                handle.stats().subscriber_backlog > 0
             })
         {
             break;
         }
     }
     assert!(
-        wait_until(Duration::from_secs(10), || handle.subscriber_backlog() > 0),
+        wait_until(Duration::from_secs(10), || handle
+            .stats()
+            .subscriber_backlog
+            > 0),
         "socket never backed up; cannot exercise the parking path"
     );
 
@@ -1202,7 +1220,7 @@ fn shutdown_is_prompt_with_live_connections() {
     half_open.write_all(&100u32.to_le_bytes()).expect("partial");
     assert!(
         wait_until(Duration::from_secs(5), || {
-            handle.active_connections() == clients.len() + 1
+            handle.stats().active_connections == clients.len() + 1
         }),
         "all connections counted before shutdown"
     );

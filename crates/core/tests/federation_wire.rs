@@ -106,7 +106,7 @@ fn creds(a: AppId, b: AppId) -> CredentialRegistry {
 }
 
 fn connect(addr: std::net::SocketAddr, app: AppId, token: &str) -> RemoteEcovisorClient {
-    RemoteEcovisorClient::connect_with_credential(addr, app, token).expect("connect")
+    RemoteEcovisorClient::connect_full(addr, app, Some(token.into())).expect("connect")
 }
 
 /// Tenant A's control loop: alternating charge/discharge phases with a
@@ -278,10 +278,14 @@ fn split_day_with_mid_day_migration_matches_single_process() {
     // telemetry history are bit-identical wherever the tenant ended up.
     let shared1 = h1.ecovisor();
     let shared2 = h2.ecovisor();
-    let ref_cap_a = shared_ref.extract_app(a).expect("ref a");
-    let ref_cap_b = shared_ref.extract_app(b).expect("ref b");
-    let fed_cap_a = shared2.extract_app(a).expect("node2 owns a");
-    let fed_cap_b = shared1.extract_app(b).expect("node1 owns b");
+    let ref_cap_a = shared_ref.with(|eco| eco.extract_app(a)).expect("ref a");
+    let ref_cap_b = shared_ref.with(|eco| eco.extract_app(b)).expect("ref b");
+    let fed_cap_a = shared2
+        .with(|eco| eco.extract_app(a))
+        .expect("node2 owns a");
+    let fed_cap_b = shared1
+        .with(|eco| eco.extract_app(b))
+        .expect("node1 owns b");
     assert_eq!(ref_cap_a.digest(), fed_cap_a.digest(), "tenant a digest");
     assert_eq!(ref_cap_b.digest(), fed_cap_b.digest(), "tenant b digest");
     assert_eq!(
@@ -291,7 +295,7 @@ fn split_day_with_mid_day_migration_matches_single_process() {
     );
 
     // The source no longer knows the migrated tenant.
-    assert!(shared1.extract_app(a).is_err());
+    assert!(shared1.with(|eco| eco.extract_app(a)).is_err());
     h1.shutdown();
     h2.shutdown();
     handle.shutdown();
@@ -330,8 +334,8 @@ fn tampered_migration_leaves_both_nodes_untouched() {
         op2.fed_settle(&merged).expect("settle 2");
     }
 
-    let before1 = h1.ecovisor().snapshot().digest();
-    let before2 = h2.ecovisor().snapshot().digest();
+    let before1 = h1.ecovisor().with(|eco| eco.snapshot()).digest();
+    let before2 = h2.ecovisor().with(|eco| eco.snapshot()).digest();
 
     let mut snap = op1.fetch_tenant(a).expect("capture");
     snap.env_digest ^= 0x05EE_DBAD;
@@ -343,12 +347,12 @@ fn tampered_migration_leaves_both_nodes_untouched() {
     // Neither node changed: no commit ran on the source, the rejected
     // graft mutated nothing on the destination.
     assert_eq!(
-        h1.ecovisor().snapshot().digest(),
+        h1.ecovisor().with(|eco| eco.snapshot()).digest(),
         before1,
         "source untouched"
     );
     assert_eq!(
-        h2.ecovisor().snapshot().digest(),
+        h2.ecovisor().with(|eco| eco.snapshot()).digest(),
         before2,
         "destination untouched"
     );
@@ -356,7 +360,7 @@ fn tampered_migration_leaves_both_nodes_untouched() {
     // A colliding graft (tenant still registered here) is refused too.
     let good = op1.fetch_tenant(a).expect("capture again");
     assert!(op1.push_tenant(&good).is_err(), "self-graft collides");
-    assert_eq!(h1.ecovisor().snapshot().digest(), before1);
+    assert_eq!(h1.ecovisor().with(|eco| eco.snapshot()).digest(), before1);
     h1.shutdown();
     h2.shutdown();
 }
@@ -390,7 +394,7 @@ fn hostile_tenants_are_refused_over_the_wire_and_the_node_keeps_serving() {
     }
 
     let good = op1.fetch_tenant(a).expect("capture");
-    let before = h2.ecovisor().snapshot().digest();
+    let before = h2.ecovisor().with(|eco| eco.snapshot()).digest();
     let mut cases = hostile::record_edits("app");
     let after_the_clock = h2.ecovisor().read(|eco| eco.now().as_secs()) as i64 + 1;
     cases.push((
@@ -405,7 +409,11 @@ fn hostile_tenants_are_refused_over_the_wire_and_the_node_keeps_serving() {
             .push_tenant(&hostile::edited(&good, &edits))
             .expect_err(name);
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}: {err}");
-        assert_eq!(h2.ecovisor().snapshot().digest(), before, "{name}: touched");
+        assert_eq!(
+            h2.ecovisor().with(|eco| eco.snapshot()).digest(),
+            before,
+            "{name}: touched"
+        );
         op2.fed_cursor()
             .unwrap_or_else(|e| panic!("{name}: stopped serving: {e}"));
     }

@@ -498,8 +498,8 @@ fn credentials_are_verified_before_any_batch() {
     // Wrong token, someone else's token, no token: all rejected at
     // hello.
     for attempt in [
-        RemoteEcovisorClient::connect_with_credential(addr, a, "wrong"),
-        RemoteEcovisorClient::connect_with_credential(addr, a, "beta-token"),
+        RemoteEcovisorClient::connect_full(addr, a, Some("wrong".into())),
+        RemoteEcovisorClient::connect_full(addr, a, Some("beta-token".into())),
         RemoteEcovisorClient::connect(addr, a),
     ] {
         let err = attempt.expect_err("must be rejected");
@@ -511,7 +511,7 @@ fn credentials_are_verified_before_any_batch() {
     }
 
     // The right token is served normally, push included.
-    let mut ok = RemoteEcovisorClient::connect_with_credential(addr, a, "alpha-token")
+    let mut ok = RemoteEcovisorClient::connect_full(addr, a, Some("alpha-token".into()))
         .expect("authenticated connect");
     ok.subscribe_events(EventFilter::all()).expect("subscribe");
     assert_eq!(ok.get_grid_power(), Watts::ZERO);
@@ -545,8 +545,9 @@ fn a_v1_envelope_is_refused_over_the_wire() {
         .with_credentials(CredentialRegistry::new().with(a, "alpha-token"));
     let handle = server.spawn().expect("spawn");
     let shared = handle.ecovisor();
-    let mut client = RemoteEcovisorClient::connect_with_credential(handle.addr(), a, "alpha-token")
-        .expect("authenticated connect");
+    let mut client =
+        RemoteEcovisorClient::connect_full(handle.addr(), a, Some("alpha-token".into()))
+            .expect("authenticated connect");
 
     let reply = client.transport(RequestBatch {
         version: V1,
@@ -694,26 +695,19 @@ fn filtered_out_events_stay_pollable() {
     );
 }
 
-/// The callback half of the event surface: both clients fire their
-/// handler with exactly the notifications the drain returns.
+/// Both clients' `events()` drain the same notification sequence for
+/// the same seeded scenario: pushed frames off the wire, polls in
+/// process.
 #[test]
-fn event_callbacks_match_drains_on_both_transports() {
-    use std::sync::{Arc, Mutex};
-
+fn events_drain_the_same_sequence_on_both_transports() {
     let seed = 0x5EED;
-    let sink = Arc::new(Mutex::new(Vec::<Notification>::new()));
 
-    // Remote: handler fires as pushed frames arrive off the wire.
     let remote_drained = {
         let (eco, a, _b) = build_eco(seed);
         let server = EcovisorServer::bind("127.0.0.1:0", eco).expect("bind");
         let handle = server.spawn().expect("spawn");
         let shared = handle.ecovisor();
         let mut client = RemoteEcovisorClient::connect(handle.addr(), a).expect("connect");
-        let handler_sink = Arc::clone(&sink);
-        client.set_event_handler(move |frame| {
-            handler_sink.lock().unwrap().extend(frame.events.clone());
-        });
         client
             .subscribe_events(EventFilter::all())
             .expect("subscribe");
@@ -727,13 +721,8 @@ fn event_callbacks_match_drains_on_both_transports() {
         handle.shutdown();
         drained
     };
-    let remote_handled = std::mem::take(&mut *sink.lock().unwrap());
     assert!(!remote_drained.is_empty());
-    assert_eq!(remote_handled, remote_drained);
 
-    // In-process: handler fires on events() drains; the same seeded
-    // scenario yields the same sequence.
-    let local_sink = Arc::new(Mutex::new(Vec::<Notification>::new()));
     let local_drained = {
         let (mut eco, a, _b) = build_eco(seed);
         let fleet = launch_fleet(&mut eco.client(a).expect("client"));
@@ -744,17 +733,10 @@ fn event_callbacks_match_drains_on_both_transports() {
                 tick_traffic_a(&mut client, tick, &fleet);
             }
             eco.tick(|_| ());
-            let mut client = eco.client(a).expect("client");
-            let handler_sink = Arc::clone(&local_sink);
-            client.set_event_handler(move |frame| {
-                handler_sink.lock().unwrap().extend(frame.events.clone());
-            });
-            drained.extend(client.events());
+            drained.extend(eco.client(a).expect("client").events());
         }
         drained
     };
-    let local_handled = std::mem::take(&mut *local_sink.lock().unwrap());
-    assert_eq!(local_handled, local_drained);
     assert_eq!(
         local_drained, remote_drained,
         "transports deliver the same sequence"

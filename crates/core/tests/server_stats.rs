@@ -82,12 +82,6 @@ fn stats_rise_and_return_to_baseline_under_pinned_pool() {
         "live connections hold receive buffers: {:?}",
         handle.stats()
     );
-    // The individually-read counters and the bundled snapshot agree at
-    // quiescence (nothing in flight between the reads).
-    let stats = handle.stats();
-    assert_eq!(stats.active_connections, handle.active_connections());
-    assert_eq!(stats.subscriber_backlog, handle.subscriber_backlog());
-    assert_eq!(stats.recv_buffer_bytes, handle.recv_buffer_bytes());
 
     drop(subscriber);
     drop(poller);
@@ -113,6 +107,48 @@ fn stats_return_to_baseline_under_auto_sized_pool() {
     );
 
     drop(cli);
+    assert_baseline(&handle, "after disconnect");
+    handle.shutdown();
+}
+
+/// The wire `Stats` answer and `ServerHandle::stats` read one set of
+/// counters: with three idle credentialed connections and a fourth that
+/// asks, both say four connections, nothing owed and receive buffers
+/// held.
+#[test]
+fn wire_and_handle_report_the_same_counters() {
+    let mut eco = EcovisorBuilder::new().build();
+    let app = eco
+        .register_app("tenant", EnergyShare::grid_only())
+        .expect("register");
+    let handle = EcovisorServer::bind("127.0.0.1:0", eco)
+        .expect("bind")
+        .with_credentials(CredentialRegistry::new().with(app, "stats-token"))
+        .spawn()
+        .expect("spawn");
+    let connect = || {
+        RemoteEcovisorClient::connect_full(handle.addr(), app, Some("stats-token".into()))
+            .expect("connect with token")
+    };
+    let idle: Vec<_> = (0..3).map(|_| connect()).collect();
+    let mut asker = connect();
+
+    let wire = asker.fetch_stats().expect("stats over the wire");
+    let local = handle.stats();
+    assert_eq!(
+        (wire.active_connections, wire.subscriber_backlog),
+        (4, 0),
+        "{wire:?}"
+    );
+    assert!(wire.recv_buffer_bytes > 0, "{wire:?}");
+    assert_eq!(
+        (local.active_connections, local.subscriber_backlog),
+        (4, 0),
+        "{local:?}"
+    );
+    assert!(local.recv_buffer_bytes > 0, "{local:?}");
+
+    drop((idle, asker));
     assert_baseline(&handle, "after disconnect");
     handle.shutdown();
 }
@@ -180,7 +216,7 @@ fn wire_stats_survive_connection_churn() {
         .expect("spawn");
 
     let connect = || {
-        RemoteEcovisorClient::connect_with_credential(handle.addr(), app, "stats-token")
+        RemoteEcovisorClient::connect_full(handle.addr(), app, Some("stats-token".into()))
             .expect("connect with token")
     };
 

@@ -159,7 +159,10 @@ fn a_restored_world_retains_no_more_than_the_one_it_was_captured_from() {
     let decoded_holds = counting_alloc::live_bytes() - before;
     let servers = (RETAINING_TENANTS * RETAINING_CONTAINERS).div_ceil(4);
     let builder = EcovisorBuilder::new().cluster(CopConfig::microserver_cluster(servers));
-    let restored = Ecovisor::restore(builder, &decoded).expect("restores where it was captured");
+    let mut restored = builder.build();
+    restored
+        .apply_snapshot(&decoded)
+        .expect("restores where it was captured");
     drop(decoded);
     let restored_holds = counting_alloc::live_bytes() - before;
     assert!(

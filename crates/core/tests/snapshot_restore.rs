@@ -242,7 +242,8 @@ fn snapshot_round_trips_and_restores_losslessly() {
         Err(SnapshotError::Decode(_))
     ));
 
-    let mut twin = Ecovisor::restore(builder(0xC0DE_C0DE), snap).expect("restore");
+    let mut twin = builder(0xC0DE_C0DE).build();
+    twin.apply_snapshot(snap).expect("restore");
     assert_eq!(
         twin.snapshot().digest(),
         snap.digest(),
@@ -401,7 +402,8 @@ fn restore_refuses_hostile_snapshots_before_touching_state() {
     // settlement overwrites, which a series allows.
     let now = good.clock.now().as_secs() as i64;
     let at_the_clock = hostile::edited(good, &[(LATEST_STAMP.into(), serde::Value::Int(now))]);
-    let mut receiver = Ecovisor::restore(builder(seed), &at_the_clock).expect("admitted");
+    let mut receiver = builder(seed).build();
+    receiver.apply_snapshot(&at_the_clock).expect("admitted");
     settle_one_tick(&mut receiver);
 }
 
@@ -431,7 +433,9 @@ fn restore_derives_the_carbon_intensity_from_the_clock() {
     let mut lying = honest.clone();
     lying.intensity = lie;
     lying.prev_intensity = lie;
-    let mut twin = Ecovisor::restore(builder(seed), &lying).expect("the pair is not checked");
+    let mut twin = builder(seed).build();
+    twin.apply_snapshot(&lying)
+        .expect("the pair is not checked");
     assert_eq!(
         twin.snapshot().digest(),
         honest.digest(),
@@ -498,7 +502,9 @@ fn seeded_days_restore_equivalently() {
         // Through the deployment wrapper: restore and the replay of
         // the remainder each run under its settlement barrier.
         let sharded = ShardedEcovisor::new(builder(seed).build());
-        sharded.apply_snapshot(&decoded).expect("restore sharded");
+        sharded
+            .with(|eco| eco.apply_snapshot(&decoded))
+            .expect("restore sharded");
         let report = sharded.replay_trace_from(&run.trace, snap_tick, TICKS);
         assert_eq!(report.ticks, TICKS - snap_tick);
         assert_equivalent(
@@ -568,7 +574,8 @@ fn pending_edge_events_survive_restore_exactly_once() {
     // The restored twin delivers exactly the undelivered set: identical
     // to the original's drain (once — not zero, not doubled) and free of
     // every pre-snapshot delivery.
-    let mut twin = Ecovisor::restore(builder(seed), &snap).expect("restore");
+    let mut twin = builder(seed).build();
+    twin.apply_snapshot(&snap).expect("restore");
     let original_drain = eco.drain_events(a);
     let twin_drain = twin.drain_events(a);
     assert!(twin_drain.iter().any(is_edge), "in-flight edge delivered");
@@ -626,9 +633,9 @@ fn remote_seed_over_the_wire(workers: Option<usize>) {
     let handle_a = server_a.spawn().expect("spawn a");
     let shared_a = handle_a.ecovisor();
 
-    let mut cli_a = RemoteEcovisorClient::connect_with_credential(handle_a.addr(), a, "alpha")
+    let mut cli_a = RemoteEcovisorClient::connect_full(handle_a.addr(), a, Some("alpha".into()))
         .expect("connect a");
-    let mut cli_b = RemoteEcovisorClient::connect_with_credential(handle_a.addr(), b, "beta")
+    let mut cli_b = RemoteEcovisorClient::connect_full(handle_a.addr(), b, Some("beta".into()))
         .expect("connect b");
     let fleet = launch_fleet(&mut cli_a);
     let noise = cli_b
@@ -654,15 +661,15 @@ fn remote_seed_over_the_wire(workers: Option<usize>) {
     .with_credentials(CredentialRegistry::new().with(a, "alpha").with(b, "beta"));
     let handle_b = server_b.spawn().expect("spawn b");
     let shared_b = handle_b.ecovisor();
-    let mut cli_a2 = RemoteEcovisorClient::connect_with_credential(handle_b.addr(), a, "alpha")
+    let mut cli_a2 = RemoteEcovisorClient::connect_full(handle_b.addr(), a, Some("alpha".into()))
         .expect("connect a2");
     cli_a2.push_restore(&snap).expect("push restore");
     assert_eq!(
-        shared_b.snapshot().digest(),
+        shared_b.with(|eco| eco.snapshot()).digest(),
         snap.digest(),
         "the seeded server holds exactly the checkpointed state"
     );
-    let mut cli_b2 = RemoteEcovisorClient::connect_with_credential(handle_b.addr(), b, "beta")
+    let mut cli_b2 = RemoteEcovisorClient::connect_full(handle_b.addr(), b, Some("beta".into()))
         .expect("connect b2");
 
     // Identical subsequent traffic → bit-identical responses, observed
@@ -698,8 +705,8 @@ fn remote_seed_over_the_wire(workers: Option<usize>) {
         "the second half of the day was eventful"
     );
 
-    let final_a = shared_a.snapshot();
-    let final_b = shared_b.snapshot();
+    let final_a = shared_a.with(|eco| eco.snapshot());
+    let final_b = shared_b.with(|eco| eco.snapshot());
     assert_eq!(
         final_a.digest(),
         final_b.digest(),
@@ -771,13 +778,13 @@ fn restore_rejection_is_a_value(workers: Option<usize>) {
     .with_credentials(CredentialRegistry::new().with(a, "alpha"));
     let handle = server.spawn().expect("spawn");
     let shared = handle.ecovisor();
-    let before = shared.snapshot().digest();
+    let before = shared.with(|eco| eco.snapshot()).digest();
 
     // A snapshot from a default-built host: wrong cluster, wrong tick
     // interval — apply_snapshot must refuse it.
     let mismatched = EcovisorBuilder::new().build().snapshot();
-    let mut cli =
-        RemoteEcovisorClient::connect_with_credential(handle.addr(), a, "alpha").expect("connect");
+    let mut cli = RemoteEcovisorClient::connect_full(handle.addr(), a, Some("alpha".into()))
+        .expect("connect");
     let err = cli
         .push_restore(&mismatched)
         .expect_err("mismatched restore");
@@ -787,7 +794,7 @@ fn restore_rejection_is_a_value(workers: Option<usize>) {
         "error carries the rejection reason: {err}"
     );
     assert_eq!(
-        shared.snapshot().digest(),
+        shared.with(|eco| eco.snapshot()).digest(),
         before,
         "a rejected restore leaves the server untouched"
     );
@@ -819,10 +826,10 @@ fn wire_restore_refuses_hostile_snapshots_and_keeps_serving() {
         .spawn()
         .expect("spawn");
     let shared = handle.ecovisor();
-    let before = shared.snapshot().digest();
+    let before = shared.with(|eco| eco.snapshot()).digest();
 
-    let mut cli =
-        RemoteEcovisorClient::connect_with_credential(handle.addr(), a, "alpha").expect("connect");
+    let mut cli = RemoteEcovisorClient::connect_full(handle.addr(), a, Some("alpha".into()))
+        .expect("connect");
     for (name, hostile, _) in hostile_snapshots(&run.snap) {
         let err = cli
             .push_restore(&hostile)
@@ -832,11 +839,18 @@ fn wire_restore_refuses_hostile_snapshots_and_keeps_serving() {
             err.to_string().contains("restore rejected"),
             "{name}: {err}"
         );
-        assert_eq!(shared.snapshot().digest(), before, "{name}: touched");
+        assert_eq!(
+            shared.with(|eco| eco.snapshot()).digest(),
+            before,
+            "{name}: touched"
+        );
         assert_eq!(cli.get_grid_power(), Watts::ZERO, "{name}: still serving");
     }
     cli.push_restore(&run.snap).expect("the honest capture");
-    assert_eq!(shared.snapshot().digest(), run.snap.digest());
+    assert_eq!(
+        shared.with(|eco| eco.snapshot()).digest(),
+        run.snap.digest()
+    );
     shared.tick();
 
     drop(cli);

@@ -38,7 +38,8 @@ fn disconnect_mid_frame_reaps_the_connection_thread() {
     let mut healthy = RemoteEcovisorClient::connect(addr, app).expect("connect healthy");
     assert_eq!(healthy.get_grid_power(), Watts::ZERO);
     assert!(
-        wait_until(Duration::from_secs(2), || handle.active_connections() == 1),
+        wait_until(Duration::from_secs(2), || handle.stats().active_connections
+            == 1),
         "healthy connection counted"
     );
 
@@ -60,7 +61,8 @@ fn disconnect_mid_frame_reaps_the_connection_thread() {
     // it drains — otherwise the drain assertion could pass vacuously if
     // the server had not even accepted the socket yet.
     assert!(
-        wait_until(Duration::from_secs(5), || handle.active_connections() == 2),
+        wait_until(Duration::from_secs(5), || handle.stats().active_connections
+            == 2),
         "vanishing connection must be counted while still alive"
     );
     drop(stream); // closes the socket mid-frame
@@ -68,9 +70,10 @@ fn disconnect_mid_frame_reaps_the_connection_thread() {
     // The dead connection is reaped; only the healthy connection
     // remains.
     assert!(
-        wait_until(Duration::from_secs(5), || handle.active_connections() == 1),
+        wait_until(Duration::from_secs(5), || handle.stats().active_connections
+            == 1),
         "mid-frame disconnect must drain from the active-connection count, got {}",
-        handle.active_connections()
+        handle.stats().active_connections
     );
 
     // The server is still fully serviceable: the surviving client and a
@@ -82,7 +85,8 @@ fn disconnect_mid_frame_reaps_the_connection_thread() {
     drop(healthy);
     drop(late);
     assert!(
-        wait_until(Duration::from_secs(5), || handle.active_connections() == 0),
+        wait_until(Duration::from_secs(5), || handle.stats().active_connections
+            == 0),
         "clean disconnects drain to zero"
     );
     handle.shutdown();
@@ -118,12 +122,12 @@ fn idle_sweep_reaps_the_silent_and_spares_the_chatty_under_traffic() {
     // no reaping within the timeout of it either).
     let last_heard = Instant::now();
     assert_eq!(silent.get_grid_power(), Watts::ZERO);
-    assert_eq!(handle.active_connections(), 2);
+    assert_eq!(handle.stats().active_connections, 2);
 
     // Round trips back to back: a serving thread wakes for every one of
     // them.
     let mut trips = 0u32;
-    while handle.active_connections() == 2 {
+    while handle.stats().active_connections == 2 {
         assert_eq!(chatty.get_grid_power(), Watts::ZERO);
         trips += 1;
         assert!(
@@ -148,7 +152,7 @@ fn idle_sweep_reaps_the_silent_and_spares_the_chatty_under_traffic() {
     while last_heard.elapsed() < TIMEOUT * 2 {
         assert_eq!(chatty.get_grid_power(), Watts::ZERO);
     }
-    assert_eq!(handle.active_connections(), 1);
+    assert_eq!(handle.stats().active_connections, 1);
     assert_eq!(idle_disconnects(), 1);
     drop(chatty);
     drop(silent);
@@ -182,16 +186,18 @@ fn hung_subscriber_is_reaped_by_the_idle_timeout() {
         client
     };
     assert!(
-        wait_until(Duration::from_secs(2), || handle.active_connections() == 1),
+        wait_until(Duration::from_secs(2), || handle.stats().active_connections
+            == 1),
         "subscriber counted while alive"
     );
 
     // It sends nothing further: the idle timeout trips and the server
     // reaps the connection — no client-side action at all.
     assert!(
-        wait_until(Duration::from_secs(5), || handle.active_connections() == 0),
+        wait_until(Duration::from_secs(5), || handle.stats().active_connections
+            == 0),
         "hung subscriber must be reaped by the idle timeout, got {}",
-        handle.active_connections()
+        handle.stats().active_connections
     );
 
     // The settlement/broadcast path is unaffected by the dead stream

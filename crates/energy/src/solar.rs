@@ -177,14 +177,32 @@ impl SolarArrayBuilder {
         (std::f64::consts::PI * x).sin().powf(1.2)
     }
 
+    /// What [`build`](Self::build) asserts, as a value — for a builder
+    /// decoded from bytes, which never ran the setters.
+    ///
+    /// # Errors
+    ///
+    /// Zero days, a zero step, or a span whose seconds overflow.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.days == 0 {
+            return Err("trace must cover at least one day");
+        }
+        if self.step.is_zero() {
+            return Err("step must be non-zero");
+        }
+        let span = self.days.checked_mul(simkit::time::SECS_PER_DAY);
+        span.map(drop).ok_or("span overflows the clock")
+    }
+
     /// Generates the output power trace (watts per sample).
     ///
     /// # Panics
     ///
-    /// Panics if configured for zero days or a zero step.
+    /// Panics where [`check`](Self::check) refuses.
     pub fn build(&self) -> Trace {
-        assert!(self.days > 0, "trace must cover at least one day");
-        assert!(!self.step.is_zero(), "step must be non-zero");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
         let mut rng = SimRng::from_seed(self.seed).fork("solar");
         let (front_prob, atten_range, scatter_std) = self.weather.parameters();
         let step_hours = self.step.as_hours();

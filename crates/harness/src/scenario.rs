@@ -56,7 +56,6 @@ pub fn build_ecovisor(spec: &ScenarioSpec) -> Result<(Ecovisor, Vec<AppId>), Har
                 .seed(*seed)
                 .build_service(),
         )),
-        CarbonSpec::Generator(generator) => builder.carbon(Box::new(generator.build_service())),
         CarbonSpec::Trace(trace) => builder.carbon(Box::new(TraceCarbonService::new(
             "spec-trace",
             trace.clone(),

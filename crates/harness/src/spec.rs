@@ -18,10 +18,12 @@
 
 use std::collections::BTreeSet;
 
-use carbon_intel::{CarbonTraceBuilder, RegionKind};
+use carbon_intel::RegionKind;
 use ecovisor::{EnergyShare, ExcessPolicy, NotifyConfig};
 use energy_system::solar::SolarArrayBuilder;
 use serde::{Deserialize, Serialize};
+use simkit::time::SECS_PER_DAY;
+use simkit::trace::Trace;
 use workloads::traces::WorkloadTraceBuilder;
 
 /// Version of the spec schema itself, stored in every artifact so a
@@ -153,8 +155,12 @@ impl ScenarioSpec {
 
     /// Rough sanity validation (names non-empty and tenant names unique,
     /// at least one tenant, at least one tick, at most one credential a
-    /// tenant). The deep validation is registration itself:
-    /// building the scenario surfaces share oversubscription etc.
+    /// tenant), plus everything a spec read from a file needs for its
+    /// world to build without a panic: a day whose clock fits in `u64`,
+    /// at least one server, a positive finite battery, and carbon and
+    /// solar signals with at least one sample and a non-zero step. The
+    /// deep validation is registration itself: building the scenario
+    /// surfaces share oversubscription etc.
     ///
     /// # Errors
     ///
@@ -174,6 +180,34 @@ impl ScenarioSpec {
         }
         if self.tick_minutes == 0 {
             return Err("tick interval must be non-zero".into());
+        }
+        if u128::from(self.ticks) * u128::from(self.tick_minutes) * 60 > u128::from(u64::MAX) {
+            return Err("tick_minutes × ticks overflows the clock".into());
+        }
+        if self.servers == 0 {
+            return Err("servers must be at least one".into());
+        }
+        match self.battery_capacity_wh {
+            Some(wh) if !(wh > 0.0 && wh.is_finite()) => {
+                return Err("battery_capacity_wh must be positive and finite".into());
+            }
+            _ => {}
+        }
+        match &self.carbon {
+            CarbonSpec::Region { days, .. } if !(1..=u64::MAX / SECS_PER_DAY).contains(days) => {
+                return Err("carbon region must cover at least one day".into());
+            }
+            CarbonSpec::Trace(trace) if !spans(trace) => {
+                return Err("carbon trace needs a sample and a non-zero step".into());
+            }
+            _ => {}
+        }
+        match &self.solar {
+            SolarSpec::Array(array) => array.check().map_err(|e| format!("solar array: {e}"))?,
+            SolarSpec::Trace(trace) if !spans(trace) => {
+                return Err("solar trace needs a sample and a non-zero step".into());
+            }
+            _ => {}
         }
         if self.tenants.is_empty() {
             return Err("scenario needs at least one tenant".into());
@@ -256,6 +290,14 @@ impl ScenarioSpec {
     }
 }
 
+/// Whether a decoded trace — which never ran `Trace::from_samples` —
+/// covers a non-empty span the clock can hold.
+fn spans(trace: &Trace) -> bool {
+    (trace.len() as u64)
+        .checked_mul(trace.step().as_secs())
+        .is_some_and(|span| span > 0)
+}
+
 /// The grid carbon-intensity signal driving a scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CarbonSpec {
@@ -274,10 +316,8 @@ pub enum CarbonSpec {
         /// Generator seed.
         seed: u64,
     },
-    /// A fully explicit generator configuration (custom profiles).
-    Generator(CarbonTraceBuilder),
     /// An explicit sample trace (g/kWh).
-    Trace(simkit::trace::Trace),
+    Trace(Trace),
 }
 
 /// The physical solar array driving a scenario.
@@ -288,7 +328,7 @@ pub enum SolarSpec {
     /// The deterministic clear-sky/weather array generator.
     Array(SolarArrayBuilder),
     /// An explicit output trace (watts).
-    Trace(simkit::trace::Trace),
+    Trace(Trace),
 }
 
 /// One tenant: an energy share plus the driver that generates its API

@@ -5,8 +5,14 @@
 //! *fails* on every kind of corruption it exists to catch: dropped
 //! event frames, mutated request traffic, and tampered expectations.
 
-use ecoharness::{corpus, record, verify};
+use ecoharness::{
+    build_ecovisor, corpus, record, verify, CarbonSpec, HarnessError, ScenarioSpec, SolarSpec,
+};
 use ecovisor::proto::EnergyRequest;
+use energy_system::solar::SolarArrayBuilder;
+use serde::{Deserialize, Serialize, Value};
+use simkit::time::SimDuration;
+use simkit::trace::Trace;
 use simkit::units::Watts;
 
 /// A shrunk builtin: small enough for test time, eventful enough to
@@ -148,6 +154,84 @@ fn ambiguous_tenant_names_and_credentials_are_rejected() {
     doubled.credentials.push(second);
     let err = doubled.validate().expect_err("duplicate credential");
     assert!(err.contains("duplicate credential"), "{err}");
+}
+
+/// A trace as a file could carry it: `samples` and `step` are whatever
+/// the bytes say, since a decoded trace never ran `Trace::from_samples`.
+fn decoded_trace(samples: &[f64], step: SimDuration) -> Trace {
+    let mut tree = Trace::constant(1.0).to_value();
+    if let Value::Map(fields) = &mut tree {
+        for (key, value) in fields {
+            match key.as_str() {
+                "samples" => {
+                    *value = Value::Seq(samples.iter().map(|s| Value::Float(*s)).collect())
+                }
+                "step" => *value = step.to_value(),
+                _ => {}
+            }
+        }
+    }
+    Trace::from_value(&tree).expect("the edited tree decodes")
+}
+
+/// `verify` builds an artifact's spec before any check runs, so a spec
+/// from a file that the world cannot be built from must be refused as a
+/// spec error naming the field — never a panic, which would make the
+/// CLI exit 101 instead of 2.
+#[test]
+fn unbuildable_specs_are_refused_not_panicked_on() {
+    fn array() -> SolarArrayBuilder {
+        SolarArrayBuilder::new(120.0).days(2)
+    }
+    type Edit = fn(&mut ScenarioSpec);
+    let cases: [(&str, Edit); 11] = [
+        ("carbon", |s| {
+            if let CarbonSpec::Region { days, .. } = &mut s.carbon {
+                *days = 0;
+            }
+        }),
+        ("carbon", |s| {
+            s.carbon = CarbonSpec::Trace(decoded_trace(&[], SimDuration::from_minutes(5)))
+        }),
+        ("carbon", |s| {
+            s.carbon = CarbonSpec::Trace(decoded_trace(&[50.0], SimDuration::ZERO))
+        }),
+        ("solar", |s| s.solar = SolarSpec::Array(array().days(0))),
+        ("solar", |s| {
+            s.solar = SolarSpec::Array(array().step(SimDuration::ZERO))
+        }),
+        ("solar", |s| {
+            s.solar = SolarSpec::Trace(decoded_trace(&[], SimDuration::from_minutes(5)))
+        }),
+        ("solar", |s| {
+            s.solar = SolarSpec::Trace(decoded_trace(&[50.0], SimDuration::ZERO))
+        }),
+        ("servers", |s| s.servers = 0),
+        ("battery_capacity_wh", |s| {
+            s.battery_capacity_wh = Some(-5.0)
+        }),
+        ("battery_capacity_wh", |s| {
+            s.battery_capacity_wh = Some(f64::NAN)
+        }),
+        ("tick_minutes", |s| s.tick_minutes = u64::MAX / 2),
+    ];
+    let base = corpus::builtin("sunny-batch").expect("builtin");
+    assert!(matches!(base.carbon, CarbonSpec::Region { .. }));
+    for (i, (field, edit)) in cases.iter().enumerate() {
+        let mut spec = base.clone();
+        edit(&mut spec);
+        let built = std::panic::catch_unwind(|| build_ecovisor(&spec).map(|_| ()));
+        match built {
+            Ok(Err(HarnessError::Spec(msg))) => {
+                assert!(
+                    msg.contains(field),
+                    "case {i}: `{msg}` does not name {field}"
+                )
+            }
+            Ok(other) => panic!("case {i} ({field}): built as {other:?}"),
+            Err(_) => panic!("case {i} ({field}): panicked"),
+        }
+    }
 }
 
 #[test]
