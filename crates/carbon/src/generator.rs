@@ -17,7 +17,6 @@ use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{Extend, Sampling, Trace};
 
 use crate::regions::RegionProfile;
-use crate::service::TraceCarbonService;
 
 /// Default sample spacing: electricityMap-style 5-minute estimates.
 pub const DEFAULT_STEP: SimDuration = SimDuration::from_secs(300);
@@ -132,11 +131,6 @@ impl CarbonTraceBuilder {
         Trace::from_samples(samples, self.step)
             .with_sampling(Sampling::Step)
             .with_extend(Extend::Cycle)
-    }
-
-    /// Generates the trace and wraps it in a query service.
-    pub fn build_service(&self) -> TraceCarbonService {
-        TraceCarbonService::new(self.profile.name.clone(), self.build())
     }
 }
 

@@ -5,7 +5,7 @@
 //! carbon intensity (paper §2, "Monitoring Carbon").
 //!
 //! The real services are network APIs over proprietary grid data; here the
-//! same query surface ([`CarbonService`]) is backed by synthetic traces
+//! signal is a plain [`Trace`](simkit::trace::Trace) of g·CO2/kWh samples,
 //! generated from regional profiles fitted to the paper's Figure 1:
 //!
 //! * **Ontario** — low (~25–45 g/kWh), flat: nuclear-dominated.
@@ -18,16 +18,15 @@
 //! # Example
 //!
 //! ```
-//! use carbon_intel::{regions, CarbonTraceBuilder, CarbonService};
+//! use carbon_intel::{regions, CarbonTraceBuilder};
 //! use simkit::time::SimTime;
 //!
-//! let service = CarbonTraceBuilder::new(regions::california())
+//! let trace = CarbonTraceBuilder::new(regions::california())
 //!     .days(2)
 //!     .seed(42)
-//!     .build_service();
-//! let now = SimTime::from_hours(12);
-//! let intensity = service.current_intensity(now);
-//! assert!(intensity.grams_per_kwh() > 0.0);
+//!     .build();
+//! let grams_per_kwh = trace.sample(SimTime::from_hours(12));
+//! assert!(grams_per_kwh > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -35,10 +34,8 @@
 
 pub mod generator;
 pub mod regions;
-pub mod service;
 pub mod threshold;
 
 pub use generator::CarbonTraceBuilder;
 pub use regions::{RegionKind, RegionProfile};
-pub use service::{CarbonService, TraceCarbonService};
 pub use threshold::percentile_threshold;

@@ -8,51 +8,63 @@
 
 use simkit::stats::percentile;
 use simkit::time::{SimDuration, SimTime};
+use simkit::trace::Trace;
 use simkit::units::CarbonIntensity;
 
-use crate::service::CarbonService;
+/// `trace` sampled every `step` over `[from, from + window)`: empty for a
+/// zero-length window or a zero step.
+fn window_samples(
+    trace: &Trace,
+    from: SimTime,
+    window: SimDuration,
+    step: SimDuration,
+) -> Vec<f64> {
+    let mut out = Vec::new();
+    if step.is_zero() {
+        return out;
+    }
+    let to = from + window;
+    let mut t = from;
+    while t < to {
+        out.push(trace.sample(t));
+        t += step;
+    }
+    out
+}
 
-/// Computes the `p`-th percentile of the intensity reported by `service`
-/// over the window `[from, from + window)`, sampled every `step`.
+/// Computes the `p`-th percentile of the intensity in `trace` over the
+/// window `[from, from + window)`, sampled every `step`.
 ///
 /// Returns `None` when the window contains no samples (zero-length window
 /// or zero step).
 pub fn percentile_threshold(
-    service: &dyn CarbonService,
+    trace: &Trace,
     from: SimTime,
     window: SimDuration,
     step: SimDuration,
     p: f64,
 ) -> Option<CarbonIntensity> {
-    if window.is_zero() || step.is_zero() {
-        return None;
-    }
-    let values: Vec<f64> = service
-        .history(from, from + window, step)
-        .into_iter()
-        .map(|(_, ci)| ci.grams_per_kwh())
-        .collect();
-    percentile(&values, p).map(CarbonIntensity::new)
+    percentile(&window_samples(trace, from, window, step), p).map(CarbonIntensity::new)
 }
 
 /// Fraction of time within `[from, from + window)` that intensity is at or
 /// below `threshold` — i.e. how often a threshold policy would run.
 pub fn fraction_below(
-    service: &dyn CarbonService,
+    trace: &Trace,
     from: SimTime,
     window: SimDuration,
     step: SimDuration,
     threshold: CarbonIntensity,
 ) -> f64 {
-    if window.is_zero() || step.is_zero() {
+    let samples = window_samples(trace, from, window, step);
+    if samples.is_empty() {
         return 0.0;
     }
-    let history = service.history(from, from + window, step);
-    if history.is_empty() {
-        return 0.0;
-    }
-    let below = history.iter().filter(|(_, ci)| *ci <= threshold).count();
-    below as f64 / history.len() as f64
+    let below = samples
+        .iter()
+        .filter(|&&v| v <= threshold.grams_per_kwh())
+        .count();
+    below as f64 / samples.len() as f64
 }
 
 #[cfg(test)]
@@ -60,7 +72,6 @@ mod tests {
     use super::*;
     use crate::generator::CarbonTraceBuilder;
     use crate::regions;
-    use crate::service::{ConstantCarbonService, TraceCarbonService};
     use simkit::trace::Trace;
 
     fn five_min() -> SimDuration {
@@ -71,12 +82,9 @@ mod tests {
     fn threshold_on_known_trace() {
         // 10 equally likely values 10..=100.
         let samples: Vec<f64> = (1..=10).map(|i| (i * 10) as f64).collect();
-        let svc = TraceCarbonService::new(
-            "T",
-            Trace::from_samples(samples, SimDuration::from_minutes(5)),
-        );
+        let trace = Trace::from_samples(samples, SimDuration::from_minutes(5));
         let th = percentile_threshold(
-            &svc,
+            &trace,
             SimTime::EPOCH,
             SimDuration::from_minutes(50),
             five_min(),
@@ -85,7 +93,7 @@ mod tests {
         .expect("non-empty");
         assert_eq!(th.grams_per_kwh(), 10.0);
         let th50 = percentile_threshold(
-            &svc,
+            &trace,
             SimTime::EPOCH,
             SimDuration::from_minutes(50),
             five_min(),
@@ -97,13 +105,13 @@ mod tests {
 
     #[test]
     fn empty_window_returns_none() {
-        let svc = ConstantCarbonService::new("C", CarbonIntensity::new(5.0));
+        let trace = Trace::constant(5.0);
         assert!(
-            percentile_threshold(&svc, SimTime::EPOCH, SimDuration::ZERO, five_min(), 30.0)
+            percentile_threshold(&trace, SimTime::EPOCH, SimDuration::ZERO, five_min(), 30.0)
                 .is_none()
         );
         assert!(percentile_threshold(
-            &svc,
+            &trace,
             SimTime::EPOCH,
             SimDuration::from_hours(1),
             SimDuration::ZERO,
@@ -115,14 +123,14 @@ mod tests {
     #[test]
     fn fraction_below_matches_percentile() {
         // By construction, ~30% of samples lie at/below the 30th %ile.
-        let svc = CarbonTraceBuilder::new(regions::california())
+        let trace = CarbonTraceBuilder::new(regions::california())
             .days(2)
             .seed(17)
-            .build_service();
+            .build();
         let window = SimDuration::from_hours(48);
-        let th = percentile_threshold(&svc, SimTime::EPOCH, window, five_min(), 30.0)
+        let th = percentile_threshold(&trace, SimTime::EPOCH, window, five_min(), 30.0)
             .expect("non-empty");
-        let frac = fraction_below(&svc, SimTime::EPOCH, window, five_min(), th);
+        let frac = fraction_below(&trace, SimTime::EPOCH, window, five_min(), th);
         assert!(
             (frac - 0.30).abs() < 0.03,
             "fraction below 30th %ile was {frac}"
@@ -131,11 +139,11 @@ mod tests {
 
     #[test]
     fn fraction_below_extremes() {
-        let svc = ConstantCarbonService::new("C", CarbonIntensity::new(100.0));
+        let trace = Trace::constant(100.0);
         let w = SimDuration::from_hours(1);
         assert_eq!(
             fraction_below(
-                &svc,
+                &trace,
                 SimTime::EPOCH,
                 w,
                 five_min(),
@@ -145,7 +153,7 @@ mod tests {
         );
         assert_eq!(
             fraction_below(
-                &svc,
+                &trace,
                 SimTime::EPOCH,
                 w,
                 five_min(),

@@ -5,7 +5,6 @@
 //! Cases are generated from a fixed-seed [`SimRng`] stream (the offline
 //! replacement for proptest), so failures are exactly reproducible.
 
-use carbon_intel::service::CarbonService;
 use carbon_intel::{percentile_threshold, regions, CarbonTraceBuilder, RegionProfile};
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime};
@@ -62,15 +61,13 @@ fn threshold_splits_window() {
         let profile = arb_region(&mut rng);
         let seed = rng.uniform_u64(0, 200);
         let p = rng.uniform(10.0, 90.0);
-        let svc = CarbonTraceBuilder::new(profile)
-            .days(3)
-            .seed(seed)
-            .build_service();
+        let trace = CarbonTraceBuilder::new(profile).days(3).seed(seed).build();
         let window = SimDuration::from_hours(48);
         let step = SimDuration::from_minutes(5);
-        let th =
-            percentile_threshold(&svc, SimTime::EPOCH, window, step, p).expect("non-empty window");
-        let below = carbon_intel::threshold::fraction_below(&svc, SimTime::EPOCH, window, step, th);
+        let th = percentile_threshold(&trace, SimTime::EPOCH, window, step, p)
+            .expect("non-empty window");
+        let below =
+            carbon_intel::threshold::fraction_below(&trace, SimTime::EPOCH, window, step, th);
         assert!(
             (below - p / 100.0).abs() < 0.05,
             "p={p}: fraction below was {below}"
@@ -90,24 +87,5 @@ fn diurnal_multiplier_is_bounded() {
         // Wrap coherence.
         let wrapped = profile.diurnal_multiplier(hour + 24.0);
         assert!((m - wrapped).abs() < 1e-9);
-    }
-}
-
-/// The service view agrees with the raw trace.
-#[test]
-fn service_matches_trace() {
-    let mut rng = SimRng::from_seed(3003).fork("service_matches_trace");
-    for _ in 0..64 {
-        let profile = arb_region(&mut rng);
-        let seed = rng.uniform_u64(0, 100);
-        let minute = rng.uniform_u64(0, 2 * 24 * 60);
-        let svc = CarbonTraceBuilder::new(profile)
-            .days(2)
-            .seed(seed)
-            .build_service();
-        let at = SimTime::from_secs(minute * 60);
-        let via_service = svc.current_intensity(at).grams_per_kwh();
-        let via_trace = svc.trace().sample(at);
-        assert_eq!(via_service, via_trace);
     }
 }

@@ -1,13 +1,9 @@
 //! Ecovisor configuration.
 
-use carbon_intel::service::{CarbonService, ConstantCarbonService};
 use container_cop::CopConfig;
 use energy_system::battery::{Battery, BatterySpec};
-use energy_system::grid::GridConnection;
-use energy_system::solar::{SolarSource, TraceSolarSource};
 use simkit::time::SimDuration;
 use simkit::trace::Trace;
-use simkit::units::CarbonIntensity;
 
 /// What happens to excess virtual solar power once an application's
 /// battery is full (§3.1: "Determining how to handle excess solar power
@@ -18,8 +14,8 @@ pub enum ExcessPolicy {
     /// prototype default, which does not net-meter).
     #[default]
     Curtail,
-    /// Net-meter it back to the grid (requires a net-metering grid
-    /// connection).
+    /// Net-meter it back to the grid (the ecovisor's grid connection
+    /// accepts exports under this policy only).
     NetMeter,
     /// Reclaim and redistribute it to other applications with available
     /// virtual battery capacity, then curtail the remainder.
@@ -33,20 +29,14 @@ pub enum ExcessPolicy {
 /// unlimited grid, a flat 200 g/kWh carbon signal, and curtailment of
 /// excess solar. Every component can be swapped.
 pub struct EcovisorBuilder {
-    /// Tick interval Δt.
-    pub tick_interval: SimDuration,
-    /// Cluster composition.
-    pub cop: CopConfig,
-    /// Solar power source.
-    pub solar: Box<dyn SolarSource>,
-    /// Physical battery bank.
-    pub battery: Battery,
-    /// Grid connection.
-    pub grid: GridConnection,
-    /// Carbon information service.
-    pub carbon: Box<dyn CarbonService>,
-    /// Excess-solar policy.
-    pub excess: ExcessPolicy,
+    pub(crate) tick_interval: SimDuration,
+    pub(crate) cop: CopConfig,
+    /// Solar array output in watts.
+    pub(crate) solar: Trace,
+    pub(crate) battery: Battery,
+    /// Grid carbon intensity in g·CO2/kWh.
+    pub(crate) carbon: Trace,
+    pub(crate) excess: ExcessPolicy,
 }
 
 impl Default for EcovisorBuilder {
@@ -61,13 +51,9 @@ impl EcovisorBuilder {
         Self {
             tick_interval: SimDuration::from_minutes(1),
             cop: CopConfig::microserver_cluster(16),
-            solar: Box::new(TraceSolarSource::new(Trace::constant(0.0))),
+            solar: Trace::constant(0.0),
             battery: Battery::new_full(BatterySpec::paper_prototype()),
-            grid: GridConnection::new(),
-            carbon: Box::new(ConstantCarbonService::new(
-                "flat",
-                CarbonIntensity::new(200.0),
-            )),
+            carbon: Trace::constant(200.0),
             excess: ExcessPolicy::Curtail,
         }
     }
@@ -84,8 +70,8 @@ impl EcovisorBuilder {
         self
     }
 
-    /// Sets the solar source.
-    pub fn solar(mut self, solar: Box<dyn SolarSource>) -> Self {
+    /// Sets the solar array's output trace, in watts.
+    pub fn solar(mut self, solar: Trace) -> Self {
         self.solar = solar;
         self
     }
@@ -96,19 +82,14 @@ impl EcovisorBuilder {
         self
     }
 
-    /// Sets the grid connection.
-    pub fn grid(mut self, grid: GridConnection) -> Self {
-        self.grid = grid;
-        self
-    }
-
-    /// Sets the carbon information service.
-    pub fn carbon(mut self, carbon: Box<dyn CarbonService>) -> Self {
+    /// Sets the grid carbon-intensity trace, in g·CO2/kWh.
+    pub fn carbon(mut self, carbon: Trace) -> Self {
         self.carbon = carbon;
         self
     }
 
-    /// Sets the excess-solar policy.
+    /// Sets the excess-solar policy. [`ExcessPolicy::NetMeter`] is the
+    /// one that gives the grid connection net metering.
     pub fn excess(mut self, excess: ExcessPolicy) -> Self {
         self.excess = excess;
         self

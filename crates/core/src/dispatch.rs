@@ -15,7 +15,7 @@
 //!    references come back as [`ProtoError::Scope`] *values*, they never
 //!    panic and never leak another tenant's state;
 //! 3. executes each request against the app's virtual energy system and
-//!    the shared substrates (COP, TSDB, clock, carbon service);
+//!    the shared substrates (COP, TSDB, clock, carbon trace);
 //! 4. optionally records the batch into a protocol trace for replay.
 //!    Since every state change is a dispatched batch, a trace taken with
 //!    [`Ecovisor::enable_protocol_trace`] is the complete record of a

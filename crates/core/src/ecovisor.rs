@@ -4,7 +4,7 @@
 //! "An ecovisor is akin to a hypervisor but virtualizes the energy system
 //! of computing infrastructure" (§1). [`Ecovisor`] owns the physical
 //! components (solar array, battery bank, grid, PSU), the container
-//! orchestration platform, the carbon information service, and the
+//! orchestration platform, the carbon-intensity trace, and the
 //! telemetry store; each registered application reaches its own
 //! [`VirtualEnergySystem`] through the Table 1 and Table 2 protocol,
 //! scoped to its [`AppId`] by [`Ecovisor::dispatch_batch`] (typed handle:
@@ -35,14 +35,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
-use carbon_intel::service::CarbonService;
 use container_cop::{AppId, ContainerId, ContainerState, Cop};
 use energy_system::battery::Battery;
 use energy_system::grid::GridConnection;
 use energy_system::psu::ProgrammablePsu;
-use energy_system::solar::SolarSource;
 use power_telemetry::{metrics, SeriesId, Tsdb};
 use simkit::time::{SimDuration, SimTime, TickClock};
+use simkit::trace::Trace;
 use simkit::units::{CarbonIntensity, WattHours, Watts};
 
 use crate::config::{EcovisorBuilder, ExcessPolicy};
@@ -168,11 +167,13 @@ pub struct SystemFlows {
 pub struct Ecovisor {
     pub(crate) clock: TickClock,
     pub(crate) cop: RwLock<Cop>,
-    solar: Box<dyn SolarSource>,
+    /// Solar array output in watts.
+    solar: Trace,
     pub(crate) physical_battery: Battery,
     pub(crate) grid: GridConnection,
     pub(crate) psu: ProgrammablePsu,
-    carbon: Box<dyn CarbonService>,
+    /// Grid carbon intensity in g·CO2/kWh.
+    carbon: Trace,
     pub(crate) excess: ExcessPolicy,
     pub(crate) tsdb: RwLock<Tsdb>,
     pub(crate) apps: BTreeMap<AppId, Shard>,
@@ -206,14 +207,17 @@ impl Ecovisor {
     /// Builds from an [`EcovisorBuilder`] (what [`EcovisorBuilder::build`]
     /// calls).
     pub(crate) fn from_builder(b: EcovisorBuilder) -> Self {
-        let psu = b.psu_or_default();
+        let grid = match b.excess {
+            ExcessPolicy::NetMeter => GridConnection::new().with_net_metering(),
+            ExcessPolicy::Curtail | ExcessPolicy::Redistribute => GridConnection::new(),
+        };
         let mut eco = Self {
             clock: TickClock::new(b.tick_interval),
             cop: RwLock::new(Cop::new(b.cop)),
             solar: b.solar,
             physical_battery: b.battery,
-            grid: b.grid,
-            psu,
+            grid,
+            psu: ProgrammablePsu::new(),
             carbon: b.carbon,
             excess: b.excess,
             tsdb: RwLock::new(Tsdb::new()),
@@ -337,7 +341,7 @@ impl Ecovisor {
     // Tick protocol
     // ------------------------------------------------------------------
 
-    /// Re-samples the carbon service at the current instant. A no-op on
+    /// Re-samples the carbon trace at the current instant. A no-op on
     /// state: the clock already sampled it when it moved (see
     /// [`advance_clock`](Self::advance_clock)). No driver calls it; it
     /// stays public for the benchmark's stage walk.
@@ -345,7 +349,7 @@ impl Ecovisor {
         self.sample_carbon();
     }
 
-    /// The one carbon sample: `intensity` is the service's value at the
+    /// The one carbon sample: `intensity` is the trace's value at the
     /// clock's instant, `prev_intensity` its value one tick earlier (or
     /// the same at tick 0), so both are functions of the clock. Taken
     /// wherever the clock is set — at build, on
@@ -354,10 +358,10 @@ impl Ecovisor {
     /// settlement charges.
     pub(crate) fn sample_carbon(&mut self) {
         let now = self.clock.now();
-        self.intensity = self.carbon.current_intensity(now);
+        self.intensity = CarbonIntensity::new(self.carbon.sample(now));
         self.prev_intensity = match self.clock.tick_index() {
             0 => self.intensity,
-            _ => self.carbon.current_intensity(now - self.clock.interval()),
+            _ => CarbonIntensity::new(self.carbon.sample(now - self.clock.interval())),
         };
     }
 
@@ -688,7 +692,7 @@ impl Ecovisor {
         // 8. Carbon-change notifications (this tick vs previous tick).
         //    Local apps only: a remote app's owning node buffers its
         //    solar and notifies it.
-        let physical_solar = self.solar.mean_power_over(now, now + dt);
+        let physical_solar = energy_system::solar::power_over(&self.solar, now, now + dt);
         let prev_intensity = self.prev_intensity;
         for shard in self.apps.values_mut() {
             let rec = &mut lock::get_mut(shard).rec;
@@ -737,7 +741,7 @@ impl Ecovisor {
         Ok(system)
     }
 
-    /// Advances the tick clock and samples the carbon service for the
+    /// Advances the tick clock and samples the carbon trace for the
     /// new tick: the last step of [`tick`](Self::tick), after
     /// settlement and its `between`.
     pub fn advance_clock(&mut self) {
@@ -1011,12 +1015,5 @@ impl Ecovisor {
             series.containers.truncate(live);
             tsdb.append(series.container_count, now, f64::from(running));
         }
-    }
-}
-
-// Builder glue: keep the builder free of psu details.
-impl EcovisorBuilder {
-    pub(crate) fn psu_or_default(&self) -> ProgrammablePsu {
-        ProgrammablePsu::new()
     }
 }

@@ -151,7 +151,7 @@ impl ShardedEcovisor {
 
     /// Phase one of a **federated** tick: the first half of
     /// [`Ecovisor::tick`] under the settlement barrier — samples the
-    /// carbon service and captures the local tenants' demand views.
+    /// carbon trace and captures the local tenants' demand views.
     ///
     /// The coordinator contract: between this call and the matching
     /// [`fed_settle`](Self::fed_settle) no dispatch may be allowed to

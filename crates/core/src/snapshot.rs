@@ -123,7 +123,7 @@ pub struct Snapshot {
     pub env_digest: u64,
     /// Carbon intensity of the current tick, as the writer sampled it.
     /// Written for the reader's information only: restore re-samples the
-    /// carbon service at the embedded clock and ignores this value.
+    /// carbon trace at the embedded clock and ignores this value.
     pub intensity: CarbonIntensity,
     /// The previous tick's intensity (the edge state of carbon
     /// notifications), as the writer sampled it. Ignored on restore,

@@ -4,7 +4,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use carbon_intel::service::TraceCarbonService;
 use container_cop::{AppId, ContainerSpec, CopConfig};
 use ecovisor::proto::{EnergyRequest, RequestBatch};
 use ecovisor::{
@@ -13,8 +12,6 @@ use ecovisor::{
     Simulation, VesTotals,
 };
 use energy_system::battery::{Battery, BatterySpec};
-use energy_system::grid::GridConnection;
-use energy_system::solar::TraceSolarSource;
 use power_telemetry::metrics;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::Trace;
@@ -64,19 +61,11 @@ impl Application for Saturated {
     }
 }
 
-fn flat_carbon(intensity: f64) -> Box<TraceCarbonService> {
-    Box::new(TraceCarbonService::new("flat", Trace::constant(intensity)))
-}
-
-fn constant_solar(watts: f64) -> Box<TraceSolarSource> {
-    Box::new(TraceSolarSource::new(Trace::constant(watts)))
-}
-
 #[test]
 fn grid_only_app_accumulates_carbon_proportionally() {
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(2))
-        .carbon(flat_carbon(1000.0))
+        .carbon(Trace::constant(1000.0))
         .build();
     let mut sim = Simulation::new(eco);
     let app = sim
@@ -97,8 +86,8 @@ fn solar_share_displaces_grid_power() {
     // fully solar-covered after the first tick's buffering delay.
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(2))
-        .carbon(flat_carbon(1000.0))
-        .solar(constant_solar(100.0))
+        .carbon(Trace::constant(1000.0))
+        .solar(Trace::constant(100.0))
         .build();
     let mut sim = Simulation::new(eco);
     let share = EnergyShare::grid_only().with_solar_fraction(1.0);
@@ -125,8 +114,8 @@ fn battery_bridges_solar_gaps_with_zero_carbon() {
     let solar_trace = Trace::from_samples(vec![200.0, 200.0, 0.0, 0.0], SimDuration::from_hours(1));
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(2))
-        .carbon(flat_carbon(500.0))
-        .solar(Box::new(TraceSolarSource::new(solar_trace)))
+        .carbon(Trace::constant(500.0))
+        .solar(solar_trace)
         .build();
     let mut sim = Simulation::new(eco);
     let share = EnergyShare::grid_only()
@@ -156,8 +145,8 @@ fn battery_bridges_solar_gaps_with_zero_carbon() {
 fn multiplexing_isolates_tenants_and_conserves_energy() {
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(8))
-        .carbon(flat_carbon(300.0))
-        .solar(constant_solar(40.0))
+        .carbon(Trace::constant(300.0))
+        .solar(Trace::constant(40.0))
         .build();
     let mut sim = Simulation::new(eco);
     let share_a = EnergyShare::grid_only()
@@ -247,7 +236,7 @@ fn carbon_rate_limit_caps_power() {
     // 0.0005 g/s × 3.6e6 / 360 = 5 W of grid power.
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(4))
-        .carbon(flat_carbon(360.0))
+        .carbon(Trace::constant(360.0))
         .build();
     let mut sim = Simulation::new(eco);
     let app = sim
@@ -277,7 +266,7 @@ fn carbon_rate_limit_caps_power() {
 fn carbon_budget_is_tracked() {
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(2))
-        .carbon(flat_carbon(1000.0))
+        .carbon(Trace::constant(1000.0))
         .build();
     let mut sim = Simulation::new(eco);
     let app = sim
@@ -367,7 +356,7 @@ fn psu_validates_software_power_caps() {
     // never exceeds 4 W (+ tolerance) — the §4 grid-power validation.
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(4))
-        .carbon(flat_carbon(200.0))
+        .carbon(Trace::constant(200.0))
         .build();
     let mut sim = Simulation::new(eco);
     let app = sim
@@ -401,9 +390,9 @@ fn redistribution_moves_excess_solar_between_apps() {
     // excess.
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(4))
-        .solar(constant_solar(200.0))
+        .solar(Trace::constant(200.0))
         .excess(ExcessPolicy::Redistribute)
-        .carbon(flat_carbon(100.0))
+        .carbon(Trace::constant(100.0))
         .build();
     let mut sim = Simulation::new(eco);
     let share_a = EnergyShare::grid_only()
@@ -437,7 +426,7 @@ fn redistribution_moves_excess_solar_between_apps() {
 fn table2_interval_queries_match_totals() {
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(2))
-        .carbon(flat_carbon(500.0))
+        .carbon(Trace::constant(500.0))
         .build();
     let mut sim = Simulation::new(eco);
     let app = sim
@@ -480,7 +469,7 @@ fn aggregate_discharge_throttled_to_physical_limit() {
         .battery(Battery::new_full(BatterySpec::with_capacity(
             WattHours::new(100.0),
         )))
-        .carbon(flat_carbon(100.0))
+        .carbon(Trace::constant(100.0))
         .build();
     let mut sim = Simulation::new(eco);
     for name in ["a", "b"] {
@@ -524,7 +513,7 @@ fn simulation_run_until_done_stops_early() {
 fn tick_zero_has_no_solar_then_buffer_fills() {
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(2))
-        .solar(constant_solar(80.0))
+        .solar(Trace::constant(80.0))
         .build();
     let mut sim = Simulation::new(eco);
     let app = sim
@@ -554,7 +543,7 @@ fn get_grid_carbon_tracks_service() {
     let trace = Trace::from_samples(vec![100.0, 250.0], SimDuration::from_minutes(1));
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(2))
-        .carbon(Box::new(TraceCarbonService::new("t", trace)))
+        .carbon(trace)
         .build();
     let mut sim = Simulation::new(eco);
     let app = sim
@@ -588,10 +577,7 @@ fn moving_carbon_world() -> (Ecovisor, AppId) {
     let mut eco = EcovisorBuilder::new()
         .tick_interval(dt)
         .cluster(CopConfig::microserver_cluster(2))
-        .carbon(Box::new(TraceCarbonService::new(
-            "moving",
-            Trace::from_samples(samples, dt),
-        )))
+        .carbon(Trace::from_samples(samples, dt))
         .build();
     let app = eco.register_app("c", EnergyShare::grid_only()).unwrap();
     let mut api = eco.client(app).unwrap();
@@ -745,7 +731,7 @@ fn get_grid_carbon_tells_the_intensity_the_tick_charges() {
 fn unmet_demand_recorded_under_grid_cap() {
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(2))
-        .carbon(flat_carbon(100.0))
+        .carbon(Trace::constant(100.0))
         .build();
     let mut sim = Simulation::new(eco);
     let share = EnergyShare::grid_only().with_grid_cap(Watts::new(3.0));
@@ -763,8 +749,7 @@ fn unmet_demand_recorded_under_grid_cap() {
 fn grid_export_with_net_metering_policy() {
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(2))
-        .solar(constant_solar(100.0))
-        .grid(GridConnection::new().with_net_metering())
+        .solar(Trace::constant(100.0))
         .excess(ExcessPolicy::NetMeter)
         .build();
     let mut sim = Simulation::new(eco);
@@ -794,7 +779,7 @@ fn cleared_carbon_rate_restores_container_power() {
     // throttled forever.
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(4))
-        .carbon(flat_carbon(360.0))
+        .carbon(Trace::constant(360.0))
         .build();
     let mut sim = Simulation::new(eco);
     let app = sim
@@ -839,7 +824,7 @@ fn user_power_cap_survives_carbon_enforcement() {
     // set through set_container_powercap.
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(4))
-        .carbon(flat_carbon(360.0))
+        .carbon(Trace::constant(360.0))
         .build();
     let mut sim = Simulation::new(eco);
     let app = sim
@@ -913,7 +898,7 @@ fn carbon_budget_exhaustion_notifies_and_clamps_grid() {
 
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(2))
-        .carbon(flat_carbon(1000.0))
+        .carbon(Trace::constant(1000.0))
         .build();
     let mut sim = Simulation::new(eco);
     let exhausted_events = std::rc::Rc::new(std::cell::RefCell::new(0usize));
@@ -991,7 +976,7 @@ fn app_energy_matches_ves_totals_under_grid_cap() {
     // counts served power) whenever a grid cap shed load.
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(2))
-        .carbon(flat_carbon(100.0))
+        .carbon(Trace::constant(100.0))
         .build();
     let mut sim = Simulation::new(eco);
     // 3.65 W demand against a 3 W grid cap: 0.65 W shed every tick.

@@ -1009,13 +1009,8 @@ fn slow_subscriber_parks_under_outbox_policy_and_recovers() {
         .tick_interval(dt)
         // Period-3 solar against the period-8 battery toggle below, so
         // discharge ticks land on low-solar samples too.
-        .solar(Box::new(energy_system::solar::TraceSolarSource::new(
-            Trace::from_samples(vec![0.0, 250.0, 30.0], dt).with_extend(Extend::Cycle),
-        )))
-        .carbon(Box::new(carbon_intel::service::TraceCarbonService::new(
-            "cycling",
-            Trace::from_samples(vec![80.0, 400.0], dt).with_extend(Extend::Cycle),
-        )))
+        .solar(Trace::from_samples(vec![0.0, 250.0, 30.0], dt).with_extend(Extend::Cycle))
+        .carbon(Trace::from_samples(vec![80.0, 400.0], dt).with_extend(Extend::Cycle))
         .build();
     let app = eco
         .register_app(

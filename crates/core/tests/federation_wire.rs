@@ -24,13 +24,11 @@
 //! * the whole surface is **credential-gated**: a server without a
 //!   registry denies migration and federation requests outright.
 
-use carbon_intel::service::TraceCarbonService;
 use container_cop::{AppId, ContainerId, ContainerSpec, CopConfig};
 use ecovisor::{
     CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare,
     EventFilter, FedAppView, RemoteEcovisorClient, SharedEcovisor,
 };
-use energy_system::solar::TraceSolarSource;
 use simkit::rng::SimRng;
 use simkit::time::SimDuration;
 use simkit::trace::Trace;
@@ -70,13 +68,8 @@ fn builder(seed: u64) -> EcovisorBuilder {
     EcovisorBuilder::new()
         .tick_interval(dt)
         .cluster(CopConfig::microserver_cluster(8))
-        .solar(Box::new(TraceSolarSource::new(Trace::from_samples(
-            solar, dt,
-        ))))
-        .carbon(Box::new(TraceCarbonService::new(
-            "seeded",
-            Trace::from_samples(carbon, dt),
-        )))
+        .solar(Trace::from_samples(solar, dt))
+        .carbon(Trace::from_samples(carbon, dt))
 }
 
 /// Registers the full deployment's tenant set — every federated node

@@ -15,10 +15,8 @@
 //! independently tracked model of the expected events, and exact
 //! assertions every tick.
 
-use carbon_intel::service::TraceCarbonService;
 use container_cop::{ContainerId, ContainerSpec, CopConfig};
 use ecovisor::{Ecovisor, EcovisorBuilder, EnergyClient, EnergyShare, Notification, NotifyConfig};
-use energy_system::solar::TraceSolarSource;
 use simkit::rng::SimRng;
 use simkit::time::SimDuration;
 use simkit::trace::Trace;
@@ -39,11 +37,8 @@ fn battery_edges_fire_once_per_crossing() {
             .cluster(CopConfig::microserver_cluster(4))
             // No solar: the battery moves only under the randomized
             // charge/discharge knobs below, so the model is exact.
-            .solar(Box::new(TraceSolarSource::new(Trace::constant(0.0))))
-            .carbon(Box::new(TraceCarbonService::new(
-                "flat",
-                Trace::constant(250.0),
-            )))
+            .solar(Trace::constant(0.0))
+            .carbon(Trace::constant(250.0))
             .build();
         let app = eco
             .register_app(
@@ -155,14 +150,8 @@ fn run_threshold_property(seed: u64) {
         let mut eco = EcovisorBuilder::new()
             .tick_interval(dt)
             .cluster(CopConfig::microserver_cluster(4))
-            .solar(Box::new(TraceSolarSource::new(Trace::from_samples(
-                solar.clone(),
-                dt,
-            ))))
-            .carbon(Box::new(TraceCarbonService::new(
-                "seeded",
-                Trace::from_samples(carbon.clone(), dt),
-            )))
+            .solar(Trace::from_samples(solar.clone(), dt))
+            .carbon(Trace::from_samples(carbon.clone(), dt))
             .build();
         let app = eco
             .register_app(

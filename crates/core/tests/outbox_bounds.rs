@@ -12,7 +12,6 @@ use ecovisor::{
     AppId, Ecovisor, EcovisorBuilder, EnergyClient, EnergyShare, Notification, NotifyConfig,
     OutboxPolicy,
 };
-use energy_system::solar::TraceSolarSource;
 use simkit::rng::SimRng;
 use simkit::time::SimDuration;
 use simkit::trace::Trace;
@@ -177,9 +176,7 @@ fn undrained_app_outbox_stays_bounded_through_settlement() {
             .collect();
         let mut eco = EcovisorBuilder::new()
             .tick_interval(dt)
-            .solar(Box::new(TraceSolarSource::new(Trace::from_samples(
-                solar, dt,
-            ))))
+            .solar(Trace::from_samples(solar, dt))
             .build();
         let app = eco
             .register_app(

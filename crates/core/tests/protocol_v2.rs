@@ -18,7 +18,6 @@
 //! * the event **callback** surface behaves identically in-process and
 //!   remote.
 
-use carbon_intel::service::TraceCarbonService;
 use container_cop::{AppId, ContainerId, ContainerSpec, CopConfig};
 use ecovisor::proto::{EnergyRequest, RequestBatch};
 use ecovisor::{
@@ -26,7 +25,6 @@ use ecovisor::{
     EnergyShare, EventFilter, Notification, RemoteEcovisorClient, ServerHello, VesTotals,
     WireCodec, PROTOCOL_VERSION,
 };
-use energy_system::solar::TraceSolarSource;
 use simkit::rng::SimRng;
 use simkit::time::SimDuration;
 use simkit::trace::Trace;
@@ -99,13 +97,8 @@ fn build_eco(seed: u64) -> (Ecovisor, AppId, AppId) {
     let mut eco = EcovisorBuilder::new()
         .tick_interval(dt)
         .cluster(CopConfig::microserver_cluster(8))
-        .solar(Box::new(TraceSolarSource::new(Trace::from_samples(
-            solar, dt,
-        ))))
-        .carbon(Box::new(TraceCarbonService::new(
-            "seeded",
-            Trace::from_samples(carbon, dt),
-        )))
+        .solar(Trace::from_samples(solar, dt))
+        .carbon(Trace::from_samples(carbon, dt))
         .build();
     let a = eco
         .register_app(

@@ -23,10 +23,8 @@
 
 use std::time::{Duration, Instant};
 
-use carbon_intel::service::TraceCarbonService;
 use container_cop::{ContainerSpec, CopConfig};
 use ecovisor::{Ecovisor, EcovisorBuilder, EnergyClient, EnergyShare, Snapshot};
-use energy_system::solar::TraceSolarSource;
 use simkit::time::SimDuration;
 use simkit::trace::{Extend, Trace};
 use simkit::units::{WattHours, Watts};
@@ -187,11 +185,8 @@ fn a_tick_retains_eight_bytes_a_sample() {
     let carbon = (0..89).map(|i| 5.0 * f64::from(1 + i * 37 % 89));
     let builder = EcovisorBuilder::new()
         .tick_interval(dt)
-        .solar(Box::new(TraceSolarSource::new(cycle(sun.collect()))))
-        .carbon(Box::new(TraceCarbonService::new(
-            "wandering",
-            cycle(carbon.collect()),
-        )));
+        .solar(cycle(sun.collect()))
+        .carbon(cycle(carbon.collect()));
     let mut eco = world_on(builder, RETAINING_TENANTS, RETAINING_CONTAINERS);
     let stir = |eco: &mut Ecovisor, tick: u32| {
         for app in eco.app_ids() {

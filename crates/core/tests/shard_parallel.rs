@@ -15,7 +15,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-use carbon_intel::service::TraceCarbonService;
 use container_cop::{AppId, ContainerSpec, CopConfig};
 use ecovisor::proto::{EnergyRequest, EnergyResponse, RequestBatch};
 use ecovisor::{
@@ -28,10 +27,7 @@ use simkit::units::{CarbonRate, Co2Grams, WattHours, Watts};
 fn build_eco(apps: usize) -> (Ecovisor, Vec<AppId>) {
     let mut eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(16))
-        .carbon(Box::new(TraceCarbonService::new(
-            "sine",
-            Trace::constant(250.0),
-        )))
+        .carbon(Trace::constant(250.0))
         .build();
     let ids = (0..apps)
         .map(|i| {

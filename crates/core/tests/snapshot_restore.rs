@@ -26,14 +26,12 @@
 //! [`EcovisorServer::with_workers`], so the snapshot surface is proven
 //! across thread counts.
 
-use carbon_intel::service::TraceCarbonService;
 use container_cop::{AppId, ContainerId, ContainerSpec, CopConfig};
 use ecovisor::{
     digest, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient,
     EnergyShare, EventFrame, Notification, ProtocolTrace, RemoteEcovisorClient, ShardedEcovisor,
     Snapshot, SnapshotError, VesTotals, SNAPSHOT_FORMAT,
 };
-use energy_system::solar::TraceSolarSource;
 use power_telemetry::metrics;
 use simkit::rng::SimRng;
 use simkit::time::SimDuration;
@@ -73,13 +71,8 @@ fn builder(seed: u64) -> EcovisorBuilder {
     EcovisorBuilder::new()
         .tick_interval(dt)
         .cluster(CopConfig::microserver_cluster(8))
-        .solar(Box::new(TraceSolarSource::new(Trace::from_samples(
-            solar, dt,
-        ))))
-        .carbon(Box::new(TraceCarbonService::new(
-            "seeded",
-            Trace::from_samples(carbon, dt),
-        )))
+        .solar(Trace::from_samples(solar, dt))
+        .carbon(Trace::from_samples(carbon, dt))
 }
 
 /// Two tenants: A with a small battery share that fills and drains under
@@ -409,9 +402,9 @@ fn restore_refuses_hostile_snapshots_before_touching_state() {
 
 /// A snapshot cannot set what tenants are told. The carbon intensity
 /// pair it carries is written but derived — restore re-samples the
-/// carbon service at the restored clock — so a capture whose pair was
-/// edited is accepted, `GetGridCarbon` then answers the service's value,
-/// and the next settlement's `CarbonChange` compares the service's
+/// carbon trace at the restored clock — so a capture whose pair was
+/// edited is accepted, `GetGridCarbon` then answers the trace's value,
+/// and the next settlement's `CarbonChange` compares the trace's
 /// values.
 #[test]
 fn restore_derives_the_carbon_intensity_from_the_clock() {

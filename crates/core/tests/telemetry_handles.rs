@@ -12,12 +12,10 @@
 
 use std::collections::BTreeMap;
 
-use carbon_intel::service::TraceCarbonService;
 use container_cop::{AppId, ContainerId, ContainerSpec};
 use ecovisor::{
     Ecovisor, EcovisorBuilder, EnergyClient, EnergyShare, Snapshot, TenantSnapshot, WireCodec,
 };
-use energy_system::solar::TraceSolarSource;
 use power_telemetry::metrics;
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime};
@@ -41,13 +39,8 @@ fn world(seed: u64) -> (Ecovisor, Fleets) {
     let carbon: Vec<f64> = (0..TICKS + 2).map(|_| rng.uniform(80.0, 420.0)).collect();
     let mut eco = EcovisorBuilder::new()
         .tick_interval(dt)
-        .solar(Box::new(TraceSolarSource::new(Trace::from_samples(
-            solar, dt,
-        ))))
-        .carbon(Box::new(TraceCarbonService::new(
-            "seeded",
-            Trace::from_samples(carbon, dt),
-        )))
+        .solar(Trace::from_samples(solar, dt))
+        .carbon(Trace::from_samples(carbon, dt))
         .build();
     let mut fleets = Fleets::new();
     for name in ["a", "b", "c"] {

@@ -3,7 +3,7 @@
 //! The grid supplies (effectively) unlimited power on demand; what matters
 //! for carbon efficiency is *how much* is drawn and *when* (intensity
 //! varies). The connection meters cumulative import/export energy; carbon
-//! attribution happens in the ecovisor using the carbon service.
+//! attribution happens in the ecovisor using the carbon trace.
 
 use serde::{Deserialize, Serialize};
 

@@ -30,4 +30,4 @@ pub mod solar;
 pub use battery::{Battery, BatterySpec};
 pub use grid::GridConnection;
 pub use psu::ProgrammablePsu;
-pub use solar::{SolarArrayBuilder, SolarSource, TraceSolarSource};
+pub use solar::SolarArrayBuilder;

@@ -15,44 +15,16 @@ use simkit::time::{SimDuration, SimTime};
 use simkit::trace::{Extend, Sampling, Trace};
 use simkit::units::Watts;
 
-/// A source of solar power output over simulated time.
-pub trait SolarSource: Send + Sync {
-    /// Instantaneous array output at `at`.
-    fn power_at(&self, at: SimTime) -> Watts;
-
-    /// Mean output over a tick window (default: midpoint sample).
-    fn mean_power_over(&self, from: SimTime, to: SimTime) -> Watts {
-        if to <= from {
-            return self.power_at(from);
-        }
-        let mid = SimTime::from_secs((from.as_secs() + to.as_secs()) / 2);
-        self.power_at(mid)
-    }
-}
-
-/// A [`SolarSource`] backed by a pre-generated power trace (the digital
-/// twin of the Chroma SAE's trace replay).
-#[derive(Debug, Clone)]
-pub struct TraceSolarSource {
-    trace: Trace,
-}
-
-impl TraceSolarSource {
-    /// Wraps a trace of power samples in watts.
-    pub fn new(trace: Trace) -> Self {
-        Self { trace }
-    }
-
-    /// The underlying trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-}
-
-impl SolarSource for TraceSolarSource {
-    fn power_at(&self, at: SimTime) -> Watts {
-        Watts::new(self.trace.sample(at).max(0.0))
-    }
+/// What a solar power trace delivers over the tick window `[from, to)`:
+/// its sample at the window's midpoint (at `from` for an empty window),
+/// never negative.
+pub fn power_over(trace: &Trace, from: SimTime, to: SimTime) -> Watts {
+    let at = if to <= from {
+        from
+    } else {
+        SimTime::from_secs(from.as_secs() + (to.as_secs() - from.as_secs()) / 2)
+    };
+    Watts::new(trace.sample(at).max(0.0))
 }
 
 /// Weather regime controlling cloud attenuation.
@@ -83,18 +55,16 @@ impl Weather {
 /// # Example
 ///
 /// ```
-/// use energy_system::solar::{SolarArrayBuilder, SolarSource, Weather};
+/// use energy_system::solar::{SolarArrayBuilder, Weather};
 /// use simkit::time::SimTime;
 ///
 /// let array = SolarArrayBuilder::new(400.0) // 400 W rated
 ///     .days(1)
 ///     .weather(Weather::Clear)
 ///     .seed(1)
-///     .build_source();
-/// let noon = array.power_at(SimTime::from_hours(12));
-/// let midnight = array.power_at(SimTime::from_hours(0));
-/// assert!(noon.watts() > 300.0);
-/// assert_eq!(midnight.watts(), 0.0);
+///     .build();
+/// assert!(array.sample(SimTime::from_hours(12)) > 300.0);
+/// assert_eq!(array.sample(SimTime::from_hours(0)), 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolarArrayBuilder {
@@ -239,11 +209,6 @@ impl SolarArrayBuilder {
             .with_sampling(Sampling::Step)
             .with_extend(Extend::Cycle)
     }
-
-    /// Generates the trace and wraps it as a [`SolarSource`].
-    pub fn build_source(&self) -> TraceSolarSource {
-        TraceSolarSource::new(self.build())
-    }
 }
 
 #[cfg(test)]
@@ -252,13 +217,9 @@ mod tests {
 
     #[test]
     fn night_output_is_zero() {
-        let src = SolarArrayBuilder::new(400.0).days(2).seed(3).build_source();
+        let src = SolarArrayBuilder::new(400.0).days(2).seed(3).build();
         for h in [0u64, 3, 5, 20, 23] {
-            assert_eq!(
-                src.power_at(SimTime::from_hours(h)).watts(),
-                0.0,
-                "hour {h}"
-            );
+            assert_eq!(src.sample(SimTime::from_hours(h)), 0.0, "hour {h}");
         }
     }
 
@@ -268,8 +229,8 @@ mod tests {
             .days(1)
             .weather(Weather::Clear)
             .seed(1)
-            .build_source();
-        let noon = src.power_at(SimTime::from_hours(12)).watts();
+            .build();
+        let noon = src.sample(SimTime::from_hours(12));
         assert!((350.0..=440.0).contains(&noon), "noon output {noon}");
     }
 
@@ -280,10 +241,10 @@ mod tests {
                 .days(3)
                 .weather(w)
                 .seed(7)
-                .build_source();
+                .build();
             let mut total = 0.0;
             for m in (0..(3 * 24 * 60)).step_by(5) {
-                total += src.power_at(SimTime::from_secs(m * 60)).watts() / 12.0;
+                total += src.sample(SimTime::from_secs(m * 60)) / 12.0;
             }
             total
         };
@@ -304,12 +265,9 @@ mod tests {
 
     #[test]
     fn never_negative_never_wildly_above_rated() {
-        let src = SolarArrayBuilder::new(250.0)
-            .days(4)
-            .seed(11)
-            .build_source();
+        let src = SolarArrayBuilder::new(250.0).days(4).seed(11).build();
         for m in (0..(4 * 24 * 60)).step_by(7) {
-            let p = src.power_at(SimTime::from_secs(m * 60)).watts();
+            let p = src.sample(SimTime::from_secs(m * 60));
             assert!(p >= 0.0, "negative output at minute {m}");
             assert!(p <= 250.0 * 1.15 + 1e-9, "output {p} above scatter ceiling");
         }
@@ -331,12 +289,16 @@ mod tests {
             .days(1)
             .weather(Weather::Clear)
             .seed(2)
-            .build_source();
-        let m = src.mean_power_over(SimTime::from_hours(11), SimTime::from_hours(13));
+            .build();
+        let m = power_over(&src, SimTime::from_hours(11), SimTime::from_hours(13));
         assert!(m.watts() > 300.0);
         // Degenerate window falls back to a point sample.
-        let p = src.mean_power_over(SimTime::from_hours(12), SimTime::from_hours(12));
+        let p = power_over(&src, SimTime::from_hours(12), SimTime::from_hours(12));
         assert!(p.watts() > 300.0);
+        // A window at the end of the clock has a midpoint, not an overflow.
+        let late = SimTime::from_secs(u64::MAX - 60);
+        let w = power_over(&src, late, SimTime::from_secs(u64::MAX));
+        assert_eq!(w.watts(), src.sample(SimTime::from_secs(u64::MAX - 30)));
     }
 
     #[test]
@@ -345,10 +307,10 @@ mod tests {
             .daylight(8.0, 16.0)
             .weather(Weather::Clear)
             .days(1)
-            .build_source();
-        assert_eq!(src.power_at(SimTime::from_hours(7)).watts(), 0.0);
-        assert!(src.power_at(SimTime::from_hours(12)).watts() > 80.0);
-        assert_eq!(src.power_at(SimTime::from_hours(17)).watts(), 0.0);
+            .build();
+        assert_eq!(src.sample(SimTime::from_hours(7)), 0.0);
+        assert!(src.sample(SimTime::from_hours(12)) > 80.0);
+        assert_eq!(src.sample(SimTime::from_hours(17)), 0.0);
     }
 
     #[test]

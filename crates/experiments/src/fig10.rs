@@ -10,11 +10,10 @@
 //! mitigation converts excess solar into runtime improvement with
 //! diminishing returns while energy efficiency falls.
 
-use carbon_intel::service::TraceCarbonService;
 use carbon_policies::{ParallelSolarApp, SolarCapMode};
 use container_cop::CopConfig;
 use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
-use energy_system::solar::{SolarArrayBuilder, TraceSolarSource, Weather};
+use energy_system::solar::{SolarArrayBuilder, Weather};
 use power_telemetry::{csv, metrics};
 use simkit::series::TimeSeries;
 use simkit::trace::Trace;
@@ -114,11 +113,8 @@ fn run_one(
         .scaled(solar_scale);
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(32))
-        .carbon(Box::new(TraceCarbonService::new(
-            "flat",
-            Trace::constant(250.0),
-        )))
-        .solar(Box::new(TraceSolarSource::new(day_trace)))
+        .carbon(Trace::constant(250.0))
+        .solar(day_trace)
         .build();
     let mut sim = Simulation::new(eco);
     let job = SyntheticParallelJob::new(cfg.job.with_stragglers(straggler_prob), cfg.seed ^ 0x77);

@@ -129,10 +129,10 @@ fn run_once(kind: JobKind, mode: BatchMode, arrival: SimTime, seed: u64) -> (f64
     let carbon = CarbonTraceBuilder::new(regions::california())
         .days(10)
         .seed(seed)
-        .build_service();
+        .build();
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(16))
-        .carbon(Box::new(carbon))
+        .carbon(carbon)
         .build();
     let mut sim = Simulation::new(eco);
 
@@ -162,12 +162,12 @@ fn run_once(kind: JobKind, mode: BatchMode, arrival: SimTime, seed: u64) -> (f64
 
 /// Threshold for a run's trace (percentile over the paper's 48 h window).
 fn threshold_for(kind: JobKind, seed: u64) -> CarbonIntensity {
-    let svc = CarbonTraceBuilder::new(regions::california())
+    let carbon = CarbonTraceBuilder::new(regions::california())
         .days(10)
         .seed(seed)
-        .build_service();
+        .build();
     percentile_threshold(
-        &svc,
+        &carbon,
         SimTime::EPOCH,
         SimDuration::from_hours(48),
         SimDuration::from_minutes(5),
@@ -282,12 +282,12 @@ pub struct Fig5Result {
 
 /// Runs the Fig. 5 multi-tenant experiment.
 pub fn run_fig5(seed: u64) -> Fig5Result {
-    let svc = CarbonTraceBuilder::new(regions::california())
+    let carbon = CarbonTraceBuilder::new(regions::california())
         .days(4)
         .seed(seed)
-        .build_service();
+        .build();
     let ml_threshold = percentile_threshold(
-        &svc,
+        &carbon,
         SimTime::EPOCH,
         SimDuration::from_hours(48),
         SimDuration::from_minutes(5),
@@ -295,7 +295,7 @@ pub fn run_fig5(seed: u64) -> Fig5Result {
     )
     .expect("window");
     let blast_threshold = percentile_threshold(
-        &svc,
+        &carbon,
         SimTime::EPOCH,
         SimDuration::from_hours(48),
         SimDuration::from_minutes(5),
@@ -305,7 +305,7 @@ pub fn run_fig5(seed: u64) -> Fig5Result {
 
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(16))
-        .carbon(Box::new(svc))
+        .carbon(carbon)
         .build();
     let mut sim = Simulation::new(eco);
 

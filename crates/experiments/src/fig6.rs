@@ -104,13 +104,13 @@ fn workload_traces(cfg: &Fig6Config) -> (Trace, Trace) {
 }
 
 fn run_policy(cfg: &Fig6Config, static_policy: bool) -> Vec<WebOutcome> {
-    let svc = CarbonTraceBuilder::new(regions::california())
+    let carbon = CarbonTraceBuilder::new(regions::california())
         .days(cfg.hours.div_ceil(24).max(2))
         .seed(cfg.seed)
-        .build_service();
+        .build();
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(16))
-        .carbon(Box::new(svc))
+        .carbon(carbon)
         .build();
     let mut sim = Simulation::new(eco);
     let (w1, w2) = workload_traces(cfg);
@@ -196,10 +196,10 @@ pub fn run(cfg: Fig6Config) -> Fig6Result {
     outcomes.extend(run_policy(&cfg, false));
 
     // The intensity/workload context series (identical across policies).
-    let svc = CarbonTraceBuilder::new(regions::california())
+    let carbon = CarbonTraceBuilder::new(regions::california())
         .days(cfg.hours.div_ceil(24).max(2))
         .seed(cfg.seed)
-        .build_service();
+        .build();
     let (w1, w2) = workload_traces(&cfg);
     let to_series = |trace: &Trace| -> TimeSeries {
         (0..cfg.hours * 12)
@@ -209,16 +209,9 @@ pub fn run(cfg: Fig6Config) -> Fig6Result {
             })
             .collect()
     };
-    let intensity: TimeSeries = (0..cfg.hours * 12)
-        .map(|i| {
-            let at = SimTime::from_secs(i * 300);
-            use carbon_intel::CarbonService;
-            (at, svc.current_intensity(at).grams_per_kwh())
-        })
-        .collect();
 
     Fig6Result {
-        intensity,
+        intensity: to_series(&carbon),
         workloads: (to_series(&w1), to_series(&w2)),
         outcomes,
     }

@@ -9,7 +9,6 @@
 //! scaling). Fig. 9 shows each app's virtual-battery state of charge and
 //! charge/discharge patterns under the dynamic policies.
 
-use carbon_intel::service::TraceCarbonService;
 use carbon_policies::{SolarWebApp, SolarWebMode, SparkApp, SparkMode};
 use container_cop::CopConfig;
 use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
@@ -99,14 +98,11 @@ fn run_policy(cfg: &Fig8Config, dynamic: bool) -> (Fig8Run, TimeSeries, TimeSeri
         .days(cfg.days + 1)
         .weather(Weather::Mixed)
         .seed(cfg.seed)
-        .build_source();
+        .build();
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(24))
-        .carbon(Box::new(TraceCarbonService::new(
-            "flat",
-            Trace::constant(300.0),
-        )))
-        .solar(Box::new(solar))
+        .carbon(Trace::constant(300.0))
+        .solar(solar)
         .build();
     let mut sim = Simulation::new(eco);
 

@@ -5,8 +5,8 @@
 //!
 //! * [`run`] — the fuzzer proper. [`generate`] draws random
 //!   [`ScenarioSpec`]s from the whole spec space (tenant counts,
-//!   workload/policy mixes, carbon regions, solar regimes, battery
-//!   sizes, outbox caps, credential sets with mid-day rotations,
+//!   workload/policy mixes, excess-solar policies, carbon regions,
+//!   solar regimes, battery sizes, outbox caps, credential sets with mid-day rotations,
 //!   checkpoint cadences, restore plans, mid-day federated migration
 //!   plans) and drives each candidate
 //!   through the full record → verify matrix — a replay from the start
@@ -161,10 +161,10 @@ pub fn generate(seed: u64, index: u64) -> Candidate {
     let ticks = rng.uniform_u64(8, 37);
     let tick_minutes = [15, 30, 60][rng.uniform_u64(0, 3) as usize];
     let servers = rng.uniform_u64(4, 17) as u32;
-    let excess = if rng.chance(0.3) {
-        ExcessPolicy::Redistribute
-    } else {
-        ExcessPolicy::Curtail
+    let excess = match rng.unit() {
+        u if u < 0.3 => ExcessPolicy::Redistribute,
+        u if u < 0.45 => ExcessPolicy::NetMeter,
+        _ => ExcessPolicy::Curtail,
     };
 
     let carbon = match rng.uniform_u64(0, 4) {

@@ -11,7 +11,6 @@
 //!   (the [`carbon_policies`] §5 suite plus the scripted driver). Only
 //!   the recorder needs these.
 
-use carbon_intel::service::{ConstantCarbonService, TraceCarbonService};
 use carbon_policies::arbitrage::ArbitrageApp;
 use carbon_policies::{BatchApp, SparkApp, WebApp};
 use container_cop::{AppId, ContainerId, ContainerSpec, CopConfig};
@@ -19,8 +18,8 @@ use ecovisor::{
     Application, Ecovisor, EcovisorBuilder, EcovisorClient, EnergyClient, OutboxPolicy,
 };
 use energy_system::battery::{Battery, BatterySpec};
-use energy_system::solar::TraceSolarSource;
 use simkit::time::{SimDuration, SimTime};
+use simkit::trace::Trace;
 use simkit::units::{CarbonIntensity, Co2Grams, WattHours, Watts};
 use workloads::batch::BatchJob;
 use workloads::spark::SparkJob;
@@ -47,25 +46,20 @@ pub fn build_ecovisor(spec: &ScenarioSpec) -> Result<(Ecovisor, Vec<AppId>), Har
         .excess(spec.excess);
 
     builder = match &spec.carbon {
-        CarbonSpec::Constant { grams_per_kwh } => builder.carbon(Box::new(
-            ConstantCarbonService::new("flat", CarbonIntensity::new(*grams_per_kwh)),
-        )),
-        CarbonSpec::Region { region, days, seed } => builder.carbon(Box::new(
+        CarbonSpec::Constant { grams_per_kwh } => builder.carbon(Trace::constant(*grams_per_kwh)),
+        CarbonSpec::Region { region, days, seed } => builder.carbon(
             carbon_intel::CarbonTraceBuilder::new(region.profile())
                 .days(*days)
                 .seed(*seed)
-                .build_service(),
-        )),
-        CarbonSpec::Trace(trace) => builder.carbon(Box::new(TraceCarbonService::new(
-            "spec-trace",
-            trace.clone(),
-        ))),
+                .build(),
+        ),
+        CarbonSpec::Trace(trace) => builder.carbon(trace.clone()),
     };
 
     builder = match &spec.solar {
         SolarSpec::None => builder,
-        SolarSpec::Array(array) => builder.solar(Box::new(array.build_source())),
-        SolarSpec::Trace(trace) => builder.solar(Box::new(TraceSolarSource::new(trace.clone()))),
+        SolarSpec::Array(array) => builder.solar(array.build()),
+        SolarSpec::Trace(trace) => builder.solar(trace.clone()),
     };
 
     if let Some(wh) = spec.battery_capacity_wh {

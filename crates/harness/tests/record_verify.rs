@@ -337,27 +337,37 @@ fn resumed_recording_is_deterministic_and_verifies() {
 #[test]
 fn every_builtin_records_and_verifies_when_shrunk() {
     for name in corpus::names() {
-        let mut spec = corpus::builtin(name).expect("builtin");
-        spec.ticks = spec.ticks.min(8);
-        // Shrinking the horizon can strand mid-day choreography: drop
-        // rotations and restore plans that now fall past the day.
-        for cred in &mut spec.credentials {
-            if cred.rotation.as_ref().is_some_and(|r| r.tick >= spec.ticks) {
-                cred.rotation = None;
+        let mut shrunk = corpus::builtin(name).expect("builtin");
+        shrunk.ticks = shrunk.ticks.min(8);
+        let day = shrunk.ticks;
+        // A late clock: the second tick starts past 2^63 s, so a tick
+        // window's midpoint must not be taken as `(from + to) / 2`.
+        let mut late = shrunk.clone();
+        late.ticks = 2;
+        late.tick_minutes = u64::MAX / 120;
+        for (case, mut spec, horizon) in [("shrunk", shrunk, day), ("late", late, 0)] {
+            // Shrinking the horizon can strand mid-day choreography: drop
+            // rotations and restore plans that now fall past it (on the
+            // late clock, all of them).
+            let past = |tick: u64| tick >= horizon;
+            for cred in &mut spec.credentials {
+                if cred.rotation.as_ref().is_some_and(|r| past(r.tick)) {
+                    cred.rotation = None;
+                }
             }
+            if spec.restore.as_ref().is_some_and(|r| past(r.tick)) {
+                spec.restore = None;
+            }
+            if spec.migration.as_ref().is_some_and(|m| past(m.tick)) {
+                spec.migration = None;
+            }
+            let artifact = record(&spec).unwrap_or_else(|e| panic!("record {name} {case}: {e}"));
+            let report = verify(&artifact).unwrap_or_else(|e| panic!("verify {name} {case}: {e}"));
+            assert!(
+                report.passed(),
+                "{name} {case} failed: {:#?}",
+                report.failures()
+            );
         }
-        if spec.restore.as_ref().is_some_and(|r| r.tick >= spec.ticks) {
-            spec.restore = None;
-        }
-        if spec
-            .migration
-            .as_ref()
-            .is_some_and(|m| m.tick >= spec.ticks)
-        {
-            spec.migration = None;
-        }
-        let artifact = record(&spec).unwrap_or_else(|e| panic!("record {name}: {e}"));
-        let report = verify(&artifact).unwrap_or_else(|e| panic!("verify {name}: {e}"));
-        assert!(report.passed(), "{name} failed: {:#?}", report.failures());
     }
 }

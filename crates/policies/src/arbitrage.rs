@@ -86,7 +86,6 @@ impl Application for ArbitrageApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carbon_intel::service::TraceCarbonService;
     use container_cop::CopConfig;
     use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
     use simkit::time::SimDuration;
@@ -94,13 +93,10 @@ mod tests {
     use simkit::units::WattHours;
 
     /// Carbon square wave: 6 h clean (50), 6 h dirty (400).
-    fn wave_carbon() -> Box<TraceCarbonService> {
+    fn wave_carbon() -> Trace {
         let mut samples = vec![50.0; 6 * 12];
         samples.extend(vec![400.0; 6 * 12]);
-        Box::new(TraceCarbonService::new(
-            "wave",
-            Trace::from_samples(samples, SimDuration::from_minutes(5)).with_extend(Extend::Cycle),
-        ))
+        Trace::from_samples(samples, SimDuration::from_minutes(5)).with_extend(Extend::Cycle)
     }
 
     fn run(arbitrage: bool) -> f64 {

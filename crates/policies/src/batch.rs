@@ -218,29 +218,21 @@ impl Application for BatchApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carbon_intel::service::TraceCarbonService;
     use container_cop::CopConfig;
     use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
     use simkit::time::SimDuration;
     use simkit::trace::Trace;
     use workloads::scaling::LinearScaling;
 
-    fn flat_carbon(v: f64) -> Box<TraceCarbonService> {
-        Box::new(TraceCarbonService::new("flat", Trace::constant(v)))
-    }
-
-    fn square_wave_carbon(low: f64, high: f64, period_min: u64) -> Box<TraceCarbonService> {
+    fn square_wave_carbon(low: f64, high: f64, period_min: u64) -> Trace {
         let half = (period_min / 2) as usize;
         let mut samples = vec![low; half];
         samples.extend(vec![high; half]);
-        Box::new(TraceCarbonService::new(
-            "wave",
-            Trace::from_samples(samples, SimDuration::from_minutes(1))
-                .with_extend(simkit::trace::Extend::Cycle),
-        ))
+        Trace::from_samples(samples, SimDuration::from_minutes(1))
+            .with_extend(simkit::trace::Extend::Cycle)
     }
 
-    fn sim_with(carbon: Box<TraceCarbonService>) -> Simulation {
+    fn sim_with(carbon: Trace) -> Simulation {
         Simulation::new(
             EcovisorBuilder::new()
                 .cluster(CopConfig::microserver_cluster(16))
@@ -251,7 +243,7 @@ mod tests {
 
     #[test]
     fn carbon_agnostic_runs_straight_through() {
-        let mut sim = sim_with(flat_carbon(300.0));
+        let mut sim = sim_with(Trace::constant(300.0));
         // 1 core-hour on 4 cores = 15 minutes.
         let job = BatchJob::new(1.0, Box::new(LinearScaling));
         let app = BatchApp::new("agnostic", job, BatchMode::CarbonAgnostic, 1, 4);
@@ -316,7 +308,7 @@ mod tests {
 
     #[test]
     fn arrival_delays_start() {
-        let mut sim = sim_with(flat_carbon(100.0));
+        let mut sim = sim_with(Trace::constant(100.0));
         let job = BatchJob::new(0.5, Box::new(LinearScaling));
         let app = BatchApp::new("d", job, BatchMode::CarbonAgnostic, 1, 4)
             .with_arrival(SimTime::from_secs(600));
@@ -329,7 +321,7 @@ mod tests {
 
     #[test]
     fn containers_released_after_completion() {
-        let mut sim = sim_with(flat_carbon(100.0));
+        let mut sim = sim_with(Trace::constant(100.0));
         let job = BatchJob::new(0.25, Box::new(LinearScaling));
         let app = BatchApp::new("r", job, BatchMode::CarbonAgnostic, 2, 4);
         let ids = {

@@ -380,7 +380,6 @@ impl Application for SolarWebApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carbon_intel::service::TraceCarbonService;
     use container_cop::CopConfig;
     use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
     use energy_system::solar::{SolarArrayBuilder, Weather};
@@ -392,17 +391,14 @@ mod tests {
         Simulation::new(
             EcovisorBuilder::new()
                 .cluster(CopConfig::microserver_cluster(16))
-                .carbon(Box::new(TraceCarbonService::new(
-                    "flat",
-                    Trace::constant(300.0),
-                )))
-                .solar(Box::new(
+                .carbon(Trace::constant(300.0))
+                .solar(
                     SolarArrayBuilder::new(rated)
                         .days(4)
                         .weather(Weather::Clear)
                         .seed(11)
-                        .build_source(),
-                ))
+                        .build(),
+                )
                 .build(),
         )
     }

@@ -210,10 +210,8 @@ impl Application for ParallelSolarApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carbon_intel::service::TraceCarbonService;
     use container_cop::CopConfig;
     use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
-    use energy_system::solar::TraceSolarSource;
     use simkit::trace::Trace;
     use workloads::parallel::ParallelConfig;
 
@@ -221,11 +219,8 @@ mod tests {
         Simulation::new(
             EcovisorBuilder::new()
                 .cluster(CopConfig::microserver_cluster(24))
-                .carbon(Box::new(TraceCarbonService::new(
-                    "flat",
-                    Trace::constant(200.0),
-                )))
-                .solar(Box::new(TraceSolarSource::new(Trace::constant(watts))))
+                .carbon(Trace::constant(200.0))
+                .solar(Trace::constant(watts))
                 .build(),
         )
     }

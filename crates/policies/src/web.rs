@@ -267,20 +267,15 @@ impl Application for WebApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carbon_intel::service::TraceCarbonService;
     use container_cop::CopConfig;
     use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
     use simkit::time::SimDuration;
-
-    fn flat_carbon(v: f64) -> Box<TraceCarbonService> {
-        Box::new(TraceCarbonService::new("flat", Trace::constant(v)))
-    }
 
     fn sim(carbon_gpkwh: f64) -> Simulation {
         Simulation::new(
             EcovisorBuilder::new()
                 .cluster(CopConfig::microserver_cluster(16))
-                .carbon(flat_carbon(carbon_gpkwh))
+                .carbon(Trace::constant(carbon_gpkwh))
                 .build(),
         )
     }

@@ -14,12 +14,12 @@ use ecovisor_suite::workloads::mltrain::ml_training_job;
 
 fn main() {
     // Threshold: 30th percentile of intensity over a 48 h window (§5.1.1).
-    let svc = CarbonTraceBuilder::new(regions::california())
+    let carbon = CarbonTraceBuilder::new(regions::california())
         .days(8)
         .seed(7)
-        .build_service();
+        .build();
     let threshold = percentile_threshold(
-        &svc,
+        &carbon,
         SimTime::EPOCH,
         SimDuration::from_hours(48),
         SimDuration::from_minutes(5),
@@ -49,10 +49,10 @@ fn main() {
         let carbon = CarbonTraceBuilder::new(regions::california())
             .days(8)
             .seed(7)
-            .build_service();
+            .build();
         let eco = EcovisorBuilder::new()
             .cluster(CopConfig::microserver_cluster(16))
-            .carbon(Box::new(carbon))
+            .carbon(carbon)
             .build();
         let mut sim = Simulation::new(eco);
         let app = BatchApp::new("ml", ml_training_job(), mode, 1, 4);

@@ -49,10 +49,10 @@ fn main() {
     let carbon = CarbonTraceBuilder::new(regions::california())
         .days(2)
         .seed(42)
-        .build_service();
+        .build();
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(16))
-        .carbon(Box::new(carbon))
+        .carbon(carbon)
         .build();
     let mut sim = Simulation::new(eco);
 

@@ -101,10 +101,10 @@ fn main() {
     let carbon = CarbonTraceBuilder::new(regions::california())
         .days(1)
         .seed(42)
-        .build_service();
+        .build();
     let mut eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(16))
-        .carbon(Box::new(carbon))
+        .carbon(carbon)
         .build();
     let app = eco
         .register_app(

@@ -6,7 +6,6 @@
 //! cargo run --release --example solar_microgrid
 //! ```
 
-use ecovisor_suite::carbon_intel::service::TraceCarbonService;
 use ecovisor_suite::carbon_policies::{SolarWebApp, SolarWebMode, SparkApp, SparkMode};
 use ecovisor_suite::container_cop::CopConfig;
 use ecovisor_suite::ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
@@ -23,14 +22,11 @@ fn main() {
         .days(4)
         .weather(Weather::Mixed)
         .seed(5)
-        .build_source();
+        .build();
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(24))
-        .carbon(Box::new(TraceCarbonService::new(
-            "grid",
-            Trace::constant(300.0),
-        )))
-        .solar(Box::new(solar))
+        .carbon(Trace::constant(300.0))
+        .solar(solar)
         .build();
     let mut sim = Simulation::new(eco);
 

@@ -5,14 +5,12 @@
 //! responses and identical end state through either path, and every
 //! state change a typed call makes is in the protocol trace.
 
-use ecovisor_suite::carbon_intel::service::TraceCarbonService;
 use ecovisor_suite::container_cop::{ContainerSpec, CopConfig};
 use ecovisor_suite::ecovisor::proto::{EnergyRequest, EnergyResponse, ProtoError, RequestBatch};
 use ecovisor_suite::ecovisor::{
     Application, EcovisorBuilder, EcovisorClient, EcovisorError, EnergyClient, EnergyShare,
     Simulation,
 };
-use ecovisor_suite::energy_system::solar::TraceSolarSource;
 use ecovisor_suite::simkit::time::SimTime;
 use ecovisor_suite::simkit::trace::Trace;
 use ecovisor_suite::simkit::units::{WattHours, Watts};
@@ -25,11 +23,8 @@ impl Application for Idle {
 fn sim() -> Simulation {
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(8))
-        .carbon(Box::new(TraceCarbonService::new(
-            "flat",
-            Trace::constant(250.0),
-        )))
-        .solar(Box::new(TraceSolarSource::new(Trace::constant(60.0))))
+        .carbon(Trace::constant(250.0))
+        .solar(Trace::constant(60.0))
         .build();
     Simulation::new(eco)
 }
@@ -111,7 +106,7 @@ fn solar_is_known_one_tick_ahead() {
     );
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(4))
-        .solar(Box::new(TraceSolarSource::new(solar)))
+        .solar(solar)
         .build();
     let mut s = Simulation::new(eco);
     let app = s

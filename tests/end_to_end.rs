@@ -24,16 +24,16 @@ fn heterogeneous_multi_tenant_day() {
     let carbon = CarbonTraceBuilder::new(regions::california())
         .days(3)
         .seed(99)
-        .build_service();
+        .build();
     let solar = SolarArrayBuilder::new(100.0)
         .days(3)
         .weather(Weather::Mixed)
         .seed(99)
-        .build_source();
+        .build();
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(32))
-        .carbon(Box::new(carbon))
-        .solar(Box::new(solar))
+        .carbon(carbon)
+        .solar(solar)
         .excess(ExcessPolicy::Redistribute)
         .build();
     let mut sim = Simulation::new(eco);
@@ -139,10 +139,10 @@ fn end_to_end_determinism() {
         let carbon = CarbonTraceBuilder::new(regions::california())
             .days(2)
             .seed(5)
-            .build_service();
+            .build();
         let eco = EcovisorBuilder::new()
             .cluster(CopConfig::microserver_cluster(8))
-            .carbon(Box::new(carbon))
+            .carbon(carbon)
             .build();
         let mut sim = Simulation::new(eco);
         let web = WebApp::new(

@@ -1,13 +1,11 @@
 //! Table 2 conformance: the library layer's interval queries, carbon
 //! rates/budgets, and notification upcalls, end to end.
 
-use ecovisor_suite::carbon_intel::service::TraceCarbonService;
 use ecovisor_suite::container_cop::{ContainerSpec, CopConfig};
 use ecovisor_suite::ecovisor::{
     Application, EcovisorBuilder, EcovisorClient, EnergyClient, EnergyShare, Notification,
     Simulation,
 };
-use ecovisor_suite::energy_system::solar::TraceSolarSource;
 use ecovisor_suite::simkit::time::{SimDuration, SimTime};
 use ecovisor_suite::simkit::trace::Trace;
 use ecovisor_suite::simkit::units::{CarbonRate, Co2Grams, WattHours, Watts};
@@ -27,10 +25,7 @@ impl Application for TwoContainers {
 fn interval_energy_and_carbon_queries() {
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(8))
-        .carbon(Box::new(TraceCarbonService::new(
-            "flat",
-            Trace::constant(1000.0),
-        )))
+        .carbon(Trace::constant(1000.0))
         .build();
     let mut s = Simulation::new(eco);
     let app = s
@@ -71,10 +66,7 @@ fn interval_energy_and_carbon_queries() {
 fn carbon_rate_and_budget_tracking() {
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(4))
-        .carbon(Box::new(TraceCarbonService::new(
-            "flat",
-            Trace::constant(500.0),
-        )))
+        .carbon(Trace::constant(500.0))
         .build();
     let mut s = Simulation::new(eco);
     let app = s
@@ -140,8 +132,8 @@ fn notify_upcalls_fire() {
         .with_extend(ecovisor_suite::simkit::trace::Extend::Cycle);
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(4))
-        .solar(Box::new(TraceSolarSource::new(solar)))
-        .carbon(Box::new(TraceCarbonService::new("wave", carbon)))
+        .solar(solar)
+        .carbon(carbon)
         .build();
     let mut s = Simulation::new(eco);
     let collector = ecovisor_suite::carbon_policies::shared(Collector::default());
