@@ -589,6 +589,168 @@ mod tests {
         }
     }
 
+    /// Five tenants under `excess`: a full battery with spare solar, a
+    /// carbon-rate-limited one, a small carbon budget, an empty battery
+    /// that takes redistributed solar, and a small one. Every tenant
+    /// starts with two containers.
+    fn twin_world(excess: crate::config::ExcessPolicy) -> (Ecovisor, Vec<AppId>) {
+        use simkit::time::SimDuration;
+        use simkit::trace::Trace;
+        use simkit::units::{CarbonRate, Co2Grams, WattHours};
+        let solar = [
+            0.0, 40.0, 90.0, 140.0, 60.0, 10.0, 120.0, 150.0, 30.0, 0.0, 80.0, 110.0,
+        ];
+        let carbon = [200.0, 420.0, 180.0, 390.0, 210.0, 450.0];
+        let mut eco = EcovisorBuilder::new()
+            .solar(Trace::from_samples(
+                solar.to_vec(),
+                SimDuration::from_minutes(1),
+            ))
+            .carbon(Trace::from_samples(
+                carbon.to_vec(),
+                SimDuration::from_minutes(1),
+            ))
+            .excess(excess)
+            .build();
+        let shares = [
+            solar_share(0.3)
+                .with_battery(WattHours::new(100.0))
+                .with_initial_soc(1.0),
+            solar_share(0.2),
+            EnergyShare::grid_only(),
+            solar_share(0.2)
+                .with_battery(WattHours::new(200.0))
+                .with_initial_soc(0.1),
+            solar_share(0.1)
+                .with_battery(WattHours::new(50.0))
+                .with_initial_soc(0.5),
+        ];
+        let ids: Vec<AppId> = shares
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| eco.register_app(format!("t{i}"), s).expect("fits"))
+            .collect();
+        use crate::client::EnergyClient;
+        for (i, &app) in ids.iter().enumerate() {
+            let mut api = eco.client(app).expect("registered");
+            for demand in [1.0, 0.25 * i as f64] {
+                let c = api.launch_container(ContainerSpec::quad_core()).unwrap();
+                api.set_container_demand(c, demand).unwrap();
+            }
+            match i {
+                1 => api.set_carbon_rate(Some(CarbonRate::new(1e-5))),
+                2 => api.set_carbon_budget(Some(Co2Grams::new(0.08))),
+                _ => {}
+            }
+        }
+        (eco, ids)
+    }
+
+    /// What tenants do with their containers before tick `t`: launches,
+    /// suspensions, resumptions and stops, so the live set a settlement
+    /// reads changes under it. Every world holding `app` does the same,
+    /// from the same container-id cursor as `whole`.
+    fn churn(t: usize, ids: &[AppId], whole: &mut Ecovisor, others: &mut [&mut Ecovisor]) {
+        use crate::client::EnergyClient;
+        let (app, verb) = match t {
+            0 | 3 | 6 | 9 => (ids[t % 5], "launch"),
+            2 => (ids[0], "suspend"),
+            5 => (ids[0], "resume"),
+            4 | 8 => (ids[t / 2 - 1], "stop"),
+            _ => return,
+        };
+        let act = |eco: &mut Ecovisor, app| {
+            let first = eco.cop().container_ids_of(app)[0];
+            let mut api = eco.client(app).unwrap();
+            match verb {
+                "launch" => {
+                    let c = api.launch_container(ContainerSpec::quad_core()).unwrap();
+                    api.set_container_demand(c, 0.6).unwrap();
+                }
+                "suspend" => api.suspend_container(first).unwrap(),
+                "resume" => api.resume_container(first).unwrap(),
+                _ => api.stop_container(first).unwrap(),
+            }
+        };
+        let cursor = whole.cop().next_container_id();
+        act(whole, app);
+        for eco in others.iter_mut().filter(|eco| eco.apps.contains_key(&app)) {
+            lock::get_mut(&mut eco.cop)
+                .align_container_id(cursor)
+                .unwrap();
+            act(eco, app);
+        }
+    }
+
+    /// A tick settles the same through both doors: `tick` on one world,
+    /// `collect_demand` + `finish_tick` on its twin, and the same two
+    /// halves on a two-node split over the merged view list.
+    #[test]
+    fn one_settlement_through_both_doors() {
+        use crate::config::ExcessPolicy;
+        for excess in [
+            ExcessPolicy::Curtail,
+            ExcessPolicy::NetMeter,
+            ExcessPolicy::Redistribute,
+        ] {
+            let (mut whole, ids) = twin_world(excess);
+            let (mut single, _) = twin_world(excess);
+            let (mut left, _) = twin_world(excess);
+            let (mut right, _) = twin_world(excess);
+            for (i, &app) in ids.iter().enumerate() {
+                let shed = if i % 2 == 0 { &mut right } else { &mut left };
+                shed.remove_app(app).unwrap();
+            }
+            let mut redistributed = Watts::ZERO;
+            for t in 0..12 {
+                churn(
+                    t,
+                    &ids,
+                    &mut whole,
+                    &mut [&mut single, &mut left, &mut right],
+                );
+                let (flows, ()) = whole.tick(|_| ());
+                redistributed += flows.redistributed;
+
+                let views = single.collect_demand();
+                let (single_flows, ()) = single.finish_tick(&views, |_| ()).unwrap();
+                assert_eq!(single_flows, flows, "{excess:?} tick {t}");
+                assert_eq!(
+                    single.snapshot().digest(),
+                    whole.snapshot().digest(),
+                    "{excess:?} tick {t}"
+                );
+
+                let mut merged = left.collect_demand();
+                merged.extend(right.collect_demand());
+                merged.sort_by_key(|v| v.app);
+                for node in [&mut left, &mut right] {
+                    let (node_flows, ()) = node.finish_tick(&merged, |_| ()).unwrap();
+                    assert_eq!(node_flows, flows, "{excess:?} tick {t}");
+                    for app in node.app_ids() {
+                        assert_eq!(node.app_flows(app).unwrap(), whole.app_flows(app).unwrap());
+                        assert_eq!(
+                            node.app_totals(app).unwrap(),
+                            whole.app_totals(app).unwrap()
+                        );
+                    }
+                }
+            }
+            let budgeted = lock::read(whole.shard(ids[2]).unwrap())
+                .rec
+                .budget_exhausted;
+            assert!(budgeted, "{excess:?}: the budget was crossed");
+            let capped = !lock::read(whole.shard(ids[1]).unwrap())
+                .rec
+                .carbon_capped
+                .is_empty();
+            assert!(capped, "{excess:?}: the rate limit capped containers");
+            if excess == ExcessPolicy::Redistribute {
+                assert!(redistributed > Watts::ZERO, "solar was redistributed");
+            }
+        }
+    }
+
     #[test]
     fn removed_app_answers_unknown_and_frees_shares() {
         let (mut eco, a, b) = eco_with_two_tenants();
