@@ -62,20 +62,22 @@ impl Ecovisor {
     /// that share implies, charged within its capacity; carbon caps only
     /// on the record's own carried containers. Over all of them, in id
     /// order, residents first: solar fractions within the array and
-    /// battery capacities within **this** ecovisor's bank.
+    /// battery capacities within **this** ecovisor's bank. Returns those
+    /// two sums. The residents' are [`Ecovisor::resident_shares`] when
+    /// kept, folded here when not.
     pub(crate) fn admit(
         &mut self,
         incoming: &[AppSnapshot],
         beside_residents: bool,
         carried: &BTreeMap<ContainerId, AppId>,
-    ) -> Result<(), Refusal> {
-        let mut solar_total = 0.0;
-        let mut battery_total = WattHours::ZERO;
+    ) -> Result<(f64, WattHours), Refusal> {
+        let kept = self.resident_shares.filter(|_| beside_residents);
+        let (mut solar_total, mut battery_total) = kept.unwrap_or((0.0, WattHours::ZERO));
         let mut hold = |share: &crate::EnergyShare| {
             solar_total += share.solar_fraction;
             battery_total += share.battery_capacity;
         };
-        if beside_residents {
+        if beside_residents && kept.is_none() {
             for shard in self.apps.values_mut() {
                 hold(lock::get_mut(shard).rec.ves.share());
             }
@@ -132,6 +134,71 @@ impl Ecovisor {
                 "battery capacity shares would sum to {battery_total}"
             )));
         }
-        Ok(())
+        Ok((solar_total, battery_total))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EcovisorBuilder, EnergyShare};
+
+    /// The residents' sums, folded afresh in id order.
+    fn fresh_fold(eco: &mut Ecovisor) -> (u64, u64) {
+        let (mut solar, mut battery) = (0.0, WattHours::ZERO);
+        for shard in eco.apps.values_mut() {
+            let share = lock::get_mut(shard).rec.ves.share();
+            solar += share.solar_fraction;
+            battery += share.battery_capacity;
+        }
+        (solar.to_bits(), battery.watt_hours().to_bits())
+    }
+
+    fn kept(eco: &Ecovisor) -> Option<(u64, u64)> {
+        eco.resident_shares
+            .map(|(solar, battery)| (solar.to_bits(), battery.watt_hours().to_bits()))
+    }
+
+    /// Kept sums are the fresh fold bit for bit, whatever registrations,
+    /// evictions, grafts and restores came before.
+    #[test]
+    fn kept_resident_sums_are_the_id_order_fold() {
+        let share = |i: u32| {
+            EnergyShare::grid_only()
+                .with_solar_fraction(0.013 + f64::from(i % 7) * 0.0011)
+                .with_battery(WattHours::new(1.3 + f64::from(i % 5) * 0.7))
+        };
+        let mut eco = EcovisorBuilder::new().build();
+        let mut twin = EcovisorBuilder::new().build();
+        let mut ids = Vec::new();
+        for i in 0..40 {
+            ids.push(eco.register_app(format!("t{i}"), share(i)).unwrap());
+            twin.register_app(format!("t{i}"), share(i)).unwrap();
+            assert_eq!(kept(&eco), Some(fresh_fold(&mut eco)), "register {i}");
+            if i % 9 == 8 {
+                eco.remove_app(ids[i as usize / 2]).unwrap();
+                assert_eq!(kept(&eco), None, "an eviction drops the sums");
+            }
+        }
+        // A graft below the residents' ids, then registrations beside it.
+        let low = ids[4];
+        let snap = twin.extract_app(low).unwrap();
+        eco.graft_app(&snap).unwrap();
+        assert_eq!(kept(&eco), None, "a graft drops the sums");
+        for i in 40..44 {
+            eco.register_app(format!("t{i}"), share(i)).unwrap();
+            assert_eq!(kept(&eco), Some(fresh_fold(&mut eco)), "register {i}");
+        }
+        // A restore of an older world, then a registration beside it.
+        let old = twin.snapshot();
+        eco.apply_snapshot(&old).unwrap();
+        assert_eq!(kept(&eco), Some(fresh_fold(&mut eco)), "restore");
+        eco.register_app("after", share(3)).unwrap();
+        assert_eq!(kept(&eco), Some(fresh_fold(&mut eco)), "after restore");
+        // A refused registration leaves the kept sums as they were.
+        let before = kept(&eco);
+        let hog = EnergyShare::grid_only().with_solar_fraction(0.9);
+        assert!(eco.register_app("hog", hog).is_err());
+        assert_eq!(kept(&eco), before);
     }
 }

@@ -51,7 +51,7 @@ use crate::federation::FedAppView;
 use crate::lock;
 use crate::share::EnergyShare;
 use crate::snapshot::AppSnapshot;
-use crate::ves::{DesiredFlows, VesFlows, VesTotals, VirtualEnergySystem};
+use crate::ves::{VesFlows, VesTotals, VirtualEnergySystem};
 
 /// One application's shard: its state behind its own lock, so traffic
 /// from different tenants executes in parallel.
@@ -178,6 +178,12 @@ pub struct Ecovisor {
     pub(crate) tsdb: RwLock<Tsdb>,
     pub(crate) apps: BTreeMap<AppId, Shard>,
     pub(crate) next_app: u32,
+    /// The residents' solar fractions and battery capacities summed in
+    /// id order, as [`Ecovisor::admit`] folds them. A registration and a
+    /// restore keep what their admission summed; a graft (whose id may
+    /// sort below a resident's) and an eviction drop them, and the next
+    /// admission folds again.
+    pub(crate) resident_shares: Option<(f64, WattHours)>,
     pub(crate) intensity: CarbonIntensity,
     pub(crate) prev_intensity: CarbonIntensity,
     pub(crate) last_system_flows: SystemFlows,
@@ -223,6 +229,7 @@ impl Ecovisor {
             tsdb: RwLock::new(Tsdb::new()),
             apps: BTreeMap::new(),
             next_app: 1,
+            resident_shares: None,
             intensity: CarbonIntensity::ZERO,
             prev_intensity: CarbonIntensity::ZERO,
             last_system_flows: SystemFlows::default(),
@@ -273,7 +280,10 @@ impl Ecovisor {
             carbon_capped: Vec::new(),
             budget_exhausted: false,
         };
-        self.admit(std::slice::from_ref(&rec), true, &BTreeMap::new())?;
+        // Its id is above every resident's, so the sums over all of them
+        // are the id-order fold the next admission starts from.
+        self.resident_shares =
+            Some(self.admit(std::slice::from_ref(&rec), true, &BTreeMap::new())?);
         let id = rec.app;
         self.next_app += 1;
         self.apps.insert(id, RwLock::new(AppState::install(rec)));
@@ -373,33 +383,65 @@ impl Ecovisor {
     /// ([`take_event_frame`](Self::take_event_frame)) carry the stamp of
     /// the settlement that produced them.
     ///
-    /// This is the only place the tick order is written: every driver
-    /// — [`Simulation`](crate::sim::Simulation) (which the recorder
-    /// runs), replay and [`ShardedEcovisor`](crate::shard::ShardedEcovisor)
-    /// — calls it.
+    /// The tick order is written once, for both doors: every driver —
+    /// [`Simulation`](crate::sim::Simulation) (which the recorder runs),
+    /// replay and [`ShardedEcovisor`](crate::shard::ShardedEcovisor) —
+    /// calls it, and a federated node's second half
+    /// ([`ShardedEcovisor::fed_settle`](crate::shard::ShardedEcovisor::fed_settle))
+    /// runs the same order over the merged view list. A local tick
+    /// builds no demand views.
     pub fn tick<R>(&mut self, between: impl FnOnce(&Ecovisor) -> R) -> (SystemFlows, R) {
-        let views = self.collect_demand();
-        self.finish_tick(&views, between)
-            .expect("own demand views are complete and ordered")
+        self.tick_over(None, between)
     }
 
-    /// The second half of [`tick`](Self::tick), over a view list a
-    /// federation coordinator merged: settles `views`, runs `between`,
-    /// advances the clock.
+    /// The second half of a **federated** tick, over a view list a
+    /// coordinator merged from every node's
+    /// [`collect_demand`](Self::collect_demand): checks the list, then
+    /// runs [`tick`](Self::tick) with the views as the demand.
     ///
     /// # Errors
     ///
-    /// Everything [`Self::settle_with_views`] rejects; `between` does not
-    /// run and the clock stays at the unsettled tick.
+    /// [`EcovisorError::Protocol`] when the views are not strictly
+    /// ascending by app id or a locally registered app is missing;
+    /// nothing is settled, `between` does not run and the clock stays at
+    /// the unsettled tick.
     pub(crate) fn finish_tick<R>(
         &mut self,
         views: &[FedAppView],
         between: impl FnOnce(&Ecovisor) -> R,
     ) -> Result<(SystemFlows, R)> {
-        let flows = self.settle_with_views(views)?;
+        if let Some(w) = views.windows(2).find(|w| w[1].app <= w[0].app) {
+            return Err(EcovisorError::Protocol(format!(
+                "demand views must be strictly ascending by app id \
+                 (saw {} after {})",
+                w[1].app, w[0].app
+            )));
+        }
+        // Both lists ascend, so one pass finds every local app among the
+        // views; what sorts below the next local id is a remote app.
+        let mut shipped = views.iter().map(|v| v.app).peekable();
+        for &id in self.apps.keys() {
+            while shipped.next_if(|&v| v < id).is_some() {}
+            if shipped.next_if_eq(&id).is_none() {
+                return Err(EcovisorError::Protocol(format!(
+                    "demand views are missing local app {id}"
+                )));
+            }
+        }
+        Ok(self.tick_over(Some(views), between))
+    }
+
+    /// Settles, runs `between`, advances the clock: the tick order of
+    /// [`tick`](Self::tick), over `views` when federated.
+    fn tick_over<R>(
+        &mut self,
+        views: Option<&[FedAppView]>,
+        between: impl FnOnce(&Ecovisor) -> R,
+    ) -> (SystemFlows, R) {
+        let flows = self.settle(views);
         let out = between(self);
         self.advance_clock();
-        Ok((flows, out))
+        (flows, out)
     }
 
     /// Drains the notifications queued for an application, unframed: the
@@ -470,115 +512,125 @@ impl Ecovisor {
     }
 
     /// Settles the current tick at the intensity the clock sampled for
-    /// it: enforces carbon-rate caps, runs the two-phase virtual settlement,
-    /// multiplexes the battery, handles excess solar, mirrors aggregates
-    /// onto the physical components, records telemetry, and buffers
-    /// next-tick solar. A driver calls [`tick`](Self::tick), which
-    /// settles with this and then advances the clock.
+    /// it, over this node's own tenants: enforces carbon-rate caps, runs
+    /// the two-phase virtual settlement, multiplexes the battery, handles
+    /// excess solar, mirrors aggregates onto the physical components,
+    /// records telemetry, and buffers next-tick solar. It walks the
+    /// tenants three times in app-id order — demand, commit, local tail —
+    /// reads each tenant's containers once (twice under a carbon-rate
+    /// limit) and clones no tenant state. A driver calls
+    /// [`tick`](Self::tick), which settles with this and then advances
+    /// the clock.
     ///
     /// Settlement is the **sole cross-app barrier**: it takes `&mut
     /// self`, so no dispatch (which needs `&self`) can overlap it, and
     /// the per-shard locks cost nothing here (`RwLock::get_mut`).
     pub fn settle_tick(&mut self) -> SystemFlows {
-        let views = self.collect_demand();
-        self.settle_with_views(&views)
-            .expect("own demand views are complete and ordered")
+        self.settle(None)
     }
 
-    /// Phase one of a settlement tick: enforces carbon-rate caps (they
-    /// change container power under the intensity the clock sampled for
-    /// this tick) and captures one [`FedAppView`] per local tenant — its
-    /// virtual energy system and post-cap container power, in app-id
-    /// order.
+    /// Phase one of a **federated** tick (a local tick builds no views):
+    /// installs every local tenant's carbon caps, as a local settlement
+    /// does first, and captures one [`FedAppView`] per local tenant — a
+    /// clone of its virtual energy system and its post-cap container
+    /// power — in app-id order.
     ///
-    /// [`Self::tick`] feeds the views straight back into
-    /// [`Self::finish_tick`]; a federation coordinator instead merges
-    /// every node's views into one global list first. Between the two
-    /// phases no dispatch may run (the deployment wrapper's
-    /// `fed_collect`/`fed_settle` hold that contract), so the captured
-    /// views stay equal to the live state they were cloned from.
+    /// A federation coordinator merges every node's views into one
+    /// global list and hands it to each node's
+    /// [`finish_tick`](Self::finish_tick). Between the two phases no
+    /// dispatch may run (the deployment wrapper's
+    /// `fed_collect`/`fed_settle` hold that contract); the settlement
+    /// reads demand from the views, not from the live state.
     pub(crate) fn collect_demand(&mut self) -> Vec<FedAppView> {
-        let dt = self.clock.interval();
-
-        // 1. Enforce carbon-rate limits by converting them to container
-        //    power caps under the current intensity (Table 2
-        //    set_carbon_rate semantics).
-        self.enforce_carbon_rates(dt);
-
+        let (intensity, dt) = (self.intensity, self.clock.interval());
         let cop = lock::get_mut(&mut self.cop);
-        let mut views = Vec::with_capacity(self.apps.len());
-        for (&id, shard) in self.apps.iter_mut() {
-            let state = lock::get_mut(shard);
-            views.push(FedAppView {
-                app: id,
-                ves: state.rec.ves.clone(),
-                power: cop.app_power(id),
-            });
-        }
-        views
+        self.apps
+            .values_mut()
+            .map(|shard| {
+                let rec = &mut lock::get_mut(shard).rec;
+                install_carbon_caps(cop, rec, intensity, dt);
+                FedAppView {
+                    app: rec.app,
+                    ves: rec.ves.clone(),
+                    power: cop.app_power(rec.app),
+                }
+            })
+            .collect()
     }
 
-    /// Phase two of a settlement tick: runs the global settlement
-    /// arithmetic over `views` — local tenants against their live
-    /// shards, remote tenants against **shadow** copies of the shipped
-    /// state that are discarded when the tick ends.
+    /// The settlement arithmetic of one tick, for a local tick (`views`
+    /// is `None`) and for a federated one (the merged list
+    /// [`finish_tick`](Self::finish_tick) checked). Three walks over the
+    /// tenants, in app-id order:
     ///
-    /// Every federated node receives the same app-id-ordered view list
-    /// and applies the identical sums, throttle scales, and
-    /// redistribution loop, so each replica's substrate state (grid
-    /// meter, PSU, battery aggregates) stays bit-identical to a
-    /// single-process run. Shadow apps contribute their flow numbers to
-    /// the shared accumulators but skip notification, budget-edge,
-    /// solar-buffer, and telemetry work — that happens on their owning
-    /// node.
-    ///
-    /// # Errors
-    ///
-    /// [`EcovisorError::Protocol`] when the views are not strictly
-    /// ascending by app id or a locally registered app is missing; the
-    /// tick is left unsettled and no state is modified.
-    pub(crate) fn settle_with_views(&mut self, views: &[FedAppView]) -> Result<SystemFlows> {
+    /// 1. **Demand.** A local tick first installs each tenant's carbon
+    ///    caps. Each local tenant's containers are read once, through the
+    ///    COP's owner index, into a per-tick buffer; their power is summed
+    ///    as [`Cop::app_power`] sums it. Desired flows come from the live
+    ///    state on a local tick and from the views on a federated one:
+    ///    the captured views stay authoritative, so a write a coordinator
+    ///    lets in between its two phases cannot make replicas diverge.
+    /// 2. **Commit.** The throttle scales, each tenant's flows, its edge
+    ///    events and its budget crossing, then the excess-solar policy and
+    ///    the grid/PSU mirror. A remote tenant runs the same arithmetic on
+    ///    a shadow copy of its view, dropped with the list: its flow
+    ///    numbers feed the shared sums, so every replica's substrate stays
+    ///    bit-identical to a single-process run, and its events, solar
+    ///    buffer and telemetry happen on its owning node.
+    /// 3. **Local tail.** Next tick's solar buffer and the solar and
+    ///    carbon change notifications, then the tenant's telemetry — ten
+    ///    appends through cached handles and two per live container from
+    ///    walk 1's buffer: no lookup by name and no allocation, unless the
+    ///    handles were dropped or the live container set changed.
+    fn settle(&mut self, views: Option<&[FedAppView]>) -> SystemFlows {
         let now = self.clock.now();
         let dt = self.clock.interval();
         let intensity = self.intensity;
+        let cop = lock::get_mut(&mut self.cop);
 
-        if let Some(w) = views.windows(2).find(|w| w[1].app <= w[0].app) {
-            return Err(EcovisorError::Protocol(format!(
-                "demand views must be strictly ascending by app id \
-                 (saw {} after {})",
-                w[1].app, w[0].app
-            )));
-        }
-        // Both lists ascend, so one pass finds every local app among the
-        // views; what sorts below the next local id is a remote app.
-        let mut shipped = views.iter().map(|v| v.app).peekable();
-        for &id in self.apps.keys() {
-            while shipped.next_if(|&v| v < id).is_some() {}
-            if shipped.next_if_eq(&id).is_none() {
-                return Err(EcovisorError::Protocol(format!(
-                    "demand views are missing local app {id}"
-                )));
+        // 1. Demand: one entry per tenant of the list, and the live
+        //    containers of the local ones. Every live container holds a
+        //    reservation on its server, so the buffer is sized once and
+        //    never regrows (regrowing it every tick fragments the heap).
+        let placed = cop.servers().iter().map(|s| s.container_count()).sum();
+        let mut live = Vec::with_capacity(placed);
+        let mut list = Vec::with_capacity(views.map_or(self.apps.len(), <[_]>::len));
+        match views {
+            None => {
+                for (&id, shard) in self.apps.iter_mut() {
+                    let state = lock::get_mut(shard);
+                    install_carbon_caps(cop, &mut state.rec, intensity, dt);
+                    let power = read_live(cop, id, &mut live);
+                    let desired = state.rec.ves.desired_flows(power, dt);
+                    list.push((
+                        desired,
+                        Party::Local(state, live.len(), VesFlows::default()),
+                    ));
+                }
+            }
+            Some(views) => {
+                let mut locals = self.apps.iter_mut().peekable();
+                for view in views {
+                    let party = match locals.next_if(|(&id, _)| id == view.app) {
+                        Some((&id, shard)) => {
+                            read_live(cop, id, &mut live);
+                            Party::Local(lock::get_mut(shard), live.len(), VesFlows::default())
+                        }
+                        None => Party::Shadow(Box::new(view.ves.clone())),
+                    };
+                    list.push((view.ves.desired_flows(view.power, dt), party));
+                }
             }
         }
 
-        // 2. Desired flows per app, from post-cap container power. The
-        //    captured views are authoritative for *both* local and
-        //    remote apps — for locals they are clones of live state
-        //    taken in [`Self::collect_demand`] with nothing allowed to
-        //    run in between.
-        let desired: Vec<DesiredFlows> = views
-            .iter()
-            .map(|v| v.ves.desired_flows(v.power, dt))
-            .collect();
-
-        // 3. Aggregate throttle factors against the physical bank's rate
-        //    limits (§3.3: "computing the limit on the maximum battery
-        //    discharge rates and charging rates across all applications").
-        //    SoC feasibility is enforced per virtual battery; Σ virtual
-        //    capacity ≤ physical capacity guarantees the bank can honor
-        //    whatever the virtual batteries accept.
-        let total_charge: Watts = desired.iter().map(|d| d.total_charge()).sum();
-        let total_discharge: Watts = desired.iter().map(|d| d.discharge).sum();
+        // 2. Commit. Aggregate throttle factors against the physical
+        //    bank's rate limits (§3.3: "computing the limit on the maximum
+        //    battery discharge rates and charging rates across all
+        //    applications"). SoC feasibility is enforced per virtual
+        //    battery; Σ virtual capacity ≤ physical capacity guarantees
+        //    the bank can honor whatever the virtual batteries accept.
+        let total_charge: Watts = list.iter().map(|(d, _)| d.total_charge()).sum();
+        let total_discharge: Watts = list.iter().map(|(d, _)| d.discharge).sum();
         let charge_allow = self.physical_battery.spec().max_charge_rate;
         let discharge_allow = self.physical_battery.spec().max_discharge_rate;
         let charge_scale = if total_charge > charge_allow {
@@ -592,28 +644,18 @@ impl Ecovisor {
             1.0
         };
 
-        // 4. Commit per-app flows. Local flows are kept, in app-id order
-        //    (the order of `self.apps`), for telemetry.
-        let mut shadows: BTreeMap<AppId, VirtualEnergySystem> = BTreeMap::new();
-        let mut local_flows = Vec::with_capacity(self.apps.len());
         let mut surplus_pool = Watts::ZERO;
         let mut charge_applied = Watts::ZERO;
         let mut discharge_applied = Watts::ZERO;
         let mut grid_total = Watts::ZERO;
-        for (view, d) in views.iter().zip(&desired) {
-            let f = match self.apps.get_mut(&view.app) {
-                // Shadow of a remote app: its shipped state runs through
-                // the same arithmetic with no side effects and is
-                // discarded when this call ends. Events and budget edges
-                // fire on the owning node; only the flow numbers feed
-                // the shared accumulators here.
-                None => {
-                    let ves = shadows.entry(view.app).or_insert_with(|| view.ves.clone());
+        for (d, party) in &mut list {
+            let f = match party {
+                Party::Shadow(ves) => {
                     ves.apply_flows(d, charge_scale, discharge_scale, intensity, dt)
                         .0
                 }
-                Some(shard) => {
-                    let rec = &mut lock::get_mut(shard).rec;
+                Party::Local(state, _, flows) => {
+                    let rec = &mut state.rec;
                     let (f, events) =
                         rec.ves
                             .apply_flows(d, charge_scale, discharge_scale, intensity, dt);
@@ -637,7 +679,8 @@ impl Ecovisor {
                             );
                         }
                     }
-                    local_flows.push(f);
+                    // Kept for telemetry: redistribution moves the VES's own.
+                    *flows = f;
                     f
                 }
             };
@@ -647,26 +690,20 @@ impl Ecovisor {
             grid_total += f.grid_import();
         }
 
-        // 5. Excess-solar policy.
+        // Excess-solar policy.
         let mut redistributed = Watts::ZERO;
         let mut remaining_pool = surplus_pool;
         if self.excess == ExcessPolicy::Redistribute && remaining_pool > Watts::ZERO {
             let mut headroom = (charge_allow - charge_applied).max_zero();
-            for view in views {
+            for (_, party) in &mut list {
                 if remaining_pool <= Watts::ZERO || headroom <= Watts::ZERO {
                     break;
                 }
-                let offer = remaining_pool.min(headroom);
-                let accepted = match self.apps.get_mut(&view.app) {
-                    Some(shard) => lock::get_mut(shard)
-                        .rec
-                        .ves
-                        .accept_redistribution(offer, dt),
-                    None => shadows
-                        .get_mut(&view.app)
-                        .expect("shadow built")
-                        .accept_redistribution(offer, dt),
+                let ves = match party {
+                    Party::Shadow(ves) => &mut **ves,
+                    Party::Local(state, ..) => &mut state.rec.ves,
                 };
+                let accepted = ves.accept_redistribution(remaining_pool.min(headroom), dt);
                 remaining_pool -= accepted;
                 headroom -= accepted;
                 redistributed += accepted;
@@ -680,25 +717,53 @@ impl Ecovisor {
         };
         let curtailed = remaining_pool - exported;
 
-        // 6. Mirror aggregates onto the physical meters. The bank's
-        //    state of charge is *derived* from the virtual batteries
-        //    (see [`Self::physical_battery_level`]); only the grid meter
-        //    and PSU carry independent physical state.
+        // Mirror aggregates onto the physical meters. The bank's state
+        // of charge is *derived* from the virtual batteries (see
+        // [`Self::physical_battery_level`]); only the grid meter and PSU
+        // carry independent physical state.
         self.grid.import(grid_total, dt);
         self.psu.record_draw(now, grid_total, dt);
 
-        // 7. Physical solar this tick, buffered per app for next tick;
-        //    solar-change notifications compare old vs new availability.
-        // 8. Carbon-change notifications (this tick vs previous tick).
-        //    Local apps only: a remote app's owning node buffers its
-        //    solar and notifies it.
         let physical_solar = energy_system::solar::power_over(&self.solar, now, now + dt);
+        let system = SystemFlows {
+            physical_solar,
+            grid_import: grid_total,
+            battery_charge: charge_applied,
+            battery_discharge: discharge_applied,
+            redistributed,
+            exported,
+            curtailed,
+        };
+        self.last_system_flows = system;
+
+        // 3. Local tail. The SYSTEM series are named before any tenant's,
+        //    so a fresh store creates its series in the same order. The
+        //    SYSTEM-subject rows derived from local state (app power,
+        //    battery SoC) are node-local under federation; see
+        //    docs/FEDERATION.md.
+        let tsdb = lock::get_mut(&mut self.tsdb);
+        let system_series = [
+            metrics::GRID_CARBON_INTENSITY,
+            metrics::SOLAR_POWER,
+            metrics::GRID_POWER,
+            metrics::APP_POWER,
+            metrics::BATTERY_SOC,
+            metrics::SOLAR_CURTAILED,
+        ]
+        .map(|metric| tsdb.series_id(metric, metrics::SYSTEM));
         let prev_intensity = self.prev_intensity;
-        for shard in self.apps.values_mut() {
-            let rec = &mut lock::get_mut(shard).rec;
+        // `Sum`'s own start, so the running total is the iterator sum.
+        let mut battery_total: WattHours = std::iter::empty().sum();
+        let mut start = 0;
+        for (_, party) in &mut list {
+            let Party::Local(AppState { rec, series }, end, f) = party else {
+                continue;
+            };
+            // Physical solar this tick, buffered for next tick; the
+            // solar-change notification compares old vs new availability,
+            // the carbon-change one this tick vs the previous.
             let outbox = rec.outbox;
-            let share = rec.ves.share().solar_fraction;
-            let new_buffer = physical_solar * share;
+            let new_buffer = physical_solar * rec.ves.share().solar_fraction;
             let old_buffer = rec.ves.solar_available();
             if rec.notify.solar_significant(old_buffer, new_buffer) {
                 outbox.push(
@@ -719,26 +784,77 @@ impl Ecovisor {
                     },
                 );
             }
+            battery_total += rec.ves.battery_charge_level();
+
+            let series = series.get_or_insert_with(|| SeriesHandles::resolve(tsdb, rec.app));
+            // APP_POWER records *served* power (demand minus load shed by
+            // the grid cap), so its TSDB integral — get_app_energy —
+            // agrees with VesTotals::energy, which accumulates served
+            // power. Demand stays the denominator for the proportional
+            // carbon attribution below (container powers sum to demand).
+            let served = (f.demand - f.unmet_demand).max_zero();
+            let charge = f.solar_to_battery + f.grid_to_battery + f.redistributed_in;
+            for (handle, value) in [
+                (series.app_power, served.watts()),
+                (series.grid_power, f.grid_import().watts()),
+                (series.solar_power, f.solar_available.watts()),
+                (series.battery_discharge, f.battery_to_load.watts()),
+                (series.battery_charge, charge.watts()),
+                (
+                    series.battery_level,
+                    rec.ves.battery_charge_level().watt_hours(),
+                ),
+                (series.battery_soc, rec.ves.battery_soc()),
+                (series.carbon_rate, f.carbon_rate.grams_per_sec()),
+                (series.carbon_total, rec.ves.totals().carbon.grams()),
+            ] {
+                tsdb.append(handle, now, value);
+            }
+
+            // Containers: power + proportional carbon attribution. The
+            // cached handles follow the live set and are re-resolved from
+            // its first difference on.
+            let mine = &live[start..*end];
+            start = *end;
+            for (at, &(id, power, _)) in mine.iter().enumerate() {
+                if series.containers.get(at).map(|h| h.id) != Some(id) {
+                    let subject = id.to_string();
+                    series.containers.truncate(at);
+                    series.containers.push(ContainerSeries {
+                        id,
+                        power: tsdb.series_id(metrics::CONTAINER_POWER, &subject),
+                        carbon_rate: tsdb.series_id(metrics::CARBON_RATE, &subject),
+                    });
+                }
+                let handles = series.containers[at];
+                let share = if f.demand > Watts::ZERO {
+                    power / f.demand
+                } else {
+                    0.0
+                };
+                tsdb.append(handles.power, now, power.watts());
+                tsdb.append(
+                    handles.carbon_rate,
+                    now,
+                    f.carbon_rate.grams_per_sec() * share,
+                );
+            }
+            series.containers.truncate(mine.len());
+            let running = mine.iter().filter(|&&(_, _, running)| running).count();
+            tsdb.append(series.container_count, now, running as f64);
         }
 
-        let system = SystemFlows {
-            physical_solar,
-            grid_import: grid_total,
-            battery_charge: charge_applied,
-            battery_discharge: discharge_applied,
-            redistributed,
-            exported,
-            curtailed,
-        };
-        self.last_system_flows = system;
-
-        // 9. Telemetry — local tenants only; remote apps' rows are
-        //    recorded by their owning node. Note the SYSTEM-subject
-        //    rows derived from local state (app power, battery SoC) are
-        //    node-local under federation; see docs/FEDERATION.md.
-        self.record_telemetry(now, &local_flows, &system);
-
-        Ok(system)
+        for (id, value) in system_series.into_iter().zip([
+            intensity.grams_per_kwh(),
+            physical_solar.watts(),
+            grid_total.watts(),
+            cop.total_power().watts(),
+            battery_total / self.physical_battery.spec().capacity,
+            curtailed.watts(),
+        ]) {
+            tsdb.append(id, now, value);
+        }
+        system
     }
 
     /// Advances the tick clock and samples the carbon trace for the
@@ -868,152 +984,79 @@ impl Ecovisor {
             .map(|s| &mut lock::get_mut(s).rec)
             .ok_or(EcovisorError::UnknownApp(app))
     }
+}
 
-    /// Converts each app's carbon-rate limit into per-container **carbon
-    /// caps** under the current intensity. Zero-carbon supply (available
-    /// solar plus allowed battery discharge) is exempt from the cap.
-    ///
-    /// Carbon caps are a separate component from the caps applications
-    /// set through `set_container_powercap` — the COP enforces the `min`
-    /// of the two — and are cleared and re-installed every settlement,
-    /// so lifting the rate limit (`set_carbon_rate(None)`) restores the
-    /// containers' own caps on the next tick, and the per-container
-    /// spread tracks the live container set.
-    fn enforce_carbon_rates(&mut self, dt: SimDuration) {
-        let intensity = self.intensity.grams_per_kwh().max(1e-9);
-        let cop = lock::get_mut(&mut self.cop);
-        for (&id, shard) in self.apps.iter_mut() {
-            let rec = &mut lock::get_mut(shard).rec;
-            // Clear last tick's installation (containers may have
-            // stopped; the rate limit may be gone; intensity changed).
-            for c in std::mem::take(&mut rec.carbon_capped) {
-                let _ = cop.set_carbon_cap(c, None);
+/// A tenant in a settled list: one of this node's, with the end of its
+/// containers in the tick's live buffer and its committed flows, or a
+/// remote tenant's shadow — a copy of its view's state, dropped with the
+/// list.
+enum Party<'a> {
+    Local(&'a mut AppState, usize, VesFlows),
+    Shadow(Box<VirtualEnergySystem>),
+}
+
+/// Reads `owner`'s containers once, through the COP's owner index:
+/// pushes the live ones onto `live` as (id, power, running) and returns
+/// their power summed as [`Cop::app_power`] sums it (stopped ones add
+/// their zero in turn).
+fn read_live(cop: &Cop, owner: AppId, live: &mut Vec<(ContainerId, Watts, bool)>) -> Watts {
+    cop.owned_by(owner)
+        .map(|c| {
+            let power = cop.power_of(c);
+            if c.state() != ContainerState::Stopped {
+                live.push((c.id(), power, c.state() == ContainerState::Running));
             }
-            let Some(rate) = rec.carbon_rate_limit else {
-                continue;
-            };
-            let battery_ok = rec
-                .ves
-                .battery()
-                .map(|b| b.max_discharge_power(dt).min(rec.ves.max_discharge()))
-                .unwrap_or(Watts::ZERO);
-            let zero_carbon = rec.ves.solar_available() + battery_ok;
-            // rate (g/s) allows P watts of grid power where
-            // P × intensity / 3.6e6 = rate  =>  P = rate × 3.6e6 / intensity.
-            let grid_allowance = Watts::new(rate.grams_per_sec() * 3.6e6 / intensity);
-            let total_allowed = zero_carbon + grid_allowance;
-            let running: Vec<ContainerId> = cop
-                .owned_by(id)
-                .filter(|c| c.state() == ContainerState::Running)
-                .map(|c| c.id())
-                .collect();
-            if running.is_empty() {
-                continue;
-            }
-            let per_container = total_allowed / running.len() as f64;
-            for &c in &running {
-                let _ = cop.set_carbon_cap(c, Some(per_container));
-            }
-            rec.carbon_capped = running;
-        }
+            power
+        })
+        .sum()
+}
+
+/// Converts a tenant's carbon-rate limit into per-container **carbon
+/// caps** under this tick's intensity. Zero-carbon supply (available
+/// solar plus allowed battery discharge) is exempt from the cap.
+///
+/// Carbon caps are a separate component from the caps applications set
+/// through `set_container_powercap` — the COP enforces the `min` of the
+/// two — and are cleared and re-installed every settlement, so lifting
+/// the rate limit (`set_carbon_rate(None)`) restores the containers' own
+/// caps on the next tick, and the per-container spread tracks the live
+/// container set. A cap changes only its own container's power.
+fn install_carbon_caps(
+    cop: &mut Cop,
+    rec: &mut AppSnapshot,
+    intensity: CarbonIntensity,
+    dt: SimDuration,
+) {
+    // Clear last tick's installation (containers may have stopped; the
+    // rate limit may be gone; intensity changed).
+    for c in std::mem::take(&mut rec.carbon_capped) {
+        let _ = cop.set_carbon_cap(c, None);
     }
-
-    /// Records the tick's telemetry; `flows` holds the local apps'
-    /// committed flows in the order of `self.apps`.
-    ///
-    /// Per tenant this is ten appends through its cached handles plus one
-    /// walk of its containers in the COP's owner index, two appends per
-    /// live one: no lookup by name, no allocation, unless the handles
-    /// were dropped or the tenant's live container set changed since the
-    /// last tick.
-    fn record_telemetry(&mut self, now: SimTime, flows: &[VesFlows], system: &SystemFlows) {
-        debug_assert_eq!(flows.len(), self.apps.len());
-        let phys_capacity = self.physical_battery.spec().capacity;
-        let intensity = self.intensity;
-        let tsdb = lock::get_mut(&mut self.tsdb);
-        let cop = lock::get_mut(&mut self.cop);
-        let battery_total: WattHours = self
-            .apps
-            .values_mut()
-            .map(|s| lock::get_mut(s).rec.ves.battery_charge_level())
-            .sum();
-
-        // System-wide series.
-        for (metric, value) in [
-            (metrics::GRID_CARBON_INTENSITY, intensity.grams_per_kwh()),
-            (metrics::SOLAR_POWER, system.physical_solar.watts()),
-            (metrics::GRID_POWER, system.grid_import.watts()),
-            (metrics::APP_POWER, cop.total_power().watts()),
-            (metrics::BATTERY_SOC, battery_total / phys_capacity),
-            (metrics::SOLAR_CURTAILED, system.curtailed.watts()),
-        ] {
-            tsdb.record(metric, metrics::SYSTEM, now, value);
-        }
-
-        // Per-app and per-container series.
-        for ((&id, shard), f) in self.apps.iter_mut().zip(flows) {
-            let AppState { rec, series } = lock::get_mut(shard);
-            let series = series.get_or_insert_with(|| SeriesHandles::resolve(tsdb, id));
-            let app_power = f.demand;
-            // APP_POWER records *served* power (demand minus load shed by
-            // the grid cap), so its TSDB integral — get_app_energy —
-            // agrees with VesTotals::energy, which accumulates served
-            // power. Demand stays the denominator for the proportional
-            // carbon attribution below (container powers sum to demand).
-            let served = (f.demand - f.unmet_demand).max_zero();
-            let charge = f.solar_to_battery + f.grid_to_battery + f.redistributed_in;
-            for (handle, value) in [
-                (series.app_power, served.watts()),
-                (series.grid_power, f.grid_import().watts()),
-                (series.solar_power, f.solar_available.watts()),
-                (series.battery_discharge, f.battery_to_load.watts()),
-                (series.battery_charge, charge.watts()),
-                (
-                    series.battery_level,
-                    rec.ves.battery_charge_level().watt_hours(),
-                ),
-                (series.battery_soc, rec.ves.battery_soc()),
-                (series.carbon_rate, f.carbon_rate.grams_per_sec()),
-                (series.carbon_total, rec.ves.totals().carbon.grams()),
-            ] {
-                tsdb.append(handle, now, value);
-            }
-
-            // Containers: power + proportional carbon attribution.
-            let mut running = 0u32;
-            let mut live = 0;
-            for c in cop.owned_by(id) {
-                match c.state() {
-                    ContainerState::Stopped => continue,
-                    ContainerState::Running => running += 1,
-                    ContainerState::Suspended => {}
-                }
-                if series.containers.get(live).map(|h| h.id) != Some(c.id()) {
-                    let subject = c.id().to_string();
-                    series.containers.truncate(live);
-                    series.containers.push(ContainerSeries {
-                        id: c.id(),
-                        power: tsdb.series_id(metrics::CONTAINER_POWER, &subject),
-                        carbon_rate: tsdb.series_id(metrics::CARBON_RATE, &subject),
-                    });
-                }
-                let handles = series.containers[live];
-                live += 1;
-                let power = cop.power_of(c);
-                let share = if app_power > Watts::ZERO {
-                    power / app_power
-                } else {
-                    0.0
-                };
-                tsdb.append(handles.power, now, power.watts());
-                tsdb.append(
-                    handles.carbon_rate,
-                    now,
-                    f.carbon_rate.grams_per_sec() * share,
-                );
-            }
-            series.containers.truncate(live);
-            tsdb.append(series.container_count, now, f64::from(running));
-        }
+    let Some(rate) = rec.carbon_rate_limit else {
+        return;
+    };
+    let battery_ok = rec
+        .ves
+        .battery()
+        .map(|b| b.max_discharge_power(dt).min(rec.ves.max_discharge()))
+        .unwrap_or(Watts::ZERO);
+    let zero_carbon = rec.ves.solar_available() + battery_ok;
+    // rate (g/s) allows P watts of grid power where
+    // P × intensity / 3.6e6 = rate  =>  P = rate × 3.6e6 / intensity.
+    let grid_allowance =
+        Watts::new(rate.grams_per_sec() * 3.6e6 / intensity.grams_per_kwh().max(1e-9));
+    let total_allowed = zero_carbon + grid_allowance;
+    let running: Vec<ContainerId> = cop
+        .owned_by(rec.app)
+        .filter(|c| c.state() == ContainerState::Running)
+        .map(|c| c.id())
+        .collect();
+    if running.is_empty() {
+        return;
     }
+    let per_container = total_allowed / running.len() as f64;
+    for &c in &running {
+        let _ = cop.set_carbon_cap(c, Some(per_container));
+    }
+    rec.carbon_capped = running;
 }

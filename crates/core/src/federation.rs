@@ -31,15 +31,17 @@
 //! the redistribution loop), so "collect scalar demands, broadcast
 //! scale factors" would *not* reproduce a single-process run
 //! bit-identically. Instead every node holds a full replica of the
-//! shared substrate and applies the **global** settlement each tick.
-//! The tick is [`Ecovisor::tick`] cut in two:
+//! shared substrate and applies the **global** settlement each tick,
+//! in two phases:
 //! [`fed_collect`](crate::shard::ShardedEcovisor::fed_collect) captures
 //! one [`FedAppView`] per local tenant (its virtual energy system and
 //! post-cap container power); the coordinator merges all nodes' views
 //! into one app-id-ordered list and hands it back to
-//! [`fed_settle`](crate::shard::ShardedEcovisor::fed_settle), which
-//! settles local tenants against live state and remote tenants against
-//! discarded shadow copies, then advances the clock. Identical inputs in identical order make every
+//! [`fed_settle`](crate::shard::ShardedEcovisor::fed_settle), which runs
+//! the settlement a local [`Ecovisor::tick`] runs — one routine, over
+//! the list instead of the node's own tenants — with local tenants
+//! against live state and remote tenants against discarded shadow
+//! copies, then advances the clock. Identical inputs in identical order make every
 //! replica's substrate — and every app's flows — bit-identical to the
 //! single-process run. The choreography, its contract (no dispatch
 //! between collect and settle), and the failure semantics are documented
@@ -257,6 +259,8 @@ impl Ecovisor {
         self.apps
             .insert(id, RwLock::new(AppState::install(snap.app.clone())));
         self.next_app = self.next_app.max(id.value() + 1);
+        // The id may sort below a resident's: the sums fold again.
+        self.resident_shares = None;
         Ok(())
     }
 
@@ -280,6 +284,7 @@ impl Ecovisor {
         if self.apps.remove(&app).is_none() {
             return Err(EcovisorError::UnknownApp(app));
         }
+        self.resident_shares = None;
         let removed = lock::get_mut(&mut self.cop).remove_app_containers(app);
         lock::get_mut(&mut self.tsdb).remove_subjects(&subjects_of(app, &removed));
         // Removal renumbers the series that stay: every tenant's handles
@@ -579,8 +584,9 @@ mod tests {
         }
         let views = whole.collect_demand();
         assert_eq!(node.collect_demand().len(), 2);
-        let flows = whole.settle_with_views(&views).expect("all local");
-        assert_eq!(node.settle_with_views(&views).expect("two local"), flows);
+        let (flows, ()) = whole.finish_tick(&views, |_| ()).expect("all local");
+        let (node_flows, ()) = node.finish_tick(&views, |_| ()).expect("two local");
+        assert_eq!(node_flows, flows);
         for local in [ids[1], ids[3]] {
             assert_eq!(
                 node.app_flows(local).unwrap(),

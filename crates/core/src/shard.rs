@@ -149,9 +149,9 @@ impl ShardedEcovisor {
         )
     }
 
-    /// Phase one of a **federated** tick: the first half of
-    /// [`Ecovisor::tick`] under the settlement barrier — samples the
-    /// carbon trace and captures the local tenants' demand views.
+    /// Phase one of a **federated** tick, under the settlement barrier:
+    /// installs the local tenants' carbon caps and captures their demand
+    /// views (a local [`Ecovisor::tick`] builds none).
     ///
     /// The coordinator contract: between this call and the matching
     /// [`fed_settle`](Self::fed_settle) no dispatch may be allowed to
@@ -163,9 +163,9 @@ impl ShardedEcovisor {
         self.barrier(|m| &m.fed_collect, Ecovisor::collect_demand)
     }
 
-    /// Phase two of a federated tick: the second half of
-    /// [`Ecovisor::tick`] over the globally merged view list — settles
-    /// it, runs the broadcast hooks, and advances the clock.
+    /// Phase two of a federated tick: checks the globally merged view
+    /// list, settles it with the arithmetic [`Ecovisor::tick`] runs on a
+    /// local one, runs the broadcast hooks, and advances the clock.
     ///
     /// # Errors
     ///

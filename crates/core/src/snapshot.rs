@@ -424,7 +424,7 @@ impl Ecovisor {
             .iter()
             .map(|c| (c.id(), c.owner()))
             .collect();
-        self.admit(&snap.apps, false, &carried)?;
+        let shares = self.admit(&snap.apps, false, &carried)?;
         // Admitted ids ascend and stop short of `u32::MAX`.
         let above_all = snap.apps.last().map_or(1, |a| a.app.value() + 1);
         if snap.next_app < above_all {
@@ -453,6 +453,7 @@ impl Ecovisor {
             .map(|rec| (rec.app, RwLock::new(AppState::install(rec.clone()))))
             .collect();
         self.next_app = snap.next_app;
+        self.resident_shares = Some(shares);
         // The hub survives a restore (it is runtime state, not snapshot
         // state), so timings from before and after a restore land in the
         // same series.

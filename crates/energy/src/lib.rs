@@ -17,7 +17,8 @@
 //! This crate models the components only. Composing them — the paper's
 //! §3.3 solar → battery → grid supply priority, settled every tick and
 //! multiplexed across applications' virtual energy systems — happens in
-//! one place, crate `ecovisor` (`ves.rs` and `Ecovisor::settle_with_views`).
+//! one place, crate `ecovisor` (`ves.rs` and the one settlement routine
+//! behind `Ecovisor::tick` and `Ecovisor::settle_tick`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

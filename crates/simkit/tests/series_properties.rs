@@ -104,7 +104,7 @@ fn timestamps(rng: &mut SimRng, kind: u64, overwrites: bool) -> Vec<u64> {
             out.push(at);
         }
         at += match kind {
-            // Every tick, as `record_telemetry` writes.
+            // Every tick, as settlement writes.
             0 => step,
             // No two gaps alike.
             1 => rng.uniform_u64(1, 2_000),
