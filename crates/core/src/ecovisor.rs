@@ -90,14 +90,10 @@ impl AppState {
 /// One tenant's telemetry series by handle (see [`AppState::series`]).
 pub(crate) struct SeriesHandles {
     pub(crate) app_power: SeriesId,
-    grid_power: SeriesId,
-    solar_power: SeriesId,
     battery_discharge: SeriesId,
     battery_charge: SeriesId,
-    battery_level: SeriesId,
     battery_soc: SeriesId,
     pub(crate) carbon_rate: SeriesId,
-    carbon_total: SeriesId,
     container_count: SeriesId,
     /// The containers that were live at the last recording, ascending by
     /// id. Each recording walks the live set beside this list and
@@ -119,14 +115,10 @@ impl SeriesHandles {
         let mut id = |metric| tsdb.series_id(metric, &subject);
         Self {
             app_power: id(metrics::APP_POWER),
-            grid_power: id(metrics::GRID_POWER),
-            solar_power: id(metrics::SOLAR_POWER),
             battery_discharge: id(metrics::BATTERY_DISCHARGE),
             battery_charge: id(metrics::BATTERY_CHARGE),
-            battery_level: id(metrics::BATTERY_LEVEL),
             battery_soc: id(metrics::BATTERY_SOC),
             carbon_rate: id(metrics::CARBON_RATE),
-            carbon_total: id(metrics::CARBON_TOTAL),
             container_count: id(metrics::CONTAINER_COUNT),
             containers: Vec::new(),
         }
@@ -578,7 +570,7 @@ impl Ecovisor {
     ///    bit-identical to a single-process run, and its events, solar
     ///    buffer and telemetry happen on its owning node.
     /// 3. **Local tail.** Next tick's solar buffer and the solar and
-    ///    carbon change notifications, then the tenant's telemetry — ten
+    ///    carbon change notifications, then the tenant's telemetry — six
     ///    appends through cached handles and two per live container from
     ///    walk 1's buffer: no lookup by name and no allocation, unless the
     ///    handles were dropped or the live container set changed.
@@ -738,22 +730,16 @@ impl Ecovisor {
 
         // 3. Local tail. The SYSTEM series are named before any tenant's,
         //    so a fresh store creates its series in the same order. The
-        //    SYSTEM-subject rows derived from local state (app power,
-        //    battery SoC) are node-local under federation; see
-        //    docs/FEDERATION.md.
+        //    SYSTEM-subject row derived from local state (app power) is
+        //    node-local under federation; see docs/FEDERATION.md.
         let tsdb = lock::get_mut(&mut self.tsdb);
         let system_series = [
             metrics::GRID_CARBON_INTENSITY,
             metrics::SOLAR_POWER,
-            metrics::GRID_POWER,
             metrics::APP_POWER,
-            metrics::BATTERY_SOC,
-            metrics::SOLAR_CURTAILED,
         ]
         .map(|metric| tsdb.series_id(metric, metrics::SYSTEM));
         let prev_intensity = self.prev_intensity;
-        // `Sum`'s own start, so the running total is the iterator sum.
-        let mut battery_total: WattHours = std::iter::empty().sum();
         let mut start = 0;
         for (_, party) in &mut list {
             let Party::Local(AppState { rec, series }, end, f) = party else {
@@ -784,7 +770,6 @@ impl Ecovisor {
                     },
                 );
             }
-            battery_total += rec.ves.battery_charge_level();
 
             let series = series.get_or_insert_with(|| SeriesHandles::resolve(tsdb, rec.app));
             // APP_POWER records *served* power (demand minus load shed by
@@ -796,17 +781,10 @@ impl Ecovisor {
             let charge = f.solar_to_battery + f.grid_to_battery + f.redistributed_in;
             for (handle, value) in [
                 (series.app_power, served.watts()),
-                (series.grid_power, f.grid_import().watts()),
-                (series.solar_power, f.solar_available.watts()),
                 (series.battery_discharge, f.battery_to_load.watts()),
                 (series.battery_charge, charge.watts()),
-                (
-                    series.battery_level,
-                    rec.ves.battery_charge_level().watt_hours(),
-                ),
                 (series.battery_soc, rec.ves.battery_soc()),
                 (series.carbon_rate, f.carbon_rate.grams_per_sec()),
-                (series.carbon_total, rec.ves.totals().carbon.grams()),
             ] {
                 tsdb.append(handle, now, value);
             }
@@ -847,10 +825,7 @@ impl Ecovisor {
         for (id, value) in system_series.into_iter().zip([
             intensity.grams_per_kwh(),
             physical_solar.watts(),
-            grid_total.watts(),
             cop.total_power().watts(),
-            battery_total / self.physical_battery.spec().capacity,
-            curtailed.watts(),
         ]) {
             tsdb.append(id, now, value);
         }

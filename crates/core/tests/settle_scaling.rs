@@ -81,7 +81,7 @@ fn steady_state_allocations_are_per_tenant_not_per_sample() {
     // A series grows geometrically, so the 62 ticks after the 65th hold
     // at most one regrowth of each (none, while `Vec` doubles): per tick
     // that is a fraction of an allocation per series, where one
-    // allocation per sample would be 12 or 32 per tenant.
+    // allocation per sample would be 8 or 28 per tenant.
     const WARM_UP: u32 = 65;
     const WINDOW: u32 = 62;
     let per_tenant_tick = |containers: u32| {
@@ -93,13 +93,13 @@ fn steady_state_allocations_are_per_tenant_not_per_sample() {
     let (few_samples, many_samples) = (per_tenant_tick(1), per_tenant_tick(11));
     assert!(
         few_samples < 1.0 && many_samples < 1.0,
-        "allocations per tenant-tick: {few_samples:.3} at 12 samples per tenant, \
-         {many_samples:.3} at 32"
+        "allocations per tenant-tick: {few_samples:.3} at 8 samples per tenant, \
+         {many_samples:.3} at 28"
     );
 }
 
-/// Tenants and containers of the retention pins: ten app series and two
-/// per container, 18 samples per tenant-tick.
+/// Tenants and containers of the retention pins: six app series and two
+/// per container, 14 samples per tenant-tick.
 const RETAINING_TENANTS: u32 = 100;
 const RETAINING_CONTAINERS: u32 = 4;
 
@@ -130,13 +130,13 @@ fn a_steady_tick_retains_next_to_nothing() {
     let mut eco = world(RETAINING_TENANTS, RETAINING_CONTAINERS);
     settle(&mut eco, FULL);
     let per_tenant_tick = retained_per_tenant_tick(&mut eco, FULL, |_, _| {});
-    // Measured: 16.1. No sun, so every tenant's battery runs down: its
-    // level and its state of charge are the two series in eighteen that
-    // say something new, 8 bytes each; the other sixteen retain nothing.
+    // Measured: 8.0. No sun, so every tenant's battery runs down: its
+    // state of charge is the one series in fourteen that says something
+    // new, 8 bytes a tick; the other thirteen retain nothing.
     assert!(
-        per_tenant_tick <= 17.0,
+        per_tenant_tick <= 9.0,
         "{per_tenant_tick:.1} bytes retained per tenant-tick by a world nobody is changing: \
-         two samples in 18 move and are 16 bytes, all 18 were 144"
+         one sample in 14 moves and is 8 bytes, all 14 were 112"
     );
 }
 
@@ -148,9 +148,9 @@ fn a_restored_world_retains_no_more_than_the_one_it_was_captured_from() {
     let original_holds = counting_alloc::live_bytes() - unbuilt;
     // Neither the decoded snapshot (what the sample count on the wire
     // reserved is given back) nor the ecovisor it is applied to goes back
-    // to 8 bytes a sample, which would be 1.8 MB of series here.
-    // Measured: the original holds 774 kB, the decoded snapshot 579, the
-    // restored world 623.
+    // to 8 bytes a sample, which would be 1.4 MB of series here.
+    // Measured: the original holds 632 kB, the decoded snapshot 452, the
+    // restored world 457.
     let bytes = eco.snapshot().to_bytes();
     let before = counting_alloc::live_bytes();
     let decoded = Snapshot::from_bytes(&bytes).expect("own snapshot");
@@ -177,7 +177,7 @@ fn a_tick_retains_eight_bytes_a_sample() {
     // demand one tick and under it the next (so its battery charges,
     // then discharges beside the grid), grid carbon wanders, and every
     // tenant changes every container's demand and both battery rates
-    // every tick. Of a tenant's eighteen series only its container count
+    // every tick. Of a tenant's fourteen series only its container count
     // stands still.
     let dt = SimDuration::from_minutes(1);
     let cycle = |samples: Vec<f64>| Trace::from_samples(samples, dt).with_extend(Extend::Cycle);
@@ -208,11 +208,11 @@ fn a_tick_retains_eight_bytes_a_sample() {
     let per_tenant_tick = retained_per_tenant_tick(&mut eco, FULL, |eco, tick| {
         stir(eco, FULL + tick);
     });
-    // Measured: 136.5.
+    // Measured: 104.2.
     assert!(
-        (130.0..=146.0).contains(&per_tenant_tick),
-        "{per_tenant_tick:.1} bytes retained per tenant-tick: 17 samples of 8 bytes are 136, \
-         all 18 would be 144, 18 of 16 (a timestamp each) were 288"
+        (98.0..=110.0).contains(&per_tenant_tick),
+        "{per_tenant_tick:.1} bytes retained per tenant-tick: 13 samples of 8 bytes are 104, \
+         all 14 would be 112, 14 of 16 (a timestamp each) would be 224"
     );
 }
 

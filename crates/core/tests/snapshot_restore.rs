@@ -29,12 +29,12 @@
 use container_cop::{AppId, ContainerId, ContainerSpec, CopConfig};
 use ecovisor::{
     digest, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient,
-    EnergyShare, EventFrame, Notification, ProtocolTrace, RemoteEcovisorClient, ShardedEcovisor,
-    Snapshot, SnapshotError, VesTotals, SNAPSHOT_FORMAT,
+    EnergyRequest, EnergyResponse, EnergyShare, EventFrame, Notification, ProtocolTrace,
+    RemoteEcovisorClient, ShardedEcovisor, Snapshot, SnapshotError, VesTotals, SNAPSHOT_FORMAT,
 };
 use power_telemetry::metrics;
 use simkit::rng::SimRng;
-use simkit::time::SimDuration;
+use simkit::time::{SimDuration, SimTime};
 use simkit::trace::Trace;
 use simkit::units::{CarbonIntensity, Co2Grams, WattHours, Watts};
 
@@ -462,6 +462,93 @@ fn restore_derives_the_carbon_intensity_from_the_clock() {
             current: told,
         }]
     );
+}
+
+/// Every read a tenant can make at the end of a day, whole-day intervals
+/// included, on its own containers.
+fn every_read(eco: &mut Ecovisor, app: AppId) -> Vec<EnergyResponse> {
+    let (from, to) = (SimTime::EPOCH, eco.now());
+    let mut client = eco.client(app).expect("registered");
+    let mut reads = vec![
+        EnergyRequest::GetSolarPower,
+        EnergyRequest::GetGridPower,
+        EnergyRequest::GetGridCarbon,
+        EnergyRequest::GetBatteryDischargeRate,
+        EnergyRequest::GetBatteryChargeLevel,
+        EnergyRequest::GetAppPower,
+        EnergyRequest::GetAppEnergy { from, to },
+        EnergyRequest::GetAppCarbon,
+        EnergyRequest::GetAppCarbonBetween { from, to },
+    ];
+    for container in client.container_ids() {
+        reads.push(EnergyRequest::GetContainerPower { container });
+        reads.push(EnergyRequest::GetContainerEnergy {
+            container,
+            from,
+            to,
+        });
+        reads.push(EnergyRequest::GetContainerCarbon {
+            container,
+            from,
+            to,
+        });
+    }
+    client.send(reads)
+}
+
+/// A format-1 snapshot written before settlement stopped storing the
+/// series nothing read (a tenant's grid power, battery level, …)
+/// still restores. The retired series stay in the store, inert: no tick
+/// appends to them, and no tenant is told anything a snapshot without
+/// them would not tell it.
+#[test]
+fn retired_series_in_a_snapshot_restore_inert() {
+    let seed = 0x0DD5_E215;
+    let (run, a, b) = run_original(seed, 20);
+    let dt = builder(seed).build().tick_interval();
+    let mut planted = run.snap.clone();
+    for tick in 0..run.snap_tick {
+        let at = SimTime::EPOCH + dt * tick;
+        let value = 40.0 + tick as f64;
+        planted
+            .tsdb
+            .record("grid_power_w", &a.to_string(), at, value);
+        planted
+            .tsdb
+            .record("solar_curtailed_w", metrics::SYSTEM, at, value);
+    }
+    let retired = |eco: &Ecovisor| {
+        let tsdb = eco.tsdb();
+        [
+            tsdb.series("grid_power_w", &a.to_string()).cloned(),
+            tsdb.series("solar_curtailed_w", metrics::SYSTEM).cloned(),
+        ]
+    };
+
+    let mut twin = builder(seed).build();
+    twin.apply_snapshot(&run.snap).expect("restore");
+    let mut inert = builder(seed).build();
+    inert
+        .apply_snapshot(&planted)
+        .expect("a retired series restores");
+    let at_restore = retired(&inert);
+    assert!(at_restore.iter().all(Option::is_some), "kept in the store");
+    assert_eq!(inert.tsdb().series_count(), twin.tsdb().series_count() + 2);
+
+    let replayed = twin.replay_trace_from(&run.trace, run.snap_tick, TICKS);
+    let beside = inert.replay_trace_from(&run.trace, run.snap_tick, TICKS);
+    assert_eq!(beside.ticks, TICKS - run.snap_tick);
+    assert_eq!(
+        beside.responses, replayed.responses,
+        "every recorded answer"
+    );
+    assert_eq!(beside.frames, replayed.frames, "every pushed event");
+    assert_eq!(retired(&inert), at_restore, "no tick appends to them");
+    assert_eq!(retired(&twin), [None, None]);
+    for app in [a, b] {
+        assert_eq!(every_read(&mut inert, app), every_read(&mut twin, app));
+        assert_eq!(inert.app_totals(app), twin.app_totals(app));
+    }
 }
 
 /// The restore determinism property loop (seeded, not random): over

@@ -18,7 +18,8 @@ use std::process::ExitCode;
 
 use ecoharness::artifact::{artifacts_in_dir, codec_name, is_artifact_path};
 use ecoharness::{
-    corpus, record_with_checkpoints, verify, verify_federated, verify_transport, ScenarioArtifact,
+    corpus, record_with_checkpoints, verify, verify_federated, verify_transport, Checkpoint,
+    ScenarioArtifact,
 };
 use ecovisor::proto::StatsReport;
 use ecovisor::WireCodec;
@@ -546,8 +547,28 @@ fn cmd_diff(args: Vec<String>) -> Result<ExitCode, String> {
             format!("{:?}", ob.totals),
         );
     }
+    // A checkpoint is named by its tick and its snapshot's digest: two
+    // days can agree on every row above and still embed different state.
+    let checkpoints = |cps: &[Checkpoint]| match cps {
+        [] => "none".to_string(),
+        _ => cps
+            .iter()
+            .map(|c| format!("{}@{:016x}", c.tick, c.digest))
+            .collect::<Vec<_>>()
+            .join(" "),
+    };
+    diff(
+        "checkpoints (tick@digest)",
+        checkpoints(&a.checkpoints),
+        checkpoints(&b.checkpoints),
+    );
+    diff(
+        "base checkpoint (tick@digest)",
+        checkpoints(a.base.as_slice()),
+        checkpoints(b.base.as_slice()),
+    );
     if differences == 0 {
-        println!("  identical (specs, traffic shape, digests, totals)");
+        println!("  identical (specs, traffic shape, digests, totals, checkpoints)");
     }
     Ok(ExitCode::SUCCESS)
 }

@@ -79,7 +79,7 @@ impl Stretch {
 /// stays samples: as a stretch it would save a few words at most, and
 /// once it is over it costs a list entry — for a series' first, two
 /// allocations. Where series are young (a recorded day is a dozen samples
-/// in each of twelve thousand) that is dearer than what it saves; where
+/// in each of eight thousand) that is dearer than what it saves; where
 /// they are old, what stands still does so for longer than this.
 const STRETCH: usize = 8;
 
@@ -849,7 +849,7 @@ mod tests {
 
     #[test]
     fn a_series_is_ten_words_before_it_holds_anything() {
-        // A recorded day is a dozen samples in each of twelve thousand
+        // A recorded day is a dozen samples in each of eight thousand
         // series: there, this is most of what telemetry weighs (and what
         // it weighed before the values were stretches).
         assert_eq!(std::mem::size_of::<TimeSeries>(), 80);

@@ -7,8 +7,6 @@ use std::fmt::Write as _;
 
 use simkit::series::TimeSeries;
 
-use crate::tsdb::Tsdb;
-
 /// Renders one series as `time_s,value` lines with a header.
 pub fn series_to_csv(name: &str, series: &TimeSeries) -> String {
     let mut out = String::with_capacity(series.len() * 16 + 32);
@@ -52,18 +50,6 @@ pub fn aligned_csv(columns: &[(&str, &TimeSeries)]) -> String {
     out
 }
 
-/// Dumps an entire [`Tsdb`] as long-form CSV:
-/// `metric,subject,time_s,value`.
-pub fn tsdb_to_csv(db: &Tsdb) -> String {
-    let mut out = String::from("metric,subject,time_s,value\n");
-    for (metric, subject, series) in db.iter() {
-        for (at, value) in series.iter() {
-            let _ = writeln!(out, "{metric},{subject},{},{value}", at.as_secs());
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,16 +80,5 @@ mod tests {
         assert_eq!(lines[1], "0,1,");
         assert_eq!(lines[2], "60,2,20");
         assert_eq!(lines[3], "120,,30");
-    }
-
-    #[test]
-    fn tsdb_dump_contains_all_samples() {
-        let mut db = Tsdb::new();
-        db.record("m1", "s1", SimTime::from_secs(0), 1.0);
-        db.record("m2", "s2", SimTime::from_secs(5), 2.0);
-        let csv = tsdb_to_csv(&db);
-        assert!(csv.contains("m1,s1,0,1"));
-        assert!(csv.contains("m2,s2,5,2"));
-        assert_eq!(csv.lines().count(), 3);
     }
 }

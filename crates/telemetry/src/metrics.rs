@@ -10,28 +10,20 @@ pub const SYSTEM: &str = "system";
 pub const CONTAINER_POWER: &str = "container_power_w";
 /// Per-app attributed power, watts.
 pub const APP_POWER: &str = "app_power_w";
-/// Per-app grid power draw, watts.
-pub const GRID_POWER: &str = "grid_power_w";
-/// Per-app virtual solar power supplied, watts.
+/// Physical solar power (`SYSTEM`), watts.
 pub const SOLAR_POWER: &str = "solar_power_w";
 /// Per-app virtual battery discharge, watts (positive = discharging).
 pub const BATTERY_DISCHARGE: &str = "battery_discharge_w";
 /// Per-app virtual battery charge, watts (positive = charging).
 pub const BATTERY_CHARGE: &str = "battery_charge_w";
-/// Per-app virtual battery level, watt-hours.
-pub const BATTERY_LEVEL: &str = "battery_level_wh";
 /// Per-app virtual battery state of charge, fraction.
 pub const BATTERY_SOC: &str = "battery_soc";
 /// Grid carbon intensity, g·CO2/kWh.
 pub const GRID_CARBON_INTENSITY: &str = "grid_carbon_gpkwh";
 /// Per-app carbon emission rate, g·CO2/s.
 pub const CARBON_RATE: &str = "carbon_rate_gps";
-/// Per-app cumulative carbon, g·CO2.
-pub const CARBON_TOTAL: &str = "carbon_total_g";
 /// Per-app running container count.
 pub const CONTAINER_COUNT: &str = "container_count";
-/// Per-app solar power curtailed, watts.
-pub const SOLAR_CURTAILED: &str = "solar_curtailed_w";
 
 #[cfg(test)]
 mod tests {
@@ -40,17 +32,13 @@ mod tests {
         let names = [
             super::CONTAINER_POWER,
             super::APP_POWER,
-            super::GRID_POWER,
             super::SOLAR_POWER,
             super::BATTERY_DISCHARGE,
             super::BATTERY_CHARGE,
-            super::BATTERY_LEVEL,
             super::BATTERY_SOC,
             super::GRID_CARBON_INTENSITY,
             super::CARBON_RATE,
-            super::CARBON_TOTAL,
             super::CONTAINER_COUNT,
-            super::SOLAR_CURTAILED,
         ];
         let mut sorted = names.to_vec();
         sorted.sort_unstable();

@@ -298,14 +298,8 @@ impl Tsdb {
         self.series.len()
     }
 
-    /// Total number of stored samples across all series.
-    pub fn sample_count(&self) -> usize {
-        self.series.iter().map(TimeSeries::len).sum()
-    }
-
     /// Iterates over all `(metric, subject, series)` in `(metric,
-    /// subject)` string order (the order CSV export and the at-rest form
-    /// use).
+    /// subject)` string order (the order the at-rest form uses).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, &TimeSeries)> {
         self.index
             .walk()
@@ -418,7 +412,7 @@ impl Serialize for Tsdb {
 }
 
 /// Reads one pair's `SeriesKey`, borrowed from the input: a restore reads
-/// twelve thousand of these and keeps none (the store owns its names).
+/// eight thousand of these and keeps none (the store owns its names).
 fn decode_key<'a>(r: &mut binary::Reader<'a>) -> Result<(&'a str, &'a str), serde::Error> {
     let (mut metric, mut subject) = (None, None);
     for _ in 0..r.map()? {
@@ -523,7 +517,6 @@ mod tests {
     fn counts() {
         let db = sample_db();
         assert_eq!(db.series_count(), 3);
-        assert_eq!(db.sample_count(), 6);
     }
 
     #[test]

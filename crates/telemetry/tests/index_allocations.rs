@@ -20,16 +20,18 @@ use power_telemetry::{metrics, Tsdb};
 #[path = "../../../vendor/serde/tests/common/counting_alloc.rs"]
 mod counting_alloc;
 
+/// Ten names of the kind a store holds; the index, not which metrics
+/// settlement writes, is what is measured here.
 const METRICS: [&str; 10] = [
     metrics::APP_POWER,
-    metrics::GRID_POWER,
+    "grid_power_w",
     metrics::SOLAR_POWER,
     metrics::BATTERY_DISCHARGE,
     metrics::BATTERY_CHARGE,
-    metrics::BATTERY_LEVEL,
+    "battery_level_wh",
     metrics::BATTERY_SOC,
     metrics::CARBON_RATE,
-    metrics::CARBON_TOTAL,
+    "carbon_total_g",
     metrics::CONTAINER_COUNT,
 ];
 const SUBJECTS: usize = 1_000;
