@@ -51,7 +51,7 @@ use crate::federation::FedAppView;
 use crate::lock;
 use crate::share::EnergyShare;
 use crate::snapshot::AppSnapshot;
-use crate::ves::{VesFlows, VesTotals, VirtualEnergySystem};
+use crate::ves::{DesiredFlows, VesFlows, VesTotals, VirtualEnergySystem};
 
 /// One application's shard: its state behind its own lock, so traffic
 /// from different tenants executes in parallel.
@@ -508,7 +508,8 @@ impl Ecovisor {
     /// the two-phase virtual settlement, multiplexes the battery, handles
     /// excess solar, mirrors aggregates onto the physical components,
     /// records telemetry, and buffers next-tick solar. It walks the
-    /// tenants three times in app-id order — demand, commit, local tail —
+    /// tenants three times in app-id order — demand, apply, local tail —
+    /// with a scan over per-tenant rows of scalars between each two,
     /// reads each tenant's containers once (twice under a carbon-rate
     /// limit) and clones no tenant state. A driver calls
     /// [`tick`](Self::tick), which settles with this and then advances
@@ -552,103 +553,92 @@ impl Ecovisor {
 
     /// The settlement arithmetic of one tick, for a local tick (`views`
     /// is `None`) and for a federated one (the merged list
-    /// [`finish_tick`](Self::finish_tick) checked). Three walks over the
-    /// tenants, in app-id order:
+    /// [`finish_tick`](Self::finish_tick) checked): three maps over the
+    /// tenants around two scans over per-tenant rows of scalars, each
+    /// step in app-id order.
     ///
-    /// 1. **Demand.** A local tick first installs each tenant's carbon
-    ///    caps. Each local tenant's containers are read once, through the
-    ///    COP's owner index, into a per-tick buffer; their power is summed
-    ///    as [`Cop::app_power`] sums it. Desired flows come from the live
-    ///    state on a local tick and from the views on a federated one:
-    ///    the captured views stay authoritative, so a write a coordinator
-    ///    lets in between its two phases cannot make replicas diverge.
-    /// 2. **Commit.** The throttle scales, each tenant's flows, its edge
-    ///    events and its budget crossing, then the excess-solar policy and
-    ///    the grid/PSU mirror. A remote tenant runs the same arithmetic on
-    ///    a shadow copy of its view, dropped with the list: its flow
-    ///    numbers feed the shared sums, so every replica's substrate stays
-    ///    bit-identical to a single-process run, and its events, solar
-    ///    buffer and telemetry happen on its owning node.
-    /// 3. **Local tail.** Next tick's solar buffer and the solar and
-    ///    carbon change notifications, then the tenant's telemetry — six
-    ///    appends through cached handles and two per live container from
-    ///    walk 1's buffer: no lookup by name and no allocation, unless the
-    ///    handles were dropped or the live container set changed.
+    /// 1. **Demand (map).** A local tick first installs each tenant's
+    ///    carbon caps. Each local tenant's containers are read once,
+    ///    through the COP's owner index, into a per-tick buffer; their
+    ///    power is summed as [`Cop::app_power`] sums it. A tenant's
+    ///    desired flows come from the live state on a local tick and from
+    ///    its view on a federated one: the captured views stay
+    ///    authoritative, so a write a coordinator lets in between its two
+    ///    phases cannot make replicas diverge.
+    /// 2. **[`throttle`] (scan)** over the desired rows: the two scales.
+    /// 3. **Apply (map).** Each tenant's flows under the scales, its edge
+    ///    events and its budget crossing: an [`Applied`] row. A remote
+    ///    tenant's row comes from a shadow copy of its view, cloned and
+    ///    dropped within the row; its events, solar buffer and telemetry
+    ///    happen on its owning node.
+    /// 4. **[`pool`] (scan)** over the applied rows: the aggregate flows
+    ///    and what redistribution hands each tenant. Then the excess-solar
+    ///    policy and the grid/PSU mirror.
+    /// 5. **Local tail (map).** Each local tenant takes what it was
+    ///    handed, then next tick's solar buffer, the solar and carbon
+    ///    change notifications, and its telemetry — six appends through
+    ///    cached handles and two per live container from step 1's buffer:
+    ///    no lookup by name and no allocation, unless the handles were
+    ///    dropped or the live container set changed.
+    ///
+    /// Tenants meet only in the two scans, which see scalars, in the same
+    /// order on every node: every replica's substrate, and every app's
+    /// flows, are bit-identical to a single-process run.
     fn settle(&mut self, views: Option<&[FedAppView]>) -> SystemFlows {
         let now = self.clock.now();
         let dt = self.clock.interval();
         let intensity = self.intensity;
         let cop = lock::get_mut(&mut self.cop);
 
-        // 1. Demand: one entry per tenant of the list, and the live
+        // 1. Demand: one row per tenant of the list, and the live
         //    containers of the local ones. Every live container holds a
         //    reservation on its server, so the buffer is sized once and
         //    never regrows (regrowing it every tick fragments the heap).
         let placed = cop.servers().iter().map(|s| s.container_count()).sum();
         let mut live = Vec::with_capacity(placed);
-        let mut list = Vec::with_capacity(views.map_or(self.apps.len(), <[_]>::len));
+        let mut desired = Vec::with_capacity(views.map_or(self.apps.len(), <[_]>::len));
+        let mut locals = Vec::with_capacity(self.apps.len());
         match views {
             None => {
                 for (&id, shard) in self.apps.iter_mut() {
                     let state = lock::get_mut(shard);
                     install_carbon_caps(cop, &mut state.rec, intensity, dt);
                     let power = read_live(cop, id, &mut live);
-                    let desired = state.rec.ves.desired_flows(power, dt);
-                    list.push((
-                        desired,
-                        Party::Local(state, live.len(), VesFlows::default()),
-                    ));
+                    desired.push(state.rec.ves.desired_flows(power, dt));
+                    let (row, end) = (locals.len(), live.len());
+                    locals.push(Local { row, state, end });
                 }
             }
             Some(views) => {
-                let mut locals = self.apps.iter_mut().peekable();
-                for view in views {
-                    let party = match locals.next_if(|(&id, _)| id == view.app) {
-                        Some((&id, shard)) => {
-                            read_live(cop, id, &mut live);
-                            Party::Local(lock::get_mut(shard), live.len(), VesFlows::default())
-                        }
-                        None => Party::Shadow(Box::new(view.ves.clone())),
-                    };
-                    list.push((view.ves.desired_flows(view.power, dt), party));
+                let mut mine = self.apps.iter_mut().peekable();
+                for (row, view) in views.iter().enumerate() {
+                    if let Some((&id, shard)) = mine.next_if(|(&id, _)| id == view.app) {
+                        read_live(cop, id, &mut live);
+                        let (state, end) = (lock::get_mut(shard), live.len());
+                        locals.push(Local { row, state, end });
+                    }
+                    desired.push(view.ves.desired_flows(view.power, dt));
                 }
             }
         }
 
-        // 2. Commit. Aggregate throttle factors against the physical
-        //    bank's rate limits (§3.3: "computing the limit on the maximum
-        //    battery discharge rates and charging rates across all
-        //    applications"). SoC feasibility is enforced per virtual
-        //    battery; Σ virtual capacity ≤ physical capacity guarantees
-        //    the bank can honor whatever the virtual batteries accept.
-        let total_charge: Watts = list.iter().map(|(d, _)| d.total_charge()).sum();
-        let total_discharge: Watts = list.iter().map(|(d, _)| d.discharge).sum();
-        let charge_allow = self.physical_battery.spec().max_charge_rate;
-        let discharge_allow = self.physical_battery.spec().max_discharge_rate;
-        let charge_scale = if total_charge > charge_allow {
-            charge_allow / total_charge
-        } else {
-            1.0
-        };
-        let discharge_scale = if total_discharge > discharge_allow {
-            discharge_allow / total_discharge
-        } else {
-            1.0
-        };
+        // 2. Throttle scales against the physical bank's rate limits.
+        let bank = self.physical_battery.spec();
+        let (charge_scale, discharge_scale) =
+            throttle(&desired, bank.max_charge_rate, bank.max_discharge_rate);
 
-        let mut surplus_pool = Watts::ZERO;
-        let mut charge_applied = Watts::ZERO;
-        let mut discharge_applied = Watts::ZERO;
-        let mut grid_total = Watts::ZERO;
-        for (d, party) in &mut list {
-            let f = match party {
-                Party::Shadow(ves) => {
-                    ves.apply_flows(d, charge_scale, discharge_scale, intensity, dt)
-                        .0
-                }
-                Party::Local(state, _, flows) => {
-                    let rec = &mut state.rec;
-                    let (f, events) =
+        // 3. Apply: one row per tenant, with the room its battery has
+        //    left for redistributed solar when the policy walks the rooms.
+        let redistribute = self.excess == ExcessPolicy::Redistribute;
+        let remote = views.unwrap_or_default();
+        let mut mine = locals.iter_mut().peekable();
+        let mut applied = Vec::with_capacity(desired.len());
+        for (row, d) in desired.iter().enumerate() {
+            let shadow;
+            let (flows, ves) = match mine.next_if(|local| local.row == row) {
+                Some(local) => {
+                    let rec = &mut local.state.rec;
+                    let (flows, events) =
                         rec.ves
                             .apply_flows(d, charge_scale, discharge_scale, intensity, dt);
                     let outbox = rec.outbox;
@@ -671,64 +661,45 @@ impl Ecovisor {
                             );
                         }
                     }
-                    // Kept for telemetry: redistribution moves the VES's own.
-                    *flows = f;
-                    f
+                    (flows, &rec.ves)
+                }
+                // A remote tenant: the same arithmetic on a copy of its
+                // view, for the scans only, dropped with this row.
+                None => {
+                    let mut ves = remote[row].ves.clone();
+                    let (flows, _) =
+                        ves.apply_flows(d, charge_scale, discharge_scale, intensity, dt);
+                    shadow = ves;
+                    (flows, &shadow)
                 }
             };
-            surplus_pool += f.solar_surplus;
-            charge_applied += f.solar_to_battery + f.grid_to_battery;
-            discharge_applied += f.battery_to_load;
-            grid_total += f.grid_import();
+            let room = redistribute.then(|| ves.redistribution_room(dt));
+            applied.push(Applied {
+                flows,
+                room: room.unwrap_or_default(),
+            });
         }
 
-        // Excess-solar policy.
-        let mut redistributed = Watts::ZERO;
-        let mut remaining_pool = surplus_pool;
-        if self.excess == ExcessPolicy::Redistribute && remaining_pool > Watts::ZERO {
-            let mut headroom = (charge_allow - charge_applied).max_zero();
-            for (_, party) in &mut list {
-                if remaining_pool <= Watts::ZERO || headroom <= Watts::ZERO {
-                    break;
-                }
-                let ves = match party {
-                    Party::Shadow(ves) => &mut **ves,
-                    Party::Local(state, ..) => &mut state.rec.ves,
-                };
-                let accepted = ves.accept_redistribution(remaining_pool.min(headroom), dt);
-                remaining_pool -= accepted;
-                headroom -= accepted;
-                redistributed += accepted;
-                charge_applied += accepted;
-            }
+        // 4. The aggregate flows and the redistribution walk; what
+        //    surplus is left is exported under net metering, curtailed
+        //    otherwise.
+        let (mut system, handed) = pool(&applied, bank.max_charge_rate, redistribute);
+        if self.excess == ExcessPolicy::NetMeter {
+            system.exported = self.grid.export(system.curtailed, dt);
+            system.curtailed -= system.exported;
         }
-        let exported = if self.excess == ExcessPolicy::NetMeter {
-            self.grid.export(remaining_pool, dt)
-        } else {
-            Watts::ZERO
-        };
-        let curtailed = remaining_pool - exported;
 
         // Mirror aggregates onto the physical meters. The bank's state
         // of charge is *derived* from the virtual batteries (see
         // [`Self::physical_battery_level`]); only the grid meter and PSU
         // carry independent physical state.
-        self.grid.import(grid_total, dt);
-        self.psu.record_draw(now, grid_total, dt);
-
+        self.grid.import(system.grid_import, dt);
+        self.psu.record_draw(now, system.grid_import, dt);
         let physical_solar = energy_system::solar::power_over(&self.solar, now, now + dt);
-        let system = SystemFlows {
-            physical_solar,
-            grid_import: grid_total,
-            battery_charge: charge_applied,
-            battery_discharge: discharge_applied,
-            redistributed,
-            exported,
-            curtailed,
-        };
+        system.physical_solar = physical_solar;
         self.last_system_flows = system;
 
-        // 3. Local tail. The SYSTEM series are named before any tenant's,
+        // 5. Local tail. The SYSTEM series are named before any tenant's,
         //    so a fresh store creates its series in the same order. The
         //    SYSTEM-subject row derived from local state (app power) is
         //    node-local under federation; see docs/FEDERATION.md.
@@ -741,10 +712,11 @@ impl Ecovisor {
         .map(|metric| tsdb.series_id(metric, metrics::SYSTEM));
         let prev_intensity = self.prev_intensity;
         let mut start = 0;
-        for (_, party) in &mut list {
-            let Party::Local(AppState { rec, series }, end, f) = party else {
-                continue;
-            };
+        for Local { row, state, end } in locals {
+            let AppState { rec, series } = state;
+            if let Some(&accepted) = handed.get(row) {
+                rec.ves.accept_redistribution(accepted, dt);
+            }
             // Physical solar this tick, buffered for next tick; the
             // solar-change notification compares old vs new availability,
             // the carbon-change one this tick vs the previous.
@@ -772,11 +744,14 @@ impl Ecovisor {
             }
 
             let series = series.get_or_insert_with(|| SeriesHandles::resolve(tsdb, rec.app));
-            // APP_POWER records *served* power (demand minus load shed by
-            // the grid cap), so its TSDB integral — get_app_energy —
-            // agrees with VesTotals::energy, which accumulates served
-            // power. Demand stays the denominator for the proportional
-            // carbon attribution below (container powers sum to demand).
+            // The flows as applied, before redistribution moved the VES's
+            // own. APP_POWER records *served* power (demand minus load
+            // shed by the grid cap), so its TSDB integral —
+            // get_app_energy — agrees with VesTotals::energy, which
+            // accumulates served power. Demand stays the denominator for
+            // the proportional carbon attribution below (container powers
+            // sum to demand).
+            let f = &applied[row].flows;
             let served = (f.demand - f.unmet_demand).max_zero();
             let charge = f.solar_to_battery + f.grid_to_battery + f.redistributed_in;
             for (handle, value) in [
@@ -792,8 +767,8 @@ impl Ecovisor {
             // Containers: power + proportional carbon attribution. The
             // cached handles follow the live set and are re-resolved from
             // its first difference on.
-            let mine = &live[start..*end];
-            start = *end;
+            let mine = &live[start..end];
+            start = end;
             for (at, &(id, power, _)) in mine.iter().enumerate() {
                 if series.containers.get(at).map(|h| h.id) != Some(id) {
                     let subject = id.to_string();
@@ -961,13 +936,66 @@ impl Ecovisor {
     }
 }
 
-/// A tenant in a settled list: one of this node's, with the end of its
-/// containers in the tick's live buffer and its committed flows, or a
-/// remote tenant's shadow — a copy of its view's state, dropped with the
-/// list.
-enum Party<'a> {
-    Local(&'a mut AppState, usize, VesFlows),
-    Shadow(Box<VirtualEnergySystem>),
+/// One of this node's tenants in a tick: its row in the tick's lists,
+/// its state, and the end of its containers in the tick's live buffer.
+struct Local<'a> {
+    row: usize,
+    state: &'a mut AppState,
+    end: usize,
+}
+
+/// A tenant's committed flows in a tick, and the redistributed solar its
+/// battery could still take (zero unless the policy redistributes).
+struct Applied {
+    flows: VesFlows,
+    room: Watts,
+}
+
+/// The first scan: §3.3's multiplexing "simply requires computing the
+/// limit on the maximum battery discharge rates and charging rates across
+/// all applications". Sums the desired charge and discharge in row order
+/// and returns the (charge, discharge) scales: the share of each sum the
+/// physical bank's rate allows, 1 when it fits. SoC feasibility is
+/// enforced per virtual battery; Σ virtual capacity ≤ physical capacity
+/// guarantees the bank can honor whatever the virtual batteries accept.
+fn throttle(desired: &[DesiredFlows], max_charge: Watts, max_discharge: Watts) -> (f64, f64) {
+    let charge: Watts = desired.iter().map(DesiredFlows::total_charge).sum();
+    let discharge: Watts = desired.iter().map(|d| d.discharge).sum();
+    let scale = |total: Watts, allow: Watts| if total > allow { allow / total } else { 1.0 };
+    (scale(charge, max_charge), scale(discharge, max_discharge))
+}
+
+/// The second scan, over the applied rows in row order: the aggregate
+/// charge, discharge and grid import, and the surplus pool; then, if
+/// `redistribute` and there is surplus, the walk that hands each row the
+/// least of the pool left, the bank's charge headroom left and the row's
+/// room, until the pool or the headroom runs out. Returns the tick's
+/// flows with the whole pool left `curtailed` (no physical solar, no
+/// export) and what each walked row was handed, by row.
+fn pool(rows: &[Applied], max_charge: Watts, redistribute: bool) -> (SystemFlows, Vec<Watts>) {
+    let mut sums = SystemFlows::default();
+    for Applied { flows: f, .. } in rows {
+        sums.curtailed += f.solar_surplus;
+        sums.battery_charge += f.solar_to_battery + f.grid_to_battery;
+        sums.battery_discharge += f.battery_to_load;
+        sums.grid_import += f.grid_import();
+    }
+    let mut handed = Vec::new();
+    if redistribute && sums.curtailed > Watts::ZERO {
+        let mut headroom = (max_charge - sums.battery_charge).max_zero();
+        for row in rows {
+            if sums.curtailed <= Watts::ZERO || headroom <= Watts::ZERO {
+                break;
+            }
+            let accepted = sums.curtailed.min(headroom).min(row.room);
+            sums.curtailed -= accepted;
+            headroom -= accepted;
+            sums.redistributed += accepted;
+            sums.battery_charge += accepted;
+            handed.push(accepted);
+        }
+    }
+    (sums, handed)
 }
 
 /// Reads `owner`'s containers once, through the COP's owner index:

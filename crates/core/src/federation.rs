@@ -27,10 +27,12 @@
 //!
 //! ## Cross-node settlement views
 //!
-//! Settlement arithmetic is sequential across apps (throttle-scale sums,
-//! the redistribution loop), so "collect scalar demands, broadcast
-//! scale factors" would *not* reproduce a single-process run
-//! bit-identically. Instead every node holds a full replica of the
+//! Tenants meet in settlement only in two id-ordered scans over a few
+//! scalars each (the throttle scales; the pool sums and redistribution
+//! walk), so any design that scans the same rows in the same order on
+//! every node reproduces a single-process run bit-identically. The rows
+//! could travel as scalars; today the wire ships each tenant's whole
+//! virtual energy system, so every node holds a full replica of the
 //! shared substrate and applies the **global** settlement each tick,
 //! in two phases:
 //! [`fed_collect`](crate::shard::ShardedEcovisor::fed_collect) captures
@@ -40,10 +42,10 @@
 //! [`fed_settle`](crate::shard::ShardedEcovisor::fed_settle), which runs
 //! the settlement a local [`Ecovisor::tick`] runs — one routine, over
 //! the list instead of the node's own tenants — with local tenants
-//! against live state and remote tenants against discarded shadow
-//! copies, then advances the clock. Identical inputs in identical order make every
-//! replica's substrate — and every app's flows — bit-identical to the
-//! single-process run. The choreography, its contract (no dispatch
+//! against live state and each remote tenant against a shadow copy
+//! that lives only while its row is applied, then advances the clock.
+//! Identical inputs in identical order make every replica's substrate —
+//! and every app's flows — bit-identical to the single-process run. The choreography, its contract (no dispatch
 //! between collect and settle), and the failure semantics are documented
 //! in `docs/FEDERATION.md`.
 
@@ -72,8 +74,9 @@ use crate::ves::VirtualEnergySystem;
 /// per-tick state: buffered solar, battery level, clamp edges), plus the
 /// post-cap container power the owning node measured after carbon-rate
 /// enforcement. Receivers treat the embedded VES as a **shadow**: they
-/// mutate a copy through the tick's arithmetic and discard it — the
-/// owning node's live state is authoritative.
+/// mutate a copy through the tick's arithmetic for the tenant's row and
+/// drop it with the row — the owning node's live state is
+/// authoritative.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FedAppView {
     /// The application this view describes.
@@ -598,8 +601,11 @@ mod tests {
     /// Five tenants under `excess`: a full battery with spare solar, a
     /// carbon-rate-limited one, a small carbon budget, an empty battery
     /// that takes redistributed solar, and a small one. Every tenant
-    /// starts with two containers.
+    /// starts with two containers. The physical bank's rates (20 W in,
+    /// 12 W out) are below what the virtual batteries want together on
+    /// some ticks, so both throttle scales fall below 1.
     fn twin_world(excess: crate::config::ExcessPolicy) -> (Ecovisor, Vec<AppId>) {
+        use energy_system::battery::{Battery, BatterySpec};
         use simkit::time::SimDuration;
         use simkit::trace::Trace;
         use simkit::units::{CarbonRate, Co2Grams, WattHours};
@@ -617,6 +623,11 @@ mod tests {
                 SimDuration::from_minutes(1),
             ))
             .excess(excess)
+            .battery(Battery::new_full(BatterySpec {
+                max_charge_rate: Watts::new(20.0),
+                max_discharge_rate: Watts::new(12.0),
+                ..BatterySpec::with_capacity(WattHours::new(400.0))
+            }))
             .build();
         let shares = [
             solar_share(0.3)
@@ -708,6 +719,7 @@ mod tests {
                 shed.remove_app(app).unwrap();
             }
             let mut redistributed = Watts::ZERO;
+            let (mut charge_throttled, mut discharge_throttled) = (0, 0);
             for t in 0..12 {
                 churn(
                     t,
@@ -719,6 +731,68 @@ mod tests {
                 redistributed += flows.redistributed;
 
                 let views = single.collect_demand();
+                // §3.3's scales, from the desired flows summed in app-id
+                // order: each tenant's battery flows are its desired ones
+                // times the scale, bit for bit.
+                let dt = single.tick_interval();
+                let rows: Vec<_> = views
+                    .iter()
+                    .map(|v| v.ves.desired_flows(v.power, dt))
+                    .collect();
+                let (mut charge, mut discharge) = (Watts::ZERO, Watts::ZERO);
+                for d in &rows {
+                    charge += d.total_charge();
+                    discharge += d.discharge;
+                }
+                let bank = *whole.physical_battery().spec();
+                let scale = |total: Watts, allow: Watts| {
+                    if total > allow {
+                        allow / total
+                    } else {
+                        1.0
+                    }
+                };
+                let charge_scale = scale(charge, bank.max_charge_rate);
+                let discharge_scale = scale(discharge, bank.max_discharge_rate);
+                charge_throttled += usize::from(charge_scale < 1.0);
+                discharge_throttled += usize::from(discharge_scale < 1.0);
+                for (view, d) in views.iter().zip(&rows) {
+                    let f = whole.app_flows(view.app).unwrap();
+                    let scaled = (d.charge_solar * charge_scale, d.discharge * discharge_scale);
+                    let applied = (f.solar_to_battery, f.battery_to_load);
+                    assert_eq!(applied, scaled, "{excess:?} tick {t}");
+                }
+                // The redistribution walk in app-id order, over each
+                // tenant's room read off a copy of its view.
+                let (mut pool, mut charged, mut rooms) = (Watts::ZERO, Watts::ZERO, vec![]);
+                for (view, d) in views.iter().zip(&rows) {
+                    let mut ves = view.ves.clone();
+                    let intensity = single.grid_carbon_intensity();
+                    let (f, _) = ves.apply_flows(d, charge_scale, discharge_scale, intensity, dt);
+                    pool += f.solar_surplus;
+                    charged += f.solar_to_battery + f.grid_to_battery;
+                    rooms.push(ves.redistribution_room(dt));
+                }
+                let mut headroom = (bank.max_charge_rate - charged).max_zero();
+                for (view, room) in views.iter().zip(rooms) {
+                    let walked = excess == ExcessPolicy::Redistribute
+                        && pool > Watts::ZERO
+                        && headroom > Watts::ZERO;
+                    let handed = if walked {
+                        pool.min(headroom).min(room)
+                    } else {
+                        Watts::ZERO
+                    };
+                    let taken = whole.app_flows(view.app).unwrap().redistributed_in;
+                    assert_eq!(taken, handed, "{excess:?} tick {t}");
+                    pool -= handed;
+                    headroom -= handed;
+                }
+                if discharge_scale < 1.0 {
+                    let drawn = flows.battery_discharge - bank.max_discharge_rate;
+                    assert!(drawn.watts().abs() < 1e-9, "{excess:?} tick {t}");
+                }
+                assert!(flows.battery_charge <= bank.max_charge_rate + Watts::new(1e-9));
                 let (single_flows, ()) = single.finish_tick(&views, |_| ()).unwrap();
                 assert_eq!(single_flows, flows, "{excess:?} tick {t}");
                 assert_eq!(
@@ -754,6 +828,11 @@ mod tests {
             if excess == ExcessPolicy::Redistribute {
                 assert!(redistributed > Watts::ZERO, "solar was redistributed");
             }
+            assert!(
+                charge_throttled > 0,
+                "{excess:?}: the bank throttled charge"
+            );
+            assert!(discharge_throttled > 0, "{excess:?}: and discharge");
         }
     }
 

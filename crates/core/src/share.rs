@@ -37,17 +37,6 @@ impl EnergyShare {
         }
     }
 
-    /// An equal 1/n share of solar and battery.
-    pub fn equal_split(n: u32, physical_battery: WattHours) -> Self {
-        let n = f64::from(n.max(1));
-        Self {
-            solar_fraction: 1.0 / n,
-            battery_capacity: physical_battery / n,
-            battery_initial_soc: 1.0,
-            grid_power_cap: None,
-        }
-    }
-
     /// Builder-style: sets the solar fraction.
     pub fn with_solar_fraction(mut self, fraction: f64) -> Self {
         self.solar_fraction = fraction;
@@ -120,15 +109,6 @@ mod tests {
         assert!(s.validate().is_ok());
         assert!(!s.has_battery());
         assert_eq!(s.solar_fraction, 0.0);
-    }
-
-    #[test]
-    fn equal_split_shares() {
-        let s = EnergyShare::equal_split(2, WattHours::new(1440.0));
-        assert!(s.validate().is_ok());
-        assert_eq!(s.solar_fraction, 0.5);
-        assert_eq!(s.battery_capacity, WattHours::new(720.0));
-        assert!(s.has_battery());
     }
 
     #[test]

@@ -179,8 +179,7 @@ impl VirtualEnergySystem {
         };
         let max_discharge = battery
             .as_ref()
-            .map(|b| b.spec().max_discharge_rate)
-            .unwrap_or(Watts::ZERO);
+            .map_or(Watts::ZERO, |b| b.spec().max_discharge_rate);
         let was_full = battery.as_ref().map(Battery::is_full).unwrap_or(false);
         let was_empty = battery.as_ref().map(Battery::is_empty).unwrap_or(false);
         Self {
@@ -212,16 +211,12 @@ impl VirtualEnergySystem {
     pub fn battery_charge_level(&self) -> WattHours {
         self.battery
             .as_ref()
-            .map(Battery::charge_level)
-            .unwrap_or(WattHours::ZERO)
+            .map_or(WattHours::ZERO, Battery::charge_level)
     }
 
     /// Virtual battery state of charge fraction (0 without a battery).
     pub fn battery_soc(&self) -> f64 {
-        self.battery
-            .as_ref()
-            .map(Battery::soc_fraction)
-            .unwrap_or(0.0)
+        self.battery.as_ref().map_or(0.0, Battery::soc_fraction)
     }
 
     /// Sets the grid-charging rate (Table 1 `set_battery_charge_rate`).
@@ -451,19 +446,29 @@ impl VirtualEnergySystem {
     /// tick (the 0.25C rate limit applies to the tick's *total* charging)
     /// and returns the accepted power.
     pub fn accept_redistribution(&mut self, offered: Watts, dt: SimDuration) -> Watts {
-        let already = self.last_flows.solar_to_battery
-            + self.last_flows.grid_to_battery
-            + self.last_flows.redistributed_in;
+        let room = self.redistribution_room(dt);
         let Some(battery) = &mut self.battery else {
             return Watts::ZERO;
         };
-        let rate_room = (battery.spec().max_charge_rate - already).max_zero();
-        let accepted = battery.charge(offered.max_zero().min(rate_room), dt);
+        let accepted = battery.charge(offered.max_zero().min(room), dt);
         if accepted > Watts::ZERO {
             self.last_flows.redistributed_in += accepted;
             self.totals.solar_energy += accepted * dt;
         }
         accepted
+    }
+
+    /// What [`accept_redistribution`](Self::accept_redistribution)
+    /// would accept of an unbounded offer: the rate limit's room beyond
+    /// what was already charged this tick, within the battery's
+    /// headroom. Zero without a battery.
+    pub(crate) fn redistribution_room(&self, dt: SimDuration) -> Watts {
+        let f = &self.last_flows;
+        let already = f.solar_to_battery + f.grid_to_battery + f.redistributed_in;
+        self.battery.as_ref().map_or(Watts::ZERO, |b| {
+            let rate_room = b.spec().max_charge_rate - already;
+            rate_room.max_zero().min(b.max_charge_power(dt))
+        })
     }
 
     /// Current discharge rate (Table 1 `get_battery_discharge_rate`):
@@ -662,6 +667,41 @@ mod tests {
             none.accept_redistribution(Watts::new(50.0), minute()),
             Watts::ZERO
         );
+    }
+
+    /// Settlement hands a battery the least of the pool's offer and the
+    /// battery's room, then commits it through `accept_redistribution`:
+    /// the two agree bit for bit, whether the rate limit or the headroom
+    /// bounds the room.
+    #[test]
+    fn an_offer_is_cut_to_the_room() {
+        let charging = |soc: f64, rate: f64| {
+            let mut ves = VirtualEnergySystem::new(solar_battery_share().with_initial_soc(soc));
+            ves.set_charge_rate(Watts::new(rate));
+            apply_simple(&mut ves, Watts::ZERO, 100.0);
+            ves
+        };
+        let rooms = [0.0, 0.0, 110.0, 33.2];
+        for (ves, room) in [
+            VirtualEnergySystem::new(EnergyShare::grid_only()),
+            VirtualEnergySystem::new(solar_battery_share()),
+            charging(0.3, 70.0),
+            charging(0.999, 10.0),
+        ]
+        .into_iter()
+        .zip(rooms)
+        {
+            let dt = minute();
+            assert!((ves.redistribution_room(dt).watts() - room).abs() < 0.1);
+            for offered in [-5.0, 0.0, 0.1, 33.3, 110.0, 1e6].map(Watts::new) {
+                let mut taker = ves.clone();
+                let accepted = taker.accept_redistribution(offered, dt);
+                assert_eq!(
+                    accepted,
+                    offered.max_zero().min(ves.redistribution_room(dt))
+                );
+            }
+        }
     }
 
     #[test]

@@ -461,27 +461,29 @@ fn table2_interval_queries_match_totals() {
 
 #[test]
 fn aggregate_discharge_throttled_to_physical_limit() {
-    // Physical bank 100 Wh (1C = 100 W). Two apps each with 50 Wh virtual
-    // capacity want 50 W discharge each = 100 W total: fits. With a
-    // smaller physical bank it must throttle.
-    let eco = EcovisorBuilder::new()
-        .cluster(CopConfig::microserver_cluster(4))
-        .battery(Battery::new_full(BatterySpec::with_capacity(
-            WattHours::new(100.0),
-        )))
-        .carbon(Trace::constant(100.0))
-        .build();
-    let mut sim = Simulation::new(eco);
-    for name in ["a", "b"] {
-        let share = EnergyShare::grid_only()
-            .with_battery(WattHours::new(50.0))
-            .with_initial_soc(1.0);
-        sim.add_app(name, share, Box::new(Saturated::new(1)))
-            .unwrap();
-    }
-    sim.run_ticks(30);
-    // Each app draws 3.65 W from its battery; aggregate 7.3 W < 100 W
-    // limit, so no throttling: demand is fully battery-served (no grid).
+    // Two apps, each with a full 50 Wh virtual battery, each want their
+    // 3.65 W load from it: 7.3 W together.
+    let run = |bank: BatterySpec| {
+        let eco = EcovisorBuilder::new()
+            .cluster(CopConfig::microserver_cluster(4))
+            .battery(Battery::new_full(bank))
+            .carbon(Trace::constant(100.0))
+            .build();
+        let mut sim = Simulation::new(eco);
+        for name in ["a", "b"] {
+            let share = EnergyShare::grid_only()
+                .with_battery(WattHours::new(50.0))
+                .with_initial_soc(1.0);
+            sim.add_app(name, share, Box::new(Saturated::new(1)))
+                .unwrap();
+        }
+        sim.run_ticks(30);
+        sim
+    };
+
+    // A 100 Wh bank discharges at up to 100 W (1C): 7.3 W fits, so no
+    // throttling, and demand is fully battery-served (no grid).
+    let sim = run(BatterySpec::with_capacity(WattHours::new(100.0)));
     for id in sim.app_ids() {
         let flows = sim.eco().app_flows(id).unwrap();
         assert_eq!(flows.grid_to_load, Watts::ZERO, "app {id}: {flows:?}");
@@ -490,6 +492,29 @@ fn aggregate_discharge_throttled_to_physical_limit() {
     let virt = sim.eco().virtual_battery_total();
     // 7.3 W aggregate for 30 min = 3.65 Wh drained from a 100 Wh start.
     assert!((virt.watt_hours() - 96.35).abs() < 1e-6, "virt {virt}");
+
+    // The same bank rated for 5 W of discharge: the bank delivers its
+    // whole rate, split by one scale (5 / 7.3) over both apps, and the
+    // grid serves the rest of each load.
+    let sim = run(BatterySpec {
+        max_discharge_rate: Watts::new(5.0),
+        ..BatterySpec::with_capacity(WattHours::new(100.0))
+    });
+    let flows: Vec<_> = sim
+        .app_ids()
+        .into_iter()
+        .map(|id| sim.eco().app_flows(id).unwrap())
+        .collect();
+    let discharge: Watts = flows.iter().map(|f| f.battery_to_load).sum();
+    assert!((discharge.watts() - 5.0).abs() < 1e-9, "{discharge}");
+    assert_eq!(sim.eco().last_system_flows().battery_discharge, discharge);
+    assert_eq!(flows[0].battery_to_load, flows[1].battery_to_load);
+    for f in &flows {
+        assert!((f.battery_to_load.watts() - 2.5).abs() < 1e-9, "{f:?}");
+        assert!((f.grid_to_load.watts() - 1.15).abs() < 1e-9, "{f:?}");
+        assert_eq!(f.unmet_demand, Watts::ZERO);
+        assert!(f.is_conserved(), "{f:?}");
+    }
 }
 
 #[test]

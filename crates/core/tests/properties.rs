@@ -215,3 +215,75 @@ fn totals_are_consistent() {
         );
     }
 }
+
+/// The laws of the excess-solar pool under `Redistribute`, tick by tick,
+/// over seeded worlds of a few tenants sharing a physical bank with a
+/// random charge-rate limit: what the tenants took adds up, bit for bit
+/// in app-id order, to what the tick reports redistributed; the bank is
+/// never charged beyond its rate; the pool is redistributed or curtailed
+/// and nothing else; and every tenant's ledger balances.
+#[test]
+fn redistribution_laws() {
+    use container_cop::ContainerSpec;
+    use ecovisor::{EcovisorBuilder, EnergyClient, ExcessPolicy};
+    use energy_system::battery::{Battery, BatterySpec};
+    use simkit::trace::Trace;
+
+    let mut rng = SimRng::from_seed(5005).fork("redistribution_laws");
+    let mut redistributed_ticks = 0;
+    for _ in 0..24 {
+        let tenants = rng.uniform_u64(2, 7) as usize;
+        let bank = BatterySpec {
+            max_charge_rate: Watts::new(rng.uniform(5.0, 360.0)),
+            ..BatterySpec::paper_prototype()
+        };
+        let solar: Vec<f64> = (0..16).map(|_| rng.uniform(0.0, 600.0)).collect();
+        let mut eco = EcovisorBuilder::new()
+            .battery(Battery::new_full(bank))
+            .solar(Trace::from_samples(solar, dt()))
+            .excess(ExcessPolicy::Redistribute)
+            .build();
+        let mut containers = Vec::new();
+        for i in 0..tenants {
+            let mut share = arb_share(&mut rng);
+            share.solar_fraction /= tenants as f64;
+            share.battery_capacity = share.battery_capacity / tenants as f64;
+            let app = eco.register_app(format!("t{i}"), share).expect("fits");
+            let mut api = eco.client(app).expect("registered");
+            api.set_battery_charge_rate(Watts::new(rng.uniform(0.0, 100.0)));
+            for _ in 0..rng.uniform_u64(1, 4) {
+                containers.push((
+                    app,
+                    api.launch_container(ContainerSpec::quad_core()).unwrap(),
+                ));
+            }
+        }
+        for _ in 0..16 {
+            for &(app, c) in &containers {
+                let mut api = eco.client(app).expect("registered");
+                api.set_container_demand(c, rng.unit()).unwrap();
+            }
+            let (system, ()) = eco.tick(|_| ());
+            let mut taken = Watts::ZERO;
+            let mut pool = Watts::ZERO;
+            for app in eco.app_ids() {
+                let flows = eco.app_flows(app).unwrap();
+                assert!(flows.is_conserved(), "{flows:?}");
+                taken += flows.redistributed_in;
+                pool += flows.solar_surplus;
+            }
+            assert_eq!(taken, system.redistributed, "{system:?}");
+            assert!(
+                system.battery_charge <= bank.max_charge_rate + Watts::new(1e-9),
+                "{system:?} over {}",
+                bank.max_charge_rate
+            );
+            let spent = system.redistributed + system.exported + system.curtailed;
+            assert!((spent - pool).watts().abs() < 1e-9, "{system:?} of {pool}");
+            if system.redistributed > Watts::ZERO {
+                redistributed_ticks += 1;
+            }
+        }
+    }
+    assert!(redistributed_ticks > 0, "the walk handed out surplus");
+}

@@ -668,7 +668,7 @@ fn transformations(current: &Candidate) -> Vec<Candidate> {
 /// # Errors
 ///
 /// Recording and filesystem failures.
-pub fn write_reproducer(
+fn write_reproducer(
     candidate: &Candidate,
     fault: Option<&Fault>,
     dir: &Path,

@@ -153,12 +153,6 @@ impl SimDuration {
         Self(hours * SECS_PER_HOUR)
     }
 
-    /// Constructs a duration from days.
-    #[inline]
-    pub fn from_days(days: u64) -> Self {
-        Self(days * SECS_PER_DAY)
-    }
-
     /// Duration in whole seconds.
     #[inline]
     pub fn as_secs(self) -> u64 {
@@ -319,11 +313,6 @@ impl TickClock {
         self.tick += 1;
         self.now()
     }
-
-    /// Number of ticks covering `span` (rounded up).
-    pub fn ticks_in(&self, span: SimDuration) -> u64 {
-        span.as_secs().div_ceil(self.interval.as_secs())
-    }
 }
 
 #[cfg(test)]
@@ -342,7 +331,6 @@ mod tests {
     fn duration_conversions() {
         assert_eq!(SimDuration::from_minutes(90).as_secs(), 5400);
         assert!((SimDuration::from_minutes(90).as_hours() - 1.5).abs() < 1e-12);
-        assert_eq!(SimDuration::from_days(2).as_secs(), 2 * SECS_PER_DAY);
     }
 
     #[test]
@@ -373,14 +361,6 @@ mod tests {
         c.advance();
         assert_eq!(c.tick_index(), 2);
         assert_eq!(c.now().as_secs(), 600);
-    }
-
-    #[test]
-    fn ticks_in_rounds_up() {
-        let c = TickClock::new(SimDuration::from_minutes(1));
-        assert_eq!(c.ticks_in(SimDuration::from_secs(61)), 2);
-        assert_eq!(c.ticks_in(SimDuration::from_secs(60)), 1);
-        assert_eq!(c.ticks_in(SimDuration::ZERO), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use simkit::time::SimDuration;
 /// # Panics
 ///
 /// Panics if `c` is zero or `a` is negative.
-pub fn erlang_c(c: usize, a: f64) -> f64 {
+fn erlang_c(c: usize, a: f64) -> f64 {
     assert!(c > 0, "need at least one server");
     assert!(a >= 0.0, "offered load must be non-negative");
     if a == 0.0 {
