@@ -368,10 +368,24 @@ fn hostile_tenants_are_refused_over_the_wire_and_the_node_keeps_serving() {
     let seed = 0xBAD_7E4A;
     let mut eco1 = builder(seed).build();
     let (a, b) = register_all(&mut eco1);
+    // B's container takes id 0 on the source, so A's below takes 1.
+    eco1.client(b)
+        .expect("client b")
+        .launch_container(ContainerSpec::quad_core())
+        .expect("launch b");
     let mut eco2 = builder(seed).build();
     register_all(&mut eco2);
     eco2.remove_app(a).expect("shed a");
     eco2.remove_app(b).expect("shed b");
+    // A resident of the destination only, holding container id 0 there.
+    let c = eco2
+        .register_app("tenant-c", EnergyShare::grid_only())
+        .expect("register c");
+    let held = eco2
+        .client(c)
+        .expect("client c")
+        .launch_container(ContainerSpec::quad_core())
+        .expect("launch c");
     let serve = |eco: Ecovisor| {
         EcovisorServer::bind("127.0.0.1:0", eco)
             .expect("bind")
@@ -386,17 +400,39 @@ fn hostile_tenants_are_refused_over_the_wire_and_the_node_keeps_serving() {
         fed_tick(&mut [&mut op1, &mut op2]);
     }
 
+    // Launched after the last settlement, so no series names its id.
+    let own = op1
+        .launch_container(ContainerSpec::quad_core())
+        .expect("launch a");
     let good = op1.fetch_tenant(a).expect("capture");
+    assert_eq!(good.containers.len(), 1, "A carries {own}");
     let before = h2.ecovisor().with(|eco| eco.snapshot()).digest();
     let mut cases = hostile::record_edits("app");
     let after_the_clock = h2.ecovisor().read(|eco| eco.now().as_secs()) as i64 + 1;
-    cases.push((
-        "a sample stamped after the clock",
-        vec![(
-            "tsdb.series.0.1.samples.last.at".into(),
-            serde::Value::Int(after_the_clock),
-        )],
-    ));
+    let container = serde::Serialize::to_value(&good.containers[0]);
+    cases.extend([
+        (
+            "a sample stamped after the clock",
+            vec![(
+                "tsdb.series.0.1.samples.last.at".into(),
+                serde::Value::Int(after_the_clock),
+            )],
+        ),
+        (
+            "a container whose id a resident holds",
+            vec![(
+                "containers.0.id".into(),
+                serde::Value::Int(held.value() as i64),
+            )],
+        ),
+        (
+            "one container id twice in the transfer",
+            vec![(
+                "containers".into(),
+                serde::Value::Seq(vec![container.clone(), container]),
+            )],
+        ),
+    ]);
     for (name, edits) in cases {
         let err = op2
             .push_tenant(&hostile::edited(&good, &edits))

@@ -324,6 +324,8 @@ fn hostile_snapshots(good: &Snapshot) -> Vec<(&'static str, Snapshot, Refusal)> 
         .expect("the second tenant launched a container")
         .id();
     let after_the_clock = good.clock.now().as_secs() + 1;
+    let first_container = good.cop.containers[0].id().value() as i64;
+    let servers = good.cop.servers.len() as i64;
     let mut cases: Vec<(&'static str, Vec<hostile::Edit>, Refusal)> =
         hostile::record_edits("apps.0")
             .into_iter()
@@ -352,6 +354,24 @@ fn hostile_snapshots(good: &Snapshot) -> Vec<(&'static str, Snapshot, Refusal)> 
                 "apps.0.carbon_capped",
                 Value::Seq(vec![Value::Int(neighbours.value() as i64)]),
             ),
+            Refusal::Structure,
+        ),
+        (
+            "two containers with one id",
+            one("cop.containers.1.id", Value::Int(first_container)),
+            Refusal::Structure,
+        ),
+        (
+            "a container id equal to the next one to allocate",
+            one(
+                "cop.containers.last.id",
+                Value::Int(good.cop.next_id as i64),
+            ),
+            Refusal::Structure,
+        ),
+        (
+            "a container on a server the cluster lacks",
+            one("cop.containers.0.server", Value::Int(servers)),
             Refusal::Structure,
         ),
     ]);
@@ -390,6 +410,18 @@ fn restore_refuses_hostile_snapshots_before_touching_state() {
         assert_eq!(receiver.snapshot().digest(), good.digest(), "{name}");
         settle_one_tick(&mut receiver);
     }
+
+    // Containers listed in any order restore to the honest capture.
+    let mut descending = good.clone();
+    descending.cop.containers.reverse();
+    let mut receiver = builder(seed).build();
+    receiver.apply_snapshot(&descending).expect("admitted");
+    assert_eq!(
+        receiver.snapshot().digest(),
+        good.digest(),
+        "descending ids"
+    );
+    settle_one_tick(&mut receiver);
 
     // The boundary: a stamp *equal* to the clock is one the next
     // settlement overwrites, which a series allows.
