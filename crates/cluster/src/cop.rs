@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 
 use simkit::units::Watts;
+use simkit::IdMap;
 
 use crate::container::{AppId, Container, ContainerId, ContainerSpec, ContainerState};
 use crate::error::CopError;
@@ -30,35 +31,19 @@ impl CopConfig {
             servers: (0..n).map(|_| ServerSpec::microserver()).collect(),
         }
     }
-
-    /// A microserver cluster where the first `gpus` nodes carry a GPU
-    /// ("some of which have an attached NVIDIA Jetson Nano GPU", §4).
-    pub fn microserver_cluster_with_gpus(n: u32, gpus: u32) -> Self {
-        Self {
-            servers: (0..n)
-                .map(|i| {
-                    if i < gpus {
-                        ServerSpec::microserver_with_gpu()
-                    } else {
-                        ServerSpec::microserver()
-                    }
-                })
-                .collect(),
-        }
-    }
 }
 
 /// The container orchestration platform.
 pub struct Cop {
     servers: Vec<Server>,
     models: Vec<PowerModel>,
-    containers: BTreeMap<ContainerId, Container>,
+    containers: IdMap<ContainerId, Container>,
     /// Every owner's container ids (stopped history included), ascending.
     /// Derived from `containers` and kept in step with it by `launch`,
     /// `remove_app_containers`, `adopt_containers` and `restore`, so the
     /// per-owner accessors cost the owner's containers, not the
     /// platform's. Not part of [`CopSnapshot`].
-    by_owner: BTreeMap<AppId, Vec<ContainerId>>,
+    by_owner: IdMap<AppId, Vec<ContainerId>>,
     next_id: u64,
 }
 
@@ -89,8 +74,8 @@ impl Cop {
         Self {
             servers,
             models,
-            containers: BTreeMap::new(),
-            by_owner: BTreeMap::new(),
+            containers: IdMap::new(),
+            by_owner: IdMap::new(),
             next_id: 0,
         }
     }
@@ -119,7 +104,11 @@ impl Cop {
             .insert(id, Container::new(id, owner, spec, sid));
         // `next_id` is above every id ever inserted, so pushing keeps
         // the owner's list ascending.
-        self.by_owner.entry(owner).or_default().push(id);
+        if let Some(ids) = self.by_owner.get_mut(&owner) {
+            ids.push(id);
+        } else {
+            self.by_owner.insert(owner, vec![id]);
+        }
         Ok(id)
     }
 
@@ -287,7 +276,7 @@ impl Cop {
             .get(&owner)
             .into_iter()
             .flatten()
-            .map(|id| &self.containers[id])
+            .map(|id| self.containers.get(id).expect("indexed ids exist"))
     }
 
     /// All live (running or suspended) containers of an app, in id order.
@@ -386,15 +375,16 @@ impl Cop {
     /// included), releasing the server reservations of live ones.
     /// Returns the removed containers in id order.
     pub fn remove_app_containers(&mut self, owner: AppId) -> Vec<Container> {
-        let ids = self.by_owner.remove(&owner).unwrap_or_default();
-        let mut removed = Vec::with_capacity(ids.len());
-        for id in ids {
-            let c = self.containers.remove(&id).expect("indexed ids exist");
-            if c.state() != ContainerState::Stopped {
-                let (cores, mem, sid) = (c.spec().cores, c.spec().memory_mib, c.server());
-                self.server_mut(sid).release(cores, mem);
-            }
-            removed.push(c);
+        if self.by_owner.remove(&owner).is_none() {
+            return Vec::new();
+        }
+        let removed = self.containers.remove_where(|c| c.owner() == owner);
+        for c in removed
+            .iter()
+            .filter(|c| c.state() != ContainerState::Stopped)
+        {
+            let (cores, mem, sid) = (c.spec().cores, c.spec().memory_mib, c.server());
+            self.server_mut(sid).release(cores, mem);
         }
         removed
     }
@@ -458,13 +448,12 @@ impl Cop {
                 self.server_mut(sid).reserve(cores, mem);
             }
             max_id = max_id.max(c.id().value() + 1);
-            self.containers.insert(c.id(), c.clone());
-            // Adopted ids arrive in any order and may sit below ids the
-            // owner already holds here.
-            let ids = self.by_owner.entry(c.owner()).or_default();
-            let at = ids.partition_point(|&held| held < c.id());
-            ids.insert(at, c.id());
         }
+        // Adopted ids arrive in any order and may sit below ids held
+        // here: one sort places them all, and the index is rebuilt.
+        self.containers
+            .extend(adopted.iter().map(|c| (c.id(), c.clone())));
+        self.by_owner = index_owners(&self.containers);
         self.next_id = max_id;
         Ok(())
     }
@@ -521,7 +510,6 @@ impl Cop {
                 return Err(format!("server {} spec differs from snapshot", have.id()));
             }
         }
-        let mut containers = BTreeMap::new();
         for c in &snap.containers {
             if c.server().value() as usize >= snap.servers.len() {
                 return Err(format!(
@@ -537,24 +525,35 @@ impl Cop {
                     snap.next_id
                 ));
             }
-            if containers.insert(c.id(), c.clone()).is_some() {
-                return Err(format!("duplicate container id {} in snapshot", c.id()));
-            }
         }
+        // One sort, whatever order the snapshot lists them in.
+        let mut sorted: Vec<&Container> = snap.containers.iter().collect();
+        sorted.sort_by_key(|c| c.id());
+        if let Some(w) = sorted.windows(2).find(|w| w[0].id() == w[1].id()) {
+            return Err(format!("duplicate container id {} in snapshot", w[0].id()));
+        }
+        let containers: IdMap<_, _> = sorted.into_iter().map(|c| (c.id(), c.clone())).collect();
         self.servers = snap.servers.clone();
         self.models = snap
             .servers
             .iter()
             .map(|s| PowerModel::new(*s.spec()))
             .collect();
-        self.by_owner = BTreeMap::new();
-        for c in containers.values() {
-            self.by_owner.entry(c.owner()).or_default().push(c.id());
-        }
+        self.by_owner = index_owners(&containers);
         self.containers = containers;
         self.next_id = snap.next_id;
         Ok(())
     }
+}
+
+/// Every owner's container ids, ascending: one sort of the owners, then
+/// one walk of the table in id order.
+fn index_owners(containers: &IdMap<ContainerId, Container>) -> IdMap<AppId, Vec<ContainerId>> {
+    let mut owners: IdMap<_, Vec<_>> = containers.values().map(|c| (c.owner(), vec![])).collect();
+    for c in containers.values() {
+        owners.get_mut(&c.owner()).expect("collected").push(c.id());
+    }
+    owners
 }
 
 /// Serializable dynamic state of a [`Cop`], captured by [`Cop::snapshot`]
@@ -728,7 +727,13 @@ mod tests {
 
     #[test]
     fn gpu_containers_need_gpu_servers() {
-        let mut cop = Cop::new(CopConfig::microserver_cluster_with_gpus(3, 1));
+        let mut cop = Cop::new(CopConfig {
+            servers: vec![
+                ServerSpec::microserver_with_gpu(),
+                ServerSpec::microserver(),
+                ServerSpec::microserver(),
+            ],
+        });
         let app = AppId::new(1);
         let spec = ContainerSpec::quad_core().with_gpu();
         let id = cop.launch(app, spec).expect("one gpu server");

@@ -11,6 +11,7 @@ use container_cop::{
 };
 use simkit::rng::SimRng;
 use simkit::units::Watts;
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -174,10 +175,35 @@ fn assert_owner_index_matches_scan(cop: &Cop, owners: &[AppId]) {
     }
 }
 
-/// The per-owner index stays equal to a full scan through every way the
-/// container map changes: launch, state changes, eviction of an owner,
-/// adoption (in any id order, below ids already held) and
-/// snapshot + restore.
+/// The table ascends by id and answers `container(id)` as `model` (every
+/// container launched or adopted and not since evicted, with its owner
+/// and state) does; an evicted id and the next one to allocate are
+/// absent.
+fn assert_table_matches_model(
+    cop: &Cop,
+    model: &BTreeMap<ContainerId, (AppId, ContainerState)>,
+    gone: &[ContainerId],
+) {
+    let listed = cop.snapshot().containers;
+    assert!(
+        listed.windows(2).all(|w| w[0].id() < w[1].id()),
+        "snapshot ascends by id"
+    );
+    assert!(listed.iter().map(|c| c.id()).eq(model.keys().copied()));
+    for (&id, &(owner, state)) in model {
+        let c = cop.container(id).expect("modelled containers are held");
+        assert_eq!((c.id(), c.owner(), c.state()), (id, owner, state));
+    }
+    let next = ContainerId::new(cop.next_container_id());
+    for id in gone.iter().chain([&next]) {
+        assert!(cop.container(*id).is_none(), "{id} is not held");
+    }
+}
+
+/// The per-owner index stays equal to a full scan, and the table to a
+/// `BTreeMap` model, through every way the container map changes:
+/// launch, state changes, eviction of an owner, adoption (in any id
+/// order, below ids already held) and snapshot + restore.
 #[test]
 fn owner_index_matches_full_scan() {
     let mut rng = SimRng::from_seed(4004).fork("owner_index_matches_full_scan");
@@ -187,6 +213,7 @@ fn owner_index_matches_full_scan() {
     for _ in 0..48 {
         let mut cop = Cop::new(CopConfig::microserver_cluster(12));
         let mut evicted: Vec<Vec<Container>> = Vec::new();
+        let mut model = BTreeMap::new();
         for _ in 0..rng.uniform_u64(20, 90) {
             let owner = owners[rng.uniform_u64(0, 4) as usize];
             let known = cop.snapshot().containers;
@@ -196,12 +223,26 @@ fn owner_index_matches_full_scan() {
                 (0..=2, _) => {
                     if let Ok(id) = cop.launch(owner, ContainerSpec::with_cores(1)) {
                         cop.set_demand(id, rng.unit()).expect("just launched");
+                        model.insert(id, (owner, ContainerState::Running));
                     }
                 }
-                (3, Some(id)) => drop(cop.stop(id)),
-                (4, Some(id)) => drop(cop.suspend(id)),
-                (5, Some(id)) => drop(cop.resume(id)),
-                (6, _) => evicted.push(cop.remove_app_containers(owner)),
+                (3..=5, Some(id)) => {
+                    let (done, state) = match rng.uniform_u64(0, 3) {
+                        0 => (cop.stop(id), ContainerState::Stopped),
+                        1 => (cop.suspend(id), ContainerState::Suspended),
+                        _ => (cop.resume(id), ContainerState::Running),
+                    };
+                    if done.is_ok() {
+                        model.get_mut(&id).expect("picked from the table").1 = state;
+                    }
+                }
+                (6, _) => {
+                    let out = cop.remove_app_containers(owner);
+                    assert!(out.iter().all(|c| c.owner() == owner));
+                    assert!(out.windows(2).all(|w| w[0].id() < w[1].id()));
+                    model.retain(|_, &mut (o, _)| o != owner);
+                    evicted.push(out);
+                }
                 (7, _) => {
                     if let Some(mut back) = evicted.pop() {
                         // Reversed: adoption must sort, not append.
@@ -213,7 +254,10 @@ fn owner_index_matches_full_scan() {
                             Ok(()) => {
                                 adopted_below_held += back.first().is_some_and(|c| {
                                     before.containers.iter().any(|b| b.owner() == c.owner())
-                                }) as u32
+                                }) as u32;
+                                for c in &back {
+                                    model.insert(c.id(), (c.owner(), c.state()));
+                                }
                             }
                             Err(_) => assert_eq!(cop.snapshot(), before, "refused: unchanged"),
                         }
@@ -229,6 +273,8 @@ fn owner_index_matches_full_scan() {
                 _ => {}
             }
             assert_owner_index_matches_scan(&cop, &owners);
+            let gone: Vec<ContainerId> = evicted.iter().flatten().map(|c| c.id()).collect();
+            assert_table_matches_model(&cop, &model, &gone);
         }
     }
     assert!(adopted_below_held > 0, "the sorted-insert case never ran");

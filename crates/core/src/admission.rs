@@ -10,10 +10,9 @@
 //! added there holds on every door; each door renders a [`Refusal`] in
 //! its own error type.
 
-use std::collections::BTreeMap;
-
 use container_cop::{AppId, ContainerId};
 use simkit::units::WattHours;
+use simkit::IdMap;
 
 use crate::ecovisor::Ecovisor;
 use crate::error::EcovisorError;
@@ -69,7 +68,7 @@ impl Ecovisor {
         &mut self,
         incoming: &[AppSnapshot],
         beside_residents: bool,
-        carried: &BTreeMap<ContainerId, AppId>,
+        carried: &IdMap<ContainerId, AppId>,
     ) -> Result<(f64, WattHours), Refusal> {
         let kept = self.resident_shares.filter(|_| beside_residents);
         let (mut solar_total, mut battery_total) = kept.unwrap_or((0.0, WattHours::ZERO));

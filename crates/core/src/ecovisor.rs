@@ -31,7 +31,6 @@
 //! [`crate::shard::ShardedEcovisor`] for the multi-threaded deployment
 //! shape).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
@@ -43,6 +42,7 @@ use power_telemetry::{metrics, SeriesId, Tsdb};
 use simkit::time::{SimDuration, SimTime, TickClock};
 use simkit::trace::Trace;
 use simkit::units::{CarbonIntensity, WattHours, Watts};
+use simkit::IdMap;
 
 use crate::config::{EcovisorBuilder, ExcessPolicy};
 use crate::error::{EcovisorError, Result};
@@ -168,7 +168,7 @@ pub struct Ecovisor {
     carbon: Trace,
     pub(crate) excess: ExcessPolicy,
     pub(crate) tsdb: RwLock<Tsdb>,
-    pub(crate) apps: BTreeMap<AppId, Shard>,
+    pub(crate) apps: IdMap<AppId, Shard>,
     pub(crate) next_app: u32,
     /// The residents' solar fractions and battery capacities summed in
     /// id order, as [`Ecovisor::admit`] folds them. A registration and a
@@ -219,7 +219,7 @@ impl Ecovisor {
             carbon: b.carbon,
             excess: b.excess,
             tsdb: RwLock::new(Tsdb::new()),
-            apps: BTreeMap::new(),
+            apps: IdMap::new(),
             next_app: 1,
             resident_shares: None,
             intensity: CarbonIntensity::ZERO,
@@ -274,8 +274,7 @@ impl Ecovisor {
         };
         // Its id is above every resident's, so the sums over all of them
         // are the id-order fold the next admission starts from.
-        self.resident_shares =
-            Some(self.admit(std::slice::from_ref(&rec), true, &BTreeMap::new())?);
+        self.resident_shares = Some(self.admit(std::slice::from_ref(&rec), true, &IdMap::new())?);
         let id = rec.app;
         self.next_app += 1;
         self.apps.insert(id, RwLock::new(AppState::install(rec)));

@@ -49,12 +49,13 @@
 //! between collect and settle), and the failure semantics are documented
 //! in `docs/FEDERATION.md`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::RwLock;
 
 use container_cop::{AppId, Container};
 use power_telemetry::Tsdb;
 use simkit::units::Watts;
+use simkit::IdMap;
 
 use crate::ecovisor::{AppState, Ecovisor};
 use crate::error::{EcovisorError, Result};
@@ -234,7 +235,7 @@ impl Ecovisor {
                 c.owner()
             )));
         }
-        let carried: BTreeMap<_, _> = snap.containers.iter().map(|c| (c.id(), id)).collect();
+        let carried: IdMap<_, _> = snap.containers.iter().map(|c| (c.id(), id)).collect();
         self.admit(std::slice::from_ref(&snap.app), true, &carried)?;
         let subjects = snap.subjects();
         if let Some(alien) = snap

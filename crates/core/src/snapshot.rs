@@ -45,7 +45,6 @@
 //! protocol era wrote the snapshot; restore accepts exactly
 //! [`PROTOCOL_VERSION`]. See `docs/SNAPSHOT.md` for the full rules.
 
-use std::collections::BTreeMap;
 use std::sync::RwLock;
 
 use container_cop::{AppId, ContainerId, CopSnapshot, ServerSpec};
@@ -55,6 +54,7 @@ use energy_system::psu::ProgrammablePsu;
 use power_telemetry::Tsdb;
 use simkit::time::{SimDuration, SimTime, TickClock};
 use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams};
+use simkit::IdMap;
 
 use crate::config::ExcessPolicy;
 use crate::ecovisor::{AppState, Ecovisor, SystemFlows};
@@ -418,7 +418,7 @@ impl Ecovisor {
                 "embedded physical battery spec differs from this process's".into(),
             ));
         }
-        let carried: BTreeMap<ContainerId, AppId> = snap
+        let carried: IdMap<ContainerId, AppId> = snap
             .cop
             .containers
             .iter()

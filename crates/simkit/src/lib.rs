@@ -14,6 +14,8 @@
 //!   output, carbon intensity, request rates).
 //! * [`series`] — an append-only time series used for recording simulation
 //!   outputs.
+//! * [`idmap`] — an id-keyed table held as id-sorted vectors, for the
+//!   per-tenant and per-container tables walked every tick.
 //! * [`stats`] — percentiles and summary statistics used by both policies
 //!   (threshold selection) and the experiment harness.
 //!
@@ -33,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod idmap;
 pub mod rng;
 pub mod series;
 pub mod stats;
@@ -40,6 +43,7 @@ pub mod time;
 pub mod trace;
 pub mod units;
 
+pub use idmap::IdMap;
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimTime, TickClock};
