@@ -401,7 +401,8 @@ impl Cop {
     /// container on a GPU-less server, or insufficient capacity.
     pub fn adopt_containers(&mut self, adopted: &[Container]) -> Result<(), String> {
         let mut seen = std::collections::BTreeSet::new();
-        let mut required: BTreeMap<ServerId, (u32, u64)> = BTreeMap::new();
+        // Summed in `u64`: a transfer's cores may add past `u32::MAX`.
+        let mut required: BTreeMap<ServerId, (u64, u64)> = BTreeMap::new();
         for c in adopted {
             if self.containers.contains_key(&c.id()) {
                 return Err(format!("container id {} already exists here", c.id()));
@@ -424,8 +425,14 @@ impl Cop {
             }
             if c.state() != ContainerState::Stopped {
                 let need = required.entry(sid).or_insert((0, 0));
-                need.0 += c.spec().cores;
-                need.1 += c.spec().memory_mib;
+                let cores = need.0.checked_add(c.spec().cores.into());
+                let mem = need.1.checked_add(c.spec().memory_mib);
+                let (Some(cores), Some(mem)) = (cores, mem) else {
+                    return Err(format!(
+                        "migrating containers on server {sid} overflow a 64-bit sum"
+                    ));
+                };
+                *need = (cores, mem);
             }
         }
         for (&sid, &(cores, mem)) in &required {
@@ -434,7 +441,7 @@ impl Cop {
                 .iter()
                 .find(|s| s.id() == sid)
                 .expect("checked");
-            if server.free_cores() < cores || server.free_memory_mib() < mem {
+            if u64::from(server.free_cores()) < cores || server.free_memory_mib() < mem {
                 return Err(format!(
                     "server {sid} lacks capacity for migrating containers \
                      ({cores} cores / {mem} MiB needed)"
@@ -489,7 +496,9 @@ impl Cop {
     ///
     /// Returns a description of the first structural mismatch: server
     /// count or spec divergence, a container referencing an out-of-range
-    /// server, a duplicate container id, or an id at or above `next_id`.
+    /// server, a duplicate container id, an id at or above `next_id`,
+    /// live containers that do not fit their server, or a server whose
+    /// recorded occupancy is not what its live containers reserve.
     pub fn restore(&mut self, snap: &CopSnapshot) -> Result<(), String> {
         if snap.servers.len() != self.servers.len() {
             return Err(format!(
@@ -532,8 +541,37 @@ impl Cop {
         if let Some(w) = sorted.windows(2).find(|w| w[0].id() == w[1].id()) {
             return Err(format!("duplicate container id {} in snapshot", w[0].id()));
         }
+        // Occupancy is derived: each server reserves what the live
+        // containers placed on it need, within its spec, and the
+        // snapshot's own numbers must agree.
+        let mut servers: Vec<Server> = self
+            .servers
+            .iter()
+            .map(|s| Server::new(s.id(), *s.spec()))
+            .collect();
+        for c in sorted
+            .iter()
+            .filter(|c| c.state() != ContainerState::Stopped)
+        {
+            let (spec, server) = (c.spec(), &mut servers[c.server().value() as usize]);
+            if !server.fits(spec.cores, spec.memory_mib, spec.gpu) {
+                return Err(format!(
+                    "container {} does not fit on server {} beside the live containers \
+                     placed there",
+                    c.id(),
+                    c.server()
+                ));
+            }
+            server.reserve(spec.cores, spec.memory_mib);
+        }
+        if let Some((recorded, _)) = snap.servers.iter().zip(&servers).find(|(r, d)| r != d) {
+            return Err(format!(
+                "server {} records an occupancy its live containers do not reserve",
+                recorded.id()
+            ));
+        }
         let containers: IdMap<_, _> = sorted.into_iter().map(|c| (c.id(), c.clone())).collect();
-        self.servers = snap.servers.clone();
+        self.servers = servers;
         self.models = snap
             .servers
             .iter()

@@ -410,7 +410,24 @@ fn hostile_tenants_are_refused_over_the_wire_and_the_node_keeps_serving() {
     let mut cases = hostile::record_edits("app");
     let after_the_clock = h2.ecovisor().read(|eco| eco.now().as_secs()) as i64 + 1;
     let container = serde::Serialize::to_value(&good.containers[0]);
+    // Two live containers of 2^31 cores and no memory, on one server:
+    // their cores sum past `u32::MAX`.
+    let huge = |id: u64| {
+        let edits = [
+            ("id".to_string(), serde::Value::Int(id as i64)),
+            ("spec.cores".to_string(), serde::Value::Int(1 << 31)),
+            ("spec.memory_mib".to_string(), serde::Value::Int(0)),
+        ];
+        serde::Serialize::to_value(&hostile::edited(&good.containers[0], &edits))
+    };
     cases.extend([
+        (
+            "two live 2^31-core, 0-MiB containers on one server",
+            vec![(
+                "containers".into(),
+                serde::Value::Seq(vec![huge(own.value()), huge(own.value() + 1)]),
+            )],
+        ),
         (
             "a sample stamped after the clock",
             vec![(

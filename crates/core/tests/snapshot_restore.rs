@@ -26,7 +26,9 @@
 //! [`EcovisorServer::with_workers`], so the snapshot surface is proven
 //! across thread counts.
 
-use container_cop::{AppId, ContainerId, ContainerSpec, CopConfig};
+use container_cop::{
+    AppId, Container, ContainerId, ContainerSpec, ContainerState, CopConfig, ServerId,
+};
 use ecovisor::{
     digest, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient,
     EnergyRequest, EnergyResponse, EnergyShare, EventFrame, Notification, ProtocolTrace,
@@ -326,6 +328,54 @@ fn hostile_snapshots(good: &Snapshot) -> Vec<(&'static str, Snapshot, Refusal)> 
     let after_the_clock = good.clock.now().as_secs() + 1;
     let first_container = good.cop.containers[0].id().value() as i64;
     let servers = good.cop.servers.len() as i64;
+    // A server's occupancy is what its live containers reserve.
+    let live: Vec<(usize, &Container)> = good
+        .cop
+        .containers
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| c.state() != ContainerState::Stopped)
+        .collect();
+    let reserved = |server: ServerId| {
+        live.iter()
+            .filter(|(_, c)| c.server() == server)
+            .fold((0, 0, 0), |(cores, mib, n), (_, c)| {
+                (cores + c.spec().cores, mib + c.spec().memory_mib, n + 1)
+            })
+    };
+    let occupancy = |server: ServerId, (cores, mib, n): (u32, u64, usize)| {
+        let at = |field: &str| format!("cop.servers.{}.{field}", server.value());
+        vec![
+            (at("cores_used"), Value::Int(cores.into())),
+            (at("memory_used_mib"), Value::Int(mib as i64)),
+            (at("container_count"), Value::Int(n as i64)),
+        ]
+    };
+    let (_, host) = live[0];
+    let (moved, guest) = *live
+        .iter()
+        .find(|(_, c)| c.server() != host.server())
+        .expect("live containers on two servers");
+    let (spec, to, from) = (
+        guest.spec(),
+        reserved(host.server()),
+        reserved(guest.server()),
+    );
+    // The guest moves in with the host; both servers record it honestly.
+    let mut oversubscribed = occupancy(
+        host.server(),
+        (to.0 + spec.cores, to.1 + spec.memory_mib, to.2 + 1),
+    );
+    oversubscribed.extend(occupancy(
+        guest.server(),
+        (from.0 - spec.cores, from.1 - spec.memory_mib, from.2 - 1),
+    ));
+    oversubscribed.push((
+        format!("cop.containers.{moved}.server"),
+        Value::Int(host.server().value().into()),
+    ));
+    let mut underbooked = reserved(host.server());
+    underbooked.0 -= 1;
     let mut cases: Vec<(&'static str, Vec<hostile::Edit>, Refusal)> =
         hostile::record_edits("apps.0")
             .into_iter()
@@ -372,6 +422,21 @@ fn hostile_snapshots(good: &Snapshot) -> Vec<(&'static str, Snapshot, Refusal)> 
         (
             "a container on a server the cluster lacks",
             one("cop.containers.0.server", Value::Int(servers)),
+            Refusal::Structure,
+        ),
+        (
+            "a server claiming 1,000 used cores of 4",
+            one("cop.servers.1.cores_used", Value::Int(1000)),
+            Refusal::Structure,
+        ),
+        (
+            "occupancy below what the live containers reserve",
+            occupancy(host.server(), underbooked),
+            Refusal::Structure,
+        ),
+        (
+            "two live quad-core containers on one quad-core server",
+            oversubscribed,
             Refusal::Structure,
         ),
     ]);

@@ -215,6 +215,32 @@ impl ScenarioArtifact {
         Ok(path)
     }
 
+    /// The checkpoint cadence, in ticks, the day was recorded at: its
+    /// first checkpoint's tick, or `None` when it embeds none.
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::Spec`] when the checkpoint ticks are not exactly
+    /// `n, 2n, …` below the horizon, which no cadence records.
+    pub fn checkpoint_cadence(&self) -> Result<Option<u64>, HarnessError> {
+        let ticks: Vec<u64> = self.checkpoints.iter().map(|c| c.tick).collect();
+        let Some(&every) = ticks.first() else {
+            return Ok(None);
+        };
+        let regular = every > 0
+            && std::iter::successors(Some(every), |t| t.checked_add(every))
+                .take_while(|&t| t < self.spec.ticks)
+                .eq(ticks.iter().copied());
+        if !regular {
+            return Err(HarnessError::Spec(format!(
+                "`{}`: checkpoint ticks {ticks:?} are not every {every} ticks below \
+                 the {}-tick horizon",
+                self.spec.name, self.spec.ticks
+            )));
+        }
+        Ok(Some(every))
+    }
+
     /// Loads an artifact from a file, auto-detecting the codec.
     ///
     /// # Errors

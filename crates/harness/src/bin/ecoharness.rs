@@ -1,9 +1,9 @@
 //! `ecoharness` — record, verify, fuzz, and diff scenario artifacts.
 //!
 //! ```text
-//! ecoharness list
+//! ecoharness list [DIR]
 //! ecoharness record [--out DIR] [--codec json|binary]
-//!                   [--checkpoint-every HOURS] [NAME ...]
+//!                   [--checkpoint-every HOURS] [PATH ...]
 //! ecoharness record --from ARTIFACT@TICK [--out DIR] [--codec json|binary]
 //! ecoharness verify [--transport] [--federated] PATH [PATH ...]
 //! ecoharness diff A B
@@ -16,9 +16,9 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use ecoharness::artifact::{artifacts_in_dir, codec_name, is_artifact_path};
+use ecoharness::artifact::{artifacts_in_dir, codec_name, is_artifact_path, BINARY_EXT, JSON_EXT};
 use ecoharness::{
-    corpus, record_with_checkpoints, verify, verify_federated, verify_transport, Checkpoint,
+    record_with_checkpoints, verify, verify_federated, verify_transport, Checkpoint,
     ScenarioArtifact,
 };
 use ecovisor::proto::StatsReport;
@@ -34,7 +34,7 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd {
-        "list" => cmd_list(),
+        "list" => cmd_list(rest),
         "record" => cmd_record(rest),
         "verify" => cmd_verify(rest),
         "fuzz" => cmd_fuzz(rest),
@@ -58,9 +58,9 @@ fn main() -> ExitCode {
 const USAGE: &str = "ecoharness — scenario corpus tooling
 
 USAGE:
-    ecoharness list
+    ecoharness list [DIR]
     ecoharness record [--out DIR] [--codec json|binary]
-                      [--checkpoint-every HOURS] [NAME ...]
+                      [--checkpoint-every HOURS] [PATH ...]
     ecoharness record --from ARTIFACT@TICK [--out DIR] [--codec json|binary]
     ecoharness verify [--transport] [--federated] PATH [PATH ...]
     ecoharness fuzz [--seed S] [--count N] [--out DIR]
@@ -69,8 +69,15 @@ USAGE:
     ecoharness diff A B
 
 Paths may be artifact files (*.scn.json / *.scn.bin) or directories.
-`record` with no names records the whole builtin corpus, committing
-some scenarios in each file encoding (override with --codec).
+`list` prints the artifacts in DIR (default corpus/).
+`record` re-records each artifact from the spec it embeds, into --out
+(default corpus/), in the encoding it was stored in (override with
+--codec) and at the checkpoint cadence its embedded checkpoints show
+(override with --checkpoint-every); with no paths it re-records
+corpus/. A resumed artifact (NAME-resumed) re-records after its
+parent, resuming from the parent's fresh recording at its base tick,
+or from the parent's file beside it when the parent is not named.
+To author a day, copy an artifact, edit its spec, and record it.
 `verify --transport` additionally replays each artifact over live
 per-tenant TCP connections (one per app, subscribed to event push)
 against the evented server — the wire path must be
@@ -106,13 +113,19 @@ the catalogue). With --watch it polls every SECONDS seconds (--n
 polls, default forever) and prints the delta since the previous poll
 next to each counter and histogram.";
 
-/// `list`: the builtin catalogue.
-fn cmd_list() -> Result<ExitCode, String> {
-    println!("builtin scenarios:");
-    for spec in corpus::all() {
+/// `list [DIR]`: the artifacts in a directory (default `corpus/`).
+fn cmd_list(args: Vec<String>) -> Result<ExitCode, String> {
+    if args.len() > 1 {
+        return Err("list takes at most one directory".into());
+    }
+    let dir = args.into_iter().next().unwrap_or_else(|| "corpus".into());
+    for path in collect_artifacts(&[dir])? {
+        let (artifact, codec) = load(&path)?;
+        let spec = &artifact.spec;
         println!(
-            "  {:18} {:3} ticks × {:2} min, {} tenant(s) — {}",
+            "  {:24} {:6} {:3} ticks × {:3} min, {:4} tenant(s) — {}",
             spec.name,
+            codec_name(codec),
             spec.ticks,
             spec.tick_minutes,
             spec.tenants.len(),
@@ -122,14 +135,14 @@ fn cmd_list() -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `record`: run builtins and write artifacts, or resume one from an
-/// embedded checkpoint (`--from ARTIFACT@TICK`).
+/// `record`: re-record artifacts from the specs they embed, or resume
+/// one from an embedded checkpoint (`--from ARTIFACT@TICK`).
 fn cmd_record(args: Vec<String>) -> Result<ExitCode, String> {
     let mut out = PathBuf::from("corpus");
     let mut forced_codec: Option<WireCodec> = None;
     let mut checkpoint_hours: Option<u64> = None;
     let mut from: Option<String> = None;
-    let mut names: Vec<String> = Vec::new();
+    let mut path_args: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -149,57 +162,93 @@ fn cmd_record(args: Vec<String>) -> Result<ExitCode, String> {
                 checkpoint_hours = Some(hours);
             }
             "--from" => from = Some(it.next().ok_or("--from needs ARTIFACT@TICK")?),
-            name => names.push(name.to_string()),
+            path => path_args.push(path.to_string()),
         }
     }
 
     if let Some(from) = from {
-        if checkpoint_hours.is_some() || !names.is_empty() {
-            return Err("--from does not combine with names or --checkpoint-every".into());
+        if checkpoint_hours.is_some() || !path_args.is_empty() {
+            return Err("--from does not combine with paths or --checkpoint-every".into());
         }
         return cmd_record_resumed(&from, &out, forced_codec);
     }
 
-    if names.is_empty() {
-        names = corpus::names().iter().map(|s| s.to_string()).collect();
+    if path_args.is_empty() {
+        path_args.push("corpus".into());
     }
-    for name in &names {
-        let spec = corpus::builtin(name)
-            .ok_or_else(|| format!("unknown builtin `{name}` (see `ecoharness list`)"))?;
-        let every = match checkpoint_hours {
-            None => corpus::default_checkpoint_ticks(name),
-            Some(hours) => {
-                let minutes = hours * 60;
-                if !minutes.is_multiple_of(spec.tick_minutes) {
-                    return Err(format!(
-                        "--checkpoint-every {hours}h is not a whole number of \
-                         {}-minute ticks ({name})",
-                        spec.tick_minutes
-                    ));
-                }
-                Some(minutes / spec.tick_minutes)
+    let mut days = collect_artifacts(&path_args)?
+        .into_iter()
+        .map(|path| load(&path).map(|(artifact, codec)| (path, artifact, codec)))
+        .collect::<Result<Vec<_>, _>>()?;
+    // Parents first: a resumed day re-records from its parent's fresh
+    // recording.
+    days.sort_by_key(|(_, artifact, _)| artifact.base.is_some());
+    let mut recorded: Vec<ScenarioArtifact> = Vec::new();
+    for (path, artifact, codec) in days {
+        let name = artifact.spec.name.clone();
+        let fresh = match &artifact.base {
+            Some(base) => {
+                let parent = parent_of(&path, &name, &recorded)?;
+                ecoharness::resume(&parent, base.tick).map_err(|e| format!("resume {name}: {e}"))?
+            }
+            None => {
+                let spec = &artifact.spec;
+                let every = match checkpoint_hours {
+                    None => artifact
+                        .checkpoint_cadence()
+                        .map_err(|e| format!("{}: {e}", path.display()))?,
+                    Some(hours) => {
+                        let minutes = hours * 60;
+                        if !minutes.is_multiple_of(spec.tick_minutes) {
+                            return Err(format!(
+                                "--checkpoint-every {hours}h is not a whole number of \
+                                 {}-minute ticks ({name})",
+                                spec.tick_minutes
+                            ));
+                        }
+                        Some(minutes / spec.tick_minutes)
+                    }
+                };
+                record_with_checkpoints(spec, every).map_err(|e| format!("record {name}: {e}"))?
             }
         };
-        let artifact =
-            record_with_checkpoints(&spec, every).map_err(|e| format!("record {name}: {e}"))?;
-        let codec = forced_codec
-            .or(corpus::default_codec(name))
-            .expect("a builtin has a committed encoding");
-        let path = artifact
-            .write_to_dir(&out, codec)
+        let written = fresh
+            .write_to_dir(&out, forced_codec.unwrap_or(codec))
             .map_err(|e| format!("write {name}: {e}"))?;
         println!(
             "recorded {name}: {} ticks, {} batches / {} requests, {} event frames, \
              {} checkpoint(s) → {}",
-            spec.ticks,
-            artifact.trace.entries.len(),
-            artifact.expected.request_count,
-            artifact.trace.events.len(),
-            artifact.checkpoints.len(),
-            path.display()
+            fresh.spec.ticks,
+            fresh.trace.entries.len(),
+            fresh.expected.request_count,
+            fresh.trace.events.len(),
+            fresh.checkpoints.len(),
+            written.display()
         );
+        recorded.push(fresh);
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// The parent a resumed day `name` (`PARENT-resumed`) continues: this
+/// run's fresh recording of it, else its file beside `path`.
+fn parent_of(
+    path: &Path,
+    name: &str,
+    recorded: &[ScenarioArtifact],
+) -> Result<ScenarioArtifact, String> {
+    let parent = name
+        .strip_suffix("-resumed")
+        .ok_or_else(|| format!("{}: a resumed day is named PARENT-resumed", path.display()))?;
+    if let Some(fresh) = recorded.iter().find(|a| a.spec.name == parent) {
+        return Ok(fresh.clone());
+    }
+    [JSON_EXT, BINARY_EXT]
+        .iter()
+        .map(|ext| path.with_file_name(format!("{parent}.{ext}")))
+        .find(|p| p.exists())
+        .ok_or_else(|| format!("{}: no parent `{parent}` beside it", path.display()))
+        .and_then(|p| load(&p).map(|(artifact, _)| artifact))
 }
 
 /// `record --from ARTIFACT@TICK`: the mid-day harness start.
@@ -214,8 +263,7 @@ fn cmd_record_resumed(
     let tick: u64 = tick
         .parse()
         .map_err(|e| format!("--from tick `{tick}`: {e}"))?;
-    let (parent, parent_codec) =
-        ScenarioArtifact::load(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    let (parent, parent_codec) = load(Path::new(path))?;
     let artifact = ecoharness::resume(&parent, tick).map_err(|e| format!("resume {path}: {e}"))?;
     let codec = forced_codec.unwrap_or(parent_codec);
     let written = artifact
@@ -255,8 +303,7 @@ fn cmd_verify(args: Vec<String>) -> Result<ExitCode, String> {
     let paths = collect_artifacts(&path_args)?;
     let mut failed = 0_usize;
     for path in &paths {
-        let (artifact, codec) =
-            ScenarioArtifact::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let (artifact, codec) = load(path)?;
         let mut report = verify(&artifact).map_err(|e| format!("{}: {e}", path.display()))?;
         if transport {
             let wire =
@@ -492,8 +539,8 @@ fn cmd_diff(args: Vec<String>) -> Result<ExitCode, String> {
     let [a_path, b_path] = args.as_slice() else {
         return Err("diff needs exactly two artifact paths".into());
     };
-    let (a, _) = ScenarioArtifact::load(Path::new(a_path)).map_err(|e| format!("{a_path}: {e}"))?;
-    let (b, _) = ScenarioArtifact::load(Path::new(b_path)).map_err(|e| format!("{b_path}: {e}"))?;
+    let (a, _) = load(Path::new(a_path))?;
+    let (b, _) = load(Path::new(b_path))?;
     let mut differences = 0_usize;
     let mut diff = |label: &str, left: String, right: String| {
         if left != right {
@@ -583,6 +630,11 @@ fn parse_codec(s: &str) -> Result<WireCodec, String> {
         "binary" | "bin" => Ok(WireCodec::Binary),
         other => Err(format!("unknown codec `{other}` (json|binary)")),
     }
+}
+
+/// Loads an artifact, naming its path in any error.
+fn load(path: &Path) -> Result<(ScenarioArtifact, WireCodec), String> {
+    ScenarioArtifact::load(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Expands file/directory arguments into a sorted artifact list.

@@ -10,11 +10,12 @@
 //! artifact **bit-identically**, whichever of the two file encodings
 //! carried it.
 //!
-//! The committed `corpus/` directory holds twelve recorded days
-//! ([`corpus`] has the catalogue); `ecoharness verify corpus/` is the
-//! standing regression net run by CI, and the `sim-day` workload of
-//! `benchmark/` replays the thousand-tenants day as the
-//! replay-throughput benchmark for perf work.
+//! The committed `corpus/` directory holds twelve recorded days, each
+//! re-recorded from the spec it embeds by `ecoharness record`;
+//! `ecoharness verify corpus/` is the standing regression net run by
+//! CI, and the `sim-day` workload of `benchmark/` replays the
+//! thousand-tenants day as the replay-throughput benchmark for perf
+//! work.
 //!
 //! Artifacts can additionally embed **checkpoints** — full
 //! [`ecovisor::Snapshot`] captures taken mid-run
@@ -44,10 +45,12 @@
 //! ## Example
 //!
 //! ```
-//! use ecoharness::{corpus, record, verify};
+//! use ecoharness::{record, verify, ScenarioArtifact};
 //!
-//! // Shrink a builtin for a quick in-process round trip.
-//! let mut spec = corpus::builtin("budget-exhaustion").unwrap();
+//! // Shrink a committed day for a quick in-process round trip.
+//! let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+//! let (day, _) = ScenarioArtifact::load(&corpus.join("budget-exhaustion.scn.json")).unwrap();
+//! let mut spec = day.spec;
 //! spec.ticks = 8;
 //! let artifact = record(&spec).unwrap();
 //! let report = verify(&artifact).unwrap();
@@ -58,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod corpus;
 pub mod error;
 pub mod fuzz;
 pub mod record;

@@ -44,9 +44,10 @@ pub struct ScenarioSpec {
     pub name: String,
     /// What the scenario exercises and why it is in the corpus.
     pub description: String,
-    /// Master seed. Builders inside the spec carry their own seeds;
-    /// this one seeds anything the harness itself randomizes and is
-    /// folded into derived seeds when a builtin is re-seeded.
+    /// Master seed the component seeds were derived from when the day
+    /// was generated. Builders inside the spec carry their own seeds,
+    /// and the world is built from those; this one is a label that
+    /// `ecoharness diff` compares.
     pub seed: u64,
     /// Settlement ticks to run.
     pub ticks: u64,

@@ -1,37 +1,51 @@
 //! The committed corpus is the regression net: every artifact under
-//! `corpus/` must load, carry a catalogued scenario, and verify green —
-//! bit-identical replay, lossless in both file encodings. Any
-//! change to settlement arithmetic, dispatch semantics, event
+//! `corpus/` must load, be one of the twelve days named below, and
+//! verify green — bit-identical replay, lossless in both file encodings.
+//! Any change to settlement arithmetic, dispatch semantics, event
 //! generation, or either encoding that perturbs a recorded day fails here
 //! (and in the CI `ecoharness verify corpus/` job, which runs the same
 //! checks through the CLI).
 
-use std::path::PathBuf;
-
 use ecoharness::artifact::artifacts_in_dir;
-use ecoharness::{build_ecovisor, corpus, verify, ScenarioArtifact};
+use ecoharness::{build_ecovisor, verify, ScenarioArtifact};
 use ecovisor::proto::EnergyRequest;
 use ecovisor::WireCodec;
 use power_telemetry::metrics;
 use simkit::time::SimTime;
 
-fn corpus_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus")
-}
+mod common;
+
+use common::corpus_dir;
+
+/// The corpus, by file name. Adding or removing a day is an edit here.
+const DAYS: [&str; 12] = [
+    "batch-checkpoint-resumed.scn.bin",
+    "batch-checkpoint.scn.bin",
+    "budget-exhaustion.scn.json",
+    "caiso-arbitrage.scn.json",
+    "cloudy-web.scn.bin",
+    "credential-churn.scn.json",
+    "mixed-tenants.scn.bin",
+    "restore-under-load.scn.bin",
+    "split-brain.scn.json",
+    "sunny-batch.scn.json",
+    "thousand-tenants.scn.bin",
+    "web-autoscale.scn.bin",
+];
 
 #[test]
 fn committed_corpus_replays_bit_identically() {
     let paths = artifacts_in_dir(&corpus_dir()).expect("corpus directory exists");
-    assert!(
-        paths.len() >= 6,
-        "corpus should hold the full catalogue, found {}",
-        paths.len()
-    );
+    let names: Vec<&str> = paths
+        .iter()
+        .map(|p| p.file_name().and_then(|n| n.to_str()).expect("utf-8 name"))
+        .collect();
+    assert_eq!(names, DAYS, "the corpus's days");
     let mut seen_json = false;
     let mut seen_binary = false;
     let mut seen_checkpoints = false;
     let mut seen_resumed = false;
-    for path in &paths {
+    for (path, name) in paths.iter().zip(names) {
         let (artifact, codec) =
             ScenarioArtifact::load(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         match codec {
@@ -40,15 +54,11 @@ fn committed_corpus_replays_bit_identically() {
         }
         seen_checkpoints |= !artifact.checkpoints.is_empty();
         seen_resumed |= artifact.base.is_some();
-        // Resumed artifacts carry their parent's name plus a `-resumed`
-        // suffix; everything else must be catalogued directly.
-        let catalogued = match artifact.spec.name.strip_suffix("-resumed") {
-            Some(parent) if artifact.base.is_some() => corpus::names().contains(&parent),
-            _ => corpus::names().contains(&artifact.spec.name.as_str()),
-        };
-        assert!(
-            catalogued,
-            "{}: scenario `{}` is not in the catalogue",
+        // `record` writes a day under its spec's name.
+        assert_eq!(
+            name,
+            artifact.file_name(codec),
+            "{}: file stem is not the spec's name `{}`",
             path.display(),
             artifact.spec.name
         );
@@ -75,68 +85,50 @@ fn committed_corpus_replays_bit_identically() {
 }
 
 /// The committed artifacts are exactly what their specs record today:
-/// re-recording each spec in-process reproduces the stored expected
-/// outcome (totals digests), so the corpus can't silently drift from
-/// the builtins that generated it.
+/// re-recording each day from the spec it embeds, at the cadence its
+/// checkpoints show, reproduces the file byte for byte in the encoding
+/// it is stored in — what `ecoharness record` would write. A resumed
+/// day re-records from its own base checkpoint, and its spec must be
+/// its parent's, renamed by `resumed_spec`.
 #[test]
 fn committed_corpus_matches_reseeded_builtins() {
     for path in artifacts_in_dir(&corpus_dir()).expect("corpus directory exists") {
         let (artifact, codec) =
             ScenarioArtifact::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let fresh = match &artifact.base {
-            // A resumed artifact re-records from its own embedded base
-            // checkpoint; its spec must be exactly the parent builtin's,
-            // renamed by `resumed_spec`.
             Some(base) => {
-                let parent_name = artifact
+                let parent = artifact
                     .spec
                     .name
                     .strip_suffix("-resumed")
                     .unwrap_or_else(|| panic!("{}: resumed artifact misnamed", path.display()));
-                let parent = corpus::builtin(parent_name)
-                    .unwrap_or_else(|| panic!("{}: unknown parent builtin", path.display()));
                 assert_eq!(
                     artifact.spec,
-                    ecoharness::resumed_spec(&parent, base.tick),
-                    "{}: stored spec drifted from the parent builtin",
+                    ecoharness::resumed_spec(&common::spec(parent), base.tick),
+                    "{}: stored spec drifted from its parent's",
                     path.display()
                 );
                 ecoharness::record_resumed(&artifact.spec, base)
                     .unwrap_or_else(|e| panic!("{}: re-record resumed: {e}", path.display()))
             }
             None => {
-                let spec = corpus::builtin(&artifact.spec.name)
-                    .unwrap_or_else(|| panic!("{}: unknown builtin", path.display()));
-                assert_eq!(
-                    artifact.spec,
-                    spec,
-                    "{}: stored spec drifted from the builtin",
-                    path.display()
-                );
-                // Cadence and encoding come from the catalogue row, as
-                // they do for a bare `ecoharness record`: a row that
-                // disagrees with the committed file fails here.
-                assert_eq!(
-                    corpus::default_codec(&spec.name),
-                    Some(codec),
-                    "{}: committed in another encoding than its catalogue row's",
-                    path.display()
-                );
-                let every = corpus::default_checkpoint_ticks(&spec.name);
-                ecoharness::record_with_checkpoints(&spec, every)
+                let every = artifact
+                    .checkpoint_cadence()
+                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                ecoharness::record_with_checkpoints(&artifact.spec, every)
                     .unwrap_or_else(|e| panic!("{}: re-record: {e}", path.display()))
             }
         };
         assert_eq!(
             fresh.expected.totals_digest,
             artifact.expected.totals_digest,
-            "{}: re-recording the builtin no longer reproduces the committed totals",
+            "{}: re-recording the spec no longer reproduces the committed totals",
             path.display()
         );
         assert_eq!(
             fresh.expected.events_digest,
             artifact.expected.events_digest,
-            "{}: re-recording the builtin no longer reproduces the committed events",
+            "{}: re-recording the spec no longer reproduces the committed events",
             path.display()
         );
         let fresh_cps: Vec<(u64, u64)> = fresh
@@ -153,6 +145,11 @@ fn committed_corpus_matches_reseeded_builtins() {
             fresh_cps,
             stored_cps,
             "{}: re-recording no longer reproduces the committed checkpoints",
+            path.display()
+        );
+        assert!(
+            fresh.to_bytes(codec) == std::fs::read(&path).expect("committed bytes"),
+            "{}: re-recording differs from the committed bytes (run `ecoharness diff`)",
             path.display()
         );
     }

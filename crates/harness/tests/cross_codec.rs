@@ -9,9 +9,10 @@
 //! that nothing about the codec layer (float formatting, varint edge
 //! cases, map ordering) can silently perturb a recorded day.
 
-use ecoharness::{build_ecovisor, corpus, record, ScenarioArtifact};
+use ecoharness::{build_ecovisor, generate, record, ScenarioArtifact};
 use ecovisor::{ProtocolTrace, VesTotals, WireCodec};
-use simkit::rng::SimRng;
+
+mod common;
 
 fn json_roundtrip<T: serde::Serialize + serde::Deserialize>(value: &T) -> T {
     serde::json::from_str(&serde::json::to_string(value)).expect("json round trip")
@@ -33,17 +34,16 @@ fn replay(
     (totals, report.frames)
 }
 
-/// The property loop: for several seeds of a genuinely multi-tenant
-/// scenario, every codec re-encoding of the recorded trace — identity,
-/// J(t), B(t), J(B(t)), B(J(t)) — replays bit-identically to the
-/// recording.
+/// The property loop: for three generated multi-tenant days, every
+/// codec re-encoding of the recorded trace — identity, J(t), B(t),
+/// J(B(t)), B(J(t)) — replays bit-identically to the recording. The
+/// candidates are ones that push events (8, 9 and 7 frames); some of
+/// their neighbours push none, which would leave the frame comparison
+/// empty.
 #[test]
 fn seeded_cross_codec_replays_are_bit_identical() {
-    let mut rng = SimRng::from_seed(0xC0DEC);
-    for round in 0..3 {
-        let seed = rng.next_u64();
-        let mut spec = corpus::builtin_with_seed("mixed-tenants", seed).expect("builtin");
-        spec.ticks = 10;
+    for round in [0, 2, 11] {
+        let spec = generate(0xC0DEC, round).spec;
         let artifact = record(&spec).expect("record");
         assert!(
             !artifact.trace.events.is_empty(),
@@ -91,7 +91,7 @@ fn seeded_cross_codec_replays_are_bit_identical() {
 /// and the codec is auto-detected from the bytes.
 #[test]
 fn artifact_files_cross_codec_roundtrip() {
-    let mut spec = corpus::builtin("budget-exhaustion").expect("builtin");
+    let mut spec = common::spec("budget-exhaustion");
     spec.ticks = 8;
     let artifact = record(&spec).expect("record");
 

@@ -9,15 +9,17 @@
 //! one leaked into a response, a trace entry, settlement arithmetic, or
 //! an expected-outcome digest, these tests would catch the byte diff.
 
-use ecoharness::{corpus, record, record_observed};
+use ecoharness::{record, record_observed};
 use ecovisor::obs::{self, Level, ObsHub};
 use ecovisor::WireCodec;
 
-/// A builtin with real traffic: multiple tenants, solar, a battery,
+mod common;
+
+/// A committed day with real traffic: multiple tenants, solar, a battery,
 /// event push — enough to exercise dispatch sampling, lock timing, and
 /// the settlement histograms.
 fn busy_spec() -> ecoharness::ScenarioSpec {
-    corpus::builtin("mixed-tenants").expect("builtin corpus")
+    common::spec("mixed-tenants")
 }
 
 #[test]

@@ -5,8 +5,10 @@
 //! *fails* on every kind of corruption it exists to catch: dropped
 //! event frames, mutated request traffic, and tampered expectations.
 
+use ecoharness::artifact::artifacts_in_dir;
 use ecoharness::{
-    build_ecovisor, corpus, record, verify, CarbonSpec, HarnessError, ScenarioSpec, SolarSpec,
+    build_ecovisor, record, verify, CarbonSpec, HarnessError, ScenarioArtifact, ScenarioSpec,
+    SolarSpec,
 };
 use ecovisor::proto::EnergyRequest;
 use energy_system::solar::SolarArrayBuilder;
@@ -15,10 +17,12 @@ use simkit::time::SimDuration;
 use simkit::trace::Trace;
 use simkit::units::Watts;
 
-/// A shrunk builtin: small enough for test time, eventful enough to
+mod common;
+
+/// A shrunk committed day: small enough for test time, eventful enough to
 /// carry event frames worth corrupting.
 fn small_artifact() -> ecoharness::ScenarioArtifact {
-    let mut spec = corpus::builtin("mixed-tenants").expect("builtin");
+    let mut spec = common::spec("mixed-tenants");
     spec.ticks = 12;
     record(&spec).expect("record")
 }
@@ -133,7 +137,7 @@ fn truncated_expected_outcome_fails_verification() {
 /// tenant credentialed twice.
 #[test]
 fn ambiguous_tenant_names_and_credentials_are_rejected() {
-    let spec = corpus::builtin("credential-churn").expect("builtin");
+    let spec = common::spec("credential-churn");
     assert_eq!(spec.validate(), Ok(()));
 
     let mut renamed = spec.clone();
@@ -215,7 +219,7 @@ fn unbuildable_specs_are_refused_not_panicked_on() {
         }),
         ("tick_minutes", |s| s.tick_minutes = u64::MAX / 2),
     ];
-    let base = corpus::builtin("sunny-batch").expect("builtin");
+    let base = common::spec("sunny-batch");
     assert!(matches!(base.carbon, CarbonSpec::Region { .. }));
     for (i, (field, edit)) in cases.iter().enumerate() {
         let mut spec = base.clone();
@@ -236,7 +240,7 @@ fn unbuildable_specs_are_refused_not_panicked_on() {
 
 #[test]
 fn recording_is_deterministic() {
-    let mut spec = corpus::builtin("budget-exhaustion").expect("builtin");
+    let mut spec = common::spec("budget-exhaustion");
     spec.ticks = 10;
     let a = record(&spec).expect("record a");
     let b = record(&spec).expect("record b");
@@ -254,7 +258,7 @@ fn recording_is_deterministic() {
 
 #[test]
 fn checkpointed_recording_verifies_and_does_not_perturb_the_run() {
-    let mut spec = corpus::builtin("mixed-tenants").expect("builtin");
+    let mut spec = common::spec("mixed-tenants");
     spec.ticks = 12;
     let plain = record(&spec).expect("record");
     let checkpointed =
@@ -292,7 +296,7 @@ fn checkpointed_recording_verifies_and_does_not_perturb_the_run() {
 
 #[test]
 fn tampered_checkpoint_fails_verification() {
-    let mut spec = corpus::builtin("mixed-tenants").expect("builtin");
+    let mut spec = common::spec("mixed-tenants");
     spec.ticks = 12;
     let mut artifact =
         ecoharness::record_with_checkpoints(&spec, Some(4)).expect("record with checkpoints");
@@ -313,7 +317,7 @@ fn tampered_checkpoint_fails_verification() {
 
 #[test]
 fn resumed_recording_is_deterministic_and_verifies() {
-    let mut spec = corpus::builtin("mixed-tenants").expect("builtin");
+    let mut spec = common::spec("mixed-tenants");
     spec.ticks = 12;
     let parent =
         ecoharness::record_with_checkpoints(&spec, Some(4)).expect("record with checkpoints");
@@ -334,10 +338,17 @@ fn resumed_recording_is_deterministic_and_verifies() {
     assert!(err.to_string().contains("[4, 8]"), "{err}");
 }
 
+/// Every committed day's spec, shrunk, records and verifies. A resumed
+/// day is skipped: its spec is its parent's, renamed.
 #[test]
 fn every_builtin_records_and_verifies_when_shrunk() {
-    for name in corpus::names() {
-        let mut shrunk = corpus::builtin(name).expect("builtin");
+    for path in artifacts_in_dir(&common::corpus_dir()).expect("corpus directory exists") {
+        let (day, _) = ScenarioArtifact::load(&path).expect("committed day");
+        if day.base.is_some() {
+            continue;
+        }
+        let name = day.spec.name.clone();
+        let mut shrunk = day.spec;
         shrunk.ticks = shrunk.ticks.min(8);
         let day = shrunk.ticks;
         // A late clock: the second tick starts past 2^63 s, so a tick

@@ -2,12 +2,11 @@
 //! and across a two-node federation must be bit-indistinguishable from
 //! in-process dispatch — and the checks must actually be able to fail.
 
-use std::path::PathBuf;
-
 use ecoharness::{
-    corpus, record, verify_federated, verify_transport, HarnessError, ScenarioArtifact,
-    VerifyReport,
+    record, verify_federated, verify_transport, HarnessError, ScenarioArtifact, VerifyReport,
 };
+
+mod common;
 
 /// A live verifier's signature.
 type Cell = fn(&ScenarioArtifact) -> Result<VerifyReport, HarnessError>;
@@ -16,11 +15,11 @@ type Cell = fn(&ScenarioArtifact) -> Result<VerifyReport, HarnessError>;
 /// tick.
 const CELLS: [Cell; 2] = [verify_transport, verify_federated];
 
-/// A shrunk builtin: small enough for debug-build test time, eventful
+/// A shrunk committed day: small enough for debug-build test time, eventful
 /// enough (batteries, coalescing outbox, budget edge) to make the
 /// pushed-frame comparison meaningful.
 fn small_artifact() -> ecoharness::ScenarioArtifact {
-    let mut spec = corpus::builtin("mixed-tenants").expect("builtin");
+    let mut spec = common::spec("mixed-tenants");
     spec.ticks = 12;
     record(&spec).expect("record")
 }
@@ -93,7 +92,7 @@ fn dropped_event_frame_fails_over_the_wire() {
 /// `tenants + 6` checks every live cell makes.
 #[test]
 fn planned_days_run_their_plans_in_both_cells() {
-    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let corpus = common::corpus_dir();
     let days = [
         ("credential-churn.scn.json", [15, 9]),
         ("restore-under-load.scn.bin", [10, 8]),
@@ -139,7 +138,7 @@ fn planned_days_run_their_plans_in_both_cells() {
 /// rather than a thousand.
 #[test]
 fn truncated_scale_day_verifies_over_the_wire() {
-    let mut spec = corpus::builtin("thousand-tenants").expect("builtin");
+    let mut spec = common::spec("thousand-tenants");
     spec.tenants.truncate(60);
     spec.servers = 60;
     spec.ticks = 6;
