@@ -38,6 +38,7 @@ use ecoharness::artifact::artifacts_in_dir;
 use ecoharness::{build_ecovisor, ScenarioArtifact};
 use ecovisor::proto::{Frame, RequestBatch};
 use ecovisor::{Snapshot, TenantSnapshot, WireCodec};
+use power_telemetry::Tsdb;
 use serde::{binary, Deserialize, Serialize};
 use simkit::rng::SimRng;
 
@@ -198,6 +199,25 @@ fn a_hostile_frame_costs_a_worker_nothing_it_did_not_send() {
     refused("as a tenant capture", &|| {
         TenantSnapshot::from_bytes(&hostile).is_ok()
     });
+
+    // A telemetry store whose `series` count claims a pair per byte that
+    // follows — within what the bytes could hold as values, far past what
+    // they hold as pairs: refused at the first pair, having reserved for
+    // the claim no more than the 64 KiB a claimed count may (measured:
+    // 58,442 bytes — series, handles and the handle table; sized from the
+    // claim, the series alone would be over a GiB).
+    let mut store = vec![0x08, 0x01, 0x06];
+    store.extend_from_slice(b"series");
+    store.extend_from_slice(&hostile);
+    let before = counting_alloc::requested_bytes();
+    let verdict = binary::from_bytes::<Tsdb>(&store);
+    let requested = counting_alloc::requested_bytes() - before;
+    assert!(verdict.is_err(), "a store of nulls accepted");
+    assert!(
+        requested <= 96 << 10,
+        "a store claiming {} pairs reserved {requested} bytes",
+        hostile.len()
+    );
 
     // The same bulk where a later protocol version's field would sit: in
     // a request frame's batch, beside the fields this version knows.

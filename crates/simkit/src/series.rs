@@ -733,9 +733,54 @@ impl Serialize for TimeSeries {
     }
 }
 
+/// What `Sample::encode` writes before a sample's timestamp — a map of two
+/// entries, key `at`, the `INT` tag — and between the timestamp's zigzag
+/// varint and the value's eight little-endian bytes: key `value`, the
+/// `FLOAT` tag.
+const BEFORE_AT: [u8; 6] = [0x08, 0x02, 0x02, b'a', b't', 0x03];
+const BEFORE_VALUE: [u8; 7] = [0x05, b'v', b'a', b'l', b'u', b'e', 0x05];
+
+/// A sample in exactly the form `Sample::encode` writes, and how many
+/// bytes it took. Anything else — keys reordered, repeated or unknown,
+/// `at` as `UINT` or as a float, a negative timestamp, a varint longer
+/// than nine bytes, a truncation — is `None`, left to `Sample::decode`.
+fn sample_as_written(bytes: &[u8]) -> Option<(Sample, usize)> {
+    let rest = bytes.strip_prefix(&BEFORE_AT)?;
+    // Nine varint bytes hold 63 bits: none of them can overflow.
+    let mut zigzag = 0u64;
+    let mut len = 0;
+    loop {
+        let byte = *rest.get(len)?;
+        zigzag |= u64::from(byte & 0x7f) << (7 * len);
+        len += 1;
+        if byte & 0x80 == 0 {
+            break;
+        }
+        if len == 9 {
+            return None;
+        }
+    }
+    if zigzag & 1 != 0 {
+        return None;
+    }
+    let rest = rest[len..].strip_prefix(&BEFORE_VALUE)?;
+    let value = f64::from_le_bytes(rest.get(..8)?.try_into().ok()?);
+    let sample = Sample {
+        at: SimTime::from_secs(zigzag >> 1),
+        value,
+    };
+    Some((sample, BEFORE_AT.len() + len + BEFORE_VALUE.len() + 8))
+}
+
 /// The value of the `samples` field: a sequence of samples, pushed onto a
 /// series in the order read. A sample older than its predecessor is an
 /// error value, where `push` would panic.
+///
+/// Each sample is first read in the form `Sample::encode` writes it, byte
+/// for byte ([`binary::Reader::exact`]), and by the general route from the
+/// same byte where that fails: every sample this program wrote takes the
+/// first, another writer's forms and damage the second. Either way it is
+/// pushed, so the order check is the same.
 struct Pushed(TimeSeries);
 
 impl Pushed {
@@ -752,7 +797,11 @@ impl Deserialize for Pushed {
         let (len, capacity) = r.seq_of::<f64>()?;
         pushed.0.values.reserve_exact(capacity);
         for _ in 0..len {
-            pushed.push(Sample::decode(r)?)?;
+            let sample = match r.exact(sample_as_written) {
+                Some(sample) => sample,
+                None => Sample::decode(r)?,
+            };
+            pushed.push(sample)?;
         }
         r.end();
         // The count reserved for says how many samples, not how much they
@@ -873,6 +922,30 @@ mod tests {
         }
         // Still geometric: 8 doublings to 512, then log₁.₂₅(100,000 / 512).
         assert!(regrowths <= 8 + 24, "{regrowths} regrowths");
+    }
+
+    #[test]
+    fn the_form_read_first_is_what_encode_writes() {
+        // Timestamps of one to nine varint bytes, and values whose bytes
+        // spell the tags and keys around them.
+        let ats = [0, 1, 63, 64, 300, 86_400, 1 << 40, (1 << 62) - 1];
+        let values = [0.0, -0.0, 1.5, f64::NAN, f64::from_le_bytes([0x05; 8])];
+        for (at, value) in ats.into_iter().zip(values.into_iter().cycle()) {
+            let sample = Sample { at: t(at), value };
+            let bytes = binary::to_bytes(&sample);
+            let (read, len) = sample_as_written(&bytes).expect("the encoder's form");
+            assert_eq!(len, bytes.len());
+            assert_eq!(
+                (read.at, read.value.to_bits()),
+                (sample.at, value.to_bits())
+            );
+        }
+        // Past nine varint bytes, the general route reads it.
+        let late = binary::to_bytes(&Sample {
+            at: t(1 << 62),
+            value: 0.0,
+        });
+        assert_eq!(sample_as_written(&late), None);
     }
 
     #[test]

@@ -12,8 +12,15 @@
 //! `{samples: [{at, value}, …]}` form has. What the new layout is *for* is
 //! held too: a series that says nothing retains next to nothing, and one
 //! that never repeats retains what it did.
+//!
+//! The decoder reads each sample in the form `Sample::encode` writes before
+//! it tries the general route; the derived struct's general decode, pushed
+//! sample by sample, is the reference for that too — on hand-written forms
+//! of a sample, damaged bytes and another writer's liberties, the two
+//! give the same verdict and, where they accept, the same series.
 
-use serde::{Deserialize, Serialize};
+use serde::binary::{self, Reader, MAX_DEPTH};
+use serde::{Deserialize, Serialize, Value};
 use simkit::rng::SimRng;
 use simkit::series::{Sample, TimeSeries};
 use simkit::stats::{percentile, Summary};
@@ -21,6 +28,8 @@ use simkit::time::SimTime;
 
 #[path = "../../../vendor/serde/tests/common/counting_alloc.rs"]
 mod counting_alloc;
+#[path = "../../../vendor/serde/tests/common/mutate.rs"]
+mod mutate;
 
 /// The previous implementation, query for query.
 #[derive(Default)]
@@ -524,4 +533,282 @@ fn decode_refuses_what_push_would_panic_on() {
     // Going back in time is an error value, in either position.
     assert!(both(&[0, 60, 59]).is_err());
     assert!(both(&[60, 0]).is_err());
+}
+
+/// `read` inside `depth` sequences of one, so that a series' sample maps
+/// sit `depth + 2` containers deep.
+fn nested<T>(
+    bytes: &[u8],
+    depth: u32,
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, serde::Error>,
+) -> Result<T, serde::Error> {
+    let mut r = Reader::new(bytes);
+    for _ in 0..depth {
+        r.tuple(1)?;
+    }
+    let read = read(&mut r)?;
+    for _ in 0..depth {
+        r.end();
+    }
+    r.finish()?;
+    Ok(read)
+}
+
+/// The general route: the derived `{samples: Vec<Sample>}` decode, then
+/// each sample pushed as the decoder pushes it.
+fn reference_decode(r: &mut Reader<'_>) -> Result<TimeSeries, serde::Error> {
+    let mut series = TimeSeries::new();
+    for Sample { at, value } in Derived::decode(r)?.samples {
+        series
+            .try_push(at, value)
+            .map_err(|_| serde::Error::custom("samples are not in time order"))?;
+    }
+    Ok(series)
+}
+
+/// Reads `bytes` with the decoder and with the reference, `depth`
+/// sequences deep, and holds them to the same verdict and, on `Ok`, the
+/// same series and bytes. Returns the verdict.
+fn agree(bytes: &[u8], depth: u32, what: &str) -> bool {
+    let decoded = nested(bytes, depth, TimeSeries::decode);
+    let reference = nested(bytes, depth, reference_decode);
+    match (decoded, reference) {
+        (Ok(decoded), Ok(reference)) => {
+            assert_same_layout(&decoded, &reference);
+            assert_eq!(
+                binary::to_bytes(&decoded),
+                binary::to_bytes(&reference),
+                "{what}"
+            );
+            true
+        }
+        (Err(_), Err(_)) => false,
+        (decoded, reference) => panic!(
+            "{what}: the decoder says {:?}, the reference {:?}",
+            decoded.map(|s| s.len()),
+            reference.map(|s| s.len())
+        ),
+    }
+}
+
+/// A series whose samples are the given encodings, in order.
+fn series_of(samples: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    binary::write_map(&mut out, 1);
+    binary::write_key(&mut out, "samples");
+    binary::write_seq(&mut out, samples.len());
+    for sample in samples {
+        out.extend_from_slice(sample);
+    }
+    out
+}
+
+/// A sample as the encoder writes it.
+fn written(at: u64, value: f64) -> Vec<u8> {
+    binary::to_bytes(&Sample {
+        at: SimTime::from_secs(at),
+        value,
+    })
+}
+
+/// A sample map of these entries, in this order.
+fn sample_map(entries: &[(&str, Value)]) -> Vec<u8> {
+    let tree = Value::Map(
+        entries
+            .iter()
+            .map(|(key, value)| ((*key).to_owned(), value.clone()))
+            .collect(),
+    );
+    let mut out = Vec::new();
+    binary::encode(&tree, &mut out);
+    out
+}
+
+/// A sample whose `at` is the raw varint `varint` behind the `INT` tag.
+fn with_varint(varint: &[u8], value: f64) -> Vec<u8> {
+    let mut out = Vec::new();
+    binary::write_map(&mut out, 2);
+    binary::write_key(&mut out, "at");
+    out.push(0x03);
+    out.extend_from_slice(varint);
+    binary::write_key(&mut out, "value");
+    binary::write_float(&mut out, value);
+    out
+}
+
+#[test]
+fn the_encoders_form_and_every_other_read_as_the_general_route_reads_them() {
+    let first = written(0, 1.0);
+    let at = |v: Value| ("at", v);
+    let value = |v: f64| ("value", Value::Float(v));
+    // Each row after a sample in the encoder's form, so that the two
+    // routes meet in one series; whether it is accepted is the reference's
+    // call, and it is pinned here too.
+    let rows: Vec<(&str, Vec<u8>, bool)> = vec![
+        ("the encoder's form", written(60, 2.0), true),
+        (
+            "value before at",
+            sample_map(&[value(2.0), at(Value::Int(60))]),
+            true,
+        ),
+        (
+            "an unknown third key",
+            sample_map(&[
+                at(Value::Int(60)),
+                value(2.0),
+                ("unit", Value::Str("W".into())),
+            ]),
+            true,
+        ),
+        (
+            "an unknown first key",
+            sample_map(&[("unit", Value::Null), at(Value::Int(60)), value(2.0)]),
+            true,
+        ),
+        (
+            "at twice: the first counts",
+            sample_map(&[at(Value::Int(60)), at(Value::Int(0)), value(2.0)]),
+            true,
+        ),
+        (
+            "at twice, going back",
+            sample_map(&[at(Value::Int(-1)), at(Value::Int(60)), value(2.0)]),
+            false,
+        ),
+        (
+            "at as UINT",
+            sample_map(&[at(Value::UInt(60)), value(2.0)]),
+            true,
+        ),
+        (
+            "at as an integral FLOAT",
+            sample_map(&[at(Value::Float(60.0)), value(2.0)]),
+            true,
+        ),
+        (
+            "at as a fractional FLOAT",
+            sample_map(&[at(Value::Float(60.5)), value(2.0)]),
+            false,
+        ),
+        (
+            "at as a negative INT",
+            sample_map(&[at(Value::Int(-60)), value(2.0)]),
+            false,
+        ),
+        (
+            "value as an INT",
+            sample_map(&[at(Value::Int(60)), ("value", Value::Int(2))]),
+            true,
+        ),
+        ("at missing", sample_map(&[value(2.0)]), false),
+        (
+            "a non-minimal varint",
+            with_varint(&[0xf8, 0x80, 0x00], 2.0),
+            true,
+        ),
+        ("a nine-byte varint", written((1 << 62) - 1, 2.0), true),
+        ("a ten-byte varint", written(1 << 62, 2.0), true),
+        (
+            "a ten-byte varint of a small number",
+            with_varint(
+                &[0xf8, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+                2.0,
+            ),
+            true,
+        ),
+        (
+            "a ten-byte varint past 64 bits",
+            with_varint(&[0xff; 10], 2.0),
+            false,
+        ),
+        (
+            "an eleven-byte varint",
+            with_varint(
+                &[
+                    0xf8, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+                ],
+                2.0,
+            ),
+            false,
+        ),
+    ];
+    for (what, sample, accepted) in &rows {
+        let bytes = series_of(&[first.clone(), sample.clone()]);
+        assert_eq!(agree(&bytes, 0, what), *accepted, "{what}");
+        // Every truncation of it, the float's eight bytes included.
+        for cut in 0..bytes.len() {
+            assert!(!agree(&bytes[..cut], 0, what), "{what} cut at {cut}");
+        }
+    }
+    // An overwrite is accepted; a sample older than the one before is not,
+    // in either form and in either position.
+    let back = series_of(&[written(60, 1.0), written(0, 2.0)]);
+    assert!(!agree(&back, 0, "back in time"));
+    let back = series_of(&[
+        written(60, 1.0),
+        sample_map(&[value(2.0), at(Value::Int(0))]),
+    ]);
+    assert!(!agree(&back, 0, "back in time, the general form"));
+    let back = series_of(&[
+        sample_map(&[value(2.0), at(Value::Int(60))]),
+        written(0, 1.0),
+    ]);
+    assert!(!agree(&back, 0, "back in time after the general form"));
+    assert!(agree(
+        &series_of(&[written(60, 1.0), written(60, 2.0)]),
+        0,
+        "an overwrite"
+    ));
+}
+
+#[test]
+fn a_sample_map_nested_to_max_depth_gets_the_general_verdict() {
+    // The sample maps sit `depth + 2` deep: the series' map and its
+    // sequence are around them.
+    let series = series_of(&[written(0, 1.0), written(60, 2.0)]);
+    for (map_depth, accepted) in [
+        (MAX_DEPTH - 1, true),
+        (MAX_DEPTH, false),
+        (MAX_DEPTH + 1, false),
+    ] {
+        let wrappers = map_depth - 2;
+        let mut bytes = [0x07, 0x01].repeat(wrappers as usize);
+        bytes.extend_from_slice(&series);
+        assert_eq!(
+            agree(&bytes, wrappers, "nested"),
+            accepted,
+            "a sample map {map_depth} deep"
+        );
+    }
+}
+
+#[test]
+fn damaged_and_rewritten_series_get_the_same_verdict_both_ways() {
+    let root = SimRng::from_seed(42);
+    let (mut damaged_accepted, mut rewritten_accepted) = (0, 0);
+    for case in 0..128 {
+        let mut rng = root.fork_indexed("damage", case);
+        let times = timestamps(&mut rng, case % 4, case % 8 >= 4);
+        let values = values(&mut rng, case / 8 % VALUE_KINDS, times.len().min(24));
+        let (series, _) = build(&times[..values.len()], &values);
+        let bytes = binary::to_bytes(&series);
+        assert!(agree(&bytes, 0, "own encoding"));
+        let tree = binary::decode(&bytes).expect("own encoding");
+        for _ in 0..32 {
+            let damaged = mutate::mutate_bytes(&bytes, &mut || rng.next_u64());
+            damaged_accepted += usize::from(agree(&damaged, 0, "damaged"));
+            let mut rewritten = tree.clone();
+            mutate::mutate_tree(&mut rewritten, 48, &mut || rng.next_u64());
+            let mut other_writer = Vec::new();
+            binary::encode(&rewritten, &mut other_writer);
+            rewritten_accepted += usize::from(agree(&other_writer, 0, "another writer's"));
+        }
+    }
+    // Both kinds of variant are accepted often enough for the comparison
+    // of what was accepted to mean something (measured: 563 and 855 of
+    // 4,096 each).
+    assert!(
+        damaged_accepted >= 256 && rewritten_accepted >= 256,
+        "{damaged_accepted} damaged and {rewritten_accepted} rewritten variants accepted"
+    );
 }

@@ -130,7 +130,13 @@ impl Index {
     /// The handle of `(metric, subject)`; a name not seen before is given
     /// the next one, one past the last series.
     fn name(&mut self, metric: &str, subject: &str) -> SeriesId {
-        let key = (self.metrics.intern(metric), self.subjects.intern(subject));
+        let metric = self.metrics.intern(metric);
+        self.name_numbered(metric, subject)
+    }
+
+    /// [`name`](Self::name) for a metric already interned as `metric`.
+    fn name_numbered(&mut self, metric: u32, subject: &str) -> SeriesId {
+        let key = (metric, self.subjects.intern(subject));
         let next = SeriesId(u32::try_from(self.keys.len()).expect("fewer than 2^32 series"));
         let id = *self.ids.entry(key).or_insert(next);
         if id == next {
@@ -208,8 +214,18 @@ impl Tsdb {
     /// Stores `series` as `(metric, subject)`, over any series already
     /// there.
     fn put(&mut self, metric: &str, subject: &str, series: TimeSeries) {
-        let id = self.series_id(metric, subject);
-        self.series[id.0 as usize] = series;
+        let metric = self.index.metrics.intern(metric);
+        self.put_numbered(metric, subject, series);
+    }
+
+    /// [`put`](Self::put) for a metric already interned as `metric`. A new
+    /// series is pushed as it is, not pushed empty and then replaced.
+    fn put_numbered(&mut self, metric: u32, subject: &str, series: TimeSeries) {
+        let id = self.index.name_numbered(metric, subject);
+        match self.series.get_mut(id.0 as usize) {
+            Some(held) => *held = series,
+            None => self.series.push(series),
+        }
     }
 
     /// Appends a sample to the series behind `id`, which must be a live
@@ -432,15 +448,42 @@ fn decode_key<'a>(r: &mut binary::Reader<'a>) -> Result<(&'a str, &'a str), serd
 /// The value of the `series` field: a sequence of `[SeriesKey,
 /// TimeSeries]` pairs. Like the map this form is named after, pairs may
 /// arrive in any order and a repeated key keeps its last series.
+///
+/// The store is sized from the claimed count no further than
+/// [`binary::Reader::seq_of`] allows, and a metric is interned once per
+/// run of pairs that name it: the encoder writes pairs in `(metric,
+/// subject)` order, so a recorded day's eight thousand pairs are nine runs.
 struct Pairs(Tsdb);
 
 impl Deserialize for Pairs {
     fn decode(r: &mut binary::Reader<'_>) -> Result<Self, serde::Error> {
         let mut db = Tsdb::new();
-        for _ in 0..r.seq()? {
+        let (len, capacity) = r.seq_of::<TimeSeries>()?;
+        // Within what `seq_of` lets a count reserve, exactly that; past
+        // it, a power of two, so that growing by doubling ends where it
+        // would have from empty.
+        let capacity = if capacity < len {
+            capacity.next_power_of_two() / 2
+        } else {
+            capacity
+        };
+        db.series.reserve_exact(capacity);
+        db.index.keys.reserve_exact(capacity);
+        db.index.ids.reserve(capacity);
+        // The latest pair's metric and its number.
+        let mut run: Option<(&str, u32)> = None;
+        for _ in 0..len {
             r.tuple(2)?;
             let (metric, subject) = decode_key(r)?;
-            db.put(metric, subject, TimeSeries::decode(r)?);
+            let number = match run {
+                Some((name, number)) if name == metric => number,
+                _ => {
+                    let number = db.index.metrics.intern(metric);
+                    run = Some((metric, number));
+                    number
+                }
+            };
+            db.put_numbered(number, subject, TimeSeries::decode(r)?);
             r.end();
         }
         r.end();

@@ -37,9 +37,10 @@ const METRICS: [&str; 10] = [
 const SUBJECTS: usize = 1_000;
 
 /// One string per subject, and the regrowth of the tables and vectors of
-/// names and handles. Measured: 1,074 for both naming and decoding; a
-/// string per series was 11,574.
-const BOUND: usize = SUBJECTS * 3 / 2;
+/// names and handles. Measured: 1,074 naming, 1,052 decoding (1,074
+/// while decoding named each series like a writer and regrew from
+/// empty); a string per series was 11,574.
+const BOUND: usize = SUBJECTS * 5 / 4;
 
 /// `f`'s result and the allocations it made on this thread.
 fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
@@ -88,7 +89,7 @@ fn naming_and_decoding_allocate_per_subject_not_per_series() {
 /// What decoding a store of `pairs` pairs, each with a metric and a
 /// subject of its own, may ask the allocator for per pair: two short
 /// strings, a slot in each table and a series, each vector and table
-/// counted with its regrowth. Measured: 551. A dense table of metrics
+/// counted with its regrowth. Measured: 537. A dense table of metrics
 /// by subjects would ask for over `pairs × 4` bytes per pair.
 const BYTES_PER_DISTINCT_PAIR: u64 = 1024;
 

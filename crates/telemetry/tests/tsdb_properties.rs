@@ -264,6 +264,60 @@ fn shuffled_pairs_and_a_repeated_key_decode_as_the_map_would() {
     }
 }
 
+/// The decoder interns a metric once per run of pairs that name it; a
+/// run that is broken and taken up again names the same metric. Pairs
+/// `(m1, s1)`, `(m2, s1)`, `(m1, s2)`, with `(m1, s1)` sent again last,
+/// decode to the store the sorted bytes decode to, the later copy winning.
+#[test]
+fn an_interrupted_metric_run_decodes_as_the_sorted_bytes_do() {
+    let series = |first: f64| -> TimeSeries {
+        [
+            (SimTime::EPOCH, first),
+            (SimTime::from_secs(60), first + 1.0),
+        ]
+        .into_iter()
+        .collect()
+    };
+    let (m1s1, m2s1, m1s2) = (
+        SeriesKey::new("m1", "s1"),
+        SeriesKey::new("m2", "s1"),
+        SeriesKey::new("m1", "s2"),
+    );
+    let mut reference = Reference::default();
+    for (key, first) in [(&m1s1, 1.0), (&m2s1, 2.0), (&m1s2, 3.0)] {
+        reference.series.insert(key.clone(), series(first));
+    }
+    let sorted = serde::binary::to_bytes(&reference);
+    let stale = series(9.0);
+    let interrupted = at_rest_bytes(&[
+        (&m1s1, &stale),
+        (&m2s1, &reference.series[&m2s1]),
+        (&m1s2, &reference.series[&m1s2]),
+        (&m1s1, &reference.series[&m1s1]),
+    ]);
+    let decoded: Tsdb = serde::binary::from_bytes(&interrupted).expect("pairs in any order");
+    let mut from_sorted: Tsdb = serde::binary::from_bytes(&sorted).expect("own encoding");
+    assert_eq!(serde::binary::to_bytes(&decoded), sorted);
+    assert_eq!(format!("{decoded:?}"), format!("{from_sorted:?}"));
+    assert_eq!(decoded.series_count(), 3);
+    for (key, series) in &reference.series {
+        assert_eq!(decoded.series(&key.metric, &key.subject), Some(series));
+    }
+    assert_eq!(decoded.subjects_of("m1"), ["s1", "s2"]);
+    assert_eq!(decoded.subjects_of("m2"), ["s1"]);
+    // Both stores go on naming alike: a new pair of old names, and a
+    // write to an old series.
+    let mut decoded = decoded;
+    for db in [&mut decoded, &mut from_sorted] {
+        db.record("m2", "s2", SimTime::EPOCH, 4.0);
+        db.record("m1", "s2", SimTime::from_secs(120), 5.0);
+    }
+    assert_eq!(
+        serde::binary::to_bytes(&decoded),
+        serde::binary::to_bytes(&from_sorted)
+    );
+}
+
 /// Extracting a set of subjects, removing them and merging them back
 /// round-trips to the same bytes; what is left after the removal is the
 /// reference minus those subjects, still writable by name; and a merge
