@@ -34,24 +34,6 @@ impl RegionKind {
             RegionKind::California => california(),
         }
     }
-
-    /// Stable lowercase name (CLI vocabulary).
-    pub fn name(self) -> &'static str {
-        match self {
-            RegionKind::Ontario => "ontario",
-            RegionKind::Uruguay => "uruguay",
-            RegionKind::California => "california",
-        }
-    }
-
-    /// Every built-in region, in Figure 1 order.
-    pub fn all() -> [RegionKind; 3] {
-        [
-            RegionKind::Ontario,
-            RegionKind::Uruguay,
-            RegionKind::California,
-        ]
-    }
 }
 
 impl std::str::FromStr for RegionKind {
@@ -73,23 +55,23 @@ pub struct RegionProfile {
     /// Human-readable region name (e.g. `"California"`).
     pub name: String,
     /// Mean carbon intensity in g·CO2/kWh.
-    pub base_intensity: f64,
+    pub(crate) base_intensity: f64,
     /// Piecewise-linear diurnal multiplier: `(hour_of_day, multiplier)`
     /// control points, cyclic over 24 h. Must be sorted by hour.
-    pub diurnal_shape: Vec<(f64, f64)>,
+    diurnal_shape: Vec<(f64, f64)>,
     /// Multiplier applied on weekends (days 5 and 6 of each week).
-    pub weekend_factor: f64,
+    pub(crate) weekend_factor: f64,
     /// Standard deviation of the mean-reverting (OU) noise process,
     /// relative to `base_intensity`.
-    pub noise_std: f64,
+    pub(crate) noise_std: f64,
     /// Mean-reversion rate of the noise process, per hour.
-    pub noise_reversion: f64,
+    pub(crate) noise_reversion: f64,
     /// Probability per hour of an excursion (generation-mix shift) starting.
-    pub excursion_prob_per_hour: f64,
+    pub(crate) excursion_prob_per_hour: f64,
     /// Relative magnitude range of excursions `(lo, hi)`; sign is random.
-    pub excursion_magnitude: (f64, f64),
+    pub(crate) excursion_magnitude: (f64, f64),
     /// Excursion duration range in hours `(lo, hi)`.
-    pub excursion_hours: (f64, f64),
+    pub(crate) excursion_hours: (f64, f64),
     /// Hard floor for generated intensity, g·CO2/kWh.
     pub floor: f64,
     /// Hard ceiling for generated intensity, g·CO2/kWh.

@@ -61,7 +61,7 @@ pub struct ContainerSpec {
     pub memory_mib: u64,
     /// Whether the container uses the host's GPU (Jetson Nano in the
     /// prototype; doubles max power draw).
-    pub gpu: bool,
+    pub(crate) gpu: bool,
 }
 
 impl ContainerSpec {
@@ -212,18 +212,13 @@ impl Container {
         self.power_cap = cap;
     }
 
-    /// The ecovisor-installed carbon-enforcement cap, if one is active.
-    pub fn carbon_cap(&self) -> Option<Watts> {
-        self.carbon_cap
-    }
-
     pub(crate) fn set_carbon_cap(&mut self, cap: Option<Watts>) {
         self.carbon_cap = cap;
     }
 
     /// The cap the quota actually enforces: `min` of the app-set cap and
     /// the ecovisor's carbon cap, `None` when neither is active.
-    pub fn effective_power_cap(&self) -> Option<Watts> {
+    pub(crate) fn effective_power_cap(&self) -> Option<Watts> {
         match (self.power_cap, self.carbon_cap) {
             (Some(user), Some(carbon)) => Some(user.min(carbon)),
             (one, other) => one.or(other),
@@ -232,7 +227,7 @@ impl Container {
 
     /// Effective utilization this tick: demand clipped by quota, zero
     /// unless running.
-    pub fn effective_utilization(&self) -> f64 {
+    pub(crate) fn effective_utilization(&self) -> f64 {
         match self.state {
             ContainerState::Running => self.demand.min(self.cpu_quota),
             _ => 0.0,

@@ -81,7 +81,7 @@ impl Cop {
     }
 
     /// Launches a container for `owner` on the server
-    /// [`fewest_containers`] picks.
+    /// `fewest_containers` picks.
     ///
     /// # Errors
     ///
@@ -234,20 +234,6 @@ impl Cop {
         }
     }
 
-    /// Sets a container's CPU quota directly (vertical scaling).
-    ///
-    /// # Errors
-    ///
-    /// [`CopError::UnknownContainer`] if absent.
-    pub fn set_cpu_quota(&mut self, id: ContainerId, quota: f64) -> Result<(), CopError> {
-        let c = self
-            .containers
-            .get_mut(&id)
-            .ok_or(CopError::UnknownContainer(id))?;
-        c.set_cpu_quota(quota);
-        Ok(())
-    }
-
     /// Sets a container's workload CPU demand for the current tick.
     ///
     /// # Errors
@@ -277,13 +263,6 @@ impl Cop {
             .into_iter()
             .flatten()
             .map(|id| self.containers.get(id).expect("indexed ids exist"))
-    }
-
-    /// All live (running or suspended) containers of an app, in id order.
-    pub fn containers_of(&self, owner: AppId) -> Vec<&Container> {
-        self.owned_by(owner)
-            .filter(|c| c.state() != ContainerState::Stopped)
-            .collect()
     }
 
     /// Ids of an app's live containers, in id order.

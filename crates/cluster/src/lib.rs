@@ -15,7 +15,7 @@
 //! * **Container placement** — LXD's default rule, and the only one:
 //!   "allocates a container to the server with the fewest container
 //!   instances" (§4), ties by lowest server id
-//!   ([`scheduler::fewest_containers`]).
+//!   (`scheduler::fewest_containers`).
 //! * **A utilization→power model** for the paper's ARM microservers
 //!   (quad-core, 1.35 W idle, 5 W at 100 % CPU, 10 W with GPU — §4),
 //!   giving per-container power attribution and cap-to-quota conversion.

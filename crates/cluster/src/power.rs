@@ -41,11 +41,6 @@ impl PowerModel {
         Self { spec }
     }
 
-    /// The underlying server spec.
-    pub fn spec(&self) -> &ServerSpec {
-        &self.spec
-    }
-
     /// Host idle power apportioned to `cores` cores (used for cluster
     /// baseline accounting, not for container attribution).
     pub fn idle_share(&self, cores: u32) -> Watts {
@@ -86,7 +81,7 @@ impl PowerModel {
     /// Power attributed to a [`Container`] given its current effective
     /// utilization and lifecycle state. Suspended and stopped containers
     /// draw nothing (the freezer releases their cycles).
-    pub fn power_of(&self, container: &Container) -> Watts {
+    pub(crate) fn power_of(&self, container: &Container) -> Watts {
         match container.state() {
             ContainerState::Running => self.container_power(
                 container.spec().cores,

@@ -2,7 +2,7 @@
 //!
 //! The paper uses "LXD's default container scheduler, which simply
 //! allocates a container to the server with the fewest container
-//! instances" (§4). [`fewest_containers`] is that rule, and the only
+//! instances" (§4). `fewest_containers` is that rule, and the only
 //! placement [`crate::Cop::launch`] performs.
 
 use crate::container::ContainerSpec;
@@ -11,7 +11,7 @@ use crate::server::{Server, ServerId};
 /// LXD's default policy: the feasible server with the fewest containers,
 /// breaking ties by lowest server id (deterministic). `None` when no
 /// server fits `spec`.
-pub fn fewest_containers(servers: &[Server], spec: &ContainerSpec) -> Option<ServerId> {
+pub(crate) fn fewest_containers(servers: &[Server], spec: &ContainerSpec) -> Option<ServerId> {
     servers
         .iter()
         .filter(|s| s.fits(spec.cores, spec.memory_mib, spec.gpu))

@@ -18,7 +18,7 @@ pub struct ServerId(u32);
 
 impl ServerId {
     /// Creates a server id from a raw integer.
-    pub const fn new(id: u32) -> Self {
+    pub(crate) const fn new(id: u32) -> Self {
         Self(id)
     }
 
@@ -44,9 +44,9 @@ pub struct ServerSpec {
     /// Power drawn with zero utilization.
     pub idle_power: Watts,
     /// Power drawn at 100 % CPU utilization (all cores busy, no GPU).
-    pub max_cpu_power: Watts,
+    max_cpu_power: Watts,
     /// Power drawn at 100 % CPU + GPU utilization, when a GPU is present.
-    pub max_gpu_power: Option<Watts>,
+    max_gpu_power: Option<Watts>,
 }
 
 impl ServerSpec {
@@ -71,22 +71,22 @@ impl ServerSpec {
     }
 
     /// `true` when a GPU is attached.
-    pub fn has_gpu(&self) -> bool {
+    pub(crate) fn has_gpu(&self) -> bool {
         self.max_gpu_power.is_some()
     }
 
     /// Dynamic power span of the CPU (max − idle).
-    pub fn cpu_dynamic_power(&self) -> Watts {
+    pub(crate) fn cpu_dynamic_power(&self) -> Watts {
         self.max_cpu_power - self.idle_power
     }
 
     /// Dynamic power of one core at 100 % utilization.
-    pub fn per_core_dynamic_power(&self) -> Watts {
+    pub(crate) fn per_core_dynamic_power(&self) -> Watts {
         self.cpu_dynamic_power() / f64::from(self.cores.max(1))
     }
 
     /// Extra dynamic power of the GPU at full utilization (0 without one).
-    pub fn gpu_dynamic_power(&self) -> Watts {
+    pub(crate) fn gpu_dynamic_power(&self) -> Watts {
         match self.max_gpu_power {
             Some(max) => max - self.max_cpu_power,
             None => Watts::ZERO,
@@ -98,7 +98,7 @@ impl ServerSpec {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.cores == 0 {
             return Err("server must have at least one core".into());
         }
@@ -133,7 +133,7 @@ impl Server {
     /// # Panics
     ///
     /// Panics if the spec is invalid.
-    pub fn new(id: ServerId, spec: ServerSpec) -> Self {
+    pub(crate) fn new(id: ServerId, spec: ServerSpec) -> Self {
         spec.validate().expect("invalid server spec");
         Self {
             id,
@@ -145,7 +145,7 @@ impl Server {
     }
 
     /// Server id.
-    pub fn id(&self) -> ServerId {
+    pub(crate) fn id(&self) -> ServerId {
         self.id
     }
 
@@ -170,7 +170,7 @@ impl Server {
     }
 
     /// `true` when a container with the given requirements fits.
-    pub fn fits(&self, cores: u32, memory_mib: u64, needs_gpu: bool) -> bool {
+    pub(crate) fn fits(&self, cores: u32, memory_mib: u64, needs_gpu: bool) -> bool {
         self.free_cores() >= cores
             && self.free_memory_mib() >= memory_mib
             && (!needs_gpu || self.spec.has_gpu())
@@ -182,7 +182,7 @@ impl Server {
     ///
     /// Panics if the container does not fit (callers must check
     /// [`fits`](Self::fits) first).
-    pub fn reserve(&mut self, cores: u32, memory_mib: u64) {
+    pub(crate) fn reserve(&mut self, cores: u32, memory_mib: u64) {
         assert!(
             self.free_cores() >= cores && self.free_memory_mib() >= memory_mib,
             "reserve called without capacity"
@@ -193,7 +193,7 @@ impl Server {
     }
 
     /// Releases resources of a removed container.
-    pub fn release(&mut self, cores: u32, memory_mib: u64) {
+    pub(crate) fn release(&mut self, cores: u32, memory_mib: u64) {
         self.cores_used = self.cores_used.saturating_sub(cores);
         self.memory_used_mib = self.memory_used_mib.saturating_sub(memory_mib);
         self.container_count = self.container_count.saturating_sub(1);

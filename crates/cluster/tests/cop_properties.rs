@@ -153,7 +153,6 @@ fn assert_owner_index_matches_scan(cop: &Cop, owners: &[AppId]) {
             .collect();
         let ids = |cs: Vec<&Container>| cs.iter().map(|c| c.id()).collect::<Vec<_>>();
         assert_eq!(ids(cop.owned_by(owner).collect()), ids(owned.clone()));
-        assert_eq!(ids(cop.containers_of(owner)), live);
         assert_eq!(cop.container_ids_of(owner), live);
         assert_eq!(
             cop.running_count(owner),

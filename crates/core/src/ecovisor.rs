@@ -129,9 +129,9 @@ impl SeriesHandles {
 #[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct SystemFlows {
     /// Physical solar output during the tick (buffered for next tick).
-    pub physical_solar: Watts,
+    physical_solar: Watts,
     /// Total grid import across apps.
-    pub grid_import: Watts,
+    grid_import: Watts,
     /// Total battery charging across apps.
     pub battery_charge: Watts,
     /// Total battery discharge across apps.
@@ -244,7 +244,7 @@ impl Ecovisor {
     }
 
     /// The attached observability hub, if any.
-    pub fn obs_hub(&self) -> Option<std::sync::Arc<crate::obs::ObsHub>> {
+    pub(crate) fn obs_hub(&self) -> Option<std::sync::Arc<crate::obs::ObsHub>> {
         self.obs.clone()
     }
 
@@ -321,7 +321,7 @@ impl Ecovisor {
     /// # Errors
     ///
     /// [`EcovisorError::UnknownApp`] when not registered.
-    pub fn outbox_policy(&self, app: AppId) -> Result<OutboxPolicy> {
+    pub(crate) fn outbox_policy(&self, app: AppId) -> Result<OutboxPolicy> {
         Ok(lock::read(self.shard(app)?).rec.outbox)
     }
 
@@ -462,7 +462,7 @@ impl Ecovisor {
     /// [`ProtocolTrace::events`](crate::dispatch::ProtocolTrace), making
     /// push traffic part of the replayable record of a run. The
     /// transport's post-settlement broadcast hook is the canonical
-    /// caller (see [`crate::shard::ShardedEcovisor::on_settlement`]).
+    /// caller (see `ShardedEcovisor::on_settlement`).
     pub fn take_event_frame(&self, app: AppId) -> Option<crate::proto::EventFrame> {
         self.take_event_frame_matching(app, &crate::event::EventFilter::all())
     }
@@ -472,7 +472,7 @@ impl Ecovisor {
     /// other consumers (`drain_events` / `PollEvents`). The broadcast
     /// path calls this with the *union* of an app's subscriber filters,
     /// so an event no subscriber wants is never destroyed undelivered.
-    pub fn take_event_frame_matching(
+    pub(crate) fn take_event_frame_matching(
         &self,
         app: AppId,
         filter: &crate::event::EventFilter,

@@ -52,7 +52,7 @@ pub enum Notification {
 impl Notification {
     /// The event category this notification belongs to, as a stable
     /// lowercase name — the vocabulary [`EventFilter`] selects over.
-    pub fn category(&self) -> &'static str {
+    fn category(&self) -> &'static str {
         match self {
             Notification::SolarChange { .. } => "solar",
             Notification::CarbonChange { .. } => "carbon",
@@ -138,7 +138,7 @@ pub struct OutboxPolicy {
     /// Maximum number of *level-triggered* notifications kept pending.
     /// `0` means level events are not queued at all (edge events still
     /// are).
-    pub cap: usize,
+    cap: usize,
 }
 
 impl Default for OutboxPolicy {
@@ -151,11 +151,6 @@ impl OutboxPolicy {
     /// A policy with the given level-event cap.
     pub fn with_cap(cap: usize) -> Self {
         Self { cap }
-    }
-
-    /// An effectively unbounded policy (the pre-backpressure behaviour).
-    pub fn unbounded() -> Self {
-        Self { cap: usize::MAX }
     }
 
     /// Pushes `event` into `pending` under this policy. See the type
@@ -201,13 +196,13 @@ impl OutboxPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EventFilter {
     /// Deliver [`Notification::SolarChange`].
-    pub solar: bool,
+    solar: bool,
     /// Deliver [`Notification::CarbonChange`].
     pub carbon: bool,
     /// Deliver [`Notification::BatteryFull`] / [`Notification::BatteryEmpty`].
     pub battery: bool,
     /// Deliver [`Notification::BudgetExhausted`].
-    pub budget: bool,
+    budget: bool,
 }
 
 impl Default for EventFilter {
@@ -242,7 +237,7 @@ impl EventFilter {
     /// union of its subscribers' filters, so an event no subscriber
     /// wants is never consumed — it stays pending for polling/draining.
     #[must_use]
-    pub fn union(&self, other: &EventFilter) -> EventFilter {
+    pub(crate) fn union(&self, other: &EventFilter) -> EventFilter {
         EventFilter {
             solar: self.solar || other.solar,
             carbon: self.carbon || other.carbon,
@@ -252,7 +247,7 @@ impl EventFilter {
     }
 
     /// Whether `event` passes this filter.
-    pub fn matches(&self, event: &Notification) -> bool {
+    pub(crate) fn matches(&self, event: &Notification) -> bool {
         match event {
             Notification::SolarChange { .. } => self.solar,
             Notification::CarbonChange { .. } => self.carbon,

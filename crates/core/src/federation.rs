@@ -102,11 +102,11 @@ pub struct FedAppView {
 pub struct TenantSnapshot {
     /// Snapshot layout version (shares [`SNAPSHOT_FORMAT`] — the
     /// per-app layout is a sub-structure of the whole-ecovisor one).
-    pub format: u32,
+    format: u32,
     /// Protocol version of the writing process.
-    pub protocol_version: u16,
+    protocol_version: u16,
     /// Number of fully settled ticks at capture time.
-    pub tick: u64,
+    tick: u64,
     /// Fingerprint of the writer's static environment; grafting refuses
     /// a snapshot whose fingerprint differs from the receiver's.
     pub env_digest: u64,
@@ -146,7 +146,7 @@ impl TenantSnapshot {
 
     /// The telemetry subjects this tenant owns: its app subject plus one
     /// per container it ever launched.
-    pub fn subjects(&self) -> BTreeSet<String> {
+    fn subjects(&self) -> BTreeSet<String> {
         subjects_of(self.app.app, &self.containers)
     }
 }

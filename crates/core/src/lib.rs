@@ -118,7 +118,6 @@ pub use ecovisor::{Ecovisor, SystemFlows};
 pub use error::{EcovisorError, Result};
 pub use event::{EventFilter, Notification, NotifyConfig, OutboxPolicy};
 pub use federation::{FedAppView, TenantSnapshot};
-pub use obs::{MetricsSnapshot, ObsHub};
 pub use proto::{
     ControlFrame, EnergyRequest, EnergyResponse, EventFrame, Frame, ProtoError, RequestBatch,
     ResponseBatch, StatsReport, PROTOCOL_VERSION,

@@ -22,7 +22,7 @@
 //! * the dispatch fast path pays a single thread-local tally (sampling
 //!   countdown + pending request count, no atomics); full timing
 //!   (batch latency, lock waits, per-kind counts) runs on a
-//!   deterministic 1-in-[`DISPATCH_SAMPLE`] count-based sample, so
+//!   deterministic 1-in-`DISPATCH_SAMPLE` count-based sample, so
 //!   instrumentation cost is meant to stay under a 2% hot-path budget
 //!   (docs/OBSERVABILITY.md, "Overhead": no row times it alone yet).
 //!
@@ -44,45 +44,45 @@ use crate::proto::EnergyRequest;
 /// Dispatch batches between sampled full-timing passes. Power of two so
 /// the countdown check is branch-predictable; count-based (never
 /// wall-clock-based) so sampling itself is deterministic per thread.
-pub const DISPATCH_SAMPLE: u32 = 256;
+pub(crate) const DISPATCH_SAMPLE: u32 = 256;
 
 /// Pre-registered handles for the core (dispatch/settlement/snapshot/
 /// federation) paths.
 #[derive(Debug)]
-pub struct CoreMetrics {
+pub(crate) struct CoreMetrics {
     /// `dispatch.requests_total` — every request in every batch.
-    pub requests: Arc<Counter>,
+    pub(crate) requests: Arc<Counter>,
     /// `dispatch.batches_total` — sampled ×[`DISPATCH_SAMPLE`].
-    pub batches: Arc<Counter>,
+    pub(crate) batches: Arc<Counter>,
     /// `dispatch.requests.{kind}_total` by [`EnergyRequest::kind_index`]
     /// — sampled ×[`DISPATCH_SAMPLE`].
-    pub by_kind: Vec<Arc<Counter>>,
+    pub(crate) by_kind: Vec<Arc<Counter>>,
     /// `dispatch.batch_latency_ns` — whole-batch dispatch latency
     /// (sampled).
-    pub batch_latency: Arc<Histogram>,
+    pub(crate) batch_latency: Arc<Histogram>,
     /// `dispatch.shard_lock_wait_ns` — time to acquire the app shard
     /// lock (sampled).
-    pub shard_lock_wait: Arc<Histogram>,
+    pub(crate) shard_lock_wait: Arc<Histogram>,
     /// `dispatch.cop_lock_wait_ns` — time to acquire the shared COP
     /// guard (sampled, command batches that touch containers).
-    pub cop_lock_wait: Arc<Histogram>,
+    pub(crate) cop_lock_wait: Arc<Histogram>,
     /// `settle.barrier_wait_ns` — time the driver waits for dispatch to
     /// quiesce (outer write-lock acquisition).
-    pub barrier_wait: Arc<Histogram>,
+    pub(crate) barrier_wait: Arc<Histogram>,
     /// `settle.duration_ns` — one whole `Ecovisor::tick` inside the
     /// barrier: carbon sample, settlement, broadcast hooks, clock advance.
-    pub settle_duration: Arc<Histogram>,
+    pub(crate) settle_duration: Arc<Histogram>,
     /// `core.tick` — the deterministic tick index after the last
     /// settlement (the tick-stamp for dispatch-side series).
-    pub tick: Arc<Gauge>,
+    pub(crate) tick: Arc<Gauge>,
     /// `snapshot.capture_ns` — full-state capture latency.
-    pub snapshot_capture: Arc<Histogram>,
+    pub(crate) snapshot_capture: Arc<Histogram>,
     /// `snapshot.restore_ns` — full-state restore latency.
-    pub snapshot_restore: Arc<Histogram>,
+    pub(crate) snapshot_restore: Arc<Histogram>,
     /// `federation.collect_ns` — federated tick phase one.
-    pub fed_collect: Arc<Histogram>,
+    pub(crate) fed_collect: Arc<Histogram>,
     /// `federation.settle_ns` — federated tick phase two.
-    pub fed_settle: Arc<Histogram>,
+    pub(crate) fed_settle: Arc<Histogram>,
 }
 
 thread_local! {
@@ -128,7 +128,7 @@ impl CoreMetrics {
     /// trails the true total by at most one sampling window per
     /// thread.)
     #[inline]
-    pub fn tally(&self, requests: u64) -> Option<u64> {
+    pub(crate) fn tally(&self, requests: u64) -> Option<u64> {
         DISPATCH_TLS.with(|c| {
             let (countdown, pending) = c.get();
             let pending = pending + requests;
@@ -148,50 +148,50 @@ impl CoreMetrics {
 /// timed at full fidelity — the path is microsecond-scale, so the
 /// budget is plentiful.
 #[derive(Debug)]
-pub struct TransportMetrics {
+pub(crate) struct TransportMetrics {
     /// `transport.accepts_total` — connections accepted.
-    pub accepts: Arc<Counter>,
+    pub(crate) accepts: Arc<Counter>,
     /// `transport.accept_failures_total` — accept errors (fd
     /// exhaustion, peer reset before accept). Counted always, logged
     /// rate-limited.
-    pub accept_failures: Arc<Counter>,
+    pub(crate) accept_failures: Arc<Counter>,
     /// `transport.frames_in_total` — complete frames carved off
     /// receive buffers.
-    pub frames_in: Arc<Counter>,
+    pub(crate) frames_in: Arc<Counter>,
     /// `transport.bytes_in_total` — raw bytes read off sockets.
-    pub bytes_in: Arc<Counter>,
+    pub(crate) bytes_in: Arc<Counter>,
     /// `transport.socket_reads_total` — `read(2)` calls made to fill
     /// receive buffers (the one that finds a socket dry included), so
     /// frames in ÷ socket reads is frames per read.
-    pub socket_reads: Arc<Counter>,
+    pub(crate) socket_reads: Arc<Counter>,
     /// `transport.turns_total` — turns run: one per readable event of a
     /// connection, however many reads and frames it came to.
-    pub turns: Arc<Counter>,
+    pub(crate) turns: Arc<Counter>,
     /// `transport.frames_out_total` — frames committed to write queues.
-    pub frames_out: Arc<Counter>,
+    pub(crate) frames_out: Arc<Counter>,
     /// `transport.bytes_out_total` — bytes committed to write queues
     /// (length prefixes included).
-    pub bytes_out: Arc<Counter>,
+    pub(crate) bytes_out: Arc<Counter>,
     /// `transport.socket_writes_total` — `write(2)` calls made to drain
     /// write queues. A turn commits its replies together, so frames out
     /// ÷ socket writes is frames per write.
-    pub socket_writes: Arc<Counter>,
+    pub(crate) socket_writes: Arc<Counter>,
     /// `transport.coalesce_drops_total` — notifications displaced by
     /// the outbox policy while parking under backpressure (a level
     /// event coalesced/evicted rather than queued).
-    pub coalesce_drops: Arc<Counter>,
+    pub(crate) coalesce_drops: Arc<Counter>,
     /// `transport.serve_latency_ns` — decode→dispatch→encode per frame
     /// (the socket write is per turn, and not in it).
-    pub serve_latency: Arc<Histogram>,
+    pub(crate) serve_latency: Arc<Histogram>,
     /// `transport.idle_disconnects_total` — connections reaped by the
     /// idle sweep.
-    pub idle_disconnects: Arc<Counter>,
+    pub(crate) idle_disconnects: Arc<Counter>,
     /// `transport.conn_errors_total` — connections dropped on protocol
     /// or I/O errors.
-    pub conn_errors: Arc<Counter>,
+    pub(crate) conn_errors: Arc<Counter>,
     /// `transport.mid_frame_closes_total` — peers that disconnected
     /// with a partial frame buffered.
-    pub mid_frame_closes: Arc<Counter>,
+    pub(crate) mid_frame_closes: Arc<Counter>,
 }
 
 impl TransportMetrics {
@@ -226,9 +226,9 @@ impl TransportMetrics {
 pub struct ObsHub {
     registry: Arc<Registry>,
     /// Core-path handles.
-    pub core: CoreMetrics,
+    pub(crate) core: CoreMetrics,
     /// Transport-path handles.
-    pub transport: TransportMetrics,
+    pub(crate) transport: TransportMetrics,
 }
 
 impl ObsHub {

@@ -354,8 +354,8 @@ pub enum EnergyRequest {
     /// dump of the observability registry ([`EnergyResponse::Stats`]
     /// carrying a [`StatsReport`]); v2 only, credential-gated, answered
     /// by the transport layer. In-process dispatch acknowledges it as a
-    /// no-op — in process you read the hub via
-    /// [`Ecovisor::obs_hub`](crate::Ecovisor::obs_hub).
+    /// no-op — in process you read the hub you attached with
+    /// [`Ecovisor::attach_obs`](crate::Ecovisor::attach_obs).
     Stats,
 }
 
@@ -372,7 +372,7 @@ pub struct KindFacts {
     pub admin: bool,
     /// Touches the shared container platform: a query reads it under
     /// the COP read guard, a command mutates it under the write guard.
-    pub cop: bool,
+    cop: bool,
     /// A query that integrates the telemetry store (TSDB read guard).
     pub tsdb: bool,
 }
@@ -832,7 +832,7 @@ impl EventFrame {
     /// A copy containing only the events `filter` selects (delivery
     /// filtering for one subscriber; other subscribers keep their own
     /// view of the same frame).
-    pub fn filtered(&self, filter: &EventFilter) -> EventFrame {
+    pub(crate) fn filtered(&self, filter: &EventFilter) -> EventFrame {
         EventFrame {
             version: self.version,
             app: self.app,
@@ -879,7 +879,7 @@ pub enum Frame {
 impl Frame {
     /// Appends the binary encoding of `Frame::Request(batch)` to `out`,
     /// for a sender that holds its batch by reference.
-    pub fn encode_request(batch: &RequestBatch, out: &mut Vec<u8>) {
+    pub(crate) fn encode_request(batch: &RequestBatch, out: &mut Vec<u8>) {
         serde::binary::write_variant(out, "Request");
         batch.encode(out);
     }
@@ -892,11 +892,16 @@ impl Frame {
 
 /// Panics with a uniform message on a request/response type mismatch —
 /// only reachable through a dispatcher bug, never through bad input.
+/// A fallible extractor maps [`EnergyResponse::Err`] back to an error; an
+/// infallible one is for getters that cannot fail.
 macro_rules! extractors {
-    ($( $(#[$doc:meta])* $fallible:ident / $infallible:ident => $variant:ident ( $ty:ty ) ),* $(,)?) => {
+    (
+        fallible { $( $(#[$fdoc:meta])* $fvis:vis $fallible:ident => $fvariant:ident ( $fty:ty ) ),* $(,)? }
+        infallible { $( $(#[$idoc:meta])* $ivis:vis $infallible:ident => $ivariant:ident ( $ity:ty ) ),* $(,)? }
+    ) => {
         impl EnergyResponse {
             $(
-                $(#[$doc])*
+                $(#[$fdoc])*
                 ///
                 /// # Errors
                 ///
@@ -905,28 +910,28 @@ macro_rules! extractors {
                 /// # Panics
                 ///
                 /// On a response of any other variant (dispatcher bug).
-                pub fn $fallible(self) -> crate::error::Result<$ty> {
+                $fvis fn $fallible(self) -> crate::error::Result<$fty> {
                     match self {
-                        EnergyResponse::$variant(v) => Ok(v),
+                        EnergyResponse::$fvariant(v) => Ok(v),
                         EnergyResponse::Err(e) => Err(e.into()),
                         other => panic!(
-                            concat!("protocol violation: expected ", stringify!($variant), ", got {:?}"),
+                            concat!("protocol violation: expected ", stringify!($fvariant), ", got {:?}"),
                             other
                         ),
                     }
                 }
-
-                /// Infallible form of the extractor, for getters that
-                /// cannot fail.
+            )*
+            $(
+                $(#[$idoc])*
                 ///
                 /// # Panics
                 ///
                 /// On [`EnergyResponse::Err`] or any other variant.
-                pub fn $infallible(self) -> $ty {
+                $ivis fn $infallible(self) -> $ity {
                     match self {
-                        EnergyResponse::$variant(v) => v,
+                        EnergyResponse::$ivariant(v) => v,
                         other => panic!(
-                            concat!("protocol violation: expected ", stringify!($variant), ", got {:?}"),
+                            concat!("protocol violation: expected ", stringify!($ivariant), ", got {:?}"),
                             other
                         ),
                     }
@@ -937,40 +942,48 @@ macro_rules! extractors {
 }
 
 extractors! {
-    /// Extracts a power reading.
-    power / expect_power => Power(Watts),
-    /// Extracts an optional power cap.
-    power_cap / expect_power_cap => PowerCap(Option<Watts>),
-    /// Extracts an energy quantity.
-    energy / expect_energy => Energy(WattHours),
-    /// Extracts a carbon mass.
-    carbon / expect_carbon => Carbon(Co2Grams),
-    /// Extracts a carbon intensity.
-    intensity / expect_intensity => Intensity(CarbonIntensity),
-    /// Extracts an optional rate limit.
-    rate_limit / expect_rate_limit => RateLimit(Option<CarbonRate>),
-    /// Extracts an optional budget.
-    budget / expect_budget => Budget(Option<Co2Grams>),
-    /// Extracts a core-equivalent capacity.
-    cores / expect_cores => Cores(f64),
-    /// Extracts a count.
-    count / expect_count => Count(usize),
-    /// Extracts a container id.
-    container / expect_container => Container(ContainerId),
-    /// Extracts container ids.
-    containers / expect_containers => Containers(Vec<ContainerId>),
-    /// Extracts an instant.
-    time / expect_time => Time(SimTime),
-    /// Extracts a duration.
-    interval / expect_interval => Interval(SimDuration),
-    /// Extracts an application id.
-    app / expect_app => App(AppId),
-    /// Extracts drained notifications.
-    events / expect_events => Events(Vec<Notification>),
-    /// Extracts federated demand views.
-    demands / expect_demands => Demands(Vec<FedAppView>),
-    /// Extracts a server statistics report.
-    stats / expect_stats => Stats(StatsReport),
+    fallible {
+        /// Extracts a power reading.
+        pub(crate) power => Power(Watts),
+        /// Extracts an optional power cap.
+        pub(crate) power_cap => PowerCap(Option<Watts>),
+        /// Extracts an energy quantity.
+        pub(crate) energy => Energy(WattHours),
+        /// Extracts a carbon mass.
+        pub(crate) carbon => Carbon(Co2Grams),
+        /// Extracts a core-equivalent capacity.
+        pub(crate) cores => Cores(f64),
+        /// Extracts a container id.
+        pub(crate) container => Container(ContainerId),
+        /// Extracts drained notifications.
+        pub(crate) events => Events(Vec<Notification>),
+    }
+    infallible {
+        /// Extracts a power reading.
+        pub(crate) expect_power => Power(Watts),
+        /// Extracts an energy quantity.
+        pub(crate) expect_energy => Energy(WattHours),
+        /// Extracts a carbon mass.
+        pub(crate) expect_carbon => Carbon(Co2Grams),
+        /// Extracts a carbon intensity.
+        pub expect_intensity => Intensity(CarbonIntensity),
+        /// Extracts an optional rate limit.
+        pub(crate) expect_rate_limit => RateLimit(Option<CarbonRate>),
+        /// Extracts an optional budget.
+        pub(crate) expect_budget => Budget(Option<Co2Grams>),
+        /// Extracts a core-equivalent capacity.
+        pub(crate) expect_cores => Cores(f64),
+        /// Extracts a count.
+        pub(crate) expect_count => Count(usize),
+        /// Extracts a container id.
+        pub expect_container => Container(ContainerId),
+        /// Extracts container ids.
+        pub(crate) expect_containers => Containers(Vec<ContainerId>),
+        /// Extracts an instant.
+        pub(crate) expect_time => Time(SimTime),
+        /// Extracts a duration.
+        pub(crate) expect_interval => Interval(SimDuration),
+    }
 }
 
 impl EnergyResponse {
@@ -983,7 +996,7 @@ impl EnergyResponse {
     /// # Panics
     ///
     /// On a response of any other variant (dispatcher bug).
-    pub fn unit(self) -> crate::error::Result<()> {
+    pub(crate) fn unit(self) -> crate::error::Result<()> {
         match self {
             EnergyResponse::Ok => Ok(()),
             EnergyResponse::Err(e) => Err(e.into()),

@@ -76,13 +76,6 @@ pub struct ReplayReport {
     pub frames: Vec<EventFrame>,
 }
 
-impl ReplayReport {
-    /// Total notifications across the regenerated frames.
-    pub fn event_count(&self) -> usize {
-        self.frames.iter().map(|f| f.events.len()).sum()
-    }
-}
-
 impl Ecovisor {
     /// Replays a recorded trace at its recorded tick cadence, from
     /// `start_tick` (0 for a whole run) up to `ticks`.

@@ -113,7 +113,7 @@ impl ShardedEcovisor {
     /// would self-deadlock on the outer lock. The TCP transport installs
     /// one hook per server to fan event frames out to subscribed
     /// connections (see [`crate::transport`]).
-    pub fn on_settlement(&self, hook: impl Fn(&Ecovisor) + Send + Sync + 'static) {
+    pub(crate) fn on_settlement(&self, hook: impl Fn(&Ecovisor) + Send + Sync + 'static) {
         lock::lock(&self.hooks).push(Box::new(hook));
     }
 

@@ -20,7 +20,7 @@ pub struct EnergyShare {
     pub battery_capacity: WattHours,
     /// Initial virtual-battery state of charge as a fraction of its
     /// capacity (clamped to the battery floor at construction).
-    pub battery_initial_soc: f64,
+    pub(crate) battery_initial_soc: f64,
     /// Optional per-application cap on grid power draw.
     pub grid_power_cap: Option<Watts>,
 }
@@ -68,7 +68,7 @@ impl EnergyShare {
 
     /// The virtual battery spec for this share: capacity scaled, same
     /// C-rates and floor as the physical prototype bank.
-    pub fn virtual_battery_spec(&self) -> BatterySpec {
+    pub(crate) fn virtual_battery_spec(&self) -> BatterySpec {
         BatterySpec::with_capacity(self.battery_capacity)
     }
 
@@ -77,7 +77,7 @@ impl EnergyShare {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.solar_fraction) {
             return Err(format!(
                 "solar fraction {} outside [0, 1]",

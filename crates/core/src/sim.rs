@@ -141,15 +141,6 @@ impl Simulation {
         !self.entries.is_empty() && self.entries.iter().all(|e| e.app.is_done())
     }
 
-    /// Whether one application is done.
-    pub fn is_done(&self, id: AppId) -> bool {
-        self.entries
-            .iter()
-            .find(|e| e.id == id)
-            .map(|e| e.app.is_done())
-            .unwrap_or(false)
-    }
-
     /// The underlying ecovisor.
     pub fn eco(&self) -> &Ecovisor {
         &self.eco

@@ -76,27 +76,27 @@ pub struct AppSnapshot {
     /// The application's id.
     pub app: AppId,
     /// Display name.
-    pub name: String,
+    pub(crate) name: String,
     /// The virtual energy system, including cumulative totals and
     /// edge-trigger state.
     pub ves: VirtualEnergySystem,
     /// Notification thresholds.
-    pub notify: NotifyConfig,
+    pub(crate) notify: NotifyConfig,
     /// Bounded-outbox policy.
-    pub outbox: OutboxPolicy,
+    pub(crate) outbox: OutboxPolicy,
     /// Undelivered notifications at capture time. Restoring reinstates
     /// them verbatim, so each event is still delivered exactly once.
     pub pending_events: Vec<Notification>,
     /// Carbon-rate limit (Table 2 `set_carbon_rate`), if set.
-    pub carbon_rate_limit: Option<CarbonRate>,
+    pub(crate) carbon_rate_limit: Option<CarbonRate>,
     /// Carbon budget (Table 2 `set_carbon_budget`), if set.
-    pub carbon_budget: Option<Co2Grams>,
+    pub(crate) carbon_budget: Option<Co2Grams>,
     /// Containers carrying an ecovisor-installed carbon cap, so
     /// enforcement can clear exactly what it installed when the rate
     /// limit lifts (or re-spread it as the container set changes).
-    pub carbon_capped: Vec<ContainerId>,
+    pub(crate) carbon_capped: Vec<ContainerId>,
     /// Edge-trigger state for [`Notification::BudgetExhausted`].
-    pub budget_exhausted: bool,
+    pub(crate) budget_exhausted: bool,
 }
 
 /// A versioned, serializable checkpoint of a whole ecovisor.
@@ -130,13 +130,13 @@ pub struct Snapshot {
     /// like [`intensity`](Self::intensity).
     pub prev_intensity: CarbonIntensity,
     /// System flows from the most recent settlement.
-    pub last_system_flows: SystemFlows,
+    last_system_flows: SystemFlows,
     /// The physical battery bank.
-    pub physical_battery: Battery,
+    physical_battery: Battery,
     /// The grid meter.
-    pub grid: GridConnection,
+    grid: GridConnection,
     /// The validation PSU.
-    pub psu: ProgrammablePsu,
+    psu: ProgrammablePsu,
     /// The container orchestration platform's dynamic state.
     pub cop: CopSnapshot,
     /// The full telemetry store.
@@ -144,7 +144,7 @@ pub struct Snapshot {
     /// Every registered application's shard, in id order.
     pub apps: Vec<AppSnapshot>,
     /// Next application id to allocate.
-    pub next_app: u32,
+    next_app: u32,
 }
 
 impl Snapshot {

@@ -91,7 +91,7 @@
 //! post-settlement broadcast hook (registered on the
 //! [`ShardedEcovisor`](crate::ShardedEcovisor) at bind time, run inside
 //! the settlement barrier — see
-//! [`ShardedEcovisor::on_settlement`](crate::ShardedEcovisor::on_settlement))
+//! `ShardedEcovisor::on_settlement`)
 //! drains each subscribed app's outbox into an `EventFrame` stamped with
 //! the settlement tick and writes it, delivery-filtered per subscriber,
 //! to every subscribed connection of that app. All of a connection's
@@ -217,7 +217,7 @@ impl WireCodec {
 
     /// Appends a value's byte form to `out` — [`encode`](Self::encode)
     /// into a buffer the caller keeps across frames.
-    pub fn encode_into<T: Serialize>(&self, t: &T, out: &mut Vec<u8>) {
+    fn encode_into<T: Serialize>(&self, t: &T, out: &mut Vec<u8>) {
         match self {
             WireCodec::Json => out.extend_from_slice(serde::json::to_string(t).as_bytes()),
             WireCodec::Binary => t.encode(out),

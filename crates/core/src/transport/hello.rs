@@ -114,7 +114,7 @@ impl CredentialRegistry {
     /// constant time. A missing registration, a missing presentation,
     /// and a wrong token are all plain `false` — the caller's rejection
     /// message never distinguishes them.
-    pub fn verify(&self, app: AppId, presented: Option<&str>) -> bool {
+    fn verify(&self, app: AppId, presented: Option<&str>) -> bool {
         // Compare against an empty token when either side is absent so
         // the call always performs a comparison.
         let stored: &[u8] = self.tokens.get(&app).map(Vec::as_slice).unwrap_or(&[]);

@@ -39,11 +39,11 @@ pub struct VesFlows {
     /// Power demanded by the application's containers.
     pub demand: Watts,
     /// Virtual solar power available this tick.
-    pub solar_available: Watts,
+    solar_available: Watts,
     /// Solar power serving demand.
     pub solar_to_load: Watts,
     /// Own solar power charged into the virtual battery.
-    pub solar_to_battery: Watts,
+    pub(crate) solar_to_battery: Watts,
     /// Own solar power surrendered to the ecovisor's excess pool.
     pub solar_surplus: Watts,
     /// Solar power received from the excess pool into the battery.
@@ -53,7 +53,7 @@ pub struct VesFlows {
     /// Grid power serving demand.
     pub grid_to_load: Watts,
     /// Grid power charging the battery (charge-rate supplement).
-    pub grid_to_battery: Watts,
+    pub(crate) grid_to_battery: Watts,
     /// Demand that could not be served (grid cap exhausted).
     pub unmet_demand: Watts,
     /// Carbon emission rate attributed this tick.
@@ -92,27 +92,27 @@ impl VesFlows {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DesiredFlows {
     /// Demand presented.
-    pub demand: Watts,
+    demand: Watts,
     /// Solar available.
-    pub solar_available: Watts,
+    solar_available: Watts,
     /// Solar directly serving load.
-    pub solar_to_load: Watts,
+    solar_to_load: Watts,
     /// Proposed solar→battery charge power.
-    pub charge_solar: Watts,
+    pub(crate) charge_solar: Watts,
     /// Proposed grid→battery charge power (supplement to the configured
     /// charge rate).
-    pub charge_grid: Watts,
+    charge_grid: Watts,
     /// Solar the battery cannot take (before redistribution).
-    pub surplus: Watts,
+    surplus: Watts,
     /// Proposed battery discharge power.
-    pub discharge: Watts,
+    pub(crate) discharge: Watts,
     /// Demand not covered by solar (deficit).
-    pub deficit: Watts,
+    deficit: Watts,
 }
 
 impl DesiredFlows {
     /// Total proposed charge power.
-    pub fn total_charge(&self) -> Watts {
+    pub(crate) fn total_charge(&self) -> Watts {
         self.charge_solar + self.charge_grid
     }
 }
@@ -129,7 +129,7 @@ pub struct VesTotals {
     /// Total carbon attributed.
     pub carbon: Co2Grams,
     /// Total solar energy surrendered to the excess pool.
-    pub surplus_energy: WattHours,
+    surplus_energy: WattHours,
 }
 
 /// The virtual energy system of one application.
@@ -197,7 +197,7 @@ impl VirtualEnergySystem {
     }
 
     /// The share this VES was built from.
-    pub fn share(&self) -> &EnergyShare {
+    pub(crate) fn share(&self) -> &EnergyShare {
         &self.share
     }
 
@@ -224,11 +224,6 @@ impl VirtualEnergySystem {
         self.charge_rate = rate.max_zero();
     }
 
-    /// Currently requested grid-charging rate.
-    pub fn charge_rate(&self) -> Watts {
-        self.charge_rate
-    }
-
     /// Sets the maximum discharge rate (Table 1
     /// `set_battery_max_discharge`), clamped to the virtual battery's
     /// physical 1C limit.
@@ -242,7 +237,7 @@ impl VirtualEnergySystem {
     }
 
     /// Current maximum discharge rate.
-    pub fn max_discharge(&self) -> Watts {
+    pub(crate) fn max_discharge(&self) -> Watts {
         self.max_discharge
     }
 
@@ -250,13 +245,8 @@ impl VirtualEnergySystem {
     /// an exhausted carbon budget (Table 2). While clamped the app runs
     /// on zero-carbon supply only: solar and battery still serve load,
     /// all grid draw (load and charging) is shed.
-    pub fn set_grid_clamp(&mut self, clamped: bool) {
+    pub(crate) fn set_grid_clamp(&mut self, clamped: bool) {
         self.grid_clamped = clamped;
-    }
-
-    /// Whether grid draw is currently clamped to zero.
-    pub fn grid_clamped(&self) -> bool {
-        self.grid_clamped
     }
 
     /// The grid cap settlement enforces: zero when clamped, otherwise
@@ -281,7 +271,7 @@ impl VirtualEnergySystem {
     }
 
     /// Flows committed in the most recent tick.
-    pub fn last_flows(&self) -> &VesFlows {
+    pub(crate) fn last_flows(&self) -> &VesFlows {
         &self.last_flows
     }
 
@@ -445,7 +435,7 @@ impl VirtualEnergySystem {
     /// battery with whatever fits beyond what was already charged this
     /// tick (the 0.25C rate limit applies to the tick's *total* charging)
     /// and returns the accepted power.
-    pub fn accept_redistribution(&mut self, offered: Watts, dt: SimDuration) -> Watts {
+    pub(crate) fn accept_redistribution(&mut self, offered: Watts, dt: SimDuration) -> Watts {
         let room = self.redistribution_room(dt);
         let Some(battery) = &mut self.battery else {
             return Watts::ZERO;
@@ -473,12 +463,12 @@ impl VirtualEnergySystem {
 
     /// Current discharge rate (Table 1 `get_battery_discharge_rate`):
     /// the battery power that served load in the most recent tick.
-    pub fn battery_discharge_rate(&self) -> Watts {
+    pub(crate) fn battery_discharge_rate(&self) -> Watts {
         self.last_flows.battery_to_load
     }
 
     /// Current grid power usage (Table 1 `get_grid_power`).
-    pub fn grid_power(&self) -> Watts {
+    pub(crate) fn grid_power(&self) -> Watts {
         self.last_flows.grid_import()
     }
 }

@@ -65,7 +65,7 @@ impl BatterySpec {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.capacity.watt_hours() <= 0.0 {
             return Err("capacity must be positive".into());
         }
@@ -154,7 +154,7 @@ impl Battery {
     }
 
     /// Energy that can still be stored before the bank is full.
-    pub fn headroom(&self) -> WattHours {
+    fn headroom(&self) -> WattHours {
         (self.spec.capacity - self.soc).max_zero()
     }
 

@@ -55,11 +55,6 @@ impl GridConnection {
         self
     }
 
-    /// Import capacity limit, if any.
-    pub fn capacity(&self) -> Option<Watts> {
-        self.capacity
-    }
-
     /// Draws up to `power` for `dt`; returns the power actually supplied
     /// (limited by capacity). Negative requests are treated as zero.
     pub fn import(&mut self, power: Watts, dt: SimDuration) -> Watts {

@@ -27,8 +27,3 @@ pub mod battery;
 pub mod grid;
 pub mod psu;
 pub mod solar;
-
-pub use battery::{Battery, BatterySpec};
-pub use grid::GridConnection;
-pub use psu::ProgrammablePsu;
-pub use solar::SolarArrayBuilder;

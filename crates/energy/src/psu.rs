@@ -17,11 +17,11 @@ use simkit::units::{WattHours, Watts};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Violation {
     /// When the violation occurred.
-    pub at: SimTime,
+    at: SimTime,
     /// Power drawn at that instant.
-    pub drawn: Watts,
+    drawn: Watts,
     /// Limit in force at that instant.
-    pub limit: Watts,
+    limit: Watts,
 }
 
 /// A metering power supply with an optional programmable limit.
@@ -43,11 +43,6 @@ impl ProgrammablePsu {
     /// Sets the power limit used for violation detection.
     pub fn set_limit(&mut self, limit: Option<Watts>) {
         self.limit = limit;
-    }
-
-    /// The configured limit, if any.
-    pub fn limit(&self) -> Option<Watts> {
-        self.limit
     }
 
     /// Records a draw of `power` for `dt` starting at `at`.

@@ -138,7 +138,7 @@ impl SolarArrayBuilder {
 
     /// Clear-sky output fraction at an hour-of-day: a sine bell between
     /// sunrise and sunset, zero at night.
-    pub fn clear_sky_fraction(&self, hour: f64) -> f64 {
+    fn clear_sky_fraction(&self, hour: f64) -> f64 {
         let h = hour.rem_euclid(24.0);
         if h <= self.sunrise_hour || h >= self.sunset_hour {
             return 0.0;

@@ -16,7 +16,7 @@ pub fn results_dir() -> PathBuf {
 
 /// Writes `content` under the results directory; ignores I/O failures
 /// (tests may run in read-only sandboxes).
-pub fn write_result(name: &str, content: &str) {
+pub(crate) fn write_result(name: &str, content: &str) {
     let path = results_dir().join(name);
     if fs::write(&path, content).is_ok() {
         println!("  wrote {}", display_path(&path));
@@ -28,7 +28,7 @@ fn display_path(p: &Path) -> String {
 }
 
 /// Prints a fixed-width table with a title.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -55,13 +55,13 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// `mean ± std` cell formatting from a [`Summary`].
-pub fn mean_std(summary: &Summary, digits: usize) -> String {
+pub(crate) fn mean_std(summary: &Summary, digits: usize) -> String {
     format!("{:.d$} ± {:.d$}", summary.mean, summary.std_dev, d = digits)
 }
 
 /// Prints a coarse ASCII sparkline of a series (for quick terminal
 /// inspection of the figure shapes).
-pub fn sparkline(label: &str, series: &TimeSeries, buckets: usize) {
+pub(crate) fn sparkline(label: &str, series: &TimeSeries, buckets: usize) {
     if series.is_empty() || buckets == 0 {
         println!("  {label}: (empty)");
         return;

@@ -15,9 +15,9 @@ use crate::common;
 #[derive(Debug, Clone, Copy)]
 pub struct Fig1Config {
     /// Days of data (the paper plots 4).
-    pub days: u64,
+    days: u64,
     /// Generation seed.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl Default for Fig1Config {
@@ -31,20 +31,20 @@ impl Default for Fig1Config {
 
 /// One region's generated trace plus its summary statistics.
 #[derive(Debug, Clone)]
-pub struct RegionSeries {
+struct RegionSeries {
     /// Region name.
-    pub region: String,
+    region: String,
     /// Intensity series, g·CO2/kWh.
-    pub series: TimeSeries,
+    series: TimeSeries,
     /// Summary over the run.
-    pub summary: Summary,
+    summary: Summary,
 }
 
 /// Fig. 1 result: one series per region.
 #[derive(Debug, Clone)]
 pub struct Fig1Result {
     /// Series in the paper's legend order (Ontario, California, Uruguay).
-    pub regions: Vec<RegionSeries>,
+    regions: Vec<RegionSeries>,
 }
 
 fn to_series(trace: &Trace, days: u64) -> TimeSeries {

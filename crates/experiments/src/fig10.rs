@@ -25,13 +25,13 @@ use crate::common;
 #[derive(Debug, Clone, Copy)]
 pub struct Fig10Config {
     /// Root seed.
-    pub seed: u64,
+    seed: u64,
     /// Solar array rating (W); 100 % of the sweep.
-    pub solar_rated: f64,
+    solar_rated: f64,
     /// Job structure.
-    pub job: ParallelConfig,
+    job: ParallelConfig,
     /// Renewable percentages swept for Fig. 10c.
-    pub sweep: [u64; 9],
+    sweep: [u64; 9],
 }
 
 impl Default for Fig10Config {
@@ -51,28 +51,28 @@ impl Default for Fig10Config {
 
 /// Outcome of one (policy, solar-scale) run.
 #[derive(Debug, Clone, Copy)]
-pub struct SweepPoint {
+struct SweepPoint {
     /// Percent of the solar trace available.
-    pub percent: u64,
+    percent: u64,
     /// Completion ticks under static caps.
-    pub static_ticks: u64,
+    static_ticks: u64,
     /// Completion ticks under dynamic caps.
-    pub dynamic_ticks: u64,
+    dynamic_ticks: u64,
     /// Runtime improvement of dynamic over static, percent.
-    pub improvement_pct: f64,
+    improvement_pct: f64,
     /// Energy efficiency of the dynamic run (useful core-hours per kJ).
-    pub efficiency: f64,
+    efficiency: f64,
 }
 
 /// Fig. 10 result.
 #[derive(Debug, Clone)]
 pub struct Fig10Result {
     /// One solar day (W) — Fig. 10a.
-    pub solar_day: TimeSeries,
+    solar_day: TimeSeries,
     /// Per-container power series under the dynamic policy — Fig. 10b.
-    pub container_power: Vec<TimeSeries>,
+    container_power: Vec<TimeSeries>,
     /// The 10–90 % sweep — Fig. 10c.
-    pub sweep: Vec<SweepPoint>,
+    sweep: Vec<SweepPoint>,
 }
 
 /// One (policy, solar-scale) run's outcome.
@@ -256,26 +256,26 @@ pub fn report(result: &Fig10Result) {
 
 /// One Fig. 11 sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig11Point {
+struct Fig11Point {
     /// Percent of the solar trace available (≥100).
-    pub percent: u64,
+    percent: u64,
     /// Completion ticks without mitigation (dynamic caps only).
-    pub baseline_ticks: u64,
+    baseline_ticks: u64,
     /// Completion ticks with replica mitigation.
-    pub replica_ticks: u64,
+    replica_ticks: u64,
     /// Runtime improvement, percent.
-    pub improvement_pct: f64,
+    improvement_pct: f64,
     /// Energy efficiency with replicas (useful core-hours per kJ).
-    pub efficiency: f64,
+    efficiency: f64,
     /// Replicas launched.
-    pub replicas: u64,
+    replicas: u64,
 }
 
 /// Fig. 11 result.
 #[derive(Debug, Clone)]
 pub struct Fig11Result {
     /// Sweep points (100–200 %).
-    pub sweep: Vec<Fig11Point>,
+    sweep: Vec<Fig11Point>,
 }
 
 /// Runs the Fig. 11 experiment.

@@ -79,11 +79,11 @@ impl JobKind {
 #[derive(Debug, Clone, Copy)]
 pub struct Fig4Config {
     /// Repetitions with random arrivals (the paper uses 10).
-    pub runs: u32,
+    runs: u32,
     /// Root seed.
-    pub seed: u64,
+    seed: u64,
     /// Jobs arrive uniformly within this many hours from the epoch.
-    pub arrival_window_hours: u64,
+    arrival_window_hours: u64,
 }
 
 impl Default for Fig4Config {
@@ -98,22 +98,22 @@ impl Default for Fig4Config {
 
 /// One policy's aggregated outcome across runs.
 #[derive(Debug, Clone)]
-pub struct PolicyRow {
+struct PolicyRow {
     /// Policy label as in the figure legend.
-    pub label: String,
+    label: String,
     /// Carbon emitted (grams) across runs.
-    pub carbon_g: Summary,
+    carbon_g: Summary,
     /// Completion time (hours, arrival → finish) across runs.
-    pub runtime_h: Summary,
+    runtime_h: Summary,
 }
 
 /// Fig. 4 result: one row per policy.
 #[derive(Debug, Clone)]
 pub struct Fig4Result {
     /// Which application.
-    pub job: &'static str,
+    job: &'static str,
     /// Rows in legend order.
-    pub rows: Vec<PolicyRow>,
+    rows: Vec<PolicyRow>,
 }
 
 fn policy_label(mode: &BatchMode) -> String {
@@ -267,17 +267,17 @@ pub fn report(result: &Fig4Result, file: &str) {
 #[derive(Debug, Clone)]
 pub struct Fig5Result {
     /// Grid carbon intensity over the run.
-    pub intensity: TimeSeries,
+    intensity: TimeSeries,
     /// ML-training threshold (30th percentile).
-    pub ml_threshold: f64,
+    ml_threshold: f64,
     /// BLAST threshold (33rd percentile).
-    pub blast_threshold: f64,
+    blast_threshold: f64,
     /// Running containers of the ML app (W&S 2×).
-    pub ml_containers: TimeSeries,
+    ml_containers: TimeSeries,
     /// Running containers of the BLAST app (W&S 3×).
-    pub blast_containers: TimeSeries,
+    blast_containers: TimeSeries,
     /// Total cluster power (including the idle baseline).
-    pub cluster_power: TimeSeries,
+    cluster_power: TimeSeries,
 }
 
 /// Runs the Fig. 5 multi-tenant experiment.

@@ -28,15 +28,15 @@ use crate::common;
 #[derive(Debug, Clone, Copy)]
 pub struct Fig6Config {
     /// Trace length in hours (the paper uses a 48 h workload trace).
-    pub hours: u64,
+    hours: u64,
     /// Root seed.
-    pub seed: u64,
+    seed: u64,
     /// Target carbon rate for web app 1 (g/s).
-    pub target_rate_1: CarbonRate,
+    target_rate_1: CarbonRate,
     /// Target carbon rate for web app 2 (g/s).
-    pub target_rate_2: CarbonRate,
+    target_rate_2: CarbonRate,
     /// p95 SLOs in ms (60 and 70 in the paper).
-    pub slo_ms: (f64, f64),
+    slo_ms: (f64, f64),
 }
 
 impl Default for Fig6Config {
@@ -55,34 +55,34 @@ impl Default for Fig6Config {
 
 /// Outcome of one app under one policy.
 #[derive(Debug, Clone)]
-pub struct WebOutcome {
+struct WebOutcome {
     /// `"app1"` / `"app2"`.
-    pub app: &'static str,
+    app: &'static str,
     /// Policy label.
-    pub policy: &'static str,
+    policy: &'static str,
     /// p95 latency series (ms).
-    pub p95: TimeSeries,
+    p95: TimeSeries,
     /// Worker-count series.
-    pub workers: TimeSeries,
+    workers: TimeSeries,
     /// Carbon-rate series (g/s).
-    pub carbon_rate: TimeSeries,
+    carbon_rate: TimeSeries,
     /// SLO-violation tick count.
-    pub violations: u64,
+    violations: u64,
     /// Ticks observed.
-    pub ticks: u64,
+    ticks: u64,
     /// Total carbon (g).
-    pub carbon_g: f64,
+    carbon_g: f64,
 }
 
 /// Fig. 6/7 result: four outcomes (2 apps × 2 policies) plus the traces.
 #[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// Carbon intensity over the run.
-    pub intensity: TimeSeries,
+    intensity: TimeSeries,
     /// Workload request rates (req/s) per app.
-    pub workloads: (TimeSeries, TimeSeries),
+    workloads: (TimeSeries, TimeSeries),
     /// All four outcomes.
-    pub outcomes: Vec<WebOutcome>,
+    outcomes: Vec<WebOutcome>,
 }
 
 fn workload_traces(cfg: &Fig6Config) -> (Trace, Trace) {

@@ -28,15 +28,15 @@ use crate::common;
 #[derive(Debug, Clone, Copy)]
 pub struct Fig8Config {
     /// Days simulated (the paper plots 3).
-    pub days: u64,
+    days: u64,
     /// Root seed.
-    pub seed: u64,
+    seed: u64,
     /// Solar array rating (W).
-    pub solar_rated: f64,
+    solar_rated: f64,
     /// Spark job size in core-hours.
-    pub spark_work: f64,
+    spark_work: f64,
     /// Web p95 SLO (100 ms in the paper).
-    pub slo_ms: f64,
+    slo_ms: f64,
 }
 
 impl Default for Fig8Config {
@@ -53,44 +53,44 @@ impl Default for Fig8Config {
 
 /// One policy-pair run's series.
 #[derive(Debug, Clone)]
-pub struct Fig8Run {
+struct Fig8Run {
     /// `"static"` or `"dynamic"`.
-    pub policy: &'static str,
+    policy: &'static str,
     /// Spark worker counts.
-    pub spark_workers: TimeSeries,
+    spark_workers: TimeSeries,
     /// Web worker counts.
-    pub web_workers: TimeSeries,
+    web_workers: TimeSeries,
     /// Web p95 latency (ms, daytime samples).
-    pub web_p95: TimeSeries,
+    web_p95: TimeSeries,
     /// Web SLO violations (daytime ticks).
-    pub web_violations: u64,
+    web_violations: u64,
     /// Spark completion tick, if it finished.
-    pub spark_finish_ticks: Option<u64>,
+    spark_finish_ticks: Option<u64>,
     /// Spark work lost to evening kills (core-hours).
-    pub spark_lost_work: f64,
+    spark_lost_work: f64,
     /// Spark SoC series (fraction).
-    pub spark_soc: TimeSeries,
+    spark_soc: TimeSeries,
     /// Web SoC series (fraction).
-    pub web_soc: TimeSeries,
+    web_soc: TimeSeries,
     /// Spark battery charge − discharge (W, positive = charging).
-    pub spark_battery_rate: TimeSeries,
+    spark_battery_rate: TimeSeries,
     /// Web battery charge − discharge (W).
-    pub web_battery_rate: TimeSeries,
+    web_battery_rate: TimeSeries,
     /// Total carbon across both apps (should be ~0: zero-carbon policies).
-    pub total_carbon_g: f64,
+    total_carbon_g: f64,
 }
 
 /// Fig. 8/9 result.
 #[derive(Debug, Clone)]
 pub struct Fig8Result {
     /// Physical solar output (W).
-    pub solar: TimeSeries,
+    solar: TimeSeries,
     /// Web workload (req/s).
-    pub workload: TimeSeries,
+    workload: TimeSeries,
     /// Static-policy run.
-    pub static_run: Fig8Run,
+    static_run: Fig8Run,
     /// Dynamic-policy run.
-    pub dynamic_run: Fig8Run,
+    dynamic_run: Fig8Run,
 }
 
 fn run_policy(cfg: &Fig8Config, dynamic: bool) -> (Fig8Run, TimeSeries, TimeSeries) {

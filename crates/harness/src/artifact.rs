@@ -57,7 +57,7 @@ impl AppOutcome {
     /// # Errors
     ///
     /// [`EcovisorError::UnknownApp`] when `app` is not registered.
-    pub fn read(eco: &Ecovisor, app: AppId) -> Result<Self, EcovisorError> {
+    pub(crate) fn read(eco: &Ecovisor, app: AppId) -> Result<Self, EcovisorError> {
         Ok(AppOutcome {
             app,
             name: eco.app_name(app)?,
@@ -102,7 +102,7 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Packages a snapshot as an embeddable checkpoint.
-    pub fn new(snap: &Snapshot) -> Self {
+    pub(crate) fn new(snap: &Snapshot) -> Self {
         Checkpoint {
             tick: snap.tick,
             snapshot: snap.to_bytes(),
@@ -144,7 +144,7 @@ impl Checkpoint {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioArtifact {
     /// Artifact container version ([`ARTIFACT_FORMAT`]).
-    pub format: u32,
+    pub(crate) format: u32,
     /// The spec the day was recorded from.
     pub spec: ScenarioSpec,
     /// The complete recorded wire traffic.

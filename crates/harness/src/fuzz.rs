@@ -470,7 +470,7 @@ pub struct ShrinkOutcome {
     /// The minimized candidate.
     pub candidate: Candidate,
     /// Its failing check, `label: detail`.
-    pub detail: String,
+    detail: String,
     /// Accepted transformations.
     pub steps: usize,
     /// Record+verify runs spent.

@@ -114,7 +114,7 @@ pub struct CredentialRotation {
     /// `< ticks`.
     pub tick: u64,
     /// The replacement token.
-    pub token: String,
+    pub(crate) token: String,
 }
 
 /// A mid-day live tenant migration between two federated ecovisor
@@ -126,7 +126,7 @@ pub struct CredentialRotation {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MigrationPlan {
     /// Which tenant moves (must match a [`TenantSpec::name`]).
-    pub tenant: String,
+    pub(crate) tenant: String,
     /// Tick (0-based) at whose start the migration happens; must lie
     /// strictly inside `(0, ticks)` so state accumulates on both sides
     /// of the move.
@@ -145,7 +145,7 @@ pub struct RestorePlan {
     pub tick: u64,
     /// Also push a corrupted snapshot first and require the server to
     /// reject it while preserving state.
-    pub tamper: bool,
+    pub(crate) tamper: bool,
 }
 
 impl ScenarioSpec {
@@ -342,12 +342,12 @@ pub struct TenantSpec {
     pub share: EnergyShare,
     /// Notification thresholds, when the scenario wants non-default
     /// event generation.
-    pub notify: Option<NotifyConfig>,
+    pub(crate) notify: Option<NotifyConfig>,
     /// Level-event outbox cap, when the scenario exercises the bounded
     /// outbox ([`ecovisor::OutboxPolicy`]).
     pub outbox_cap: Option<usize>,
     /// The workload/policy pair.
-    pub driver: DriverSpec,
+    pub(crate) driver: DriverSpec,
 }
 
 impl TenantSpec {

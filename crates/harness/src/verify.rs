@@ -57,7 +57,7 @@ pub struct Check {
     /// What was checked, e.g. `replay totals digest`.
     pub label: String,
     /// Whether it held.
-    pub ok: bool,
+    pub(crate) ok: bool,
     /// Failure detail (empty when `ok`).
     pub detail: String,
 }

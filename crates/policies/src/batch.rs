@@ -41,13 +41,13 @@ pub enum BatchMode {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BatchStats {
     /// Tick-start time of the first tick at/after arrival.
-    pub started_at: Option<SimTime>,
+    started_at: Option<SimTime>,
     /// Tick-start time of the tick in which the job completed.
-    pub finished_at: Option<SimTime>,
+    finished_at: Option<SimTime>,
     /// Number of ticks the job spent suspended/waiting after arrival.
-    pub waiting_ticks: u64,
+    waiting_ticks: u64,
     /// Number of ticks the job spent running.
-    pub running_ticks: u64,
+    running_ticks: u64,
 }
 
 impl BatchStats {

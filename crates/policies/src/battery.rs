@@ -51,7 +51,7 @@ pub struct SparkStats {
     /// Work lost to evening kills (core-hours).
     pub lost_work: f64,
     /// Ticks with at least one running worker.
-    pub active_ticks: u64,
+    active_ticks: u64,
 }
 
 /// The §5.3 delay-tolerant Spark application.
@@ -88,11 +88,6 @@ impl SparkApp {
     /// Handle to the run statistics.
     pub fn stats(&self) -> Shared<SparkStats> {
         Shared::clone(&self.stats)
-    }
-
-    /// Read-only access to the job (checkpoint history, progress).
-    pub fn job(&self) -> &SparkJob {
-        &self.job
     }
 
     fn scale_to(&mut self, api: &mut EcovisorClient<'_>, target: u32) {
@@ -245,7 +240,7 @@ pub struct SolarWebStats {
     /// Per-tick p95 latency (daytime ticks only).
     pub p95_series: Vec<(SimTime, f64)>,
     /// Per-tick worker counts.
-    pub worker_series: Vec<(SimTime, u32)>,
+    worker_series: Vec<(SimTime, u32)>,
     /// Daytime ticks where p95 exceeded the SLO.
     pub slo_violations: u64,
     /// Daytime ticks observed.

@@ -38,7 +38,7 @@ pub enum SolarCapMode {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ParallelStats {
     /// Completion time.
-    pub finished_at: Option<SimTime>,
+    finished_at: Option<SimTime>,
     /// Replica containers launched in total.
     pub replicas_launched: u64,
 }
@@ -71,11 +71,6 @@ impl ParallelSolarApp {
     /// Handle to the run statistics.
     pub fn stats(&self) -> Shared<ParallelStats> {
         Shared::clone(&self.stats)
-    }
-
-    /// Read-only access to the job.
-    pub fn job(&self) -> &SyntheticParallelJob {
-        &self.job
     }
 }
 

@@ -3,10 +3,12 @@
 //! Shared substrate for the ecovisor reproduction. Every other crate in the
 //! workspace builds on the primitives here:
 //!
-//! * [`units`] — strongly-typed physical quantities ([`Watts`], [`WattHours`],
-//!   [`Co2Grams`], [`CarbonIntensity`]) with dimension-aware arithmetic, so
+//! * [`units`] — strongly-typed physical quantities ([`Watts`](units::Watts),
+//!   [`WattHours`](units::WattHours), [`Co2Grams`](units::Co2Grams),
+//!   [`CarbonIntensity`](units::CarbonIntensity)) with dimension-aware arithmetic, so
 //!   power/energy/carbon bookkeeping mistakes become type errors.
-//! * [`time`] — simulated wall-clock time ([`SimTime`], [`SimDuration`]) and
+//! * [`time`] — simulated wall-clock time ([`SimTime`](time::SimTime),
+//!   [`SimDuration`](time::SimDuration)) and
 //!   the tick discretization the ecovisor paper builds its API around.
 //! * [`rng`] — seeded, forkable random streams so every experiment is exactly
 //!   replayable from a single `u64` seed.
@@ -45,7 +47,3 @@ pub mod units;
 
 pub use idmap::IdMap;
 pub use rng::SimRng;
-pub use series::TimeSeries;
-pub use time::{SimDuration, SimTime, TickClock};
-pub use trace::Trace;
-pub use units::{CarbonIntensity, Co2Grams, WattHours, Watts};

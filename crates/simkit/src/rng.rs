@@ -36,11 +36,6 @@ impl SimRng {
         }
     }
 
-    /// The root seed this stream was derived from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent substream for `label`.
     ///
     /// Forking does not consume randomness from `self`, so fork order and

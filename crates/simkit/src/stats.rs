@@ -73,7 +73,7 @@ pub fn std_dev(samples: &[f64]) -> Option<f64> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
-    pub count: usize,
+    pub(crate) count: usize,
     /// Arithmetic mean.
     pub mean: f64,
     /// Population standard deviation.
@@ -83,9 +83,9 @@ pub struct Summary {
     /// Maximum sample.
     pub max: f64,
     /// Median (50th percentile).
-    pub median: f64,
+    median: f64,
     /// 95th percentile.
-    pub p95: f64,
+    p95: f64,
 }
 
 impl Summary {

@@ -13,7 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 use serde::{Deserialize, Serialize};
 
 /// Number of seconds in one hour.
-pub const SECS_PER_HOUR: u64 = 3_600;
+const SECS_PER_HOUR: u64 = 3_600;
 /// Number of seconds in one day.
 pub const SECS_PER_DAY: u64 = 86_400;
 
@@ -54,7 +54,7 @@ impl SimTime {
 
     /// Seconds elapsed since the most recent midnight.
     #[inline]
-    pub fn seconds_into_day(self) -> u64 {
+    fn seconds_into_day(self) -> u64 {
         self.0 % SECS_PER_DAY
     }
 
@@ -175,18 +175,6 @@ impl SimDuration {
     #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Returns the smaller of two durations.
-    #[inline]
-    pub fn min(self, other: Self) -> Self {
-        Self(self.0.min(other.0))
-    }
-
-    /// Returns the larger of two durations.
-    #[inline]
-    pub fn max(self, other: Self) -> Self {
-        Self(self.0.max(other.0))
     }
 }
 

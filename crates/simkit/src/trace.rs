@@ -132,7 +132,7 @@ impl Trace {
     }
 
     /// Total duration covered by the stored samples.
-    pub fn span(&self) -> SimDuration {
+    fn span(&self) -> SimDuration {
         SimDuration::from_secs(self.samples.len() as u64 * self.step.as_secs())
     }
 
@@ -203,7 +203,7 @@ impl Trace {
 
     /// Applies `f` to every sample, producing a new trace with the same
     /// timing parameters.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Trace {
+    fn map(&self, f: impl Fn(f64) -> f64) -> Trace {
         Trace {
             samples: self.samples.iter().copied().map(f).collect(),
             ..self.clone()

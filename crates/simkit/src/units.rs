@@ -240,7 +240,7 @@ impl WattHours {
 
     /// Energy in kilowatt-hours (the paper's Table 1 unit).
     #[inline]
-    pub fn kilowatt_hours(self) -> f64 {
+    fn kilowatt_hours(self) -> f64 {
         self.0 / 1000.0
     }
 
@@ -292,18 +292,6 @@ impl Co2Grams {
     #[inline]
     pub fn grams(self) -> f64 {
         self.0
-    }
-
-    /// Carbon mass in kilograms.
-    #[inline]
-    pub fn kilograms(self) -> f64 {
-        self.0 / 1000.0
-    }
-
-    /// Carbon mass in milligrams (Fig. 7 reports mg/s rates).
-    #[inline]
-    pub fn milligrams(self) -> f64 {
-        self.0 * 1000.0
     }
 }
 

@@ -48,7 +48,7 @@ const COUNTER_SHARDS: usize = 8;
 /// values in `[2^i, 2^(i+1))` (bucket 0 also takes zero); bucket 31 is
 /// the overflow bucket. In nanoseconds that spans 1 ns to ~2 s, which
 /// covers every latency this runtime produces.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+const HISTOGRAM_BUCKETS: usize = 32;
 
 /// One cache-line-padded counter cell.
 #[derive(Default)]
@@ -121,7 +121,7 @@ pub struct Gauge(AtomicI64);
 
 impl Gauge {
     /// A zeroed gauge.
-    pub fn new() -> Gauge {
+    fn new() -> Gauge {
         Gauge(AtomicI64::new(0))
     }
 
@@ -144,7 +144,7 @@ impl Gauge {
     }
 
     /// Current level.
-    pub fn value(&self) -> i64 {
+    fn value(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -178,7 +178,7 @@ fn bucket_index(v: u64) -> usize {
 
 impl Histogram {
     /// A zeroed histogram.
-    pub fn new() -> Histogram {
+    fn new() -> Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
@@ -202,18 +202,18 @@ impl Histogram {
     }
 
     /// Number of observations so far.
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all observations so far.
-    pub fn sum(&self) -> u64 {
+    fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// A serializable copy of the current state (sparse: only non-empty
     /// buckets).
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    fn snapshot(&self) -> HistogramSnapshot {
         let buckets = self
             .buckets
             .iter()
@@ -415,14 +415,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// A gauge's value, `None` when absent or not a gauge.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        match self.get(name)? {
-            MetricValue::Gauge(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// A histogram's snapshot, `None` when absent or not a histogram.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         match self.get(name)? {
@@ -453,7 +445,7 @@ pub enum Level {
 
 impl Level {
     /// Stable lowercase name.
-    pub fn as_str(self) -> &'static str {
+    fn as_str(self) -> &'static str {
         match self {
             Level::Error => "error",
             Level::Warn => "warn",
@@ -477,7 +469,7 @@ impl Level {
     /// Parses `"error" | "warn" | "info" | "debug" | "trace" | "off"`
     /// (the `ECOVISOR_LOG` grammar). `None` for `"off"` or anything
     /// unrecognized.
-    pub fn parse(s: &str) -> Option<Level> {
+    fn parse(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
             "error" => Some(Level::Error),
             "warn" | "warning" => Some(Level::Warn),

@@ -58,29 +58,14 @@ impl BatchJob {
     /// # Panics
     ///
     /// Panics unless `spin` is in `[0, 1]`.
-    pub fn with_spin(mut self, spin: f64) -> Self {
+    pub(crate) fn with_spin(mut self, spin: f64) -> Self {
         assert!((0.0..=1.0).contains(&spin), "spin must be in [0, 1]");
         self.spin = spin;
         self
     }
 
-    /// The coordination busy-spin fraction.
-    pub fn spin(&self) -> f64 {
-        self.spin
-    }
-
-    /// Total work in core-hours.
-    pub fn total_work(&self) -> f64 {
-        self.total_work
-    }
-
-    /// Completed work in core-hours.
-    pub fn completed(&self) -> f64 {
-        self.completed
-    }
-
     /// Remaining work in core-hours.
-    pub fn remaining(&self) -> f64 {
+    fn remaining(&self) -> f64 {
         (self.total_work - self.completed).max(0.0)
     }
 
@@ -96,7 +81,7 @@ impl BatchJob {
 
     /// Useful-work fraction per worker when `allocated_cores` are
     /// allocated: the busy fraction implied by the scaling curve.
-    pub fn useful_utilization(&self, allocated_cores: f64) -> f64 {
+    fn useful_utilization(&self, allocated_cores: f64) -> f64 {
         self.scaling.utilization(allocated_cores)
     }
 
@@ -110,7 +95,7 @@ impl BatchJob {
 
     /// Converts granted effective cores (which include spin overhead)
     /// into useful cores.
-    pub fn useful_share(&self, allocated_cores: f64) -> f64 {
+    fn useful_share(&self, allocated_cores: f64) -> f64 {
         let demand = self.target_utilization(allocated_cores);
         if demand <= 0.0 {
             0.0
@@ -124,7 +109,7 @@ impl BatchJob {
     /// quota)) out of `allocated_cores`. Spin overhead in the grant is
     /// discounted, and the scaling curve caps the result: quota headroom
     /// beyond the curve's speedup cannot become useful work.
-    pub fn throughput(&self, allocated_cores: f64, effective_cores: f64) -> f64 {
+    fn throughput(&self, allocated_cores: f64, effective_cores: f64) -> f64 {
         (effective_cores.max(0.0) * self.useful_share(allocated_cores))
             .min(self.scaling.speedup(allocated_cores))
     }

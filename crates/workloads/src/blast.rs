@@ -12,18 +12,18 @@ use crate::batch::BatchJob;
 use crate::scaling::QueueBottleneck;
 
 /// Baseline allocation (the paper runs BLAST on 8 cores).
-pub const BLAST_BASELINE_CORES: u32 = 8;
+const BLAST_BASELINE_CORES: u32 = 8;
 
 /// The central queue server saturates at 3× the baseline.
-pub const BLAST_SATURATION_CORES: f64 = 24.0;
+const BLAST_SATURATION_CORES: f64 = 24.0;
 
 /// Ideal baseline runtime on 8 cores, in hours (Fig. 4b's carbon-agnostic
 /// configuration completes in ~20 minutes).
-pub const BLAST_BASELINE_HOURS: f64 = 1.0 / 3.0;
+const BLAST_BASELINE_HOURS: f64 = 1.0 / 3.0;
 
 /// Busy-spin fraction while waiting on the central queue server —
 /// workers poll for tasks, so 4× pays extra energy for no speedup.
-pub const BLAST_SPIN: f64 = 0.20;
+const BLAST_SPIN: f64 = 0.20;
 
 /// Builds the BLAST job.
 pub fn blast_job() -> BatchJob {

@@ -11,11 +11,11 @@ use simkit::time::SimTime;
 
 /// One durable snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Checkpoint {
+struct Checkpoint {
     /// When the checkpoint was written.
-    pub at: SimTime,
+    at: SimTime,
     /// Cumulative committed work at that instant (core-hours).
-    pub committed_work: f64,
+    committed_work: f64,
 }
 
 /// Append-only durable store of progress checkpoints.
@@ -26,7 +26,7 @@ pub struct CheckpointStore {
 
 impl CheckpointStore {
     /// Creates an empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -35,7 +35,7 @@ impl CheckpointStore {
     /// # Panics
     ///
     /// Panics if `committed_work` regresses (checkpoints are cumulative).
-    pub fn commit(&mut self, at: SimTime, committed_work: f64) {
+    pub(crate) fn commit(&mut self, at: SimTime, committed_work: f64) {
         if let Some(last) = self.checkpoints.last() {
             assert!(
                 committed_work >= last.committed_work - 1e-9,
@@ -61,11 +61,6 @@ impl CheckpointStore {
     /// `true` when nothing has been committed.
     pub fn is_empty(&self) -> bool {
         self.checkpoints.is_empty()
-    }
-
-    /// All snapshots in order.
-    pub fn checkpoints(&self) -> &[Checkpoint] {
-        &self.checkpoints
     }
 }
 

@@ -40,6 +40,4 @@ pub mod spark;
 pub mod traces;
 pub mod web;
 
-pub use batch::BatchJob;
 pub use scaling::{LinearScaling, QueueBottleneck, ScalingModel, SyncOverhead};
-pub use web::WebService;

@@ -11,19 +11,19 @@ use crate::batch::BatchJob;
 use crate::scaling::SyncOverhead;
 
 /// Synchronization overhead calibrated to the paper's ResNet-34 scaling.
-pub const ML_SYNC_SIGMA: f64 = 0.15;
+const ML_SYNC_SIGMA: f64 = 0.15;
 
 /// Fraction of synchronization wait time burned as busy-spin CPU
 /// (allreduce polling). Drives the extra energy Wait&Scale 3× pays.
-pub const ML_SPIN: f64 = 0.30;
+const ML_SPIN: f64 = 0.30;
 
 /// Baseline allocation: the paper runs the carbon-agnostic and
 /// suspend-resume configurations on 4 cores.
-pub const ML_BASELINE_CORES: u32 = 4;
+const ML_BASELINE_CORES: u32 = 4;
 
 /// Ideal baseline runtime of the five-epoch training job on 4 cores, in
 /// hours (Fig. 4a's carbon-agnostic configuration completes in ~2.5 h).
-pub const ML_BASELINE_HOURS: f64 = 2.5;
+const ML_BASELINE_HOURS: f64 = 2.5;
 
 /// Builds the ML training job.
 pub fn ml_training_job() -> BatchJob {

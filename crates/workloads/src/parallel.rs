@@ -80,7 +80,7 @@ impl ParallelConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.workers == 0 || self.phases == 0 {
             return Err("workers and phases must be positive".into());
         }
@@ -102,7 +102,7 @@ impl ParallelConfig {
 
 /// What a worker is doing right now.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum WorkerStage {
+enum WorkerStage {
     /// Computing; `remaining` core-hours in this phase.
     Compute {
         /// Remaining compute work in core-hours.
@@ -205,11 +205,6 @@ impl SyntheticParallelJob {
                 WorkerStage::AtBarrier => 0.05,
             })
             .collect()
-    }
-
-    /// Worker stages (for policies that track task progress).
-    pub fn stages(&self) -> Vec<WorkerStage> {
-        self.workers.iter().map(|w| w.stage).collect()
     }
 
     /// Indices of workers currently computing as unmitigated stragglers —

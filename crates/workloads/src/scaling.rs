@@ -47,7 +47,7 @@ impl ScalingModel for LinearScaling {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SyncOverhead {
     /// Per-worker synchronization cost σ ≥ 0.
-    pub sigma: f64,
+    sigma: f64,
 }
 
 impl SyncOverhead {
@@ -56,7 +56,7 @@ impl SyncOverhead {
     /// # Panics
     ///
     /// Panics if `sigma` is negative.
-    pub fn new(sigma: f64) -> Self {
+    pub(crate) fn new(sigma: f64) -> Self {
         assert!(sigma >= 0.0, "sync overhead must be non-negative");
         Self { sigma }
     }
@@ -78,7 +78,7 @@ impl ScalingModel for SyncOverhead {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QueueBottleneck {
     /// Cores beyond which added workers contribute nothing.
-    pub saturation_cores: f64,
+    saturation_cores: f64,
 }
 
 impl QueueBottleneck {
@@ -87,7 +87,7 @@ impl QueueBottleneck {
     /// # Panics
     ///
     /// Panics if `saturation_cores` is not positive.
-    pub fn new(saturation_cores: f64) -> Self {
+    pub(crate) fn new(saturation_cores: f64) -> Self {
         assert!(saturation_cores > 0.0, "saturation must be positive");
         Self { saturation_cores }
     }

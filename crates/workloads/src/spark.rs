@@ -50,11 +50,6 @@ impl SparkJob {
         }
     }
 
-    /// Total work in core-hours.
-    pub fn total_work(&self) -> f64 {
-        self.total_work
-    }
-
     /// Durable (checkpointed) progress.
     pub fn committed(&self) -> f64 {
         self.committed
@@ -105,7 +100,7 @@ impl SparkJob {
     }
 
     /// Forces a checkpoint: volatile work becomes durable.
-    pub fn checkpoint(&mut self, at: SimTime) {
+    fn checkpoint(&mut self, at: SimTime) {
         self.committed += self.volatile;
         self.volatile = 0.0;
         self.since_checkpoint = SimDuration::ZERO;

@@ -92,9 +92,9 @@ pub struct WebTick {
     /// Worker CPU utilization in `[0, 1]` (drives power attribution).
     pub utilization: f64,
     /// Request backlog carried into the next tick.
-    pub backlog: f64,
+    backlog: f64,
     /// Rate actually served this tick, req/s.
-    pub served_rate: f64,
+    served_rate: f64,
 }
 
 /// A load-balanced web service.
@@ -130,11 +130,6 @@ impl WebService {
     /// Per-worker service rate at full quota.
     pub fn service_rate(&self) -> f64 {
         self.service_rate
-    }
-
-    /// Most recent tick observation.
-    pub fn last(&self) -> WebTick {
-        self.last
     }
 
     /// Advances one tick: `lambda` request/s arrive, served by `workers`
