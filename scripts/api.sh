@@ -18,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FORMAT_VERSION=57
-target="${CARGO_TARGET_DIR:-target}/api"
+target=target/api
 
 crates=$(cargo metadata --no-deps --format-version 1 --offline | jq -r '
     .packages[]
@@ -42,11 +42,8 @@ for crate in $crates; do
         .index as $ix | .paths as $paths
         | def it($id): $ix[$id | tostring];
           def kind: .inner | keys[0];
-          def kindname: {struct: "struct", enum: "enum", union: "union",
-                      trait: "trait", function: "function", constant: "constant",
-                      static: "static", type_alias: "type", macro: "macro",
-                      module: "module", trait_alias: "trait",
-                      assoc_const: "constant", assoc_type: "type"}[kind] // kind;
+          def kindname: {type_alias: "type", assoc_const: "constant",
+                         assoc_type: "type"}[kind] // kind;
           # Every public entry of a public module, walked from the root:
           # items where they are defined, `pub use`s where they point.
           def entries($id; $path):
@@ -69,8 +66,8 @@ for crate in $crates; do
                   | select(. != null) | it(.)
                   | select(.visibility == "public")
                   | "field \($path)::\(.name)" ),
-                ( ($body.variants // [])[] | it(.) | "variant \($path)::\(.name)" ),
-                ( ($body.impls // [])[] | it(.)
+                ( $body.variants[]? | it(.) | "variant \($path)::\(.name)" ),
+                ( $body.impls[]? | it(.)
                   | select(.inner.impl.trait == null and .inner.impl.blanket_impl == null)
                   | .inner.impl.items[] | it(.)
                   | select(.visibility == "public")
