@@ -178,7 +178,8 @@ mod tests {
         let ca = day_samples(regions::california(), 7, 3);
         let on = day_samples(regions::ontario(), 7, 3);
         let rel_std = |xs: &[f64]| {
-            stats::std_dev(xs).expect("non-empty") / stats::mean(xs).expect("non-empty")
+            let s = stats::Summary::of(xs).expect("non-empty");
+            s.std_dev / s.mean
         };
         assert!(
             rel_std(&ca) > 1.5 * rel_std(&on),

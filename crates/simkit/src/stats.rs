@@ -60,7 +60,7 @@ pub fn mean(samples: &[f64]) -> Option<f64> {
 }
 
 /// Population standard deviation; `None` on empty input.
-pub fn std_dev(samples: &[f64]) -> Option<f64> {
+fn std_dev(samples: &[f64]) -> Option<f64> {
     let m = mean(samples)?;
     let var = samples.iter().map(|x| (x - m).powi(2)).sum::<f64>() / samples.len() as f64;
     Some(var.sqrt())
