@@ -48,4 +48,4 @@ pub use container::{AppId, Container, ContainerId, ContainerSpec, ContainerState
 pub use cop::{Cop, CopConfig, CopSnapshot};
 pub use error::CopError;
 pub use power::PowerModel;
-pub use server::{Server, ServerId, ServerSpec};
+pub use server::{ServerId, ServerSpec};

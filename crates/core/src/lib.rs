@@ -13,7 +13,7 @@
 //! command/query protocol** ([`proto`]): every Table 1 setter/getter,
 //! §3.1 container-management call, and Table 2 library function is an
 //! [`EnergyRequest`] variant answered by an [`EnergyResponse`], carried
-//! in [`RequestBatch`] envelopes tagged with the protocol version and the
+//! in [`RequestBatch`](proto::RequestBatch) envelopes tagged with the protocol version and the
 //! issuing application's [`AppId`] scope. There is **one way in**:
 //! [`Ecovisor::dispatch_batch`]. Two surfaces sit on it:
 //!
@@ -24,7 +24,7 @@
 //!   trait over TCP. Both batch fire-and-forget commands and flush them
 //!   at tick boundaries (or before any read).
 //! * Raw batches — [`Ecovisor::dispatch_batch`] accepts a
-//!   [`RequestBatch`] directly.
+//!   [`RequestBatch`](proto::RequestBatch) directly.
 //!
 //! Because every typed call is a dispatched batch, enabling
 //! [`Ecovisor::enable_protocol_trace`] records a run's *complete* API
@@ -34,7 +34,7 @@
 //! Scope enforcement lives in the dispatcher ([`dispatch`]), in one
 //! place for both surfaces: a request that names another tenant's
 //! container comes back as an [`EnergyResponse::Err`] carrying
-//! [`ProtoError::Scope`] — an error value on the wire, never a panic.
+//! [`ProtoError::Scope`](proto::ProtoError::Scope) — an error value on the wire, never a panic.
 //!
 //! ## Architecture
 //!
@@ -114,24 +114,21 @@ pub use app::Application;
 pub use client::{EcovisorClient, EnergyClient};
 pub use config::{EcovisorBuilder, ExcessPolicy};
 pub use dispatch::{ProtocolTrace, TraceEntry};
-pub use ecovisor::{Ecovisor, SystemFlows};
+pub use ecovisor::Ecovisor;
 pub use error::{EcovisorError, Result};
 pub use event::{EventFilter, Notification, NotifyConfig, OutboxPolicy};
 pub use federation::{FedAppView, TenantSnapshot};
-pub use proto::{
-    ControlFrame, EnergyRequest, EnergyResponse, EventFrame, Frame, ProtoError, RequestBatch,
-    ResponseBatch, StatsReport, PROTOCOL_VERSION,
-};
-pub use replay::{digest, ReplayReport};
+pub use proto::{EnergyRequest, EnergyResponse, EventFrame, ResponseBatch, PROTOCOL_VERSION};
+pub use replay::digest;
 pub use shard::ShardedEcovisor;
 pub use share::EnergyShare;
 pub use sim::Simulation;
-pub use snapshot::{AppSnapshot, Snapshot, SnapshotError, SNAPSHOT_FORMAT};
+pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_FORMAT};
 pub use transport::{
     ClientHelloV2, CredentialRegistry, EcovisorServer, RemoteEcovisorClient, ServerHandle,
     ServerHello, ServerStats, SharedEcovisor, WireCodec,
 };
-pub use ves::{VesFlows, VesTotals, VirtualEnergySystem};
+pub use ves::{VesTotals, VirtualEnergySystem};
 
 // Re-export the identifiers applications deal with.
-pub use container_cop::{AppId, ContainerId, ContainerSpec};
+pub use container_cop::{AppId, ContainerSpec};

@@ -32,7 +32,7 @@ use crate::spec::ScenarioSpec;
 /// pre-checkpoint artifacts, omitted when empty — so every committed
 /// format-1 file keeps loading and checkpoint-free recordings stay
 /// byte-identical to what older builds wrote.
-pub const ARTIFACT_FORMAT: u32 = 1;
+pub(crate) const ARTIFACT_FORMAT: u32 = 1;
 
 /// File extension of a JSON-encoded artifact.
 pub const JSON_EXT: &str = "scn.json";

@@ -68,18 +68,14 @@ pub mod scenario;
 pub mod spec;
 pub mod verify;
 
-pub use artifact::{AppOutcome, Checkpoint, ExpectedOutcome, ScenarioArtifact, ARTIFACT_FORMAT};
+pub use artifact::{AppOutcome, Checkpoint, ScenarioArtifact};
 pub use error::HarnessError;
-pub use fuzz::{
-    generate, shrink, soak, Candidate, Fault, FuzzFailure, FuzzOptions, FuzzReport, ShrinkOutcome,
-    SoakOptions, SoakReport,
-};
+pub use fuzz::{generate, FuzzOptions, SoakOptions};
 pub use record::{
     record, record_observed, record_resumed, record_with_checkpoints, resume, resumed_spec,
 };
-pub use scenario::{build_drivers, build_ecovisor};
+pub use scenario::build_ecovisor;
 pub use spec::{
-    CarbonSpec, CredentialRotation, CredentialSpec, DriverSpec, JobSpec, MigrationPlan,
-    RestorePlan, ScenarioSpec, ScriptPhase, SolarSpec, TenantSpec, SPEC_FORMAT,
+    CarbonSpec, DriverSpec, ScenarioSpec, ScriptPhase, SolarSpec, TenantSpec, SPEC_FORMAT,
 };
 pub use verify::{verify, verify_federated, verify_transport, Check, VerifyReport};

@@ -7,7 +7,7 @@
 //!   always yields the same [`AppId`]s as the recording run did). The
 //!   verifier uses this half alone — replay re-executes recorded
 //!   traffic, not drivers.
-//! * [`build_drivers`] constructs the tenants' [`Application`] drivers
+//! * `build_drivers` constructs the tenants' [`Application`] drivers
 //!   (the [`carbon_policies`] §5 suite plus the scripted driver). Only
 //!   the recorder needs these.
 
@@ -98,7 +98,9 @@ pub fn build_ecovisor(spec: &ScenarioSpec) -> Result<(Ecovisor, Vec<AppId>), Har
 /// # Errors
 ///
 /// [`HarnessError::Spec`] when a driver configuration is unbuildable.
-pub fn build_drivers(spec: &ScenarioSpec) -> Result<Vec<Box<dyn Application>>, HarnessError> {
+pub(crate) fn build_drivers(
+    spec: &ScenarioSpec,
+) -> Result<Vec<Box<dyn Application>>, HarnessError> {
     spec.tenants
         .iter()
         .map(|t| build_driver(&t.name, &t.driver, spec))

@@ -35,8 +35,8 @@ pub mod shared;
 pub mod solar;
 pub mod web;
 
-pub use batch::{BatchApp, BatchMode, BatchStats};
+pub use batch::{BatchApp, BatchMode};
 pub use battery::{SolarWebApp, SolarWebMode, SparkApp, SparkMode};
 pub use shared::{shared, Shared};
 pub use solar::{ParallelSolarApp, SolarCapMode};
-pub use web::{WebApp, WebAppStats, WebPolicy};
+pub use web::{WebApp, WebPolicy};

@@ -40,4 +40,4 @@ pub mod spark;
 pub mod traces;
 pub mod web;
 
-pub use scaling::{LinearScaling, QueueBottleneck, ScalingModel, SyncOverhead};
+pub use scaling::LinearScaling;

@@ -45,7 +45,7 @@ impl ScalingModel for LinearScaling {
 /// which causes synchronization delays that limit speed-up and decrease
 /// energy-efficiency" (§5.1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SyncOverhead {
+pub(crate) struct SyncOverhead {
     /// Per-worker synchronization cost σ ≥ 0.
     sigma: f64,
 }
@@ -76,7 +76,7 @@ impl ScalingModel for SyncOverhead {
 /// becomes a bottleneck when serving tasks to more than 3× workers"
 /// (§5.1.2).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QueueBottleneck {
+pub(crate) struct QueueBottleneck {
     /// Cores beyond which added workers contribute nothing.
     saturation_cores: f64,
 }
