@@ -14,8 +14,9 @@
 //!    belonging to the envelope's [`AppId`] — cross-tenant container
 //!    references come back as [`ProtoError::Scope`] *values*, they never
 //!    panic and never leak another tenant's state;
-//! 3. executes each request against the app's virtual energy system and
-//!    the shared substrates (COP, TSDB, clock, carbon trace);
+//! 3. executes each request against the app's shard (its virtual energy
+//!    system and its telemetry) and the shared substrates (COP, clock,
+//!    carbon trace);
 //! 4. optionally records the batch into a protocol trace for replay.
 //!    Since every state change is a dispatched batch, a trace taken with
 //!    [`Ecovisor::enable_protocol_trace`] is the complete record of a
@@ -35,9 +36,9 @@
 //!   the whole batch, so its effects become visible atomically to
 //!   readers of that shard;
 //! * container operations additionally take the shared COP lock
-//!   (read for queries, write for commands), and telemetry integrals
-//!   take the TSDB read lock — always *after* the shard lock, which
-//!   makes the lock order (shard → COP → TSDB) acyclic.
+//!   (read for queries, write for commands) — always *after* the shard
+//!   lock, which makes the lock order (shard → COP) acyclic. Telemetry
+//!   integrals read the tenant's own series under the shard lock.
 //!
 //! Settlement needs `&mut self` and is thereby the only cross-app
 //! barrier.
@@ -45,8 +46,7 @@
 use std::sync::atomic::Ordering;
 
 use container_cop::{AppId, ContainerId, Cop};
-use power_telemetry::{metrics, SeriesId, Tsdb};
-use simkit::time::SimTime;
+use power_telemetry::metrics;
 use simkit::units::{Co2Grams, WattHours};
 
 use crate::ecovisor::{AppState, Ecovisor};
@@ -74,25 +74,6 @@ fn timed_lock<G>(
             guard
         }
         None => acquire(),
-    }
-}
-
-/// Step-integral of one telemetry series over `[from, to)`: through the
-/// handle the shard caches for it when there is one, by name — the only
-/// case that formats the subject — when there is none (nothing recorded
-/// since the handles were last dropped, or a container that was not live
-/// at the last recording).
-fn integrate(
-    tsdb: &Tsdb,
-    cached: Option<SeriesId>,
-    metric: &str,
-    subject: impl std::fmt::Display,
-    from: SimTime,
-    to: SimTime,
-) -> f64 {
-    match cached {
-        Some(id) => tsdb.get(id).integrate_step(from, to),
-        None => tsdb.integrate(metric, &subject.to_string(), from, to),
     }
 }
 
@@ -209,28 +190,22 @@ impl Ecovisor {
                 }
                 Some(shard) if batch.requests.iter().all(EnergyRequest::is_query) => {
                     // One guard per lock for the whole batch (shard →
-                    // COP → TSDB): a consistent snapshot, zero
-                    // contention with other readers, and no per-request
-                    // re-acquisition. COP/TSDB guards are only taken
-                    // when some request actually reads them, so a
-                    // pure-shard batch never delays container commands.
+                    // COP): a consistent snapshot, zero contention with
+                    // other readers, and no per-request re-acquisition.
+                    // The COP guard is only taken when some request
+                    // actually reads it, so a pure-shard batch never
+                    // delays container commands.
                     let state = timed_lock(obs, |c| &c.shard_lock_wait, || lock::read(shard));
                     let cop = batch
                         .requests
                         .iter()
                         .any(EnergyRequest::reads_containers)
                         .then(|| timed_lock(obs, |c| &c.cop_lock_wait, || lock::read(&self.cop)));
-                    let tsdb = batch
-                        .requests
-                        .iter()
-                        .any(EnergyRequest::reads_telemetry)
-                        .then(|| lock::read(&self.tsdb));
                     self.record_trace(batch);
-                    let (cop, tsdb) = (cop.as_deref(), tsdb.as_deref());
                     batch
                         .requests
                         .iter()
-                        .map(|req| self.query_locked(&state, cop, tsdb, batch.app, req))
+                        .map(|req| self.query_locked(&state, cop.as_deref(), batch.app, req))
                         .collect()
                 }
                 Some(shard) => {
@@ -306,9 +281,8 @@ impl Ecovisor {
         if req.is_query() {
             let fresh_cop =
                 (cop.is_none() && req.reads_containers()).then(|| lock::read(&self.cop));
-            let tsdb = req.reads_telemetry().then(|| lock::read(&self.tsdb));
             let cop_ro = cop.as_deref().or(fresh_cop.as_deref());
-            return self.query_locked(state, cop_ro, tsdb.as_deref(), app, req);
+            return self.query_locked(state, cop_ro, app, req);
         }
         let rec = &mut state.rec;
         match req {
@@ -408,16 +382,14 @@ impl Ecovisor {
         }
     }
 
-    /// Executes one query against a read-locked shard, with the shared
-    /// substrates locked by the caller (one COP + TSDB guard per batch,
-    /// acquired after the shard lock, present iff some request
-    /// [`reads_containers`](EnergyRequest::reads_containers) /
-    /// [`reads_telemetry`](EnergyRequest::reads_telemetry)).
+    /// Executes one query against a read-locked shard, with the COP
+    /// locked by the caller (one guard per batch, acquired after the shard
+    /// lock, present iff some request
+    /// [`reads_containers`](EnergyRequest::reads_containers)).
     fn query_locked(
         &self,
         state: &AppState,
         cop: Option<&Cop>,
-        tsdb: Option<&Tsdb>,
         app: AppId,
         request: &EnergyRequest,
     ) -> EnergyResponse {
@@ -426,11 +398,6 @@ impl Ecovisor {
         /// `reads_containers` request.
         fn cop_held(cop: Option<&Cop>) -> &Cop {
             cop.expect("container query dispatched without the COP guard")
-        }
-        /// The TSDB guard, which callers acquire for every batch with a
-        /// `reads_telemetry` request.
-        fn tsdb_held(tsdb: Option<&Tsdb>) -> &Tsdb {
-            tsdb.expect("telemetry query dispatched without the TSDB guard")
         }
         let rec = &state.rec;
         match request {
@@ -482,12 +449,9 @@ impl Ecovisor {
             } => match Self::scope_in(cop_held(cop), app, *container) {
                 Err(e) => EnergyResponse::Err(e),
                 Ok(()) => {
-                    let cached = state.container_series(*container).map(|c| c.power);
-                    let ws = integrate(
-                        tsdb_held(tsdb),
-                        cached,
+                    let ws = state.series.integrate(
                         metrics::CONTAINER_POWER,
-                        container,
+                        Some(*container),
                         *from,
                         *to,
                     );
@@ -501,15 +465,10 @@ impl Ecovisor {
             } => match Self::scope_in(cop_held(cop), app, *container) {
                 Err(e) => EnergyResponse::Err(e),
                 Ok(()) => {
-                    let cached = state.container_series(*container).map(|c| c.carbon_rate);
-                    let grams = integrate(
-                        tsdb_held(tsdb),
-                        cached,
-                        metrics::CARBON_RATE,
-                        container,
-                        *from,
-                        *to,
-                    );
+                    let grams =
+                        state
+                            .series
+                            .integrate(metrics::CARBON_RATE, Some(*container), *from, *to);
                     EnergyResponse::Carbon(Co2Grams::new(grams))
                 }
             },
@@ -520,21 +479,14 @@ impl Ecovisor {
             // than sampling this reading.
             GetAppPower => EnergyResponse::Power(cop_held(cop).app_power(app)),
             GetAppEnergy { from, to } => {
-                let cached = state.series.as_ref().map(|s| s.app_power);
-                let ws = integrate(tsdb_held(tsdb), cached, metrics::APP_POWER, app, *from, *to);
+                let ws = state.series.integrate(metrics::APP_POWER, None, *from, *to);
                 EnergyResponse::Energy(WattHours::new(ws / 3600.0))
             }
             GetAppCarbon => EnergyResponse::Carbon(rec.ves.totals().carbon),
             GetAppCarbonBetween { from, to } => {
-                let cached = state.series.as_ref().map(|s| s.carbon_rate);
-                let grams = integrate(
-                    tsdb_held(tsdb),
-                    cached,
-                    metrics::CARBON_RATE,
-                    app,
-                    *from,
-                    *to,
-                );
+                let grams = state
+                    .series
+                    .integrate(metrics::CARBON_RATE, None, *from, *to);
                 EnergyResponse::Carbon(Co2Grams::new(grams))
             }
             GetCarbonRateLimit => EnergyResponse::RateLimit(rec.carbon_rate_limit),

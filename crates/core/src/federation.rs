@@ -49,7 +49,6 @@
 //! between collect and settle), and the failure semantics are documented
 //! in `docs/FEDERATION.md`.
 
-use std::collections::BTreeSet;
 use std::sync::RwLock;
 
 use container_cop::{AppId, Container};
@@ -62,9 +61,8 @@ use crate::error::{EcovisorError, Result};
 use crate::lock;
 use crate::proto::PROTOCOL_VERSION;
 use crate::replay::digest;
-use crate::snapshot::{
-    telemetry_within, AppSnapshot, SnapshotError, TransferHeader, SNAPSHOT_FORMAT,
-};
+use crate::series::route;
+use crate::snapshot::{AppSnapshot, SnapshotError, TransferHeader, SNAPSHOT_FORMAT};
 use crate::ves::VirtualEnergySystem;
 
 /// One application's contribution to a federated settlement tick: the
@@ -143,19 +141,6 @@ impl TenantSnapshot {
     pub fn from_bytes(bytes: &[u8]) -> std::result::Result<Self, SnapshotError> {
         serde::binary::from_bytes(bytes).map_err(|e| SnapshotError::Decode(e.to_string()))
     }
-
-    /// The telemetry subjects this tenant owns: its app subject plus one
-    /// per container it ever launched.
-    fn subjects(&self) -> BTreeSet<String> {
-        subjects_of(self.app.app, &self.containers)
-    }
-}
-
-/// The telemetry subjects of `app` and the containers it ever launched.
-fn subjects_of(app: AppId, containers: &[Container]) -> BTreeSet<String> {
-    let mut subjects: BTreeSet<String> = containers.iter().map(|c| c.id().to_string()).collect();
-    subjects.insert(app.to_string());
-    subjects
 }
 
 impl Ecovisor {
@@ -177,12 +162,14 @@ impl Ecovisor {
             .apps
             .get_mut(&app)
             .ok_or(EcovisorError::UnknownApp(app))?;
-        let rec = lock::get_mut(shard).rec.clone();
+        let state = lock::get_mut(shard);
+        let mut tsdb = Tsdb::new();
+        state.series.name_into(app, &mut tsdb);
+        let rec = state.rec.clone();
         let containers: Vec<Container> = lock::get_mut(&mut self.cop)
             .owned_by(app)
             .cloned()
             .collect();
-        let tsdb = lock::get_mut(&mut self.tsdb).extract_subjects(&subjects_of(app, &containers));
         Ok(TenantSnapshot {
             format: SNAPSHOT_FORMAT,
             protocol_version: PROTOCOL_VERSION,
@@ -196,7 +183,7 @@ impl Ecovisor {
 
     /// Grafts a tenant captured elsewhere into this ecovisor: inserts
     /// its shard, adopts its containers (preserving ids, placement, and
-    /// caps), and merges its telemetry. All-or-nothing — every check
+    /// caps), and installs its telemetry. All-or-nothing — every check
     /// below runs before any state is touched, so a rejected graft
     /// leaves this process exactly as it was.
     ///
@@ -237,31 +224,17 @@ impl Ecovisor {
         }
         let carried: IdMap<_, _> = snap.containers.iter().map(|c| (c.id(), id)).collect();
         self.admit(std::slice::from_ref(&snap.app), true, &carried)?;
-        let subjects = snap.subjects();
-        if let Some(alien) = snap
-            .tsdb
-            .all_subjects()
-            .iter()
-            .find(|s| !subjects.contains(*s))
-        {
-            return Err(SnapshotError::Structure(format!(
-                "telemetry subject {alien} does not belong to the migrating tenant"
-            )));
-        }
-        telemetry_within(&snap.tsdb, now)?;
+        let mut tenant = IdMap::new();
+        tenant.insert(id, RwLock::new(AppState::install(snap.app.clone())));
+        route(&snap.tsdb, now, None, &mut tenant, &carried)?;
 
         // Adoption validates ids, placement, and capacity before
-        // inserting anything; run it first since it is the remaining
-        // fallible step (the telemetry merge cannot collide once the
-        // container ids and the app id are known fresh).
+        // inserting anything: the one fallible step that changes state.
         lock::get_mut(&mut self.cop)
             .adopt_containers(&snap.containers)
             .map_err(SnapshotError::Structure)?;
-        lock::get_mut(&mut self.tsdb)
-            .merge_from(snap.tsdb.clone())
-            .map_err(SnapshotError::Structure)?;
-        self.apps
-            .insert(id, RwLock::new(AppState::install(snap.app.clone())));
+        let shard = tenant.remove(&id).expect("inserted above");
+        self.apps.insert(id, shard);
         self.next_app = self.next_app.max(id.value() + 1);
         // The id may sort below a resident's: the sums fold again.
         self.resident_shares = None;
@@ -289,13 +262,7 @@ impl Ecovisor {
             return Err(EcovisorError::UnknownApp(app));
         }
         self.resident_shares = None;
-        let removed = lock::get_mut(&mut self.cop).remove_app_containers(app);
-        lock::get_mut(&mut self.tsdb).remove_subjects(&subjects_of(app, &removed));
-        // Removal renumbers the series that stay: every tenant's handles
-        // are dead, and the next recording resolves them again by name.
-        for shard in self.apps.values_mut() {
-            lock::get_mut(shard).series = None;
-        }
+        lock::get_mut(&mut self.cop).remove_app_containers(app);
         Ok(())
     }
 }
@@ -376,7 +343,10 @@ mod tests {
         assert_eq!(cop.container_ids_of(a), vec![c]);
         drop(cop);
         // Telemetry came along: the app has series history.
-        assert!(dest.tsdb().latest("app_power_w", &a.to_string()).is_some());
+        assert!(dest
+            .telemetry()
+            .latest("app_power_w", &a.to_string())
+            .is_some());
     }
 
     #[test]

@@ -103,6 +103,7 @@ mod lock;
 pub mod obs;
 pub mod proto;
 pub mod replay;
+mod series;
 pub mod shard;
 pub mod share;
 pub mod sim;

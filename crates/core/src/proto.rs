@@ -373,22 +373,20 @@ pub struct KindFacts {
     /// Touches the shared container platform: a query reads it under
     /// the COP read guard, a command mutates it under the write guard.
     cop: bool,
-    /// A query that integrates the telemetry store (TSDB read guard).
-    pub tsdb: bool,
 }
 
 /// One row per [`EnergyRequest`] variant, in declaration order — the
 /// order the binary codec tags variants in — indexed by
 /// [`EnergyRequest::kind_index`]. This table is the only per-kind list:
 /// every predicate on `EnergyRequest` reads its row, and the dispatcher's
-/// "guard is held" expectations rest on the `cop` / `tsdb` columns.
+/// "guard is held" expectation rests on the `cop` column.
 ///
 /// A row spells only what differs from its class: `COMMAND` (tenant, no
 /// shared guard), `QUERY` (the same, read-only) or `ADMIN` (a command
 /// behind the credential gate, answered by the transport).
 #[rustfmt::skip] // a table: one row per line
 pub const KINDS: [KindFacts; 46] = {
-    const COMMAND: KindFacts = KindFacts { name: "", query: false, admin: false, cop: false, tsdb: false };
+    const COMMAND: KindFacts = KindFacts { name: "", query: false, admin: false, cop: false };
     const QUERY: KindFacts = KindFacts { query: true, ..COMMAND };
     const ADMIN: KindFacts = KindFacts { admin: true, ..COMMAND };
     [
@@ -415,12 +413,12 @@ pub const KINDS: [KindFacts; 46] = {
         KindFacts { name: "now", ..QUERY },
         KindFacts { name: "tick_interval", ..QUERY },
         KindFacts { name: "app_id", ..QUERY },
-        KindFacts { name: "get_container_energy", cop: true, tsdb: true, ..QUERY },
-        KindFacts { name: "get_container_carbon", cop: true, tsdb: true, ..QUERY },
+        KindFacts { name: "get_container_energy", cop: true, ..QUERY },
+        KindFacts { name: "get_container_carbon", cop: true, ..QUERY },
         KindFacts { name: "get_app_power", cop: true, ..QUERY },
-        KindFacts { name: "get_app_energy", tsdb: true, ..QUERY },
+        KindFacts { name: "get_app_energy", ..QUERY },
         KindFacts { name: "get_app_carbon", ..QUERY },
-        KindFacts { name: "get_app_carbon_between", tsdb: true, ..QUERY },
+        KindFacts { name: "get_app_carbon_between", ..QUERY },
         KindFacts { name: "set_carbon_rate", ..COMMAND },
         KindFacts { name: "carbon_rate_limit", ..QUERY },
         KindFacts { name: "set_carbon_budget", ..COMMAND },
@@ -474,12 +472,6 @@ impl EnergyRequest {
     /// dispatcher acquires the COP read guard only when needed).
     pub(crate) fn reads_containers(&self) -> bool {
         KINDS[self.kind_index()].cop && self.is_query()
-    }
-
-    /// `true` for queries that integrate the telemetry store (the
-    /// dispatcher acquires the TSDB read guard only when needed).
-    pub(crate) fn reads_telemetry(&self) -> bool {
-        KINDS[self.kind_index()].tsdb
     }
 
     /// Stable method name, for logs and benchmarks.

@@ -63,6 +63,7 @@ use crate::event::{Notification, NotifyConfig, OutboxPolicy};
 use crate::lock;
 use crate::proto::PROTOCOL_VERSION;
 use crate::replay::digest;
+use crate::series::route;
 use crate::ves::{VesTotals, VirtualEnergySystem};
 
 /// Version of the [`Snapshot`] layout itself. Bumped on any change that
@@ -139,7 +140,8 @@ pub struct Snapshot {
     psu: ProgrammablePsu,
     /// The container orchestration platform's dynamic state.
     pub cop: CopSnapshot,
-    /// The full telemetry store.
+    /// The full telemetry store: the `SYSTEM` series and every tenant's,
+    /// named into one store.
     pub tsdb: Tsdb,
     /// Every registered application's shard, in id order.
     pub apps: Vec<AppSnapshot>,
@@ -253,21 +255,6 @@ pub(crate) struct TransferHeader {
     pub(crate) env_digest: u64,
 }
 
-/// Refuses a store holding a sample later than `now`, the instant of the
-/// clock it would be installed under: the next settlement appends at
-/// that instant and a series only grows forwards (an equal stamp
-/// overwrites, which [`TimeSeries::push`](simkit::series::TimeSeries::push)
-/// allows). A scan of the series that names only an offender, so a
-/// restore never pays for a sorted walk of the store.
-pub(crate) fn telemetry_within(tsdb: &Tsdb, now: SimTime) -> Result<(), SnapshotError> {
-    match tsdb.find(|series| series.last().is_some_and(|s| s.at > now)) {
-        Some((metric, subject, _)) => Err(SnapshotError::Structure(format!(
-            "series ({metric}, {subject}) holds a sample later than the clock, at {now}"
-        ))),
-        None => Ok(()),
-    }
-}
-
 impl Ecovisor {
     /// The one check of a transfer's header, whole-ecovisor or
     /// per-tenant: the layout this build reads and exactly
@@ -336,8 +323,7 @@ impl Ecovisor {
     ///
     /// Takes `&mut self` deliberately: exclusive access *is* the
     /// settlement barrier, so a snapshot can never observe a
-    /// half-settled tick, and the shard/COP/TSDB locks cost nothing
-    /// (`RwLock::get_mut`). On a deployed instance call it inside
+    /// half-settled tick, and the shard and COP locks cost next to nothing. On a deployed instance call it inside
     /// [`crate::shard::ShardedEcovisor::with`], which takes the barrier
     /// for you.
     ///
@@ -348,7 +334,7 @@ impl Ecovisor {
         let obs_start = std::time::Instant::now();
         let env_digest = self.env_fingerprint();
         let cop = lock::get_mut(&mut self.cop).snapshot();
-        let tsdb = lock::get_mut(&mut self.tsdb).clone();
+        let tsdb = self.telemetry();
         let apps = self
             .apps
             .values_mut()
@@ -398,8 +384,10 @@ impl Ecovisor {
     /// interval or battery spec that is not this process's —
     /// [`SnapshotError::Structure`] when the snapshot is inconsistent
     /// (clock/tick disagreement, a record the admission rule refuses,
-    /// out-of-range ids, telemetry stamped after the clock). Nothing is
-    /// modified unless all of it passes (`docs/SNAPSHOT.md` §3).
+    /// out-of-range ids, telemetry stamped after the clock or of a subject
+    /// that is not `system`, a carried tenant or a carried container).
+    /// Nothing is modified unless all of it passes (`docs/SNAPSHOT.md`
+    /// §3).
     pub fn apply_snapshot(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let obs_start = std::time::Instant::now();
         // Everything is checked before any state is touched, so a bad
@@ -433,12 +421,18 @@ impl Ecovisor {
                 snap.next_app
             )));
         }
-        telemetry_within(&snap.tsdb, now)?;
+        let mut apps: IdMap<AppId, _> = snap
+            .apps
+            .iter()
+            .map(|rec| (rec.app, RwLock::new(AppState::install(rec.clone()))))
+            .collect();
+        let mut system = Tsdb::new();
+        route(&snap.tsdb, now, Some(&mut system), &mut apps, &carried)?;
 
         lock::get_mut(&mut self.cop)
             .restore(&snap.cop)
             .map_err(SnapshotError::Structure)?;
-        *lock::get_mut(&mut self.tsdb) = snap.tsdb.clone();
+        self.system_series = system;
         self.clock = snap.clock.clone();
         // Derived from the clock, never installed: a snapshot cannot set
         // what tenants are told.
@@ -447,11 +441,7 @@ impl Ecovisor {
         self.physical_battery = snap.physical_battery.clone();
         self.grid = snap.grid.clone();
         self.psu = snap.psu.clone();
-        self.apps = snap
-            .apps
-            .iter()
-            .map(|rec| (rec.app, RwLock::new(AppState::install(rec.clone()))))
-            .collect();
+        self.apps = apps;
         self.next_app = snap.next_app;
         self.resident_shares = Some(shares);
         // The hub survives a restore (it is runtime state, not snapshot

@@ -435,7 +435,7 @@ impl VirtualEnergySystem {
     /// battery with whatever fits beyond what was already charged this
     /// tick (the 0.25C rate limit applies to the tick's *total* charging)
     /// and returns the accepted power.
-    pub fn accept_redistribution(&mut self, offered: Watts, dt: SimDuration) -> Watts {
+    pub(crate) fn accept_redistribution(&mut self, offered: Watts, dt: SimDuration) -> Watts {
         let room = self.redistribution_room(dt);
         let Some(battery) = &mut self.battery else {
             return Watts::ZERO;

@@ -631,7 +631,7 @@ fn is_tick(charged: f64, t: u64) -> bool {
 fn assert_settled_at(eco: &Ecovisor, app: AppId, at: SimTime, before: VesTotals, t: u64) {
     let charged = charged(before, eco.app_totals(app).unwrap(), t);
     let recorded = eco
-        .tsdb()
+        .telemetry()
         .value_at(metrics::GRID_CARBON_INTENSITY, metrics::SYSTEM, at);
     assert_eq!(
         eco.grid_carbon_intensity().grams_per_kwh(),

@@ -438,15 +438,11 @@ fn kind_table_rows_are_consistent() {
         if row.admin {
             assert!(!row.query, "{}: the admin surface is commands", row.name);
         }
-        // Commands never take the TSDB guard; a command row claiming it
-        // would be silently ignored. (That a query never takes the COP
-        // *write* guard needs no check: `cop` means read for a query.)
-        assert!(!row.tsdb || row.query, "{}", row.name);
     }
 }
 
-/// The dispatcher `expect`s a COP or TSDB guard wherever a row's `cop` /
-/// `tsdb` column says the batch took one. Each kind goes *alone* in its
+/// The dispatcher `expect`s a COP guard wherever a row's `cop` column
+/// says the batch took one. Each kind goes *alone* in its
 /// batch — in a mixed batch a neighbour's guard hides a cleared column —
 /// against a tenant whose one container the exemplars address, so scope
 /// checks pass and every arm runs to its guard. Stamped with any version

@@ -440,10 +440,40 @@ fn hostile_snapshots(good: &Snapshot) -> Vec<(&'static str, Snapshot, Refusal)> 
             Refusal::Structure,
         ),
     ]);
-    cases
+    let mut hostile: Vec<_> = cases
         .into_iter()
         .map(|(name, edits, want)| (name, hostile::edited(good, &edits), want))
-        .collect()
+        .collect();
+    // A day of 1 MW under ids the snapshot does not carry: the next
+    // tenant registered, or container launched, would read it as its own
+    // history.
+    let unborn_app = AppId::new(good.apps.last().expect("two tenants").app.value() + 1);
+    let unborn_container = ContainerId::new(good.cop.next_id);
+    for (name, metric, subject) in [
+        (
+            "telemetry of an app the snapshot does not carry",
+            metrics::APP_POWER,
+            unborn_app.to_string(),
+        ),
+        (
+            "telemetry of a container the snapshot does not carry",
+            metrics::CONTAINER_POWER,
+            unborn_container.to_string(),
+        ),
+        (
+            "telemetry of a carried app under another spelling of its id",
+            metrics::APP_POWER,
+            format!("app0{}", first.value()),
+        ),
+    ] {
+        let mut planted = good.clone();
+        for tick in 0..good.tick {
+            let at = SimTime::EPOCH + good.clock.interval() * tick;
+            planted.tsdb.record(metric, &subject, at, 1e6);
+        }
+        hostile.push((name, planted, Refusal::Structure));
+    }
+    hostile
 }
 
 fn settle_one_tick(eco: &mut Ecovisor) {
@@ -541,7 +571,7 @@ fn restore_derives_the_carbon_intensity_from_the_clock() {
         settle_one_tick(e);
     }
     let recorded = |t| {
-        twin.tsdb()
+        twin.telemetry()
             .value_at(metrics::GRID_CARBON_INTENSITY, metrics::SYSTEM, t)
             .map(CarbonIntensity::new)
             .expect("settled")
@@ -615,7 +645,7 @@ fn retired_series_in_a_snapshot_restore_inert() {
             .record("solar_curtailed_w", metrics::SYSTEM, at, value);
     }
     let retired = |eco: &Ecovisor| {
-        let tsdb = eco.tsdb();
+        let tsdb = eco.telemetry();
         [
             tsdb.series("grid_power_w", &a.to_string()).cloned(),
             tsdb.series("solar_curtailed_w", metrics::SYSTEM).cloned(),
@@ -630,7 +660,10 @@ fn retired_series_in_a_snapshot_restore_inert() {
         .expect("a retired series restores");
     let at_restore = retired(&inert);
     assert!(at_restore.iter().all(Option::is_some), "kept in the store");
-    assert_eq!(inert.tsdb().series_count(), twin.tsdb().series_count() + 2);
+    assert_eq!(
+        inert.telemetry().series_count(),
+        twin.telemetry().series_count() + 2
+    );
 
     let replayed = twin.replay_trace_from(&run.trace, run.snap_tick, TICKS);
     let beside = inert.replay_trace_from(&run.trace, run.snap_tick, TICKS);

@@ -1,14 +1,18 @@
-//! Cached telemetry handles never outlive the store they index.
+//! A tenant's telemetry lives in its own shard, and leaves and comes back
+//! with it.
 //!
-//! Settlement appends each tenant's samples through handles its shard
-//! caches (`AppState::series`); a handle is an index into the store, so
-//! it dies whenever the store is replaced (`apply_snapshot`) or renumbered
-//! (`remove_app`, the commit half of a migration), and the per-container
-//! part of the cache must follow the tenant's live container set. This
-//! suite drives a day through every one of those events and requires the
-//! telemetry store — and the whole ecovisor — to end bit-identical to a
-//! twin that was never interrupted, and the interval queries that read
-//! through the same handles to agree with lookups by name.
+//! Settlement appends each tenant's samples to series its shard holds —
+//! six of its own and two per live container, a stopped container's kept
+//! for the accounting queries — and the `SYSTEM` series to the ecovisor's
+//! one plain store. A restore (`apply_snapshot`) and a graft routes every
+//! series of a decoded store back to its owner by subject; an eviction
+//! (`remove_app`, the commit half of a migration) drops the tenant's with
+//! its shard; capture and `Ecovisor::telemetry` name them all into one
+//! store again. This suite drives a day through a mid-day launch, suspend
+//! and stop, an in-place restore and a migrate-out/migrate-in, and
+//! requires the named store — and the whole ecovisor — to end
+//! bit-identical to a twin that was never interrupted, and each tenant's
+//! interval answers to agree with the named store looked up by name.
 
 use std::collections::BTreeMap;
 
@@ -61,9 +65,9 @@ fn world(seed: u64) -> (Ecovisor, Fleets) {
 
 /// One tick of traffic and its settlement. The middle tenant's container
 /// set changes mid-day: a third container launches, is suspended for two
-/// ticks, and the tenant's *first* container stops later — so the cached
-/// per-container handles see an append, a state change, and a removal
-/// ahead of entries that stay.
+/// ticks, and the tenant's *first* container stops later — so its
+/// per-container series see one added, a state change, and one that stops
+/// growing ahead of series that go on.
 fn tick(eco: &mut Ecovisor, fleets: &mut Fleets, t: u64) {
     let middle = *fleets.keys().nth(1).expect("three tenants");
     for (&app, fleet) in fleets.iter_mut() {
@@ -96,7 +100,7 @@ fn tick(eco: &mut Ecovisor, fleets: &mut Fleets, t: u64) {
 }
 
 fn tsdb_bytes(eco: &Ecovisor) -> Vec<u8> {
-    WireCodec::Binary.encode(&*eco.tsdb())
+    WireCodec::Binary.encode(&eco.telemetry())
 }
 
 #[test]
@@ -109,15 +113,15 @@ fn interrupted_day_ends_with_the_uninterrupted_twins_telemetry() {
         tick(&mut twin, &mut twin_fleets, t);
         tick(&mut eco, &mut fleets, t);
         if t == RESTORE_AT {
-            // The store is replaced by its decoded copy, whose handles
-            // number the series in key order, not creation order.
+            // Every series is routed out of the decoded store, which
+            // numbers them in key order, not creation order.
             let bytes = eco.snapshot().to_bytes();
             let snap = Snapshot::from_bytes(&bytes).expect("own snapshot decodes");
             eco.apply_snapshot(&snap).expect("own snapshot applies");
         }
         if t == MIGRATE_AT {
-            // Out and back in: the eviction renumbers the series of the
-            // tenants that stay, the graft appends the mover's.
+            // Out and back in: the eviction drops the mover's series with
+            // its shard, the graft routes them back into a new one.
             let bytes = eco.extract_app(middle).expect("registered").to_bytes();
             eco.remove_app(middle).expect("registered");
             let tenant = TenantSnapshot::from_bytes(&bytes).expect("own capture decodes");
@@ -139,15 +143,14 @@ fn interval_queries_through_handles_agree_with_lookups_by_name() {
     assert!(!fleets[&middle].contains(&first_of_middle), "it stopped");
 
     let (from, to) = (SimTime::from_secs(3 * 1800), SimTime::from_secs(40 * 1800));
-    let by_name = |eco: &Ecovisor, metric: &str, subject: String| {
-        eco.tsdb().integrate(metric, &subject, from, to)
-    };
+    let telemetry = eco.telemetry();
+    let by_name = |metric: &str, subject: String| telemetry.integrate(metric, &subject, from, to);
     let mut checked = 0;
     for (&app, fleet) in &fleets {
-        let energy = by_name(&eco, metrics::APP_POWER, app.to_string()) / 3600.0;
-        let carbon = by_name(&eco, metrics::CARBON_RATE, app.to_string());
-        // Live containers answer through the cache, the stopped one (no
-        // longer cached) by name.
+        let energy = by_name(metrics::APP_POWER, app.to_string()) / 3600.0;
+        let carbon = by_name(metrics::CARBON_RATE, app.to_string());
+        // Live containers and the stopped one alike answer from the
+        // tenant's own series.
         let mut containers = fleet.clone();
         if app == middle {
             containers.push(first_of_middle);
@@ -156,8 +159,8 @@ fn interval_queries_through_handles_agree_with_lookups_by_name() {
             .iter()
             .map(|c| {
                 (
-                    by_name(&eco, metrics::CONTAINER_POWER, c.to_string()) / 3600.0,
-                    by_name(&eco, metrics::CARBON_RATE, c.to_string()),
+                    by_name(metrics::CONTAINER_POWER, c.to_string()) / 3600.0,
+                    by_name(metrics::CARBON_RATE, c.to_string()),
                 )
             })
             .collect();

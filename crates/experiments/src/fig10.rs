@@ -145,7 +145,7 @@ fn run_one(
     let energy_kj = totals.energy.joules() / 1000.0 + idle_kj;
 
     let caps = (mode == SolarCapMode::DynamicCaps).then(|| {
-        let db = sim.eco().tsdb();
+        let db = sim.eco().telemetry();
         db.subjects_of(metrics::CONTAINER_POWER)
             .into_iter()
             .map(|s| {

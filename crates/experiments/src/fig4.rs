@@ -338,7 +338,7 @@ pub fn run_fig5(seed: u64) -> Fig5Result {
 
     sim.run_until_done(4 * 24 * 60);
 
-    let db = sim.eco().tsdb();
+    let db = sim.eco().telemetry();
     let grab = |metric: &str, subject: &str| -> TimeSeries {
         db.series(metric, subject).cloned().unwrap_or_default()
     };

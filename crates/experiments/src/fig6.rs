@@ -172,7 +172,7 @@ fn run_policy(cfg: &Fig6Config, static_policy: bool) -> Vec<WebOutcome> {
             .collect();
         let carbon_rate = sim
             .eco()
-            .tsdb()
+            .telemetry()
             .series(metrics::CARBON_RATE, &id.to_string())
             .cloned()
             .unwrap_or_default();

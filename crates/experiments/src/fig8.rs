@@ -162,7 +162,7 @@ fn run_policy(cfg: &Fig8Config, dynamic: bool) -> (Fig8Run, TimeSeries, TimeSeri
     let total_ticks = cfg.days * 24 * 60;
     sim.run_ticks(total_ticks);
 
-    let db = sim.eco().tsdb();
+    let db = sim.eco().telemetry();
     let grab = |metric: &str, subject: &str| -> TimeSeries {
         db.series(metric, subject).cloned().unwrap_or_default()
     };

@@ -13,7 +13,9 @@
 //! 1. what was committed is what is written today: every artifact
 //!    re-encodes to its file's bytes in its own encoding, every
 //!    checkpoint to its embedded bytes (the derive's `#[serde(default)]`
-//!    fields present in some and absent in most);
+//!    fields present in some and absent in most), and so does the capture
+//!    of a world restored from it, before and after a tenant moves out
+//!    and back;
 //! 2. a value's encoding reads back to a value that encodes the same;
 //! 3. under seeded damage — bit flips, truncation, length-field lies, tag
 //!    swaps, nesting bombs, overflowing varints — and under another
@@ -155,17 +157,30 @@ fn every_corpus_frame_and_checkpoint_reads_and_writes_as_the_tree_route_did() {
             );
             differential(&snap, &name, &mut rng, PER_SNAPSHOT);
             snapshots += 1;
-            // One tenant's capture out of the restored state.
+            // Restored, the checkpoint captures to its own bytes: every
+            // series routed to its owner is named back where it was.
+            let (mut eco, apps) = build_ecovisor(&artifact.spec).expect("spec builds");
+            eco.apply_snapshot(&snap).expect("own checkpoint restores");
+            assert!(
+                eco.snapshot().to_bytes() == checkpoint.snapshot,
+                "{name}: a restored checkpoint's capture"
+            );
+            // One tenant's capture out of the restored state; moved out
+            // and grafted back, the world captures to the same bytes.
             if tenants < 4 {
-                let (mut eco, apps) = build_ecovisor(&artifact.spec).expect("spec builds");
-                eco.apply_snapshot(&snap).expect("own checkpoint restores");
                 let app = apps[rng.uniform_u64(0, apps.len() as u64) as usize];
                 let tenant = eco.extract_app(app).expect("registered by the spec");
                 assert!(
-                    !tenant.tsdb.all_subjects().is_empty(),
+                    tenant.tsdb.series_count() > 0,
                     "{name}: {app} has telemetry"
                 );
                 differential(&tenant, &name, &mut rng, PER_SNAPSHOT);
+                eco.remove_app(app).expect("registered");
+                eco.graft_app(&tenant).expect("its own capture grafts back");
+                assert!(
+                    eco.snapshot().to_bytes() == checkpoint.snapshot,
+                    "{name}: {app} moved out and back"
+                );
                 tenants += 1;
             }
         }
@@ -204,7 +219,7 @@ fn a_hostile_frame_costs_a_worker_nothing_it_did_not_send() {
     // follows — within what the bytes could hold as values, far past what
     // they hold as pairs: refused at the first pair, having reserved for
     // the claim no more than the 64 KiB a claimed count may (measured:
-    // 58,442 bytes — series, handles and the handle table; sized from the
+    // 58,442 bytes — series, name keys and the key table; sized from the
     // claim, the series alone would be over a GiB).
     let mut store = vec![0x08, 0x01, 0x06];
     store.extend_from_slice(b"series");

@@ -167,8 +167,9 @@ fn recorded_tenants_are_told_the_intensity_their_tick_charges() {
     let (mut eco, _) = build_ecovisor(spec).expect("world");
     let report = eco.replay_trace_from(&artifact.trace, 0, spec.ticks);
     let dt = spec.tick_interval().as_secs();
+    let telemetry = eco.telemetry();
     let row = |tick: u64| {
-        eco.tsdb()
+        telemetry
             .value_at(
                 metrics::GRID_CARBON_INTENSITY,
                 metrics::SYSTEM,

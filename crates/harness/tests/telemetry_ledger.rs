@@ -108,7 +108,7 @@ fn every_series_a_day_stores_has_a_reader() {
             None => 0,
         };
         eco.replay_trace_from(&artifact.trace, start, artifact.spec.ticks);
-        for (metric, subject, _) in eco.tsdb().iter() {
+        for (metric, subject, _) in eco.telemetry().iter() {
             let kind = kind(subject);
             let row = LEDGER
                 .iter()

@@ -8,10 +8,11 @@
 //! * [`Tsdb`] — an in-memory, tag-addressed time-series store with range
 //!   queries (mean, sum, percentile, step integration). Table 2's
 //!   interval functions (`get_container_energy(t1,t2)` etc.) are direct
-//!   queries against it. Samples enter one way: [`Tsdb::record`], or its
-//!   two halves [`Tsdb::series_id`] + [`Tsdb::append`] for a caller that
-//!   keeps the handle (the ecovisor's settlement writes one sample per
-//!   metric per subject per tick that way).
+//!   queries against it, and it is the at-rest form of a snapshot's
+//!   telemetry. Samples enter by name ([`Tsdb::record`]), whole series by
+//!   [`Tsdb::insert`]. The ecovisor keeps each tenant's live series in
+//!   that tenant's own state and names them into a store only to write
+//!   or show them.
 //! * [`metrics`] — well-known metric names shared across crates.
 //! * [`ops`] — operational observability for the serving runtime
 //!   itself: sharded counters, gauges, log2-bucket latency histograms,
@@ -42,4 +43,4 @@ pub mod metrics;
 pub mod ops;
 pub mod tsdb;
 
-pub use tsdb::{SeriesId, SeriesKey, Tsdb};
+pub use tsdb::{SeriesKey, Tsdb};

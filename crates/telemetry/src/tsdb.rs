@@ -1,6 +1,6 @@
 //! In-memory time-series database with interval queries.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,25 +29,17 @@ impl SeriesKey {
     }
 }
 
-/// Handle of one stored series: an index into the store, found or made by
-/// [`Tsdb::series_id`]. It stays valid while the store only gains series
-/// ([`Tsdb::record`], [`Tsdb::merge_from`]); [`Tsdb::remove_subjects`]
-/// renumbers what is left, and a store that replaces this one numbers its
-/// own, so a holder drops its handles at either.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeriesId(u32);
-
 /// The time-series store.
 ///
 /// All queries take half-open windows `[from, to)`. Writes must be
 /// time-ordered per series (enforced by [`TimeSeries`]).
 ///
-/// Series are held densely behind [`SeriesId`] handles, so a writer that
-/// keeps its handles appends with an indexed push. Names are interned:
-/// each metric and each subject string is stored once, so naming a
-/// series allocates nothing on a hit and one string for a new name, not
-/// one per series. Nothing is ever walked in hash order:
-/// every walk sorts the names first. Serialized, the store is what a
+/// Series are held densely, numbered in the order they were first named.
+/// Names are interned: each metric and each subject string is stored
+/// once, so naming a series allocates nothing on a hit and one string for
+/// a new name, not one per series. Nothing is ever walked in hash order:
+/// a walk deals the series by the numbers or the sorted places of their
+/// names. Serialized, the store is what a
 /// `BTreeMap<SeriesKey, TimeSeries>` field named `series` would be — a
 /// sequence of `[SeriesKey, TimeSeries]` pairs in `(metric, subject)`
 /// string order — whatever order the series were created in; `Debug`
@@ -58,7 +50,7 @@ pub struct Tsdb {
     index: Index,
 }
 
-/// The names of a store's series, by handle and handle by name.
+/// The names of a store's series, by number and number by name.
 ///
 /// Metrics and subjects are numbered apart, and a series is the pair of
 /// its two numbers: naming is three hash lookups whatever the names are
@@ -68,10 +60,10 @@ pub struct Tsdb {
 /// makes quadratic).
 #[derive(Clone, Default)]
 struct Index {
-    /// By handle: each series' metric and subject number.
+    /// By series: each series' metric and subject number.
     keys: Vec<(u32, u32)>,
-    /// The handle of each `(metric, subject)` number pair.
-    ids: HashMap<(u32, u32), SeriesId>,
+    /// The series of each `(metric, subject)` number pair.
+    ids: HashMap<(u32, u32), u32>,
     /// Every metric that has a series.
     metrics: Names,
     /// Every subject that has a series.
@@ -122,22 +114,17 @@ impl Names {
 }
 
 impl Index {
-    fn lookup(&self, metric: &str, subject: &str) -> Option<SeriesId> {
+    fn lookup(&self, metric: &str, subject: &str) -> Option<u32> {
         let key = (self.metrics.number(metric)?, self.subjects.number(subject)?);
         self.ids.get(&key).copied()
     }
 
-    /// The handle of `(metric, subject)`; a name not seen before is given
-    /// the next one, one past the last series.
-    fn name(&mut self, metric: &str, subject: &str) -> SeriesId {
-        let metric = self.metrics.intern(metric);
-        self.name_numbered(metric, subject)
-    }
-
-    /// [`name`](Self::name) for a metric already interned as `metric`.
-    fn name_numbered(&mut self, metric: u32, subject: &str) -> SeriesId {
+    /// The number of `(metric, subject)`, for a metric already interned as
+    /// `metric`; a name not seen before is given the next one, one past
+    /// the last series.
+    fn name_numbered(&mut self, metric: u32, subject: &str) -> u32 {
         let key = (metric, self.subjects.intern(subject));
-        let next = SeriesId(u32::try_from(self.keys.len()).expect("fewer than 2^32 series"));
+        let next = u32::try_from(self.keys.len()).expect("fewer than 2^32 series");
         let id = *self.ids.entry(key).or_insert(next);
         if id == next {
             self.keys.push(key);
@@ -145,18 +132,18 @@ impl Index {
         id
     }
 
-    /// The name of the series behind `id`.
-    fn name_of(&self, id: SeriesId) -> (&str, &str) {
-        let (metric, subject) = self.keys[id.0 as usize];
+    /// The name of series `id`.
+    fn name_of(&self, id: u32) -> (&str, &str) {
+        let (metric, subject) = self.keys[id as usize];
         (self.metrics.name(metric), self.subjects.name(subject))
     }
 
-    /// Every `(metric, subject, handle)`, in `(metric, subject)` string
-    /// order: the names sorted once each, then the handles dealt by the
-    /// place of their subject and, keeping that order, of their metric.
-    fn walk(&self) -> impl Iterator<Item = (&str, &str, SeriesId)> {
-        let key = |id: SeriesId| self.keys[id.0 as usize];
-        let all = (0..self.keys.len() as u32).map(SeriesId);
+    /// Every `(metric, subject, series number)`, in `(metric, subject)`
+    /// string order: the names sorted once each, then the numbers dealt by
+    /// the place of their subject and, keeping that order, of their metric.
+    fn walk(&self) -> impl Iterator<Item = (&str, &str, u32)> {
+        let key = |id: u32| self.keys[id as usize];
+        let all = 0..self.keys.len() as u32;
         let subjects = self.subjects.ranks();
         let by_subject = deal(all, subjects.len(), |id| subjects[key(id).1 as usize]);
         let metrics = self.metrics.ranks();
@@ -175,10 +162,10 @@ impl Index {
 /// share one kept in the order given: a counting sort, so a walk costs
 /// the sorting of the names and no more than a constant per series.
 fn deal(
-    ids: impl ExactSizeIterator<Item = SeriesId> + Clone,
+    ids: impl ExactSizeIterator<Item = u32> + Clone,
     places: usize,
-    place: impl Fn(SeriesId) -> u32,
-) -> Vec<SeriesId> {
+    place: impl Fn(u32) -> u32,
+) -> Vec<u32> {
     let mut next = vec![0; places + 1];
     for id in ids.clone() {
         next[place(id) as usize + 1] += 1;
@@ -186,7 +173,7 @@ fn deal(
     for at in 1..=places {
         next[at] += next[at - 1];
     }
-    let mut dealt = vec![SeriesId(0); ids.len()];
+    let mut dealt = vec![0; ids.len()];
     for id in ids {
         let at = &mut next[place(id) as usize];
         dealt[*at] = id;
@@ -201,54 +188,40 @@ impl Tsdb {
         Self::default()
     }
 
-    /// The handle of `(metric, subject)`, creating the (empty) series if
-    /// the store does not have it. A hit allocates nothing.
-    pub fn series_id(&mut self, metric: &str, subject: &str) -> SeriesId {
-        let id = self.index.name(metric, subject);
-        if id.0 as usize == self.series.len() {
-            self.series.push(TimeSeries::new());
-        }
-        id
-    }
-
     /// Stores `series` as `(metric, subject)`, over any series already
-    /// there.
-    fn put(&mut self, metric: &str, subject: &str, series: TimeSeries) {
+    /// there. Naming an existing series allocates nothing; a new name
+    /// allocates its one string.
+    pub fn insert(&mut self, metric: &str, subject: &str, series: TimeSeries) {
         let metric = self.index.metrics.intern(metric);
-        self.put_numbered(metric, subject, series);
+        self.insert_numbered(metric, subject, series);
     }
 
-    /// [`put`](Self::put) for a metric already interned as `metric`. A new
-    /// series is pushed as it is, not pushed empty and then replaced.
-    fn put_numbered(&mut self, metric: u32, subject: &str, series: TimeSeries) {
-        let id = self.index.name_numbered(metric, subject);
-        match self.series.get_mut(id.0 as usize) {
+    /// [`insert`](Self::insert) for a metric already interned as `metric`.
+    /// A new series is pushed as it is, not pushed empty and then replaced.
+    fn insert_numbered(&mut self, metric: u32, subject: &str, series: TimeSeries) {
+        let id = self.index.name_numbered(metric, subject) as usize;
+        match self.series.get_mut(id) {
             Some(held) => *held = series,
             None => self.series.push(series),
         }
     }
 
-    /// Appends a sample to the series behind `id`, which must be a live
-    /// handle of this store: a dead one names some other series, or
-    /// panics.
-    pub fn append(&mut self, id: SeriesId, at: SimTime, value: f64) {
-        self.series[id.0 as usize].push(at, value);
-    }
-
-    /// Appends a sample to `(metric, subject)`.
+    /// Appends a sample to `(metric, subject)`, creating the series if the
+    /// store does not have it.
     pub fn record(&mut self, metric: &str, subject: &str, at: SimTime, value: f64) {
-        let id = self.series_id(metric, subject);
-        self.append(id, at, value);
-    }
-
-    /// The series behind `id`, which must be a live handle of this store.
-    pub fn get(&self, id: SeriesId) -> &TimeSeries {
-        &self.series[id.0 as usize]
+        let metric = self.index.metrics.intern(metric);
+        let id = self.index.name_numbered(metric, subject) as usize;
+        if id == self.series.len() {
+            self.series.push(TimeSeries::new());
+        }
+        self.series[id].push(at, value);
     }
 
     /// The series for `(metric, subject)`, if the store has it.
     pub fn series(&self, metric: &str, subject: &str) -> Option<&TimeSeries> {
-        self.index.lookup(metric, subject).map(|id| self.get(id))
+        self.index
+            .lookup(metric, subject)
+            .map(|id| &self.series[id as usize])
     }
 
     /// Latest value of `(metric, subject)`.
@@ -314,84 +287,29 @@ impl Tsdb {
         self.series.len()
     }
 
-    /// Iterates over all `(metric, subject, series)` in `(metric,
-    /// subject)` string order (the order the at-rest form uses).
+    /// Iterates over all `(metric, subject, series)` grouped by subject:
+    /// the subjects in the order they were first named, each subject's
+    /// series in the order they were first named. A counting pass over the
+    /// series, with no sorting, so a reader that looks something up per
+    /// subject looks it up once.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, &TimeSeries)> {
+        let subjects = self.index.subjects.by_number.len();
+        deal(0..self.series.len() as u32, subjects, |id| {
+            self.index.keys[id as usize].1
+        })
+        .into_iter()
+        .map(|id| {
+            let (metric, subject) = self.index.name_of(id);
+            (metric, subject, &self.series[id as usize])
+        })
+    }
+
+    /// Every `(metric, subject, series)` in `(metric, subject)` string
+    /// order: the order the at-rest form and `Debug` use.
+    fn sorted(&self) -> impl Iterator<Item = (&str, &str, &TimeSeries)> {
         self.index
             .walk()
-            .map(|(metric, subject, id)| (metric, subject, self.get(id)))
-    }
-
-    /// The first series, in the order they are stored, that `pred` holds
-    /// of, with its name: a scan of the series that names only the one it
-    /// finds, where [`iter`](Self::iter) names and sorts them all.
-    pub fn find(&self, pred: impl FnMut(&TimeSeries) -> bool) -> Option<(&str, &str, &TimeSeries)> {
-        let at = self.series.iter().position(pred)?;
-        let (metric, subject) = self.index.name_of(SeriesId(at as u32));
-        Some((metric, subject, &self.series[at]))
-    }
-
-    /// A copy of every series whose subject is in `subjects` (a migrating
-    /// tenant's app and container series, for example).
-    pub fn extract_subjects(&self, subjects: &BTreeSet<String>) -> Tsdb {
-        let mut out = Tsdb::new();
-        for (metric, subject, series) in self.iter() {
-            if subjects.contains(subject) {
-                out.put(metric, subject, series.clone());
-            }
-        }
-        out
-    }
-
-    /// Removes every series whose subject is in `subjects`. The series
-    /// that stay are renumbered: every [`SeriesId`] taken before this call
-    /// is dead.
-    pub fn remove_subjects(&mut self, subjects: &BTreeSet<String>) {
-        let old = std::mem::take(self);
-        self.move_from(old, |subject| !subjects.contains(subject));
-    }
-
-    /// Subjects that have at least one series, in order.
-    pub fn all_subjects(&self) -> BTreeSet<String> {
-        self.index
-            .subjects
-            .by_number
-            .iter()
-            .map(|subject| subject.to_string())
-            .collect()
-    }
-
-    /// Moves every series of `other` into this store. Handles into this
-    /// store stay valid.
-    ///
-    /// # Errors
-    ///
-    /// A `(metric, subject)` collision aborts the merge with a
-    /// description before anything is moved — callers separate subject
-    /// namespaces (per-app and per-container ids), so a collision means
-    /// the same entity exists on both sides.
-    pub fn merge_from(&mut self, other: Tsdb) -> Result<(), String> {
-        if let Some((metric, subject, _)) = other
-            .iter()
-            .find(|(metric, subject, _)| self.index.lookup(metric, subject).is_some())
-        {
-            return Err(format!(
-                "series ({metric}, {subject}) exists on both sides of the merge"
-            ));
-        }
-        self.move_from(other, |_| true);
-        Ok(())
-    }
-
-    /// Moves the series of `from` whose subject `keep` accepts into this
-    /// store, in name order.
-    fn move_from(&mut self, from: Tsdb, mut keep: impl FnMut(&str) -> bool) {
-        let Tsdb { mut series, index } = from;
-        for (metric, subject, id) in index.walk() {
-            if keep(subject) {
-                self.put(metric, subject, std::mem::take(&mut series[id.0 as usize]));
-            }
-        }
+            .map(|(metric, subject, id)| (metric, subject, &self.series[id as usize]))
     }
 }
 
@@ -399,7 +317,7 @@ impl fmt::Debug for Tsdb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()
             .entries(
-                self.iter()
+                self.sorted()
                     .map(|(metric, subject, series)| ((metric, subject), series)),
             )
             .finish()
@@ -415,7 +333,7 @@ impl Serialize for Tsdb {
         binary::write_map(out, 1);
         binary::write_key(out, "series");
         binary::write_seq(out, self.series.len());
-        for (metric, subject, series) in self.iter() {
+        for (metric, subject, series) in self.sorted() {
             binary::write_seq(out, 2);
             binary::write_map(out, 2);
             binary::write_key(out, "metric");
@@ -483,7 +401,7 @@ impl Deserialize for Pairs {
                     number
                 }
             };
-            db.put_numbered(number, subject, TimeSeries::decode(r)?);
+            db.insert_numbered(number, subject, TimeSeries::decode(r)?);
             r.end();
         }
         r.end();
@@ -560,19 +478,6 @@ mod tests {
     fn counts() {
         let db = sample_db();
         assert_eq!(db.series_count(), 3);
-    }
-
-    #[test]
-    fn find_names_the_series_it_finds() {
-        fn ten(db: &Tsdb) -> Option<(&str, &str)> {
-            let (metric, subject, _) = db.find(|s| s.last().is_some_and(|l| l.value == 10.0))?;
-            Some((metric, subject))
-        }
-        let mut db = sample_db();
-        assert_eq!(ten(&db), Some(("power", "c2")));
-        db.remove_subjects(&BTreeSet::from(["c1".to_owned()]));
-        assert_eq!(ten(&db), Some(("power", "c2")), "renumbered");
-        assert!(db.find(|_| false).is_none());
     }
 
     #[test]

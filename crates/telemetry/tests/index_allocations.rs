@@ -16,6 +16,7 @@
 //! both, and the one timed test compares two shapes within one run.
 
 use power_telemetry::{metrics, Tsdb};
+use simkit::series::TimeSeries;
 
 #[path = "../../../vendor/serde/tests/common/counting_alloc.rs"]
 mod counting_alloc;
@@ -37,7 +38,7 @@ const METRICS: [&str; 10] = [
 const SUBJECTS: usize = 1_000;
 
 /// One string per subject, and the regrowth of the tables and vectors of
-/// names and handles. Measured: 1,074 naming, 1,052 decoding (1,074
+/// names and series numbers. Measured: 1,074 naming, 1,052 decoding (1,074
 /// while decoding named each series like a writer and regrew from
 /// empty); a string per series was 11,574.
 const BOUND: usize = SUBJECTS * 5 / 4;
@@ -55,7 +56,7 @@ fn naming_and_decoding_allocate_per_subject_not_per_series() {
     let name_all = |db: &mut Tsdb| {
         for subject in &subjects {
             for metric in METRICS {
-                db.series_id(metric, subject);
+                db.insert(metric, subject, TimeSeries::new());
             }
         }
     };
@@ -98,7 +99,7 @@ fn distinct_names_cost_a_constant_each_not_a_table_of_both() {
     const PAIRS: usize = 4_000;
     let mut db = Tsdb::new();
     for i in 0..PAIRS {
-        db.series_id(&format!("m{i}"), &format!("s{i}"));
+        db.insert(&format!("m{i}"), &format!("s{i}"), TimeSeries::new());
     }
     let bytes = serde::binary::to_bytes(&db);
     let before = counting_alloc::requested_bytes();
@@ -116,7 +117,7 @@ fn store_bytes(pairs: usize, name: impl Fn(usize) -> (String, String)) -> Vec<u8
     let mut db = Tsdb::new();
     for i in 0..pairs {
         let (metric, subject) = name(i);
-        db.series_id(&metric, &subject);
+        db.insert(&metric, &subject, TimeSeries::new());
     }
     serde::binary::to_bytes(&db)
 }
