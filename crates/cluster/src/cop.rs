@@ -6,8 +6,6 @@
 //! enforcement through quotas, and per-container/app/cluster power
 //! attribution.
 
-use std::collections::BTreeMap;
-
 use simkit::units::Watts;
 use simkit::IdMap;
 
@@ -40,9 +38,8 @@ pub struct Cop {
     containers: IdMap<ContainerId, Container>,
     /// Every owner's container ids (stopped history included), ascending.
     /// Derived from `containers` and kept in step with it by `launch`,
-    /// `remove_app_containers`, `adopt_containers` and `restore`, so the
-    /// per-owner accessors cost the owner's containers, not the
-    /// platform's. Not part of [`CopSnapshot`].
+    /// `remove_app_containers` and `adopt_containers`, so the per-owner
+    /// accessors cost the owner's containers, not the platform's.
     by_owner: IdMap<AppId, Vec<ContainerId>>,
     next_id: u64,
 }
@@ -92,12 +89,7 @@ impl Cop {
                 cores: spec.cores,
                 memory_mib: spec.memory_mib,
             })?;
-        let server = self
-            .servers
-            .iter_mut()
-            .find(|s| s.id() == sid)
-            .expect("placement returned a valid id");
-        server.reserve(spec.cores, spec.memory_mib);
+        self.server_mut(sid).reserve(spec.cores, spec.memory_mib);
         let id = ContainerId::new(self.next_id);
         self.next_id += 1;
         self.containers
@@ -220,18 +212,20 @@ impl Cop {
         Ok(())
     }
 
-    /// Recomputes a container's CPU quota from its effective power cap,
-    /// via the host server's power model.
+    /// Recomputes a container's CPU quota from its effective power cap.
     fn refresh_quota(&mut self, id: ContainerId) {
+        let quota = self.quota_of(self.containers.get(&id).expect("caller verified"));
         let c = self.containers.get_mut(&id).expect("caller verified");
+        c.set_cpu_quota(quota);
+    }
+
+    /// The CPU quota `c`'s effective power cap gives it on its server,
+    /// which must be one of this platform's.
+    fn quota_of(&self, c: &Container) -> f64 {
         let model = self.models[c.server().value() as usize];
-        match c.effective_power_cap() {
-            Some(cap) => {
-                let quota = model.quota_for_cap(c.spec().cores, c.spec().gpu, cap);
-                c.set_cpu_quota(quota);
-            }
-            None => c.set_cpu_quota(1.0),
-        }
+        c.effective_power_cap().map_or(1.0, |cap| {
+            model.quota_for_cap(c.spec().cores, c.spec().gpu, cap)
+        })
     }
 
     /// Sets a container's workload CPU demand for the current tick.
@@ -368,21 +362,30 @@ impl Cop {
         removed
     }
 
-    /// Adopts containers captured on another COP (a migrating tenant's),
-    /// preserving their ids, placement, caps, and state. All-or-nothing:
-    /// every container is validated — and live ones checked against the
-    /// target servers' free capacity — before anything is inserted.
+    /// Adopts containers captured on another COP (a migrating tenant's,
+    /// or every tenant's of a checkpoint), preserving their ids,
+    /// placement, caps, and state. All-or-nothing: every container is
+    /// validated — and live ones checked against the target servers'
+    /// free capacity — before anything is inserted. Linear in the
+    /// containers held and adopted, plus one sort.
     ///
     /// # Errors
     ///
     /// Returns a description of the first problem: an id collision, a
     /// duplicate in the input, an out-of-range server reference, a GPU
-    /// container on a GPU-less server, or insufficient capacity.
-    pub fn adopt_containers(&mut self, adopted: &[Container]) -> Result<(), String> {
+    /// container on a GPU-less server, a demand outside [0, 1], a CPU
+    /// quota its power caps do not give, or insufficient capacity.
+    pub fn adopt_containers<'a, I>(&mut self, adopted: I) -> Result<(), String>
+    where
+        I: IntoIterator<Item = &'a Container>,
+        I::IntoIter: Clone,
+    {
+        let adopted = adopted.into_iter();
         let mut seen = std::collections::BTreeSet::new();
-        // Summed in `u64`: a transfer's cores may add past `u32::MAX`.
-        let mut required: BTreeMap<ServerId, (u64, u64)> = BTreeMap::new();
-        for c in adopted {
+        // By server id: server ids are their places, `0..n`. Summed in
+        // `u64`: a transfer's cores may add past `u32::MAX`.
+        let mut required = vec![(0u64, 0u64); self.servers.len()];
+        for c in adopted.clone() {
             if self.containers.contains_key(&c.id()) {
                 return Err(format!("container id {} already exists here", c.id()));
             }
@@ -390,7 +393,7 @@ impl Cop {
                 return Err(format!("duplicate container id {} in transfer", c.id()));
             }
             let sid = c.server();
-            let Some(server) = self.servers.iter().find(|s| s.id() == sid) else {
+            let Some(server) = self.servers.get(sid.value() as usize) else {
                 return Err(format!(
                     "container {} references unknown server {sid}",
                     c.id()
@@ -402,8 +405,19 @@ impl Cop {
                     c.id()
                 ));
             }
+            // What a launch and the setters keep: a demand within
+            // [0, 1], and the quota the caps give.
+            if !(0.0..=1.0).contains(&c.demand()) {
+                return Err(format!("container {} has a demand outside [0, 1]", c.id()));
+            }
+            if c.cpu_quota().to_bits() != self.quota_of(c).to_bits() {
+                return Err(format!(
+                    "container {} runs at a CPU quota its power caps do not give it",
+                    c.id()
+                ));
+            }
             if c.state() != ContainerState::Stopped {
-                let need = required.entry(sid).or_insert((0, 0));
+                let need = &mut required[sid.value() as usize];
                 let cores = need.0.checked_add(c.spec().cores.into());
                 let mem = need.1.checked_add(c.spec().memory_mib);
                 let (Some(cores), Some(mem)) = (cores, mem) else {
@@ -414,21 +428,17 @@ impl Cop {
                 *need = (cores, mem);
             }
         }
-        for (&sid, &(cores, mem)) in &required {
-            let server = self
-                .servers
-                .iter()
-                .find(|s| s.id() == sid)
-                .expect("checked");
+        for (server, &(cores, mem)) in self.servers.iter().zip(&required) {
             if u64::from(server.free_cores()) < cores || server.free_memory_mib() < mem {
                 return Err(format!(
-                    "server {sid} lacks capacity for migrating containers \
-                     ({cores} cores / {mem} MiB needed)"
+                    "server {} lacks capacity for migrating containers \
+                     ({cores} cores / {mem} MiB needed)",
+                    server.id()
                 ));
             }
         }
         let mut max_id = self.next_id;
-        for c in adopted {
+        for c in adopted.clone() {
             if c.state() != ContainerState::Stopped {
                 let (cores, mem, sid) = (c.spec().cores, c.spec().memory_mib, c.server());
                 self.server_mut(sid).reserve(cores, mem);
@@ -437,129 +447,15 @@ impl Cop {
         }
         // Adopted ids arrive in any order and may sit below ids held
         // here: one sort places them all, and the index is rebuilt.
-        self.containers
-            .extend(adopted.iter().map(|c| (c.id(), c.clone())));
+        self.containers.extend(adopted.map(|c| (c.id(), c.clone())));
         self.by_owner = index_owners(&self.containers);
         self.next_id = max_id;
         Ok(())
     }
 
+    /// Server `id`: server ids are their places, `0..n`.
     fn server_mut(&mut self, id: ServerId) -> &mut Server {
-        self.servers
-            .iter_mut()
-            .find(|s| s.id() == id)
-            .expect("server ids are stable")
-    }
-
-    /// Captures the COP's dynamic state for checkpointing.
-    ///
-    /// The power models are *not* captured: they are rebuilt
-    /// deterministically from the server specs. There is no placement
-    /// state to capture — where the next container goes is a pure
-    /// function of the restored server occupancy.
-    pub fn snapshot(&self) -> CopSnapshot {
-        CopSnapshot {
-            servers: self.servers.clone(),
-            containers: self.containers.values().cloned().collect(),
-            next_id: self.next_id,
-        }
-    }
-
-    /// Restores dynamic state captured by [`Cop::snapshot`].
-    ///
-    /// The receiving COP must have been built over the *same cluster
-    /// composition* (server count and specs). Power models are rebuilt
-    /// from the restored specs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural mismatch: server
-    /// count or spec divergence, a container referencing an out-of-range
-    /// server, a duplicate container id, an id at or above `next_id`,
-    /// live containers that do not fit their server, or a server whose
-    /// recorded occupancy is not what its live containers reserve.
-    pub fn restore(&mut self, snap: &CopSnapshot) -> Result<(), String> {
-        if snap.servers.len() != self.servers.len() {
-            return Err(format!(
-                "snapshot has {} servers, cluster has {}",
-                snap.servers.len(),
-                self.servers.len()
-            ));
-        }
-        for (have, want) in self.servers.iter().zip(&snap.servers) {
-            if have.id() != want.id() {
-                return Err(format!(
-                    "snapshot server id {} does not match cluster server id {}",
-                    want.id(),
-                    have.id()
-                ));
-            }
-            if have.spec() != want.spec() {
-                return Err(format!("server {} spec differs from snapshot", have.id()));
-            }
-        }
-        for c in &snap.containers {
-            if c.server().value() as usize >= snap.servers.len() {
-                return Err(format!(
-                    "container {} references unknown server {}",
-                    c.id(),
-                    c.server()
-                ));
-            }
-            if c.id().value() >= snap.next_id {
-                return Err(format!(
-                    "container id {} is at or above next_id {}",
-                    c.id(),
-                    snap.next_id
-                ));
-            }
-        }
-        // One sort, whatever order the snapshot lists them in.
-        let mut sorted: Vec<&Container> = snap.containers.iter().collect();
-        sorted.sort_by_key(|c| c.id());
-        if let Some(w) = sorted.windows(2).find(|w| w[0].id() == w[1].id()) {
-            return Err(format!("duplicate container id {} in snapshot", w[0].id()));
-        }
-        // Occupancy is derived: each server reserves what the live
-        // containers placed on it need, within its spec, and the
-        // snapshot's own numbers must agree.
-        let mut servers: Vec<Server> = self
-            .servers
-            .iter()
-            .map(|s| Server::new(s.id(), *s.spec()))
-            .collect();
-        for c in sorted
-            .iter()
-            .filter(|c| c.state() != ContainerState::Stopped)
-        {
-            let (spec, server) = (c.spec(), &mut servers[c.server().value() as usize]);
-            if !server.fits(spec.cores, spec.memory_mib, spec.gpu) {
-                return Err(format!(
-                    "container {} does not fit on server {} beside the live containers \
-                     placed there",
-                    c.id(),
-                    c.server()
-                ));
-            }
-            server.reserve(spec.cores, spec.memory_mib);
-        }
-        if let Some((recorded, _)) = snap.servers.iter().zip(&servers).find(|(r, d)| r != d) {
-            return Err(format!(
-                "server {} records an occupancy its live containers do not reserve",
-                recorded.id()
-            ));
-        }
-        let containers: IdMap<_, _> = sorted.into_iter().map(|c| (c.id(), c.clone())).collect();
-        self.servers = servers;
-        self.models = snap
-            .servers
-            .iter()
-            .map(|s| PowerModel::new(*s.spec()))
-            .collect();
-        self.by_owner = index_owners(&containers);
-        self.containers = containers;
-        self.next_id = snap.next_id;
-        Ok(())
+        &mut self.servers[id.value() as usize]
     }
 }
 
@@ -571,20 +467,6 @@ fn index_owners(containers: &IdMap<ContainerId, Container>) -> IdMap<AppId, Vec<
         owners.get_mut(&c.owner()).expect("collected").push(c.id());
     }
     owners
-}
-
-/// Serializable dynamic state of a [`Cop`], captured by [`Cop::snapshot`]
-/// and reinstated by [`Cop::restore`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CopSnapshot {
-    /// Per-server occupancy bookkeeping, in id order (specs included so
-    /// restore can verify the cluster composition matches).
-    pub servers: Vec<Server>,
-    /// Every container ever launched — stopped ones included, since they
-    /// are retained for accounting history — in id order.
-    pub containers: Vec<Container>,
-    /// Next container id to allocate.
-    pub next_id: u64,
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub mod scheduler;
 pub mod server;
 
 pub use container::{AppId, Container, ContainerId, ContainerSpec, ContainerState};
-pub use cop::{Cop, CopConfig, CopSnapshot};
+pub use cop::{Cop, CopConfig};
 pub use error::CopError;
 pub use power::PowerModel;
 pub use server::{ServerId, ServerSpec};

@@ -118,7 +118,7 @@ impl ServerSpec {
 }
 
 /// Runtime placement bookkeeping for one server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Server {
     id: ServerId,
     spec: ServerSpec,

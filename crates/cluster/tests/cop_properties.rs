@@ -5,6 +5,7 @@
 //! Cases are generated from a fixed-seed [`SimRng`] stream (the offline
 //! replacement for proptest), so failures are exactly reproducible.
 
+use container_cop::server::Server;
 use container_cop::{
     AppId, Container, ContainerId, ContainerSpec, ContainerState, Cop, CopConfig, PowerModel,
     ServerSpec,
@@ -139,11 +140,29 @@ fn total_power_decomposes() {
     }
 }
 
+/// Every container the platform holds, in id order, probed id by id
+/// below its cursor (every id is allocated from it).
+fn all_containers(cop: &Cop) -> Vec<Container> {
+    (0..cop.next_container_id())
+        .filter_map(|id| cop.container(ContainerId::new(id)).cloned())
+        .collect()
+}
+
+/// Everything a refused call must leave as it was: the containers, each
+/// server's occupancy and the id cursor.
+fn state(cop: &Cop) -> (Vec<Container>, Vec<Server>, u64) {
+    (
+        all_containers(cop),
+        cop.servers().to_vec(),
+        cop.next_container_id(),
+    )
+}
+
 /// Asserts that every per-owner accessor agrees with its definition as a
 /// scan of the whole platform in id order — floats bit for bit, since
 /// settlement sums them in that order.
 fn assert_owner_index_matches_scan(cop: &Cop, owners: &[AppId]) {
-    let all: Vec<Container> = cop.snapshot().containers;
+    let all = all_containers(cop);
     for &owner in owners {
         let owned: Vec<&Container> = all.iter().filter(|c| c.owner() == owner).collect();
         let live: Vec<ContainerId> = owned
@@ -174,7 +193,7 @@ fn assert_owner_index_matches_scan(cop: &Cop, owners: &[AppId]) {
     }
 }
 
-/// The table ascends by id and answers `container(id)` as `model` (every
+/// The table answers `container(id)` as `model` (every
 /// container launched or adopted and not since evicted, with its owner
 /// and state) does; an evicted id and the next one to allocate are
 /// absent.
@@ -183,11 +202,7 @@ fn assert_table_matches_model(
     model: &BTreeMap<ContainerId, (AppId, ContainerState)>,
     gone: &[ContainerId],
 ) {
-    let listed = cop.snapshot().containers;
-    assert!(
-        listed.windows(2).all(|w| w[0].id() < w[1].id()),
-        "snapshot ascends by id"
-    );
+    let listed = all_containers(cop);
     assert!(listed.iter().map(|c| c.id()).eq(model.keys().copied()));
     for (&id, &(owner, state)) in model {
         let c = cop.container(id).expect("modelled containers are held");
@@ -202,7 +217,7 @@ fn assert_table_matches_model(
 /// The per-owner index stays equal to a full scan, and the table to a
 /// `BTreeMap` model, through every way the container map changes:
 /// launch, state changes, eviction of an owner, adoption (in any id
-/// order, below ids already held) and snapshot + restore.
+/// order, below ids already held) and a fresh platform adopting them all.
 #[test]
 fn owner_index_matches_full_scan() {
     let mut rng = SimRng::from_seed(4004).fork("owner_index_matches_full_scan");
@@ -215,7 +230,7 @@ fn owner_index_matches_full_scan() {
         let mut model = BTreeMap::new();
         for _ in 0..rng.uniform_u64(20, 90) {
             let owner = owners[rng.uniform_u64(0, 4) as usize];
-            let known = cop.snapshot().containers;
+            let known = all_containers(&cop);
             let pick = (!known.is_empty())
                 .then(|| known[rng.uniform_u64(0, known.len() as u64) as usize].id());
             match (rng.uniform_u64(0, 9), pick) {
@@ -246,27 +261,31 @@ fn owner_index_matches_full_scan() {
                     if let Some(mut back) = evicted.pop() {
                         // Reversed: adoption must sort, not append.
                         back.reverse();
-                        let before = cop.snapshot();
+                        let before = state(&cop);
                         match cop.adopt_containers(&back) {
                             // What the owner launched since its eviction
                             // carries higher ids than what comes back.
                             Ok(()) => {
                                 adopted_below_held += back.first().is_some_and(|c| {
-                                    before.containers.iter().any(|b| b.owner() == c.owner())
+                                    before.0.iter().any(|b| b.owner() == c.owner())
                                 }) as u32;
                                 for c in &back {
                                     model.insert(c.id(), (c.owner(), c.state()));
                                 }
                             }
-                            Err(_) => assert_eq!(cop.snapshot(), before, "refused: unchanged"),
+                            Err(_) => assert_eq!(state(&cop), before, "refused: unchanged"),
                         }
                     }
                 }
                 (8, _) => {
-                    let snap = cop.snapshot();
+                    // Occupancy is derived: a fresh platform that adopts
+                    // every container matches the one they came from.
                     let mut twin = Cop::new(CopConfig::microserver_cluster(12));
-                    twin.restore(&snap).expect("own snapshot restores");
-                    assert_eq!(twin.snapshot(), snap);
+                    twin.align_container_id(cop.next_container_id())
+                        .expect("a fresh cursor is 0");
+                    twin.adopt_containers(&all_containers(&cop))
+                        .expect("every container fits where it was");
+                    assert_eq!(state(&twin), state(&cop));
                     cop = twin;
                 }
                 _ => {}

@@ -64,9 +64,9 @@ impl Ecovisor {
     /// battery capacities within **this** ecovisor's bank. Returns those
     /// two sums. The residents' are [`Ecovisor::resident_shares`] when
     /// kept, folded here when not.
-    pub(crate) fn admit(
+    pub(crate) fn admit<'a>(
         &mut self,
-        incoming: &[AppSnapshot],
+        incoming: impl IntoIterator<Item = &'a AppSnapshot>,
         beside_residents: bool,
         carried: &IdMap<ContainerId, AppId>,
     ) -> Result<(f64, WattHours), Refusal> {

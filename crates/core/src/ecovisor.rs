@@ -5,7 +5,7 @@
 //! of computing infrastructure" (§1). [`Ecovisor`] owns the physical
 //! components (solar array, battery bank, grid, PSU), the container
 //! orchestration platform, the carbon-intensity trace, and the
-//! telemetry store; each registered application reaches its own
+//! `SYSTEM` telemetry; each registered application reaches its own
 //! [`VirtualEnergySystem`] through the Table 1 and Table 2 protocol,
 //! scoped to its [`AppId`] by [`Ecovisor::dispatch_batch`] (typed handle:
 //! [`Ecovisor::client`]).
@@ -38,7 +38,7 @@ use container_cop::{AppId, ContainerId, ContainerState, Cop};
 use energy_system::battery::Battery;
 use energy_system::grid::GridConnection;
 use energy_system::psu::ProgrammablePsu;
-use power_telemetry::{metrics, Tsdb};
+use power_telemetry::Tsdb;
 use simkit::time::{SimDuration, SimTime, TickClock};
 use simkit::trace::Trace;
 use simkit::units::{CarbonIntensity, WattHours, Watts};
@@ -49,7 +49,7 @@ use crate::error::{EcovisorError, Result};
 use crate::event::{Notification, NotifyConfig, OutboxPolicy};
 use crate::federation::FedAppView;
 use crate::lock;
-use crate::series::TenantSeries;
+use crate::series::{self, SystemSeries, TenantSeries};
 use crate::share::EnergyShare;
 use crate::snapshot::AppSnapshot;
 use crate::ves::{DesiredFlows, VesFlows, VesTotals, VirtualEnergySystem};
@@ -66,18 +66,18 @@ pub(crate) struct AppState {
     /// the only way one gets here is past `Ecovisor::admit`.
     pub(crate) rec: AppSnapshot,
     /// The tenant's series: settlement appends to them, dispatch
-    /// integrates them, capture names them into the at-rest store. Boxed:
+    /// integrates them, capture copies them into the tenant's record. Boxed:
     /// inline, their slots would double the shard, and `sim-day`'s peak
     /// RSS read 0.5 MiB higher.
     pub(crate) series: Box<TenantSeries>,
 }
 
 impl AppState {
-    /// Installs an admitted record, with no series yet.
-    pub(crate) fn install(rec: AppSnapshot) -> Self {
+    /// Installs an admitted record and its series.
+    pub(crate) fn install(rec: AppSnapshot, series: TenantSeries) -> Self {
         Self {
             rec,
-            series: Box::default(),
+            series: Box::new(series),
         }
     }
 }
@@ -124,10 +124,9 @@ pub struct Ecovisor {
     /// Grid carbon intensity in g·CO2/kWh.
     carbon: Trace,
     pub(crate) excess: ExcessPolicy,
-    /// The `SYSTEM` series (and any other a snapshot carried under that
-    /// subject): a plain field, for only settlement writes it. Each
-    /// tenant's series live in its shard.
-    pub(crate) system_series: Tsdb,
+    /// The `SYSTEM` series: a plain field, for only settlement writes
+    /// them. Each tenant's series live in its shard.
+    pub(crate) system_series: SystemSeries,
     pub(crate) apps: IdMap<AppId, Shard>,
     pub(crate) next_app: u32,
     /// The residents' solar fractions and battery capacities summed in
@@ -178,7 +177,7 @@ impl Ecovisor {
             psu: ProgrammablePsu::new(),
             carbon: b.carbon,
             excess: b.excess,
-            system_series: Tsdb::new(),
+            system_series: SystemSeries::default(),
             apps: IdMap::new(),
             next_app: 1,
             resident_shares: None,
@@ -234,10 +233,11 @@ impl Ecovisor {
         };
         // Its id is above every resident's, so the sums over all of them
         // are the id-order fold the next admission starts from.
-        self.resident_shares = Some(self.admit(std::slice::from_ref(&rec), true, &IdMap::new())?);
+        self.resident_shares = Some(self.admit([&rec], true, &IdMap::new())?);
         let id = rec.app;
         self.next_app += 1;
-        self.apps.insert(id, RwLock::new(AppState::install(rec)));
+        let state = AppState::install(rec, TenantSeries::default());
+        self.apps.insert(id, RwLock::new(state));
         Ok(id)
     }
 
@@ -725,14 +725,12 @@ impl Ecovisor {
             }
         }
 
-        for (metric, value) in [
-            (metrics::GRID_CARBON_INTENSITY, intensity.grams_per_kwh()),
-            (metrics::SOLAR_POWER, physical_solar.watts()),
-            (metrics::APP_POWER, cop.total_power().watts()),
-        ] {
-            self.system_series
-                .record(metric, metrics::SYSTEM, now, value);
-        }
+        let values = [
+            intensity.grams_per_kwh(),
+            physical_solar.watts(),
+            cop.total_power().watts(),
+        ];
+        series::record(&mut self.system_series, now, &values);
         system
     }
 
@@ -774,7 +772,8 @@ impl Ecovisor {
     /// `SYSTEM` series and each tenant's, one shard read lock at a time.
     /// A copy — settlement goes on writing the tenants' own.
     pub fn telemetry(&self) -> Tsdb {
-        let mut store = self.system_series.clone();
+        let mut store = Tsdb::new();
+        series::name_system_into(&self.system_series, &mut store);
         for (&app, shard) in self.apps.iter() {
             lock::read(shard).series.name_into(app, &mut store);
         }

@@ -3,11 +3,12 @@
 //!
 //! PR 6's [`Snapshot`](crate::snapshot::Snapshot) moves a *whole*
 //! ecovisor; this module moves **one tenant**. A [`TenantSnapshot`]
-//! carries everything that belongs to a single application — its shard
-//! ([`AppSnapshot`]), its containers (stopped history included), and its
-//! telemetry series — through the same header check and the same
-//! admission rule the whole-ecovisor path uses. Three primitives
-//! compose into live migration:
+//! carries everything that belongs to a single application — its shard,
+//! its containers (stopped history included), and its telemetry series —
+//! as one [`TenantRecord`], the bytes a checkpoint holds for the same
+//! tenant, through the same header check and the same install path the
+//! whole-ecovisor restore uses. Three primitives compose into live
+//! migration:
 //!
 //! * [`Ecovisor::extract_app`] captures a tenant **without removing
 //!   it** — the source keeps running it until the transfer is known
@@ -49,20 +50,15 @@
 //! between collect and settle), and the failure semantics are documented
 //! in `docs/FEDERATION.md`.
 
-use std::sync::RwLock;
-
-use container_cop::{AppId, Container};
-use power_telemetry::Tsdb;
+use container_cop::AppId;
 use simkit::units::Watts;
-use simkit::IdMap;
 
-use crate::ecovisor::{AppState, Ecovisor};
+use crate::ecovisor::Ecovisor;
 use crate::error::{EcovisorError, Result};
 use crate::lock;
 use crate::proto::PROTOCOL_VERSION;
 use crate::replay::digest;
-use crate::series::route;
-use crate::snapshot::{AppSnapshot, SnapshotError, TransferHeader, SNAPSHOT_FORMAT};
+use crate::snapshot::{SnapshotError, TenantRecord, TransferHeader, SNAPSHOT_FORMAT};
 use crate::ves::VirtualEnergySystem;
 
 /// One application's contribution to a federated settlement tick: the
@@ -95,11 +91,11 @@ pub struct FedAppView {
 /// era must be understood, the environment fingerprint must match the
 /// receiver, and the capture tick must equal the receiver's tick (both
 /// sides of a migration sit at the same settlement boundary). Its
-/// record is admitted by the rule registration and restore use.
+/// record is installed by the path a restore installs every record by.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct TenantSnapshot {
     /// Snapshot layout version (shares [`SNAPSHOT_FORMAT`] — the
-    /// per-app layout is a sub-structure of the whole-ecovisor one).
+    /// record is the one a checkpoint holds for the tenant).
     format: u32,
     /// Protocol version of the writing process.
     protocol_version: u16,
@@ -108,16 +104,8 @@ pub struct TenantSnapshot {
     /// Fingerprint of the writer's static environment; grafting refuses
     /// a snapshot whose fingerprint differs from the receiver's.
     pub env_digest: u64,
-    /// The tenant's shard, including undelivered outbox events (carried
-    /// verbatim so each is still delivered exactly once — by whichever
-    /// process owns the tenant when they drain).
-    pub app: AppSnapshot,
-    /// Every container the tenant ever launched, stopped history
-    /// included (accounting queries keep answering after a move).
-    pub containers: Vec<Container>,
-    /// The tenant's telemetry: its app-subject series and its
-    /// containers' series.
-    pub tsdb: Tsdb,
+    /// The tenant.
+    pub record: TenantRecord,
 }
 
 impl TenantSnapshot {
@@ -162,30 +150,22 @@ impl Ecovisor {
             .apps
             .get_mut(&app)
             .ok_or(EcovisorError::UnknownApp(app))?;
-        let state = lock::get_mut(shard);
-        let mut tsdb = Tsdb::new();
-        state.series.name_into(app, &mut tsdb);
-        let rec = state.rec.clone();
-        let containers: Vec<Container> = lock::get_mut(&mut self.cop)
-            .owned_by(app)
-            .cloned()
-            .collect();
+        let record = lock::get_mut(shard).record(lock::get_mut(&mut self.cop));
         Ok(TenantSnapshot {
             format: SNAPSHOT_FORMAT,
             protocol_version: PROTOCOL_VERSION,
             tick: self.clock.tick_index(),
             env_digest,
-            app: rec,
-            containers,
-            tsdb,
+            record,
         })
     }
 
     /// Grafts a tenant captured elsewhere into this ecovisor: inserts
     /// its shard, adopts its containers (preserving ids, placement, and
     /// caps), and installs its telemetry. All-or-nothing — every check
-    /// below runs before any state is touched, so a rejected graft
-    /// leaves this process exactly as it was.
+    /// of the install path a restore uses runs before any state is
+    /// touched, so a rejected graft leaves this process exactly as it
+    /// was.
     ///
     /// The tenant's id is preserved. A **fresh** id (not registered
     /// here) is adopted and `next_app` advances past it; a **colliding**
@@ -202,8 +182,9 @@ impl Ecovisor {
     /// disagreement, a record the admission rule refuses (an id
     /// collision, an invalid or oversubscribing share, a virtual battery
     /// its share does not imply, a carbon cap on a container not
-    /// carried), a container of another owner or one that collides, or
-    /// telemetry of another subject or stamped after this clock.
+    /// carried), a container of another owner or one that collides or
+    /// does not fit, or telemetry of a container it does not carry or
+    /// stamped after this clock.
     pub fn graft_app(&mut self, snap: &TenantSnapshot) -> std::result::Result<(), SnapshotError> {
         let header = TransferHeader {
             format: snap.format,
@@ -214,27 +195,8 @@ impl Ecovisor {
         // The tenant runs under this process's clock: both sides of a
         // migration sit at the same settlement boundary.
         let now = self.check_header(&header, &self.clock)?;
-        let id = snap.app.app;
-        if let Some(c) = snap.containers.iter().find(|c| c.owner() != id) {
-            return Err(SnapshotError::Structure(format!(
-                "container {} belongs to app {}, not the migrating app {id}",
-                c.id(),
-                c.owner()
-            )));
-        }
-        let carried: IdMap<_, _> = snap.containers.iter().map(|c| (c.id(), id)).collect();
-        self.admit(std::slice::from_ref(&snap.app), true, &carried)?;
-        let mut tenant = IdMap::new();
-        tenant.insert(id, RwLock::new(AppState::install(snap.app.clone())));
-        route(&snap.tsdb, now, None, &mut tenant, &carried)?;
-
-        // Adoption validates ids, placement, and capacity before
-        // inserting anything: the one fallible step that changes state.
-        lock::get_mut(&mut self.cop)
-            .adopt_containers(&snap.containers)
-            .map_err(SnapshotError::Structure)?;
-        let shard = tenant.remove(&id).expect("inserted above");
-        self.apps.insert(id, shard);
+        self.install(std::slice::from_ref(&snap.record), None, now)?;
+        let id = snap.record.app.app;
         self.next_app = self.next_app.max(id.value() + 1);
         // The id may sort below a resident's: the sums fold again.
         self.resident_shares = None;
@@ -307,7 +269,7 @@ mod tests {
         settle(&mut eco, 3);
         let before = eco.snapshot();
         let snap = eco.extract_app(a).expect("registered");
-        assert_eq!(snap.app.app, a);
+        assert_eq!(snap.record.app.app, a);
         assert_eq!(snap.tick, 3);
         assert_eq!(before.digest(), eco.snapshot().digest());
     }
@@ -379,13 +341,15 @@ mod tests {
             Err(SnapshotError::Environment(_))
         ));
 
-        // Wrong format.
-        let mut bad = snap.clone();
-        bad.format += 1;
-        assert!(matches!(
-            eco.graft_app(&bad),
-            Err(SnapshotError::Format { .. })
-        ));
+        // A later layout, and the one before this.
+        for got in [SNAPSHOT_FORMAT + 1, 1] {
+            let mut bad = snap.clone();
+            bad.format = got;
+            assert_eq!(
+                eco.graft_app(&bad),
+                Err(SnapshotError::Format { expected: 2, got })
+            );
+        }
     }
 
     #[test]
@@ -400,7 +364,7 @@ mod tests {
         assert_eq!(dest.app_ids().len(), 1);
     }
 
-    /// A tenant holding a battery share and a container, captured after
+    /// A tenant holding a battery share and two containers, captured after
     /// three ticks, and a destination at the same tick with room for it.
     fn migrating_tenant() -> (TenantSnapshot, Ecovisor) {
         let share = solar_share(0.4).with_battery(simkit::units::WattHours::new(100.0));
@@ -414,8 +378,10 @@ mod tests {
         {
             use crate::client::EnergyClient;
             let mut api = source.client(a).expect("registered");
-            let c = api.launch_container(ContainerSpec::quad_core()).unwrap();
-            api.set_container_demand(c, 1.0).unwrap();
+            for _ in 0..2 {
+                let c = api.launch_container(ContainerSpec::quad_core()).unwrap();
+                api.set_container_demand(c, 1.0).unwrap();
+            }
         }
         settle(&mut source, 3);
         let (mut dest, _) = build();
@@ -429,16 +395,15 @@ mod tests {
     /// use, and its telemetry against the clock it would run under.
     #[test]
     fn graft_refuses_hostile_tenants_before_touching_state() {
-        let mut cases = hostile::record_edits("app");
         let (good, dest) = migrating_tenant();
-        let after_the_clock = dest.now().as_secs() as i64 + 1;
-        cases.push((
-            "a sample stamped after the clock",
-            vec![(
-                "tsdb.series.0.1.samples.last.at".into(),
-                serde::Value::Int(after_the_clock),
-            )],
-        ));
+        let receiver = hostile::Receiver {
+            now: dest.now().as_secs() as i64,
+            // The record's containers take ids 0 and 1.
+            unborn: 2,
+            other_app: good.record.app.app.value() + 1,
+        };
+        let tree = serde::Serialize::to_value(&good);
+        let cases = hostile::record_edits(&tree, "record", &receiver);
         for (name, edits) in cases {
             let (_, mut dest) = migrating_tenant();
             let before = dest.snapshot().digest();
@@ -469,7 +434,7 @@ mod tests {
         .unwrap();
         settle(&mut eco, 2);
         let snap = eco.extract_app(a).expect("registered");
-        let pending: Vec<Notification> = snap.app.pending_events.clone();
+        let pending: Vec<Notification> = snap.record.app.pending_events.clone();
         assert!(!pending.is_empty(), "expected undelivered events");
 
         let mut dest = EcovisorBuilder::new().build();

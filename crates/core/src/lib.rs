@@ -44,8 +44,8 @@
 //!
 //! * [`Ecovisor`] owns the physical components (from `energy_system`),
 //!   the container orchestration platform (from `container_cop`), the
-//!   carbon-intensity trace, and the telemetry store (from
-//!   `power_telemetry`). Per-app state is **sharded** behind
+//!   carbon-intensity trace, and the `SYSTEM` telemetry series (named
+//!   into a `power_telemetry` store on request). Per-app state is **sharded** behind
 //!   per-app locks, so dispatch takes `&self` and tenants execute in
 //!   parallel; [`ShardedEcovisor`] ([`shard`]) is the concurrent
 //!   deployment wrapper, with tick settlement as the sole cross-app

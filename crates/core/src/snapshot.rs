@@ -20,20 +20,25 @@
 //! ## What is and is not captured
 //!
 //! Captured: the tick clock (whose position *is* the solar/carbon trace
-//! cursor — both services are pure functions of simulated time), the
-//! physical battery, grid meter and PSU, the full COP
-//! ([`CopSnapshot`]), the telemetry store, and every per-app shard
-//! including undelivered outbox events (drained into the snapshot so a
-//! subscriber sees each edge event exactly once across a
-//! checkpoint/restore boundary).
+//! cursor — both services are pure functions of simulated time), and a
+//! system record — the physical battery, grid meter and PSU, the
+//! `SYSTEM` telemetry and the two id cursors — beside one
+//! [`TenantRecord`] per tenant: its shard, including undelivered outbox
+//! events (carried so a subscriber sees each edge event exactly once
+//! across a checkpoint/restore boundary), its containers and its
+//! telemetry. A tenant record is what a migration ships
+//! ([`TenantSnapshot`](crate::federation::TenantSnapshot)), byte for
+//! byte, and both are installed by one path, `Ecovisor::install`.
 //!
-//! Written but derived: the carbon intensity of the current and the
-//! previous tick. Restore re-samples both from the restored clock, so a
-//! snapshot cannot set what tenants are told.
+//! Derived, and not written: each server's occupancy (the sum of what the
+//! live containers placed on it reserve) and the carbon intensity of the
+//! current and the previous tick (re-sampled from the restored clock, so
+//! a snapshot cannot set what tenants are told).
 //!
 //! Not captured: the solar/carbon *traces* themselves, the placement
-//! policy, and the power models (all static configuration the restoring
-//! process must supply via its [`EcovisorBuilder`](crate::EcovisorBuilder) — guarded by an
+//! policy, the server specs and the power models (all static
+//! configuration the restoring process must supply via its
+//! [`EcovisorBuilder`](crate::EcovisorBuilder) — guarded by an
 //! environment fingerprint), plus the protocol trace recorder (a restore
 //! never adopts the source's recording state).
 //!
@@ -41,19 +46,19 @@
 //!
 //! [`SNAPSHOT_FORMAT`] names the layout of the `Snapshot` structure
 //! itself and is bumped on any incompatible change; restore rejects
-//! unknown formats outright. The embedded protocol version records which
-//! protocol era wrote the snapshot; restore accepts exactly
-//! [`PROTOCOL_VERSION`]. See `docs/SNAPSHOT.md` for the full rules.
+//! every other format outright, and no reader of an older one is kept.
+//! The embedded protocol version records which protocol era wrote the
+//! snapshot; restore accepts exactly [`PROTOCOL_VERSION`]. See
+//! `docs/SNAPSHOT.md` for the full rules.
 
 use std::sync::RwLock;
 
-use container_cop::{AppId, ContainerId, CopSnapshot, ServerSpec};
+use container_cop::{AppId, Container, ContainerId, Cop, CopConfig, ServerSpec};
 use energy_system::battery::{Battery, BatterySpec};
 use energy_system::grid::GridConnection;
 use energy_system::psu::ProgrammablePsu;
-use power_telemetry::Tsdb;
 use simkit::time::{SimDuration, SimTime, TickClock};
-use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams};
+use simkit::units::{CarbonRate, Co2Grams, WattHours};
 use simkit::IdMap;
 
 use crate::config::ExcessPolicy;
@@ -63,13 +68,13 @@ use crate::event::{Notification, NotifyConfig, OutboxPolicy};
 use crate::lock;
 use crate::proto::PROTOCOL_VERSION;
 use crate::replay::digest;
-use crate::series::route;
+use crate::series::{check_stamps, SystemSeries, TenantSeries};
 use crate::ves::{VesTotals, VirtualEnergySystem};
 
 /// Version of the [`Snapshot`] layout itself. Bumped on any change that
 /// an older reader could misinterpret; [`Ecovisor::apply_snapshot`]
 /// rejects snapshots whose format it does not know.
-pub const SNAPSHOT_FORMAT: u32 = 1;
+pub const SNAPSHOT_FORMAT: u32 = 2;
 
 /// Complete dynamic state of one application shard.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -100,6 +105,44 @@ pub struct AppSnapshot {
     pub(crate) budget_exhausted: bool,
 }
 
+/// What a tenant is, at rest and in transit: its shard, its containers
+/// and its telemetry. A checkpoint holds one per tenant and a migration
+/// ships one ([`TenantSnapshot`](crate::federation::TenantSnapshot)),
+/// and the two are the same bytes.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct TenantRecord {
+    /// The tenant's shard, including undelivered outbox events (carried
+    /// verbatim so each is still delivered exactly once — by whichever
+    /// process holds the tenant when they drain).
+    pub app: AppSnapshot,
+    /// Every container the tenant ever launched, stopped history
+    /// included (accounting queries keep answering after a move), in id
+    /// order.
+    pub containers: Vec<Container>,
+    /// The tenant's series in their slots, with no names.
+    series: TenantSeries,
+}
+
+/// What a checkpoint holds beside its tenants: the physical side of the
+/// energy system, its `SYSTEM` telemetry and the two id cursors.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+struct SystemRecord {
+    /// System flows from the most recent settlement.
+    last_system_flows: SystemFlows,
+    /// The physical battery bank.
+    physical_battery: Battery,
+    /// The grid meter.
+    grid: GridConnection,
+    /// The validation PSU.
+    psu: ProgrammablePsu,
+    /// The `SYSTEM` series in their slots.
+    series: SystemSeries,
+    /// Next application id to allocate.
+    next_app: u32,
+    /// Next container id to allocate.
+    next_container: u64,
+}
+
 /// A versioned, serializable checkpoint of a whole ecovisor.
 ///
 /// Produced by [`Ecovisor::snapshot`] (inside the settlement barrier),
@@ -122,31 +165,10 @@ pub struct Snapshot {
     /// spec, server specs, excess policy). Restore refuses a snapshot
     /// whose fingerprint differs from the receiving process's.
     pub env_digest: u64,
-    /// Carbon intensity of the current tick, as the writer sampled it.
-    /// Written for the reader's information only: restore re-samples the
-    /// carbon trace at the embedded clock and ignores this value.
-    pub intensity: CarbonIntensity,
-    /// The previous tick's intensity (the edge state of carbon
-    /// notifications), as the writer sampled it. Ignored on restore,
-    /// like [`intensity`](Self::intensity).
-    pub prev_intensity: CarbonIntensity,
-    /// System flows from the most recent settlement.
-    last_system_flows: SystemFlows,
-    /// The physical battery bank.
-    physical_battery: Battery,
-    /// The grid meter.
-    grid: GridConnection,
-    /// The validation PSU.
-    psu: ProgrammablePsu,
-    /// The container orchestration platform's dynamic state.
-    pub cop: CopSnapshot,
-    /// The full telemetry store: the `SYSTEM` series and every tenant's,
-    /// named into one store.
-    pub tsdb: Tsdb,
-    /// Every registered application's shard, in id order.
-    pub apps: Vec<AppSnapshot>,
-    /// Next application id to allocate.
-    next_app: u32,
+    /// Everything that is not a tenant's.
+    system: SystemRecord,
+    /// Every registered tenant, in id order.
+    pub tenants: Vec<TenantRecord>,
 }
 
 impl Snapshot {
@@ -181,7 +203,10 @@ impl Snapshot {
     /// Per-app cumulative totals embedded in the snapshot, in id order
     /// (convenience for equivalence checks).
     pub fn app_totals(&self) -> Vec<(AppId, VesTotals)> {
-        self.apps.iter().map(|a| (a.app, *a.ves.totals())).collect()
+        self.tenants
+            .iter()
+            .map(|t| (t.app.app, *t.app.ves.totals()))
+            .collect()
     }
 }
 
@@ -306,17 +331,21 @@ impl Ecovisor {
 
     /// Digest of the static environment (see [`EnvFingerprint`]).
     pub(crate) fn env_fingerprint(&self) -> u64 {
-        let servers: Vec<ServerSpec> = lock::read(&self.cop)
-            .servers()
-            .iter()
-            .map(|s| *s.spec())
-            .collect();
         digest(&EnvFingerprint {
             tick_interval: self.clock.interval(),
             battery: *self.physical_battery.spec(),
-            servers,
+            servers: self.server_specs(),
             excess: self.excess,
         })
+    }
+
+    /// The cluster's server specs, in id order.
+    fn server_specs(&self) -> Vec<ServerSpec> {
+        lock::read(&self.cop)
+            .servers()
+            .iter()
+            .map(|s| *s.spec())
+            .collect()
     }
 
     /// Captures the complete dynamic state of this ecovisor.
@@ -333,12 +362,12 @@ impl Ecovisor {
     pub fn snapshot(&mut self) -> Snapshot {
         let obs_start = std::time::Instant::now();
         let env_digest = self.env_fingerprint();
-        let cop = lock::get_mut(&mut self.cop).snapshot();
-        let tsdb = self.telemetry();
-        let apps = self
+        let cop = lock::get_mut(&mut self.cop);
+        let next_container = cop.next_container_id();
+        let tenants = self
             .apps
             .values_mut()
-            .map(|shard| lock::get_mut(shard).rec.clone())
+            .map(|shard| lock::get_mut(shard).record(cop))
             .collect();
         let snap = Snapshot {
             format: SNAPSHOT_FORMAT,
@@ -346,16 +375,16 @@ impl Ecovisor {
             tick: self.clock.tick_index(),
             clock: self.clock.clone(),
             env_digest,
-            intensity: self.intensity,
-            prev_intensity: self.prev_intensity,
-            last_system_flows: self.last_system_flows,
-            physical_battery: self.physical_battery.clone(),
-            grid: self.grid.clone(),
-            psu: self.psu.clone(),
-            cop,
-            tsdb,
-            apps,
-            next_app: self.next_app,
+            system: SystemRecord {
+                last_system_flows: self.last_system_flows,
+                physical_battery: self.physical_battery.clone(),
+                grid: self.grid.clone(),
+                psu: self.psu.clone(),
+                series: self.system_series.clone(),
+                next_app: self.next_app,
+                next_container,
+            },
+            tenants,
         };
         if let Some(hub) = &self.obs {
             hub.core
@@ -381,13 +410,14 @@ impl Ecovisor {
     /// [`SnapshotError::Format`] / [`SnapshotError::Protocol`] on
     /// version mismatch, [`SnapshotError::Environment`] when the static
     /// configuration differs — by the digest, or by an embedded tick
-    /// interval or battery spec that is not this process's —
-    /// [`SnapshotError::Structure`] when the snapshot is inconsistent
-    /// (clock/tick disagreement, a record the admission rule refuses,
-    /// out-of-range ids, telemetry stamped after the clock or of a subject
-    /// that is not `system`, a carried tenant or a carried container).
-    /// Nothing is modified unless all of it passes (`docs/SNAPSHOT.md`
-    /// §3).
+    /// interval, battery spec or grid terms that are not this
+    /// process's — [`SnapshotError::Structure`] when the snapshot is
+    /// inconsistent: clock/tick disagreement, a physical bank charged
+    /// outside its capacity, PSU draws that are not the ticks, id
+    /// cursors not above every carried id, a `SYSTEM` sample stamped
+    /// after the clock, or a tenant record the one install path
+    /// refuses. Nothing is modified unless all of it passes
+    /// (`docs/SNAPSHOT.md` §3).
     pub fn apply_snapshot(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
         let obs_start = std::time::Instant::now();
         // Everything is checked before any state is touched, so a bad
@@ -399,50 +429,68 @@ impl Ecovisor {
             env_digest: snap.env_digest,
         };
         let now = self.check_header(&header, &snap.clock)?;
-        // The digest is the writer's claim; the embedded spec is what
-        // would be installed.
-        if snap.physical_battery.spec() != self.physical_battery.spec() {
+        let system = &snap.system;
+        // The digest is the writer's claim; the embedded spec and terms
+        // are what would be installed.
+        if system.physical_battery.spec() != self.physical_battery.spec() {
             return Err(SnapshotError::Environment(
                 "embedded physical battery spec differs from this process's".into(),
             ));
         }
-        let carried: IdMap<ContainerId, AppId> = snap
-            .cop
-            .containers
-            .iter()
-            .map(|c| (c.id(), c.owner()))
-            .collect();
-        let shares = self.admit(&snap.apps, false, &carried)?;
-        // Admitted ids ascend and stop short of `u32::MAX`.
-        let above_all = snap.apps.last().map_or(1, |a| a.app.value() + 1);
-        if snap.next_app < above_all {
+        if system.grid.terms() != self.grid.terms() {
+            return Err(SnapshotError::Environment(
+                "embedded grid capacity or net metering differs from this process's".into(),
+            ));
+        }
+        let bank = &system.physical_battery;
+        if !(WattHours::ZERO..=bank.spec().capacity).contains(&bank.charge_level()) {
+            return Err(SnapshotError::Structure(
+                "the physical battery is charged outside its capacity".into(),
+            ));
+        }
+        // The supply meters one draw per settled tick.
+        if system.psu.samples() != snap.tick {
             return Err(SnapshotError::Structure(format!(
-                "next_app {} is not above every app id (and 0)",
-                snap.next_app
+                "the PSU metered {} draws in {} ticks",
+                system.psu.samples(),
+                snap.tick
             )));
         }
-        let mut apps: IdMap<AppId, _> = snap
-            .apps
-            .iter()
-            .map(|rec| (rec.app, RwLock::new(AppState::install(rec.clone()))))
-            .collect();
-        let mut system = Tsdb::new();
-        route(&snap.tsdb, now, Some(&mut system), &mut apps, &carried)?;
+        check_stamps(&system.series, now, &power_telemetry::metrics::SYSTEM)?;
+        let above_apps = snap.tenants.iter().map(|t| t.app.app.value()).max();
+        if above_apps.is_some_and(|id| id >= system.next_app) || system.next_app == 0 {
+            return Err(SnapshotError::Structure(format!(
+                "next_app {} is not above every app id (and 0)",
+                system.next_app
+            )));
+        }
+        let containers = snap.tenants.iter().flat_map(|t| &t.containers);
+        if let Some(c) = containers
+            .map(Container::id)
+            .find(|id| id.value() >= system.next_container)
+        {
+            return Err(SnapshotError::Structure(format!(
+                "container {c} is not below the next container id {}",
+                system.next_container
+            )));
+        }
+        let mut cop = Cop::new(CopConfig {
+            servers: self.server_specs(),
+        });
+        cop.align_container_id(system.next_container)
+            .expect("a fresh platform's cursor is 0");
+        let shares = self.install(&snap.tenants, Some(cop), now)?;
 
-        lock::get_mut(&mut self.cop)
-            .restore(&snap.cop)
-            .map_err(SnapshotError::Structure)?;
-        self.system_series = system;
+        self.system_series = system.series.clone();
         self.clock = snap.clock.clone();
         // Derived from the clock, never installed: a snapshot cannot set
         // what tenants are told.
         self.sample_carbon();
-        self.last_system_flows = snap.last_system_flows;
-        self.physical_battery = snap.physical_battery.clone();
-        self.grid = snap.grid.clone();
-        self.psu = snap.psu.clone();
-        self.apps = apps;
-        self.next_app = snap.next_app;
+        self.last_system_flows = system.last_system_flows;
+        self.physical_battery = system.physical_battery.clone();
+        self.grid = system.grid.clone();
+        self.psu = system.psu.clone();
+        self.next_app = system.next_app;
         self.resident_shares = Some(shares);
         // The hub survives a restore (it is runtime state, not snapshot
         // state), so timings from before and after a restore land in the
@@ -453,5 +501,81 @@ impl Ecovisor {
                 .record_duration(obs_start.elapsed());
         }
         Ok(())
+    }
+
+    /// The one way tenant records get in, for a restore and a graft
+    /// alike: checks every record, then installs them all. Beside the
+    /// residents, on this ecovisor's platform, when `fresh` is `None`;
+    /// in place of every resident, on `fresh` (swapped in), otherwise.
+    /// Returns the admitted share sums ([`Ecovisor::admit`]).
+    ///
+    /// The checks, in order: every container a record carries is owned
+    /// by its tenant, and no id arrives twice; [`admit`](Self::admit),
+    /// once over all records;
+    /// each record's container slots name its own carried containers,
+    /// ascending and unrepeated, and no sample is stamped after `now`;
+    /// and [`Cop::adopt_containers`], once over all containers, which
+    /// inserts nothing unless every container fits.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Structure`] on the first check that fails;
+    /// nothing has been modified then.
+    pub(crate) fn install(
+        &mut self,
+        records: &[TenantRecord],
+        mut fresh: Option<Cop>,
+        now: SimTime,
+    ) -> Result<(f64, WattHours), SnapshotError> {
+        let mut carried = Vec::new();
+        for record in records {
+            let id = record.app.app;
+            if let Some(c) = record.containers.iter().find(|c| c.owner() != id) {
+                return Err(SnapshotError::Structure(format!(
+                    "container {} belongs to app {}, not to app {id}'s record",
+                    c.id(),
+                    c.owner()
+                )));
+            }
+            carried.extend(record.containers.iter().map(|c| (c.id(), id)));
+        }
+        let arrived = carried.len();
+        let carried: IdMap<ContainerId, AppId> = carried.into_iter().collect();
+        if carried.len() < arrived {
+            return Err(SnapshotError::Structure(
+                "a container id arrives twice".into(),
+            ));
+        }
+        let shares = self.admit(records.iter().map(|r| &r.app), fresh.is_none(), &carried)?;
+        for record in records {
+            record.series.check(record.app.app, &carried, now)?;
+        }
+        let cop = match &mut fresh {
+            Some(cop) => cop,
+            None => lock::get_mut(&mut self.cop),
+        };
+        cop.adopt_containers(records.iter().flat_map(|r| &r.containers))
+            .map_err(SnapshotError::Structure)?;
+
+        if let Some(cop) = fresh {
+            *lock::get_mut(&mut self.cop) = cop;
+            self.apps = IdMap::new();
+        }
+        self.apps.extend(records.iter().map(|r| {
+            let state = AppState::install(r.app.clone(), r.series.clone());
+            (r.app.app, RwLock::new(state))
+        }));
+        Ok(shares)
+    }
+}
+
+impl AppState {
+    /// This tenant's record, its containers read from `cop`.
+    pub(crate) fn record(&self, cop: &Cop) -> TenantRecord {
+        TenantRecord {
+            app: self.rec.clone(),
+            containers: cop.owned_by(self.rec.app).cloned().collect(),
+            series: (*self.series).clone(),
+        }
     }
 }

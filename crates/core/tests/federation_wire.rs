@@ -27,7 +27,7 @@
 use container_cop::{AppId, ContainerId, ContainerSpec, CopConfig};
 use ecovisor::{
     CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare,
-    EventFilter, FedAppView, RemoteEcovisorClient, SharedEcovisor,
+    EventFilter, FedAppView, RemoteEcovisorClient, SharedEcovisor, SnapshotError,
 };
 use simkit::rng::SimRng;
 use simkit::time::SimDuration;
@@ -282,8 +282,8 @@ fn split_day_with_mid_day_migration_matches_single_process() {
     assert_eq!(ref_cap_a.digest(), fed_cap_a.digest(), "tenant a digest");
     assert_eq!(ref_cap_b.digest(), fed_cap_b.digest(), "tenant b digest");
     assert_eq!(
-        ref_cap_a.app.ves.totals(),
-        fed_cap_a.app.ves.totals(),
+        ref_cap_a.record.app.ves.totals(),
+        fed_cap_a.record.app.ves.totals(),
         "tenant a day totals"
     );
 
@@ -396,56 +396,51 @@ fn hostile_tenants_are_refused_over_the_wire_and_the_node_keeps_serving() {
     let (h1, h2) = (serve(eco1), serve(eco2));
     let mut op1 = connect(h1.addr(), a, "alpha");
     let mut op2 = connect(h2.addr(), a, "alpha");
+    // Settled below, so the capture carries the series of both.
+    let own: Vec<ContainerId> = (0..2)
+        .map(|_| {
+            op1.launch_container(ContainerSpec::quad_core())
+                .expect("launch a")
+        })
+        .collect();
     for _ in 0..3 {
         fed_tick(&mut [&mut op1, &mut op2]);
     }
 
-    // Launched after the last settlement, so no series names its id.
-    let own = op1
-        .launch_container(ContainerSpec::quad_core())
-        .expect("launch a");
     let good = op1.fetch_tenant(a).expect("capture");
-    assert_eq!(good.containers.len(), 1, "A carries {own}");
+    assert_eq!(good.record.containers.len(), 2, "A carries {own:?}");
     let before = h2.ecovisor().with(|eco| eco.snapshot()).digest();
-    let mut cases = hostile::record_edits("app");
-    let after_the_clock = h2.ecovisor().read(|eco| eco.now().as_secs()) as i64 + 1;
-    let container = serde::Serialize::to_value(&good.containers[0]);
+    let tree = serde::Serialize::to_value(&good);
+    let receiver = hostile::Receiver {
+        now: h2.ecovisor().read(|eco| eco.now().as_secs()) as i64,
+        unborn: own[1].value() + 1,
+        other_app: b.value(),
+    };
+    let mut cases = hostile::record_edits(&tree, "record", &receiver);
+    let container = serde::Serialize::to_value(&good.record.containers[0]);
+    let server = serde::Value::Int(good.record.containers[0].server().value().into());
     // Two live containers of 2^31 cores and no memory, on one server:
     // their cores sum past `u32::MAX`.
-    let huge = |id: u64| {
-        let edits = [
-            ("id".to_string(), serde::Value::Int(id as i64)),
-            ("spec.cores".to_string(), serde::Value::Int(1 << 31)),
-            ("spec.memory_mib".to_string(), serde::Value::Int(0)),
-        ];
-        serde::Serialize::to_value(&hostile::edited(&good.containers[0], &edits))
-    };
+    let mut huge = vec![("record.containers.1.server".to_string(), server)];
+    for i in 0..2 {
+        let at = |field: &str| format!("record.containers.{i}.spec.{field}");
+        huge.push((at("cores"), serde::Value::Int(1 << 31)));
+        huge.push((at("memory_mib"), serde::Value::Int(0)));
+    }
+    let held = serde::Value::Int(held.value() as i64);
     cases.extend([
-        (
-            "two live 2^31-core, 0-MiB containers on one server",
-            vec![(
-                "containers".into(),
-                serde::Value::Seq(vec![huge(own.value()), huge(own.value() + 1)]),
-            )],
-        ),
-        (
-            "a sample stamped after the clock",
-            vec![(
-                "tsdb.series.0.1.samples.last.at".into(),
-                serde::Value::Int(after_the_clock),
-            )],
-        ),
+        ("two live 2^31-core, 0-MiB containers on one server", huge),
         (
             "a container whose id a resident holds",
-            vec![(
-                "containers.0.id".into(),
-                serde::Value::Int(held.value() as i64),
-            )],
+            vec![
+                ("record.containers.0.id".into(), held.clone()),
+                ("record.series.containers.0.0".into(), held),
+            ],
         ),
         (
             "one container id twice in the transfer",
             vec![(
-                "containers".into(),
+                "record.containers".into(),
                 serde::Value::Seq(vec![container.clone(), container]),
             )],
         ),
@@ -463,6 +458,15 @@ fn hostile_tenants_are_refused_over_the_wire_and_the_node_keeps_serving() {
         op2.fed_cursor()
             .unwrap_or_else(|e| panic!("{name}: stopped serving: {e}"));
     }
+
+    // The layout before this one, refused by its header.
+    let old = hostile::edited(&good, &[("format".into(), serde::Value::Int(1))]);
+    let err = op2.push_tenant(&old).expect_err("format 1");
+    let refusal = SnapshotError::Format {
+        expected: 2,
+        got: 1,
+    };
+    assert!(err.to_string().contains(&refusal.to_string()), "{err}");
 
     op2.push_tenant(&good).expect("the honest capture");
     op1.commit_migration(a).expect("commit");

@@ -26,17 +26,15 @@
 //! [`EcovisorServer::with_workers`], so the snapshot surface is proven
 //! across thread counts.
 
-use container_cop::{
-    AppId, Container, ContainerId, ContainerSpec, ContainerState, CopConfig, ServerId,
-};
+use container_cop::{AppId, Container, ContainerId, ContainerSpec, ContainerState, CopConfig};
 use ecovisor::{
     digest, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient,
-    EnergyRequest, EnergyResponse, EnergyShare, EventFrame, Notification, ProtocolTrace,
-    RemoteEcovisorClient, ShardedEcovisor, Snapshot, SnapshotError, VesTotals, SNAPSHOT_FORMAT,
+    EnergyShare, EventFrame, Notification, ProtocolTrace, RemoteEcovisorClient, ShardedEcovisor,
+    Snapshot, SnapshotError, VesTotals, SNAPSHOT_FORMAT,
 };
 use power_telemetry::metrics;
 use simkit::rng::SimRng;
-use simkit::time::{SimDuration, SimTime};
+use simkit::time::SimDuration;
 use simkit::trace::Trace;
 use simkit::units::{CarbonIntensity, Co2Grams, WattHours, Watts};
 
@@ -44,6 +42,7 @@ use simkit::units::{CarbonIntensity, Co2Grams, WattHours, Watts};
 mod hostile;
 
 const TICKS: u64 = 48; // a simulated day at 30-minute ticks
+const SERVERS: u32 = 8;
 
 /// The static configuration both the snapshotting and the restoring
 /// process must share: seeded solar/carbon traces with deliberate
@@ -72,7 +71,7 @@ fn builder(seed: u64) -> EcovisorBuilder {
     let dt = SimDuration::from_minutes(30);
     EcovisorBuilder::new()
         .tick_interval(dt)
-        .cluster(CopConfig::microserver_cluster(8))
+        .cluster(CopConfig::microserver_cluster(SERVERS))
         .solar(Trace::from_samples(solar, dt))
         .carbon(Trace::from_samples(carbon, dt))
 }
@@ -255,13 +254,17 @@ fn apply_snapshot_rejects_malformed_and_mismatched_snapshots() {
     let (run, _a, _b) = run_original(0xBAD_5EED, 12);
     let good = &run.snap;
 
-    let mut bad = good.clone();
-    bad.format = SNAPSHOT_FORMAT + 1;
+    // A later layout, and the one before this: no reader of format 1 is
+    // kept.
     let mut twin = builder(0xBAD_5EED).build();
-    assert!(matches!(
-        twin.apply_snapshot(&bad),
-        Err(SnapshotError::Format { got, .. }) if got == SNAPSHOT_FORMAT + 1
-    ));
+    for got in [SNAPSHOT_FORMAT + 1, 1] {
+        let mut bad = good.clone();
+        bad.format = got;
+        assert_eq!(
+            twin.apply_snapshot(&bad),
+            Err(SnapshotError::Format { expected: 2, got })
+        );
+    }
 
     // The retired era and a future one alike.
     for era in [1, 99] {
@@ -308,84 +311,58 @@ fn refusal_of(e: &SnapshotError) -> Option<Refusal> {
     }
 }
 
-/// The path of the latest sample's stamp in a store's first series.
-const LATEST_STAMP: &str = "tsdb.series.0.1.samples.last.at";
+/// The path of the latest stamp in the first tenant's first series.
+const LATEST_STAMP: &str = "tenants.0.series.app.0.samples.last.at";
 
 /// Every hostile edit of `good` — whose first tenant holds a battery
-/// share — with the refusal restore owes it. The header (format, era,
-/// digest, tick) stays honest throughout: what is edited is what would
-/// be *installed*.
+/// share and series of two containers or more, and whose second holds a
+/// container — with the refusal restore owes it. The header (format,
+/// era, digest, tick) stays honest throughout: what is edited is what
+/// would be *installed*.
 fn hostile_snapshots(good: &Snapshot) -> Vec<(&'static str, Snapshot, Refusal)> {
     use serde::Value;
-    let first = good.apps[0].app;
-    let neighbours = good
-        .cop
-        .containers
-        .iter()
-        .find(|c| c.owner() != first)
-        .expect("the second tenant launched a container")
-        .id();
-    let after_the_clock = good.clock.now().as_secs() + 1;
-    let first_container = good.cop.containers[0].id().value() as i64;
-    let servers = good.cop.servers.len() as i64;
-    // A server's occupancy is what its live containers reserve.
-    let live: Vec<(usize, &Container)> = good
-        .cop
-        .containers
+    let tree = serde::Serialize::to_value(good);
+    let next_container = match hostile::at(&tree, "system.next_container") {
+        Value::Int(n) => n as u64,
+        other => panic!("a container id: {other:?}"),
+    };
+    let receiver = hostile::Receiver {
+        now: good.clock.now().as_secs() as i64,
+        unborn: next_container,
+        other_app: good.tenants[1].app.app.value(),
+    };
+    let neighbours = good.tenants[1].containers[0].id();
+    let first_container = good.tenants[0].containers[0].id().value() as i64;
+    // Every live container, with the path of its record.
+    let live: Vec<(String, &Container)> = good
+        .tenants
         .iter()
         .enumerate()
+        .flat_map(|(t, tenant)| {
+            tenant
+                .containers
+                .iter()
+                .enumerate()
+                .map(move |(i, c)| (format!("tenants.{t}.containers.{i}"), c))
+        })
         .filter(|(_, c)| c.state() != ContainerState::Stopped)
         .collect();
-    let reserved = |server: ServerId| {
-        live.iter()
-            .filter(|(_, c)| c.server() == server)
-            .fold((0, 0, 0), |(cores, mib, n), (_, c)| {
-                (cores + c.spec().cores, mib + c.spec().memory_mib, n + 1)
-            })
-    };
-    let occupancy = |server: ServerId, (cores, mib, n): (u32, u64, usize)| {
-        let at = |field: &str| format!("cop.servers.{}.{field}", server.value());
-        vec![
-            (at("cores_used"), Value::Int(cores.into())),
-            (at("memory_used_mib"), Value::Int(mib as i64)),
-            (at("container_count"), Value::Int(n as i64)),
-        ]
-    };
-    let (_, host) = live[0];
-    let (moved, guest) = *live
+    let (_, host) = &live[0];
+    let (moved, _) = live
         .iter()
         .find(|(_, c)| c.server() != host.server())
         .expect("live containers on two servers");
-    let (spec, to, from) = (
-        guest.spec(),
-        reserved(host.server()),
-        reserved(guest.server()),
-    );
-    // The guest moves in with the host; both servers record it honestly.
-    let mut oversubscribed = occupancy(
-        host.server(),
-        (to.0 + spec.cores, to.1 + spec.memory_mib, to.2 + 1),
-    );
-    oversubscribed.extend(occupancy(
-        guest.server(),
-        (from.0 - spec.cores, from.1 - spec.memory_mib, from.2 - 1),
-    ));
-    oversubscribed.push((
-        format!("cop.containers.{moved}.server"),
-        Value::Int(host.server().value().into()),
-    ));
-    let mut underbooked = reserved(host.server());
-    underbooked.0 -= 1;
     let mut cases: Vec<(&'static str, Vec<hostile::Edit>, Refusal)> =
-        hostile::record_edits("apps.0")
+        hostile::record_edits(&tree, "tenants.0", &receiver)
             .into_iter()
+            .chain(hostile::checkpoint_edits(&tree))
             .map(|(name, edits)| (name, edits, Refusal::Structure))
             .collect();
     let one = |path: &str, to: Value| vec![(path.to_string(), to)];
     cases.extend([
         (
             "an embedded 1 GWh bank under an honest digest",
-            one("physical_battery.spec.capacity", Value::Float(1e9)),
+            one("system.physical_battery.spec.capacity", Value::Float(1e9)),
             Refusal::Environment,
         ),
         (
@@ -394,86 +371,41 @@ fn hostile_snapshots(good: &Snapshot) -> Vec<(&'static str, Snapshot, Refusal)> 
             Refusal::Environment,
         ),
         (
-            "a sample stamped after the clock",
-            one(LATEST_STAMP, Value::Int(after_the_clock as i64)),
-            Refusal::Structure,
+            "a net-metered grid under an honest digest of curtailment",
+            one("system.grid.net_metering", Value::Bool(true)),
+            Refusal::Environment,
         ),
         (
             "a carbon cap on a neighbour's container",
             one(
-                "apps.0.carbon_capped",
+                "tenants.0.app.carbon_capped",
                 Value::Seq(vec![Value::Int(neighbours.value() as i64)]),
             ),
             Refusal::Structure,
         ),
         (
             "two containers with one id",
-            one("cop.containers.1.id", Value::Int(first_container)),
-            Refusal::Structure,
-        ),
-        (
-            "a container id equal to the next one to allocate",
-            one(
-                "cop.containers.last.id",
-                Value::Int(good.cop.next_id as i64),
-            ),
+            one("tenants.1.containers.0.id", Value::Int(first_container)),
             Refusal::Structure,
         ),
         (
             "a container on a server the cluster lacks",
-            one("cop.containers.0.server", Value::Int(servers)),
-            Refusal::Structure,
-        ),
-        (
-            "a server claiming 1,000 used cores of 4",
-            one("cop.servers.1.cores_used", Value::Int(1000)),
-            Refusal::Structure,
-        ),
-        (
-            "occupancy below what the live containers reserve",
-            occupancy(host.server(), underbooked),
+            one("tenants.0.containers.0.server", Value::Int(SERVERS.into())),
             Refusal::Structure,
         ),
         (
             "two live quad-core containers on one quad-core server",
-            oversubscribed,
+            one(
+                &format!("{moved}.server"),
+                Value::Int(host.server().value().into()),
+            ),
             Refusal::Structure,
         ),
     ]);
-    let mut hostile: Vec<_> = cases
+    cases
         .into_iter()
         .map(|(name, edits, want)| (name, hostile::edited(good, &edits), want))
-        .collect();
-    // A day of 1 MW under ids the snapshot does not carry: the next
-    // tenant registered, or container launched, would read it as its own
-    // history.
-    let unborn_app = AppId::new(good.apps.last().expect("two tenants").app.value() + 1);
-    let unborn_container = ContainerId::new(good.cop.next_id);
-    for (name, metric, subject) in [
-        (
-            "telemetry of an app the snapshot does not carry",
-            metrics::APP_POWER,
-            unborn_app.to_string(),
-        ),
-        (
-            "telemetry of a container the snapshot does not carry",
-            metrics::CONTAINER_POWER,
-            unborn_container.to_string(),
-        ),
-        (
-            "telemetry of a carried app under another spelling of its id",
-            metrics::APP_POWER,
-            format!("app0{}", first.value()),
-        ),
-    ] {
-        let mut planted = good.clone();
-        for tick in 0..good.tick {
-            let at = SimTime::EPOCH + good.clock.interval() * tick;
-            planted.tsdb.record(metric, &subject, at, 1e6);
-        }
-        hostile.push((name, planted, Refusal::Structure));
-    }
-    hostile
+        .collect()
 }
 
 fn settle_one_tick(eco: &mut Ecovisor) {
@@ -508,7 +440,7 @@ fn restore_refuses_hostile_snapshots_before_touching_state() {
 
     // Containers listed in any order restore to the honest capture.
     let mut descending = good.clone();
-    descending.cop.containers.reverse();
+    descending.tenants[0].containers.reverse();
     let mut receiver = builder(seed).build();
     receiver.apply_snapshot(&descending).expect("admitted");
     assert_eq!(
@@ -527,12 +459,10 @@ fn restore_refuses_hostile_snapshots_before_touching_state() {
     settle_one_tick(&mut receiver);
 }
 
-/// A snapshot cannot set what tenants are told. The carbon intensity
-/// pair it carries is written but derived — restore re-samples the
-/// carbon trace at the restored clock — so a capture whose pair was
-/// edited is accepted, `GetGridCarbon` then answers the trace's value,
-/// and the next settlement's `CarbonChange` compares the trace's
-/// values.
+/// A snapshot cannot set what tenants are told. It carries no carbon
+/// intensity — restore samples the carbon trace at the restored clock —
+/// so `GetGridCarbon` on the restored twin answers the trace's value, and
+/// the next settlement's `CarbonChange` compares the trace's values.
 #[test]
 fn restore_derives_the_carbon_intensity_from_the_clock() {
     let seed = 0xCA2B_0001;
@@ -543,19 +473,9 @@ fn restore_derives_the_carbon_intensity_from_the_clock() {
     eco.drain_events(a);
     let honest = eco.snapshot();
     assert_eq!(honest.format, SNAPSHOT_FORMAT);
-    assert_eq!(
-        honest.intensity,
-        eco.grid_carbon_intensity(),
-        "still written"
-    );
 
-    let lie = CarbonIntensity::new(1.0e6);
-    let mut lying = honest.clone();
-    lying.intensity = lie;
-    lying.prev_intensity = lie;
     let mut twin = builder(seed).build();
-    twin.apply_snapshot(&lying)
-        .expect("the pair is not checked");
+    twin.apply_snapshot(&honest).expect("restores");
     assert_eq!(
         twin.snapshot().digest(),
         honest.digest(),
@@ -564,7 +484,6 @@ fn restore_derives_the_carbon_intensity_from_the_clock() {
 
     let told = twin.client(a).expect("client").get_grid_carbon();
     assert_eq!(told, eco.client(a).expect("client").get_grid_carbon());
-    assert_ne!(told, lie);
 
     let (at, dt) = (twin.now(), twin.tick_interval());
     for e in [&mut eco, &mut twin] {
@@ -589,96 +508,6 @@ fn restore_derives_the_carbon_intensity_from_the_clock() {
             current: told,
         }]
     );
-}
-
-/// Every read a tenant can make at the end of a day, whole-day intervals
-/// included, on its own containers.
-fn every_read(eco: &mut Ecovisor, app: AppId) -> Vec<EnergyResponse> {
-    let (from, to) = (SimTime::EPOCH, eco.now());
-    let mut client = eco.client(app).expect("registered");
-    let mut reads = vec![
-        EnergyRequest::GetSolarPower,
-        EnergyRequest::GetGridPower,
-        EnergyRequest::GetGridCarbon,
-        EnergyRequest::GetBatteryDischargeRate,
-        EnergyRequest::GetBatteryChargeLevel,
-        EnergyRequest::GetAppPower,
-        EnergyRequest::GetAppEnergy { from, to },
-        EnergyRequest::GetAppCarbon,
-        EnergyRequest::GetAppCarbonBetween { from, to },
-    ];
-    for container in client.container_ids() {
-        reads.push(EnergyRequest::GetContainerPower { container });
-        reads.push(EnergyRequest::GetContainerEnergy {
-            container,
-            from,
-            to,
-        });
-        reads.push(EnergyRequest::GetContainerCarbon {
-            container,
-            from,
-            to,
-        });
-    }
-    client.send(reads)
-}
-
-/// A format-1 snapshot written before settlement stopped storing the
-/// series nothing read (a tenant's grid power, battery level, …)
-/// still restores. The retired series stay in the store, inert: no tick
-/// appends to them, and no tenant is told anything a snapshot without
-/// them would not tell it.
-#[test]
-fn retired_series_in_a_snapshot_restore_inert() {
-    let seed = 0x0DD5_E215;
-    let (run, a, b) = run_original(seed, 20);
-    let dt = builder(seed).build().tick_interval();
-    let mut planted = run.snap.clone();
-    for tick in 0..run.snap_tick {
-        let at = SimTime::EPOCH + dt * tick;
-        let value = 40.0 + tick as f64;
-        planted
-            .tsdb
-            .record("grid_power_w", &a.to_string(), at, value);
-        planted
-            .tsdb
-            .record("solar_curtailed_w", metrics::SYSTEM, at, value);
-    }
-    let retired = |eco: &Ecovisor| {
-        let tsdb = eco.telemetry();
-        [
-            tsdb.series("grid_power_w", &a.to_string()).cloned(),
-            tsdb.series("solar_curtailed_w", metrics::SYSTEM).cloned(),
-        ]
-    };
-
-    let mut twin = builder(seed).build();
-    twin.apply_snapshot(&run.snap).expect("restore");
-    let mut inert = builder(seed).build();
-    inert
-        .apply_snapshot(&planted)
-        .expect("a retired series restores");
-    let at_restore = retired(&inert);
-    assert!(at_restore.iter().all(Option::is_some), "kept in the store");
-    assert_eq!(
-        inert.telemetry().series_count(),
-        twin.telemetry().series_count() + 2
-    );
-
-    let replayed = twin.replay_trace_from(&run.trace, run.snap_tick, TICKS);
-    let beside = inert.replay_trace_from(&run.trace, run.snap_tick, TICKS);
-    assert_eq!(beside.ticks, TICKS - run.snap_tick);
-    assert_eq!(
-        beside.responses, replayed.responses,
-        "every recorded answer"
-    );
-    assert_eq!(beside.frames, replayed.frames, "every pushed event");
-    assert_eq!(retired(&inert), at_restore, "no tick appends to them");
-    assert_eq!(retired(&twin), [None, None]);
-    for app in [a, b] {
-        assert_eq!(every_read(&mut inert, app), every_read(&mut twin, app));
-        assert_eq!(inert.app_totals(app), twin.app_totals(app));
-    }
 }
 
 /// The restore determinism property loop (seeded, not random): over
@@ -767,10 +596,11 @@ fn pending_edge_events_survive_restore_exactly_once() {
         tick += 1;
         let snap = eco.snapshot();
         let pending = &snap
-            .apps
+            .tenants
             .iter()
-            .find(|s| s.app == a)
+            .find(|t| t.app.app == a)
             .expect("tenant a in snapshot")
+            .app
             .pending_events;
         if pending.iter().any(is_edge) {
             break snap;

@@ -3,12 +3,12 @@
 //!
 //! Settlement appends each tenant's samples to series its shard holds —
 //! six of its own and two per live container, a stopped container's kept
-//! for the accounting queries — and the `SYSTEM` series to the ecovisor's
-//! one plain store. A restore (`apply_snapshot`) and a graft routes every
-//! series of a decoded store back to its owner by subject; an eviction
-//! (`remove_app`, the commit half of a migration) drops the tenant's with
-//! its shard; capture and `Ecovisor::telemetry` name them all into one
-//! store again. This suite drives a day through a mid-day launch, suspend
+//! for the accounting queries — and the `SYSTEM` series to three slots of
+//! the ecovisor. A capture writes each tenant's slots in its record and a
+//! restore (`apply_snapshot`) or a graft installs them with it, no name
+//! written or read; an eviction (`remove_app`, the commit half of a
+//! migration) drops the tenant's with its shard; `Ecovisor::telemetry`
+//! names them all into one store. This suite drives a day through a mid-day launch, suspend
 //! and stop, an in-place restore and a migrate-out/migrate-in, and
 //! requires the named store — and the whole ecovisor — to end
 //! bit-identical to a twin that was never interrupted, and each tenant's
@@ -17,9 +17,7 @@
 use std::collections::BTreeMap;
 
 use container_cop::{AppId, ContainerId, ContainerSpec};
-use ecovisor::{
-    Ecovisor, EcovisorBuilder, EnergyClient, EnergyShare, Snapshot, TenantSnapshot, WireCodec,
-};
+use ecovisor::{Ecovisor, EcovisorBuilder, EnergyClient, EnergyShare, Snapshot, TenantSnapshot};
 use power_telemetry::metrics;
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime};
@@ -99,8 +97,9 @@ fn tick(eco: &mut Ecovisor, fleets: &mut Fleets, t: u64) {
     eco.tick(|_| ());
 }
 
-fn tsdb_bytes(eco: &Ecovisor) -> Vec<u8> {
-    WireCodec::Binary.encode(&eco.telemetry())
+/// The named store, every series and sample of it in name order.
+fn named_store(eco: &Ecovisor) -> String {
+    format!("{:?}", eco.telemetry())
 }
 
 #[test]
@@ -113,21 +112,21 @@ fn interrupted_day_ends_with_the_uninterrupted_twins_telemetry() {
         tick(&mut twin, &mut twin_fleets, t);
         tick(&mut eco, &mut fleets, t);
         if t == RESTORE_AT {
-            // Every series is routed out of the decoded store, which
-            // numbers them in key order, not creation order.
+            // Every tenant's slots are installed from its decoded
+            // record into a new shard.
             let bytes = eco.snapshot().to_bytes();
             let snap = Snapshot::from_bytes(&bytes).expect("own snapshot decodes");
             eco.apply_snapshot(&snap).expect("own snapshot applies");
         }
         if t == MIGRATE_AT {
             // Out and back in: the eviction drops the mover's series with
-            // its shard, the graft routes them back into a new one.
+            // its shard, the graft installs them into a new one.
             let bytes = eco.extract_app(middle).expect("registered").to_bytes();
             eco.remove_app(middle).expect("registered");
             let tenant = TenantSnapshot::from_bytes(&bytes).expect("own capture decodes");
             eco.graft_app(&tenant).expect("grafts back");
         }
-        assert_eq!(tsdb_bytes(&eco), tsdb_bytes(&twin), "after tick {t}");
+        assert_eq!(named_store(&eco), named_store(&twin), "after tick {t}");
     }
     assert_eq!(eco.snapshot().digest(), twin.snapshot().digest());
 }

@@ -93,6 +93,12 @@ impl GridConnection {
     pub fn peak_import(&self) -> Watts {
         self.peak_import
     }
+
+    /// The terms of the connection, as opposed to its meters: the import
+    /// capacity and whether exporting is permitted.
+    pub fn terms(&self) -> (Option<Watts>, bool) {
+        (self.capacity, self.net_metering)
+    }
 }
 
 #[cfg(test)]

@@ -40,7 +40,6 @@ use ecoharness::artifact::artifacts_in_dir;
 use ecoharness::{build_ecovisor, ScenarioArtifact};
 use ecovisor::proto::{Frame, RequestBatch};
 use ecovisor::{Snapshot, TenantSnapshot, WireCodec};
-use power_telemetry::Tsdb;
 use serde::{binary, Deserialize, Serialize};
 use simkit::rng::SimRng;
 
@@ -158,7 +157,7 @@ fn every_corpus_frame_and_checkpoint_reads_and_writes_as_the_tree_route_did() {
             differential(&snap, &name, &mut rng, PER_SNAPSHOT);
             snapshots += 1;
             // Restored, the checkpoint captures to its own bytes: every
-            // series routed to its owner is named back where it was.
+            // record installed is captured back as it was.
             let (mut eco, apps) = build_ecovisor(&artifact.spec).expect("spec builds");
             eco.apply_snapshot(&snap).expect("own checkpoint restores");
             assert!(
@@ -170,9 +169,16 @@ fn every_corpus_frame_and_checkpoint_reads_and_writes_as_the_tree_route_did() {
             if tenants < 4 {
                 let app = apps[rng.uniform_u64(0, apps.len() as u64) as usize];
                 let tenant = eco.extract_app(app).expect("registered by the spec");
+                // One layout: the tenant's record is the bytes the
+                // checkpoint holds for it.
+                let held = snap
+                    .tenants
+                    .iter()
+                    .find(|t| t.app.app == app)
+                    .expect("the checkpoint holds every tenant");
                 assert!(
-                    tenant.tsdb.series_count() > 0,
-                    "{name}: {app} has telemetry"
+                    binary::to_bytes(&tenant.record) == binary::to_bytes(held),
+                    "{name}: {app}'s record in the checkpoint and in its capture"
                 );
                 differential(&tenant, &name, &mut rng, PER_SNAPSHOT);
                 eco.remove_app(app).expect("registered");
@@ -214,25 +220,6 @@ fn a_hostile_frame_costs_a_worker_nothing_it_did_not_send() {
     refused("as a tenant capture", &|| {
         TenantSnapshot::from_bytes(&hostile).is_ok()
     });
-
-    // A telemetry store whose `series` count claims a pair per byte that
-    // follows — within what the bytes could hold as values, far past what
-    // they hold as pairs: refused at the first pair, having reserved for
-    // the claim no more than the 64 KiB a claimed count may (measured:
-    // 58,442 bytes — series, name keys and the key table; sized from the
-    // claim, the series alone would be over a GiB).
-    let mut store = vec![0x08, 0x01, 0x06];
-    store.extend_from_slice(b"series");
-    store.extend_from_slice(&hostile);
-    let before = counting_alloc::requested_bytes();
-    let verdict = binary::from_bytes::<Tsdb>(&store);
-    let requested = counting_alloc::requested_bytes() - before;
-    assert!(verdict.is_err(), "a store of nulls accepted");
-    assert!(
-        requested <= 96 << 10,
-        "a store claiming {} pairs reserved {requested} bytes",
-        hostile.len()
-    );
 
     // The same bulk where a later protocol version's field would sit: in
     // a request frame's batch, beside the fields this version knows.

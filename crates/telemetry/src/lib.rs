@@ -8,11 +8,10 @@
 //! * [`Tsdb`] — an in-memory, tag-addressed time-series store with range
 //!   queries (mean, sum, percentile, step integration). Table 2's
 //!   interval functions (`get_container_energy(t1,t2)` etc.) are direct
-//!   queries against it, and it is the at-rest form of a snapshot's
-//!   telemetry. Samples enter by name ([`Tsdb::record`]), whole series by
-//!   [`Tsdb::insert`]. The ecovisor keeps each tenant's live series in
-//!   that tenant's own state and names them into a store only to write
-//!   or show them.
+//!   queries against it. Samples enter by name ([`Tsdb::record`]), whole
+//!   series by [`Tsdb::insert`]. The ecovisor keeps each tenant's live
+//!   series in that tenant's own state, writes them at rest without
+//!   names, and names them into a store only to show them.
 //! * [`metrics`] — well-known metric names shared across crates.
 //! * [`ops`] — operational observability for the serving runtime
 //!   itself: sharded counters, gauges, log2-bucket latency histograms,
@@ -43,4 +42,4 @@ pub mod metrics;
 pub mod ops;
 pub mod tsdb;
 
-pub use tsdb::{SeriesKey, Tsdb};
+pub use tsdb::Tsdb;

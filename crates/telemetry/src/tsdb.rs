@@ -4,30 +4,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{binary, Deserialize, Serialize, Value};
-
 use simkit::series::TimeSeries;
 use simkit::time::SimTime;
-
-/// Addresses one series: a metric name plus a subject (container, app, or
-/// system). The key type of the at-rest form (see [`Tsdb`]).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct SeriesKey {
-    /// Metric name (see [`crate::metrics`]).
-    pub metric: String,
-    /// Subject identifier, e.g. `"c3"`, `"app1"`, `"system"`.
-    pub subject: String,
-}
-
-impl SeriesKey {
-    /// Builds a key.
-    pub fn new(metric: impl Into<String>, subject: impl Into<String>) -> Self {
-        Self {
-            metric: metric.into(),
-            subject: subject.into(),
-        }
-    }
-}
 
 /// The time-series store.
 ///
@@ -39,11 +17,8 @@ impl SeriesKey {
 /// once, so naming a series allocates nothing on a hit and one string for
 /// a new name, not one per series. Nothing is ever walked in hash order:
 /// a walk deals the series by the numbers or the sorted places of their
-/// names. Serialized, the store is what a
-/// `BTreeMap<SeriesKey, TimeSeries>` field named `series` would be — a
-/// sequence of `[SeriesKey, TimeSeries]` pairs in `(metric, subject)`
-/// string order — whatever order the series were created in; `Debug`
-/// shows that map.
+/// names. `Debug` shows the series as a map in `(metric, subject)` string
+/// order, whatever order they were created in.
 #[derive(Clone, Default)]
 pub struct Tsdb {
     series: Vec<TimeSeries>,
@@ -119,11 +94,10 @@ impl Index {
         self.ids.get(&key).copied()
     }
 
-    /// The number of `(metric, subject)`, for a metric already interned as
-    /// `metric`; a name not seen before is given the next one, one past
-    /// the last series.
-    fn name_numbered(&mut self, metric: u32, subject: &str) -> u32 {
-        let key = (metric, self.subjects.intern(subject));
+    /// The number of `(metric, subject)`; a name not seen before is given
+    /// the next one, one past the last series.
+    fn name(&mut self, metric: &str, subject: &str) -> u32 {
+        let key = (self.metrics.intern(metric), self.subjects.intern(subject));
         let next = u32::try_from(self.keys.len()).expect("fewer than 2^32 series");
         let id = *self.ids.entry(key).or_insert(next);
         if id == next {
@@ -191,15 +165,9 @@ impl Tsdb {
     /// Stores `series` as `(metric, subject)`, over any series already
     /// there. Naming an existing series allocates nothing; a new name
     /// allocates its one string.
-    pub fn insert(&mut self, metric: &str, subject: &str, series: TimeSeries) {
-        let metric = self.index.metrics.intern(metric);
-        self.insert_numbered(metric, subject, series);
-    }
-
-    /// [`insert`](Self::insert) for a metric already interned as `metric`.
     /// A new series is pushed as it is, not pushed empty and then replaced.
-    fn insert_numbered(&mut self, metric: u32, subject: &str, series: TimeSeries) {
-        let id = self.index.name_numbered(metric, subject) as usize;
+    pub fn insert(&mut self, metric: &str, subject: &str, series: TimeSeries) {
+        let id = self.index.name(metric, subject) as usize;
         match self.series.get_mut(id) {
             Some(held) => *held = series,
             None => self.series.push(series),
@@ -209,8 +177,7 @@ impl Tsdb {
     /// Appends a sample to `(metric, subject)`, creating the series if the
     /// store does not have it.
     pub fn record(&mut self, metric: &str, subject: &str, at: SimTime, value: f64) {
-        let metric = self.index.metrics.intern(metric);
-        let id = self.index.name_numbered(metric, subject) as usize;
+        let id = self.index.name(metric, subject) as usize;
         if id == self.series.len() {
             self.series.push(TimeSeries::new());
         }
@@ -305,7 +272,7 @@ impl Tsdb {
     }
 
     /// Every `(metric, subject, series)` in `(metric, subject)` string
-    /// order: the order the at-rest form and `Debug` use.
+    /// order: the order `Debug` uses.
     fn sorted(&self) -> impl Iterator<Item = (&str, &str, &TimeSeries)> {
         self.index
             .walk()
@@ -321,103 +288,6 @@ impl fmt::Debug for Tsdb {
                     .map(|(metric, subject, series)| ((metric, subject), series)),
             )
             .finish()
-    }
-}
-
-impl Serialize for Tsdb {
-    fn to_value(&self) -> Value {
-        serde::to_value(self)
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        binary::write_map(out, 1);
-        binary::write_key(out, "series");
-        binary::write_seq(out, self.series.len());
-        for (metric, subject, series) in self.sorted() {
-            binary::write_seq(out, 2);
-            binary::write_map(out, 2);
-            binary::write_key(out, "metric");
-            binary::write_str(out, metric);
-            binary::write_key(out, "subject");
-            binary::write_str(out, subject);
-            series.encode(out);
-        }
-    }
-}
-
-/// Reads one pair's `SeriesKey`, borrowed from the input: a restore reads
-/// eight thousand of these and keeps none (the store owns its names).
-fn decode_key<'a>(r: &mut binary::Reader<'a>) -> Result<(&'a str, &'a str), serde::Error> {
-    let (mut metric, mut subject) = (None, None);
-    for _ in 0..r.map()? {
-        match r.key()? {
-            b"metric" if metric.is_none() => metric = Some(r.str()?),
-            b"subject" if subject.is_none() => subject = Some(r.str()?),
-            key => r.skip_entry(key)?,
-        }
-    }
-    r.end();
-    Ok((
-        metric.ok_or_else(|| binary::missing_field("metric"))?,
-        subject.ok_or_else(|| binary::missing_field("subject"))?,
-    ))
-}
-
-/// The value of the `series` field: a sequence of `[SeriesKey,
-/// TimeSeries]` pairs. Like the map this form is named after, pairs may
-/// arrive in any order and a repeated key keeps its last series.
-///
-/// The store is sized from the claimed count no further than
-/// [`binary::Reader::seq_of`] allows, and a metric is interned once per
-/// run of pairs that name it: the encoder writes pairs in `(metric,
-/// subject)` order, so a recorded day's eight thousand pairs are nine runs.
-struct Pairs(Tsdb);
-
-impl Deserialize for Pairs {
-    fn decode(r: &mut binary::Reader<'_>) -> Result<Self, serde::Error> {
-        let mut db = Tsdb::new();
-        let (len, capacity) = r.seq_of::<TimeSeries>()?;
-        // Within what `seq_of` lets a count reserve, exactly that; past
-        // it, a power of two, so that growing by doubling ends where it
-        // would have from empty.
-        let capacity = if capacity < len {
-            capacity.next_power_of_two() / 2
-        } else {
-            capacity
-        };
-        db.series.reserve_exact(capacity);
-        db.index.keys.reserve_exact(capacity);
-        db.index.ids.reserve(capacity);
-        // The latest pair's metric and its number.
-        let mut run: Option<(&str, u32)> = None;
-        for _ in 0..len {
-            r.tuple(2)?;
-            let (metric, subject) = decode_key(r)?;
-            let number = match run {
-                Some((name, number)) if name == metric => number,
-                _ => {
-                    let number = db.index.metrics.intern(metric);
-                    run = Some((metric, number));
-                    number
-                }
-            };
-            db.insert_numbered(number, subject, TimeSeries::decode(r)?);
-            r.end();
-        }
-        r.end();
-        Ok(Pairs(db))
-    }
-}
-
-/// The struct around them, left to the derive.
-#[derive(Deserialize)]
-struct AtRest {
-    series: Pairs,
-}
-
-impl Deserialize for Tsdb {
-    fn decode(r: &mut binary::Reader<'_>) -> Result<Self, serde::Error> {
-        AtRest::decode(r).map(|at_rest| at_rest.series.0)
     }
 }
 
