@@ -228,16 +228,24 @@ impl Cop {
         })
     }
 
-    /// Sets a container's workload CPU demand for the current tick.
+    /// Sets a container's workload CPU demand for the current tick,
+    /// clamped to `[0, 1]`.
     ///
     /// # Errors
     ///
-    /// [`CopError::UnknownContainer`] if absent.
+    /// [`CopError::UnknownContainer`] if absent; [`CopError::InvalidState`]
+    /// if `demand` is NaN, which no clamp brings into `[0, 1]`.
     pub fn set_demand(&mut self, id: ContainerId, demand: f64) -> Result<(), CopError> {
         let c = self
             .containers
             .get_mut(&id)
             .ok_or(CopError::UnknownContainer(id))?;
+        if demand.is_nan() {
+            return Err(CopError::InvalidState {
+                container: id,
+                reason: "demand is not a number".into(),
+            });
+        }
         c.set_demand(demand);
         Ok(())
     }
@@ -406,7 +414,8 @@ impl Cop {
                 ));
             }
             // What a launch and the setters keep: a demand within
-            // [0, 1], and the quota the caps give.
+            // [0, 1] (`set_demand` clamps and refuses NaN), and the
+            // quota the caps give.
             if !(0.0..=1.0).contains(&c.demand()) {
                 return Err(format!("container {} has a demand outside [0, 1]", c.id()));
             }

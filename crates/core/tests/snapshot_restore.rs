@@ -19,18 +19,21 @@
 //!   rejected restore reports the reason as a value;
 //! * **hostile snapshots** — honest captures edited in their encoded
 //!   tree — are refused with a typed error before any state is touched,
-//!   in process and over the wire.
+//!   in process and over the wire, and a tenant cannot store a value
+//!   (a NaN demand) that would make its own honest capture one.
 //!
 //! Every wire test runs twice: once on the default auto-sized serving
 //! threads and once with an explicit count pinned via
 //! [`EcovisorServer::with_workers`], so the snapshot surface is proven
 //! across thread counts.
 
-use container_cop::{AppId, Container, ContainerId, ContainerSpec, ContainerState, CopConfig};
+use container_cop::{
+    AppId, Container, ContainerId, ContainerSpec, ContainerState, CopConfig, CopError,
+};
 use ecovisor::{
-    digest, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorServer, EnergyClient,
-    EnergyShare, EventFrame, Notification, ProtocolTrace, RemoteEcovisorClient, ShardedEcovisor,
-    Snapshot, SnapshotError, VesTotals, SNAPSHOT_FORMAT,
+    digest, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorError, EcovisorServer,
+    EnergyClient, EnergyShare, EventFrame, Notification, ProtocolTrace, RemoteEcovisorClient,
+    ShardedEcovisor, Snapshot, SnapshotError, TenantSnapshot, VesTotals, SNAPSHOT_FORMAT,
 };
 use power_telemetry::metrics;
 use simkit::rng::SimRng;
@@ -457,6 +460,43 @@ fn restore_refuses_hostile_snapshots_before_touching_state() {
     let mut receiver = builder(seed).build();
     receiver.apply_snapshot(&at_the_clock).expect("admitted");
     settle_one_tick(&mut receiver);
+}
+
+/// A tenant cannot store a demand restore would refuse: a NaN demand is
+/// answered with an error and the container keeps the demand it had, so
+/// a checkpoint of that world still restores, and the tenant still moves
+/// out and back in.
+#[test]
+fn a_nan_demand_is_refused_so_the_world_still_restores_and_grafts() {
+    let seed = 0x0A0A_0A0A;
+    let (mut eco, a, _b) = build_eco(seed);
+    let fleet = launch_fleet(&mut eco.client(a).expect("client a"));
+    {
+        let mut client = eco.client(a).expect("client a");
+        client
+            .set_container_demand(fleet[0], 0.25)
+            .expect("a number");
+        assert!(matches!(
+            client.set_container_demand(fleet[0], f64::NAN),
+            Err(EcovisorError::Cop(CopError::InvalidState { .. }))
+        ));
+        client.flush();
+    }
+    let demand = |eco: &Ecovisor| eco.cop().container(fleet[0]).expect("live").demand();
+    assert_eq!(demand(&eco), 0.25);
+    settle_one_tick(&mut eco);
+
+    let snap = Snapshot::from_bytes(&eco.snapshot().to_bytes()).expect("own capture decodes");
+    let mut twin = builder(seed).build();
+    twin.apply_snapshot(&snap).expect("restores");
+    assert_eq!(twin.snapshot().digest(), snap.digest());
+
+    let tenant = TenantSnapshot::from_bytes(&eco.extract_app(a).expect("registered").to_bytes())
+        .expect("own capture decodes");
+    eco.remove_app(a).expect("registered");
+    eco.graft_app(&tenant).expect("grafts back");
+    assert_eq!(demand(&eco), 0.25);
+    settle_one_tick(&mut eco);
 }
 
 /// A snapshot cannot set what tenants are told. It carries no carbon

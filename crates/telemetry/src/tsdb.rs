@@ -16,9 +16,9 @@ use simkit::time::SimTime;
 /// Names are interned: each metric and each subject string is stored
 /// once, so naming a series allocates nothing on a hit and one string for
 /// a new name, not one per series. Nothing is ever walked in hash order:
-/// a walk deals the series by the numbers or the sorted places of their
-/// names. `Debug` shows the series as a map in `(metric, subject)` string
-/// order, whatever order they were created in.
+/// a walk deals the series by the sorted places of their names, so
+/// [`Tsdb::iter`] and `Debug` show the series in `(metric, subject)`
+/// string order, whatever order they were created in.
 #[derive(Clone, Default)]
 pub struct Tsdb {
     series: Vec<TimeSeries>,
@@ -254,26 +254,10 @@ impl Tsdb {
         self.series.len()
     }
 
-    /// Iterates over all `(metric, subject, series)` grouped by subject:
-    /// the subjects in the order they were first named, each subject's
-    /// series in the order they were first named. A counting pass over the
-    /// series, with no sorting, so a reader that looks something up per
-    /// subject looks it up once.
+    /// Iterates over all `(metric, subject, series)` in `(metric, subject)`
+    /// string order, whatever order they were created in: the order
+    /// `Debug` uses.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, &TimeSeries)> {
-        let subjects = self.index.subjects.by_number.len();
-        deal(0..self.series.len() as u32, subjects, |id| {
-            self.index.keys[id as usize].1
-        })
-        .into_iter()
-        .map(|id| {
-            let (metric, subject) = self.index.name_of(id);
-            (metric, subject, &self.series[id as usize])
-        })
-    }
-
-    /// Every `(metric, subject, series)` in `(metric, subject)` string
-    /// order: the order `Debug` uses.
-    fn sorted(&self) -> impl Iterator<Item = (&str, &str, &TimeSeries)> {
         self.index
             .walk()
             .map(|(metric, subject, id)| (metric, subject, &self.series[id as usize]))
@@ -284,7 +268,7 @@ impl fmt::Debug for Tsdb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()
             .entries(
-                self.sorted()
+                self.iter()
                     .map(|(metric, subject, series)| ((metric, subject), series)),
             )
             .finish()
