@@ -26,9 +26,10 @@ pub const DEFAULT_STEP: SimDuration = SimDuration::from_secs(300);
 /// # Example
 ///
 /// ```
-/// use carbon_intel::{regions, CarbonTraceBuilder};
+/// use carbon_intel::generator::CarbonTraceBuilder;
+/// use carbon_intel::regions::RegionKind;
 ///
-/// let trace = CarbonTraceBuilder::new(regions::ontario())
+/// let trace = CarbonTraceBuilder::new(RegionKind::Ontario.profile())
 ///     .days(1)
 ///     .seed(7)
 ///     .build();

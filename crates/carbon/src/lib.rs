@@ -18,7 +18,8 @@
 //! # Example
 //!
 //! ```
-//! use carbon_intel::{regions, CarbonTraceBuilder};
+//! use carbon_intel::generator::CarbonTraceBuilder;
+//! use carbon_intel::regions;
 //! use simkit::time::SimTime;
 //!
 //! let trace = CarbonTraceBuilder::new(regions::california())
@@ -35,7 +36,3 @@
 pub mod generator;
 pub mod regions;
 pub mod threshold;
-
-pub use generator::CarbonTraceBuilder;
-pub use regions::{RegionKind, RegionProfile};
-pub use threshold::percentile_threshold;

@@ -116,7 +116,7 @@ impl RegionProfile {
 
 /// Ontario, Canada: nuclear-dominated, lowest and flattest intensity in
 /// Fig. 1 (~25–45 g/kWh).
-pub fn ontario() -> RegionProfile {
+pub(crate) fn ontario() -> RegionProfile {
     RegionProfile {
         name: "Ontario".to_string(),
         base_intensity: 32.0,
@@ -140,7 +140,7 @@ pub fn ontario() -> RegionProfile {
 
 /// Uruguay: hydro-dominated with wind variability, slightly above Ontario
 /// in Fig. 1 (~40–110 g/kWh) with visible swings.
-pub fn uruguay() -> RegionProfile {
+pub(crate) fn uruguay() -> RegionProfile {
     RegionProfile {
         name: "Uruguay".to_string(),
         base_intensity: 68.0,

@@ -5,15 +5,17 @@
 //! Cases are generated from a fixed-seed [`SimRng`] stream (the offline
 //! replacement for proptest), so failures are exactly reproducible.
 
-use carbon_intel::{percentile_threshold, regions, CarbonTraceBuilder, RegionProfile};
+use carbon_intel::generator::CarbonTraceBuilder;
+use carbon_intel::regions::{RegionKind, RegionProfile};
+use carbon_intel::threshold::percentile_threshold;
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime};
 
 fn arb_region(rng: &mut SimRng) -> RegionProfile {
     match rng.uniform_u64(0, 3) {
-        0 => regions::ontario(),
-        1 => regions::california(),
-        _ => regions::uruguay(),
+        0 => RegionKind::Ontario.profile(),
+        1 => RegionKind::California.profile(),
+        _ => RegionKind::Uruguay.profile(),
     }
 }
 

@@ -56,7 +56,7 @@ impl fmt::Display for ContainerId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ContainerSpec {
     /// CPU cores allocated.
-    pub cores: u32,
+    pub(crate) cores: u32,
     /// Memory reservation in MiB.
     pub memory_mib: u64,
     /// Whether the container uses the host's GPU (Jetson Nano in the
@@ -167,7 +167,7 @@ impl Container {
     }
 
     /// Resource spec.
-    pub fn spec(&self) -> ContainerSpec {
+    pub(crate) fn spec(&self) -> ContainerSpec {
         self.spec
     }
 
@@ -210,6 +210,11 @@ impl Container {
 
     pub(crate) fn set_power_cap(&mut self, cap: Option<Watts>) {
         self.power_cap = cap;
+    }
+
+    /// The ecovisor-installed carbon cap, if one is set.
+    pub(crate) fn carbon_cap(&self) -> Option<Watts> {
+        self.carbon_cap
     }
 
     pub(crate) fn set_carbon_cap(&mut self, cap: Option<Watts>) {

@@ -37,15 +37,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod container;
-pub mod cop;
-pub mod error;
-pub mod power;
-pub mod scheduler;
-pub mod server;
+mod container;
+mod cop;
+mod error;
+mod power;
+mod scheduler;
+mod server;
 
 pub use container::{AppId, Container, ContainerId, ContainerSpec, ContainerState};
 pub use cop::{Cop, CopConfig};
 pub use error::CopError;
-pub use power::PowerModel;
-pub use server::{ServerId, ServerSpec};
+pub use server::{Server, ServerId, ServerSpec};

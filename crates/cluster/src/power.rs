@@ -31,26 +31,28 @@ use crate::server::ServerSpec;
 
 /// Power model for a server type.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PowerModel {
+pub(crate) struct PowerModel {
     spec: ServerSpec,
 }
 
 impl PowerModel {
     /// Builds a model from a server spec.
-    pub fn new(spec: ServerSpec) -> Self {
+    pub(crate) fn new(spec: ServerSpec) -> Self {
         Self { spec }
     }
 
-    /// Host idle power apportioned to `cores` cores (used for cluster
-    /// baseline accounting, not for container attribution).
-    pub fn idle_share(&self, cores: u32) -> Watts {
+    /// Host idle power apportioned to `cores` cores (baseline
+    /// accounting, not container attribution). Only the unit tests read
+    /// it: [`crate::cop::Cop::total_power`] sums whole idle floors.
+    #[cfg(test)]
+    fn idle_share(&self, cores: u32) -> Watts {
         self.spec.idle_power * (f64::from(cores) / f64::from(self.spec.cores))
     }
 
     /// Dynamic power attributed to a container at the given utilization
     /// (fraction of its allocated cores, `[0, 1]`), including optional
     /// GPU dynamic power.
-    pub fn container_power(&self, cores: u32, utilization: f64, gpu: bool) -> Watts {
+    pub(crate) fn container_power(&self, cores: u32, utilization: f64, gpu: bool) -> Watts {
         let u = utilization.clamp(0.0, 1.0);
         let dynamic = self.spec.per_core_dynamic_power() * f64::from(cores) * u;
         let gpu_dynamic = if gpu {
@@ -62,7 +64,7 @@ impl PowerModel {
     }
 
     /// Maximum dynamic power a container can draw (utilization 1.0).
-    pub fn container_max_power(&self, cores: u32, gpu: bool) -> Watts {
+    pub(crate) fn container_max_power(&self, cores: u32, gpu: bool) -> Watts {
         self.container_power(cores, 1.0, gpu)
     }
 
@@ -70,7 +72,7 @@ impl PowerModel {
     /// enforces it — the cgroup mechanism from the paper. Caps at or
     /// above the container's maximum dynamic power yield quota 1;
     /// non-positive caps yield quota 0.
-    pub fn quota_for_cap(&self, cores: u32, gpu: bool, cap: Watts) -> f64 {
+    pub(crate) fn quota_for_cap(&self, cores: u32, gpu: bool, cap: Watts) -> f64 {
         let denom = self.container_max_power(cores, gpu);
         if denom <= Watts::ZERO {
             return if cap >= Watts::ZERO { 1.0 } else { 0.0 };
@@ -93,8 +95,9 @@ impl PowerModel {
     }
 
     /// Whole-server power at a given total utilization in `[0, 1]`
-    /// (idle floor plus dynamic span).
-    pub fn server_power(&self, utilization: f64) -> Watts {
+    /// (idle floor plus dynamic span). Only the unit tests read it.
+    #[cfg(test)]
+    fn server_power(&self, utilization: f64) -> Watts {
         let u = utilization.clamp(0.0, 1.0);
         self.spec.idle_power + self.spec.cpu_dynamic_power() * u
     }

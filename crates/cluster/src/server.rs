@@ -38,11 +38,11 @@ impl fmt::Display for ServerId {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServerSpec {
     /// CPU cores.
-    pub cores: u32,
+    pub(crate) cores: u32,
     /// Memory in MiB.
-    pub memory_mib: u64,
+    pub(crate) memory_mib: u64,
     /// Power drawn with zero utilization.
-    pub idle_power: Watts,
+    pub(crate) idle_power: Watts,
     /// Power drawn at 100 % CPU utilization (all cores busy, no GPU).
     max_cpu_power: Watts,
     /// Power drawn at 100 % CPU + GPU utilization, when a GPU is present.
@@ -52,7 +52,7 @@ pub struct ServerSpec {
 impl ServerSpec {
     /// The paper's ARM microserver: 4 cores, 4 GiB, 1.35/5 W, optional
     /// Jetson Nano GPU reaching 10 W.
-    pub fn microserver() -> Self {
+    pub(crate) fn microserver() -> Self {
         Self {
             cores: 4,
             memory_mib: 4096,
@@ -160,12 +160,12 @@ impl Server {
     }
 
     /// Cores not yet reserved.
-    pub fn free_cores(&self) -> u32 {
+    pub(crate) fn free_cores(&self) -> u32 {
         self.spec.cores - self.cores_used
     }
 
     /// Memory not yet reserved, in MiB.
-    pub fn free_memory_mib(&self) -> u64 {
+    pub(crate) fn free_memory_mib(&self) -> u64 {
         self.spec.memory_mib - self.memory_used_mib
     }
 

@@ -69,7 +69,7 @@ pub trait EnergyClient {
     #[doc(hidden)]
     fn envelope(&self, requests: Vec<EnergyRequest>) -> RequestBatch {
         RequestBatch {
-            version: crate::proto::PROTOCOL_VERSION,
+            version: crate::PROTOCOL_VERSION,
             app: self.app_id(),
             requests,
         }

@@ -50,12 +50,11 @@ use power_telemetry::metrics;
 use simkit::units::{Co2Grams, WattHours};
 
 use crate::ecovisor::{AppState, Ecovisor};
-use crate::lock;
 use crate::obs::{CoreMetrics, Histogram};
 use crate::proto::{
     EnergyRequest, EnergyResponse, EventFrame, ProtoError, RequestBatch, ResponseBatch,
-    PROTOCOL_VERSION,
 };
+use crate::{lock, PROTOCOL_VERSION};
 
 /// Acquires a guard, timing the wait into one of the sampled lock-wait
 /// histograms when this batch is an observability sample (`obs` is

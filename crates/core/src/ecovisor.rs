@@ -449,7 +449,7 @@ impl Ecovisor {
             return None;
         }
         let frame = crate::proto::EventFrame {
-            version: crate::proto::PROTOCOL_VERSION,
+            version: crate::PROTOCOL_VERSION,
             app,
             tick: self.clock.tick_index(),
             events,

@@ -55,11 +55,10 @@ use simkit::units::Watts;
 
 use crate::ecovisor::Ecovisor;
 use crate::error::{EcovisorError, Result};
-use crate::lock;
-use crate::proto::PROTOCOL_VERSION;
 use crate::replay::digest;
 use crate::snapshot::{SnapshotError, TenantRecord, TransferHeader, SNAPSHOT_FORMAT};
 use crate::ves::VirtualEnergySystem;
+use crate::{lock, PROTOCOL_VERSION};
 
 /// One application's contribution to a federated settlement tick: the
 /// state a *remote* node needs to run the global settlement arithmetic

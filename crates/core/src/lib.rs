@@ -12,12 +12,14 @@
 //! The application-facing API is a **versioned, wire-serializable
 //! command/query protocol** ([`proto`]): every Table 1 setter/getter,
 //! §3.1 container-management call, and Table 2 library function is an
-//! [`EnergyRequest`] variant answered by an [`EnergyResponse`], carried
-//! in [`RequestBatch`](proto::RequestBatch) envelopes tagged with the protocol version and the
-//! issuing application's [`AppId`] scope. There is **one way in**:
+//! [`EnergyRequest`](proto::EnergyRequest) variant answered by an
+//! [`EnergyResponse`](proto::EnergyResponse), carried in
+//! [`RequestBatch`](proto::RequestBatch) envelopes tagged with the
+//! protocol version and the issuing application's [`AppId`] scope.
+//! There is **one way in**:
 //! [`Ecovisor::dispatch_batch`]. Two surfaces sit on it:
 //!
-//! * [`EnergyClient`] ([`client`]) — the typed method surface, carrying
+//! * [`EnergyClient`] (`client.rs`) — the typed method surface, carrying
 //!   the paper's method names. [`EcovisorClient`] is the in-process
 //!   handle applications receive in their `tick()` upcall
 //!   ([`Ecovisor::client`]); [`RemoteEcovisorClient`] speaks the same
@@ -31,10 +33,12 @@
 //! traffic, which [`Ecovisor::replay_trace_from`] re-executes
 //! bit-identically.
 //!
-//! Scope enforcement lives in the dispatcher ([`dispatch`]), in one
+//! Scope enforcement lives in the dispatcher (`dispatch.rs`), in one
 //! place for both surfaces: a request that names another tenant's
-//! container comes back as an [`EnergyResponse::Err`] carrying
-//! [`ProtoError::Scope`](proto::ProtoError::Scope) — an error value on the wire, never a panic.
+//! container comes back as an
+//! [`EnergyResponse::Err`](proto::EnergyResponse::Err) carrying
+//! [`ProtoError::Scope`](proto::ProtoError::Scope) — an error value on
+//! the wire, never a panic.
 //!
 //! ## Architecture
 //!
@@ -47,7 +51,7 @@
 //!   carbon-intensity trace, and the `SYSTEM` telemetry series (named
 //!   into a `power_telemetry` store on request). Per-app state is **sharded** behind
 //!   per-app locks, so dispatch takes `&self` and tenants execute in
-//!   parallel; [`ShardedEcovisor`] ([`shard`]) is the concurrent
+//!   parallel; [`ShardedEcovisor`] (`shard.rs`) is the concurrent
 //!   deployment wrapper, with tick settlement as the sole cross-app
 //!   barrier. The TCP transport ([`transport`]) serves every connection
 //!   against one shared [`ShardedEcovisor`].
@@ -91,45 +95,55 @@
 #![warn(missing_docs)]
 
 mod admission;
-pub mod app;
-pub mod client;
-pub mod config;
-pub mod dispatch;
-pub mod ecovisor;
-pub mod error;
-pub mod event;
-pub mod federation;
+mod app;
+mod client;
+mod config;
+mod dispatch;
+mod ecovisor;
+mod error;
+mod event;
+mod federation;
 mod lock;
 pub mod obs;
 pub mod proto;
-pub mod replay;
+mod replay;
 mod series;
-pub mod shard;
-pub mod share;
-pub mod sim;
-pub mod snapshot;
+mod shard;
+mod share;
+mod sim;
+mod snapshot;
 pub mod transport;
-pub mod ves;
+mod ves;
 
 pub use app::Application;
 pub use client::{EcovisorClient, EnergyClient};
 pub use config::{EcovisorBuilder, ExcessPolicy};
 pub use dispatch::{ProtocolTrace, TraceEntry};
-pub use ecovisor::Ecovisor;
+pub use ecovisor::{Ecovisor, SystemFlows};
 pub use error::{EcovisorError, Result};
 pub use event::{EventFilter, Notification, NotifyConfig, OutboxPolicy};
 pub use federation::{FedAppView, TenantSnapshot};
-pub use proto::{EnergyRequest, EnergyResponse, EventFrame, ResponseBatch, PROTOCOL_VERSION};
-pub use replay::digest;
+pub use replay::{digest, ReplayReport};
 pub use shard::ShardedEcovisor;
 pub use share::EnergyShare;
 pub use sim::Simulation;
-pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_FORMAT};
-pub use transport::{
-    ClientHelloV2, CredentialRegistry, EcovisorServer, RemoteEcovisorClient, ServerHandle,
-    ServerHello, ServerStats, SharedEcovisor, WireCodec,
-};
-pub use ves::{VesTotals, VirtualEnergySystem};
+pub use snapshot::{AppSnapshot, Snapshot, SnapshotError, TenantRecord, SNAPSHOT_FORMAT};
+pub use transport::client::RemoteEcovisorClient;
+pub use transport::codec::WireCodec;
+pub use transport::hello::{ClientHelloV2, CredentialRegistry, ServerHello};
+pub use transport::server::{EcovisorServer, ServerHandle, ServerStats, SharedEcovisor};
+pub use ves::{DesiredFlows, VesFlows, VesTotals, VirtualEnergySystem};
 
-// Re-export the identifiers applications deal with.
-pub use container_cop::{AppId, ContainerSpec};
+// Re-export the identifier every request batch is scoped by.
+pub use container_cop::AppId;
+
+/// The protocol version, and the only one served: the transport hello,
+/// the batch envelope and a snapshot's protocol era all carry it. v2
+/// adds the duplex [`Frame`](proto::Frame) layer, server-push
+/// [`EventFrame`](proto::EventFrame)s, `SubscribeEvents`, and per-app
+/// credentials in the transport hello. Bump on any wire-visible change
+/// to [`EnergyRequest`](proto::EnergyRequest) /
+/// [`EnergyResponse`](proto::EnergyResponse); the dispatcher answers
+/// every request of a batch stamped otherwise with
+/// [`ProtoError::Version`](proto::ProtoError::Version).
+pub const PROTOCOL_VERSION: u16 = 2;

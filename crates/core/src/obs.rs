@@ -34,10 +34,9 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-pub use power_telemetry::ops::{
-    debug, enabled, error, info, log, max_level, set_max_level, trace, warn, Counter, Gauge,
-    Histogram, HistogramSnapshot, Level, MetricEntry, MetricValue, MetricsSnapshot, Registry,
-};
+use power_telemetry::ops::Registry;
+pub(crate) use power_telemetry::ops::{debug, info, warn, Counter, Gauge, Histogram};
+pub use power_telemetry::ops::{MetricValue, MetricsSnapshot};
 
 use crate::proto::EnergyRequest;
 

@@ -75,15 +75,7 @@ use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams, WattHours, Watts};
 use crate::error::EcovisorError;
 use crate::event::{EventFilter, Notification};
 use crate::federation::FedAppView;
-
-/// The protocol version, and the only one served: the transport hello,
-/// the batch envelope and a snapshot's protocol era all carry it. v2
-/// adds the duplex [`Frame`] layer, server-push [`EventFrame`]s,
-/// `SubscribeEvents`, and per-app credentials in the transport hello.
-/// Bump on any wire-visible change to [`EnergyRequest`]/[`EnergyResponse`];
-/// the dispatcher answers every request of a batch stamped otherwise
-/// with [`ProtoError::Version`].
-pub const PROTOCOL_VERSION: u16 = 2;
+use crate::PROTOCOL_VERSION;
 
 /// One application-issued command or query.
 ///
@@ -350,7 +342,7 @@ pub enum EnergyRequest {
 
     // -- v2 observability surface ----------------------------------------
     /// Reads the server's operational statistics: the
-    /// [`ServerStats`](crate::transport::ServerStats) gauges plus a full
+    /// [`ServerStats`](crate::ServerStats) gauges plus a full
     /// dump of the observability registry ([`EnergyResponse::Stats`]
     /// carrying a [`StatsReport`]); v2 only, credential-gated, answered
     /// by the transport layer. In-process dispatch acknowledges it as a

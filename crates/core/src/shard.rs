@@ -71,7 +71,7 @@ type SettlementHook = Box<dyn Fn(&Ecovisor) + Send + Sync>;
 /// the outer read lock; [`tick`](Self::tick) and [`with`](Self::with)
 /// take the exclusive access settlement and registration need. Share
 /// between threads with `Arc`
-/// (the transport's [`SharedEcovisor`](crate::transport::SharedEcovisor)
+/// (the transport's [`SharedEcovisor`](crate::SharedEcovisor)
 /// alias).
 pub struct ShardedEcovisor {
     inner: RwLock<Ecovisor>,

@@ -65,11 +65,10 @@ use crate::config::ExcessPolicy;
 use crate::ecovisor::{AppState, Ecovisor, SystemFlows};
 use crate::error::EcovisorError;
 use crate::event::{Notification, NotifyConfig, OutboxPolicy};
-use crate::lock;
-use crate::proto::PROTOCOL_VERSION;
 use crate::replay::digest;
 use crate::series::{check_stamps, SystemSeries, TenantSeries};
 use crate::ves::{VesTotals, VirtualEnergySystem};
+use crate::{lock, PROTOCOL_VERSION};
 
 /// Version of the [`Snapshot`] layout itself. Bumped on any change that
 /// an older reader could misinterpret; [`Ecovisor::apply_snapshot`]

@@ -5,9 +5,9 @@
 //! those messages on an actual wire, so an application binary can drive
 //! an ecovisor in another process (the deployment shape of §3: tenants
 //! are untrusted and live outside the energy-system virtualization
-//! layer). [`EcovisorServer`] owns the ecovisor and answers
+//! layer). [`EcovisorServer`](crate::EcovisorServer) owns the ecovisor and answers
 //! [`RequestBatch`](crate::proto::RequestBatch) frames;
-//! [`RemoteEcovisorClient`] implements the same
+//! [`RemoteEcovisorClient`](crate::RemoteEcovisorClient) implements the same
 //! [`EnergyClient`](crate::client::EnergyClient) method surface as the
 //! in-process handle, so application code is transport-agnostic.
 //!
@@ -31,7 +31,7 @@
 //! | `admin`   | the credential-gated admin requests and the chunk flow      |
 //! | `server`  | bind/harden/spawn, per-frame semantics, the driver's handle |
 //! | `evented` | the serving threads that move the bytes                      |
-//! | `client`  | [`RemoteEcovisorClient`]                                    |
+//! | `client`  | [`RemoteEcovisorClient`](crate::RemoteEcovisorClient)                                    |
 //!
 //! ## Wire format
 //!
@@ -56,30 +56,30 @@
 //!
 //! The first frame in each direction is a **hello**, always encoded as
 //! JSON so it can be read before anything has been agreed. The client
-//! sends a [`ClientHelloV2`] advertising the wire versions it speaks, the
+//! sends a [`ClientHelloV2`](crate::ClientHelloV2) advertising the wire versions it speaks, the
 //! frame encodings it accepts, and (optionally) a per-app **credential
-//! token**. The server answers [`ServerHello::Accept`] naming the wire
+//! token**. The server answers [`ServerHello::Accept`](crate::ServerHello::Accept) naming the wire
 //! version — there is exactly one,
-//! [`PROTOCOL_VERSION`](crate::proto::PROTOCOL_VERSION) — and the frame
+//! [`PROTOCOL_VERSION`](crate::PROTOCOL_VERSION) — and the frame
 //! encoding — also exactly one, [`WireCodec::Binary`] — or
-//! [`ServerHello::Reject`] with a reason, after which it closes the
+//! [`ServerHello::Reject`](crate::ServerHello::Reject) with a reason, after which it closes the
 //! connection. A hello that does not offer the served wire version or
 //! the served encoding (or is not a `ClientHelloV2` at all, like the
 //! retired v1 hello shape) is rejected that way; both lists exist so a
 //! later version or encoding can be introduced without a flag day. The
 //! *envelope* `version` inside each batch is checked separately: the
 //! dispatcher refuses a batch stamped with anything but
-//! [`PROTOCOL_VERSION`](crate::proto::PROTOCOL_VERSION) wholesale, and
+//! [`PROTOCOL_VERSION`](crate::PROTOCOL_VERSION) wholesale, and
 //! the server applies no connection-level request such a batch carries;
 //! see `docs/PROTOCOL.md`.
 //!
 //! The server **pins the connection to the hello's `AppId`**: any later
 //! batch claiming a different app scope is denied with error values
 //! without touching the dispatcher. When the server is built
-//! [`with_credentials`](EcovisorServer::with_credentials), pinning
+//! [`with_credentials`](crate::EcovisorServer::with_credentials), pinning
 //! upgrades from integrity to **authentication**: the hello must carry
 //! the app's credential token (verified in constant time against the
-//! server-side [`CredentialRegistry`]) before any batch is served.
+//! server-side [`CredentialRegistry`](crate::CredentialRegistry)) before any batch is served.
 //! Without a registry the listener stays open (trusted-network mode).
 //!
 //! ## Event push
@@ -101,9 +101,9 @@
 //!
 //! ## Concurrency model
 //!
-//! [`EcovisorServer::spawn`] runs the **evented runtime** (the `evented`
+//! [`EcovisorServer::spawn`](crate::EcovisorServer::spawn) runs the **evented runtime** (the `evented`
 //! submodule): a few identical **serving threads**
-//! ([`with_workers`](EcovisorServer::with_workers), auto-sized by
+//! ([`with_workers`](crate::EcovisorServer::with_workers), auto-sized by
 //! default), each with its own epoll instance (the vendored [`reactor`]
 //! shim) over the connections dealt to it — the first thread also
 //! accepts, and deals round-robin. A thread serves a frame where it read
@@ -115,7 +115,7 @@
 //! for life). The price is that a slow request delays the connections
 //! sharing its thread; see `docs/ARCHITECTURE.md` §3a. All serving
 //! threads dispatch into one shared
-//! [`ShardedEcovisor`](crate::ShardedEcovisor) (the [`SharedEcovisor`]
+//! [`ShardedEcovisor`](crate::ShardedEcovisor) (the [`SharedEcovisor`](crate::SharedEcovisor)
 //! alias). Per-app state is sharded behind its own lock, so batches from
 //! different tenants — and query-only batches from the *same* tenant —
 //! execute in parallel rather than serializing on a global mutex; a
@@ -130,15 +130,15 @@
 //! A connection that fails mid-frame (peer crash, network drop) is
 //! counted and logged through the structured log (`ecovisor::obs`),
 //! deregistered from the push registry and its thread's epoll, and dropped from
-//! [`ServerStats::active_connections`], so a long-lived server never
+//! [`ServerStats::active_connections`](crate::ServerStats::active_connections), so a long-lived server never
 //! accumulates dead connections. A server built
-//! [`with_read_timeout`](EcovisorServer::with_read_timeout) additionally
+//! [`with_read_timeout`](crate::EcovisorServer::with_read_timeout) additionally
 //! reaps **idle** connections: a dead subscriber that holds a push
 //! stream without ever sending another frame trips the timeout and is
 //! collected the same way. A subscriber that merely stops *reading*
 //! cannot hold the settlement barrier hostage either: writes never
 //! block, what its socket refuses is queued and parked.
-//! [`ServerHandle::shutdown`] is deterministic: it wakes every serving
+//! [`ServerHandle::shutdown`](crate::ServerHandle::shutdown) is deterministic: it wakes every serving
 //! thread (each closes its sockets, the first the listener) and joins
 //! them all — no step waits on a timeout.
 //!
@@ -172,80 +172,26 @@
 //! handle.shutdown();
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 mod admin;
-mod client;
+pub(crate) mod client;
+pub(crate) mod codec;
 mod conn;
 mod evented;
 mod framing;
-mod hello;
-mod server;
+pub(crate) mod hello;
+pub(crate) mod server;
 
 pub use admin::SNAPSHOT_CHUNK_LEN;
-pub use client::RemoteEcovisorClient;
 pub use framing::{MAX_FRAME_LEN, MAX_HELLO_LEN};
-pub use hello::{ClientHelloV2, CredentialRegistry, ServerHello};
-pub use server::{EcovisorServer, ServerHandle, ServerStats, SharedEcovisor};
 
-/// A byte encoding for protocol values. Both encode and decode any
-/// protocol value; they differ in where they are used. Frames on a served
-/// connection are always [`Binary`](WireCodec::Binary); the hello
-/// exchange is always [`Json`](WireCodec::Json); values at rest (harness
-/// artifact files, debug dumps) may be either. A [`ClientHelloV2`] lists
-/// the frame encodings its sender accepts by these names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WireCodec {
-    /// Human-readable JSON ([`serde::json`]): the hello and readable
-    /// files.
-    Json,
-    /// Compact tag-byte + varint encoding ([`serde::binary`]): every
-    /// served frame, every admin payload, compact files.
-    Binary,
-}
-
-/// The one encoding frames are served in after the hello.
-const SERVED_CODEC: WireCodec = WireCodec::Binary;
-
-impl WireCodec {
-    /// Encodes a value in this codec's byte form.
-    pub fn encode<T: Serialize>(&self, t: &T) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(t, &mut out);
-        out
-    }
-
-    /// Appends a value's byte form to `out` — [`encode`](Self::encode)
-    /// into a buffer the caller keeps across frames.
-    fn encode_into<T: Serialize>(&self, t: &T, out: &mut Vec<u8>) {
-        match self {
-            WireCodec::Json => out.extend_from_slice(serde::json::to_string(t).as_bytes()),
-            WireCodec::Binary => t.encode(out),
-        }
-    }
-
-    /// Decodes a value from this codec's byte form.
-    ///
-    /// # Errors
-    ///
-    /// On malformed input or input that does not spell a `T`.
-    pub fn decode<T: Deserialize>(&self, bytes: &[u8]) -> Result<T, serde::Error> {
-        match self {
-            WireCodec::Json => {
-                let text = std::str::from_utf8(bytes)
-                    .map_err(|_| serde::Error::custom("frame is not utf-8"))?;
-                serde::json::from_str(text)
-            }
-            WireCodec::Binary => serde::binary::from_bytes(bytes),
-        }
-    }
-}
+use codec::{WireCodec, SERVED_CODEC};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Notification;
-    use crate::proto::{EnergyRequest, EventFrame, Frame, RequestBatch, PROTOCOL_VERSION};
+    use crate::proto::{EnergyRequest, EventFrame, Frame, RequestBatch};
+    use crate::PROTOCOL_VERSION;
     use container_cop::AppId;
 
     #[test]

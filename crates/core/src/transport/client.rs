@@ -15,9 +15,10 @@ use crate::event::Notification;
 use crate::federation::{FedAppView, TenantSnapshot};
 use crate::proto::{
     ControlFrame, EnergyRequest, EnergyResponse, EventFrame, Frame, ProtoError, RequestBatch,
-    ResponseBatch, StatsReport, PROTOCOL_VERSION,
+    ResponseBatch, StatsReport,
 };
 use crate::snapshot::Snapshot;
+use crate::PROTOCOL_VERSION;
 
 /// The out-of-process protocol handle: same [`EnergyClient`] surface as
 /// [`crate::client::EcovisorClient`], transported over a framed TCP
@@ -76,7 +77,7 @@ impl RemoteEcovisorClient {
 
     /// Connects presenting `credential`, if any, as the app's token — one
     /// is required against a server built with a
-    /// [`CredentialRegistry`](super::CredentialRegistry).
+    /// [`CredentialRegistry`](crate::CredentialRegistry).
     ///
     /// # Errors
     ///
@@ -210,7 +211,7 @@ impl RemoteEcovisorClient {
     ///
     /// Requires a server that authenticated this connection's credential
     /// (built
-    /// [`with_credentials`](super::EcovisorServer::with_credentials)); a
+    /// [`with_credentials`](crate::EcovisorServer::with_credentials)); a
     /// server without a credential registry answers
     /// [`ProtoError::Denied`], surfaced here as
     /// [`io::ErrorKind::PermissionDenied`].

@@ -14,7 +14,8 @@ use super::framing::{begin_frame, end_frame, DRAIN_RETAIN_BYTES};
 use super::SERVED_CODEC;
 use crate::ecovisor::Ecovisor;
 use crate::event::{EventFilter, Notification, OutboxPolicy};
-use crate::proto::{EventFrame, Frame, PROTOCOL_VERSION};
+use crate::proto::{EventFrame, Frame};
+use crate::PROTOCOL_VERSION;
 
 /// Ceiling on one connection's committed-but-unwritten wire bytes. A
 /// subscriber may hang and recover (its frames queue, see

@@ -9,7 +9,7 @@ use container_cop::AppId;
 use serde::{Deserialize, Serialize};
 
 use super::{WireCodec, SERVED_CODEC};
-use crate::proto::PROTOCOL_VERSION;
+use crate::PROTOCOL_VERSION;
 
 /// First frame of a connection, client → server (always JSON):
 /// advertises every wire version the client speaks, every frame encoding
@@ -82,7 +82,7 @@ fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 /// The server-side table of per-app credential tokens.
 ///
 /// Installed with
-/// [`EcovisorServer::with_credentials`](super::EcovisorServer::with_credentials);
+/// [`EcovisorServer::with_credentials`](crate::EcovisorServer::with_credentials);
 /// once present, every connection must prove its claimed [`AppId`] with
 /// the matching token in its [`ClientHelloV2`] **before any batch is
 /// served** — rejections happen at hello time, so an unauthenticated

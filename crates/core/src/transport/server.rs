@@ -20,9 +20,9 @@ use super::SERVED_CODEC;
 use crate::ecovisor::Ecovisor;
 use crate::proto::{
     ControlFrame, EnergyRequest, EnergyResponse, Frame, ProtoError, RequestBatch, ResponseBatch,
-    PROTOCOL_VERSION,
 };
 use crate::shard::ShardedEcovisor;
+use crate::PROTOCOL_VERSION;
 
 /// An ecovisor shared between the transport threads and the driver loop:
 /// per-app shards dispatch in parallel, settlement quiesces them (see

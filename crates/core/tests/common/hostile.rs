@@ -162,6 +162,20 @@ pub fn record_edits(
             vec![at("containers.0.cpu_quota", Value::Float(0.5))],
         ),
         (
+            "a container carrying a NaN power cap, at the quota it gives",
+            vec![
+                at("containers.0.power_cap", Value::Float(f64::NAN)),
+                at("containers.0.cpu_quota", Value::Float(f64::NAN)),
+            ],
+        ),
+        (
+            "a container carrying a NaN carbon cap, at the quota it gives",
+            vec![
+                at("containers.0.carbon_cap", Value::Float(f64::NAN)),
+                at("containers.0.cpu_quota", Value::Float(f64::NAN)),
+            ],
+        ),
+        (
             "series of the container the receiver allocates next",
             vec![at(
                 "series.containers.last.0",

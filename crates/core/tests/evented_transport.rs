@@ -37,11 +37,11 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use ecovisor::proto::{EnergyRequest, Frame, RequestBatch, PROTOCOL_VERSION};
+use ecovisor::proto::{EnergyRequest, Frame, RequestBatch};
 use ecovisor::transport::MAX_HELLO_LEN;
 use ecovisor::{
     ClientHelloV2, EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare, EventFilter,
-    Notification, OutboxPolicy, RemoteEcovisorClient, ServerHello, WireCodec,
+    Notification, OutboxPolicy, RemoteEcovisorClient, ServerHello, WireCodec, PROTOCOL_VERSION,
 };
 use simkit::time::SimDuration;
 use simkit::trace::{Extend, Trace};
@@ -1046,7 +1046,7 @@ fn slow_subscriber_parks_under_outbox_policy_and_recovers() {
     // need transitions in both directions).
     for _ in 0..2 {
         let c = driver
-            .launch_container(ecovisor::ContainerSpec::quad_core())
+            .launch_container(container_cop::ContainerSpec::quad_core())
             .expect("launch");
         driver.set_container_demand(c, 1.0).expect("demand");
     }

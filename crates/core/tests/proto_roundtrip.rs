@@ -6,11 +6,11 @@
 use container_cop::{AppId, ContainerId, ContainerSpec};
 use ecovisor::proto::{
     EnergyRequest, EnergyResponse, EventFrame, ProtoError, RequestBatch, ResponseBatch,
-    StatsReport, KINDS, PROTOCOL_VERSION,
+    StatsReport, KINDS,
 };
 use ecovisor::{
     EnergyShare, EventFilter, FedAppView, Notification, ProtocolTrace, TraceEntry,
-    VirtualEnergySystem,
+    VirtualEnergySystem, PROTOCOL_VERSION,
 };
 use simkit::time::{SimDuration, SimTime};
 use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams, WattHours, Watts};
@@ -209,7 +209,7 @@ fn all_responses() -> Vec<EnergyResponse> {
             subscriber_backlog: 7,
             recv_buffer_bytes: 4096,
             metrics: {
-                let registry = ecovisor::obs::Registry::new();
+                let registry = power_telemetry::ops::Registry::new();
                 registry.counter("dispatch.requests_total").add(11);
                 registry.gauge("core.tick").set(-2);
                 let hist = registry.histogram("dispatch.batch_latency_ns");
@@ -740,8 +740,7 @@ mod transport {
 
     #[test]
     fn version_mismatch_is_rejected_at_hello() {
-        use ecovisor::proto::PROTOCOL_VERSION;
-        use ecovisor::{ClientHelloV2, ServerHello};
+        use ecovisor::{ClientHelloV2, ServerHello, PROTOCOL_VERSION};
         use std::io::{Read, Write};
 
         let (eco, _, _) = build_eco();

@@ -507,7 +507,7 @@ fn concurrent_launches_replay_with_identical_container_ids() {
     // whole run.
     let (mut twin, twin_ids) = build_eco(4);
     let mut entries = trace.entries.iter().peekable();
-    let mut replayed: Vec<ecovisor::ResponseBatch> = Vec::new();
+    let mut replayed: Vec<ecovisor::proto::ResponseBatch> = Vec::new();
     for tick in 0..ticks as u64 {
         while let Some(e) = entries.peek() {
             if e.tick != tick {

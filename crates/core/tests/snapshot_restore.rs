@@ -30,16 +30,17 @@
 use container_cop::{
     AppId, Container, ContainerId, ContainerSpec, ContainerState, CopConfig, CopError,
 };
+use ecovisor::proto::EventFrame;
 use ecovisor::{
     digest, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorError, EcovisorServer,
-    EnergyClient, EnergyShare, EventFrame, Notification, ProtocolTrace, RemoteEcovisorClient,
-    ShardedEcovisor, Snapshot, SnapshotError, TenantSnapshot, VesTotals, SNAPSHOT_FORMAT,
+    EnergyClient, EnergyShare, Notification, ProtocolTrace, RemoteEcovisorClient, ShardedEcovisor,
+    Snapshot, SnapshotError, TenantSnapshot, VesTotals, SNAPSHOT_FORMAT,
 };
 use power_telemetry::metrics;
 use simkit::rng::SimRng;
 use simkit::time::SimDuration;
 use simkit::trace::Trace;
-use simkit::units::{CarbonIntensity, Co2Grams, WattHours, Watts};
+use simkit::units::{CarbonIntensity, CarbonRate, Co2Grams, WattHours, Watts};
 
 #[path = "common/hostile.rs"]
 mod hostile;
@@ -496,6 +497,62 @@ fn a_nan_demand_is_refused_so_the_world_still_restores_and_grafts() {
     eco.remove_app(a).expect("registered");
     eco.graft_app(&tenant).expect("grafts back");
     assert_eq!(demand(&eco), 0.25);
+    settle_one_tick(&mut eco);
+}
+
+/// A NaN cap is refused as a NaN demand is: a NaN or −NaN
+/// `SetContainerPowercap` answers an error and keeps the cap and the
+/// quota it gives, and a NaN carbon-rate limit installs no carbon cap,
+/// so every quota stays a number and the world still restores to its
+/// own digest and its tenant extracts and grafts back.
+#[test]
+fn a_nan_cap_is_refused_so_the_world_still_restores_and_grafts() {
+    let seed = 0x0B0B_0B0B;
+    let (mut eco, a, _b) = build_eco(seed);
+    let fleet = launch_fleet(&mut eco.client(a).expect("client a"));
+    let capped = |eco: &Ecovisor| {
+        let cop = eco.cop();
+        let c = cop.container(fleet[0]).expect("live");
+        (c.power_cap(), c.cpu_quota())
+    };
+    {
+        let mut client = eco.client(a).expect("client a");
+        for &c in &fleet {
+            client.set_container_demand(c, 1.0).expect("a number");
+        }
+        client
+            .set_container_powercap(fleet[0], Watts::new(2.0))
+            .expect("a number");
+    }
+    let kept = capped(&eco);
+    assert_eq!(kept.0, Some(Watts::new(2.0)));
+    assert!(kept.1 < 1.0, "a 2 W cap gives a quota under 1");
+    {
+        let mut client = eco.client(a).expect("client a");
+        for nan in [f64::NAN, -f64::NAN] {
+            assert!(matches!(
+                client.set_container_powercap(fleet[0], Watts::new(nan)),
+                Err(EcovisorError::Cop(CopError::InvalidState { .. }))
+            ));
+        }
+        client.set_carbon_rate(Some(CarbonRate::new(f64::NAN)));
+        client.flush();
+    }
+    assert_eq!(capped(&eco), kept);
+    settle_one_tick(&mut eco);
+    assert_eq!(capped(&eco), kept);
+    assert!(eco.cop().owned_by(a).all(|c| c.cpu_quota().is_finite()));
+
+    let snap = Snapshot::from_bytes(&eco.snapshot().to_bytes()).expect("own capture decodes");
+    let mut twin = builder(seed).build();
+    twin.apply_snapshot(&snap).expect("restores");
+    assert_eq!(twin.snapshot().digest(), snap.digest());
+
+    let tenant = TenantSnapshot::from_bytes(&eco.extract_app(a).expect("registered").to_bytes())
+        .expect("own capture decodes");
+    eco.remove_app(a).expect("registered");
+    eco.graft_app(&tenant).expect("grafts back");
+    assert_eq!(capped(&eco), kept);
     settle_one_tick(&mut eco);
 }
 

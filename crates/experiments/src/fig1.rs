@@ -2,7 +2,8 @@
 //! spatial and temporal variations" — Ontario, California, Uruguay over
 //! four days, 5-minute samples.
 
-use carbon_intel::{regions, CarbonTraceBuilder};
+use carbon_intel::generator::CarbonTraceBuilder;
+use carbon_intel::regions;
 use power_telemetry::csv;
 use simkit::series::TimeSeries;
 use simkit::stats::Summary;

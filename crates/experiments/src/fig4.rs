@@ -13,7 +13,9 @@
 //! time series (intensity + thresholds, per-app container counts, total
 //! cluster power).
 
-use carbon_intel::{percentile_threshold, regions, CarbonTraceBuilder};
+use carbon_intel::generator::CarbonTraceBuilder;
+use carbon_intel::regions;
+use carbon_intel::threshold::percentile_threshold;
 use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
 use power_telemetry::{csv, metrics};
 use simkit::series::TimeSeries;

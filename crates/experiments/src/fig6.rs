@@ -10,7 +10,8 @@
 //! always meets the SLO *and* emits ~23 % less carbon (Fig. 6); Fig. 7
 //! shows the corresponding carbon-rate and worker time series.
 
-use carbon_intel::{regions, CarbonTraceBuilder};
+use carbon_intel::generator::CarbonTraceBuilder;
+use carbon_intel::regions;
 use carbon_policies::{WebApp, WebPolicy};
 use container_cop::CopConfig;
 use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};

@@ -16,10 +16,9 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use ecoharness::artifact::{artifacts_in_dir, codec_name, is_artifact_path, BINARY_EXT, JSON_EXT};
 use ecoharness::{
-    record_with_checkpoints, verify, verify_federated, verify_transport, Checkpoint,
-    ScenarioArtifact,
+    artifacts_in_dir, codec_name, is_artifact_path, record_with_checkpoints, verify,
+    verify_federated, verify_transport, Checkpoint, ScenarioArtifact, BINARY_EXT, JSON_EXT,
 };
 use ecovisor::proto::StatsReport;
 use ecovisor::WireCodec;
@@ -343,11 +342,11 @@ fn cmd_verify(args: Vec<String>) -> Result<ExitCode, String> {
 /// `fuzz`: generate/check/shrink campaigns and soak days.
 fn cmd_fuzz(args: Vec<String>) -> Result<ExitCode, String> {
     let mut soak = false;
-    let mut opts = ecoharness::FuzzOptions {
+    let mut opts = ecoharness::fuzz::FuzzOptions {
         out: Some(PathBuf::from("fuzz-failures")),
         ..Default::default()
     };
-    let mut soak_opts = ecoharness::SoakOptions::default();
+    let mut soak_opts = ecoharness::fuzz::SoakOptions::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));

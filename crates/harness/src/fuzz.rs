@@ -30,13 +30,13 @@
 
 use std::path::{Path, PathBuf};
 
-use carbon_intel::RegionKind;
+use carbon_intel::regions::RegionKind;
 use carbon_policies::{BatchMode, SparkMode, WebPolicy};
 use ecovisor::{EnergyShare, ExcessPolicy, NotifyConfig, WireCodec};
 use energy_system::battery::BatterySpec;
 use energy_system::solar::{SolarArrayBuilder, Weather};
+use simkit::rng::SimRng;
 use simkit::units::{CarbonIntensity, CarbonRate, Watts};
-use simkit::SimRng;
 use workloads::traces::WorkloadTraceBuilder;
 
 use crate::artifact::ScenarioArtifact;

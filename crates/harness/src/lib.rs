@@ -27,7 +27,7 @@
 //!
 //! ## Layers
 //!
-//! 1. **Spec** ([`spec`]): the serializable scenario vocabulary,
+//! 1. **Spec** ([`ScenarioSpec`]): the serializable scenario vocabulary,
 //!    composing existing pieces — [`carbon_intel`] regions,
 //!    [`energy_system`] solar/battery, [`workloads`] generators,
 //!    [`carbon_policies`] controllers.
@@ -60,22 +60,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod artifact;
-pub mod error;
+mod artifact;
+mod error;
 pub mod fuzz;
-pub mod record;
-pub mod scenario;
-pub mod spec;
-pub mod verify;
+mod record;
+mod scenario;
+mod spec;
+mod verify;
 
-pub use artifact::{AppOutcome, Checkpoint, ScenarioArtifact};
+pub use artifact::{
+    artifacts_in_dir, codec_name, is_artifact_path, AppOutcome, Checkpoint, ExpectedOutcome,
+    ScenarioArtifact, BINARY_EXT, JSON_EXT,
+};
 pub use error::HarnessError;
-pub use fuzz::{generate, FuzzOptions, SoakOptions};
 pub use record::{
     record, record_observed, record_resumed, record_with_checkpoints, resume, resumed_spec,
 };
 pub use scenario::build_ecovisor;
 pub use spec::{
-    CarbonSpec, DriverSpec, ScenarioSpec, ScriptPhase, SolarSpec, TenantSpec, SPEC_FORMAT,
+    CarbonSpec, CredentialRotation, CredentialSpec, DriverSpec, JobSpec, MigrationPlan,
+    RestorePlan, ScenarioSpec, ScriptPhase, SolarSpec, TenantSpec, SPEC_FORMAT,
 };
 pub use verify::{verify, verify_federated, verify_transport, Check, VerifyReport};

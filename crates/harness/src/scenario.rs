@@ -11,8 +11,7 @@
 //!   (the [`carbon_policies`] §5 suite plus the scripted driver). Only
 //!   the recorder needs these.
 
-use carbon_policies::arbitrage::ArbitrageApp;
-use carbon_policies::{BatchApp, SparkApp, WebApp};
+use carbon_policies::{ArbitrageApp, BatchApp, SparkApp, WebApp};
 use container_cop::{AppId, ContainerId, ContainerSpec, CopConfig};
 use ecovisor::{
     Application, Ecovisor, EcovisorBuilder, EcovisorClient, EnergyClient, OutboxPolicy,
@@ -22,9 +21,9 @@ use simkit::time::{SimDuration, SimTime};
 use simkit::trace::Trace;
 use simkit::units::{CarbonIntensity, Co2Grams, WattHours, Watts};
 use workloads::batch::BatchJob;
+use workloads::scaling::LinearScaling;
 use workloads::spark::SparkJob;
 use workloads::web::WebService;
-use workloads::LinearScaling;
 
 use crate::error::HarnessError;
 use crate::spec::{CarbonSpec, DriverSpec, JobSpec, ScenarioSpec, ScriptPhase, SolarSpec};
@@ -48,7 +47,7 @@ pub fn build_ecovisor(spec: &ScenarioSpec) -> Result<(Ecovisor, Vec<AppId>), Har
     builder = match &spec.carbon {
         CarbonSpec::Constant { grams_per_kwh } => builder.carbon(Trace::constant(*grams_per_kwh)),
         CarbonSpec::Region { region, days, seed } => builder.carbon(
-            carbon_intel::CarbonTraceBuilder::new(region.profile())
+            carbon_intel::generator::CarbonTraceBuilder::new(region.profile())
                 .days(*days)
                 .seed(*seed)
                 .build(),

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeSet;
 
-use carbon_intel::RegionKind;
+use carbon_intel::regions::RegionKind;
 use ecovisor::{EnergyShare, ExcessPolicy, NotifyConfig};
 use energy_system::solar::SolarArrayBuilder;
 use serde::{Deserialize, Serialize};
@@ -440,7 +440,7 @@ pub enum DriverSpec {
         guaranteed_watts: f64,
     },
     /// The §3.1 carbon-arbitrage battery policy
-    /// ([`carbon_policies::arbitrage::ArbitrageApp`]).
+    /// ([`carbon_policies::ArbitrageApp`]).
     Arbitrage {
         /// Steady container count.
         containers: u32,

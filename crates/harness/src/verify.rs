@@ -41,10 +41,10 @@ use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
+use ecovisor::proto::{EnergyRequest, EventFrame};
 use ecovisor::{
-    digest, AppId, CredentialRegistry, Ecovisor, EcovisorServer, EnergyClient, EnergyRequest,
-    EventFilter, EventFrame, ProtocolTrace, RemoteEcovisorClient, ServerHandle, ServerStats,
-    WireCodec,
+    digest, AppId, CredentialRegistry, Ecovisor, EcovisorServer, EnergyClient, EventFilter,
+    ProtocolTrace, RemoteEcovisorClient, ServerHandle, ServerStats, WireCodec,
 };
 
 use crate::artifact::{codec_name, AppOutcome, Checkpoint, ScenarioArtifact, ARTIFACT_FORMAT};
@@ -271,7 +271,7 @@ fn check_outcome(
     artifact: &ScenarioArtifact,
     cell: &str,
     start: u64,
-    frames: &[ecovisor::EventFrame],
+    frames: &[EventFrame],
     replayed: &[AppOutcome],
     report: &mut VerifyReport,
 ) {
@@ -294,13 +294,13 @@ fn check_outcome(
 
     // Event frames: the regenerated push traffic equals the recording
     // from the replay's start tick onward.
-    let expected_frames: Vec<&ecovisor::EventFrame> = artifact
+    let expected_frames: Vec<&EventFrame> = artifact
         .trace
         .events
         .iter()
         .filter(|f| f.tick >= start)
         .collect();
-    let frame_refs: Vec<&ecovisor::EventFrame> = frames.iter().collect();
+    let frame_refs: Vec<&EventFrame> = frames.iter().collect();
     let frames_match = frame_refs == expected_frames;
     let detail = if frames_match {
         String::new()

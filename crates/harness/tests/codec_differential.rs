@@ -36,8 +36,7 @@ mod mutate;
 
 use std::path::PathBuf;
 
-use ecoharness::artifact::artifacts_in_dir;
-use ecoharness::{build_ecovisor, ScenarioArtifact};
+use ecoharness::{artifacts_in_dir, build_ecovisor, ScenarioArtifact};
 use ecovisor::proto::{Frame, RequestBatch};
 use ecovisor::{Snapshot, TenantSnapshot, WireCodec};
 use serde::{binary, Deserialize, Serialize};

@@ -5,8 +5,7 @@
 
 use std::path::PathBuf;
 
-use ecoharness::artifact::{BINARY_EXT, JSON_EXT};
-use ecoharness::{ScenarioArtifact, ScenarioSpec};
+use ecoharness::{ScenarioArtifact, ScenarioSpec, BINARY_EXT, JSON_EXT};
 
 /// The committed `corpus/` directory.
 pub fn corpus_dir() -> PathBuf {

@@ -6,8 +6,7 @@
 //! (and in the CI `ecoharness verify corpus/` job, which runs the same
 //! checks through the CLI).
 
-use ecoharness::artifact::artifacts_in_dir;
-use ecoharness::{build_ecovisor, verify, ScenarioArtifact};
+use ecoharness::{artifacts_in_dir, build_ecovisor, verify, ScenarioArtifact};
 use ecovisor::proto::EnergyRequest;
 use ecovisor::WireCodec;
 use power_telemetry::metrics;

@@ -9,7 +9,8 @@
 //! that nothing about the codec layer (float formatting, varint edge
 //! cases, map ordering) can silently perturb a recorded day.
 
-use ecoharness::{build_ecovisor, generate, record, ScenarioArtifact};
+use ecoharness::fuzz::generate;
+use ecoharness::{build_ecovisor, record, ScenarioArtifact};
 use ecovisor::{ProtocolTrace, VesTotals, WireCodec};
 
 mod common;
@@ -27,7 +28,7 @@ fn binary_roundtrip<T: serde::Serialize + serde::Deserialize>(value: &T) -> T {
 fn replay(
     artifact: &ScenarioArtifact,
     trace: &ProtocolTrace,
-) -> (Vec<VesTotals>, Vec<ecovisor::EventFrame>) {
+) -> (Vec<VesTotals>, Vec<ecovisor::proto::EventFrame>) {
     let (mut eco, ids) = build_ecovisor(&artifact.spec).expect("build");
     let report = eco.replay_trace_from(trace, 0, artifact.spec.ticks);
     let totals = ids.iter().map(|&a| eco.app_totals(a).unwrap()).collect();

@@ -25,8 +25,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use container_cop::ContainerSpec;
-use ecoharness::artifact::artifacts_in_dir;
-use ecoharness::{build_ecovisor, ScenarioArtifact};
+use ecoharness::{artifacts_in_dir, build_ecovisor, ScenarioArtifact};
 use ecovisor::{Ecovisor, EcovisorBuilder, EnergyClient, EnergyShare, NotifyConfig};
 use serde::{Serialize, Value};
 use simkit::time::SimDuration;
@@ -71,7 +70,8 @@ const VIRTUAL_SPEC: Class = Derived("admit: the virtual battery its share implie
 const BANK: Class = Environment("apply_snapshot: this process's physical battery spec");
 const TERMS: Class = Environment("apply_snapshot: this process's grid terms");
 const FITS: Class = Primary("adopt_containers: live ones fit their server, summed in u64");
-const CAP: Class = Primary("a cap: the quota it gives is compared (cpu_quota)");
+const CAP: Class =
+    Primary("adopt_containers: a number, and the quota it gives is compared (cpu_quota)");
 
 /// Every leaf a format-2 transfer writes.
 const LEDGER: &[(&str, Class)] = &[

@@ -2,8 +2,10 @@
 //! bug the shrinker must find and minimize, tamper rejection on written
 //! reproducers, and the soak day replayed live.
 
-use ecoharness::fuzz::{self, check, generate, record_candidate, shrink, Fault};
-use ecoharness::{verify, CarbonSpec, FuzzOptions, ScenarioArtifact, SoakOptions, SolarSpec};
+use ecoharness::fuzz::{
+    self, check, generate, record_candidate, shrink, Fault, FuzzOptions, SoakOptions,
+};
+use ecoharness::{verify, CarbonSpec, ScenarioArtifact, SolarSpec};
 
 const SEED: u64 = 0x5EED_F055;
 

@@ -10,8 +10,9 @@
 //! an expected-outcome digest, these tests would catch the byte diff.
 
 use ecoharness::{record, record_observed};
-use ecovisor::obs::{self, Level, ObsHub};
+use ecovisor::obs::ObsHub;
 use ecovisor::WireCodec;
+use power_telemetry::ops::{self as obs, Level};
 
 mod common;
 

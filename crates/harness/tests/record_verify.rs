@@ -5,10 +5,9 @@
 //! *fails* on every kind of corruption it exists to catch: dropped
 //! event frames, mutated request traffic, and tampered expectations.
 
-use ecoharness::artifact::artifacts_in_dir;
 use ecoharness::{
-    build_ecovisor, record, verify, CarbonSpec, HarnessError, ScenarioArtifact, ScenarioSpec,
-    SolarSpec,
+    artifacts_in_dir, build_ecovisor, record, verify, CarbonSpec, HarnessError, ScenarioArtifact,
+    ScenarioSpec, SolarSpec,
 };
 use ecovisor::proto::EnergyRequest;
 use energy_system::solar::SolarArrayBuilder;

@@ -15,8 +15,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use ecoharness::artifact::artifacts_in_dir;
-use ecoharness::{build_ecovisor, ScenarioArtifact};
+use ecoharness::{artifacts_in_dir, build_ecovisor, ScenarioArtifact};
 use power_telemetry::metrics;
 
 /// What a series is about: the substrate, a tenant or a container.

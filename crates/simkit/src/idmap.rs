@@ -174,7 +174,7 @@ impl<K: Ord + Copy, V> FromIterator<(K, V)> for IdMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimRng;
+    use crate::rng::SimRng;
     use std::collections::BTreeMap;
 
     fn agree(ids: &IdMap<u64, u64>, model: &BTreeMap<u64, u64>, step: &str) {

@@ -16,7 +16,7 @@
 //!   output, carbon intensity, request rates).
 //! * [`series`] — an append-only time series used for recording simulation
 //!   outputs.
-//! * [`idmap`] — an id-keyed table held as id-sorted vectors, for the
+//! * [`IdMap`] — an id-keyed table held as id-sorted vectors, for the
 //!   per-tenant and per-container tables walked every tick.
 //! * [`stats`] — percentiles and summary statistics used by both policies
 //!   (threshold selection) and the experiment harness.
@@ -37,7 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod idmap;
+mod idmap;
 pub mod rng;
 pub mod series;
 pub mod stats;
@@ -46,4 +46,3 @@ pub mod trace;
 pub mod units;
 
 pub use idmap::IdMap;
-pub use rng::SimRng;

@@ -40,6 +40,6 @@
 pub mod csv;
 pub mod metrics;
 pub mod ops;
-pub mod tsdb;
+mod tsdb;
 
 pub use tsdb::Tsdb;

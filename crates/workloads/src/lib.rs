@@ -39,5 +39,3 @@ pub mod scaling;
 pub mod spark;
 pub mod traces;
 pub mod web;
-
-pub use scaling::LinearScaling;

@@ -5,12 +5,14 @@
 //! cargo run --release --example carbon_aware_batch
 //! ```
 
-use ecovisor_suite::carbon_intel::{percentile_threshold, regions, CarbonTraceBuilder};
-use ecovisor_suite::carbon_policies::{BatchApp, BatchMode};
-use ecovisor_suite::container_cop::CopConfig;
-use ecovisor_suite::ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
-use ecovisor_suite::simkit::time::{SimDuration, SimTime};
-use ecovisor_suite::workloads::mltrain::ml_training_job;
+use carbon_intel::generator::CarbonTraceBuilder;
+use carbon_intel::regions;
+use carbon_intel::threshold::percentile_threshold;
+use carbon_policies::{BatchApp, BatchMode};
+use container_cop::CopConfig;
+use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
+use simkit::time::{SimDuration, SimTime};
+use workloads::mltrain::ml_training_job;
 
 fn main() {
     // Threshold: 30th percentile of intensity over a 48 h window (§5.1.1).

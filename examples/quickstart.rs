@@ -5,12 +5,13 @@
 //! cargo run --example quickstart
 //! ```
 
-use ecovisor_suite::carbon_intel::{regions, CarbonTraceBuilder};
-use ecovisor_suite::container_cop::{ContainerSpec, CopConfig};
-use ecovisor_suite::ecovisor::{
+use carbon_intel::generator::CarbonTraceBuilder;
+use carbon_intel::regions;
+use container_cop::{ContainerSpec, CopConfig};
+use ecovisor::{
     Application, EcovisorBuilder, EcovisorClient, EnergyClient, EnergyShare, Simulation,
 };
-use ecovisor_suite::simkit::units::CarbonIntensity;
+use simkit::units::CarbonIntensity;
 
 /// A tiny carbon-aware job: runs one container flat out when the grid is
 /// clean, throttles it to half power when the grid is dirty.

@@ -21,13 +21,14 @@
 
 use std::thread;
 
-use ecovisor_suite::carbon_intel::{regions, CarbonTraceBuilder};
-use ecovisor_suite::container_cop::{AppId, ContainerSpec, CopConfig};
-use ecovisor_suite::ecovisor::{
+use carbon_intel::generator::CarbonTraceBuilder;
+use carbon_intel::regions;
+use container_cop::{AppId, ContainerSpec, CopConfig};
+use ecovisor::{
     EcovisorBuilder, EcovisorServer, EnergyClient, EnergyShare, EventFilter, Notification,
     NotifyConfig, RemoteEcovisorClient, PROTOCOL_VERSION,
 };
-use ecovisor_suite::simkit::units::{CarbonIntensity, WattHours, Watts};
+use simkit::units::{CarbonIntensity, WattHours, Watts};
 
 const TICKS: u64 = 180; // three simulated hours at 1-minute ticks
 
@@ -83,7 +84,7 @@ fn run_application(addr: std::net::SocketAddr, app: AppId) {
 
     let carbon = api.get_app_carbon();
     let now = api.now();
-    let energy = api.get_app_energy(ecovisor_suite::simkit::time::SimTime::EPOCH, now);
+    let energy = api.get_app_energy(simkit::time::SimTime::EPOCH, now);
     println!(
         "application done: {:.2} Wh consumed, {:.2} g CO2 attributed; \
          upcalls received: {carbon_upcalls} carbon, {solar_upcalls} solar, {battery_upcalls} battery",

@@ -6,16 +6,16 @@
 //! cargo run --release --example solar_microgrid
 //! ```
 
-use ecovisor_suite::carbon_policies::{SolarWebApp, SolarWebMode, SparkApp, SparkMode};
-use ecovisor_suite::container_cop::CopConfig;
-use ecovisor_suite::ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
-use ecovisor_suite::energy_system::solar::{SolarArrayBuilder, Weather};
-use ecovisor_suite::simkit::trace::Trace;
-use ecovisor_suite::simkit::units::{WattHours, Watts};
-use ecovisor_suite::workloads::spark::SparkJob;
-use ecovisor_suite::workloads::traces::WorkloadTraceBuilder;
-use ecovisor_suite::workloads::web::WebService;
+use carbon_policies::{SolarWebApp, SolarWebMode, SparkApp, SparkMode};
+use container_cop::CopConfig;
+use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
+use energy_system::solar::{SolarArrayBuilder, Weather};
 use simkit::time::SimDuration;
+use simkit::trace::Trace;
+use simkit::units::{WattHours, Watts};
+use workloads::spark::SparkJob;
+use workloads::traces::WorkloadTraceBuilder;
+use workloads::web::WebService;
 
 fn main() {
     let solar = SolarArrayBuilder::new(120.0)

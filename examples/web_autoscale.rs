@@ -6,13 +6,14 @@
 //! cargo run --release --example web_autoscale
 //! ```
 
-use ecovisor_suite::carbon_intel::{regions, CarbonTraceBuilder};
-use ecovisor_suite::carbon_policies::{WebApp, WebPolicy};
-use ecovisor_suite::container_cop::CopConfig;
-use ecovisor_suite::ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
-use ecovisor_suite::simkit::units::CarbonRate;
-use ecovisor_suite::workloads::traces::WorkloadTraceBuilder;
-use ecovisor_suite::workloads::web::WebService;
+use carbon_intel::generator::CarbonTraceBuilder;
+use carbon_intel::regions;
+use carbon_policies::{WebApp, WebPolicy};
+use container_cop::CopConfig;
+use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
+use simkit::units::CarbonRate;
+use workloads::traces::WorkloadTraceBuilder;
+use workloads::web::WebService;
 
 fn main() {
     let slo_ms = 60.0;

@@ -5,15 +5,15 @@
 //! responses and identical end state through either path, and every
 //! state change a typed call makes is in the protocol trace.
 
-use ecovisor_suite::container_cop::{ContainerSpec, CopConfig};
-use ecovisor_suite::ecovisor::proto::{EnergyRequest, EnergyResponse, ProtoError, RequestBatch};
-use ecovisor_suite::ecovisor::{
+use container_cop::{ContainerSpec, CopConfig};
+use ecovisor::proto::{EnergyRequest, EnergyResponse, ProtoError, RequestBatch};
+use ecovisor::{
     Application, EcovisorBuilder, EcovisorClient, EcovisorError, EnergyClient, EnergyShare,
     Simulation,
 };
-use ecovisor_suite::simkit::time::SimTime;
-use ecovisor_suite::simkit::trace::Trace;
-use ecovisor_suite::simkit::units::{WattHours, Watts};
+use simkit::time::SimTime;
+use simkit::trace::Trace;
+use simkit::units::{WattHours, Watts};
 
 struct Idle;
 impl Application for Idle {
@@ -102,7 +102,7 @@ fn solar_is_known_one_tick_ahead() {
     // in the next tick interval" — the buffer equals last tick's output.
     let solar = Trace::from_samples(
         vec![0.0, 120.0, 40.0, 0.0],
-        ecovisor_suite::simkit::time::SimDuration::from_minutes(1),
+        simkit::time::SimDuration::from_minutes(1),
     );
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(4))
@@ -267,7 +267,7 @@ fn via_typed_client(api: &mut impl EnergyClient, req: &EnergyRequest) -> EnergyR
 /// A call sequence touching every corner of the API: container lifecycle,
 /// power caps, battery knobs, clock, and Table 2 accounting — including
 /// deliberate failures (an unknown container id).
-fn conformance_sequence(bogus: ecovisor_suite::container_cop::ContainerId) -> Vec<EnergyRequest> {
+fn conformance_sequence(bogus: container_cop::ContainerId) -> Vec<EnergyRequest> {
     use EnergyRequest::*;
     let from = SimTime::EPOCH;
     let to = SimTime::from_secs(120);
@@ -300,7 +300,7 @@ fn conformance_sequence(bogus: ecovisor_suite::container_cop::ContainerId) -> Ve
         GetCarbonRateLimit,
         // Small enough to run out within the run: a pushed event.
         SetCarbonBudget {
-            budget: Some(ecovisor_suite::simkit::units::Co2Grams::new(0.01)),
+            budget: Some(simkit::units::Co2Grams::new(0.01)),
         },
         GetCarbonBudget,
         GetRemainingCarbonBudget,
@@ -311,7 +311,7 @@ fn conformance_sequence(bogus: ecovisor_suite::container_cop::ContainerId) -> Ve
 }
 
 /// Per-container follow-up once the launched id is known.
-fn per_container_sequence(c: ecovisor_suite::container_cop::ContainerId) -> Vec<EnergyRequest> {
+fn per_container_sequence(c: container_cop::ContainerId) -> Vec<EnergyRequest> {
     use EnergyRequest::*;
     let from = SimTime::EPOCH;
     let to = SimTime::from_secs(120);
@@ -345,7 +345,7 @@ fn per_container_sequence(c: ecovisor_suite::container_cop::ContainerId) -> Vec<
     ]
 }
 
-fn conformance_sim() -> (Simulation, ecovisor_suite::container_cop::AppId) {
+fn conformance_sim() -> (Simulation, container_cop::AppId) {
     let mut s = sim();
     let share = EnergyShare::grid_only()
         .with_solar_fraction(0.5)
@@ -363,7 +363,7 @@ fn conformance_sim() -> (Simulation, ecovisor_suite::container_cop::AppId) {
 /// responses and the end state.
 #[test]
 fn typed_client_and_batch_dispatch_are_equivalent() {
-    let bogus = ecovisor_suite::container_cop::ContainerId::new(999_999);
+    let bogus = container_cop::ContainerId::new(999_999);
 
     // Path A: typed client methods, one call at a time, traced.
     let (mut sim_a, app_a) = conformance_sim();
@@ -452,7 +452,7 @@ fn typed_client_and_batch_dispatch_are_equivalent() {
 /// crosses the JSON wire behaves exactly like the in-memory one.
 #[test]
 fn wire_serialized_batch_dispatches_identically() {
-    let bogus = ecovisor_suite::container_cop::ContainerId::new(999_999);
+    let bogus = container_cop::ContainerId::new(999_999);
     let (mut sim_a, app) = conformance_sim();
     let batch = RequestBatch::new(app, conformance_sequence(bogus));
 

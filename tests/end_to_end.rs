@@ -1,19 +1,18 @@
 //! Cross-crate end-to-end scenarios: concurrent heterogeneous tenants on
 //! one ecovisor, exercising every substrate at once.
 
-use ecovisor_suite::carbon_intel::{regions, CarbonTraceBuilder};
-use ecovisor_suite::carbon_policies::{
-    BatchApp, BatchMode, SparkApp, SparkMode, WebApp, WebPolicy,
-};
-use ecovisor_suite::container_cop::CopConfig;
-use ecovisor_suite::ecovisor::{EcovisorBuilder, EnergyShare, ExcessPolicy, Simulation};
-use ecovisor_suite::energy_system::solar::{SolarArrayBuilder, Weather};
-use ecovisor_suite::simkit::time::SimDuration;
-use ecovisor_suite::simkit::units::{CarbonRate, WattHours, Watts};
-use ecovisor_suite::workloads::blast::blast_job;
-use ecovisor_suite::workloads::spark::SparkJob;
-use ecovisor_suite::workloads::traces::WorkloadTraceBuilder;
-use ecovisor_suite::workloads::web::WebService;
+use carbon_intel::generator::CarbonTraceBuilder;
+use carbon_intel::regions;
+use carbon_policies::{BatchApp, BatchMode, SparkApp, SparkMode, WebApp, WebPolicy};
+use container_cop::CopConfig;
+use ecovisor::{EcovisorBuilder, EnergyShare, ExcessPolicy, Simulation};
+use energy_system::solar::{SolarArrayBuilder, Weather};
+use simkit::time::SimDuration;
+use simkit::units::{CarbonRate, WattHours, Watts};
+use workloads::blast::blast_job;
+use workloads::spark::SparkJob;
+use workloads::traces::WorkloadTraceBuilder;
+use workloads::web::WebService;
 
 /// Three very different tenants — a W&S batch job, a carbon-budgeted web
 /// service, and a solar+battery Spark job — run concurrently for two
@@ -43,7 +42,7 @@ fn heterogeneous_multi_tenant_day() {
         "blast",
         blast_job(),
         BatchMode::WaitAndScale {
-            threshold: ecovisor_suite::simkit::units::CarbonIntensity::new(200.0),
+            threshold: simkit::units::CarbonIntensity::new(200.0),
             scale: 3,
         },
         2,

@@ -1,14 +1,14 @@
 //! Table 2 conformance: the library layer's interval queries, carbon
 //! rates/budgets, and notification upcalls, end to end.
 
-use ecovisor_suite::container_cop::{ContainerSpec, CopConfig};
-use ecovisor_suite::ecovisor::{
+use container_cop::{ContainerSpec, CopConfig};
+use ecovisor::{
     Application, EcovisorBuilder, EcovisorClient, EnergyClient, EnergyShare, Notification,
     Simulation,
 };
-use ecovisor_suite::simkit::time::{SimDuration, SimTime};
-use ecovisor_suite::simkit::trace::Trace;
-use ecovisor_suite::simkit::units::{CarbonRate, Co2Grams, WattHours, Watts};
+use simkit::time::{SimDuration, SimTime};
+use simkit::trace::Trace;
+use simkit::units::{CarbonRate, Co2Grams, WattHours, Watts};
 
 struct TwoContainers;
 impl Application for TwoContainers {
@@ -105,7 +105,7 @@ fn notify_upcalls_fire() {
         carbon_changes: u64,
         battery_empty: u64,
     }
-    struct EventApp(ecovisor_suite::carbon_policies::Shared<Collector>);
+    struct EventApp(carbon_policies::Shared<Collector>);
     impl Application for EventApp {
         fn on_start(&mut self, api: &mut EcovisorClient<'_>) {
             let c = api.launch_container(ContainerSpec::quad_core()).unwrap();
@@ -127,16 +127,16 @@ fn notify_upcalls_fire() {
     // Solar square wave and a carbon step change trigger notifications; a
     // small battery drains to empty under load.
     let solar = Trace::from_samples(vec![0.0, 100.0], SimDuration::from_minutes(5))
-        .with_extend(ecovisor_suite::simkit::trace::Extend::Cycle);
+        .with_extend(simkit::trace::Extend::Cycle);
     let carbon = Trace::from_samples(vec![100.0, 400.0], SimDuration::from_minutes(30))
-        .with_extend(ecovisor_suite::simkit::trace::Extend::Cycle);
+        .with_extend(simkit::trace::Extend::Cycle);
     let eco = EcovisorBuilder::new()
         .cluster(CopConfig::microserver_cluster(4))
         .solar(solar)
         .carbon(carbon)
         .build();
     let mut s = Simulation::new(eco);
-    let collector = ecovisor_suite::carbon_policies::shared(Collector::default());
+    let collector = carbon_policies::shared(Collector::default());
     let share = EnergyShare::grid_only()
         .with_solar_fraction(0.2)
         .with_battery(WattHours::new(3.0))
