@@ -12,7 +12,7 @@ use simkit::IdMap;
 use crate::container::{AppId, Container, ContainerId, ContainerSpec, ContainerState};
 use crate::error::CopError;
 use crate::power::PowerModel;
-use crate::scheduler::fewest_containers;
+use crate::scheduler::LoadIndex;
 use crate::server::{Server, ServerId, ServerSpec};
 
 /// Cluster composition for a [`Cop`].
@@ -41,6 +41,11 @@ pub struct Cop {
     /// `remove_app_containers` and `adopt_containers`, so the per-owner
     /// accessors cost the owner's containers, not the platform's.
     by_owner: IdMap<AppId, Vec<ContainerId>>,
+    /// The servers in placement order, derived from `servers` and kept in
+    /// step with them by `reserve` and `release` (and rebuilt by
+    /// `adopt_containers`), so a launch walks to its pick instead of
+    /// scanning the cluster.
+    load: LoadIndex,
     next_id: u64,
 }
 
@@ -69,6 +74,7 @@ impl Cop {
             .collect();
         let models = config.servers.iter().map(|s| PowerModel::new(*s)).collect();
         Self {
+            load: LoadIndex::new(&servers),
             servers,
             models,
             containers: IdMap::new(),
@@ -77,19 +83,23 @@ impl Cop {
         }
     }
 
-    /// Launches a container for `owner` on the server
-    /// `fewest_containers` picks.
+    /// Launches a container for `owner` on the server LXD's rule picks:
+    /// the one with the fewest containers that fits `spec`, ties by lowest
+    /// id. The pick is the first server in the load index that fits, so a
+    /// launch costs O(log servers) while the least-loaded servers fit, and
+    /// at worst (every server with fewer containers lacks the capacity or
+    /// the GPU) as much as a scan of every server.
     ///
     /// # Errors
     ///
     /// [`CopError::InsufficientCapacity`] when no server fits the spec.
     pub fn launch(&mut self, owner: AppId, spec: ContainerSpec) -> Result<ContainerId, CopError> {
-        let sid =
-            fewest_containers(&self.servers, &spec).ok_or(CopError::InsufficientCapacity {
-                cores: spec.cores,
-                memory_mib: spec.memory_mib,
-            })?;
-        self.server_mut(sid).reserve(spec.cores, spec.memory_mib);
+        let (pick, _) = self.load.place(&self.servers, &spec);
+        let sid = pick.ok_or(CopError::InsufficientCapacity {
+            cores: spec.cores,
+            memory_mib: spec.memory_mib,
+        })?;
+        self.reserve(sid, spec);
         let id = ContainerId::new(self.next_id);
         self.next_id += 1;
         self.containers
@@ -122,13 +132,9 @@ impl Cop {
                 reason: "already stopped".into(),
             });
         }
-        let (cores, mem, sid) = (
-            container.spec().cores,
-            container.spec().memory_mib,
-            container.server(),
-        );
+        let (spec, sid) = (container.spec(), container.server());
         container.set_state(ContainerState::Stopped);
-        self.server_mut(sid).release(cores, mem);
+        self.release(sid, spec);
         Ok(())
     }
 
@@ -370,8 +376,7 @@ impl Cop {
             .iter()
             .filter(|c| c.state() != ContainerState::Stopped)
         {
-            let (cores, mem, sid) = (c.spec().cores, c.spec().memory_mib, c.server());
-            self.server_mut(sid).release(cores, mem);
+            self.release(c.server(), c.spec());
         }
         removed
     }
@@ -381,7 +386,8 @@ impl Cop {
     /// placement, caps, and state. All-or-nothing: every container is
     /// validated — and live ones checked against the target servers'
     /// free capacity — before anything is inserted. Linear in the
-    /// containers held and adopted, plus one sort.
+    /// containers held and adopted, plus one sort of them and one of the
+    /// servers.
     ///
     /// # Errors
     ///
@@ -466,22 +472,38 @@ impl Cop {
         let mut max_id = self.next_id;
         for c in adopted.clone() {
             if c.state() != ContainerState::Stopped {
-                let (cores, mem, sid) = (c.spec().cores, c.spec().memory_mib, c.server());
-                self.server_mut(sid).reserve(cores, mem);
+                let server = &mut self.servers[c.server().value() as usize];
+                server.reserve(c.spec().cores, c.spec().memory_mib);
             }
             max_id = max_id.max(c.id().value() + 1);
         }
+        // One rebuild after every reservation, not a re-key per container.
+        self.load = LoadIndex::new(&self.servers);
         // Adopted ids arrive in any order and may sit below ids held
-        // here: one sort places them all, and the index is rebuilt.
+        // here: one sort places them all, and the owner index is rebuilt.
         self.containers.extend(adopted.map(|c| (c.id(), c.clone())));
         self.by_owner = index_owners(&self.containers);
         self.next_id = max_id;
         Ok(())
     }
 
-    /// Server `id`: server ids are their places, `0..n`.
-    fn server_mut(&mut self, id: ServerId) -> &mut Server {
-        &mut self.servers[id.value() as usize]
+    /// Reserves a `spec` container on server `sid` (server ids are their
+    /// places, `0..n`) and re-keys the server in the load index: with
+    /// `release`, the one way a launch or a removal moves occupancy.
+    fn reserve(&mut self, sid: ServerId, spec: ContainerSpec) {
+        let server = &mut self.servers[sid.value() as usize];
+        let from = server.container_count();
+        server.reserve(spec.cores, spec.memory_mib);
+        self.load.moved(from, server);
+    }
+
+    /// Releases a `spec` container's reservation on server `sid` and
+    /// re-keys the server in the load index.
+    fn release(&mut self, sid: ServerId, spec: ContainerSpec) {
+        let server = &mut self.servers[sid.value() as usize];
+        let from = server.container_count();
+        server.release(spec.cores, spec.memory_mib);
+        self.load.moved(from, server);
     }
 }
 
@@ -712,6 +734,7 @@ mod properties {
     //! replacement for proptest), so failures are exactly reproducible.
 
     use crate::power::PowerModel;
+    use crate::scheduler::{fewest_containers, LoadIndex};
     use crate::server::Server;
     use crate::{
         AppId, Container, ContainerId, ContainerSpec, ContainerState, Cop, CopConfig, ServerSpec,
@@ -855,11 +878,12 @@ mod properties {
     }
 
     /// Everything a refused call must leave as it was: the containers, each
-    /// server's occupancy and the id cursor.
-    fn state(cop: &Cop) -> (Vec<Container>, Vec<Server>, u64) {
+    /// server's occupancy, the load index and the id cursor.
+    fn state(cop: &Cop) -> (Vec<Container>, Vec<Server>, LoadIndex, u64) {
         (
             all_containers(cop),
             cop.servers().to_vec(),
+            cop.load.clone(),
             cop.next_container_id(),
         )
     }
@@ -920,18 +944,33 @@ mod properties {
         }
     }
 
-    /// The per-owner index stays equal to a full scan, and the table to a
-    /// `BTreeMap` model, through every way the container map changes:
-    /// launch, state changes, eviction of an owner, adoption (in any id
-    /// order, below ids already held) and a fresh platform adopting them all.
+    /// The per-owner index stays equal to a full scan, the table to a
+    /// `BTreeMap` model, the load index to one rebuilt from the servers, and
+    /// every launch lands where a scan of the servers says, through every
+    /// way the container map changes: launch, state changes, eviction of an
+    /// owner, adoption (in any id order, below ids already held) and a
+    /// fresh platform adopting them all. Some clusters mix GPU servers in
+    /// and some launches want four cores or a GPU, so the walk must pass
+    /// servers with fewer containers that do not fit.
     #[test]
     fn owner_index_matches_full_scan() {
         let mut rng = SimRng::from_seed(4004).fork("owner_index_matches_full_scan");
         // The last owner never launches: the accessors must answer for it too.
         let owners: Vec<AppId> = (1..=5).map(AppId::new).collect();
-        let mut adopted_below_held = 0;
+        let (mut adopted_below_held, mut refused, mut passed) = (0, 0, 0);
         for _ in 0..48 {
-            let mut cop = Cop::new(CopConfig::microserver_cluster(12));
+            let config = match rng.uniform_u64(0, 3) {
+                0 => CopConfig::microserver_cluster(12),
+                _ => CopConfig {
+                    servers: (0..12)
+                        .map(|_| match rng.uniform_u64(0, 3) {
+                            0 => ServerSpec::microserver_with_gpu(),
+                            _ => ServerSpec::microserver(),
+                        })
+                        .collect(),
+                },
+            };
+            let mut cop = Cop::new(config.clone());
             let mut evicted: Vec<Vec<Container>> = Vec::new();
             let mut model = BTreeMap::new();
             for _ in 0..rng.uniform_u64(20, 90) {
@@ -941,9 +980,23 @@ mod properties {
                     .then(|| known[rng.uniform_u64(0, known.len() as u64) as usize].id());
                 match (rng.uniform_u64(0, 9), pick) {
                     (0..=2, _) => {
-                        if let Ok(id) = cop.launch(owner, ContainerSpec::with_cores(1)) {
-                            cop.set_demand(id, rng.unit()).expect("just launched");
-                            model.insert(id, (owner, ContainerState::Running));
+                        let spec = match rng.uniform_u64(0, 4) {
+                            0 => ContainerSpec::with_cores(4),
+                            1 => ContainerSpec::with_cores(1).with_gpu(),
+                            2 => ContainerSpec::with_cores(4).with_gpu(),
+                            _ => ContainerSpec::with_cores(1),
+                        };
+                        let want = fewest_containers(cop.servers(), &spec);
+                        let (_, examined) = cop.load.place(cop.servers(), &spec);
+                        passed += (want.is_some() && examined > 1) as u32;
+                        match cop.launch(owner, spec) {
+                            Ok(id) => {
+                                let c = cop.container(id).expect("just launched");
+                                assert_eq!(Some(c.server()), want, "{spec:?}");
+                                cop.set_demand(id, rng.unit()).expect("just launched");
+                                model.insert(id, (owner, ContainerState::Running));
+                            }
+                            Err(_) => assert_eq!(want, None, "{spec:?}"),
                         }
                     }
                     (3..=5, Some(id)) => {
@@ -980,14 +1033,17 @@ mod properties {
                                         model.insert(c.id(), (c.owner(), c.state()));
                                     }
                                 }
-                                Err(_) => assert_eq!(state(&cop), before, "refused: unchanged"),
+                                Err(_) => {
+                                    refused += 1;
+                                    assert_eq!(state(&cop), before, "refused: unchanged");
+                                }
                             }
                         }
                     }
                     (8, _) => {
                         // Occupancy is derived: a fresh platform that adopts
                         // every container matches the one they came from.
-                        let mut twin = Cop::new(CopConfig::microserver_cluster(12));
+                        let mut twin = Cop::new(config.clone());
                         twin.align_container_id(cop.next_container_id())
                             .expect("a fresh cursor is 0");
                         twin.adopt_containers(&all_containers(&cop))
@@ -1000,8 +1056,32 @@ mod properties {
                 assert_owner_index_matches_scan(&cop, &owners);
                 let gone: Vec<ContainerId> = evicted.iter().flatten().map(|c| c.id()).collect();
                 assert_table_matches_model(&cop, &model, &gone);
+                assert_eq!(cop.load, LoadIndex::new(cop.servers()));
             }
         }
         assert!(adopted_below_held > 0, "the sorted-insert case never ran");
+        assert!(refused > 0, "no adoption was refused");
+        assert!(passed > 0, "no launch passed a server that did not fit");
+    }
+
+    /// Placement's law, held by a count the host cannot move: n quad-core
+    /// launches on n microservers examine about one server each (the first
+    /// in the load index fits), where a scan of the cluster examines n per
+    /// launch — n² in all.
+    #[test]
+    fn placement_examines_a_constant_per_launch() {
+        for n in [1_000, 4_000] {
+            let mut cop = Cop::new(CopConfig::microserver_cluster(n));
+            let spec = ContainerSpec::quad_core();
+            let mut examined = 0;
+            for _ in 0..n {
+                examined += cop.load.place(cop.servers(), &spec).1;
+                cop.launch(AppId::new(1), spec).expect("a server is empty");
+            }
+            assert!(
+                examined <= 2 * n as usize,
+                "{n} launches examined {examined} servers"
+            );
+        }
     }
 }

@@ -14,8 +14,11 @@
 //!   Thunderbolt).
 //! * **Container placement** — LXD's default rule, and the only one:
 //!   "allocates a container to the server with the fewest container
-//!   instances" (§4), ties by lowest server id
-//!   (`scheduler::fewest_containers`).
+//!   instances" (§4), ties by lowest server id. The servers are kept
+//!   ordered by `(container count, id)` in a load index
+//!   (`scheduler::LoadIndex`), so a launch takes the first that fits:
+//!   O(log servers) while the least-loaded servers fit the spec, and never
+//!   more servers examined than a scan of the cluster.
 //! * **A utilization→power model** for the paper's ARM microservers
 //!   (quad-core, 1.35 W idle, 5 W at 100 % CPU, 10 W with GPU — §4),
 //!   giving per-container power attribution and cap-to-quota conversion.

@@ -2,15 +2,66 @@
 //!
 //! The paper uses "LXD's default container scheduler, which simply
 //! allocates a container to the server with the fewest container
-//! instances" (§4). `fewest_containers` is that rule, and the only
-//! placement [`crate::Cop::launch`] performs.
+//! instances" (§4): the feasible server with the fewest containers, ties
+//! broken by lowest server id. That is the only placement
+//! [`crate::Cop::launch`] performs, and [`LoadIndex`] is how it finds the
+//! pick without scanning the cluster: the servers kept in that order, so
+//! the first one that fits is the pick. On a cluster whose servers all fit
+//! the spec a launch costs O(log servers); when every server with fewer
+//! containers lacks the cores, the memory or the GPU, the walk passes them
+//! all, as long as a scan of every server and never longer.
+
+use std::collections::BTreeSet;
 
 use crate::container::ContainerSpec;
 use crate::server::{Server, ServerId};
 
-/// LXD's default policy: the feasible server with the fewest containers,
-/// breaking ties by lowest server id (deterministic). `None` when no
-/// server fits `spec`.
+/// Every server of a platform keyed by `(container count, id)`, ascending:
+/// a priority order derived from the servers' occupancy, not a table
+/// looked up by id. Never serialized; the platform re-keys a server
+/// whenever its count moves, or rebuilds the index from the servers.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LoadIndex(BTreeSet<(usize, ServerId)>);
+
+impl LoadIndex {
+    /// The index of `servers`, in one pass.
+    pub(crate) fn new(servers: &[Server]) -> Self {
+        Self(
+            servers
+                .iter()
+                .map(|s| (s.container_count(), s.id()))
+                .collect(),
+        )
+    }
+
+    /// The server LXD's rule picks for `spec` among `servers` (the ones
+    /// this index was built from, at their places `0..n`), or `None` when
+    /// none fits, with the number of servers examined to find it: the
+    /// first that fits in `(count, id)` order is the minimum of
+    /// `(count, id)` over the feasible ones.
+    pub(crate) fn place(
+        &self,
+        servers: &[Server],
+        spec: &ContainerSpec,
+    ) -> (Option<ServerId>, usize) {
+        let mut examined = 0;
+        let pick = self.0.iter().map(|&(_, sid)| sid).find(|sid| {
+            examined += 1;
+            servers[sid.value() as usize].fits(spec.cores, spec.memory_mib, spec.gpu)
+        });
+        (pick, examined)
+    }
+
+    /// Re-keys `server`, whose container count was `from`.
+    pub(crate) fn moved(&mut self, from: usize, server: &Server) {
+        self.0.remove(&(from, server.id()));
+        self.0.insert((server.container_count(), server.id()));
+    }
+}
+
+/// The rule as a scan of every server: the reference the index's picks
+/// are tested against.
+#[cfg(test)]
 pub(crate) fn fewest_containers(servers: &[Server], spec: &ContainerSpec) -> Option<ServerId> {
     servers
         .iter()
@@ -59,6 +110,9 @@ mod tests {
         let mut servers = cluster(1);
         servers[0].reserve(4, 4096);
         assert!(fewest_containers(&servers, &ContainerSpec::single_core()).is_none());
+        let (pick, examined) =
+            LoadIndex::new(&servers).place(&servers, &ContainerSpec::single_core());
+        assert_eq!((pick, examined), (None, 1));
     }
 
     #[test]
@@ -71,5 +125,10 @@ mod tests {
         let spec = ContainerSpec::single_core().with_gpu();
         let sid = fewest_containers(&servers, &spec).expect("gpu server");
         assert_eq!(sid, ServerId::new(2));
+        // The walk passes the two GPU-less servers ahead of it.
+        assert_eq!(
+            LoadIndex::new(&servers).place(&servers, &spec),
+            (Some(sid), 3)
+        );
     }
 }
