@@ -135,6 +135,11 @@ pub struct Ecovisor {
     /// sort below a resident's) and an eviction drop them, and the next
     /// admission folds again.
     pub(crate) resident_shares: Option<(f64, WattHours)>,
+    /// The local tenants whose outbox held events when the last
+    /// settlement left them, in app-id order: what
+    /// [`take_settled_frames`](Self::take_settled_frames) walks. Cleared
+    /// at the start of every settlement and filled by its local tail.
+    with_events: Vec<AppId>,
     pub(crate) intensity: CarbonIntensity,
     pub(crate) prev_intensity: CarbonIntensity,
     pub(crate) last_system_flows: SystemFlows,
@@ -181,6 +186,7 @@ impl Ecovisor {
             apps: IdMap::new(),
             next_app: 1,
             resident_shares: None,
+            with_events: Vec::new(),
             intensity: CarbonIntensity::ZERO,
             prev_intensity: CarbonIntensity::ZERO,
             last_system_flows: SystemFlows::default(),
@@ -332,7 +338,11 @@ impl Ecovisor {
     /// tick's intensity. `between` sees the settled tick's index, so
     /// event frames taken there
     /// ([`take_event_frame`](Self::take_event_frame)) carry the stamp of
-    /// the settlement that produced them.
+    /// the settlement that produced them. The whole-world drivers,
+    /// [`Simulation`](crate::sim::Simulation) and replay, take them there
+    /// from the tenants settlement left holding events, not by asking
+    /// every tenant; the transport's broadcast hook takes them for the
+    /// subscribed tenants, through each one's subscription filters.
     ///
     /// The tick order is written once, for both doors: every driver —
     /// [`Simulation`](crate::sim::Simulation) (which the recorder runs),
@@ -462,6 +472,26 @@ impl Ecovisor {
         Some(frame)
     }
 
+    /// Takes an event frame, as [`take_event_frame`](Self::take_event_frame)
+    /// does, from each tenant the last settlement left holding events
+    /// that `wanted` selects, in app-id order. Run in a tick's `between`,
+    /// where that list is exactly the tenants with pending events:
+    /// settlement's local tail records every local tenant whose outbox is
+    /// non-empty (events a restore or a graft carried in and events a
+    /// filtered broadcast left pending included), dispatch only ever
+    /// drains an outbox, and `between` follows settlement under the
+    /// barrier. So a driver asks the few tenants with something to say,
+    /// not all of them.
+    pub(crate) fn take_settled_frames<'a>(
+        &'a self,
+        mut wanted: impl FnMut(AppId) -> bool + 'a,
+    ) -> impl Iterator<Item = crate::proto::EventFrame> + 'a {
+        self.with_events
+            .iter()
+            .filter(move |&&app| wanted(app))
+            .filter_map(|&app| self.take_event_frame(app))
+    }
+
     /// Settles the current tick at the intensity the clock sampled for
     /// it, over this node's own tenants: enforces carbon-rate caps, runs
     /// the two-phase virtual settlement, multiplexes the battery, handles
@@ -535,7 +565,10 @@ impl Ecovisor {
     ///    policy and the grid/PSU mirror.
     /// 5. **Local tail (map).** Each local tenant takes what it was
     ///    handed, then next tick's solar buffer, the solar and carbon
-    ///    change notifications, and its telemetry — six appends to its
+    ///    change notifications, a place in the list of tenants holding
+    ///    events when its outbox is non-empty (what
+    ///    [`take_settled_frames`](Self::take_settled_frames) walks), and
+    ///    its telemetry — six appends to its
     ///    own series and two per live container from step 1's buffer: no
     ///    lookup by name, and no allocation but a new series' first.
     ///
@@ -546,6 +579,7 @@ impl Ecovisor {
         let now = self.clock.now();
         let dt = self.clock.interval();
         let intensity = self.intensity;
+        self.with_events.clear();
         let cop = lock::get_mut(&mut self.cop);
 
         // 1. Demand: one row per tenant of the list, and the live
@@ -691,6 +725,9 @@ impl Ecovisor {
                         current: intensity,
                     },
                 );
+            }
+            if !rec.pending_events.is_empty() {
+                self.with_events.push(rec.app);
             }
 
             // The flows as applied, before redistribution moved the VES's
@@ -995,4 +1032,597 @@ fn install_carbon_caps(
         let _ = cop.set_carbon_cap(c, Some(per_container));
     }
     rec.carbon_capped = running;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::EnergyClient;
+    use crate::event::EventFilter;
+    use crate::proto::{EnergyRequest, EventFrame, RequestBatch};
+    use container_cop::{ContainerSpec, CopConfig};
+    use simkit::rng::SimRng;
+    use simkit::units::Co2Grams;
+
+    const DT_MINUTES: u64 = 30;
+
+    /// How drivers took frames before settlement kept its list: every
+    /// tenant asked, in id order.
+    fn ask_every_tenant(eco: &Ecovisor) -> Vec<EventFrame> {
+        eco.app_ids()
+            .into_iter()
+            .filter_map(|app| eco.take_event_frame(app))
+            .collect()
+    }
+
+    /// What a transport's broadcast takes when every subscriber wants
+    /// battery edges only: the other events stay pending.
+    fn broadcast_battery_edges(eco: &Ecovisor) -> Vec<EventFrame> {
+        let mut battery = EventFilter::none();
+        battery.battery = true;
+        eco.app_ids()
+            .into_iter()
+            .filter_map(|app| eco.take_event_frame_matching(app, &battery))
+            .collect()
+    }
+
+    fn holds_events(eco: &Ecovisor) -> bool {
+        eco.apps
+            .values()
+            .any(|s| !lock::read(s).rec.pending_events.is_empty())
+    }
+
+    /// A world's static environment: seeded solar and carbon traces, so
+    /// every build (and every restore into one) sees the same physics.
+    struct Env {
+        solar: Vec<f64>,
+        carbon: Vec<f64>,
+    }
+
+    impl Env {
+        fn new(seed: u64, ticks: usize) -> Self {
+            let mut rng = SimRng::from_seed(seed);
+            let solar = (0..ticks + 2).map(|_| rng.uniform(0.0, 260.0)).collect();
+            let carbon = (0..ticks + 2).map(|_| rng.uniform(60.0, 450.0)).collect();
+            Self { solar, carbon }
+        }
+
+        fn build(&self) -> Ecovisor {
+            let dt = SimDuration::from_minutes(DT_MINUTES);
+            EcovisorBuilder::new()
+                .tick_interval(dt)
+                .cluster(CopConfig::microserver_cluster(8))
+                .solar(Trace::from_samples(self.solar.clone(), dt))
+                .carbon(Trace::from_samples(self.carbon.clone(), dt))
+                .build()
+        }
+
+        /// A fresh build holding `from`'s state, pending events included.
+        fn restore(&self, from: &mut Ecovisor) -> Ecovisor {
+            let mut eco = self.build();
+            eco.apply_snapshot(&from.snapshot()).expect("restores");
+            eco
+        }
+
+        /// Six tenants: two whose only events are battery edges and a
+        /// budget crossing (both pushed in the apply step), two that hear
+        /// every solar and carbon swing, one that hears the defaults and
+        /// one that never hears anything.
+        fn populate(&self, eco: &mut Ecovisor) -> Vec<AppId> {
+            let deaf = NotifyConfig {
+                solar_change_fraction: 10.0,
+                solar_change_floor: Watts::new(1e6),
+                carbon_change_fraction: 10.0,
+            };
+            let keen = NotifyConfig {
+                solar_change_fraction: 0.10,
+                solar_change_floor: Watts::new(2.0),
+                carbon_change_fraction: 0.08,
+            };
+            let battery = |soc| {
+                EnergyShare::grid_only()
+                    .with_battery(WattHours::new(8.0))
+                    .with_initial_soc(soc)
+            };
+            let tenants = [
+                ("edges", battery(0.6), Some(deaf)),
+                ("budget", EnergyShare::grid_only(), Some(deaf)),
+                (
+                    "keen",
+                    EnergyShare::grid_only().with_solar_fraction(0.4),
+                    Some(keen),
+                ),
+                ("quiet", EnergyShare::grid_only(), Some(deaf)),
+                (
+                    "default",
+                    EnergyShare::grid_only().with_solar_fraction(0.3),
+                    None,
+                ),
+                (
+                    "edges-keen",
+                    battery(0.3).with_solar_fraction(0.2),
+                    Some(keen),
+                ),
+            ];
+            let mut ids = Vec::new();
+            for (name, share, notify) in tenants {
+                let app = eco.register_app(name, share).expect("register");
+                if let Some(cfg) = notify {
+                    eco.set_notify_config(app, cfg).expect("config");
+                }
+                let mut api = eco.client(app).expect("client");
+                let c = api.launch_container(ContainerSpec::quad_core()).unwrap();
+                api.set_container_demand(c, 0.5).unwrap();
+                ids.push(app);
+            }
+            ids
+        }
+    }
+
+    /// The tenants' knobs before tick `t`, on whichever node holds them:
+    /// the two battery tenants charge and drain in opposite five-tick
+    /// phases, and the budget tenant gets a budget a few ticks from
+    /// exhaustion at ticks 0 and 14.
+    fn steer(eco: &mut Ecovisor, ids: &[AppId], t: u64) {
+        for (i, &app) in ids.iter().enumerate() {
+            if !eco.apps.contains_key(&app) {
+                continue;
+            }
+            let mut api = eco.client(app).expect("client");
+            let charging = (t / 5 + i as u64).is_multiple_of(2);
+            match i {
+                0 | 5 if charging => {
+                    api.set_battery_charge_rate(Watts::new(40.0));
+                    api.set_battery_max_discharge(Watts::ZERO);
+                }
+                0 | 5 => {
+                    api.set_battery_charge_rate(Watts::ZERO);
+                    api.set_battery_max_discharge(Watts::new(40.0));
+                }
+                1 if t == 0 || t == 14 => {
+                    let spent = api.get_app_carbon().grams();
+                    api.set_carbon_budget(Some(Co2Grams::new(spent + 1.0)));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// One settlement on a twin pair, locally or as one node of a
+    /// federation: `a` takes frames through the walk, `b` by asking
+    /// every tenant, unless both broadcast battery edges instead.
+    /// Returns what `a` took after checking that `b` took the same bytes.
+    fn settle_pair(
+        a: &mut Ecovisor,
+        b: &mut Ecovisor,
+        views: Option<(&[FedAppView], &[FedAppView])>,
+        broadcast: bool,
+        what: &str,
+    ) -> Vec<EventFrame> {
+        let walk = |eco: &Ecovisor| {
+            if broadcast {
+                broadcast_battery_edges(eco)
+            } else {
+                eco.take_settled_frames(|_| true).collect()
+            }
+        };
+        let ask = |eco: &Ecovisor| {
+            if broadcast {
+                broadcast_battery_edges(eco)
+            } else {
+                ask_every_tenant(eco)
+            }
+        };
+        let (walked, asked) = match views {
+            None => (a.tick(walk).1, b.tick(ask).1),
+            Some((va, vb)) => (
+                a.finish_tick(va, walk).expect("views").1,
+                b.finish_tick(vb, ask).expect("views").1,
+            ),
+        };
+        assert_eq!(
+            serde::binary::to_bytes(&walked),
+            serde::binary::to_bytes(&asked),
+            "{what}: the walk took other frames than asking every tenant"
+        );
+        walked
+    }
+
+    /// The frames a tick takes from the tenants settlement left holding
+    /// events are, byte for byte, the frames asking every tenant takes:
+    /// through battery edges and budget crossings (pushed in the apply
+    /// step), events a battery-only broadcast left pending, a tenant
+    /// drained by `PollEvents`, a restore and a graft that carry events
+    /// in, and the local tenants of a federated node.
+    #[test]
+    fn the_settled_walk_takes_the_frames_asking_every_tenant_takes() {
+        const TICKS: u64 = 30;
+        let env = Env::new(0xF7A3E, TICKS as usize);
+        let (mut a, mut b) = (env.build(), env.build());
+        let ids = env.populate(&mut a);
+        assert_eq!(env.populate(&mut b), ids);
+
+        let mut nodes: Vec<(Ecovisor, Ecovisor)> = vec![(a, b)];
+        let (mut frames, mut edges, mut budgets, mut carried) = (0, 0, 0, 0);
+        let mut partial = 0;
+        for t in 0..TICKS {
+            for (a, b) in &mut nodes {
+                steer(a, &ids, t);
+                steer(b, &ids, t);
+            }
+            // Every fourth tick a broadcast takes battery edges only.
+            let broadcast = t % 4 == 1;
+            let what = format!("tick {t}");
+            let taken: Vec<EventFrame> = if let [(a, b)] = nodes.as_mut_slice() {
+                settle_pair(a, b, None, broadcast, &what)
+            } else {
+                let mut views = (Vec::new(), Vec::new());
+                for (a, b) in &mut nodes {
+                    views.0.extend(a.collect_demand());
+                    views.1.extend(b.collect_demand());
+                }
+                views.0.sort_by_key(|v| v.app);
+                views.1.sort_by_key(|v| v.app);
+                let views = (views.0.as_slice(), views.1.as_slice());
+                let mut taken = Vec::new();
+                for (node, (a, b)) in nodes.iter_mut().enumerate() {
+                    let what = format!("{what}, node {node}");
+                    taken.extend(settle_pair(a, b, Some(views), broadcast, &what));
+                }
+                taken
+            };
+            frames += taken.len();
+            for e in taken.iter().flat_map(|f| &f.events) {
+                edges += usize::from(matches!(
+                    e,
+                    Notification::BatteryFull | Notification::BatteryEmpty
+                ));
+                budgets += usize::from(matches!(e, Notification::BudgetExhausted { .. }));
+            }
+            if broadcast {
+                partial += usize::from(nodes.iter().any(|(a, _)| holds_events(a)));
+            }
+
+            // Between ticks, after a broadcast left events pending.
+            match t {
+                // The keen tenant polls what the broadcast left it.
+                5 => {
+                    let (a, b) = &mut nodes[0];
+                    let poll = RequestBatch::new(ids[2], vec![EnergyRequest::PollEvents]);
+                    carried += usize::from(holds_events(a));
+                    assert_eq!(a.dispatch_batch(&poll), b.dispatch_batch(&poll));
+                    assert!(a.drain_events(ids[2]).is_empty(), "PollEvents drained it");
+                }
+                // A restore carries the pending events into fresh builds.
+                9 => {
+                    let (a, b) = &mut nodes[0];
+                    carried += usize::from(holds_events(a));
+                    nodes[0] = (env.restore(a), env.restore(b));
+                }
+                // So do grafts of the two keen tenants, out and back.
+                13 => {
+                    let (a, b) = &mut nodes[0];
+                    for eco in [a, b] {
+                        for app in [ids[2], ids[5]] {
+                            let snap = eco.extract_app(app).expect("registered");
+                            let pending = &snap.record.app.pending_events;
+                            carried += usize::from(!pending.is_empty());
+                            eco.remove_app(app).expect("registered");
+                            eco.graft_app(&snap).expect("grafts back");
+                        }
+                    }
+                }
+                // Two nodes from here on, each with half the tenants.
+                17 => {
+                    let (a, b) = &mut nodes[0];
+                    carried += usize::from(holds_events(a));
+                    let split = |eco: &mut Ecovisor| {
+                        let [mut left, mut right] = [env.restore(eco), env.restore(eco)];
+                        for (i, &app) in ids.iter().enumerate() {
+                            let shed = if i % 2 == 0 { &mut right } else { &mut left };
+                            shed.remove_app(app).expect("registered");
+                        }
+                        (left, right)
+                    };
+                    let ((left_a, right_a), (left_b, right_b)) = (split(a), split(b));
+                    nodes = vec![(left_a, left_b), (right_a, right_b)];
+                }
+                _ => {}
+            }
+        }
+        for (a, b) in &mut nodes {
+            assert_eq!(a.snapshot().digest(), b.snapshot().digest());
+        }
+        // Not vacuous: frames every few ticks, battery edges and budget
+        // crossings among them, and events a broadcast left pending for
+        // the poll, the restore, the grafts and the split.
+        assert!(frames >= TICKS as usize, "only {frames} frames");
+        assert!(edges >= 4, "only {edges} battery edges");
+        assert!(budgets >= 2, "only {budgets} budget crossings");
+        assert!(
+            partial >= 5,
+            "broadcasts left events pending {partial} times"
+        );
+        assert!(carried >= 4, "events left pending {carried} times");
+    }
+
+    /// ROADMAP 21's method, a count the host cannot move: at 1,000
+    /// tenants with k holding events, the walk visits exactly k — and
+    /// none on a tick after, when no tenant holds any.
+    #[test]
+    fn the_settled_walk_visits_only_the_tenants_holding_events() {
+        // Constant solar and carbon: no change notifications, so a tenant
+        // holds events only when its budget runs out.
+        let mut eco = EcovisorBuilder::new().build();
+        let ids: Vec<AppId> = (0..1000)
+            .map(|i| eco.register_app(format!("t{i}"), EnergyShare::grid_only()))
+            .collect::<Result<_>>()
+            .expect("register");
+        // A budget of nothing is exhausted at the next settlement.
+        let exhaust = |eco: &mut Ecovisor, apps: &[AppId], step: usize| {
+            for &app in apps.iter().step_by(step) {
+                let mut api = eco.client(app).expect("client");
+                api.set_carbon_budget(Some(Co2Grams::new(0.0)));
+            }
+        };
+        let mut counts = Vec::new();
+        for t in 0..4 {
+            match t {
+                0 => exhaust(&mut eco, &ids, 47),
+                2 => exhaust(&mut eco, &ids[1..], 40),
+                _ => {}
+            }
+            let mut visits = 0;
+            let (_, taken) = eco.tick(|eco| {
+                eco.take_settled_frames(|_| {
+                    visits += 1;
+                    true
+                })
+                .count()
+            });
+            counts.push((visits, taken));
+        }
+        assert_eq!(counts, [(22, 22), (0, 0), (25, 25), (0, 0)]);
+    }
+
+    // Notification edge semantics, the paper's Table 2 `notify_*`
+    // surface, as seeded property loops: battery full/empty fire once
+    // per crossing, and `NotifyConfig` thresholds gate solar and carbon
+    // changes.
+
+    /// Battery edge property: over hundreds of randomized charge/discharge
+    /// ticks, a full/empty notification appears exactly when the
+    /// post-settlement battery state *transitions* into full/empty — and
+    /// never again while the state persists.
+    #[test]
+    fn battery_edges_fire_once_per_crossing() {
+        for seed in [1u64, 42, 0xB417] {
+            let dt = SimDuration::from_minutes(DT_MINUTES);
+            let mut eco = EcovisorBuilder::new()
+                .tick_interval(dt)
+                .cluster(CopConfig::microserver_cluster(4))
+                // No solar: the battery moves only under the randomized
+                // charge/discharge knobs below, so the model is exact.
+                .solar(Trace::constant(0.0))
+                .carbon(Trace::constant(250.0))
+                .build();
+            let app = eco
+                .register_app(
+                    "edges",
+                    EnergyShare::grid_only()
+                        .with_battery(WattHours::new(8.0))
+                        .with_initial_soc(0.6),
+                )
+                .expect("register");
+            let container: ContainerId = {
+                let mut client = eco.client(app).expect("client");
+                let c = client
+                    .launch_container(ContainerSpec::quad_core())
+                    .expect("launch");
+                client.set_container_demand(c, 1.0).expect("demand");
+                c
+            };
+
+            let mut rng = SimRng::from_seed(seed);
+            let battery_state = |eco: &Ecovisor| {
+                let ves = eco.app_ves(app).expect("ves");
+                let b = ves.battery().expect("share has a battery");
+                (b.is_full(), b.is_empty())
+            };
+            let (mut was_full, mut was_empty) = battery_state(&eco);
+            let mut full_seen = 0usize;
+            let mut empty_seen = 0usize;
+
+            // Seeded random-length charge/drain phases: long enough streaks
+            // to cross both edges repeatedly (the 8 Wh battery charges at
+            // its 0.25C limit, ~1 Wh per 30-minute tick), with per-tick
+            // randomized demand so the walk between edges varies.
+            let mut charging = rng.unit() < 0.5;
+            let mut phase_left = rng.uniform_u64(4, 12);
+            for tick in 0..300u64 {
+                if phase_left == 0 {
+                    charging = !charging;
+                    phase_left = rng.uniform_u64(4, 12);
+                }
+                phase_left -= 1;
+                {
+                    let mut client = eco.client(app).expect("client");
+                    if charging {
+                        client.set_battery_charge_rate(Watts::new(rng.uniform(20.0, 60.0)));
+                        client.set_battery_max_discharge(Watts::ZERO);
+                        client
+                            .set_container_demand(container, rng.uniform(0.1, 0.3))
+                            .expect("demand");
+                    } else {
+                        client.set_battery_charge_rate(Watts::ZERO);
+                        client.set_battery_max_discharge(Watts::new(rng.uniform(10.0, 50.0)));
+                        client
+                            .set_container_demand(container, rng.uniform(0.7, 1.0))
+                            .expect("demand");
+                    }
+                }
+                let (_, ((full, empty), events)) =
+                    eco.tick(|eco| (battery_state(eco), eco.drain_events(app)));
+
+                let full_events = events
+                    .iter()
+                    .filter(|e| matches!(e, Notification::BatteryFull))
+                    .count();
+                let empty_events = events
+                    .iter()
+                    .filter(|e| matches!(e, Notification::BatteryEmpty))
+                    .count();
+                let expect_full = usize::from(full && !was_full);
+                let expect_empty = usize::from(empty && !was_empty);
+                assert_eq!(
+                    full_events, expect_full,
+                    "seed {seed} tick {tick}: full {was_full}→{full} must fire {expect_full} (got {full_events})"
+                );
+                assert_eq!(
+                    empty_events, expect_empty,
+                    "seed {seed} tick {tick}: empty {was_empty}→{empty} must fire {expect_empty} (got {empty_events})"
+                );
+                full_seen += full_events;
+                empty_seen += empty_events;
+                (was_full, was_empty) = (full, empty);
+            }
+            // The property must not have held vacuously: the randomized run
+            // actually crossed both edges, multiple times.
+            assert!(full_seen >= 2, "seed {seed}: only {full_seen} full edges");
+            assert!(
+                empty_seen >= 2,
+                "seed {seed}: only {empty_seen} empty edges"
+            );
+        }
+    }
+
+    /// Threshold property: `SolarChange`/`CarbonChange` delivery tracks
+    /// `NotifyConfig`'s significance tests exactly — tick by tick, payloads
+    /// included — and an impossible threshold silences the categories.
+    #[test]
+    fn notify_config_thresholds_gate_solar_and_carbon_delivery() {
+        for seed in [3u64, 99, 0x501A] {
+            run_threshold_property(seed);
+        }
+    }
+
+    fn run_threshold_property(seed: u64) {
+        let dt = SimDuration::from_minutes(DT_MINUTES);
+        let mut rng = SimRng::from_seed(seed);
+        let ticks = 200u64;
+        let solar: Vec<f64> = (0..ticks + 2).map(|_| rng.uniform(0.0, 260.0)).collect();
+        let carbon: Vec<f64> = (0..ticks + 2).map(|_| rng.uniform(60.0, 450.0)).collect();
+        let build = |cfg: NotifyConfig| {
+            let mut eco = EcovisorBuilder::new()
+                .tick_interval(dt)
+                .cluster(CopConfig::microserver_cluster(4))
+                .solar(Trace::from_samples(solar.clone(), dt))
+                .carbon(Trace::from_samples(carbon.clone(), dt))
+                .build();
+            let app = eco
+                .register_app(
+                    "thresholds",
+                    EnergyShare::grid_only().with_solar_fraction(0.5),
+                )
+                .expect("register");
+            eco.set_notify_config(app, cfg).expect("config");
+            (eco, app)
+        };
+
+        // --- A sensitive config: delivery must match the significance test
+        // tick by tick, with exact previous/current payloads. ---
+        let cfg = NotifyConfig {
+            solar_change_fraction: 0.10,
+            solar_change_floor: Watts::new(2.0),
+            carbon_change_fraction: 0.08,
+        };
+        let (mut eco, app) = build(cfg);
+        let mut prev_buffer = Watts::ZERO;
+        let mut prev_intensity = eco.grid_carbon_intensity();
+        let mut solar_fired = 0usize;
+        let mut carbon_fired = 0usize;
+        for tick in 0..ticks {
+            let (_, (intensity, buffer, events)) = eco.tick(|eco| {
+                (
+                    eco.grid_carbon_intensity(),
+                    eco.app_ves(app).expect("ves").solar_available(),
+                    eco.drain_events(app),
+                )
+            });
+
+            let solar_events: Vec<&Notification> = events
+                .iter()
+                .filter(|e| matches!(e, Notification::SolarChange { .. }))
+                .collect();
+            let carbon_events: Vec<&Notification> = events
+                .iter()
+                .filter(|e| matches!(e, Notification::CarbonChange { .. }))
+                .collect();
+
+            if cfg.solar_significant(prev_buffer, buffer) {
+                assert_eq!(
+                    solar_events,
+                    vec![&Notification::SolarChange {
+                        previous: prev_buffer,
+                        current: buffer,
+                    }],
+                    "seed {seed} tick {tick}: significant solar swing must deliver exactly once"
+                );
+                solar_fired += 1;
+            } else {
+                assert!(
+                    solar_events.is_empty(),
+                    "seed {seed} tick {tick}: insignificant solar swing delivered {solar_events:?}"
+                );
+            }
+            if cfg.carbon_significant(prev_intensity, intensity) {
+                assert_eq!(
+                    carbon_events,
+                    vec![&Notification::CarbonChange {
+                        previous: prev_intensity,
+                        current: intensity,
+                    }],
+                    "seed {seed} tick {tick}: significant carbon swing must deliver exactly once"
+                );
+                carbon_fired += 1;
+            } else {
+                assert!(
+                    carbon_events.is_empty(),
+                    "seed {seed} tick {tick}: insignificant carbon swing delivered {carbon_events:?}"
+                );
+            }
+            prev_buffer = buffer;
+            prev_intensity = intensity;
+        }
+        // Non-vacuous on both sides: the seeded traces produced swings that
+        // fired and swings that were gated.
+        assert!(solar_fired > 10, "seed {seed}: solar fired {solar_fired}");
+        assert!(
+            carbon_fired > 10,
+            "seed {seed}: carbon fired {carbon_fired}"
+        );
+        assert!(
+            (solar_fired as u64) < ticks,
+            "seed {seed}: every tick fired solar — gating untested"
+        );
+
+        // --- An impossible threshold silences both categories over the
+        // same physics. ---
+        let deaf = NotifyConfig {
+            solar_change_fraction: 10.0,
+            solar_change_floor: Watts::new(1e6),
+            carbon_change_fraction: 10.0,
+        };
+        let (mut eco, app) = build(deaf);
+        for _ in 0..ticks {
+            let (_, events) = eco.tick(|eco| eco.drain_events(app));
+            assert!(
+                events.iter().all(|e| !matches!(
+                    e,
+                    Notification::SolarChange { .. } | Notification::CarbonChange { .. }
+                )),
+                "impossible thresholds must deliver nothing, got {events:?}"
+            );
+        }
+    }
 }

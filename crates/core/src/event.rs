@@ -283,7 +283,7 @@ impl Default for NotifyConfig {
 
 impl NotifyConfig {
     /// Whether a solar swing from `previous` to `current` is significant.
-    pub fn solar_significant(&self, previous: Watts, current: Watts) -> bool {
+    pub(crate) fn solar_significant(&self, previous: Watts, current: Watts) -> bool {
         let delta = previous.abs_diff(current);
         if delta < self.solar_change_floor.watts() {
             return false;
@@ -293,7 +293,11 @@ impl NotifyConfig {
     }
 
     /// Whether a carbon-intensity swing is significant.
-    pub fn carbon_significant(&self, previous: CarbonIntensity, current: CarbonIntensity) -> bool {
+    pub(crate) fn carbon_significant(
+        &self,
+        previous: CarbonIntensity,
+        current: CarbonIntensity,
+    ) -> bool {
         let delta = previous.abs_diff(current);
         let base = previous.grams_per_kwh().max(1e-9);
         delta / base >= self.carbon_change_fraction

@@ -9,7 +9,9 @@
 //! * [`Ecovisor::replay_trace_from`] re-executes a trace at its recorded
 //!   tick cadence — dispatch the batches stamped for each tick, then
 //!   [`Ecovisor::tick`], regenerating that settlement's event frames
-//!   before the clock advances. This is the **one** replay loop;
+//!   before the clock advances, from the tenants the settlement left
+//!   holding events (a few of a thousand on a recorded day), not by
+//!   asking every tenant. This is the **one** replay loop;
 //! * [`ShardedEcovisor::replay_trace_from`] runs that same loop on a wrapped
 //!   ecovisor under a single hold of the settlement barrier, so a replay
 //!   is atomic with respect to any concurrent dispatch on the wrapper;
@@ -82,9 +84,10 @@ impl Ecovisor {
     ///
     /// For each settlement tick in `start_tick..ticks`: dispatches every
     /// trace entry stamped at or before the tick (in trace order), then
-    /// runs [`Ecovisor::tick`], taking each app's event frame between
-    /// settlement and the clock's advance (apps in id order — the order
-    /// the recording harness and the transport's broadcast hook use).
+    /// runs [`Ecovisor::tick`], taking an event frame from each app the
+    /// settlement left holding events, between settlement and the
+    /// clock's advance (apps in id order — the order the recording
+    /// harness and the transport's broadcast hook use).
     /// Entries stamped after the final settlement (e.g. post-run polls)
     /// are dispatched at the end.
     ///
@@ -118,11 +121,7 @@ impl Ecovisor {
                 let entry = entries.next().expect("peeked");
                 responses.push(self.dispatch_batch(&entry.batch));
             }
-            self.tick(|eco| {
-                for app in eco.app_ids() {
-                    frames.extend(eco.take_event_frame(app));
-                }
-            });
+            self.tick(|eco| frames.extend(eco.take_settled_frames(|_| true)));
         }
         for entry in entries {
             responses.push(self.dispatch_batch(&entry.batch));

@@ -12,11 +12,12 @@
 //!    their fire-and-forget commands coalesce into per-tick request
 //!    batches;
 //! 2. flushes each application's outstanding batch at the tick boundary;
-//! 3. runs [`Ecovisor::tick`]: settles energy and carbon, takes each
-//!    application's event frame between settlement and the clock's
-//!    advance — where the transport's push hook runs, so a traced run
-//!    records its push traffic — and advances the clock, which samples
-//!    the next tick's carbon intensity.
+//! 3. runs [`Ecovisor::tick`]: settles energy and carbon, takes an event
+//!    frame from each application the settlement left holding events,
+//!    in app-id order, between settlement and the clock's advance —
+//!    where the transport's push hook runs, so a traced run records its
+//!    push traffic — and advances the clock, which samples the next
+//!    tick's carbon intensity.
 //!
 //! So an upcall reads the intensity of the tick it acts in, as every
 //! other surface's tenant does.
@@ -111,11 +112,20 @@ impl Simulation {
             // Tick boundary: whatever the app queued settles as one batch.
             api.flush();
         }
+        // Every entry's frame was taken above; the tick takes the next
+        // ones from the driven tenants the settlement left holding events.
+        // A tenant the ecovisor holds but no entry drives keeps its events
+        // for `drain_events` / `PollEvents`.
+        let mut frames = Vec::new();
+        let entries = &self.entries;
         self.eco.tick(|eco| {
-            for entry in &mut self.entries {
-                entry.frame = eco.take_event_frame(entry.id);
-            }
+            let driven = |id| entries.iter().any(|e| e.id == id);
+            frames.extend(eco.take_settled_frames(driven));
         });
+        for frame in frames {
+            let entry = self.entries.iter_mut().find(|e| e.id == frame.app);
+            entry.expect("a driven tenant").frame = Some(frame);
+        }
     }
 
     /// Runs `n` ticks.
