@@ -46,7 +46,6 @@
 use std::sync::atomic::Ordering;
 
 use container_cop::{AppId, ContainerId, Cop};
-use power_telemetry::metrics;
 use simkit::units::{Co2Grams, WattHours};
 
 use crate::ecovisor::{AppState, Ecovisor};
@@ -54,6 +53,7 @@ use crate::obs::{CoreMetrics, Histogram};
 use crate::proto::{
     EnergyRequest, EnergyResponse, EventFrame, ProtoError, RequestBatch, ResponseBatch,
 };
+use crate::series::Metric;
 use crate::{lock, PROTOCOL_VERSION};
 
 /// Acquires a guard, timing the wait into one of the sampled lock-wait
@@ -449,7 +449,7 @@ impl Ecovisor {
                 Err(e) => EnergyResponse::Err(e),
                 Ok(()) => {
                     let ws = state.series.integrate(
-                        metrics::CONTAINER_POWER,
+                        Metric::ContainerPower,
                         Some(*container),
                         *from,
                         *to,
@@ -467,7 +467,7 @@ impl Ecovisor {
                     let grams =
                         state
                             .series
-                            .integrate(metrics::CARBON_RATE, Some(*container), *from, *to);
+                            .integrate(Metric::CarbonRate, Some(*container), *from, *to);
                     EnergyResponse::Carbon(Co2Grams::new(grams))
                 }
             },
@@ -478,14 +478,12 @@ impl Ecovisor {
             // than sampling this reading.
             GetAppPower => EnergyResponse::Power(cop_held(cop).app_power(app)),
             GetAppEnergy { from, to } => {
-                let ws = state.series.integrate(metrics::APP_POWER, None, *from, *to);
+                let ws = state.series.integrate(Metric::AppPower, None, *from, *to);
                 EnergyResponse::Energy(WattHours::new(ws / 3600.0))
             }
             GetAppCarbon => EnergyResponse::Carbon(rec.ves.totals().carbon),
             GetAppCarbonBetween { from, to } => {
-                let grams = state
-                    .series
-                    .integrate(metrics::CARBON_RATE, None, *from, *to);
+                let grams = state.series.integrate(Metric::CarbonRate, None, *from, *to);
                 EnergyResponse::Carbon(Co2Grams::new(grams))
             }
             GetCarbonRateLimit => EnergyResponse::RateLimit(rec.carbon_rate_limit),

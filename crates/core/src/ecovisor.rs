@@ -38,7 +38,7 @@ use container_cop::{AppId, ContainerId, ContainerState, Cop};
 use energy_system::battery::Battery;
 use energy_system::grid::GridConnection;
 use energy_system::psu::ProgrammablePsu;
-use power_telemetry::Tsdb;
+use simkit::series::TimeSeries;
 use simkit::time::{SimDuration, SimTime, TickClock};
 use simkit::trace::Trace;
 use simkit::units::{CarbonIntensity, WattHours, Watts};
@@ -49,7 +49,7 @@ use crate::error::{EcovisorError, Result};
 use crate::event::{Notification, NotifyConfig, OutboxPolicy};
 use crate::federation::FedAppView;
 use crate::lock;
-use crate::series::{self, SystemSeries, TenantSeries};
+use crate::series::{self, Metric, Subject, SystemSeries, TenantSeries};
 use crate::share::EnergyShare;
 use crate::snapshot::AppSnapshot;
 use crate::ves::{DesiredFlows, VesFlows, VesTotals, VirtualEnergySystem};
@@ -805,16 +805,17 @@ impl Ecovisor {
         self.intensity
     }
 
-    /// The historical telemetry, every series named into one store: the
-    /// `SYSTEM` series and each tenant's, one shard read lock at a time.
-    /// A copy — settlement goes on writing the tenants' own.
-    pub fn telemetry(&self) -> Tsdb {
-        let mut store = Tsdb::new();
-        series::name_system_into(&self.system_series, &mut store);
+    /// Hands `visit` every telemetry series where it is held: the
+    /// `SYSTEM` series, then each tenant in id order — its own series,
+    /// then its containers' ascending by id — each metric in its owner's
+    /// slot order. One shard read lock is held at a time, and nothing is
+    /// copied or sorted. `visit` must not call back into the ecovisor: a
+    /// tenant's shard is read-locked while its series are visited.
+    pub fn for_each_series(&self, mut visit: impl FnMut(Subject, Metric, &TimeSeries)) {
+        series::visit_system(&self.system_series, &mut visit);
         for (&app, shard) in self.apps.iter() {
-            lock::read(shard).series.name_into(app, &mut store);
+            lock::read(shard).series.visit(app, &mut visit);
         }
-        store
     }
 
     /// The container orchestration platform (shared read guard — hold
@@ -1624,5 +1625,85 @@ mod tests {
                 "impossible thresholds must deliver nothing, got {events:?}"
             );
         }
+    }
+
+    /// Every `(subject, metric)` the series walk visits, in its order.
+    fn walked(eco: &Ecovisor) -> Vec<(Subject, Metric)> {
+        let mut seen = Vec::new();
+        eco.for_each_series(|subject, metric, series| {
+            assert!(!series.is_empty(), "{subject:?} {metric:?}");
+            seen.push((subject, metric));
+        });
+        seen
+    }
+
+    /// The walk's order, spelled out: the three `SYSTEM` series, then
+    /// each tenant ascending by id — its six own series, then each of
+    /// its containers' two, ascending by id.
+    fn expected_walk(fleets: &[(AppId, Vec<ContainerId>)]) -> Vec<(Subject, Metric)> {
+        let mut order: Vec<(Subject, Metric)> = [
+            Metric::GridCarbonIntensity,
+            Metric::SolarPower,
+            Metric::AppPower,
+        ]
+        .map(|metric| (Subject::System, metric))
+        .into();
+        for (app, fleet) in fleets {
+            order.extend(
+                [
+                    Metric::AppPower,
+                    Metric::BatteryDischarge,
+                    Metric::BatteryCharge,
+                    Metric::BatterySoc,
+                    Metric::CarbonRate,
+                    Metric::ContainerCount,
+                ]
+                .map(|metric| (Subject::App(*app), metric)),
+            );
+            for &c in fleet {
+                let of = Subject::Container(c);
+                order.extend([(of, Metric::ContainerPower), (of, Metric::CarbonRate)]);
+            }
+        }
+        order
+    }
+
+    /// The series walk goes by id, not by name: the middle tenant's
+    /// containers are `c1`, `c4`, `c7` and `c10`, which a name order
+    /// would visit as `c1`, `c10`, `c4`, `c7`. When that tenant leaves
+    /// and is grafted back, it is visited in its id's place again.
+    #[test]
+    fn the_series_walk_visits_system_then_tenants_and_containers_by_id() {
+        let mut eco = Env::new(0x5E41, 4).build();
+        let mut fleets: Vec<(AppId, Vec<ContainerId>)> = ["a", "b", "c"]
+            .into_iter()
+            .map(|name| {
+                let share = EnergyShare::grid_only().with_solar_fraction(0.3);
+                (eco.register_app(name, share).expect("register"), Vec::new())
+            })
+            .collect();
+        for _ in 0..4 {
+            for (app, fleet) in &mut fleets {
+                let mut api = eco.client(*app).expect("client");
+                let c = api.launch_container(ContainerSpec::single_core());
+                fleet.push(c.expect("launch"));
+            }
+        }
+        let middle: Vec<u64> = fleets[1].1.iter().map(|c| c.value()).collect();
+        assert_eq!(middle, [1, 4, 7, 10]);
+        for _ in 0..3 {
+            eco.tick(|_| ());
+        }
+        let expected = expected_walk(&fleets);
+        assert_eq!(walked(&eco), expected);
+
+        let middle = fleets[1].0;
+        let capture = eco.extract_app(middle).expect("registered");
+        eco.remove_app(middle).expect("registered");
+        let mut without = fleets.clone();
+        without.remove(1);
+        assert_eq!(walked(&eco), expected_walk(&without));
+        eco.graft_app(&capture).expect("grafts back");
+        assert_eq!(walked(&eco), expected);
     }
 }

@@ -238,6 +238,7 @@ mod tests {
     use crate::config::EcovisorBuilder;
     use crate::event::Notification;
     use crate::proto::{EnergyRequest, RequestBatch};
+    use crate::series::{Metric, Subject};
     use crate::share::EnergyShare;
     use container_cop::ContainerSpec;
 
@@ -304,10 +305,12 @@ mod tests {
         assert_eq!(cop.container_ids_of(a), vec![c]);
         drop(cop);
         // Telemetry came along: the app has series history.
-        assert!(dest
-            .telemetry()
-            .latest("app_power_w", &a.to_string())
-            .is_some());
+        let mut history = false;
+        dest.for_each_series(|subject, metric, series| {
+            history |=
+                (subject, metric) == (Subject::App(a), Metric::AppPower) && series.last().is_some();
+        });
+        assert!(history);
     }
 
     #[test]

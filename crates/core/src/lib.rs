@@ -48,8 +48,9 @@
 //!
 //! * [`Ecovisor`] owns the physical components (from `energy_system`),
 //!   the container orchestration platform (from `container_cop`), the
-//!   carbon-intensity trace, and the `SYSTEM` telemetry series (named
-//!   into a `power_telemetry` store on request). Per-app state is **sharded** behind
+//!   carbon-intensity trace, and the `SYSTEM` telemetry series; each
+//!   tenant's series live in its own state, and
+//!   [`Ecovisor::for_each_series`] walks them all. Per-app state is **sharded** behind
 //!   per-app locks, so dispatch takes `&self` and tenants execute in
 //!   parallel; [`ShardedEcovisor`] (`shard.rs`) is the concurrent
 //!   deployment wrapper, with tick settlement as the sole cross-app
@@ -124,6 +125,7 @@ pub use error::{EcovisorError, Result};
 pub use event::{EventFilter, Notification, NotifyConfig, OutboxPolicy};
 pub use federation::{FedAppView, TenantSnapshot};
 pub use replay::{digest, ReplayReport};
+pub use series::{Metric, Subject};
 pub use shard::ShardedEcovisor;
 pub use share::EnergyShare;
 pub use sim::Simulation;

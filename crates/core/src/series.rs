@@ -1,44 +1,81 @@
 //! Telemetry kept by its owner, in fixed slots.
 //!
+//! This is the paper's InfluxDB stand-in (§4): the store Table 2's
+//! interval calls (`get_container_energy(t1,t2)` and the rest) query.
 //! Settlement writes each tenant's series into that tenant's shard
 //! ([`TenantSeries`], in `AppState`) and the three `SYSTEM` series into
 //! three slots of the ecovisor, so dispatch reads a tenant's telemetry
-//! under the shard lock it already holds. A series' metric is its place
-//! among its owner's slots ([`APP_SERIES`], [`CONTAINER_SERIES`],
-//! [`SYSTEM_SERIES`]) and its subject is its owner, so a snapshot and a
-//! tenant capture write the slots as they are held, with no name.
-//! [`Ecovisor::telemetry`](crate::Ecovisor::telemetry) alone names them,
-//! into a [`Tsdb`] for readers that look series up by name.
+//! under the shard lock it already holds. A series' [`Metric`] is its
+//! place among its owner's slots ([`APP_SERIES`], [`CONTAINER_SERIES`],
+//! [`SYSTEM_SERIES`]) and its [`Subject`] is its owner, so a snapshot and
+//! a tenant capture write the slots as they are held, with no name, and
+//! [`Ecovisor::for_each_series`](crate::Ecovisor::for_each_series) shows
+//! them where they are.
 
 use container_cop::{AppId, ContainerId};
-use power_telemetry::{metrics, Tsdb};
 use simkit::series::TimeSeries;
 use simkit::time::SimTime;
 use simkit::IdMap;
 
 use crate::snapshot::SnapshotError;
 
+/// What a telemetry series measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Metric {
+    /// A container's attributed power, watts.
+    ContainerPower,
+    /// Power served to a tenant, or (of [`Subject::System`]) drawn by the
+    /// whole cluster, watts.
+    AppPower,
+    /// Physical solar power, watts.
+    SolarPower,
+    /// A tenant's virtual battery discharge, watts.
+    BatteryDischarge,
+    /// A tenant's virtual battery charge, watts.
+    BatteryCharge,
+    /// A tenant's virtual battery state of charge, a fraction.
+    BatterySoc,
+    /// Grid carbon intensity, g·CO2/kWh.
+    GridCarbonIntensity,
+    /// A tenant's or a container's carbon emission rate, g·CO2/s.
+    CarbonRate,
+    /// A tenant's running container count.
+    ContainerCount,
+}
+
+/// Whom a telemetry series is about: the substrate, a tenant or one of
+/// a tenant's containers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Subject {
+    /// The physical system, shared by every tenant.
+    System,
+    /// A tenant.
+    App(AppId),
+    /// A container (stopped ones included).
+    Container(ContainerId),
+}
+
 /// The series settlement writes for each tenant under its app subject, in
 /// the order [`TenantSeries::record`] takes their values.
-const APP_SERIES: [&str; 6] = [
-    metrics::APP_POWER,
-    metrics::BATTERY_DISCHARGE,
-    metrics::BATTERY_CHARGE,
-    metrics::BATTERY_SOC,
-    metrics::CARBON_RATE,
-    metrics::CONTAINER_COUNT,
+const APP_SERIES: [Metric; 6] = [
+    Metric::AppPower,
+    Metric::BatteryDischarge,
+    Metric::BatteryCharge,
+    Metric::BatterySoc,
+    Metric::CarbonRate,
+    Metric::ContainerCount,
 ];
 
 /// The series settlement writes for each live container, in the order
 /// [`TenantSeries::record`] takes their values.
-const CONTAINER_SERIES: [&str; 2] = [metrics::CONTAINER_POWER, metrics::CARBON_RATE];
+const CONTAINER_SERIES: [Metric; 2] = [Metric::ContainerPower, Metric::CarbonRate];
 
-/// The series settlement writes under [`metrics::SYSTEM`], in the order
+/// The series settlement writes under [`Subject::System`], in the order
 /// [`record`] takes their values there.
-const SYSTEM_SERIES: [&str; 3] = [
-    metrics::GRID_CARBON_INTENSITY,
-    metrics::SOLAR_POWER,
-    metrics::APP_POWER,
+const SYSTEM_SERIES: [Metric; 3] = [
+    Metric::GridCarbonIntensity,
+    Metric::SolarPower,
+    Metric::AppPower,
 ];
 
 /// A series that exists or does not: one is made by the first sample
@@ -70,15 +107,15 @@ impl TenantSeries {
     }
 
     /// Step-integral of `metric` over `[from, to)`: 0 when there is no
-    /// such series, as for a name a store does not hold.
+    /// such series.
     pub(crate) fn integrate(
         &self,
-        metric: &str,
+        metric: Metric,
         of: Option<ContainerId>,
         from: SimTime,
         to: SimTime,
     ) -> f64 {
-        let (slots, metrics): (&[Slot], &[&str]) = match of.map(|id| self.find(id)) {
+        let (slots, metrics): (&[Slot], &[Metric]) = match of.map(|id| self.find(id)) {
             None => (&self.app, &APP_SERIES),
             Some(Ok(at)) => (&self.containers[at].1, &CONTAINER_SERIES),
             Some(Err(_)) => (&[], &[]),
@@ -88,11 +125,12 @@ impl TenantSeries {
         series.map_or(0.0, |series| series.integrate_step(from, to))
     }
 
-    /// Names every series of tenant `app` into `out`.
-    pub(crate) fn name_into(&self, app: AppId, out: &mut Tsdb) {
-        name_into(&self.app, &APP_SERIES, &app.to_string(), out);
-        for (id, slots) in &self.containers {
-            name_into(slots, &CONTAINER_SERIES, &id.to_string(), out);
+    /// Visits every series of tenant `app`: its own in [`APP_SERIES`]
+    /// order, then each container's, ascending by id.
+    pub(crate) fn visit(&self, app: AppId, visit: &mut Visitor<'_>) {
+        visit_slots(&self.app, &APP_SERIES, Subject::App(app), visit);
+        for &(id, ref slots) in &self.containers {
+            visit_slots(slots, &CONTAINER_SERIES, Subject::Container(id), visit);
         }
     }
 
@@ -155,16 +193,20 @@ pub(crate) fn record(slots: &mut [Slot], at: SimTime, values: &[f64]) {
     }
 }
 
-/// Names the `SYSTEM` series into `out`.
-pub(crate) fn name_system_into(slots: &SystemSeries, out: &mut Tsdb) {
-    name_into(slots, &SYSTEM_SERIES, metrics::SYSTEM, out);
+/// What [`Ecovisor::for_each_series`](crate::Ecovisor::for_each_series)
+/// hands each series to.
+pub(crate) type Visitor<'a> = dyn FnMut(Subject, Metric, &TimeSeries) + 'a;
+
+/// Visits the `SYSTEM` series, in [`SYSTEM_SERIES`] order.
+pub(crate) fn visit_system(slots: &SystemSeries, visit: &mut Visitor<'_>) {
+    visit_slots(slots, &SYSTEM_SERIES, Subject::System, visit);
 }
 
-/// Names each held slot as its metric of `subject` into `out`.
-fn name_into(slots: &[Slot], metrics: &[&str], subject: &str, out: &mut Tsdb) {
-    for (metric, series) in metrics.iter().zip(slots) {
+/// Visits each held slot as its metric of `subject`.
+fn visit_slots(slots: &[Slot], metrics: &[Metric], subject: Subject, visit: &mut Visitor<'_>) {
+    for (&metric, series) in metrics.iter().zip(slots) {
         if let Some(series) = series {
-            out.insert(metric, subject, series.clone());
+            visit(subject, metric, series);
         }
     }
 }

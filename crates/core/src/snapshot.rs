@@ -455,7 +455,7 @@ impl Ecovisor {
                 snap.tick
             )));
         }
-        check_stamps(&system.series, now, &power_telemetry::metrics::SYSTEM)?;
+        check_stamps(&system.series, now, &"system")?;
         let above_apps = snap.tenants.iter().map(|t| t.app.app.value()).max();
         if above_apps.is_some_and(|id| id >= system.next_app) || system.next_app == 0 {
             return Err(SnapshotError::Structure(format!(

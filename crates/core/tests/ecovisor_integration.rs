@@ -8,11 +8,10 @@ use container_cop::{AppId, ContainerSpec, CopConfig};
 use ecovisor::proto::{EnergyRequest, RequestBatch};
 use ecovisor::{
     Application, Ecovisor, EcovisorBuilder, EcovisorClient, EcovisorError, EcovisorServer,
-    EnergyClient, EnergyShare, ExcessPolicy, Notification, RemoteEcovisorClient, ShardedEcovisor,
-    Simulation, VesTotals,
+    EnergyClient, EnergyShare, ExcessPolicy, Metric, Notification, RemoteEcovisorClient,
+    ShardedEcovisor, Simulation, Subject, VesTotals,
 };
 use energy_system::battery::{Battery, BatterySpec};
-use power_telemetry::metrics;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::Trace;
 use simkit::units::{CarbonIntensity, Co2Grams, WattHours, Watts};
@@ -630,9 +629,12 @@ fn is_tick(charged: f64, t: u64) -> bool {
 /// one read back is already tick `t + 1`'s.
 fn assert_settled_at(eco: &Ecovisor, app: AppId, at: SimTime, before: VesTotals, t: u64) {
     let charged = charged(before, eco.app_totals(app).unwrap(), t);
-    let recorded = eco
-        .telemetry()
-        .value_at(metrics::GRID_CARBON_INTENSITY, metrics::SYSTEM, at);
+    let mut recorded = None;
+    eco.for_each_series(|subject, metric, series| {
+        if (subject, metric) == (Subject::System, Metric::GridCarbonIntensity) {
+            recorded = series.value_at(at);
+        }
+    });
     assert_eq!(
         eco.grid_carbon_intensity().grams_per_kwh(),
         moving_sample(t + 1),

@@ -33,10 +33,9 @@ use container_cop::{
 use ecovisor::proto::EventFrame;
 use ecovisor::{
     digest, CredentialRegistry, Ecovisor, EcovisorBuilder, EcovisorError, EcovisorServer,
-    EnergyClient, EnergyShare, Notification, ProtocolTrace, RemoteEcovisorClient, ShardedEcovisor,
-    Snapshot, SnapshotError, TenantSnapshot, VesTotals, SNAPSHOT_FORMAT,
+    EnergyClient, EnergyShare, Metric, Notification, ProtocolTrace, RemoteEcovisorClient,
+    ShardedEcovisor, Snapshot, SnapshotError, Subject, TenantSnapshot, VesTotals, SNAPSHOT_FORMAT,
 };
-use power_telemetry::metrics;
 use simkit::rng::SimRng;
 use simkit::time::SimDuration;
 use simkit::trace::Trace;
@@ -587,10 +586,13 @@ fn restore_derives_the_carbon_intensity_from_the_clock() {
         settle_one_tick(e);
     }
     let recorded = |t| {
-        twin.telemetry()
-            .value_at(metrics::GRID_CARBON_INTENSITY, metrics::SYSTEM, t)
-            .map(CarbonIntensity::new)
-            .expect("settled")
+        let mut recorded = None;
+        twin.for_each_series(|subject, metric, series| {
+            if (subject, metric) == (Subject::System, Metric::GridCarbonIntensity) {
+                recorded = series.value_at(t);
+            }
+        });
+        CarbonIntensity::new(recorded.expect("settled"))
     };
     assert_eq!(recorded(at), told, "charged what it told");
     let changes: Vec<Notification> = twin

@@ -7,18 +7,20 @@
 //! the ecovisor. A capture writes each tenant's slots in its record and a
 //! restore (`apply_snapshot`) or a graft installs them with it, no name
 //! written or read; an eviction (`remove_app`, the commit half of a
-//! migration) drops the tenant's with its shard; `Ecovisor::telemetry`
-//! names them all into one store. This suite drives a day through a mid-day launch, suspend
-//! and stop, an in-place restore and a migrate-out/migrate-in, and
-//! requires the named store — and the whole ecovisor — to end
-//! bit-identical to a twin that was never interrupted, and each tenant's
-//! interval answers to agree with the named store looked up by name.
+//! migration) drops the tenant's with its shard; `Ecovisor::for_each_series`
+//! walks them all where they are held. This suite drives a day through a
+//! mid-day launch, suspend and stop, an in-place restore and a
+//! migrate-out/migrate-in, and requires the walk — and the whole
+//! ecovisor — to end bit-identical to a twin that was never interrupted,
+//! and each tenant's interval answers to agree with the series the walk
+//! shows.
 
 use std::collections::BTreeMap;
 
 use container_cop::{AppId, ContainerId, ContainerSpec};
-use ecovisor::{Ecovisor, EcovisorBuilder, EnergyClient, EnergyShare, Snapshot, TenantSnapshot};
-use power_telemetry::metrics;
+use ecovisor::{
+    Ecovisor, EcovisorBuilder, EnergyClient, EnergyShare, Metric, Snapshot, Subject, TenantSnapshot,
+};
 use simkit::rng::SimRng;
 use simkit::time::{SimDuration, SimTime};
 use simkit::trace::Trace;
@@ -97,9 +99,13 @@ fn tick(eco: &mut Ecovisor, fleets: &mut Fleets, t: u64) {
     eco.tick(|_| ());
 }
 
-/// The named store, every series and sample of it in name order.
-fn named_store(eco: &Ecovisor) -> String {
-    format!("{:?}", eco.telemetry())
+/// Every series and sample the ecovisor holds, in the walk's order.
+fn walked(eco: &Ecovisor) -> String {
+    let mut out = String::new();
+    eco.for_each_series(|subject, metric, series| {
+        out += &format!("{subject:?} {metric:?} {series:?}\n");
+    });
+    out
 }
 
 #[test]
@@ -126,7 +132,7 @@ fn interrupted_day_ends_with_the_uninterrupted_twins_telemetry() {
             let tenant = TenantSnapshot::from_bytes(&bytes).expect("own capture decodes");
             eco.graft_app(&tenant).expect("grafts back");
         }
-        assert_eq!(named_store(&eco), named_store(&twin), "after tick {t}");
+        assert_eq!(walked(&eco), walked(&twin), "after tick {t}");
     }
     assert_eq!(eco.snapshot().digest(), twin.snapshot().digest());
 }
@@ -142,12 +148,15 @@ fn interval_queries_through_handles_agree_with_lookups_by_name() {
     assert!(!fleets[&middle].contains(&first_of_middle), "it stopped");
 
     let (from, to) = (SimTime::from_secs(3 * 1800), SimTime::from_secs(40 * 1800));
-    let telemetry = eco.telemetry();
-    let by_name = |metric: &str, subject: String| telemetry.integrate(metric, &subject, from, to);
+    let mut integrals = BTreeMap::new();
+    eco.for_each_series(|subject, metric, series| {
+        integrals.insert((subject, metric), series.integrate_step(from, to));
+    });
+    let integral = |subject, metric| integrals[&(subject, metric)];
     let mut checked = 0;
     for (&app, fleet) in &fleets {
-        let energy = by_name(metrics::APP_POWER, app.to_string()) / 3600.0;
-        let carbon = by_name(metrics::CARBON_RATE, app.to_string());
+        let energy = integral(Subject::App(app), Metric::AppPower) / 3600.0;
+        let carbon = integral(Subject::App(app), Metric::CarbonRate);
         // Live containers and the stopped one alike answer from the
         // tenant's own series.
         let mut containers = fleet.clone();
@@ -158,8 +167,8 @@ fn interval_queries_through_handles_agree_with_lookups_by_name() {
             .iter()
             .map(|c| {
                 (
-                    by_name(metrics::CONTAINER_POWER, c.to_string()) / 3600.0,
-                    by_name(metrics::CARBON_RATE, c.to_string()),
+                    integral(Subject::Container(*c), Metric::ContainerPower) / 3600.0,
+                    integral(Subject::Container(*c), Metric::CarbonRate),
                 )
             })
             .collect();

@@ -4,6 +4,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use ecovisor::{Ecovisor, Metric, Subject};
 use simkit::series::TimeSeries;
 use simkit::stats::Summary;
 
@@ -25,6 +26,18 @@ pub(crate) fn write_result(name: &str, content: &str) {
 
 fn display_path(p: &Path) -> String {
     p.to_string_lossy().into_owned()
+}
+
+/// A copy of `subject`'s `metric` series, empty if the ecovisor holds
+/// none.
+pub(crate) fn grab(eco: &Ecovisor, subject: Subject, metric: Metric) -> TimeSeries {
+    let mut found = TimeSeries::default();
+    eco.for_each_series(|of, is, series| {
+        if (of, is) == (subject, metric) {
+            found = series.clone();
+        }
+    });
+    found
 }
 
 /// Prints a fixed-width table with a title.

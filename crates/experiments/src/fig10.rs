@@ -12,9 +12,9 @@
 
 use carbon_policies::{ParallelSolarApp, SolarCapMode};
 use container_cop::CopConfig;
-use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
+use ecovisor::{EcovisorBuilder, EnergyShare, Metric, Simulation};
 use energy_system::solar::{SolarArrayBuilder, Weather};
-use power_telemetry::{csv, metrics};
+use power_telemetry::csv;
 use simkit::series::TimeSeries;
 use simkit::trace::Trace;
 use workloads::parallel::{ParallelConfig, SyntheticParallelJob};
@@ -69,7 +69,8 @@ struct SweepPoint {
 pub struct Fig10Result {
     /// One solar day (W) — Fig. 10a.
     solar_day: TimeSeries,
-    /// Per-container power series under the dynamic policy — Fig. 10b.
+    /// Per-container power series under the dynamic policy, ascending by
+    /// container id — Fig. 10b.
     container_power: Vec<TimeSeries>,
     /// The 10–90 % sweep — Fig. 10c.
     sweep: Vec<SweepPoint>,
@@ -145,15 +146,13 @@ fn run_one(
     let energy_kj = totals.energy.joules() / 1000.0 + idle_kj;
 
     let caps = (mode == SolarCapMode::DynamicCaps).then(|| {
-        let db = sim.eco().telemetry();
-        db.subjects_of(metrics::CONTAINER_POWER)
-            .into_iter()
-            .map(|s| {
-                db.series(metrics::CONTAINER_POWER, s)
-                    .cloned()
-                    .unwrap_or_default()
-            })
-            .collect()
+        let mut caps = Vec::new();
+        sim.eco().for_each_series(|_, metric, series| {
+            if metric == Metric::ContainerPower {
+                caps.push(series.clone());
+            }
+        });
+        caps
     });
     let replicas = stats.borrow().replicas_launched;
     RunOutcome {

@@ -16,8 +16,8 @@
 use carbon_intel::generator::CarbonTraceBuilder;
 use carbon_intel::regions;
 use carbon_intel::threshold::percentile_threshold;
-use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
-use power_telemetry::{csv, metrics};
+use ecovisor::{EcovisorBuilder, EnergyShare, Metric, Simulation, Subject};
+use power_telemetry::csv;
 use simkit::series::TimeSeries;
 use simkit::stats::Summary;
 use simkit::time::{SimDuration, SimTime};
@@ -340,17 +340,14 @@ pub fn run_fig5(seed: u64) -> Fig5Result {
 
     sim.run_until_done(4 * 24 * 60);
 
-    let db = sim.eco().telemetry();
-    let grab = |metric: &str, subject: &str| -> TimeSeries {
-        db.series(metric, subject).cloned().unwrap_or_default()
-    };
+    let grab = |subject, metric| common::grab(sim.eco(), subject, metric);
     Fig5Result {
-        intensity: grab(metrics::GRID_CARBON_INTENSITY, metrics::SYSTEM),
+        intensity: grab(Subject::System, Metric::GridCarbonIntensity),
         ml_threshold: ml_threshold.grams_per_kwh(),
         blast_threshold: blast_threshold.grams_per_kwh(),
-        ml_containers: grab(metrics::CONTAINER_COUNT, &ml_id.to_string()),
-        blast_containers: grab(metrics::CONTAINER_COUNT, &blast_id.to_string()),
-        cluster_power: grab(metrics::APP_POWER, metrics::SYSTEM),
+        ml_containers: grab(Subject::App(ml_id), Metric::ContainerCount),
+        blast_containers: grab(Subject::App(blast_id), Metric::ContainerCount),
+        cluster_power: grab(Subject::System, Metric::AppPower),
     }
 }
 

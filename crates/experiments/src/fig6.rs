@@ -14,8 +14,8 @@ use carbon_intel::generator::CarbonTraceBuilder;
 use carbon_intel::regions;
 use carbon_policies::{WebApp, WebPolicy};
 use container_cop::CopConfig;
-use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
-use power_telemetry::{csv, metrics};
+use ecovisor::{EcovisorBuilder, EnergyShare, Metric, Simulation, Subject};
+use power_telemetry::csv;
 use simkit::series::TimeSeries;
 use simkit::time::SimTime;
 use simkit::trace::Trace;
@@ -171,12 +171,7 @@ fn run_policy(cfg: &Fig6Config, static_policy: bool) -> Vec<WebOutcome> {
             .iter()
             .map(|(t, v)| (*t, f64::from(*v)))
             .collect();
-        let carbon_rate = sim
-            .eco()
-            .telemetry()
-            .series(metrics::CARBON_RATE, &id.to_string())
-            .cloned()
-            .unwrap_or_default();
+        let carbon_rate = common::grab(sim.eco(), Subject::App(id), Metric::CarbonRate);
         outcomes.push(WebOutcome {
             app: app_label,
             policy: policy_label,

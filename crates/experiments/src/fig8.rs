@@ -11,9 +11,9 @@
 
 use carbon_policies::{SolarWebApp, SolarWebMode, SparkApp, SparkMode};
 use container_cop::CopConfig;
-use ecovisor::{EcovisorBuilder, EnergyShare, Simulation};
+use ecovisor::{EcovisorBuilder, EnergyShare, Metric, Simulation, Subject};
 use energy_system::solar::{SolarArrayBuilder, Weather};
-use power_telemetry::{csv, metrics};
+use power_telemetry::csv;
 use simkit::series::TimeSeries;
 use simkit::time::SimDuration;
 use simkit::trace::Trace;
@@ -162,13 +162,10 @@ fn run_policy(cfg: &Fig8Config, dynamic: bool) -> (Fig8Run, TimeSeries, TimeSeri
     let total_ticks = cfg.days * 24 * 60;
     sim.run_ticks(total_ticks);
 
-    let db = sim.eco().telemetry();
-    let grab = |metric: &str, subject: &str| -> TimeSeries {
-        db.series(metric, subject).cloned().unwrap_or_default()
-    };
+    let grab = |subject, metric| common::grab(sim.eco(), subject, metric);
     let battery_rate = |id: container_cop::AppId| -> TimeSeries {
-        let charge = grab(metrics::BATTERY_CHARGE, &id.to_string());
-        let discharge = grab(metrics::BATTERY_DISCHARGE, &id.to_string());
+        let charge = grab(Subject::App(id), Metric::BatteryCharge);
+        let discharge = grab(Subject::App(id), Metric::BatteryDischarge);
         charge
             .iter()
             .zip(discharge.iter())
@@ -180,8 +177,8 @@ fn run_policy(cfg: &Fig8Config, dynamic: bool) -> (Fig8Run, TimeSeries, TimeSeri
     let web_st = web_stats.borrow();
     let run = Fig8Run {
         policy: if dynamic { "dynamic" } else { "static" },
-        spark_workers: grab(metrics::CONTAINER_COUNT, &spark_id.to_string()),
-        web_workers: grab(metrics::CONTAINER_COUNT, &web_id.to_string()),
+        spark_workers: grab(Subject::App(spark_id), Metric::ContainerCount),
+        web_workers: grab(Subject::App(web_id), Metric::ContainerCount),
         web_p95: web_st
             .p95_series
             .iter()
@@ -190,8 +187,8 @@ fn run_policy(cfg: &Fig8Config, dynamic: bool) -> (Fig8Run, TimeSeries, TimeSeri
         web_violations: web_st.slo_violations,
         spark_finish_ticks: spark_st.finished_at.map(|t| t.as_secs() / 60),
         spark_lost_work: spark_st.lost_work,
-        spark_soc: grab(metrics::BATTERY_SOC, &spark_id.to_string()),
-        web_soc: grab(metrics::BATTERY_SOC, &web_id.to_string()),
+        spark_soc: grab(Subject::App(spark_id), Metric::BatterySoc),
+        web_soc: grab(Subject::App(web_id), Metric::BatterySoc),
         spark_battery_rate: battery_rate(spark_id),
         web_battery_rate: battery_rate(web_id),
         total_carbon_g: sim
@@ -207,7 +204,7 @@ fn run_policy(cfg: &Fig8Config, dynamic: bool) -> (Fig8Run, TimeSeries, TimeSeri
                 .carbon
                 .grams(),
     };
-    let solar_series = grab(metrics::SOLAR_POWER, metrics::SYSTEM);
+    let solar_series = grab(Subject::System, Metric::SolarPower);
     let workload_series: TimeSeries = (0..total_ticks)
         .step_by(5)
         .map(|i| {

@@ -8,8 +8,7 @@
 
 use ecoharness::{artifacts_in_dir, build_ecovisor, verify, ScenarioArtifact};
 use ecovisor::proto::EnergyRequest;
-use ecovisor::WireCodec;
-use power_telemetry::metrics;
+use ecovisor::{Metric, Subject, WireCodec};
 use simkit::time::SimTime;
 
 mod common;
@@ -166,14 +165,16 @@ fn recorded_tenants_are_told_the_intensity_their_tick_charges() {
     let (mut eco, _) = build_ecovisor(spec).expect("world");
     let report = eco.replay_trace_from(&artifact.trace, 0, spec.ticks);
     let dt = spec.tick_interval().as_secs();
-    let telemetry = eco.telemetry();
+    let mut intensity = None;
+    eco.for_each_series(|subject, metric, series| {
+        if (subject, metric) == (Subject::System, Metric::GridCarbonIntensity) {
+            intensity = Some(series.clone());
+        }
+    });
+    let intensity = intensity.expect("a settled day records the intensity");
     let row = |tick: u64| {
-        telemetry
-            .value_at(
-                metrics::GRID_CARBON_INTENSITY,
-                metrics::SYSTEM,
-                SimTime::from_secs(tick * dt),
-            )
+        intensity
+            .value_at(SimTime::from_secs(tick * dt))
             .expect("settled tick")
     };
     let (mut answers, mut moved) = (0, 0);

@@ -3,84 +3,67 @@
 //!
 //! A tenant's live values (`GetGridPower`, `GetSolarPower`,
 //! `GetBatteryChargeLevel`, `GetAppCarbon`, …) are answered from its
-//! virtual energy system; the store exists for the interval requests,
+//! virtual energy system; the series exist for the interval requests,
 //! the figures and the tests that read history. A series written every
-//! tick that no door reads still costs every tick an append, every
-//! snapshot its bytes and every restore its name. So every recorded day
-//! is replayed in process, and each `(metric, subject kind)` pair left in
-//! the final store must be one of the ledger's rows — and each row must
-//! be written on some day, so the ledger cannot keep a row for a series
-//! that is gone. A series comes back only with a reader and a row here.
+//! tick that no door reads still costs every tick an append and every
+//! snapshot, capture and restore its bytes. So every recorded day is
+//! replayed in process, and each `(metric, subject kind)` pair the
+//! ecovisor holds at the end must be one of the ledger's rows — and each
+//! row must be written on some day, so the ledger cannot keep a row for a
+//! series that is gone. A series comes back only with a reader and a row
+//! here.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use ecoharness::{artifacts_in_dir, build_ecovisor, ScenarioArtifact};
-use power_telemetry::metrics;
+use ecovisor::{Metric, Subject};
 
 /// What a series is about: the substrate, a tenant or a container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Subject {
+enum Kind {
     System,
     App,
     Container,
 }
 
 /// Every series settlement writes, and the door that reads it.
-const LEDGER: [(&str, Subject, &str); 11] = [
+const LEDGER: [(Metric, Kind, &str); 11] = [
     (
-        metrics::GRID_CARBON_INTENSITY,
-        Subject::System,
+        Metric::GridCarbonIntensity,
+        Kind::System,
         "fig. 4/5 (fig4.rs); recorded_tenants_are_told_the_intensity_their_tick_charges",
     ),
-    (metrics::SOLAR_POWER, Subject::System, "fig. 8/9 (fig8.rs)"),
-    (metrics::APP_POWER, Subject::System, "fig. 4/5 (fig4.rs)"),
-    (metrics::APP_POWER, Subject::App, "GetAppEnergy"),
+    (Metric::SolarPower, Kind::System, "fig. 8/9 (fig8.rs)"),
+    (Metric::AppPower, Kind::System, "fig. 4/5 (fig4.rs)"),
+    (Metric::AppPower, Kind::App, "GetAppEnergy"),
+    (Metric::BatteryDischarge, Kind::App, "fig. 8/9 (fig8.rs)"),
+    (Metric::BatteryCharge, Kind::App, "fig. 8/9 (fig8.rs)"),
+    (Metric::BatterySoc, Kind::App, "fig. 8/9 (fig8.rs)"),
     (
-        metrics::BATTERY_DISCHARGE,
-        Subject::App,
-        "fig. 8/9 (fig8.rs)",
-    ),
-    (metrics::BATTERY_CHARGE, Subject::App, "fig. 8/9 (fig8.rs)"),
-    (metrics::BATTERY_SOC, Subject::App, "fig. 8/9 (fig8.rs)"),
-    (
-        metrics::CARBON_RATE,
-        Subject::App,
+        Metric::CarbonRate,
+        Kind::App,
         "GetAppCarbonBetween; fig. 6/7 (fig6.rs)",
     ),
     (
-        metrics::CONTAINER_COUNT,
-        Subject::App,
+        Metric::ContainerCount,
+        Kind::App,
         "fig. 4/5 (fig4.rs), fig. 8/9 (fig8.rs)",
     ),
     (
-        metrics::CONTAINER_POWER,
-        Subject::Container,
+        Metric::ContainerPower,
+        Kind::Container,
         "GetContainerEnergy; fig. 10/11 (fig10.rs)",
     ),
-    (
-        metrics::CARBON_RATE,
-        Subject::Container,
-        "GetContainerCarbon",
-    ),
+    (Metric::CarbonRate, Kind::Container, "GetContainerCarbon"),
 ];
 
-/// `subject`'s kind, by the form settlement names it in (`system`,
-/// `app7`, `c12`); `None` for any other form.
-fn kind(subject: &str) -> Option<Subject> {
-    let numbered = |prefix| {
-        subject
-            .strip_prefix(prefix)
-            .is_some_and(|n: &str| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()))
-    };
-    if subject == metrics::SYSTEM {
-        Some(Subject::System)
-    } else if numbered("app") {
-        Some(Subject::App)
-    } else if numbered("c") {
-        Some(Subject::Container)
-    } else {
-        None
+/// `subject`'s kind.
+fn kind(subject: Subject) -> Kind {
+    match subject {
+        Subject::System => Kind::System,
+        Subject::App(_) => Kind::App,
+        Subject::Container(_) => Kind::Container,
     }
 }
 
@@ -90,7 +73,7 @@ fn corpus_dir() -> PathBuf {
 
 #[test]
 fn every_series_a_day_stores_has_a_reader() {
-    let ledger: BTreeSet<(&str, Subject)> = LEDGER.iter().map(|&(m, s, _)| (m, s)).collect();
+    let ledger: BTreeSet<(Metric, Kind)> = LEDGER.iter().map(|&(m, s, _)| (m, s)).collect();
     assert_eq!(ledger.len(), LEDGER.len(), "a ledger row is listed twice");
     let mut written = BTreeSet::new();
     for path in artifacts_in_dir(&corpus_dir()).expect("corpus directory exists") {
@@ -107,20 +90,16 @@ fn every_series_a_day_stores_has_a_reader() {
             None => 0,
         };
         eco.replay_trace_from(&artifact.trace, start, artifact.spec.ticks);
-        for (metric, subject, _) in eco.telemetry().iter() {
-            let kind = kind(subject);
-            let row = LEDGER
-                .iter()
-                .find(|&&(m, s, _)| m == metric && Some(s) == kind);
-            let &(metric, subject, _) = row.unwrap_or_else(|| {
-                panic!(
-                    "{}: `{metric}` of `{subject}` is stored, but no ledger row names a door \
-                     that reads it",
-                    path.display()
-                )
-            });
-            written.insert((metric, subject));
-        }
+        eco.for_each_series(|subject, metric, _| {
+            let key = (metric, kind(subject));
+            assert!(
+                ledger.contains(&key),
+                "{}: {metric:?} of {subject:?} is stored, but no ledger row names a door \
+                 that reads it",
+                path.display()
+            );
+            written.insert(key);
+        });
     }
     let unwritten: Vec<_> = ledger.difference(&written).collect();
     assert!(

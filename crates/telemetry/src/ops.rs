@@ -1,6 +1,6 @@
 //! Operational observability primitives: metrics and structured logging.
 //!
-//! The rest of this crate measures the *simulated* energy system; this
+//! The simulated energy system's series are the ecovisor's own; this
 //! module measures the *serving runtime itself* — counters, gauges, and
 //! latency histograms cheap enough for the dispatch hot path, plus a
 //! structured leveled logging facade replacing bare `eprintln!`.
@@ -113,9 +113,9 @@ impl std::fmt::Debug for Counter {
 
 /// An instantaneous signed level (queue depths, backlog sizes).
 ///
-/// Unlike a [`Counter`] it can go down; unlike the leak-gated
-/// [`crate::Tsdb`] series it is not tick-addressed — it is whatever the
-/// level is *now*.
+/// Unlike a [`Counter`] it can go down; unlike the simulation's
+/// telemetry series it is not tick-addressed — it is whatever the level
+/// is *now*.
 #[derive(Default)]
 pub struct Gauge(AtomicI64);
 
